@@ -15,14 +15,6 @@
 //! ISSUE's exact-answers-at-10×-memory acceptance bar — or if a query
 //! finishes with a pin still outstanding.
 //!
-//! A final **layout comparison** times the 25%-budget LRU cell twice — flat
-//! arena rows ([`PagedArenaSource`](minsig::PagedArenaSource), the default)
-//! against the owned-sequence `PagedSource`
-//! ([`with_flat_rows(false)`](minsig::PagedShardedSnapshot::with_flat_rows))
-//! — and **panics** if the flat layout falls more than 10% below the owned
-//! one (the noise allowance for the shared runner): the arena rows exist to
-//! be at least as fast out of core as re-decoding sequences per evaluation.
-//!
 //! [`PagedShardedSnapshot`]: minsig::PagedShardedSnapshot
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -156,50 +148,6 @@ fn emit_artifact(
             ));
         }
     }
-
-    // Layout comparison at the 25% budget, LRU: flat arena rows (the
-    // default hot path) vs the owned-sequence decode path, identical pool
-    // configuration, answers still gated bitwise against the oracle.
-    let mut layout_qps = [0.0f64; 2];
-    for (slot, (flat, layout_name)) in
-        [(true, "arena_rows"), (false, "owned_sequences")].into_iter().enumerate()
-    {
-        let pool = store.pool(pool_config(store, 0.25, ReplacerPolicy::LruK(1)));
-        let paged = snapshot.paged(store, &pool).with_flat_rows(flat);
-        let mut best = f64::INFINITY;
-        let mut classified = 0u64;
-        for _ in 0..PASSES {
-            classified = 0;
-            let start = Instant::now();
-            for (i, &query) in queries.iter().enumerate() {
-                let (results, stats) = paged.top_k(query, K, measure).expect("paged answers");
-                assert_eq!(
-                    results, oracle[i],
-                    "layout {layout_name}: paged answer diverged from the in-memory \
-                     oracle for query {query}"
-                );
-                classified += stats.kernel_dispatch.total();
-                black_box(&results);
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        assert_eq!(pool.pinned_frames(), 0, "layout {layout_name}: a query left a pin");
-        layout_qps[slot] = queries.len() as f64 / best.max(1e-12);
-        rows.push(format!(
-            concat!(
-                "    {{\"budget_fraction\": 0.25, \"policy\": \"lru\", \"layout\": \"{}\", ",
-                "\"qps\": {:.1}, \"kernels_classified\": {}}}"
-            ),
-            layout_name, layout_qps[slot], classified,
-        ));
-    }
-    assert!(
-        layout_qps[0] >= 0.9 * layout_qps[1],
-        "flat arena rows regressed the 25%-budget paged path: {:.1} qps vs {:.1} qps \
-         for the owned-sequence layout (gate: >= 90%)",
-        layout_qps[0],
-        layout_qps[1],
-    );
 
     let json = format!(
         concat!(

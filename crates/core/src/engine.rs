@@ -144,7 +144,11 @@ use trace_storage::{BufferPool, PagedTraceStore};
 /// threads (`&self` access only): a batch executor may drive many concurrent
 /// searches against one source.
 pub trait TraceSource {
-    /// The sequence of an entity, or `None` when it cannot be found.
+    /// The sequence of an entity, or `None` when it cannot be found.  An
+    /// indexed entity the source cannot produce is *not* silently dropped:
+    /// the executor counts it in
+    /// [`QueryStats::candidates_unreadable`] and lowers the answer's
+    /// [`recall_estimate`](QueryStats::recall_estimate).
     fn sequence(&self, entity: EntityId) -> Option<Cow<'_, CellSetSequence>>;
 
     /// The association degree between `query` and an entity's trace, or
@@ -209,10 +213,10 @@ impl TraceSource for InMemorySource<'_> {
 /// The buffer pool synchronises internally, so one `PagedSource` (or several
 /// over the same pool) can serve concurrent searches from multiple threads.
 pub struct PagedSource<'a> {
-    store: &'a PagedTraceStore,
-    pool: &'a BufferPool<'a>,
-    sp: &'a SpIndex,
-    ticks_per_unit: u64,
+    pub(crate) store: &'a PagedTraceStore,
+    pub(crate) pool: &'a BufferPool<'a>,
+    pub(crate) sp: &'a SpIndex,
+    pub(crate) ticks_per_unit: u64,
 }
 
 impl<'a> PagedSource<'a> {
@@ -819,6 +823,7 @@ where
     /// work counters (with the wall-clock time since construction).
     pub fn finish(mut self) -> (Vec<TopKResult>, QueryStats) {
         self.stats.query_time_us = self.started.elapsed().as_micros() as u64;
+        self.stats.discount_unreadable();
         (self.top.into_sorted(), self.stats)
     }
 
@@ -837,6 +842,7 @@ where
                     continue;
                 }
                 let Some(degree) = self.source.degree(entity, self.query, &self.measure) else {
+                    self.stats.candidates_unreadable += 1;
                     continue;
                 };
                 self.stats.entities_checked += 1;

@@ -21,15 +21,33 @@
 //! `explain`) — the full planned cooperative fan-out, with every candidate
 //! trace read through the pool instead of the in-memory sequence maps, and
 //! planned by the **page-aware** cost model
-//! ([`plan::plan_query_paged`](crate::plan)).  The pin protocol: the query
-//! entity's own trace is pinned for the whole fan-out (its pages stay
-//! resident across every executor [`step`](crate::engine::Executor::step)
-//! quantum, released when the merged answer is produced), and every
-//! candidate page is pinned transiently while its records are extracted.
-//! Answers are **bitwise identical** to the in-memory sharded, unsharded and
-//! brute-force paths — any shard count, any pool size, any
+//! ([`plan::plan_query_paged`](crate::plan)).  Answers are **bitwise
+//! identical** to the in-memory sharded, unsharded and brute-force paths —
+//! any shard count, any pool size, any
 //! [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
 //! (`tests/paged_conformance.rs` proptests exactly this).
+//!
+//! ## Who owns what during a query
+//!
+//! * **Pins.**  The query entity's own trace is pinned for the whole fan-out
+//!   (resident across every executor [`step`](crate::engine::Executor::step)
+//!   quantum, released when the merged answer is produced).  A candidate page
+//!   is pinned only while its run of the candidate's records is visited
+//!   ([`PagedTraceStore::for_each_record`]); nothing else ever holds a pin, so
+//!   `pinned_frames() == 0` after every query.
+//! * **Scratch.**  Every tree executor gets its own [`PagedArenaSource`], the
+//!   calling thread one more for seeding and scans.  A source owns the row
+//!   buffer its candidates are discretised into, the overlap scratch, and the
+//!   kernel-dispatch and buffer-pool counters for the work *it* did; an
+//!   executor is stepped by one worker at a time, so none of it is locked and
+//!   nothing is allocated per candidate.  The counters are summed into the
+//!   query's [`QueryStats`] at merge — exact per query however many queries
+//!   share the pool.
+//! * **No row cache.**  Every entity is scored once per query (the planner's
+//!   seeds are the only repeats), so rows are rebuilt into the same buffer
+//!   candidate after candidate and nothing is kept.
+//! * **Locks.**  The only lock a candidate evaluation takes is the pool
+//!   mutex, around frame-table bookkeeping only (see [`trace_storage::pool`]).
 
 use crate::config::{BoundMode, PlannerConfig, SchedulerConfig};
 use crate::engine::{
@@ -48,118 +66,108 @@ use crate::snapshot::IndexSnapshot;
 use crate::stats::{DegradationReport, KernelDispatch, QueryStats};
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 use trace_model::ajpi::{LevelOverlap, LevelStat};
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
-use trace_storage::{BufferPool, PageId, PagedTraceStore};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows};
+use trace_storage::{BufferPool, PageId, PagedTraceStore, PoolStats};
 
-/// One entity's flat per-level rows, copied out of the buffer pool: the
-/// packed level cells concatenated with a small offsets directory, exactly
-/// the layout one [`CandidateArena`](crate::kernel::CandidateArena) row has.
-#[derive(Debug)]
-struct FlatRows {
-    /// `offsets[i]..offsets[i + 1]` brackets level `i + 1`'s packed cells.
-    offsets: Vec<u32>,
-    cells: Vec<u64>,
-}
-
-impl FlatRows {
-    fn from_sequence(seq: &CellSetSequence) -> Self {
-        let num_levels = seq.num_levels();
-        let mut offsets = Vec::with_capacity(num_levels + 1);
-        offsets.push(0u32);
-        let mut cells = Vec::new();
-        for level in 1..=num_levels {
-            cells.extend_from_slice(seq.level(level as trace_model::Level).packed_slice());
-            offsets.push(cells.len() as u32);
-        }
-        FlatRows { offsets, cells }
-    }
-
-    #[inline]
-    fn level(&self, i: usize) -> &[u64] {
-        &self.cells[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.cells.len() * std::mem::size_of::<u64>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// The row cache plus per-query scratch behind one [`PagedArenaSource`];
-/// a single mutex keeps the source `Sync` so the cooperative fan-out can
-/// share it across parallel executors like it shares a [`PagedSource`].
+/// What one [`PagedArenaSource`] reuses across candidates and counts for its
+/// query.
 #[derive(Debug, Default)]
-struct PagedArenaState {
-    rows: HashMap<EntityId, FlatRows>,
-    resident_bytes: usize,
-    scratch: LevelOverlap,
+struct Scratch {
+    rows: LevelRows,
+    overlap: LevelOverlap,
     dispatch: KernelDispatch,
+    io: PoolStats,
 }
 
-/// A [`TraceSource`] that materialises **flat arena rows** from the paged
-/// store: the out-of-core counterpart of
-/// [`ArenaSource`](crate::kernel::ArenaSource), so paged leaf evaluation
-/// runs the same fused per-level kernel loop the in-memory hot path does.
+/// One query as every stage of the fan-out sees it.
+struct Request<'q, M: ?Sized> {
+    query: &'q CellSetSequence,
+    exclude: Option<EntityId>,
+    k: usize,
+    measure: &'q M,
+    options: QueryOptions,
+    scheduler: SchedulerConfig,
+}
+
+/// A [`TraceSource`] that scores candidates straight from the paged store:
+/// the out-of-core counterpart of
+/// [`ArenaSource`](crate::kernel::ArenaSource), running the same fused
+/// per-level kernel loop the in-memory hot path does.
 ///
-/// On the first degree request for an entity its trace is read through the
-/// buffer pool (pages pinned transiently inside the read, released before
-/// this returns — the source itself never holds a pin) and its per-level
-/// packed cells are copied into a flat row (per-level CSR over one
-/// contiguous `u64` buffer, the candidate arena's layout).  Subsequent
-/// requests for
-/// the same entity — every re-expansion across executor step quanta — hit
-/// the row cache and never touch the pool again.
+/// A degree request visits the entity's records through the buffer pool
+/// (pages pinned transiently inside the visit — the source itself never
+/// holds a pin), discretises them into the source's reusable
+/// [`LevelRows`] buffer, and intersects the rows with the query.  Degrees
+/// are **bitwise identical** to `measure.degree(query, seq)` over the
+/// sequence [`sequence`](TraceSource::sequence) reports (the
+/// [`PagedSource`] / [`cell_sequence`](trace_model::DigitalTrace::cell_sequence)
+/// oracle): both hand the measure the same integer per-level [`LevelStat`]s
+/// through the same [`dispatch_class`]-routed kernels.
 ///
-/// The cache honours the out-of-core budget: resident row bytes are capped
-/// at the pool's configured `capacity_bytes`, and crossing the cap flushes
-/// the cache wholesale (the rows were built from one pool-residency epoch;
-/// a new epoch starts clean) so a paged query's extra memory never exceeds
-/// one pool's worth.  Degrees are **bitwise identical** to
-/// `measure.degree(query, seq)` over the sequence
-/// [`sequence`](TraceSource::sequence) reports: both paths hand the measure
-/// the same integer per-level [`LevelStat`]s through the same
-/// [`dispatch_class`]-routed kernels.
-///
-/// Per-kernel dispatch accounting accumulates behind the same mutex and is
-/// drained with [`take_dispatch`](Self::take_dispatch).
+/// Like `ArenaSource`, the scratch and the per-query counters live in a
+/// single-threaded cell: the source is `Send` but deliberately not `Sync`,
+/// one per executor.  [`drain_into`](Self::drain_into) moves the counters
+/// into the query's stats.
 pub struct PagedArenaSource<'a> {
     inner: PagedSource<'a>,
     view: QueryView<'a>,
-    budget_bytes: usize,
-    state: Mutex<PagedArenaState>,
+    scratch: RefCell<Scratch>,
 }
 
 impl<'a> PagedArenaSource<'a> {
-    /// Creates a source over a store and pool for one query sequence; the
-    /// row-cache budget is the pool's configured capacity.
-    pub fn new(
-        store: &'a PagedTraceStore,
-        pool: &'a BufferPool<'a>,
-        sp: &'a SpIndex,
-        ticks_per_unit: u64,
-        query: &'a CellSetSequence,
-    ) -> Self {
-        PagedArenaSource {
-            inner: PagedSource::new(store, pool, sp, ticks_per_unit),
-            view: QueryView::new(query),
-            budget_bytes: pool.config().capacity_bytes,
-            state: Mutex::new(PagedArenaState::default()),
+    /// Creates a source reading through `inner` for one query sequence.
+    pub fn new(inner: PagedSource<'a>, query: &'a CellSetSequence) -> Self {
+        PagedArenaSource { inner, view: QueryView::new(query), scratch: RefCell::default() }
+    }
+
+    /// Adds the kernel-dispatch and buffer-pool counters accumulated since
+    /// the last call (or construction) to `stats`, leaving them at zero.
+    pub fn drain_into(&self, stats: &mut QueryStats) {
+        let scratch = &mut *self.scratch.borrow_mut();
+        stats.kernel_dispatch.absorb(std::mem::take(&mut scratch.dispatch));
+        stats.absorb_io(std::mem::take(&mut scratch.io));
+    }
+
+    /// The fused records → rows → degree evaluation; `None` when the store
+    /// cannot produce the entity (exactly when [`PagedSource::sequence`]
+    /// cannot).  `track` counts the kernel dispatches (leaf evaluation and
+    /// scans do; planner seeding, like its in-memory counterpart, does not).
+    pub(crate) fn score(
+        &self,
+        entity: EntityId,
+        measure: &dyn AssociationMeasure,
+        track: bool,
+    ) -> Option<f64> {
+        let PagedSource { store, pool, sp, ticks_per_unit } = self.inner;
+        let Scratch { rows, overlap, dispatch, io } = &mut *self.scratch.borrow_mut();
+        rows.clear();
+        let mut pushed = Ok(());
+        let found = store.for_each_record(pool, entity, io, |rec| {
+            if pushed.is_ok() {
+                let presence = rec.to_presence();
+                pushed = rows.push(sp, ticks_per_unit, presence.unit, presence.period);
+            }
+        });
+        if !found || pushed.is_err() || rows.finish(sp).is_err() {
+            return None;
         }
-    }
-
-    /// Drains the per-kernel dispatch counts accumulated since the last
-    /// call (or construction), leaving the counters at zero.
-    pub fn take_dispatch(&self) -> KernelDispatch {
-        std::mem::take(&mut self.state.lock().expect("paged arena state poisoned").dispatch)
-    }
-
-    /// Number of entity rows currently resident in the cache.
-    pub fn cached_rows(&self) -> usize {
-        self.state.lock().expect("paged arena state poisoned").rows.len()
+        debug_assert_eq!(rows.num_levels(), self.view.num_levels());
+        overlap.clear();
+        for i in 0..self.view.num_levels() {
+            let (q, c) = (self.view.level(i), rows.level(i));
+            if track {
+                dispatch.record(dispatch_class(q.len(), c.len()));
+            }
+            overlap.push(LevelStat {
+                overlap: intersection_len(q, c),
+                size_a: q.len(),
+                size_b: c.len(),
+            });
+        }
+        Some(measure.degree_from_overlap(overlap))
     }
 }
 
@@ -175,41 +183,16 @@ impl TraceSource for PagedArenaSource<'_> {
         measure: &dyn AssociationMeasure,
     ) -> Option<f64> {
         debug_assert_eq!(query.num_levels(), self.view.num_levels());
-        let state = &mut *self.state.lock().expect("paged arena state poisoned");
-        if !state.rows.contains_key(&entity) {
-            let rows = FlatRows::from_sequence(self.inner.sequence(entity)?.as_ref());
-            let bytes = rows.resident_bytes();
-            if state.resident_bytes + bytes > self.budget_bytes && !state.rows.is_empty() {
-                state.rows.clear();
-                state.resident_bytes = 0;
-            }
-            state.resident_bytes += bytes;
-            state.rows.insert(entity, rows);
-        }
-        let rows = &state.rows[&entity];
-        state.scratch.clear();
-        for i in 0..self.view.num_levels() {
-            let q = self.view.level(i);
-            let c = rows.level(i);
-            state.dispatch.record(dispatch_class(q.len(), c.len()));
-            state.scratch.push(LevelStat {
-                overlap: intersection_len(q, c),
-                size_a: q.len(),
-                size_b: c.len(),
-            });
-        }
-        Some(measure.degree_from_overlap(&state.scratch))
+        self.score(entity, measure, true)
     }
 }
 
 impl IndexSnapshot {
     /// Answers a top-k query reading candidate traces through `pool` over `store`.
     ///
-    /// The returned [`QueryStats`] additionally report the buffer-pool misses and
-    /// the simulated I/O latency accumulated during this query.  When several
-    /// threads share one pool, those two deltas are approximate: the pool's
-    /// counters are global, so concurrent queries' I/O may be attributed to
-    /// each other (results themselves are unaffected).
+    /// The returned [`QueryStats`] additionally report the buffer-pool traffic
+    /// and the simulated I/O latency of this query's own candidate reads —
+    /// counted per fetch, so exact even when several threads share one pool.
     pub fn top_k_paged<M: AssociationMeasure + ?Sized>(
         &self,
         query: EntityId,
@@ -226,13 +209,12 @@ impl IndexSnapshot {
                 // from the store.
                 let trace = store
                     .read_trace(pool, query)
-                    .ok_or(crate::error::IndexError::UnknownQueryEntity(query.raw()))?;
+                    .ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
                 trace.cell_sequence(self.sp_index(), self.ticks_per_unit())?
             }
         };
-        let before = pool.stats();
-        let source =
-            PagedArenaSource::new(store, pool, self.sp_index(), self.ticks_per_unit(), &query_seq);
+        let reader = PagedSource::new(store, pool, self.sp_index(), self.ticks_per_unit());
+        let source = PagedArenaSource::new(reader, &query_seq);
         let (results, mut stats) = engine::execute(
             self.sp_index(),
             self.hasher(),
@@ -244,12 +226,7 @@ impl IndexSnapshot {
             &source,
             options,
         )?;
-        stats.kernel_dispatch.absorb(source.take_dispatch());
-        let io = pool.stats().since(&before);
-        stats.pool_hits = io.hits;
-        stats.pool_misses = io.misses;
-        stats.pool_evictions = io.evictions;
-        stats.simulated_io_us = io.simulated_us;
+        source.drain_into(&mut stats);
         Ok((results, stats))
     }
 }
@@ -301,7 +278,7 @@ impl ShardedSnapshot {
                 pages
             })
             .collect();
-        PagedShardedSnapshot { snapshot: self, store, pool, shard_pages, flat_rows: true }
+        PagedShardedSnapshot { snapshot: self, store, pool, shard_pages }
     }
 }
 
@@ -310,14 +287,12 @@ impl ShardedSnapshot {
 ///
 /// Entry points mirror [`ShardedSnapshot`]'s and return **bitwise-identical**
 /// answers (see the [module docs](crate::paged)); the returned
-/// [`QueryStats`] additionally carry the query's buffer-pool deltas
+/// [`QueryStats`] additionally carry the query's own buffer-pool traffic
 /// ([`pool_hits`](QueryStats::pool_hits) /
 /// [`pool_misses`](QueryStats::pool_misses) /
 /// [`pool_evictions`](QueryStats::pool_evictions) /
-/// [`simulated_io_us`](QueryStats::simulated_io_us)).  When several queries
-/// share one pool concurrently those deltas are approximate — the pool's
-/// counters are global, so overlapping queries' I/O may be attributed to
-/// each other; answers are unaffected.
+/// [`simulated_io_us`](QueryStats::simulated_io_us)), exact per query even
+/// when several queries share the pool concurrently.
 #[derive(Debug)]
 pub struct PagedShardedSnapshot<'a> {
     snapshot: &'a ShardedSnapshot,
@@ -325,25 +300,12 @@ pub struct PagedShardedSnapshot<'a> {
     pool: &'a BufferPool<'a>,
     /// Per shard: the sorted distinct store pages its entities' traces span.
     shard_pages: Vec<Vec<PageId>>,
-    /// Route leaf evaluation through flat [`PagedArenaSource`] rows (the
-    /// default) instead of re-decoding owned sequences per evaluation.
-    flat_rows: bool,
 }
 
 impl<'a> PagedShardedSnapshot<'a> {
     /// The wrapped snapshot.
     pub fn snapshot(&self) -> &'a ShardedSnapshot {
         self.snapshot
-    }
-
-    /// Toggles the flat-row hot path (see [`PagedArenaSource`]): on by
-    /// default; `false` re-decodes owned sequences on every leaf evaluation
-    /// through the plain [`PagedSource`].  Answers are bitwise identical
-    /// either way — this knob exists for benchmarking the layouts against
-    /// each other.
-    pub fn with_flat_rows(mut self, flat_rows: bool) -> Self {
-        self.flat_rows = flat_rows;
-        self
     }
 
     /// The buffer pool every query reads through.
@@ -415,7 +377,12 @@ impl<'a> PagedShardedSnapshot<'a> {
         planner: PlannerConfig,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let seq = self.query_sequence(query)?;
-        self.fan_out(seq.as_ref(), Some(query), k, measure, options, true, scheduler, planner)
+        let exclude = Some(query);
+        self.fan_out(
+            Request { query: seq.as_ref(), exclude, k, measure, options, scheduler },
+            true,
+            planner,
+        )
     }
 
     /// Answers a top-k query for an arbitrary (possibly external) query
@@ -428,14 +395,10 @@ impl<'a> PagedShardedSnapshot<'a> {
         measure: &M,
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
+        let scheduler = SchedulerConfig::default();
         self.fan_out(
-            query,
-            exclude,
-            k,
-            measure,
-            options,
+            Request { query, exclude, k, measure, options, scheduler },
             true,
-            SchedulerConfig::default(),
             PlannerConfig::default(),
         )
     }
@@ -486,14 +449,10 @@ impl<'a> PagedShardedSnapshot<'a> {
             .par_iter()
             .map(|&query| {
                 let seq = self.query_sequence(query)?;
+                let exclude = Some(query);
                 self.fan_out(
-                    seq.as_ref(),
-                    Some(query),
-                    k,
-                    measure,
-                    options,
+                    Request { query: seq.as_ref(), exclude, k, measure, options, scheduler },
                     false,
-                    scheduler,
                     planner,
                 )
             })
@@ -526,19 +485,16 @@ impl<'a> PagedShardedSnapshot<'a> {
         options: JoinOptions,
     ) -> Option<JoinRow> {
         let seq = self.query_sequence(probe).ok()?;
-        match self.fan_out(
-            seq.as_ref(),
-            Some(probe),
-            options.k,
+        let request = Request {
+            query: seq.as_ref(),
+            exclude: Some(probe),
+            k: options.k,
             measure,
-            options.query,
-            false,
-            SchedulerConfig::default(),
-            PlannerConfig::default(),
-        ) {
-            Ok((matches, stats)) => Some(JoinRow { probe, matches, stats }),
-            Err(_) => None,
-        }
+            options: options.query,
+            scheduler: SchedulerConfig::default(),
+        };
+        let (matches, stats) = self.fan_out(request, false, PlannerConfig::default()).ok()?;
+        Some(JoinRow { probe, matches, stats })
     }
 
     /// Builds — without executing — the page-aware [`QueryPlan`] the paged
@@ -556,9 +512,6 @@ impl<'a> PagedShardedSnapshot<'a> {
     ) -> Result<QueryPlan> {
         let seq = self.query_sequence(query)?;
         self.snapshot.check_query_levels(seq.as_ref())?;
-        let probe = &self.snapshot.shard_snapshots()[0];
-        let source =
-            PagedSource::new(self.store, self.pool, probe.sp_index(), probe.ticks_per_unit());
         Ok(plan::plan_query_paged(
             self.snapshot.shard_snapshots(),
             seq.as_ref(),
@@ -566,10 +519,18 @@ impl<'a> PagedShardedSnapshot<'a> {
             k,
             measure,
             &planner,
-            &source,
+            &self.source(seq.as_ref()),
             &self.shard_pages,
             self.pool,
         ))
+    }
+
+    /// A fresh source (own scratch, zeroed counters) scoring against `query`.
+    fn source<'q>(&'q self, query: &'q CellSetSequence) -> PagedArenaSource<'q> {
+        let probe = &self.snapshot.shard_snapshots()[0];
+        let reader =
+            PagedSource::new(self.store, self.pool, probe.sp_index(), probe.ticks_per_unit());
+        PagedArenaSource::new(reader, query)
     }
 
     /// The query entity's sequence: from the snapshot's in-memory map when
@@ -599,39 +560,30 @@ impl<'a> PagedShardedSnapshot<'a> {
     ///    quantum, released when the merge completes);
     /// 2. plan page-aware ([`plan::plan_query_paged`]): seed through the
     ///    pool, estimate resident vs cold pages per shard, skip/scan/order;
-    /// 3. answer scan shards by a flat paged degree loop, tree shards by
-    ///    cooperative [`Executor`]s over one shared source — the flat
-    ///    [`PagedArenaSource`] by default, the plain [`PagedSource`] when
-    ///    [`with_flat_rows`](Self::with_flat_rows) turned the rows off;
-    /// 4. merge exactly and charge the pool's counter deltas to the query.
-    #[allow(clippy::too_many_arguments)]
+    /// 3. answer scan shards by a flat paged degree loop on the calling
+    ///    thread's [`PagedArenaSource`], tree shards by cooperative
+    ///    [`Executor`]s owning one source each;
+    /// 4. merge exactly and sum every source's counters into the query.
     fn fan_out<M: AssociationMeasure + Sync + ?Sized>(
         &self,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
+        request: Request<'_, M>,
         parallel: bool,
-        scheduler: SchedulerConfig,
         planner: PlannerConfig,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        scheduler.validate()?;
+        request.scheduler.validate()?;
         planner.validate()?;
         let start = Instant::now();
+        let Request { query, exclude, k, measure, .. } = request;
         self.snapshot.check_query_levels(query)?;
-        let shards = self.snapshot.shard_snapshots();
-        let probe = &shards[0];
-        let source =
-            PagedSource::new(self.store, self.pool, probe.sp_index(), probe.ticks_per_unit());
-        let pool_before = self.pool.stats();
         // The query's own trace is re-read on every leaf evaluation path that
         // needs it; pin it for the query's whole lifetime so no replacer
         // decision can push it out between step quanta.  Dropped (pins
         // released) when this function returns the merged answer.
-        let _query_pins = exclude.and_then(|q| self.store.pin_trace(self.pool, q));
+        let query_pins = exclude.and_then(|q| self.store.pin_trace(self.pool, q));
+        // Seeding and scan shards run on this thread, through this source.
+        let source = self.source(query);
         let plan = plan::plan_query_paged(
-            shards,
+            self.snapshot.shard_snapshots(),
             query,
             exclude,
             k,
@@ -653,73 +605,85 @@ impl<'a> PagedShardedSnapshot<'a> {
             }
         }
 
-        let results = if self.flat_rows {
-            let arena_source = PagedArenaSource::new(
-                self.store,
-                self.pool,
-                probe.sp_index(),
-                probe.ticks_per_unit(),
-                query,
-            );
-            let results = self.drive_plan(
-                &plan,
-                &arena_source,
-                query,
-                exclude,
-                k,
-                measure,
-                options,
-                parallel,
-                scheduler,
-                &mut stats,
-                start,
-            )?;
-            stats.kernel_dispatch.absorb(arena_source.take_dispatch());
-            results
+        let results = if plan.planner.latency_budget_us.is_some() {
+            self.drive_plan_deadline(&plan, &request, &source, &mut stats, start)?
         } else {
-            self.drive_plan(
-                &plan, &source, query, exclude, k, measure, options, parallel, scheduler,
-                &mut stats, start,
-            )?
+            self.drive_plan(&plan, &request, &source, parallel, &mut stats)?
         };
-        let io = self.pool.stats().since(&pool_before);
-        stats.pool_hits += io.hits;
-        stats.pool_misses += io.misses;
-        stats.pool_evictions += io.evictions;
-        stats.simulated_io_us += io.simulated_us;
+        source.drain_into(&mut stats);
+        stats.absorb_io(query_pins.map_or_else(PoolStats::default, |pins| pins.io()));
+        stats.discount_unreadable();
         stats.query_time_us = start.elapsed().as_micros() as u64;
         Ok((results, stats))
     }
 
-    /// Executes an already-built plan against one shared trace source —
-    /// the fan-out tail common to both leaf-evaluation layouts: scan shards
-    /// first (publishing their local thresholds), then the admitted tree
-    /// shards as cooperative executors, then the exact merge.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_plan<'s, S, M>(
+    /// The flat degree loop over one shard's members through `source`: exact
+    /// (`rate` `None`) or over the deterministic sample at `rate` plus the
+    /// shard's hot entities.  Returns the shard's sorted top-k.
+    fn scan_shard<M: AssociationMeasure + Sync + ?Sized>(
+        shard: &IndexSnapshot,
+        rate: Option<f64>,
+        request: &Request<'_, M>,
+        source: &PagedArenaSource<'_>,
+        stats: &mut QueryStats,
+    ) -> Vec<TopKResult> {
+        let hot = shard.synopsis().hot_entities();
+        let mut top = TopKHeap::new(request.k);
+        let mut checked = 0usize;
+        for &entity in shard.sequences().keys() {
+            if Some(entity) == request.exclude {
+                continue;
+            }
+            if rate.is_some_and(|r| !plan::sample_includes(entity, r) && !hot.contains(&entity)) {
+                continue;
+            }
+            let Some(degree) = source.degree(entity, request.query, &request.measure) else {
+                stats.candidates_unreadable += 1;
+                continue;
+            };
+            checked += 1;
+            top.offer(entity, degree);
+        }
+        stats.entities_checked += checked;
+        if rate.is_some() {
+            stats.sampled_candidates += checked;
+        }
+        top.into_sorted()
+    }
+
+    /// A resumable executor over one shard's tree, with a source of its own.
+    fn executor<'q, M: AssociationMeasure + Sync + ?Sized>(
+        &'q self,
+        shard: &'q IndexSnapshot,
+        request: &Request<'q, M>,
+    ) -> Result<Executor<'q, SeededHashFamily, PagedArenaSource<'q>, M>> {
+        Ok(Executor::new(
+            shard.sp_index(),
+            shard.hasher(),
+            shard.node_arena(),
+            request.query,
+            request.exclude,
+            request.k,
+            request.measure,
+            self.source(request.query),
+            request.options,
+        )?
+        .with_publish_policy(request.scheduler.publish_policy))
+    }
+
+    /// Executes an already-built unbudgeted plan: scan shards first
+    /// (publishing their local thresholds), then the admitted tree shards as
+    /// cooperative executors, then the exact merge.
+    fn drive_plan<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         plan: &QueryPlan,
-        source: &'s S,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
+        request: &Request<'_, M>,
+        source: &PagedArenaSource<'_>,
         parallel: bool,
-        scheduler: SchedulerConfig,
         stats: &mut QueryStats,
-        start: Instant,
-    ) -> Result<Vec<TopKResult>>
-    where
-        S: TraceSource + Sync,
-        M: AssociationMeasure + Sync + ?Sized,
-    {
-        if plan.planner.latency_budget_us.is_some() {
-            return self.drive_plan_deadline(
-                plan, source, query, exclude, k, measure, options, scheduler, stats, start,
-            );
-        }
+    ) -> Result<Vec<TopKResult>> {
         let shards = self.snapshot.shard_snapshots();
+        let (k, scheduler) = (request.k, request.scheduler);
         let use_shared = scheduler.bound_mode == BoundMode::Shared;
         let shared = SharedBound::new();
         if use_shared && plan.seeded() {
@@ -732,19 +696,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         let mut parts: Vec<Vec<TopKResult>> = Vec::with_capacity(plan.shards.len());
         for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::Scan) {
             let shard = &shards[shard_plan.shard];
-            let mut top = TopKHeap::new(k);
-            let mut checked = 0usize;
-            for &entity in shard.sequences().keys() {
-                if Some(entity) == exclude {
-                    continue;
-                }
-                let Some(degree) = source.degree(entity, query, &measure) else { continue };
-                checked += 1;
-                top.offer(entity, degree);
-            }
-            let results = top.into_sorted();
+            let results = Self::scan_shard(shard, None, request, source, stats);
             stats.total_entities += shard.num_entities();
-            stats.entities_checked += checked;
             if use_shared && k > 0 && results.len() >= k {
                 shared.publish(results[k - 1].degree);
             }
@@ -752,26 +705,11 @@ impl<'a> PagedShardedSnapshot<'a> {
         }
 
         // Tree shards in plan order (most promising, then least cold I/O):
-        // one resumable executor per shard, all leaf evaluation through the
-        // shared source.
-        let mut executors: Vec<Executor<'_, SeededHashFamily, &'s S, M>> =
-            Vec::with_capacity(plan.shards.len());
+        // one resumable executor per shard, each evaluating leaves through
+        // its own source.
+        let mut executors = Vec::with_capacity(plan.shards.len());
         for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::TreeSearch) {
-            let shard = &shards[shard_plan.shard];
-            executors.push(
-                Executor::new(
-                    shard.sp_index(),
-                    shard.hasher(),
-                    shard.node_arena(),
-                    query,
-                    exclude,
-                    k,
-                    measure,
-                    source,
-                    options,
-                )?
-                .with_publish_policy(scheduler.publish_policy),
-            );
+            executors.push(self.executor(&shards[shard_plan.shard], request)?);
         }
         if use_shared && (executors.len() > 1 || shared.current() > f64::NEG_INFINITY) {
             drive_cooperatively(&mut executors, &shared, parallel, scheduler.step_quantum);
@@ -783,6 +721,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         }
 
         for executor in executors {
+            executor.source().drain_into(stats);
             let (results, executor_stats) = executor.finish();
             stats.absorb_work(&executor_stats);
             parts.push(results);
@@ -798,29 +737,20 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// protocol applies — downgrade-at-floor-rate, abandon mid-flight trees,
     /// floor-rate-1.0 shards stay exact — so the degradation report means
     /// the same thing on every path.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_plan_deadline<S, M>(
+    fn drive_plan_deadline<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         plan: &QueryPlan,
-        source: &S,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
+        request: &Request<'_, M>,
+        source: &PagedArenaSource<'_>,
         stats: &mut QueryStats,
         start: Instant,
-    ) -> Result<Vec<TopKResult>>
-    where
-        S: TraceSource + Sync,
-        M: AssociationMeasure + Sync + ?Sized,
-    {
+    ) -> Result<Vec<TopKResult>> {
         let deadline = plan
             .planner
             .latency_budget_us
             .and_then(|us| start.checked_add(Duration::from_micros(us)));
         let shards = self.snapshot.shard_snapshots();
+        let (k, scheduler) = (request.k, request.scheduler);
         let use_shared = scheduler.bound_mode == BoundMode::Shared;
         let shared = SharedBound::new();
         if plan.seeded() {
@@ -829,37 +759,25 @@ impl<'a> PagedShardedSnapshot<'a> {
         let mut report = DegradationReport::default();
         let mut parts: Vec<Vec<TopKResult>> = Vec::with_capacity(plan.shards.len());
 
-        let sampled_scan = |shard_idx: usize,
-                            rate: f64,
-                            count_population: bool,
-                            downgraded: bool,
-                            stats: &mut QueryStats,
-                            report: &mut DegradationReport,
-                            parts: &mut Vec<Vec<TopKResult>>| {
+        // One shard answered by a flat scan: sampled at `rate` (recorded in
+        // the report), or exact when `rate` is `None`.
+        let scan = |shard_idx: usize,
+                    rate: Option<f64>,
+                    count_population: bool,
+                    downgraded: bool,
+                    stats: &mut QueryStats,
+                    report: &mut DegradationReport,
+                    parts: &mut Vec<Vec<TopKResult>>| {
             let shard = &shards[shard_idx];
-            let hot = shard.synopsis().hot_entities();
-            let mut top = TopKHeap::new(k);
-            let mut checked = 0usize;
-            for &entity in shard.sequences().keys() {
-                if Some(entity) == exclude {
-                    continue;
-                }
-                if !plan::sample_includes(entity, rate) && !hot.contains(&entity) {
-                    continue;
-                }
-                let Some(degree) = source.degree(entity, query, &measure) else { continue };
-                checked += 1;
-                top.offer(entity, degree);
-            }
-            let results = top.into_sorted();
+            let results = Self::scan_shard(shard, rate, request, source, stats);
             if count_population {
                 stats.total_entities += shard.num_entities();
             }
-            stats.entities_checked += checked;
-            stats.sampled_candidates += checked;
-            stats.recall_estimate =
-                stats.recall_estimate.min(shard.synopsis().expected_scan_recall(rate));
-            report.record_shard(shard_idx, rate, downgraded);
+            if let Some(rate) = rate {
+                stats.recall_estimate =
+                    stats.recall_estimate.min(shard.synopsis().expected_scan_recall(rate));
+                report.record_shard(shard_idx, rate, downgraded);
+            }
             if use_shared && k > 0 && results.len() >= k {
                 shared.publish(results[k - 1].degree);
             }
@@ -869,83 +787,24 @@ impl<'a> PagedShardedSnapshot<'a> {
         for shard_plan in plan.admitted() {
             let shard = &shards[shard_plan.shard];
             let expired = deadline.is_some_and(|d| Instant::now() >= d);
+            let floor_rate = shard.synopsis().min_rate_for_recall(plan.planner.recall_floor);
+            let idx = shard_plan.shard;
             match shard_plan.decision {
                 ShardDecision::Skip => unreachable!("admitted() filters skips"),
                 ShardDecision::ApproximateScan { rate } => {
-                    sampled_scan(
-                        shard_plan.shard,
-                        rate,
-                        true,
-                        false,
-                        stats,
-                        &mut report,
-                        &mut parts,
-                    );
+                    scan(idx, Some(rate), true, false, stats, &mut report, &mut parts);
+                }
+                // An exact verdict whose turn comes after the deadline is
+                // downgraded to the sampled scan at the floor rate.
+                ShardDecision::Scan | ShardDecision::TreeSearch if expired && floor_rate < 1.0 => {
+                    report.deadline_exceeded = true;
+                    scan(idx, Some(floor_rate), true, true, stats, &mut report, &mut parts);
                 }
                 ShardDecision::Scan => {
-                    let floor_rate =
-                        shard.synopsis().min_rate_for_recall(plan.planner.recall_floor);
-                    if expired && floor_rate < 1.0 {
-                        report.deadline_exceeded = true;
-                        sampled_scan(
-                            shard_plan.shard,
-                            floor_rate,
-                            true,
-                            true,
-                            stats,
-                            &mut report,
-                            &mut parts,
-                        );
-                        continue;
-                    }
-                    let mut top = TopKHeap::new(k);
-                    let mut checked = 0usize;
-                    for &entity in shard.sequences().keys() {
-                        if Some(entity) == exclude {
-                            continue;
-                        }
-                        let Some(degree) = source.degree(entity, query, &measure) else {
-                            continue;
-                        };
-                        checked += 1;
-                        top.offer(entity, degree);
-                    }
-                    let results = top.into_sorted();
-                    stats.total_entities += shard.num_entities();
-                    stats.entities_checked += checked;
-                    if use_shared && k > 0 && results.len() >= k {
-                        shared.publish(results[k - 1].degree);
-                    }
-                    parts.push(results);
+                    scan(idx, None, true, false, stats, &mut report, &mut parts);
                 }
                 ShardDecision::TreeSearch => {
-                    let floor_rate =
-                        shard.synopsis().min_rate_for_recall(plan.planner.recall_floor);
-                    if expired && floor_rate < 1.0 {
-                        report.deadline_exceeded = true;
-                        sampled_scan(
-                            shard_plan.shard,
-                            floor_rate,
-                            true,
-                            true,
-                            stats,
-                            &mut report,
-                            &mut parts,
-                        );
-                        continue;
-                    }
-                    let mut executor = Executor::new(
-                        shard.sp_index(),
-                        shard.hasher(),
-                        shard.node_arena(),
-                        query,
-                        exclude,
-                        k,
-                        measure,
-                        source,
-                        options,
-                    )?
-                    .with_publish_policy(scheduler.publish_policy);
+                    let mut executor = self.executor(shard, request)?;
                     // Reserve the sampled fallback's estimated cost out of
                     // the deadline: an abandon still pays that scan after it.
                     let shard_deadline = if floor_rate >= 1.0 {
@@ -967,21 +826,14 @@ impl<'a> PagedShardedSnapshot<'a> {
                     } else {
                         executor.run_until(&PrivateBound, scheduler.step_quantum, shard_deadline)
                     };
+                    executor.source().drain_into(stats);
                     let (results, executor_stats) = executor.finish();
                     stats.absorb_work(&executor_stats);
                     if exhausted {
                         parts.push(results);
                     } else {
                         report.deadline_exceeded = true;
-                        sampled_scan(
-                            shard_plan.shard,
-                            floor_rate,
-                            false,
-                            true,
-                            stats,
-                            &mut report,
-                            &mut parts,
-                        );
+                        scan(idx, Some(floor_rate), false, true, stats, &mut report, &mut parts);
                     }
                 }
             }
@@ -1149,75 +1001,69 @@ mod tests {
         }
     }
 
+    /// The fused source against its oracle — `PagedSource` decodes an owned
+    /// trace and discretises it with `cell_sequence` — degree by degree and
+    /// through the executor; and its per-query counters against the pool's.
     #[test]
-    fn flat_rows_toggle_answers_identically_and_holds_no_pins() {
-        let (sp, traces) = dataset(40);
-        let sharded =
-            crate::shard::ShardedMinSigIndex::build(&sp, &traces, IndexConfig::default(), 4)
-                .unwrap();
-        let snapshot = sharded.snapshot();
-        let store = PagedTraceStore::build(&traces, 4);
-        let pool = store.pool(trace_storage::PoolConfig {
-            capacity_bytes: 3 * trace_storage::PAGE_SIZE,
-            ..Default::default()
-        });
-        let flat = snapshot.paged(&store, &pool);
-        let owned = snapshot.paged(&store, &pool).with_flat_rows(false);
-        let measure = PaperAdm::default_for(sp.height() as usize);
-        let mut kernel_total = 0u64;
-        for query in [0u64, 7, 33, 79] {
-            let (a, flat_stats) = flat.top_k(EntityId(query), 5, &measure).unwrap();
-            let (b, owned_stats) = owned.top_k(EntityId(query), 5, &measure).unwrap();
-            assert_eq!(a, b, "query {query}: both layouts must answer bitwise identically");
-            kernel_total += flat_stats.kernel_dispatch.total();
-            assert_eq!(
-                owned_stats.kernel_dispatch.total(),
-                0,
-                "the owned-sequence layout does not run classified kernels"
-            );
-            assert_eq!(pool.pinned_frames(), 0, "row cache copies pages, it never holds pins");
-        }
-        assert!(kernel_total > 0, "flat paged queries must account their kernel dispatches");
-    }
-
-    #[test]
-    fn paged_arena_row_cache_respects_the_pool_budget() {
+    fn fused_source_matches_the_cell_sequence_oracle_and_counts_its_own_io() {
         let (sp, traces) = dataset(60);
+        let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
+        let snapshot = index.snapshot();
+        let (sp, ticks) = (snapshot.sp_index(), snapshot.ticks_per_unit());
         let store = PagedTraceStore::build(&traces, 4);
-        let pool = store.pool(trace_storage::PoolConfig {
+        let pool = store.pool(PoolConfig {
             capacity_bytes: 2 * trace_storage::PAGE_SIZE,
             ..Default::default()
         });
-        let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
-        let snapshot = index.snapshot();
-        let query_seq = snapshot.sequence(EntityId(0)).unwrap().clone();
-        let source = PagedArenaSource::new(
-            &store,
-            &pool,
-            snapshot.sp_index(),
-            snapshot.ticks_per_unit(),
-            &query_seq,
-        );
         let measure = PaperAdm::default_for(sp.height() as usize);
-        let budget = pool.config().capacity_bytes;
-        for e in 0..120u64 {
-            let via_rows = source.degree(EntityId(e), &query_seq, &measure).unwrap();
-            let owned = measure.degree(&query_seq, snapshot.sequence(EntityId(e)).unwrap());
-            assert_eq!(via_rows.to_bits(), owned.to_bits(), "entity {e}");
-            // Re-evaluation hits the cache and stays identical.
-            let again = source.degree(EntityId(e), &query_seq, &measure).unwrap();
-            assert_eq!(again.to_bits(), owned.to_bits());
-            assert_eq!(pool.pinned_frames(), 0);
-        }
-        assert!(source.cached_rows() > 0);
-        assert!(
-            source.cached_rows() < 120,
-            "a {budget}-byte budget cannot hold all 120 rows: the cache must have flushed"
+        let query_seq = snapshot.sequence(EntityId(0)).unwrap();
+        let source = PagedArenaSource::new(PagedSource::new(&store, &pool, sp, ticks), query_seq);
+        let fused: Vec<f64> = (0..120u64)
+            .map(|e| source.degree(EntityId(e), query_seq, &measure).expect("stored"))
+            .collect();
+        assert!(source.degree(EntityId(9999), query_seq, &measure).is_none());
+        // Untracked scoring (planner seeding) reads pages but counts no kernels.
+        assert!(source.score(EntityId(3), &measure, false).is_some());
+        let mut stats = QueryStats::default();
+        source.drain_into(&mut stats);
+        assert_eq!(stats.kernel_dispatch.total(), 120 * sp.height() as u64);
+        let global = pool.stats();
+        assert_eq!(
+            (stats.pool_hits, stats.pool_misses, stats.pool_evictions, stats.simulated_io_us),
+            (global.hits, global.misses, global.evictions, global.simulated_us),
+            "the only client's counters are the pool's"
         );
-        assert!(source.degree(EntityId(9999), &query_seq, &measure).is_none());
-        let drained = source.take_dispatch();
-        assert_eq!(drained.total(), 240 * sp.height() as u64, "two passes × 120 entities × levels");
-        assert_eq!(source.take_dispatch().total(), 0);
+        assert!(stats.pool_evictions > 0, "a 2-frame pool under 120 traces must evict");
+        let mut again = QueryStats::default();
+        source.drain_into(&mut again);
+        assert_eq!((again.kernel_dispatch.total(), again.pool_hits + again.pool_misses), (0, 0));
+
+        let oracle = PagedSource::new(&store, &pool, sp, ticks);
+        for (e, fused) in fused.iter().enumerate() {
+            let owned = oracle.degree(EntityId(e as u64), query_seq, &measure).unwrap();
+            assert_eq!(fused.to_bits(), owned.to_bits(), "entity {e}");
+        }
+        for query in [7u64, 33, 79].map(EntityId) {
+            let options = QueryOptions::default();
+            let (fused, fused_stats) =
+                snapshot.top_k_paged(query, 5, &measure, &store, &pool, options).unwrap();
+            let (owned, owned_stats) = engine::execute(
+                sp,
+                snapshot.hasher(),
+                snapshot.node_arena(),
+                snapshot.sequence(query).unwrap(),
+                Some(query),
+                5,
+                &measure,
+                &oracle,
+                options,
+            )
+            .unwrap();
+            assert_eq!(fused, owned, "query {query}: fused rows must equal the oracle bitwise");
+            assert_eq!(fused_stats.entities_checked, owned_stats.entities_checked);
+            assert_eq!(owned_stats.kernel_dispatch.total(), 0, "the oracle counts no kernels");
+            assert_eq!(pool.pinned_frames(), 0, "candidate pages are pinned only transiently");
+        }
     }
 
     #[test]

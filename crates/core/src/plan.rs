@@ -516,9 +516,10 @@ pub fn sample_includes(entity: EntityId, rate: f64) -> bool {
 /// [`plan_query`] for the out-of-core path: the same answer-invariant
 /// decisions, but the cost model reasons in **pages**, not entity counts.
 ///
-/// * Seed candidates are scored through the paged `source` — threshold
-///   seeding honestly pays (and warms) buffer-pool I/O for the sketch
-///   entities' traces, exactly as the executors will at the leaves.
+/// * Seed candidates are scored through the paged `source` — the same
+///   fused records → rows → degree evaluation the executors run at the
+///   leaves, so threshold seeding honestly pays (and warms) buffer-pool I/O
+///   for the sketch entities' traces and counts it to the query.
 /// * Every shard carries a [`PageEstimate`] (`shard_pages[i]` probed against
 ///   the pool in one lock), rendered by [`QueryPlan::explain`].
 /// * A shard is answered by the flat **scan** only when it is small *and*
@@ -541,7 +542,7 @@ pub(crate) fn plan_query_paged<M: AssociationMeasure + ?Sized>(
     k: usize,
     measure: &M,
     config: &PlannerConfig,
-    source: &crate::engine::PagedSource<'_>,
+    source: &crate::paged::PagedArenaSource<'_>,
     shard_pages: &[Vec<trace_storage::PageId>],
     pool: &trace_storage::BufferPool<'_>,
 ) -> QueryPlan {
@@ -560,7 +561,6 @@ pub(crate) fn plan_query_paged<M: AssociationMeasure + ?Sized>(
     let mut seed = f64::NEG_INFINITY;
     let mut seed_candidates = 0usize;
     if config.seed_threshold && k > 0 {
-        use crate::engine::TraceSource as _;
         let mut top = TopKHeap::new(k);
         for shard in shards {
             for &hot in shard.synopsis().hot_entities() {
@@ -569,10 +569,11 @@ pub(crate) fn plan_query_paged<M: AssociationMeasure + ?Sized>(
                 }
                 // Paged seeding: the sketch names the candidates, the store
                 // provides their traces.  A sketch entity missing from the
-                // store only weakens the seed, never an answer.
-                let Some(seq) = source.sequence(hot) else { continue };
+                // store only weakens the seed, never an answer (the executor
+                // that owns it reports it unreadable).
+                let Some(degree) = source.score(hot, &measure, false) else { continue };
                 seed_candidates += 1;
-                top.offer(hot, measure.degree(query, seq.as_ref()));
+                top.offer(hot, degree);
             }
         }
         seed = top.threshold();

@@ -197,30 +197,34 @@ pub struct QueryStats {
     /// (paged queries only), in microseconds.
     pub simulated_io_us: u64,
     /// Buffer-pool hits (paged queries only).  Like the other pool counters
-    /// this is a delta of the shared pool's totals over the query, so when
-    /// several queries share one pool concurrently, I/O may be attributed
-    /// across them (answers are unaffected); on a sharded query the counter
-    /// sums over every per-shard executor via
-    /// [`absorb_work`](Self::absorb_work).
+    /// this is counted fetch by fetch in the query's own sources (what each
+    /// of *its* page requests did), so it is exact per query however many
+    /// queries share the pool, and the counters of concurrent queries sum to
+    /// the pool-global delta.
     pub pool_hits: u64,
-    /// Buffer-pool misses (paged queries only; see
-    /// [`pool_hits`](Self::pool_hits) for the attribution caveat).
+    /// Buffer-pool misses of this query's own page requests (paged queries
+    /// only).
     pub pool_misses: u64,
-    /// Buffer-pool evictions (paged queries only; see
-    /// [`pool_hits`](Self::pool_hits) for the attribution caveat).
+    /// Frames this query's own misses evicted (paged queries only).
     pub pool_evictions: u64,
+    /// Indexed candidates the trace source could not produce (a store that
+    /// lacks the entity, or holds records the hierarchy rejects).  They are
+    /// skipped, not scored, so any of them may be a missing true answer:
+    /// non-zero lowers [`recall_estimate`](Self::recall_estimate) below 1.0.
+    pub candidates_unreadable: usize,
     /// Per-kernel dispatch counts of the flat hot paths' set intersections
     /// (see [`KernelDispatch`]); sums over every per-shard executor via
     /// [`absorb_work`](Self::absorb_work).
     pub kernel_dispatch: KernelDispatch,
     /// Estimated recall of the answer: the probability that any true top-k
     /// member survived every access path the query ran.  Exactly `1.0` on
-    /// every exact path (the default); below `1.0` only when the budgeted
+    /// every exact path (the default); below `1.0` when the budgeted
     /// planner sampled at least one shard, in which case the minimum over
     /// the sampled shards' [`Synopsis::expected_scan_recall`] estimates is
-    /// reported.  [`absorb_work`](Self::absorb_work) likewise combines
-    /// estimates by taking the minimum (conservative across shards and
-    /// batches).
+    /// reported, or when a candidate was
+    /// [unreadable](Self::candidates_unreadable).
+    /// [`absorb_work`](Self::absorb_work) likewise combines estimates by
+    /// taking the minimum (conservative across shards and batches).
     ///
     /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
     pub recall_estimate: f64,
@@ -263,6 +267,7 @@ impl Default for QueryStats {
             pool_hits: 0,
             pool_misses: 0,
             pool_evictions: 0,
+            candidates_unreadable: 0,
             kernel_dispatch: KernelDispatch::default(),
             // An answer is exact until some sampled path says otherwise.
             recall_estimate: 1.0,
@@ -304,6 +309,25 @@ impl QueryStats {
         (1.0 - self.fraction_checked()).clamp(0.0, 1.0)
     }
 
+    /// Adds buffer-pool counters (what one of this query's sources, or its
+    /// query-trace pins, did) to the query's totals.
+    pub(crate) fn absorb_io(&mut self, io: trace_storage::PoolStats) {
+        self.pool_hits += io.hits;
+        self.pool_misses += io.misses;
+        self.pool_evictions += io.evictions;
+        self.simulated_io_us += io.simulated_us;
+    }
+
+    /// Lowers [`recall_estimate`](Self::recall_estimate) to what the
+    /// unreadable candidates still guarantee: each may hide one true top-k
+    /// member, so at least `(k - unreadable) / k` of the answer is intact.
+    pub(crate) fn discount_unreadable(&mut self) {
+        if self.candidates_unreadable > 0 && self.k > 0 {
+            let lost = self.candidates_unreadable.min(self.k) as f64;
+            self.recall_estimate = self.recall_estimate.min(1.0 - lost / self.k as f64);
+        }
+    }
+
     /// Accumulates another search's work counters into this one (used by the
     /// sharded fan-out to sum per-shard executor stats; wall-clock fields are
     /// left alone because concurrent executors' times overlap).
@@ -321,6 +345,7 @@ impl QueryStats {
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.pool_evictions += other.pool_evictions;
+        self.candidates_unreadable += other.candidates_unreadable;
         self.kernel_dispatch.absorb(other.kernel_dispatch);
         self.recall_estimate = self.recall_estimate.min(other.recall_estimate);
         self.sampled_candidates += other.sampled_candidates;
@@ -490,5 +515,29 @@ mod tests {
         let mut sum = d;
         sum.absorb(d);
         assert_eq!(sum.total(), 10);
+    }
+
+    #[test]
+    fn unreadable_candidates_sum_across_shards_before_discounting_recall() {
+        // Two shards each lost one candidate of a k = 2 query: either could
+        // hide a true answer, so nothing of the answer is guaranteed.
+        let lost_one = QueryStats { candidates_unreadable: 1, ..QueryStats::default() };
+        let mut merged = QueryStats { k: 2, ..QueryStats::default() };
+        merged.absorb_work(&lost_one);
+        merged.absorb_work(&lost_one);
+        merged.discount_unreadable();
+        assert_eq!((merged.candidates_unreadable, merged.recall_estimate), (2, 0.0));
+
+        let mut partial = QueryStats { k: 4, candidates_unreadable: 1, ..QueryStats::default() };
+        partial.discount_unreadable();
+        assert_eq!(partial.recall_estimate, 0.75);
+        // Never raises an estimate a sampled shard already lowered further.
+        let mut sampled =
+            QueryStats { k: 4, candidates_unreadable: 1, recall_estimate: 0.5, ..partial };
+        sampled.discount_unreadable();
+        assert_eq!(sampled.recall_estimate, 0.5);
+        let mut exact = QueryStats { k: 4, ..QueryStats::default() };
+        exact.discount_unreadable();
+        assert_eq!(exact.recall_estimate, 1.0);
     }
 }

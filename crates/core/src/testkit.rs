@@ -963,6 +963,62 @@ pub fn assert_equivalent_answers(a: &[TopKResult], b: &[TopKResult], context: &s
     }
 }
 
+/// An adversarial [`Replacer`](trace_storage::Replacer): evicts a
+/// pseudo-random *evictable* page each time, driven by an [`Rng64`] stream.
+/// It honours the one contract the engine relies on — a page whose latest
+/// `set_evictable(id, false)` stands is never named — and is otherwise as
+/// unhelpful as a policy can be: if an eviction decision could leak into an
+/// answer, this replacer would find it.
+#[derive(Debug)]
+pub struct ChaoticReplacer {
+    rng: Rng64,
+    /// Tracked pages in insertion order, with their evictable flag.
+    pages: Vec<(trace_storage::PageId, bool)>,
+}
+
+impl ChaoticReplacer {
+    /// Creates the replacer; equal seeds evict identically.
+    pub fn new(seed: u64) -> Self {
+        ChaoticReplacer { rng: Rng64::new(seed), pages: Vec::new() }
+    }
+}
+
+impl trace_storage::Replacer for ChaoticReplacer {
+    fn record_access(&mut self, id: trace_storage::PageId) {
+        if !self.pages.iter().any(|&(p, _)| p == id) {
+            self.pages.push((id, true));
+        }
+    }
+
+    fn set_evictable(&mut self, id: trace_storage::PageId, evictable: bool) {
+        if let Some(entry) = self.pages.iter_mut().find(|(p, _)| *p == id) {
+            entry.1 = evictable;
+        }
+    }
+
+    fn remove(&mut self, id: trace_storage::PageId) {
+        self.pages.retain(|&(p, _)| p != id);
+    }
+
+    fn victim(&mut self) -> Option<trace_storage::PageId> {
+        let candidates: Vec<usize> = self
+            .pages
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(_, evictable))| evictable.then_some(i))
+            .collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        let pick = candidates[self.rng.below(candidates.len() as u64) as usize];
+        Some(self.pages.remove(pick).0)
+    }
+
+    fn tracked(&self) -> usize {
+        self.pages.len()
+    }
+}
+
 /// Asserts that `answer` is a *valid* exact top-k selection against a full
 /// ground-truth table (`truth` must rank **every** candidate, canonically —
 /// e.g. `index.brute_force(query, num_entities, measure)`): right length,

@@ -79,11 +79,10 @@ impl Page {
         let count = u32::from_le_bytes(bytes[..4].try_into().expect("4 header bytes")) as usize;
         let needed = Self::HEADER_LEN + count * TraceRecord::ENCODED_LEN;
         assert!(bytes.len() >= needed, "page buffer truncated: {} < {needed}", bytes.len());
-        let mut cursor = &bytes[Self::HEADER_LEN..needed];
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(TraceRecord::decode(&mut cursor));
-        }
+        let records = bytes[Self::HEADER_LEN..needed]
+            .chunks_exact(TraceRecord::ENCODED_LEN)
+            .map(|encoded| TraceRecord::from_encoded(encoded.try_into().expect("exact chunk")))
+            .collect();
         Page { records }
     }
 }

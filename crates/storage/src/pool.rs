@@ -17,6 +17,22 @@
 //! [`PinnedPages`] guard) and the pool overcommits its budget rather than
 //! drop a pinned frame when everything resident is pinned.
 //!
+//! ## What the pool mutex covers
+//!
+//! Frames share their page by reference (`Arc<Page>`): a fetch hands out a
+//! refcount bump, never a copy, and the mutex guards only the frame table,
+//! the replacer and the counters.  A **hit** bumps the replacer, takes the
+//! pin and clones the `Arc`.  A **miss** releases the mutex, reads and
+//! decodes the page unlocked, then re-locks to evict and publish the frame; a
+//! second reader that missed the same page meanwhile finds it resident when
+//! it re-locks and adopts it (pins already taken on the frame are untouched).
+//! Both count as misses, because both read the disk.
+//!
+//! Every fetch can also report what it did — hit or miss, frames evicted,
+//! simulated latency — into a caller-owned [`PoolStats`]
+//! ([`BufferPool::pin_counted`]): how a query counts its own I/O while others
+//! share the pool.  [`BufferPool::stats`] stays the pool-global total.
+//!
 //! ```
 //! use trace_storage::{BufferPool, Page, PoolConfig, VirtualDisk, PAGE_SIZE};
 //!
@@ -54,6 +70,7 @@ use crate::replacer::{Replacer, ReplacerPolicy};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of a [`BufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -125,9 +142,9 @@ impl PoolStats {
         }
     }
 
-    /// The counter deltas since `earlier` (used to attribute pool work to one
-    /// query when many share a pool; saturating, so concurrent resets cannot
-    /// underflow).
+    /// The counter deltas since `earlier` — exact for a single client,
+    /// pool-global (so bleeding across clients) under concurrency; saturating,
+    /// so concurrent resets cannot underflow.
     pub fn since(&self, earlier: &PoolStats) -> PoolStats {
         PoolStats {
             hits: self.hits.saturating_sub(earlier.hits),
@@ -138,10 +155,19 @@ impl PoolStats {
     }
 }
 
-/// One resident page and its pin count.
+impl std::ops::AddAssign for PoolStats {
+    fn add_assign(&mut self, other: PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.simulated_us += other.simulated_us;
+    }
+}
+
+/// One resident page (shared by reference with its readers) and its pin count.
 #[derive(Debug)]
 struct Frame {
-    page: Page,
+    page: Arc<Page>,
     pins: u32,
 }
 
@@ -150,6 +176,53 @@ struct PoolInner {
     frames: HashMap<PageId, Frame>,
     replacer: Box<dyn Replacer>,
     stats: PoolStats,
+}
+
+impl PoolInner {
+    /// Records an access to a resident frame, takes the pin and shares the
+    /// page; `None` when `id` is not resident.
+    fn share(&mut self, id: PageId, pin: bool) -> Option<Arc<Page>> {
+        let frame = self.frames.get_mut(&id)?;
+        frame.pins += u32::from(pin);
+        let page = Arc::clone(&frame.page);
+        self.replacer.record_access(id);
+        if pin {
+            self.replacer.set_evictable(id, false);
+        }
+        Some(page)
+    }
+
+    /// Evicts until a new frame fits in `capacity` pages, returning the
+    /// number of evictions.
+    fn make_room(&mut self, capacity: usize) -> u64 {
+        let mut evictions = 0;
+        // Budget for rejected victims: a misbehaving custom replacer that
+        // keeps naming pinned (or non-resident) pages must not spin this
+        // loop forever — after one rejection per resident frame the pool
+        // overcommits instead, exactly as if `victim()` had returned `None`.
+        let mut rejections = self.frames.len() + 1;
+        while self.frames.len() >= capacity {
+            let Some(victim) = self.replacer.victim() else { break };
+            match self.frames.get(&victim).map(|f| f.pins) {
+                Some(0) => {
+                    self.frames.remove(&victim);
+                    evictions += 1;
+                    continue;
+                }
+                // The pinned-never-victim invariant is enforced, not merely
+                // asserted: skip the bad victim and re-mark it unevictable
+                // so a conforming replacer stops offering it.
+                Some(_) => self.replacer.set_evictable(victim, false),
+                // A victim the pool does not hold: scrub the stale entry.
+                None => self.replacer.remove(victim),
+            }
+            rejections -= 1;
+            if rejections == 0 {
+                break;
+            }
+        }
+        evictions
+    }
 }
 
 /// A page cache in front of a [`VirtualDisk`] with pluggable eviction and
@@ -192,8 +265,8 @@ impl<'d> BufferPool<'d> {
     }
 
     /// Fetches a page, from cache when possible, without pinning it.
-    pub fn get(&self, id: PageId) -> Page {
-        self.fetch(id, false)
+    pub fn get(&self, id: PageId) -> Arc<Page> {
+        self.fetch(id, false, &mut PoolStats::default())
     }
 
     /// Fetches a page and pins its frame: until a matching [`unpin`], the
@@ -201,8 +274,16 @@ impl<'d> BufferPool<'d> {
     /// Pins nest (each `pin` needs one `unpin`).
     ///
     /// [`unpin`]: BufferPool::unpin
-    pub fn pin(&self, id: PageId) -> Page {
-        self.fetch(id, true)
+    pub fn pin(&self, id: PageId) -> Arc<Page> {
+        self.fetch(id, true, &mut PoolStats::default())
+    }
+
+    /// [`pin`](Self::pin), additionally adding what this fetch did (one hit
+    /// or one miss, the frames it evicted, its simulated latency) to the
+    /// caller's own `io` counters — exact per-caller attribution however many
+    /// clients share the pool.
+    pub fn pin_counted(&self, id: PageId, io: &mut PoolStats) -> Arc<Page> {
+        self.fetch(id, true, io)
     }
 
     /// Releases one pin on `id`; at zero pins the frame becomes evictable
@@ -226,66 +307,51 @@ impl<'d> BufferPool<'d> {
     /// unpin) once per occurrence, so the guard composes with manual pins.
     pub fn pin_pages<I: IntoIterator<Item = PageId>>(&self, ids: I) -> PinnedPages<'_, 'd> {
         let pages: Vec<PageId> = ids.into_iter().collect();
+        let mut io = PoolStats::default();
         for &id in &pages {
-            self.pin(id);
+            self.pin_counted(id, &mut io);
         }
-        PinnedPages { pool: self, pages }
+        PinnedPages { pool: self, pages, io }
     }
 
-    fn fetch(&self, id: PageId, pin: bool) -> Page {
-        let mut inner = self.inner.lock();
-        if inner.frames.contains_key(&id) {
-            inner.stats.hits += 1;
-            inner.stats.simulated_us += self.config.hit_latency_us;
-            inner.replacer.record_access(id);
-            let frame = inner.frames.get_mut(&id).expect("frame is resident");
-            if pin {
-                frame.pins += 1;
-            }
-            let page = frame.page.clone();
-            if pin {
-                inner.replacer.set_evictable(id, false);
-            }
+    fn fetch(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Arc<Page> {
+        if let Some(page) = self.lookup(id, pin, io) {
             return page;
         }
-        // Miss: make room (unless everything resident is pinned — then the
-        // budget is overcommitted rather than a pinned frame dropped), read
-        // from disk, insert.
-        inner.stats.misses += 1;
-        inner.stats.simulated_us += self.config.miss_latency_us;
-        let capacity = self.config.capacity_pages();
-        // Budget for rejected victims: a misbehaving custom replacer that
-        // keeps naming pinned (or non-resident) pages must not spin this
-        // loop forever — after one rejection per resident frame the pool
-        // overcommits instead, exactly as if `victim()` had returned `None`.
-        let mut rejections = inner.frames.len() + 1;
-        while inner.frames.len() >= capacity {
-            let Some(victim) = inner.replacer.victim() else { break };
-            match inner.frames.get(&victim).map(|f| f.pins) {
-                Some(0) => {
-                    inner.frames.remove(&victim);
-                    inner.stats.evictions += 1;
-                    continue;
-                }
-                // The pinned-never-victim invariant is enforced, not merely
-                // asserted: skip the bad victim and re-mark it unevictable
-                // so a conforming replacer stops offering it.
-                Some(_) => inner.replacer.set_evictable(victim, false),
-                // A victim the pool does not hold: scrub the stale entry.
-                None => inner.replacer.remove(victim),
-            }
-            rejections -= 1;
-            if rejections == 0 {
-                break;
-            }
+        // Miss: the disk read and record decode run with the mutex released.
+        self.publish(id, Arc::new(self.disk.read_page(id)), pin, io)
+    }
+
+    /// The locked hit path: `None` (nothing counted yet) when `id` is not
+    /// resident.
+    fn lookup(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Option<Arc<Page>> {
+        let mut inner = self.inner.lock();
+        let page = inner.share(id, pin)?;
+        let hit =
+            PoolStats { hits: 1, simulated_us: self.config.hit_latency_us, ..PoolStats::default() };
+        inner.stats += hit;
+        *io += hit;
+        Some(page)
+    }
+
+    /// The locked tail of a miss: makes room (unless everything resident is
+    /// pinned — then the budget is overcommitted rather than a pinned frame
+    /// dropped) and inserts `page`, or adopts the frame a raced reader of the
+    /// same page published first.
+    fn publish(&self, id: PageId, page: Arc<Page>, pin: bool, io: &mut PoolStats) -> Arc<Page> {
+        let mut inner = self.inner.lock();
+        let mut miss = PoolStats {
+            misses: 1,
+            simulated_us: self.config.miss_latency_us,
+            ..PoolStats::default()
+        };
+        if !inner.frames.contains_key(&id) {
+            miss.evictions = inner.make_room(self.config.capacity_pages());
+            inner.frames.insert(id, Frame { page, pins: 0 });
         }
-        let page = self.disk.read_page(id);
-        inner.frames.insert(id, Frame { page: page.clone(), pins: u32::from(pin) });
-        inner.replacer.record_access(id);
-        if pin {
-            inner.replacer.set_evictable(id, false);
-        }
-        page
+        inner.stats += miss;
+        *io += miss;
+        inner.share(id, pin).expect("frame was just published")
     }
 
     /// Current statistics.
@@ -332,12 +398,18 @@ impl<'d> BufferPool<'d> {
 pub struct PinnedPages<'p, 'd> {
     pool: &'p BufferPool<'d>,
     pages: Vec<PageId>,
+    io: PoolStats,
 }
 
 impl PinnedPages<'_, '_> {
     /// The pinned page ids (in pin order, duplicates preserved).
     pub fn pages(&self) -> &[PageId] {
         &self.pages
+    }
+
+    /// What fetching the pages did (see [`BufferPool::pin_counted`]).
+    pub fn io(&self) -> PoolStats {
+        self.io
     }
 }
 
@@ -555,23 +627,41 @@ mod tests {
         let pool = BufferPool::new(&disk, PoolConfig::default());
         let threads = 8;
         let reads_per_thread = 200u64;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let pool = &pool;
-                scope.spawn(move || {
-                    for i in 0..reads_per_thread {
-                        let id = (t + i) % 16;
-                        let page = pool.get(id);
-                        // Every record of page `id` carries entity `id * 10 + j`.
-                        assert!(page.records().iter().all(|r| r.entity / 10 == id));
-                    }
-                });
-            }
+        // Released together, every reader goes for cold page 0 first.
+        let barrier = std::sync::Barrier::new(threads as usize);
+        let per_thread: Vec<PoolStats> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (pool, barrier) = (&pool, &barrier);
+                    scope.spawn(move || {
+                        let mut io = PoolStats::default();
+                        barrier.wait();
+                        for i in 0..reads_per_thread {
+                            let id = if i == 0 { 0 } else { (t + i) % 16 };
+                            let page = pool.pin_counted(id, &mut io);
+                            // Every record of page `id` carries entity `id * 10 + j`.
+                            assert!(page.records().iter().all(|r| r.entity / 10 == id));
+                            assert!(pool.is_resident(id), "a pinned page is resident");
+                            assert!(pool.unpin(id));
+                        }
+                        io
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().expect("reader panicked")).collect()
         });
-        let stats = pool.stats();
-        assert_eq!(stats.hits + stats.misses, threads * reads_per_thread);
-        // All 16 pages fit in the default budget: every page misses exactly once.
-        assert_eq!(stats.misses, 16);
+        let mut summed = PoolStats::default();
+        for io in per_thread {
+            assert_eq!(io.hits + io.misses, reads_per_thread, "a fetch is one hit or one miss");
+            summed += io;
+        }
+        assert_eq!(summed, pool.stats(), "per-caller counters sum to the pool's");
+        // All 16 pages fit in the default budget: each becomes resident once.
+        // Readers that raced on a cold page each read the disk (each is a
+        // miss), but only the first publishes a frame.
+        assert!(summed.misses >= 16);
+        assert_eq!(summed.misses, disk.stats().reads);
+        assert_eq!((pool.cached_pages(), pool.pinned_frames()), (16, 0));
     }
 
     /// A replacer that violates every rule: it always names page 0 as the
@@ -656,6 +746,57 @@ mod tests {
         assert_eq!(pool.cached_pages(), 6, "phantom victims force overcommit");
         assert_eq!(pool.stats().evictions, 0);
         assert_eq!(pool.stats().misses, 6);
+    }
+
+    /// The miss path reads the disk unlocked, so two readers can miss the
+    /// same page at once.  Driven step by step (lookup, unlocked read,
+    /// publish) so the interleaving is forced, not hoped for: the second
+    /// publisher adopts the resident frame, and the pin the first one took
+    /// while the second was still reading is not lost.
+    #[test]
+    fn raced_misses_of_one_page_share_one_frame_and_keep_every_pin() {
+        let disk = disk_with_pages(6);
+        let pool = BufferPool::new(&disk, tiny(2, ReplacerPolicy::default()));
+        let (mut io_a, mut io_b) = (PoolStats::default(), PoolStats::default());
+        assert!(pool.lookup(0, true, &mut io_a).is_none(), "A misses");
+        assert!(pool.lookup(0, true, &mut io_b).is_none(), "B misses");
+        let (read_a, read_b) = (Arc::new(disk.read_page(0)), Arc::new(disk.read_page(0)));
+        let page_b = pool.publish(0, Arc::clone(&read_b), true, &mut io_b);
+        assert_eq!((pool.cached_pages(), pool.pinned_frames()), (1, 1));
+        let page_a = pool.publish(0, read_a, true, &mut io_a);
+        assert!(Arc::ptr_eq(&page_a, &read_b) && Arc::ptr_eq(&page_b, &read_b), "A adopted B's");
+        assert_eq!(pool.cached_pages(), 1, "one resident frame");
+        // Both read the disk, so both are misses; nothing was a hit.
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
+        assert_eq!((io_a.misses, io_b.misses, io_a.hits + io_b.hits), (1, 1, 0));
+        assert_eq!(disk.stats().reads, 2);
+        // Two pins are outstanding: one release leaves the frame pinned and
+        // unevictable under pressure, the second frees it, a third has none.
+        assert!(pool.unpin(0));
+        assert_eq!(pool.pinned_frames(), 1);
+        for id in 1..6u64 {
+            pool.get(id);
+        }
+        assert!(pool.is_resident(0), "B's pin survived A's adoption");
+        assert!(pool.unpin(0));
+        assert!(!pool.unpin(0));
+        assert_eq!(pool.pinned_frames(), 0);
+    }
+
+    #[test]
+    fn one_frame_pool_with_everything_pinned_overcommits() {
+        let disk = disk_with_pages(4);
+        let pool = BufferPool::new(&disk, tiny(1, ReplacerPolicy::default()));
+        pool.pin(0);
+        pool.pin(1); // a miss with the only frame pinned
+        pool.get(2);
+        assert!(pool.is_resident(0) && pool.is_resident(1), "pinned frames stay");
+        assert_eq!(pool.pinned_frames(), 2);
+        assert!(pool.cached_pages() >= 2, "the budget is overcommitted, not a pin dropped");
+        assert!(pool.unpin(0) && pool.unpin(1));
+        pool.get(3);
+        assert_eq!(pool.cached_pages(), 1, "released frames drain back to the budget");
     }
 
     #[test]

@@ -141,23 +141,40 @@ impl PagedTraceStore {
         Some(pool.pin_pages(self.trace_pages(entity)?.iter().copied()))
     }
 
-    /// Reads an entity's trace through the given buffer pool, returning `None`
-    /// when the entity has no records.  Each page is pinned only while its
-    /// records are extracted; use [`pin_trace`](Self::pin_trace) to keep a
-    /// trace resident longer.
-    pub fn read_trace(&self, pool: &BufferPool<'_>, entity: EntityId) -> Option<DigitalTrace> {
-        let pages = self.trace_pages(entity)?;
-        let mut trace = DigitalTrace::new();
+    /// Visits `entity`'s records in store order through the given buffer
+    /// pool, without materialising a trace; `false` (nothing visited) when the
+    /// entity has no records.  Each page is pinned only while its run of the
+    /// entity's records — found by binary search, pages are entity-sorted — is
+    /// visited; what the fetches did is added to the caller's `io` counters.
+    pub fn for_each_record(
+        &self,
+        pool: &BufferPool<'_>,
+        entity: EntityId,
+        io: &mut PoolStats,
+        mut visit: impl FnMut(&TraceRecord),
+    ) -> bool {
+        let Some(pages) = self.trace_pages(entity) else { return false };
         for &id in pages {
-            let page = pool.pin(id);
-            for rec in page.records() {
-                if rec.entity == entity.raw() {
-                    trace.push(rec.to_presence());
-                }
-            }
+            let page = pool.pin_counted(id, io);
+            let records = page.records();
+            let first = records.partition_point(|r| r.entity < entity.raw());
+            let run = records[first..].partition_point(|r| r.entity == entity.raw());
+            records[first..first + run].iter().for_each(&mut visit);
             pool.unpin(id);
         }
-        Some(trace)
+        true
+    }
+
+    /// Reads an entity's trace through the given buffer pool, returning `None`
+    /// when the entity has no records.  Pages are pinned transiently (see
+    /// [`for_each_record`](Self::for_each_record)); use
+    /// [`pin_trace`](Self::pin_trace) to keep a trace resident longer.
+    pub fn read_trace(&self, pool: &BufferPool<'_>, entity: EntityId) -> Option<DigitalTrace> {
+        let mut trace = DigitalTrace::new();
+        self.for_each_record(pool, entity, &mut PoolStats::default(), |rec| {
+            trace.push(rec.to_presence())
+        })
+        .then_some(trace)
     }
 
     /// Reads an entity's trace without a pool (every page access is a disk read).
@@ -173,11 +190,6 @@ impl PagedTraceStore {
             }
         }
         Some(trace)
-    }
-
-    /// Convenience: the pool statistics after a workload (simply forwards).
-    pub fn pool_stats(pool: &BufferPool<'_>) -> PoolStats {
-        pool.stats()
     }
 }
 
@@ -359,6 +371,7 @@ mod tests {
         assert!(!pages.is_empty());
         {
             let guard = store.pin_trace(&pool, probe).expect("entity 0 exists");
+            assert_eq!(guard.io(), pool.stats(), "the guard reports its own fetches");
             assert_eq!(guard.pages(), &pages[..]);
             // Sweep other entities through the tiny pool: the pinned trace
             // stays resident throughout.

@@ -149,8 +149,14 @@ impl SpIndex {
 
     /// The root-to-unit path of spatial units: `[level-1 ancestor, ..., unit]`.
     pub fn path(&self, unit: SpatialUnitId) -> Result<Vec<SpatialUnitId>> {
+        self.ancestors(unit).map(<[SpatialUnitId]>::to_vec)
+    }
+
+    /// [`path`](Self::path) as a borrow: entry `l - 1` is the ancestor of
+    /// `unit` at level `l`, the last entry is `unit` itself.
+    pub fn ancestors(&self, unit: SpatialUnitId) -> Result<&[SpatialUnitId]> {
         let meta = self.meta(unit)?;
-        Ok(self.ancestors[unit as usize][..meta.level as usize].to_vec())
+        Ok(&self.ancestors[unit as usize][..meta.level as usize])
     }
 
     /// All units at a given level, in id order.

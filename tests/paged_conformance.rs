@@ -14,14 +14,13 @@
 //! [`PagedShardedSnapshot`]: digital_traces::index::PagedShardedSnapshot
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, assert_valid_top_k, HierarchySpec, UniformConfig, Workload,
+    assert_equivalent_answers, assert_valid_top_k, ChaoticReplacer, HierarchySpec, UniformConfig,
+    Workload,
 };
 use digital_traces::index::{
     IndexConfig, JoinOptions, PlannerConfig, SchedulerConfig, ShardedMinSigIndex,
 };
-use digital_traces::storage::{
-    BufferPool, PageId, PagedTraceStore, PoolConfig, Replacer, ReplacerPolicy, PAGE_SIZE,
-};
+use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, ReplacerPolicy, PAGE_SIZE};
 use digital_traces::EntityId;
 use proptest::prelude::*;
 
@@ -32,67 +31,6 @@ const POLICIES: [ReplacerPolicy; 3] =
 
 fn pool_config(pages: usize, policy: ReplacerPolicy) -> PoolConfig {
     PoolConfig { capacity_bytes: pages * PAGE_SIZE, ..PoolConfig::default() }.with_replacer(policy)
-}
-
-/// An adversarial [`Replacer`]: evicts a pseudo-random *evictable* page each
-/// time, driven by a SplitMix64 stream.  It honours the one contract the
-/// engine relies on — a page whose latest `set_evictable(id, false)` stands
-/// is never named — and is otherwise as unhelpful as a policy can be.
-#[derive(Debug)]
-struct ChaoticReplacer {
-    state: u64,
-    /// Tracked pages in insertion order, with their evictable flag.
-    pages: Vec<(PageId, bool)>,
-}
-
-impl ChaoticReplacer {
-    fn new(seed: u64) -> Self {
-        ChaoticReplacer { state: seed, pages: Vec::new() }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-impl Replacer for ChaoticReplacer {
-    fn record_access(&mut self, id: PageId) {
-        if !self.pages.iter().any(|&(p, _)| p == id) {
-            self.pages.push((id, true));
-        }
-    }
-
-    fn set_evictable(&mut self, id: PageId, evictable: bool) {
-        if let Some(entry) = self.pages.iter_mut().find(|(p, _)| *p == id) {
-            entry.1 = evictable;
-        }
-    }
-
-    fn remove(&mut self, id: PageId) {
-        self.pages.retain(|&(p, _)| p != id);
-    }
-
-    fn victim(&mut self) -> Option<PageId> {
-        let candidates: Vec<usize> = self
-            .pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &(_, evictable))| evictable.then_some(i))
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let pick = candidates[(self.next() % candidates.len() as u64) as usize];
-        Some(self.pages.remove(pick).0)
-    }
-
-    fn tracked(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 fn build_world(
@@ -339,4 +277,43 @@ fn paged_explain_exposes_consistent_page_estimates() {
         .unwrap();
     assert_equivalent_answers(&out, &mem, "planner-disabled paged query");
     assert!(!stats.threshold_seeded, "disabled planner must not seed");
+}
+
+/// A store built from a strict subset of the indexed traces cannot produce
+/// every candidate: the answer must say so — `candidates_unreadable`, and a
+/// `recall_estimate` below 1.0 — instead of posing as exact.
+#[test]
+fn unreadable_candidates_are_counted_and_lower_the_recall_estimate() {
+    let (w, unsharded, sharded, full_store) = build_world(40, 6, 3, 3);
+    let snapshot = sharded.snapshot();
+    let measure = w.measure();
+    let entities = w.entities();
+    let dropped = [entities[5], entities[6], entities[17]];
+    let mut stored = w.traces.clone();
+    for entity in dropped {
+        stored.remove(entity);
+    }
+    let store = PagedTraceStore::build(&stored, 4);
+    let pool = store.pool(PoolConfig::default());
+    // k = the whole population: nothing can be pruned, so every indexed
+    // entity is a candidate and each dropped one is met exactly once.
+    let k = entities.len();
+    let query = entities[0];
+    let (out, stats) = snapshot.paged(&store, &pool).top_k(query, k, &measure).unwrap();
+    assert_eq!(stats.candidates_unreadable, dropped.len());
+    assert_eq!(stats.recall_estimate, 1.0 - dropped.len() as f64 / k as f64);
+    assert_eq!(out.len(), k - 1 - dropped.len());
+    assert!(out.iter().all(|r| !dropped.contains(&r.entity)));
+    assert_eq!(pool.pinned_frames(), 0);
+
+    // The single-tree path reports the same way.
+    let (_, stats) =
+        unsharded.top_k_paged(query, k, &measure, &store, &pool, Default::default()).unwrap();
+    assert_eq!(stats.candidates_unreadable, dropped.len());
+    assert!(stats.recall_estimate < 1.0);
+
+    // A complete store stays exact.
+    let pool = full_store.pool(PoolConfig::default());
+    let (_, stats) = snapshot.paged(&full_store, &pool).top_k(query, k, &measure).unwrap();
+    assert_eq!((stats.candidates_unreadable, stats.recall_estimate), (0, 1.0));
 }

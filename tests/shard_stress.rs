@@ -10,17 +10,19 @@
 //! (`cargo test --release -- --ignored`).
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, StreamConfig, UniformConfig, Workload,
+    assert_equivalent_answers, ChaoticReplacer, StreamConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    DurableShardedMinSigIndex, IndexConfig, IngestBuffer, ShardedMinSigIndex,
+    DurableShardedMinSigIndex, IndexConfig, IngestBuffer, JoinOptions, ShardedMinSigIndex,
 };
 use digital_traces::storage::LogConfig;
-use digital_traces::storage::{PagedTraceStore, PoolConfig, ReplacerPolicy, PAGE_SIZE};
-use digital_traces::EntityId;
+use digital_traces::storage::{
+    BufferPool, PagedTraceStore, PoolConfig, PoolStats, ReplacerPolicy, PAGE_SIZE,
+};
+use digital_traces::{EntityId, QueryStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Barrier, Mutex, RwLock};
 
 fn run_stress(entities: u64, shards: usize, readers: usize, flushes: u64, records: usize) {
     let w = Workload::uniform(UniformConfig {
@@ -380,4 +382,127 @@ fn paged_readers_race_flushes_and_release_every_pin() {
 #[ignore = "heavy stress; run with cargo test --release -- --ignored"]
 fn heavy_paged_readers_race_flushes_and_release_every_pin() {
     run_paged_stress(120, 8, 8, 24, 300, 1, ReplacerPolicy::Fifo);
+}
+
+/// Every paged entry point at once on ONE pool: `threads` clients each run
+/// `top_k`, `top_k_batch` and `top_k_join` against the same snapshot, store
+/// and pool — from a single frame up to a tenth of the data, under LRU-2,
+/// FIFO and the chaotic replacer.  Every answer must be bitwise the
+/// in-memory one, no pin may outlive its query, and — because a query
+/// counts its own fetches instead of differencing the pool's totals — the
+/// clients' per-query pool counters must sum exactly to what the pool saw.
+fn run_shared_pool_stress(entities: u64, shards: usize, threads: usize, rounds: usize) {
+    let w = Workload::uniform(UniformConfig {
+        entities,
+        visits: 8,
+        time_slots: 48,
+        seed: 11,
+        ..UniformConfig::default()
+    });
+    let measure = w.measure();
+    let index =
+        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), shards)
+            .unwrap();
+    let snapshot = index.snapshot();
+    let store = PagedTraceStore::build(&w.traces, 4);
+    let tenth = (store.data_bytes() / 10 / PAGE_SIZE).max(2);
+    assert!(store.data_bytes() >= 10 * tenth * PAGE_SIZE, "the data must dwarf the pool");
+
+    const K: usize = 4;
+    let join = JoinOptions { k: K, threads: 2, ..JoinOptions::default() };
+    // Per client: one single query, one batch, one probe list — and the
+    // in-memory answers they must reproduce.
+    let plans: Vec<_> = (0..threads as u64)
+        .map(|t| {
+            let picks = w.sample_entities(6, 0xA11 + t);
+            let (single, batch, probes) = (picks[0], picks[1..4].to_vec(), picks[4..].to_vec());
+            let oracle = |q: EntityId| snapshot.top_k(q, K, &measure).unwrap().0;
+            let expect: Vec<_> = picks.iter().map(|&q| oracle(q)).collect();
+            (single, batch, probes, expect)
+        })
+        .collect();
+
+    let pools: Vec<(String, BufferPool<'_>)> = [1, tenth]
+        .into_iter()
+        .flat_map(|pages| {
+            let config = PoolConfig { capacity_bytes: pages * PAGE_SIZE, ..PoolConfig::default() };
+            let store = &store;
+            [
+                (format!("lru2/{pages}"), store.pool(config)),
+                (format!("fifo/{pages}"), store.pool(config.with_replacer(ReplacerPolicy::Fifo))),
+                (
+                    format!("chaotic/{pages}"),
+                    BufferPool::with_replacer(
+                        store.disk(),
+                        config,
+                        Box::new(ChaoticReplacer::new(pages as u64)),
+                    ),
+                ),
+            ]
+        })
+        .collect();
+
+    for (name, pool) in &pools {
+        let paged = snapshot.paged(&store, pool);
+        let barrier = Barrier::new(threads);
+        let counted: Vec<PoolStats> = std::thread::scope(|scope| {
+            let handles: Vec<_> = plans
+                .iter()
+                .map(|(single, batch, probes, expect)| {
+                    let (paged, barrier, measure) = (&paged, &barrier, &measure);
+                    scope.spawn(move || {
+                        let mut io = PoolStats::default();
+                        let mut count = |stats: &QueryStats| {
+                            io += PoolStats {
+                                hits: stats.pool_hits,
+                                misses: stats.pool_misses,
+                                evictions: stats.pool_evictions,
+                                simulated_us: stats.simulated_io_us,
+                            };
+                        };
+                        barrier.wait();
+                        for round in 0..rounds {
+                            let context = format!("{name}, round {round}");
+                            let (got, stats) = paged.top_k(*single, K, measure).unwrap();
+                            assert_equivalent_answers(&got, &expect[0], &context);
+                            count(&stats);
+                            let answers = paged.top_k_batch(batch, K, measure).unwrap();
+                            for ((got, stats), want) in answers.iter().zip(&expect[1..4]) {
+                                assert_equivalent_answers(got, want, &context);
+                                count(stats);
+                            }
+                            let (rows, _) = paged.top_k_join(probes, measure, join).unwrap();
+                            assert_eq!(rows.len(), probes.len(), "{context}");
+                            for (row, want) in rows.iter().zip(&expect[4..]) {
+                                assert_equivalent_answers(&row.matches, want, &context);
+                                count(&row.stats);
+                            }
+                        }
+                        io
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("client panicked")).collect()
+        });
+        assert_eq!(pool.pinned_frames(), 0, "{name}: a query leaked a pin");
+        let mut summed = PoolStats::default();
+        for io in counted {
+            assert!(io.hits + io.misses > 0, "{name}: a client did no pool I/O");
+            summed += io;
+        }
+        assert_eq!(summed, pool.stats(), "{name}: per-query counters must sum to the pool's");
+        assert!(summed.evictions > 0, "{name}: a pool this tight must evict");
+    }
+}
+
+#[test]
+fn paged_clients_share_one_pool_bitwise_with_exact_io_attribution() {
+    run_shared_pool_stress(800, 4, 4, 2);
+}
+
+/// The heavy shared-pool variant for the CI release stress job.
+#[test]
+#[ignore = "heavy stress; run with cargo test --release -- --ignored"]
+fn heavy_paged_clients_share_one_pool_bitwise_with_exact_io_attribution() {
+    run_shared_pool_stress(2_000, 8, 8, 6);
 }
