@@ -10,9 +10,14 @@
 //!    walk, so `comparisons = |a| + |b|` per call.
 //! 2. **ns/degree** of the association-degree hot loop: the owned path
 //!    (`AssociationMeasure::degree` over `CellSetSequence` maps) against the
-//!    arena's fused SoA loop (`CandidateArena::degree_into`), on the shared
+//!    arena's fused loop (`CandidateArena::degree_into`), on the shared
 //!    600-entity bench dataset.  Every fused degree is checked **bitwise**
-//!    against the owned value first — any drift panics the bench job.
+//!    against the owned value first — any drift panics the bench job.  A
+//!    **pop-order leg** repeats the fused loop over the 5 000-entity SYN
+//!    arena twice — rows in ascending position order, and in one fixed
+//!    shuffled order, which is how a best-first search reaches them: the
+//!    600-entity sequential figure fits in cache and prefetches perfectly,
+//!    so it cannot see what the row layout costs the executor.
 //! 3. A mini **shard run** — 8 shards, planned mode, the skewed and
 //!    localized 5k-entity shard-scaling populations — for a fresh QPS
 //!    figure next to the pre-change numbers.
@@ -34,19 +39,19 @@
 //! * arena ns/degree regressing more than 25% over the committed baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use minsig::testkit::Rng64;
 use minsig::{
     IndexConfig, PlannerConfig, QueryOptions, QueryView, SchedulerConfig, ShardedMinSigIndex,
     TopKResult,
 };
 use minsig_bench::{
     bench_dataset, bench_index, bench_measure, bench_queries, planner_bench_workload,
-    shard_bench_workload, SHARD_BENCH_ENTITIES,
+    shard_bench_workload, syn_5k_dataset, SHARD_BENCH_ENTITIES,
 };
 use std::hint::black_box;
 use std::time::Instant;
 use trace_model::kernel::{
-    intersection_len, intersection_len_gallop, intersection_len_masked, intersection_len_merge,
-    intersection_len_simd,
+    intersection_len, intersection_len_gallop, intersection_len_merge, intersection_len_simd,
 };
 use trace_model::{AssociationMeasure, EntityId, LevelOverlap, PaperAdm};
 
@@ -97,6 +102,22 @@ fn shapes() -> Vec<(String, Vec<u64>, Vec<u64>)> {
         }
     }
     out
+}
+
+/// The two-pointer merge with advance and count updates spelled as explicit
+/// comparison masks (`i += (x <= y)`) — the grid's reference point for what
+/// LLVM's conditional moves buy the three-way-compare merge.  It loses to the
+/// merge on current x86-64 codegen, so no library path uses it and it lives
+/// only here.
+fn intersection_len_masked(a: &[u64], b: &[u64]) -> usize {
+    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        count += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    count
 }
 
 type IntersectionFn = fn(&[u64], &[u64]) -> usize;
@@ -270,6 +291,7 @@ fn write_artifact_and_gate(
     rows.push(format!(
         "    {{\"layer\": \"degree\", \"path\": \"arena_fused\", \"ns_per_degree\": {arena_ns:.1}}}"
     ));
+    rows.extend(pop_order_rows());
     let ceiling = baseline_field("ns_per_degree_arena") * NS_PER_DEGREE_TOLERANCE;
     assert!(
         arena_ns <= ceiling,
@@ -307,6 +329,52 @@ fn write_artifact_and_gate(
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
+}
+
+/// The pop-order leg of layer 2: ns/degree of the fused loop over the 5k SYN
+/// arena, rows visited in ascending position order and in one fixed shuffled
+/// order (both sum the same degrees, checked bitwise).
+fn pop_order_rows() -> Vec<String> {
+    let dataset = syn_5k_dataset();
+    let index = bench_index(&dataset, 32);
+    let snapshot = index.snapshot();
+    let measure = bench_measure(&dataset);
+    let query = bench_queries(&dataset, 1)[0];
+    let query_seq = snapshot.sequences().get(&query).expect("query entity is indexed");
+    let arena = snapshot.arena();
+    let view = QueryView::new(query_seq);
+    let mut scratch = LevelOverlap::default();
+
+    let ascending: Vec<usize> = (0..arena.len()).collect();
+    let mut shuffled = ascending.clone();
+    let mut rng = Rng64::new(0x9e37_79b9_7f4a_7c15);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+
+    let mut sweep = |order: &[usize]| {
+        let mut acc = 0u64;
+        for &pos in order {
+            acc ^= arena.degree_into(pos, &view, &measure, &mut scratch).to_bits();
+        }
+        acc
+    };
+    assert_eq!(sweep(&ascending), sweep(&shuffled), "the two orders score the same rows");
+    [("ascending", &ascending), ("shuffled", &shuffled)]
+        .into_iter()
+        .map(|(name, order)| {
+            let ns = best_ns_per_call(15, 1, || {
+                black_box(sweep(black_box(order)));
+            }) / order.len() as f64;
+            format!(
+                concat!(
+                    "    {{\"layer\": \"degree\", \"path\": \"arena_fused_syn5k\", ",
+                    "\"order\": \"{}\", \"ns_per_degree\": {:.1}}}"
+                ),
+                name, ns
+            )
+        })
+        .collect()
 }
 
 /// One timed planned-mode pass at 8 shards over `queries`, answers asserted

@@ -24,6 +24,21 @@ pub fn bench_dataset() -> SynDataset {
     SynDataset::generate(config).expect("bench dataset generates")
 }
 
+/// The paper's SYN population at the scale the end-to-end benchmark runs it
+/// (5 000 entities, a week, a fifth of them co-moving): large enough that the
+/// candidate arena does not fit in cache, which is what the kernel bench's
+/// pop-order leg needs.
+pub fn syn_5k_dataset() -> SynDataset {
+    SynDataset::generate(SynConfig {
+        num_entities: 5_000,
+        days: 7,
+        comover_fraction: 0.2,
+        seed: 1,
+        ..SynConfig::default()
+    })
+    .expect("the SYN generator accepts its default parameters")
+}
+
 /// Number of entities in [`shard_bench_workload`].
 pub const SHARD_BENCH_ENTITIES: u64 = 5_000;
 

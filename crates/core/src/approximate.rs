@@ -21,6 +21,7 @@ use crate::index::MinSigIndex;
 use crate::query::TopKResult;
 use crate::signature::{CellHashFamily, HierarchicalHasher, SignatureList};
 use crate::snapshot::IndexSnapshot;
+use crate::stats::QueryStats;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
@@ -64,15 +65,6 @@ impl BandingConfig {
         Ok(())
     }
 }
-
-/// Compatibility alias: approximate queries report through the unified
-/// [`QueryStats`](crate::stats::QueryStats) — the same struct the exact tree,
-/// the flat scan and the budgeted sampled scan fill — so recall estimates,
-/// sampled-candidate counts and kernel dispatch are comparable across every
-/// access path.  The old `candidates` field maps to
-/// [`sampled_candidates`](crate::stats::QueryStats::sampled_candidates);
-/// `entities_checked` and `total_entities` kept their names.
-pub type ApproximateStats = crate::stats::QueryStats;
 
 /// The banded LSH candidate index.
 #[derive(Debug, Clone)]
@@ -175,16 +167,16 @@ impl IndexSnapshot {
         query: EntityId,
         k: usize,
         measure: &M,
-    ) -> Result<(Vec<TopKResult>, ApproximateStats)> {
+    ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let start = std::time::Instant::now();
         let query_seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
         let sig = SignatureList::build(self.sp_index(), self.hasher(), query_seq);
         let candidates = banded.candidates(&sig, self.sp_index().height());
-        let mut stats = ApproximateStats {
+        let mut stats = QueryStats {
             k,
             sampled_candidates: candidates.len(),
             total_entities: self.num_entities(),
-            ..ApproximateStats::default()
+            ..QueryStats::default()
         };
         // Verify the colliding candidates through the arena's fused degree
         // kernels — same selection heap, same scores, no per-candidate map
@@ -233,7 +225,7 @@ impl MinSigIndex {
         query: EntityId,
         k: usize,
         measure: &M,
-    ) -> Result<(Vec<TopKResult>, ApproximateStats)> {
+    ) -> Result<(Vec<TopKResult>, QueryStats)> {
         self.snapshot().approximate_top_k(banded, query, k, measure)
     }
 }

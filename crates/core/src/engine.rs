@@ -38,6 +38,21 @@
 //! [`QueryStats`] work counters (nodes visited, subtrees pruned, bound
 //! updates, quanta executed).
 //!
+//! ## The frontier's memory
+//!
+//! A search visits thousands of nodes, so the inner loop owns and reuses
+//! everything it touches and allocates per query, not per node.  The heap
+//! holds 16-byte candidates — *(bound, node, caps slot)*, ordered by bound
+//! descending then node id ascending, the slot taking no part in the order.
+//! The per-level overlap caps of inner nodes sit in a slab of fixed-width
+//! slots: a pop moves the node's caps into a scratch row and frees the slot
+//! before its children are pushed, and leaf-depth children — evaluated, never
+//! expanded — store none.  The query's sorted cell hashes are a dense
+//! `[level][hash function]` table filled on first use, and a child's bound is
+//! computed by [`AssociationMeasure::upper_bound_into`] over one reused
+//! scratch.  The leaf-degree scratch belongs to the [`TraceSource`], which
+//! also owns the kernel-dispatch accounting.
+//!
 //! ## Cooperative bound sharing: why it is exact
 //!
 //! Let `G` be the k-th best degree over the whole population under the
@@ -75,7 +90,7 @@
 //! Constraints accumulate down a branch (the per-level caps of a child are
 //! never larger than its parent's); the caps are turned into a degree bound by
 //! instantiating Theorem 4's artificial entity per level (see
-//! [`AssociationMeasure::upper_bound`]).
+//! [`AssociationMeasure::upper_bound_into`]).
 //!
 //! Driving the executor directly (what [`MinSigIndex::top_k`] does for you)
 //! takes the index's parts plus any [`TraceSource`]:
@@ -131,10 +146,10 @@ use crate::stats::QueryStats;
 use crate::tree::{NodeId, ROOT};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level, SpIndex};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level, LevelOverlap, SpIndex};
 use trace_storage::{BufferPool, PagedTraceStore};
 
 /// Where candidate entities' ST-cell set sequences come from during leaf
@@ -454,18 +469,31 @@ impl TopKHeap {
         self.k > 0 && self.heap.len() >= self.k && self.threshold() > bound
     }
 
-    /// Offers one scored entity.
-    pub fn offer(&mut self, entity: EntityId, degree: f64) {
+    /// Offers one scored entity.  Returns `true` when the offer **raised**
+    /// [`threshold`](Self::threshold) — the k-th answer arrived, or the worst
+    /// kept answer gave way to a strictly larger degree — which is when an
+    /// executor has something new to publish.
+    pub fn offer(&mut self, entity: EntityId, degree: f64) -> bool {
         if self.k == 0 {
-            return;
+            return false;
         }
         let ranked = (OrdF64(degree), std::cmp::Reverse(entity));
-        if self.heap.len() < self.k {
+        let before = if self.heap.len() < self.k {
             self.heap.push(std::cmp::Reverse(ranked));
-        } else if self.heap.peek().is_some_and(|worst| ranked > worst.0) {
-            self.heap.pop();
-            self.heap.push(std::cmp::Reverse(ranked));
-        }
+            if self.heap.len() < self.k {
+                return false;
+            }
+            f64::NEG_INFINITY
+        } else {
+            let mut worst = self.heap.peek_mut().expect("k > 0 answers are held");
+            if ranked <= worst.0 {
+                return false;
+            }
+            let before = worst.0 .0 .0;
+            *worst = std::cmp::Reverse(ranked);
+            before
+        };
+        self.threshold() > before
     }
 
     /// Consumes the accumulator, returning answers sorted by descending degree
@@ -533,13 +561,60 @@ where
     top.into_sorted()
 }
 
-/// A candidate subtree in the best-first queue.
-#[derive(Debug, Clone)]
+/// A candidate subtree in the best-first queue: 16 bytes, so a heap sift
+/// moves two words per level and the per-level caps never travel with it.
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
     upper_bound: OrdF64,
     node: NodeId,
-    /// Per-level caps on the overlap with the query (index 0 = level 1).
+    /// The node's per-level overlap caps, as a [`CapsSlab`] slot;
+    /// [`NO_CAPS`] for leaf-depth nodes, which never expand.
+    caps: u32,
+}
+
+/// The [`Candidate::caps`] of a node that stores none.
+const NO_CAPS: u32 = u32::MAX;
+
+/// Per-level overlap caps (index 0 = level 1) of the frontier's inner nodes:
+/// fixed-width slots in one vector, handed out on push and recycled on pop,
+/// so the slab stops growing once the frontier reaches its widest point.
+#[derive(Debug)]
+struct CapsSlab {
+    width: usize,
     caps: Vec<usize>,
+    free: Vec<u32>,
+}
+
+impl CapsSlab {
+    fn new(width: usize) -> Self {
+        CapsSlab { width, caps: Vec::new(), free: Vec::new() }
+    }
+
+    /// Copies `caps` into a free (or new) slot and returns it.
+    fn store(&mut self, caps: &[usize]) -> u32 {
+        debug_assert_eq!(caps.len(), self.width);
+        match self.free.pop() {
+            Some(slot) => {
+                let at = slot as usize * self.width;
+                self.caps[at..at + self.width].copy_from_slice(caps);
+                slot
+            }
+            None => {
+                let slot = (self.caps.len() / self.width.max(1)) as u32;
+                debug_assert_ne!(slot, NO_CAPS);
+                self.caps.extend_from_slice(caps);
+                slot
+            }
+        }
+    }
+
+    /// Moves a slot's caps into `out` and recycles the slot.
+    fn take(&mut self, slot: u32, out: &mut Vec<usize>) {
+        let at = slot as usize * self.width;
+        out.clear();
+        out.extend_from_slice(&self.caps[at..at + self.width]);
+        self.free.push(slot);
+    }
 }
 
 impl PartialEq for Candidate {
@@ -559,32 +634,38 @@ impl Ord for Candidate {
     }
 }
 
-/// Lazily computed, sorted hash values of the query's cells per (level, function).
+/// Lazily computed, sorted hash values of the query's cells per (level,
+/// function): a dense `[level][u]` table, so a lookup is one index.
 struct QueryHashes<'a, F: CellHashFamily> {
     sp: &'a SpIndex,
     hasher: &'a HierarchicalHasher<F>,
     query: &'a CellSetSequence,
-    cache: HashMap<(Level, u32), Vec<u64>>,
+    /// Number of hash functions — the row length of `table`.
+    width: usize,
+    /// `table[(level - 1) * width + u]`; `None` until first asked for.
+    table: Vec<Option<Vec<u64>>>,
 }
 
 impl<'a, F: CellHashFamily> QueryHashes<'a, F> {
     fn new(sp: &'a SpIndex, hasher: &'a HierarchicalHasher<F>, query: &'a CellSetSequence) -> Self {
-        QueryHashes { sp, hasher, query, cache: HashMap::new() }
+        let width = hasher.num_functions() as usize;
+        let table = vec![None; query.num_levels() * width];
+        QueryHashes { sp, hasher, query, width, table }
     }
 
     /// Number of query level-`level` cells whose hash under function `u` is at
     /// least `value` (i.e. cells that *survive* the pruned set of a node with
     /// routing index `u` and stored value `value`).
     fn surviving(&mut self, level: Level, u: u32, value: u64) -> usize {
-        let sp = self.sp;
-        let hasher = self.hasher;
-        let query = self.query;
-        let hashes = self.cache.entry((level, u)).or_insert_with(|| {
-            let mut v: Vec<u64> =
-                query.level(level).iter().map(|cell| hasher.hash(sp, u, cell)).collect();
-            v.sort_unstable();
-            v
-        });
+        assert!((u as usize) < self.width, "routing index {u} is not a hash function");
+        let (sp, hasher, query) = (self.sp, self.hasher, self.query);
+        let hashes =
+            self.table[(level - 1) as usize * self.width + u as usize].get_or_insert_with(|| {
+                let mut v: Vec<u64> =
+                    query.level(level).iter().map(|cell| hasher.hash(sp, u, cell)).collect();
+                v.sort_unstable();
+                v
+            });
         let below = hashes.partition_point(|&h| h < value);
         hashes.len() - below
     }
@@ -628,6 +709,13 @@ where
     hashes: QueryHashes<'a, F>,
     top: TopKHeap,
     queue: BinaryHeap<Candidate>,
+    caps: CapsSlab,
+    /// The popped node's caps while its children are pushed.
+    parent_caps: Vec<usize>,
+    /// The caps of the child being bounded.
+    child_caps: Vec<usize>,
+    /// Scratch of [`AssociationMeasure::upper_bound_into`].
+    bound_scratch: LevelOverlap,
     stats: QueryStats,
     started: Instant,
     exhausted: bool,
@@ -673,12 +761,16 @@ where
         let stats = QueryStats { total_entities: tree.num_entities(), k, ..QueryStats::default() };
 
         let mut queue = BinaryHeap::new();
+        let mut caps = CapsSlab::new(query_sizes.len());
+        let mut bound_scratch = LevelOverlap::default();
         // A k = 0 query has an empty answer by definition; seed nothing.
         if k > 0 {
+            let root_bound =
+                measure.upper_bound_into(&query_sizes, &query_sizes, &mut bound_scratch);
             queue.push(Candidate {
-                upper_bound: OrdF64(measure.upper_bound(&query_sizes, &query_sizes)),
+                upper_bound: OrdF64(root_bound),
                 node: ROOT,
-                caps: query_sizes.clone(),
+                caps: caps.store(&query_sizes),
             });
         }
         Ok(Executor {
@@ -694,6 +786,10 @@ where
             hashes: QueryHashes::new(sp, hasher, query),
             top: TopKHeap::new(k),
             queue,
+            caps,
+            parent_caps: Vec::with_capacity(m as usize),
+            child_caps: Vec::with_capacity(m as usize),
+            bound_scratch,
             stats,
             started: Instant::now(),
             exhausted: k == 0,
@@ -846,10 +942,8 @@ where
                     continue;
                 };
                 self.stats.entities_checked += 1;
-                let before = self.top.threshold();
-                self.top.offer(entity, degree);
-                if self.publish_policy == PublishPolicy::EveryImprovement
-                    && self.top.threshold() > before
+                if self.top.offer(entity, degree)
+                    && self.publish_policy == PublishPolicy::EveryImprovement
                 {
                     self.publish_threshold(bound);
                 }
@@ -859,18 +953,20 @@ where
 
         // Internal node (or root): push its children with tightened bounds.
         // The child rows (depth / routing index / routing value) are strided
-        // reads from the arena's SoA vectors.
+        // reads from the arena's SoA vectors; the node's own caps leave the
+        // slab first, so its slot is the first one a child reuses.
+        self.caps.take(candidate.caps, &mut self.parent_caps);
+        let inherited =
+            if self.options.accumulate_down_branch { &self.parent_caps } else { &self.query_sizes };
+        let base_idx = (m - 1) as usize;
         for &child_id in tree.children(candidate.node) {
             let child_depth = tree.depth(child_id);
             let routing_index = tree.routing_index(child_id);
             let routing_value = tree.routing_value(child_id);
-            let mut caps = if self.options.accumulate_down_branch {
-                candidate.caps.clone()
-            } else {
-                self.query_sizes.clone()
-            };
+            let caps = &mut self.child_caps;
+            caps.clear();
+            caps.extend_from_slice(inherited);
             let depth_idx = (child_depth - 1) as usize;
-            let base_idx = (m - 1) as usize;
             if self.options.use_level_constraints {
                 let surviving = self.hashes.surviving(child_depth, routing_index, routing_value);
                 caps[depth_idx] = caps[depth_idx].min(surviving);
@@ -879,11 +975,14 @@ where
             let surviving_base = self.hashes.surviving(m, routing_index, routing_value);
             caps[base_idx] = caps[base_idx].min(surviving_base);
 
-            let ub = self.measure.upper_bound(&self.query_sizes, &caps);
+            let ub =
+                self.measure.upper_bound_into(&self.query_sizes, caps, &mut self.bound_scratch);
             // A subtree whose bound cannot beat the current threshold can
             // still be pushed; it will be discarded by the pruning check when
-            // popped (and counted in `subtrees_pruned`).
-            self.queue.push(Candidate { upper_bound: OrdF64(ub), node: child_id, caps });
+            // popped (and counted in `subtrees_pruned`).  A leaf-depth child
+            // is evaluated, never expanded: nothing would read its caps.
+            let slot = if child_depth == m { NO_CAPS } else { self.caps.store(caps) };
+            self.queue.push(Candidate { upper_bound: OrdF64(ub), node: child_id, caps: slot });
         }
     }
 
@@ -943,12 +1042,56 @@ mod tests {
 
     #[test]
     fn candidates_order_by_upper_bound() {
-        let a = Candidate { upper_bound: OrdF64(0.9), node: 1, caps: vec![] };
-        let b = Candidate { upper_bound: OrdF64(0.3), node: 2, caps: vec![] };
+        let a = Candidate { upper_bound: OrdF64(0.9), node: 1, caps: NO_CAPS };
+        let b = Candidate { upper_bound: OrdF64(0.3), node: 2, caps: NO_CAPS };
         let mut heap = BinaryHeap::new();
         heap.push(b);
         heap.push(a);
         assert_eq!(heap.pop().unwrap().node, 1);
+        // Equal bounds pop in ascending node order, whatever slot they hold.
+        heap.push(Candidate { upper_bound: OrdF64(0.3), node: 7, caps: 0 });
+        heap.push(Candidate { upper_bound: OrdF64(0.3), node: 1, caps: 5 });
+        let order: Vec<NodeId> = std::iter::from_fn(|| heap.pop()).map(|c| c.node).collect();
+        assert_eq!(order, vec![1, 2, 7]);
+        assert_eq!(std::mem::size_of::<Candidate>(), 16);
+    }
+
+    #[test]
+    fn caps_slab_recycles_slots() {
+        let mut slab = CapsSlab::new(3);
+        let a = slab.store(&[1, 2, 3]);
+        let b = slab.store(&[4, 5, 6]);
+        assert_ne!(a, b);
+        let mut out = vec![9; 7];
+        slab.take(a, &mut out);
+        assert_eq!(out, vec![1, 2, 3]);
+        // The freed slot is the next one handed out; the other is untouched.
+        assert_eq!(slab.store(&[7, 8, 9]), a);
+        assert_eq!(slab.caps.len(), 6, "no growth while a free slot exists");
+        slab.take(b, &mut out);
+        assert_eq!(out, vec![4, 5, 6]);
+        slab.take(a, &mut out);
+        assert_eq!(out, vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn offer_reports_exactly_the_threshold_rises() {
+        let mut top = TopKHeap::new(2);
+        let mut offer = |entity: u64, degree: f64| {
+            let before = top.threshold();
+            let raised = top.offer(EntityId(entity), degree);
+            assert_eq!(raised, top.threshold() > before, "offer({entity}, {degree})");
+            raised
+        };
+        assert!(!offer(5, 0.5), "k - 1 answers: the threshold is still -inf");
+        assert!(offer(6, 0.2), "the k-th answer sets the threshold");
+        assert!(!offer(7, 0.1), "rejected");
+        assert!(!offer(1, 0.2), "an equal-degree, smaller-id offer displaces without raising");
+        assert!(offer(8, 0.3), "displacing the worst with a larger degree raises it");
+        assert!(offer(9, 0.9), "the former runner-up becomes the threshold");
+        assert!(offer(2, 0.9));
+        assert!(!offer(1, 0.9), "displaced, but by an answer of the same degree");
+        assert!(!TopKHeap::new(0).offer(EntityId(1), 1.0));
     }
 
     #[test]

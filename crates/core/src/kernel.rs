@@ -7,15 +7,24 @@
 //! [`CellSetSequence`]s inside a `BTreeMap`: every candidate costs a tree
 //! descent plus one pointer chase per level before a single cell is compared.
 //!
-//! The [`CandidateArena`] removes all of that from the read path.  It is a
-//! CSR-style structure-of-arrays materialised once per [`IndexSnapshot`]
+//! The [`CandidateArena`] removes all of that from the read path.  It is an
+//! **entity-major** CSR structure materialised once per [`IndexSnapshot`]
 //! publish:
 //!
 //! * `entities` — all indexed entity ids, ascending;
-//! * per level, one contiguous packed-`u64` cell array plus an offsets array
-//!   (`offsets[pos]..offsets[pos + 1]` brackets entity `pos`'s level cells);
+//! * `cells` — one packed-`u64` vector in which an entity's level-1…m runs
+//!   are adjacent, so scoring one candidate reads one contiguous span no
+//!   matter in which order candidates arrive (a best-first search pops
+//!   leaves in bound order, not position order);
+//! * `offsets` — one flat table: with `at = pos * m + i`,
+//!   `offsets[at]..offsets[at + 1]` brackets level `i + 1` of entity `pos`;
 //! * per level, one flat signature array strided by the signature width
-//!   (`signatures[pos * nh..(pos + 1) * nh]` is entity `pos`'s level row).
+//!   (`signatures[level][pos * nh..(pos + 1) * nh]` is entity `pos`'s level
+//!   row).  Signatures stay level-major on purpose: degree computation never
+//!   reads them, so interleaving them would only spread the cell rows out.
+//!
+//! Every vector is sized exactly (a counting pass precedes the copy), and
+//! [`CandidateArena::resident_bytes`] reports capacities, not lengths.
 //!
 //! On top of it, [`CandidateArena::degree_into`] fuses the per-level overlap
 //! loop: all levels of one candidate are scored against a pre-resolved
@@ -46,23 +55,10 @@ use trace_model::ajpi::{LevelOverlap, LevelStat};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level};
 
 pub use trace_model::kernel::{
-    argmax, dispatch_class, intersection_len, intersection_len_gallop, intersection_len_masked,
-    intersection_len_merge, intersection_len_simd, merge_min, merge_min_scalar, merge_min_simd,
-    KernelClass, GALLOP_SKEW, SIMD_LANES, TINY_LEN,
+    argmax, dispatch_class, intersection_len, intersection_len_gallop, intersection_len_merge,
+    intersection_len_simd, merge_min, merge_min_scalar, merge_min_simd, KernelClass, GALLOP_SKEW,
+    SIMD_LANES, TINY_LEN,
 };
-
-/// One level of the arena: CSR cells plus width-strided signature rows.
-#[derive(Debug, Clone, Default)]
-struct ArenaLevel {
-    /// `offsets[pos]..offsets[pos + 1]` brackets the cells of entity `pos`;
-    /// always `entities.len() + 1` entries with `offsets[0] == 0`.
-    offsets: Vec<usize>,
-    /// All entities' level cells, packed `u64`s, concatenated in entity order.
-    cells: Vec<u64>,
-    /// All entities' level signatures, concatenated in entity order with
-    /// stride `sig_width`.
-    signatures: Vec<u64>,
-}
 
 /// The flat candidate arena of one index snapshot (see the [module
 /// docs](self)).
@@ -71,11 +67,26 @@ struct ArenaLevel {
 /// search and a full scan visits candidates in the same order as the owned
 /// `BTreeMap` — which keeps `entities_checked` counters and tie handling
 /// identical between the two paths.
+///
+/// Every vector is allocated at its exact final size (`build` counts first,
+/// `absorb_insert` grows by exactly the inserted entity), so
+/// [`resident_bytes`](Self::resident_bytes) — which sums capacities — is what
+/// the allocator really holds.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateArena {
     entities: Vec<EntityId>,
     sig_width: usize,
-    levels: Vec<ArenaLevel>,
+    /// `offsets[pos * m + i]..offsets[pos * m + i + 1]` brackets the level
+    /// `i + 1` cells of entity `pos` (`m` = `num_levels()`): one entity's `m`
+    /// runs are adjacent, so its row is the `m + 1` consecutive offsets from
+    /// `pos * m`.  Always `len() * m + 1` entries with `offsets[0] == 0`.
+    offsets: Vec<usize>,
+    /// All entities' cells, packed `u64`s, **entity-major**: entity 0's
+    /// level-1…m runs, then entity 1's, and so on.
+    cells: Vec<u64>,
+    /// Per level (so `num_levels()` entries), all entities' level signatures
+    /// concatenated in entity order with stride `sig_width`.
+    signatures: Vec<Vec<u64>>,
 }
 
 impl CandidateArena {
@@ -91,43 +102,45 @@ impl CandidateArena {
         signatures: &BTreeMap<EntityId, SignatureList>,
     ) -> Self {
         let n = sequences.len();
-        let mut entities = Vec::with_capacity(n);
-        let mut levels: Vec<ArenaLevel> = (0..num_levels)
-            .map(|_| {
-                let mut offsets = Vec::with_capacity(n + 1);
-                offsets.push(0);
-                ArenaLevel {
-                    offsets,
-                    cells: Vec::new(),
-                    signatures: Vec::with_capacity(n * sig_width),
-                }
-            })
-            .collect();
+        let m = num_levels as usize;
+        let total_cells: usize = sequences.values().map(CellSetSequence::total_cells).sum();
+        let mut arena = CandidateArena {
+            entities: Vec::with_capacity(n),
+            sig_width,
+            offsets: Vec::with_capacity(n * m + 1),
+            cells: Vec::with_capacity(total_cells),
+            signatures: (0..m).map(|_| Vec::with_capacity(n * sig_width)).collect(),
+        };
+        arena.offsets.push(0);
         for (&entity, seq) in sequences {
-            entities.push(entity);
-            debug_assert_eq!(seq.num_levels(), num_levels as usize);
+            arena.entities.push(entity);
+            debug_assert_eq!(seq.num_levels(), m);
             let sig = signatures.get(&entity);
-            for (i, lvl) in levels.iter_mut().enumerate() {
+            for (i, rows) in arena.signatures.iter_mut().enumerate() {
                 let level = (i + 1) as Level;
-                lvl.cells.extend_from_slice(seq.level(level).packed_slice());
-                lvl.offsets.push(lvl.cells.len());
+                arena.cells.extend_from_slice(seq.level(level).packed_slice());
+                arena.offsets.push(arena.cells.len());
                 match sig {
                     Some(s) => {
                         let row = s.level(level);
                         debug_assert_eq!(row.len(), sig_width);
-                        lvl.signatures.extend_from_slice(row);
+                        rows.extend_from_slice(row);
                     }
-                    None => lvl.signatures.extend(std::iter::repeat_n(u64::MAX, sig_width)),
+                    None => rows.extend(std::iter::repeat_n(u64::MAX, sig_width)),
                 }
             }
         }
-        CandidateArena { entities, sig_width, levels }
+        arena
     }
 
     /// Splices one **newly inserted** entity into the arena without a rebuild
     /// — the incremental path for pure single-record inserts, mirroring
     /// `Synopsis::absorb_insert`.
-    /// Equivalent to a full [`build`](Self::build) over the updated maps.
+    /// Equivalent to a full [`build`](Self::build) over the updated maps,
+    /// footprint included: the splice moves every later entity's cells (one
+    /// `memmove` of the tail) and shifts their offsets, which is already
+    /// `O(n)`, so each vector grows by exactly the inserted amount rather
+    /// than by doubling.
     ///
     /// # Panics
     /// Panics when the entity is already present (replacements rebuild).
@@ -136,20 +149,41 @@ impl CandidateArena {
             Ok(_) => panic!("absorb_insert requires a new entity; replacements rebuild"),
             Err(p) => p,
         };
+        let m = self.num_levels();
+        debug_assert_eq!(seq.num_levels(), m);
+        self.entities.reserve_exact(1);
         self.entities.insert(pos, entity);
-        for (i, lvl) in self.levels.iter_mut().enumerate() {
-            let level = (i + 1) as Level;
-            let packed = seq.level(level).packed_slice();
-            let start = lvl.offsets[pos];
-            lvl.cells.splice(start..start, packed.iter().copied());
-            lvl.offsets.insert(pos + 1, start + packed.len());
-            for off in &mut lvl.offsets[pos + 2..] {
-                *off += packed.len();
-            }
-            let row = sig.level(level);
+
+        // Open a gap of the entity's total cell count where its successor's
+        // row used to start, then fill it level by level.
+        let start = self.offsets[pos * m];
+        let added = seq.total_cells();
+        let old_len = self.cells.len();
+        self.cells.reserve_exact(added);
+        self.cells.resize(old_len + added, 0);
+        self.cells.copy_within(start..old_len, start + added);
+        // Every later row (the successor's start included) moves up by the
+        // gap; the new row's `m` run ends go in front of them.
+        for off in &mut self.offsets[pos * m + 1..] {
+            *off += added;
+        }
+        let mut end = start;
+        let cells = &mut self.cells;
+        let row_ends = seq.iter_levels().map(|(_, set)| {
+            let packed = set.packed_slice();
+            cells[end..end + packed.len()].copy_from_slice(packed);
+            end += packed.len();
+            end
+        });
+        self.offsets.reserve_exact(m);
+        self.offsets.splice(pos * m + 1..pos * m + 1, row_ends);
+
+        for (i, rows) in self.signatures.iter_mut().enumerate() {
+            let row = sig.level((i + 1) as Level);
             debug_assert_eq!(row.len(), self.sig_width);
             let sig_start = pos * self.sig_width;
-            lvl.signatures.splice(sig_start..sig_start, row.iter().copied());
+            rows.reserve_exact(row.len());
+            rows.splice(sig_start..sig_start, row.iter().copied());
         }
     }
 
@@ -174,7 +208,7 @@ impl CandidateArena {
     /// Number of levels (the sp-index height).
     #[inline]
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.signatures.len()
     }
 
     /// The signature stride (`nh`).
@@ -189,31 +223,36 @@ impl CandidateArena {
         self.entities.binary_search(&entity).ok()
     }
 
+    /// The `num_levels + 1` offsets delimiting the `num_levels` adjacent
+    /// cell runs of the entity at `pos`.
+    #[inline]
+    fn row(&self, pos: usize) -> &[usize] {
+        let m = self.num_levels();
+        &self.offsets[pos * m..=(pos + 1) * m]
+    }
+
     /// The packed level-`level` cells of the entity at `pos` (1-based level).
     #[inline]
     pub fn level_cells(&self, level: Level, pos: usize) -> &[u64] {
-        let lvl = &self.levels[(level - 1) as usize];
-        &lvl.cells[lvl.offsets[pos]..lvl.offsets[pos + 1]]
+        let row = self.row(pos);
+        let i = (level - 1) as usize;
+        &self.cells[row[i]..row[i + 1]]
     }
 
     /// The level-`level` signature row of the entity at `pos` (1-based level).
     #[inline]
     pub fn signature_row(&self, level: Level, pos: usize) -> &[u64] {
-        let lvl = &self.levels[(level - 1) as usize];
-        &lvl.signatures[pos * self.sig_width..(pos + 1) * self.sig_width]
+        &self.signatures[(level - 1) as usize][pos * self.sig_width..(pos + 1) * self.sig_width]
     }
 
-    /// Resident heap footprint of the arena in bytes.
+    /// Resident heap footprint of the arena in bytes: the capacity of every
+    /// vector, i.e. what the allocator holds for it.
     pub fn resident_bytes(&self) -> usize {
-        let per_level: usize = self
-            .levels
-            .iter()
-            .map(|l| {
-                (l.cells.len() + l.signatures.len()) * std::mem::size_of::<u64>()
-                    + l.offsets.len() * std::mem::size_of::<usize>()
-            })
-            .sum();
-        per_level + self.entities.len() * std::mem::size_of::<EntityId>()
+        let signatures: usize = self.signatures.iter().map(Vec::capacity).sum();
+        (self.cells.capacity() + signatures) * std::mem::size_of::<u64>()
+            + self.signatures.capacity() * std::mem::size_of::<Vec<u64>>()
+            + self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.entities.capacity() * std::mem::size_of::<EntityId>()
     }
 
     /// Fused per-level degree of the candidate at `pos` against a query view,
@@ -230,11 +269,11 @@ impl CandidateArena {
         measure: &M,
         scratch: &mut LevelOverlap,
     ) -> f64 {
-        debug_assert_eq!(view.num_levels(), self.levels.len());
+        debug_assert_eq!(view.num_levels(), self.num_levels());
         scratch.clear();
-        for (i, lvl) in self.levels.iter().enumerate() {
+        for (i, run) in self.row(pos).windows(2).enumerate() {
             let q = view.level(i);
-            let c = &lvl.cells[lvl.offsets[pos]..lvl.offsets[pos + 1]];
+            let c = &self.cells[run[0]..run[1]];
             scratch.push(LevelStat {
                 overlap: intersection_len(q, c),
                 size_a: q.len(),
@@ -257,11 +296,11 @@ impl CandidateArena {
         scratch: &mut LevelOverlap,
         dispatch: &mut KernelDispatch,
     ) -> f64 {
-        debug_assert_eq!(view.num_levels(), self.levels.len());
+        debug_assert_eq!(view.num_levels(), self.num_levels());
         scratch.clear();
-        for (i, lvl) in self.levels.iter().enumerate() {
+        for (i, run) in self.row(pos).windows(2).enumerate() {
             let q = view.level(i);
-            let c = &lvl.cells[lvl.offsets[pos]..lvl.offsets[pos + 1]];
+            let c = &self.cells[run[0]..run[1]];
             dispatch.record(dispatch_class(q.len(), c.len()));
             scratch.push(LevelStat {
                 overlap: intersection_len(q, c),
@@ -403,9 +442,9 @@ impl NodeArena {
             routing_index: Vec::with_capacity(n),
             routing_value: Vec::with_capacity(n),
             child_offsets: Vec::with_capacity(n + 1),
-            children: Vec::new(),
+            children: Vec::with_capacity(nodes.iter().map(|node| node.children.len()).sum()),
             entity_offsets: Vec::with_capacity(n + 1),
-            entities: Vec::new(),
+            entities: Vec::with_capacity(nodes.iter().map(|node| node.entities.len()).sum()),
         };
         arena.child_offsets.push(0);
         arena.entity_offsets.push(0);
@@ -471,14 +510,16 @@ impl NodeArena {
         &self.entities[self.entity_offsets[i] as usize..self.entity_offsets[i + 1] as usize]
     }
 
-    /// Resident heap footprint of the node rows in bytes.
+    /// Resident heap footprint of the node rows in bytes: the capacity of
+    /// every vector (`build` sizes each exactly).
     pub fn resident_bytes(&self) -> usize {
-        self.depth.len() * std::mem::size_of::<Level>()
-            + self.routing_index.len() * std::mem::size_of::<u32>()
-            + self.routing_value.len() * std::mem::size_of::<u64>()
-            + (self.child_offsets.len() + self.entity_offsets.len()) * std::mem::size_of::<u32>()
-            + self.children.len() * std::mem::size_of::<NodeId>()
-            + self.entities.len() * std::mem::size_of::<EntityId>()
+        self.depth.capacity() * std::mem::size_of::<Level>()
+            + self.routing_index.capacity() * std::mem::size_of::<u32>()
+            + self.routing_value.capacity() * std::mem::size_of::<u64>()
+            + (self.child_offsets.capacity() + self.entity_offsets.capacity())
+                * std::mem::size_of::<u32>()
+            + self.children.capacity() * std::mem::size_of::<NodeId>()
+            + self.entities.capacity() * std::mem::size_of::<EntityId>()
     }
 }
 
@@ -636,25 +677,75 @@ mod tests {
         assert!(arena.resident_bytes() > 0);
     }
 
+    /// Every observable of `got` equals `expect`'s, footprint included.
+    fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, context: &str) {
+        assert_eq!(got.entities(), expect.entities(), "{context}");
+        assert_eq!(got.num_levels(), expect.num_levels(), "{context}");
+        for pos in 0..expect.len() {
+            for level in 1..=expect.num_levels() as Level {
+                assert_eq!(
+                    got.level_cells(level, pos),
+                    expect.level_cells(level, pos),
+                    "{context}: cells of row {pos}, level {level}"
+                );
+                assert_eq!(
+                    got.signature_row(level, pos),
+                    expect.signature_row(level, pos),
+                    "{context}: signature of row {pos}, level {level}"
+                );
+            }
+        }
+        assert_eq!(got.resident_bytes(), expect.resident_bytes(), "{context}: footprint");
+    }
+
     #[test]
     fn absorb_insert_equals_full_rebuild() {
-        let (_sp, mut sequences, mut signatures) = fixture(6);
-        // Build without entity 2, then splice it back in.
-        let held_seq = sequences.remove(&EntityId(2)).unwrap();
-        let held_sig = signatures.remove(&EntityId(2)).unwrap();
-        let mut incremental = CandidateArena::build(2, 8, &sequences, &signatures);
-        incremental.absorb_insert(EntityId(2), &held_seq, &held_sig);
-        sequences.insert(EntityId(2), held_seq);
-        signatures.insert(EntityId(2), held_sig);
-        let rebuilt = CandidateArena::build(2, 8, &sequences, &signatures);
-        assert_eq!(incremental.entities(), rebuilt.entities());
-        for pos in 0..rebuilt.len() {
-            for level in 1..=2 {
-                assert_eq!(incremental.level_cells(level, pos), rebuilt.level_cells(level, pos));
-                assert_eq!(
-                    incremental.signature_row(level, pos),
-                    rebuilt.signature_row(level, pos)
-                );
+        let (sp, mut sequences, mut signatures) = fixture(9);
+        let hasher =
+            HierarchicalHasher::new(SeededHashFamily::new(8, 7, 10_000), HasherMode::PathMax);
+        // Entities with empty levels: nothing at all, level 1 only, level 2
+        // only — at ids below, between and above the regular ones.
+        let unit = sp.base_units()[0];
+        let one = || CellSet::from_cells(vec![StCell::new(3, unit)]);
+        for (id, sets) in [
+            (100u64, vec![CellSet::new(), CellSet::new()]),
+            (4, vec![one(), CellSet::new()]),
+            (101, vec![CellSet::new(), one()]),
+        ] {
+            // Id 4 replaces a regular entity; the other two are new.
+            let seq = CellSetSequence::from_level_sets(sets);
+            signatures.insert(EntityId(id), SignatureList::build(&sp, &hasher, &seq));
+            sequences.insert(EntityId(id), seq);
+        }
+        let full = CandidateArena::build(2, 8, &sequences, &signatures);
+        let ids: Vec<EntityId> = sequences.keys().copied().collect();
+
+        // Removing and re-absorbing any single entity — first and last
+        // position included — reproduces the full build.
+        for &held in &ids {
+            let (mut seqs, mut sigs) = (sequences.clone(), signatures.clone());
+            let (seq, sig) = (seqs.remove(&held).unwrap(), sigs.remove(&held).unwrap());
+            let mut arena = CandidateArena::build(2, 8, &seqs, &sigs);
+            arena.absorb_insert(held, &seq, &sig);
+            assert_same_arena(&arena, &full, &format!("re-absorbing {held:?}"));
+        }
+
+        // Growing from empty in random orders equals the build over the same
+        // prefix after every single insert.
+        let mut rng = crate::testkit::Rng64::new(0xab50);
+        for round in 0..8 {
+            let mut order = ids.clone();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut arena = CandidateArena::build(2, 8, &BTreeMap::new(), &BTreeMap::new());
+            let (mut seqs, mut sigs) = (BTreeMap::new(), BTreeMap::new());
+            for &entity in &order {
+                arena.absorb_insert(entity, &sequences[&entity], &signatures[&entity]);
+                seqs.insert(entity, sequences[&entity].clone());
+                sigs.insert(entity, signatures[&entity].clone());
+                let rebuilt = CandidateArena::build(2, 8, &seqs, &sigs);
+                assert_same_arena(&arena, &rebuilt, &format!("round {round}, after {entity:?}"));
             }
         }
     }

@@ -132,7 +132,7 @@ pub mod synopsis;
 pub mod testkit;
 pub mod tree;
 
-pub use approximate::{ApproximateStats, BandedIndex, BandingConfig};
+pub use approximate::{BandedIndex, BandingConfig};
 pub use config::{
     BoundMode, HasherMode, IndexConfig, PlannerConfig, PublishPolicy, SchedulerConfig,
 };
@@ -160,6 +160,6 @@ pub use signature::{
     CellHashFamily, HierarchicalHasher, SeededHashFamily, SignatureList, TableHashFamily,
 };
 pub use snapshot::IndexSnapshot;
-pub use stats::{DegradationReport, IndexStats, KernelDispatch, QueryStats, SearchStats};
+pub use stats::{DegradationReport, IndexStats, KernelDispatch, QueryStats};
 pub use synopsis::{Synopsis, DEFAULT_SKETCH_SIZE};
 pub use tree::MinSigTree;

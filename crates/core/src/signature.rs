@@ -219,9 +219,9 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
     /// prefix of its children's ancestor paths, hence never larger.
     fn path_max(&self, sp: &SpIndex, u: u32, cell: StCell, level: Level) -> u64 {
         let mut value = 0u64;
-        let path = sp.path(cell.unit()).expect("unit exists");
+        let path = sp.ancestors(cell.unit()).expect("unit exists");
         debug_assert_eq!(path.len(), level as usize);
-        for ancestor in path {
+        for &ancestor in path {
             let h = self.family.hash_base(u, StCell::new(cell.time(), ancestor));
             if h > value {
                 value = h;

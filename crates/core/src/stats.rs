@@ -279,17 +279,6 @@ impl Default for QueryStats {
     }
 }
 
-/// Former name of [`QueryStats`]; kept as an alias so existing callers and
-/// persisted call sites keep compiling unchanged.  Fields added since the
-/// rename (the planner counters, and the buffer-pool counters
-/// [`pool_hits`](QueryStats::pool_hits) /
-/// [`pool_misses`](QueryStats::pool_misses) /
-/// [`pool_evictions`](QueryStats::pool_evictions) of the out-of-core paths)
-/// default to zero on every non-paged query, so struct-update call sites
-/// (`SearchStats { .., ..Default::default() }`) keep compiling and old
-/// comparisons keep holding.
-pub type SearchStats = QueryStats;
-
 impl QueryStats {
     /// Definition 5: `(|E'| - k) / |E|` — the fraction of entities that had to be
     /// checked beyond the k returned ones (lower is better).

@@ -32,7 +32,7 @@ use crate::cell::CellSetSequence;
 ///
 /// Implementations must be monotone in the per-level overlap and antitone in the
 /// other entity's per-level sizes; given that, the default
-/// [`upper_bound`](AssociationMeasure::upper_bound) is sound (it evaluates the
+/// [`upper_bound_into`](AssociationMeasure::upper_bound_into) is sound (it evaluates the
 /// measure on the most favourable entity compatible with the per-level overlap
 /// caps, i.e. Theorem 4's artificial entity generalised to per-level caps).
 pub trait AssociationMeasure: Send + Sync {
@@ -52,21 +52,36 @@ pub trait AssociationMeasure: Send + Sync {
     /// overlap with the query is at most `overlap_caps[l-1]`, where
     /// `query_sizes[l-1]` is the query's level-`l` duration.
     ///
+    /// Convenience wrapper around
+    /// [`upper_bound_into`](AssociationMeasure::upper_bound_into) that owns
+    /// its scratch; the two always agree bitwise.  A measure with a tighter
+    /// bound of its own overrides `upper_bound_into` — that is the form the
+    /// executor calls — and leaves this wrapper alone.
+    fn upper_bound(&self, query_sizes: &[usize], overlap_caps: &[usize]) -> f64 {
+        self.upper_bound_into(query_sizes, overlap_caps, &mut LevelOverlap::default())
+    }
+
+    /// [`upper_bound`](AssociationMeasure::upper_bound) over a caller-owned
+    /// `scratch` (cleared first, so its previous content is irrelevant) — the
+    /// allocation-free form the tree executor calls once per frontier child.
+    ///
     /// The default implementation instantiates the artificial entity of
     /// Theorem 4: overlap equal to the cap and own size equal to the cap (the
     /// smallest size compatible with that overlap), which maximises every
     /// monotone measure in this family.
-    fn upper_bound(&self, query_sizes: &[usize], overlap_caps: &[usize]) -> f64 {
+    fn upper_bound_into(
+        &self,
+        query_sizes: &[usize],
+        overlap_caps: &[usize],
+        scratch: &mut LevelOverlap,
+    ) -> f64 {
         debug_assert_eq!(query_sizes.len(), overlap_caps.len());
-        let stats = query_sizes
-            .iter()
-            .zip(overlap_caps.iter())
-            .map(|(&q, &cap)| {
-                let o = cap.min(q);
-                LevelStat { overlap: o, size_a: q, size_b: o }
-            })
-            .collect();
-        self.degree_from_overlap(&LevelOverlap::from_stats(stats))
+        scratch.clear();
+        for (&q, &cap) in query_sizes.iter().zip(overlap_caps) {
+            let o = cap.min(q);
+            scratch.push(LevelStat { overlap: o, size_a: q, size_b: o });
+        }
+        self.degree_from_overlap(scratch)
     }
 }
 
@@ -84,6 +99,14 @@ impl<M: AssociationMeasure + ?Sized> AssociationMeasure for &M {
     }
     fn upper_bound(&self, query_sizes: &[usize], overlap_caps: &[usize]) -> f64 {
         (**self).upper_bound(query_sizes, overlap_caps)
+    }
+    fn upper_bound_into(
+        &self,
+        query_sizes: &[usize],
+        overlap_caps: &[usize],
+        scratch: &mut LevelOverlap,
+    ) -> f64 {
+        (**self).upper_bound_into(query_sizes, overlap_caps, scratch)
     }
 }
 

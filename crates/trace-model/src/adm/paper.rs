@@ -20,10 +20,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PaperAdm {
     /// Exponent on the level (`u > 1`); larger values favour finer-level AjPIs.
+    /// Read at construction only: the level weights and the normalisation
+    /// factor are derived from it there.
     pub u: f64,
     /// Exponent on the duration ratio (`v > 1`); larger values favour longer AjPIs.
     pub v: f64,
-    num_levels: usize,
+    /// `l^u` for `l = 1..=m` (index 0 = level 1), fixed at construction so
+    /// scoring pays one `powf` per level (the ratio's) instead of two.
+    level_weights: Vec<f64>,
     max: f64,
     name: String,
 }
@@ -39,8 +43,9 @@ impl PaperAdm {
                 "u and v must be >= 1 (got u={u}, v={v})"
             )));
         }
-        let max: f64 = (1..=num_levels).map(|l| (l as f64).powf(u) * 0.5f64.powf(v)).sum();
-        Ok(PaperAdm { u, v, num_levels, max, name: format!("paper-adm(u={u},v={v})") })
+        let level_weights: Vec<f64> = (1..=num_levels).map(|l| (l as f64).powf(u)).collect();
+        let max: f64 = level_weights.iter().map(|w| w * 0.5f64.powf(v)).sum();
+        Ok(PaperAdm { u, v, level_weights, max, name: format!("paper-adm(u={u},v={v})") })
     }
 
     /// The default parameterisation used by the experiments (`u = v = 2`).
@@ -50,7 +55,13 @@ impl PaperAdm {
 
     /// Number of sp-index levels this measure was constructed for.
     pub fn num_levels(&self) -> usize {
-        self.num_levels
+        self.level_weights.len()
+    }
+
+    /// The per-level weights `l^u` (index 0 = level 1), exactly
+    /// `(l as f64).powf(u)` for the `u` given at construction.
+    pub fn level_weights(&self) -> &[f64] {
+        &self.level_weights
     }
 }
 
@@ -60,12 +71,12 @@ impl AssociationMeasure for PaperAdm {
     }
 
     fn degree_from_overlap(&self, overlap: &LevelOverlap) -> f64 {
-        debug_assert_eq!(overlap.num_levels(), self.num_levels);
+        debug_assert_eq!(overlap.num_levels(), self.level_weights.len());
         let mut score = 0.0;
-        for (level, stat) in overlap.iter() {
+        for ((_, stat), weight) in overlap.iter().zip(&self.level_weights) {
             let ratio = dice_ratio(stat);
             if ratio > 0.0 {
-                score += (level as f64).powf(self.u) * ratio.powf(self.v);
+                score += weight * ratio.powf(self.v);
             }
         }
         (score / self.max).clamp(0.0, 1.0)
@@ -89,6 +100,32 @@ mod tests {
     #[test]
     fn satisfies_section_3_2_axioms() {
         check_axioms(&PaperAdm::default_for(2));
+    }
+
+    #[test]
+    fn level_weights_are_exactly_the_powf_they_replace() {
+        for u in [1.0, 1.5, 2.0, 3.0] {
+            let m = PaperAdm::new(6, u, 2.0).unwrap();
+            assert_eq!(m.num_levels(), 6);
+            assert_eq!(m.level_weights().len(), 6);
+            for (i, w) in m.level_weights().iter().enumerate() {
+                let expect = ((i + 1) as f64).powf(u);
+                assert_eq!(w.to_bits(), expect.to_bits(), "u = {u}, level {}", i + 1);
+            }
+            // Scoring through the table is bitwise the two-`powf` formula.
+            let ov = LevelOverlap::from_stats(
+                (1..=6).map(|l| LevelStat { overlap: l, size_a: 9, size_b: 2 * l }).collect(),
+            );
+            let by_formula: f64 = ov
+                .iter()
+                .map(|(level, stat)| {
+                    (level as f64).powf(u) * crate::adm::dice_ratio(stat).powf(2.0)
+                })
+                .fold(0.0, |acc, term| acc + term);
+            let max: f64 = (1..=6).map(|l| (l as f64).powf(u) * 0.5f64.powf(2.0)).sum();
+            let expect = (by_formula / max).clamp(0.0, 1.0);
+            assert_eq!(m.degree_from_overlap(&ov).to_bits(), expect.to_bits(), "u = {u}");
+        }
     }
 
     #[test]

@@ -7,16 +7,11 @@
 //! data-dependent branches, which lets the compiler keep the loop bodies in
 //! registers and autovectorize the comparisons.
 //!
-//! Four intersection kernels are provided, all returning the exact same count:
+//! Three intersection kernels are provided, all returning the exact same count:
 //!
 //! * [`intersection_len_merge`] — the three-way-compare two-pointer merge.
 //!   LLVM lowers the match arms to conditional moves, so the compiled loop is
 //!   already branch-light; it doubles as the readable conformance oracle.
-//! * [`intersection_len_masked`] — the same merge with advance and count
-//!   updates spelled as explicit comparison masks (`i += (x <= y)`).  Kept so
-//!   the microbench can compare the two formulations on every target; on
-//!   current x86-64 codegen the extra mask arithmetic makes it measurably
-//!   slower than the merge, so the dispatcher does not use it.
 //! * [`intersection_len_gallop`] — iterates the smaller set and locates each
 //!   element in the larger one by exponential (galloping) search, giving
 //!   `O(small · log(large / small))` work.  Fastest when the sizes are skewed.
@@ -137,29 +132,6 @@ pub fn intersection_len_merge(a: &[u64], b: &[u64]) -> usize {
                 j += 1;
             }
         }
-    }
-    count
-}
-
-/// Intersection size of two sorted, deduplicated slices — two-pointer merge
-/// with advance and count updates spelled as explicit comparison masks.
-///
-/// Semantically identical to [`intersection_len_merge`]; kept public so the
-/// kernel microbench can compare the two formulations on every target.  On
-/// current x86-64 codegen the extra mask arithmetic loses to the conditional
-/// moves LLVM already emits for the merge, so the dispatcher prefers the
-/// merge.
-pub fn intersection_len_masked(a: &[u64], b: &[u64]) -> usize {
-    debug_assert!(is_sorted_dedup(a), "kernel input `a` must be sorted and deduplicated");
-    debug_assert!(is_sorted_dedup(b), "kernel input `b` must be sorted and deduplicated");
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-    let (na, nb) = (a.len(), b.len());
-    while i < na && j < nb {
-        let x = a[i];
-        let y = b[j];
-        count += usize::from(x == y);
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
     }
     count
 }
@@ -446,7 +418,6 @@ mod tests {
     fn all_kernels(a: &[u64], b: &[u64]) -> Vec<usize> {
         vec![
             intersection_len_merge(a, b),
-            intersection_len_masked(a, b),
             intersection_len_gallop(a, b),
             intersection_len_simd(a, b),
             intersection_len(a, b),

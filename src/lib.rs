@@ -96,8 +96,8 @@ pub mod harness {
 
 pub use minsig::{
     BoundMode, IndexConfig, IndexSnapshot, JoinOptions, MinSigIndex, PlannerConfig, PublishPolicy,
-    QueryOptions, QueryPlan, QueryStats, SchedulerConfig, SearchStats, ShardedMinSigIndex,
-    ShardedSnapshot, Synopsis, TopKResult, TraceSource,
+    QueryOptions, QueryPlan, QueryStats, SchedulerConfig, ShardedMinSigIndex, ShardedSnapshot,
+    Synopsis, TopKResult, TraceSource,
 };
 pub use trace_model::{
     AssociationMeasure, DiceAdm, DigitalTrace, EntityId, JaccardAdm, PaperAdm, Period,

@@ -20,8 +20,8 @@ use digital_traces::index::{
     IndexConfig, IndexSnapshot, KernelDispatch, QueryView, TopKHeap, TopKResult,
 };
 use digital_traces::model::kernel::{
-    intersection_len, intersection_len_gallop, intersection_len_masked, intersection_len_merge,
-    intersection_len_simd, merge_min, merge_min_scalar, merge_min_simd, GALLOP_SKEW, SIMD_LANES,
+    intersection_len, intersection_len_gallop, intersection_len_merge, intersection_len_simd,
+    merge_min, merge_min_scalar, merge_min_simd, GALLOP_SKEW, SIMD_LANES,
 };
 use digital_traces::{AssociationMeasure, EntityId, PaperAdm};
 use proptest::prelude::*;
@@ -33,20 +33,18 @@ fn to_set(mut v: Vec<u64>) -> Vec<u64> {
     v
 }
 
-/// Asserts all five intersection entry points agree on `(a, b)`, both ways.
+/// Asserts all four intersection entry points agree on `(a, b)`, both ways.
 /// The three-way-compare merge is the oracle; the SIMD kernel must match it
 /// whatever instruction set the host actually has (AVX2, SSE2-only, or the
 /// non-x86 scalar fallback), and the dispatcher must match it with the
 /// `simd` cargo feature both on and off.
 fn assert_kernels_agree(a: &[u64], b: &[u64]) {
     let expect = intersection_len_merge(a, b);
-    assert_eq!(intersection_len_masked(a, b), expect, "masked vs merge");
     assert_eq!(intersection_len_gallop(a, b), expect, "gallop vs merge");
     assert_eq!(intersection_len_simd(a, b), expect, "simd vs merge");
     assert_eq!(intersection_len(a, b), expect, "dispatcher vs merge");
     // Intersection size is symmetric; the kernels must be too.
     assert_eq!(intersection_len_merge(b, a), expect, "merge symmetry");
-    assert_eq!(intersection_len_masked(b, a), expect, "masked symmetry");
     assert_eq!(intersection_len_gallop(b, a), expect, "gallop symmetry");
     assert_eq!(intersection_len_simd(b, a), expect, "simd symmetry");
     assert_eq!(intersection_len(b, a), expect, "dispatcher symmetry");

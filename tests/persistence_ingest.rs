@@ -75,7 +75,7 @@ proptest! {
         prop_assert_eq!(join_a.len(), join_b.len());
         for (a, b) in join_a.iter().zip(join_b.iter()) {
             prop_assert_eq!(a.probe, b.probe);
-            // Compare answers only: the rows' SearchStats carry wall-clock time.
+            // Compare answers only: the rows' QueryStats carry wall-clock time.
             prop_assert_eq!(&a.matches, &b.matches, "join diverged for probe {}", a.probe);
         }
     }
