@@ -1,0 +1,508 @@
+//! The one planned drive behind every sharded query path.
+//!
+//! The paper has one top-k algorithm, and its memory-size experiment (§4.3 /
+//! Fig 7.6) is that same search with candidate traces fetched from disk.
+//! So here: [`run`] is validate → level check → plan ([`plan::plan_query`])
+//! → [`execute`], and `execute` holds the only two schedules a plan is ever
+//! driven by —
+//!
+//! * **unbudgeted**: scan shards first (each publishes its local k-th
+//!   degree), then every admitted tree shard as a resumable [`Executor`],
+//!   interleaved in quanta by the cooperative scheduler;
+//! * **budgeted** ([`PlannerConfig::latency_budget_us`] set): admitted shards
+//!   **sequentially in plan order**, each tree search under
+//!   [`Executor::run_until`], degrading to sampled scans as the deadline
+//!   bites (`Fanout::drive_budgeted` has the protocol).
+//!
+//! Both are built from the same four steps (flat-scan a shard, make a shard
+//! executor, finish-and-drain an executor, pick the bound), and everything
+//! that differs between in-memory and out-of-core execution sits behind
+//! [`ShardAccess`].  Its hooks are monomorphised; nothing on the
+//! per-candidate path is dynamic.  `docs/ARCHITECTURE.md` has the long form.
+
+use crate::config::{BoundMode, PlannerConfig, SchedulerConfig};
+use crate::engine::{self, Bound, Executor, SeededBound, SharedBound, TraceSource};
+use crate::error::{IndexError, Result};
+use crate::plan::{self, PageEstimate, QueryPlan, ShardDecision};
+use crate::query::{QueryOptions, TopKResult};
+use crate::signature::SeededHashFamily;
+use crate::snapshot::IndexSnapshot;
+use crate::stats::{DegradationReport, QueryStats};
+use rayon::prelude::*;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
+use trace_storage::PinnedPages;
+
+/// One query as every stage of planning and execution sees it.
+pub(crate) struct Request<'q, M: ?Sized> {
+    pub(crate) query: &'q CellSetSequence,
+    pub(crate) exclude: Option<EntityId>,
+    pub(crate) k: usize,
+    pub(crate) measure: &'q M,
+    pub(crate) options: QueryOptions,
+    pub(crate) scheduler: SchedulerConfig,
+    pub(crate) planner: PlannerConfig,
+}
+
+impl<'q, M: ?Sized> Request<'q, M> {
+    /// The query of an indexed `entity` (itself excluded from its answer)
+    /// whose sequence is `query`, under the default knobs.
+    pub(crate) fn new(
+        query: &'q CellSetSequence,
+        entity: EntityId,
+        k: usize,
+        measure: &'q M,
+    ) -> Self {
+        Request {
+            query,
+            exclude: Some(entity),
+            k,
+            measure,
+            options: QueryOptions::default(),
+            scheduler: SchedulerConfig::default(),
+            planner: PlannerConfig::default(),
+        }
+    }
+}
+
+/// How one query reads the shards' candidates — the whole difference between
+/// the in-memory path (`shard::ArenaAccess`, over the candidate arenas) and
+/// the out-of-core one (`paged::PagedAccess`, over the trace store through
+/// the buffer pool).  An access serves one query on one thread; the sources
+/// it hands out travel with their executors.
+pub(crate) trait ShardAccess<'q> {
+    /// What a tree executor evaluates its leaves through; one per executor.
+    type Source: TraceSource + Send;
+
+    /// The shard snapshots, in shard order.
+    fn shards(&self) -> &'q [Arc<IndexSnapshot>];
+
+    /// Scores `shard`'s sketch entities (bar `exclude`) exactly against the
+    /// query, for threshold seeding, handing each `(entity, degree)` to
+    /// `offer` — untracked (no kernel-dispatch counts).  An entity the access
+    /// cannot produce is passed over, which only weakens the seed.  `scratch`
+    /// is the planner's, for an access that scores from rows it holds.
+    fn seed<M: AssociationMeasure + ?Sized>(
+        &self,
+        shard: usize,
+        exclude: Option<EntityId>,
+        measure: &M,
+        scratch: &mut LevelOverlap,
+        offer: impl FnMut(EntityId, f64),
+    );
+
+    /// The shard's page-residency estimate; `None` when nothing is paged.
+    fn pages(&self, _shard: usize) -> Option<PageEstimate> {
+        None
+    }
+
+    /// What fetching one cold page costs, in microseconds.
+    fn miss_latency_us(&self) -> u64 {
+        0
+    }
+
+    /// Pins the query entity's own trace for the whole fan-out, so no
+    /// replacer decision can push it out between step quanta.
+    fn pin_query(&self, _query: EntityId) -> Option<PinnedPages<'q, 'q>> {
+        None
+    }
+
+    /// The flat degree loop over one shard's members: exact (`rate` `None`)
+    /// or over the deterministic sample at `rate` plus the shard's sketch
+    /// entities.  Returns the shard's sorted top-k and how many entities it
+    /// scored; kernel dispatches and unreadable candidates go to `stats`.
+    fn scan<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        shard: usize,
+        rate: Option<f64>,
+        request: &Request<'q, M>,
+        stats: &mut QueryStats,
+    ) -> (Vec<TopKResult>, usize);
+
+    /// A fresh source (own scratch, zeroed counters) over one shard.
+    fn source(&self, shard: usize) -> Self::Source;
+
+    /// Moves an executor source's counters into the query's stats.
+    fn drain_source(source: &Self::Source, stats: &mut QueryStats);
+
+    /// Moves the counters of the access's own reads (seeding, scans) there.
+    fn drain(&self, _stats: &mut QueryStats) {}
+}
+
+/// Rejects bad knobs and query sequences whose level count does not match
+/// the shards' trees — up front, so a plan that scans or skips every shard
+/// reports the same [`IndexError::LevelMismatch`] the executor constructor
+/// would.
+pub(crate) fn admit<M: ?Sized>(
+    shards: &[Arc<IndexSnapshot>],
+    request: &Request<'_, M>,
+) -> Result<()> {
+    request.scheduler.validate()?;
+    request.planner.validate()?;
+    let index_levels = shards[0].tree().levels();
+    if request.query.num_levels() != index_levels as usize {
+        return Err(IndexError::LevelMismatch {
+            index_levels,
+            query_levels: request.query.num_levels() as u8,
+        });
+    }
+    Ok(())
+}
+
+/// Builds — without executing — the plan [`run`] would drive.
+pub(crate) fn explain<'q, A, M>(access: &A, request: &Request<'q, M>) -> Result<QueryPlan>
+where
+    A: ShardAccess<'q>,
+    M: AssociationMeasure + ?Sized,
+{
+    admit(access.shards(), request)?;
+    Ok(plan::plan_query(access, request))
+}
+
+/// Answers one query: plan, then drive the plan.  `parallel` fans the
+/// cooperative scheduler's workers out over rayon; batch and join paths pass
+/// `false` (they parallelise over queries).  The latency budget, when set, is
+/// measured from before planning — planning time spends budget, matching the
+/// cost model.
+pub(crate) fn run<'q, A, M>(
+    access: &A,
+    request: &Request<'q, M>,
+    parallel: bool,
+) -> Result<(Vec<TopKResult>, QueryStats)>
+where
+    A: ShardAccess<'q>,
+    M: AssociationMeasure + Sync + ?Sized,
+{
+    admit(access.shards(), request)?;
+    let start = Instant::now();
+    let pins = request.exclude.and_then(|query| access.pin_query(query));
+    let plan = plan::plan_query(access, request);
+    let planning_us = start.elapsed().as_micros() as u64;
+    let (results, mut stats) = execute(access, &plan, request, parallel, start, planning_us)?;
+    if let Some(pins) = pins {
+        stats.absorb_io(pins.io());
+    }
+    Ok((results, stats))
+}
+
+/// Drives an already-built plan and merges the per-shard answers.  `start`
+/// is the instant the latency budget is measured from: [`run`] passes the
+/// instant before planning, the in-memory batch path — which plans the whole
+/// batch once — each query's own execution start with its amortised
+/// `planning_us`.
+pub(crate) fn execute<'q, A, M>(
+    access: &A,
+    plan: &QueryPlan,
+    request: &Request<'q, M>,
+    parallel: bool,
+    start: Instant,
+    planning_us: u64,
+) -> Result<(Vec<TopKResult>, QueryStats)>
+where
+    A: ShardAccess<'q>,
+    M: AssociationMeasure + Sync + ?Sized,
+{
+    let mut stats = QueryStats { k: request.k, planning_us, ..QueryStats::default() };
+    // Seeding scored real candidates exactly: charge them as checked work,
+    // and count skipped shards' populations toward |E| so pruning
+    // effectiveness stays comparable with unplanned runs.
+    stats.entities_checked += plan.seed_candidates;
+    stats.shards_skipped = plan.shards_skipped();
+    stats.threshold_seeded = plan.seeded();
+    for shard_plan in &plan.shards {
+        if shard_plan.decision == ShardDecision::Skip {
+            stats.total_entities += shard_plan.entities;
+        }
+    }
+    let shared = SharedBound::new();
+    if plan.seeded() {
+        shared.publish(plan.seed);
+    }
+    let mut fanout = Fanout {
+        access,
+        plan,
+        request,
+        shared: &shared,
+        use_shared: request.scheduler.bound_mode == BoundMode::Shared,
+        stats,
+        report: DegradationReport::default(),
+        parts: Vec::with_capacity(plan.shards.len()),
+    };
+    if plan.planner.latency_budget_us.is_some() {
+        fanout.drive_budgeted(start)?;
+    } else {
+        fanout.drive_unbudgeted(parallel)?;
+    }
+    let Fanout { mut stats, report, parts, .. } = fanout;
+    if report.shards_approximate() > 0 {
+        stats.degradation = Some(report);
+    }
+    let results = engine::merge_top_k(request.k, parts);
+    access.drain(&mut stats);
+    stats.discount_unreadable();
+    stats.query_time_us = start.elapsed().as_micros() as u64;
+    Ok((results, stats))
+}
+
+/// The bound a query's tree executors prune against, picked once per
+/// schedule by [`Fanout::bound`].
+enum QueryBound<'a> {
+    /// The query-global atomic bound: seed, scan thresholds and every
+    /// executor's local k-th degree.
+    Shared(&'a SharedBound),
+    /// Nothing is shared between executors: the planner's seed as a fixed
+    /// bar, or `-inf` — inert, like [`PrivateBound`](engine::PrivateBound).
+    Fixed(SeededBound),
+}
+
+impl Bound for QueryBound<'_> {
+    fn current(&self) -> f64 {
+        match self {
+            QueryBound::Shared(bound) => bound.current(),
+            QueryBound::Fixed(bound) => bound.current(),
+        }
+    }
+
+    fn publish(&self, value: f64) -> bool {
+        match self {
+            QueryBound::Shared(bound) => bound.publish(value),
+            QueryBound::Fixed(bound) => bound.publish(value),
+        }
+    }
+}
+
+/// One plan being driven: the query-wide state the four steps share.
+struct Fanout<'a, 'q, A, M: ?Sized> {
+    access: &'a A,
+    plan: &'a QueryPlan,
+    request: &'a Request<'q, M>,
+    /// Holds the seed from the start; scans publish into it in shared mode.
+    shared: &'a SharedBound,
+    use_shared: bool,
+    stats: QueryStats,
+    report: DegradationReport,
+    parts: Vec<Vec<TopKResult>>,
+}
+
+impl<'a, 'q, A, M> Fanout<'a, 'q, A, M>
+where
+    A: ShardAccess<'q>,
+    M: AssociationMeasure + Sync + ?Sized,
+{
+    /// Picks the bound.  Independent mode still profits from the planner's
+    /// seed (`-inf` when there is none) as a fixed bar.  In shared mode a
+    /// single unseeded executor can only share a bound with itself; its
+    /// local threshold already carries the same information, so skip the
+    /// atomic churn (1-shard cooperative == 1-shard independent, exactly).
+    /// With a seed (or scan-published thresholds) in the shared bound, even
+    /// a lone executor must prune against it.
+    fn bound(&self, lone_executor: bool) -> QueryBound<'a> {
+        if !self.use_shared {
+            QueryBound::Fixed(SeededBound::new(self.plan.seed))
+        } else if lone_executor && self.shared.current() == f64::NEG_INFINITY {
+            QueryBound::Fixed(SeededBound::new(f64::NEG_INFINITY))
+        } else {
+            QueryBound::Shared(self.shared)
+        }
+    }
+
+    /// Answers one shard by a flat scan — exact, or sampled at `rate` with
+    /// the degradation bookkeeping (conservative recall estimate, report
+    /// row) — and publishes its k-th degree: a k-th best over `≥ k` real
+    /// candidates is `≤` the global k-th best, sampled or not.
+    /// `count_population` is false when an abandoned executor already
+    /// charged the shard's population.
+    fn scan(&mut self, shard: usize, rate: Option<f64>, count_population: bool, downgraded: bool) {
+        let snapshot = &self.access.shards()[shard];
+        let (results, checked) = self.access.scan(shard, rate, self.request, &mut self.stats);
+        self.stats.entities_checked += checked;
+        if count_population {
+            self.stats.total_entities += snapshot.num_entities();
+        }
+        if let Some(rate) = rate {
+            self.stats.sampled_candidates += checked;
+            self.stats.recall_estimate =
+                self.stats.recall_estimate.min(snapshot.synopsis().expected_scan_recall(rate));
+            self.report.record_shard(shard, rate, downgraded);
+        }
+        let k = self.request.k;
+        if self.use_shared && k > 0 && results.len() >= k {
+            self.shared.publish(results[k - 1].degree);
+        }
+        self.parts.push(results);
+    }
+
+    /// A resumable executor over one shard's tree, with a source of its own.
+    fn executor(&self, shard: usize) -> Result<Executor<'q, SeededHashFamily, A::Source, M>> {
+        let snapshot = &self.access.shards()[shard];
+        let request = self.request;
+        Ok(Executor::new(
+            snapshot.sp_index(),
+            snapshot.hasher(),
+            snapshot.node_arena(),
+            request.query,
+            request.exclude,
+            request.k,
+            request.measure,
+            self.access.source(shard),
+            request.options,
+        )?
+        .with_publish_policy(request.scheduler.publish_policy))
+    }
+
+    /// Finishes an executor.  Its work counters are always kept (the work
+    /// happened) — the read-side ones live on the source and are drained
+    /// before `finish` consumes the executor; its answer only when the
+    /// frontier was `exhausted`.
+    fn finish(&mut self, executor: Executor<'q, SeededHashFamily, A::Source, M>, exhausted: bool) {
+        A::drain_source(executor.source(), &mut self.stats);
+        let (results, executor_stats) = executor.finish();
+        self.stats.absorb_work(&executor_stats);
+        if exhausted {
+            self.parts.push(results);
+        }
+    }
+
+    /// The unbudgeted schedule.  Scan shards go first: their exact answers
+    /// are cheap and raise the shared bound before any tree executor runs.
+    /// Tree shards follow in plan order, so the executor most likely to
+    /// raise the bound is driven before the long tail.
+    fn drive_unbudgeted(&mut self, parallel: bool) -> Result<()> {
+        let plan = self.plan;
+        for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::Scan) {
+            self.scan(shard_plan.shard, None, true, false);
+        }
+        let mut executors = Vec::with_capacity(plan.shards.len());
+        for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::TreeSearch) {
+            executors.push(self.executor(shard_plan.shard)?);
+        }
+        let bound = self.bound(executors.len() <= 1);
+        drive_cooperatively(&mut executors, &bound, parallel, self.request.scheduler.step_quantum);
+        for executor in executors {
+            self.finish(executor, true);
+        }
+        Ok(())
+    }
+
+    /// The budgeted schedule: most promising shard first, so when the
+    /// deadline trips the work already spent went where the answer most
+    /// likely is.  Exact answers are schedule-independent, so the only way a
+    /// budget changes an answer is a **sampled scan**: a planned
+    /// [`ShardDecision::ApproximateScan`]; an exact verdict whose turn comes
+    /// after the deadline, downgraded at the shard's recall-floor rate; or a
+    /// tree search abandoned mid-flight — its partial answer is discarded (it
+    /// may miss arbitrary entities, while a sampled scan's omissions are what
+    /// the error model prices).  A shard whose floor rate is 1.0 cannot be
+    /// usefully sampled: it ignores the deadline and stays exact (the floor
+    /// is the hard constraint, the budget best-effort).  With no shard
+    /// sampled the answer is bitwise the unbudgeted one.
+    fn drive_budgeted(&mut self, start: Instant) -> Result<()> {
+        let plan = self.plan;
+        let deadline = plan
+            .planner
+            .latency_budget_us
+            .and_then(|us| start.checked_add(Duration::from_micros(us)));
+        let bound = self.bound(false);
+        for shard_plan in plan.admitted() {
+            let shard = shard_plan.shard;
+            let expired = deadline.is_some_and(|d| Instant::now() >= d);
+            let floor_rate = self.access.shards()[shard]
+                .synopsis()
+                .min_rate_for_recall(plan.planner.recall_floor);
+            match shard_plan.decision {
+                ShardDecision::Skip => unreachable!("admitted() filters skips"),
+                ShardDecision::ApproximateScan { rate } => {
+                    self.scan(shard, Some(rate), true, false);
+                }
+                ShardDecision::Scan | ShardDecision::TreeSearch if expired && floor_rate < 1.0 => {
+                    self.report.deadline_exceeded = true;
+                    self.scan(shard, Some(floor_rate), true, true);
+                }
+                ShardDecision::Scan => self.scan(shard, None, true, false),
+                ShardDecision::TreeSearch => {
+                    let mut executor = self.executor(shard)?;
+                    // Abandoning at the raw deadline would still pay the
+                    // sampled fallback scan *after* it — overshooting the
+                    // budget by exactly that scan — so its estimated cost
+                    // (the budget pass's own calibration) is reserved out of
+                    // the deadline handed to the executor.
+                    let shard_deadline = if floor_rate >= 1.0 {
+                        None
+                    } else {
+                        let reserve = Duration::from_nanos(plan::fallback_reserve_ns(
+                            floor_rate,
+                            shard_plan.entities,
+                            plan.seed_candidates,
+                            self.stats.planning_us,
+                        ));
+                        deadline.map(|d| d.checked_sub(reserve).unwrap_or(d))
+                    };
+                    let exhausted = executor.run_until(
+                        &bound,
+                        self.request.scheduler.step_quantum,
+                        shard_deadline,
+                    );
+                    self.finish(executor, exhausted);
+                    if !exhausted {
+                        self.report.deadline_exceeded = true;
+                        self.scan(shard, Some(floor_rate), false, true);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Drives a set of per-shard executors to exhaustion under one bound.
+///
+/// Scheduling is a round-robin work queue of executor indices: each worker
+/// pops an index, advances that executor by one quantum, and requeues it
+/// while work remains.  `parallel` fans the workers out over rayon (bound
+/// propagation is then concurrent); otherwise one worker interleaves every
+/// executor on the calling thread — later quanta still profit from bounds
+/// published by earlier ones, which is what makes even the sequential batch
+/// paths cooperative.  An executor held by a worker is never in the queue,
+/// and a worker only exits on an empty queue while holding nothing, so every
+/// frontier reaches exhaustion before this returns.  The answers do not
+/// depend on the schedule; only work counters do.
+fn drive_cooperatively<'a, S, M, B>(
+    executors: &mut [Executor<'a, SeededHashFamily, S, M>],
+    bound: &B,
+    parallel: bool,
+    quantum: usize,
+) where
+    S: TraceSource + Send,
+    M: AssociationMeasure + ?Sized + Sync,
+    B: Bound,
+{
+    let workers =
+        if parallel { rayon::current_num_threads().min(executors.len()) } else { 1 }.max(1);
+    if workers <= 1 || executors.len() <= 1 {
+        let mut pending: VecDeque<usize> = (0..executors.len()).collect();
+        while let Some(i) = pending.pop_front() {
+            if executors[i].step(bound, quantum) {
+                pending.push_back(i);
+            }
+        }
+        return;
+    }
+
+    let slots: Vec<Mutex<&mut Executor<'a, SeededHashFamily, S, M>>> =
+        executors.iter_mut().map(Mutex::new).collect();
+    let pending: Mutex<VecDeque<usize>> = Mutex::new((0..slots.len()).collect());
+    let worker_ids: Vec<usize> = (0..workers).collect();
+    let _: Vec<()> = worker_ids
+        .par_iter()
+        .map(|_| loop {
+            let next = pending.lock().expect("scheduler queue poisoned").pop_front();
+            let Some(i) = next else { break };
+            let more = slots[i].lock().expect("executor slot poisoned").step(bound, quantum);
+            if more {
+                pending.lock().expect("scheduler queue poisoned").push_back(i);
+            }
+        })
+        .collect();
+}

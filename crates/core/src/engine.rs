@@ -14,9 +14,9 @@
 //!   caps down every branch (Theorem 4 / Section 5.1);
 //! * the **data source** — the [`TraceSource`] trait — only answers "give me
 //!   the ST-cell set sequence of this entity" during leaf evaluation.
-//!   [`InMemorySource`] borrows the index snapshot's sequence map;
-//!   [`PagedSource`] reads raw traces through a `trace-storage` buffer pool,
-//!   charging simulated I/O;
+//!   [`ArenaSource`](crate::kernel::ArenaSource) scores from the snapshot's
+//!   flat candidate arena; [`PagedSource`] reads raw traces through a
+//!   `trace-storage` buffer pool, charging simulated I/O;
 //! * the **termination bound** — the [`Bound`] trait — is the degree a
 //!   candidate subtree must beat to stay alive.  [`PrivateBound`] is inert
 //!   (the executor then prunes against its own k-th-best threshold only, the
@@ -92,11 +92,14 @@
 //! instantiating Theorem 4's artificial entity per level (see
 //! [`AssociationMeasure::upper_bound_into`]).
 //!
-//! Driving the executor directly (what [`MinSigIndex::top_k`] does for you)
-//! takes the index's parts plus any [`TraceSource`]:
+//! Driving the executor directly (what [`MinSigIndex::top_k`] does for you):
+//! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts,
+//! [`Executor::new`] takes them one by one plus any [`TraceSource`] — swap in
+//! a [`PagedSource`] and the same search answers from a disk-backed store;
+//! the logical search does not change.
 //!
 //! ```
-//! use minsig::engine::{self, Executor, InMemorySource, PrivateBound};
+//! use minsig::engine::PrivateBound;
 //! use minsig::{IndexConfig, MinSigIndex, QueryOptions};
 //! use trace_model::{DiceAdm, EntityId, Period, PresenceInstance, SpIndex, TraceSet};
 //!
@@ -109,22 +112,12 @@
 //! let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
 //! let measure = DiceAdm::uniform(2);
 //!
-//! // Swap `InMemorySource` for `PagedSource` and the same search answers from
-//! // a disk-backed store instead; the logical search does not change.
-//! let source = InMemorySource::new(index.sequences());
-//! let query = index.sequence(EntityId(0)).unwrap();
-//! let mut executor = Executor::new(
-//!     index.sp_index(),
-//!     index.hasher(),
-//!     index.node_arena(),
-//!     query,
-//!     Some(EntityId(0)), // exclude the query entity itself
-//!     1,
-//!     &measure,
-//!     &source,
-//!     QueryOptions::default(),
-//! )
-//! .unwrap();
+//! let snapshot = index.snapshot();
+//! let query = snapshot.sequence(EntityId(0)).unwrap();
+//! // Exclude the query entity itself from its answer.
+//! let mut executor = snapshot
+//!     .executor(query, Some(EntityId(0)), 1, &measure, QueryOptions::default())
+//!     .unwrap();
 //!
 //! // Resumable: advance the frontier one node at a time until exhausted.
 //! while executor.step(&PrivateBound, 1) {}
@@ -200,25 +193,6 @@ impl<T: TraceSource + ?Sized> TraceSource for &T {
         measure: &dyn AssociationMeasure,
     ) -> Option<f64> {
         (**self).degree(entity, query, measure)
-    }
-}
-
-/// A [`TraceSource`] borrowing the materialised sequence map of an index
-/// snapshot (or any other entity-keyed map).
-pub struct InMemorySource<'a> {
-    sequences: &'a std::collections::BTreeMap<EntityId, CellSetSequence>,
-}
-
-impl<'a> InMemorySource<'a> {
-    /// Creates a source over a sequence map.
-    pub fn new(sequences: &'a std::collections::BTreeMap<EntityId, CellSetSequence>) -> Self {
-        InMemorySource { sequences }
-    }
-}
-
-impl TraceSource for InMemorySource<'_> {
-    fn sequence(&self, entity: EntityId) -> Option<Cow<'_, CellSetSequence>> {
-        self.sequences.get(&entity).map(Cow::Borrowed)
     }
 }
 

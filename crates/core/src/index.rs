@@ -318,18 +318,6 @@ impl MinSigIndex {
         self.snapshot.top_k_with_options(query, k, measure, options)
     }
 
-    /// Answers a top-k query for an arbitrary (possibly external) query sequence.
-    pub fn top_k_for_sequence<M: AssociationMeasure + ?Sized>(
-        &self,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot.top_k_for_sequence(query, exclude, k, measure, options)
-    }
-
     /// Ground-truth brute force over the indexed sequences (used by tests,
     /// baselines and the experiment harness).
     pub fn brute_force<M: AssociationMeasure + ?Sized>(
@@ -643,6 +631,7 @@ mod tests {
         let measure = DiceAdm::uniform(3);
         let query_seq = index.sequence(EntityId(2)).unwrap().clone();
         let (results, _) = index
+            .snapshot()
             .top_k_for_sequence(&query_seq, None, 1, &measure, QueryOptions::default())
             .unwrap();
         // Without exclusion the best match for entity 2's own sequence is entity 2.
@@ -658,8 +647,10 @@ mod tests {
             trace_model::CellSetSequence::from_base_cells(&other_sp, &trace_model::CellSet::new())
                 .unwrap();
         let measure = DiceAdm::uniform(2);
-        let err =
-            index.top_k_for_sequence(&seq, None, 1, &measure, QueryOptions::default()).unwrap_err();
+        let err = index
+            .snapshot()
+            .top_k_for_sequence(&seq, None, 1, &measure, QueryOptions::default())
+            .unwrap_err();
         assert!(matches!(err, IndexError::LevelMismatch { .. }));
     }
 

@@ -10,7 +10,7 @@
 //! contract: **parallel evaluation returns exactly the sequential results, in
 //! probe order** (only wall-clock timing fields differ).
 
-use crate::error::{IndexError, Result};
+use crate::error::Result;
 use crate::index::MinSigIndex;
 use crate::query::{QueryOptions, TopKResult};
 use crate::snapshot::IndexSnapshot;
@@ -71,27 +71,16 @@ impl IndexSnapshot {
     /// the first unknown query entity fails the whole batch with
     /// [`IndexError::UnknownQueryEntity`], exactly as its sequential
     /// counterpart would.
+    ///
+    /// [`IndexError::UnknownQueryEntity`]: crate::error::IndexError::UnknownQueryEntity
     pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         queries: &[EntityId],
         k: usize,
         measure: &M,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.top_k_batch_with_options(queries, k, measure, QueryOptions::default())
-    }
-
-    /// [`top_k_batch`](IndexSnapshot::top_k_batch) with explicit query options.
-    pub fn top_k_batch_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = queries
-            .par_iter()
-            .map(|&query| self.top_k_with_options(query, k, measure, options))
-            .collect();
+        let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> =
+            queries.par_iter().map(|&query| self.top_k(query, k, measure)).collect();
         // Surface the first error in input order, matching sequential
         // evaluation (later probes were computed speculatively and dropped).
         answers.into_iter().collect()
@@ -108,35 +97,37 @@ impl IndexSnapshot {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        let rows: Vec<Option<JoinRow>> = if options.threads <= 1 || probes.len() <= 1 {
-            probes.iter().map(|&probe| self.join_one(probe, measure, options)).collect()
-        } else {
-            probes.par_iter().map(|&probe| self.join_one(probe, measure, options)).collect()
-        };
-
-        Ok(collect_join_rows(rows))
-    }
-
-    fn join_one<M: AssociationMeasure + ?Sized>(
-        &self,
-        probe: EntityId,
-        measure: &M,
-        options: JoinOptions,
-    ) -> Option<JoinRow> {
-        match self.top_k_with_options(probe, options.k, measure, options.query) {
-            Ok((matches, stats)) => Some(JoinRow { probe, matches, stats }),
-            Err(IndexError::UnknownQueryEntity(_)) => None,
-            // Any other error class would indicate a malformed snapshot; the
-            // join API predates fallible rows, so fold it into "skipped" too.
-            Err(_) => None,
-        }
+        Ok(join_probes(probes, options.threads, |probe| {
+            // An unindexed probe is skipped; any other error class would
+            // indicate a malformed snapshot, and the join API predates
+            // fallible rows, so it folds into "skipped" too.
+            let (matches, stats) =
+                self.top_k_with_options(probe, options.k, measure, options.query).ok()?;
+            Some(JoinRow { probe, matches, stats })
+        }))
     }
 }
 
+/// Answers every probe through `answer` (`None` = skipped probe) —
+/// sequentially on the calling thread when `threads <= 1`, over the rayon
+/// pool otherwise — and folds the rows into the join output.  The one probe
+/// loop of the unsharded, sharded and paged joins.
+pub(crate) fn join_probes(
+    probes: &[EntityId],
+    threads: usize,
+    answer: impl Fn(EntityId) -> Option<JoinRow> + Sync,
+) -> (Vec<JoinRow>, JoinStats) {
+    let rows: Vec<Option<JoinRow>> = if threads <= 1 || probes.len() <= 1 {
+        probes.iter().map(|&probe| answer(probe)).collect()
+    } else {
+        probes.par_iter().map(|&probe| answer(probe)).collect()
+    };
+    collect_join_rows(rows)
+}
+
 /// Folds per-probe rows (`None` = skipped probe) into the join output and its
-/// aggregate statistics; shared by the unsharded and sharded join drivers so
-/// their accounting cannot drift apart.
-pub(crate) fn collect_join_rows(rows: Vec<Option<JoinRow>>) -> (Vec<JoinRow>, JoinStats) {
+/// aggregate statistics.
+fn collect_join_rows(rows: Vec<Option<JoinRow>>) -> (Vec<JoinRow>, JoinStats) {
     let mut stats = JoinStats::default();
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
@@ -167,17 +158,6 @@ impl MinSigIndex {
         measure: &M,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
         self.snapshot().top_k_batch(queries, k, measure)
-    }
-
-    /// [`top_k_batch`](MinSigIndex::top_k_batch) with explicit query options.
-    pub fn top_k_batch_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.snapshot().top_k_batch_with_options(queries, k, measure, options)
     }
 
     /// Answers the top-k query for every probe entity, optionally in parallel,

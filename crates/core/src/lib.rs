@@ -32,8 +32,8 @@
 //! [`engine::TraceSource`] — where candidate sequences come from during leaf
 //! evaluation:
 //!
-//! * [`engine::InMemorySource`] borrows the snapshot's sequence map (the exact
-//!   path of [`MinSigIndex::top_k`]);
+//! * [`kernel::ArenaSource`] scores from the snapshot's flat candidate arena
+//!   (the exact path of [`MinSigIndex::top_k`]);
 //! * [`engine::PagedSource`] reads raw traces through a `trace-storage` buffer
 //!   pool, charging simulated I/O (the Figure 7.6 path of [`paged`]).
 //!
@@ -113,6 +113,7 @@
 
 pub mod approximate;
 pub mod config;
+mod drive;
 pub mod durable;
 pub mod engine;
 pub mod error;
@@ -138,8 +139,7 @@ pub use config::{
 };
 pub use durable::{DurableMinSigIndex, DurableShardedMinSigIndex, RecoveryReport};
 pub use engine::{
-    Bound, Executor, InMemorySource, PagedSource, PrivateBound, SeededBound, SharedBound, TopKHeap,
-    TraceSource,
+    Bound, Executor, PagedSource, PrivateBound, SeededBound, SharedBound, TopKHeap, TraceSource,
 };
 pub use error::{IndexError, Result};
 pub use index::MinSigIndex;

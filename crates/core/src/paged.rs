@@ -17,14 +17,13 @@
 //!
 //! [`ShardedSnapshot::paged`] wraps a sharded snapshot, a [`PagedTraceStore`]
 //! and a [`BufferPool`] into a [`PagedShardedSnapshot`] whose entry points
-//! mirror the in-memory ones (`top_k`, `top_k_with_options`, batches, joins,
-//! `explain`) — the full planned cooperative fan-out, with every candidate
-//! trace read through the pool instead of the in-memory sequence maps, and
-//! planned by the **page-aware** cost model
-//! ([`plan::plan_query_paged`](crate::plan)).  Answers are **bitwise
-//! identical** to the in-memory sharded, unsharded and brute-force paths —
-//! any shard count, any pool size, any
-//! [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
+//! mirror the in-memory ones (`top_k`, `*_with_planner`, batches, joins,
+//! `explain`).  They run the **same** planner body and the same drive as the
+//! in-memory paths; only the `ShardAccess` differs — every candidate trace
+//! is read through the pool, and the planner costs shards in pages (see
+//! [`crate::plan`]).  Answers are **bitwise identical** to the in-memory
+//! sharded, unsharded and brute-force paths — any shard count, any pool
+//! size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
 //! (`tests/paged_conformance.rs` proptests exactly this).
 //!
 //! ## Who owns what during a query
@@ -49,28 +48,25 @@
 //! * **Locks.**  The only lock a candidate evaluation takes is the pool
 //!   mutex, around frame-table bookkeeping only (see [`trace_storage::pool`]).
 
-use crate::config::{BoundMode, PlannerConfig, SchedulerConfig};
-use crate::engine::{
-    self, Bound, Executor, PagedSource, PrivateBound, SeededBound, SharedBound, TopKHeap,
-    TraceSource,
-};
+use crate::config::{PlannerConfig, SchedulerConfig};
+use crate::drive::{self, Request, ShardAccess};
+use crate::engine::{self, PagedSource, TopKHeap, TraceSource};
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
-use crate::join::{collect_join_rows, JoinOptions, JoinRow, JoinStats};
+use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::{dispatch_class, intersection_len, QueryView};
-use crate::plan::{self, QueryPlan, ShardDecision};
+use crate::plan::{self, PageEstimate, QueryPlan};
 use crate::query::{QueryOptions, TopKResult};
-use crate::shard::{drive_cooperatively, ShardedSnapshot};
-use crate::signature::SeededHashFamily;
+use crate::shard::ShardedSnapshot;
 use crate::snapshot::IndexSnapshot;
-use crate::stats::{DegradationReport, KernelDispatch, QueryStats};
+use crate::stats::{KernelDispatch, QueryStats};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 use trace_model::ajpi::{LevelOverlap, LevelStat};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows};
-use trace_storage::{BufferPool, PageId, PagedTraceStore, PoolStats};
+use trace_storage::{BufferPool, PageId, PagedTraceStore, PinnedPages, PoolStats};
 
 /// What one [`PagedArenaSource`] reuses across candidates and counts for its
 /// query.
@@ -80,16 +76,6 @@ struct Scratch {
     overlap: LevelOverlap,
     dispatch: KernelDispatch,
     io: PoolStats,
-}
-
-/// One query as every stage of the fan-out sees it.
-struct Request<'q, M: ?Sized> {
-    query: &'q CellSetSequence,
-    exclude: Option<EntityId>,
-    k: usize,
-    measure: &'q M,
-    options: QueryOptions,
-    scheduler: SchedulerConfig,
 }
 
 /// A [`TraceSource`] that scores candidates straight from the paged store:
@@ -323,7 +309,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         &self.shard_pages[shard]
     }
 
-    /// Answers a top-k query with default options — the paged counterpart of
+    /// Answers a top-k query with default options, default scheduler and
+    /// default (active) planner — the paged counterpart of
     /// [`ShardedSnapshot::top_k`].
     pub fn top_k<M: AssociationMeasure + Sync + ?Sized>(
         &self,
@@ -331,26 +318,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         k: usize,
         measure: &M,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.top_k_with_options(query, k, measure, QueryOptions::default())
-    }
-
-    /// Answers a top-k query with explicit options, default scheduler and
-    /// default (active) planner.
-    pub fn top_k_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.top_k_with_planner(
-            query,
-            k,
-            measure,
-            options,
-            SchedulerConfig::default(),
-            PlannerConfig::default(),
-        )
+        let seq = self.query_sequence(query)?;
+        drive::run(&self.access(&seq), &Request::new(&seq, query, k, measure), true)
     }
 
     /// Explicit scheduler knobs with the planner **disabled** — the paged
@@ -366,7 +335,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         self.top_k_with_planner(query, k, measure, options, scheduler, PlannerConfig::disabled())
     }
 
-    /// Every knob explicit (scheduler and planner).
+    /// Every knob explicit (query options, scheduler and planner).
     pub fn top_k_with_planner<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
@@ -377,56 +346,25 @@ impl<'a> PagedShardedSnapshot<'a> {
         planner: PlannerConfig,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let seq = self.query_sequence(query)?;
-        let exclude = Some(query);
-        self.fan_out(
-            Request { query: seq.as_ref(), exclude, k, measure, options, scheduler },
-            true,
-            planner,
-        )
+        let request =
+            Request { options, scheduler, planner, ..Request::new(&seq, query, k, measure) };
+        drive::run(&self.access(&seq), &request, true)
     }
 
-    /// Answers a top-k query for an arbitrary (possibly external) query
-    /// sequence, planned with the defaults.
-    pub fn top_k_for_sequence<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let scheduler = SchedulerConfig::default();
-        self.fan_out(
-            Request { query, exclude, k, measure, options, scheduler },
-            true,
-            PlannerConfig::default(),
-        )
-    }
-
-    /// Answers every query of a batch in parallel, input order preserved —
-    /// the paged counterpart of [`ShardedSnapshot::top_k_batch`].
+    /// Answers every query of a batch in parallel, input order preserved,
+    /// planned with the defaults — the paged counterpart of
+    /// [`ShardedSnapshot::top_k_batch`].
     pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         queries: &[EntityId],
         k: usize,
         measure: &M,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.top_k_batch_with_options(queries, k, measure, QueryOptions::default())
-    }
-
-    /// [`top_k_batch`](Self::top_k_batch) with explicit query options.
-    pub fn top_k_batch_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
         self.top_k_batch_with_planner(
             queries,
             k,
             measure,
-            options,
+            QueryOptions::default(),
             SchedulerConfig::default(),
             PlannerConfig::default(),
         )
@@ -435,7 +373,9 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// [`top_k_batch`](Self::top_k_batch) with every knob explicit.
     /// Parallelism is over the queries; each query's admitted shard
     /// executors are interleaved sequentially on its worker, sharing one
-    /// seeded bound per query (identical answers either way).
+    /// seeded bound per query (identical answers either way).  Unlike the
+    /// in-memory batch, every query is planned on its own: seeding reads
+    /// through the pool, so there is no position table to amortise.
     pub fn top_k_batch_with_planner<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         queries: &[EntityId],
@@ -445,16 +385,19 @@ impl<'a> PagedShardedSnapshot<'a> {
         scheduler: SchedulerConfig,
         planner: PlannerConfig,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
+        scheduler.validate()?;
+        planner.validate()?;
         let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = queries
             .par_iter()
             .map(|&query| {
                 let seq = self.query_sequence(query)?;
-                let exclude = Some(query);
-                self.fan_out(
-                    Request { query: seq.as_ref(), exclude, k, measure, options, scheduler },
-                    false,
+                let request = Request {
+                    options,
+                    scheduler,
                     planner,
-                )
+                    ..Request::new(&seq, query, k, measure)
+                };
+                drive::run(&self.access(&seq), &request, false)
             })
             .collect();
         answers.into_iter().collect()
@@ -470,39 +413,21 @@ impl<'a> PagedShardedSnapshot<'a> {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        let rows: Vec<Option<JoinRow>> = if options.threads <= 1 || probes.len() <= 1 {
-            probes.iter().map(|&probe| self.join_one(probe, measure, options)).collect()
-        } else {
-            probes.par_iter().map(|&probe| self.join_one(probe, measure, options)).collect()
-        };
-        Ok(collect_join_rows(rows))
-    }
-
-    fn join_one<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        probe: EntityId,
-        measure: &M,
-        options: JoinOptions,
-    ) -> Option<JoinRow> {
-        let seq = self.query_sequence(probe).ok()?;
-        let request = Request {
-            query: seq.as_ref(),
-            exclude: Some(probe),
-            k: options.k,
-            measure,
-            options: options.query,
-            scheduler: SchedulerConfig::default(),
-        };
-        let (matches, stats) = self.fan_out(request, false, PlannerConfig::default()).ok()?;
-        Some(JoinRow { probe, matches, stats })
+        Ok(join_probes(probes, options.threads, |probe| {
+            let seq = self.query_sequence(probe).ok()?;
+            let request =
+                Request { options: options.query, ..Request::new(&seq, probe, options.k, measure) };
+            let (matches, stats) = drive::run(&self.access(&seq), &request, false).ok()?;
+            Some(JoinRow { probe, matches, stats })
+        }))
     }
 
     /// Builds — without executing — the page-aware [`QueryPlan`] the paged
     /// query paths would run: the in-memory plan's seed/skip/scan/order
-    /// verdicts plus a [`PageEstimate`](crate::plan::PageEstimate) per shard,
-    /// all rendered by [`QueryPlan::explain`].  Seeding reads the sketch
-    /// entities' traces through the pool, so explaining warms the cache the
-    /// same way planning a real query does.
+    /// verdicts plus a [`PageEstimate`] per shard, all rendered by
+    /// [`QueryPlan::explain`].  Seeding reads the sketch entities' traces
+    /// through the pool, so explaining warms the cache the same way planning
+    /// a real query does.
     pub fn explain<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
@@ -511,18 +436,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
         let seq = self.query_sequence(query)?;
-        self.snapshot.check_query_levels(seq.as_ref())?;
-        Ok(plan::plan_query_paged(
-            self.snapshot.shard_snapshots(),
-            seq.as_ref(),
-            Some(query),
-            k,
-            measure,
-            &planner,
-            &self.source(seq.as_ref()),
-            &self.shard_pages,
-            self.pool,
-        ))
+        let request = Request { planner, ..Request::new(&seq, query, k, measure) };
+        drive::explain(&self.access(&seq), &request)
     }
 
     /// A fresh source (own scratch, zeroed counters) scoring against `query`.
@@ -531,6 +446,11 @@ impl<'a> PagedShardedSnapshot<'a> {
         let reader =
             PagedSource::new(self.store, self.pool, probe.sp_index(), probe.ticks_per_unit());
         PagedArenaSource::new(reader, query)
+    }
+
+    /// How one query reads this session's shards.
+    pub(crate) fn access<'q>(&'q self, query: &'q CellSetSequence) -> PagedAccess<'q> {
+        PagedAccess { paged: self, query, source: self.source(query) }
     }
 
     /// The query entity's sequence: from the snapshot's in-memory map when
@@ -552,81 +472,67 @@ impl<'a> PagedShardedSnapshot<'a> {
         }
         Err(IndexError::UnknownQueryEntity(query.raw()))
     }
+}
 
-    /// The paged planned cooperative fan-out — [`ShardedSnapshot`]'s
-    /// `fan_out` with every trace read routed through the buffer pool:
-    ///
-    /// 1. pin the query's own trace (held across every executor step
-    ///    quantum, released when the merge completes);
-    /// 2. plan page-aware ([`plan::plan_query_paged`]): seed through the
-    ///    pool, estimate resident vs cold pages per shard, skip/scan/order;
-    /// 3. answer scan shards by a flat paged degree loop on the calling
-    ///    thread's [`PagedArenaSource`], tree shards by cooperative
-    ///    [`Executor`]s owning one source each;
-    /// 4. merge exactly and sum every source's counters into the query.
-    fn fan_out<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        request: Request<'_, M>,
-        parallel: bool,
-        planner: PlannerConfig,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        request.scheduler.validate()?;
-        planner.validate()?;
-        let start = Instant::now();
-        let Request { query, exclude, k, measure, .. } = request;
-        self.snapshot.check_query_levels(query)?;
-        // The query's own trace is re-read on every leaf evaluation path that
-        // needs it; pin it for the query's whole lifetime so no replacer
-        // decision can push it out between step quanta.  Dropped (pins
-        // released) when this function returns the merged answer.
-        let query_pins = exclude.and_then(|q| self.store.pin_trace(self.pool, q));
-        // Seeding and scan shards run on this thread, through this source.
-        let source = self.source(query);
-        let plan = plan::plan_query_paged(
-            self.snapshot.shard_snapshots(),
-            query,
-            exclude,
-            k,
-            measure,
-            &planner,
-            &source,
-            &self.shard_pages,
-            self.pool,
-        );
+/// Out-of-core [`ShardAccess`]: every candidate trace is read through the
+/// buffer pool.  Seeding and scan shards run on the calling thread through
+/// the access's own source; every tree executor gets one more.
+pub(crate) struct PagedAccess<'q> {
+    paged: &'q PagedShardedSnapshot<'q>,
+    query: &'q CellSetSequence,
+    source: PagedArenaSource<'q>,
+}
 
-        let mut stats = QueryStats { k, ..QueryStats::default() };
-        stats.planning_us = start.elapsed().as_micros() as u64;
-        stats.entities_checked += plan.seed_candidates;
-        stats.shards_skipped = plan.shards_skipped();
-        stats.threshold_seeded = plan.seeded();
-        for shard_plan in &plan.shards {
-            if shard_plan.decision == ShardDecision::Skip {
-                stats.total_entities += shard_plan.entities;
-            }
-        }
+impl<'q> ShardAccess<'q> for PagedAccess<'q> {
+    type Source = PagedArenaSource<'q>;
 
-        let results = if plan.planner.latency_budget_us.is_some() {
-            self.drive_plan_deadline(&plan, &request, &source, &mut stats, start)?
-        } else {
-            self.drive_plan(&plan, &request, &source, parallel, &mut stats)?
-        };
-        source.drain_into(&mut stats);
-        stats.absorb_io(query_pins.map_or_else(PoolStats::default, |pins| pins.io()));
-        stats.discount_unreadable();
-        stats.query_time_us = start.elapsed().as_micros() as u64;
-        Ok((results, stats))
+    fn shards(&self) -> &'q [Arc<IndexSnapshot>] {
+        self.paged.snapshot.shard_snapshots()
     }
 
-    /// The flat degree loop over one shard's members through `source`: exact
-    /// (`rate` `None`) or over the deterministic sample at `rate` plus the
-    /// shard's hot entities.  Returns the shard's sorted top-k.
-    fn scan_shard<M: AssociationMeasure + Sync + ?Sized>(
-        shard: &IndexSnapshot,
+    fn seed<M: AssociationMeasure + ?Sized>(
+        &self,
+        shard: usize,
+        exclude: Option<EntityId>,
+        measure: &M,
+        _scratch: &mut LevelOverlap,
+        mut offer: impl FnMut(EntityId, f64),
+    ) {
+        for &hot in self.shards()[shard].synopsis().hot_entities() {
+            if Some(hot) == exclude {
+                continue;
+            }
+            if let Some(degree) = self.source.score(hot, &measure, false) {
+                offer(hot, degree);
+            }
+        }
+    }
+
+    /// Probed against the pool in one lock.
+    fn pages(&self, shard: usize) -> Option<PageEstimate> {
+        let pages = &self.paged.shard_pages[shard];
+        Some(PageEstimate {
+            total_pages: pages.len(),
+            resident_pages: self.paged.pool.resident_count(pages),
+        })
+    }
+
+    fn miss_latency_us(&self) -> u64 {
+        self.paged.pool.config().miss_latency_us
+    }
+
+    fn pin_query(&self, query: EntityId) -> Option<PinnedPages<'q, 'q>> {
+        self.paged.store.pin_trace(self.paged.pool, query)
+    }
+
+    fn scan<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        shard: usize,
         rate: Option<f64>,
-        request: &Request<'_, M>,
-        source: &PagedArenaSource<'_>,
+        request: &Request<'q, M>,
         stats: &mut QueryStats,
-    ) -> Vec<TopKResult> {
+    ) -> (Vec<TopKResult>, usize) {
+        let shard = &self.shards()[shard];
         let hot = shard.synopsis().hot_entities();
         let mut top = TopKHeap::new(request.k);
         let mut checked = 0usize;
@@ -637,211 +543,26 @@ impl<'a> PagedShardedSnapshot<'a> {
             if rate.is_some_and(|r| !plan::sample_includes(entity, r) && !hot.contains(&entity)) {
                 continue;
             }
-            let Some(degree) = source.degree(entity, request.query, &request.measure) else {
+            let Some(degree) = self.source.degree(entity, request.query, &request.measure) else {
                 stats.candidates_unreadable += 1;
                 continue;
             };
             checked += 1;
             top.offer(entity, degree);
         }
-        stats.entities_checked += checked;
-        if rate.is_some() {
-            stats.sampled_candidates += checked;
-        }
-        top.into_sorted()
+        (top.into_sorted(), checked)
     }
 
-    /// A resumable executor over one shard's tree, with a source of its own.
-    fn executor<'q, M: AssociationMeasure + Sync + ?Sized>(
-        &'q self,
-        shard: &'q IndexSnapshot,
-        request: &Request<'q, M>,
-    ) -> Result<Executor<'q, SeededHashFamily, PagedArenaSource<'q>, M>> {
-        Ok(Executor::new(
-            shard.sp_index(),
-            shard.hasher(),
-            shard.node_arena(),
-            request.query,
-            request.exclude,
-            request.k,
-            request.measure,
-            self.source(request.query),
-            request.options,
-        )?
-        .with_publish_policy(request.scheduler.publish_policy))
+    fn source(&self, _shard: usize) -> PagedArenaSource<'q> {
+        self.paged.source(self.query)
     }
 
-    /// Executes an already-built unbudgeted plan: scan shards first
-    /// (publishing their local thresholds), then the admitted tree shards as
-    /// cooperative executors, then the exact merge.
-    fn drive_plan<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        plan: &QueryPlan,
-        request: &Request<'_, M>,
-        source: &PagedArenaSource<'_>,
-        parallel: bool,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<TopKResult>> {
-        let shards = self.snapshot.shard_snapshots();
-        let (k, scheduler) = (request.k, request.scheduler);
-        let use_shared = scheduler.bound_mode == BoundMode::Shared;
-        let shared = SharedBound::new();
-        if use_shared && plan.seeded() {
-            shared.publish(plan.seed);
-        }
-
-        // Scan shards first (fully resident by the planner's gate): flat
-        // exact degree loop through the pool, publishing each local k-th
-        // threshold before any tree executor runs.
-        let mut parts: Vec<Vec<TopKResult>> = Vec::with_capacity(plan.shards.len());
-        for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::Scan) {
-            let shard = &shards[shard_plan.shard];
-            let results = Self::scan_shard(shard, None, request, source, stats);
-            stats.total_entities += shard.num_entities();
-            if use_shared && k > 0 && results.len() >= k {
-                shared.publish(results[k - 1].degree);
-            }
-            parts.push(results);
-        }
-
-        // Tree shards in plan order (most promising, then least cold I/O):
-        // one resumable executor per shard, each evaluating leaves through
-        // its own source.
-        let mut executors = Vec::with_capacity(plan.shards.len());
-        for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::TreeSearch) {
-            executors.push(self.executor(&shards[shard_plan.shard], request)?);
-        }
-        if use_shared && (executors.len() > 1 || shared.current() > f64::NEG_INFINITY) {
-            drive_cooperatively(&mut executors, &shared, parallel, scheduler.step_quantum);
-        } else if !use_shared && plan.seeded() {
-            let seeded = SeededBound::new(plan.seed);
-            drive_cooperatively(&mut executors, &seeded, parallel, scheduler.step_quantum);
-        } else {
-            drive_cooperatively(&mut executors, &PrivateBound, parallel, scheduler.step_quantum);
-        }
-
-        for executor in executors {
-            executor.source().drain_into(stats);
-            let (results, executor_stats) = executor.finish();
-            stats.absorb_work(&executor_stats);
-            parts.push(results);
-        }
-        Ok(engine::merge_top_k(k, parts))
+    fn drain_source(source: &PagedArenaSource<'q>, stats: &mut QueryStats) {
+        source.drain_into(stats);
     }
 
-    /// The out-of-core counterpart of the in-memory deadline drive
-    /// (`ShardedSnapshot::execute_plan_deadline`): admitted shards run
-    /// **sequentially in plan order** with the deadline re-checked between
-    /// quanta, planned or downgraded approximate shards answered by the
-    /// deterministic sampled degree loop through the pool.  The same
-    /// protocol applies — downgrade-at-floor-rate, abandon mid-flight trees,
-    /// floor-rate-1.0 shards stay exact — so the degradation report means
-    /// the same thing on every path.
-    fn drive_plan_deadline<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        plan: &QueryPlan,
-        request: &Request<'_, M>,
-        source: &PagedArenaSource<'_>,
-        stats: &mut QueryStats,
-        start: Instant,
-    ) -> Result<Vec<TopKResult>> {
-        let deadline = plan
-            .planner
-            .latency_budget_us
-            .and_then(|us| start.checked_add(Duration::from_micros(us)));
-        let shards = self.snapshot.shard_snapshots();
-        let (k, scheduler) = (request.k, request.scheduler);
-        let use_shared = scheduler.bound_mode == BoundMode::Shared;
-        let shared = SharedBound::new();
-        if plan.seeded() {
-            shared.publish(plan.seed);
-        }
-        let mut report = DegradationReport::default();
-        let mut parts: Vec<Vec<TopKResult>> = Vec::with_capacity(plan.shards.len());
-
-        // One shard answered by a flat scan: sampled at `rate` (recorded in
-        // the report), or exact when `rate` is `None`.
-        let scan = |shard_idx: usize,
-                    rate: Option<f64>,
-                    count_population: bool,
-                    downgraded: bool,
-                    stats: &mut QueryStats,
-                    report: &mut DegradationReport,
-                    parts: &mut Vec<Vec<TopKResult>>| {
-            let shard = &shards[shard_idx];
-            let results = Self::scan_shard(shard, rate, request, source, stats);
-            if count_population {
-                stats.total_entities += shard.num_entities();
-            }
-            if let Some(rate) = rate {
-                stats.recall_estimate =
-                    stats.recall_estimate.min(shard.synopsis().expected_scan_recall(rate));
-                report.record_shard(shard_idx, rate, downgraded);
-            }
-            if use_shared && k > 0 && results.len() >= k {
-                shared.publish(results[k - 1].degree);
-            }
-            parts.push(results);
-        };
-
-        for shard_plan in plan.admitted() {
-            let shard = &shards[shard_plan.shard];
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            let floor_rate = shard.synopsis().min_rate_for_recall(plan.planner.recall_floor);
-            let idx = shard_plan.shard;
-            match shard_plan.decision {
-                ShardDecision::Skip => unreachable!("admitted() filters skips"),
-                ShardDecision::ApproximateScan { rate } => {
-                    scan(idx, Some(rate), true, false, stats, &mut report, &mut parts);
-                }
-                // An exact verdict whose turn comes after the deadline is
-                // downgraded to the sampled scan at the floor rate.
-                ShardDecision::Scan | ShardDecision::TreeSearch if expired && floor_rate < 1.0 => {
-                    report.deadline_exceeded = true;
-                    scan(idx, Some(floor_rate), true, true, stats, &mut report, &mut parts);
-                }
-                ShardDecision::Scan => {
-                    scan(idx, None, true, false, stats, &mut report, &mut parts);
-                }
-                ShardDecision::TreeSearch => {
-                    let mut executor = self.executor(shard, request)?;
-                    // Reserve the sampled fallback's estimated cost out of
-                    // the deadline: an abandon still pays that scan after it.
-                    let shard_deadline = if floor_rate >= 1.0 {
-                        None
-                    } else {
-                        let reserve = Duration::from_nanos(plan::fallback_reserve_ns(
-                            floor_rate,
-                            shard_plan.entities,
-                            plan.seed_candidates,
-                            stats.planning_us,
-                        ));
-                        deadline.map(|d| d.checked_sub(reserve).unwrap_or(d))
-                    };
-                    let exhausted = if use_shared {
-                        executor.run_until(&shared, scheduler.step_quantum, shard_deadline)
-                    } else if plan.seeded() {
-                        let seeded = SeededBound::new(plan.seed);
-                        executor.run_until(&seeded, scheduler.step_quantum, shard_deadline)
-                    } else {
-                        executor.run_until(&PrivateBound, scheduler.step_quantum, shard_deadline)
-                    };
-                    executor.source().drain_into(stats);
-                    let (results, executor_stats) = executor.finish();
-                    stats.absorb_work(&executor_stats);
-                    if exhausted {
-                        parts.push(results);
-                    } else {
-                        report.deadline_exceeded = true;
-                        scan(idx, Some(floor_rate), false, true, stats, &mut report, &mut parts);
-                    }
-                }
-            }
-        }
-        if report.shards_approximate() > 0 {
-            stats.degradation = Some(report);
-        }
-        Ok(engine::merge_top_k(k, parts))
+    fn drain(&self, stats: &mut QueryStats) {
+        self.source.drain_into(stats);
     }
 }
 

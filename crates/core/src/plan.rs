@@ -31,6 +31,20 @@
 //! exhausted tree search.  `tests/planner_conformance.rs` proptests exactly
 //! this, over arbitrary shard counts, sketch sizes and knob settings.
 //!
+//! ## Out of core: costs in pages
+//!
+//! One planner body (`plan_query`) serves the in-memory and the paged
+//! paths.  Where the query's access reports a [`PageEstimate`] per shard,
+//! the two *cost* decisions reason in pages: a shard is flat-scanned only
+//! when it is small **and fully resident** (a scan touches every member's
+//! trace, so on a cold shard it would pay the worst-case I/O the tree search
+//! exists to avoid), and upper-bound ties in the driving order break by
+//! `cold_pages` ascending.  Without estimates both reduce to the in-memory
+//! rule.  Estimates are advisory (residency moves under concurrency), which
+//! is why they never touch the skip certificate — plans return
+//! bitwise-identical answers whatever the access
+//! (`tests/paged_conformance.rs`).
+//!
 //! ## Latency budgets and the approximate arm
 //!
 //! With [`PlannerConfig::latency_budget_us`] set, the planner additionally
@@ -51,17 +65,11 @@
 //!
 //! ## Batch planning
 //!
-//! [`plan_batch`] plans a whole batch in one pass: per-shard sketch
-//! positions are resolved against the arenas **once** and reused by every
-//! query's seeding loop, and the resulting per-query plans are grouped by
-//! their admitted-shard *footprint* (the ordered shard/decision skeleton)
-//! into [`BatchGroup`]s — queries in one group run the same shards the same
-//! way, which is what the batch driver amortizes.  Every per-query seed is
-//! still computed from that query's own degrees (a seed is only sound for
-//! the query it was scored against), so batch-planned plans — and therefore
-//! answers — are identical to per-query planning
-//! (`tests/deadline_conformance.rs` asserts bitwise equality).
-//! [`BatchPlan::explain`] renders the grouping.
+//! [`plan_batch`] plans a whole batch in one pass — per-shard sketch
+//! positions are resolved against the arenas **once** — and groups the
+//! per-query plans by admitted-shard *footprint* into [`BatchGroup`]s; see
+//! [`BatchPlan`] for why batch-planned plans, and therefore answers, are
+//! identical to per-query planning.
 //!
 //! The plan itself is a first-class value: [`ShardedSnapshot::explain`]
 //! returns the [`QueryPlan`] without executing it, and
@@ -74,12 +82,14 @@
 //! [`Synopsis::min_rate_for_recall`]: crate::synopsis::Synopsis::min_rate_for_recall
 
 use crate::config::PlannerConfig;
+use crate::drive::{Request, ShardAccess};
 use crate::engine::TopKHeap;
+use crate::shard::ArenaAccess;
 use crate::snapshot::IndexSnapshot;
 use crate::synopsis::Synopsis;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
+use trace_model::{AssociationMeasure, EntityId, LevelOverlap};
 
 /// How the planner decided to treat one shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -259,33 +269,36 @@ impl QueryPlan {
     }
 }
 
-/// Builds the plan of one query over a set of shard snapshots.
+/// Builds the plan of one query over the shards `access` reads — the one
+/// planner body of the in-memory, out-of-core and batch paths.
 ///
-/// The exact degree evaluations spent on seeding are recorded in the plan's
-/// [`seed_candidates`](QueryPlan::seed_candidates) field (the executor
-/// charges them to the query's `entities_checked`, because they are real
-/// candidate evaluations).  The caller guarantees the query sequence matches
-/// the shards' level count.
+/// Seed candidates are scored through the access (in memory: the candidate
+/// arena; out of core: the same fused records → rows → degree evaluation the
+/// executors run at the leaves, so seeding honestly pays — and warms —
+/// buffer-pool I/O).  The evaluations spent are recorded in
+/// [`seed_candidates`](QueryPlan::seed_candidates); the executor charges them
+/// to the query's `entities_checked`, because they are real candidate
+/// evaluations.  The caller guarantees the query sequence matches the
+/// shards' level count.
 ///
 /// A fully disabled config ([`PlannerConfig::disabled`]) produces the
 /// faithful pre-planner baseline: every shard admitted as a tree search, in
 /// shard-index order — no seeding, no skipping, no scans and **no
 /// reordering**, so the `*_with_scheduler` paths measure exactly the PR 4
 /// scheduler.
-pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
-    shards: &[Arc<IndexSnapshot>],
-    query: &CellSetSequence,
-    exclude: Option<EntityId>,
-    k: usize,
-    measure: &M,
-    config: &PlannerConfig,
-) -> QueryPlan {
+pub(crate) fn plan_query<'q, A, M>(access: &A, request: &Request<'q, M>) -> QueryPlan
+where
+    A: ShardAccess<'q>,
+    M: AssociationMeasure + ?Sized,
+{
+    let shards = access.shards();
+    let Request { query, exclude, k, measure, planner: config, .. } = *request;
     // A fully disabled planner computes nothing at all: every shard is
     // admitted as a tree search in shard-index order, with the trivial
-    // (+inf) upper bound — the baseline paths must not pay per-shard
-    // synopsis evaluation they are benchmarked against.  (A latency budget
-    // on an otherwise disabled planner still gets the cost model: budgets
-    // are a promise to the caller, not an optimisation.)
+    // (+inf) upper bound and no page probe — the baseline paths must not pay
+    // per-shard synopsis evaluation they are benchmarked against.  (A
+    // latency budget on an otherwise disabled planner still gets the cost
+    // model: budgets are a promise to the caller, not an optimisation.)
     let planning_active = config.seed_threshold || config.skip_shards || config.scan_cutoff > 0;
     if !planning_active && config.latency_budget_us.is_none() {
         let shards = shards
@@ -304,7 +317,7 @@ pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
             seed: f64::NEG_INFINITY,
             seed_candidates: 0,
             shards,
-            planner: *config,
+            planner: config,
         };
     }
 
@@ -319,65 +332,67 @@ pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
     let mut seed_candidates = 0usize;
     if config.seed_threshold && k > 0 {
         let mut top = TopKHeap::new(k);
-        let view = crate::kernel::QueryView::new(query);
-        let mut scratch = trace_model::LevelOverlap::default();
-        for shard in shards {
-            let arena = shard.arena();
-            for &hot in shard.synopsis().hot_entities() {
-                if Some(hot) == exclude {
-                    continue;
-                }
-                // The synopsis travels with its snapshot (as does the arena),
-                // so every sketched id is indexed; tolerate a miss anyway
-                // (costs seed quality, never correctness).
-                let Some(pos) = arena.position(hot) else { continue };
+        let mut scratch = LevelOverlap::default();
+        for shard in 0..shards.len() {
+            access.seed(shard, exclude, measure, &mut scratch, |hot, degree| {
                 seed_candidates += 1;
-                top.offer(hot, arena.degree_into(pos, &view, measure, &mut scratch));
-            }
+                top.offer(hot, degree);
+            });
         }
         seed = top.threshold();
     }
 
+    let cold = |p: &ShardPlan| p.pages.map_or(0, |e| e.cold_pages());
     let mut admitted: Vec<ShardPlan> = Vec::with_capacity(shards.len());
     let mut skipped: Vec<ShardPlan> = Vec::new();
     for (i, shard) in shards.iter().enumerate() {
         let synopsis: &Synopsis = shard.synopsis();
         let entities = synopsis.num_entities();
         let upper_bound = synopsis.degree_upper_bound(&query_sizes, measure);
-        // Both skip certificates are strict, mirroring the executor's
+        let mut plan = ShardPlan {
+            shard: i,
+            entities,
+            upper_bound,
+            decision: ShardDecision::TreeSearch,
+            pages: access.pages(i),
+        };
+        // The skip certificate is strict, mirroring the executor's
         // tie-complete pruning: a shard *tying* the seed may hold an
         // equal-degree entity that enters the top-k through the id
         // tie-break, so it is never skipped.  Empty shards are tree-searched
         // (the executor no-ops on an empty tree, exactly as the pre-planner
         // fan-out did) rather than scanned.
-        let decision = if config.skip_shards && seed > upper_bound {
-            ShardDecision::Skip
-        } else if entities > 0 && entities <= config.scan_cutoff {
-            ShardDecision::Scan
-        } else {
-            ShardDecision::TreeSearch
-        };
-        let plan = ShardPlan { shard: i, entities, upper_bound, decision, pages: None };
-        if decision == ShardDecision::Skip {
+        if config.skip_shards && seed > upper_bound {
+            plan.decision = ShardDecision::Skip;
             skipped.push(plan);
-        } else {
-            admitted.push(plan);
+            continue;
         }
+        if entities > 0 && entities <= config.scan_cutoff && cold(&plan) == 0 {
+            plan.decision = ShardDecision::Scan;
+        }
+        admitted.push(plan);
     }
-    // Most promising first; ties by shard index for determinism.
+    // Most promising first; of equally promising shards, least cold I/O
+    // first; ties by shard index for determinism.
     admitted.sort_by(|a, b| {
-        b.upper_bound.total_cmp(&a.upper_bound).then_with(|| a.shard.cmp(&b.shard))
+        b.upper_bound
+            .total_cmp(&a.upper_bound)
+            .then_with(|| cold(a).cmp(&cold(b)))
+            .then_with(|| a.shard.cmp(&b.shard))
     });
+    // Out of core the exact cost of a shard includes fetching its cold
+    // pages at the pool's configured miss latency — the dominant term at
+    // tight budgets, which is exactly when the budget pass matters.
     apply_latency_budget(
         &mut admitted,
         shards,
-        config,
+        &config,
         plan_start.elapsed().as_nanos(),
         seed_candidates,
-        0,
+        access.miss_latency_us(),
     );
     admitted.extend(skipped);
-    QueryPlan { k, seed, seed_candidates, shards: admitted, planner: *config }
+    QueryPlan { k, seed, seed_candidates, shards: admitted, planner: config }
 }
 
 /// Nanoseconds assumed per exact degree evaluation when the plan scored no
@@ -513,120 +528,6 @@ pub fn sample_includes(entity: EntityId, rate: f64) -> bool {
     (z as f64) < rate * (u64::MAX as f64)
 }
 
-/// [`plan_query`] for the out-of-core path: the same answer-invariant
-/// decisions, but the cost model reasons in **pages**, not entity counts.
-///
-/// * Seed candidates are scored through the paged `source` — the same
-///   fused records → rows → degree evaluation the executors run at the
-///   leaves, so threshold seeding honestly pays (and warms) buffer-pool I/O
-///   for the sketch entities' traces and counts it to the query.
-/// * Every shard carries a [`PageEstimate`] (`shard_pages[i]` probed against
-///   the pool in one lock), rendered by [`QueryPlan::explain`].
-/// * A shard is answered by the flat **scan** only when it is small *and*
-///   fully resident (`cold_pages == 0`): a scan touches every member's
-///   trace, so on a cold shard it would pay the worst-case I/O the tree
-///   search exists to avoid — `scan_cutoff` reasons in I/O, not entities.
-/// * Admitted-shard **ordering** breaks upper-bound ties by `cold_pages`
-///   ascending: of equally promising shards, the one needing the least disk
-///   I/O raises the shared bound soonest.
-///
-/// Estimates are advisory (residency moves under concurrency), which is why
-/// they only ever steer *cost* decisions; the skip certificate stays the
-/// strict synopsis inequality of [`plan_query`], so paged plans return
-/// bitwise-identical answers (`tests/paged_conformance.rs`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_query_paged<M: AssociationMeasure + ?Sized>(
-    shards: &[Arc<IndexSnapshot>],
-    query: &CellSetSequence,
-    exclude: Option<EntityId>,
-    k: usize,
-    measure: &M,
-    config: &PlannerConfig,
-    source: &crate::paged::PagedArenaSource<'_>,
-    shard_pages: &[Vec<trace_storage::PageId>],
-    pool: &trace_storage::BufferPool<'_>,
-) -> QueryPlan {
-    debug_assert_eq!(shards.len(), shard_pages.len());
-    let planning_active = config.seed_threshold || config.skip_shards || config.scan_cutoff > 0;
-    if !planning_active && config.latency_budget_us.is_none() {
-        // The disabled baseline mirrors `plan_query`: nothing computed, no
-        // page probes, every shard tree-searched in index order.
-        return plan_query(shards, query, exclude, k, measure, config);
-    }
-
-    let plan_start = std::time::Instant::now();
-    let levels = query.num_levels() as u8;
-    let query_sizes: Vec<usize> = (1..=levels).map(|l| query.level(l).len()).collect();
-
-    let mut seed = f64::NEG_INFINITY;
-    let mut seed_candidates = 0usize;
-    if config.seed_threshold && k > 0 {
-        let mut top = TopKHeap::new(k);
-        for shard in shards {
-            for &hot in shard.synopsis().hot_entities() {
-                if Some(hot) == exclude {
-                    continue;
-                }
-                // Paged seeding: the sketch names the candidates, the store
-                // provides their traces.  A sketch entity missing from the
-                // store only weakens the seed, never an answer (the executor
-                // that owns it reports it unreadable).
-                let Some(degree) = source.score(hot, &measure, false) else { continue };
-                seed_candidates += 1;
-                top.offer(hot, degree);
-            }
-        }
-        seed = top.threshold();
-    }
-
-    let mut admitted: Vec<ShardPlan> = Vec::with_capacity(shards.len());
-    let mut skipped: Vec<ShardPlan> = Vec::new();
-    for (i, shard) in shards.iter().enumerate() {
-        let synopsis: &Synopsis = shard.synopsis();
-        let entities = synopsis.num_entities();
-        let upper_bound = synopsis.degree_upper_bound(&query_sizes, measure);
-        let estimate = PageEstimate {
-            total_pages: shard_pages[i].len(),
-            resident_pages: pool.resident_count(&shard_pages[i]),
-        };
-        let decision = if config.skip_shards && seed > upper_bound {
-            ShardDecision::Skip
-        } else if entities > 0 && entities <= config.scan_cutoff && estimate.cold_pages() == 0 {
-            ShardDecision::Scan
-        } else {
-            ShardDecision::TreeSearch
-        };
-        let plan = ShardPlan { shard: i, entities, upper_bound, decision, pages: Some(estimate) };
-        if decision == ShardDecision::Skip {
-            skipped.push(plan);
-        } else {
-            admitted.push(plan);
-        }
-    }
-    // Most promising first; of equally promising shards, least cold I/O
-    // first; ties by shard index for determinism.
-    admitted.sort_by(|a, b| {
-        let cold = |p: &ShardPlan| p.pages.map_or(0, |e| e.cold_pages());
-        b.upper_bound
-            .total_cmp(&a.upper_bound)
-            .then_with(|| cold(a).cmp(&cold(b)))
-            .then_with(|| a.shard.cmp(&b.shard))
-    });
-    // Out of core the exact cost of a shard includes fetching its cold
-    // pages at the pool's configured miss latency — the dominant term at
-    // tight budgets, which is exactly when the budget pass matters.
-    apply_latency_budget(
-        &mut admitted,
-        shards,
-        config,
-        plan_start.elapsed().as_nanos(),
-        seed_candidates,
-        pool.config().miss_latency_us,
-    );
-    admitted.extend(skipped);
-    QueryPlan { k, seed, seed_candidates, shards: admitted, planner: *config }
-}
-
 /// One group of a [`BatchPlan`]: the batch queries (by input index) whose
 /// plans share an identical admitted-shard *footprint* — the same shards, in
 /// the same driving order, under the same decisions.  Queries in one group
@@ -715,104 +616,24 @@ fn decision_key(decision: ShardDecision) -> (u8, u64) {
 }
 
 /// Plans a whole batch in one pass; see [`BatchPlan`] for the amortization
-/// and identity contracts.  `queries` pairs each query sequence with its
-/// excluded entity (the query entity itself on entity batches).
-pub(crate) fn plan_batch<M: AssociationMeasure + ?Sized>(
-    shards: &[Arc<IndexSnapshot>],
-    queries: &[(&CellSetSequence, Option<EntityId>)],
-    k: usize,
-    measure: &M,
-    config: &PlannerConfig,
+/// and identity contracts.  Every request carries the same planner knobs.
+pub(crate) fn plan_batch<'q, M: AssociationMeasure + ?Sized>(
+    shards: &'q [Arc<IndexSnapshot>],
+    requests: &[Request<'q, M>],
 ) -> BatchPlan {
     let batch_start = std::time::Instant::now();
-    let planning_active = config.seed_threshold || config.skip_shards || config.scan_cutoff > 0;
-
-    // The one-pass amortization: resolve every shard's sketch ids against
-    // its arena once, up front; each query's seeding loop then reuses the
-    // positions instead of re-running `sketch × shards` binary searches.
-    let hot_positions: Vec<Vec<(EntityId, usize)>> = if planning_active && config.seed_threshold {
-        shards
-            .iter()
-            .map(|shard| {
-                let arena = shard.arena();
-                shard
-                    .synopsis()
-                    .hot_entities()
-                    .iter()
-                    .filter_map(|&hot| arena.position(hot).map(|pos| (hot, pos)))
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut plans: Vec<QueryPlan> = Vec::with_capacity(queries.len());
-    let mut scratch = trace_model::LevelOverlap::default();
-    for &(query, exclude) in queries {
-        if !planning_active && config.latency_budget_us.is_none() {
-            plans.push(plan_query(shards, query, exclude, k, measure, config));
-            continue;
-        }
-        let plan_start = std::time::Instant::now();
-        let levels = query.num_levels() as u8;
-        let query_sizes: Vec<usize> = (1..=levels).map(|l| query.level(l).len()).collect();
-
-        // Per-query seeding over the shared positions: same candidates in
-        // the same order as `plan_query`, so the same seed — degrees depend
-        // on the query, which is why the *values* cannot be shared.
-        let mut seed = f64::NEG_INFINITY;
-        let mut seed_candidates = 0usize;
-        if config.seed_threshold && k > 0 {
-            let mut top = TopKHeap::new(k);
-            let view = crate::kernel::QueryView::new(query);
-            for (shard, positions) in shards.iter().zip(&hot_positions) {
-                let arena = shard.arena();
-                for &(hot, pos) in positions {
-                    if Some(hot) == exclude {
-                        continue;
-                    }
-                    seed_candidates += 1;
-                    top.offer(hot, arena.degree_into(pos, &view, measure, &mut scratch));
-                }
-            }
-            seed = top.threshold();
-        }
-
-        let mut admitted: Vec<ShardPlan> = Vec::with_capacity(shards.len());
-        let mut skipped: Vec<ShardPlan> = Vec::new();
-        for (i, shard) in shards.iter().enumerate() {
-            let synopsis: &Synopsis = shard.synopsis();
-            let entities = synopsis.num_entities();
-            let upper_bound = synopsis.degree_upper_bound(&query_sizes, measure);
-            let decision = if config.skip_shards && seed > upper_bound {
-                ShardDecision::Skip
-            } else if entities > 0 && entities <= config.scan_cutoff {
-                ShardDecision::Scan
-            } else {
-                ShardDecision::TreeSearch
-            };
-            let plan = ShardPlan { shard: i, entities, upper_bound, decision, pages: None };
-            if decision == ShardDecision::Skip {
-                skipped.push(plan);
-            } else {
-                admitted.push(plan);
-            }
-        }
-        admitted.sort_by(|a, b| {
-            b.upper_bound.total_cmp(&a.upper_bound).then_with(|| a.shard.cmp(&b.shard))
-        });
-        apply_latency_budget(
-            &mut admitted,
-            shards,
-            config,
-            plan_start.elapsed().as_nanos(),
-            seed_candidates,
-            0,
-        );
-        admitted.extend(skipped);
-        plans.push(QueryPlan { k, seed, seed_candidates, shards: admitted, planner: *config });
-    }
+    // The one-pass amortization: every shard's sketch ids are resolved
+    // against its arena once, up front, instead of `sketch × shards` binary
+    // searches per query.
+    let seeding = requests.first().is_some_and(|r| r.planner.seed_threshold);
+    let sketch_positions = seeding.then(|| crate::shard::sketch_positions(shards));
+    let plans: Vec<QueryPlan> = requests
+        .iter()
+        .map(|request| {
+            let access = ArenaAccess::new(shards, request.query, sketch_positions.as_deref());
+            plan_query(&access, request)
+        })
+        .collect();
 
     // Group by admitted footprint (ordered shard/decision skeleton).
     type FootprintKey = Vec<(usize, (u8, u64))>;
@@ -854,20 +675,42 @@ mod tests {
         (0..n).map(|i| sharded.shard(i).snapshot()).collect()
     }
 
+    fn request<'q, M: AssociationMeasure>(
+        query: &'q trace_model::CellSetSequence,
+        k: usize,
+        measure: &'q M,
+        planner: PlannerConfig,
+    ) -> Request<'q, M> {
+        Request {
+            query,
+            exclude: Some(trace_model::EntityId(0)),
+            k,
+            measure,
+            options: Default::default(),
+            scheduler: Default::default(),
+            planner,
+        }
+    }
+
+    /// Plans entity 0's query (`query` is its sequence) through the arenas.
+    fn plan_of(
+        shards: &[Arc<IndexSnapshot>],
+        query: &trace_model::CellSetSequence,
+        k: usize,
+        w: &Workload,
+        planner: PlannerConfig,
+    ) -> QueryPlan {
+        let measure = w.measure();
+        plan_query(&ArenaAccess::new(shards, query, None), &request(query, k, &measure, planner))
+    }
+
     #[test]
     fn disabled_planner_admits_every_shard_unseeded() {
         let w = Workload::paired(PairedConfig::default());
         let shards = shards_of(&w, 4);
         let query =
             shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        let plan = plan_query(
-            &shards,
-            &query,
-            Some(trace_model::EntityId(0)),
-            3,
-            &w.measure(),
-            &PlannerConfig::disabled(),
-        );
+        let plan = plan_of(&shards, &query, 3, &w, PlannerConfig::disabled());
         assert!(!plan.seeded());
         assert_eq!(plan.seed_candidates, 0);
         assert_eq!(plan.shards_skipped(), 0);
@@ -881,14 +724,7 @@ mod tests {
         let shards = shards_of(&w, 3);
         let query =
             shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        let plan = plan_query(
-            &shards,
-            &query,
-            Some(trace_model::EntityId(0)),
-            2,
-            &w.measure(),
-            &PlannerConfig::default(),
-        );
+        let plan = plan_of(&shards, &query, 2, &w, PlannerConfig::default());
         assert!(plan.seeded(), "a 48-entity population seeds a k=2 query");
         assert!(plan.seed_candidates >= 2);
         let admitted: Vec<&ShardPlan> = plan.admitted().collect();
@@ -906,22 +742,9 @@ mod tests {
         let shards = shards_of(&w, 4);
         let query =
             shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        let exact = plan_query(
-            &shards,
-            &query,
-            Some(trace_model::EntityId(0)),
-            3,
-            &w.measure(),
-            &PlannerConfig::default(),
-        );
-        let budgeted = plan_query(
-            &shards,
-            &query,
-            Some(trace_model::EntityId(0)),
-            3,
-            &w.measure(),
-            &PlannerConfig::with_budget(u64::MAX / 2_000),
-        );
+        let exact = plan_of(&shards, &query, 3, &w, PlannerConfig::default());
+        let budgeted =
+            plan_of(&shards, &query, 3, &w, PlannerConfig::with_budget(u64::MAX / 2_000));
         assert!(budgeted.is_exact(), "a non-binding budget must not degrade anything");
         let decisions =
             |p: &QueryPlan| p.shards.iter().map(|s| (s.shard, s.decision)).collect::<Vec<_>>();
@@ -937,8 +760,7 @@ mod tests {
             shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
         // A 1 µs budget binds on any real population.
         let config = PlannerConfig::with_budget_and_floor(1, 0.5);
-        let plan =
-            plan_query(&shards, &query, Some(trace_model::EntityId(0)), 3, &w.measure(), &config);
+        let plan = plan_of(&shards, &query, 3, &w, config);
         assert!(
             plan.shards_approximate() > 0,
             "a 1 us budget must force sampling somewhere: {}",
@@ -967,8 +789,7 @@ mod tests {
         // recall_floor 1.0 ⇒ min rate 1.0 everywhere ⇒ sampling can never
         // help, so even an impossible budget leaves the plan exact.
         let config = PlannerConfig::with_budget_and_floor(1, 1.0);
-        let plan =
-            plan_query(&shards, &query, Some(trace_model::EntityId(0)), 3, &w.measure(), &config);
+        let plan = plan_of(&shards, &query, 3, &w, config);
         assert!(plan.is_exact(), "a 1.0 recall floor forbids all sampling");
     }
 
@@ -977,26 +798,60 @@ mod tests {
         let w = Workload::paired(PairedConfig::default());
         let shards = shards_of(&w, 4);
         let measure = w.measure();
-        let ids: Vec<trace_model::EntityId> = (0..6u64).map(trace_model::EntityId).collect();
-        let queries: Vec<(&CellSetSequence, Option<EntityId>)> = ids
-            .iter()
-            .filter_map(|&e| shards.iter().find_map(|s| s.sequence(e)).map(|seq| (seq, Some(e))))
-            .collect();
-        assert!(queries.len() >= 2, "the paired workload indexes the probe ids");
         let config = PlannerConfig::default();
-        let batch = plan_batch(&shards, &queries, 3, &measure, &config);
-        assert_eq!(batch.plans.len(), queries.len());
-        for (i, &(seq, exclude)) in queries.iter().enumerate() {
-            let single = plan_query(&shards, seq, exclude, 3, &measure, &config);
+        let requests: Vec<Request<'_, _>> = (0..6u64)
+            .map(trace_model::EntityId)
+            .filter_map(|e| shards.iter().find_map(|s| s.sequence(e)).map(|seq| (seq, e)))
+            .map(|(seq, e)| Request { exclude: Some(e), ..request(seq, 3, &measure, config) })
+            .collect();
+        assert!(requests.len() >= 2, "the paired workload indexes the probe ids");
+        let batch = plan_batch(&shards, &requests);
+        assert_eq!(batch.plans.len(), requests.len());
+        for (i, request) in requests.iter().enumerate() {
+            let single = plan_query(&ArenaAccess::new(&shards, request.query, None), request);
             assert_eq!(batch.plans[i], single, "batch plan {i} diverged from per-query planning");
         }
         // Groups partition the batch.
         let mut seen: Vec<usize> = batch.groups.iter().flat_map(|g| g.queries.clone()).collect();
         seen.sort_unstable();
-        assert_eq!(seen, (0..queries.len()).collect::<Vec<_>>());
+        assert_eq!(seen, (0..requests.len()).collect::<Vec<_>>());
         let text = batch.explain();
         assert!(text.contains("BatchPlan"), "{text}");
         assert!(text.contains("group"), "{text}");
+    }
+
+    /// The disabled baseline computes nothing whatever the access: through
+    /// the paged one, no page probe and not a single pool read.
+    #[test]
+    fn disabled_planner_through_the_paged_access_is_the_index_order_baseline() {
+        let w = Workload::paired(PairedConfig::default());
+        let sharded = crate::shard::ShardedMinSigIndex::build(
+            &w.sp,
+            &w.traces,
+            IndexConfig::with_hash_functions(16),
+            4,
+        )
+        .unwrap();
+        let snapshot = sharded.snapshot();
+        let store = trace_storage::PagedTraceStore::build(&w.traces, 4);
+        let pool = store.pool(trace_storage::PoolConfig::default());
+        let paged = snapshot.paged(&store, &pool);
+        let query = snapshot.sequence(trace_model::EntityId(0)).unwrap();
+        let measure = w.measure();
+        let plan = plan_query(
+            &paged.access(query),
+            &request(query, 3, &measure, PlannerConfig::disabled()),
+        );
+        assert!(!plan.seeded());
+        assert_eq!(plan.seed_candidates, 0);
+        assert_eq!(plan.shards.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        for shard_plan in &plan.shards {
+            assert_eq!(shard_plan.decision, ShardDecision::TreeSearch);
+            assert_eq!(shard_plan.pages, None);
+            assert_eq!(shard_plan.upper_bound, f64::INFINITY);
+        }
+        let io = pool.stats();
+        assert_eq!(io.hits + io.misses, 0, "the disabled planner reads nothing");
     }
 
     #[test]

@@ -9,19 +9,17 @@
 //! shard — independent snapshots, independent epochs, independent `MSIX` files —
 //! so ingest, persistence and maintenance all parallelise per shard.
 //!
-//! ## The cost-based query planner
+//! ## Planned, cooperative queries
 //!
-//! Fanning out got cheap per node in PR 4, but every query still opened an
-//! executor on **every** shard with a cold top-k threshold.  The planned
-//! query paths (the defaults: [`ShardedSnapshot::top_k`],
-//! [`top_k_with_options`](ShardedSnapshot::top_k_with_options), batches and
-//! joins) first consult each shard's [`Synopsis`](crate::synopsis::Synopsis)
-//! through [`crate::plan`]: the sketch candidates are scored exactly to
-//! **seed** the bound with a provable k-th-degree lower bound, shards whose
-//! capacity caps cannot beat the seed are **skipped** outright, admitted
-//! shards are driven **most-promising-first**, and tiny shards are answered
-//! by the flat exact **scan** instead of a tree search.  All four decisions
-//! are answer-invariant (strict-inequality certificates, see the
+//! Every query path ([`ShardedSnapshot::top_k`], batches, joins) goes
+//! through the crate's one planned drive.  It first consults each shard's
+//! [`Synopsis`](crate::synopsis::Synopsis) through [`crate::plan`]: the
+//! sketch candidates are scored exactly to **seed** the bound with a provable
+//! k-th-degree lower bound, shards whose capacity caps cannot beat the seed
+//! are **skipped** outright, admitted shards are driven
+//! **most-promising-first**, and tiny shards are answered by the flat exact
+//! **scan** instead of a tree search.  All four decisions are
+//! answer-invariant (strict-inequality certificates, see the
 //! [plan module docs](crate::plan)); [`ShardedSnapshot::explain`] returns
 //! the [`QueryPlan`] without executing it, and
 //! [`QueryStats::shards_skipped`] / [`QueryStats::threshold_seeded`] report
@@ -29,26 +27,24 @@
 //! unplanned — the measurable PR 4 baseline; `*_with_planner` exposes every
 //! knob.
 //!
+//! The admitted tree shards then run as **resumable executors**
+//! ([`IndexSnapshot::executor`]) under a cooperative scheduler: workers
+//! (over rayon) pull an executor from a round-robin queue, advance its
+//! frontier by one quantum ([`engine::Executor::step`]) and requeue it until
+//! every frontier is exhausted.  All executors of one query share a single
+//! [`SharedBound`](engine::SharedBound) — an atomic, monotone max of the
+//! seed and every shard's local k-th-best degree — so a shard that holds
+//! none of the strong candidates learns the global bar from the shard that
+//! does and prunes its subtrees immediately, recovering the pruning power of
+//! the unsharded tree.  The knobs (step quantum, publish policy, bound mode)
+//! live in [`SchedulerConfig`];
+//! [`BoundMode::Independent`](crate::config::BoundMode) reproduces the
+//! independent per-shard fan-out as a measurable baseline.  Out of core
+//! ([`crate::paged`]) the same drive runs with every candidate read through a
+//! buffer pool.
+//!
 //! [`QueryStats::shards_skipped`]: crate::stats::QueryStats::shards_skipped
 //! [`QueryStats::threshold_seeded`]: crate::stats::QueryStats::threshold_seeded
-//!
-//! ## The cooperative bound-sharing scheduler
-//!
-//! Shards *partition* the entity population, so for any query sequence the
-//! global top-k is the top-k of the union of per-shard answer sets.  Every
-//! query builds one **resumable executor** per shard
-//! ([`IndexSnapshot::executor`]) and drives them as a cooperative scheduler:
-//! worker threads (over rayon) repeatedly pull an executor from a shared
-//! round-robin queue, advance its frontier by one quantum
-//! ([`engine::Executor::step`]) and requeue it until every frontier is
-//! exhausted.  All executors of one query share a single
-//! [`SharedBound`] — an atomic, monotone max of every
-//! shard's local k-th-best degree — so a shard that holds none of the strong
-//! candidates learns the global bar from the shard that does and prunes its
-//! subtrees immediately, recovering the pruning power of the unsharded tree.
-//! The scheduler knobs (step quantum, publish policy, bound mode) live in
-//! [`SchedulerConfig`]; [`BoundMode::Independent`] reproduces the
-//! independent per-shard fan-out as a measurable baseline.
 //!
 //! ## Exactness of the fan-out
 //!
@@ -57,18 +53,13 @@
 //! The merged answer is **fully bit-identical** to a single unsharded index
 //! over the same traces — and to the brute-force sort-and-truncate — ties at
 //! the k-th (boundary) degree included, for any shard count, any scheduling
-//! interleaving and any scheduler knobs.  Exactness is provable in two
-//! steps: the shared bound only ever holds local k-th thresholds, each of
-//! which is at most the *global* k-th degree (a shard's candidates are a
-//! subset of the population); and executors prune only subtrees whose upper
-//! bound is **strictly below** the bound in force (tie-complete pruning, see
-//! [`crate::engine`]), so every pruned entity is strictly outside the global
-//! top-k.  The conformance suite (`tests/shard_conformance.rs`) proptests
-//! this contract against both the unsharded index and the brute-force
-//! oracle, over arbitrary step quanta.  (Each shard derives its own hash
-//! range when the config leaves it data-driven; that is fine, because leaf
-//! evaluation computes degrees exactly from the sequences — signatures only
-//! ever *prune*.)
+//! interleaving and any scheduler knobs; [`crate::engine`] has the two-step
+//! proof (the shared bound never exceeds the global k-th degree; pruning is
+//! strict), and `tests/shard_conformance.rs` proptests it against both the
+//! unsharded index and the brute-force oracle.  (Each shard derives its own
+//! hash range when the config leaves it data-driven; that is fine, because
+//! leaf evaluation computes degrees exactly from the sequences — signatures
+//! only ever *prune*.)
 //!
 //! ## Epoch vectors and snapshot consistency
 //!
@@ -105,25 +96,25 @@
 //! through re-saving over an existing directory, is always detected, never
 //! silently mis-answered.
 
-use crate::config::{BoundMode, IndexConfig, PlannerConfig, SchedulerConfig};
-use crate::engine::{self, Bound, Executor, PrivateBound, SeededBound, SharedBound};
+use crate::config::{IndexConfig, PlannerConfig, SchedulerConfig};
+use crate::drive::{self, Request, ShardAccess};
+use crate::engine;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
 use crate::ingest::IngestBuffer;
-use crate::join::{collect_join_rows, JoinOptions, JoinRow, JoinStats};
-use crate::plan::{self, BatchPlan, QueryPlan, ShardDecision};
+use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
+use crate::kernel::{ArenaSource, QueryView};
+use crate::plan::{self, BatchPlan, QueryPlan};
 use crate::query::{QueryOptions, TopKResult};
-use crate::signature::SeededHashFamily;
 use crate::snapshot::IndexSnapshot;
-use crate::stats::{DegradationReport, QueryStats};
+use crate::stats::QueryStats;
 use rayon::prelude::*;
-use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 use trace_model::{
-    AssociationMeasure, CellSetSequence, DigitalTrace, EntityId, PresenceInstance, SpIndex,
-    TraceSet,
+    AssociationMeasure, CellSetSequence, DigitalTrace, EntityId, LevelOverlap, PresenceInstance,
+    SpIndex, TraceSet,
 };
 use trace_storage::segment::{self, Cursor};
 
@@ -373,18 +364,6 @@ impl ShardedMinSigIndex {
         self.snapshot().top_k(query, k, measure)
     }
 
-    /// Answers a top-k query with explicit options; see
-    /// [`ShardedSnapshot::top_k_with_options`].
-    pub fn top_k_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot().top_k_with_options(query, k, measure, options)
-    }
-
     /// Answers a top-k query with explicit options and scheduler knobs; see
     /// [`ShardedSnapshot::top_k_with_scheduler`].
     pub fn top_k_with_scheduler<M: AssociationMeasure + Sync + ?Sized>(
@@ -396,32 +375,6 @@ impl ShardedMinSigIndex {
         scheduler: SchedulerConfig,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         self.snapshot().top_k_with_scheduler(query, k, measure, options, scheduler)
-    }
-
-    /// Answers a top-k query with every knob explicit; see
-    /// [`ShardedSnapshot::top_k_with_planner`].
-    pub fn top_k_with_planner<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        planner: PlannerConfig,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot().top_k_with_planner(query, k, measure, options, scheduler, planner)
-    }
-
-    /// Builds — without executing — the plan of one query; see
-    /// [`ShardedSnapshot::explain`].
-    pub fn explain<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        planner: PlannerConfig,
-    ) -> Result<QueryPlan> {
-        self.snapshot().explain(query, k, measure, planner)
     }
 
     /// Rebuilds every shard's planning synopsis with sketch size `m`; see
@@ -440,17 +393,6 @@ impl ShardedMinSigIndex {
         measure: &M,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
         self.snapshot().top_k_batch(queries, k, measure)
-    }
-
-    /// [`top_k_batch`](Self::top_k_batch) with explicit query options.
-    pub fn top_k_batch_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.snapshot().top_k_batch_with_options(queries, k, measure, options)
     }
 
     /// Answers the top-k query for every probe entity; see
@@ -509,62 +451,35 @@ impl ShardedSnapshot {
         self.shards[shard_of(entity, self.shards.len())].sequence(entity)
     }
 
-    /// Answers a top-k query for an indexed entity with default options,
-    /// fanning out across all shards in parallel and merging exactly.
+    /// Answers a top-k query for an indexed entity with default options, the
+    /// default cooperative [`SchedulerConfig`] and the default
+    /// [`PlannerConfig`] (planned: seeded, shard-skipping, scan-picking).
+    ///
+    /// The query entity is looked up in its home shard only
+    /// ([`IndexError::UnknownQueryEntity`] when absent); its sequence is then
+    /// probed against every shard the planner admits and the per-shard exact
+    /// answers are merged under the engine's total order — **fully
+    /// bit-identical** to the unsharded answer, boundary ties included (see
+    /// the [module docs](crate::shard)).  The stats sum the per-shard search
+    /// work and report what planning did.
     pub fn top_k<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
         k: usize,
         measure: &M,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.top_k_with_options(query, k, measure, QueryOptions::default())
+        let request = self.request(query, k, measure)?;
+        drive::run(&ArenaAccess::new(&self.shards, request.query, None), &request, true)
     }
 
-    /// Answers a top-k query for an indexed entity with explicit options,
-    /// the default cooperative [`SchedulerConfig`] and the default
-    /// [`PlannerConfig`] (planned: seeded, shard-skipping, scan-picking).
-    ///
-    /// The query entity is looked up in its home shard only
-    /// ([`IndexError::UnknownQueryEntity`] when absent); its sequence is then
-    /// probed against every shard **the planner admits** through
-    /// cooperatively scheduled per-shard executors sharing one seeded global
-    /// bound, and the per-shard exact answers are merged under the engine's
-    /// total order.  The merged results are **fully bit-identical** to the
-    /// unsharded answer — degree vector, entities and ordering, boundary
-    /// ties included (see the [module docs](crate::shard) for the proof
-    /// sketch); the stats sum the per-shard search work and report what
-    /// planning did ([`QueryStats::shards_skipped`],
-    /// [`QueryStats::threshold_seeded`]).
-    ///
-    /// [`QueryStats::shards_skipped`]: crate::stats::QueryStats::shards_skipped
-    /// [`QueryStats::threshold_seeded`]: crate::stats::QueryStats::threshold_seeded
-    pub fn top_k_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.top_k_with_planner(
-            query,
-            k,
-            measure,
-            options,
-            SchedulerConfig::default(),
-            PlannerConfig::default(),
-        )
-    }
-
-    /// [`top_k_with_options`](Self::top_k_with_options) with explicit
-    /// scheduler knobs (step quantum, bound publish policy, bound mode) and
-    /// the planner **disabled** — the measurable PR 4 baseline: every shard
+    /// [`top_k`](Self::top_k) with explicit query options and scheduler
+    /// knobs (step quantum, bound publish policy, bound mode) and the
+    /// planner **disabled** — the measurable PR 4 baseline: every shard
     /// opened, cold thresholds, tree search everywhere.
     ///
-    /// Neither the scheduler nor the planner can change any answer — only
-    /// the work counters of the returned [`QueryStats`] and the wall-clock
-    /// time; pass [`SchedulerConfig::independent`] to also drop cross-shard
-    /// bound sharing, and [`top_k_with_planner`](Self::top_k_with_planner)
-    /// to combine explicit scheduler and planner knobs.
+    /// Neither knob set can change any answer — only the work counters and
+    /// the wall-clock time; pass [`SchedulerConfig::independent`] to also
+    /// drop cross-shard bound sharing.
     pub fn top_k_with_scheduler<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
@@ -576,9 +491,9 @@ impl ShardedSnapshot {
         self.top_k_with_planner(query, k, measure, options, scheduler, PlannerConfig::disabled())
     }
 
-    /// [`top_k_with_options`](Self::top_k_with_options) with every knob
-    /// explicit: scheduler (step quantum, publish policy, bound mode) and
-    /// planner (threshold seeding, shard skipping, scan cutoff).
+    /// [`top_k`](Self::top_k) with every knob explicit: query options,
+    /// scheduler (step quantum, publish policy, bound mode) and planner
+    /// (threshold seeding, shard skipping, scan cutoff, latency budget).
     pub fn top_k_with_planner<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
@@ -588,8 +503,8 @@ impl ShardedSnapshot {
         scheduler: SchedulerConfig,
         planner: PlannerConfig,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-        self.fan_out(seq, Some(query), k, measure, options, true, scheduler, planner)
+        let request = Request { options, scheduler, planner, ..self.request(query, k, measure)? };
+        drive::run(&ArenaAccess::new(&self.shards, request.query, None), &request, true)
     }
 
     /// Builds — without executing — the [`QueryPlan`] the planned query
@@ -604,60 +519,26 @@ impl ShardedSnapshot {
         measure: &M,
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
-        let seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-        self.check_query_levels(seq)?;
-        Ok(plan::plan_query(&self.shards, seq, Some(query), k, measure, &planner))
-    }
-
-    /// Answers a top-k query for an arbitrary (possibly external) query
-    /// sequence across all shards, planned with the defaults.
-    pub fn top_k_for_sequence<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.fan_out(
-            query,
-            exclude,
-            k,
-            measure,
-            options,
-            true,
-            SchedulerConfig::default(),
-            PlannerConfig::default(),
-        )
+        let request = Request { planner, ..self.request(query, k, measure)? };
+        drive::explain(&ArenaAccess::new(&self.shards, request.query, None), &request)
     }
 
     /// Answers the top-k query for every query entity of a batch, in
     /// parallel, returning per-query `(results, stats)` pairs **in input
     /// order** — the same contract as [`IndexSnapshot::top_k_batch`]: the
     /// first unknown query entity (in input order) fails the whole batch.
+    /// Planned with the defaults, like the single-query path.
     pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         queries: &[EntityId],
         k: usize,
         measure: &M,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.top_k_batch_with_options(queries, k, measure, QueryOptions::default())
-    }
-
-    /// [`top_k_batch`](Self::top_k_batch) with explicit query options
-    /// (planned with the defaults, like the single-query path).
-    pub fn top_k_batch_with_options<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
         self.top_k_batch_with_planner(
             queries,
             k,
             measure,
-            options,
+            QueryOptions::default(),
             SchedulerConfig::default(),
             PlannerConfig::default(),
         )
@@ -686,14 +567,11 @@ impl ShardedSnapshot {
 
     /// [`top_k_batch`](Self::top_k_batch) with every knob explicit.
     ///
-    /// The batch is **planned once** ([`plan_batch`](Self::plan_batch)):
-    /// per-shard sketch positions are resolved against the arenas a single
-    /// time and reused by every query's seeding pass, and the resulting
-    /// per-query plans are grouped by admitted-shard footprint.  Per-query
-    /// plans — and therefore answers — are identical to per-query planning
-    /// (`tests/deadline_conformance.rs` asserts bitwise equality); only the
-    /// planning cost is amortized.  Each query's reported
-    /// [`QueryStats::planning_us`] is its amortized share
+    /// The batch is **planned once** ([`plan_batch`](Self::plan_batch); see
+    /// [`BatchPlan`] for what is amortized): per-query plans — and therefore
+    /// answers — are identical to per-query planning
+    /// (`tests/deadline_conformance.rs` asserts bitwise equality), and each
+    /// query's reported [`QueryStats::planning_us`] is its amortized share
     /// (`total / batch size`, integer division).
     ///
     /// Execution parallelism is over the *queries* (the batch is the wider
@@ -717,31 +595,19 @@ impl ShardedSnapshot {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        // Resolve sequentially so the *first* unknown entity (in input
-        // order) fails the batch, matching the unsharded contract.
-        let mut seqs: Vec<&CellSetSequence> = Vec::with_capacity(queries.len());
-        for &query in queries {
-            let seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-            self.check_query_levels(seq)?;
-            seqs.push(seq);
-        }
-        let pairs: Vec<(&CellSetSequence, Option<EntityId>)> =
-            seqs.iter().zip(queries).map(|(&seq, &query)| (seq, Some(query))).collect();
-        let batch = plan::plan_batch(&self.shards, &pairs, k, measure, &planner);
+        let requests = self.batch_requests(queries, k, measure, options, scheduler, planner)?;
+        let batch = plan::plan_batch(&self.shards, &requests);
         let amortized_planning_us = batch.planning_us / queries.len() as u64;
         let indices: Vec<usize> = (0..queries.len()).collect();
         let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = indices
             .par_iter()
             .map(|&i| {
-                self.execute_plan(
+                let request = &requests[i];
+                drive::execute(
+                    &ArenaAccess::new(&self.shards, request.query, None),
                     &batch.plans[i],
-                    seqs[i],
-                    Some(queries[i]),
-                    k,
-                    measure,
-                    options,
+                    request,
                     false,
-                    scheduler,
                     Instant::now(),
                     amortized_planning_us,
                 )
@@ -763,14 +629,9 @@ impl ShardedSnapshot {
         planner: PlannerConfig,
     ) -> Result<BatchPlan> {
         planner.validate()?;
-        let mut pairs: Vec<(&CellSetSequence, Option<EntityId>)> =
-            Vec::with_capacity(queries.len());
-        for &query in queries {
-            let seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-            self.check_query_levels(seq)?;
-            pairs.push((seq, Some(query)));
-        }
-        Ok(plan::plan_batch(&self.shards, &pairs, k, measure, &planner))
+        let (options, scheduler) = (QueryOptions::default(), SchedulerConfig::default());
+        let requests = self.batch_requests(queries, k, measure, options, scheduler, planner)?;
+        Ok(plan::plan_batch(&self.shards, &requests))
     }
 
     /// Renders [`plan_batch`](Self::plan_batch) for humans: the footprint
@@ -796,36 +657,13 @@ impl ShardedSnapshot {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        let rows: Vec<Option<JoinRow>> = if options.threads <= 1 || probes.len() <= 1 {
-            probes.iter().map(|&probe| self.join_one(probe, measure, options)).collect()
-        } else {
-            probes.par_iter().map(|&probe| self.join_one(probe, measure, options)).collect()
-        };
-        Ok(collect_join_rows(rows))
-    }
-
-    fn join_one<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        probe: EntityId,
-        measure: &M,
-        options: JoinOptions,
-    ) -> Option<JoinRow> {
-        let seq = self.sequence(probe)?;
-        let scheduler = SchedulerConfig::default();
-        let planner = PlannerConfig::default();
-        match self.fan_out(
-            seq,
-            Some(probe),
-            options.k,
-            measure,
-            options.query,
-            false,
-            scheduler,
-            planner,
-        ) {
-            Ok((matches, stats)) => Some(JoinRow { probe, matches, stats }),
-            Err(_) => None,
-        }
+        Ok(join_probes(probes, options.threads, |probe| {
+            let request =
+                Request { options: options.query, ..self.request(probe, options.k, measure).ok()? };
+            let access = ArenaAccess::new(&self.shards, request.query, None);
+            let (matches, stats) = drive::run(&access, &request, false).ok()?;
+            Some(JoinRow { probe, matches, stats })
+        }))
     }
 
     /// Ground-truth brute force over all shards' sequences, merged under the
@@ -847,538 +685,148 @@ impl ShardedSnapshot {
         Ok(engine::merge_top_k(k, parts))
     }
 
-    /// The shard snapshots in shard order (what the planner and the paged
-    /// fan-out iterate).
+    /// The shard snapshots in shard order (what the paged wrapper iterates).
     pub(crate) fn shard_snapshots(&self) -> &[Arc<IndexSnapshot>] {
         &self.shards
     }
 
-    /// Rejects query sequences whose level count does not match the shards'
-    /// trees — up front, so a plan that scans or skips every shard reports
-    /// the same [`IndexError::LevelMismatch`] the executor constructor
-    /// would.
-    pub(crate) fn check_query_levels(&self, query: &CellSetSequence) -> Result<()> {
-        let index_levels = self.shards[0].tree().levels();
-        if query.num_levels() != index_levels as usize {
-            return Err(IndexError::LevelMismatch {
-                index_levels,
-                query_levels: query.num_levels() as u8,
-            });
-        }
-        Ok(())
+    /// The default-knob request of one indexed query entity;
+    /// [`IndexError::UnknownQueryEntity`] when it is not indexed.
+    fn request<'q, M: ?Sized>(
+        &'q self,
+        query: EntityId,
+        k: usize,
+        measure: &'q M,
+    ) -> Result<Request<'q, M>> {
+        let seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
+        Ok(Request::new(seq, query, k, measure))
     }
 
-    /// The planned cooperative cross-shard fan-out and exact merge shared by
-    /// every query path: plan first (seed, skip, order, pick access paths),
-    /// scan the tiny admitted shards, then interleave one resumable executor
-    /// per admitted tree shard in quanta against one seeded query-global
-    /// bound.
-    #[allow(clippy::too_many_arguments)]
-    fn fan_out<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
+    /// The requests of a batch, resolved sequentially so the *first* unknown
+    /// entity (in input order) fails the batch, matching the unsharded
+    /// contract.
+    fn batch_requests<'q, M: ?Sized>(
+        &'q self,
+        queries: &[EntityId],
         k: usize,
-        measure: &M,
+        measure: &'q M,
         options: QueryOptions,
-        parallel: bool,
         scheduler: SchedulerConfig,
         planner: PlannerConfig,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        scheduler.validate()?;
-        planner.validate()?;
-        let start = Instant::now();
-        self.check_query_levels(query)?;
-        let plan = plan::plan_query(&self.shards, query, exclude, k, measure, &planner);
-        let planning_us = start.elapsed().as_micros() as u64;
-        self.execute_plan(
-            &plan,
-            query,
-            exclude,
-            k,
-            measure,
-            options,
-            parallel,
-            scheduler,
-            start,
-            planning_us,
-        )
-    }
-
-    /// Executes an already-built [`QueryPlan`]: the cooperative exact drive
-    /// when no latency budget is set (byte-for-byte the pre-budget fan-out),
-    /// or the sequential deadline-checked drive when one is.  `start` is the
-    /// instant the per-query latency budget is measured from — for the
-    /// single-query path that is *before* planning (planning time spends
-    /// budget, matching the cost model), for the batch path it is the
-    /// query's own execution start (the batch's shared planning cost is
-    /// amortized, not charged per query).
-    #[allow(clippy::too_many_arguments)]
-    fn execute_plan<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        plan: &QueryPlan,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        parallel: bool,
-        scheduler: SchedulerConfig,
-        start: Instant,
-        planning_us: u64,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let mut stats = QueryStats { k, planning_us, ..QueryStats::default() };
-        // Seeding scored real candidates exactly: charge them as checked
-        // work, and count skipped shards' populations toward |E| so pruning
-        // effectiveness stays comparable with unplanned runs.
-        stats.entities_checked += plan.seed_candidates;
-        stats.shards_skipped = plan.shards_skipped();
-        stats.threshold_seeded = plan.seeded();
-        for shard_plan in &plan.shards {
-            if shard_plan.decision == ShardDecision::Skip {
-                stats.total_entities += shard_plan.entities;
-            }
+    ) -> Result<Vec<Request<'q, M>>> {
+        let mut requests = Vec::with_capacity(queries.len());
+        for &query in queries {
+            let request =
+                Request { options, scheduler, planner, ..self.request(query, k, measure)? };
+            drive::admit(&self.shards, &request)?;
+            requests.push(request);
         }
-
-        if plan.planner.latency_budget_us.is_some() {
-            return self.execute_plan_deadline(
-                plan, query, exclude, k, measure, options, scheduler, start, stats,
-            );
-        }
-
-        let use_shared = scheduler.bound_mode == BoundMode::Shared;
-        let shared = SharedBound::new();
-        if use_shared && plan.seeded() {
-            shared.publish(plan.seed);
-        }
-
-        // Scan shards first: their exact per-shard answers are cheap, and
-        // each one's local k-th degree is ≤ the global k-th degree, so it
-        // can legally raise the shared bound before any tree executor runs.
-        let scan_view = crate::kernel::QueryView::new(query);
-        let mut parts: Vec<Vec<TopKResult>> = Vec::with_capacity(plan.shards.len());
-        for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::Scan) {
-            let shard = &self.shards[shard_plan.shard];
-            let (results, checked) = shard.arena().scan_top_k(
-                &scan_view,
-                exclude,
-                k,
-                measure,
-                &mut stats.kernel_dispatch,
-            );
-            stats.total_entities += shard.num_entities();
-            stats.entities_checked += checked;
-            if use_shared && k > 0 && results.len() >= k {
-                shared.publish(results[k - 1].degree);
-            }
-            parts.push(results);
-        }
-
-        // Tree shards in plan order: most promising first, so the executor
-        // most likely to raise the bound is driven before the long tail.
-        let mut executors: Vec<Executor<'_, SeededHashFamily, crate::kernel::ArenaSource<'_>, M>> =
-            Vec::with_capacity(plan.shards.len());
-        for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::TreeSearch) {
-            executors.push(
-                self.shards[shard_plan.shard]
-                    .executor(query, exclude, k, measure, options)?
-                    .with_publish_policy(scheduler.publish_policy),
-            );
-        }
-        // A single unseeded executor can only share a bound with itself; its
-        // local threshold already carries the same information, so skip the
-        // atomic churn (1-shard cooperative == 1-shard independent, exactly).
-        // With a seed (or scan-published thresholds) in the shared bound,
-        // even a lone executor must prune against it.
-        if use_shared && (executors.len() > 1 || shared.current() > f64::NEG_INFINITY) {
-            drive_cooperatively(&mut executors, &shared, parallel, scheduler.step_quantum);
-        } else if !use_shared && plan.seeded() {
-            // Independent mode still profits from the planner's seed — a
-            // fixed bound that shares nothing between shards.
-            let seeded = SeededBound::new(plan.seed);
-            drive_cooperatively(&mut executors, &seeded, parallel, scheduler.step_quantum);
-        } else {
-            drive_cooperatively(&mut executors, &PrivateBound, parallel, scheduler.step_quantum);
-        }
-
-        for executor in executors {
-            // Kernel accounting lives on the source (the executor's stats
-            // only count frontier work); drain it before `finish` consumes
-            // the executor.
-            stats.kernel_dispatch.absorb(executor.source().take_dispatch());
-            let (results, executor_stats) = executor.finish();
-            stats.absorb_work(&executor_stats);
-            parts.push(results);
-        }
-        let results = engine::merge_top_k(k, parts);
-        stats.query_time_us = start.elapsed().as_micros() as u64;
-        Ok((results, stats))
-    }
-
-    /// The deadline-checked execution of a budgeted plan.
-    ///
-    /// Admitted shards are driven **sequentially in plan order** (most
-    /// promising first), so when the deadline trips the work already spent
-    /// went to the shards most likely to hold the answer.  Per shard:
-    ///
-    /// * planned [`ShardDecision::ApproximateScan`] verdicts run the
-    ///   deterministic sampled scan;
-    /// * exact verdicts whose turn comes *after* the deadline are downgraded
-    ///   to the sampled scan at the shard's recall-floor rate;
-    /// * a tree search caught mid-flight is abandoned (its work counters are
-    ///   kept) and the shard re-answered by the sampled scan — unless the
-    ///   recall floor demands rate 1.0, in which case the shard ignores the
-    ///   deadline and stays exact (the floor is the hard constraint, the
-    ///   budget best-effort).
-    ///
-    /// Every sampled shard is recorded in the [`DegradationReport`]; when no
-    /// shard ends up sampled the report is omitted, `recall_estimate` stays
-    /// 1.0, and the answer is bitwise identical to the unbudgeted drive
-    /// (exact answers are schedule-independent, so the sequential order
-    /// changes nothing).
-    #[allow(clippy::too_many_arguments)]
-    fn execute_plan_deadline<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        plan: &QueryPlan,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        start: Instant,
-        mut stats: QueryStats,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let deadline = plan
-            .planner
-            .latency_budget_us
-            .and_then(|us| start.checked_add(Duration::from_micros(us)));
-        let use_shared = scheduler.bound_mode == BoundMode::Shared;
-        let shared = SharedBound::new();
-        if plan.seeded() {
-            shared.publish(plan.seed);
-        }
-        let seeded = SeededBound::new(plan.seed);
-        let mut report = DegradationReport::default();
-        let mut parts: Vec<Vec<TopKResult>> = Vec::with_capacity(plan.shards.len());
-        if use_shared {
-            self.drive_deadline(
-                plan,
-                query,
-                exclude,
-                k,
-                measure,
-                options,
-                scheduler,
-                &shared,
-                Some(&shared),
-                deadline,
-                &mut stats,
-                &mut report,
-                &mut parts,
-            )?;
-        } else if plan.seeded() {
-            // Independent mode still profits from the seed as a fixed bound.
-            self.drive_deadline(
-                plan,
-                query,
-                exclude,
-                k,
-                measure,
-                options,
-                scheduler,
-                &seeded,
-                None,
-                deadline,
-                &mut stats,
-                &mut report,
-                &mut parts,
-            )?;
-        } else {
-            self.drive_deadline(
-                plan,
-                query,
-                exclude,
-                k,
-                measure,
-                options,
-                scheduler,
-                &PrivateBound,
-                None,
-                deadline,
-                &mut stats,
-                &mut report,
-                &mut parts,
-            )?;
-        }
-        if report.shards_approximate() > 0 {
-            stats.degradation = Some(report);
-        }
-        let results = engine::merge_top_k(k, parts);
-        stats.query_time_us = start.elapsed().as_micros() as u64;
-        Ok((results, stats))
-    }
-
-    /// Sequential plan-order drive under one bound with per-shard deadline
-    /// checks — the loop behind
-    /// [`execute_plan_deadline`](Self::execute_plan_deadline).
-    #[allow(clippy::too_many_arguments)]
-    fn drive_deadline<M, B>(
-        &self,
-        plan: &QueryPlan,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        bound: &B,
-        shared: Option<&SharedBound>,
-        deadline: Option<Instant>,
-        stats: &mut QueryStats,
-        report: &mut DegradationReport,
-        parts: &mut Vec<Vec<TopKResult>>,
-    ) -> Result<()>
-    where
-        M: AssociationMeasure + Sync + ?Sized,
-        B: Bound + ?Sized,
-    {
-        let scan_view = crate::kernel::QueryView::new(query);
-        for shard_plan in plan.admitted() {
-            let shard = &self.shards[shard_plan.shard];
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            match shard_plan.decision {
-                ShardDecision::Skip => unreachable!("admitted() filters skips"),
-                ShardDecision::ApproximateScan { rate } => {
-                    self.sampled_scan_shard(
-                        shard_plan.shard,
-                        query,
-                        exclude,
-                        k,
-                        measure,
-                        rate,
-                        true,
-                        false,
-                        stats,
-                        report,
-                        shared,
-                        parts,
-                    );
-                }
-                ShardDecision::Scan => {
-                    let floor_rate =
-                        shard.synopsis().min_rate_for_recall(plan.planner.recall_floor);
-                    if expired && floor_rate < 1.0 {
-                        report.deadline_exceeded = true;
-                        self.sampled_scan_shard(
-                            shard_plan.shard,
-                            query,
-                            exclude,
-                            k,
-                            measure,
-                            floor_rate,
-                            true,
-                            true,
-                            stats,
-                            report,
-                            shared,
-                            parts,
-                        );
-                        continue;
-                    }
-                    let (results, checked) = shard.arena().scan_top_k(
-                        &scan_view,
-                        exclude,
-                        k,
-                        measure,
-                        &mut stats.kernel_dispatch,
-                    );
-                    stats.total_entities += shard.num_entities();
-                    stats.entities_checked += checked;
-                    if let Some(shared) = shared {
-                        if k > 0 && results.len() >= k {
-                            shared.publish(results[k - 1].degree);
-                        }
-                    }
-                    parts.push(results);
-                }
-                ShardDecision::TreeSearch => {
-                    let floor_rate =
-                        shard.synopsis().min_rate_for_recall(plan.planner.recall_floor);
-                    if expired && floor_rate < 1.0 {
-                        report.deadline_exceeded = true;
-                        self.sampled_scan_shard(
-                            shard_plan.shard,
-                            query,
-                            exclude,
-                            k,
-                            measure,
-                            floor_rate,
-                            true,
-                            true,
-                            stats,
-                            report,
-                            shared,
-                            parts,
-                        );
-                        continue;
-                    }
-                    let mut executor = shard
-                        .executor(query, exclude, k, measure, options)?
-                        .with_publish_policy(scheduler.publish_policy);
-                    // A shard the floor pins to rate 1.0 cannot be usefully
-                    // sampled: it runs to exhaustion regardless of deadline.
-                    // Otherwise, abandoning at the raw deadline would still
-                    // pay the sampled fallback scan *after* it — overshooting
-                    // the budget by exactly that scan — so its estimated cost
-                    // (the budget pass's own calibration) is reserved out of
-                    // the deadline handed to the executor.
-                    let shard_deadline = if floor_rate >= 1.0 {
-                        None
-                    } else {
-                        let reserve = Duration::from_nanos(plan::fallback_reserve_ns(
-                            floor_rate,
-                            shard_plan.entities,
-                            plan.seed_candidates,
-                            stats.planning_us,
-                        ));
-                        deadline.map(|d| d.checked_sub(reserve).unwrap_or(d))
-                    };
-                    let exhausted =
-                        executor.run_until(bound, scheduler.step_quantum, shard_deadline);
-                    stats.kernel_dispatch.absorb(executor.source().take_dispatch());
-                    let (results, executor_stats) = executor.finish();
-                    stats.absorb_work(&executor_stats);
-                    if exhausted {
-                        parts.push(results);
-                    } else {
-                        // Mid-flight abandon: keep the counters (the work
-                        // happened), discard the partial answer — it may be
-                        // missing arbitrary entities, while the sampled
-                        // scan's omissions are exactly what the error model
-                        // prices.  The executor already counted the shard's
-                        // population, so the scan must not count it again.
-                        report.deadline_exceeded = true;
-                        self.sampled_scan_shard(
-                            shard_plan.shard,
-                            query,
-                            exclude,
-                            k,
-                            measure,
-                            floor_rate,
-                            false,
-                            true,
-                            stats,
-                            report,
-                            shared,
-                            parts,
-                        );
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the deterministic sampled scan on one shard and does all the
-    /// degradation bookkeeping: work counters, conservative recall estimate,
-    /// report row, optional bound publishing (a sampled k-th-best over `≥ k`
-    /// real candidates is still `≤` the global k-th best, so publishing it
-    /// is sound).  `count_population` is false when the caller already
-    /// charged the shard's population (an abandoned mid-flight executor).
-    #[allow(clippy::too_many_arguments)]
-    fn sampled_scan_shard<M: AssociationMeasure + ?Sized>(
-        &self,
-        shard_idx: usize,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        rate: f64,
-        count_population: bool,
-        downgraded: bool,
-        stats: &mut QueryStats,
-        report: &mut DegradationReport,
-        shared: Option<&SharedBound>,
-        parts: &mut Vec<Vec<TopKResult>>,
-    ) {
-        let shard = &self.shards[shard_idx];
-        let (results, checked) = shard.approximate_scan_top_k(
-            query,
-            exclude,
-            k,
-            measure,
-            rate,
-            &mut stats.kernel_dispatch,
-        );
-        if count_population {
-            stats.total_entities += shard.num_entities();
-        }
-        stats.entities_checked += checked;
-        stats.sampled_candidates += checked;
-        stats.recall_estimate =
-            stats.recall_estimate.min(shard.synopsis().expected_scan_recall(rate));
-        report.record_shard(shard_idx, rate, downgraded);
-        if let Some(shared) = shared {
-            if k > 0 && results.len() >= k {
-                shared.publish(results[k - 1].degree);
-            }
-        }
-        parts.push(results);
+        Ok(requests)
     }
 }
 
-/// Drives a set of per-shard executors to exhaustion under one shared bound.
-///
-/// Scheduling is a round-robin work queue of executor indices: each worker
-/// pops an index, advances that executor by one quantum, and requeues it
-/// while work remains.  `parallel` fans the workers out over rayon (bound
-/// propagation is then concurrent); otherwise one worker interleaves every
-/// executor on the calling thread — later quanta still profit from bounds
-/// published by earlier ones, which is what makes even the sequential batch
-/// paths cooperative.  An executor held by a worker is never in the queue,
-/// and a worker only exits on an empty queue while holding nothing, so every
-/// frontier reaches exhaustion before this returns.  The answers do not
-/// depend on the schedule (see the module docs); only work counters do.
-pub(crate) fn drive_cooperatively<'a, F, S, M, B>(
-    executors: &mut [Executor<'a, F, S, M>],
-    bound: &B,
-    parallel: bool,
-    quantum: usize,
-) where
-    F: crate::signature::CellHashFamily,
-    S: engine::TraceSource,
-    M: AssociationMeasure + ?Sized + Sync,
-    B: Bound + ?Sized,
-    Executor<'a, F, S, M>: Send,
-{
-    let workers =
-        if parallel { rayon::current_num_threads().min(executors.len()) } else { 1 }.max(1);
-    if workers <= 1 || executors.len() <= 1 {
-        let mut pending: VecDeque<usize> = (0..executors.len()).collect();
-        while let Some(i) = pending.pop_front() {
-            if executors[i].step(bound, quantum) {
-                pending.push_back(i);
-            }
-        }
-        return;
+/// In-memory [`ShardAccess`]: candidates are read from the shard snapshots'
+/// candidate arenas — no pages, no pins, nothing to drain but the executor
+/// sources' kernel-dispatch counts.
+pub(crate) struct ArenaAccess<'q> {
+    shards: &'q [Arc<IndexSnapshot>],
+    query: &'q CellSetSequence,
+    view: QueryView<'q>,
+    /// Batch planning's pre-resolved [`sketch_positions`]; per-query planning
+    /// looks each sketch entity up instead.
+    sketch_positions: Option<&'q [Vec<Option<usize>>]>,
+}
+
+impl<'q> ArenaAccess<'q> {
+    pub(crate) fn new(
+        shards: &'q [Arc<IndexSnapshot>],
+        query: &'q CellSetSequence,
+        sketch_positions: Option<&'q [Vec<Option<usize>>]>,
+    ) -> Self {
+        ArenaAccess { shards, query, view: QueryView::new(query), sketch_positions }
+    }
+}
+
+/// Every shard's sketch entities resolved to arena positions, `[shard][slot]`
+/// parallel to [`Synopsis::hot_entities`](crate::synopsis::Synopsis::hot_entities).
+/// The synopsis travels with its snapshot, so a miss cannot happen — and would
+/// only cost seed quality, never correctness.
+pub(crate) fn sketch_positions(shards: &[Arc<IndexSnapshot>]) -> Vec<Vec<Option<usize>>> {
+    shards
+        .iter()
+        .map(|shard| {
+            let arena = shard.arena();
+            shard.synopsis().hot_entities().iter().map(|&hot| arena.position(hot)).collect()
+        })
+        .collect()
+}
+
+impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
+    type Source = ArenaSource<'q>;
+
+    fn shards(&self) -> &'q [Arc<IndexSnapshot>] {
+        self.shards
     }
 
-    let slots: Vec<Mutex<&mut Executor<'a, F, S, M>>> =
-        executors.iter_mut().map(Mutex::new).collect();
-    let pending: Mutex<VecDeque<usize>> = Mutex::new((0..slots.len()).collect());
-    let worker_ids: Vec<usize> = (0..workers).collect();
-    let _: Vec<()> = worker_ids
-        .par_iter()
-        .map(|_| loop {
-            let next = pending.lock().expect("scheduler queue poisoned").pop_front();
-            let Some(i) = next else { break };
-            let more = slots[i].lock().expect("executor slot poisoned").step(bound, quantum);
-            if more {
-                pending.lock().expect("scheduler queue poisoned").push_back(i);
+    // Seeding is most of a skipping query's cost: inlined into the planner,
+    // or a 35 µs query pays ~0.2 µs for the call boundary.
+    #[inline]
+    fn seed<M: AssociationMeasure + ?Sized>(
+        &self,
+        shard: usize,
+        exclude: Option<EntityId>,
+        measure: &M,
+        scratch: &mut LevelOverlap,
+        mut offer: impl FnMut(EntityId, f64),
+    ) {
+        let snapshot = &self.shards[shard];
+        let arena = snapshot.arena();
+        for (slot, &hot) in snapshot.synopsis().hot_entities().iter().enumerate() {
+            if Some(hot) == exclude {
+                continue;
             }
-        })
-        .collect();
+            let pos = match self.sketch_positions {
+                Some(positions) => positions[shard][slot],
+                None => arena.position(hot),
+            };
+            if let Some(pos) = pos {
+                offer(hot, arena.degree_into(pos, &self.view, measure, scratch));
+            }
+        }
+    }
+
+    fn scan<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        shard: usize,
+        rate: Option<f64>,
+        request: &Request<'q, M>,
+        stats: &mut QueryStats,
+    ) -> (Vec<TopKResult>, usize) {
+        let shard = &self.shards[shard];
+        let Request { exclude, k, measure, .. } = *request;
+        let dispatch = &mut stats.kernel_dispatch;
+        match rate {
+            None => shard.arena().scan_top_k(&self.view, exclude, k, measure, dispatch),
+            Some(rate) => shard.arena().scan_top_k_sampled(
+                &self.view,
+                exclude,
+                k,
+                measure,
+                rate,
+                shard.synopsis().hot_entities(),
+                dispatch,
+            ),
+        }
+    }
+
+    fn source(&self, shard: usize) -> ArenaSource<'q> {
+        let shard = &self.shards[shard];
+        ArenaSource::new(shard.sequences(), shard.arena(), self.query)
+    }
+
+    fn drain_source(source: &ArenaSource<'q>, stats: &mut QueryStats) {
+        stats.kernel_dispatch.absorb(source.take_dispatch());
+    }
 }
 
 impl IngestBuffer {

@@ -353,34 +353,4 @@ impl IndexSnapshot {
             self.arena.scan_top_k(&QueryView::new(seq), Some(query), k, measure, &mut dispatch);
         Ok(results)
     }
-
-    /// Deterministic sampled top-k over this snapshot — the execution of the
-    /// planner's [`ShardDecision::ApproximateScan`] verdict.  The synopsis's
-    /// [`hot entities`](Synopsis::hot_entities) are always scored; every
-    /// other member is included with probability `rate` via the pure-hash
-    /// sample ([`plan::sample_includes`]), so the answer is identical across
-    /// runs.  Returns the sorted answers plus the number of entities
-    /// actually scored (the caller's `sampled_candidates`).
-    ///
-    /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
-    /// [`plan::sample_includes`]: crate::plan::sample_includes
-    pub fn approximate_scan_top_k<M: AssociationMeasure + ?Sized>(
-        &self,
-        query: &CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        rate: f64,
-        dispatch: &mut crate::stats::KernelDispatch,
-    ) -> (Vec<TopKResult>, usize) {
-        self.arena.scan_top_k_sampled(
-            &QueryView::new(query),
-            exclude,
-            k,
-            measure,
-            rate,
-            self.synopsis.hot_entities(),
-            dispatch,
-        )
-    }
 }

@@ -19,9 +19,9 @@
 //! runs through a single **resumable** best-first executor
 //! (`minsig::engine::Executor`), parameterised over a `TraceSource` that says
 //! where candidate trace sequences come from during leaf evaluation
-//! (`InMemorySource` borrows the index snapshot's sequence map, `PagedSource`
-//! reads raw traces through the `storage` buffer pool) and over a `Bound` —
-//! the k-th-degree threshold candidates must beat.  The sharded index drives
+//! (`ArenaSource` scores from the index snapshot's flat candidate arena,
+//! `PagedSource` reads raw traces through the `storage` buffer pool) and over
+//! a `Bound` — the k-th-degree threshold candidates must beat.  The sharded index drives
 //! one executor per shard as a cooperative scheduler sharing one atomic
 //! `SharedBound` per query, so cross-shard answers keep the pruning power of
 //! a single tree while staying bitwise identical to unsharded execution.

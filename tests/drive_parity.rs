@@ -1,0 +1,210 @@
+//! The in-memory and the out-of-core query paths run **one** planner body
+//! and **one** drive; these tests pin the places where two copies used to be
+//! able to drift.
+//!
+//! * With a zero budget nothing depends on the clock (every planned rate is
+//!   the recall-floor rate, every exact verdict is overtaken by the deadline
+//!   at its turn), so the budgeted schedule is deterministic — and must
+//!   produce the same degraded answer, degradation report and work counters
+//!   through the arenas as through a buffer pool of any size.
+//! * Once every page is resident the page-aware cost decisions reduce to the
+//!   in-memory rule, so a paged plan with its page estimates stripped must
+//!   *equal* the in-memory plan, seed and upper-bound bits included.
+//! * Both paths reject the same bad knobs at the same entry points.
+
+use digital_traces::index::testkit::{UniformConfig, Workload};
+use digital_traces::index::{
+    IndexConfig, IndexError, PlannerConfig, QueryOptions, QueryPlan, SchedulerConfig,
+    ShardedMinSigIndex,
+};
+use digital_traces::storage::{PagedTraceStore, PoolConfig, PAGE_SIZE};
+use digital_traces::EntityId;
+
+const SHARD_COUNTS: [usize; 3] = [1, 3, 5];
+
+fn world(seed: u64) -> (Workload, PagedTraceStore) {
+    let w = Workload::uniform(UniformConfig {
+        entities: 96,
+        visits: 5,
+        time_slots: 48,
+        seed,
+        ..UniformConfig::default()
+    });
+    let store = PagedTraceStore::build(&w.traces, 4);
+    (w, store)
+}
+
+fn sharded(w: &Workload, shards: usize) -> ShardedMinSigIndex {
+    ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), shards)
+        .unwrap()
+}
+
+/// The two pool sizes that bracket the paged drive: one frame (every read a
+/// miss) and room for everything (every read after the first a hit).
+fn pool_configs(store: &PagedTraceStore) -> [PoolConfig; 2] {
+    [
+        PoolConfig { capacity_bytes: PAGE_SIZE, ..PoolConfig::default() },
+        PoolConfig::with_memory_fraction(store.data_bytes(), 1.0),
+    ]
+}
+
+#[test]
+fn zero_budget_degrades_identically_in_memory_and_out_of_core() {
+    let mut degraded = 0usize;
+    for seed in [3u64, 17] {
+        let (w, store) = world(seed);
+        let measure = w.measure();
+        let queries = w.sample_entities(8, seed ^ 0xD21E);
+        for shards in SHARD_COUNTS {
+            let index = sharded(&w, shards);
+            let snapshot = index.snapshot();
+            for pool_config in pool_configs(&store) {
+                let pool = store.pool(pool_config);
+                let paged = snapshot.paged(&store, &pool);
+                for floor in [0.0, 0.3, 0.6, 0.9] {
+                    let planner = PlannerConfig::with_budget_and_floor(0, floor);
+                    for (&query, k) in queries.iter().zip([1usize, 3, 5, 8].into_iter().cycle()) {
+                        let ctx = format!(
+                            "seed {seed}, {shards} shards, {} B pool, floor {floor}, \
+                             query {query}, k {k}",
+                            pool_config.capacity_bytes
+                        );
+                        let (options, scheduler) =
+                            (QueryOptions::default(), SchedulerConfig::default());
+                        let (mem, mem_stats) = snapshot
+                            .top_k_with_planner(query, k, &measure, options, scheduler, planner)
+                            .unwrap();
+                        let (out, out_stats) = paged
+                            .top_k_with_planner(query, k, &measure, options, scheduler, planner)
+                            .unwrap();
+                        assert_eq!(mem.len(), out.len(), "{ctx}");
+                        for (a, b) in mem.iter().zip(&out) {
+                            assert_eq!(a.entity, b.entity, "{ctx}");
+                            assert_eq!(a.degree.to_bits(), b.degree.to_bits(), "{ctx}");
+                        }
+                        assert_eq!(mem_stats.degradation, out_stats.degradation, "{ctx}");
+                        assert_eq!(
+                            mem_stats.recall_estimate.to_bits(),
+                            out_stats.recall_estimate.to_bits(),
+                            "{ctx}"
+                        );
+                        assert_eq!(
+                            (
+                                mem_stats.sampled_candidates,
+                                mem_stats.shards_skipped,
+                                mem_stats.entities_checked,
+                                mem_stats.total_entities,
+                            ),
+                            (
+                                out_stats.sampled_candidates,
+                                out_stats.shards_skipped,
+                                out_stats.entities_checked,
+                                out_stats.total_entities,
+                            ),
+                            "{ctx}: sampled / skipped / checked / total"
+                        );
+                        assert_eq!(pool.pinned_frames(), 0, "{ctx}: pins all released");
+                        degraded += usize::from(out_stats.degradation.is_some());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(degraded, 2 * 3 * 2 * 4 * 8, "a zero budget degrades every query");
+}
+
+#[test]
+fn warm_pool_plans_equal_in_memory_plans() {
+    let planners = [
+        PlannerConfig::default(),
+        PlannerConfig { scan_cutoff: 0, ..PlannerConfig::default() },
+        PlannerConfig { scan_cutoff: 1_000, skip_shards: false, ..PlannerConfig::default() },
+        PlannerConfig { seed_threshold: false, ..PlannerConfig::default() },
+        PlannerConfig::disabled(),
+    ];
+    for seed in [5u64, 29] {
+        let (w, store) = world(seed);
+        let measure = w.measure();
+        for shards in SHARD_COUNTS {
+            let index = sharded(&w, shards);
+            let snapshot = index.snapshot();
+            let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), 1.0));
+            for entity in w.entities() {
+                store.read_trace(&pool, entity).expect("stored");
+            }
+            let paged = snapshot.paged(&store, &pool);
+            for query in w.sample_entities(6, seed ^ 0xFA57) {
+                for k in [1usize, 4, 9] {
+                    for planner in planners {
+                        let warm = paged.explain(query, k, &measure, planner).unwrap();
+                        let active = planner != PlannerConfig::disabled();
+                        assert!(
+                            warm.shards.iter().all(|s| s.pages.is_some() == active),
+                            "page estimates exactly on active paged plans"
+                        );
+                        let stripped = QueryPlan {
+                            shards: warm
+                                .shards
+                                .iter()
+                                .map(|&s| digital_traces::index::ShardPlan { pages: None, ..s })
+                                .collect(),
+                            ..warm
+                        };
+                        let mem = snapshot.explain(query, k, &measure, planner).unwrap();
+                        assert_eq!(
+                            stripped, mem,
+                            "seed {seed}, {shards} shards, query {query}, k {k}, {planner:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn both_paths_reject_the_same_bad_knobs() {
+    let (w, store) = world(7);
+    let measure = w.measure();
+    let index = sharded(&w, 3);
+    let snapshot = index.snapshot();
+    let pool = store.pool(PoolConfig::default());
+    let paged = snapshot.paged(&store, &pool);
+    let query = EntityId(0);
+    let invalid = |result: Result<(), IndexError>, what: &str| {
+        assert!(matches!(result, Err(IndexError::InvalidConfig(_))), "{what}: {result:?}");
+    };
+
+    // `explain` validates the planner like the executing entry points do.
+    let bad_planner = PlannerConfig { recall_floor: 1.5, ..PlannerConfig::default() };
+    invalid(snapshot.explain(query, 3, &measure, bad_planner).map(drop), "in-memory explain");
+    invalid(paged.explain(query, 3, &measure, bad_planner).map(drop), "paged explain");
+    let (options, scheduler) = (QueryOptions::default(), SchedulerConfig::default());
+    invalid(
+        snapshot.top_k_with_planner(query, 3, &measure, options, scheduler, bad_planner).map(drop),
+        "in-memory top_k_with_planner",
+    );
+    invalid(
+        paged.top_k_with_planner(query, 3, &measure, options, scheduler, bad_planner).map(drop),
+        "paged top_k_with_planner",
+    );
+
+    // An empty batch still validates its knobs, on both paths.
+    let bad_scheduler = SchedulerConfig::with_step_quantum(0);
+    let planner = PlannerConfig::default();
+    for (scheduler, planner) in [(bad_scheduler, planner), (scheduler, bad_planner)] {
+        invalid(
+            snapshot
+                .top_k_batch_with_planner(&[], 3, &measure, options, scheduler, planner)
+                .map(drop),
+            "in-memory empty batch",
+        );
+        invalid(
+            paged.top_k_batch_with_planner(&[], 3, &measure, options, scheduler, planner).map(drop),
+            "paged empty batch",
+        );
+    }
+    let empty =
+        paged.top_k_batch_with_planner(&[], 3, &measure, options, scheduler, planner).unwrap();
+    assert!(empty.is_empty());
+}
