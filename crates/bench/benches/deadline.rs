@@ -21,10 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use minsig::shard::ShardedSnapshot;
 use minsig::testkit::{measured_recall, DeadlineAdversarialConfig, Workload};
-use minsig::{
-    IndexConfig, PlannerConfig, QueryOptions, QueryStats, SchedulerConfig, ShardedMinSigIndex,
-    TopKResult,
-};
+use minsig::{IndexConfig, PlannerConfig, Query, QueryStats, ShardedMinSigIndex, TopKResult};
 use std::hint::black_box;
 use std::time::Instant;
 use trace_model::{EntityId, PaperAdm};
@@ -59,14 +56,7 @@ fn run_query(
         Some(us) => PlannerConfig::with_budget_and_floor(us, RECALL_FLOOR),
     };
     snapshot
-        .top_k_with_planner(
-            query,
-            K,
-            measure,
-            QueryOptions::default(),
-            SchedulerConfig::default(),
-            planner,
-        )
+        .query(query, &Query { planner, ..Query::new(K, measure) })
         .expect("deadline bench query answers")
 }
 

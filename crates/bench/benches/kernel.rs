@@ -40,13 +40,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use minsig::testkit::Rng64;
-use minsig::{
-    IndexConfig, PlannerConfig, QueryOptions, QueryView, SchedulerConfig, ShardedMinSigIndex,
-    TopKResult,
-};
+use minsig::{IndexConfig, QueryView, ShardedMinSigIndex, TopKResult};
 use minsig_bench::{
-    bench_dataset, bench_index, bench_measure, bench_queries, planner_bench_workload,
-    shard_bench_workload, syn_5k_dataset, SHARD_BENCH_ENTITIES,
+    bench_dataset, bench_index, bench_measure, bench_queries, independent_top_k,
+    planner_bench_workload, shard_bench_workload, syn_5k_dataset, SHARD_BENCH_ENTITIES,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -390,30 +387,13 @@ fn shard_row(name: &str, workload: &minsig::testkit::Workload, queries: &[Entity
     )
     .expect("sharded bench index builds");
     let snapshot = index.snapshot();
-    let options = QueryOptions::default();
-    let oracle: Vec<Vec<TopKResult>> = queries
-        .iter()
-        .map(|&q| {
-            snapshot
-                .top_k_with_scheduler(q, K, &measure, options, SchedulerConfig::independent())
-                .expect("oracle query answers")
-                .0
-        })
-        .collect();
+    let oracle: Vec<Vec<TopKResult>> =
+        queries.iter().map(|&q| independent_top_k(&snapshot, q, K, &measure).0).collect();
     let mut best = f64::INFINITY;
     for _ in 0..PASSES {
         let start = Instant::now();
         for (i, &query) in queries.iter().enumerate() {
-            let (results, _) = snapshot
-                .top_k_with_planner(
-                    query,
-                    K,
-                    &measure,
-                    options,
-                    SchedulerConfig::default(),
-                    PlannerConfig::default(),
-                )
-                .expect("planned query answers");
+            let (results, _) = snapshot.top_k(query, K, &measure).expect("planned query answers");
             assert_eq!(
                 results, oracle[i],
                 "{name}/planned/8 shards: answers diverged from the unplanned oracle \

@@ -9,9 +9,10 @@
 //! ([`PlannerConfig`]); *cooperative* drives every shard's resumable
 //! executor under one [`SharedBound`] with a cold threshold (the PR 4
 //! default); *independent* is the PR 3 baseline — every shard runs to
-//! completion against its private threshold ([`BoundMode::Independent`]).
-//! All three return bitwise-identical answers, so the comparison isolates
-//! pure planning/pruning effects.
+//! completion against its private threshold
+//! ([`minsig_bench::independent_top_k`]).  All three return
+//! bitwise-identical answers, so the comparison isolates pure
+//! planning/pruning effects.
 //!
 //! Two workloads: *skewed* (the PR 4 hot-clique-over-weak-background
 //! population, where bound sharing has pruning room) and *localized* (the
@@ -29,16 +30,14 @@
 //! shards.
 //!
 //! [`SharedBound`]: minsig::SharedBound
-//! [`BoundMode::Independent`]: minsig::BoundMode
 //! [`PlannerConfig`]: minsig::PlannerConfig
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use minsig::shard::ShardedSnapshot;
-use minsig::{
-    IndexConfig, PlannerConfig, QueryOptions, QueryStats, SchedulerConfig, ShardedMinSigIndex,
-    TopKResult,
+use minsig::{IndexConfig, PlannerConfig, Query, QueryStats, ShardedMinSigIndex, TopKResult};
+use minsig_bench::{
+    independent_top_k, planner_bench_workload, shard_bench_workload, SHARD_BENCH_ENTITIES,
 };
-use minsig_bench::{planner_bench_workload, shard_bench_workload, SHARD_BENCH_ENTITIES};
 use std::hint::black_box;
 use std::time::Instant;
 use trace_model::{EntityId, PaperAdm};
@@ -62,30 +61,22 @@ const MODES: [(Mode, &str); 3] = [
     (Mode::Independent, "independent"),
 ];
 
+/// The `Query` of a planned or cooperative (= unplanned) run.
+fn query_of(measure: &PaperAdm, mode: Mode) -> Query<'_, PaperAdm> {
+    let planner =
+        if mode == Mode::Planned { PlannerConfig::default() } else { PlannerConfig::disabled() };
+    Query { planner, ..Query::new(K, measure) }
+}
+
 fn run_query(
     snapshot: &ShardedSnapshot,
     query: EntityId,
     measure: &PaperAdm,
     mode: Mode,
 ) -> (Vec<TopKResult>, QueryStats) {
-    let options = QueryOptions::default();
     match mode {
-        Mode::Planned => snapshot
-            .top_k_with_planner(
-                query,
-                K,
-                measure,
-                options,
-                SchedulerConfig::default(),
-                PlannerConfig::default(),
-            )
-            .expect("bench query answers"),
-        Mode::Cooperative => snapshot
-            .top_k_with_scheduler(query, K, measure, options, SchedulerConfig::default())
-            .expect("bench query answers"),
-        Mode::Independent => snapshot
-            .top_k_with_scheduler(query, K, measure, options, SchedulerConfig::independent())
-            .expect("bench query answers"),
+        Mode::Independent => independent_top_k(snapshot, query, K, measure),
+        _ => snapshot.query(query, &query_of(measure, mode)).expect("bench query answers"),
     }
 }
 
@@ -152,30 +143,11 @@ fn batch_query(
     measure: &PaperAdm,
     mode: Mode,
 ) -> Vec<(Vec<TopKResult>, QueryStats)> {
-    let options = QueryOptions::default();
     match mode {
-        Mode::Planned => snapshot
-            .top_k_batch_with_planner(
-                queries,
-                K,
-                measure,
-                options,
-                SchedulerConfig::default(),
-                PlannerConfig::default(),
-            )
-            .expect("bench batch answers"),
-        Mode::Cooperative => snapshot
-            .top_k_batch_with_scheduler(queries, K, measure, options, SchedulerConfig::default())
-            .expect("bench batch answers"),
-        Mode::Independent => snapshot
-            .top_k_batch_with_scheduler(
-                queries,
-                K,
-                measure,
-                options,
-                SchedulerConfig::independent(),
-            )
-            .expect("bench batch answers"),
+        Mode::Independent => {
+            queries.iter().map(|&query| independent_top_k(snapshot, query, K, measure)).collect()
+        }
+        _ => snapshot.query_batch(queries, &query_of(measure, mode)).expect("bench batch answers"),
     }
 }
 

@@ -7,9 +7,11 @@
 
 use experiments::Scale;
 use minsig::testkit::{HierarchySpec, PlannerLocalizedConfig, PruningAdversarialConfig, Workload};
-use minsig::{IndexConfig, MinSigIndex};
+use minsig::{
+    engine, IndexConfig, MinSigIndex, QueryOptions, QueryStats, ShardedSnapshot, TopKResult,
+};
 use mobility::{SynConfig, SynDataset};
-use trace_model::{EntityId, PaperAdm};
+use trace_model::{AssociationMeasure, EntityId, PaperAdm};
 
 /// The fixed scale used by all benchmarks.
 pub fn bench_scale() -> Scale {
@@ -85,6 +87,31 @@ pub fn planner_bench_workload() -> (Workload, Vec<EntityId>) {
         hierarchy: HierarchySpec::default(),
         seed: 42,
     })
+}
+
+/// The *independent* fan-out the shard benches keep as their baseline and
+/// oracle: every shard's tree searched to completion against its private
+/// threshold, the per-shard answers merged — nothing planned, nothing shared.
+/// Work counters are summed over the shards.
+pub fn independent_top_k<M: AssociationMeasure + ?Sized>(
+    snapshot: &ShardedSnapshot,
+    query: EntityId,
+    k: usize,
+    measure: &M,
+) -> (Vec<TopKResult>, QueryStats) {
+    let seq = snapshot.sequence(query).expect("bench queries are indexed");
+    let mut work = QueryStats::default();
+    let parts: Vec<Vec<TopKResult>> = (0..snapshot.num_shards())
+        .map(|shard| {
+            let (results, stats) = snapshot
+                .shard(shard)
+                .top_k_for_sequence(seq, Some(query), k, measure, QueryOptions::default())
+                .expect("bench query answers");
+            work.absorb_work(&stats);
+            results
+        })
+        .collect();
+    (engine::merge_top_k(k, parts), work)
 }
 
 /// Builds an index over the benchmark dataset with `nh` hash functions.

@@ -17,7 +17,6 @@
 //! candidates were touched so experiments can trade recall against work.
 
 use crate::error::{IndexError, Result};
-use crate::index::MinSigIndex;
 use crate::query::TopKResult;
 use crate::signature::{CellHashFamily, HierarchicalHasher, SignatureList};
 use crate::snapshot::IndexSnapshot;
@@ -211,25 +210,6 @@ impl IndexSnapshot {
     }
 }
 
-impl MinSigIndex {
-    /// Builds a banded LSH companion index over the already-indexed entities.
-    pub fn banded(&self, config: BandingConfig) -> Result<BandedIndex> {
-        self.snapshot().banded(config)
-    }
-
-    /// Approximate top-k on the current snapshot.  See
-    /// [`IndexSnapshot::approximate_top_k`].
-    pub fn approximate_top_k<M: AssociationMeasure + ?Sized>(
-        &self,
-        banded: &BandedIndex,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot().approximate_top_k(banded, query, k, measure)
-    }
-}
-
 /// Recall of an approximate answer against the exact answer: the fraction of
 /// exact top-k entities that the approximate result recovered (ties are treated
 /// by degree, so any entity whose degree matches the k-th exact degree counts).
@@ -254,6 +234,7 @@ pub fn recall(exact: &[TopKResult], approximate: &[TopKResult]) -> f64 {
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
+    use crate::index::MinSigIndex;
     use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
 
     fn paired_dataset(pairs: usize) -> (SpIndex, TraceSet) {

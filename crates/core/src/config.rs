@@ -71,86 +71,31 @@ impl IndexConfig {
     }
 }
 
-/// When a cooperative executor publishes its local k-th-degree threshold to
-/// the [`SharedBound`](crate::engine::SharedBound) the other shard executors
-/// prune against.
-///
-/// Publishing is a relaxed atomic max-update — cheap, but not free on highly
-/// contended queries; the policy trades publication latency (how quickly the
-/// other shards learn a better bound) against update frequency.  **The policy
-/// never changes any answer**: the shared bound only prunes subtrees that are
-/// provably outside the global top-k, whatever the publication schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PublishPolicy {
-    /// Publish immediately every time the local k-th-best degree improves
-    /// (the default): tightest cross-shard pruning, one atomic max-update per
-    /// improvement.
-    EveryImprovement,
-    /// Publish once at the end of each frontier quantum: batches updates for
-    /// contended workloads, at the cost of other shards pruning against a
-    /// slightly stale bound within a quantum.
-    PerQuantum,
-}
-
-/// Whether concurrent per-shard executors share one global top-k bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BoundMode {
-    /// One [`SharedBound`](crate::engine::SharedBound) across all shard
-    /// executors (the default): every shard prunes against the best k-th
-    /// degree *any* shard has found, recovering the pruning power of the
-    /// unsharded tree.
-    Shared,
-    /// Each shard executor keeps only its private threshold — the PR 3
-    /// independent fan-out, kept as the measurable baseline the
-    /// `shard_scaling` bench (and the conformance stats tests) compare
-    /// cooperative execution against.
-    Independent,
-}
-
-/// Scheduler knobs of the cooperative sharded executor
+/// The scheduler knob of the cooperative sharded executor
 /// ([`ShardedSnapshot`](crate::shard::ShardedSnapshot) query paths).
 ///
-/// None of these knobs can change an answer — cooperative, independent,
-/// any quantum and any publish policy all return the identical bitwise
-/// top-k (`tests/shard_conformance.rs` proptests exactly this); they only
-/// move work counters and wall-clock time.
+/// It cannot change an answer — every quantum returns the identical bitwise
+/// top-k (`tests/shard_conformance.rs` proptests exactly this); it only moves
+/// work counters and wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulerConfig {
     /// Frontier nodes each executor processes per scheduling quantum before
-    /// yielding (and, under [`PublishPolicy::PerQuantum`], publishing).
-    /// Smaller quanta interleave shards more finely — bounds propagate
-    /// earlier — at a higher scheduling overhead.  Must be at least 1.
+    /// yielding.  Smaller quanta interleave shards more finely — bounds
+    /// propagate earlier — at a higher scheduling overhead.  Must be at
+    /// least 1.
     pub step_quantum: usize,
-    /// When executors publish threshold improvements to the shared bound.
-    pub publish_policy: PublishPolicy,
-    /// Whether shard executors share a global bound at all.
-    pub bound_mode: BoundMode,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        SchedulerConfig {
-            step_quantum: 32,
-            publish_policy: PublishPolicy::EveryImprovement,
-            bound_mode: BoundMode::Shared,
-        }
+        SchedulerConfig { step_quantum: 32 }
     }
 }
 
 impl SchedulerConfig {
-    /// A configuration with a specific step quantum and defaults for the rest.
+    /// A configuration with a specific step quantum.
     pub fn with_step_quantum(step_quantum: usize) -> Self {
-        SchedulerConfig { step_quantum, ..SchedulerConfig::default() }
-    }
-
-    /// The independent-executor baseline (PR 3 semantics): private per-shard
-    /// bounds, run-to-completion quanta.
-    pub fn independent() -> Self {
-        SchedulerConfig {
-            step_quantum: usize::MAX,
-            bound_mode: BoundMode::Independent,
-            ..SchedulerConfig::default()
-        }
+        SchedulerConfig { step_quantum }
     }
 
     /// Validates the configuration.
@@ -166,7 +111,7 @@ impl SchedulerConfig {
 ///
 /// The planner consumes the per-shard [`Synopsis`](crate::synopsis::Synopsis)
 /// to seed the search bound, skip shards and pick per-shard access paths
-/// **before** any tree traversal.  Like the scheduler knobs, none of the
+/// **before** any tree traversal.  Like the scheduler knob, none of the
 /// exact-planning knobs can change an answer — seeding and skipping rest on
 /// strict-inequality certificates, and the flat scan is bitwise identical to
 /// an exhausted tree search (`tests/planner_conformance.rs` proptests this);
@@ -232,8 +177,7 @@ impl Default for PlannerConfig {
 
 impl PlannerConfig {
     /// The planner turned fully off: no seeding, no skipping, tree search
-    /// everywhere — the PR 4 behaviour, kept as the measurable baseline (and
-    /// what the explicit `*_with_scheduler` entry points use).
+    /// everywhere — the PR 4 behaviour, kept as the measurable baseline.
     pub fn disabled() -> Self {
         PlannerConfig {
             seed_threshold: false,
@@ -280,11 +224,8 @@ mod tests {
     fn scheduler_defaults_are_cooperative_and_valid() {
         let s = SchedulerConfig::default();
         assert!(s.validate().is_ok());
-        assert_eq!(s.bound_mode, BoundMode::Shared);
-        assert_eq!(s.publish_policy, PublishPolicy::EveryImprovement);
         assert!(s.step_quantum >= 1);
         assert_eq!(SchedulerConfig::with_step_quantum(7).step_quantum, 7);
-        assert_eq!(SchedulerConfig::independent().bound_mode, BoundMode::Independent);
         assert!(SchedulerConfig::with_step_quantum(0).validate().is_err());
     }
 

@@ -9,7 +9,7 @@
 //! * **unbudgeted**: scan shards first (each publishes its local k-th
 //!   degree), then every admitted tree shard as a resumable [`Executor`],
 //!   interleaved in quanta by the cooperative scheduler;
-//! * **budgeted** ([`PlannerConfig::latency_budget_us`] set): admitted shards
+//! * **budgeted** ([`latency_budget_us`] set): admitted shards
 //!   **sequentially in plan order**, each tree search under
 //!   [`Executor::run_until`], degrading to sampled scans as the deadline
 //!   bites (`Fanout::drive_budgeted` has the protocol).
@@ -19,13 +19,13 @@
 //! that differs between in-memory and out-of-core execution sits behind
 //! [`ShardAccess`].  Its hooks are monomorphised; nothing on the
 //! per-candidate path is dynamic.  `docs/ARCHITECTURE.md` has the long form.
+//!
+//! [`latency_budget_us`]: crate::config::PlannerConfig::latency_budget_us
 
-use crate::config::{BoundMode, PlannerConfig, SchedulerConfig};
-use crate::engine::{self, Bound, Executor, SeededBound, SharedBound, TraceSource};
+use crate::engine::{self, Bound, Executor, PrivateBound, SharedBound, TraceSource};
 use crate::error::{IndexError, Result};
 use crate::plan::{self, PageEstimate, QueryPlan, ShardDecision};
-use crate::query::{QueryOptions, TopKResult};
-use crate::signature::SeededHashFamily;
+use crate::query::{Query, TopKResult};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::{DegradationReport, QueryStats};
 use rayon::prelude::*;
@@ -35,43 +35,11 @@ use std::time::{Duration, Instant};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
 use trace_storage::PinnedPages;
 
-/// One query as every stage of planning and execution sees it.
-pub(crate) struct Request<'q, M: ?Sized> {
-    pub(crate) query: &'q CellSetSequence,
-    pub(crate) exclude: Option<EntityId>,
-    pub(crate) k: usize,
-    pub(crate) measure: &'q M,
-    pub(crate) options: QueryOptions,
-    pub(crate) scheduler: SchedulerConfig,
-    pub(crate) planner: PlannerConfig,
-}
-
-impl<'q, M: ?Sized> Request<'q, M> {
-    /// The query of an indexed `entity` (itself excluded from its answer)
-    /// whose sequence is `query`, under the default knobs.
-    pub(crate) fn new(
-        query: &'q CellSetSequence,
-        entity: EntityId,
-        k: usize,
-        measure: &'q M,
-    ) -> Self {
-        Request {
-            query,
-            exclude: Some(entity),
-            k,
-            measure,
-            options: QueryOptions::default(),
-            scheduler: SchedulerConfig::default(),
-            planner: PlannerConfig::default(),
-        }
-    }
-}
-
 /// How one query reads the shards' candidates — the whole difference between
 /// the in-memory path (`shard::ArenaAccess`, over the candidate arenas) and
 /// the out-of-core one (`paged::PagedAccess`, over the trace store through
-/// the buffer pool).  An access serves one query on one thread; the sources
-/// it hands out travel with their executors.
+/// the buffer pool).  An access serves one query — it knows whose — on one
+/// thread; the sources it hands out travel with their executors.
 pub(crate) trait ShardAccess<'q> {
     /// What a tree executor evaluates its leaves through; one per executor.
     type Source: TraceSource + Send;
@@ -79,15 +47,21 @@ pub(crate) trait ShardAccess<'q> {
     /// The shard snapshots, in shard order.
     fn shards(&self) -> &'q [Arc<IndexSnapshot>];
 
-    /// Scores `shard`'s sketch entities (bar `exclude`) exactly against the
-    /// query, for threshold seeding, handing each `(entity, degree)` to
-    /// `offer` — untracked (no kernel-dispatch counts).  An entity the access
-    /// cannot produce is passed over, which only weakens the seed.  `scratch`
-    /// is the planner's, for an access that scores from rows it holds.
+    /// The sequence searched for.
+    fn sequence(&self) -> &'q CellSetSequence;
+
+    /// The query entity, left out of its own answer.
+    fn entity(&self) -> EntityId;
+
+    /// Scores `shard`'s sketch entities (bar the query entity) exactly
+    /// against the query, for threshold seeding, handing each
+    /// `(entity, degree)` to `offer` — untracked (no kernel-dispatch counts).
+    /// An entity the access cannot produce is passed over, which only weakens
+    /// the seed.  `scratch` is the planner's, for an access that scores from
+    /// rows it holds.
     fn seed<M: AssociationMeasure + ?Sized>(
         &self,
         shard: usize,
-        exclude: Option<EntityId>,
         measure: &M,
         scratch: &mut LevelOverlap,
         offer: impl FnMut(EntityId, f64),
@@ -105,7 +79,7 @@ pub(crate) trait ShardAccess<'q> {
 
     /// Pins the query entity's own trace for the whole fan-out, so no
     /// replacer decision can push it out between step quanta.
-    fn pin_query(&self, _query: EntityId) -> Option<PinnedPages<'q, 'q>> {
+    fn pin_query(&self) -> Option<PinnedPages<'q, 'q>> {
         None
     }
 
@@ -117,7 +91,7 @@ pub(crate) trait ShardAccess<'q> {
         &self,
         shard: usize,
         rate: Option<f64>,
-        request: &Request<'q, M>,
+        query: &Query<'_, M>,
         stats: &mut QueryStats,
     ) -> (Vec<TopKResult>, usize);
 
@@ -137,28 +111,28 @@ pub(crate) trait ShardAccess<'q> {
 /// would.
 pub(crate) fn admit<M: ?Sized>(
     shards: &[Arc<IndexSnapshot>],
-    request: &Request<'_, M>,
+    sequence: &CellSetSequence,
+    query: &Query<'_, M>,
 ) -> Result<()> {
-    request.scheduler.validate()?;
-    request.planner.validate()?;
+    query.validate()?;
     let index_levels = shards[0].tree().levels();
-    if request.query.num_levels() != index_levels as usize {
+    if sequence.num_levels() != index_levels as usize {
         return Err(IndexError::LevelMismatch {
             index_levels,
-            query_levels: request.query.num_levels() as u8,
+            query_levels: sequence.num_levels() as u8,
         });
     }
     Ok(())
 }
 
 /// Builds — without executing — the plan [`run`] would drive.
-pub(crate) fn explain<'q, A, M>(access: &A, request: &Request<'q, M>) -> Result<QueryPlan>
+pub(crate) fn explain<'q, A, M>(access: &A, query: &Query<'_, M>) -> Result<QueryPlan>
 where
     A: ShardAccess<'q>,
     M: AssociationMeasure + ?Sized,
 {
-    admit(access.shards(), request)?;
-    Ok(plan::plan_query(access, request))
+    admit(access.shards(), access.sequence(), query)?;
+    Ok(plan::plan_query(access, query))
 }
 
 /// Answers one query: plan, then drive the plan.  `parallel` fans the
@@ -168,19 +142,19 @@ where
 /// cost model.
 pub(crate) fn run<'q, A, M>(
     access: &A,
-    request: &Request<'q, M>,
+    query: &Query<'q, M>,
     parallel: bool,
 ) -> Result<(Vec<TopKResult>, QueryStats)>
 where
     A: ShardAccess<'q>,
     M: AssociationMeasure + Sync + ?Sized,
 {
-    admit(access.shards(), request)?;
+    admit(access.shards(), access.sequence(), query)?;
     let start = Instant::now();
-    let pins = request.exclude.and_then(|query| access.pin_query(query));
-    let plan = plan::plan_query(access, request);
+    let pins = access.pin_query();
+    let plan = plan::plan_query(access, query);
     let planning_us = start.elapsed().as_micros() as u64;
-    let (results, mut stats) = execute(access, &plan, request, parallel, start, planning_us)?;
+    let (results, mut stats) = execute(access, &plan, query, parallel, start, planning_us)?;
     if let Some(pins) = pins {
         stats.absorb_io(pins.io());
     }
@@ -195,7 +169,7 @@ where
 pub(crate) fn execute<'q, A, M>(
     access: &A,
     plan: &QueryPlan,
-    request: &Request<'q, M>,
+    query: &Query<'q, M>,
     parallel: bool,
     start: Instant,
     planning_us: u64,
@@ -204,7 +178,7 @@ where
     A: ShardAccess<'q>,
     M: AssociationMeasure + Sync + ?Sized,
 {
-    let mut stats = QueryStats { k: request.k, planning_us, ..QueryStats::default() };
+    let mut stats = QueryStats { k: query.k, planning_us, ..QueryStats::default() };
     // Seeding scored real candidates exactly: charge them as checked work,
     // and count skipped shards' populations toward |E| so pruning
     // effectiveness stays comparable with unplanned runs.
@@ -223,9 +197,8 @@ where
     let mut fanout = Fanout {
         access,
         plan,
-        request,
+        query,
         shared: &shared,
-        use_shared: request.scheduler.bound_mode == BoundMode::Shared,
         stats,
         report: DegradationReport::default(),
         parts: Vec::with_capacity(plan.shards.len()),
@@ -239,7 +212,7 @@ where
     if report.shards_approximate() > 0 {
         stats.degradation = Some(report);
     }
-    let results = engine::merge_top_k(request.k, parts);
+    let results = engine::merge_top_k(query.k, parts);
     access.drain(&mut stats);
     stats.discount_unreadable();
     stats.query_time_us = start.elapsed().as_micros() as u64;
@@ -252,23 +225,22 @@ enum QueryBound<'a> {
     /// The query-global atomic bound: seed, scan thresholds and every
     /// executor's local k-th degree.
     Shared(&'a SharedBound),
-    /// Nothing is shared between executors: the planner's seed as a fixed
-    /// bar, or `-inf` — inert, like [`PrivateBound`](engine::PrivateBound).
-    Fixed(SeededBound),
+    /// Nothing to share: the executor prunes against its own threshold only.
+    Private,
 }
 
 impl Bound for QueryBound<'_> {
     fn current(&self) -> f64 {
         match self {
             QueryBound::Shared(bound) => bound.current(),
-            QueryBound::Fixed(bound) => bound.current(),
+            QueryBound::Private => PrivateBound.current(),
         }
     }
 
     fn publish(&self, value: f64) -> bool {
         match self {
             QueryBound::Shared(bound) => bound.publish(value),
-            QueryBound::Fixed(bound) => bound.publish(value),
+            QueryBound::Private => PrivateBound.publish(value),
         }
     }
 }
@@ -277,10 +249,9 @@ impl Bound for QueryBound<'_> {
 struct Fanout<'a, 'q, A, M: ?Sized> {
     access: &'a A,
     plan: &'a QueryPlan,
-    request: &'a Request<'q, M>,
-    /// Holds the seed from the start; scans publish into it in shared mode.
+    query: &'a Query<'q, M>,
+    /// Holds the seed from the start; scans publish into it.
     shared: &'a SharedBound,
-    use_shared: bool,
     stats: QueryStats,
     report: DegradationReport,
     parts: Vec<Vec<TopKResult>>,
@@ -291,18 +262,14 @@ where
     A: ShardAccess<'q>,
     M: AssociationMeasure + Sync + ?Sized,
 {
-    /// Picks the bound.  Independent mode still profits from the planner's
-    /// seed (`-inf` when there is none) as a fixed bar.  In shared mode a
-    /// single unseeded executor can only share a bound with itself; its
-    /// local threshold already carries the same information, so skip the
-    /// atomic churn (1-shard cooperative == 1-shard independent, exactly).
-    /// With a seed (or scan-published thresholds) in the shared bound, even
-    /// a lone executor must prune against it.
+    /// Picks the bound.  A single unseeded executor can only share a bound
+    /// with itself; its local threshold already carries the same
+    /// information, so skip the atomic churn (a 1-shard fan-out is exactly
+    /// the single-tree search).  With a seed (or scan-published thresholds)
+    /// in the shared bound, even a lone executor must prune against it.
     fn bound(&self, lone_executor: bool) -> QueryBound<'a> {
-        if !self.use_shared {
-            QueryBound::Fixed(SeededBound::new(self.plan.seed))
-        } else if lone_executor && self.shared.current() == f64::NEG_INFINITY {
-            QueryBound::Fixed(SeededBound::new(f64::NEG_INFINITY))
+        if lone_executor && self.shared.current() == f64::NEG_INFINITY {
+            QueryBound::Private
         } else {
             QueryBound::Shared(self.shared)
         }
@@ -316,7 +283,7 @@ where
     /// charged the shard's population.
     fn scan(&mut self, shard: usize, rate: Option<f64>, count_population: bool, downgraded: bool) {
         let snapshot = &self.access.shards()[shard];
-        let (results, checked) = self.access.scan(shard, rate, self.request, &mut self.stats);
+        let (results, checked) = self.access.scan(shard, rate, self.query, &mut self.stats);
         self.stats.entities_checked += checked;
         if count_population {
             self.stats.total_entities += snapshot.num_entities();
@@ -327,36 +294,30 @@ where
                 self.stats.recall_estimate.min(snapshot.synopsis().expected_scan_recall(rate));
             self.report.record_shard(shard, rate, downgraded);
         }
-        let k = self.request.k;
-        if self.use_shared && k > 0 && results.len() >= k {
+        let k = self.query.k;
+        if k > 0 && results.len() >= k {
             self.shared.publish(results[k - 1].degree);
         }
         self.parts.push(results);
     }
 
     /// A resumable executor over one shard's tree, with a source of its own.
-    fn executor(&self, shard: usize) -> Result<Executor<'q, SeededHashFamily, A::Source, M>> {
-        let snapshot = &self.access.shards()[shard];
-        let request = self.request;
-        Ok(Executor::new(
-            snapshot.sp_index(),
-            snapshot.hasher(),
-            snapshot.node_arena(),
-            request.query,
-            request.exclude,
-            request.k,
-            request.measure,
-            self.access.source(shard),
-            request.options,
-        )?
-        .with_publish_policy(request.scheduler.publish_policy))
+    fn executor(&self, shard: usize) -> Result<Executor<'q, A::Source, M>> {
+        let access = self.access;
+        Executor::new(
+            &access.shards()[shard],
+            access.sequence(),
+            Some(access.entity()),
+            self.query,
+            access.source(shard),
+        )
     }
 
     /// Finishes an executor.  Its work counters are always kept (the work
     /// happened) — the read-side ones live on the source and are drained
     /// before `finish` consumes the executor; its answer only when the
     /// frontier was `exhausted`.
-    fn finish(&mut self, executor: Executor<'q, SeededHashFamily, A::Source, M>, exhausted: bool) {
+    fn finish(&mut self, executor: Executor<'q, A::Source, M>, exhausted: bool) {
         A::drain_source(executor.source(), &mut self.stats);
         let (results, executor_stats) = executor.finish();
         self.stats.absorb_work(&executor_stats);
@@ -379,7 +340,7 @@ where
             executors.push(self.executor(shard_plan.shard)?);
         }
         let bound = self.bound(executors.len() <= 1);
-        drive_cooperatively(&mut executors, &bound, parallel, self.request.scheduler.step_quantum);
+        drive_cooperatively(&mut executors, &bound, parallel, self.query.scheduler.step_quantum);
         for executor in executors {
             self.finish(executor, true);
         }
@@ -441,7 +402,7 @@ where
                     };
                     let exhausted = executor.run_until(
                         &bound,
-                        self.request.scheduler.step_quantum,
+                        self.query.scheduler.step_quantum,
                         shard_deadline,
                     );
                     self.finish(executor, exhausted);
@@ -469,7 +430,7 @@ where
 /// frontier reaches exhaustion before this returns.  The answers do not
 /// depend on the schedule; only work counters do.
 fn drive_cooperatively<'a, S, M, B>(
-    executors: &mut [Executor<'a, SeededHashFamily, S, M>],
+    executors: &mut [Executor<'a, S, M>],
     bound: &B,
     parallel: bool,
     quantum: usize,
@@ -490,8 +451,7 @@ fn drive_cooperatively<'a, S, M, B>(
         return;
     }
 
-    let slots: Vec<Mutex<&mut Executor<'a, SeededHashFamily, S, M>>> =
-        executors.iter_mut().map(Mutex::new).collect();
+    let slots: Vec<Mutex<&mut Executor<'a, S, M>>> = executors.iter_mut().map(Mutex::new).collect();
     let pending: Mutex<VecDeque<usize>> = Mutex::new((0..slots.len()).collect());
     let worker_ids: Vec<usize> = (0..workers).collect();
     let _: Vec<()> = worker_ids

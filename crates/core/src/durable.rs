@@ -423,8 +423,8 @@ impl DurableShardedMinSigIndex {
     /// log, appends the batch id to the commit log (**the commit point** —
     /// its fsync makes the whole batch recoverable), and only then flushes
     /// any shard.  On a validation or log error no shard was mutated; a
-    /// sub-batch logged before the error stays uncommitted and recovery
-    /// discards it.
+    /// sub-batch logged before the error stays uncommitted — its batch id is
+    /// never handed out again — and recovery discards it.
     pub fn ingest<I: IntoIterator<Item = PresenceInstance>>(
         &mut self,
         records: I,
@@ -443,7 +443,10 @@ impl DurableShardedMinSigIndex {
         for record in buffer.records() {
             per_shard[shard_of(record.entity, num_shards)].push(*record);
         }
+        // Burned before the first append: were a failed batch's id reused, the
+        // next commit record would vouch for the sub-batches it left behind.
         let batch_id = self.next_batch_id;
+        self.next_batch_id += 1;
         for (shard, sub_batch) in per_shard.iter().enumerate() {
             if sub_batch.is_empty() {
                 continue;
@@ -451,7 +454,6 @@ impl DurableShardedMinSigIndex {
             self.logs[shard].append(&encode_sub_batch(batch_id, sub_batch))?;
         }
         self.commit.append(&encode_commit(batch_id))?;
-        self.next_batch_id = batch_id + 1;
         // Invariant: the batch just passed the exact validation
         // `flush_sharded` performs, and it is committed — failing the flush
         // now would desynchronise the logs from the shards.
@@ -712,6 +714,55 @@ mod tests {
             orphan_id + 1,
             "the orphaned id is burned, never reused"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch whose `ingest` returned `Err` must stay invisible for good:
+    /// shard 1's log fails to rotate after shard 0 already logged its
+    /// sub-batch, and the next committed batch must not vouch for that orphan.
+    #[test]
+    fn failed_ingest_is_never_applied_by_a_later_commit() {
+        let w = workload();
+        let config = IndexConfig::with_hash_functions(32);
+        let dir = temp_dir("failed-ingest");
+        // One-byte segments: every append onto a non-empty segment rotates,
+        // i.e. creates a file in the shard's WAL directory.
+        let log_config = LogConfig { segment_bytes: 1, fsync: false };
+        let all = batches(&w, 3);
+        let shard_0_only: Vec<PresenceInstance> =
+            all[2].iter().copied().filter(|r| shard_of(r.entity, 2) == 0).collect();
+        assert!(all[1].iter().any(|r| shard_of(r.entity, 2) == 0));
+        assert!(all[1].iter().any(|r| shard_of(r.entity, 2) == 1));
+        assert!(!shard_0_only.is_empty());
+
+        let mut oracle = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 2).unwrap();
+        let built = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 2).unwrap();
+        let mut durable = DurableShardedMinSigIndex::create(&dir, built, log_config).unwrap();
+        oracle.ingest_batch(all[0].clone()).unwrap();
+        durable.ingest(all[0].clone()).unwrap();
+
+        let (wal, parked) = (shard_wal_dir(&dir, 1), dir.join("shard-1-wal-parked"));
+        fs::rename(&wal, &parked).unwrap();
+        let (epochs, failed_id) = (durable.index().epochs(), durable.next_batch_id());
+        assert!(durable.ingest(all[1].clone()).is_err(), "shard 1 cannot rotate");
+        assert_eq!(durable.index().epochs(), epochs, "a failed ingest mutates no shard");
+        assert_eq!(durable.next_batch_id(), failed_id + 1, "the failed id is burned");
+
+        oracle.ingest_batch(shard_0_only.clone()).unwrap();
+        durable.ingest(shard_0_only).unwrap();
+        drop(durable);
+        fs::rename(&parked, &wal).unwrap();
+
+        let (recovered, report) = DurableShardedMinSigIndex::open(&dir, log_config).unwrap();
+        assert_eq!(report.batches_replayed, 2);
+        assert_eq!(report.uncommitted_discarded, 1, "shard 0's orphan of the failed batch");
+        assert_eq!(recovered.index().num_entities(), oracle.num_entities());
+        let measure = w.measure();
+        for query in [0u64, 9, 31] {
+            let (a, _) = recovered.index().top_k(EntityId(query), 5, &measure).unwrap();
+            let (b, _) = oracle.top_k(EntityId(query), 5, &measure).unwrap();
+            assert_equivalent_answers(&a, &b, &format!("after a failed ingest, query {query}"));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

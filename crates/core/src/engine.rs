@@ -1,7 +1,7 @@
 //! The shared best-first top-k executor (Algorithm 2, Section 5.1), as a
 //! resumable frontier object.
 //!
-//! Every query path of the crate — exact in-memory ([`crate::index::MinSigIndex::top_k`]),
+//! Every query path of the crate — exact in-memory ([`IndexSnapshot::top_k`]),
 //! paged ([`crate::paged`]), joins and batches ([`crate::join`]), sharded
 //! fan-out ([`crate::shard`]) — drives the single [`Executor`] in this module
 //! (the [`execute`] function is its run-to-completion convenience wrapper).
@@ -27,7 +27,7 @@
 //!
 //! ## The frontier lifecycle
 //!
-//! An [`Executor`] is built over borrowed index parts
+//! An [`Executor`] is built over a borrowed snapshot
 //! ([`Executor::new`], or [`IndexSnapshot::executor`] for the common
 //! in-memory case), holds the candidate frontier as state, and is advanced in
 //! *quanta*: each [`Executor::step`] call pops up to `quantum` frontier nodes,
@@ -64,7 +64,7 @@
 //! pruned entity has degree `< G` and cannot appear in the global top-k, tied
 //! or not.  Hence merged per-shard answers ([`merge_top_k`]) equal the
 //! unsharded answer equal the brute-force sort-and-truncate — bitwise,
-//! including ties, under *any* interleaving, quantum or publish policy.
+//! including ties, under *any* interleaving and quantum.
 //!
 //! ## Tie-complete pruning (pinned tie-breaking)
 //!
@@ -74,9 +74,8 @@
 //! threshold in force.  A subtree *tying* the threshold is still expanded,
 //! because it may contain an equal-degree entity with a smaller id that
 //! displaces the current k-th answer.  This pins the answer completely: every
-//! exact path (unsharded, paged, sharded-cooperative, sharded-independent,
-//! brute force) returns the identical bitwise result even when several
-//! entities tie exactly at the k-th degree.
+//! exact path (unsharded, paged, sharded, brute force) returns the identical
+//! bitwise result even when several entities tie exactly at the k-th degree.
 //!
 //! The bound for a node at depth `d` with routing index `u` and stored value
 //! `v` combines two sound constraints:
@@ -92,11 +91,11 @@
 //! instantiating Theorem 4's artificial entity per level (see
 //! [`AssociationMeasure::upper_bound_into`]).
 //!
-//! Driving the executor directly (what [`MinSigIndex::top_k`] does for you):
+//! Driving the executor directly (what [`IndexSnapshot::top_k`] does for you):
 //! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts,
-//! [`Executor::new`] takes them one by one plus any [`TraceSource`] — swap in
-//! a [`PagedSource`] and the same search answers from a disk-backed store;
-//! the logical search does not change.
+//! [`Executor::new`] takes the snapshot, the [`Query`] and any
+//! [`TraceSource`] — swap in a [`PagedSource`] and the same search answers
+//! from a disk-backed store; the logical search does not change.
 //!
 //! ```
 //! use minsig::engine::PrivateBound;
@@ -127,14 +126,13 @@
 //! assert!(stats.nodes_visited + stats.subtrees_pruned >= 1);
 //! ```
 //!
-//! [`MinSigIndex::top_k`]: crate::index::MinSigIndex::top_k
 //! [`IndexSnapshot::executor`]: crate::snapshot::IndexSnapshot::executor
 
-use crate::config::PublishPolicy;
 use crate::error::{IndexError, Result};
 use crate::kernel::NodeArena;
-use crate::query::{QueryOptions, TopKResult};
-use crate::signature::{CellHashFamily, HierarchicalHasher};
+use crate::query::{Query, QueryOptions, TopKResult};
+use crate::signature::{HierarchicalHasher, SeededHashFamily};
+use crate::snapshot::IndexSnapshot;
 use crate::stats::QueryStats;
 use crate::tree::{NodeId, ROOT};
 use std::borrow::Cow;
@@ -235,8 +233,8 @@ impl TraceSource for PagedSource<'_> {
 /// k-th-best degree of the **full candidate population** of the overall
 /// query (under the engine's total order).  Executors prune only subtrees
 /// whose upper bound is strictly below the bound, so every pruned entity is
-/// strictly outside the global top-k — which is why cooperative and
-/// independent execution return bitwise-identical answers.
+/// strictly outside the global top-k — which is why cooperative execution
+/// returns bitwise the answer of isolated per-shard searches.
 ///
 /// Implementations must be monotone: [`publish`](Bound::publish) may only
 /// raise the value [`current`](Bound::current) reports, never lower it.
@@ -253,10 +251,7 @@ pub trait Bound: Sync {
 /// The inert [`Bound`]: never holds anything, never accepts anything.
 ///
 /// Under a `PrivateBound` an executor prunes against its own k-th-best
-/// threshold only — the classic run-to-completion search of a single tree,
-/// and the per-shard behaviour of the PR 3 independent fan-out (kept as the
-/// measurable baseline, see
-/// [`BoundMode::Independent`](crate::config::BoundMode)).
+/// threshold only — the classic run-to-completion search of a single tree.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrivateBound;
 
@@ -324,39 +319,6 @@ impl Bound for SharedBound {
                 Err(actual) => seen = actual,
             }
         }
-    }
-}
-
-/// A [`Bound`] fixed at a pre-computed value: executors prune against the
-/// seed, but nothing is ever shared back.
-///
-/// This is how the query planner ([`crate::plan`]) seeds *independent*-mode
-/// executions: the planner's threshold (a provable lower bound on the global
-/// k-th-best degree, derived from exactly scored synopsis sketch candidates)
-/// applies from the first frontier pop, while per-shard executions stay
-/// isolated from each other — the measurable baseline keeps its meaning.
-/// Soundness is the caller's contract, exactly as for [`SharedBound`]: the
-/// seed must never exceed the global k-th-best degree.
-#[derive(Debug, Clone, Copy)]
-pub struct SeededBound {
-    seed: f64,
-}
-
-impl SeededBound {
-    /// Creates a fixed bound at `seed` (`f64::NEG_INFINITY` for "nothing
-    /// known", which makes it behave exactly like [`PrivateBound`]).
-    pub fn new(seed: f64) -> Self {
-        SeededBound { seed }
-    }
-}
-
-impl Bound for SeededBound {
-    fn current(&self) -> f64 {
-        self.seed
-    }
-
-    fn publish(&self, _value: f64) -> bool {
-        false
     }
 }
 
@@ -610,9 +572,9 @@ impl Ord for Candidate {
 
 /// Lazily computed, sorted hash values of the query's cells per (level,
 /// function): a dense `[level][u]` table, so a lookup is one index.
-struct QueryHashes<'a, F: CellHashFamily> {
+struct QueryHashes<'a> {
     sp: &'a SpIndex,
-    hasher: &'a HierarchicalHasher<F>,
+    hasher: &'a HierarchicalHasher<SeededHashFamily>,
     query: &'a CellSetSequence,
     /// Number of hash functions — the row length of `table`.
     width: usize,
@@ -620,8 +582,12 @@ struct QueryHashes<'a, F: CellHashFamily> {
     table: Vec<Option<Vec<u64>>>,
 }
 
-impl<'a, F: CellHashFamily> QueryHashes<'a, F> {
-    fn new(sp: &'a SpIndex, hasher: &'a HierarchicalHasher<F>, query: &'a CellSetSequence) -> Self {
+impl<'a> QueryHashes<'a> {
+    fn new(
+        sp: &'a SpIndex,
+        hasher: &'a HierarchicalHasher<SeededHashFamily>,
+        query: &'a CellSetSequence,
+    ) -> Self {
         let width = hasher.num_functions() as usize;
         let table = vec![None; query.num_levels() * width];
         QueryHashes { sp, hasher, query, width, table }
@@ -665,9 +631,8 @@ impl<'a, F: CellHashFamily> QueryHashes<'a, F> {
 /// [`step`]: Executor::step
 /// [`run`]: Executor::run
 /// [`finish`]: Executor::finish
-pub struct Executor<'a, F, S, M>
+pub struct Executor<'a, S, M>
 where
-    F: CellHashFamily,
     S: TraceSource,
     M: AssociationMeasure + ?Sized,
 {
@@ -678,9 +643,8 @@ where
     measure: &'a M,
     source: S,
     options: QueryOptions,
-    publish_policy: PublishPolicy,
     query_sizes: Vec<usize>,
-    hashes: QueryHashes<'a, F>,
+    hashes: QueryHashes<'a>,
     top: TopKHeap,
     queue: BinaryHeap<Candidate>,
     caps: CapsSlab,
@@ -695,43 +659,36 @@ where
     exhausted: bool,
 }
 
-impl<'a, F, S, M> Executor<'a, F, S, M>
+impl<'a, S, M> Executor<'a, S, M>
 where
-    F: CellHashFamily,
     S: TraceSource,
     M: AssociationMeasure + ?Sized,
 {
-    /// Creates an executor with its frontier seeded at the tree root.
+    /// Creates an executor over `snapshot`'s tree — expanded through its flat
+    /// [`NodeArena`] rows — with the frontier seeded at the root.
     ///
-    /// The tree topology is consumed through its flat per-snapshot
-    /// [`NodeArena`] rows (see
-    /// [`IndexSnapshot::node_arena`](crate::snapshot::IndexSnapshot::node_arena)),
-    /// so node expansion reads contiguous SoA vectors instead of chasing
-    /// owned node structs.
-    ///
-    /// `exclude` removes the query entity itself from the answer set.  Fails
-    /// with [`IndexError::LevelMismatch`] when the query sequence does not
-    /// have the tree's level count.
-    #[allow(clippy::too_many_arguments)]
+    /// `sequence` is what is searched for and `exclude` removes the query
+    /// entity itself from the answer set; of `query` the search reads `k`,
+    /// `measure` and `options`.  Leaves are evaluated through `source`.  Fails
+    /// with [`IndexError::LevelMismatch`] when the sequence does not have the
+    /// tree's level count.
     pub fn new(
-        sp: &'a SpIndex,
-        hasher: &'a HierarchicalHasher<F>,
-        tree: &'a NodeArena,
-        query: &'a CellSetSequence,
+        snapshot: &'a IndexSnapshot,
+        sequence: &'a CellSetSequence,
         exclude: Option<EntityId>,
-        k: usize,
-        measure: &'a M,
+        query: &Query<'a, M>,
         source: S,
-        options: QueryOptions,
     ) -> Result<Self> {
-        if query.num_levels() != tree.levels() as usize {
+        let tree = snapshot.node_arena();
+        let Query { k, measure, options, .. } = *query;
+        if sequence.num_levels() != tree.levels() as usize {
             return Err(IndexError::LevelMismatch {
                 index_levels: tree.levels(),
-                query_levels: query.num_levels() as u8,
+                query_levels: sequence.num_levels() as u8,
             });
         }
         let m = tree.levels();
-        let query_sizes: Vec<usize> = (1..=m).map(|l| query.level(l).len()).collect();
+        let query_sizes: Vec<usize> = (1..=m).map(|l| sequence.level(l).len()).collect();
         let stats = QueryStats { total_entities: tree.num_entities(), k, ..QueryStats::default() };
 
         let mut queue = BinaryHeap::new();
@@ -749,15 +706,14 @@ where
         }
         Ok(Executor {
             tree,
-            query,
+            query: sequence,
             exclude,
             k,
             measure,
             source,
             options,
-            publish_policy: PublishPolicy::EveryImprovement,
             query_sizes,
-            hashes: QueryHashes::new(sp, hasher, query),
+            hashes: QueryHashes::new(snapshot.sp_index(), snapshot.hasher(), sequence),
             top: TopKHeap::new(k),
             queue,
             caps,
@@ -768,14 +724,6 @@ where
             started: Instant::now(),
             exhausted: k == 0,
         })
-    }
-
-    /// Sets when threshold improvements are pushed to the [`Bound`]
-    /// (default: [`PublishPolicy::EveryImprovement`]).  Publish timing never
-    /// changes any answer, only how early *other* executors can prune.
-    pub fn with_publish_policy(mut self, policy: PublishPolicy) -> Self {
-        self.publish_policy = policy;
-        self
     }
 
     /// True once the frontier is empty or fully pruned; further [`step`]
@@ -812,7 +760,7 @@ where
 
     /// Advances the frontier by up to `quantum` nodes (at least 1), pruning
     /// against `max(local k-th threshold, bound.current())` and publishing
-    /// threshold improvements per the configured [`PublishPolicy`].
+    /// every improvement of the local threshold to `bound`.
     ///
     /// Returns `true` while work remains.  The answer is independent of the
     /// quantum and of how step calls interleave with other executors sharing
@@ -847,9 +795,6 @@ where
         }
         if self.queue.is_empty() {
             self.exhausted = true;
-        }
-        if self.publish_policy == PublishPolicy::PerQuantum {
-            self.publish_threshold(bound);
         }
         !self.exhausted
     }
@@ -916,9 +861,7 @@ where
                     continue;
                 };
                 self.stats.entities_checked += 1;
-                if self.top.offer(entity, degree)
-                    && self.publish_policy == PublishPolicy::EveryImprovement
-                {
+                if self.top.offer(entity, degree) {
                     self.publish_threshold(bound);
                 }
             }
@@ -971,31 +914,24 @@ where
 
 /// The best-first top-k search of Algorithm 2 over an arbitrary
 /// [`TraceSource`], run to completion — the one-shot wrapper around
-/// [`Executor`] every single-tree query path uses.
+/// [`Executor`] every single-tree query path uses; same arguments as
+/// [`Executor::new`].
 ///
-/// `exclude` removes the query entity itself from the answer set.  The
-/// function is exact and tie-complete: it returns bitwise the same result as
-/// a brute-force sort-and-truncate over the same source (see the
+/// The function is exact and tie-complete: it returns bitwise the same result
+/// as a brute-force sort-and-truncate over the same source (see the
 /// [module docs](crate::engine)).
-#[allow(clippy::too_many_arguments)]
-pub fn execute<F, S, M>(
-    sp: &SpIndex,
-    hasher: &HierarchicalHasher<F>,
-    tree: &NodeArena,
-    query: &CellSetSequence,
+pub fn execute<S, M>(
+    snapshot: &IndexSnapshot,
+    sequence: &CellSetSequence,
     exclude: Option<EntityId>,
-    k: usize,
-    measure: &M,
+    query: &Query<'_, M>,
     source: &S,
-    options: QueryOptions,
 ) -> Result<(Vec<TopKResult>, QueryStats)>
 where
-    F: CellHashFamily,
     S: TraceSource + ?Sized,
     M: AssociationMeasure + ?Sized,
 {
-    let mut executor =
-        Executor::new(sp, hasher, tree, query, exclude, k, measure, source, options)?;
+    let mut executor = Executor::new(snapshot, sequence, exclude, query, source)?;
     executor.run(&PrivateBound);
     Ok(executor.finish())
 }
@@ -1212,15 +1148,5 @@ mod tests {
         assert_eq!(bound.current(), f64::NEG_INFINITY);
         assert!(!bound.publish(123.0));
         assert_eq!(bound.current(), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn seeded_bound_holds_its_seed_and_accepts_nothing() {
-        let bound = SeededBound::new(0.75);
-        assert!((bound.current() - 0.75).abs() < 1e-15);
-        assert!(!bound.publish(0.99), "a seeded bound never shares back");
-        assert!((bound.current() - 0.75).abs() < 1e-15);
-        let empty = SeededBound::new(f64::NEG_INFINITY);
-        assert_eq!(empty.current(), f64::NEG_INFINITY);
     }
 }

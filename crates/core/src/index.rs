@@ -2,9 +2,9 @@
 //! MinSigTree, query processing and incremental maintenance.
 //!
 //! The index is a thin mutable handle around an [`Arc`]-shared
-//! [`IndexSnapshot`]: queries only ever touch the snapshot (so they can run
-//! from any number of threads against one consistent version of the index),
-//! while [`update_entity`](MinSigIndex::update_entity),
+//! [`IndexSnapshot`], to which it derefs: queries only ever touch the snapshot
+//! (so they can run from any number of threads against one consistent version
+//! of the index), while [`update_entity`](MinSigIndex::update_entity),
 //! [`upsert_entity`](MinSigIndex::upsert_entity) and
 //! [`remove_entity`](MinSigIndex::remove_entity) go through
 //! [`Arc::make_mut`] — in-place when the handle is the sole owner,
@@ -14,16 +14,15 @@
 
 use crate::config::IndexConfig;
 use crate::error::{IndexError, Result};
-use crate::query::{QueryOptions, TopKResult};
 use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
 use crate::snapshot::IndexSnapshot;
-use crate::stats::{IndexStats, QueryStats};
+use crate::stats::IndexStats;
 use crate::synopsis::Synopsis;
 use crate::tree::MinSigTree;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-use trace_model::{AssociationMeasure, CellSetSequence, DigitalTrace, EntityId, SpIndex, TraceSet};
+use trace_model::{CellSetSequence, DigitalTrace, EntityId, SpIndex, TraceSet};
 
 /// The MinSigTree index over a set of digital traces.
 ///
@@ -144,62 +143,9 @@ impl MinSigIndex {
         MinSigIndex { snapshot, stats, epoch: 0 }
     }
 
-    /// The configuration the index was built with.
-    pub fn config(&self) -> IndexConfig {
-        self.snapshot.config()
-    }
-
     /// Build statistics (updated by incremental maintenance).
     pub fn stats(&self) -> IndexStats {
         self.stats
-    }
-
-    /// The spatial hierarchy of the index.
-    pub fn sp_index(&self) -> &SpIndex {
-        self.snapshot.sp_index()
-    }
-
-    /// The underlying tree (read-only).
-    pub fn tree(&self) -> &MinSigTree {
-        self.snapshot.tree()
-    }
-
-    /// The flat node rows of the tree (see [`crate::kernel::NodeArena`]) —
-    /// the topology a hand-driven [`Executor`](crate::engine::Executor)
-    /// expands through.
-    pub fn node_arena(&self) -> &crate::kernel::NodeArena {
-        self.snapshot.node_arena()
-    }
-
-    /// The hierarchical hasher (used by the paged query path and by ablations).
-    pub fn hasher(&self) -> &HierarchicalHasher<SeededHashFamily> {
-        self.snapshot.hasher()
-    }
-
-    /// The temporal discretisation (raw ticks per base temporal unit).
-    pub fn ticks_per_unit(&self) -> u64 {
-        self.snapshot.ticks_per_unit()
-    }
-
-    /// Number of indexed entities.
-    pub fn num_entities(&self) -> usize {
-        self.snapshot.num_entities()
-    }
-
-    /// True when the entity is indexed.
-    pub fn contains(&self, entity: EntityId) -> bool {
-        self.snapshot.contains(entity)
-    }
-
-    /// The materialised sequence of an indexed entity.
-    pub fn sequence(&self, entity: EntityId) -> Option<&CellSetSequence> {
-        self.snapshot.sequence(entity)
-    }
-
-    /// The materialised sequences of all indexed entities (used by baselines and
-    /// ground-truth comparisons).
-    pub fn sequences(&self) -> &BTreeMap<EntityId, CellSetSequence> {
-        self.snapshot.sequences()
     }
 
     /// Number of successful mutations applied to this handle (one per
@@ -296,37 +242,15 @@ impl MinSigIndex {
         let epoch = self.epoch;
         Arc::make_mut(&mut self.snapshot).recompute_synopsis(Some(m), epoch);
     }
+}
 
-    /// Answers a top-k query for an indexed entity with default options.
-    pub fn top_k<M: AssociationMeasure + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot.top_k(query, k, measure)
-    }
+/// Everything read-only — accessors and every query entry point — is the
+/// current snapshot's: `index.top_k(..)` is `index.snapshot().top_k(..)`.
+impl std::ops::Deref for MinSigIndex {
+    type Target = IndexSnapshot;
 
-    /// Answers a top-k query for an indexed entity with explicit options.
-    pub fn top_k_with_options<M: AssociationMeasure + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot.top_k_with_options(query, k, measure, options)
-    }
-
-    /// Ground-truth brute force over the indexed sequences (used by tests,
-    /// baselines and the experiment harness).
-    pub fn brute_force<M: AssociationMeasure + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-    ) -> Result<Vec<TopKResult>> {
-        self.snapshot.brute_force(query, k, measure)
+    fn deref(&self) -> &IndexSnapshot {
+        &self.snapshot
     }
 }
 
@@ -345,6 +269,7 @@ fn default_hash_range(sp: &SpIndex, sequences: &BTreeMap<EntityId, CellSetSequen
 mod tests {
     use super::*;
     use crate::error::IndexError;
+    use crate::query::QueryOptions;
     use trace_model::{DiceAdm, PaperAdm, Period, PresenceInstance};
 
     /// A small deterministic dataset with obvious associations: entities come in

@@ -11,7 +11,6 @@
 //! probe order** (only wall-clock timing fields differ).
 
 use crate::error::Result;
-use crate::index::MinSigIndex;
 use crate::query::{QueryOptions, TopKResult};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::QueryStats;
@@ -148,34 +147,11 @@ fn collect_join_rows(rows: Vec<Option<JoinRow>>) -> (Vec<JoinRow>, JoinStats) {
     (out, stats)
 }
 
-impl MinSigIndex {
-    /// Answers the top-k query for every query entity of a batch, in parallel,
-    /// on the current snapshot.  See [`IndexSnapshot::top_k_batch`].
-    pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.snapshot().top_k_batch(queries, k, measure)
-    }
-
-    /// Answers the top-k query for every probe entity, optionally in parallel,
-    /// on the current snapshot.  See [`IndexSnapshot::top_k_join`].
-    pub fn top_k_join<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        probes: &[EntityId],
-        measure: &M,
-        options: JoinOptions,
-    ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        self.snapshot().top_k_join(probes, measure, options)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
+    use crate::index::MinSigIndex;
     use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
 
     fn dataset(pairs: usize) -> (SpIndex, TraceSet) {

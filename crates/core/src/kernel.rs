@@ -335,57 +335,32 @@ impl CandidateArena {
         measure: &M,
         dispatch: &mut KernelDispatch,
     ) -> (Vec<TopKResult>, usize) {
-        let mut top = TopKHeap::new(k);
-        let mut checked = 0usize;
-        let mut scratch = LevelOverlap::default();
-        for (pos, &entity) in self.entities.iter().enumerate() {
-            if Some(entity) == exclude {
-                continue;
-            }
-            checked += 1;
-            top.offer(entity, self.degree_into_tracked(pos, view, measure, &mut scratch, dispatch));
-        }
-        (top.into_sorted(), checked)
+        self.scan_top_k_where(view, exclude, k, measure, dispatch, |_| true)
     }
 
-    /// Deterministic **sampled** flat scan — the execution primitive behind
-    /// the planner's [`ShardDecision::ApproximateScan`] arm.  Every entity in
-    /// `always` (the shard's hot-sketch members) is scored unconditionally;
-    /// every other member is scored iff [`sample_includes`] admits it at
-    /// `rate`.  Scoring itself is exact (same tracked kernel as
-    /// [`scan_top_k`](Self::scan_top_k)), so the only error is *omission* of
-    /// unsampled entities, which is exactly what
-    /// [`Synopsis::expected_scan_recall`] models.  Returns the sorted
-    /// answers plus the number of entities actually scored.
-    ///
-    /// Because [`sample_includes`] is a pure hash of the entity id, the
-    /// sample — and therefore the answer — is identical across runs,
-    /// machines, and schedules.
+    /// The one flat-scan loop: [`scan_top_k`](Self::scan_top_k) over the
+    /// entities `admit` lets through.  Scoring is exact (the tracked kernel),
+    /// so the only error a filter introduces is *omission* — what the
+    /// planner's [`ShardDecision::ApproximateScan`] arm samples with and
+    /// [`Synopsis::expected_scan_recall`] models.  `checked` counts the
+    /// entities actually scored.
     ///
     /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
-    /// [`sample_includes`]: crate::plan::sample_includes
     /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_top_k_sampled<M: AssociationMeasure + ?Sized>(
+    pub(crate) fn scan_top_k_where<M: AssociationMeasure + ?Sized>(
         &self,
         view: &QueryView<'_>,
         exclude: Option<EntityId>,
         k: usize,
         measure: &M,
-        rate: f64,
-        always: &[EntityId],
         dispatch: &mut KernelDispatch,
+        admit: impl Fn(EntityId) -> bool,
     ) -> (Vec<TopKResult>, usize) {
         let mut top = TopKHeap::new(k);
         let mut checked = 0usize;
         let mut scratch = LevelOverlap::default();
         for (pos, &entity) in self.entities.iter().enumerate() {
-            if Some(entity) == exclude {
-                continue;
-            }
-            // Sketch entities first-class: they are few (`m ≤ 16`), so a
-            // linear containment test beats hashing.
-            if !crate::plan::sample_includes(entity, rate) && !always.contains(&entity) {
+            if Some(entity) == exclude || !admit(entity) {
                 continue;
             }
             checked += 1;

@@ -33,7 +33,7 @@
 //! evaluation:
 //!
 //! * [`kernel::ArenaSource`] scores from the snapshot's flat candidate arena
-//!   (the exact path of [`MinSigIndex::top_k`]);
+//!   (the exact path of [`IndexSnapshot::top_k`]);
 //! * [`engine::PagedSource`] reads raw traces through a `trace-storage` buffer
 //!   pool, charging simulated I/O (the Figure 7.6 path of [`paged`]).
 //!
@@ -134,13 +134,9 @@ pub mod testkit;
 pub mod tree;
 
 pub use approximate::{BandedIndex, BandingConfig};
-pub use config::{
-    BoundMode, HasherMode, IndexConfig, PlannerConfig, PublishPolicy, SchedulerConfig,
-};
+pub use config::{HasherMode, IndexConfig, PlannerConfig, SchedulerConfig};
 pub use durable::{DurableMinSigIndex, DurableShardedMinSigIndex, RecoveryReport};
-pub use engine::{
-    Bound, Executor, PagedSource, PrivateBound, SeededBound, SharedBound, TopKHeap, TraceSource,
-};
+pub use engine::{Bound, Executor, PagedSource, PrivateBound, SharedBound, TopKHeap, TraceSource};
 pub use error::{IndexError, Result};
 pub use index::MinSigIndex;
 pub use ingest::{IngestBuffer, IngestReport};
@@ -151,7 +147,7 @@ pub use persist::{INDEX_MAGIC, INDEX_VERSION};
 pub use plan::{
     sample_includes, BatchGroup, BatchPlan, PageEstimate, QueryPlan, ShardDecision, ShardPlan,
 };
-pub use query::{QueryOptions, TopKResult};
+pub use query::{Query, QueryOptions, TopKResult};
 pub use shard::{
     shard_of, ShardedIngestReport, ShardedMinSigIndex, ShardedSnapshot, PARTITION_VERSION,
     SHARD_MANIFEST_MAGIC, SHARD_MANIFEST_VERSION,

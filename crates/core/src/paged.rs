@@ -17,10 +17,10 @@
 //!
 //! [`ShardedSnapshot::paged`] wraps a sharded snapshot, a [`PagedTraceStore`]
 //! and a [`BufferPool`] into a [`PagedShardedSnapshot`] whose entry points
-//! mirror the in-memory ones (`top_k`, `*_with_planner`, batches, joins,
-//! `explain`).  They run the **same** planner body and the same drive as the
-//! in-memory paths; only the `ShardAccess` differs — every candidate trace
-//! is read through the pool, and the planner costs shards in pages (see
+//! mirror the in-memory ones (`top_k`, `query`, batches, joins, `explain`).
+//! They run the **same** planner body and the same drive as the in-memory
+//! paths; only the `ShardAccess` differs — every candidate trace is read
+//! through the pool, and the planner costs shards in pages (see
 //! [`crate::plan`]).  Answers are **bitwise identical** to the in-memory
 //! sharded, unsharded and brute-force paths — any shard count, any pool
 //! size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
@@ -48,15 +48,14 @@
 //! * **Locks.**  The only lock a candidate evaluation takes is the pool
 //!   mutex, around frame-table bookkeeping only (see [`trace_storage::pool`]).
 
-use crate::config::{PlannerConfig, SchedulerConfig};
-use crate::drive::{self, Request, ShardAccess};
+use crate::config::PlannerConfig;
+use crate::drive::{self, ShardAccess};
 use crate::engine::{self, PagedSource, TopKHeap, TraceSource};
 use crate::error::{IndexError, Result};
-use crate::index::MinSigIndex;
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::{dispatch_class, intersection_len, QueryView};
 use crate::plan::{self, PageEstimate, QueryPlan};
-use crate::query::{QueryOptions, TopKResult};
+use crate::query::{Query, QueryOptions, TopKResult};
 use crate::shard::ShardedSnapshot;
 use crate::snapshot::IndexSnapshot;
 use crate::stats::{KernelDispatch, QueryStats};
@@ -201,36 +200,11 @@ impl IndexSnapshot {
         };
         let reader = PagedSource::new(store, pool, self.sp_index(), self.ticks_per_unit());
         let source = PagedArenaSource::new(reader, &query_seq);
-        let (results, mut stats) = engine::execute(
-            self.sp_index(),
-            self.hasher(),
-            self.node_arena(),
-            &query_seq,
-            Some(query),
-            k,
-            measure,
-            &source,
-            options,
-        )?;
+        let request = Query { options, ..Query::new(k, measure) };
+        let (results, mut stats) =
+            engine::execute(self, &query_seq, Some(query), &request, &source)?;
         source.drain_into(&mut stats);
         Ok((results, stats))
-    }
-}
-
-impl MinSigIndex {
-    /// Answers a top-k query reading candidate traces through `pool` over `store`.
-    ///
-    /// Delegates to [`IndexSnapshot::top_k_paged`] on the current snapshot.
-    pub fn top_k_paged<M: AssociationMeasure + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        store: &PagedTraceStore,
-        pool: &BufferPool<'_>,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot().top_k_paged(query, k, measure, store, pool, options)
     }
 }
 
@@ -309,50 +283,30 @@ impl<'a> PagedShardedSnapshot<'a> {
         &self.shard_pages[shard]
     }
 
-    /// Answers a top-k query with default options, default scheduler and
-    /// default (active) planner — the paged counterpart of
-    /// [`ShardedSnapshot::top_k`].
+    /// Answers a top-k query with the default [`Query`] — the paged
+    /// counterpart of [`ShardedSnapshot::top_k`].
     pub fn top_k<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
         k: usize,
         measure: &M,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let seq = self.query_sequence(query)?;
-        drive::run(&self.access(&seq), &Request::new(&seq, query, k, measure), true)
+        self.query(query, &Query::new(k, measure))
     }
 
-    /// Explicit scheduler knobs with the planner **disabled** — the paged
-    /// unplanned baseline, mirroring [`ShardedSnapshot::top_k_with_scheduler`].
-    pub fn top_k_with_scheduler<M: AssociationMeasure + Sync + ?Sized>(
+    /// Answers `query` for an indexed `entity`, every knob explicit — the
+    /// paged counterpart of [`ShardedSnapshot::query`].
+    pub fn query<M: AssociationMeasure + Sync + ?Sized>(
         &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
+        entity: EntityId,
+        query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.top_k_with_planner(query, k, measure, options, scheduler, PlannerConfig::disabled())
-    }
-
-    /// Every knob explicit (query options, scheduler and planner).
-    pub fn top_k_with_planner<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        planner: PlannerConfig,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let seq = self.query_sequence(query)?;
-        let request =
-            Request { options, scheduler, planner, ..Request::new(&seq, query, k, measure) };
-        drive::run(&self.access(&seq), &request, true)
+        let seq = self.query_sequence(entity)?;
+        drive::run(&self.access(&seq, entity), query, true)
     }
 
     /// Answers every query of a batch in parallel, input order preserved,
-    /// planned with the defaults — the paged counterpart of
+    /// with the default [`Query`] — the paged counterpart of
     /// [`ShardedSnapshot::top_k_batch`].
     pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
@@ -360,44 +314,26 @@ impl<'a> PagedShardedSnapshot<'a> {
         k: usize,
         measure: &M,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.top_k_batch_with_planner(
-            queries,
-            k,
-            measure,
-            QueryOptions::default(),
-            SchedulerConfig::default(),
-            PlannerConfig::default(),
-        )
+        self.query_batch(queries, &Query::new(k, measure))
     }
 
-    /// [`top_k_batch`](Self::top_k_batch) with every knob explicit.
+    /// Answers `query` for every entity of a batch, every knob explicit.
     /// Parallelism is over the queries; each query's admitted shard
     /// executors are interleaved sequentially on its worker, sharing one
     /// seeded bound per query (identical answers either way).  Unlike the
     /// in-memory batch, every query is planned on its own: seeding reads
     /// through the pool, so there is no position table to amortise.
-    pub fn top_k_batch_with_planner<M: AssociationMeasure + Sync + ?Sized>(
+    pub fn query_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        planner: PlannerConfig,
+        entities: &[EntityId],
+        query: &Query<'_, M>,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        scheduler.validate()?;
-        planner.validate()?;
-        let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = queries
+        query.validate()?;
+        let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = entities
             .par_iter()
-            .map(|&query| {
-                let seq = self.query_sequence(query)?;
-                let request = Request {
-                    options,
-                    scheduler,
-                    planner,
-                    ..Request::new(&seq, query, k, measure)
-                };
-                drive::run(&self.access(&seq), &request, false)
+            .map(|&entity| {
+                let seq = self.query_sequence(entity)?;
+                drive::run(&self.access(&seq, entity), query, false)
             })
             .collect();
         answers.into_iter().collect()
@@ -413,11 +349,10 @@ impl<'a> PagedShardedSnapshot<'a> {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
+        let query = Query { options: options.query, ..Query::new(options.k, measure) };
         Ok(join_probes(probes, options.threads, |probe| {
             let seq = self.query_sequence(probe).ok()?;
-            let request =
-                Request { options: options.query, ..Request::new(&seq, probe, options.k, measure) };
-            let (matches, stats) = drive::run(&self.access(&seq), &request, false).ok()?;
+            let (matches, stats) = drive::run(&self.access(&seq, probe), &query, false).ok()?;
             Some(JoinRow { probe, matches, stats })
         }))
     }
@@ -436,8 +371,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
         let seq = self.query_sequence(query)?;
-        let request = Request { planner, ..Request::new(&seq, query, k, measure) };
-        drive::explain(&self.access(&seq), &request)
+        drive::explain(&self.access(&seq, query), &Query { planner, ..Query::new(k, measure) })
     }
 
     /// A fresh source (own scratch, zeroed counters) scoring against `query`.
@@ -448,9 +382,14 @@ impl<'a> PagedShardedSnapshot<'a> {
         PagedArenaSource::new(reader, query)
     }
 
-    /// How one query reads this session's shards.
-    pub(crate) fn access<'q>(&'q self, query: &'q CellSetSequence) -> PagedAccess<'q> {
-        PagedAccess { paged: self, query, source: self.source(query) }
+    /// How `entity`'s query, whose sequence is `sequence`, reads this
+    /// session's shards.
+    pub(crate) fn access<'q>(
+        &'q self,
+        sequence: &'q CellSetSequence,
+        entity: EntityId,
+    ) -> PagedAccess<'q> {
+        PagedAccess { paged: self, sequence, entity, source: self.source(sequence) }
     }
 
     /// The query entity's sequence: from the snapshot's in-memory map when
@@ -479,7 +418,8 @@ impl<'a> PagedShardedSnapshot<'a> {
 /// the access's own source; every tree executor gets one more.
 pub(crate) struct PagedAccess<'q> {
     paged: &'q PagedShardedSnapshot<'q>,
-    query: &'q CellSetSequence,
+    sequence: &'q CellSetSequence,
+    entity: EntityId,
     source: PagedArenaSource<'q>,
 }
 
@@ -490,16 +430,23 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         self.paged.snapshot.shard_snapshots()
     }
 
+    fn sequence(&self) -> &'q CellSetSequence {
+        self.sequence
+    }
+
+    fn entity(&self) -> EntityId {
+        self.entity
+    }
+
     fn seed<M: AssociationMeasure + ?Sized>(
         &self,
         shard: usize,
-        exclude: Option<EntityId>,
         measure: &M,
         _scratch: &mut LevelOverlap,
         mut offer: impl FnMut(EntityId, f64),
     ) {
         for &hot in self.shards()[shard].synopsis().hot_entities() {
-            if Some(hot) == exclude {
+            if hot == self.entity {
                 continue;
             }
             if let Some(degree) = self.source.score(hot, &measure, false) {
@@ -521,29 +468,26 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         self.paged.pool.config().miss_latency_us
     }
 
-    fn pin_query(&self, query: EntityId) -> Option<PinnedPages<'q, 'q>> {
-        self.paged.store.pin_trace(self.paged.pool, query)
+    fn pin_query(&self) -> Option<PinnedPages<'q, 'q>> {
+        self.paged.store.pin_trace(self.paged.pool, self.entity)
     }
 
     fn scan<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         shard: usize,
         rate: Option<f64>,
-        request: &Request<'q, M>,
+        query: &Query<'_, M>,
         stats: &mut QueryStats,
     ) -> (Vec<TopKResult>, usize) {
         let shard = &self.shards()[shard];
         let hot = shard.synopsis().hot_entities();
-        let mut top = TopKHeap::new(request.k);
+        let mut top = TopKHeap::new(query.k);
         let mut checked = 0usize;
         for &entity in shard.sequences().keys() {
-            if Some(entity) == request.exclude {
+            if entity == self.entity || !plan::scan_admits(rate, hot, entity) {
                 continue;
             }
-            if rate.is_some_and(|r| !plan::sample_includes(entity, r) && !hot.contains(&entity)) {
-                continue;
-            }
-            let Some(degree) = self.source.degree(entity, request.query, &request.measure) else {
+            let Some(degree) = self.source.degree(entity, self.sequence, &query.measure) else {
                 stats.candidates_unreadable += 1;
                 continue;
             };
@@ -554,7 +498,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
     }
 
     fn source(&self, _shard: usize) -> PagedArenaSource<'q> {
-        self.paged.source(self.query)
+        self.paged.source(self.sequence)
     }
 
     fn drain_source(source: &PagedArenaSource<'q>, stats: &mut QueryStats) {
@@ -570,7 +514,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
-    use crate::query::QueryOptions;
+    use crate::index::MinSigIndex;
     use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
     use trace_storage::PoolConfig;
 
@@ -769,15 +713,11 @@ mod tests {
             let (fused, fused_stats) =
                 snapshot.top_k_paged(query, 5, &measure, &store, &pool, options).unwrap();
             let (owned, owned_stats) = engine::execute(
-                sp,
-                snapshot.hasher(),
-                snapshot.node_arena(),
+                &snapshot,
                 snapshot.sequence(query).unwrap(),
                 Some(query),
-                5,
-                &measure,
+                &Query { options, ..Query::new(5, &measure) },
                 &oracle,
-                options,
             )
             .unwrap();
             assert_eq!(fused, owned, "query {query}: fused rows must equal the oracle bitwise");
@@ -816,24 +756,9 @@ mod tests {
         // unplanned paged path agrees with the unplanned in-memory path.
         let cold = paged.explain(EntityId(4), 5, &measure, PlannerConfig::disabled()).unwrap();
         assert!(cold.shards.iter().all(|s| s.pages.is_none()));
-        let (mem, _) = snapshot
-            .top_k_with_scheduler(
-                EntityId(4),
-                5,
-                &measure,
-                QueryOptions::default(),
-                SchedulerConfig::default(),
-            )
-            .unwrap();
-        let (out, _) = paged
-            .top_k_with_scheduler(
-                EntityId(4),
-                5,
-                &measure,
-                QueryOptions::default(),
-                SchedulerConfig::default(),
-            )
-            .unwrap();
+        let unplanned = Query { planner: PlannerConfig::disabled(), ..Query::new(5, &measure) };
+        let (mem, _) = snapshot.query(EntityId(4), &unplanned).unwrap();
+        let (out, _) = paged.query(EntityId(4), &unplanned).unwrap();
         assert_eq!(mem, out);
     }
 }

@@ -82,14 +82,15 @@
 //! [`Synopsis::min_rate_for_recall`]: crate::synopsis::Synopsis::min_rate_for_recall
 
 use crate::config::PlannerConfig;
-use crate::drive::{Request, ShardAccess};
+use crate::drive::ShardAccess;
 use crate::engine::TopKHeap;
+use crate::query::Query;
 use crate::shard::ArenaAccess;
 use crate::snapshot::IndexSnapshot;
 use crate::synopsis::Synopsis;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use trace_model::{AssociationMeasure, EntityId, LevelOverlap};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
 
 /// How the planner decided to treat one shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -284,15 +285,15 @@ impl QueryPlan {
 /// A fully disabled config ([`PlannerConfig::disabled`]) produces the
 /// faithful pre-planner baseline: every shard admitted as a tree search, in
 /// shard-index order — no seeding, no skipping, no scans and **no
-/// reordering**, so the `*_with_scheduler` paths measure exactly the PR 4
-/// scheduler.
-pub(crate) fn plan_query<'q, A, M>(access: &A, request: &Request<'q, M>) -> QueryPlan
+/// reordering**, so it measures exactly the PR 4 scheduler.
+pub(crate) fn plan_query<'q, A, M>(access: &A, query: &Query<'_, M>) -> QueryPlan
 where
     A: ShardAccess<'q>,
     M: AssociationMeasure + ?Sized,
 {
     let shards = access.shards();
-    let Request { query, exclude, k, measure, planner: config, .. } = *request;
+    let Query { k, measure, planner: config, .. } = *query;
+    let query = access.sequence();
     // A fully disabled planner computes nothing at all: every shard is
     // admitted as a tree search in shard-index order, with the trivial
     // (+inf) upper bound and no page probe — the baseline paths must not pay
@@ -334,7 +335,7 @@ where
         let mut top = TopKHeap::new(k);
         let mut scratch = LevelOverlap::default();
         for shard in 0..shards.len() {
-            access.seed(shard, exclude, measure, &mut scratch, |hot, degree| {
+            access.seed(shard, measure, &mut scratch, |hot, degree| {
                 seed_candidates += 1;
                 top.offer(hot, degree);
             });
@@ -528,6 +529,14 @@ pub fn sample_includes(entity: EntityId, rate: f64) -> bool {
     (z as f64) < rate * (u64::MAX as f64)
 }
 
+/// Whether a flat scan scores `entity`: always when exact (`rate` `None`);
+/// sampled, the shard's hot-sketch members `hot` plus whoever
+/// [`sample_includes`] admits.  The sketch is small (`m ≤ 16`), so a linear
+/// containment test beats hashing.
+pub(crate) fn scan_admits(rate: Option<f64>, hot: &[EntityId], entity: EntityId) -> bool {
+    rate.is_none_or(|rate| sample_includes(entity, rate) || hot.contains(&entity))
+}
+
 /// One group of a [`BatchPlan`]: the batch queries (by input index) whose
 /// plans share an identical admitted-shard *footprint* — the same shards, in
 /// the same driving order, under the same decisions.  Queries in one group
@@ -615,23 +624,25 @@ fn decision_key(decision: ShardDecision) -> (u8, u64) {
     }
 }
 
-/// Plans a whole batch in one pass; see [`BatchPlan`] for the amortization
-/// and identity contracts.  Every request carries the same planner knobs.
+/// Plans a whole batch — `targets` holds each query entity with its
+/// sequence — in one pass; see [`BatchPlan`] for the amortization and
+/// identity contracts.
 pub(crate) fn plan_batch<'q, M: AssociationMeasure + ?Sized>(
     shards: &'q [Arc<IndexSnapshot>],
-    requests: &[Request<'q, M>],
+    targets: &[(EntityId, &'q CellSetSequence)],
+    query: &Query<'_, M>,
 ) -> BatchPlan {
     let batch_start = std::time::Instant::now();
     // The one-pass amortization: every shard's sketch ids are resolved
     // against its arena once, up front, instead of `sketch × shards` binary
     // searches per query.
-    let seeding = requests.first().is_some_and(|r| r.planner.seed_threshold);
-    let sketch_positions = seeding.then(|| crate::shard::sketch_positions(shards));
-    let plans: Vec<QueryPlan> = requests
+    let sketch_positions =
+        query.planner.seed_threshold.then(|| crate::shard::sketch_positions(shards));
+    let plans: Vec<QueryPlan> = targets
         .iter()
-        .map(|request| {
-            let access = ArenaAccess::new(shards, request.query, sketch_positions.as_deref());
-            plan_query(&access, request)
+        .map(|&(entity, sequence)| {
+            let access = ArenaAccess::new(shards, sequence, entity, sketch_positions.as_deref());
+            plan_query(&access, query)
         })
         .collect();
 
@@ -675,23 +686,6 @@ mod tests {
         (0..n).map(|i| sharded.shard(i).snapshot()).collect()
     }
 
-    fn request<'q, M: AssociationMeasure>(
-        query: &'q trace_model::CellSetSequence,
-        k: usize,
-        measure: &'q M,
-        planner: PlannerConfig,
-    ) -> Request<'q, M> {
-        Request {
-            query,
-            exclude: Some(trace_model::EntityId(0)),
-            k,
-            measure,
-            options: Default::default(),
-            scheduler: Default::default(),
-            planner,
-        }
-    }
-
     /// Plans entity 0's query (`query` is its sequence) through the arenas.
     fn plan_of(
         shards: &[Arc<IndexSnapshot>],
@@ -701,7 +695,10 @@ mod tests {
         planner: PlannerConfig,
     ) -> QueryPlan {
         let measure = w.measure();
-        plan_query(&ArenaAccess::new(shards, query, None), &request(query, k, &measure, planner))
+        plan_query(
+            &ArenaAccess::new(shards, query, EntityId(0), None),
+            &Query { planner, ..Query::new(k, &measure) },
+        )
     }
 
     #[test]
@@ -799,22 +796,22 @@ mod tests {
         let shards = shards_of(&w, 4);
         let measure = w.measure();
         let config = PlannerConfig::default();
-        let requests: Vec<Request<'_, _>> = (0..6u64)
-            .map(trace_model::EntityId)
-            .filter_map(|e| shards.iter().find_map(|s| s.sequence(e)).map(|seq| (seq, e)))
-            .map(|(seq, e)| Request { exclude: Some(e), ..request(seq, 3, &measure, config) })
+        let query = Query { planner: config, ..Query::new(3, &measure) };
+        let targets: Vec<(EntityId, &CellSetSequence)> = (0..6u64)
+            .map(EntityId)
+            .filter_map(|e| shards.iter().find_map(|s| s.sequence(e)).map(|seq| (e, seq)))
             .collect();
-        assert!(requests.len() >= 2, "the paired workload indexes the probe ids");
-        let batch = plan_batch(&shards, &requests);
-        assert_eq!(batch.plans.len(), requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            let single = plan_query(&ArenaAccess::new(&shards, request.query, None), request);
+        assert!(targets.len() >= 2, "the paired workload indexes the probe ids");
+        let batch = plan_batch(&shards, &targets, &query);
+        assert_eq!(batch.plans.len(), targets.len());
+        for (i, &(entity, sequence)) in targets.iter().enumerate() {
+            let single = plan_query(&ArenaAccess::new(&shards, sequence, entity, None), &query);
             assert_eq!(batch.plans[i], single, "batch plan {i} diverged from per-query planning");
         }
         // Groups partition the batch.
         let mut seen: Vec<usize> = batch.groups.iter().flat_map(|g| g.queries.clone()).collect();
         seen.sort_unstable();
-        assert_eq!(seen, (0..requests.len()).collect::<Vec<_>>());
+        assert_eq!(seen, (0..targets.len()).collect::<Vec<_>>());
         let text = batch.explain();
         assert!(text.contains("BatchPlan"), "{text}");
         assert!(text.contains("group"), "{text}");
@@ -839,8 +836,8 @@ mod tests {
         let query = snapshot.sequence(trace_model::EntityId(0)).unwrap();
         let measure = w.measure();
         let plan = plan_query(
-            &paged.access(query),
-            &request(query, 3, &measure, PlannerConfig::disabled()),
+            &paged.access(query, EntityId(0)),
+            &Query { planner: PlannerConfig::disabled(), ..Query::new(3, &measure) },
         );
         assert!(!plan.seeded());
         assert_eq!(plan.seed_candidates, 0);

@@ -2,13 +2,16 @@
 //!
 //! The best-first search itself (Algorithm 2, Section 5.1) lives in
 //! [`crate::engine`]; this module holds the vocabulary types shared by every
-//! query path — [`TopKResult`] and [`QueryOptions`] — plus the brute-force
-//! evaluator that tests and baselines compare against.  Both the executor's
+//! query path — [`TopKResult`], [`QueryOptions`] and the one request value
+//! [`Query`] — plus the brute-force evaluator that tests and baselines compare
+//! against.  Both the executor's
 //! leaf evaluation and [`brute_force_top_k`] select their answers through the
 //! same [`TopKHeap`](crate::engine::TopKHeap), so exact-verification logic
 //! exists once.
 
+use crate::config::{PlannerConfig, SchedulerConfig};
 use crate::engine;
+use crate::error::Result;
 use serde::{Deserialize, Serialize};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
 
@@ -38,6 +41,62 @@ impl Default for QueryOptions {
         QueryOptions { use_level_constraints: true, accumulate_down_branch: true }
     }
 }
+
+/// One top-k query as every stage of planning and execution sees it: the
+/// paper's `k` under an ADM, plus the knobs of the search that answers it.
+///
+/// [`Query::new`] is what the `top_k` conveniences run; set fields for
+/// anything else and hand the value to [`ShardedSnapshot::query`] /
+/// [`query_batch`](crate::shard::ShardedSnapshot::query_batch) (or their
+/// [`PagedShardedSnapshot`](crate::paged::PagedShardedSnapshot) twins) —
+/// e.g. `Query { planner: PlannerConfig::disabled(), ..Query::new(k, &measure) }`
+/// is the unplanned baseline.  The query entity is an argument of the entry
+/// point, so one value serves a whole batch.  A single-tree search
+/// ([`Executor`](crate::engine::Executor)) reads `k`, `measure` and `options`
+/// only.
+///
+/// [`ShardedSnapshot::query`]: crate::shard::ShardedSnapshot::query
+#[derive(Debug)]
+pub struct Query<'q, M: ?Sized> {
+    /// Requested result size.
+    pub k: usize,
+    /// The association degree measure answers are ranked under.
+    pub measure: &'q M,
+    /// The pruning ablations of the tree search.
+    pub options: QueryOptions,
+    /// How the cooperative sharded executor interleaves shards.
+    pub scheduler: SchedulerConfig,
+    /// What the sharded planner may seed, skip, scan and degrade.
+    pub planner: PlannerConfig,
+}
+
+impl<'q, M: ?Sized> Query<'q, M> {
+    /// The top-`k` query under `measure` with every knob at its default.
+    pub fn new(k: usize, measure: &'q M) -> Self {
+        Query {
+            k,
+            measure,
+            options: QueryOptions::default(),
+            scheduler: SchedulerConfig::default(),
+            planner: PlannerConfig::default(),
+        }
+    }
+
+    /// Rejects knobs no search can run under.
+    pub(crate) fn validate(&self) -> Result<()> {
+        self.scheduler.validate()?;
+        self.planner.validate()
+    }
+}
+
+// By hand: deriving would demand `M: Clone`, and `M` may be unsized.
+impl<M: ?Sized> Clone for Query<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M: ?Sized> Copy for Query<'_, M> {}
 
 /// Brute-force evaluation of a top-k query over an explicit collection of
 /// sequences; the ground truth used by tests and by the scan baseline.

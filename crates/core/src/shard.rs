@@ -23,9 +23,9 @@
 //! [plan module docs](crate::plan)); [`ShardedSnapshot::explain`] returns
 //! the [`QueryPlan`] without executing it, and
 //! [`QueryStats::shards_skipped`] / [`QueryStats::threshold_seeded`] report
-//! what planning did.  The explicit `*_with_scheduler` entry points stay
-//! unplanned — the measurable PR 4 baseline; `*_with_planner` exposes every
-//! knob.
+//! what planning did.  [`ShardedSnapshot::query`] takes every knob as one
+//! [`Query`] value; with [`PlannerConfig::disabled`] it is the unplanned PR 4
+//! baseline.
 //!
 //! The admitted tree shards then run as **resumable executors**
 //! ([`IndexSnapshot::executor`]) under a cooperative scheduler: workers
@@ -36,10 +36,8 @@
 //! seed and every shard's local k-th-best degree — so a shard that holds
 //! none of the strong candidates learns the global bar from the shard that
 //! does and prunes its subtrees immediately, recovering the pruning power of
-//! the unsharded tree.  The knobs (step quantum, publish policy, bound mode)
-//! live in [`SchedulerConfig`];
-//! [`BoundMode::Independent`](crate::config::BoundMode) reproduces the
-//! independent per-shard fan-out as a measurable baseline.  Out of core
+//! the unsharded tree.  The step quantum lives in
+//! [`SchedulerConfig`](crate::config::SchedulerConfig).  Out of core
 //! ([`crate::paged`]) the same drive runs with every candidate read through a
 //! buffer pool.
 //!
@@ -96,8 +94,8 @@
 //! through re-saving over an existing directory, is always detected, never
 //! silently mis-answered.
 
-use crate::config::{IndexConfig, PlannerConfig, SchedulerConfig};
-use crate::drive::{self, Request, ShardAccess};
+use crate::config::{IndexConfig, PlannerConfig};
+use crate::drive::{self, ShardAccess};
 use crate::engine;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
@@ -105,7 +103,7 @@ use crate::ingest::IngestBuffer;
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::{ArenaSource, QueryView};
 use crate::plan::{self, BatchPlan, QueryPlan};
-use crate::query::{QueryOptions, TopKResult};
+use crate::query::{Query, TopKResult};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::QueryStats;
 use rayon::prelude::*;
@@ -364,19 +362,6 @@ impl ShardedMinSigIndex {
         self.snapshot().top_k(query, k, measure)
     }
 
-    /// Answers a top-k query with explicit options and scheduler knobs; see
-    /// [`ShardedSnapshot::top_k_with_scheduler`].
-    pub fn top_k_with_scheduler<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.snapshot().top_k_with_scheduler(query, k, measure, options, scheduler)
-    }
-
     /// Rebuilds every shard's planning synopsis with sketch size `m`; see
     /// [`MinSigIndex::set_synopsis_sketch_size`].
     pub fn set_synopsis_sketch_size(&mut self, m: usize) {
@@ -451,9 +436,20 @@ impl ShardedSnapshot {
         self.shards[shard_of(entity, self.shards.len())].sequence(entity)
     }
 
-    /// Answers a top-k query for an indexed entity with default options, the
-    /// default cooperative [`SchedulerConfig`] and the default
-    /// [`PlannerConfig`] (planned: seeded, shard-skipping, scan-picking).
+    /// Answers a top-k query for an indexed entity with the default
+    /// [`Query`]: default options, the default cooperative scheduler and the
+    /// default planner (seeded, shard-skipping, scan-picking).
+    pub fn top_k<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        query: EntityId,
+        k: usize,
+        measure: &M,
+    ) -> Result<(Vec<TopKResult>, QueryStats)> {
+        self.query(query, &Query::new(k, measure))
+    }
+
+    /// Answers `query` for an indexed `entity` — the one single-query entry
+    /// every knob goes through.
     ///
     /// The query entity is looked up in its home shard only
     /// ([`IndexError::UnknownQueryEntity`] when absent); its sequence is then
@@ -461,50 +457,15 @@ impl ShardedSnapshot {
     /// answers are merged under the engine's total order — **fully
     /// bit-identical** to the unsharded answer, boundary ties included (see
     /// the [module docs](crate::shard)).  The stats sum the per-shard search
-    /// work and report what planning did.
-    pub fn top_k<M: AssociationMeasure + Sync + ?Sized>(
+    /// work and report what planning did.  Only a latency budget
+    /// ([`PlannerConfig::latency_budget_us`]) can change an answer; every
+    /// other knob moves work counters and wall-clock time.
+    pub fn query<M: AssociationMeasure + Sync + ?Sized>(
         &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
+        entity: EntityId,
+        query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let request = self.request(query, k, measure)?;
-        drive::run(&ArenaAccess::new(&self.shards, request.query, None), &request, true)
-    }
-
-    /// [`top_k`](Self::top_k) with explicit query options and scheduler
-    /// knobs (step quantum, bound publish policy, bound mode) and the
-    /// planner **disabled** — the measurable PR 4 baseline: every shard
-    /// opened, cold thresholds, tree search everywhere.
-    ///
-    /// Neither knob set can change any answer — only the work counters and
-    /// the wall-clock time; pass [`SchedulerConfig::independent`] to also
-    /// drop cross-shard bound sharing.
-    pub fn top_k_with_scheduler<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        self.top_k_with_planner(query, k, measure, options, scheduler, PlannerConfig::disabled())
-    }
-
-    /// [`top_k`](Self::top_k) with every knob explicit: query options,
-    /// scheduler (step quantum, publish policy, bound mode) and planner
-    /// (threshold seeding, shard skipping, scan cutoff, latency budget).
-    pub fn top_k_with_planner<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        planner: PlannerConfig,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let request = Request { options, scheduler, planner, ..self.request(query, k, measure)? };
-        drive::run(&ArenaAccess::new(&self.shards, request.query, None), &request, true)
+        drive::run(&self.access(entity)?, query, true)
     }
 
     /// Builds — without executing — the [`QueryPlan`] the planned query
@@ -519,53 +480,25 @@ impl ShardedSnapshot {
         measure: &M,
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
-        let request = Request { planner, ..self.request(query, k, measure)? };
-        drive::explain(&ArenaAccess::new(&self.shards, request.query, None), &request)
+        drive::explain(&self.access(query)?, &Query { planner, ..Query::new(k, measure) })
     }
 
     /// Answers the top-k query for every query entity of a batch, in
     /// parallel, returning per-query `(results, stats)` pairs **in input
     /// order** — the same contract as [`IndexSnapshot::top_k_batch`]: the
     /// first unknown query entity (in input order) fails the whole batch.
-    /// Planned with the defaults, like the single-query path.
+    /// Runs the default [`Query`], like the single-query path.
     pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         queries: &[EntityId],
         k: usize,
         measure: &M,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.top_k_batch_with_planner(
-            queries,
-            k,
-            measure,
-            QueryOptions::default(),
-            SchedulerConfig::default(),
-            PlannerConfig::default(),
-        )
+        self.query_batch(queries, &Query::new(k, measure))
     }
 
-    /// [`top_k_batch`](Self::top_k_batch) with explicit query options and
-    /// scheduler knobs, planner disabled (the unplanned baseline, mirroring
-    /// [`top_k_with_scheduler`](Self::top_k_with_scheduler)).
-    pub fn top_k_batch_with_scheduler<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.top_k_batch_with_planner(
-            queries,
-            k,
-            measure,
-            options,
-            scheduler,
-            PlannerConfig::disabled(),
-        )
-    }
-
-    /// [`top_k_batch`](Self::top_k_batch) with every knob explicit.
+    /// Answers `query` for every entity of a batch — the one batch entry
+    /// every knob goes through.
     ///
     /// The batch is **planned once** ([`plan_batch`](Self::plan_batch); see
     /// [`BatchPlan`] for what is amortized): per-query plans — and therefore
@@ -581,32 +514,27 @@ impl ShardedSnapshot {
     /// identical either way.  With a latency budget set, each query's
     /// deadline is measured from its own execution start (the shared
     /// planning cost is amortized, not charged per query).
-    pub fn top_k_batch_with_planner<M: AssociationMeasure + Sync + ?Sized>(
+    pub fn query_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        planner: PlannerConfig,
+        entities: &[EntityId],
+        query: &Query<'_, M>,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        scheduler.validate()?;
-        planner.validate()?;
-        if queries.is_empty() {
+        query.validate()?;
+        if entities.is_empty() {
             return Ok(Vec::new());
         }
-        let requests = self.batch_requests(queries, k, measure, options, scheduler, planner)?;
-        let batch = plan::plan_batch(&self.shards, &requests);
-        let amortized_planning_us = batch.planning_us / queries.len() as u64;
-        let indices: Vec<usize> = (0..queries.len()).collect();
+        let targets = self.targets(entities, query)?;
+        let batch = plan::plan_batch(&self.shards, &targets, query);
+        let amortized_planning_us = batch.planning_us / entities.len() as u64;
+        let indices: Vec<usize> = (0..entities.len()).collect();
         let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = indices
             .par_iter()
             .map(|&i| {
-                let request = &requests[i];
+                let (entity, sequence) = targets[i];
                 drive::execute(
-                    &ArenaAccess::new(&self.shards, request.query, None),
+                    &ArenaAccess::new(&self.shards, sequence, entity, None),
                     &batch.plans[i],
-                    request,
+                    query,
                     false,
                     Instant::now(),
                     amortized_planning_us,
@@ -617,10 +545,11 @@ impl ShardedSnapshot {
     }
 
     /// Builds — without executing — the [`BatchPlan`] that
-    /// [`top_k_batch_with_planner`](Self::top_k_batch_with_planner) would
-    /// run: one [`QueryPlan`] per query (bitwise identical to per-query
-    /// [`explain`](Self::explain)) plus the footprint grouping.  The first
-    /// unknown query entity fails the whole batch, like the execution path.
+    /// [`query_batch`](Self::query_batch) would run under `planner`: one
+    /// [`QueryPlan`] per query (bitwise identical to per-query
+    /// [`explain`](Self::explain)) plus the footprint grouping, rendered for
+    /// humans by [`BatchPlan::explain`].  The first unknown query entity
+    /// fails the whole batch, like the execution path.
     pub fn plan_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         queries: &[EntityId],
@@ -628,22 +557,9 @@ impl ShardedSnapshot {
         measure: &M,
         planner: PlannerConfig,
     ) -> Result<BatchPlan> {
-        planner.validate()?;
-        let (options, scheduler) = (QueryOptions::default(), SchedulerConfig::default());
-        let requests = self.batch_requests(queries, k, measure, options, scheduler, planner)?;
-        Ok(plan::plan_batch(&self.shards, &requests))
-    }
-
-    /// Renders [`plan_batch`](Self::plan_batch) for humans: the footprint
-    /// groups, their member queries, and each group's shared shard skeleton.
-    pub fn explain_batch<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-        planner: PlannerConfig,
-    ) -> Result<String> {
-        Ok(self.plan_batch(queries, k, measure, planner)?.explain())
+        let query = Query { planner, ..Query::new(k, measure) };
+        query.validate()?;
+        Ok(plan::plan_batch(&self.shards, &self.targets(queries, &query)?, &query))
     }
 
     /// Answers the top-k query for every probe entity, optionally in
@@ -657,11 +573,9 @@ impl ShardedSnapshot {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
+        let query = Query { options: options.query, ..Query::new(options.k, measure) };
         Ok(join_probes(probes, options.threads, |probe| {
-            let request =
-                Request { options: options.query, ..self.request(probe, options.k, measure).ok()? };
-            let access = ArenaAccess::new(&self.shards, request.query, None);
-            let (matches, stats) = drive::run(&access, &request, false).ok()?;
+            let (matches, stats) = drive::run(&self.access(probe).ok()?, &query, false).ok()?;
             Some(JoinRow { probe, matches, stats })
         }))
     }
@@ -674,7 +588,7 @@ impl ShardedSnapshot {
         k: usize,
         measure: &M,
     ) -> Result<Vec<TopKResult>> {
-        let seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
+        let seq = self.query_sequence(query)?;
         let view = crate::kernel::QueryView::new(seq);
         let mut dispatch = crate::stats::KernelDispatch::default();
         let parts = self
@@ -690,38 +604,32 @@ impl ShardedSnapshot {
         &self.shards
     }
 
-    /// The default-knob request of one indexed query entity;
+    /// The sequence of a query entity;
     /// [`IndexError::UnknownQueryEntity`] when it is not indexed.
-    fn request<'q, M: ?Sized>(
-        &'q self,
-        query: EntityId,
-        k: usize,
-        measure: &'q M,
-    ) -> Result<Request<'q, M>> {
-        let seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-        Ok(Request::new(seq, query, k, measure))
+    fn query_sequence(&self, entity: EntityId) -> Result<&CellSetSequence> {
+        self.sequence(entity).ok_or(IndexError::UnknownQueryEntity(entity.raw()))
     }
 
-    /// The requests of a batch, resolved sequentially so the *first* unknown
-    /// entity (in input order) fails the batch, matching the unsharded
-    /// contract.
-    fn batch_requests<'q, M: ?Sized>(
-        &'q self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &'q M,
-        options: QueryOptions,
-        scheduler: SchedulerConfig,
-        planner: PlannerConfig,
-    ) -> Result<Vec<Request<'q, M>>> {
-        let mut requests = Vec::with_capacity(queries.len());
-        for &query in queries {
-            let request =
-                Request { options, scheduler, planner, ..self.request(query, k, measure)? };
-            drive::admit(&self.shards, &request)?;
-            requests.push(request);
+    /// How the query of one indexed entity reads the shards.
+    fn access(&self, entity: EntityId) -> Result<ArenaAccess<'_>> {
+        Ok(ArenaAccess::new(&self.shards, self.query_sequence(entity)?, entity, None))
+    }
+
+    /// A batch's entities with their sequences, resolved sequentially so the
+    /// *first* unknown entity (in input order) fails the batch, matching the
+    /// unsharded contract.
+    fn targets<M: ?Sized>(
+        &self,
+        entities: &[EntityId],
+        query: &Query<'_, M>,
+    ) -> Result<Vec<(EntityId, &CellSetSequence)>> {
+        let mut targets = Vec::with_capacity(entities.len());
+        for &entity in entities {
+            let seq = self.query_sequence(entity)?;
+            drive::admit(&self.shards, seq, query)?;
+            targets.push((entity, seq));
         }
-        Ok(requests)
+        Ok(targets)
     }
 }
 
@@ -730,7 +638,8 @@ impl ShardedSnapshot {
 /// sources' kernel-dispatch counts.
 pub(crate) struct ArenaAccess<'q> {
     shards: &'q [Arc<IndexSnapshot>],
-    query: &'q CellSetSequence,
+    sequence: &'q CellSetSequence,
+    entity: EntityId,
     view: QueryView<'q>,
     /// Batch planning's pre-resolved [`sketch_positions`]; per-query planning
     /// looks each sketch entity up instead.
@@ -738,12 +647,14 @@ pub(crate) struct ArenaAccess<'q> {
 }
 
 impl<'q> ArenaAccess<'q> {
+    /// The access of `entity`'s query, whose sequence is `sequence`.
     pub(crate) fn new(
         shards: &'q [Arc<IndexSnapshot>],
-        query: &'q CellSetSequence,
+        sequence: &'q CellSetSequence,
+        entity: EntityId,
         sketch_positions: Option<&'q [Vec<Option<usize>>]>,
     ) -> Self {
-        ArenaAccess { shards, query, view: QueryView::new(query), sketch_positions }
+        ArenaAccess { shards, sequence, entity, view: QueryView::new(sequence), sketch_positions }
     }
 }
 
@@ -768,13 +679,20 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
         self.shards
     }
 
+    fn sequence(&self) -> &'q CellSetSequence {
+        self.sequence
+    }
+
+    fn entity(&self) -> EntityId {
+        self.entity
+    }
+
     // Seeding is most of a skipping query's cost: inlined into the planner,
     // or a 35 µs query pays ~0.2 µs for the call boundary.
     #[inline]
     fn seed<M: AssociationMeasure + ?Sized>(
         &self,
         shard: usize,
-        exclude: Option<EntityId>,
         measure: &M,
         scratch: &mut LevelOverlap,
         mut offer: impl FnMut(EntityId, f64),
@@ -782,7 +700,7 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
         let snapshot = &self.shards[shard];
         let arena = snapshot.arena();
         for (slot, &hot) in snapshot.synopsis().hot_entities().iter().enumerate() {
-            if Some(hot) == exclude {
+            if hot == self.entity {
                 continue;
             }
             let pos = match self.sketch_positions {
@@ -799,29 +717,24 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
         &self,
         shard: usize,
         rate: Option<f64>,
-        request: &Request<'q, M>,
+        query: &Query<'_, M>,
         stats: &mut QueryStats,
     ) -> (Vec<TopKResult>, usize) {
         let shard = &self.shards[shard];
-        let Request { exclude, k, measure, .. } = *request;
-        let dispatch = &mut stats.kernel_dispatch;
-        match rate {
-            None => shard.arena().scan_top_k(&self.view, exclude, k, measure, dispatch),
-            Some(rate) => shard.arena().scan_top_k_sampled(
-                &self.view,
-                exclude,
-                k,
-                measure,
-                rate,
-                shard.synopsis().hot_entities(),
-                dispatch,
-            ),
-        }
+        let hot = shard.synopsis().hot_entities();
+        shard.arena().scan_top_k_where(
+            &self.view,
+            Some(self.entity),
+            query.k,
+            query.measure,
+            &mut stats.kernel_dispatch,
+            |entity| plan::scan_admits(rate, hot, entity),
+        )
     }
 
     fn source(&self, shard: usize) -> ArenaSource<'q> {
         let shard = &self.shards[shard];
-        ArenaSource::new(shard.sequences(), shard.arena(), self.query)
+        ArenaSource::new(shard.sequences(), shard.arena(), self.sequence)
     }
 
     fn drain_source(source: &ArenaSource<'q>, stats: &mut QueryStats) {

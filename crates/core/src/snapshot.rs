@@ -17,7 +17,7 @@ use crate::config::IndexConfig;
 use crate::engine;
 use crate::error::{IndexError, Result};
 use crate::kernel::{ArenaSource, CandidateArena, NodeArena, QueryView};
-use crate::query::{QueryOptions, TopKResult};
+use crate::query::{Query, QueryOptions, TopKResult};
 use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
 use crate::stats::QueryStats;
 use crate::synopsis::Synopsis;
@@ -30,7 +30,7 @@ use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
 ///
 /// Obtained from [`MinSigIndex::snapshot`](crate::index::MinSigIndex::snapshot);
 /// every query entry point of the crate is available directly on the snapshot
-/// (the `MinSigIndex` methods are thin delegates).
+/// (the `MinSigIndex` handle derefs to it).
 ///
 /// A snapshot is also the unit of *epoch publication* during streaming
 /// ingestion ([`crate::ingest`]) and the unit of persistence
@@ -292,17 +292,8 @@ impl IndexSnapshot {
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let source = ArenaSource::new(&self.sequences, &self.arena, query);
-        let (results, mut stats) = engine::execute(
-            &self.sp,
-            &self.hasher,
-            &self.node_arena,
-            query,
-            exclude,
-            k,
-            measure,
-            &source,
-            options,
-        )?;
+        let request = Query { options, ..Query::new(k, measure) };
+        let (results, mut stats) = engine::execute(self, query, exclude, &request, &source)?;
         stats.kernel_dispatch.absorb(source.take_dispatch());
         Ok((results, stats))
     }
@@ -324,17 +315,14 @@ impl IndexSnapshot {
         k: usize,
         measure: &'a M,
         options: QueryOptions,
-    ) -> Result<engine::Executor<'a, SeededHashFamily, ArenaSource<'a>, M>> {
+    ) -> Result<engine::Executor<'a, ArenaSource<'a>, M>> {
+        let source = ArenaSource::new(&self.sequences, &self.arena, query);
         engine::Executor::new(
-            &self.sp,
-            &self.hasher,
-            &self.node_arena,
+            self,
             query,
             exclude,
-            k,
-            measure,
-            ArenaSource::new(&self.sequences, &self.arena, query),
-            options,
+            &Query { options, ..Query::new(k, measure) },
+            source,
         )
     }
 

@@ -95,9 +95,9 @@ pub mod harness {
 }
 
 pub use minsig::{
-    BoundMode, IndexConfig, IndexSnapshot, JoinOptions, MinSigIndex, PlannerConfig, PublishPolicy,
-    QueryOptions, QueryPlan, QueryStats, SchedulerConfig, ShardedMinSigIndex, ShardedSnapshot,
-    Synopsis, TopKResult, TraceSource,
+    IndexConfig, IndexSnapshot, JoinOptions, MinSigIndex, PlannerConfig, Query, QueryOptions,
+    QueryPlan, QueryStats, SchedulerConfig, ShardedMinSigIndex, ShardedSnapshot, Synopsis,
+    TopKResult, TraceSource,
 };
 pub use trace_model::{
     AssociationMeasure, DiceAdm, DigitalTrace, EntityId, JaccardAdm, PaperAdm, Period,

@@ -1,15 +1,15 @@
 //! The cooperative bound-sharing executor from the outside: resumable
-//! stepping is answer- and work-invariant, scheduler knobs never change
+//! stepping is answer- and work-invariant, the step quantum never changes
 //! answers, and a [`SharedBound`] provably *saves* work against the
 //! independent per-shard baseline on skewed (one-shard-holds-the-top-k)
 //! populations — the contract behind the `shard_scaling` bench.
 
-use digital_traces::index::engine::PrivateBound;
+use digital_traces::index::engine::{merge_top_k, PrivateBound};
 use digital_traces::index::testkit::{
     assert_equivalent_answers, PruningAdversarialConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    shard_of, BoundMode, IndexConfig, PublishPolicy, QueryOptions, QueryStats, SchedulerConfig,
+    shard_of, IndexConfig, PlannerConfig, Query, QueryOptions, QueryStats, SchedulerConfig,
     ShardedMinSigIndex,
 };
 use digital_traces::EntityId;
@@ -52,6 +52,19 @@ fn stepped_execution_matches_one_shot() {
     }
 }
 
+/// The unplanned `Query` at `quantum`: every shard tree-searched, cold bound.
+fn unplanned(
+    k: usize,
+    measure: &digital_traces::PaperAdm,
+    quantum: usize,
+) -> Query<'_, digital_traces::PaperAdm> {
+    Query {
+        scheduler: SchedulerConfig::with_step_quantum(quantum),
+        planner: PlannerConfig::disabled(),
+        ..Query::new(k, measure)
+    }
+}
+
 /// One deterministic cooperative run (batch path: sequential round-robin
 /// per-shard interleaving) of a query over the skew workload.
 fn run_skewed(
@@ -59,17 +72,31 @@ fn run_skewed(
     query: EntityId,
     k: usize,
     measure: &digital_traces::PaperAdm,
-    bound_mode: BoundMode,
 ) -> (Vec<digital_traces::TopKResult>, QueryStats) {
-    let scheduler = SchedulerConfig {
-        step_quantum: 4,
-        publish_policy: PublishPolicy::EveryImprovement,
-        bound_mode,
-    };
-    snapshot
-        .top_k_batch_with_scheduler(&[query], k, measure, QueryOptions::default(), scheduler)
-        .unwrap()
-        .remove(0)
+    snapshot.query_batch(&[query], &unplanned(k, measure, 4)).unwrap().remove(0)
+}
+
+/// The independent baseline: every shard searched alone against its private
+/// threshold, answers merged, work summed.
+fn run_independent(
+    snapshot: &digital_traces::ShardedSnapshot,
+    query: EntityId,
+    k: usize,
+    measure: &digital_traces::PaperAdm,
+) -> (Vec<digital_traces::TopKResult>, QueryStats) {
+    let seq = snapshot.sequence(query).unwrap();
+    let mut work = QueryStats::default();
+    let parts: Vec<_> = (0..snapshot.num_shards())
+        .map(|shard| {
+            let (results, stats) = snapshot
+                .shard(shard)
+                .top_k_for_sequence(seq, Some(query), k, measure, QueryOptions::default())
+                .unwrap();
+            work.absorb_work(&stats);
+            results
+        })
+        .collect();
+    (merge_top_k(k, parts), work)
 }
 
 /// The satellite stats contract: on a population where one shard holds the
@@ -91,8 +118,8 @@ fn shared_bound_saves_work_on_skewed_shards() {
 
     // Best case: a hot query — the hot shard saturates the global bound
     // almost immediately and every cold shard should prune wholesale.
-    let (shared_results, shared) = run_skewed(&snapshot, hot[0], k, &measure, BoundMode::Shared);
-    let (indep_results, indep) = run_skewed(&snapshot, hot[0], k, &measure, BoundMode::Independent);
+    let (shared_results, shared) = run_skewed(&snapshot, hot[0], k, &measure);
+    let (indep_results, indep) = run_independent(&snapshot, hot[0], k, &measure);
     assert_eq!(shared_results, indep_results, "bound sharing never changes answers");
     assert!(
         shared.nodes_visited < indep.nodes_visited,
@@ -125,17 +152,15 @@ fn shared_bound_saves_work_on_skewed_shards() {
         .into_iter()
         .find(|&e| shard_of(e, shards) != shard_of(hot[0], shards))
         .expect("the workload plants cold entities on other shards");
-    let (shared_cold_results, shared_cold) =
-        run_skewed(&snapshot, cold, k, &measure, BoundMode::Shared);
-    let (indep_cold_results, indep_cold) =
-        run_skewed(&snapshot, cold, k, &measure, BoundMode::Independent);
+    let (shared_cold_results, shared_cold) = run_skewed(&snapshot, cold, k, &measure);
+    let (indep_cold_results, indep_cold) = run_independent(&snapshot, cold, k, &measure);
     assert_eq!(shared_cold_results, indep_cold_results);
     assert!(shared_cold.nodes_visited <= indep_cold.nodes_visited);
     assert!(shared_cold.entities_checked <= indep_cold.entities_checked);
 }
 
-/// Every scheduler knob combination over the adversarial workload returns
-/// the bitwise unsharded answer — including the all-ties population, where
+/// Every step quantum over the adversarial workload returns the bitwise
+/// unsharded answer — including the all-ties population, where
 /// tie-complete pruning is what keeps the k-th boundary pinned.
 #[test]
 fn scheduler_knobs_are_answer_invariant_on_adversarial_workloads() {
@@ -154,26 +179,12 @@ fn scheduler_knobs_are_answer_invariant_on_adversarial_workloads() {
             let oracle = unsharded.brute_force(query, 4, &measure).unwrap();
             assert_equivalent_answers(&expect, &oracle, &format!("unsharded vs oracle, {query}"));
             for quantum in [1usize, 2, 7, 64, usize::MAX] {
-                for publish_policy in [PublishPolicy::EveryImprovement, PublishPolicy::PerQuantum] {
-                    for bound_mode in [BoundMode::Shared, BoundMode::Independent] {
-                        let scheduler =
-                            SchedulerConfig { step_quantum: quantum, publish_policy, bound_mode };
-                        let (got, _) = snapshot
-                            .top_k_with_scheduler(
-                                query,
-                                4,
-                                &measure,
-                                QueryOptions::default(),
-                                scheduler,
-                            )
-                            .unwrap();
-                        assert_equivalent_answers(
-                            &got,
-                            &expect,
-                            &format!("{scheduler:?}, query {query}"),
-                        );
-                    }
-                }
+                let (got, _) = snapshot.query(query, &unplanned(4, &measure, quantum)).unwrap();
+                assert_equivalent_answers(
+                    &got,
+                    &expect,
+                    &format!("quantum {quantum}, query {query}"),
+                );
             }
         }
     }
@@ -190,14 +201,6 @@ fn zero_step_quantum_is_rejected() {
     let sharded =
         ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(8), 2)
             .unwrap();
-    let err = sharded
-        .top_k_with_scheduler(
-            hot[0],
-            1,
-            &w.measure(),
-            QueryOptions::default(),
-            SchedulerConfig::with_step_quantum(0),
-        )
-        .unwrap_err();
+    let err = sharded.snapshot().query(hot[0], &unplanned(1, &w.measure(), 0)).unwrap_err();
     assert!(matches!(err, digital_traces::index::IndexError::InvalidConfig(_)), "{err:?}");
 }

@@ -23,9 +23,7 @@
 use digital_traces::index::testkit::{
     assert_equivalent_answers, measured_recall, DeadlineAdversarialConfig, UniformConfig, Workload,
 };
-use digital_traces::index::{
-    IndexConfig, MinSigIndex, PlannerConfig, QueryOptions, SchedulerConfig, ShardedMinSigIndex,
-};
+use digital_traces::index::{IndexConfig, MinSigIndex, PlannerConfig, Query, ShardedMinSigIndex};
 use digital_traces::storage::{PagedTraceStore, PoolConfig, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -83,19 +81,13 @@ proptest! {
         let paged = snapshot.paged(&store, &pool);
         for query in w.entities() {
             let (deadline_run, stats) = snapshot
-                .top_k_with_planner(
-                    query, k, &measure, QueryOptions::default(),
-                    SchedulerConfig::default(), budgeted,
-                )
+                .query(query, &Query { planner: budgeted, ..Query::new(k, &measure) })
                 .unwrap();
             prop_assert!(stats.degradation.is_none(), "an unbinding budget never degrades");
             prop_assert_eq!(stats.sampled_candidates, 0usize);
             prop_assert!((stats.recall_estimate - 1.0).abs() < f64::EPSILON);
             let (planned, _) = snapshot
-                .top_k_with_planner(
-                    query, k, &measure, QueryOptions::default(),
-                    SchedulerConfig::default(), PlannerConfig::default(),
-                )
+                .query(query, &Query::new(k, &measure))
                 .unwrap();
             assert_equivalent_answers(
                 &deadline_run, &planned,
@@ -106,10 +98,7 @@ proptest! {
             let oracle = unsharded.brute_force(query, k, &measure).unwrap();
             assert_equivalent_answers(&deadline_run, &oracle, &format!("vs oracle, {query}"));
             let (paged_run, paged_stats) = paged
-                .top_k_with_planner(
-                    query, k, &measure, QueryOptions::default(),
-                    SchedulerConfig::default(), budgeted,
-                )
+                .query(query, &Query { planner: budgeted, ..Query::new(k, &measure) })
                 .unwrap();
             assert_equivalent_answers(
                 &paged_run, &exact,
@@ -143,10 +132,7 @@ proptest! {
         let snapshot = sharded.snapshot();
         for query in w.sample_entities(4, seed ^ 0xBEEF) {
             let (_, stats) = snapshot
-                .top_k_with_planner(
-                    query, k, &measure, QueryOptions::default(),
-                    SchedulerConfig::default(), planner,
-                )
+                .query(query, &Query { planner, ..Query::new(k, &measure) })
                 .unwrap();
             match &stats.degradation {
                 None => {
@@ -229,22 +215,15 @@ proptest! {
             batch_plan.groups.iter().flat_map(|g| g.queries.clone()).collect();
         grouped.sort_unstable();
         prop_assert_eq!(grouped, (0..queries.len()).collect::<Vec<_>>());
-        let rendering = snapshot.explain_batch(&queries, k, &measure, planner).unwrap();
+        let rendering = batch_plan.explain();
         prop_assert!(rendering.contains("BatchPlan"), "{}", rendering);
 
         // Answers: the batch path equals the per-query path bitwise.
-        let batch = snapshot
-            .top_k_batch_with_planner(
-                &queries, k, &measure, QueryOptions::default(),
-                SchedulerConfig::default(), planner,
-            )
-            .unwrap();
+        let batch =
+            snapshot.query_batch(&queries, &Query { planner, ..Query::new(k, &measure) }).unwrap();
         for (i, &query) in queries.iter().enumerate() {
             let (single, _) = snapshot
-                .top_k_with_planner(
-                    query, k, &measure, QueryOptions::default(),
-                    SchedulerConfig::default(), planner,
-                )
+                .query(query, &Query { planner, ..Query::new(k, &measure) })
                 .unwrap();
             assert_equivalent_answers(
                 &batch[i].0, &single,
@@ -257,10 +236,7 @@ proptest! {
         // bitwise identical too.
         let budgeted = PlannerConfig::with_budget(UNBOUNDED_US);
         let budgeted_batch = snapshot
-            .top_k_batch_with_planner(
-                &queries, k, &measure, QueryOptions::default(),
-                SchedulerConfig::default(), budgeted,
-            )
+            .query_batch(&queries, &Query { planner: budgeted, ..Query::new(k, &measure) })
             .unwrap();
         for (i, (answer, stats)) in budgeted_batch.iter().enumerate() {
             assert_equivalent_answers(
@@ -294,16 +270,8 @@ fn recall_floor_is_honored_on_the_adversarial_workload() {
     let mut recall_sum = 0.0;
     let mut probes = 0usize;
     for &query in &clique {
-        let (answer, stats) = snapshot
-            .top_k_with_planner(
-                query,
-                k,
-                &measure,
-                QueryOptions::default(),
-                SchedulerConfig::default(),
-                planner,
-            )
-            .unwrap();
+        let (answer, stats) =
+            snapshot.query(query, &Query { planner, ..Query::new(k, &measure) }).unwrap();
         let (exact, _) = unsharded.top_k(query, k, &measure).unwrap();
         probes += 1;
         recall_sum += measured_recall(&answer, &exact);
@@ -329,16 +297,8 @@ fn recall_floor_is_honored_on_the_adversarial_workload() {
     // answers exactly, bitwise.
     let strict = PlannerConfig::with_budget_and_floor(1, 1.0);
     for &query in clique.iter().take(6) {
-        let (answer, stats) = snapshot
-            .top_k_with_planner(
-                query,
-                k,
-                &measure,
-                QueryOptions::default(),
-                SchedulerConfig::default(),
-                strict,
-            )
-            .unwrap();
+        let (answer, stats) =
+            snapshot.query(query, &Query { planner: strict, ..Query::new(k, &measure) }).unwrap();
         assert!(stats.degradation.is_none(), "a 1.0 floor forbids degradation");
         let (exact, _) = unsharded.top_k(query, k, &measure).unwrap();
         assert_equivalent_answers(&answer, &exact, &format!("strict floor, {query}"));

@@ -11,11 +11,14 @@
 //!   in-memory rule, so a paged plan with its page estimates stripped must
 //!   *equal* the in-memory plan, seed and upper-bound bits included.
 //! * Both paths reject the same bad knobs at the same entry points.
+//! * The `Query` entries are the conveniences' only body: the default `Query`
+//!   is `top_k` / `top_k_batch`, and with the planner disabled it is the
+//!   unplanned baseline, whose work counters are pinned.
 
 use digital_traces::index::testkit::{UniformConfig, Workload};
 use digital_traces::index::{
-    IndexConfig, IndexError, PlannerConfig, QueryOptions, QueryPlan, SchedulerConfig,
-    ShardedMinSigIndex,
+    IndexConfig, IndexError, PlannerConfig, Query, QueryPlan, QueryStats, SchedulerConfig,
+    ShardedMinSigIndex, TopKResult,
 };
 use digital_traces::storage::{PagedTraceStore, PoolConfig, PAGE_SIZE};
 use digital_traces::EntityId;
@@ -69,14 +72,9 @@ fn zero_budget_degrades_identically_in_memory_and_out_of_core() {
                              query {query}, k {k}",
                             pool_config.capacity_bytes
                         );
-                        let (options, scheduler) =
-                            (QueryOptions::default(), SchedulerConfig::default());
-                        let (mem, mem_stats) = snapshot
-                            .top_k_with_planner(query, k, &measure, options, scheduler, planner)
-                            .unwrap();
-                        let (out, out_stats) = paged
-                            .top_k_with_planner(query, k, &measure, options, scheduler, planner)
-                            .unwrap();
+                        let budgeted = Query { planner, ..Query::new(k, &measure) };
+                        let (mem, mem_stats) = snapshot.query(query, &budgeted).unwrap();
+                        let (out, out_stats) = paged.query(query, &budgeted).unwrap();
                         assert_eq!(mem.len(), out.len(), "{ctx}");
                         for (a, b) in mem.iter().zip(&out) {
                             assert_eq!(a.entity, b.entity, "{ctx}");
@@ -179,32 +177,86 @@ fn both_paths_reject_the_same_bad_knobs() {
     let bad_planner = PlannerConfig { recall_floor: 1.5, ..PlannerConfig::default() };
     invalid(snapshot.explain(query, 3, &measure, bad_planner).map(drop), "in-memory explain");
     invalid(paged.explain(query, 3, &measure, bad_planner).map(drop), "paged explain");
-    let (options, scheduler) = (QueryOptions::default(), SchedulerConfig::default());
-    invalid(
-        snapshot.top_k_with_planner(query, 3, &measure, options, scheduler, bad_planner).map(drop),
-        "in-memory top_k_with_planner",
-    );
-    invalid(
-        paged.top_k_with_planner(query, 3, &measure, options, scheduler, bad_planner).map(drop),
-        "paged top_k_with_planner",
-    );
+    let good = Query::new(3, &measure);
+    let bad_plan = Query { planner: bad_planner, ..good };
+    invalid(snapshot.query(query, &bad_plan).map(drop), "in-memory query");
+    invalid(paged.query(query, &bad_plan).map(drop), "paged query");
 
     // An empty batch still validates its knobs, on both paths.
-    let bad_scheduler = SchedulerConfig::with_step_quantum(0);
-    let planner = PlannerConfig::default();
-    for (scheduler, planner) in [(bad_scheduler, planner), (scheduler, bad_planner)] {
-        invalid(
-            snapshot
-                .top_k_batch_with_planner(&[], 3, &measure, options, scheduler, planner)
-                .map(drop),
-            "in-memory empty batch",
-        );
-        invalid(
-            paged.top_k_batch_with_planner(&[], 3, &measure, options, scheduler, planner).map(drop),
-            "paged empty batch",
-        );
+    let bad_quantum = Query { scheduler: SchedulerConfig::with_step_quantum(0), ..good };
+    for bad in [bad_quantum, bad_plan] {
+        invalid(snapshot.query_batch(&[], &bad).map(drop), "in-memory empty batch");
+        invalid(paged.query_batch(&[], &bad).map(drop), "paged empty batch");
     }
-    let empty =
-        paged.top_k_batch_with_planner(&[], 3, &measure, options, scheduler, planner).unwrap();
-    assert!(empty.is_empty());
+    assert!(paged.query_batch(&[], &good).unwrap().is_empty());
+}
+
+/// The schedule-independent work of a batch (its queries run their shards
+/// sequentially, so every counter is deterministic), summed.
+fn batch_work(batch: &[(Vec<TopKResult>, QueryStats)]) -> [usize; 7] {
+    let mut work = QueryStats::default();
+    for (_, stats) in batch {
+        work.absorb_work(stats);
+    }
+    [
+        work.nodes_visited,
+        work.subtrees_pruned,
+        work.entities_checked,
+        work.leaves_visited,
+        work.bound_updates as usize,
+        work.steps,
+        work.shards_skipped,
+    ]
+}
+
+#[test]
+fn query_entries_are_the_conveniences_and_the_unplanned_baseline() {
+    // [nodes, pruned, checked, leaves, bound updates, steps, skipped] of the
+    // 8-query batch below, unplanned, per shard count — measured through the
+    // scheduler-only entry points `Query` replaced, in memory and paged alike.
+    let unplanned_work = [
+        (1usize, [1503usize, 1, 759, 759, 0, 48, 0]),
+        (3, [1799, 1, 759, 767, 15, 64, 0]),
+        (5, [1992, 0, 760, 768, 12, 72, 0]),
+    ];
+    let (w, store) = world(3);
+    let measure = w.measure();
+    let queries = w.sample_entities(8, 0x51);
+    let answers = |batch: &[(Vec<TopKResult>, QueryStats)]| -> Vec<Vec<TopKResult>> {
+        batch.iter().map(|(results, _)| results.clone()).collect()
+    };
+    for (shards, pinned) in unplanned_work {
+        let index = sharded(&w, shards);
+        let snapshot = index.snapshot();
+        let pool = store.pool(PoolConfig::default());
+        let paged = snapshot.paged(&store, &pool);
+        let default = Query::new(5, &measure);
+        let unplanned = Query { planner: PlannerConfig::disabled(), ..default };
+
+        let mem = snapshot.query_batch(&queries, &default).unwrap();
+        let out = paged.query_batch(&queries, &default).unwrap();
+        let convenience = snapshot.top_k_batch(&queries, 5, &measure).unwrap();
+        assert_eq!(answers(&mem), answers(&convenience), "{shards} shards");
+        assert_eq!(batch_work(&mem), batch_work(&convenience), "{shards} shards");
+        let convenience = paged.top_k_batch(&queries, 5, &measure).unwrap();
+        assert_eq!(answers(&out), answers(&convenience), "{shards} shards, paged");
+        assert_eq!(batch_work(&out), batch_work(&convenience), "{shards} shards, paged");
+        for (i, &query) in queries.iter().enumerate() {
+            for (single, batched) in [
+                (snapshot.query(query, &default), &mem[i]),
+                (snapshot.top_k(query, 5, &measure), &mem[i]),
+                (paged.query(query, &default), &out[i]),
+                (paged.top_k(query, 5, &measure), &out[i]),
+            ] {
+                assert_eq!(single.unwrap().0, batched.0, "{shards} shards, query {query}");
+            }
+        }
+
+        let mem = snapshot.query_batch(&queries, &unplanned).unwrap();
+        let out = paged.query_batch(&queries, &unplanned).unwrap();
+        assert_eq!(answers(&mem), answers(&convenience), "{shards} shards, unplanned");
+        assert_eq!(answers(&out), answers(&convenience), "{shards} shards, unplanned paged");
+        assert_eq!(batch_work(&mem), pinned, "{shards} shards, unplanned");
+        assert_eq!(batch_work(&out), pinned, "{shards} shards, unplanned paged");
+    }
 }

@@ -17,9 +17,7 @@ use digital_traces::index::testkit::{
     assert_equivalent_answers, assert_valid_top_k, ChaoticReplacer, HierarchySpec, UniformConfig,
     Workload,
 };
-use digital_traces::index::{
-    IndexConfig, JoinOptions, PlannerConfig, SchedulerConfig, ShardedMinSigIndex,
-};
+use digital_traces::index::{IndexConfig, JoinOptions, PlannerConfig, Query, ShardedMinSigIndex};
 use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, ReplacerPolicy, PAGE_SIZE};
 use digital_traces::EntityId;
 use proptest::prelude::*;
@@ -269,12 +267,9 @@ fn paged_explain_exposes_consistent_page_estimates() {
         assert_eq!(pages.cold_pages(), pages.total_pages - pages.resident_pages);
     }
 
-    let (mem, _) = snapshot
-        .top_k_with_scheduler(query, 5, &measure, Default::default(), SchedulerConfig::default())
-        .unwrap();
-    let (out, stats) = paged
-        .top_k_with_scheduler(query, 5, &measure, Default::default(), SchedulerConfig::default())
-        .unwrap();
+    let unplanned = Query { planner: PlannerConfig::disabled(), ..Query::new(5, &measure) };
+    let (mem, _) = snapshot.query(query, &unplanned).unwrap();
+    let (out, stats) = paged.query(query, &unplanned).unwrap();
     assert_equivalent_answers(&out, &mem, "planner-disabled paged query");
     assert!(!stats.threshold_seeded, "disabled planner must not seed");
 }

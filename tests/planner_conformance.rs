@@ -17,9 +17,8 @@ use digital_traces::index::testkit::{
     Workload,
 };
 use digital_traces::index::{
-    shard::SHARD_MANIFEST_FILE, IndexConfig, MinSigIndex, PlannerConfig, QueryOptions,
-    SchedulerConfig, ShardedMinSigIndex, Synopsis, INDEX_MAGIC, PARTITION_VERSION,
-    SHARD_MANIFEST_MAGIC,
+    shard::SHARD_MANIFEST_FILE, IndexConfig, MinSigIndex, PlannerConfig, Query, ShardedMinSigIndex,
+    Synopsis, INDEX_MAGIC, PARTITION_VERSION, SHARD_MANIFEST_MAGIC,
 };
 use digital_traces::storage::segment::{self, SegmentReader, SegmentWriter};
 use proptest::prelude::*;
@@ -78,16 +77,10 @@ proptest! {
         let measure = w.measure();
         let snapshot = sharded.snapshot();
         for query in w.entities() {
-            let (planned, stats) = snapshot
-                .top_k_with_planner(
-                    query, k, &measure, QueryOptions::default(),
-                    SchedulerConfig::default(), planner,
-                )
-                .unwrap();
+            let default = Query::new(k, &measure);
+            let (planned, stats) = snapshot.query(query, &Query { planner, ..default }).unwrap();
             let (unplanned, _) = snapshot
-                .top_k_with_scheduler(
-                    query, k, &measure, QueryOptions::default(), SchedulerConfig::default(),
-                )
+                .query(query, &Query { planner: PlannerConfig::disabled(), ..default })
                 .unwrap();
             assert_equivalent_answers(
                 &planned, &unplanned,
@@ -187,16 +180,7 @@ fn localized_workload_skips_every_background_shard() {
         let measure = w.measure();
         let k = 5;
         for &query in &hot {
-            let (planned, stats) = snapshot
-                .top_k_with_planner(
-                    query,
-                    k,
-                    &measure,
-                    QueryOptions::default(),
-                    SchedulerConfig::default(),
-                    PlannerConfig::default(),
-                )
-                .unwrap();
+            let (planned, stats) = snapshot.query(query, &Query::new(k, &measure)).unwrap();
             assert!(stats.threshold_seeded, "{shards} shards: the sketch must seed k={k}");
             assert_eq!(
                 stats.shards_skipped,
@@ -234,16 +218,7 @@ fn dispersed_workload_skips_nothing() {
         let snapshot = sharded.snapshot();
         let measure = w.measure();
         for &query in entities.iter().step_by(7) {
-            let (planned, stats) = snapshot
-                .top_k_with_planner(
-                    query,
-                    3,
-                    &measure,
-                    QueryOptions::default(),
-                    SchedulerConfig::default(),
-                    PlannerConfig::default(),
-                )
-                .unwrap();
+            let (planned, stats) = snapshot.query(query, &Query::new(3, &measure)).unwrap();
             assert_eq!(stats.shards_skipped, 0, "{shards} shards: nothing is skippable");
             let (exact, _) = unsharded.top_k(query, 3, &measure).unwrap();
             assert_equivalent_answers(&planned, &exact, &format!("dispersed, {query}"));

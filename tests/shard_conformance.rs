@@ -1,5 +1,5 @@
 //! Black-box conformance of the sharded index: for random populations,
-//! arbitrary shard counts and arbitrary cooperative-scheduler knobs, every
+//! arbitrary shard counts and arbitrary cooperative-scheduler quanta, every
 //! sharded query path must answer **fully bit-identically** to the single
 //! unsharded index and the brute-force oracle — identical degree vectors,
 //! identical entities at every rank (boundary ties included: all exact paths
@@ -15,7 +15,7 @@ use digital_traces::index::testkit::{
     assert_equivalent_answers, assert_valid_top_k, StreamConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    BoundMode, IndexConfig, JoinOptions, MinSigIndex, PublishPolicy, QueryOptions, SchedulerConfig,
+    IndexConfig, JoinOptions, MinSigIndex, PlannerConfig, Query, SchedulerConfig,
     ShardedMinSigIndex,
 };
 use digital_traces::EntityId;
@@ -81,8 +81,8 @@ proptest! {
 
     /// Scheduler-knob invariance: the cooperative sharded answer is fully
     /// bit-identical to the unsharded index and the brute-force oracle for
-    /// **arbitrary step quanta**, either publish policy and both bound
-    /// modes — the scheduler can only move work counters, never answers.
+    /// **arbitrary step quanta** — the scheduler can only move work
+    /// counters, never answers.
     #[test]
     fn cooperative_scheduler_never_changes_answers(
         entities in 2u64..40,
@@ -91,40 +91,25 @@ proptest! {
         shards in 1usize..9,
         k in 1usize..7,
         quantum in 1usize..97,
-        eager_publish in any::<bool>(),
-        share_bound in any::<bool>(),
     ) {
         let (w, unsharded, sharded) = build_pair(entities, visits, seed, 16, shards);
         let measure = w.measure();
-        let scheduler = SchedulerConfig {
-            step_quantum: quantum,
-            publish_policy: if eager_publish {
-                PublishPolicy::EveryImprovement
-            } else {
-                PublishPolicy::PerQuantum
-            },
-            bound_mode: if share_bound { BoundMode::Shared } else { BoundMode::Independent },
+        let unplanned = Query {
+            scheduler: SchedulerConfig::with_step_quantum(quantum),
+            planner: PlannerConfig::disabled(),
+            ..Query::new(k, &measure)
         };
         let snapshot = sharded.snapshot();
         for query in w.entities() {
             let (exact, _) = unsharded.top_k(query, k, &measure).unwrap();
-            let (fanned, stats) = snapshot
-                .top_k_with_scheduler(query, k, &measure, QueryOptions::default(), scheduler)
-                .unwrap();
-            assert_equivalent_answers(
-                &fanned,
-                &exact,
-                &format!("scheduler {scheduler:?}, {query}"),
-            );
+            let (fanned, stats) = snapshot.query(query, &unplanned).unwrap();
+            assert_equivalent_answers(&fanned, &exact, &format!("quantum {quantum}, {query}"));
             let oracle = unsharded.brute_force(query, k, &measure).unwrap();
             assert_equivalent_answers(&fanned, &oracle, &format!("vs oracle, {query}"));
             // Work accounting stays closed: every queued subtree is either
             // visited or pruned, and quanta were actually counted.
             prop_assert!(stats.steps >= 1);
             prop_assert!(stats.nodes_visited + stats.subtrees_pruned >= stats.leaves_visited);
-            if scheduler.bound_mode == BoundMode::Independent {
-                prop_assert_eq!(stats.bound_updates, 0, "private bounds accept nothing");
-            }
         }
     }
 
