@@ -27,9 +27,9 @@
 //! workspace root.  The artifact embeds the committed baseline
 //! (`crates/bench/baselines/kernel.json`), which carries the pre-change
 //! shard-scaling QPS and the arena ns/degree recorded when the kernels
-//! landed, and records whether the `simd` cargo feature routed the
-//! dispatcher (CI runs the bench both ways).  Three gates **panic**
-//! (failing the bench job):
+//! landed, and records whether the dispatcher found AVX2 on this machine
+//! (which is what routes the similar-size regime to the SIMD kernel).  Three
+//! gates **panic** (failing the bench job):
 //!
 //! * any intersection kernel diverging from the merge oracle on any grid
 //!   shape, or any fused arena degree diverging bitwise from the owned
@@ -48,7 +48,8 @@ use minsig_bench::{
 use std::hint::black_box;
 use std::time::Instant;
 use trace_model::kernel::{
-    intersection_len, intersection_len_gallop, intersection_len_merge, intersection_len_simd,
+    dispatch_class, intersection_len, intersection_len_gallop, intersection_len_merge,
+    intersection_len_simd, KernelClass,
 };
 use trace_model::{AssociationMeasure, EntityId, LevelOverlap, PaperAdm};
 
@@ -308,14 +309,14 @@ fn write_artifact_and_gate(
         concat!(
             "{{\n",
             "  \"bench\": \"kernel\",\n",
-            "  \"simd_feature\": {},\n",
+            "  \"avx2_detected\": {},\n",
             "  \"population\": {},\n",
             "  \"k\": {},\n",
             "  \"results\": [\n{}\n  ],\n",
             "  \"baseline\": {}\n",
             "}}\n"
         ),
-        cfg!(feature = "simd"),
+        dispatch_class(256, 256) == KernelClass::Simd,
         SHARD_BENCH_ENTITIES,
         K,
         rows.join(",\n"),

@@ -137,9 +137,10 @@ where
 
 /// Answers one query: plan, then drive the plan.  `parallel` fans the
 /// cooperative scheduler's workers out over rayon; batch and join paths pass
-/// `false` (they parallelise over queries).  The latency budget, when set, is
-/// measured from before planning — planning time spends budget, matching the
-/// cost model.
+/// `false` (they parallelise over queries), and so does every paged path
+/// (its candidates all go through the one pool mutex; see [`crate::paged`]).
+/// The latency budget, when set, is measured from before planning — planning
+/// time spends budget, matching the cost model.
 pub(crate) fn run<'q, A, M>(
     access: &A,
     query: &Query<'q, M>,
@@ -439,9 +440,12 @@ fn drive_cooperatively<'a, S, M, B>(
     M: AssociationMeasure + ?Sized + Sync,
     B: Bound,
 {
-    let workers =
-        if parallel { rayon::current_num_threads().min(executors.len()) } else { 1 }.max(1);
-    if workers <= 1 || executors.len() <= 1 {
+    let workers = if parallel && executors.len() > 1 {
+        rayon::current_num_threads().min(executors.len())
+    } else {
+        1
+    };
+    if workers <= 1 {
         let mut pending: VecDeque<usize> = (0..executors.len()).collect();
         while let Some(i) = pending.pop_front() {
             if executors[i].step(bound, quantum) {

@@ -46,12 +46,13 @@
 //! descending then node id ascending, the slot taking no part in the order.
 //! The per-level overlap caps of inner nodes sit in a slab of fixed-width
 //! slots: a pop moves the node's caps into a scratch row and frees the slot
-//! before its children are pushed, and leaf-depth children — evaluated, never
-//! expanded — store none.  The query's sorted cell hashes are a dense
-//! `[level][hash function]` table filled on first use, and a child's bound is
-//! computed by [`AssociationMeasure::upper_bound_into`] over one reused
-//! scratch.  The leaf-degree scratch belongs to the [`TraceSource`], which
-//! also owns the kernel-dispatch accounting.
+//! before its children are pushed, and childless children (leaves and folded
+//! one-entity subtrees) — evaluated, never expanded — store none.  The
+//! query's sorted cell hashes are a dense `[level][hash function]` table
+//! filled on first use, and a child's bound is computed by
+//! [`AssociationMeasure::upper_bound_into`] over one reused scratch.  The
+//! leaf-degree scratch belongs to the [`TraceSource`], which also owns the
+//! kernel-dispatch accounting.
 //!
 //! ## Cooperative bound sharing: why it is exact
 //!
@@ -504,7 +505,7 @@ struct Candidate {
     upper_bound: OrdF64,
     node: NodeId,
     /// The node's per-level overlap caps, as a [`CapsSlab`] slot;
-    /// [`NO_CAPS`] for leaf-depth nodes, which never expand.
+    /// [`NO_CAPS`] for childless nodes, which never expand.
     caps: u32,
 }
 
@@ -847,9 +848,11 @@ where
     fn visit<B: Bound + ?Sized>(&mut self, candidate: Candidate, bound: &B) {
         let tree = self.tree;
         let m = tree.levels();
+        let children = tree.children(candidate.node);
 
-        if tree.depth(candidate.node) == m {
-            // Leaf: evaluate every contained entity exactly, reading the
+        if children.is_empty() {
+            // A childless row — a leaf, or a one-entity subtree the arena
+            // folded: evaluate every contained entity exactly, reading the
             // entity list from the arena's contiguous CSR span.
             self.stats.leaves_visited += 1;
             for &entity in tree.leaf_entities(candidate.node) {
@@ -876,7 +879,7 @@ where
         let inherited =
             if self.options.accumulate_down_branch { &self.parent_caps } else { &self.query_sizes };
         let base_idx = (m - 1) as usize;
-        for &child_id in tree.children(candidate.node) {
+        for &child_id in children {
             let child_depth = tree.depth(child_id);
             let routing_index = tree.routing_index(child_id);
             let routing_value = tree.routing_value(child_id);
@@ -896,9 +899,10 @@ where
                 self.measure.upper_bound_into(&self.query_sizes, caps, &mut self.bound_scratch);
             // A subtree whose bound cannot beat the current threshold can
             // still be pushed; it will be discarded by the pruning check when
-            // popped (and counted in `subtrees_pruned`).  A leaf-depth child
+            // popped (and counted in `subtrees_pruned`).  A childless child
             // is evaluated, never expanded: nothing would read its caps.
-            let slot = if child_depth == m { NO_CAPS } else { self.caps.store(caps) };
+            let slot =
+                if tree.children(child_id).is_empty() { NO_CAPS } else { self.caps.store(caps) };
             self.queue.push(Candidate { upper_bound: OrdF64(ub), node: child_id, caps: slot });
         }
     }

@@ -63,7 +63,7 @@ use crate::signature::SignatureList;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-use trace_model::{CellSet, CellSetSequence, DigitalTrace, EntityId, PresenceInstance};
+use trace_model::{CellSetSequence, DigitalTrace, EntityId, PresenceInstance};
 
 /// Accumulates presence records for batched application to a [`MinSigIndex`].
 ///
@@ -189,14 +189,9 @@ impl IngestBuffer {
             let (seq, sig) = match (snap.sequences.remove(&entity), snap.signatures.remove(&entity))
             {
                 (Some(old_seq), Some(old_sig)) => {
-                    let merged: Vec<CellSet> = old_seq
-                        .iter_levels()
-                        .zip(delta_seq.iter_levels())
-                        .map(|((_, old), (_, delta))| old.union(delta))
-                        .collect();
                     let mut sig = old_sig;
                     sig.merge_min(&delta_sig);
-                    (CellSetSequence::from_level_sets(merged), sig)
+                    (old_seq.union(&delta_seq), sig)
                 }
                 _ => {
                     entities_inserted += 1;

@@ -29,8 +29,16 @@
 //! On top of it, [`CandidateArena::degree_into`] fuses the per-level overlap
 //! loop: all levels of one candidate are scored against a pre-resolved
 //! [`QueryView`] without re-fetching the query or touching a map, with each
-//! per-level intersection dispatched through the branch-light / galloping
-//! kernels of [`trace_model::kernel`] (re-exported here).
+//! per-level intersection dispatched through the branch-light / galloping /
+//! SIMD kernels of [`trace_model::kernel`] (re-exported here).  The loop
+//! exists once (`level_overlaps`; the tracked arena variant and the paged
+//! source call the same function) and **stops intersecting at the first
+//! empty level**: sequences are ancestor-closed (a [`CellSetSequence`]
+//! invariant), so two entities that share no level-`l` cell share no finer
+//! one either, and the remaining levels are recorded as `overlap: 0` with
+//! their true sizes.  The owned path ([`LevelOverlap::from_sequences`],
+//! every level always) does not stop, on purpose: it is the oracle the fused
+//! loop is held bitwise equal to.
 //!
 //! The arena is **read-path only**: the mutable index keeps its owned
 //! representation as the source of truth and rebuilds the arena whenever a
@@ -47,7 +55,7 @@ use crate::engine::{TopKHeap, TraceSource};
 use crate::query::TopKResult;
 use crate::signature::SignatureList;
 use crate::stats::KernelDispatch;
-use crate::tree::{MinSigTree, NodeId};
+use crate::tree::{MinSigTree, Node, NodeId, ROOT};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -56,8 +64,8 @@ use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level};
 
 pub use trace_model::kernel::{
     argmax, dispatch_class, intersection_len, intersection_len_gallop, intersection_len_merge,
-    intersection_len_simd, merge_min, merge_min_scalar, merge_min_simd, KernelClass, GALLOP_SKEW,
-    SIMD_LANES, TINY_LEN,
+    intersection_len_simd, merge_min, merge_min_scalar, KernelClass, GALLOP_SKEW, SIMD_LANES,
+    TINY_LEN,
 };
 
 /// The flat candidate arena of one index snapshot (see the [module
@@ -269,25 +277,30 @@ impl CandidateArena {
         measure: &M,
         scratch: &mut LevelOverlap,
     ) -> f64 {
-        debug_assert_eq!(view.num_levels(), self.num_levels());
-        scratch.clear();
-        for (i, run) in self.row(pos).windows(2).enumerate() {
-            let q = view.level(i);
-            let c = &self.cells[run[0]..run[1]];
-            scratch.push(LevelStat {
-                overlap: intersection_len(q, c),
-                size_a: q.len(),
-                size_b: c.len(),
-            });
-        }
+        self.overlaps_into(pos, view, scratch, None);
         measure.degree_from_overlap(scratch)
     }
 
+    /// [`level_overlaps`] of the candidate at `pos`.
+    #[inline]
+    fn overlaps_into(
+        &self,
+        pos: usize,
+        view: &QueryView<'_>,
+        scratch: &mut LevelOverlap,
+        dispatch: Option<&mut KernelDispatch>,
+    ) {
+        debug_assert_eq!(view.num_levels(), self.num_levels());
+        let row = self.row(pos);
+        level_overlaps(view, |i| &self.cells[row[i]..row[i + 1]], scratch, dispatch);
+    }
+
     /// [`degree_into`](Self::degree_into) plus per-kernel dispatch
-    /// accounting: classifies each per-level intersection via
-    /// [`dispatch_class`] (a pure function of the two lengths, so the hot
-    /// loop gains only integer compares, no instrumentation inside the
-    /// kernels) and counts it into `dispatch`.
+    /// accounting: classifies each intersection it issues via
+    /// [`dispatch_class`] (a pure function of the two lengths and the CPU, so
+    /// the hot loop gains only integer compares, no instrumentation inside
+    /// the kernels) and counts it into `dispatch` — one per level up to and
+    /// including the first empty one.
     pub fn degree_into_tracked<M: AssociationMeasure + ?Sized>(
         &self,
         pos: usize,
@@ -296,18 +309,7 @@ impl CandidateArena {
         scratch: &mut LevelOverlap,
         dispatch: &mut KernelDispatch,
     ) -> f64 {
-        debug_assert_eq!(view.num_levels(), self.num_levels());
-        scratch.clear();
-        for (i, run) in self.row(pos).windows(2).enumerate() {
-            let q = view.level(i);
-            let c = &self.cells[run[0]..run[1]];
-            dispatch.record(dispatch_class(q.len(), c.len()));
-            scratch.push(LevelStat {
-                overlap: intersection_len(q, c),
-                size_a: q.len(),
-                size_b: c.len(),
-            });
-        }
+        self.overlaps_into(pos, view, scratch, Some(dispatch));
         measure.degree_from_overlap(scratch)
     }
 
@@ -374,10 +376,10 @@ impl CandidateArena {
 /// counterpart of the entity-side [`CandidateArena`].
 ///
 /// The tree executor's inner loop (node expansion) previously walked owned
-/// [`Node`](crate::tree::Node) structs: a `Vec` index into a heap-allocated
+/// [`Node`] structs: a `Vec` index into a heap-allocated
 /// node, a `BTreeMap` iteration for the children, and a second node fetch per
-/// child to read its depth and routing value.  The node arena stores the same
-/// topology as structure-of-arrays rows indexed by [`NodeId`]:
+/// child to read its depth and routing value.  The node arena stores the
+/// topology the search needs as structure-of-arrays rows:
 ///
 /// * `depth`, `routing_index`, `routing_value` — one contiguous vector each
 ///   (the routing values *are* the paper's materialised `SIG_N[u]` node
@@ -386,8 +388,20 @@ impl CandidateArena {
 ///   node's children in ascending routing-index order (the owned `BTreeMap`'s
 ///   iteration order, preserved for deterministic frontier content — answers
 ///   are order-independent because the frontier orders by bound);
-/// * CSR leaf entities: `entity_offsets[id]..entity_offsets[id + 1]`
-///   brackets a leaf's entity list.
+/// * CSR entities: `entity_offsets[id]..entity_offsets[id + 1]` brackets the
+///   entities a childless row is evaluated over.
+///
+/// **It is the owned tree with the subtrees that cannot branch folded away.**
+/// A subtree holding exactly one entity is one **childless row** at the
+/// subtree's root — that node's own depth, routing index and routing value,
+/// entity span = the one entity — and its descendants get no row; a subtree
+/// holding none (removals leave those behind) gets no row at all.  A row
+/// without children is what the executor evaluates instead of expanding, at
+/// whatever depth it sits: scoring a candidate is always sound, and the bound
+/// the row was admitted under is the subtree root's, which every descendant's
+/// bound could only have tightened.  Rows keep the relative order of their
+/// [`NodeId`]s in the owned tree (row 0 is the root), but the ids themselves
+/// are the arena's own.
 ///
 /// Like the candidate arena it is **read-path only**: the owned tree stays
 /// the source of truth for mutation and persistence, and each snapshot
@@ -405,11 +419,45 @@ pub struct NodeArena {
     entities: Vec<EntityId>,
 }
 
+/// Fills `below[id]` with the number of entities held in the subtree of `id`
+/// (for it and every node under it) and returns it.  Depth-first from the
+/// node, so nothing is assumed about id order; the recursion is as deep as
+/// the tree has levels.
+fn count_below(nodes: &[Node], id: NodeId, below: &mut [u32]) -> u32 {
+    let node = &nodes[id as usize];
+    let under: u32 = node.children.values().map(|&child| count_below(nodes, child, below)).sum();
+    below[id as usize] = node.entities.len() as u32 + under;
+    below[id as usize]
+}
+
 impl NodeArena {
-    /// Materialises the flat node rows from the owned tree.
+    /// Materialises the flat node rows from the owned tree, folding every
+    /// one-entity subtree into a childless row and dropping empty ones (see
+    /// the type docs).
     pub fn build(tree: &MinSigTree) -> Self {
         let nodes = tree.nodes();
-        let n = nodes.len();
+        let mut below = vec![0u32; nodes.len()];
+        count_below(nodes, ROOT, &mut below);
+        // A node gets a row when every ancestor branches (holds two or more
+        // entities) and it holds at least one itself; the root always does.
+        const NO_ROW: NodeId = NodeId::MAX;
+        let mut row_of = vec![NO_ROW; nodes.len()];
+        let mut pending = vec![ROOT];
+        while let Some(id) = pending.pop() {
+            row_of[id as usize] = 0;
+            if below[id as usize] >= 2 {
+                let children = nodes[id as usize].children.values();
+                pending.extend(children.filter(|&&child| below[child as usize] >= 1));
+            }
+        }
+        // Rows keep the owned ids' relative order, so equal-bound frontier
+        // entries pop in the order they always did.
+        let mut rows = 0 as NodeId;
+        for row in row_of.iter_mut().filter(|row| **row != NO_ROW) {
+            *row = rows;
+            rows += 1;
+        }
+        let n = rows as usize;
         let mut arena = NodeArena {
             levels: tree.levels(),
             num_entities: tree.num_entities(),
@@ -417,19 +465,34 @@ impl NodeArena {
             routing_index: Vec::with_capacity(n),
             routing_value: Vec::with_capacity(n),
             child_offsets: Vec::with_capacity(n + 1),
-            children: Vec::with_capacity(nodes.iter().map(|node| node.children.len()).sum()),
+            children: Vec::with_capacity(n.saturating_sub(1)),
             entity_offsets: Vec::with_capacity(n + 1),
-            entities: Vec::with_capacity(nodes.iter().map(|node| node.entities.len()).sum()),
+            entities: Vec::with_capacity(tree.num_entities()),
         };
         arena.child_offsets.push(0);
         arena.entity_offsets.push(0);
-        for node in nodes {
+        for (id, node) in nodes.iter().enumerate() {
+            if row_of[id] == NO_ROW {
+                continue;
+            }
             arena.depth.push(node.depth);
             arena.routing_index.push(node.routing_index);
             arena.routing_value.push(node.routing_value);
-            arena.children.extend(node.children.values().copied());
+            if below[id] == 1 {
+                // Folded: follow the one non-empty branch down to the node
+                // holding the entity (the counts add up to 1, so it is there).
+                let mut holder = node;
+                while let Some(&next) = holder.children.values().find(|&&c| below[c as usize] == 1)
+                {
+                    holder = &nodes[next as usize];
+                }
+                arena.entities.push(holder.entities[0]);
+            } else {
+                let kept = node.children.values().map(|&c| row_of[c as usize]);
+                arena.children.extend(kept.filter(|&row| row != NO_ROW));
+                arena.entities.extend_from_slice(&node.entities);
+            }
             arena.child_offsets.push(arena.children.len() as u32);
-            arena.entities.extend_from_slice(&node.entities);
             arena.entity_offsets.push(arena.entities.len() as u32);
         }
         arena
@@ -447,7 +510,8 @@ impl NodeArena {
         self.num_entities
     }
 
-    /// Total number of node rows, including the virtual root.
+    /// Total number of node rows, including the virtual root — at most the
+    /// owned tree's node count, less whatever the fold removed.
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.depth.len()
@@ -478,7 +542,8 @@ impl NodeArena {
         &self.children[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
     }
 
-    /// A leaf's entity list (empty below leaf depth).
+    /// The entities a childless row is evaluated over: a leaf's list, or a
+    /// folded subtree's one entity.  Empty for rows that have children.
     #[inline]
     pub fn leaf_entities(&self, id: NodeId) -> &[EntityId] {
         let i = id as usize;
@@ -495,6 +560,45 @@ impl NodeArena {
                 * std::mem::size_of::<u32>()
             + self.children.capacity() * std::mem::size_of::<NodeId>()
             + self.entities.capacity() * std::mem::size_of::<EntityId>()
+    }
+}
+
+/// The one per-level overlap loop of the flat hot paths: fills `out` with the
+/// [`LevelStat`]s of the query against the candidate whose packed level-`i + 1`
+/// cells are `candidate(i)`, counting every intersection it issues into
+/// `dispatch` when one is given.
+///
+/// Levels are a prefix hierarchy (Definition 3) and both sides are
+/// ancestor-closed — the query by the [`CellSetSequence`] invariant, the
+/// candidate rows because they are a `CellSetSequence`'s or a
+/// [`LevelRows`](trace_model::LevelRows)' — so a shared level-`(l + 1)` cell
+/// implies a shared level-`l` cell.  Once a level's overlap is 0 every finer
+/// level is therefore recorded as `overlap: 0` with its true sizes, without
+/// intersecting and without a dispatch count: the measure receives bit for
+/// bit the integers the all-levels loop ([`LevelOverlap::from_sequences`],
+/// the oracle) hands it.
+#[inline]
+pub(crate) fn level_overlaps<'c>(
+    view: &QueryView<'_>,
+    candidate: impl Fn(usize) -> &'c [u64],
+    out: &mut LevelOverlap,
+    mut dispatch: Option<&mut KernelDispatch>,
+) {
+    out.clear();
+    let mut shares_coarser = true;
+    for i in 0..view.num_levels() {
+        let (q, c) = (view.level(i), candidate(i));
+        let overlap = if shares_coarser {
+            if let Some(dispatch) = dispatch.as_deref_mut() {
+                dispatch.record(dispatch_class(q.len(), c.len()));
+            }
+            intersection_len(q, c)
+        } else {
+            debug_assert_eq!(intersection_len(q, c), 0, "level {} after an empty one", i + 1);
+            0
+        };
+        shares_coarser = overlap > 0;
+        out.push(LevelStat { overlap, size_a: q.len(), size_b: c.len() });
     }
 }
 
@@ -613,6 +717,7 @@ mod tests {
     use super::*;
     use crate::config::HasherMode;
     use crate::signature::{HierarchicalHasher, SeededHashFamily};
+    use crate::testkit::issued_intersections;
     use trace_model::{CellSet, PaperAdm, SpIndex, StCell};
 
     fn fixture(
@@ -678,17 +783,18 @@ mod tests {
         let (sp, mut sequences, mut signatures) = fixture(9);
         let hasher =
             HierarchicalHasher::new(SeededHashFamily::new(8, 7, 10_000), HasherMode::PathMax);
-        // Entities with empty levels: nothing at all, level 1 only, level 2
-        // only — at ids below, between and above the regular ones.
+        // Entities with short rows: nothing at all, level 1 only, one cell
+        // at each level — at ids below, between and above the regular ones.
         let unit = sp.base_units()[0];
-        let one = || CellSet::from_cells(vec![StCell::new(3, unit)]);
+        let top = sp.ancestor_at_level(unit, 1).unwrap();
+        let one = |unit| CellSet::from_cells(vec![StCell::new(3, unit)]);
         for (id, sets) in [
             (100u64, vec![CellSet::new(), CellSet::new()]),
-            (4, vec![one(), CellSet::new()]),
-            (101, vec![CellSet::new(), one()]),
+            (4, vec![one(top), CellSet::new()]),
+            (101, vec![one(top), one(unit)]),
         ] {
             // Id 4 replaces a regular entity; the other two are new.
-            let seq = CellSetSequence::from_level_sets(sets);
+            let seq = CellSetSequence::from_level_sets(&sp, sets).unwrap();
             signatures.insert(EntityId(id), SignatureList::build(&sp, &hasher, &seq));
             sequences.insert(EntityId(id), seq);
         }
@@ -763,10 +869,15 @@ mod tests {
         let mut dispatch = KernelDispatch::default();
         let (arena_results, arena_checked) =
             arena.scan_top_k(&view, Some(EntityId(3)), 4, &measure, &mut dispatch);
+        let issued: u64 = sequences
+            .iter()
+            .filter(|(&entity, _)| entity != EntityId(3))
+            .map(|(_, seq)| issued_intersections(qseq, seq))
+            .sum();
         assert_eq!(
             dispatch.total(),
-            (arena_checked * arena.num_levels()) as u64,
-            "one classified intersection per level per scored candidate"
+            issued,
+            "one classified intersection per level up to the first empty one"
         );
         let (owned_results, owned_checked) = crate::engine::scan_top_k(
             sequences.iter().map(|(e, s)| (*e, s)),
@@ -800,32 +911,190 @@ mod tests {
         assert_eq!(source.arena().len(), 4);
         assert_eq!(source.view().num_levels(), 2);
         let drained = source.take_dispatch();
-        assert_eq!(drained.total(), (4 * 2) as u64, "4 degrees × 2 levels classified");
+        let issued: u64 = sequences.values().map(|seq| issued_intersections(&qseq, seq)).sum();
+        assert_eq!(
+            drained.total(),
+            issued,
+            "4 degrees, each classified up to its first empty level"
+        );
         assert_eq!(source.take_dispatch().total(), 0, "take_dispatch resets the counters");
     }
 
+    /// Pairs that share a cell down to some level and nothing finer: the loop
+    /// issues one intersection more than the levels they share (capped at
+    /// the 3 there are) and hands the measure the all-levels loop's integers.
+    #[test]
+    fn overlap_loop_stops_at_the_first_empty_level() {
+        let sp = SpIndex::uniform(2, &[2, 2]).unwrap();
+        let base = sp.base_units();
+        let seq_at = |cells: &[(u32, u32)]| {
+            let cells = cells.iter().map(|&(t, u)| StCell::new(t, u)).collect::<Vec<_>>();
+            CellSetSequence::from_base_cells(&sp, &CellSet::from_cells(cells)).unwrap()
+        };
+        let query = seq_at(&[(0, base[0]), (0, base[7])]);
+        for (candidate, issued) in [
+            (seq_at(&[(0, base[0])]), 3u64),            // the same base unit
+            (seq_at(&[(0, base[1])]), 3),               // its sibling: levels 1 and 2
+            (seq_at(&[(0, base[2])]), 2),               // its cousin: level 1 only
+            (seq_at(&[(0, base[4])]), 2),               // base[7]'s cousin
+            (seq_at(&[(1, base[0]), (2, base[7])]), 1), // never at the same time
+            (seq_at(&[]), 1),
+        ] {
+            let mut dispatch = KernelDispatch::default();
+            let mut fused = LevelOverlap::default();
+            let view = QueryView::new(&query);
+            let rows = QueryView::new(&candidate);
+            level_overlaps(&view, |i| rows.level(i), &mut fused, Some(&mut dispatch));
+            assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate));
+            assert_eq!(dispatch.total(), issued);
+            assert_eq!(issued_intersections(&query, &candidate), issued);
+            level_overlaps(&view, |i| rows.level(i), &mut fused, None);
+            assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate), "untracked");
+        }
+    }
+
+    /// The pre-fold layout — one row per owned node, same ids — kept as the
+    /// oracle the folded rows are compared against.
+    fn unfolded(tree: &MinSigTree) -> NodeArena {
+        let mut arena = NodeArena {
+            levels: tree.levels(),
+            num_entities: tree.num_entities(),
+            child_offsets: vec![0],
+            entity_offsets: vec![0],
+            ..NodeArena::default()
+        };
+        for node in tree.nodes() {
+            arena.depth.push(node.depth);
+            arena.routing_index.push(node.routing_index);
+            arena.routing_value.push(node.routing_value);
+            arena.children.extend(node.children.values().copied());
+            arena.child_offsets.push(arena.children.len() as u32);
+            arena.entities.extend_from_slice(&node.entities);
+            arena.entity_offsets.push(arena.entities.len() as u32);
+        }
+        arena
+    }
+
+    /// The arena is the owned tree with each one-entity subtree folded to a
+    /// childless row and empty subtrees dropped: same entity partition, same
+    /// rows on kept nodes, in the owned ids' order.
     #[test]
     fn node_arena_mirrors_the_owned_tree() {
-        use crate::tree::{MinSigTree, ROOT};
-        let (_sp, _sequences, signatures) = fixture(12);
-        let tree = MinSigTree::build(2, signatures.iter().map(|(e, s)| (*e, s)));
+        fn below(tree: &MinSigTree, id: NodeId) -> Vec<EntityId> {
+            let node = tree.node(id);
+            let mut all = node.entities.clone();
+            all.extend(node.children.values().flat_map(|&child| below(tree, child)));
+            all
+        }
+        let (_sp, _sequences, signatures) = fixture(40);
+        let mut tree = MinSigTree::build(2, signatures.iter().map(|(e, s)| (*e, s)));
+        // Removals leave empty leaves and freshly lonely subtrees behind.
+        for e in (0..40).step_by(3) {
+            tree.remove(EntityId(e));
+        }
         let arena = NodeArena::build(&tree);
         assert_eq!(arena.levels(), tree.levels());
         assert_eq!(arena.num_entities(), tree.num_entities());
-        assert_eq!(arena.num_nodes(), tree.num_nodes());
-        let mut leaf_entities = 0usize;
-        for id in 0..tree.num_nodes() as u32 {
+
+        let (mut folded, mut dropped) = (0usize, 0usize);
+        let mut rows_by_id = Vec::new();
+        let mut partition = Vec::new();
+        let mut pending = vec![(ROOT, ROOT)];
+        while let Some((id, row)) = pending.pop() {
+            rows_by_id.push((id, row));
             let node = tree.node(id);
-            assert_eq!(arena.depth(id), node.depth);
-            assert_eq!(arena.routing_index(id), node.routing_index);
-            assert_eq!(arena.routing_value(id), node.routing_value);
-            let children: Vec<_> = node.children.values().copied().collect();
-            assert_eq!(arena.children(id), children.as_slice(), "children in routing-index order");
-            assert_eq!(arena.leaf_entities(id), node.entities.as_slice());
-            leaf_entities += arena.leaf_entities(id).len();
+            assert_eq!(arena.depth(row), node.depth);
+            assert_eq!(arena.routing_index(row), node.routing_index);
+            assert_eq!(arena.routing_value(row), node.routing_value);
+            let held = below(&tree, id);
+            if held.len() == 1 {
+                folded += usize::from(node.depth < tree.levels());
+                assert!(arena.children(row).is_empty(), "a one-entity subtree is one row");
+                assert_eq!(arena.leaf_entities(row), held.as_slice());
+            } else {
+                let kept: Vec<NodeId> = node
+                    .children
+                    .values()
+                    .copied()
+                    .filter(|&child| !below(&tree, child).is_empty())
+                    .collect();
+                dropped += node.children.len() - kept.len();
+                assert_eq!(arena.children(row).len(), kept.len(), "children of node {id}");
+                assert_eq!(arena.leaf_entities(row), node.entities.as_slice());
+                pending.extend(kept.into_iter().zip(arena.children(row).iter().copied()));
+            }
+            partition.extend_from_slice(arena.leaf_entities(row));
         }
-        assert_eq!(leaf_entities, tree.num_entities());
-        assert!(!arena.children(ROOT).is_empty());
-        assert!(arena.resident_bytes() > 0);
+        assert!(folded > 0 && dropped > 0, "the fixture folds ({folded}) and drops ({dropped})");
+        assert_eq!(rows_by_id.len(), arena.num_nodes(), "every row is reachable from the root");
+        assert!(arena.num_nodes() < tree.num_nodes());
+        rows_by_id.sort_unstable();
+        assert!(rows_by_id.windows(2).all(|w| w[0].1 < w[1].1), "rows keep the owned id order");
+        partition.sort_unstable();
+        assert_eq!(partition, tree.entities().collect::<Vec<_>>(), "same entity partition");
+        assert!(arena.resident_bytes() < unfolded(&tree).resident_bytes());
+
+        // Nothing to fold or drop: an empty tree is its root, a one-entity
+        // tree one childless row holding the entity.
+        let empty = NodeArena::build(&MinSigTree::new(2));
+        assert_eq!((empty.num_nodes(), empty.leaf_entities(ROOT).len()), (1, 0));
+        let (&only, sig) = signatures.iter().next().unwrap();
+        let lone = NodeArena::build(&MinSigTree::build(2, [(only, sig)]));
+        assert_eq!((lone.num_nodes(), lone.leaf_entities(ROOT)), (1, [only].as_slice()));
+    }
+
+    /// The executor over the folded rows against the executor over the
+    /// unfolded ones: the same answers bit for bit under every option set —
+    /// also (round 1) after removing a third of the population has left empty
+    /// and lonely subtrees behind — from no more node visits.  Folding scores an entity where its chain begins,
+    /// so `entities_checked` may differ; it is reported, not pinned.
+    #[test]
+    fn folded_rows_answer_like_the_unfolded_tree() {
+        use crate::engine::PrivateBound;
+        use crate::query::QueryOptions;
+        use crate::testkit::{PruningAdversarialConfig, UniformConfig, Workload};
+        let uniform = Workload::uniform(UniformConfig { entities: 300, ..Default::default() });
+        let (skewed, _) = Workload::pruning_adversarial(PruningAdversarialConfig {
+            hot_entities: 12,
+            cold_entities: 300,
+            ..Default::default()
+        });
+        for (name, workload) in [("uniform", uniform), ("skewed", skewed)] {
+            let mut index = workload.build_index(crate::config::IndexConfig::default());
+            for round in 0..2 {
+                if round == 1 {
+                    for entity in workload.entities().into_iter().step_by(3) {
+                        index.remove_entity(entity).unwrap();
+                    }
+                }
+                let folded = index.snapshot();
+                let mut plain = (*folded).clone();
+                plain.node_arena = unfolded(plain.tree());
+                assert!(folded.node_arena().num_nodes() < plain.node_arena().num_nodes());
+                let measure = workload.measure();
+                for query in workload.sample_entities(6, 0xf01d) {
+                    let Some(seq) = folded.sequence(query) else { continue };
+                    for options in [
+                        QueryOptions::default(),
+                        QueryOptions { accumulate_down_branch: false, ..Default::default() },
+                        QueryOptions { use_level_constraints: false, ..Default::default() },
+                    ] {
+                        let run = |snapshot: &crate::snapshot::IndexSnapshot| {
+                            let mut executor =
+                                snapshot.executor(seq, Some(query), 5, &measure, options).unwrap();
+                            executor.run(&PrivateBound);
+                            executor.finish()
+                        };
+                        let ((got, work), (expect, plain_work)) = (run(&folded), run(&plain));
+                        let context = format!(
+                            "{name}, round {round}, query {query}, {options:?}: checked {} vs {}",
+                            work.entities_checked, plain_work.entities_checked
+                        );
+                        crate::testkit::assert_equivalent_answers(&got, &expect, &context);
+                        assert!(work.nodes_visited <= plain_work.nodes_visited, "{context}");
+                    }
+                }
+            }
+        }
     }
 }

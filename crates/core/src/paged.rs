@@ -47,13 +47,28 @@
 //!   candidate after candidate and nothing is kept.
 //! * **Locks.**  The only lock a candidate evaluation takes is the pool
 //!   mutex, around frame-table bookkeeping only (see [`trace_storage::pool`]).
+//! * **Threads.**  One query runs on its caller's thread: the shard
+//!   executors are interleaved in step quanta there, as the batch and join
+//!   paths always did (those parallelise over queries).  Every candidate
+//!   goes through the one pool mutex three times (look up, publish, unpin),
+//!   and with the degree itself down to a fraction of a microsecond that
+//!   bookkeeping — frame table, replacer, the evicted page's free — is a
+//!   third of a candidate's cost and all of it is shared state.  Two workers
+//!   mostly traded its cache lines: measured on the 5 000-entity SYN
+//!   population (4 shards, pool a tenth of the data, 2 vCPUs), a threaded
+//!   fan-out answered in 34–36 ms for whole stretches and in 23–25 ms for
+//!   others (time under the pool mutex 24 ms against 10 ms of thread time per
+//!   query, by where the hypervisor had put the two vCPUs), a single thread
+//!   in a steady 29–30 ms.  A query that costs the same every time beats one
+//!   that is sometimes a quarter faster; a pool that scales across workers is
+//!   the precondition for threading this again.
 
 use crate::config::PlannerConfig;
 use crate::drive::{self, ShardAccess};
 use crate::engine::{self, PagedSource, TopKHeap, TraceSource};
 use crate::error::{IndexError, Result};
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
-use crate::kernel::{dispatch_class, intersection_len, QueryView};
+use crate::kernel::{level_overlaps, QueryView};
 use crate::plan::{self, PageEstimate, QueryPlan};
 use crate::query::{Query, QueryOptions, TopKResult};
 use crate::shard::ShardedSnapshot;
@@ -63,7 +78,7 @@ use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
-use trace_model::ajpi::{LevelOverlap, LevelStat};
+use trace_model::ajpi::LevelOverlap;
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows};
 use trace_storage::{BufferPool, PageId, PagedTraceStore, PinnedPages, PoolStats};
 
@@ -89,8 +104,9 @@ struct Scratch {
 /// are **bitwise identical** to `measure.degree(query, seq)` over the
 /// sequence [`sequence`](TraceSource::sequence) reports (the
 /// [`PagedSource`] / [`cell_sequence`](trace_model::DigitalTrace::cell_sequence)
-/// oracle): both hand the measure the same integer per-level [`LevelStat`]s
-/// through the same [`dispatch_class`]-routed kernels.
+/// oracle): both hand the measure the same integer per-level
+/// [`LevelStat`](trace_model::ajpi::LevelStat)s, the fused side through the
+/// one early-stopping loop the arena runs (`kernel::level_overlaps`).
 ///
 /// Like `ArenaSource`, the scratch and the per-query counters live in a
 /// single-threaded cell: the source is `Send` but deliberately not `Sync`,
@@ -140,18 +156,7 @@ impl<'a> PagedArenaSource<'a> {
             return None;
         }
         debug_assert_eq!(rows.num_levels(), self.view.num_levels());
-        overlap.clear();
-        for i in 0..self.view.num_levels() {
-            let (q, c) = (self.view.level(i), rows.level(i));
-            if track {
-                dispatch.record(dispatch_class(q.len(), c.len()));
-            }
-            overlap.push(LevelStat {
-                overlap: intersection_len(q, c),
-                size_a: q.len(),
-                size_b: c.len(),
-            });
-        }
+        level_overlaps(&self.view, |i| rows.level(i), overlap, track.then_some(dispatch));
         Some(measure.degree_from_overlap(overlap))
     }
 }
@@ -296,13 +301,17 @@ impl<'a> PagedShardedSnapshot<'a> {
 
     /// Answers `query` for an indexed `entity`, every knob explicit — the
     /// paged counterpart of [`ShardedSnapshot::query`].
+    ///
+    /// The admitted shard executors are interleaved on the calling thread
+    /// (see the [module docs](crate::paged) on why the fan-out is not
+    /// threaded); answers are the threaded schedule's, bit for bit.
     pub fn query<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entity: EntityId,
         query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let seq = self.query_sequence(entity)?;
-        drive::run(&self.access(&seq, entity), query, true)
+        drive::run(&self.access(&seq, entity), query, false)
     }
 
     /// Answers every query of a batch in parallel, input order preserved,
@@ -630,6 +639,52 @@ mod tests {
         }
     }
 
+    /// A paged query is one schedule on one thread: the order its candidates
+    /// reach the pool is fixed, so on a pool far smaller than the data even
+    /// the hit / miss / eviction counts repeat exactly — run to run, and
+    /// against the batch path, which always drove its queries this way.
+    /// (A threaded fan-out interleaves the shards' reads by timing, and
+    /// these counts then differ between runs on any multi-core machine.)
+    #[test]
+    fn a_paged_query_repeats_its_work_and_io_exactly() {
+        let (sp, traces) = dataset(40);
+        let sharded =
+            crate::shard::ShardedMinSigIndex::build(&sp, &traces, IndexConfig::default(), 4)
+                .unwrap();
+        let snapshot = sharded.snapshot();
+        let store = PagedTraceStore::build(&traces, 4);
+        let measure = PaperAdm::default_for(sp.height() as usize);
+        let query = Query::new(5, &measure);
+        let counters = |stats: &QueryStats| {
+            (
+                [stats.nodes_visited, stats.entities_checked, stats.subtrees_pruned, stats.steps],
+                [stats.bound_updates, stats.pool_hits, stats.pool_misses, stats.pool_evictions],
+                stats.kernel_dispatch,
+            )
+        };
+        let cold_pool = || {
+            store.pool(trace_storage::PoolConfig {
+                capacity_bytes: 2 * trace_storage::PAGE_SIZE,
+                ..Default::default()
+            })
+        };
+        for entity in [0u64, 7, 33, 79].map(EntityId) {
+            let pool = cold_pool();
+            let (first, first_stats) = snapshot.paged(&store, &pool).query(entity, &query).unwrap();
+            assert!(first_stats.pool_evictions > 0, "the pool must be under pressure");
+            for _ in 0..3 {
+                let pool = cold_pool();
+                let (again, stats) = snapshot.paged(&store, &pool).query(entity, &query).unwrap();
+                assert_eq!(first, again);
+                assert_eq!(counters(&first_stats), counters(&stats), "query {entity}");
+            }
+            let pool = cold_pool();
+            let batch = snapshot.paged(&store, &pool).query_batch(&[entity], &query).unwrap();
+            assert_eq!(first, batch[0].0);
+            assert_eq!(counters(&first_stats), counters(&batch[0].1), "query {entity} vs batch");
+        }
+    }
+
     #[test]
     fn paged_sharded_batch_and_join_match_in_memory() {
         let (sp, traces) = dataset(30);
@@ -691,7 +746,13 @@ mod tests {
         assert!(source.score(EntityId(3), &measure, false).is_some());
         let mut stats = QueryStats::default();
         source.drain_into(&mut stats);
-        assert_eq!(stats.kernel_dispatch.total(), 120 * sp.height() as u64);
+        let issued: u64 = (0..120u64)
+            .map(|e| {
+                let candidate = snapshot.sequence(EntityId(e)).unwrap();
+                crate::testkit::issued_intersections(query_seq, candidate)
+            })
+            .sum();
+        assert_eq!(stats.kernel_dispatch.total(), issued, "one per level up to the first empty");
         let global = pool.stats();
         assert_eq!(
             (stats.pool_hits, stats.pool_misses, stats.pool_evictions, stats.simulated_io_us),

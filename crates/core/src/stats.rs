@@ -8,9 +8,11 @@ use trace_model::kernel::KernelClass;
 ///
 /// The dispatch decision of
 /// [`trace_model::kernel::intersection_len`] is a pure function of the two
-/// input lengths ([`trace_model::kernel::dispatch_class`]), so these counters
-/// are accounted *outside* the kernel itself — the fused degree loops
-/// classify each per-level intersection as they issue it, and the hot loop
+/// input lengths and the CPU ([`trace_model::kernel::dispatch_class`]), so
+/// these counters are accounted *outside* the kernel itself — the fused
+/// degree loop classifies each per-level intersection as it issues it (one
+/// per level up to and including the first empty one; the finer levels of
+/// such a pair are not intersected and not counted), and the hot loop
 /// carries no atomic or branch overhead.  Only the arena-backed paths (flat
 /// scans, [`ArenaSource`](crate::kernel::ArenaSource)-driven tree executors
 /// and the arena-backed paged source) count; owned-map fallback paths do
@@ -24,7 +26,7 @@ pub struct KernelDispatch {
     pub merge: u64,
     /// Intersections taken by the galloping (skewed-size) kernel.
     pub gallop: u64,
-    /// Intersections taken by the SIMD block kernel (`simd` feature builds).
+    /// Intersections taken by the SIMD block kernel (where the CPU has AVX2).
     pub simd: u64,
 }
 

@@ -38,8 +38,8 @@ use crate::config::IndexConfig;
 use crate::index::MinSigIndex;
 use crate::query::TopKResult;
 use trace_model::{
-    AssociationMeasure, DigitalTrace, EntityId, PaperAdm, Period, PresenceInstance, SpIndex,
-    TraceSet,
+    AssociationMeasure, CellSetSequence, DigitalTrace, EntityId, LevelOverlap, PaperAdm, Period,
+    PresenceInstance, SpIndex, TraceSet,
 };
 
 /// Raw ticks per base temporal unit used by every generated workload.
@@ -931,6 +931,19 @@ fn partition_ids_by_home_shard(
 /// order those callers read naturally.
 pub fn measured_recall(approx: &[TopKResult], exact: &[TopKResult]) -> f64 {
     crate::approximate::recall(exact, approx)
+}
+
+/// How many per-level intersections the fused degree loop issues for one
+/// scored pair — one per level up to and including the first empty one, so
+/// `1 + the number of leading non-empty levels`, capped at the level count —
+/// counted from the owned all-levels overlap.  Summed over the scored
+/// candidates, this is what [`KernelDispatch::total`] must read.
+///
+/// [`KernelDispatch::total`]: crate::stats::KernelDispatch::total
+pub fn issued_intersections(query: &CellSetSequence, candidate: &CellSetSequence) -> u64 {
+    let overlap = LevelOverlap::from_sequences(query, candidate);
+    let shared = overlap.iter().take_while(|(_, stat)| stat.overlap > 0).count();
+    (shared + 1).min(overlap.num_levels()) as u64
 }
 
 /// Asserts that two *exact* top-k answers are **fully bit-identical**.

@@ -267,8 +267,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "same sp-index")]
     fn mismatched_level_counts_panic() {
-        let a = CellSetSequence::from_level_sets(vec![CellSet::new()]);
-        let b = CellSetSequence::from_level_sets(vec![CellSet::new(), CellSet::new()]);
+        let (sp2, _) = sp2();
+        let sp1 = SpIndex::uniform(1, &[]).unwrap();
+        let a = CellSetSequence::from_base_cells(&sp1, &CellSet::new()).unwrap();
+        let b = CellSetSequence::from_base_cells(&sp2, &CellSet::new()).unwrap();
         let _ = LevelOverlap::from_sequences(&a, &b);
     }
 }

@@ -263,6 +263,17 @@ impl<'a> IntoIterator for &'a CellSet {
 /// `sets[i - 1]` is `seq_a^i`, the set of level-`i` ST-cells.  The sequence is
 /// built from the base-level cells by projecting every cell's spatial unit to each
 /// ancestor level, exactly as in Example 4.1.1.
+///
+/// **Invariant — ancestor-closed:** for every level-`(l + 1)` cell `(t, u)`
+/// the cell `(t, ancestor of u at level l)` is in the level-`l` set.  Two
+/// closed sequences that share a level-`(l + 1)` cell therefore share its
+/// level-`l` parent cell (Definition 3: the level of an AjPI is the number of
+/// common ancestors), so an empty overlap at one level decides every finer
+/// level — what the index's fused degree loop stops on.  Every constructor
+/// establishes the invariant ([`from_base_cells`](Self::from_base_cells) by
+/// projection, [`union`](Self::union) because it is closed under level-wise
+/// union, [`from_level_sets`](Self::from_level_sets) by checking), and there
+/// is no mutable access to the sets.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellSetSequence {
     sets: Vec<CellSet>,
@@ -282,10 +293,47 @@ impl CellSetSequence {
         Ok(CellSetSequence { sets: sets.into_iter().map(CellSet::from_cells).collect() })
     }
 
-    /// Builds a sequence directly from per-level sets (used by tests reproducing
-    /// the paper's worked example).
-    pub fn from_level_sets(sets: Vec<CellSet>) -> Self {
-        CellSetSequence { sets }
+    /// Builds a sequence directly from per-level sets, checking them against
+    /// `sp`: one set per level, and every level-`(l + 1)` cell's
+    /// `(time, ancestor at level l)` present in the level-`l` set — the
+    /// type's ancestor-closure invariant.  Anything else is
+    /// [`ModelError::InvalidSequence`] (or the error of resolving a cell's
+    /// unit in `sp`).
+    pub fn from_level_sets(sp: &SpIndex, sets: Vec<CellSet>) -> Result<Self> {
+        if sets.len() != sp.height() as usize {
+            return Err(ModelError::InvalidSequence(format!(
+                "{} level sets for an sp-index of height {}",
+                sets.len(),
+                sp.height()
+            )));
+        }
+        for (i, pair) in sets.windows(2).enumerate() {
+            let (level, coarser, finer) = ((i + 1) as Level, &pair[0], &pair[1]);
+            for cell in finer.iter() {
+                let parent = StCell::new(cell.time(), sp.ancestor_at_level(cell.unit(), level)?);
+                if !coarser.contains(parent) {
+                    return Err(ModelError::InvalidSequence(format!(
+                        "level-{} cell {cell} has no parent cell {parent} at level {level}",
+                        level + 1
+                    )));
+                }
+            }
+        }
+        Ok(CellSetSequence { sets })
+    }
+
+    /// The level-wise union with another sequence over the same sp-index —
+    /// the sequence of the two traces put together (streaming ingest merges an
+    /// entity's delta into its indexed trace this way).  Ancestor-closed
+    /// because both operands are.
+    ///
+    /// # Panics
+    /// Panics when the level counts differ.
+    pub fn union(&self, other: &Self) -> Self {
+        assert_eq!(self.num_levels(), other.num_levels(), "sequences of different sp-indexes");
+        CellSetSequence {
+            sets: self.sets.iter().zip(&other.sets).map(|(a, b)| a.union(b)).collect(),
+        }
     }
 
     /// Number of levels (`m`).
@@ -563,6 +611,38 @@ mod tests {
         let seq = CellSetSequence::from_base_cells(&sp, &base).unwrap();
         assert_eq!(seq.level(2).len(), 2);
         assert_eq!(seq.level(1).len(), 1);
+    }
+
+    #[test]
+    fn union_and_from_level_sets_keep_sequences_ancestor_closed() {
+        let (sp, base) = crossed_hierarchy();
+        let seq = |cells: &[StCell]| {
+            CellSetSequence::from_base_cells(&sp, &CellSet::from_cells(cells.to_vec())).unwrap()
+        };
+        let a = seq(&[cell(1, base[0]), cell(2, base[5])]);
+        let b = seq(&[cell(1, base[1]), cell(2, base[5]), cell(9, base[7])]);
+        // The union of two traces' sequences is the sequence of both traces.
+        let both = seq(&[cell(1, base[0]), cell(1, base[1]), cell(2, base[5]), cell(9, base[7])]);
+        assert_eq!(a.union(&b), both);
+        assert_eq!(a.union(&CellSetSequence::from_base_cells(&sp, &CellSet::new()).unwrap()), a);
+
+        // The checked constructor takes back what the others build ...
+        let sets = |s: &CellSetSequence| s.iter_levels().map(|(_, set)| set.clone()).collect();
+        assert_eq!(CellSetSequence::from_level_sets(&sp, sets(&both)).unwrap(), both);
+        // ... and nothing else: a finer cell without its parent cell, the
+        // wrong number of levels, a unit the hierarchy does not know.
+        let mut orphan: Vec<CellSet> = sets(&a);
+        orphan[1] = b.level(2).clone();
+        let err = CellSetSequence::from_level_sets(&sp, orphan).unwrap_err();
+        assert!(matches!(err, ModelError::InvalidSequence(_)), "{err}");
+        let short = sets(&a).into_iter().take(2).collect();
+        assert!(matches!(
+            CellSetSequence::from_level_sets(&sp, short),
+            Err(ModelError::InvalidSequence(_))
+        ));
+        let unknown =
+            vec![CellSet::new(), CellSet::from_cells(vec![cell(0, 9_999)]), CellSet::new()];
+        assert!(CellSetSequence::from_level_sets(&sp, unknown).is_err());
     }
 
     /// A 3-level hierarchy whose ancestor order *reverses* the base-unit id

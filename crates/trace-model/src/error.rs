@@ -30,6 +30,10 @@ pub enum ModelError {
     InvalidHierarchy(String),
     /// A measure parameter is outside its documented domain.
     InvalidMeasureParameter(String),
+    /// Per-level ST-cell sets that are not the sequence of any trace: the
+    /// wrong number of levels, or a cell whose parent cell is missing from
+    /// the next coarser level.
+    InvalidSequence(String),
 }
 
 impl fmt::Display for ModelError {
@@ -47,6 +51,7 @@ impl fmt::Display for ModelError {
             ModelError::InvalidMeasureParameter(msg) => {
                 write!(f, "invalid measure parameter: {msg}")
             }
+            ModelError::InvalidSequence(msg) => write!(f, "invalid cell-set sequence: {msg}"),
         }
     }
 }

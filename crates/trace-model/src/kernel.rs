@@ -16,17 +16,17 @@
 //!   element in the larger one by exponential (galloping) search, giving
 //!   `O(small · log(large / small))` work.  Fastest when the sizes are skewed.
 //! * [`intersection_len_simd`] — explicit [`SIMD_LANES`]-wide block
-//!   intersection using AVX2 intrinsics (with an SSE2 block kernel and a
-//!   scalar merge as runtime-safe fallbacks).  Fastest on similar-size inputs
-//!   of a few hundred elements and up.
+//!   intersection using AVX2 intrinsics (the scalar merge where the CPU has
+//!   no AVX2).  Fastest on similar-size inputs past the tiny regime.
 //!
 //! [`intersection_len`] dispatches between them: tiny inputs (≤ [`TINY_LEN`]
 //! on both sides) take a branch-free all-pairs loop, heavily skewed sizes
 //! (ratio ≥ [`GALLOP_SKEW`]) gallop, and the similar-size regime takes the
-//! SIMD kernel when the `simd` cargo feature is enabled (the scalar merge
-//! otherwise).  [`dispatch_class`] exposes the decision as a pure function of
-//! the two lengths so callers can account which kernel a given intersection
-//! used without instrumenting the hot loop itself.
+//! SIMD kernel when the CPU the process runs on has AVX2 (detected once, at
+//! run time; the scalar merge otherwise).  [`dispatch_class`] exposes the
+//! decision as a pure function of the two lengths and that CPU so callers can
+//! account which kernel a given intersection used without instrumenting the
+//! hot loop itself.
 //!
 //! All kernels require their inputs sorted ascending and deduplicated; every
 //! public entry point `debug_assert!`s that invariant.
@@ -44,15 +44,14 @@ pub const GALLOP_SKEW: usize = 8;
 /// `TINY_LEN²` = 64 compares, no data-dependent branches at all).
 pub const TINY_LEN: usize = 8;
 
-/// Lane width (in `u64` elements) of the widest SIMD intersection kernel
-/// ([`intersection_len_simd`]'s AVX2 path).  The SSE2 fallback processes 2
-/// lanes; the scalar fallback 1.
+/// Lane width (in `u64` elements) of the SIMD intersection kernel
+/// ([`intersection_len_simd`]'s AVX2 path).
 pub const SIMD_LANES: usize = 4;
 
 /// Which kernel [`intersection_len`] routes a given pair of input lengths to.
 ///
 /// Returned by [`dispatch_class`]; the mapping depends only on the two
-/// lengths (and the `simd` cargo feature), never on the slice contents, so
+/// lengths (and on whether the CPU has AVX2), never on the slice contents, so
 /// callers can classify an intersection without re-running it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelClass {
@@ -60,18 +59,20 @@ pub enum KernelClass {
     Tiny,
     /// Size ratio ≥ [`GALLOP_SKEW`]: exponential search over the larger side.
     Gallop,
-    /// Similar sizes with the `simd` feature enabled: blockwise SIMD kernel.
+    /// Similar sizes on a CPU with AVX2: blockwise SIMD kernel.
     Simd,
-    /// Similar sizes without the `simd` feature: scalar two-pointer merge.
+    /// Similar sizes on a CPU without AVX2: scalar two-pointer merge.
     Merge,
 }
 
 /// The kernel [`intersection_len`] will use for inputs of the given lengths.
 ///
-/// Pure in the lengths: `intersection_len(a, b)` runs the kernel
-/// `dispatch_class(a.len(), b.len())` names.  One side empty classifies as
-/// [`KernelClass::Tiny`] (the all-pairs loop over zero pairs returns 0
-/// immediately).
+/// Pure in the lengths and the process's CPU: `intersection_len(a, b)` runs
+/// the kernel `dispatch_class(a.len(), b.len())` names, and the similar-size
+/// regime names [`KernelClass::Simd`] exactly when AVX2 was detected at run
+/// time — what the platform is can be observed, so nothing selects it.  One
+/// side empty classifies as [`KernelClass::Tiny`] (the all-pairs loop over
+/// zero pairs returns 0 immediately).
 #[inline]
 pub fn dispatch_class(a_len: usize, b_len: usize) -> KernelClass {
     let (min, max) = if a_len <= b_len { (a_len, b_len) } else { (b_len, a_len) };
@@ -79,10 +80,25 @@ pub fn dispatch_class(a_len: usize, b_len: usize) -> KernelClass {
         KernelClass::Tiny
     } else if min.saturating_mul(GALLOP_SKEW) <= max {
         KernelClass::Gallop
-    } else if cfg!(feature = "simd") {
+    } else if has_avx2() {
         KernelClass::Simd
     } else {
         KernelClass::Merge
+    }
+}
+
+/// True when the CPU this process runs on has AVX2 — the cached run-time
+/// probe (one relaxed load after the first call) every SIMD routing decision
+/// of this module shares.
+#[inline]
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
@@ -196,37 +212,25 @@ pub fn intersection_len_gallop(a: &[u64], b: &[u64]) -> usize {
 /// deduplicated, a common value lives in exactly one block on each side and
 /// those two blocks are simultaneously current in exactly one iteration, so
 /// each match is counted exactly once; any partial-block tail is finished by
-/// the scalar merge.  Without AVX2 an SSE2 2-lane variant of the same scheme
-/// runs (SSE2 is part of the x86-64 baseline), and on other architectures
-/// this function *is* [`intersection_len_merge`] — so it is always safe to
-/// call and always returns the exact count.
-///
-/// This function is compiled unconditionally; the `simd` cargo feature only
-/// controls whether [`intersection_len`] routes the similar-size regime here.
+/// the scalar merge.  Without AVX2 (and on other architectures) this function
+/// *is* [`intersection_len_merge`] — so it is always safe to call by name and
+/// always returns the exact count.
 pub fn intersection_len_simd(a: &[u64], b: &[u64]) -> usize {
     debug_assert!(is_sorted_dedup(a), "kernel input `a` must be sorted and deduplicated");
     debug_assert!(is_sorted_dedup(b), "kernel input `b` must be sorted and deduplicated");
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { x86::intersection_len_avx2(a, b) }
-        } else {
-            // SAFETY: SSE2 is part of the x86-64 baseline.
-            unsafe { x86::intersection_len_sse2(a, b) }
-        }
+    if has_avx2() {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { x86::intersection_len_avx2(a, b) };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        intersection_len_merge(a, b)
-    }
+    intersection_len_merge(a, b)
 }
 
 /// Intersection size of two sorted, deduplicated slices, dispatching by input
 /// shape: tiny inputs (both ≤ [`TINY_LEN`]) take a branch-free all-pairs
 /// loop, size ratios ≥ [`GALLOP_SKEW`] take [`intersection_len_gallop`], and
-/// the similar-size regime takes [`intersection_len_simd`] when the `simd`
-/// cargo feature is enabled ([`intersection_len_merge`] otherwise).
+/// the similar-size regime takes [`intersection_len_simd`] when the CPU has
+/// AVX2 ([`intersection_len_merge`] otherwise).
 ///
 /// The routing is exactly [`dispatch_class`] of the two lengths, and every
 /// kernel returns the identical exact count, so the dispatch decision can
@@ -246,7 +250,7 @@ pub fn intersection_len(a: &[u64], b: &[u64]) -> usize {
 /// Element-wise minimum merge: `dst[i] = min(dst[i], src[i])` — scalar loop.
 ///
 /// The loop is branch-free and autovectorizes; kept public as the conformance
-/// oracle for [`merge_min_simd`].  The slices must have equal length (the
+/// oracle for [`merge_min`]'s AVX2 path.  The slices must have equal length (the
 /// signature width).
 #[inline]
 pub fn merge_min_scalar(dst: &mut [u64], src: &[u64]) {
@@ -256,40 +260,24 @@ pub fn merge_min_scalar(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Element-wise minimum merge with explicit SIMD: `dst[i] = min(dst[i],
-/// src[i])` on 4×`u64` AVX2 blocks (unsigned min emulated by sign-bit flip +
-/// signed compare + blend, since unsigned 64-bit min is AVX-512-only), with a
-/// scalar tail and a full scalar fallback when AVX2 is absent.
-///
-/// Element-wise integer minimum is exact, so this is bit-identical to
-/// [`merge_min_scalar`] by construction.  Compiled unconditionally; the
-/// `simd` cargo feature only controls whether [`merge_min`] routes here.
-pub fn merge_min_simd(dst: &mut [u64], src: &[u64]) {
-    debug_assert_eq!(dst.len(), src.len(), "signature widths must match");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { x86::merge_min_avx2(dst, src) };
-            return;
-        }
-    }
-    merge_min_scalar(dst, src);
-}
-
 /// Element-wise minimum merge: `dst[i] = min(dst[i], src[i])`.
 ///
 /// This is the MinHash signature-merge primitive; the slices must have equal
-/// length (the signature width).  Routes to [`merge_min_simd`] when the
-/// `simd` cargo feature is enabled, [`merge_min_scalar`] otherwise; both are
-/// exact integer minima, so the answers cannot differ.
-#[inline]
+/// length (the signature width).  Routed like [`intersection_len`]'s
+/// similar-size regime: 4×`u64` AVX2 blocks when the CPU has them (unsigned
+/// min emulated by sign-bit flip + signed compare + blend, since unsigned
+/// 64-bit min is AVX-512-only, with a scalar tail), [`merge_min_scalar`]
+/// otherwise.  Element-wise integer minimum is exact, so the two are
+/// bit-identical by construction.
 pub fn merge_min(dst: &mut [u64], src: &[u64]) {
-    if cfg!(feature = "simd") {
-        merge_min_simd(dst, src);
-    } else {
-        merge_min_scalar(dst, src);
+    debug_assert_eq!(dst.len(), src.len(), "signature widths must match");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: AVX2 support was just verified at runtime.
+        unsafe { x86::merge_min_avx2(dst, src) };
+        return;
     }
+    merge_min_scalar(dst, src);
 }
 
 /// Index of the maximum element, breaking ties toward the lowest index.
@@ -313,15 +301,13 @@ pub fn argmax(values: &[u64]) -> usize {
 
 /// x86-64 intrinsic implementations of the SIMD kernels.
 ///
-/// The AVX2 functions are `#[target_feature]`-gated and only reached behind
-/// a runtime `is_x86_feature_detected!("avx2")` check; the SSE2 function uses
-/// only baseline x86-64 instructions.
+/// The functions are `#[target_feature]`-gated and only reached behind a
+/// runtime `is_x86_feature_detected!("avx2")` check.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
 
     const AVX_LANES: usize = super::SIMD_LANES; // 4 × u64 per __m256i
-    const SSE_LANES: usize = 2; // 2 × u64 per __m128i
 
     /// Blockwise 4-lane intersection count.  See [`super::intersection_len_simd`]
     /// for the counting argument; the block-advance rule (`smaller max moves,
@@ -351,35 +337,6 @@ mod x86 {
             let b_max = *b.get_unchecked(j + AVX_LANES - 1);
             i += if a_max <= b_max { AVX_LANES } else { 0 };
             j += if b_max <= a_max { AVX_LANES } else { 0 };
-        }
-        count + super::intersection_len_merge(&a[i..], &b[j..])
-    }
-
-    /// 64-bit lane equality from SSE2-only ops: compare the 32-bit halves and
-    /// AND each half's mask with its sibling's.
-    #[inline]
-    unsafe fn cmpeq_epi64_sse2(x: __m128i, y: __m128i) -> __m128i {
-        let eq32 = _mm_cmpeq_epi32(x, y);
-        _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0b10_11_00_01))
-    }
-
-    /// Blockwise 2-lane intersection count using only baseline x86-64
-    /// instructions — the runtime fallback when AVX2 is unavailable.
-    pub(super) unsafe fn intersection_len_sse2(a: &[u64], b: &[u64]) -> usize {
-        let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-        let na = a.len() & !(SSE_LANES - 1);
-        let nb = b.len() & !(SSE_LANES - 1);
-        while i < na && j < nb {
-            // SAFETY: `i + SSE_LANES <= na <= a.len()` (and likewise for `b`).
-            let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-            let vb = _mm_loadu_si128(b.as_ptr().add(j).cast());
-            let rot = _mm_shuffle_epi32(vb, 0b01_00_11_10); // swap the two u64 lanes
-            let any = _mm_or_si128(cmpeq_epi64_sse2(va, vb), cmpeq_epi64_sse2(va, rot));
-            count += (_mm_movemask_pd(_mm_castsi128_pd(any)) as u32).count_ones() as usize;
-            let a_max = *a.get_unchecked(i + SSE_LANES - 1);
-            let b_max = *b.get_unchecked(j + SSE_LANES - 1);
-            i += if a_max <= b_max { SSE_LANES } else { 0 };
-            j += if b_max <= a_max { SSE_LANES } else { 0 };
         }
         count + super::intersection_len_merge(&a[i..], &b[j..])
     }
@@ -471,8 +428,8 @@ mod tests {
 
     #[test]
     fn simd_lane_width_boundaries() {
-        // Lengths straddling the 4-lane AVX2 block and the 2-lane SSE2 block:
-        // partial blocks must be finished exactly by the scalar tail.
+        // Lengths straddling the 4-lane AVX2 block: partial blocks must be
+        // finished exactly by the scalar tail.
         for la in 0..=10usize {
             for lb in 0..=10usize {
                 let a: Vec<u64> = (0..la as u64).map(|i| i * 3).collect();
@@ -492,11 +449,7 @@ mod tests {
         // One side past TINY_LEN leaves the tiny regime.
         assert_eq!(dispatch_class(1, TINY_LEN + 1), KernelClass::Gallop);
         let similar = dispatch_class(TINY_LEN + 1, TINY_LEN + 1);
-        if cfg!(feature = "simd") {
-            assert_eq!(similar, KernelClass::Simd);
-        } else {
-            assert_eq!(similar, KernelClass::Merge);
-        }
+        assert_eq!(similar, if has_avx2() { KernelClass::Simd } else { KernelClass::Merge });
         assert_eq!(dispatch_class(64, 64 * GALLOP_SKEW), KernelClass::Gallop);
     }
 
@@ -535,8 +488,8 @@ mod tests {
                 (0..width as u64).map(|i| (!i).wrapping_mul(0xBF58_476D_1CE4_E5B9)).collect();
             let mut simd = scalar.clone();
             merge_min_scalar(&mut scalar, &src);
-            merge_min_simd(&mut simd, &src);
-            assert_eq!(simd, scalar, "merge_min_simd diverged at width {width}");
+            merge_min(&mut simd, &src);
+            assert_eq!(simd, scalar, "merge_min diverged at width {width}");
         }
     }
 
@@ -548,7 +501,7 @@ mod tests {
         let src = vec![1 << 63, u64::MAX, 1 << 63, u64::MAX, u64::MAX, (1 << 63) - 1, 9, 3];
         let mut expect = dst.clone();
         merge_min_scalar(&mut expect, &src);
-        merge_min_simd(&mut dst, &src);
+        merge_min(&mut dst, &src);
         assert_eq!(dst, expect);
     }
 

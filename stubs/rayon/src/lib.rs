@@ -7,11 +7,17 @@
 //! any observable output, only the scheduling.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::thread;
 
 /// Number of worker threads a parallel operation will fan out to.
+///
+/// Read once, like the real crate's pool size (fixed when the pool starts):
+/// `available_parallelism` re-reads the cgroup files on every call, which
+/// costs more than a short query.
 pub fn current_num_threads() -> usize {
-    thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
 }
 
 /// Runs two closures, potentially in parallel, returning both results.

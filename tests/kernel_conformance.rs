@@ -1,29 +1,42 @@
 //! Conformance of the flat hot-path kernels (`minsig::kernel`) against the
 //! owned-representation oracles:
 //!
-//! * the three intersection kernels (three-way-compare merge, explicit-mask
-//!   merge, galloping) and the size-ratio dispatcher must agree on
-//!   **arbitrary** sorted sets, including adversarially skewed size ratios
-//!   that force the galloping path;
-//! * the arena-backed scan and fused degree loop must answer **bitwise
+//! * the intersection kernels (three-way-compare merge, galloping, the SIMD
+//!   block kernel) and the dispatcher must agree on **arbitrary** sorted
+//!   sets, including adversarially skewed size ratios that force the
+//!   galloping path — each kernel called by name, so all of them are checked
+//!   whichever one the dispatcher routes to on this machine;
+//! * the arena-backed scan and the fused degree loop — which stops
+//!   intersecting at the first empty level — must answer **bitwise
 //!   identically** to degrees computed from the owned `CellSetSequence`
-//!   maps, across every workload generator in `minsig::testkit`.
+//!   maps, which intersect every level: for every pair, under every shipped
+//!   measure, across every workload generator in `minsig::testkit`, the
+//!   paper's SYN population, and populations reshaped by ingest unions and
+//!   removals;
+//! * the property the early stop rests on: every sequence the model can
+//!   build is ancestor-closed, and one that is not is rejected.
 //!
 //! Nothing here trusts the arena's internal layout — only observable answers
 //! are compared, through the same oracle helpers the sharding suites use.
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, HierarchySpec, PairedConfig, PlannerDispersedConfig,
-    PlannerLocalizedConfig, PruningAdversarialConfig, SkewedConfig, UniformConfig, Workload,
+    assert_equivalent_answers, issued_intersections, HierarchySpec, PairedConfig,
+    PlannerDispersedConfig, PlannerLocalizedConfig, PruningAdversarialConfig, SkewedConfig,
+    StreamConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    IndexConfig, IndexSnapshot, KernelDispatch, QueryView, TopKHeap, TopKResult,
+    IndexConfig, IndexSnapshot, KernelDispatch, MinSigIndex, QueryView, TopKHeap, TopKResult,
 };
+use digital_traces::mobility_models::{SynConfig, SynDataset};
+use digital_traces::model::adm::LevelRatio;
 use digital_traces::model::kernel::{
     intersection_len, intersection_len_gallop, intersection_len_merge, intersection_len_simd,
-    merge_min, merge_min_scalar, merge_min_simd, GALLOP_SKEW, SIMD_LANES,
+    merge_min, merge_min_scalar, GALLOP_SKEW, SIMD_LANES,
 };
-use digital_traces::{AssociationMeasure, EntityId, PaperAdm};
+use digital_traces::model::{
+    CellSet, CellSetSequence, LevelRows, ModelError, StCell, WeightedLevelAdm,
+};
+use digital_traces::{AssociationMeasure, DiceAdm, EntityId, JaccardAdm, PaperAdm};
 use proptest::prelude::*;
 
 /// Sorts and dedups a raw value vector into kernel input form.
@@ -35,9 +48,8 @@ fn to_set(mut v: Vec<u64>) -> Vec<u64> {
 
 /// Asserts all four intersection entry points agree on `(a, b)`, both ways.
 /// The three-way-compare merge is the oracle; the SIMD kernel must match it
-/// whatever instruction set the host actually has (AVX2, SSE2-only, or the
-/// non-x86 scalar fallback), and the dispatcher must match it with the
-/// `simd` cargo feature both on and off.
+/// whatever the host has (AVX2, or the merge it falls back to), and so must
+/// the dispatcher, whichever of them it routes the similar-size regime to.
 fn assert_kernels_agree(a: &[u64], b: &[u64]) {
     let expect = intersection_len_merge(a, b);
     assert_eq!(intersection_len_gallop(a, b), expect, "gallop vs merge");
@@ -109,11 +121,11 @@ proptest! {
         assert_kernels_agree(&probe, &large);
     }
 
-    /// The element-wise minimum merges are bit-identical: scalar oracle,
-    /// explicit SIMD, and the feature-routed entry point, at widths crossing
-    /// the SIMD block boundary and values straddling the sign bit (the AVX2
-    /// kernel emulates unsigned min by sign-bit flip — the values most likely
-    /// to expose a flip bug are near `i64::MAX`/`u64::MAX`).
+    /// The element-wise minimum merge is bit-identical to its scalar oracle
+    /// on whatever path the CPU routes it to, at widths crossing the SIMD
+    /// block boundary and values straddling the sign bit (the AVX2 kernel
+    /// emulates unsigned min by sign-bit flip — the values most likely to
+    /// expose a flip bug are near `i64::MAX`/`u64::MAX`).
     #[test]
     fn merge_min_variants_are_bit_identical(
         a in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..3 * SIMD_LANES + 2),
@@ -124,11 +136,8 @@ proptest! {
         let src: Vec<u64> = b[..width].to_vec();
         let mut scalar = dst0.clone();
         merge_min_scalar(&mut scalar, &src);
-        let mut simd = dst0.clone();
-        merge_min_simd(&mut simd, &src);
         let mut routed = dst0.clone();
         merge_min(&mut routed, &src);
-        prop_assert_eq!(&scalar, &simd);
         prop_assert_eq!(&scalar, &routed);
         for (i, (&d, &s)) in dst0.iter().zip(&src).enumerate() {
             prop_assert_eq!(scalar[i], d.min(s));
@@ -237,51 +246,93 @@ fn owned_scan(
     top.into_sorted()
 }
 
-/// Runs the arena-vs-owned sweep for one workload: every sampled query's
-/// arena scan must be bit-identical to the owned oracle (entities **and**
-/// degree bits, boundary ties included), and every per-entity fused degree
-/// must carry the exact bits of the owned computation.
-fn assert_arena_matches_owned(workload: &Workload, context: &str) {
-    let index = workload.build_index(IndexConfig::default());
-    let snapshot = index.snapshot();
-    let measure = workload.measure();
+/// The measures the workspace ships, at `levels` levels.
+fn measures(levels: usize) -> Vec<Box<dyn AssociationMeasure>> {
+    vec![
+        Box::new(PaperAdm::default_for(levels)),
+        Box::new(DiceAdm::uniform(levels)),
+        Box::new(JaccardAdm::uniform(levels)),
+        Box::new(WeightedLevelAdm::new(levels, 2.0, 1.5, LevelRatio::Containment).unwrap()),
+    ]
+}
+
+/// Runs the arena-vs-owned sweep over one snapshot: every query's arena scan
+/// must be bit-identical to the owned oracle (entities **and** degree bits,
+/// boundary ties included) and count exactly the intersections the early
+/// stop issues, and the fused degree of **every** (query, entity) pair must
+/// carry the exact bits of the owned all-levels computation under every
+/// measure.
+fn assert_snapshot_matches_owned(snapshot: &IndexSnapshot, queries: &[EntityId], context: &str) {
     let arena = snapshot.arena();
     let seqs = snapshot.sequences();
     assert_eq!(arena.len(), seqs.len(), "{context}: arena covers the population");
-    for query in workload.sample_entities(12, 7) {
-        let query_seq = match seqs.get(&query) {
-            Some(seq) => seq,
-            None => continue,
-        };
+    let measures = measures(arena.num_levels());
+    let paper = PaperAdm::default_for(arena.num_levels());
+    for &query in queries {
+        let Some(query_seq) = seqs.get(&query) else { continue };
         let view = QueryView::new(query_seq);
+        let issued: u64 = seqs
+            .iter()
+            .filter(|(&entity, _)| entity != query)
+            .map(|(_, seq)| issued_intersections(query_seq, seq))
+            .sum();
         for k in [1, 3, 10] {
             let mut dispatch = KernelDispatch::default();
-            let (got, checked) = arena.scan_top_k(&view, Some(query), k, &measure, &mut dispatch);
-            let expect = owned_scan(&snapshot, query, k, &measure);
+            let (got, checked) = arena.scan_top_k(&view, Some(query), k, &paper, &mut dispatch);
+            let expect = owned_scan(snapshot, query, k, &paper);
             assert_eq!(checked, seqs.len() - 1, "{context}: arena scan checks every candidate");
             assert_eq!(
                 dispatch.total(),
-                (checked * arena.num_levels()) as u64,
-                "{context}: every per-level intersection is classified exactly once"
+                issued,
+                "{context}: one classified intersection per level up to the first empty one"
             );
             assert_equivalent_answers(&got, &expect, &format!("{context}, query {query}, k {k}"));
         }
-        for (&entity, seq) in seqs.iter().take(64) {
+        for (&entity, seq) in seqs {
             let pos = arena.position(entity).expect("indexed entity is in the arena");
-            let fused = arena.degree_at(pos, &view, &measure);
-            let owned = measure.degree(query_seq, seq);
-            assert_eq!(
-                fused.to_bits(),
-                owned.to_bits(),
-                "{context}: fused degree of {entity} vs query {query} drifted ({fused} vs {owned})"
-            );
+            for measure in &measures {
+                let fused = arena.degree_at(pos, &view, measure.as_ref());
+                let owned = measure.degree(query_seq, seq);
+                assert_eq!(
+                    fused.to_bits(),
+                    owned.to_bits(),
+                    "{context}, {}: fused degree of {entity} vs query {query} drifted \
+                     ({fused} vs {owned})",
+                    measure.name()
+                );
+            }
         }
     }
 }
 
+/// [`assert_snapshot_matches_owned`] over a workload's index, as built and
+/// again after the population was reshaped: a stream ingested into existing
+/// entities (level-wise unions) and new ones, then every third entity
+/// removed (empty and one-entity subtrees in the tree the snapshot carries).
+fn assert_arena_matches_owned(workload: &Workload, context: &str) {
+    let mut index = workload.build_index(IndexConfig::default());
+    let queries = workload.sample_entities(12, 7);
+    assert_snapshot_matches_owned(&index.snapshot(), &queries, context);
+
+    let entities = workload.entities();
+    let stream = workload.stream(StreamConfig {
+        records: 4 * entities.len().min(60),
+        existing_entities: entities.len() as u64,
+        seed: 0x1e5 ^ entities.len() as u64,
+        ..StreamConfig::default()
+    });
+    index.ingest_batch(stream).unwrap();
+    for &entity in entities.iter().step_by(3) {
+        index.remove_entity(entity).unwrap();
+    }
+    let snapshot = index.snapshot();
+    let survivors: Vec<EntityId> = snapshot.sequences().keys().copied().step_by(5).collect();
+    assert_snapshot_matches_owned(&snapshot, &survivors, &format!("{context}, reshaped"));
+}
+
 /// The arena answers bit-identically to the owned path on every workload
 /// generator the testkit offers — uniform, paired, skewed, degenerate and
-/// planner-adversarial populations alike.
+/// planner-adversarial populations alike — before and after reshaping.
 #[test]
 fn arena_matches_owned_path_across_all_generators() {
     assert_arena_matches_owned(&Workload::uniform(UniformConfig::default()), "uniform");
@@ -323,5 +374,114 @@ proptest! {
             seed,
         });
         assert_arena_matches_owned(&w, &format!("uniform({entities},{visits},{seed})"));
+    }
+}
+
+/// The paper's SYN population at the end-to-end benchmark's parameters (a
+/// week, a fifth co-moving, default mobility and hierarchy): the population
+/// whose pairs mostly share nothing at level 1, so the early stop skips most
+/// of the work — and must change no bit.  `entities` scales the run.
+fn assert_syn_matches_owned(entities: usize, queries: usize) {
+    let dataset = SynDataset::generate(SynConfig {
+        num_entities: entities,
+        days: 7,
+        comover_fraction: 0.2,
+        seed: 1,
+        ..SynConfig::default()
+    })
+    .unwrap();
+    let config = IndexConfig::with_hash_functions(32);
+    let index = MinSigIndex::build(dataset.sp_index(), &dataset.traces, config).unwrap();
+    let snapshot = index.snapshot();
+    let step = (entities / queries).max(1);
+    let queries: Vec<EntityId> = snapshot.sequences().keys().copied().step_by(step).collect();
+    // The population really is the early stop's: most pairs are empty at
+    // level 1 already.
+    let (mut pairs, mut issued) = (0u64, 0u64);
+    for query in &queries {
+        for seq in snapshot.sequences().values() {
+            pairs += 1;
+            issued += issued_intersections(&snapshot.sequences()[query], seq);
+        }
+    }
+    assert!(issued < 2 * pairs, "{issued} intersections for {pairs} pairs of 4 levels");
+    assert_snapshot_matches_owned(&snapshot, &queries, &format!("syn({entities})"));
+}
+
+#[test]
+fn arena_matches_owned_path_on_the_syn_population() {
+    assert_syn_matches_owned(300, 6);
+}
+
+/// The same at the benchmark's own 5 000 entities (64 queries × 5 000
+/// candidates × 4 measures); run with `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "5 000-entity SYN build; run explicitly or via the CI stress job"]
+fn arena_matches_owned_path_on_the_full_syn_population() {
+    assert_syn_matches_owned(5_000, 64);
+}
+
+/// The rows of `sequence`, re-checked through the validating constructor:
+/// `Ok` exactly when every finer cell's parent cell is one level up.
+fn revalidate(
+    sp: &digital_traces::SpIndex,
+    rows: impl Iterator<Item = Vec<u64>>,
+) -> Result<CellSetSequence, ModelError> {
+    let sets = rows
+        .map(|row| CellSet::from_sorted_unique(row.into_iter().map(StCell::from_packed).collect()))
+        .collect();
+    CellSetSequence::from_level_sets(sp, sets)
+}
+
+fn rows_of(seq: &CellSetSequence) -> impl Iterator<Item = Vec<u64>> + '_ {
+    seq.iter_levels().map(|(_, set)| set.packed_slice().to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// What the early stop rests on: every sequence the model builds — by
+    /// projection (`from_base_cells`, via `cell_sequence`), by level-wise
+    /// `union`, and the flat `LevelRows` the paged source scores from — is
+    /// ancestor-closed, and taking one parent cell away is caught.
+    #[test]
+    fn every_built_sequence_is_ancestor_closed(
+        entities in 2u64..24,
+        visits in 1u64..8,
+        seed in 0u64..1_000,
+    ) {
+        let w = Workload::uniform(UniformConfig {
+            entities,
+            visits,
+            time_slots: 24,
+            hierarchy: HierarchySpec::new(2, &[3, 2]),
+            seed,
+        });
+        let seqs = w.traces.cell_sequences(&w.sp).unwrap();
+        let mut previous: Option<&CellSetSequence> = None;
+        let mut rows = LevelRows::default();
+        for (entity, seq) in &seqs {
+            prop_assert_eq!(&revalidate(&w.sp, rows_of(seq)).unwrap(), seq);
+            let trace = w.traces.trace(*entity).unwrap();
+            rows.fill(&w.sp, w.traces.ticks_per_unit(), trace.instances()).unwrap();
+            let flat = (0..rows.num_levels()).map(|i| rows.level(i).to_vec());
+            prop_assert_eq!(&revalidate(&w.sp, flat).unwrap(), seq);
+            if let Some(previous) = previous {
+                let union = previous.union(seq);
+                prop_assert_eq!(&revalidate(&w.sp, rows_of(&union)).unwrap(), &union);
+                prop_assert!(union.total_cells() >= seq.total_cells());
+            }
+            previous = Some(seq);
+
+            // Drop one coarse cell that a finer cell hangs under.
+            let mut broken: Vec<Vec<u64>> = rows_of(seq).collect();
+            if !broken[1].is_empty() {
+                broken[0].remove(0);
+                let rejected = revalidate(&w.sp, broken.into_iter());
+                prop_assert!(matches!(rejected, Err(ModelError::InvalidSequence(_))));
+            }
+        }
+        // The wrong number of levels is not a sequence of this hierarchy.
+        prop_assert!(CellSetSequence::from_level_sets(&w.sp, vec![CellSet::new()]).is_err());
     }
 }
