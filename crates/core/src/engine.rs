@@ -12,11 +12,12 @@
 //!   candidate subtrees ordered by an upper bound on the association degree
 //!   achievable inside each subtree, gradually tightening per-level overlap
 //!   caps down every branch (Theorem 4 / Section 5.1);
-//! * the **data source** — the [`TraceSource`] trait — only answers "give me
-//!   the ST-cell set sequence of this entity" during leaf evaluation.
+//! * the **data source** — the [`TraceSource`] trait — only answers "what is
+//!   this entity's degree with the query" during leaf evaluation.
 //!   [`ArenaSource`](crate::kernel::ArenaSource) scores from the snapshot's
-//!   flat candidate arena; [`PagedSource`] reads raw traces through a
-//!   `trace-storage` buffer pool, charging simulated I/O;
+//!   flat candidate arena; [`PagedArenaSource`](crate::paged::PagedArenaSource)
+//!   reads raw traces through a `trace-storage` buffer pool, charging
+//!   simulated I/O;
 //! * the **termination bound** — the [`Bound`] trait — is the degree a
 //!   candidate subtree must beat to stay alive.  [`PrivateBound`] is inert
 //!   (the executor then prunes against its own k-th-best threshold only, the
@@ -95,8 +96,9 @@
 //! Driving the executor directly (what [`IndexSnapshot::top_k`] does for you):
 //! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts,
 //! [`Executor::new`] takes the snapshot, the [`Query`] and any
-//! [`TraceSource`] — swap in a [`PagedSource`] and the same search answers
-//! from a disk-backed store; the logical search does not change.
+//! [`TraceSource`] — swap in a
+//! [`PagedArenaSource`](crate::paged::PagedArenaSource) and the same search
+//! answers from a disk-backed store; the logical search does not change.
 //!
 //! ```
 //! use minsig::engine::PrivateBound;
@@ -136,93 +138,35 @@ use crate::signature::{HierarchicalHasher, SeededHashFamily};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::QueryStats;
 use crate::tree::{NodeId, ROOT};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level, LevelOverlap, SpIndex};
-use trace_storage::{BufferPool, PagedTraceStore};
 
-/// Where candidate entities' ST-cell set sequences come from during leaf
-/// evaluation.
+/// What leaf evaluation asks of the data: the association degree between the
+/// query a source was built for and one candidate entity.
 ///
-/// Implementations must be cheap to query repeatedly and safe to share across
-/// threads (`&self` access only): a batch executor may drive many concurrent
-/// searches against one source.
+/// A source is constructed per query (it holds the query's resolved view and
+/// its own scratch and counters) and travels with one executor.
 pub trait TraceSource {
-    /// The sequence of an entity, or `None` when it cannot be found.  An
-    /// indexed entity the source cannot produce is *not* silently dropped:
-    /// the executor counts it in
+    /// The degree between the source's query and `entity`'s trace, or `None`
+    /// when the entity cannot be found.  An indexed entity the source cannot
+    /// produce is *not* silently dropped: the executor counts it in
     /// [`QueryStats::candidates_unreadable`] and lowers the answer's
     /// [`recall_estimate`](QueryStats::recall_estimate).
-    fn sequence(&self, entity: EntityId) -> Option<Cow<'_, CellSetSequence>>;
-
-    /// The association degree between `query` and an entity's trace, or
-    /// `None` when the entity cannot be found — the executor's leaf
-    /// evaluation primitive.
     ///
-    /// The default fetches the sequence and scores it through the measure;
-    /// sources backed by a flat layout (the snapshot's
-    /// [`ArenaSource`](crate::kernel::ArenaSource)) override this with a
-    /// fused kernel loop.  Overrides must return **bitwise** the value
-    /// `measure.degree(query, seq)` yields for the sequence that
-    /// [`sequence`](TraceSource::sequence) reports, and must return `Some`
-    /// for exactly the entities `sequence` resolves — the engine's
-    /// exactness and tie-completeness guarantees ride on that.
-    fn degree(
-        &self,
-        entity: EntityId,
-        query: &CellSetSequence,
-        measure: &dyn AssociationMeasure,
-    ) -> Option<f64> {
-        self.sequence(entity).map(|seq| measure.degree(query, seq.as_ref()))
-    }
+    /// Must return **bitwise** the value `measure.degree(query, sequence)`
+    /// yields for the entity's ST-cell set sequence — the engine's exactness
+    /// and tie-completeness guarantees ride on that.
+    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64>;
 }
 
+/// [`execute`] borrows its source, so the caller can drain the source's
+/// counters once the search has finished.
 impl<T: TraceSource + ?Sized> TraceSource for &T {
-    fn sequence(&self, entity: EntityId) -> Option<Cow<'_, CellSetSequence>> {
-        (**self).sequence(entity)
-    }
-
-    fn degree(
-        &self,
-        entity: EntityId,
-        query: &CellSetSequence,
-        measure: &dyn AssociationMeasure,
-    ) -> Option<f64> {
-        (**self).degree(entity, query, measure)
-    }
-}
-
-/// A [`TraceSource`] that materialises candidate sequences from a paged trace
-/// store, charging buffer-pool I/O for every page touched.
-///
-/// The buffer pool synchronises internally, so one `PagedSource` (or several
-/// over the same pool) can serve concurrent searches from multiple threads.
-pub struct PagedSource<'a> {
-    pub(crate) store: &'a PagedTraceStore,
-    pub(crate) pool: &'a BufferPool<'a>,
-    pub(crate) sp: &'a SpIndex,
-    pub(crate) ticks_per_unit: u64,
-}
-
-impl<'a> PagedSource<'a> {
-    /// Creates a source over a store and a pool.
-    pub fn new(
-        store: &'a PagedTraceStore,
-        pool: &'a BufferPool<'a>,
-        sp: &'a SpIndex,
-        ticks_per_unit: u64,
-    ) -> Self {
-        PagedSource { store, pool, sp, ticks_per_unit }
-    }
-}
-
-impl TraceSource for PagedSource<'_> {
-    fn sequence(&self, entity: EntityId) -> Option<Cow<'_, CellSetSequence>> {
-        let trace = self.store.read_trace(self.pool, entity)?;
-        trace.cell_sequence(self.sp, self.ticks_per_unit).ok().map(Cow::Owned)
+    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
+        (**self).degree(entity, measure)
     }
 }
 
@@ -638,7 +582,6 @@ where
     M: AssociationMeasure + ?Sized,
 {
     tree: &'a NodeArena,
-    query: &'a CellSetSequence,
     exclude: Option<EntityId>,
     k: usize,
     measure: &'a M,
@@ -707,7 +650,6 @@ where
         }
         Ok(Executor {
             tree,
-            query: sequence,
             exclude,
             k,
             measure,
@@ -859,7 +801,7 @@ where
                 if Some(entity) == self.exclude {
                     continue;
                 }
-                let Some(degree) = self.source.degree(entity, self.query, &self.measure) else {
+                let Some(degree) = self.source.degree(entity, &self.measure) else {
                     self.stats.candidates_unreadable += 1;
                     continue;
                 };

@@ -133,14 +133,16 @@ impl MinSigIndex {
     /// references are still alive, so existing readers of the snapshot are
     /// unaffected by whatever the new handle does.
     pub fn from_snapshot(snapshot: Arc<IndexSnapshot>) -> MinSigIndex {
-        let stats = IndexStats {
-            num_entities: snapshot.sequences.len(),
-            num_nodes: snapshot.tree.num_nodes(),
-            index_bytes: snapshot.tree.size_bytes(),
-            hash_evaluations: 0,
-            build_time_us: 0,
-        };
-        MinSigIndex { snapshot, stats, epoch: 0 }
+        let mut index = MinSigIndex { snapshot, stats: IndexStats::default(), epoch: 0 };
+        index.refresh_stats();
+        index
+    }
+
+    /// Re-reads [`stats`](Self::stats)' size figures; every mutation ends here.
+    pub(crate) fn refresh_stats(&mut self) {
+        self.stats.num_entities = self.snapshot.sequences.len();
+        self.stats.num_nodes = self.snapshot.tree.num_nodes();
+        self.stats.index_bytes = self.snapshot.tree.size_bytes();
     }
 
     /// Build statistics (updated by incremental maintenance).
@@ -203,9 +205,7 @@ impl MinSigIndex {
             snap.recompute_synopsis(None, self.epoch + 1);
             snap.rebuild_arena();
         }
-        self.stats.num_entities = snap.sequences.len();
-        self.stats.num_nodes = snap.tree.num_nodes();
-        self.stats.index_bytes = snap.tree.size_bytes();
+        self.refresh_stats();
         self.stats.build_time_us += start.elapsed().as_micros() as u64;
         self.epoch += 1;
         Ok(inserted)
@@ -228,7 +228,7 @@ impl MinSigIndex {
         snap.signatures.remove(&entity);
         snap.recompute_synopsis(None, self.epoch + 1);
         snap.rebuild_arena();
-        self.stats.num_entities = snap.sequences.len();
+        self.refresh_stats();
         self.epoch += 1;
         Ok(())
     }
@@ -302,6 +302,15 @@ mod tests {
             }
         }
         (sp, traces)
+    }
+
+    /// `stats()` must describe the snapshot it is read beside, after every
+    /// kind of mutation.
+    fn assert_stats_are_fresh(index: &MinSigIndex) {
+        let stats = index.stats();
+        assert_eq!(stats.index_bytes, index.tree().size_bytes());
+        assert_eq!(stats.num_nodes, index.tree().num_nodes());
+        assert_eq!(stats.num_entities, index.num_entities());
     }
 
     #[test]
@@ -446,7 +455,9 @@ mod tests {
         let measure = PaperAdm::default_for(3);
         let (before, _) = index.top_k(EntityId(0), 1, &measure).unwrap();
         assert_eq!(before[0].entity, EntityId(1));
+        assert_stats_are_fresh(&index);
         index.remove_entity(EntityId(1)).unwrap();
+        assert_stats_are_fresh(&index);
         assert!(matches!(index.remove_entity(EntityId(1)), Err(IndexError::UnknownEntity(1))));
         let (after, _) = index.top_k(EntityId(0), 1, &measure).unwrap();
         assert_ne!(after[0].entity, EntityId(1));
@@ -473,10 +484,15 @@ mod tests {
         assert_eq!(index.num_entities(), 6);
         assert!(!index.contains(ghost));
         // Upsert is the explicit insert-or-replace path.
+        assert_stats_are_fresh(&index);
         assert!(index.upsert_entity(ghost, &trace).unwrap());
+        assert_stats_are_fresh(&index);
         assert!(!index.upsert_entity(ghost, &trace).unwrap(), "second upsert replaces");
+        assert_stats_are_fresh(&index);
         index.update_entity(ghost, &trace).unwrap();
+        assert_stats_are_fresh(&index);
         index.remove_entity(ghost).unwrap();
+        assert_stats_are_fresh(&index);
         assert!(!index.contains(ghost));
     }
 

@@ -209,9 +209,7 @@ impl IngestBuffer {
         snap.recompute_synopsis(None, index.epoch + 1);
         snap.rebuild_arena();
 
-        index.stats.num_entities = snap.sequences.len();
-        index.stats.num_nodes = snap.tree.num_nodes();
-        index.stats.index_bytes = snap.tree.size_bytes();
+        index.refresh_stats();
         index.stats.hash_evaluations += hash_evaluations;
         // Measured once: the report's flush time and the stats' build-time
         // increment are the same number, so the two never disagree.

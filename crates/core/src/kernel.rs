@@ -56,7 +56,6 @@ use crate::query::TopKResult;
 use crate::signature::SignatureList;
 use crate::stats::KernelDispatch;
 use crate::tree::{MinSigTree, Node, NodeId, ROOT};
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use trace_model::ajpi::{LevelOverlap, LevelStat};
@@ -628,13 +627,9 @@ impl<'a> QueryView<'a> {
     }
 }
 
-/// A [`TraceSource`] that serves sequences from the owned map but overrides
-/// [`TraceSource::degree`] with the arena's fused kernel loop — what the
-/// snapshot executors use for leaf evaluation and saturation checks.
-///
-/// Must be constructed with the same query sequence the executor scores
-/// against; the pre-resolved [`QueryView`] stands in for the `query`
-/// argument of [`TraceSource::degree`].
+/// The in-memory [`TraceSource`]: degrees from the arena's fused kernel loop
+/// against one query's pre-resolved [`QueryView`] — what the snapshot
+/// executors use for leaf evaluation.
 ///
 /// The source owns one [`LevelOverlap`] scratch reused across every degree
 /// it computes (an executor evaluates thousands of candidates per query, and
@@ -646,7 +641,6 @@ impl<'a> QueryView<'a> {
 /// (`&mut` under the cooperative scheduler's mutex slots), so the source is
 /// `Send` but deliberately not `Sync`.
 pub struct ArenaSource<'a> {
-    sequences: &'a BTreeMap<EntityId, CellSetSequence>,
     arena: &'a CandidateArena,
     view: QueryView<'a>,
     scratch: RefCell<LevelOverlap>,
@@ -654,29 +648,14 @@ pub struct ArenaSource<'a> {
 }
 
 impl<'a> ArenaSource<'a> {
-    /// Creates a source over a snapshot's owned maps and arena for one query.
-    pub fn new(
-        sequences: &'a BTreeMap<EntityId, CellSetSequence>,
-        arena: &'a CandidateArena,
-        query: &'a CellSetSequence,
-    ) -> Self {
+    /// Creates a source scoring `arena`'s rows against `query`.
+    pub fn new(arena: &'a CandidateArena, query: &'a CellSetSequence) -> Self {
         ArenaSource {
-            sequences,
             arena,
             view: QueryView::new(query),
             scratch: RefCell::new(LevelOverlap::default()),
             dispatch: Cell::new(KernelDispatch::default()),
         }
-    }
-
-    /// The arena this source scores against.
-    pub fn arena(&self) -> &'a CandidateArena {
-        self.arena
-    }
-
-    /// The resolved query view.
-    pub fn view(&self) -> &QueryView<'a> {
-        &self.view
     }
 
     /// Drains the per-kernel dispatch counts accumulated since the last call
@@ -687,17 +666,7 @@ impl<'a> ArenaSource<'a> {
 }
 
 impl TraceSource for ArenaSource<'_> {
-    fn sequence(&self, entity: EntityId) -> Option<Cow<'_, CellSetSequence>> {
-        self.sequences.get(&entity).map(Cow::Borrowed)
-    }
-
-    fn degree(
-        &self,
-        entity: EntityId,
-        query: &CellSetSequence,
-        measure: &dyn AssociationMeasure,
-    ) -> Option<f64> {
-        debug_assert_eq!(query.num_levels(), self.view.num_levels());
+    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
         let pos = self.arena.position(entity)?;
         let mut dispatch = self.dispatch.get();
         let degree = self.arena.degree_into_tracked(
@@ -900,16 +869,13 @@ mod tests {
         let arena = CandidateArena::build(2, 8, &sequences, &signatures);
         let measure = PaperAdm::default_for(2);
         let qseq = sequences[&EntityId(0)].clone();
-        let source = ArenaSource::new(&sequences, &arena, &qseq);
+        let source = ArenaSource::new(&arena, &qseq);
         for &entity in arena.entities() {
-            let via_source = source.degree(entity, &qseq, &measure).expect("entity is indexed");
+            let via_source = source.degree(entity, &measure).expect("entity is indexed");
             let owned = measure.degree(&qseq, &sequences[&entity]);
             assert_eq!(via_source.to_bits(), owned.to_bits());
         }
-        assert!(source.degree(EntityId(42), &qseq, &measure).is_none());
-        assert!(source.sequence(EntityId(1)).is_some());
-        assert_eq!(source.arena().len(), 4);
-        assert_eq!(source.view().num_levels(), 2);
+        assert!(source.degree(EntityId(42), &measure).is_none());
         let drained = source.take_dispatch();
         let issued: u64 = sequences.values().map(|seq| issued_intersections(&qseq, seq)).sum();
         assert_eq!(

@@ -29,13 +29,13 @@
 //! pluggable [`engine::Bound`] — private for single-tree searches, an atomic
 //! [`engine::SharedBound`] when the sharded fan-out interleaves per-shard
 //! executors cooperatively.  The executor is generic over a
-//! [`engine::TraceSource`] — where candidate sequences come from during leaf
+//! [`engine::TraceSource`] — where candidate degrees come from during leaf
 //! evaluation:
 //!
 //! * [`kernel::ArenaSource`] scores from the snapshot's flat candidate arena
 //!   (the exact path of [`IndexSnapshot::top_k`]);
-//! * [`engine::PagedSource`] reads raw traces through a `trace-storage` buffer
-//!   pool, charging simulated I/O (the Figure 7.6 path of [`paged`]).
+//! * [`paged::PagedArenaSource`] reads raw traces through a `trace-storage`
+//!   buffer pool, charging simulated I/O (the Figure 7.6 path of [`paged`]).
 //!
 //! The remaining query modules are thin drivers over the executor: [`join`]
 //! fans probe sets out over rayon ([`IndexSnapshot::top_k_batch`] /
@@ -136,7 +136,7 @@ pub mod tree;
 pub use approximate::{BandedIndex, BandingConfig};
 pub use config::{HasherMode, IndexConfig, PlannerConfig, SchedulerConfig};
 pub use durable::{DurableMinSigIndex, DurableShardedMinSigIndex, RecoveryReport};
-pub use engine::{Bound, Executor, PagedSource, PrivateBound, SharedBound, TopKHeap, TraceSource};
+pub use engine::{Bound, Executor, PrivateBound, SharedBound, TopKHeap, TraceSource};
 pub use error::{IndexError, Result};
 pub use index::MinSigIndex;
 pub use ingest::{IngestBuffer, IngestReport};

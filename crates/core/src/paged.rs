@@ -9,9 +9,9 @@
 //! simulated search time.
 //!
 //! The walk itself is the shared best-first executor of [`crate::engine`]; the
-//! only difference from the in-memory path is the [`PagedSource`] handed to it.
-//! The buffer pool synchronises internally, so paged queries may also run from
-//! several threads against one snapshot, pool and store.
+//! only difference from the in-memory path is the [`PagedArenaSource`] handed
+//! to it.  The buffer pool synchronises internally, so paged queries may also
+//! run from several threads against one snapshot, pool and store.
 //!
 //! ## Out-of-core sharded queries
 //!
@@ -65,7 +65,7 @@
 
 use crate::config::PlannerConfig;
 use crate::drive::{self, ShardAccess};
-use crate::engine::{self, PagedSource, TopKHeap, TraceSource};
+use crate::engine::{self, TopKHeap, TraceSource};
 use crate::error::{IndexError, Result};
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::{level_overlaps, QueryView};
@@ -79,7 +79,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 use trace_model::ajpi::LevelOverlap;
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows, SpIndex};
 use trace_storage::{BufferPool, PageId, PagedTraceStore, PinnedPages, PoolStats};
 
 /// What one [`PagedArenaSource`] reuses across candidates and counts for its
@@ -102,9 +102,8 @@ struct Scratch {
 /// holds a pin), discretises them into the source's reusable
 /// [`LevelRows`] buffer, and intersects the rows with the query.  Degrees
 /// are **bitwise identical** to `measure.degree(query, seq)` over the
-/// sequence [`sequence`](TraceSource::sequence) reports (the
-/// [`PagedSource`] / [`cell_sequence`](trace_model::DigitalTrace::cell_sequence)
-/// oracle): both hand the measure the same integer per-level
+/// entity's [`cell_sequence`](trace_model::DigitalTrace::cell_sequence):
+/// both hand the measure the same integer per-level
 /// [`LevelStat`](trace_model::ajpi::LevelStat)s, the fused side through the
 /// one early-stopping loop the arena runs (`kernel::level_overlaps`).
 ///
@@ -113,15 +112,25 @@ struct Scratch {
 /// one per executor.  [`drain_into`](Self::drain_into) moves the counters
 /// into the query's stats.
 pub struct PagedArenaSource<'a> {
-    inner: PagedSource<'a>,
+    store: &'a PagedTraceStore,
+    pool: &'a BufferPool<'a>,
+    sp: &'a SpIndex,
+    ticks_per_unit: u64,
     view: QueryView<'a>,
     scratch: RefCell<Scratch>,
 }
 
 impl<'a> PagedArenaSource<'a> {
-    /// Creates a source reading through `inner` for one query sequence.
-    pub fn new(inner: PagedSource<'a>, query: &'a CellSetSequence) -> Self {
-        PagedArenaSource { inner, view: QueryView::new(query), scratch: RefCell::default() }
+    /// Creates a source reading `store` through `pool` for one query sequence.
+    pub fn new(
+        store: &'a PagedTraceStore,
+        pool: &'a BufferPool<'a>,
+        sp: &'a SpIndex,
+        ticks_per_unit: u64,
+        query: &'a CellSetSequence,
+    ) -> Self {
+        let (view, scratch) = (QueryView::new(query), RefCell::default());
+        PagedArenaSource { store, pool, sp, ticks_per_unit, view, scratch }
     }
 
     /// Adds the kernel-dispatch and buffer-pool counters accumulated since
@@ -133,26 +142,26 @@ impl<'a> PagedArenaSource<'a> {
     }
 
     /// The fused records → rows → degree evaluation; `None` when the store
-    /// cannot produce the entity (exactly when [`PagedSource::sequence`]
-    /// cannot).  `track` counts the kernel dispatches (leaf evaluation and
-    /// scans do; planner seeding, like its in-memory counterpart, does not).
+    /// cannot produce the entity (it holds no trace for it, or the trace does
+    /// not discretise).  `track` counts the kernel dispatches (leaf
+    /// evaluation and scans do; planner seeding, like its in-memory
+    /// counterpart, does not).
     pub(crate) fn score(
         &self,
         entity: EntityId,
         measure: &dyn AssociationMeasure,
         track: bool,
     ) -> Option<f64> {
-        let PagedSource { store, pool, sp, ticks_per_unit } = self.inner;
         let Scratch { rows, overlap, dispatch, io } = &mut *self.scratch.borrow_mut();
         rows.clear();
         let mut pushed = Ok(());
-        let found = store.for_each_record(pool, entity, io, |rec| {
+        let found = self.store.for_each_record(self.pool, entity, io, |rec| {
             if pushed.is_ok() {
                 let presence = rec.to_presence();
-                pushed = rows.push(sp, ticks_per_unit, presence.unit, presence.period);
+                pushed = rows.push(self.sp, self.ticks_per_unit, presence.unit, presence.period);
             }
         });
-        if !found || pushed.is_err() || rows.finish(sp).is_err() {
+        if !found || pushed.is_err() || rows.finish(self.sp).is_err() {
             return None;
         }
         debug_assert_eq!(rows.num_levels(), self.view.num_levels());
@@ -162,17 +171,7 @@ impl<'a> PagedArenaSource<'a> {
 }
 
 impl TraceSource for PagedArenaSource<'_> {
-    fn sequence(&self, entity: EntityId) -> Option<Cow<'_, CellSetSequence>> {
-        self.inner.sequence(entity)
-    }
-
-    fn degree(
-        &self,
-        entity: EntityId,
-        query: &CellSetSequence,
-        measure: &dyn AssociationMeasure,
-    ) -> Option<f64> {
-        debug_assert_eq!(query.num_levels(), self.view.num_levels());
+    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
         self.score(entity, measure, true)
     }
 }
@@ -203,8 +202,8 @@ impl IndexSnapshot {
                 trace.cell_sequence(self.sp_index(), self.ticks_per_unit())?
             }
         };
-        let reader = PagedSource::new(store, pool, self.sp_index(), self.ticks_per_unit());
-        let source = PagedArenaSource::new(reader, &query_seq);
+        let source =
+            PagedArenaSource::new(store, pool, self.sp_index(), self.ticks_per_unit(), &query_seq);
         let request = Query { options, ..Query::new(k, measure) };
         let (results, mut stats) =
             engine::execute(self, &query_seq, Some(query), &request, &source)?;
@@ -386,9 +385,8 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// A fresh source (own scratch, zeroed counters) scoring against `query`.
     fn source<'q>(&'q self, query: &'q CellSetSequence) -> PagedArenaSource<'q> {
         let probe = &self.snapshot.shard_snapshots()[0];
-        let reader =
-            PagedSource::new(self.store, self.pool, probe.sp_index(), probe.ticks_per_unit());
-        PagedArenaSource::new(reader, query)
+        let (sp, ticks) = (probe.sp_index(), probe.ticks_per_unit());
+        PagedArenaSource::new(self.store, self.pool, sp, ticks, query)
     }
 
     /// How `entity`'s query, whose sequence is `sequence`, reads this
@@ -496,7 +494,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
             if entity == self.entity || !plan::scan_admits(rate, hot, entity) {
                 continue;
             }
-            let Some(degree) = self.source.degree(entity, self.sequence, &query.measure) else {
+            let Some(degree) = self.source.degree(entity, &query.measure) else {
                 stats.candidates_unreadable += 1;
                 continue;
             };
@@ -524,8 +522,27 @@ mod tests {
     use super::*;
     use crate::config::IndexConfig;
     use crate::index::MinSigIndex;
-    use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
+    use trace_model::{PaperAdm, Period, PresenceInstance, TraceSet};
     use trace_storage::PoolConfig;
+
+    /// The owned decode path — read the whole trace, discretise it with
+    /// `cell_sequence`, score the sequence through the measure — kept as the
+    /// bitwise oracle of [`PagedArenaSource`].
+    struct PagedSource<'a> {
+        store: &'a PagedTraceStore,
+        pool: &'a BufferPool<'a>,
+        sp: &'a SpIndex,
+        ticks_per_unit: u64,
+        query: &'a CellSetSequence,
+    }
+
+    impl TraceSource for PagedSource<'_> {
+        fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
+            let trace = self.store.read_trace(self.pool, entity)?;
+            let seq = trace.cell_sequence(self.sp, self.ticks_per_unit).ok()?;
+            Some(measure.degree(self.query, &seq))
+        }
+    }
 
     fn dataset(pairs: usize) -> (SpIndex, TraceSet) {
         let sp = SpIndex::uniform(2, &[4, 4]).unwrap();
@@ -721,9 +738,10 @@ mod tests {
         }
     }
 
-    /// The fused source against its oracle — `PagedSource` decodes an owned
-    /// trace and discretises it with `cell_sequence` — degree by degree and
-    /// through the executor; and its per-query counters against the pool's.
+    /// The fused source against its oracle — the test-local `PagedSource`
+    /// decodes an owned trace and discretises it with `cell_sequence` —
+    /// degree by degree and through the executor; and its per-query counters
+    /// against the pool's.
     #[test]
     fn fused_source_matches_the_cell_sequence_oracle_and_counts_its_own_io() {
         let (sp, traces) = dataset(60);
@@ -737,11 +755,10 @@ mod tests {
         });
         let measure = PaperAdm::default_for(sp.height() as usize);
         let query_seq = snapshot.sequence(EntityId(0)).unwrap();
-        let source = PagedArenaSource::new(PagedSource::new(&store, &pool, sp, ticks), query_seq);
-        let fused: Vec<f64> = (0..120u64)
-            .map(|e| source.degree(EntityId(e), query_seq, &measure).expect("stored"))
-            .collect();
-        assert!(source.degree(EntityId(9999), query_seq, &measure).is_none());
+        let source = PagedArenaSource::new(&store, &pool, sp, ticks, query_seq);
+        let fused: Vec<f64> =
+            (0..120u64).map(|e| source.degree(EntityId(e), &measure).expect("stored")).collect();
+        assert!(source.degree(EntityId(9999), &measure).is_none());
         // Untracked scoring (planner seeding) reads pages but counts no kernels.
         assert!(source.score(EntityId(3), &measure, false).is_some());
         let mut stats = QueryStats::default();
@@ -764,21 +781,23 @@ mod tests {
         source.drain_into(&mut again);
         assert_eq!((again.kernel_dispatch.total(), again.pool_hits + again.pool_misses), (0, 0));
 
-        let oracle = PagedSource::new(&store, &pool, sp, ticks);
+        let oracle =
+            |query| PagedSource { store: &store, pool: &pool, sp, ticks_per_unit: ticks, query };
         for (e, fused) in fused.iter().enumerate() {
-            let owned = oracle.degree(EntityId(e as u64), query_seq, &measure).unwrap();
+            let owned = oracle(query_seq).degree(EntityId(e as u64), &measure).unwrap();
             assert_eq!(fused.to_bits(), owned.to_bits(), "entity {e}");
         }
         for query in [7u64, 33, 79].map(EntityId) {
             let options = QueryOptions::default();
             let (fused, fused_stats) =
                 snapshot.top_k_paged(query, 5, &measure, &store, &pool, options).unwrap();
+            let sequence = snapshot.sequence(query).unwrap();
             let (owned, owned_stats) = engine::execute(
                 &snapshot,
-                snapshot.sequence(query).unwrap(),
+                sequence,
                 Some(query),
                 &Query { options, ..Query::new(5, &measure) },
-                &oracle,
+                &oracle(sequence),
             )
             .unwrap();
             assert_eq!(fused, owned, "query {query}: fused rows must equal the oracle bitwise");

@@ -733,8 +733,7 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
     }
 
     fn source(&self, shard: usize) -> ArenaSource<'q> {
-        let shard = &self.shards[shard];
-        ArenaSource::new(shard.sequences(), shard.arena(), self.sequence)
+        ArenaSource::new(self.shards[shard].arena(), self.sequence)
     }
 
     fn drain_source(source: &ArenaSource<'q>, stats: &mut QueryStats) {

@@ -291,7 +291,7 @@ impl IndexSnapshot {
         measure: &M,
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let source = ArenaSource::new(&self.sequences, &self.arena, query);
+        let source = ArenaSource::new(&self.arena, query);
         let request = Query { options, ..Query::new(k, measure) };
         let (results, mut stats) = engine::execute(self, query, exclude, &request, &source)?;
         stats.kernel_dispatch.absorb(source.take_dispatch());
@@ -316,13 +316,12 @@ impl IndexSnapshot {
         measure: &'a M,
         options: QueryOptions,
     ) -> Result<engine::Executor<'a, ArenaSource<'a>, M>> {
-        let source = ArenaSource::new(&self.sequences, &self.arena, query);
         engine::Executor::new(
             self,
             query,
             exclude,
             &Query { options, ..Query::new(k, measure) },
-            source,
+            ArenaSource::new(&self.arena, query),
         )
     }
 

@@ -19,7 +19,7 @@
 //! * [`sort`] — B-way external merge sort with pass counting (Section 4.3);
 //! * [`pool`] — the buffer manager: a byte-budgeted page cache with pin/unpin
 //!   and a simulated miss penalty;
-//! * [`replacer`] — pluggable eviction policies (LRU-K, FIFO) behind the
+//! * [`replacer`] — pluggable eviction policies (LRU-K by default) behind the
 //!   [`Replacer`] trait;
 //! * [`store`] — the entity-ordered [`PagedTraceStore`] used by the paged query
 //!   path of the `minsig` crate;
@@ -48,7 +48,7 @@ pub use disk::{DiskStats, PageId, VirtualDisk};
 pub use log::{LogConfig, LogManager, LogRecord, LOG_MAGIC, LOG_VERSION};
 pub use page::{Page, PAGE_SIZE};
 pub use pool::{BufferPool, PinnedPages, PoolConfig, PoolStats};
-pub use replacer::{FifoReplacer, LruKReplacer, Replacer, ReplacerPolicy};
+pub use replacer::{LruKReplacer, Replacer, ReplacerPolicy};
 pub use segment::{crc32, SegmentError, SegmentReader, SegmentWriter};
 pub use sort::{external_sort, predicted_sort_io, SortStats};
 pub use store::{

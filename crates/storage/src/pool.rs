@@ -10,12 +10,12 @@
 //!
 //! The pool keeps a frame table (resident pages plus their pin counts) and
 //! delegates victim selection to a [`Replacer`] chosen by
-//! [`PoolConfig::replacer`] — LRU-K by default, FIFO as the adversarial
-//! baseline (see [`crate::replacer`]).  A frame with a positive pin count is
-//! **never evicted**: query executors pin the pages they re-read across
-//! scheduling quanta ([`BufferPool::pin`] / [`BufferPool::unpin`], or the RAII
-//! [`PinnedPages`] guard) and the pool overcommits its budget rather than
-//! drop a pinned frame when everything resident is pinned.
+//! [`PoolConfig::replacer`] (LRU-K; see [`crate::replacer`]).  A frame with a
+//! positive pin count is **never evicted**: query executors pin the pages
+//! they re-read across scheduling quanta ([`BufferPool::pin`] /
+//! [`BufferPool::unpin`], or the RAII [`PinnedPages`] guard) and the pool
+//! overcommits its budget rather than drop a pinned frame when everything
+//! resident is pinned.
 //!
 //! ## What the pool mutex covers
 //!
@@ -469,12 +469,12 @@ mod tests {
 
     #[test]
     fn capacity_limits_cached_pages_and_evicts_coldest() {
-        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default(), ReplacerPolicy::Fifo] {
+        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
             let pool_disk = disk_with_pages(10);
             let pool = BufferPool::new(&pool_disk, tiny(2, replacer));
             pool.get(0);
             pool.get(1);
-            pool.get(2); // evicts page 0 under all three policies
+            pool.get(2); // evicts page 0 under both policies
             assert_eq!(pool.cached_pages(), 2, "{replacer:?}");
             assert_eq!(pool.stats().evictions, 1, "{replacer:?}");
             // Page 1 is still cached, page 0 is not.
@@ -508,7 +508,7 @@ mod tests {
         let disk = disk_with_pages(32);
         // A fixed access pattern with locality.
         let pattern: Vec<PageId> = (0..200).map(|i| (i % 20) as PageId).collect();
-        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default(), ReplacerPolicy::Fifo] {
+        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
             let mut previous_misses = u64::MAX;
             for pages in [2usize, 8, 32] {
                 let pool = BufferPool::new(&disk, tiny(pages, replacer));
@@ -529,7 +529,7 @@ mod tests {
         let large = PoolConfig::with_memory_fraction(100 * PAGE_SIZE, 0.9);
         assert!(small.capacity_pages() < large.capacity_pages());
         assert!(small.capacity_pages() >= 1);
-        assert_eq!(small.with_replacer(ReplacerPolicy::Fifo).replacer, ReplacerPolicy::Fifo);
+        assert_eq!(small.with_replacer(ReplacerPolicy::lru()).replacer, ReplacerPolicy::lru());
     }
 
     #[test]
@@ -556,7 +556,7 @@ mod tests {
     /// instead of dropping one.
     #[test]
     fn pinned_frames_are_never_evicted() {
-        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default(), ReplacerPolicy::Fifo] {
+        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
             let disk = disk_with_pages(12);
             let pool = BufferPool::new(&disk, tiny(2, replacer));
             pool.pin(0);
@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn pinned_pages_guard_releases_on_drop() {
         let disk = disk_with_pages(6);
-        let pool = BufferPool::new(&disk, tiny(2, ReplacerPolicy::Fifo));
+        let pool = BufferPool::new(&disk, tiny(2, ReplacerPolicy::lru()));
         {
             let guard = pool.pin_pages([0u64, 1, 0]);
             assert_eq!(guard.pages(), &[0, 1, 0]);
@@ -689,7 +689,7 @@ mod tests {
         let disk = disk_with_pages(9);
         let pool = BufferPool::with_replacer(
             &disk,
-            tiny(2, ReplacerPolicy::Fifo),
+            tiny(2, ReplacerPolicy::lru()),
             Box::new(MaliciousReplacer),
         );
         pool.pin(0);
@@ -737,7 +737,7 @@ mod tests {
         let disk = disk_with_pages(6);
         let pool = BufferPool::with_replacer(
             &disk,
-            tiny(2, ReplacerPolicy::Fifo),
+            tiny(2, ReplacerPolicy::lru()),
             Box::new(PhantomReplacer(0)),
         );
         for id in 0..6u64 {

@@ -8,20 +8,16 @@
 //! quanta can rely on the page staying resident however the eviction policy
 //! behaves.
 //!
-//! Two policies ship:
+//! One policy ships, [`LruKReplacer`] — classic LRU-K: the victim is the
+//! evictable page with the largest *backward k-distance* (the age of its k-th
+//! most recent access).  Pages with fewer than `k` recorded accesses have
+//! infinite distance and are evicted first, oldest first access first.
+//! `k = 1` is plain LRU.
 //!
-//! * [`LruKReplacer`] — classic LRU-K: the victim is the evictable page with
-//!   the largest *backward k-distance* (the age of its k-th most recent
-//!   access).  Pages with fewer than `k` recorded accesses have infinite
-//!   distance and are evicted first, oldest first access first.  `k = 1` is
-//!   plain LRU.
-//! * [`FifoReplacer`] — insertion order only; re-accessing a page does not
-//!   save it.  The cheapest policy, and the adversarial baseline the paged
-//!   conformance suite uses to prove answers never depend on eviction order.
-//!
-//! The choice is a [`PoolConfig`](crate::PoolConfig) knob
-//! ([`ReplacerPolicy`]); custom policies plug in through
-//! [`BufferPool::with_replacer`](crate::BufferPool::with_replacer).
+//! `k` is a [`PoolConfig`](crate::PoolConfig) knob ([`ReplacerPolicy`]);
+//! custom policies — such as the adversarial replacer the paged conformance
+//! suite uses to prove answers never depend on eviction order — plug in
+//! through [`BufferPool::with_replacer`](crate::BufferPool::with_replacer).
 
 use crate::disk::PageId;
 use serde::{Deserialize, Serialize};
@@ -67,8 +63,6 @@ pub trait Replacer: Send + std::fmt::Debug {
 pub enum ReplacerPolicy {
     /// LRU-K with the given `k` (history depth); `LruK(1)` is plain LRU.
     LruK(usize),
-    /// First-in-first-out by insertion; re-access does not refresh.
-    Fifo,
 }
 
 impl Default for ReplacerPolicy {
@@ -88,10 +82,8 @@ impl ReplacerPolicy {
 
     /// Builds the replacer this policy names.
     pub fn build(self) -> Box<dyn Replacer> {
-        match self {
-            ReplacerPolicy::LruK(k) => Box::new(LruKReplacer::new(k)),
-            ReplacerPolicy::Fifo => Box::new(FifoReplacer::new()),
-        }
+        let ReplacerPolicy::LruK(k) = self;
+        Box::new(LruKReplacer::new(k))
     }
 }
 
@@ -168,54 +160,6 @@ impl Replacer for LruKReplacer {
     }
 }
 
-/// The FIFO policy: evict in insertion order, skipping unevictable frames in
-/// place (a pinned frame keeps its queue position for when it unpins).
-#[derive(Debug, Default)]
-pub struct FifoReplacer {
-    /// Tracked pages in insertion order.
-    queue: VecDeque<PageId>,
-    evictable: HashMap<PageId, bool>,
-}
-
-impl FifoReplacer {
-    /// Creates an empty FIFO replacer.
-    pub fn new() -> Self {
-        FifoReplacer::default()
-    }
-}
-
-impl Replacer for FifoReplacer {
-    fn record_access(&mut self, id: PageId) {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.evictable.entry(id) {
-            slot.insert(true);
-            self.queue.push_back(id);
-        }
-    }
-
-    fn set_evictable(&mut self, id: PageId, evictable: bool) {
-        if let Some(flag) = self.evictable.get_mut(&id) {
-            *flag = evictable;
-        }
-    }
-
-    fn remove(&mut self, id: PageId) {
-        if self.evictable.remove(&id).is_some() {
-            self.queue.retain(|&q| q != id);
-        }
-    }
-
-    fn victim(&mut self) -> Option<PageId> {
-        let pos = self.queue.iter().position(|id| self.evictable[id])?;
-        let id = self.queue.remove(pos).expect("position came from the queue");
-        self.evictable.remove(&id);
-        Some(id)
-    }
-
-    fn tracked(&self) -> usize {
-        self.queue.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,25 +224,12 @@ mod tests {
         assert_eq!(r.victim(), Some(1));
     }
 
-    #[test]
-    fn fifo_ignores_reaccess() {
-        let mut r = FifoReplacer::new();
-        for id in [10, 20, 30] {
-            r.record_access(id);
-        }
-        r.record_access(10); // does NOT refresh 10
-        assert_eq!(r.victim(), Some(10));
-        assert_eq!(r.victim(), Some(20));
-        assert_eq!(r.victim(), Some(30));
-        assert_eq!(r.victim(), None);
-    }
-
     /// The invariant every policy must honour: an unevictable page is never
     /// the victim, and becomes eligible again once released — keeping its
-    /// policy position (FIFO: original queue slot; LRU-K: its history).
+    /// policy position (its LRU-K history).
     #[test]
     fn pinned_pages_are_never_victims() {
-        for policy in [ReplacerPolicy::LruK(1), ReplacerPolicy::LruK(2), ReplacerPolicy::Fifo] {
+        for policy in [ReplacerPolicy::LruK(1), ReplacerPolicy::LruK(2)] {
             let mut r = policy.build();
             for id in [1, 2, 3] {
                 r.record_access(id);
@@ -315,7 +246,7 @@ mod tests {
 
     #[test]
     fn remove_forgets_without_counting_as_eviction() {
-        for policy in [ReplacerPolicy::default(), ReplacerPolicy::Fifo] {
+        for policy in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
             let mut r = policy.build();
             r.record_access(5);
             r.record_access(6);

@@ -18,9 +18,9 @@
 //! Every query path — exact, paged, join/batch, sharded and approximate —
 //! runs through a single **resumable** best-first executor
 //! (`minsig::engine::Executor`), parameterised over a `TraceSource` that says
-//! where candidate trace sequences come from during leaf evaluation
+//! where a candidate's degree comes from during leaf evaluation
 //! (`ArenaSource` scores from the index snapshot's flat candidate arena,
-//! `PagedSource` reads raw traces through the `storage` buffer pool) and over
+//! `PagedArenaSource` reads raw traces through the `storage` buffer pool) and over
 //! a `Bound` — the k-th-degree threshold candidates must beat.  The sharded index drives
 //! one executor per shard as a cooperative scheduler sharing one atomic
 //! `SharedBound` per query, so cross-shard answers keep the pruning power of

@@ -22,10 +22,9 @@ use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, ReplacerP
 use digital_traces::EntityId;
 use proptest::prelude::*;
 
-/// The policy grid every suite sweeps: plain LRU, the scan-resistant LRU-2
-/// default, and FIFO (the baseline whose victims re-access cannot save).
-const POLICIES: [ReplacerPolicy; 3] =
-    [ReplacerPolicy::LruK(1), ReplacerPolicy::LruK(2), ReplacerPolicy::Fifo];
+/// The policy grid every suite sweeps: plain LRU and the scan-resistant
+/// LRU-2 default.
+const POLICIES: [ReplacerPolicy; 2] = [ReplacerPolicy::LruK(1), ReplacerPolicy::LruK(2)];
 
 fn pool_config(pages: usize, policy: ReplacerPolicy) -> PoolConfig {
     PoolConfig { capacity_bytes: pages * PAGE_SIZE, ..PoolConfig::default() }.with_replacer(policy)
@@ -65,7 +64,7 @@ proptest! {
         seed in 0u64..1_000,
         shards in 1usize..7,
         pool_pages in 1usize..8,
-        policy_pick in 0usize..3,
+        policy_pick in 0usize..2,
         k in 1usize..6,
     ) {
         let (w, unsharded, sharded, store) = build_world(entities, visits, seed, shards);
@@ -103,7 +102,7 @@ proptest! {
         seed in 0u64..500,
         shards in 1usize..6,
         pool_pages in 1usize..5,
-        policy_pick in 0usize..3,
+        policy_pick in 0usize..2,
     ) {
         let (w, _, sharded, store) = build_world(entities, 3, seed, shards);
         let snapshot = sharded.snapshot();
@@ -142,7 +141,7 @@ proptest! {
     fn paged_answers_keep_boundary_ties_bitwise(
         entities in 3u64..16,
         shards in 1usize..5,
-        policy_pick in 0usize..3,
+        policy_pick in 0usize..2,
         k in 1usize..6,
     ) {
         let w = Workload::all_identical(entities, HierarchySpec::flat(4));

@@ -376,18 +376,18 @@ fn paged_readers_race_flushes_and_release_every_pin() {
 }
 
 /// The heavy out-of-core variant for the CI release stress job: more of
-/// everything, FIFO (the policy most hostile to re-accessed pages) and a
-/// single-frame pool so every reader fights for the same slot.
+/// everything, plain LRU (no scan resistance) and a single-frame pool so
+/// every reader fights for the same slot.
 #[test]
 #[ignore = "heavy stress; run with cargo test --release -- --ignored"]
 fn heavy_paged_readers_race_flushes_and_release_every_pin() {
-    run_paged_stress(120, 8, 8, 24, 300, 1, ReplacerPolicy::Fifo);
+    run_paged_stress(120, 8, 8, 24, 300, 1, ReplacerPolicy::lru());
 }
 
 /// Every paged entry point at once on ONE pool: `threads` clients each run
 /// `top_k`, `top_k_batch` and `top_k_join` against the same snapshot, store
-/// and pool — from a single frame up to a tenth of the data, under LRU-2,
-/// FIFO and the chaotic replacer.  Every answer must be bitwise the
+/// and pool — from a single frame up to a tenth of the data, under LRU-2
+/// and the chaotic replacer.  Every answer must be bitwise the
 /// in-memory one, no pin may outlive its query, and — because a query
 /// counts its own fetches instead of differencing the pool's totals — the
 /// clients' per-query pool counters must sum exactly to what the pool saw.
@@ -429,7 +429,6 @@ fn run_shared_pool_stress(entities: u64, shards: usize, threads: usize, rounds: 
             let store = &store;
             [
                 (format!("lru2/{pages}"), store.pool(config)),
-                (format!("fifo/{pages}"), store.pool(config.with_replacer(ReplacerPolicy::Fifo))),
                 (
                     format!("chaotic/{pages}"),
                     BufferPool::with_replacer(

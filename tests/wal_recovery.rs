@@ -11,7 +11,7 @@ use digital_traces::index::durable::{
     commit_wal_dir, shard_wal_dir, wal_dir, DurableMinSigIndex, DurableShardedMinSigIndex,
 };
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, PairedConfig, StreamConfig, Workload,
+    assert_equivalent_answers, PairedConfig, StreamConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{durable, IndexConfig, MinSigIndex, ShardedMinSigIndex};
 use digital_traces::storage::{LogConfig, LogManager};
@@ -312,6 +312,42 @@ fn checkpoint_cycles_replay_only_their_own_generation() {
         assert_equivalent_answers(&a, &b, &format!("after 4 generations, query {query}"));
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A commit writes the batch, never the index: the same 256-record batch
+/// grows the logs of a 1 000-entity and of a 4 000-entity index by the
+/// identical number of bytes.
+#[test]
+fn commit_appends_bytes_proportional_to_the_batch_not_the_population() {
+    const SHARDS: usize = 4;
+    let log_bytes = |durable: &DurableShardedMinSigIndex| {
+        (0..SHARDS).map(|s| durable.shard_log(s).disk_bytes()).sum::<u64>()
+            + durable.commit_log().disk_bytes()
+    };
+    let growth = [1_000u64, 4_000].map(|entities| {
+        let w = Workload::uniform(UniformConfig { entities, visits: 5, ..Default::default() });
+        // Addressed to ids both populations hold, over the hierarchy both share.
+        let records = w.stream(StreamConfig {
+            records: 256,
+            existing_entities: 1_000,
+            new_entity_base: 10_000,
+            ..StreamConfig::default()
+        });
+        let dir = temp_dir(&format!("commit-bytes-{entities}"));
+        let config = IndexConfig::with_hash_functions(8);
+        let built = ShardedMinSigIndex::build(&w.sp, &w.traces, config, SHARDS).unwrap();
+        assert_eq!(built.num_entities() as u64, entities);
+        let mut durable = DurableShardedMinSigIndex::create(&dir, built, no_fsync()).unwrap();
+        let before = log_bytes(&durable);
+        durable.ingest(records.clone()).unwrap();
+        let grown = log_bytes(&durable) - before;
+        drop(durable);
+        fs::remove_dir_all(&dir).unwrap();
+        (records, grown)
+    });
+    assert_eq!(growth[0].0, growth[1].0, "both indexes must ingest the same batch");
+    assert!(growth[0].1 > 0, "the batch must reach the logs");
+    assert_eq!(growth[0].1, growth[1].1, "commit bytes tracked the population");
 }
 
 /// An arbitrary-workload property: whatever the batches and wherever the
