@@ -1,94 +1,91 @@
-//! Continuously durable ingest: a write-ahead delta log in front of the
+//! Continuously durable ingest: write-ahead delta logs in front of the
 //! copy-on-write flush.
 //!
-//! The checkpoint formats of [`crate::persist`] (`.msix`) and [`crate::shard`]
-//! (`manifest.mshd` + shard files) are crash-*atomic* but not crash-*durable*:
-//! every batch ingested after the last save dies with the process.  This
-//! module closes that window.  A [`DurableMinSigIndex`] (and its sharded
-//! sibling [`DurableShardedMinSigIndex`]) serialises each validated ingest
-//! batch into a [`trace_storage::LogManager`] and fsyncs it **before** the
-//! in-memory index applies the batch, so commits cost O(batch) while
-//! checkpoints stay O(index) — and a crash at any instant loses at most the
-//! batch whose `ingest` call never returned.
+//! The checkpoint format of [`crate::shard`] (`manifest.mshd` + one
+//! [`crate::persist`] `.msix` file per shard) is crash-*atomic* but not
+//! crash-*durable*: every batch ingested after the last save dies with the
+//! process.  This module closes that window.  A
+//! [`DurableShardedMinSigIndex`] serialises each prepared ingest batch into
+//! [`trace_storage::LogManager`]s and fsyncs it **before** the in-memory
+//! index applies the batch, so commits cost O(batch) while checkpoints stay
+//! O(index) — and a crash at any instant loses at most the batch whose
+//! `ingest` call never returned.  (One shard is the unsharded case: a
+//! one-shard index answers bit-identically to a plain
+//! [`MinSigIndex`](crate::index::MinSigIndex).)
 //!
 //! ## On-disk layout
 //!
 //! ```text
-//! unsharded dir/                sharded dir/
-//! ├── index.msix   checkpoint   ├── manifest.mshd      checkpoint
-//! └── wal/                      ├── shard-00000.msix   ...
-//!     └── wal-*.log             ├── wal/
-//!                               │   ├── shard-00000/wal-*.log   one log per shard
-//!                               │   ├── shard-00001/wal-*.log
-//!                               │   └── commit/wal-*.log        cross-shard commit log
+//! dir/
+//! ├── manifest.mshd      checkpoint
+//! ├── shard-00000.msix   ...
+//! └── wal/
+//!     ├── shard-00000/wal-*.log   one log per shard
+//!     ├── shard-00001/wal-*.log
+//!     └── commit/wal-*.log        cross-shard commit log
 //! ```
 //!
 //! ## Commit protocol
 //!
-//! Unsharded, one batch is one log record ([`encode_batch`]): the
-//! [`LogManager::append`] fsync is the commit point.  Sharded, a batch is
-//! routed into per-shard sub-batches, each logged to its shard's WAL under a
-//! shared `batch_id` ([`encode_sub_batch`]); the batch commits only when a
-//! record carrying that id ([`encode_commit`]) is appended to the commit log.
-//! A crash between two shards' appends leaves sub-batches whose id never
-//! reached the commit log — recovery discards them, preserving the
-//! cross-shard all-or-nothing contract of
-//! [`flush_sharded`](crate::ingest::IngestBuffer::flush_sharded).
+//! An ingest is *prepare → log → apply*.  `IngestBuffer::prepare` is the
+//! only step that can reject a batch, and it runs first: a bad record means
+//! no log append, no batch id taken, no shard touched.  The prepared batch
+//! is then routed into per-shard sub-batches, each logged to its shard's WAL
+//! under a shared `batch_id` ([`encode_sub_batch`]); the batch commits only
+//! when a record carrying that id ([`encode_commit`]) is appended to the
+//! commit log — that fsync is **the commit point**.  A crash between two
+//! shards' appends leaves sub-batches whose id never reached the commit log
+//! — recovery discards them, preserving the cross-shard all-or-nothing
+//! contract of [`flush_sharded`](crate::ingest::IngestBuffer::flush_sharded).
+//! After the commit point nothing can fail: applying a prepared batch is
+//! infallible by signature, so the logs and the shards cannot drift apart.
 //!
 //! ## Checkpoint and recovery
 //!
 //! Every checkpoint file records the WAL LSN it covers *inside* the
 //! atomically renamed file (format v3, see [`crate::persist`]), so state and
 //! log position can never be torn apart.  `open` loads the checkpoint, opens
-//! the log(s) at that LSN, verifies the log still covers `ckpt_lsn + 1`
-//! onward, and replays every committed batch with a LSN beyond the
-//! checkpoint through the ordinary [`IngestBuffer`] path — a recovered index
+//! the logs at those LSNs, verifies each log still covers `ckpt_lsn + 1`
+//! onward, and replays every committed sub-batch with a LSN beyond the
+//! checkpoint through the same prepare → apply path — a recovered index
 //! answers queries bit-identically to one that never crashed.
-//! [`DurableMinSigIndex::checkpoint`] saves, then truncates the log; a crash
-//! between the two merely replays batches the checkpoint already covers —
-//! the stored LSN filters them out, so nothing is ever applied twice.
+//! [`DurableShardedMinSigIndex::checkpoint`] saves, then truncates the logs;
+//! a crash between the two merely replays batches the checkpoint already
+//! covers — the stored LSNs filter them out, so nothing is ever applied
+//! twice.
 //!
 //! | crash point                          | after `open`                         |
 //! |--------------------------------------|--------------------------------------|
 //! | mid-append (torn record)             | batch lost; prior batches intact     |
-//! | after append, before flush           | batch replayed                       |
 //! | between two shards' appends          | sub-batches discarded (no commit)    |
-//! | after commit append, before flush    | batch replayed on every shard        |
+//! | after commit append, before apply    | batch replayed on every shard        |
 //! | mid-checkpoint save                  | old checkpoint + full log replayed   |
 //! | after save, before log truncation    | stale records filtered by LSN        |
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use trace_model::{EntityId, Period, PresenceInstance};
+use trace_storage::segment::Cursor;
 use trace_storage::{LogConfig, LogManager};
 
 use crate::error::{IndexError, Result};
-use crate::index::MinSigIndex;
-use crate::ingest::{IngestBuffer, IngestReport};
+use crate::ingest::IngestBuffer;
 use crate::shard::{shard_of, ShardedIngestReport, ShardedMinSigIndex, SHARD_MANIFEST_FILE};
-use crate::snapshot::IndexSnapshot;
-
-/// File name of the unsharded checkpoint inside a durable index directory.
-pub const DURABLE_INDEX_FILE: &str = "index.msix";
 
 /// Serialised size of one presence record in a log payload.
 const RECORD_WIRE_LEN: usize = 28;
 
-/// The WAL directory of an unsharded durable index.
-pub fn wal_dir(dir: &Path) -> PathBuf {
-    dir.join("wal")
-}
-
-/// The WAL directory of one shard of a sharded durable index.
+/// The WAL directory of one shard of a durable index.
 pub fn shard_wal_dir(dir: &Path, shard: usize) -> PathBuf {
-    wal_dir(dir).join(format!("shard-{shard:05}"))
+    dir.join("wal").join(format!("shard-{shard:05}"))
 }
 
-/// The commit-log directory of a sharded durable index.
+/// The commit-log directory of a durable index.
 pub fn commit_wal_dir(dir: &Path) -> PathBuf {
-    wal_dir(dir).join("commit")
+    dir.join("wal").join("commit")
 }
 
 /// What a durable `open` replayed out of the write-ahead log(s).
@@ -96,20 +93,16 @@ pub fn commit_wal_dir(dir: &Path) -> PathBuf {
 pub struct RecoveryReport {
     /// Committed batches applied beyond the checkpoint.
     pub batches_replayed: usize,
-    /// Presence records those batches carried (sharded: summed over the
-    /// per-shard sub-batches actually applied).
+    /// Presence records those batches carried (summed over the per-shard
+    /// sub-batches actually applied).
     pub records_replayed: usize,
-    /// Sharded only: sub-batches discarded because their batch id never
-    /// reached the commit log (a crash between two shards' appends).
+    /// Sub-batches discarded because their batch id never reached the commit
+    /// log (a crash between two shards' appends).
     pub uncommitted_discarded: usize,
 }
 
 fn corrupt(msg: &str) -> IndexError {
     IndexError::Corrupt(format!("durable index: {msg}"))
-}
-
-fn io_err(e: std::io::Error) -> IndexError {
-    IndexError::Io(e.to_string())
 }
 
 /// The log must still cover everything the checkpoint does not: its first
@@ -130,7 +123,12 @@ fn check_coverage(log: &LogManager, ckpt_lsn: u64, what: &str) -> Result<()> {
 // Log payload wire format
 // ---------------------------------------------------------------------------
 
-fn encode_records_into(buf: &mut Vec<u8>, records: &[PresenceInstance]) {
+/// Serialises one shard's slice of a routed batch into a log payload: the
+/// cross-shard `batch_id: u64`, then `count: u32` and `count` ×
+/// (`entity: u64`, `unit: u32`, `start: u64`, `end: u64`), all little-endian.
+pub fn encode_sub_batch(batch_id: u64, records: &[PresenceInstance]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(12 + records.len() * RECORD_WIRE_LEN);
+    buf.extend_from_slice(&batch_id.to_le_bytes());
     buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
     for r in records {
         buf.extend_from_slice(&r.entity.raw().to_le_bytes());
@@ -138,23 +136,6 @@ fn encode_records_into(buf: &mut Vec<u8>, records: &[PresenceInstance]) {
         buf.extend_from_slice(&r.period.start.to_le_bytes());
         buf.extend_from_slice(&r.period.end.to_le_bytes());
     }
-}
-
-/// Serialises one unsharded ingest batch into a log payload:
-/// `count: u32` then `count` × (`entity: u64`, `unit: u32`, `start: u64`,
-/// `end: u64`), all little-endian.
-pub fn encode_batch(records: &[PresenceInstance]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + records.len() * RECORD_WIRE_LEN);
-    encode_records_into(&mut buf, records);
-    buf
-}
-
-/// Serialises one shard's slice of a routed batch: the cross-shard
-/// `batch_id: u64` followed by the [`encode_batch`] layout.
-pub fn encode_sub_batch(batch_id: u64, records: &[PresenceInstance]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12 + records.len() * RECORD_WIRE_LEN);
-    buf.extend_from_slice(&batch_id.to_le_bytes());
-    encode_records_into(&mut buf, records);
     buf
 }
 
@@ -163,163 +144,35 @@ pub fn encode_commit(batch_id: u64) -> Vec<u8> {
     batch_id.to_le_bytes().to_vec()
 }
 
-fn take<const N: usize>(payload: &[u8], at: &mut usize) -> Result<[u8; N]> {
-    let bytes = payload
-        .get(*at..*at + N)
-        .ok_or_else(|| corrupt("log payload shorter than its own framing"))?;
-    *at += N;
-    Ok(bytes.try_into().expect("slice length is N by construction"))
-}
-
-fn expect_end(payload: &[u8], at: usize) -> Result<()> {
-    if at != payload.len() {
-        return Err(corrupt(&format!("{} trailing bytes after log payload", payload.len() - at)));
-    }
-    Ok(())
-}
-
-fn decode_records(payload: &[u8], at: &mut usize) -> Result<Vec<PresenceInstance>> {
-    let count = u32::from_le_bytes(take::<4>(payload, at)?) as usize;
-    if payload.len().saturating_sub(*at) < count * RECORD_WIRE_LEN {
+/// Inverse of [`encode_sub_batch`].
+pub fn decode_sub_batch(payload: &[u8]) -> Result<(u64, Vec<PresenceInstance>)> {
+    let mut c = Cursor::new(payload);
+    let batch_id = c.u64()?;
+    let count = c.u32()? as usize;
+    if c.remaining() < count * RECORD_WIRE_LEN {
         return Err(corrupt(&format!("log payload claims {count} records but is too short")));
     }
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
-        let entity = EntityId(u64::from_le_bytes(take::<8>(payload, at)?));
-        let unit = u32::from_le_bytes(take::<4>(payload, at)?);
-        let start = u64::from_le_bytes(take::<8>(payload, at)?);
-        let end = u64::from_le_bytes(take::<8>(payload, at)?);
+        let (entity, unit, start, end) = (EntityId(c.u64()?), c.u32()?, c.u64()?, c.u64()?);
         let period = Period::new(start, end)
             .map_err(|e| corrupt(&format!("logged record has an invalid period: {e}")))?;
         records.push(PresenceInstance::new(entity, unit, period));
     }
-    Ok(records)
-}
-
-/// Inverse of [`encode_batch`].
-pub fn decode_batch(payload: &[u8]) -> Result<Vec<PresenceInstance>> {
-    let mut at = 0;
-    let records = decode_records(payload, &mut at)?;
-    expect_end(payload, at)?;
-    Ok(records)
-}
-
-/// Inverse of [`encode_sub_batch`].
-pub fn decode_sub_batch(payload: &[u8]) -> Result<(u64, Vec<PresenceInstance>)> {
-    let mut at = 0;
-    let batch_id = u64::from_le_bytes(take::<8>(payload, &mut at)?);
-    let records = decode_records(payload, &mut at)?;
-    expect_end(payload, at)?;
+    c.expect_end()?;
     Ok((batch_id, records))
 }
 
 /// Inverse of [`encode_commit`].
 pub fn decode_commit(payload: &[u8]) -> Result<u64> {
-    let mut at = 0;
-    let batch_id = u64::from_le_bytes(take::<8>(payload, &mut at)?);
-    expect_end(payload, at)?;
+    let mut c = Cursor::new(payload);
+    let batch_id = c.u64()?;
+    c.expect_end()?;
     Ok(batch_id)
 }
 
 // ---------------------------------------------------------------------------
-// Unsharded durable index
-// ---------------------------------------------------------------------------
-
-/// A [`MinSigIndex`] whose every ingest batch is logged and fsync'd before it
-/// is applied; see the [module docs](self) for the protocol.
-#[derive(Debug)]
-pub struct DurableMinSigIndex {
-    dir: PathBuf,
-    index: MinSigIndex,
-    log: LogManager,
-}
-
-impl DurableMinSigIndex {
-    /// Starts a durable index in `dir` (created if needed) from an
-    /// already-built `index`: writes the initial checkpoint and an empty log.
-    /// Refuses to clobber an existing durable index.
-    pub fn create(dir: &Path, index: MinSigIndex, config: LogConfig) -> Result<DurableMinSigIndex> {
-        fs::create_dir_all(dir).map_err(io_err)?;
-        let path = dir.join(DURABLE_INDEX_FILE);
-        if path.exists() {
-            return Err(IndexError::Io(format!(
-                "durable index already exists at {}",
-                path.display()
-            )));
-        }
-        index.snapshot().save_with_wal_lsn(&path, 0)?;
-        let (log, _) = LogManager::open(&wal_dir(dir), 0, config)?;
-        Ok(DurableMinSigIndex { dir: dir.to_path_buf(), index, log })
-    }
-
-    /// Opens the durable index in `dir`, replaying every logged batch newer
-    /// than the checkpoint.  The recovered index answers queries
-    /// bit-identically to one that applied the same batches and never
-    /// crashed.
-    pub fn open(dir: &Path, config: LogConfig) -> Result<(DurableMinSigIndex, RecoveryReport)> {
-        let (snapshot, ckpt_lsn) = IndexSnapshot::open_with_lsn(&dir.join(DURABLE_INDEX_FILE))?;
-        let mut index = MinSigIndex::from_snapshot(std::sync::Arc::new(snapshot));
-        let (log, records) = LogManager::open(&wal_dir(dir), ckpt_lsn, config)?;
-        check_coverage(&log, ckpt_lsn, "unsharded log")?;
-
-        let mut report = RecoveryReport::default();
-        for record in records.iter().filter(|r| r.lsn > ckpt_lsn) {
-            let batch = decode_batch(&record.payload)?;
-            report.batches_replayed += 1;
-            report.records_replayed += batch.len();
-            index.ingest_batch(batch)?;
-        }
-        Ok((DurableMinSigIndex { dir: dir.to_path_buf(), index, log }, report))
-    }
-
-    /// Applies one batch durably: validates it, appends the serialised batch
-    /// to the log (the fsync there is the commit point), then flushes it
-    /// through the ordinary [`IngestBuffer`] path.  On a validation or log
-    /// error the index is untouched and nothing was logged.
-    pub fn ingest<I: IntoIterator<Item = PresenceInstance>>(
-        &mut self,
-        records: I,
-    ) -> Result<IngestReport> {
-        let mut buffer: IngestBuffer = records.into_iter().collect();
-        if buffer.is_empty() {
-            return buffer.flush(&mut self.index);
-        }
-        buffer.validate(self.index.sp_index(), self.index.ticks_per_unit())?;
-        self.log.append(&encode_batch(buffer.records()))?;
-        // Invariant: the batch just passed the exact validation `flush`
-        // performs, and it is already durable — failing the flush now would
-        // desynchronise the log from the index.
-        Ok(buffer.flush(&mut self.index).expect("flush failed after validation and logging"))
-    }
-
-    /// Saves a checkpoint stamped with the log's current position, then
-    /// truncates the log through that LSN.  A crash between the two steps is
-    /// benign: the stored LSN filters the stale records out on recovery.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        let lsn = self.log.next_lsn() - 1;
-        self.index.snapshot().save_with_wal_lsn(&self.dir.join(DURABLE_INDEX_FILE), lsn)?;
-        self.log.truncate_through(lsn)?;
-        Ok(())
-    }
-
-    /// The wrapped index, for queries and inspection.
-    pub fn index(&self) -> &MinSigIndex {
-        &self.index
-    }
-
-    /// The write-ahead log (LSN positions, on-disk footprint).
-    pub fn log(&self) -> &LogManager {
-        &self.log
-    }
-
-    /// Unwraps the in-memory index, abandoning durability.
-    pub fn into_index(self) -> MinSigIndex {
-        self.index
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded durable index
+// The durable index
 // ---------------------------------------------------------------------------
 
 /// A [`ShardedMinSigIndex`] with one write-ahead log per shard plus a commit
@@ -343,7 +196,7 @@ impl DurableShardedMinSigIndex {
         index: ShardedMinSigIndex,
         config: LogConfig,
     ) -> Result<DurableShardedMinSigIndex> {
-        fs::create_dir_all(dir).map_err(io_err)?;
+        fs::create_dir_all(dir).map_err(|e| IndexError::Io(e.to_string()))?;
         let manifest = dir.join(SHARD_MANIFEST_FILE);
         if manifest.exists() {
             return Err(IndexError::Io(format!(
@@ -418,48 +271,38 @@ impl DurableShardedMinSigIndex {
         Ok((durable, report))
     }
 
-    /// Applies one batch durably across the shards: validates it once against
-    /// the shared hierarchy, appends each shard's sub-batch to that shard's
-    /// log, appends the batch id to the commit log (**the commit point** —
-    /// its fsync makes the whole batch recoverable), and only then flushes
-    /// any shard.  On a validation or log error no shard was mutated; a
-    /// sub-batch logged before the error stays uncommitted — its batch id is
-    /// never handed out again — and recovery discards it.
+    /// Applies one batch durably across the shards — prepare, log each
+    /// shard's sub-batch, append the batch id to the commit log (**the commit
+    /// point**), apply; see the [module docs](self).  A rejected batch touches
+    /// nothing: no log, no batch id, no shard.  On a log error no shard was
+    /// mutated; a sub-batch logged before the error stays uncommitted — its
+    /// batch id is never handed out again — and recovery discards it.
     pub fn ingest<I: IntoIterator<Item = PresenceInstance>>(
         &mut self,
         records: I,
     ) -> Result<ShardedIngestReport> {
-        let mut buffer: IngestBuffer = records.into_iter().collect();
-        if buffer.is_empty() {
-            return buffer.flush_sharded(&mut self.index);
-        }
-        {
-            let probe = &self.index.shards[0];
-            buffer.validate(probe.sp_index(), probe.ticks_per_unit())?;
-        }
-
-        let num_shards = self.index.num_shards();
-        let mut per_shard: Vec<Vec<PresenceInstance>> = vec![Vec::new(); num_shards];
-        for record in buffer.records() {
-            per_shard[shard_of(record.entity, num_shards)].push(*record);
-        }
-        // Burned before the first append: were a failed batch's id reused, the
-        // next commit record would vouch for the sub-batches it left behind.
-        let batch_id = self.next_batch_id;
-        self.next_batch_id += 1;
-        for (shard, sub_batch) in per_shard.iter().enumerate() {
-            if sub_batch.is_empty() {
-                continue;
+        let buffer: IngestBuffer = records.into_iter().collect();
+        let probe = self.index.shard(0);
+        let prepared = buffer.prepare(probe.sp_index(), probe.ticks_per_unit())?;
+        if !prepared.is_empty() {
+            let num_shards = self.index.num_shards();
+            let mut per_shard: Vec<Vec<PresenceInstance>> = vec![Vec::new(); num_shards];
+            for record in buffer.records() {
+                per_shard[shard_of(record.entity, num_shards)].push(*record);
             }
-            self.logs[shard].append(&encode_sub_batch(batch_id, sub_batch))?;
+            // Burned before the first append: were a failed batch's id reused,
+            // the next commit record would vouch for the sub-batches it left
+            // behind.
+            let batch_id = self.next_batch_id;
+            self.next_batch_id += 1;
+            for (shard, sub_batch) in per_shard.iter().enumerate() {
+                if !sub_batch.is_empty() {
+                    self.logs[shard].append(&encode_sub_batch(batch_id, sub_batch))?;
+                }
+            }
+            self.commit.append(&encode_commit(batch_id))?;
         }
-        self.commit.append(&encode_commit(batch_id))?;
-        // Invariant: the batch just passed the exact validation
-        // `flush_sharded` performs, and it is committed — failing the flush
-        // now would desynchronise the logs from the shards.
-        Ok(buffer
-            .flush_sharded(&mut self.index)
-            .expect("sharded flush failed after validation and logging"))
+        Ok(self.index.apply(prepared, Instant::now()))
     }
 
     /// Saves a checkpoint with every shard file stamped with its log's
@@ -540,31 +383,37 @@ mod tests {
             .collect()
     }
 
+    /// A one-shard sharded index: the unsharded case of the durable path.
+    fn one_shard(w: &Workload, config: IndexConfig) -> ShardedMinSigIndex {
+        ShardedMinSigIndex::build(&w.sp, &w.traces, config, 1).unwrap()
+    }
+
     #[test]
     fn wire_formats_round_trip() {
         let w = workload();
         let records = batches(&w, 1).remove(0);
-        assert_eq!(decode_batch(&encode_batch(&records)).unwrap(), records);
         let (id, back) = decode_sub_batch(&encode_sub_batch(42, &records)).unwrap();
         assert_eq!((id, back), (42, records.clone()));
         assert_eq!(decode_commit(&encode_commit(7)).unwrap(), 7);
         // Framing errors are Corrupt, not panics.
-        assert!(matches!(decode_batch(&[1, 0, 0, 0]), Err(IndexError::Corrupt(_))));
+        let one_record_claimed = [&[0u8; 8][..], &[1, 0, 0, 0]].concat();
+        assert!(matches!(decode_sub_batch(&one_record_claimed), Err(IndexError::Corrupt(_))));
         assert!(matches!(decode_commit(&[0; 9]), Err(IndexError::Corrupt(_))));
-        let mut trailing = encode_batch(&records);
+        let mut trailing = encode_sub_batch(42, &records);
         trailing.push(0);
-        assert!(matches!(decode_batch(&trailing), Err(IndexError::Corrupt(_))));
+        assert!(matches!(decode_sub_batch(&trailing), Err(IndexError::Corrupt(_))));
     }
 
     #[test]
     fn crash_before_checkpoint_replays_every_batch() {
         let w = workload();
         let config = IndexConfig::with_hash_functions(32);
-        let dir = temp_dir("unsharded-replay");
+        let dir = temp_dir("one-shard-replay");
 
         let mut oracle = w.build_index(config);
-        let mut durable = DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync())
-            .expect("create durable index");
+        let mut durable =
+            DurableShardedMinSigIndex::create(&dir, one_shard(&w, config), no_fsync())
+                .expect("create durable index");
         for batch in batches(&w, 3) {
             oracle.ingest_batch(batch.clone()).unwrap();
             durable.ingest(batch).unwrap();
@@ -572,12 +421,12 @@ mod tests {
         // Simulate a crash: drop without checkpointing.
         drop(durable);
 
-        let (recovered, report) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+        let (recovered, report) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
         assert_eq!(report.batches_replayed, 3);
         assert_eq!(report.records_replayed, 120);
         assert_eq!(report.uncommitted_discarded, 0);
         assert_eq!(recovered.index().num_entities(), oracle.num_entities());
-        assert_eq!(recovered.index().epoch(), oracle.epoch());
+        assert_eq!(recovered.index().epochs(), [oracle.epoch()]);
         let measure = w.measure();
         for query in [0u64, 9, 31] {
             let (a, _) = recovered.index().top_k(EntityId(query), 5, &measure).unwrap();
@@ -591,29 +440,30 @@ mod tests {
     fn checkpoint_truncates_and_later_batches_still_replay() {
         let w = workload();
         let config = IndexConfig::with_hash_functions(32);
-        let dir = temp_dir("unsharded-ckpt");
+        let dir = temp_dir("one-shard-ckpt");
         let mut durable =
-            DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync()).unwrap();
+            DurableShardedMinSigIndex::create(&dir, one_shard(&w, config), no_fsync()).unwrap();
         let all = batches(&w, 4);
         durable.ingest(all[0].clone()).unwrap();
         durable.ingest(all[1].clone()).unwrap();
         durable.checkpoint().unwrap();
-        assert_eq!(durable.log().first_lsn(), None, "checkpoint truncates the log");
+        assert_eq!(durable.shard_log(0).first_lsn(), None, "checkpoint truncates the log");
+        assert_eq!(durable.commit_log().first_lsn(), None, "and the commit log");
         durable.ingest(all[2].clone()).unwrap();
         durable.ingest(all[3].clone()).unwrap();
         drop(durable);
 
-        let (recovered, report) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+        let (recovered, report) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
         assert_eq!(report.batches_replayed, 2, "only post-checkpoint batches replay");
         // Epochs count batches since the handle opened (`from_snapshot`
         // restarts at 0, exactly like the non-durable open path).
-        assert_eq!(recovered.index().epoch(), 2);
+        assert_eq!(recovered.index().epochs(), [2]);
 
         // A clean checkpoint leaves nothing to replay at all.
-        let (mut durable, _) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+        let (mut durable, _) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
         durable.checkpoint().unwrap();
         drop(durable);
-        let (_, report) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+        let (_, report) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
         assert_eq!(report, RecoveryReport::default());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -623,30 +473,54 @@ mod tests {
         let w = workload();
         let dir = temp_dir("clobber");
         let config = IndexConfig::default();
-        DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync()).unwrap();
+        DurableShardedMinSigIndex::create(&dir, one_shard(&w, config), no_fsync()).unwrap();
         assert!(matches!(
-            DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync()),
+            DurableShardedMinSigIndex::create(&dir, one_shard(&w, config), no_fsync()),
             Err(IndexError::Io(_))
         ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// All-or-nothing across shards: one bad record — routed to the *last*
+    /// shard, so every other sub-batch would have been logged first — must
+    /// reject the batch before anything is touched: no log append, no batch
+    /// id burned, no epoch, and (through the buffer) no record dropped.
     #[test]
     fn invalid_batch_is_never_logged() {
+        const SHARDS: usize = 4;
         let w = workload();
         let dir = temp_dir("invalid");
-        let mut durable =
-            DurableMinSigIndex::create(&dir, w.build_index(IndexConfig::default()), no_fsync())
-                .unwrap();
-        let bogus = PresenceInstance::new(
-            EntityId(1),
+        let built =
+            ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::default(), SHARDS).unwrap();
+        let mut durable = DurableShardedMinSigIndex::create(&dir, built, no_fsync()).unwrap();
+        durable.ingest(batches(&w, 1).remove(0)).unwrap();
+
+        let mut batch = batches(&w, 2).remove(1);
+        assert!((0..SHARDS - 1).all(|s| batch.iter().any(|r| shard_of(r.entity, SHARDS) == s)));
+        let last = (0..).map(EntityId).find(|&e| shard_of(e, SHARDS) == SHARDS - 1).unwrap();
+        batch.push(PresenceInstance::new(
+            last,
             u32::MAX - 1, // not a unit of the hierarchy
             Period::new(0, 60).unwrap(),
-        );
-        let epoch = durable.index().epoch();
-        assert!(durable.ingest(vec![bogus]).is_err());
-        assert_eq!(durable.log().last_lsn(), None, "rejected batch must not reach the log");
-        assert_eq!(durable.index().epoch(), epoch);
+        ));
+
+        let lsns = |d: &DurableShardedMinSigIndex| -> Vec<Option<u64>> {
+            let shard_lsns = (0..SHARDS).map(|s| d.shard_log(s).last_lsn());
+            shard_lsns.chain([d.commit_log().last_lsn()]).collect()
+        };
+        let (logged, next_id, epochs) =
+            (lsns(&durable), durable.next_batch_id(), durable.index().epochs());
+        assert!(durable.ingest(batch.clone()).is_err());
+        assert_eq!(lsns(&durable), logged, "a rejected batch must not reach any log");
+        assert_eq!(durable.next_batch_id(), next_id, "no id is burned before prepare succeeds");
+        assert_eq!(durable.index().epochs(), epochs);
+
+        // The non-durable flush of the same batch keeps every record for repair.
+        let mut index = durable.into_index();
+        let mut buffer: IngestBuffer = batch.iter().copied().collect();
+        assert!(buffer.flush_sharded(&mut index).is_err());
+        assert_eq!(buffer.len(), batch.len());
+        assert_eq!(index.epochs(), epochs);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -770,9 +644,8 @@ mod tests {
     fn stale_log_behind_checkpoint_is_corrupt() {
         let w = workload();
         let dir = temp_dir("stale");
-        let mut durable =
-            DurableMinSigIndex::create(&dir, w.build_index(IndexConfig::default()), no_fsync())
-                .unwrap();
+        let built = one_shard(&w, IndexConfig::default());
+        let mut durable = DurableShardedMinSigIndex::create(&dir, built, no_fsync()).unwrap();
         for batch in batches(&w, 2) {
             durable.ingest(batch).unwrap();
         }
@@ -781,14 +654,18 @@ mod tests {
         durable.checkpoint().unwrap();
         drop(durable);
 
-        // Fabricate a gap: the log's first retained record now sits well
-        // beyond the checkpoint's LSN, so the records in between are gone.
-        // Recovery must refuse, not silently lose data.
-        fs::remove_dir_all(wal_dir(&dir)).unwrap();
-        let (mut log, _) = LogManager::open(&wal_dir(&dir), 100, no_fsync()).unwrap();
-        log.append(&encode_batch(&[])).unwrap();
+        // Fabricate a gap: the shard log's first retained record now sits
+        // well beyond the checkpoint's LSN, so the records in between are
+        // gone.  Recovery must refuse, not silently lose data.
+        let wal = shard_wal_dir(&dir, 0);
+        fs::remove_dir_all(&wal).unwrap();
+        let (mut log, _) = LogManager::open(&wal, 100, no_fsync()).unwrap();
+        log.append(&encode_sub_batch(9, &[])).unwrap();
         drop(log);
-        assert!(matches!(DurableMinSigIndex::open(&dir, no_fsync()), Err(IndexError::Corrupt(_))));
+        assert!(matches!(
+            DurableShardedMinSigIndex::open(&dir, no_fsync()),
+            Err(IndexError::Corrupt(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,20 +4,21 @@
 //! The index is a thin mutable handle around an [`Arc`]-shared
 //! [`IndexSnapshot`], to which it derefs: queries only ever touch the snapshot
 //! (so they can run from any number of threads against one consistent version
-//! of the index), while [`update_entity`](MinSigIndex::update_entity),
-//! [`upsert_entity`](MinSigIndex::upsert_entity) and
-//! [`remove_entity`](MinSigIndex::remove_entity) go through
-//! [`Arc::make_mut`] — in-place when the handle is the sole owner,
-//! copy-on-write when readers still hold older snapshots.  Batched mutation
-//! lives in [`crate::ingest`]; durability (`save`/`open`) in
-//! [`crate::persist`].
+//! of the index), while every mutation —
+//! [`update_entity`](MinSigIndex::update_entity),
+//! [`upsert_entity`](MinSigIndex::upsert_entity),
+//! [`remove_entity`](MinSigIndex::remove_entity) and the batches of
+//! [`crate::ingest`] — computes its per-entity changes and hands them to the
+//! one `commit`: the only [`Arc::make_mut`] on the data path (in-place when
+//! the handle is the sole owner, copy-on-write when readers still hold older
+//! snapshots) and the only place the epoch and [`IndexStats`] advance.
+//! Durability (`save`/`open`) lives in [`crate::persist`].
 
 use crate::config::IndexConfig;
 use crate::error::{IndexError, Result};
 use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
-use crate::snapshot::IndexSnapshot;
+use crate::snapshot::{Change, IndexSnapshot, Published, SnapshotParts};
 use crate::stats::IndexStats;
-use crate::synopsis::Synopsis;
 use crate::tree::MinSigTree;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,12 +35,12 @@ use trace_model::{CellSetSequence, DigitalTrace, EntityId, SpIndex, TraceSet};
 /// threads; updates on the handle never disturb snapshots already handed out.
 #[derive(Debug)]
 pub struct MinSigIndex {
-    pub(crate) snapshot: Arc<IndexSnapshot>,
-    pub(crate) stats: IndexStats,
+    snapshot: Arc<IndexSnapshot>,
+    stats: IndexStats,
     /// Number of successful mutations applied to this handle since it was
     /// built or opened; bumped once per `update`/`upsert`/`remove` call and
     /// once per ingest batch, regardless of the batch's size.
-    pub(crate) epoch: u64,
+    epoch: u64,
 }
 
 impl MinSigIndex {
@@ -86,20 +87,7 @@ impl MinSigIndex {
             signatures.insert(entity, sig);
         }
 
-        let stats = IndexStats {
-            num_entities: sequences.len(),
-            num_nodes: tree.num_nodes(),
-            index_bytes: tree.size_bytes(),
-            hash_evaluations,
-            build_time_us: start.elapsed().as_micros() as u64,
-        };
-        let synopsis = Synopsis::compute(
-            tree.levels(),
-            sequences.iter().map(|(e, s)| (*e, s)),
-            crate::synopsis::DEFAULT_SKETCH_SIZE,
-            0,
-        );
-        let mut snapshot = IndexSnapshot {
+        let snapshot = IndexSnapshot::from_parts(SnapshotParts {
             sp: sp.clone(),
             config,
             ticks_per_unit,
@@ -107,12 +95,18 @@ impl MinSigIndex {
             tree,
             sequences,
             signatures,
-            synopsis,
-            arena: crate::kernel::CandidateArena::default(),
-            node_arena: crate::kernel::NodeArena::default(),
-        };
-        snapshot.rebuild_arena();
-        Ok(MinSigIndex { snapshot: Arc::new(snapshot), stats, epoch: 0 })
+            synopsis: None,
+        });
+        Ok(Self::loaded(snapshot, hash_evaluations, start))
+    }
+
+    /// A fresh handle (epoch 0) over a snapshot that took `hash_evaluations`
+    /// and the time since `started` to build or load.
+    pub(crate) fn loaded(snapshot: IndexSnapshot, hash_evaluations: u64, started: Instant) -> Self {
+        let mut index = Self::from_snapshot(Arc::new(snapshot));
+        index.stats.hash_evaluations = hash_evaluations;
+        index.stats.build_time_us = started.elapsed().as_micros() as u64;
+        index
     }
 
     /// The current immutable version of the index, shareable across threads.
@@ -138,11 +132,32 @@ impl MinSigIndex {
         index
     }
 
-    /// Re-reads [`stats`](Self::stats)' size figures; every mutation ends here.
-    pub(crate) fn refresh_stats(&mut self) {
-        self.stats.num_entities = self.snapshot.sequences.len();
-        self.stats.num_nodes = self.snapshot.tree.num_nodes();
-        self.stats.index_bytes = self.snapshot.tree.size_bytes();
+    /// Re-reads [`stats`](Self::stats)' size figures off the current snapshot.
+    fn refresh_stats(&mut self) {
+        self.stats.num_entities = self.snapshot.num_entities();
+        self.stats.num_nodes = self.snapshot.tree().num_nodes();
+        self.stats.index_bytes = self.snapshot.tree().size_bytes();
+    }
+
+    /// Publishes `changes` as the next epoch: the one place a mutation —
+    /// single-entity or batch — reaches the snapshot
+    /// ([`IndexSnapshot::publish`], on a copy when readers still share it)
+    /// and accounts itself in [`stats`](Self::stats): fresh size figures,
+    /// `hash_evaluations` more, and the wall time since `started` (returned
+    /// too, so a report and the stats quote one measurement).
+    pub(crate) fn commit(
+        &mut self,
+        changes: Vec<(EntityId, Change)>,
+        hash_evaluations: u64,
+        started: Instant,
+    ) -> (Published, u64) {
+        self.epoch += 1;
+        let published = Arc::make_mut(&mut self.snapshot).publish(changes, self.epoch);
+        self.refresh_stats();
+        self.stats.hash_evaluations += hash_evaluations;
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        self.stats.build_time_us += elapsed_us;
+        (published, elapsed_us)
     }
 
     /// Build statistics (updated by incremental maintenance).
@@ -184,31 +199,14 @@ impl MinSigIndex {
     /// holding snapshots keep their old, consistent version.
     pub fn upsert_entity(&mut self, entity: EntityId, trace: &DigitalTrace) -> Result<bool> {
         let start = Instant::now();
-        // Materialise the sequence before the copy-on-write so a bad trace
-        // leaves the index (and its stats) untouched.
-        let seq = trace.cell_sequence(self.snapshot.sp_index(), self.snapshot.ticks_per_unit())?;
-        let snap = Arc::make_mut(&mut self.snapshot);
-        let sig = SignatureList::build(&snap.sp, &snap.hasher, &seq);
-        self.stats.hash_evaluations +=
-            seq.total_cells() as u64 * snap.config.num_hash_functions as u64;
-        snap.tree.insert(entity, &sig);
-        let inserted = snap.sequences.insert(entity, seq).is_none();
-        snap.signatures.insert(entity, sig);
-        if inserted {
-            // A pure insert only grows the synopsis: absorb it in O(m log n)
-            // so streaming per-record inserts stay O(delta).  The arena is
-            // extended incrementally the same way.
-            snap.absorb_inserted_entity_into_synopsis(entity, self.epoch + 1);
-            snap.absorb_inserted_entity_into_arena(entity);
-        } else {
-            // A replacement can shrink sizes; only a rescan stays exact.
-            snap.recompute_synopsis(None, self.epoch + 1);
-            snap.rebuild_arena();
-        }
-        self.refresh_stats();
-        self.stats.build_time_us += start.elapsed().as_micros() as u64;
-        self.epoch += 1;
-        Ok(inserted)
+        // The one fallible step comes first: a bad trace leaves the index
+        // (and its stats) untouched.
+        let seq = trace.cell_sequence(self.sp_index(), self.ticks_per_unit())?;
+        let sig = SignatureList::build(self.sp_index(), self.hasher(), &seq);
+        let hash_evaluations = seq.total_cells() as u64 * self.config().num_hash_functions as u64;
+        let (published, _) =
+            self.commit(vec![(entity, Change::Put(seq, sig))], hash_evaluations, start);
+        Ok(published.inserted == 1)
     }
 
     /// Removes an entity from the index.
@@ -219,17 +217,12 @@ impl MinSigIndex {
     /// Copy-on-write like [`update_entity`](Self::update_entity): readers
     /// holding snapshots still see the entity.
     pub fn remove_entity(&mut self, entity: EntityId) -> Result<()> {
+        let start = Instant::now();
         if !self.snapshot.contains(entity) && self.snapshot.tree().leaf_of(entity).is_none() {
             return Err(IndexError::UnknownEntity(entity.raw()));
         }
-        let snap = Arc::make_mut(&mut self.snapshot);
-        snap.tree.remove(entity);
-        snap.sequences.remove(&entity);
-        snap.signatures.remove(&entity);
-        snap.recompute_synopsis(None, self.epoch + 1);
-        snap.rebuild_arena();
-        self.refresh_stats();
-        self.epoch += 1;
+        let (published, _) = self.commit(vec![(entity, Change::Remove)], 0, start);
+        debug_assert_eq!(published.removed, 1);
         Ok(())
     }
 
@@ -240,7 +233,7 @@ impl MinSigIndex {
     /// epoch stays at the current value.
     pub fn set_synopsis_sketch_size(&mut self, m: usize) {
         let epoch = self.epoch;
-        Arc::make_mut(&mut self.snapshot).recompute_synopsis(Some(m), epoch);
+        Arc::make_mut(&mut self.snapshot).set_sketch_size(m, epoch);
     }
 }
 
@@ -270,6 +263,7 @@ mod tests {
     use super::*;
     use crate::error::IndexError;
     use crate::query::QueryOptions;
+    use crate::synopsis::Synopsis;
     use trace_model::{DiceAdm, PaperAdm, Period, PresenceInstance};
 
     /// A small deterministic dataset with obvious associations: entities come in
@@ -304,8 +298,23 @@ mod tests {
         (sp, traces)
     }
 
-    /// `stats()` must describe the snapshot it is read beside, after every
-    /// kind of mutation.
+    /// Runs one successful mutation and checks it accounted itself like every
+    /// other kind: `stats()` describes the snapshot it is read beside, the
+    /// synopsis is stamped with the new epoch, and the epoch advanced by
+    /// exactly 1.
+    fn assert_fresh_after<T>(
+        index: &mut MinSigIndex,
+        mutate: impl FnOnce(&mut MinSigIndex) -> T,
+    ) -> T {
+        let epoch = index.epoch();
+        let out = mutate(index);
+        assert_eq!(index.epoch(), epoch + 1);
+        assert_eq!(index.synopsis().epoch(), index.epoch());
+        assert_stats_are_fresh(index);
+        out
+    }
+
+    /// `stats()` must describe the snapshot it is read beside.
     fn assert_stats_are_fresh(index: &MinSigIndex) {
         let stats = index.stats();
         assert_eq!(stats.index_bytes, index.tree().size_bytes());
@@ -456,9 +465,9 @@ mod tests {
         let (before, _) = index.top_k(EntityId(0), 1, &measure).unwrap();
         assert_eq!(before[0].entity, EntityId(1));
         assert_stats_are_fresh(&index);
-        index.remove_entity(EntityId(1)).unwrap();
-        assert_stats_are_fresh(&index);
+        assert_fresh_after(&mut index, |index| index.remove_entity(EntityId(1)).unwrap());
         assert!(matches!(index.remove_entity(EntityId(1)), Err(IndexError::UnknownEntity(1))));
+        assert_eq!(index.epoch(), 1, "a failed removal publishes nothing");
         let (after, _) = index.top_k(EntityId(0), 1, &measure).unwrap();
         assert_ne!(after[0].entity, EntityId(1));
         assert_eq!(index.num_entities(), 9);
@@ -485,14 +494,17 @@ mod tests {
         assert!(!index.contains(ghost));
         // Upsert is the explicit insert-or-replace path.
         assert_stats_are_fresh(&index);
-        assert!(index.upsert_entity(ghost, &trace).unwrap());
-        assert_stats_are_fresh(&index);
-        assert!(!index.upsert_entity(ghost, &trace).unwrap(), "second upsert replaces");
-        assert_stats_are_fresh(&index);
-        index.update_entity(ghost, &trace).unwrap();
-        assert_stats_are_fresh(&index);
-        index.remove_entity(ghost).unwrap();
-        assert_stats_are_fresh(&index);
+        assert!(assert_fresh_after(&mut index, |index| index
+            .upsert_entity(ghost, &trace)
+            .unwrap()));
+        assert!(
+            !assert_fresh_after(&mut index, |index| index.upsert_entity(ghost, &trace).unwrap()),
+            "second upsert replaces"
+        );
+        assert_fresh_after(&mut index, |index| index.update_entity(ghost, &trace).unwrap());
+        assert_fresh_after(&mut index, |index| index.ingest_batch(trace.instances().to_vec()))
+            .unwrap();
+        assert_fresh_after(&mut index, |index| index.remove_entity(ghost).unwrap());
         assert!(!index.contains(ghost));
     }
 

@@ -5,16 +5,19 @@
 //! affected entity's **entire** trace and publishes one snapshot per call —
 //! fine for occasional corrections, wasteful for a stream of detections.  An
 //! [`IngestBuffer`] instead accumulates [`PresenceInstance`]s and, on
-//! [`flush`](IngestBuffer::flush), applies the whole batch as one delta:
+//! [`flush`](IngestBuffer::flush), applies the whole batch as one delta —
+//! *prepare*, then *apply*:
 //!
-//! 1. records are grouped by entity and each group is materialised into a
-//!    *delta* ST-cell set sequence (the only per-record work);
-//! 2. for an entity already in the index, the new sequence is the per-level
-//!    union of the old and delta sequences, and — because level sets
-//!    distribute over unions — the new signature is the element-wise minimum
-//!    [`SignatureList::merge_min`] of the old signature and the signature of
-//!    the **delta cells only**: no previously ingested cell is ever re-hashed,
-//!    and the result is bit-identical to rebuilding from the merged trace;
+//! 1. **prepare** (the only step that can fail, and it touches nothing):
+//!    records are grouped by entity and each group is materialised, exactly
+//!    once, into a *delta* ST-cell set sequence — the only per-record work;
+//! 2. **apply** (infallible by signature): for an entity already in the
+//!    index, the new sequence is the per-level union of the old and delta
+//!    sequences, and — because level sets distribute over unions — the new
+//!    signature is the element-wise minimum [`SignatureList::merge_min`] of
+//!    the old signature and the signature of the **delta cells only**: no
+//!    previously ingested cell is ever re-hashed, and the result is
+//!    bit-identical to rebuilding from the merged trace;
 //! 3. each touched entity is re-routed along its root-to-leaf tree path
 //!    (Section 4.2.3 incremental maintenance);
 //! 4. the handle publishes the updated snapshot as **one** new epoch
@@ -23,10 +26,12 @@
 //! Readers are never blocked and never observe a partial batch: the flush
 //! mutates through [`Arc::make_mut`](std::sync::Arc::make_mut) under the
 //! handle's exclusive borrow, so any snapshot taken before the flush keeps its
-//! old state and any snapshot taken after sees the entire batch.  The whole
-//! batch is validated *before* the copy-on-write, so a bad record (unknown
-//! spatial unit) rejects the flush and leaves both the index and the buffer's
-//! records intact.
+//! old state and any snapshot taken after sees the entire batch.  A bad
+//! record (unknown spatial unit) fails *prepare*, so it rejects the flush with
+//! the index, the buffer's records — and, on the sharded and durable paths
+//! that run the same two steps ([`crate::shard`], [`crate::durable`]), every
+//! shard, log and batch id — untouched: all-or-nothing is a property of the
+//! prepared batch's type, not of two validations agreeing.
 //!
 //! ```
 //! use minsig::{IndexConfig, IngestBuffer, MinSigIndex};
@@ -60,10 +65,10 @@
 use crate::error::Result;
 use crate::index::MinSigIndex;
 use crate::signature::SignatureList;
+use crate::snapshot::Change;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
-use trace_model::{CellSetSequence, DigitalTrace, EntityId, PresenceInstance};
+use trace_model::{CellSetSequence, DigitalTrace, EntityId, PresenceInstance, SpIndex};
 
 /// Accumulates presence records for batched application to a [`MinSigIndex`].
 ///
@@ -122,109 +127,101 @@ impl IngestBuffer {
         self.pending.clear();
     }
 
-    /// The buffered records, in arrival order (used by the sharded flush in
-    /// [`crate::shard`] to validate and route a batch before any shard is
-    /// touched).
+    /// The buffered records, in arrival order (what the durable ingest path
+    /// routes into the per-shard logs).
     pub(crate) fn records(&self) -> &[PresenceInstance] {
         &self.pending
     }
 
-    /// Validates every buffered record against a spatial hierarchy without
-    /// touching any index: the shared all-or-nothing gate of the sharded
-    /// flush and the durable ingest path, run before a batch is logged or
-    /// any shard mutated.
-    pub(crate) fn validate(&self, sp: &trace_model::SpIndex, ticks_per_unit: u64) -> Result<()> {
+    /// Groups the buffered records by entity and materialises each group's
+    /// delta sequence against a spatial hierarchy, touching no index: **the
+    /// only fallible step of any ingest**.  A bad record (an unknown spatial
+    /// unit) fails here — before anything is logged, any batch id is taken,
+    /// any shard is mutated, or the buffer is drained.
+    pub(crate) fn prepare(&self, sp: &SpIndex, ticks_per_unit: u64) -> Result<PreparedBatch> {
+        // BTreeMap: deterministic (entity-order) application.
         let mut by_entity: BTreeMap<EntityId, DigitalTrace> = BTreeMap::new();
         for record in &self.pending {
             by_entity.entry(record.entity).or_default().push(*record);
         }
-        for delta_trace in by_entity.values() {
-            delta_trace.cell_sequence(sp, ticks_per_unit)?;
+        let mut deltas = Vec::with_capacity(by_entity.len());
+        for (entity, delta_trace) in by_entity {
+            let delta_seq = delta_trace.cell_sequence(sp, ticks_per_unit)?;
+            deltas.push((entity, delta_trace.len(), delta_seq));
         }
-        Ok(())
+        Ok(PreparedBatch { deltas })
     }
 
     /// Applies every buffered record to `index` as one copy-on-write batch
     /// and empties the buffer.
     ///
-    /// All-or-nothing: the whole batch is validated against the index's
+    /// All-or-nothing: the whole batch is prepared against the index's
     /// spatial hierarchy first, so an invalid record (e.g. an unknown spatial
     /// unit) returns an error with the index unchanged **and the buffer still
     /// holding every record** — the caller can drop the bad record and retry.
     /// An empty buffer is a no-op that does not advance the epoch.
     pub fn flush(&mut self, index: &mut MinSigIndex) -> Result<IngestReport> {
         let start = Instant::now();
-        if self.pending.is_empty() {
-            return Ok(IngestReport { epoch: index.epoch(), ..IngestReport::default() });
-        }
-
-        // Group records by entity (BTreeMap: deterministic application order).
-        let mut by_entity: BTreeMap<EntityId, DigitalTrace> = BTreeMap::new();
-        for record in &self.pending {
-            by_entity.entry(record.entity).or_default().push(*record);
-        }
-
-        // Materialise and validate every delta sequence BEFORE the
-        // copy-on-write: a bad record must leave the index untouched.
-        let snapshot = index.snapshot.as_ref();
-        let (sp, ticks) = (&snapshot.sp, snapshot.ticks_per_unit);
-        let mut deltas: Vec<(EntityId, CellSetSequence)> = Vec::with_capacity(by_entity.len());
-        for (&entity, delta_trace) in &by_entity {
-            deltas.push((entity, delta_trace.cell_sequence(sp, ticks)?));
-        }
-
-        let records = self.pending.len();
-        let entities_touched = deltas.len();
-        let mut entities_inserted = 0usize;
-        let mut hash_evaluations = 0u64;
-
-        // One copy-on-write for the whole batch; in-flight readers keep the
-        // snapshot they already hold.
-        let snap = Arc::make_mut(&mut index.snapshot);
-        for (entity, delta_seq) in deltas {
-            // Hash only the delta's cells; merge into the existing signature.
-            let delta_sig = SignatureList::build(&snap.sp, &snap.hasher, &delta_seq);
-            hash_evaluations +=
-                delta_seq.total_cells() as u64 * snap.config.num_hash_functions as u64;
-            let (seq, sig) = match (snap.sequences.remove(&entity), snap.signatures.remove(&entity))
-            {
-                (Some(old_seq), Some(old_sig)) => {
-                    let mut sig = old_sig;
-                    sig.merge_min(&delta_sig);
-                    (old_seq.union(&delta_seq), sig)
-                }
-                _ => {
-                    entities_inserted += 1;
-                    (delta_seq, delta_sig)
-                }
-            };
-            snap.tree.insert(entity, &sig);
-            snap.sequences.insert(entity, seq);
-            snap.signatures.insert(entity, sig);
-        }
-        // The batch changed sizes and possibly the hot set: bring the
-        // planning synopsis back in sync with the sequences it travels with
-        // (one linear pass over cached lengths, no hashing), and republish
-        // the flat candidate arena the read paths scan.
-        snap.recompute_synopsis(None, index.epoch + 1);
-        snap.rebuild_arena();
-
-        index.refresh_stats();
-        index.stats.hash_evaluations += hash_evaluations;
-        // Measured once: the report's flush time and the stats' build-time
-        // increment are the same number, so the two never disagree.
-        let flush_time_us = start.elapsed().as_micros() as u64;
-        index.stats.build_time_us += flush_time_us;
-        index.epoch += 1;
+        let prepared = self.prepare(index.sp_index(), index.ticks_per_unit())?;
         self.pending.clear();
+        Ok(prepared.apply(index, start))
+    }
+}
 
-        Ok(IngestReport {
+/// A validated ingest batch: per touched entity, in entity order, how many
+/// records it received and its materialised *delta* sequence.
+///
+/// Only [`IngestBuffer::prepare`] makes one, so holding it *is* the proof
+/// that every record named a unit of the hierarchy — which is why
+/// [`apply`](PreparedBatch::apply) cannot fail, even after a log append.
+pub(crate) struct PreparedBatch {
+    deltas: Vec<(EntityId, usize, CellSetSequence)>,
+}
+
+impl PreparedBatch {
+    /// True when the batch touches no entity (an empty buffer).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.deltas.is_empty()
+    }
+
+    /// Routes the batch into one sub-batch per shard by
+    /// [`shard_of`](crate::shard::shard_of), keeping entity order within each.
+    pub(crate) fn split(self, num_shards: usize) -> Vec<PreparedBatch> {
+        let mut parts: Vec<PreparedBatch> =
+            (0..num_shards).map(|_| PreparedBatch { deltas: Vec::new() }).collect();
+        for delta in self.deltas {
+            parts[crate::shard::shard_of(delta.0, num_shards)].deltas.push(delta);
+        }
+        parts
+    }
+
+    /// Applies the batch to `index` as one epoch: hashes each delta's cells
+    /// (never a previously ingested one) and commits one [`Change::Merge`]
+    /// per touched entity.  `started` is when the caller began this flush;
+    /// the report's flush time and the stats' build-time increment are that
+    /// one measurement.  An empty batch does not advance the epoch.
+    pub(crate) fn apply(self, index: &mut MinSigIndex, started: Instant) -> IngestReport {
+        if self.is_empty() {
+            return IngestReport { epoch: index.epoch(), ..IngestReport::default() };
+        }
+        let mut records = 0usize;
+        let mut hash_evaluations = 0u64;
+        let mut changes = Vec::with_capacity(self.deltas.len());
+        for (entity, delta_records, delta_seq) in self.deltas {
+            let delta_sig = SignatureList::build(index.sp_index(), index.hasher(), &delta_seq);
+            records += delta_records;
+            hash_evaluations +=
+                delta_seq.total_cells() as u64 * index.config().num_hash_functions as u64;
+            changes.push((entity, Change::Merge(delta_seq, delta_sig)));
+        }
+        let (published, flush_time_us) = index.commit(changes, hash_evaluations, started);
+        IngestReport {
             records,
-            entities_touched,
-            entities_inserted,
-            epoch: index.epoch,
+            entities_touched: published.inserted + published.replaced,
+            entities_inserted: published.inserted,
+            epoch: index.epoch(),
             flush_time_us,
-        })
+        }
     }
 }
 
@@ -251,8 +248,7 @@ impl MinSigIndex {
         &mut self,
         records: I,
     ) -> Result<IngestReport> {
-        let mut buffer: IngestBuffer = records.into_iter().collect();
-        buffer.flush(self)
+        records.into_iter().collect::<IngestBuffer>().flush(self)
     }
 }
 
@@ -261,7 +257,8 @@ mod tests {
     use super::*;
     use crate::config::IndexConfig;
     use crate::error::IndexError;
-    use trace_model::{PaperAdm, Period, SpIndex, TraceSet};
+    use std::sync::Arc;
+    use trace_model::{PaperAdm, Period, TraceSet};
 
     fn seed_dataset(entities: u64) -> (SpIndex, TraceSet) {
         let sp = SpIndex::uniform(3, &[4, 4]).unwrap();

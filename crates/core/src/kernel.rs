@@ -1034,8 +1034,7 @@ mod tests {
                     }
                 }
                 let folded = index.snapshot();
-                let mut plain = (*folded).clone();
-                plain.node_arena = unfolded(plain.tree());
+                let plain = (*folded).clone().with_node_arena(unfolded(folded.tree()));
                 assert!(folded.node_arena().num_nodes() < plain.node_arena().num_nodes());
                 let measure = workload.measure();
                 for query in workload.sample_entities(6, 0xf01d) {

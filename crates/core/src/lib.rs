@@ -135,7 +135,7 @@ pub mod tree;
 
 pub use approximate::{BandedIndex, BandingConfig};
 pub use config::{HasherMode, IndexConfig, PlannerConfig, SchedulerConfig};
-pub use durable::{DurableMinSigIndex, DurableShardedMinSigIndex, RecoveryReport};
+pub use durable::{DurableShardedMinSigIndex, RecoveryReport};
 pub use engine::{Bound, Executor, PrivateBound, SharedBound, TopKHeap, TraceSource};
 pub use error::{IndexError, Result};
 pub use index::MinSigIndex;

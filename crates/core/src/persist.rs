@@ -50,13 +50,11 @@ use crate::config::{HasherMode, IndexConfig};
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
 use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
-use crate::snapshot::IndexSnapshot;
-use crate::stats::IndexStats;
+use crate::snapshot::{IndexSnapshot, SnapshotParts};
 use crate::synopsis::Synopsis;
 use crate::tree::{MinSigTree, Node, NodeId};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 use trace_model::{CellSet, CellSetSequence, EntityId, SpIndexBuilder, StCell};
 use trace_storage::segment::{self, Cursor, SegmentError};
@@ -94,17 +92,8 @@ impl IndexSnapshot {
     /// file.  A saved-then-[`open`](IndexSnapshot::open)ed snapshot answers
     /// every query bit-identically to this one.
     pub fn save(&self, path: &Path) -> Result<()> {
-        self.save_with_wal_lsn(path, 0)
-    }
-
-    /// [`save`](IndexSnapshot::save), stamping `wal_lsn` as the file's WAL
-    /// checkpoint LSN — the durable ingest path's hook (`crate::durable`).
-    /// The LSN rides inside the atomically renamed file, so the persisted
-    /// state and the log position it corresponds to can never be torn apart
-    /// by a crash.
-    pub(crate) fn save_with_wal_lsn(&self, path: &Path, wal_lsn: u64) -> Result<()> {
         segment::atomic_write(path, INDEX_MAGIC, INDEX_VERSION, |writer| {
-            self.write_segments(writer, wal_lsn)
+            self.write_segments(writer, 0)
         })?;
         Ok(())
     }
@@ -120,7 +109,9 @@ impl IndexSnapshot {
     }
 
     /// [`to_bytes`](IndexSnapshot::to_bytes) with an explicit WAL checkpoint
-    /// LSN (the durable sharded save's hook).
+    /// LSN — the durable checkpoint's hook (`crate::durable`).  The LSN rides
+    /// inside the atomically renamed shard file, so the persisted state and
+    /// the log position it corresponds to can never be torn apart by a crash.
     pub(crate) fn to_bytes_with_lsn(&self, wal_lsn: u64) -> Result<Vec<u8>> {
         let mut writer = segment::SegmentWriter::new(Vec::new(), INDEX_MAGIC, INDEX_VERSION)
             .map_err(IndexError::from)?;
@@ -137,10 +128,10 @@ impl IndexSnapshot {
         writer.write_segment(TAG_WAL, &wal_lsn.to_le_bytes())?;
         writer.write_segment(TAG_SYN, &self.encode_synopsis())?;
         writer.write_segment(TAG_SP, &self.encode_sp())?;
-        for chunk in self.tree.nodes().chunks(NODES_PER_SEGMENT) {
+        for chunk in self.tree().nodes().chunks(NODES_PER_SEGMENT) {
             writer.write_segment(TAG_TREE, &encode_tree_chunk(chunk))?;
         }
-        let entities: Vec<EntityId> = self.sequences.keys().copied().collect();
+        let entities: Vec<EntityId> = self.sequences().keys().copied().collect();
         for chunk in entities.chunks(ENTITIES_PER_SEGMENT) {
             writer.write_segment(TAG_ENT, &self.encode_entity_chunk(chunk))?;
         }
@@ -156,14 +147,7 @@ impl IndexSnapshot {
     /// otherwise damaged file yields [`IndexError::Corrupt`] (or
     /// [`IndexError::Io`]), never a partially loaded index.
     pub fn open(path: &Path) -> Result<IndexSnapshot> {
-        Ok(Self::open_with_lsn(path)?.0)
-    }
-
-    /// [`open`](IndexSnapshot::open), also returning the file's WAL
-    /// checkpoint LSN (0 for files older than format version 3 and for
-    /// non-durable saves).
-    pub(crate) fn open_with_lsn(path: &Path) -> Result<(IndexSnapshot, u64)> {
-        Self::open_reader(segment::open_file(path, INDEX_MAGIC, INDEX_VERSION)?)
+        Ok(Self::open_reader(segment::open_file(path, INDEX_MAGIC, INDEX_VERSION)?)?.0)
     }
 
     /// Loads a snapshot from an in-memory buffer previously produced by
@@ -179,7 +163,8 @@ impl IndexSnapshot {
     }
 
     /// [`open_from_bytes`](IndexSnapshot::open_from_bytes), also returning
-    /// the buffer's WAL checkpoint LSN (the sharded recovery hook).
+    /// the buffer's WAL checkpoint LSN (0 for files older than format version
+    /// 3 and for non-durable saves) — the recovery hook.
     pub(crate) fn open_from_bytes_with_lsn(bytes: &[u8]) -> Result<(IndexSnapshot, u64)> {
         Self::open_reader(segment::SegmentReader::new(bytes, INDEX_MAGIC, INDEX_VERSION)?)
     }
@@ -274,9 +259,9 @@ impl IndexSnapshot {
         }
 
         // Version 2 files always carry a synopsis; a version-1 file never
-        // does, so its synopsis is computed from the loaded sequences (a
+        // does, so `from_parts` computes it from the loaded sequences (a
         // linear pass over cached lengths — still no re-hashing).
-        let synopsis = match synopsis {
+        match &synopsis {
             Some(synopsis) => {
                 if version < 2 {
                     return Err(corrupt("version-1 file carries a SYN segment"));
@@ -307,16 +292,10 @@ impl IndexSnapshot {
                         synopsis.level_caps()
                     )));
                 }
-                synopsis
             }
             None if version >= 2 => return Err(corrupt("missing SYN segment")),
-            None => Synopsis::compute(
-                meta.tree_levels,
-                sequences.iter().map(|(e, s)| (*e, s)),
-                crate::synopsis::DEFAULT_SKETCH_SIZE,
-                0,
-            ),
-        };
+            None => {}
+        }
 
         // Version 3 files always carry the checkpoint LSN; older files never
         // do, and an index saved outside the durable path has LSN 0 anyway.
@@ -332,7 +311,7 @@ impl IndexSnapshot {
             meta.resolved_range,
         );
         let hasher = HierarchicalHasher::new(family, meta.config.hasher_mode);
-        let mut snapshot = IndexSnapshot {
+        let snapshot = IndexSnapshot::from_parts(SnapshotParts {
             sp,
             config: meta.config,
             ticks_per_unit: meta.ticks_per_unit,
@@ -341,10 +320,7 @@ impl IndexSnapshot {
             sequences,
             signatures,
             synopsis,
-            arena: crate::kernel::CandidateArena::default(),
-            node_arena: crate::kernel::NodeArena::default(),
-        };
-        snapshot.rebuild_arena();
+        });
         Ok((snapshot, wal_lsn))
     }
 
@@ -361,15 +337,15 @@ impl IndexSnapshot {
         });
         out.extend_from_slice(&self.hasher.range().to_le_bytes());
         out.push(self.sp.height());
-        out.push(self.tree.levels());
-        out.extend_from_slice(&(self.sequences.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.tree.num_nodes() as u64).to_le_bytes());
+        out.push(self.tree().levels());
+        out.extend_from_slice(&(self.num_entities() as u64).to_le_bytes());
+        out.extend_from_slice(&(self.tree().num_nodes() as u64).to_le_bytes());
         out.extend_from_slice(&(self.sp.num_units() as u64).to_le_bytes());
         out
     }
 
     fn encode_synopsis(&self) -> Vec<u8> {
-        let syn = &self.synopsis;
+        let syn = self.synopsis();
         let mut out =
             Vec::with_capacity(24 + syn.level_caps().len() * 8 + syn.hot_entities().len() * 8);
         out.extend_from_slice(&(syn.sketch_size() as u64).to_le_bytes());
@@ -398,8 +374,8 @@ impl IndexSnapshot {
         let mut out = Vec::new();
         out.extend_from_slice(&(entities.len() as u32).to_le_bytes());
         for &entity in entities {
-            let seq = &self.sequences[&entity];
-            let sig = &self.signatures[&entity];
+            let seq = &self.sequences()[&entity];
+            let sig = self.signature(entity).expect("every indexed entity has a signature");
             out.extend_from_slice(&entity.raw().to_le_bytes());
             let base = seq.base();
             out.extend_from_slice(&(base.len() as u32).to_le_bytes());
@@ -420,7 +396,7 @@ impl MinSigIndex {
     /// Persists the current snapshot of the index to `path`; see
     /// [`IndexSnapshot::save`].
     pub fn save(&self, path: &Path) -> Result<()> {
-        self.snapshot.save(path)
+        IndexSnapshot::save(self, path)
     }
 
     /// Opens a previously [`save`](MinSigIndex::save)d index as a fresh
@@ -428,15 +404,7 @@ impl MinSigIndex {
     /// than the original build); see [`IndexSnapshot::open`].
     pub fn open(path: &Path) -> Result<MinSigIndex> {
         let start = Instant::now();
-        let snapshot = IndexSnapshot::open(path)?;
-        let stats = IndexStats {
-            num_entities: snapshot.sequences.len(),
-            num_nodes: snapshot.tree.num_nodes(),
-            index_bytes: snapshot.tree.size_bytes(),
-            hash_evaluations: 0,
-            build_time_us: start.elapsed().as_micros() as u64,
-        };
-        Ok(MinSigIndex { snapshot: Arc::new(snapshot), stats, epoch: 0 })
+        Ok(MinSigIndex::loaded(IndexSnapshot::open(path)?, 0, start))
     }
 }
 
@@ -854,16 +822,13 @@ mod tests {
     fn wal_checkpoint_lsn_round_trips() {
         let (_sp, _traces, index) = sample_index(10);
         let path = temp_path("wal-lsn.msix");
-        index.snapshot().save_with_wal_lsn(&path, 77).unwrap();
-        let (_, lsn) = IndexSnapshot::open_with_lsn(&path).unwrap();
-        assert_eq!(lsn, 77);
-        // The LSN travels with the bytes form too.
         let bytes = index.snapshot().to_bytes_with_lsn(78).unwrap();
         let (_, lsn) = IndexSnapshot::open_from_bytes_with_lsn(&bytes).unwrap();
         assert_eq!(lsn, 78);
         // A plain (non-durable) save stamps LSN 0.
         index.save(&path).unwrap();
-        let (_, lsn) = IndexSnapshot::open_with_lsn(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        let (_, lsn) = IndexSnapshot::open_from_bytes_with_lsn(&saved).unwrap();
         assert_eq!(lsn, 0);
         std::fs::remove_file(&path).unwrap();
     }

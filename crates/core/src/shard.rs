@@ -75,11 +75,11 @@
 //! shorthand) routes a buffered batch to the shards that own each record's
 //! entity and flushes **one sub-batch per touched shard**, advancing each
 //! touched shard's epoch by exactly 1.  The whole cross-shard batch is
-//! validated before any shard is mutated, so a bad record leaves every shard
-//! (and the buffer) untouched — the same all-or-nothing contract as the
-//! unsharded flush.
+//! prepared once, before any shard is mutated, so a bad record leaves every
+//! shard (and the buffer) untouched — the same all-or-nothing contract as the
+//! unsharded flush, by the same `prepare` → `apply` pair.
 //!
-//! ## Durability (`MSHD` v1)
+//! ## Durability (`MSHD`)
 //!
 //! [`ShardedMinSigIndex::save`] writes a directory: one standard `MSIX` file
 //! per shard plus a checksummed manifest ([`SHARD_MANIFEST_FILE`], magic
@@ -99,7 +99,7 @@ use crate::drive::{self, ShardAccess};
 use crate::engine;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
-use crate::ingest::IngestBuffer;
+use crate::ingest::{IngestBuffer, PreparedBatch};
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::{ArenaSource, QueryView};
 use crate::plan::{self, BatchPlan, QueryPlan};
@@ -743,63 +743,46 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
 
 impl IngestBuffer {
     /// Applies every buffered record to `index`, routed to each record's home
-    /// shard, and empties the buffer.
+    /// shard (one copy-on-write flush and one epoch per touched shard), and
+    /// empties the buffer.
     ///
-    /// The whole cross-shard batch is validated **before any shard is
-    /// mutated** (each entity's delta is materialised against the shared
-    /// hierarchy once, up front), so a bad record leaves every shard and the
-    /// buffer's records intact — the caller can drop the bad record and
-    /// retry.  Each shard that receives a non-empty sub-batch applies it as
-    /// one copy-on-write flush and advances its epoch by exactly 1; shards
-    /// without records keep their epoch.  An empty buffer is a no-op.
+    /// The whole cross-shard batch is prepared **before any shard is
+    /// mutated**, so a bad record leaves every shard and the buffer's records
+    /// intact — the caller can drop the bad record and retry.  An empty
+    /// buffer is a no-op.
     pub fn flush_sharded(&mut self, index: &mut ShardedMinSigIndex) -> Result<ShardedIngestReport> {
         let start = Instant::now();
-        if self.is_empty() {
-            return Ok(ShardedIngestReport { epochs: index.epochs(), ..Default::default() });
-        }
+        let prepared =
+            self.prepare(index.shards[0].sp_index(), index.shards[0].ticks_per_unit())?;
+        self.clear();
+        Ok(index.apply(prepared, start))
+    }
+}
 
-        // Validate the whole batch against the shared hierarchy before
-        // touching any shard: cross-shard all-or-nothing.  (The per-shard
-        // flush re-materialises its deltas — one extra linear pass; hashing,
-        // which dominates, still happens once.)
-        {
-            let probe = &index.shards[0];
-            self.validate(probe.sp_index(), probe.ticks_per_unit())?;
-        }
-
-        let num_shards = index.num_shards();
-        let mut per_shard: Vec<IngestBuffer> = vec![IngestBuffer::new(); num_shards];
-        for record in self.records() {
-            per_shard[shard_of(record.entity, num_shards)].push(*record);
-        }
-
+impl ShardedMinSigIndex {
+    /// Applies a prepared batch across the shards — one sub-batch, one epoch
+    /// per touched shard — and reports the whole routed flush since `started`.
+    pub(crate) fn apply(&mut self, batch: PreparedBatch, started: Instant) -> ShardedIngestReport {
         let mut report = ShardedIngestReport::default();
-        for (shard, mut buffer) in per_shard.into_iter().enumerate() {
-            if buffer.is_empty() {
+        let sub_batches = batch.split(self.shards.len());
+        for (shard, sub_batch) in self.shards.iter_mut().zip(sub_batches) {
+            if sub_batch.is_empty() {
                 continue;
             }
-            // Invariant: the whole batch was validated above against the
-            // shared hierarchy, which is the only thing a flush validates —
-            // so a failure here is a logic bug (the two validations drifted
-            // apart), and continuing would break the documented cross-shard
-            // all-or-nothing contract with earlier shards already flushed.
-            let shard_report = buffer
-                .flush(&mut index.shards[shard])
-                .expect("per-shard flush failed after whole-batch validation");
+            let shard_report = sub_batch.apply(shard, Instant::now());
             report.records += shard_report.records;
             report.entities_touched += shard_report.entities_touched;
             report.entities_inserted += shard_report.entities_inserted;
             report.shards_touched += 1;
         }
-        self.clear();
-        report.epochs = index.epochs();
-        report.flush_time_us = start.elapsed().as_micros() as u64;
-        Ok(report)
+        report.epochs = self.epochs();
+        report.flush_time_us = started.elapsed().as_micros() as u64;
+        report
     }
 }
 
 // ---------------------------------------------------------------------------
-// Durability: the MSHD v1 manifest + per-shard MSIX files.
+// Durability: the MSHD manifest + per-shard MSIX files.
 // ---------------------------------------------------------------------------
 
 impl ShardedMinSigIndex {

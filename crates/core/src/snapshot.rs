@@ -12,6 +12,17 @@
 //! place (the common single-owner case costs nothing); once a reader has
 //! cloned the `Arc`, the next update first clones the snapshot, so in-flight
 //! readers keep an unchanging view — snapshot isolation by immutability.
+//!
+//! ## One writer
+//!
+//! The tree, the two owned maps and their three read-path mirrors (planning
+//! synopsis, candidate arena, node rows) are private to this module, and two
+//! functions write them: `IndexSnapshot::from_parts` (a fresh build, a file
+//! being opened) and `IndexSnapshot::publish`, which every mutation reaches
+//! through `MinSigIndex::commit`.  `publish` applies per-entity `Change`s and
+//! then brings the mirrors back in line with the maps, so "the mirrors equal
+//! a from-scratch build" is one function's postcondition rather than a
+//! protocol every mutation path repeats.
 
 use crate::config::IndexConfig;
 use crate::engine;
@@ -67,30 +78,61 @@ pub struct IndexSnapshot {
     pub(crate) config: IndexConfig,
     pub(crate) ticks_per_unit: u64,
     pub(crate) hasher: HierarchicalHasher<SeededHashFamily>,
-    pub(crate) tree: MinSigTree,
-    pub(crate) sequences: BTreeMap<EntityId, CellSetSequence>,
+    tree: MinSigTree,
+    sequences: BTreeMap<EntityId, CellSetSequence>,
     /// Per-entity signature lists, kept alongside the tree so that streaming
     /// ingestion can merge a batch's *delta* signature into an entity's
     /// existing one (`min(sig_old, sig_delta)`) instead of re-hashing the full
     /// trace, and so that a persisted index reloads without re-hashing at all.
-    pub(crate) signatures: BTreeMap<EntityId, SignatureList>,
+    signatures: BTreeMap<EntityId, SignatureList>,
     /// The planning synopsis of this population (per-level capacity caps,
-    /// top-m hot-entity sketch, entity count) — recomputed on every mutation
-    /// batch so it always equals [`Synopsis::compute`] over this snapshot;
-    /// consumed by the sharded query planner ([`crate::plan`]).
-    pub(crate) synopsis: Synopsis,
+    /// top-m hot-entity sketch, entity count), consumed by the sharded query
+    /// planner ([`crate::plan`]).  Invariant, kept by
+    /// [`publish`](Self::publish): equals [`Synopsis::compute`] over
+    /// `sequences`.
+    synopsis: Synopsis,
     /// The flat candidate arena ([`crate::kernel`]): a read-path-only
-    /// CSR/SoA mirror of `sequences` + `signatures`, rebuilt (or, for pure
-    /// inserts, incrementally extended) whenever a mutation publishes a new
-    /// snapshot.  Invariant: always equals
-    /// [`CandidateArena::build`] over the owned maps.
-    pub(crate) arena: CandidateArena,
+    /// CSR/SoA mirror of `sequences` + `signatures`.  Invariant, kept by
+    /// [`publish`](Self::publish): equals [`CandidateArena::build`] over them.
+    arena: CandidateArena,
     /// The flat node rows of the tree ([`crate::kernel::NodeArena`]): the
     /// read-path-only SoA/CSR mirror of `tree` every executor expands
-    /// through.  Invariant: always equals [`NodeArena::build`] over `tree`;
-    /// rebuilt whenever the tree topology can change (every mutation,
-    /// including single-entity insert absorbs — inserts re-route tree paths).
-    pub(crate) node_arena: NodeArena,
+    /// through.  Invariant, kept by [`publish`](Self::publish): equals
+    /// [`NodeArena::build`] over `tree`.
+    node_arena: NodeArena,
+}
+
+/// Everything a snapshot is made of except its mirrors: what a fresh build
+/// computed or what a persisted file held.
+pub(crate) struct SnapshotParts {
+    pub(crate) sp: SpIndex,
+    pub(crate) config: IndexConfig,
+    pub(crate) ticks_per_unit: u64,
+    pub(crate) hasher: HierarchicalHasher<SeededHashFamily>,
+    pub(crate) tree: MinSigTree,
+    pub(crate) sequences: BTreeMap<EntityId, CellSetSequence>,
+    pub(crate) signatures: BTreeMap<EntityId, SignatureList>,
+    /// `None` computes it from `sequences` (default sketch size, epoch 0).
+    pub(crate) synopsis: Option<Synopsis>,
+}
+
+/// What one [`IndexSnapshot::publish`] does to one entity.
+pub(crate) enum Change {
+    /// Insert the entity, or replace its whole trace and signature.
+    Put(CellSetSequence, SignatureList),
+    /// Union this *delta* sequence into the entity's trace and `merge_min`
+    /// the delta's signature into its own (an insert when the entity is new).
+    Merge(CellSetSequence, SignatureList),
+    /// Remove the entity.
+    Remove,
+}
+
+/// Entities one [`IndexSnapshot::publish`] inserted, replaced and removed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Published {
+    pub(crate) inserted: usize,
+    pub(crate) replaced: usize,
+    pub(crate) removed: usize,
 }
 
 impl IndexSnapshot {
@@ -146,24 +188,10 @@ impl IndexSnapshot {
     }
 
     /// The planning synopsis of this snapshot's population (see
-    /// [`crate::synopsis`]): always consistent with the sequences — it is
-    /// recomputed on every mutation batch and reloaded verbatim from `MSIX`
-    /// v2 files.
+    /// [`crate::synopsis`]): always consistent with the sequences — every
+    /// publish brings it up to date, and `MSIX` v2 files reload it verbatim.
     pub fn synopsis(&self) -> &Synopsis {
         &self.synopsis
-    }
-
-    /// Recomputes the synopsis from the current sequences, keeping the
-    /// sketch size `m` unless a new one is given; called by every mutation
-    /// path that can *shrink* sizes (replacement, removal, batch flushes).
-    pub(crate) fn recompute_synopsis(&mut self, sketch_size: Option<usize>, epoch: u64) {
-        let m = sketch_size.unwrap_or_else(|| self.synopsis.sketch_size());
-        self.synopsis = Synopsis::compute(
-            self.tree.levels(),
-            self.sequences.iter().map(|(e, s)| (*e, s)),
-            m,
-            epoch,
-        );
     }
 
     /// The flat candidate arena of this snapshot (see [`crate::kernel`]) —
@@ -180,10 +208,81 @@ impl IndexSnapshot {
         &self.node_arena
     }
 
-    /// Rebuilds the candidate arena and the node rows from the owned maps
-    /// and tree; called by every mutation path that replaces or removes
-    /// trace data (the same paths that fully recompute the synopsis).
-    pub(crate) fn rebuild_arena(&mut self) {
+    /// Assembles a snapshot from its parts and builds the mirrors over them:
+    /// the one constructor (a fresh build, a file being opened).
+    pub(crate) fn from_parts(parts: SnapshotParts) -> IndexSnapshot {
+        let synopsis = parts.synopsis.unwrap_or_else(|| {
+            synopsis_of(&parts.tree, &parts.sequences, crate::synopsis::DEFAULT_SKETCH_SIZE, 0)
+        });
+        let mut snapshot = IndexSnapshot {
+            sp: parts.sp,
+            config: parts.config,
+            ticks_per_unit: parts.ticks_per_unit,
+            hasher: parts.hasher,
+            tree: parts.tree,
+            sequences: parts.sequences,
+            signatures: parts.signatures,
+            synopsis,
+            arena: CandidateArena::default(),
+            node_arena: NodeArena::default(),
+        };
+        snapshot.rebuild_arena();
+        snapshot
+    }
+
+    /// Applies `changes` (in the order given — callers pass entity order) to
+    /// the tree and the owned maps, then brings the three mirrors back in
+    /// line with them at `epoch`: the one mutator.
+    ///
+    /// A lone [`Change::Put`] of a new entity only grows the population, so
+    /// the synopsis and the candidate arena absorb it in `O(delta + n)`;
+    /// anything else can shrink sizes, and only a recompute and a rebuild
+    /// stay exact.  The node rows are rebuilt either way — even one insert
+    /// re-routes tree paths — in `O(nodes)`, the order of the arena splice.
+    pub(crate) fn publish(&mut self, changes: Vec<(EntityId, Change)>, epoch: u64) -> Published {
+        let absorb = matches!(&changes[..], [(entity, Change::Put(..))] if !self.contains(*entity));
+        let mut published = Published::default();
+        for (entity, change) in changes {
+            let (seq, sig) = match change {
+                Change::Put(seq, sig) => (seq, sig),
+                Change::Merge(delta_seq, delta_sig) => {
+                    match (self.sequences.get(&entity), self.signatures.remove(&entity)) {
+                        (Some(old_seq), Some(mut sig)) => {
+                            sig.merge_min(&delta_sig);
+                            (old_seq.union(&delta_seq), sig)
+                        }
+                        _ => (delta_seq, delta_sig),
+                    }
+                }
+                Change::Remove => {
+                    self.tree.remove(entity);
+                    self.sequences.remove(&entity);
+                    self.signatures.remove(&entity);
+                    published.removed += 1;
+                    continue;
+                }
+            };
+            self.tree.insert(entity, &sig);
+            if absorb {
+                self.absorb_into_synopsis(entity, &seq, epoch);
+                self.arena.absorb_insert(entity, &seq, &sig);
+            }
+            match self.sequences.insert(entity, seq) {
+                None => published.inserted += 1,
+                Some(_) => published.replaced += 1,
+            }
+            self.signatures.insert(entity, sig);
+        }
+        if absorb {
+            self.node_arena = NodeArena::build(&self.tree);
+        } else {
+            self.set_sketch_size(self.synopsis.sketch_size(), epoch);
+            self.rebuild_arena();
+        }
+        published
+    }
+
+    fn rebuild_arena(&mut self) {
         self.arena = CandidateArena::build(
             self.tree.levels(),
             self.hasher.num_functions() as usize,
@@ -193,42 +292,29 @@ impl IndexSnapshot {
         self.node_arena = NodeArena::build(&self.tree);
     }
 
-    /// Splices one **newly inserted** entity into the arena incrementally —
-    /// the `O(delta + n)` companion of
-    /// [`absorb_inserted_entity_into_synopsis`](Self::absorb_inserted_entity_into_synopsis);
-    /// the entity must already be in the owned maps.  The node rows are
-    /// rebuilt outright: an insert re-routes tree paths (possibly creating
-    /// nodes and lowering routing values), and the rebuild is `O(nodes)` —
-    /// the same order as the splice itself.
-    pub(crate) fn absorb_inserted_entity_into_arena(&mut self, entity: EntityId) {
-        let seq = self.sequences.get(&entity).expect("entity was just inserted");
-        let sig = self.signatures.get(&entity).expect("entity was just inserted");
-        self.arena.absorb_insert(entity, seq, sig);
-        self.node_arena = NodeArena::build(&self.tree);
+    /// Recomputes the planning synopsis from the sequences with sketch size
+    /// `m`, recorded at `epoch`.  On its own (the handle's sketch resize) not
+    /// a data mutation: the maps and the other mirrors stay.
+    pub(crate) fn set_sketch_size(&mut self, m: usize, epoch: u64) {
+        self.synopsis = synopsis_of(&self.tree, &self.sequences, m, epoch);
     }
 
-    /// Absorbs one **newly inserted** entity into the synopsis without
+    /// Absorbs one entity **about to be inserted** into the synopsis without
     /// rescanning the population — `O(m log n)` for the sketch comparison
-    /// instead of the full `O(n × levels)` recompute, so streaming
-    /// single-record inserts stay `O(delta)`.  Equivalent to a full
-    /// recompute (see [`Synopsis::absorb_insert`]); the entity must already
-    /// be in [`sequences`](Self::sequences).
-    pub(crate) fn absorb_inserted_entity_into_synopsis(&mut self, entity: EntityId, epoch: u64) {
-        let seq = self.sequences.get(&entity).expect("entity was just inserted");
+    /// instead of the full `O(n × levels)` recompute — with the same result
+    /// as the recompute (see [`Synopsis::absorb_insert`]).
+    fn absorb_into_synopsis(&mut self, entity: EntityId, seq: &CellSetSequence, epoch: u64) {
         let levels = self.tree.levels();
         let level_sizes: Vec<usize> = (1..=levels).map(|l| seq.level(l).len()).collect();
         let total = seq.total_cells();
         // Splice position under the sketch order (total cells descending,
         // id ascending), ranked against the current members' live totals.
         let hot = self.synopsis.hot_entities();
-        let mut insert_at = hot.len();
-        for (j, &member) in hot.iter().enumerate() {
+        let ranks_before = |&member: &EntityId| {
             let member_total = self.sequences[&member].total_cells();
-            if total > member_total || (total == member_total && entity < member) {
-                insert_at = j;
-                break;
-            }
-        }
+            total > member_total || (total == member_total && entity < member)
+        };
+        let insert_at = hot.iter().position(ranks_before).unwrap_or(hot.len());
         let belongs = self.synopsis.sketch_size() > 0
             && (insert_at < hot.len() || hot.len() < self.synopsis.sketch_size());
         self.synopsis.absorb_insert(&level_sizes, entity, belongs.then_some(insert_at), epoch);
@@ -339,5 +425,24 @@ impl IndexSnapshot {
         let (results, _) =
             self.arena.scan_top_k(&QueryView::new(seq), Some(query), k, measure, &mut dispatch);
         Ok(results)
+    }
+}
+
+fn synopsis_of(
+    tree: &MinSigTree,
+    sequences: &BTreeMap<EntityId, CellSetSequence>,
+    sketch_size: usize,
+    epoch: u64,
+) -> Synopsis {
+    Synopsis::compute(tree.levels(), sequences.iter().map(|(e, s)| (*e, s)), sketch_size, epoch)
+}
+
+#[cfg(test)]
+impl IndexSnapshot {
+    /// This snapshot with its node rows swapped for `rows` (the unfolded-tree
+    /// oracle of the kernel tests).
+    pub(crate) fn with_node_arena(mut self, rows: NodeArena) -> IndexSnapshot {
+        self.node_arena = rows;
+        self
     }
 }

@@ -3,9 +3,14 @@
 //! never load, and an ingest batch must publish exactly one snapshot epoch
 //! that in-flight readers do not observe.
 
-use digital_traces::index::{IndexConfig, IngestBuffer, JoinOptions, MinSigIndex};
-use digital_traces::{EntityId, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
+use digital_traces::index::{
+    CandidateArena, IndexConfig, IngestBuffer, JoinOptions, MinSigIndex, NodeArena, Synopsis,
+};
+use digital_traces::{
+    DigitalTrace, EntityId, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// An arbitrary small trace workload over a fixed 3-level hierarchy: every
 /// element is `(entity 0..12, base-unit index 0..24, start hour 0..48,
@@ -32,6 +37,56 @@ fn build_traces(workload: &[(u64, usize, u64, u64)]) -> (SpIndex, TraceSet) {
         traces.record(record_of(&base, item));
     }
     (sp, traces)
+}
+
+/// The three read-path mirrors and the handle's stats must be exactly what a
+/// from-scratch build over the owned maps and tree produces, at the handle's
+/// epoch — `IndexSnapshot::publish`'s postcondition, whoever called it.
+fn assert_mirrors_match_a_fresh_build(index: &MinSigIndex, context: &str) {
+    let snapshot = index.snapshot();
+    let levels = snapshot.tree().levels();
+    let expected = Synopsis::compute(
+        levels,
+        snapshot.sequences().iter().map(|(e, s)| (*e, s)),
+        snapshot.synopsis().sketch_size(),
+        index.epoch(),
+    );
+    assert_eq!(snapshot.synopsis(), &expected, "synopsis, {context}");
+
+    let signatures: BTreeMap<_, _> =
+        snapshot.sequences().keys().map(|&e| (e, snapshot.signature(e).unwrap().clone())).collect();
+    let nh = snapshot.config().num_hash_functions as usize;
+    let (arena, fresh) =
+        (snapshot.arena(), CandidateArena::build(levels, nh, snapshot.sequences(), &signatures));
+    assert_eq!(arena.entities(), fresh.entities(), "arena entities, {context}");
+    for pos in 0..fresh.len() {
+        for level in 1..=levels {
+            assert_eq!(arena.level_cells(level, pos), fresh.level_cells(level, pos), "{context}");
+            assert_eq!(
+                arena.signature_row(level, pos),
+                fresh.signature_row(level, pos),
+                "{context}"
+            );
+        }
+    }
+
+    let (rows, fresh) = (snapshot.node_arena(), NodeArena::build(snapshot.tree()));
+    assert_eq!(rows.num_nodes(), fresh.num_nodes(), "node rows, {context}");
+    assert_eq!(rows.num_entities(), fresh.num_entities(), "node rows, {context}");
+    for id in 0..fresh.num_nodes() as u32 {
+        assert_eq!(
+            (rows.depth(id), rows.routing_index(id), rows.routing_value(id)),
+            (fresh.depth(id), fresh.routing_index(id), fresh.routing_value(id)),
+            "node {id}, {context}"
+        );
+        assert_eq!(rows.children(id), fresh.children(id), "node {id}, {context}");
+        assert_eq!(rows.leaf_entities(id), fresh.leaf_entities(id), "node {id}, {context}");
+    }
+
+    let stats = index.stats();
+    assert_eq!(stats.num_entities, snapshot.num_entities(), "stats, {context}");
+    assert_eq!(stats.num_nodes, snapshot.tree().num_nodes(), "stats, {context}");
+    assert_eq!(stats.index_bytes, snapshot.tree().size_bytes(), "stats, {context}");
 }
 
 fn temp_path(name: &str, case: u64) -> std::path::PathBuf {
@@ -131,6 +186,68 @@ proptest! {
             let (a, _) = index.top_k(e, 3, &measure).unwrap();
             let (b, _) = rebuilt.top_k(e, 3, &measure).unwrap();
             prop_assert_eq!(a, b, "post-flush answers diverge from rebuild for {}", e);
+        }
+    }
+
+    /// Every publisher leaves the mirrors equal to a from-scratch build, and
+    /// no reader ever moves: after each step of a random interleaving of
+    /// single-entity upserts (new and existing ids), updates, removals,
+    /// mixed ingest batches and save → open round trips, the synopsis, the
+    /// candidate arena, the node rows and the stats are what a fresh build
+    /// over the owned maps gives, and a snapshot taken before the step still
+    /// serialises to the bytes it had.
+    #[test]
+    fn mirrors_equal_a_fresh_build_after_every_publisher(
+        seed_workload in workload_strategy(),
+        steps in proptest::collection::vec(
+            (
+                0u8..6,
+                0u64..18,
+                proptest::collection::vec((0u64..18, 0usize..24, 0u64..96, 1u64..4), 1..10),
+            ),
+            1..12,
+        ),
+    ) {
+        let (sp, traces) = build_traces(&seed_workload);
+        let base = sp.base_units().to_vec();
+        let config = IndexConfig { num_hash_functions: 8, ..IndexConfig::default() };
+        let mut index = MinSigIndex::build(&sp, &traces, config).unwrap();
+        assert_mirrors_match_a_fresh_build(&index, "build");
+
+        for (i, (op, entity, visits)) in steps.into_iter().enumerate() {
+            let reader = index.snapshot();
+            let reader_bytes = reader.to_bytes().unwrap();
+            let epoch = index.epoch();
+            let entity = EntityId(entity);
+            // One entity's trace out of the visits (single-entity ops), or
+            // the visits as they are: a batch over new and existing ids.
+            let trace = DigitalTrace::from_instances(
+                visits.iter().map(|&(_, u, h, d)| record_of(&base, (entity.raw(), u, h, d))).collect(),
+            );
+            let published = match op {
+                0 | 1 => index.upsert_entity(entity, &trace).map(|_| ()).is_ok(),
+                2 => index.update_entity(entity, &trace).is_ok(),
+                3 => index.remove_entity(entity).is_ok(),
+                4 => {
+                    index.ingest_batch(visits.iter().map(|&v| record_of(&base, v))).unwrap();
+                    true
+                }
+                _ => {
+                    let path = temp_path("mirrors", i as u64);
+                    index.save(&path).unwrap();
+                    index = MinSigIndex::open(&path).unwrap();
+                    std::fs::remove_file(&path).unwrap();
+                    prop_assert_eq!(index.snapshot().to_bytes().unwrap(), reader_bytes.clone());
+                    prop_assert_eq!(index.epoch(), 0);
+                    false
+                }
+            };
+            let context = format!("step {i}: op {op} on {entity}");
+            if op < 5 {
+                prop_assert_eq!(index.epoch(), epoch + published as u64, "{}", context);
+            }
+            assert_mirrors_match_a_fresh_build(&index, &context);
+            prop_assert_eq!(reader.to_bytes().unwrap(), reader_bytes, "reader moved, {}", context);
         }
     }
 }
@@ -238,4 +355,53 @@ fn ten_thousand_record_batch_is_one_epoch() {
     let (a, _) = index.top_k(EntityId(100), 5, &measure).unwrap();
     let (b, _) = reopened.top_k(EntityId(100), 5, &measure).unwrap();
     assert_eq!(a, b);
+}
+
+/// FNV-1a (64-bit) of a byte string — the digest the scripted sequence pins.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// One fixed walk through every publisher — build → flush → insert → replace
+/// → remove → flush — must end on exactly the bytes (and the hashing work) it
+/// ended on before the write path was folded into one `publish`: the digest
+/// and the hash-evaluation count below were recorded on the parent commit.
+#[test]
+fn scripted_mutation_sequence_ends_on_the_recorded_bytes() {
+    let seed: Vec<(u64, usize, u64, u64)> =
+        (0..40u64).map(|i| (i % 10, (i * 7 % 24) as usize, i * 5 % 48, 1 + i % 4)).collect();
+    let (sp, traces) = build_traces(&seed);
+    let base = sp.base_units().to_vec();
+    let config = IndexConfig { num_hash_functions: 16, ..IndexConfig::default() };
+    let mut index = MinSigIndex::build(&sp, &traces, config).unwrap();
+
+    let batch = |offset: u64| -> Vec<PresenceInstance> {
+        (0..30u64)
+            .map(|i| {
+                let entity = if i % 3 == 0 { 20 + (i + offset) % 5 } else { (i + offset) % 10 };
+                record_of(
+                    &base,
+                    (entity, ((i + offset) * 11 % 24) as usize, 48 + i % 40, 1 + i % 3),
+                )
+            })
+            .collect()
+    };
+    let trace_of = |entity: u64, visits: u64| {
+        DigitalTrace::from_instances(
+            (0..visits)
+                .map(|i| record_of(&base, (entity, (entity + i * 5) as usize % 24, i * 3, 2)))
+                .collect(),
+        )
+    };
+
+    let mut buffer: IngestBuffer = batch(0).into_iter().collect();
+    buffer.flush(&mut index).unwrap();
+    assert!(index.upsert_entity(EntityId(77), &trace_of(77, 6)).unwrap(), "77 is new");
+    index.update_entity(EntityId(3), &trace_of(3, 2)).unwrap();
+    index.remove_entity(EntityId(21)).unwrap();
+    index.ingest_batch(batch(7)).unwrap();
+
+    assert_eq!(index.epoch(), 5);
+    assert_eq!(index.stats().hash_evaluations, 10_944);
+    assert_eq!(fnv1a(&index.snapshot().to_bytes().unwrap()), 0x5097_7e7e_3709_e650);
 }

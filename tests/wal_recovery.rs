@@ -2,18 +2,18 @@
 //! cut at **every byte prefix** (a crash mid-append) or damaged by bit flips
 //! must recover exactly the committed batch prefix, bit-identically to an
 //! index that applied those batches and never crashed; a sharded batch whose
-//! commit record never hit the commit log must vanish on every shard.
+//! commit record never hit the commit log must vanish on every shard.  The
+//! single-log cases run a one-shard index: its shard WAL is cut or flipped
+//! under an intact commit log.
 //!
 //! "Bit-identically" is literal: the recovered snapshot's serialised bytes
 //! are compared against the never-crashed oracle's, not just its answers.
 
-use digital_traces::index::durable::{
-    commit_wal_dir, shard_wal_dir, wal_dir, DurableMinSigIndex, DurableShardedMinSigIndex,
-};
+use digital_traces::index::durable::{commit_wal_dir, shard_wal_dir, DurableShardedMinSigIndex};
 use digital_traces::index::testkit::{
     assert_equivalent_answers, PairedConfig, StreamConfig, UniformConfig, Workload,
 };
-use digital_traces::index::{durable, IndexConfig, MinSigIndex, ShardedMinSigIndex};
+use digital_traces::index::{durable, IndexConfig, ShardedMinSigIndex};
 use digital_traces::storage::{LogConfig, LogManager};
 use digital_traces::{EntityId, PresenceInstance};
 use proptest::prelude::*;
@@ -47,9 +47,44 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Serialised bytes of an unsharded index's snapshot — the bitwise oracle.
-fn index_bytes(index: &MinSigIndex) -> Vec<u8> {
-    index.snapshot().to_bytes().unwrap()
+/// A one-shard sharded index: the unsharded case of the durable path.
+fn one_shard(w: &Workload, config: IndexConfig) -> ShardedMinSigIndex {
+    ShardedMinSigIndex::build(&w.sp, &w.traces, config, 1).unwrap()
+}
+
+/// A durable one-shard index that ingested `batches`, plus the length of its
+/// shard WAL at which each batch's sub-batch became durable.
+fn one_shard_durable(
+    dir: &Path,
+    w: &Workload,
+    config: IndexConfig,
+    batches: &[Vec<PresenceInstance>],
+) -> (DurableShardedMinSigIndex, Vec<u64>) {
+    let mut durable =
+        DurableShardedMinSigIndex::create(dir, one_shard(w, config), no_fsync()).unwrap();
+    let mut ends = Vec::new();
+    for b in batches {
+        durable.ingest(b.clone()).unwrap();
+        ends.push(durable.shard_log(0).disk_bytes());
+    }
+    (durable, ends)
+}
+
+/// oracles[j] = never-crashed one-shard index that applied exactly batches[..j].
+fn one_shard_oracles(
+    w: &Workload,
+    config: IndexConfig,
+    batches: &[Vec<PresenceInstance>],
+) -> Vec<ShardedMinSigIndex> {
+    (0..=batches.len())
+        .map(|j| {
+            let mut index = one_shard(w, config);
+            for b in &batches[..j] {
+                index.ingest_batch(b.clone()).unwrap();
+            }
+            index
+        })
+        .collect()
 }
 
 /// Per-shard serialised bytes of a sharded index — the bitwise oracle.
@@ -65,7 +100,7 @@ fn rewrite_wal(dir: &Path, bytes: &[u8]) {
     fs::write(dir.join("wal-00000000.log"), bytes).unwrap();
 }
 
-/// A crash can cut the unsharded WAL at **any** byte.  Whatever the cut,
+/// A crash can cut a shard's WAL at **any** byte.  Whatever the cut,
 /// recovery must yield exactly the batches whose final fsync'd byte made it,
 /// and the recovered index must serialise bit-identically to a never-crashed
 /// index that applied exactly those batches.
@@ -74,36 +109,23 @@ fn every_wal_byte_prefix_recovers_the_committed_batch_prefix() {
     let w = workload();
     let config = IndexConfig::with_hash_functions(16);
     let dir = temp_dir("prefix");
-    let mut durable = DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync()).unwrap();
     let batches: Vec<Vec<PresenceInstance>> = (0..3).map(|i| batch(&w, i, 5)).collect();
-    let mut ends = Vec::new(); // WAL length at which each batch became durable
-    for b in &batches {
-        durable.ingest(b.clone()).unwrap();
-        ends.push(durable.log().disk_bytes());
-    }
+    let (durable, ends) = one_shard_durable(&dir, &w, config, &batches);
     drop(durable);
-    let full = fs::read(wal_dir(&dir).join("wal-00000000.log")).unwrap();
+    let wal = shard_wal_dir(&dir, 0);
+    let full = fs::read(wal.join("wal-00000000.log")).unwrap();
 
-    // oracles[j] = never-crashed index that applied exactly batches[..j].
-    let oracles: Vec<MinSigIndex> = (0..=batches.len())
-        .map(|j| {
-            let mut index = w.build_index(config);
-            for b in &batches[..j] {
-                index.ingest_batch(b.clone()).unwrap();
-            }
-            index
-        })
-        .collect();
-    let oracle_bytes: Vec<Vec<u8>> = oracles.iter().map(index_bytes).collect();
+    let oracles = one_shard_oracles(&w, config, &batches);
+    let oracle_bytes: Vec<Vec<Vec<u8>>> = oracles.iter().map(sharded_bytes).collect();
 
     let measure = w.measure();
     for cut in 0..=full.len() {
-        rewrite_wal(&wal_dir(&dir), &full[..cut]);
-        let (recovered, report) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+        rewrite_wal(&wal, &full[..cut]);
+        let (recovered, report) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
         let expect = ends.iter().filter(|&&e| e <= cut as u64).count();
         assert_eq!(report.batches_replayed, expect, "cut at byte {cut} of {}", full.len());
         assert_eq!(
-            index_bytes(recovered.index()),
+            sharded_bytes(recovered.index()),
             oracle_bytes[expect],
             "cut at byte {cut}: recovered index is not bit-identical to the oracle"
         );
@@ -114,33 +136,22 @@ fn every_wal_byte_prefix_recovers_the_committed_batch_prefix() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A flipped bit anywhere in the WAL ends the recovered prefix at the record
-/// it lands in — and the result is still bit-identical to the corresponding
-/// never-crashed oracle, never a corrupted index.
+/// A flipped bit anywhere in a shard's WAL ends the recovered prefix at the
+/// record it lands in — and the result is still bit-identical to the
+/// corresponding never-crashed oracle, never a corrupted index.
 #[test]
 fn wal_bit_flips_recover_a_clean_batch_prefix() {
     let w = workload();
     let config = IndexConfig::with_hash_functions(16);
     let dir = temp_dir("flip");
-    let mut durable = DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync()).unwrap();
     let batches: Vec<Vec<PresenceInstance>> = (0..3).map(|i| batch(&w, i, 5)).collect();
-    let mut ends = Vec::new();
-    for b in &batches {
-        durable.ingest(b.clone()).unwrap();
-        ends.push(durable.log().disk_bytes());
-    }
+    let (durable, ends) = one_shard_durable(&dir, &w, config, &batches);
     drop(durable);
-    let full = fs::read(wal_dir(&dir).join("wal-00000000.log")).unwrap();
+    let wal = shard_wal_dir(&dir, 0);
+    let full = fs::read(wal.join("wal-00000000.log")).unwrap();
 
-    let oracle_bytes: Vec<Vec<u8>> = (0..=batches.len())
-        .map(|j| {
-            let mut index = w.build_index(config);
-            for b in &batches[..j] {
-                index.ingest_batch(b.clone()).unwrap();
-            }
-            index_bytes(&index)
-        })
-        .collect();
+    let oracle_bytes: Vec<Vec<Vec<u8>>> =
+        one_shard_oracles(&w, config, &batches).iter().map(sharded_bytes).collect();
 
     // One flipped bit per byte (rotating which) covers every byte of every
     // record without 8×ing the runtime.
@@ -148,13 +159,13 @@ fn wal_bit_flips_recover_a_clean_batch_prefix() {
     for byte in FILE_HEADER_LEN..full.len() {
         let mut damaged = full.clone();
         damaged[byte] ^= 1 << (byte % 8);
-        rewrite_wal(&wal_dir(&dir), &damaged);
-        let (recovered, report) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+        rewrite_wal(&wal, &damaged);
+        let (recovered, report) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
         // The flip lands inside record `hit`; everything before it survives.
         let hit = ends.iter().filter(|&&e| e <= byte as u64).count();
         assert_eq!(report.batches_replayed, hit, "flip at byte {byte} went undetected");
         assert_eq!(
-            index_bytes(recovered.index()),
+            sharded_bytes(recovered.index()),
             oracle_bytes[hit],
             "flip at byte {byte}: recovered index diverged from the oracle"
         );
@@ -285,8 +296,9 @@ fn checkpoint_cycles_replay_only_their_own_generation() {
     let w = workload();
     let config = IndexConfig::with_hash_functions(16);
     let dir = temp_dir("cycles");
-    let mut oracle = w.build_index(config);
-    let mut durable = DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync()).unwrap();
+    let mut oracle = one_shard(&w, config);
+    let mut durable =
+        DurableShardedMinSigIndex::create(&dir, one_shard(&w, config), no_fsync()).unwrap();
     for generation in 0..4u64 {
         for i in 0..2u64 {
             let b = batch(&w, generation * 10 + i, 5);
@@ -294,7 +306,11 @@ fn checkpoint_cycles_replay_only_their_own_generation() {
             oracle.ingest_batch(b).unwrap();
         }
         durable.checkpoint().unwrap();
-        assert_eq!(durable.log().first_lsn(), None, "generation {generation} left log records");
+        assert_eq!(
+            (durable.shard_log(0).first_lsn(), durable.commit_log().first_lsn()),
+            (None, None),
+            "generation {generation} left log records"
+        );
     }
     // One last un-checkpointed batch, then a crash.
     let tail = batch(&w, 99, 5);
@@ -302,9 +318,9 @@ fn checkpoint_cycles_replay_only_their_own_generation() {
     oracle.ingest_batch(tail).unwrap();
     drop(durable);
 
-    let (recovered, report) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+    let (recovered, report) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
     assert_eq!(report.batches_replayed, 1, "checkpoints cover the earlier generations");
-    assert_eq!(recovered.index().num_entities(), oracle.num_entities());
+    assert_eq!(sharded_bytes(recovered.index()), sharded_bytes(&oracle));
     let measure = w.measure();
     for query in [0u64, 5, 11] {
         let (a, _) = recovered.index().top_k(EntityId(query), 3, &measure).unwrap();
@@ -382,27 +398,22 @@ proptest! {
 
         let config = IndexConfig::with_hash_functions(8);
         let dir = temp_dir(&format!("prop-{}-{cut_seed}", items.len()));
-        let mut durable =
-            DurableMinSigIndex::create(&dir, w.build_index(config), no_fsync()).unwrap();
-        let mut ends = Vec::new();
-        for b in &batches {
-            durable.ingest(b.clone()).unwrap();
-            ends.push(durable.log().disk_bytes());
-        }
+        let (durable, ends) = one_shard_durable(&dir, &w, config, &batches);
         drop(durable);
-        let full = fs::read(wal_dir(&dir).join("wal-00000000.log")).unwrap();
+        let wal = shard_wal_dir(&dir, 0);
+        let full = fs::read(wal.join("wal-00000000.log")).unwrap();
         let cut = (cut_seed % (full.len() as u64 + 1)) as usize;
 
-        rewrite_wal(&wal_dir(&dir), &full[..cut]);
-        let (recovered, report) = DurableMinSigIndex::open(&dir, no_fsync()).unwrap();
+        rewrite_wal(&wal, &full[..cut]);
+        let (recovered, report) = DurableShardedMinSigIndex::open(&dir, no_fsync()).unwrap();
         let expect = ends.iter().filter(|&&e| e <= cut as u64).count();
         prop_assert_eq!(report.batches_replayed, expect);
 
-        let mut oracle = w.build_index(config);
+        let mut oracle = one_shard(&w, config);
         for b in &batches[..expect] {
             oracle.ingest_batch(b.clone()).unwrap();
         }
-        prop_assert_eq!(index_bytes(recovered.index()), index_bytes(&oracle));
+        prop_assert_eq!(sharded_bytes(recovered.index()), sharded_bytes(&oracle));
         fs::remove_dir_all(&dir).unwrap();
     }
 }
