@@ -41,15 +41,8 @@ impl Default for BandingConfig {
 }
 
 impl BandingConfig {
-    /// The probability that an entity with base-level Jaccard similarity `s`
-    /// becomes a candidate: `1 − (1 − s^r)^b`.
-    pub fn candidate_probability(&self, similarity: f64) -> f64 {
-        let s = similarity.clamp(0.0, 1.0);
-        1.0 - (1.0 - s.powi(self.rows_per_band as i32)).powi(self.bands as i32)
-    }
-
     /// Validates the configuration against a signature width.
-    pub fn validate(&self, num_hash_functions: u32) -> Result<()> {
+    pub(crate) fn validate(&self, num_hash_functions: u32) -> Result<()> {
         if self.bands == 0 || self.rows_per_band == 0 {
             return Err(IndexError::InvalidConfig(
                 "bands and rows_per_band must be positive".into(),
@@ -71,12 +64,11 @@ pub struct BandedIndex {
     config: BandingConfig,
     /// One bucket map per band: hashed band key → entities.
     buckets: Vec<HashMap<u64, Vec<EntityId>>>,
-    num_entities: usize,
 }
 
 impl BandedIndex {
     /// Builds the banded index from every entity's base-level signature.
-    pub fn build<F: CellHashFamily>(
+    pub(crate) fn build<F: CellHashFamily>(
         sp: &SpIndex,
         hasher: &HierarchicalHasher<F>,
         sequences: &std::collections::BTreeMap<EntityId, CellSetSequence>,
@@ -90,22 +82,7 @@ impl BandedIndex {
                 buckets[band as usize].entry(key).or_insert_with(Vec::new).push(entity);
             }
         }
-        Ok(BandedIndex { config, buckets, num_entities: sequences.len() })
-    }
-
-    /// The banding configuration.
-    pub fn config(&self) -> BandingConfig {
-        self.config
-    }
-
-    /// Number of indexed entities.
-    pub fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    /// Total number of non-empty buckets across all bands.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.iter().map(HashMap::len).sum()
+        Ok(BandedIndex { config, buckets })
     }
 
     /// The `(band, key)` pairs of a signature's base level.
@@ -130,7 +107,7 @@ impl BandedIndex {
     }
 
     /// The candidate entities colliding with a query signature in at least one band.
-    pub fn candidates(
+    pub(crate) fn candidates(
         &self,
         sig: &SignatureList,
         base_level: trace_model::Level,
@@ -259,16 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn config_validation_and_probability_curve() {
+    fn config_validation() {
         let config = BandingConfig { bands: 8, rows_per_band: 4 };
         assert!(config.validate(32).is_ok());
         assert!(config.validate(31).is_err());
         assert!(BandingConfig { bands: 0, rows_per_band: 4 }.validate(32).is_err());
-        // The S-curve: near-duplicates are almost always candidates, dissimilar
-        // entities almost never.
-        assert!(config.candidate_probability(0.95) > 0.99);
-        assert!(config.candidate_probability(0.05) < 0.01);
-        assert!(config.candidate_probability(0.5) > config.candidate_probability(0.2));
     }
 
     #[test]
@@ -276,8 +248,7 @@ mod tests {
         let (sp, traces) = paired_dataset(20);
         let index = MinSigIndex::build(&sp, &traces, IndexConfig::with_hash_functions(64)).unwrap();
         let banded = index.banded(BandingConfig { bands: 16, rows_per_band: 4 }).unwrap();
-        assert_eq!(banded.num_entities(), 40);
-        assert!(banded.num_buckets() > 0);
+        assert!(banded.buckets.iter().all(|band| !band.is_empty()));
         let measure = PaperAdm::default_for(2);
         for query in [0u64, 8, 23] {
             let (approx, stats) =

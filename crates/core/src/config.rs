@@ -28,7 +28,10 @@ pub enum HasherMode {
 /// Configuration of a [`MinSigIndex`](crate::index::MinSigIndex).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IndexConfig {
-    /// Number of hash functions (`nh`), i.e. the signature width.
+    /// Number of hash functions (`nh`), i.e. the signature width: at least 1
+    /// and at most 65 536 — 32 × the largest count any `experiments` scale
+    /// sweeps (2 000), and what bounds every allocation an index file's
+    /// header can ask for before its bytes back it.
     pub num_hash_functions: u32,
     /// Seed of the hash family (the index is fully deterministic given the seed).
     pub hash_seed: u64,
@@ -50,6 +53,9 @@ impl Default for IndexConfig {
     }
 }
 
+/// The ceiling of [`IndexConfig::num_hash_functions`].
+const MAX_HASH_FUNCTIONS: u32 = 1 << 16;
+
 impl IndexConfig {
     /// A configuration with a specific number of hash functions and defaults for
     /// everything else.
@@ -58,9 +64,15 @@ impl IndexConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.num_hash_functions == 0 {
             return Err(IndexError::InvalidConfig("num_hash_functions must be positive".into()));
+        }
+        if self.num_hash_functions > MAX_HASH_FUNCTIONS {
+            return Err(IndexError::InvalidConfig(format!(
+                "num_hash_functions is {} but may not exceed {MAX_HASH_FUNCTIONS}",
+                self.num_hash_functions
+            )));
         }
         if let Some(range) = self.hash_range {
             if range < 2 {
@@ -99,7 +111,7 @@ impl SchedulerConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.step_quantum == 0 {
             return Err(IndexError::InvalidConfig("step_quantum must be at least 1".into()));
         }
@@ -154,12 +166,11 @@ pub struct PlannerConfig {
     pub latency_budget_us: Option<u64>,
     /// The lowest expected recall a budget-forced sampled scan may be planned
     /// at (per shard): the planner never picks a sample rate whose
-    /// [`Synopsis::expected_scan_recall`] falls below this floor, even when
+    /// `Synopsis::expected_scan_recall` falls below this floor, even when
     /// the budget asks for less work.  Irrelevant while
     /// [`latency_budget_us`](Self::latency_budget_us) is `None`.  Must lie in
     /// `[0, 1]`.
     ///
-    /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
     pub recall_floor: f64,
 }
 
@@ -202,7 +213,7 @@ impl PlannerConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(0.0..=1.0).contains(&self.recall_floor) {
             return Err(IndexError::InvalidConfig("recall_floor must lie in [0, 1]".into()));
         }

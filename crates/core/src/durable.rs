@@ -145,7 +145,7 @@ pub fn encode_commit(batch_id: u64) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_sub_batch`].
-pub fn decode_sub_batch(payload: &[u8]) -> Result<(u64, Vec<PresenceInstance>)> {
+pub(crate) fn decode_sub_batch(payload: &[u8]) -> Result<(u64, Vec<PresenceInstance>)> {
     let mut c = Cursor::new(payload);
     let batch_id = c.u64()?;
     let count = c.u32()? as usize;
@@ -164,7 +164,7 @@ pub fn decode_sub_batch(payload: &[u8]) -> Result<(u64, Vec<PresenceInstance>)> 
 }
 
 /// Inverse of [`encode_commit`].
-pub fn decode_commit(payload: &[u8]) -> Result<u64> {
+pub(crate) fn decode_commit(payload: &[u8]) -> Result<u64> {
     let mut c = Cursor::new(payload);
     let batch_id = c.u64()?;
     c.expect_end()?;
@@ -339,11 +339,6 @@ impl DurableShardedMinSigIndex {
     pub fn next_batch_id(&self) -> u64 {
         self.next_batch_id
     }
-
-    /// Unwraps the in-memory sharded index, abandoning durability.
-    pub fn into_index(self) -> ShardedMinSigIndex {
-        self.index
-    }
 }
 
 #[cfg(test)]
@@ -516,10 +511,10 @@ mod tests {
         assert_eq!(durable.index().epochs(), epochs);
 
         // The non-durable flush of the same batch keeps every record for repair.
-        let mut index = durable.into_index();
+        let mut index = durable.index;
         let mut buffer: IngestBuffer = batch.iter().copied().collect();
         assert!(buffer.flush_sharded(&mut index).is_err());
-        assert_eq!(buffer.len(), batch.len());
+        assert_eq!(buffer.records().len(), batch.len());
         assert_eq!(index.epochs(), epochs);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,11 +1,14 @@
 //! The shared best-first top-k executor (Algorithm 2, Section 5.1), as a
 //! resumable frontier object.
 //!
-//! Every query path of the crate — exact in-memory ([`IndexSnapshot::top_k`]),
-//! paged ([`crate::paged`]), joins and batches ([`crate::join`]), sharded
-//! fan-out ([`crate::shard`]) — drives the single [`Executor`] in this module
-//! (the [`execute`] function is its run-to-completion convenience wrapper).
-//! The executor separates three concerns:
+//! Every tree search of the crate — exact in-memory ([`IndexSnapshot::top_k`]),
+//! paged ([`crate::paged`]), joins and batches ([`crate::join`]), the sharded
+//! fan-out's tree-search arm ([`crate::shard`]) — drives the single
+//! [`Executor`] in this module (the crate-private `execute` runs one to
+//! completion).  The flat paths — brute force, the planner's scan arms,
+//! [`crate::approximate`] — score through the arena scan
+//! ([`CandidateArena::scan_top_k`](crate::kernel::CandidateArena::scan_top_k))
+//! and share only the [`TopKHeap`].  The executor separates three concerns:
 //!
 //! * the **logical search** walks the [`MinSigTree`](crate::tree::MinSigTree)
 //!   topology (through its flat [`NodeArena`] rows) with a max-heap of
@@ -29,7 +32,7 @@
 //! ## The frontier lifecycle
 //!
 //! An [`Executor`] is built over a borrowed snapshot
-//! ([`Executor::new`], or [`IndexSnapshot::executor`] for the common
+//! (`Executor::new`, or [`IndexSnapshot::executor`] for the common
 //! in-memory case), holds the candidate frontier as state, and is advanced in
 //! *quanta*: each [`Executor::step`] call pops up to `quantum` frontier nodes,
 //! evaluates leaves through the source, and prunes against
@@ -94,10 +97,9 @@
 //! [`AssociationMeasure::upper_bound_into`]).
 //!
 //! Driving the executor directly (what [`IndexSnapshot::top_k`] does for you):
-//! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts,
-//! [`Executor::new`] takes the snapshot, the [`Query`] and any
-//! [`TraceSource`] — swap in a
-//! [`PagedArenaSource`](crate::paged::PagedArenaSource) and the same search
+//! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts;
+//! inside the crate the same constructor takes any [`TraceSource`] — with a
+//! [`PagedArenaSource`](crate::paged::PagedArenaSource) the same search
 //! answers from a disk-backed store; the logical search does not change.
 //!
 //! ```
@@ -162,7 +164,7 @@ pub trait TraceSource {
     fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64>;
 }
 
-/// [`execute`] borrows its source, so the caller can drain the source's
+/// `execute` borrows its source, so the caller can drain the source's
 /// counters once the search has finished.
 impl<T: TraceSource + ?Sized> TraceSource for &T {
     fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
@@ -227,7 +229,7 @@ pub struct SharedBound {
 
 impl SharedBound {
     /// Creates an empty bound (`-inf`: nothing known yet).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedBound { bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()) }
     }
 }
@@ -288,8 +290,8 @@ impl Ord for OrdF64 {
 /// A bounded top-k accumulator: the *single* place where "keep the k best
 /// (degree, entity) pairs" is implemented.
 ///
-/// The exact executor's leaf evaluation, the brute-force ground truth
-/// ([`crate::query::brute_force_top_k`]) and the approximate candidate scorer
+/// The exact executor's leaf evaluation, the flat arena scan behind the
+/// brute-force ground truth and the approximate candidate scorer
 /// ([`crate::approximate`]) all push through this type, so their tie-breaking
 /// and result ordering cannot drift apart.
 ///
@@ -320,19 +322,9 @@ impl TopKHeap {
         TopKHeap { k, heap: BinaryHeap::with_capacity(k.saturating_add(1)) }
     }
 
-    /// Number of answers currently held.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no answer is held yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// The current k-th best degree, or `-inf` while fewer than `k` answers
     /// are held (any candidate can still enter).
-    pub fn threshold(&self) -> f64 {
+    pub(crate) fn threshold(&self) -> f64 {
         if self.heap.len() < self.k {
             f64::NEG_INFINITY
         } else {
@@ -346,12 +338,12 @@ impl TopKHeap {
     /// *tying* the k-th degree could still displace the current k-th answer
     /// through the entity-id tie-break, so only `threshold > bound`
     /// saturates.
-    pub fn is_saturated_against(&self, bound: f64) -> bool {
+    pub(crate) fn is_saturated_against(&self, bound: f64) -> bool {
         self.k > 0 && self.heap.len() >= self.k && self.threshold() > bound
     }
 
     /// Offers one scored entity.  Returns `true` when the offer **raised**
-    /// [`threshold`](Self::threshold) — the k-th answer arrived, or the worst
+    /// `threshold` — the k-th answer arrived, or the worst
     /// kept answer gave way to a strictly larger degree — which is when an
     /// executor has something new to publish.
     pub fn offer(&mut self, entity: EntityId, degree: f64) -> bool {
@@ -391,32 +383,6 @@ impl TopKHeap {
         results.sort_by(|a, b| b.degree.total_cmp(&a.degree).then(a.entity.cmp(&b.entity)));
         results
     }
-}
-
-/// Scores an explicit candidate set against a query sequence through the
-/// shared [`TopKHeap`]; the common tail of the brute-force and approximate
-/// paths.  Returns the sorted top-k and the number of entities scored.
-pub(crate) fn scan_top_k<'a, M, I>(
-    candidates: I,
-    query: &CellSetSequence,
-    exclude: Option<EntityId>,
-    k: usize,
-    measure: &M,
-) -> (Vec<TopKResult>, usize)
-where
-    M: AssociationMeasure + ?Sized,
-    I: IntoIterator<Item = (EntityId, &'a CellSetSequence)>,
-{
-    let mut top = TopKHeap::new(k);
-    let mut checked = 0usize;
-    for (entity, seq) in candidates {
-        if Some(entity) == exclude {
-            continue;
-        }
-        checked += 1;
-        top.offer(entity, measure.degree(query, seq));
-    }
-    (top.into_sorted(), checked)
 }
 
 /// Merges independently computed exact top-k result lists into one global
@@ -583,7 +549,6 @@ where
 {
     tree: &'a NodeArena,
     exclude: Option<EntityId>,
-    k: usize,
     measure: &'a M,
     source: S,
     options: QueryOptions,
@@ -616,7 +581,7 @@ where
     /// `measure` and `options`.  Leaves are evaluated through `source`.  Fails
     /// with [`IndexError::LevelMismatch`] when the sequence does not have the
     /// tree's level count.
-    pub fn new(
+    pub(crate) fn new(
         snapshot: &'a IndexSnapshot,
         sequence: &'a CellSetSequence,
         exclude: Option<EntityId>,
@@ -651,7 +616,6 @@ where
         Ok(Executor {
             tree,
             exclude,
-            k,
             measure,
             source,
             options,
@@ -677,27 +641,11 @@ where
         self.exhausted
     }
 
-    /// The requested result size.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The executor's current local k-th-best degree (`-inf` while fewer
-    /// than `k` answers are held).
-    pub fn threshold(&self) -> f64 {
-        self.top.threshold()
-    }
-
-    /// The work counters accumulated so far.
-    pub fn stats(&self) -> &QueryStats {
-        &self.stats
-    }
-
     /// The trace source leaf evaluation reads through — lets fan-out drivers
     /// drain source-side accounting (e.g.
     /// [`ArenaSource::take_dispatch`](crate::kernel::ArenaSource::take_dispatch))
     /// before [`finish`](Self::finish).
-    pub fn source(&self) -> &S {
+    pub(crate) fn source(&self) -> &S {
         &self.source
     }
 
@@ -755,7 +703,7 @@ where
     /// deadline tripped first, in which case the frontier still holds the
     /// remaining work and the caller decides how to degrade.  `None` never
     /// trips, making `run_until(bound, q, None)` bit-for-bit `run(bound)`.
-    pub fn run_until<B: Bound + ?Sized>(
+    pub(crate) fn run_until<B: Bound + ?Sized>(
         &mut self,
         bound: &B,
         quantum: usize,
@@ -866,7 +814,7 @@ where
 /// The function is exact and tie-complete: it returns bitwise the same result
 /// as a brute-force sort-and-truncate over the same source (see the
 /// [module docs](crate::engine)).
-pub fn execute<S, M>(
+pub(crate) fn execute<S, M>(
     snapshot: &IndexSnapshot,
     sequence: &CellSetSequence,
     exclude: Option<EntityId>,
@@ -880,6 +828,34 @@ where
     let mut executor = Executor::new(snapshot, sequence, exclude, query, source)?;
     executor.run(&PrivateBound);
     Ok(executor.finish())
+}
+
+/// The owned-path reference scan the arena scan's unit tests compare against:
+/// scores an explicit candidate set through [`AssociationMeasure::degree`]
+/// (all levels, no fused kernel) and the shared [`TopKHeap`].  Returns the
+/// sorted top-k and the number of entities scored.
+#[cfg(test)]
+pub(crate) fn scan_top_k<'a, M, I>(
+    candidates: I,
+    query: &CellSetSequence,
+    exclude: Option<EntityId>,
+    k: usize,
+    measure: &M,
+) -> (Vec<TopKResult>, usize)
+where
+    M: AssociationMeasure + ?Sized,
+    I: IntoIterator<Item = (EntityId, &'a CellSetSequence)>,
+{
+    let mut top = TopKHeap::new(k);
+    let mut checked = 0usize;
+    for (entity, seq) in candidates {
+        if Some(entity) == exclude {
+            continue;
+        }
+        checked += 1;
+        top.offer(entity, measure.degree(query, seq));
+    }
+    (top.into_sorted(), checked)
 }
 
 #[cfg(test)]
@@ -953,11 +929,11 @@ mod tests {
     #[test]
     fn top_k_heap_keeps_the_best_k_with_stable_ties() {
         let mut top = TopKHeap::new(2);
-        assert!(top.is_empty());
+        assert!(top.heap.is_empty());
         assert_eq!(top.threshold(), f64::NEG_INFINITY);
         top.offer(EntityId(1), 0.5);
         top.offer(EntityId(2), 0.9);
-        assert_eq!(top.len(), 2);
+        assert_eq!(top.heap.len(), 2);
         // An equal-degree late-comer with a larger id ranks below the
         // incumbent and is rejected.
         top.offer(EntityId(3), 0.5);
@@ -1036,7 +1012,7 @@ mod tests {
     fn top_k_heap_with_k_zero_accepts_nothing() {
         let mut top = TopKHeap::new(0);
         top.offer(EntityId(1), 1.0);
-        assert!(top.is_empty());
+        assert!(top.heap.is_empty());
         assert!(top.into_sorted().is_empty());
     }
 

@@ -50,29 +50,6 @@ impl MinSigIndex {
         config.validate()?;
         let start = Instant::now();
         let sequences = traces.cell_sequences(sp)?;
-        Self::build_from_sequences(sp, sequences, traces.ticks_per_unit(), config, start)
-    }
-
-    /// Builds the index from already-materialised sequences (used by experiments
-    /// that reuse one dataset across many index configurations).
-    pub fn build_from_cell_sequences(
-        sp: &SpIndex,
-        sequences: BTreeMap<EntityId, CellSetSequence>,
-        ticks_per_unit: u64,
-        config: IndexConfig,
-    ) -> Result<Self> {
-        config.validate()?;
-        let start = Instant::now();
-        Self::build_from_sequences(sp, sequences, ticks_per_unit, config, start)
-    }
-
-    fn build_from_sequences(
-        sp: &SpIndex,
-        sequences: BTreeMap<EntityId, CellSetSequence>,
-        ticks_per_unit: u64,
-        config: IndexConfig,
-        start: Instant,
-    ) -> Result<Self> {
         let hash_range = config.hash_range.unwrap_or_else(|| default_hash_range(sp, &sequences));
         let family = SeededHashFamily::new(config.num_hash_functions, config.hash_seed, hash_range);
         let hasher = HierarchicalHasher::new(family, config.hasher_mode);
@@ -90,7 +67,7 @@ impl MinSigIndex {
         let snapshot = IndexSnapshot::from_parts(SnapshotParts {
             sp: sp.clone(),
             config,
-            ticks_per_unit,
+            ticks_per_unit: traces.ticks_per_unit(),
             hasher,
             tree,
             sequences,
@@ -126,7 +103,7 @@ impl MinSigIndex {
     /// returned handle triggers the usual copy-on-write if other `Arc`
     /// references are still alive, so existing readers of the snapshot are
     /// unaffected by whatever the new handle does.
-    pub fn from_snapshot(snapshot: Arc<IndexSnapshot>) -> MinSigIndex {
+    pub(crate) fn from_snapshot(snapshot: Arc<IndexSnapshot>) -> MinSigIndex {
         let mut index = MinSigIndex { snapshot, stats: IndexStats::default(), epoch: 0 };
         index.refresh_stats();
         index
@@ -231,7 +208,7 @@ impl MinSigIndex {
     /// [`crate::synopsis`]).  Copy-on-write like the mutation paths, but not
     /// a data mutation: the epoch does not advance and the recorded synopsis
     /// epoch stays at the current value.
-    pub fn set_synopsis_sketch_size(&mut self, m: usize) {
+    pub(crate) fn set_synopsis_sketch_size(&mut self, m: usize) {
         let epoch = self.epoch;
         Arc::make_mut(&mut self.snapshot).set_sketch_size(m, epoch);
     }

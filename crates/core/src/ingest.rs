@@ -14,7 +14,7 @@
 //! 2. **apply** (infallible by signature): for an entity already in the
 //!    index, the new sequence is the per-level union of the old and delta
 //!    sequences, and — because level sets distribute over unions — the new
-//!    signature is the element-wise minimum [`SignatureList::merge_min`] of
+//!    signature is the element-wise minimum `SignatureList::merge_min` of
 //!    the old signature and the signature of the **delta cells only**: no
 //!    previously ingested cell is ever re-hashed, and the result is
 //!    bit-identical to rebuilding from the merged trace;
@@ -107,11 +107,6 @@ impl IngestBuffer {
         IngestBuffer { pending: Vec::with_capacity(capacity) }
     }
 
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// True when no records are buffered.
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
@@ -123,7 +118,7 @@ impl IngestBuffer {
     }
 
     /// Discards all buffered records without applying them.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.pending.clear();
     }
 
@@ -375,7 +370,7 @@ mod tests {
         assert!(matches!(err, IndexError::Model(_)), "got {err:?}");
         // Nothing was applied, nothing was dropped.
         assert_eq!(index.epoch(), 0);
-        assert_eq!(buffer.len(), 2);
+        assert_eq!(buffer.records().len(), 2);
         assert!(Arc::ptr_eq(&before, &index.snapshot()), "snapshot must be untouched");
 
         buffer.clear();

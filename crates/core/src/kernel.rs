@@ -24,9 +24,9 @@
 //!   reads them, so interleaving them would only spread the cell rows out.
 //!
 //! Every vector is sized exactly (a counting pass precedes the copy), and
-//! [`CandidateArena::resident_bytes`] reports capacities, not lengths.
+//! `CandidateArena::resident_bytes` reports capacities, not lengths.
 //!
-//! On top of it, [`CandidateArena::degree_into`] fuses the per-level overlap
+//! On top of it, `CandidateArena::degree_into` fuses the per-level overlap
 //! loop: all levels of one candidate are scored against a pre-resolved
 //! [`QueryView`] without re-fetching the query or touching a map, with each
 //! per-level intersection dispatched through the branch-light / galloping /
@@ -44,7 +44,7 @@
 //! representation as the source of truth and rebuilds the arena whenever a
 //! mutation batch publishes a new snapshot — except pure single-entity
 //! inserts, which extend it incrementally via
-//! [`CandidateArena::absorb_insert`], mirroring how the planning synopsis
+//! `CandidateArena::absorb_insert`, mirroring how the planning synopsis
 //! absorbs inserts.  Conformance tests pin the invariant that makes this
 //! safe: arena-backed degrees are bitwise identical to the owned path,
 //! because both feed the measure the exact same integer overlap statistics.
@@ -77,7 +77,7 @@ pub use trace_model::kernel::{
 ///
 /// Every vector is allocated at its exact final size (`build` counts first,
 /// `absorb_insert` grows by exactly the inserted entity), so
-/// [`resident_bytes`](Self::resident_bytes) — which sums capacities — is what
+/// `resident_bytes` — which sums capacities — is what
 /// the allocator really holds.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateArena {
@@ -151,7 +151,12 @@ impl CandidateArena {
     ///
     /// # Panics
     /// Panics when the entity is already present (replacements rebuild).
-    pub fn absorb_insert(&mut self, entity: EntityId, seq: &CellSetSequence, sig: &SignatureList) {
+    pub(crate) fn absorb_insert(
+        &mut self,
+        entity: EntityId,
+        seq: &CellSetSequence,
+        sig: &SignatureList,
+    ) {
         let pos = match self.entities.binary_search(&entity) {
             Ok(_) => panic!("absorb_insert requires a new entity; replacements rebuild"),
             Err(p) => p,
@@ -218,12 +223,6 @@ impl CandidateArena {
         self.signatures.len()
     }
 
-    /// The signature stride (`nh`).
-    #[inline]
-    pub fn sig_width(&self) -> usize {
-        self.sig_width
-    }
-
     /// The arena row of an entity, or `None` when it is not indexed.
     #[inline]
     pub fn position(&self, entity: EntityId) -> Option<usize> {
@@ -254,7 +253,7 @@ impl CandidateArena {
 
     /// Resident heap footprint of the arena in bytes: the capacity of every
     /// vector, i.e. what the allocator holds for it.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         let signatures: usize = self.signatures.iter().map(Vec::capacity).sum();
         (self.cells.capacity() + signatures) * std::mem::size_of::<u64>()
             + self.signatures.capacity() * std::mem::size_of::<Vec<u64>>()
@@ -269,7 +268,7 @@ impl CandidateArena {
     /// Bitwise identical to `measure.degree(query, seq)` over the owned
     /// sequence: both paths hand the measure the exact same integer
     /// [`LevelStat`]s, and the float computation downstream is shared.
-    pub fn degree_into<M: AssociationMeasure + ?Sized>(
+    pub(crate) fn degree_into<M: AssociationMeasure + ?Sized>(
         &self,
         pos: usize,
         view: &QueryView<'_>,
@@ -300,7 +299,7 @@ impl CandidateArena {
     /// the hot loop gains only integer compares, no instrumentation inside
     /// the kernels) and counts it into `dispatch` — one per level up to and
     /// including the first empty one.
-    pub fn degree_into_tracked<M: AssociationMeasure + ?Sized>(
+    pub(crate) fn degree_into_tracked<M: AssociationMeasure + ?Sized>(
         &self,
         pos: usize,
         view: &QueryView<'_>,
@@ -312,7 +311,7 @@ impl CandidateArena {
         measure.degree_from_overlap(scratch)
     }
 
-    /// One-shot variant of [`degree_into`](Self::degree_into) that owns its
+    /// One-shot variant of `degree_into` that owns its
     /// scratch; convenient for isolated lookups.
     pub fn degree_at<M: AssociationMeasure + ?Sized>(
         &self,
@@ -375,7 +374,7 @@ impl CandidateArena {
 /// counterpart of the entity-side [`CandidateArena`].
 ///
 /// The tree executor's inner loop (node expansion) previously walked owned
-/// [`Node`] structs: a `Vec` index into a heap-allocated
+/// `Node` structs: a `Vec` index into a heap-allocated
 /// node, a `BTreeMap` iteration for the children, and a second node fetch per
 /// child to read its depth and routing value.  The node arena stores the
 /// topology the search needs as structure-of-arrays rows:
@@ -399,7 +398,7 @@ impl CandidateArena {
 /// whatever depth it sits: scoring a candidate is always sound, and the bound
 /// the row was admitted under is the subtree root's, which every descendant's
 /// bound could only have tightened.  Rows keep the relative order of their
-/// [`NodeId`]s in the owned tree (row 0 is the root), but the ids themselves
+/// `NodeId`s in the owned tree (row 0 is the root), but the ids themselves
 /// are the arena's own.
 ///
 /// Like the candidate arena it is **read-path only**: the owned tree stays
@@ -499,7 +498,7 @@ impl NodeArena {
 
     /// Number of sp-index levels the tree was built for.
     #[inline]
-    pub fn levels(&self) -> Level {
+    pub(crate) fn levels(&self) -> Level {
         self.levels
     }
 
@@ -551,7 +550,7 @@ impl NodeArena {
 
     /// Resident heap footprint of the node rows in bytes: the capacity of
     /// every vector (`build` sizes each exactly).
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.depth.capacity() * std::mem::size_of::<Level>()
             + self.routing_index.capacity() * std::mem::size_of::<u32>()
             + self.routing_value.capacity() * std::mem::size_of::<u64>()
@@ -636,7 +635,7 @@ impl<'a> QueryView<'a> {
 /// batch fan-outs run one source per executor per query — this removes the
 /// per-candidate allocation entirely), plus the per-query
 /// [`KernelDispatch`] accounting drained via
-/// [`take_dispatch`](Self::take_dispatch).  Both live in single-threaded
+/// `take_dispatch`.  Both live in single-threaded
 /// interior-mutability cells: an executor is driven by one worker at a time
 /// (`&mut` under the cooperative scheduler's mutex slots), so the source is
 /// `Send` but deliberately not `Sync`.
@@ -649,7 +648,7 @@ pub struct ArenaSource<'a> {
 
 impl<'a> ArenaSource<'a> {
     /// Creates a source scoring `arena`'s rows against `query`.
-    pub fn new(arena: &'a CandidateArena, query: &'a CellSetSequence) -> Self {
+    pub(crate) fn new(arena: &'a CandidateArena, query: &'a CellSetSequence) -> Self {
         ArenaSource {
             arena,
             view: QueryView::new(query),
@@ -660,7 +659,7 @@ impl<'a> ArenaSource<'a> {
 
     /// Drains the per-kernel dispatch counts accumulated since the last call
     /// (or construction), leaving the counters at zero.
-    pub fn take_dispatch(&self) -> KernelDispatch {
+    pub(crate) fn take_dispatch(&self) -> KernelDispatch {
         self.dispatch.take()
     }
 }
@@ -714,7 +713,7 @@ mod tests {
         let arena = CandidateArena::build(2, 8, &sequences, &signatures);
         assert_eq!(arena.len(), 5);
         assert_eq!(arena.num_levels(), 2);
-        assert_eq!(arena.sig_width(), 8);
+        assert_eq!(arena.sig_width, 8);
         for (pos, (&entity, seq)) in sequences.iter().enumerate() {
             assert_eq!(arena.position(entity), Some(pos));
             for level in 1..=2 {
@@ -947,7 +946,7 @@ mod tests {
     #[test]
     fn node_arena_mirrors_the_owned_tree() {
         fn below(tree: &MinSigTree, id: NodeId) -> Vec<EntityId> {
-            let node = tree.node(id);
+            let node = &tree.nodes()[id as usize];
             let mut all = node.entities.clone();
             all.extend(node.children.values().flat_map(|&child| below(tree, child)));
             all
@@ -968,7 +967,7 @@ mod tests {
         let mut pending = vec![(ROOT, ROOT)];
         while let Some((id, row)) = pending.pop() {
             rows_by_id.push((id, row));
-            let node = tree.node(id);
+            let node = &tree.nodes()[id as usize];
             assert_eq!(arena.depth(row), node.depth);
             assert_eq!(arena.routing_index(row), node.routing_index);
             assert_eq!(arena.routing_value(row), node.routing_value);

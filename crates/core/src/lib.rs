@@ -22,8 +22,7 @@
 //! ## The query engine
 //!
 //! All query processing funnels through **one** resumable best-first executor
-//! ([`engine::Executor`]; [`engine::execute`] is its run-to-completion
-//! wrapper): a candidate frontier ordered by Theorem-4 upper bounds,
+//! ([`engine::Executor`]): a candidate frontier ordered by Theorem-4 upper bounds,
 //! per-level overlap caps tightened down each branch, and strict
 //! (tie-complete) k-th-best early termination (Section 5.1) against a
 //! pluggable [`engine::Bound`] — private for single-tree searches, an atomic
@@ -143,18 +142,14 @@ pub use ingest::{IngestBuffer, IngestReport};
 pub use join::{JoinOptions, JoinRow, JoinStats};
 pub use kernel::{ArenaSource, CandidateArena, NodeArena, QueryView};
 pub use paged::{PagedArenaSource, PagedShardedSnapshot};
-pub use persist::{INDEX_MAGIC, INDEX_VERSION};
-pub use plan::{
-    sample_includes, BatchGroup, BatchPlan, PageEstimate, QueryPlan, ShardDecision, ShardPlan,
-};
+pub use persist::INDEX_MAGIC;
+pub use plan::{BatchGroup, BatchPlan, PageEstimate, QueryPlan, ShardDecision, ShardPlan};
 pub use query::{Query, QueryOptions, TopKResult};
 pub use shard::{
     shard_of, ShardedIngestReport, ShardedMinSigIndex, ShardedSnapshot, PARTITION_VERSION,
-    SHARD_MANIFEST_MAGIC, SHARD_MANIFEST_VERSION,
+    SHARD_MANIFEST_MAGIC,
 };
-pub use signature::{
-    CellHashFamily, HierarchicalHasher, SeededHashFamily, SignatureList, TableHashFamily,
-};
+pub use signature::{CellHashFamily, HierarchicalHasher, SeededHashFamily, SignatureList};
 pub use snapshot::IndexSnapshot;
 pub use stats::{DegradationReport, IndexStats, KernelDispatch, QueryStats};
 pub use synopsis::{Synopsis, DEFAULT_SKETCH_SIZE};

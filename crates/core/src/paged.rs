@@ -75,7 +75,6 @@ use crate::shard::ShardedSnapshot;
 use crate::snapshot::IndexSnapshot;
 use crate::stats::{KernelDispatch, QueryStats};
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 use trace_model::ajpi::LevelOverlap;
@@ -109,7 +108,7 @@ struct Scratch {
 ///
 /// Like `ArenaSource`, the scratch and the per-query counters live in a
 /// single-threaded cell: the source is `Send` but deliberately not `Sync`,
-/// one per executor.  [`drain_into`](Self::drain_into) moves the counters
+/// one per executor.  `drain_into` moves the counters
 /// into the query's stats.
 pub struct PagedArenaSource<'a> {
     store: &'a PagedTraceStore,
@@ -122,7 +121,7 @@ pub struct PagedArenaSource<'a> {
 
 impl<'a> PagedArenaSource<'a> {
     /// Creates a source reading `store` through `pool` for one query sequence.
-    pub fn new(
+    pub(crate) fn new(
         store: &'a PagedTraceStore,
         pool: &'a BufferPool<'a>,
         sp: &'a SpIndex,
@@ -135,7 +134,7 @@ impl<'a> PagedArenaSource<'a> {
 
     /// Adds the kernel-dispatch and buffer-pool counters accumulated since
     /// the last call (or construction) to `stats`, leaving them at zero.
-    pub fn drain_into(&self, stats: &mut QueryStats) {
+    pub(crate) fn drain_into(&self, stats: &mut QueryStats) {
         let scratch = &mut *self.scratch.borrow_mut();
         stats.kernel_dispatch.absorb(std::mem::take(&mut scratch.dispatch));
         stats.absorb_io(std::mem::take(&mut scratch.io));
@@ -310,7 +309,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let seq = self.query_sequence(entity)?;
-        drive::run(&self.access(&seq, entity), query, false)
+        drive::run(&self.access(seq, entity), query, false)
     }
 
     /// Answers every query of a batch in parallel, input order preserved,
@@ -341,7 +340,7 @@ impl<'a> PagedShardedSnapshot<'a> {
             .par_iter()
             .map(|&entity| {
                 let seq = self.query_sequence(entity)?;
-                drive::run(&self.access(&seq, entity), query, false)
+                drive::run(&self.access(seq, entity), query, false)
             })
             .collect();
         answers.into_iter().collect()
@@ -360,7 +359,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         let query = Query { options: options.query, ..Query::new(options.k, measure) };
         Ok(join_probes(probes, options.threads, |probe| {
             let seq = self.query_sequence(probe).ok()?;
-            let (matches, stats) = drive::run(&self.access(&seq, probe), &query, false).ok()?;
+            let (matches, stats) = drive::run(&self.access(seq, probe), &query, false).ok()?;
             Some(JoinRow { probe, matches, stats })
         }))
     }
@@ -379,7 +378,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
         let seq = self.query_sequence(query)?;
-        drive::explain(&self.access(&seq, query), &Query { planner, ..Query::new(k, measure) })
+        drive::explain(&self.access(seq, query), &Query { planner, ..Query::new(k, measure) })
     }
 
     /// A fresh source (own scratch, zeroed counters) scoring against `query`.
@@ -399,24 +398,12 @@ impl<'a> PagedShardedSnapshot<'a> {
         PagedAccess { paged: self, sequence, entity, source: self.source(sequence) }
     }
 
-    /// The query entity's sequence: from the snapshot's in-memory map when
-    /// materialised, read through the pool for an indexed but sequence-free
-    /// entity.  Error parity with the in-memory path: an entity the snapshot
-    /// does not index is [`IndexError::UnknownQueryEntity`], whatever the
-    /// store holds.
-    fn query_sequence(&self, query: EntityId) -> Result<Cow<'a, CellSetSequence>> {
-        if let Some(seq) = self.snapshot.sequence(query) {
-            return Ok(Cow::Borrowed(seq));
-        }
-        if self.snapshot.contains(query) {
-            let probe = &self.snapshot.shard_snapshots()[0];
-            let trace = self
-                .store
-                .read_trace(self.pool, query)
-                .ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-            return Ok(Cow::Owned(trace.cell_sequence(probe.sp_index(), probe.ticks_per_unit())?));
-        }
-        Err(IndexError::UnknownQueryEntity(query.raw()))
+    /// The query entity's sequence, from the snapshot's in-memory map (an
+    /// indexed entity always has one).  Error parity with the in-memory
+    /// path: an entity the snapshot does not index is
+    /// [`IndexError::UnknownQueryEntity`], whatever the store holds.
+    fn query_sequence(&self, query: EntityId) -> Result<&'a CellSetSequence> {
+        self.snapshot.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))
     }
 }
 

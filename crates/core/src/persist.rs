@@ -1,9 +1,10 @@
-//! Durability for the MinSigTree index: [`IndexSnapshot::save`] /
-//! [`IndexSnapshot::open`] and their [`MinSigIndex`] delegates.
+//! Durability for the MinSigTree index: [`MinSigIndex::save`] /
+//! [`MinSigIndex::open`], over the snapshot's own `save` / `open` /
+//! [`to_bytes`](IndexSnapshot::to_bytes).
 //!
 //! A persisted index is one segment file in the checksummed, length-prefixed
 //! format of [`trace_storage::segment`] (magic [`INDEX_MAGIC`], version
-//! [`INDEX_VERSION`]).  The file stores everything a restarted process needs
+//! `INDEX_VERSION` = 3).  The file stores everything a restarted process needs
 //! to answer queries **bit-identically** to the index that was saved, without
 //! re-hashing a single cell:
 //!
@@ -21,7 +22,7 @@
 //! log records *newer* than this LSN, and because the LSN travels inside the
 //! atomically renamed file it can never disagree with the state it
 //! describes — a crash between a checkpoint and its log truncation cannot
-//! double-apply a batch.  A non-durable [`save`](IndexSnapshot::save) writes
+//! double-apply a batch.  A non-durable [`save`](MinSigIndex::save) writes
 //! LSN 0.  **Version 2** added the `SYN` segment so a reopened index plans
 //! sharded queries immediately — including a non-default synopsis sketch
 //! size chosen at build time — without recomputing anything.  Version-1 and
@@ -31,7 +32,7 @@
 //!
 //! Per-level sequences are *not* stored: they are cheap, deterministic
 //! projections of the base cells ([`CellSetSequence::from_base_cells`]), so
-//! [`open`](IndexSnapshot::open) recomputes them in one linear pass.  The
+//! [`open`](MinSigIndex::open) recomputes them in one linear pass.  The
 //! signatures — the only expensive-to-recompute state — are stored verbatim,
 //! and the tree is stored structurally rather than rebuilt so that lower-bound
 //! routing values left behind by [`remove_entity`] survive a restart exactly.
@@ -65,7 +66,7 @@ pub const INDEX_MAGIC: [u8; 4] = *b"MSIX";
 /// added the `WAL` checkpoint-LSN segment, version 2 the `SYN`
 /// planning-synopsis segment; older files still open (missing segments fall
 /// back to a computed synopsis and checkpoint LSN 0).
-pub const INDEX_VERSION: u16 = 3;
+pub(crate) const INDEX_VERSION: u16 = 3;
 
 const TAG_META: u32 = 1;
 const TAG_SP: u32 = 2;
@@ -91,7 +92,7 @@ impl IndexSnapshot {
     /// renamed into place, so a crash mid-save never clobbers an existing
     /// file.  A saved-then-[`open`](IndexSnapshot::open)ed snapshot answers
     /// every query bit-identically to this one.
-    pub fn save(&self, path: &Path) -> Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> Result<()> {
         segment::atomic_write(path, INDEX_MAGIC, INDEX_VERSION, |writer| {
             self.write_segments(writer, 0)
         })?;
@@ -99,11 +100,10 @@ impl IndexSnapshot {
     }
 
     /// Serialises this snapshot into an in-memory buffer holding exactly the
-    /// bytes [`save`](IndexSnapshot::save) would write to disk.
+    /// bytes [`MinSigIndex::save`] would write to disk.
     ///
     /// Used by the sharded save ([`crate::shard`]) to digest each shard file
-    /// without writing it first and reading it back; pair with
-    /// [`open_from_bytes`](IndexSnapshot::open_from_bytes).
+    /// without writing it first and reading it back.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
         self.to_bytes_with_lsn(0)
     }
@@ -146,25 +146,20 @@ impl IndexSnapshot {
     /// structural invariant is verified: a truncated, bit-flipped or
     /// otherwise damaged file yields [`IndexError::Corrupt`] (or
     /// [`IndexError::Io`]), never a partially loaded index.
-    pub fn open(path: &Path) -> Result<IndexSnapshot> {
+    pub(crate) fn open(path: &Path) -> Result<IndexSnapshot> {
         Ok(Self::open_reader(segment::open_file(path, INDEX_MAGIC, INDEX_VERSION)?)?.0)
     }
 
     /// Loads a snapshot from an in-memory buffer previously produced by
     /// [`to_bytes`](IndexSnapshot::to_bytes) (or read verbatim from a
     /// [`save`](IndexSnapshot::save)d file), with exactly the same
-    /// verification as [`open`](IndexSnapshot::open).
+    /// verification as [`open`](IndexSnapshot::open), also returning the
+    /// buffer's WAL checkpoint LSN (0 for files older than format version 3
+    /// and for non-durable saves) — the recovery hook.
     ///
     /// Lets a caller that must authenticate the bytes first (the sharded
     /// open's manifest digest check) parse the *verified* buffer instead of
     /// re-reading the file — no window for the file to change in between.
-    pub fn open_from_bytes(bytes: &[u8]) -> Result<IndexSnapshot> {
-        Ok(Self::open_from_bytes_with_lsn(bytes)?.0)
-    }
-
-    /// [`open_from_bytes`](IndexSnapshot::open_from_bytes), also returning
-    /// the buffer's WAL checkpoint LSN (0 for files older than format version
-    /// 3 and for non-durable saves) — the recovery hook.
     pub(crate) fn open_from_bytes_with_lsn(bytes: &[u8]) -> Result<(IndexSnapshot, u64)> {
         Self::open_reader(segment::SegmentReader::new(bytes, INDEX_MAGIC, INDEX_VERSION)?)
     }
@@ -393,15 +388,17 @@ impl IndexSnapshot {
 }
 
 impl MinSigIndex {
-    /// Persists the current snapshot of the index to `path`; see
-    /// [`IndexSnapshot::save`].
+    /// Persists the current snapshot of the index to `path`, atomically, in
+    /// the format of the [module docs](crate::persist).
     pub fn save(&self, path: &Path) -> Result<()> {
         IndexSnapshot::save(self, path)
     }
 
     /// Opens a previously [`save`](MinSigIndex::save)d index as a fresh
     /// mutable handle (epoch 0, build statistics describing the load rather
-    /// than the original build); see [`IndexSnapshot::open`].
+    /// than the original build).  Every checksum, count and structural
+    /// invariant is verified: a damaged file is an error, never a partially
+    /// loaded index.
     pub fn open(path: &Path) -> Result<MinSigIndex> {
         let start = Instant::now();
         Ok(MinSigIndex::loaded(IndexSnapshot::open(path)?, 0, start))
@@ -637,6 +634,10 @@ fn corrupt(msg: &str) -> IndexError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{
+        file_digest, ShardedMinSigIndex, PARTITION_VERSION, SHARD_MANIFEST_FILE,
+        SHARD_MANIFEST_MAGIC, SHARD_MANIFEST_VERSION, TAG_MANIFEST,
+    };
     use trace_model::{Period, PresenceInstance, SpIndex, TraceSet};
 
     fn sample_index(entities: u64) -> (SpIndex, TraceSet, MinSigIndex) {
@@ -831,6 +832,59 @@ mod tests {
         let (_, lsn) = IndexSnapshot::open_from_bytes_with_lsn(&saved).unwrap();
         assert_eq!(lsn, 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// ROADMAP 7(d): `num_hash_functions` sizes the seed table and every
+    /// signature row, so a `META` claiming `u32::MAX` of them — CRC valid —
+    /// must be refused before anything is reserved for it, whether entity
+    /// chunks follow or the file indexes no entity at all.  (Finishing under
+    /// the test's memory is the assertion: the seeds alone would be 32 GiB.)
+    #[test]
+    fn absurd_hash_function_count_is_an_error_not_an_allocation() {
+        let (sp, _traces, populated) = sample_index(12);
+        let empty = MinSigIndex::build(&sp, &TraceSet::new(60), populated.config()).unwrap();
+        for (name, index) in [("populated", &populated), ("empty", &empty)] {
+            let valid = index.to_bytes().unwrap();
+            let mut reader =
+                segment::SegmentReader::new(valid.as_slice(), INDEX_MAGIC, INDEX_VERSION).unwrap();
+            let mut writer =
+                segment::SegmentWriter::new(Vec::new(), INDEX_MAGIC, INDEX_VERSION).unwrap();
+            while let Some((tag, mut payload)) = reader.next_segment().unwrap() {
+                if tag == TAG_META {
+                    // num_hash_functions follows ticks_per_unit (8 bytes).
+                    payload[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+                }
+                writer.write_segment(tag, &payload).unwrap();
+            }
+            let doctored = writer.finish().unwrap();
+
+            let path = temp_path(&format!("absurd-nh-{name}.msix"));
+            std::fs::write(&path, &doctored).unwrap();
+            assert!(IndexSnapshot::open(&path).is_err(), "{name}: snapshot open");
+            assert!(MinSigIndex::open(&path).is_err(), "{name}: index open");
+            std::fs::remove_file(&path).unwrap();
+
+            // The same image as the one shard of a directory whose manifest
+            // vouches for it, so the sharded open gets as far as parsing it.
+            let dir = temp_path(&format!("absurd-nh-{name}-sharded"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(ShardedMinSigIndex::shard_file_name(0)), &doctored).unwrap();
+            let mut manifest = Vec::new();
+            manifest.extend_from_slice(&PARTITION_VERSION.to_le_bytes());
+            manifest.extend_from_slice(&1u32.to_le_bytes());
+            manifest.extend_from_slice(&(index.num_entities() as u64).to_le_bytes());
+            manifest.extend_from_slice(&file_digest(&doctored).to_le_bytes());
+            segment::atomic_write(
+                &dir.join(SHARD_MANIFEST_FILE),
+                SHARD_MANIFEST_MAGIC,
+                SHARD_MANIFEST_VERSION,
+                |w| w.write_segment(TAG_MANIFEST, &manifest),
+            )
+            .unwrap();
+            let err = ShardedMinSigIndex::open(&dir).unwrap_err();
+            assert!(matches!(err, IndexError::InvalidConfig(_)), "{name}: sharded open: {err:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

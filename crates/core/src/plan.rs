@@ -11,7 +11,7 @@
 //!    k-th-best degree `G` (any `≥ k`-subset's k-th best is `≤ G`), and the
 //!    search starts from that bar instead of `-inf`;
 //! 2. **shard skipping** — a shard whose synopsis
-//!    [`degree_upper_bound`](Synopsis::degree_upper_bound) is *strictly
+//!    `degree_upper_bound` is *strictly
 //!    below* the seed provably holds no top-k entity (every member's degree
 //!    `≤ upper < seed ≤ G`), so the query never touches it — the same
 //!    certain-answer separation the consistent-query-answering literature
@@ -55,9 +55,9 @@
 //! admitted shards to [`ShardDecision::ApproximateScan`]: a deterministic
 //! sampled flat scan that always scores the shard's hot-sketch entities and
 //! includes each remaining member with probability `rate`
-//! ([`sample_includes`] is a pure hash of the entity id, so the sample is
+//! (`sample_includes` is a pure hash of the entity id, so the sample is
 //! identical across runs and machines).  The rate is never chosen below what
-//! [`Synopsis::min_rate_for_recall`] demands for
+//! `Synopsis::min_rate_for_recall` demands for
 //! [`PlannerConfig::recall_floor`], and a shard whose floor rate reaches 1.0
 //! simply stays exact.  **A plan whose exact cost fits the budget is never
 //! degraded** — exactness is the default, approximation the forced
@@ -79,7 +79,6 @@
 //! [`ShardedSnapshot::explain`]: crate::shard::ShardedSnapshot::explain
 //! [`PlannerConfig::latency_budget_us`]: crate::config::PlannerConfig::latency_budget_us
 //! [`PlannerConfig::recall_floor`]: crate::config::PlannerConfig::recall_floor
-//! [`Synopsis::min_rate_for_recall`]: crate::synopsis::Synopsis::min_rate_for_recall
 
 use crate::config::PlannerConfig;
 use crate::drive::ShardAccess;
@@ -109,7 +108,7 @@ pub enum ShardDecision {
     /// The exact plan does not fit the latency budget: the shard is answered
     /// by a **deterministic sampled scan** — every hot-sketch entity plus
     /// each remaining member with probability `rate` (a pure hash of the
-    /// entity id, [`sample_includes`]) is scored exactly; the rest are never
+    /// entity id, `sample_includes`) is scored exactly; the rest are never
     /// touched.  The only decision that can change an answer, which is why
     /// it is taken only under an explicit
     /// [`latency_budget_us`](crate::config::PlannerConfig::latency_budget_us)
@@ -201,22 +200,6 @@ impl QueryPlan {
     /// The admitted shards in driving order (most promising first).
     pub fn admitted(&self) -> impl Iterator<Item = &ShardPlan> {
         self.shards.iter().filter(|s| s.decision != ShardDecision::Skip)
-    }
-
-    /// Number of shards the budget forced onto the sampled (approximate)
-    /// access path.  0 whenever the exact plan fits the budget — and always
-    /// 0 with no budget set.
-    pub fn shards_approximate(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| matches!(s.decision, ShardDecision::ApproximateScan { .. }))
-            .count()
-    }
-
-    /// True when every admitted shard runs an exact access path: the plan's
-    /// answer is bitwise identical to the unbudgeted plan's.
-    pub fn is_exact(&self) -> bool {
-        self.shards_approximate() == 0
     }
 
     /// Renders the plan for humans: the seed, then one line per shard in
@@ -515,7 +498,7 @@ fn exact_cost_ns(plan: &ShardPlan, ns_per_degree: u64, miss_latency_us: u64) -> 
 /// of the hash range.  Pure — the same entity is in or out of the sample at
 /// a given rate on every run, every shard and every machine, which keeps
 /// degraded answers reproducible.
-pub fn sample_includes(entity: EntityId, rate: f64) -> bool {
+pub(crate) fn sample_includes(entity: EntityId, rate: f64) -> bool {
     if rate >= 1.0 {
         return true;
     }
@@ -670,6 +653,20 @@ pub(crate) fn plan_batch<'q, M: AssociationMeasure + ?Sized>(
 }
 
 #[cfg(test)]
+impl QueryPlan {
+    /// Number of shards the budget forced onto the sampled (approximate)
+    /// access path.  0 whenever the exact plan fits the budget, and always
+    /// with no budget set: every admitted shard then runs an exact access
+    /// path and the answer is bitwise identical to the unbudgeted plan's.
+    fn shards_approximate(&self) -> usize {
+        self.shards
+            .iter()
+            .filter(|s| matches!(s.decision, ShardDecision::ApproximateScan { .. }))
+            .count()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
@@ -742,7 +739,11 @@ mod tests {
         let exact = plan_of(&shards, &query, 3, &w, PlannerConfig::default());
         let budgeted =
             plan_of(&shards, &query, 3, &w, PlannerConfig::with_budget(u64::MAX / 2_000));
-        assert!(budgeted.is_exact(), "a non-binding budget must not degrade anything");
+        assert_eq!(
+            budgeted.shards_approximate(),
+            0,
+            "a non-binding budget must not degrade anything"
+        );
         let decisions =
             |p: &QueryPlan| p.shards.iter().map(|s| (s.shard, s.decision)).collect::<Vec<_>>();
         assert_eq!(decisions(&exact), decisions(&budgeted));
@@ -787,7 +788,7 @@ mod tests {
         // help, so even an impossible budget leaves the plan exact.
         let config = PlannerConfig::with_budget_and_floor(1, 1.0);
         let plan = plan_of(&shards, &query, 3, &w, config);
-        assert!(plan.is_exact(), "a 1.0 recall floor forbids all sampling");
+        assert_eq!(plan.shards_approximate(), 0, "a 1.0 recall floor forbids all sampling");
     }
 
     #[test]

@@ -1,19 +1,14 @@
-//! Top-k query results, options and the brute-force ground truth.
+//! Top-k query results, options and the request value.
 //!
 //! The best-first search itself (Algorithm 2, Section 5.1) lives in
 //! [`crate::engine`]; this module holds the vocabulary types shared by every
 //! query path — [`TopKResult`], [`QueryOptions`] and the one request value
-//! [`Query`] — plus the brute-force evaluator that tests and baselines compare
-//! against.  Both the executor's
-//! leaf evaluation and [`brute_force_top_k`] select their answers through the
-//! same [`TopKHeap`](crate::engine::TopKHeap), so exact-verification logic
-//! exists once.
+//! [`Query`].
 
 use crate::config::{PlannerConfig, SchedulerConfig};
-use crate::engine;
 use crate::error::Result;
 use serde::{Deserialize, Serialize};
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
+use trace_model::EntityId;
 
 /// One answer of a top-k query.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,23 +93,6 @@ impl<M: ?Sized> Clone for Query<'_, M> {
 
 impl<M: ?Sized> Copy for Query<'_, M> {}
 
-/// Brute-force evaluation of a top-k query over an explicit collection of
-/// sequences; the ground truth used by tests and by the scan baseline.
-///
-/// Shares its top-k selection (tie-breaking included) with the best-first
-/// executor via [`TopKHeap`](crate::engine::TopKHeap).
-pub fn brute_force_top_k<M: AssociationMeasure + ?Sized>(
-    sequences: &std::collections::BTreeMap<EntityId, CellSetSequence>,
-    query: &CellSetSequence,
-    exclude: Option<EntityId>,
-    k: usize,
-    measure: &M,
-) -> Vec<TopKResult> {
-    let (results, _) =
-        engine::scan_top_k(sequences.iter().map(|(e, s)| (*e, s)), query, exclude, k, measure);
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,16 +102,5 @@ mod tests {
         let o = QueryOptions::default();
         assert!(o.use_level_constraints);
         assert!(o.accumulate_down_branch);
-    }
-
-    #[test]
-    fn brute_force_of_empty_map_is_empty() {
-        let sequences = std::collections::BTreeMap::new();
-        let sp = trace_model::SpIndex::uniform(2, &[2]).unwrap();
-        let query =
-            trace_model::CellSetSequence::from_base_cells(&sp, &trace_model::CellSet::new())
-                .unwrap();
-        let measure = trace_model::DiceAdm::uniform(2);
-        assert!(brute_force_top_k(&sequences, &query, None, 5, &measure).is_empty());
     }
 }

@@ -125,7 +125,7 @@ pub const SHARD_MANIFEST_MAGIC: [u8; 4] = *b"MSHD";
 /// payload layout is unchanged across all three versions, and older
 /// directories still open — their shards fall back exactly as unsharded
 /// `MSIX` files do.
-pub const SHARD_MANIFEST_VERSION: u16 = 3;
+pub(crate) const SHARD_MANIFEST_VERSION: u16 = 3;
 /// File name of the manifest inside a sharded-index directory.
 pub const SHARD_MANIFEST_FILE: &str = "manifest.mshd";
 /// Version of the [`shard_of`] partitioning function recorded in the
@@ -133,7 +133,7 @@ pub const SHARD_MANIFEST_FILE: &str = "manifest.mshd";
 /// written under a different partitioner rather than silently mis-routing.
 pub const PARTITION_VERSION: u32 = 1;
 
-const TAG_MANIFEST: u32 = 1;
+pub(crate) const TAG_MANIFEST: u32 = 1;
 
 /// The stable partitioning function: which shard owns `entity` among
 /// `num_shards`.
@@ -260,7 +260,7 @@ impl ShardedMinSigIndex {
     }
 
     /// The shard owning `entity` under this index's shard count.
-    pub fn shard_of_entity(&self, entity: EntityId) -> usize {
+    fn shard_of_entity(&self, entity: EntityId) -> usize {
         shard_of(entity, self.shards.len())
     }
 
@@ -269,34 +269,10 @@ impl ShardedMinSigIndex {
         self.shards.iter().map(|s| s.num_entities()).sum()
     }
 
-    /// True when the entity is indexed (in its home shard — an entity can
-    /// never legally live anywhere else).
-    pub fn contains(&self, entity: EntityId) -> bool {
-        self.shards[self.shard_of_entity(entity)].contains(entity)
-    }
-
-    /// The materialised sequence of an indexed entity.
-    pub fn sequence(&self, entity: EntityId) -> Option<&CellSetSequence> {
-        self.shards[self.shard_of_entity(entity)].sequence(entity)
-    }
-
-    /// The configuration the shards were built with (shared across shards by
-    /// [`build`](Self::build); shards opened from disk carry it per `MSIX`
-    /// file).
-    pub fn config(&self) -> IndexConfig {
-        self.shards[0].config()
-    }
-
     /// The per-shard epoch vector: element `i` counts the mutation batches
     /// shard `i` has applied since this handle was built or opened.
     pub fn epochs(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.epoch()).collect()
-    }
-
-    /// Total mutation batches applied across all shards (the sum of
-    /// [`epochs`](Self::epochs)); a convenient single staleness number.
-    pub fn epoch(&self) -> u64 {
-        self.shards.iter().map(|s| s.epoch()).sum()
     }
 
     /// Captures one consistent cross-shard snapshot: every shard's current
@@ -363,7 +339,7 @@ impl ShardedMinSigIndex {
     }
 
     /// Rebuilds every shard's planning synopsis with sketch size `m`; see
-    /// [`MinSigIndex::set_synopsis_sketch_size`].
+    /// `MinSigIndex::set_synopsis_sketch_size`.
     pub fn set_synopsis_sketch_size(&mut self, m: usize) {
         for shard in &mut self.shards {
             shard.set_synopsis_sketch_size(m);
@@ -424,11 +400,6 @@ impl ShardedSnapshot {
     /// Total number of indexed entities across all shards.
     pub fn num_entities(&self) -> usize {
         self.shards.iter().map(|s| s.num_entities()).sum()
-    }
-
-    /// True when the entity is indexed in its home shard.
-    pub fn contains(&self, entity: EntityId) -> bool {
-        self.shards[shard_of(entity, self.shards.len())].contains(entity)
     }
 
     /// The materialised sequence of an indexed entity.
@@ -986,7 +957,7 @@ fn remove_orphan_shard_files(dir: &Path, num_shards: usize) -> Result<()> {
 /// re-saving over an existing directory — each file is individually intact,
 /// but the directory mixes old and new shard files; the manifest's digests
 /// (written last, atomically) detect exactly that.
-fn file_digest(bytes: &[u8]) -> u64 {
+pub(crate) fn file_digest(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes {
         hash ^= u64::from(byte);
@@ -1114,7 +1085,9 @@ mod tests {
             // Find an absent id routing to this shard.
             let ghost = (10_000..)
                 .map(EntityId)
-                .find(|&e| shard_of(e, sharded.num_shards()) == shard && !sharded.contains(e))
+                .find(|&e| {
+                    shard_of(e, sharded.num_shards()) == shard && !sharded.shard(shard).contains(e)
+                })
                 .unwrap();
             let epochs_before = sharded.epochs();
             let raw = ghost.raw();
@@ -1185,7 +1158,7 @@ mod tests {
         assert!(matches!(err, IndexError::Model(_)), "got {err:?}");
         assert_eq!(sharded.epochs(), vec![0, 0, 0], "no shard may be touched");
         assert_eq!(sharded.num_entities(), entities_before);
-        assert_eq!(buffer.len(), 7, "the buffer keeps every record for repair");
+        assert_eq!(buffer.records().len(), 7, "the buffer keeps every record for repair");
     }
 
     #[test]
@@ -1211,7 +1184,7 @@ mod tests {
         assert_eq!(reader.epochs(), &[0, 0, 0]);
 
         sharded.ingest_batch(w.stream(StreamConfig::default())).unwrap();
-        assert!(sharded.epoch() > 0);
+        assert!(sharded.epochs().iter().sum::<u64>() > 0);
         // The held snapshot is frozen: old epoch vector, old answers.
         assert_eq!(reader.epochs(), &[0, 0, 0]);
         assert_eq!(reader.top_k(EntityId(0), 3, &measure).unwrap().0, before);

@@ -12,8 +12,8 @@
 //! Two hash constructions are provided (see [`HasherMode`]): the paper's exact
 //! min-over-children rule and a scalable `PathMax` rule; both satisfy the
 //! monotonicity property above, which is the only thing the correctness proofs
-//! use.  A third, table-driven family reproduces the worked example of
-//! Tables 4.1–4.3.
+//! use.  (The unit tests add a third, table-driven family that reproduces the
+//! worked example of Tables 4.1–4.3.)
 
 use crate::config::HasherMode;
 use parking_lot::RwLock;
@@ -42,7 +42,7 @@ pub struct SeededHashFamily {
 
 impl SeededHashFamily {
     /// Creates a family of `nh` functions with the given seed and range.
-    pub fn new(nh: u32, seed: u64, range: u64) -> Self {
+    pub(crate) fn new(nh: u32, seed: u64, range: u64) -> Self {
         assert!(nh > 0, "need at least one hash function");
         assert!(range >= 2, "hash range must be at least 2");
         let seeds = (0..nh as u64)
@@ -70,54 +70,11 @@ impl CellHashFamily for SeededHashFamily {
 
 /// The 64-bit SplitMix64 finaliser — a fast, well-distributed mixing function.
 #[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
     x ^ (x >> 31)
-}
-
-/// A hash family backed by an explicit table, used to reproduce the worked
-/// example of Table 4.1 exactly.
-#[derive(Debug, Clone, Default)]
-pub struct TableHashFamily {
-    range: u64,
-    values: HashMap<(u32, u64), u64>,
-}
-
-impl TableHashFamily {
-    /// Creates an empty table with the given range.
-    pub fn new(range: u64) -> Self {
-        TableHashFamily { range, values: HashMap::new() }
-    }
-
-    /// Sets the value of hash function `u` on a base cell.
-    pub fn set(&mut self, u: u32, cell: StCell, value: u64) {
-        assert!(value < self.range, "table value outside range");
-        self.values.insert((u, cell.packed()), value);
-    }
-
-    /// Number of distinct functions mentioned in the table.
-    fn max_function(&self) -> u32 {
-        self.values.keys().map(|&(u, _)| u + 1).max().unwrap_or(0)
-    }
-}
-
-impl CellHashFamily for TableHashFamily {
-    fn num_functions(&self) -> u32 {
-        self.max_function()
-    }
-
-    fn range(&self) -> u64 {
-        self.range
-    }
-
-    fn hash_base(&self, u: u32, cell: StCell) -> u64 {
-        *self
-            .values
-            .get(&(u, cell.packed()))
-            .unwrap_or_else(|| panic!("no table entry for function {u} and cell {cell}"))
-    }
 }
 
 /// The hierarchy-aware hasher: extends a base-cell hash family to cells at every
@@ -151,22 +108,12 @@ impl<F: std::fmt::Debug> std::fmt::Debug for HierarchicalHasher<F> {
 
 impl<F: CellHashFamily> HierarchicalHasher<F> {
     /// Wraps a base-cell family.
-    pub fn new(family: F, mode: HasherMode) -> Self {
+    pub(crate) fn new(family: F, mode: HasherMode) -> Self {
         HierarchicalHasher { family, mode, memo: RwLock::new(HashMap::new()) }
     }
 
-    /// The underlying base-cell family.
-    pub fn family(&self) -> &F {
-        &self.family
-    }
-
-    /// The hasher mode.
-    pub fn mode(&self) -> HasherMode {
-        self.mode
-    }
-
     /// Number of hash functions.
-    pub fn num_functions(&self) -> u32 {
+    pub(crate) fn num_functions(&self) -> u32 {
         self.family.num_functions()
     }
 
@@ -177,7 +124,7 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
 
     /// The value of hash function `u` on a cell whose spatial unit lives at any
     /// level of `sp`.
-    pub fn hash(&self, sp: &SpIndex, u: u32, cell: StCell) -> u64 {
+    pub(crate) fn hash(&self, sp: &SpIndex, u: u32, cell: StCell) -> u64 {
         let level = sp.level(cell.unit()).expect("cell unit must exist in the sp-index");
         match self.mode {
             HasherMode::PathMax => self.path_max(sp, u, cell, level),
@@ -229,19 +176,6 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
         }
         value
     }
-
-    /// The value of hash function `u` on a *base* cell — an alias of
-    /// [`HierarchicalHasher::hash`] kept for call-site clarity on the query path,
-    /// where all pruned-set checks are against base cells.
-    pub fn hash_base_cell(&self, sp: &SpIndex, u: u32, cell: StCell) -> u64 {
-        self.hash(sp, u, cell)
-    }
-
-    /// Number of memoised coarse cells (exhaustive mode only; useful for memory
-    /// accounting).
-    pub fn memo_len(&self) -> usize {
-        self.memo.read().len()
-    }
 }
 
 /// The per-level signature list of one entity (Section 4.2.1): `levels[i-1][u]` is
@@ -256,7 +190,7 @@ impl SignatureList {
     ///
     /// Empty levels produce all-`u64::MAX` signatures (an entity with no presence
     /// at a level can never be pruned *into* a group by it).
-    pub fn build<F: CellHashFamily>(
+    pub(crate) fn build<F: CellHashFamily>(
         sp: &SpIndex,
         hasher: &HierarchicalHasher<F>,
         seq: &CellSetSequence,
@@ -283,7 +217,7 @@ impl SignatureList {
     ///
     /// # Panics
     /// Panics when the level vectors do not all share one width.
-    pub fn from_levels(levels: Vec<Vec<u64>>) -> Self {
+    pub(crate) fn from_levels(levels: Vec<Vec<u64>>) -> Self {
         if let Some(first) = levels.first() {
             assert!(
                 levels.iter().all(|l| l.len() == first.len()),
@@ -294,7 +228,7 @@ impl SignatureList {
     }
 
     /// The raw per-level signature vectors (`levels()[i - 1][u]` is `sig^i[u]`).
-    pub fn levels(&self) -> &[Vec<u64>] {
+    pub(crate) fn levels(&self) -> &[Vec<u64>] {
         &self.levels
     }
 
@@ -310,7 +244,7 @@ impl SignatureList {
     ///
     /// # Panics
     /// Panics when the two signatures have different shapes.
-    pub fn merge_min(&mut self, other: &SignatureList) {
+    pub(crate) fn merge_min(&mut self, other: &SignatureList) {
         assert_eq!(self.levels.len(), other.levels.len(), "level count mismatch in merge");
         for (mine, theirs) in self.levels.iter_mut().zip(other.levels.iter()) {
             assert_eq!(mine.len(), theirs.len(), "signature width mismatch in merge");
@@ -319,12 +253,12 @@ impl SignatureList {
     }
 
     /// Number of levels.
-    pub fn num_levels(&self) -> usize {
+    pub(crate) fn num_levels(&self) -> usize {
         self.levels.len()
     }
 
     /// The signature at a level (1-based).
-    pub fn level(&self, level: Level) -> &[u64] {
+    pub(crate) fn level(&self, level: Level) -> &[u64] {
         &self.levels[(level - 1) as usize]
     }
 
@@ -333,21 +267,64 @@ impl SignatureList {
     ///
     /// Delegates to [`trace_model::kernel::argmax`], which keeps the running
     /// maximum in a register instead of re-reading `sig[best]` each iteration.
-    pub fn routing_index(&self, level: Level) -> u32 {
+    pub(crate) fn routing_index(&self, level: Level) -> u32 {
         trace_model::kernel::argmax(self.level(level)) as u32
     }
 
     /// The value at a given level and function index.
-    pub fn value(&self, level: Level, u: u32) -> u64 {
+    pub(crate) fn value(&self, level: Level, u: u32) -> u64 {
         self.level(level)[u as usize]
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use trace_model::examples::{PaperExample, T1, T2};
     use trace_model::{CellSet, CellSetSequence, SpIndex};
+
+    /// A hash family backed by an explicit table, used to reproduce the worked
+    /// example of Table 4.1 exactly.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct TableHashFamily {
+        range: u64,
+        values: HashMap<(u32, u64), u64>,
+    }
+
+    impl TableHashFamily {
+        /// Creates an empty table with the given range.
+        pub(crate) fn new(range: u64) -> Self {
+            TableHashFamily { range, values: HashMap::new() }
+        }
+
+        /// Sets the value of hash function `u` on a base cell.
+        pub(crate) fn set(&mut self, u: u32, cell: StCell, value: u64) {
+            assert!(value < self.range, "table value outside range");
+            self.values.insert((u, cell.packed()), value);
+        }
+
+        /// Number of distinct functions mentioned in the table.
+        fn max_function(&self) -> u32 {
+            self.values.keys().map(|&(u, _)| u + 1).max().unwrap_or(0)
+        }
+    }
+
+    impl CellHashFamily for TableHashFamily {
+        fn num_functions(&self) -> u32 {
+            self.max_function()
+        }
+
+        fn range(&self) -> u64 {
+            self.range
+        }
+
+        fn hash_base(&self, u: u32, cell: StCell) -> u64 {
+            *self
+                .values
+                .get(&(u, cell.packed()))
+                .unwrap_or_else(|| panic!("no table entry for function {u} and cell {cell}"))
+        }
+    }
 
     fn paper_hasher() -> (PaperExample, HierarchicalHasher<TableHashFamily>) {
         let ex = PaperExample::build();
@@ -465,7 +442,7 @@ mod tests {
                         let coarse_cell = StCell::new(t, ancestor);
                         for u in 0..8 {
                             let hp = hasher.hash(&sp, u, coarse_cell);
-                            let hc = hasher.hash_base_cell(&sp, u, base_cell);
+                            let hc = hasher.hash(&sp, u, base_cell);
                             assert!(
                                 hp <= hc,
                                 "h(parent)={hp} > h(child)={hc} at level {level} mode {mode:?}"
@@ -495,7 +472,7 @@ mod tests {
                 let s = StCell::new(t, unit);
                 for level in 1..=sp.height() {
                     for u in 0..16 {
-                        if sig.value(level, u) > hasher.hash_base_cell(&sp, u, s) {
+                        if sig.value(level, u) > hasher.hash(&sp, u, s) {
                             assert!(
                                 !present_set.contains(&s.packed()),
                                 "Theorem 2 violated: pruned a present cell {s}"
@@ -514,12 +491,12 @@ mod tests {
             HierarchicalHasher::new(SeededHashFamily::new(4, 5, 100), HasherMode::Exhaustive);
         let coarse_unit = sp.top_units()[0];
         let cell = StCell::new(3, coarse_unit);
-        assert_eq!(hasher.memo_len(), 0);
+        assert_eq!(hasher.memo.read().len(), 0);
         let first = hasher.hash(&sp, 0, cell);
-        assert_eq!(hasher.memo_len(), 1);
+        assert_eq!(hasher.memo.read().len(), 1);
         let second = hasher.hash(&sp, 0, cell);
         assert_eq!(first, second);
-        assert_eq!(hasher.memo_len(), 1);
+        assert_eq!(hasher.memo.read().len(), 1);
     }
 
     #[test]

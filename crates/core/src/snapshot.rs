@@ -45,7 +45,8 @@ use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
 ///
 /// A snapshot is also the unit of *epoch publication* during streaming
 /// ingestion ([`crate::ingest`]) and the unit of persistence
-/// ([`save`](IndexSnapshot::save)/[`open`](IndexSnapshot::open)):
+/// ([`MinSigIndex::save`](crate::index::MinSigIndex::save) writes the current
+/// one, [`to_bytes`](IndexSnapshot::to_bytes) is its file image):
 ///
 /// ```
 /// use minsig::{IndexConfig, MinSigIndex};
@@ -151,7 +152,8 @@ impl IndexSnapshot {
         &self.tree
     }
 
-    /// The hierarchical hasher (used by the paged query path and by ablations).
+    /// The hierarchical hasher: what the executor hashes query cells with,
+    /// and where a rebuild reads the resolved hash range to pin.
     pub fn hasher(&self) -> &HierarchicalHasher<SeededHashFamily> {
         &self.hasher
     }

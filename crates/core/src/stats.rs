@@ -33,7 +33,7 @@ pub struct KernelDispatch {
 impl KernelDispatch {
     /// Counts one intersection of the given kernel class.
     #[inline]
-    pub fn record(&mut self, class: KernelClass) {
+    pub(crate) fn record(&mut self, class: KernelClass) {
         match class {
             KernelClass::Tiny => self.tiny += 1,
             KernelClass::Merge => self.merge += 1,
@@ -222,13 +222,12 @@ pub struct QueryStats {
     /// member survived every access path the query ran.  Exactly `1.0` on
     /// every exact path (the default); below `1.0` when the budgeted
     /// planner sampled at least one shard, in which case the minimum over
-    /// the sampled shards' [`Synopsis::expected_scan_recall`] estimates is
+    /// the sampled shards' `Synopsis::expected_scan_recall` estimates is
     /// reported, or when a candidate was
     /// [unreadable](Self::candidates_unreadable).
     /// [`absorb_work`](Self::absorb_work) likewise combines estimates by
     /// taking the minimum (conservative across shards and batches).
     ///
-    /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
     pub recall_estimate: f64,
     /// Entities scored through a *sampled* access path — the LSH banded
     /// candidates of [`approximate_top_k`], or the members a budgeted

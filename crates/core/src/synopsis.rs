@@ -63,7 +63,7 @@ impl Synopsis {
     /// Computes the synopsis of a population in one linear pass.
     ///
     /// `levels` is the sp-index height (the length of
-    /// [`level_caps`](Synopsis::level_caps)); `sketch_size` is `m`, the
+    /// `level_caps`); `sketch_size` is `m`, the
     /// number of hottest entities to remember; `epoch` is recorded verbatim
     /// (pass the snapshot's mutation epoch, 0 for fresh builds and opens).
     pub fn compute<'a, I>(levels: u8, sequences: I, sketch_size: usize, epoch: u64) -> Synopsis
@@ -159,18 +159,18 @@ impl Synopsis {
     /// Per-level caps: element `l-1` is the maximum level-`l` sequence size
     /// over the population — an upper bound on any entity's level-`l` overlap
     /// with any query.
-    pub fn level_caps(&self) -> &[usize] {
+    pub(crate) fn level_caps(&self) -> &[usize] {
         &self.level_caps
     }
 
     /// Number of entities summarised.
-    pub fn num_entities(&self) -> usize {
+    pub(crate) fn num_entities(&self) -> usize {
         self.num_entities
     }
 
     /// The ids of the `min(m, population)` hottest entities, hottest first
     /// (largest total cell count, ties by ascending id).
-    pub fn hot_entities(&self) -> &[EntityId] {
+    pub(crate) fn hot_entities(&self) -> &[EntityId] {
         &self.hot_entities
     }
 
@@ -182,7 +182,7 @@ impl Synopsis {
     /// entity's level-`l` overlap is at most `min(query_sizes[l-1],
     /// level_caps[l-1])`, and [`AssociationMeasure::upper_bound`] instantiates
     /// the most favourable entity compatible with those caps.
-    pub fn degree_upper_bound<M: AssociationMeasure + ?Sized>(
+    pub(crate) fn degree_upper_bound<M: AssociationMeasure + ?Sized>(
         &self,
         query_sizes: &[usize],
         measure: &M,
@@ -218,7 +218,7 @@ impl Synopsis {
     /// `rate = 1` (the scan degenerates to the exact flat scan).  The
     /// estimate is monotone in `rate`, which is what makes
     /// [`min_rate_for_recall`](Self::min_rate_for_recall) its exact inverse.
-    pub fn expected_scan_recall(&self, rate: f64) -> f64 {
+    pub(crate) fn expected_scan_recall(&self, rate: f64) -> f64 {
         let rate = rate.clamp(0.0, 1.0);
         if self.num_entities == 0 {
             return 1.0;
@@ -234,7 +234,7 @@ impl Synopsis {
     /// model, `clamp((target − p) / (1 − p), 0, 1)` with `p` the hot-sketch
     /// coverage.  Returns `0.0` when the sketch alone already meets the
     /// target and `1.0` (exact) when no rate below one can.
-    pub fn min_rate_for_recall(&self, target: f64) -> f64 {
+    pub(crate) fn min_rate_for_recall(&self, target: f64) -> f64 {
         let target = target.clamp(0.0, 1.0);
         if self.num_entities == 0 {
             return 0.0;

@@ -103,7 +103,7 @@ impl HierarchySpec {
     }
 
     /// Materialises the hierarchy.
-    pub fn build(&self) -> SpIndex {
+    pub(crate) fn build(&self) -> SpIndex {
         SpIndex::uniform(self.top_units, &self.branching).expect("valid hierarchy spec")
     }
 }

@@ -18,11 +18,11 @@ use std::collections::BTreeMap;
 use trace_model::{EntityId, Level};
 
 /// Identifier of a node within a [`MinSigTree`].
-pub type NodeId = u32;
+pub(crate) type NodeId = u32;
 
 /// One tree node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Node {
+pub(crate) struct Node {
     /// Depth of the node: 0 for the virtual root, `1..=m` for real nodes.
     pub depth: Level,
     /// Routing index `u` of the group (0-based position in the signature).
@@ -57,30 +57,13 @@ pub struct MinSigTree {
 }
 
 /// The virtual root is always node 0.
-pub const ROOT: NodeId = 0;
+pub(crate) const ROOT: NodeId = 0;
 
 impl MinSigTree {
     /// Creates an empty tree for an sp-index of the given height.
-    pub fn new(levels: Level) -> Self {
+    pub(crate) fn new(levels: Level) -> Self {
         assert!(levels >= 1, "tree needs at least one level");
         MinSigTree { levels, nodes: vec![Node::new(0, 0, u64::MAX)], leaf_of: BTreeMap::new() }
-    }
-
-    /// Builds the tree from the signatures of all entities (Algorithm 1).
-    ///
-    /// The recursive grouping of the paper is implemented as repeated single-entity
-    /// insertion, which produces exactly the same tree because the routing index of
-    /// an entity at each level depends only on its own signature, and group values
-    /// are minima (order-independent).
-    pub fn build<'a, I>(levels: Level, entities: I) -> Self
-    where
-        I: IntoIterator<Item = (EntityId, &'a SignatureList)>,
-    {
-        let mut tree = MinSigTree::new(levels);
-        for (entity, sig) in entities {
-            tree.insert(entity, sig);
-        }
-        tree
     }
 
     /// Number of sp-index levels this tree was built for.
@@ -94,18 +77,13 @@ impl MinSigTree {
     }
 
     /// Number of entities currently indexed.
-    pub fn num_entities(&self) -> usize {
+    pub(crate) fn num_entities(&self) -> usize {
         self.leaf_of.len()
-    }
-
-    /// Read access to a node.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id as usize]
     }
 
     /// All nodes in id order, the virtual root first (used by the persistence
     /// layer to serialise the tree structurally).
-    pub fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
@@ -114,7 +92,7 @@ impl MinSigTree {
     /// entity lists, and the structural invariants are re-checked; any
     /// inconsistency (duplicate entities, dangling children, wrong depths) is
     /// reported as an error instead of producing a broken tree.
-    pub fn from_nodes(levels: Level, nodes: Vec<Node>) -> std::result::Result<Self, String> {
+    pub(crate) fn from_nodes(levels: Level, nodes: Vec<Node>) -> std::result::Result<Self, String> {
         if levels < 1 {
             return Err("tree needs at least one level".into());
         }
@@ -142,7 +120,7 @@ impl MinSigTree {
     }
 
     /// The leaf node currently holding an entity, if indexed.
-    pub fn leaf_of(&self, entity: EntityId) -> Option<NodeId> {
+    pub(crate) fn leaf_of(&self, entity: EntityId) -> Option<NodeId> {
         self.leaf_of.get(&entity).copied()
     }
 
@@ -161,7 +139,7 @@ impl MinSigTree {
     /// Inserts (or re-inserts) an entity with the given signatures, returning the
     /// leaf it was placed in.  If the entity is already present it is removed
     /// first, so the operation is idempotent under identical signatures.
-    pub fn insert(&mut self, entity: EntityId, sig: &SignatureList) -> NodeId {
+    pub(crate) fn insert(&mut self, entity: EntityId, sig: &SignatureList) -> NodeId {
         debug_assert_eq!(sig.num_levels(), self.levels as usize);
         if self.leaf_of.contains_key(&entity) {
             self.remove(entity);
@@ -198,7 +176,7 @@ impl MinSigTree {
     /// and simply never produce candidates.
     ///
     /// Returns `true` when the entity was present.
-    pub fn remove(&mut self, entity: EntityId) -> bool {
+    pub(crate) fn remove(&mut self, entity: EntityId) -> bool {
         let Some(leaf) = self.leaf_of.remove(&entity) else { return false };
         let entities = &mut self.nodes[leaf as usize].entities;
         if let Some(pos) = entities.iter().position(|&e| e == entity) {
@@ -207,24 +185,15 @@ impl MinSigTree {
         true
     }
 
-    /// Iterates all leaf nodes (depth `m`) with at least one entity.
-    pub fn leaves(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| n.depth == self.levels && !n.entities.is_empty())
-            .map(|(i, n)| (i as NodeId, n))
-    }
-
     /// Iterates every indexed entity.
-    pub fn entities(&self) -> impl Iterator<Item = EntityId> + '_ {
+    pub(crate) fn entities(&self) -> impl Iterator<Item = EntityId> + '_ {
         self.leaf_of.keys().copied()
     }
 
     /// Verifies the structural invariants (used by tests and debug assertions):
     /// child depth is parent depth + 1, entities only at leaves, stored values are
     /// lower bounds of their subtree entities' signature values.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> std::result::Result<(), String> {
         for (id, node) in self.nodes.iter().enumerate() {
             for (&ri, &child) in &node.children {
                 let child_node = &self.nodes[child as usize];
@@ -249,10 +218,31 @@ impl MinSigTree {
 }
 
 #[cfg(test)]
+impl MinSigTree {
+    /// Builds the tree from the signatures of all entities (Algorithm 1).
+    ///
+    /// The recursive grouping of the paper is implemented as repeated single-entity
+    /// insertion, which produces exactly the same tree because the routing index of
+    /// an entity at each level depends only on its own signature, and group values
+    /// are minima (order-independent).
+    pub(crate) fn build<'a, I>(levels: Level, entities: I) -> Self
+    where
+        I: IntoIterator<Item = (EntityId, &'a SignatureList)>,
+    {
+        let mut tree = MinSigTree::new(levels);
+        for (entity, sig) in entities {
+            tree.insert(entity, sig);
+        }
+        tree
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HasherMode;
-    use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList, TableHashFamily};
+    use crate::signature::tests::TableHashFamily;
+    use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
     use trace_model::examples::{PaperExample, T1, T2};
     use trace_model::{CellSet, CellSetSequence, SpIndex, StCell};
 
@@ -298,28 +288,28 @@ mod tests {
         tree.check_invariants().unwrap();
         assert_eq!(tree.num_entities(), 4);
 
-        let root = tree.node(ROOT);
+        let root = &tree.nodes[ROOT as usize];
         assert_eq!(root.children.len(), 2);
         // N1: routing index 0 (paper's index 1), value 3, containing e_d.
-        let n1 = tree.node(root.children[&0]);
+        let n1 = &tree.nodes[root.children[&0] as usize];
         assert_eq!(n1.routing_value, 3);
         // N2: routing index 1 (paper's index 2), value 2 (min of 3, 3, 2).
-        let n2 = tree.node(root.children[&1]);
+        let n2 = &tree.nodes[root.children[&1] as usize];
         assert_eq!(n2.routing_value, 2);
 
         // Level 2 nodes.
         assert_eq!(n1.children.len(), 1);
-        let n12 = tree.node(n1.children[&0]);
+        let n12 = &tree.nodes[n1.children[&0] as usize];
         assert_eq!(n12.routing_value, 3);
         assert_eq!(n12.entities, vec![EntityId(3)]);
 
         assert_eq!(n2.children.len(), 2);
-        let n21 = tree.node(n2.children[&0]);
+        let n21 = &tree.nodes[n2.children[&0] as usize];
         assert_eq!(n21.routing_value, 4);
         let mut n21_entities = n21.entities.clone();
         n21_entities.sort();
         assert_eq!(n21_entities, vec![EntityId(0), EntityId(2)]);
-        let n22 = tree.node(n2.children[&1]);
+        let n22 = &tree.nodes[n2.children[&1] as usize];
         assert_eq!(n22.routing_value, 5);
         assert_eq!(n22.entities, vec![EntityId(1)]);
     }
@@ -348,12 +338,12 @@ mod tests {
         let tree = MinSigTree::build(3, sigs.iter().map(|(e, s)| (*e, s)));
         tree.check_invariants().unwrap();
         assert_eq!(tree.num_entities(), 100);
-        let leaf_total: usize = tree.leaves().map(|(_, n)| n.entities.len()).sum();
+        let leaf_total: usize = tree.nodes.iter().map(|n| n.entities.len()).sum();
         assert_eq!(leaf_total, 100);
         // Every entity's recorded leaf actually holds it.
         for (e, _) in &sigs {
             let leaf = tree.leaf_of(*e).unwrap();
-            assert!(tree.node(leaf).entities.contains(e));
+            assert!(tree.nodes[leaf as usize].entities.contains(e));
         }
     }
 
@@ -376,8 +366,8 @@ mod tests {
             let mut current = ROOT;
             for depth in 1..=3u8 {
                 let ri = sig.routing_index(depth);
-                let child = tree.node(current).children[&ri];
-                let node = tree.node(child);
+                let child = tree.nodes[current as usize].children[&ri];
+                let node = &tree.nodes[child as usize];
                 assert!(node.routing_value <= sig.value(depth, ri));
                 current = child;
             }
@@ -447,7 +437,7 @@ mod tests {
         let tree = MinSigTree::new(4);
         assert_eq!(tree.num_nodes(), 1);
         assert_eq!(tree.num_entities(), 0);
-        assert_eq!(tree.leaves().count(), 0);
+        assert!(tree.nodes.iter().all(|n| n.entities.is_empty()));
         tree.check_invariants().unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A raw digital-trace record is the tuple `<entity, location, start, end>` as it
 //! would arrive from a WiFi controller or check-in feed.  Records are encoded
-//! little-endian into exactly [`TraceRecord::ENCODED_LEN`] bytes so that a page
+//! little-endian into exactly `TraceRecord::ENCODED_LEN` bytes so that a page
 //! holds a predictable number of records and the external sort can reason about
 //! page counts precisely.
 
@@ -24,12 +24,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Encoded size in bytes: 8 (entity) + 4 (unit) + 8 (start) + 8 (end).
-    pub const ENCODED_LEN: usize = 28;
-
-    /// Creates a record, normalising an inverted period to an empty one.
-    pub fn new(entity: u64, unit: SpatialUnitId, start: u64, end: u64) -> Self {
-        TraceRecord { entity, unit, start, end: end.max(start) }
-    }
+    pub(crate) const ENCODED_LEN: usize = 28;
 
     /// Builds a record from a [`PresenceInstance`].
     pub fn from_presence(pi: &PresenceInstance) -> Self {
@@ -51,7 +46,7 @@ impl TraceRecord {
     }
 
     /// Encodes the record into a buffer.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
+    pub(crate) fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u64_le(self.entity);
         buf.put_u32_le(self.unit);
         buf.put_u64_le(self.start);
@@ -60,17 +55,20 @@ impl TraceRecord {
 
     /// Decodes a record from its [`Self::ENCODED_LEN`] encoded bytes (the
     /// page decoder's hot loop: every bound is known up front).
-    pub fn from_encoded(encoded: &[u8; Self::ENCODED_LEN]) -> Self {
+    pub(crate) fn from_encoded(encoded: &[u8; Self::ENCODED_LEN]) -> Self {
         let u64_at = |at: usize| {
             u64::from_le_bytes(encoded[at..at + 8].try_into().expect("8 bytes inside the record"))
         };
         let unit = u32::from_le_bytes(encoded[8..12].try_into().expect("4 bytes"));
         TraceRecord { entity: u64_at(0), unit, start: u64_at(12), end: u64_at(20) }
     }
+}
 
-    /// Duration of the presence in ticks.
-    pub fn duration(&self) -> u64 {
-        self.end - self.start
+#[cfg(test)]
+impl TraceRecord {
+    /// Creates a record, normalising an inverted period to an empty one.
+    pub(crate) fn new(entity: u64, unit: SpatialUnitId, start: u64, end: u64) -> Self {
+        TraceRecord { entity, unit, start, end: end.max(start) }
     }
 }
 
@@ -98,8 +96,7 @@ mod tests {
     #[test]
     fn inverted_periods_are_normalised() {
         let rec = TraceRecord::new(1, 1, 100, 50);
-        assert_eq!(rec.end, 100);
-        assert_eq!(rec.duration(), 0);
+        assert_eq!((rec.start, rec.end), (100, 100));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! repeatable.  A configurable per-access latency (in simulated microseconds) lets
 //! the Figure 7.6 harness convert page misses into a simulated elapsed time.
 
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::Page;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -18,18 +18,11 @@ pub type PageId = u64;
 
 /// Counters describing the I/O performed against a [`VirtualDisk`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiskStats {
+pub(crate) struct DiskStats {
     /// Number of page reads.
     pub reads: u64,
     /// Number of page writes.
     pub writes: u64,
-}
-
-impl DiskStats {
-    /// Total number of page transfers.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
 }
 
 /// An in-memory page store with read/write accounting.
@@ -42,22 +35,12 @@ pub struct VirtualDisk {
 
 impl VirtualDisk {
     /// Creates an empty disk.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VirtualDisk::default()
     }
 
-    /// Number of pages currently stored.
-    pub fn num_pages(&self) -> usize {
-        self.pages.lock().len()
-    }
-
-    /// Total stored size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.num_pages() * PAGE_SIZE
-    }
-
     /// Writes a page, returning its id.
-    pub fn write_page(&self, page: &Page) -> PageId {
+    pub(crate) fn write_page(&self, page: &Page) -> PageId {
         let bytes = page.to_bytes();
         let mut pages = self.pages.lock();
         pages.push(bytes);
@@ -65,22 +48,11 @@ impl VirtualDisk {
         (pages.len() - 1) as PageId
     }
 
-    /// Overwrites an existing page.
-    ///
-    /// # Panics
-    /// Panics when the page id does not exist.
-    pub fn overwrite_page(&self, id: PageId, page: &Page) {
-        let mut pages = self.pages.lock();
-        let slot = pages.get_mut(id as usize).expect("page id out of range");
-        *slot = page.to_bytes();
-        self.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Reads a page by id.
     ///
     /// # Panics
     /// Panics when the page id does not exist.
-    pub fn read_page(&self, id: PageId) -> Page {
+    pub(crate) fn read_page(&self, id: PageId) -> Page {
         let bytes = {
             let pages = self.pages.lock();
             pages.get(id as usize).expect("page id out of range").clone()
@@ -90,7 +62,7 @@ impl VirtualDisk {
     }
 
     /// Current I/O counters.
-    pub fn stats(&self) -> DiskStats {
+    pub(crate) fn stats(&self) -> DiskStats {
         DiskStats {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
@@ -98,7 +70,7 @@ impl VirtualDisk {
     }
 
     /// Resets the I/O counters (the stored pages are kept).
-    pub fn reset_stats(&self) {
+    pub(crate) fn reset_stats(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
     }
@@ -118,7 +90,7 @@ mod tests {
         let disk = VirtualDisk::new();
         let id = disk.write_page(&page_with(10));
         let back = disk.read_page(id);
-        assert_eq!(back.len(), 10);
+        assert_eq!(back.records().len(), 10);
         assert_eq!(disk.stats(), DiskStats { reads: 1, writes: 1 });
     }
 
@@ -129,17 +101,7 @@ mod tests {
         let b = disk.write_page(&page_with(2));
         assert_eq!(a, 0);
         assert_eq!(b, 1);
-        assert_eq!(disk.num_pages(), 2);
-        assert_eq!(disk.size_bytes(), 2 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn overwrite_replaces_contents() {
-        let disk = VirtualDisk::new();
-        let id = disk.write_page(&page_with(1));
-        disk.overwrite_page(id, &page_with(5));
-        assert_eq!(disk.read_page(id).len(), 5);
-        assert_eq!(disk.stats().writes, 2);
+        assert_eq!(disk.pages.lock().len(), 2);
     }
 
     #[test]
@@ -147,8 +109,8 @@ mod tests {
         let disk = VirtualDisk::new();
         disk.write_page(&page_with(1));
         disk.reset_stats();
-        assert_eq!(disk.stats().total(), 0);
-        assert_eq!(disk.num_pages(), 1);
+        assert_eq!(disk.stats(), DiskStats::default());
+        assert_eq!(disk.pages.lock().len(), 1);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * [`store`] — the entity-ordered [`PagedTraceStore`] used by the paged query
 //!   path of the `minsig` crate;
 //! * [`segment`] — the checksummed, length-prefixed segment file format that
-//!   backs every on-disk artefact ([`save_trace_set`]/[`load_trace_set`] here,
-//!   the persisted index snapshot in `minsig::persist`);
+//!   backs every on-disk artefact (the persisted index snapshot and shard
+//!   manifest of `minsig`);
 //! * [`log`] — the LSN'd, fsync'd append-only write-ahead log under the
 //!   durable ingest path of the `minsig` crate (O(batch) commits between
 //!   O(shard) checkpoints).
@@ -44,13 +44,11 @@ pub mod sort;
 pub mod store;
 
 pub use codec::TraceRecord;
-pub use disk::{DiskStats, PageId, VirtualDisk};
-pub use log::{LogConfig, LogManager, LogRecord, LOG_MAGIC, LOG_VERSION};
+pub use disk::{PageId, VirtualDisk};
+pub use log::{LogConfig, LogManager, LogRecord};
 pub use page::{Page, PAGE_SIZE};
 pub use pool::{BufferPool, PinnedPages, PoolConfig, PoolStats};
-pub use replacer::{LruKReplacer, Replacer, ReplacerPolicy};
-pub use segment::{crc32, SegmentError, SegmentReader, SegmentWriter};
-pub use sort::{external_sort, predicted_sort_io, SortStats};
-pub use store::{
-    load_trace_set, save_trace_set, PagedTraceStore, StoreStats, TRACE_SET_MAGIC, TRACE_SET_VERSION,
-};
+pub use replacer::{Replacer, ReplacerPolicy};
+pub use segment::{SegmentError, SegmentReader, SegmentWriter};
+pub use sort::SortStats;
+pub use store::{PagedTraceStore, StoreStats};

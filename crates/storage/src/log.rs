@@ -55,10 +55,10 @@ use std::path::{Path, PathBuf};
 use crate::segment::{crc32, Result, SegmentError, MAX_SEGMENT_LEN};
 
 /// Magic bytes opening every WAL segment file.
-pub const LOG_MAGIC: [u8; 4] = *b"MSWL";
+pub(crate) const LOG_MAGIC: [u8; 4] = *b"MSWL";
 
 /// Newest WAL segment format version this build reads and writes.
-pub const LOG_VERSION: u16 = 1;
+pub(crate) const LOG_VERSION: u16 = 1;
 
 /// Size of the fixed per-file header (magic, version, flags, start LSN).
 const FILE_HEADER_LEN: u64 = 16;
@@ -277,11 +277,6 @@ impl LogManager {
         self.segments.iter().rev().find_map(|s| s.last_lsn)
     }
 
-    /// Number of live segment files (≥ 1; useful for rotation tests).
-    pub fn segment_files(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Total bytes across the live segment files.
     pub fn disk_bytes(&self) -> u64 {
         self.segments
@@ -490,7 +485,7 @@ mod tests {
         for i in 0..10u64 {
             log.append(&i.to_le_bytes()).unwrap();
         }
-        assert!(log.segment_files() > 1, "64-byte segments must rotate");
+        assert!(log.segments.len() > 1, "64-byte segments must rotate");
         drop(log);
         let (log, recs) = LogManager::open(&dir, 0, config).unwrap();
         assert_eq!(recs.len(), 10);
@@ -510,7 +505,7 @@ mod tests {
         log.truncate_through(last).unwrap();
         assert_eq!(log.first_lsn(), None);
         assert_eq!(log.next_lsn(), last + 1);
-        assert_eq!(log.segment_files(), 1);
+        assert_eq!(log.segments.len(), 1);
         // New appends continue the chain and survive reopen.
         assert_eq!(log.append(b"post").unwrap(), last + 1);
         drop(log);
@@ -527,9 +522,9 @@ mod tests {
         for i in 0..10u64 {
             log.append(&i.to_le_bytes()).unwrap();
         }
-        let files_before = log.segment_files();
+        let files_before = log.segments.len();
         log.truncate_through(2).unwrap();
-        assert!(log.segment_files() <= files_before);
+        assert!(log.segments.len() <= files_before);
         // Every record > 2 is still recoverable.
         drop(log);
         let (_, recs) = LogManager::open(&dir, 0, config).unwrap();
@@ -612,7 +607,7 @@ mod tests {
         for i in 0..6u64 {
             log.append(&[i as u8; 8]).unwrap();
         }
-        assert!(log.segment_files() >= 3);
+        assert!(log.segments.len() >= 3);
         drop(log);
         // Remove a middle segment: recovery keeps only the records before
         // the gap and deletes the now-unreachable later files.

@@ -7,9 +7,10 @@ use bytes::{Bytes, BytesMut};
 pub const PAGE_SIZE: usize = 8 * 1024;
 
 /// Number of records that fit in one page.
-pub const RECORDS_PER_PAGE: usize = (PAGE_SIZE - Page::HEADER_LEN) / TraceRecord::ENCODED_LEN;
+pub(crate) const RECORDS_PER_PAGE: usize =
+    (PAGE_SIZE - Page::HEADER_LEN) / TraceRecord::ENCODED_LEN;
 
-/// A fixed-size page holding up to [`RECORDS_PER_PAGE`] encoded trace records.
+/// A fixed-size page holding up to `RECORDS_PER_PAGE` (292) encoded trace records.
 ///
 /// The layout is a 4-byte little-endian record count followed by densely packed
 /// records.  Pages are immutable once frozen into [`Bytes`], which is what the
@@ -21,31 +22,26 @@ pub struct Page {
 
 impl Page {
     /// Size of the page header in bytes (the record count).
-    pub const HEADER_LEN: usize = 4;
+    pub(crate) const HEADER_LEN: usize = 4;
 
     /// Creates an empty page.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Page { records: Vec::with_capacity(RECORDS_PER_PAGE) }
     }
 
-    /// Number of records currently in the page.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
     /// True when the page holds no records.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
     /// True when no further record can be appended.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.records.len() >= RECORDS_PER_PAGE
     }
 
     /// Appends a record; returns `false` (and leaves the page unchanged) when the
     /// page is already full.
-    pub fn push(&mut self, record: TraceRecord) -> bool {
+    pub(crate) fn push(&mut self, record: TraceRecord) -> bool {
         if self.is_full() {
             return false;
         }
@@ -54,12 +50,12 @@ impl Page {
     }
 
     /// The records stored in the page.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub(crate) fn records(&self) -> &[TraceRecord] {
         &self.records
     }
 
     /// Serialises the page into exactly [`PAGE_SIZE`] bytes.
-    pub fn to_bytes(&self) -> Bytes {
+    pub(crate) fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(PAGE_SIZE);
         buf.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
         for rec in &self.records {
@@ -74,7 +70,7 @@ impl Page {
     /// # Panics
     /// Panics when the buffer is shorter than the header or the declared record
     /// count does not fit in the buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Self {
         assert!(bytes.len() >= Self::HEADER_LEN, "page buffer too small");
         let count = u32::from_le_bytes(bytes[..4].try_into().expect("4 header bytes")) as usize;
         let needed = Self::HEADER_LEN + count * TraceRecord::ENCODED_LEN;
@@ -98,7 +94,7 @@ impl FromIterator<TraceRecord> for Page {
 }
 
 /// Packs an iterator of records into as many pages as needed, in order.
-pub fn pack_pages<I: IntoIterator<Item = TraceRecord>>(records: I) -> Vec<Page> {
+pub(crate) fn pack_pages<I: IntoIterator<Item = TraceRecord>>(records: I) -> Vec<Page> {
     let mut pages = Vec::new();
     let mut current = Page::new();
     for rec in records {
@@ -136,7 +132,7 @@ mod tests {
         }
         assert!(page.is_full());
         assert!(!page.push(rec(0)));
-        assert_eq!(page.len(), RECORDS_PER_PAGE);
+        assert_eq!(page.records().len(), RECORDS_PER_PAGE);
     }
 
     #[test]
@@ -166,11 +162,9 @@ mod tests {
         let n = RECORDS_PER_PAGE + 10;
         let pages = pack_pages((0..n as u64).map(rec));
         assert_eq!(pages.len(), 2);
-        assert_eq!(pages[0].len(), RECORDS_PER_PAGE);
-        assert_eq!(pages[1].len(), 10);
         // No record lost or duplicated.
-        let total: usize = pages.iter().map(Page::len).sum();
-        assert_eq!(total, n);
+        assert_eq!(pages[0].records().len(), RECORDS_PER_PAGE);
+        assert_eq!(pages[1].records().len(), 10);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! delegates victim selection to a [`Replacer`] chosen by
 //! [`PoolConfig::replacer`] (LRU-K; see [`crate::replacer`]).  A frame with a
 //! positive pin count is **never evicted**: query executors pin the pages
-//! they re-read across scheduling quanta ([`BufferPool::pin`] /
-//! [`BufferPool::unpin`], or the RAII [`PinnedPages`] guard) and the pool
-//! overcommits its budget rather than drop a pinned frame when everything
-//! resident is pinned.
+//! they re-read across scheduling quanta (the RAII [`PinnedPages`] guard) and
+//! the pool overcommits its budget rather than drop a pinned frame when
+//! everything resident is pinned.
 //!
 //! ## What the pool mutex covers
 //!
@@ -30,20 +29,27 @@
 //!
 //! Every fetch can also report what it did — hit or miss, frames evicted,
 //! simulated latency — into a caller-owned [`PoolStats`]
-//! ([`BufferPool::pin_counted`]): how a query counts its own I/O while others
-//! share the pool.  [`BufferPool::stats`] stays the pool-global total.
+//! ([`PagedTraceStore::for_each_record`](crate::PagedTraceStore::for_each_record),
+//! [`PinnedPages::io`]): how a query counts its own I/O while others share
+//! the pool.  [`BufferPool::stats`] stays the pool-global total.
 //!
 //! ```
-//! use trace_storage::{BufferPool, Page, PoolConfig, VirtualDisk, PAGE_SIZE};
+//! use trace_model::{EntityId, Period, PresenceInstance, TraceSet};
+//! use trace_storage::{PagedTraceStore, PoolConfig, PAGE_SIZE};
 //!
-//! let disk = VirtualDisk::new();
-//! let pages: Vec<_> = (0..4).map(|_| disk.write_page(&Page::new())).collect();
+//! // Four entities with exactly one page (292 records) each.
+//! let mut traces = TraceSet::new(60);
+//! for entity in 0..4 {
+//!     for i in 0..292 {
+//!         let stay = Period::new(i * 120, i * 120 + 60).unwrap();
+//!         traces.record(PresenceInstance::new(EntityId(entity), 0, stay));
+//!     }
+//! }
+//! let store = PagedTraceStore::build(&traces, 4);
+//! let pages: Vec<_> = (0..4).map(|e| store.trace_pages(EntityId(e)).unwrap()[0]).collect();
 //!
 //! // Budget for exactly two pages: the third distinct page evicts one.
-//! let pool = BufferPool::new(&disk, PoolConfig {
-//!     capacity_bytes: 2 * PAGE_SIZE,
-//!     ..PoolConfig::default()
-//! });
+//! let pool = store.pool(PoolConfig { capacity_bytes: 2 * PAGE_SIZE, ..PoolConfig::default() });
 //! pool.get(pages[0]); // miss
 //! pool.get(pages[1]); // miss
 //! pool.get(pages[0]); // hit
@@ -54,11 +60,11 @@
 //! assert!(stats.hit_rate() > 0.19 && stats.hit_rate() < 0.21);
 //!
 //! // A pinned frame survives any amount of cache pressure.
-//! let pinned = pool.pin_pages([pages[3]]);
+//! let pinned = store.pin_trace(&pool, EntityId(3)).unwrap();
 //! pool.get(pages[0]);
 //! pool.get(pages[1]);
 //! pool.get(pages[2]);
-//! assert!(pool.is_resident(pages[3]));
+//! assert_eq!(pool.resident_count(&pages[3..]), 1);
 //! assert_eq!(pool.pinned_frames(), 1);
 //! drop(pinned); // released: pages[3] is fair game again
 //! assert_eq!(pool.pinned_frames(), 0);
@@ -113,7 +119,7 @@ impl PoolConfig {
     }
 
     /// Number of whole pages that fit in the budget (at least one).
-    pub fn capacity_pages(&self) -> usize {
+    pub(crate) fn capacity_pages(&self) -> usize {
         (self.capacity_bytes / PAGE_SIZE).max(1)
     }
 }
@@ -236,7 +242,7 @@ pub struct BufferPool<'d> {
 
 impl<'d> BufferPool<'d> {
     /// Creates a pool over a disk with the replacer `config` names.
-    pub fn new(disk: &'d VirtualDisk, config: PoolConfig) -> Self {
+    pub(crate) fn new(disk: &'d VirtualDisk, config: PoolConfig) -> Self {
         Self::with_replacer(disk, config, config.replacer.build())
     }
 
@@ -271,25 +277,20 @@ impl<'d> BufferPool<'d> {
 
     /// Fetches a page and pins its frame: until a matching [`unpin`], the
     /// frame is never chosen for eviction — even beyond the byte budget.
-    /// Pins nest (each `pin` needs one `unpin`).
+    /// Pins nest (each pin needs one `unpin`).  What this fetch did (one hit
+    /// or one miss, the frames it evicted, its simulated latency) is added to
+    /// the caller's own `io` counters — exact per-caller attribution however
+    /// many clients share the pool.
     ///
     /// [`unpin`]: BufferPool::unpin
-    pub fn pin(&self, id: PageId) -> Arc<Page> {
-        self.fetch(id, true, &mut PoolStats::default())
-    }
-
-    /// [`pin`](Self::pin), additionally adding what this fetch did (one hit
-    /// or one miss, the frames it evicted, its simulated latency) to the
-    /// caller's own `io` counters — exact per-caller attribution however many
-    /// clients share the pool.
-    pub fn pin_counted(&self, id: PageId, io: &mut PoolStats) -> Arc<Page> {
+    pub(crate) fn pin_counted(&self, id: PageId, io: &mut PoolStats) -> Arc<Page> {
         self.fetch(id, true, io)
     }
 
     /// Releases one pin on `id`; at zero pins the frame becomes evictable
     /// again.  Returns `false` (and does nothing) when the frame was not
     /// pinned — a protocol violation worth surfacing in tests.
-    pub fn unpin(&self, id: PageId) -> bool {
+    pub(crate) fn unpin(&self, id: PageId) -> bool {
         let mut inner = self.inner.lock();
         let Some(frame) = inner.frames.get_mut(&id) else { return false };
         if frame.pins == 0 {
@@ -305,7 +306,7 @@ impl<'d> BufferPool<'d> {
     /// Pins every page of `ids` (fetching as needed) and returns a guard that
     /// releases all the pins when dropped.  Duplicate ids pin (and later
     /// unpin) once per occurrence, so the guard composes with manual pins.
-    pub fn pin_pages<I: IntoIterator<Item = PageId>>(&self, ids: I) -> PinnedPages<'_, 'd> {
+    pub(crate) fn pin_pages<I: IntoIterator<Item = PageId>>(&self, ids: I) -> PinnedPages<'_, 'd> {
         let pages: Vec<PageId> = ids.into_iter().collect();
         let mut io = PoolStats::default();
         for &id in &pages {
@@ -359,21 +360,6 @@ impl<'d> BufferPool<'d> {
         self.inner.lock().stats
     }
 
-    /// Resets the statistics (cached pages and pins are kept).
-    pub fn reset_stats(&self) {
-        self.inner.lock().stats = PoolStats::default();
-    }
-
-    /// Number of pages currently cached.
-    pub fn cached_pages(&self) -> usize {
-        self.inner.lock().frames.len()
-    }
-
-    /// True when `id` currently occupies a frame.
-    pub fn is_resident(&self, id: PageId) -> bool {
-        self.inner.lock().frames.contains_key(&id)
-    }
-
     /// How many of `ids` currently occupy frames (one lock for the whole
     /// probe — what the I/O-aware query planner uses to estimate a shard's
     /// resident vs. cold pages).
@@ -392,8 +378,9 @@ impl<'d> BufferPool<'d> {
 
 /// RAII pins over a set of pages: every page stays resident for the guard's
 /// lifetime and all pins are released on drop.  Obtained from
-/// [`BufferPool::pin_pages`]; the paged query paths hold one of these across
-/// all executor `step` quanta and drop it when the query finishes.
+/// [`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace); the
+/// paged query paths hold one of these across all executor `step` quanta and
+/// drop it when the query finishes.
 #[derive(Debug)]
 pub struct PinnedPages<'p, 'd> {
     pool: &'p BufferPool<'d>,
@@ -402,12 +389,7 @@ pub struct PinnedPages<'p, 'd> {
 }
 
 impl PinnedPages<'_, '_> {
-    /// The pinned page ids (in pin order, duplicates preserved).
-    pub fn pages(&self) -> &[PageId] {
-        &self.pages
-    }
-
-    /// What fetching the pages did (see [`BufferPool::pin_counted`]).
+    /// What fetching the pages did: hits, misses, evictions, simulated latency.
     pub fn io(&self) -> PoolStats {
         self.io
     }
@@ -429,6 +411,33 @@ const _: fn() = || {
     fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<BufferPool<'static>>();
 };
+
+/// What the unit tests (here and in [`crate::store`]) observe the pool by.
+#[cfg(test)]
+impl BufferPool<'_> {
+    /// [`pin_counted`](Self::pin_counted) for tests that count nothing.
+    pub(crate) fn pin(&self, id: PageId) -> Arc<Page> {
+        self.pin_counted(id, &mut PoolStats::default())
+    }
+
+    /// Number of pages currently cached.
+    pub(crate) fn cached_pages(&self) -> usize {
+        self.inner.lock().frames.len()
+    }
+
+    /// True when `id` currently occupies a frame.
+    pub(crate) fn is_resident(&self, id: PageId) -> bool {
+        self.inner.lock().frames.contains_key(&id)
+    }
+}
+
+#[cfg(test)]
+impl PinnedPages<'_, '_> {
+    /// The pinned page ids (in pin order, duplicates preserved).
+    pub(crate) fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! quanta can rely on the page staying resident however the eviction policy
 //! behaves.
 //!
-//! One policy ships, [`LruKReplacer`] — classic LRU-K: the victim is the
+//! One policy ships, `LruKReplacer` — classic LRU-K: the victim is the
 //! evictable page with the largest *backward k-distance* (the age of its k-th
 //! most recent access).  Pages with fewer than `k` recorded accesses have
 //! infinite distance and are evicted first, oldest first access first.
@@ -81,7 +81,7 @@ impl ReplacerPolicy {
     }
 
     /// Builds the replacer this policy names.
-    pub fn build(self) -> Box<dyn Replacer> {
+    pub(crate) fn build(self) -> Box<dyn Replacer> {
         let ReplacerPolicy::LruK(k) = self;
         Box::new(LruKReplacer::new(k))
     }
@@ -98,7 +98,7 @@ struct LruKEntry {
 /// is oldest; pages with fewer than `k` accesses count as infinitely old and
 /// go first (earliest first access breaks ties among them).
 #[derive(Debug)]
-pub struct LruKReplacer {
+pub(crate) struct LruKReplacer {
     k: usize,
     tick: u64,
     entries: HashMap<PageId, LruKEntry>,
@@ -106,7 +106,7 @@ pub struct LruKReplacer {
 
 impl LruKReplacer {
     /// Creates an LRU-K replacer; `k` is clamped to at least 1.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         LruKReplacer { k: k.max(1), tick: 0, entries: HashMap::new() }
     }
 }

@@ -1,9 +1,8 @@
 //! A checksummed, length-prefixed segment file format.
 //!
 //! This is the durability layer under every on-disk artefact of the workspace:
-//! the persisted [`TraceSet`](trace_model::TraceSet) (see
-//! [`crate::store::save_trace_set`]) and the persisted `minsig` index snapshot
-//! both serialise themselves as a sequence of *segments* inside one file.
+//! the persisted `minsig` index snapshot and the shard manifest serialise
+//! themselves as a sequence of *segments* inside one file.
 //!
 //! ## File layout
 //!
@@ -36,11 +35,11 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// The distinguished tag closing every segment file.
-pub const END_TAG: u32 = 0;
+pub(crate) const END_TAG: u32 = 0;
 
 /// Upper bound on a single segment's payload, as a guard against reading an
 /// absurd length field from a corrupt file (1 GiB).
-pub const MAX_SEGMENT_LEN: u64 = 1 << 30;
+pub(crate) const MAX_SEGMENT_LEN: u64 = 1 << 30;
 
 /// Errors produced while reading or writing segment files.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +131,7 @@ const fn crc32_table() -> [u32; 256] {
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC-32 (IEEE) of a byte slice — the checksum guarding every segment.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
@@ -168,13 +167,8 @@ impl<W: Write> SegmentWriter<W> {
         Ok(SegmentWriter { out, segments: 0 })
     }
 
-    /// Number of segments written so far (excluding the `END` terminator).
-    pub fn segments_written(&self) -> u32 {
-        self.segments
-    }
-
-    /// Appends one tagged, checksummed segment.  `tag` must not be
-    /// [`END_TAG`].
+    /// Appends one tagged, checksummed segment.  `tag` must not be 0, the
+    /// `END` segment's.
     pub fn write_segment(&mut self, tag: u32, payload: &[u8]) -> Result<()> {
         assert_ne!(tag, END_TAG, "tag 0 is reserved for the END segment");
         self.emit(tag, payload)?;
@@ -353,11 +347,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
@@ -366,11 +355,6 @@ impl<'a> Cursor<'a> {
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
     }
 }
 
@@ -389,25 +373,11 @@ pub fn atomic_write<F>(path: &Path, magic: [u8; 4], version: u16, build: F) -> R
 where
     F: FnOnce(&mut SegmentWriter<BufWriter<File>>) -> Result<()>,
 {
-    let tmp = sibling_tmp_path(path);
-    let result = (|| {
-        let file = File::create(&tmp)?;
+    commit_file(path, |file| {
         let mut writer = SegmentWriter::new(BufWriter::new(file), magic, version)?;
         build(&mut writer)?;
-        let file = writer.finish()?;
-        file.into_inner().map_err(|e| SegmentError::Io(e.to_string()))?.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        // Persist the directory entry: without this the rename may be rolled
-        // back by a crash even though the call already reported success.
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            File::open(parent)?.sync_all()?;
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+        writer.finish()?.into_inner().map_err(|e| SegmentError::Io(e.to_string()))
+    })
 }
 
 /// Atomically writes pre-serialised segment-file `bytes` — a complete file
@@ -416,12 +386,23 @@ where
 /// [`atomic_write`].  Lets callers digest or inspect the exact bytes before
 /// committing them, without reading the file back.
 pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> Result<()> {
+    commit_file(path, |mut file| {
+        file.write_all(bytes)?;
+        Ok(file)
+    })
+}
+
+/// The one commit-a-file protocol: `fill` writes the whole content into a
+/// freshly created temporary sibling and hands the `File` back (every
+/// user-space buffer flushed), which is fsynced, renamed over `path`, and
+/// the parent directory fsynced; on any error the temporary is removed.
+fn commit_file(path: &Path, fill: impl FnOnce(File) -> Result<File>) -> Result<()> {
     let tmp = sibling_tmp_path(path);
     let result = (|| {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
+        fill(File::create(&tmp)?)?.sync_all()?;
         std::fs::rename(&tmp, path)?;
+        // Persist the directory entry: without this the rename may be rolled
+        // back by a crash even though the call already reported success.
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             File::open(parent)?.sync_all()?;
         }
@@ -567,12 +548,10 @@ mod tests {
     fn cursor_reads_are_checked() {
         let mut payload = Vec::new();
         payload.push(7u8);
-        payload.extend_from_slice(&300u16.to_le_bytes());
         payload.extend_from_slice(&70_000u32.to_le_bytes());
         payload.extend_from_slice(&u64::MAX.to_le_bytes());
         let mut cursor = Cursor::new(&payload);
         assert_eq!(cursor.u8().unwrap(), 7);
-        assert_eq!(cursor.u16().unwrap(), 300);
         assert_eq!(cursor.u32().unwrap(), 70_000);
         assert_eq!(cursor.u64().unwrap(), u64::MAX);
         cursor.expect_end().unwrap();

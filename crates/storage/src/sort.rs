@@ -4,9 +4,9 @@
 //! is the number of pages of raw trace data and `B` the number of buffer pages:
 //! every pass reads and writes every page once, there is one run-formation pass,
 //! and each merge pass reduces the number of runs by a factor of `B`.
-//! [`external_sort`] implements exactly that algorithm against the
-//! [`VirtualDisk`], and [`predicted_sort_io`] evaluates the closed-form formula so
-//! tests can check the implementation against the model.
+//! `external_sort` implements exactly that algorithm against the
+//! [`VirtualDisk`]; its tests check the measured I/O against the closed-form
+//! formula.
 
 use crate::codec::TraceRecord;
 use crate::disk::{PageId, VirtualDisk};
@@ -30,30 +30,6 @@ pub struct SortStats {
     pub initial_runs: u64,
 }
 
-impl SortStats {
-    /// Total page I/Os.
-    pub fn total_io(&self) -> u64 {
-        self.pages_read + self.pages_written
-    }
-}
-
-/// The paper's closed-form I/O cost: `2N × (1 + ⌈log_B⌈N/B⌉⌉)`.
-pub fn predicted_sort_io(n_pages: u64, buffer_pages: u64) -> u64 {
-    if n_pages == 0 {
-        return 0;
-    }
-    let b = buffer_pages.max(2);
-    let runs = n_pages.div_ceil(b);
-    let mut passes = 1u64;
-    let mut current = runs;
-    while current > 1 {
-        current = current.div_ceil(b - 1).min(current.div_ceil(2));
-        // Standard B-way merge uses B-1 input buffers per merge pass.
-        passes += 1;
-    }
-    2 * n_pages * passes
-}
-
 /// A sorted run stored on the virtual disk as a list of page ids.
 #[derive(Debug, Clone)]
 struct Run {
@@ -75,7 +51,7 @@ fn read_run(disk: &VirtualDisk, run: &Run) -> Vec<TraceRecord> {
 /// Returns the sorted records and the sort statistics.  `buffer_pages` must be at
 /// least 3 (one output buffer plus at least two input buffers), mirroring the
 /// classic text-book requirement.
-pub fn external_sort(
+pub(crate) fn external_sort(
     disk: &VirtualDisk,
     records: Vec<TraceRecord>,
     buffer_pages: usize,
@@ -179,6 +155,23 @@ mod tests {
             .collect()
     }
 
+    /// The paper's closed-form I/O cost: `2N × (1 + ⌈log_B⌈N/B⌉⌉)`.
+    fn predicted_sort_io(n_pages: u64, buffer_pages: u64) -> u64 {
+        if n_pages == 0 {
+            return 0;
+        }
+        let b = buffer_pages.max(2);
+        let runs = n_pages.div_ceil(b);
+        let mut passes = 1u64;
+        let mut current = runs;
+        while current > 1 {
+            current = current.div_ceil(b - 1).min(current.div_ceil(2));
+            // Standard B-way merge uses B-1 input buffers per merge pass.
+            passes += 1;
+        }
+        2 * n_pages * passes
+    }
+
     fn is_sorted(records: &[TraceRecord]) -> bool {
         records.windows(2).all(|w| {
             (w[0].entity, w[0].start, w[0].unit, w[0].end)
@@ -215,7 +208,7 @@ mod tests {
         let disk = VirtualDisk::new();
         let (sorted, stats) = external_sort(&disk, Vec::new(), 3);
         assert!(sorted.is_empty());
-        assert_eq!(stats.total_io(), 0);
+        assert_eq!(stats, SortStats::default());
     }
 
     #[test]
@@ -223,14 +216,11 @@ mod tests {
         // Fewer buffer pages → more passes → more I/O, as in the Section 4.3 model.
         let n = RECORDS_PER_PAGE * 64;
         let records = random_records(n, 3);
-        let io_small = {
-            let disk = VirtualDisk::new();
-            external_sort(&disk, records.clone(), 3).1.total_io()
+        let io_with = |buffer_pages| {
+            let stats = external_sort(&VirtualDisk::new(), records.clone(), buffer_pages).1;
+            stats.pages_read + stats.pages_written
         };
-        let io_large = {
-            let disk = VirtualDisk::new();
-            external_sort(&disk, records.clone(), 16).1.total_io()
-        };
+        let (io_small, io_large) = (io_with(3), io_with(16));
         assert!(
             io_small > io_large,
             "3 buffers should cost more I/O than 16 ({io_small} vs {io_large})"
@@ -244,7 +234,7 @@ mod tests {
         let disk = VirtualDisk::new();
         let (_, stats) = external_sort(&disk, records, 4);
         let predicted = predicted_sort_io(stats.input_pages, 4);
-        let measured = stats.total_io();
+        let measured = stats.pages_read + stats.pages_written;
         // The formula assumes every pass touches exactly N pages; run boundaries
         // can add a page per run, so allow 25% slack.
         let ratio = measured as f64 / predicted as f64;

@@ -8,14 +8,12 @@
 
 use crate::codec::TraceRecord;
 use crate::disk::{PageId, VirtualDisk};
-use crate::page::{pack_pages, Page, PAGE_SIZE, RECORDS_PER_PAGE};
+use crate::page::{Page, PAGE_SIZE};
 use crate::pool::{BufferPool, PinnedPages, PoolConfig, PoolStats};
-use crate::segment::{self, Cursor, SegmentError};
 use crate::sort::{external_sort, SortStats};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::path::Path;
 use trace_model::{DigitalTrace, EntityId, TraceSet};
 
 /// Summary statistics of a store build.
@@ -31,7 +29,7 @@ pub struct StoreStats {
 
 impl StoreStats {
     /// Size of the stored data in bytes.
-    pub fn data_bytes(&self) -> usize {
+    pub(crate) fn data_bytes(&self) -> usize {
         self.pages as usize * PAGE_SIZE
     }
 }
@@ -176,127 +174,6 @@ impl PagedTraceStore {
         })
         .then_some(trace)
     }
-
-    /// Reads an entity's trace without a pool (every page access is a disk read).
-    pub fn read_trace_uncached(&self, entity: EntityId) -> Option<DigitalTrace> {
-        let range = self.directory.get(&entity)?.clone();
-        let mut trace = DigitalTrace::new();
-        for idx in range {
-            let page = self.disk.read_page(self.data_pages[idx as usize]);
-            for rec in page.records() {
-                if rec.entity == entity.raw() {
-                    trace.push(rec.to_presence());
-                }
-            }
-        }
-        Some(trace)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TraceSet persistence
-// ---------------------------------------------------------------------------
-
-/// Magic bytes of a persisted [`TraceSet`] file.
-pub const TRACE_SET_MAGIC: [u8; 4] = *b"MSTS";
-/// Newest trace-set file format version this build reads and writes.
-pub const TRACE_SET_VERSION: u16 = 1;
-
-const TAG_TRACE_META: u32 = 1;
-const TAG_TRACE_PAGE: u32 = 2;
-
-/// Persists a [`TraceSet`] to `path` in the checksummed segment format of
-/// [`crate::segment`]: one `META` segment (temporal discretisation + record
-/// count) followed by one segment per 8 KiB [`Page`] of fixed-width
-/// [`TraceRecord`]s.  The write is atomic (temp file + rename).
-///
-/// ```
-/// use trace_model::{EntityId, Period, PresenceInstance, TraceSet};
-///
-/// let mut traces = TraceSet::new(60);
-/// traces.record(PresenceInstance::new(EntityId(1), 0, Period::new(0, 120).unwrap()));
-/// let path = std::env::temp_dir().join("traces-doctest.msts");
-/// trace_storage::save_trace_set(&path, &traces).unwrap();
-/// let reloaded = trace_storage::load_trace_set(&path).unwrap();
-/// assert_eq!(reloaded.total_presence_instances(), 1);
-/// # std::fs::remove_file(&path).unwrap();
-/// ```
-pub fn save_trace_set(path: &Path, traces: &TraceSet) -> Result<(), SegmentError> {
-    let records = traces
-        .iter()
-        .flat_map(|(_, trace)| trace.instances().iter().map(TraceRecord::from_presence));
-    let pages = pack_pages(records);
-    let num_records: u64 = pages.iter().map(|p| p.len() as u64).sum();
-    segment::atomic_write(path, TRACE_SET_MAGIC, TRACE_SET_VERSION, |writer| {
-        let mut meta = Vec::with_capacity(16);
-        meta.extend_from_slice(&traces.ticks_per_unit().to_le_bytes());
-        meta.extend_from_slice(&num_records.to_le_bytes());
-        writer.write_segment(TAG_TRACE_META, &meta)?;
-        for page in &pages {
-            writer.write_segment(TAG_TRACE_PAGE, &page.to_bytes())?;
-        }
-        Ok(())
-    })
-}
-
-/// Loads a [`TraceSet`] previously written by [`save_trace_set`], verifying
-/// the magic, version, every page checksum and the total record count.  A
-/// file truncated mid-write yields [`SegmentError::Truncated`] or
-/// [`SegmentError::ChecksumMismatch`], never a partially loaded trace set.
-pub fn load_trace_set(path: &Path) -> Result<TraceSet, SegmentError> {
-    let mut reader = segment::open_file(path, TRACE_SET_MAGIC, TRACE_SET_VERSION)?;
-    let mut traces: Option<TraceSet> = None;
-    let mut expected_records = 0u64;
-    let mut loaded_records = 0u64;
-    while let Some((tag, payload)) = reader.next_segment()? {
-        match tag {
-            TAG_TRACE_META => {
-                if traces.is_some() {
-                    return Err(SegmentError::Malformed("duplicate META segment".into()));
-                }
-                let mut cursor = Cursor::new(&payload);
-                let ticks_per_unit = cursor.u64()?;
-                expected_records = cursor.u64()?;
-                cursor.expect_end()?;
-                if ticks_per_unit == 0 {
-                    return Err(SegmentError::Malformed("ticks_per_unit must be positive".into()));
-                }
-                traces = Some(TraceSet::new(ticks_per_unit));
-            }
-            TAG_TRACE_PAGE => {
-                let Some(traces) = traces.as_mut() else {
-                    return Err(SegmentError::Malformed("PAGE segment before META".into()));
-                };
-                if payload.len() != PAGE_SIZE {
-                    return Err(SegmentError::Malformed(format!(
-                        "page segment holds {} bytes, expected {PAGE_SIZE}",
-                        payload.len()
-                    )));
-                }
-                let count =
-                    u32::from_le_bytes(payload[..4].try_into().expect("4 header bytes")) as usize;
-                if count > RECORDS_PER_PAGE {
-                    return Err(SegmentError::Malformed(format!(
-                        "page declares {count} records, capacity is {RECORDS_PER_PAGE}"
-                    )));
-                }
-                for rec in Page::from_bytes(&payload).records() {
-                    traces.record(rec.to_presence());
-                    loaded_records += 1;
-                }
-            }
-            other => {
-                return Err(SegmentError::Malformed(format!("unknown segment tag {other}")));
-            }
-        }
-    }
-    let traces = traces.ok_or_else(|| SegmentError::Malformed("missing META segment".into()))?;
-    if loaded_records != expected_records {
-        return Err(SegmentError::Malformed(format!(
-            "META announces {expected_records} records but {loaded_records} were stored"
-        )));
-    }
-    Ok(traces)
 }
 
 #[cfg(test)]
@@ -342,7 +219,6 @@ mod tests {
         let store = PagedTraceStore::build(&ts, 4);
         let pool = store.pool(PoolConfig::default());
         assert!(store.read_trace(&pool, EntityId(999)).is_none());
-        assert!(store.read_trace_uncached(EntityId(999)).is_none());
     }
 
     #[test]
@@ -352,8 +228,16 @@ mod tests {
         let pool = store.pool(PoolConfig::default());
         for entity in ts.entities() {
             let cached = store.read_trace(&pool, entity).unwrap();
-            let uncached = store.read_trace_uncached(entity).unwrap();
-            assert_eq!(cached.instances(), uncached.instances());
+            // Every page access of the reference is a disk read.
+            let uncached: Vec<_> = store
+                .trace_pages(entity)
+                .unwrap()
+                .iter()
+                .flat_map(|&id| store.disk.read_page(id).records().to_vec())
+                .filter(|rec| rec.entity == entity.raw())
+                .map(|rec| rec.to_presence())
+                .collect();
+            assert_eq!(cached.instances(), &uncached[..]);
         }
     }
 
@@ -421,53 +305,5 @@ mod tests {
         assert_eq!(store.num_entities(), 0);
         assert_eq!(store.stats().records, 0);
         assert_eq!(store.stats().pages, 0);
-    }
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("store-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
-    #[test]
-    fn trace_set_file_round_trip() {
-        let (_sp, ts) = sample_traces(30, 7);
-        let path = temp_path("round-trip.msts");
-        save_trace_set(&path, &ts).unwrap();
-        let loaded = load_trace_set(&path).unwrap();
-        assert_eq!(loaded.ticks_per_unit(), ts.ticks_per_unit());
-        assert_eq!(loaded.num_entities(), ts.num_entities());
-        assert_eq!(loaded.total_presence_instances(), ts.total_presence_instances());
-        for (entity, trace) in ts.iter() {
-            assert_eq!(loaded.trace(entity).unwrap().instances(), trace.instances());
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn empty_trace_set_round_trips() {
-        let ts = TraceSet::new(7);
-        let path = temp_path("empty.msts");
-        save_trace_set(&path, &ts).unwrap();
-        let loaded = load_trace_set(&path).unwrap();
-        assert_eq!(loaded.ticks_per_unit(), 7);
-        assert!(loaded.is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn truncated_trace_set_file_is_rejected() {
-        let (_sp, ts) = sample_traces(200, 10);
-        let path = temp_path("truncate.msts");
-        save_trace_set(&path, &ts).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.len() > PAGE_SIZE, "need at least one full page for this test");
-        // Cut the file mid-page: the loader must report an error, not return a
-        // partial trace set.
-        for cut in [bytes.len() - 1, bytes.len() - PAGE_SIZE / 2, 10, 0] {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            assert!(load_trace_set(&path).is_err(), "cut at {cut} went undetected");
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 }

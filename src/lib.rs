@@ -15,13 +15,14 @@
 //!
 //! ## Architecture: one executor, many drivers
 //!
-//! Every query path — exact, paged, join/batch, sharded and approximate —
-//! runs through a single **resumable** best-first executor
-//! (`minsig::engine::Executor`), parameterised over a `TraceSource` that says
-//! where a candidate's degree comes from during leaf evaluation
-//! (`ArenaSource` scores from the index snapshot's flat candidate arena,
-//! `PagedArenaSource` reads raw traces through the `storage` buffer pool) and over
-//! a `Bound` — the k-th-degree threshold candidates must beat.  The sharded index drives
+//! Every tree search — exact, paged, join/batch and sharded — runs through a
+//! single **resumable** best-first executor (`minsig::engine::Executor`; the
+//! flat scans and the approximate path share its top-k selection),
+//! parameterised over a `TraceSource` that says where a candidate's degree
+//! comes from during leaf evaluation (`ArenaSource` scores from the index
+//! snapshot's flat candidate arena, `PagedArenaSource` reads raw traces
+//! through the `storage` buffer pool) and over a `Bound` — the k-th-degree
+//! threshold candidates must beat.  The sharded index drives
 //! one executor per shard as a cooperative scheduler sharing one atomic
 //! `SharedBound` per query, so cross-shard answers keep the pruning power of
 //! a single tree while staying bitwise identical to unsharded execution.

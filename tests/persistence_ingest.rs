@@ -7,7 +7,7 @@ use digital_traces::index::{
     CandidateArena, IndexConfig, IngestBuffer, JoinOptions, MinSigIndex, NodeArena, Synopsis,
 };
 use digital_traces::{
-    DigitalTrace, EntityId, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet,
+    DigitalTrace, EntityId, IndexSnapshot, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -248,6 +248,23 @@ proptest! {
             }
             assert_mirrors_match_a_fresh_build(&index, &context);
             prop_assert_eq!(reader.to_bytes().unwrap(), reader_bytes, "reader moved, {}", context);
+            // Indexed, sequenced, signed and arena-resident are one set of ids
+            // (the script draws every id from 0..18), on the handle and on the
+            // pre-step snapshot: what lets the paged query read an indexed
+            // entity's sequence without a fallback.
+            let views: [&IndexSnapshot; 2] = [&index, &reader];
+            for (view, e) in views.into_iter().flat_map(|v| (0..18).map(move |e| (v, EntityId(e)))) {
+                let indexed = view.contains(e);
+                prop_assert_eq!(
+                    [
+                        view.sequence(e).is_some(),
+                        view.signature(e).is_some(),
+                        view.arena().position(e).is_some(),
+                    ],
+                    [indexed; 3],
+                    "{} after {}", e, context
+                );
+            }
         }
     }
 }

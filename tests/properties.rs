@@ -58,6 +58,20 @@ proptest! {
                     "query {} k {}: {} vs {}", query, k, g.degree, e.degree);
             }
             prop_assert!(stats.entities_checked <= index.num_entities());
+            // Both of those score through the arena.  The owned scan — every
+            // level through `AssociationMeasure::degree` — shares neither the
+            // fused per-level loop nor the intersection kernels with them.
+            let seqs = index.sequences();
+            let mut owned: Vec<f64> = seqs
+                .iter()
+                .filter(|(&e, _)| e != query)
+                .map(|(_, seq)| measure.degree(&seqs[&query], seq))
+                .collect();
+            owned.sort_by(|a, b| b.total_cmp(a));
+            owned.truncate(k);
+            let got_bits: Vec<u64> = got.iter().map(|r| r.degree.to_bits()).collect();
+            let owned_bits: Vec<u64> = owned.iter().map(|d| d.to_bits()).collect();
+            prop_assert_eq!(got_bits, owned_bits, "query {} k {}", query, k);
         }
     }
 
