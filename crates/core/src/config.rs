@@ -152,9 +152,14 @@ pub struct PlannerConfig {
     /// Skip shards whose synopsis upper bound is strictly below the seeded
     /// threshold — provably outside the top-k, never opened.
     pub skip_shards: bool,
-    /// Shards holding at most this many entities are answered by the flat
-    /// exact scan instead of a best-first tree search (same answers, no
-    /// frontier bookkeeping).  0 scans nothing but empty shards.
+    /// Non-empty, fully resident shards holding at most this many entities
+    /// are answered by the flat exact scan instead of a best-first tree
+    /// search (same answers, no frontier bookkeeping).  0 scans no shard for
+    /// being small (an empty shard is tree-searched; the executor no-ops on
+    /// it).  The cutoff is one of the two conditions a shard scans on: a
+    /// larger resident shard is scanned too when the plan is seeded and
+    /// unbudgeted and the seed cannot prune one of its top-level subtrees
+    /// (see [`ShardDecision::Scan`](crate::plan::ShardDecision::Scan)).
     pub scan_cutoff: usize,
     /// Per-query latency budget in microseconds; `None` (the default) turns
     /// all deadline machinery off — planning and execution are exactly the

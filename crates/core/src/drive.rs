@@ -6,9 +6,10 @@
 //! → [`execute`], and `execute` holds the only two schedules a plan is ever
 //! driven by —
 //!
-//! * **unbudgeted**: scan shards first (each publishes its local k-th
-//!   degree), then every admitted tree shard as a resumable [`Executor`],
-//!   interleaved in quanta by the cooperative scheduler;
+//! * **unbudgeted**: one work queue of jobs — every scan shard as a flat
+//!   scan (one step; it publishes its local k-th degree when done), queued
+//!   first, then every admitted tree shard as a resumable [`Executor`]
+//!   advanced in quanta — drained by the cooperative scheduler's workers;
 //! * **budgeted** ([`latency_budget_us`] set): admitted shards
 //!   **sequentially in plan order**, each tree search under
 //!   [`Executor::run_until`], degrading to sampled scans as the deadline
@@ -39,9 +40,10 @@ use trace_storage::PinnedPages;
 /// the in-memory path (`shard::ArenaAccess`, over the candidate arenas) and
 /// the out-of-core one (`paged::PagedAccess`, over the trace store through
 /// the buffer pool).  An access serves one query — it knows whose — on one
-/// thread; the sources it hands out travel with their executors.
+/// thread; the sources it hands out travel with their executors and scans.
 pub(crate) trait ShardAccess<'q> {
-    /// What a tree executor evaluates its leaves through; one per executor.
+    /// What a tree executor evaluates its leaves through and a scan scores
+    /// through; one per job.
     type Source: TraceSource + Send;
 
     /// The shard snapshots, in shard order.
@@ -83,25 +85,29 @@ pub(crate) trait ShardAccess<'q> {
         None
     }
 
-    /// The flat degree loop over one shard's members: exact (`rate` `None`)
-    /// or over the deterministic sample at `rate` plus the shard's sketch
-    /// entities.  Returns the shard's sorted top-k and how many entities it
-    /// scored; kernel dispatches and unreadable candidates go to `stats`.
-    fn scan<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        shard: usize,
+    /// The flat degree loop over the members of `shard`, scored through a
+    /// `source` of that shard the scan owns like an executor owns its own —
+    /// no `&self`, so a scan is a job any worker can run: exact (`rate`
+    /// `None`) or over the deterministic sample at `rate` plus the shard's
+    /// sketch entities, `exclude` (the query entity) left out.  Returns the
+    /// shard's sorted top-k and how many entities it scored; kernel
+    /// dispatches, pool traffic and unreadable candidates stay on the source
+    /// until [`drain_source`](Self::drain_source).
+    fn scan<M: AssociationMeasure + ?Sized>(
+        source: &Self::Source,
+        shard: &IndexSnapshot,
+        exclude: EntityId,
         rate: Option<f64>,
         query: &Query<'_, M>,
-        stats: &mut QueryStats,
     ) -> (Vec<TopKResult>, usize);
 
     /// A fresh source (own scratch, zeroed counters) over one shard.
     fn source(&self, shard: usize) -> Self::Source;
 
-    /// Moves an executor source's counters into the query's stats.
+    /// Moves an executor's or a scan's source counters into the query's stats.
     fn drain_source(source: &Self::Source, stats: &mut QueryStats);
 
-    /// Moves the counters of the access's own reads (seeding, scans) there.
+    /// Moves the counters of the access's own reads (seeding) there.
     fn drain(&self, _stats: &mut QueryStats) {}
 }
 
@@ -185,6 +191,7 @@ where
     // effectiveness stays comparable with unplanned runs.
     stats.entities_checked += plan.seed_candidates;
     stats.shards_skipped = plan.shards_skipped();
+    stats.shards_scanned = plan.shards_scanned();
     stats.threshold_seeded = plan.seeded();
     for shard_plan in &plan.shards {
         if shard_plan.decision == ShardDecision::Skip {
@@ -246,6 +253,56 @@ impl Bound for QueryBound<'_> {
     }
 }
 
+/// One shard's flat scan as a unit of work.  Like an executor it owns the
+/// source it scores through (scratch, kernel-dispatch and pool counters) and
+/// what it found, so whichever worker pops it runs it.
+struct ScanJob<'q, A: ShardAccess<'q>> {
+    shard: usize,
+    snapshot: &'q IndexSnapshot,
+    exclude: EntityId,
+    /// `None` is the exact scan; `Some` the budgeted schedule's sampled one.
+    rate: Option<f64>,
+    source: A::Source,
+    results: Vec<TopKResult>,
+    /// Entities scored.
+    checked: usize,
+}
+
+impl<'q, A: ShardAccess<'q>> ScanJob<'q, A> {
+    /// A flat scan of one shard — exact, or sampled at `rate` — with a
+    /// source of its own.
+    fn new(access: &A, shard: usize, rate: Option<f64>) -> Self {
+        ScanJob {
+            shard,
+            snapshot: &access.shards()[shard],
+            exclude: access.entity(),
+            rate,
+            source: access.source(shard),
+            results: Vec::new(),
+            checked: 0,
+        }
+    }
+
+    /// Scans the shard and publishes its k-th degree: a k-th best over `≥ k`
+    /// real candidates is `≤` the global k-th best, sampled or not.
+    fn run<M: AssociationMeasure + ?Sized>(&mut self, query: &Query<'_, M>, shared: &SharedBound) {
+        (self.results, self.checked) =
+            A::scan(&self.source, self.snapshot, self.exclude, self.rate, query);
+        if query.k > 0 && self.results.len() >= query.k {
+            shared.publish(self.results[query.k - 1].degree);
+        }
+    }
+}
+
+/// What the unbudgeted schedule's work queue holds.
+enum Job<'q, A: ShardAccess<'q>, M: AssociationMeasure + ?Sized> {
+    /// One step, start to finish.
+    Scan(ScanJob<'q, A>),
+    /// One quantum a step, requeued while its frontier holds work.  (Boxed:
+    /// an executor is twice a scan job's size.)
+    Tree(Box<Executor<'q, A::Source, M>>),
+}
+
 /// One plan being driven: the query-wide state the four steps share.
 struct Fanout<'a, 'q, A, M: ?Sized> {
     access: &'a A,
@@ -263,43 +320,44 @@ where
     A: ShardAccess<'q>,
     M: AssociationMeasure + Sync + ?Sized,
 {
-    /// Picks the bound.  A single unseeded executor can only share a bound
-    /// with itself; its local threshold already carries the same
+    /// Picks the bound.  A single unseeded job can only share a bound with
+    /// itself; an executor's local threshold already carries the same
     /// information, so skip the atomic churn (a 1-shard fan-out is exactly
-    /// the single-tree search).  With a seed (or scan-published thresholds)
-    /// in the shared bound, even a lone executor must prune against it.
-    fn bound(&self, lone_executor: bool) -> QueryBound<'a> {
-        if lone_executor && self.shared.current() == f64::NEG_INFINITY {
+    /// the single-tree search).  With a seed in the shared bound, even a
+    /// lone executor must prune against it.
+    fn bound(&self, lone_job: bool) -> QueryBound<'a> {
+        if lone_job && self.shared.current() == f64::NEG_INFINITY {
             QueryBound::Private
         } else {
             QueryBound::Shared(self.shared)
         }
     }
 
-    /// Answers one shard by a flat scan — exact, or sampled at `rate` with
-    /// the degradation bookkeeping (conservative recall estimate, report
-    /// row) — and publishes its k-th degree: a k-th best over `≥ k` real
-    /// candidates is `≤` the global k-th best, sampled or not.
-    /// `count_population` is false when an abandoned executor already
-    /// charged the shard's population.
-    fn scan(&mut self, shard: usize, rate: Option<f64>, count_population: bool, downgraded: bool) {
-        let snapshot = &self.access.shards()[shard];
-        let (results, checked) = self.access.scan(shard, rate, self.query, &mut self.stats);
-        self.stats.entities_checked += checked;
+    /// Books a scan that ran: its counters, its answer and — when it was
+    /// sampled — the degradation bookkeeping (conservative recall estimate,
+    /// report row).  `count_population` is false when an abandoned executor
+    /// already charged the shard's population.
+    fn finish_scan(&mut self, job: ScanJob<'q, A>, count_population: bool, downgraded: bool) {
+        A::drain_source(&job.source, &mut self.stats);
+        self.stats.entities_checked += job.checked;
         if count_population {
-            self.stats.total_entities += snapshot.num_entities();
+            self.stats.total_entities += job.snapshot.num_entities();
         }
-        if let Some(rate) = rate {
-            self.stats.sampled_candidates += checked;
+        if let Some(rate) = job.rate {
+            self.stats.sampled_candidates += job.checked;
             self.stats.recall_estimate =
-                self.stats.recall_estimate.min(snapshot.synopsis().expected_scan_recall(rate));
-            self.report.record_shard(shard, rate, downgraded);
+                self.stats.recall_estimate.min(job.snapshot.synopsis().expected_scan_recall(rate));
+            self.report.record_shard(job.shard, rate, downgraded);
         }
-        let k = self.query.k;
-        if k > 0 && results.len() >= k {
-            self.shared.publish(results[k - 1].degree);
-        }
-        self.parts.push(results);
+        self.parts.push(job.results);
+    }
+
+    /// Answers one shard by a flat scan, here and now (the budgeted
+    /// schedule's step).
+    fn scan(&mut self, shard: usize, rate: Option<f64>, count_population: bool, downgraded: bool) {
+        let mut job = ScanJob::new(self.access, shard, rate);
+        job.run(self.query, self.shared);
+        self.finish_scan(job, count_population, downgraded);
     }
 
     /// A resumable executor over one shard's tree, with a source of its own.
@@ -327,23 +385,34 @@ where
         }
     }
 
-    /// The unbudgeted schedule.  Scan shards go first: their exact answers
-    /// are cheap and raise the shared bound before any tree executor runs.
-    /// Tree shards follow in plan order, so the executor most likely to
-    /// raise the bound is driven before the long tail.
+    /// The unbudgeted schedule: one work queue.  Scan jobs are queued first
+    /// — each publishes its shard's k-th degree, which a lone worker has in
+    /// the bound before any tree executor starts — then the tree shards in
+    /// plan order, so the executor most likely to raise the bound is driven
+    /// before the long tail.
     fn drive_unbudgeted(&mut self, parallel: bool) -> Result<()> {
         let plan = self.plan;
+        let mut jobs = Vec::with_capacity(plan.shards.len());
         for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::Scan) {
-            self.scan(shard_plan.shard, None, true, false);
+            jobs.push(Job::Scan(ScanJob::new(self.access, shard_plan.shard, None)));
         }
-        let mut executors = Vec::with_capacity(plan.shards.len());
         for shard_plan in plan.admitted().filter(|p| p.decision == ShardDecision::TreeSearch) {
-            executors.push(self.executor(shard_plan.shard)?);
+            jobs.push(Job::Tree(Box::new(self.executor(shard_plan.shard)?)));
         }
-        let bound = self.bound(executors.len() <= 1);
-        drive_cooperatively(&mut executors, &bound, parallel, self.query.scheduler.step_quantum);
-        for executor in executors {
-            self.finish(executor, true);
+        let bound = self.bound(jobs.len() <= 1);
+        let (query, shared) = (self.query, self.shared);
+        drive_cooperatively(&mut jobs, parallel, |job| match job {
+            Job::Scan(scan) => {
+                scan.run(query, shared);
+                false
+            }
+            Job::Tree(executor) => executor.step(&bound, query.scheduler.step_quantum),
+        });
+        for job in jobs {
+            match job {
+                Job::Scan(scan) => self.finish_scan(scan, true, false),
+                Job::Tree(executor) => self.finish(*executor, true),
+            }
         }
         Ok(())
     }
@@ -418,44 +487,38 @@ where
     }
 }
 
-/// Drives a set of per-shard executors to exhaustion under one bound.
+/// Drives a set of jobs to completion: `step` advances one job by one unit
+/// of work and says whether it has more.
 ///
-/// Scheduling is a round-robin work queue of executor indices: each worker
-/// pops an index, advances that executor by one quantum, and requeues it
-/// while work remains.  `parallel` fans the workers out over rayon (bound
-/// propagation is then concurrent); otherwise one worker interleaves every
-/// executor on the calling thread — later quanta still profit from bounds
-/// published by earlier ones, which is what makes even the sequential batch
-/// paths cooperative.  An executor held by a worker is never in the queue,
-/// and a worker only exits on an empty queue while holding nothing, so every
-/// frontier reaches exhaustion before this returns.  The answers do not
-/// depend on the schedule; only work counters do.
-fn drive_cooperatively<'a, S, M, B>(
-    executors: &mut [Executor<'a, S, M>],
-    bound: &B,
+/// Scheduling is a round-robin work queue of job indices: each worker pops
+/// an index, steps that job once, and requeues it while work remains.
+/// `parallel` fans the workers out over rayon (bound propagation is then
+/// concurrent); otherwise one worker interleaves every job on the calling
+/// thread — later steps still profit from bounds published by earlier ones,
+/// which is what makes even the sequential batch paths cooperative.  A job
+/// held by a worker is never in the queue, and a worker only exits on an
+/// empty queue while holding nothing, so every job is complete before this
+/// returns.  The answers do not depend on the schedule, and neither does
+/// anything a scan counts (it scores its whole shard whatever the bound
+/// says); only the tree executors' work counters do.
+fn drive_cooperatively<J: Send>(
+    jobs: &mut [J],
     parallel: bool,
-    quantum: usize,
-) where
-    S: TraceSource + Send,
-    M: AssociationMeasure + ?Sized + Sync,
-    B: Bound,
-{
-    let workers = if parallel && executors.len() > 1 {
-        rayon::current_num_threads().min(executors.len())
-    } else {
-        1
-    };
+    step: impl Fn(&mut J) -> bool + Sync,
+) {
+    let workers =
+        if parallel && jobs.len() > 1 { rayon::current_num_threads().min(jobs.len()) } else { 1 };
     if workers <= 1 {
-        let mut pending: VecDeque<usize> = (0..executors.len()).collect();
+        let mut pending: VecDeque<usize> = (0..jobs.len()).collect();
         while let Some(i) = pending.pop_front() {
-            if executors[i].step(bound, quantum) {
+            if step(&mut jobs[i]) {
                 pending.push_back(i);
             }
         }
         return;
     }
 
-    let slots: Vec<Mutex<&mut Executor<'a, S, M>>> = executors.iter_mut().map(Mutex::new).collect();
+    let slots: Vec<Mutex<&mut J>> = jobs.iter_mut().map(Mutex::new).collect();
     let pending: Mutex<VecDeque<usize>> = Mutex::new((0..slots.len()).collect());
     let worker_ids: Vec<usize> = (0..workers).collect();
     let _: Vec<()> = worker_ids
@@ -463,7 +526,7 @@ fn drive_cooperatively<'a, S, M, B>(
         .map(|_| loop {
             let next = pending.lock().expect("scheduler queue poisoned").pop_front();
             let Some(i) = next else { break };
-            let more = slots[i].lock().expect("executor slot poisoned").step(bound, quantum);
+            let more = step(&mut slots[i].lock().expect("job slot poisoned"));
             if more {
                 pending.lock().expect("scheduler queue poisoned").push_back(i);
             }

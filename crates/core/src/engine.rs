@@ -888,6 +888,48 @@ mod tests {
         assert_eq!(std::mem::size_of::<Candidate>(), 16);
     }
 
+    /// What the planner's scan rule rests on: whatever a top-level subtree's
+    /// signature says, the executor bounds it at or above the synopsis'
+    /// `top_level_bound_floor` — so a threshold at or below the floor prunes
+    /// none of them.
+    #[test]
+    fn no_top_level_row_is_bounded_below_the_synopsis_floor() {
+        use crate::config::IndexConfig;
+        use crate::testkit::{PruningAdversarialConfig, SkewedConfig, UniformConfig, Workload};
+        let workloads = [
+            Workload::uniform(UniformConfig { entities: 150, ..UniformConfig::default() }),
+            Workload::skewed(SkewedConfig::default()),
+            Workload::pruning_adversarial(PruningAdversarialConfig::default()).0,
+        ];
+        let mut rows = 0usize;
+        for w in &workloads {
+            let index = w.build_index(IndexConfig::with_hash_functions(16));
+            let snapshot = index.snapshot();
+            let measure = w.measure();
+            for entity in w.sample_entities(10, 5) {
+                let sequence = snapshot.sequence(entity).unwrap();
+                let query = Query::new(3, &measure);
+                let source = crate::kernel::ArenaSource::new(snapshot.arena(), sequence);
+                let mut executor =
+                    Executor::new(&snapshot, sequence, Some(entity), &query, source).unwrap();
+                executor.step(&PrivateBound, 1);
+                let floor =
+                    snapshot.synopsis().top_level_bound_floor(&executor.query_sizes, &measure);
+                for candidate in &executor.queue {
+                    assert_eq!(executor.tree.depth(candidate.node), 1);
+                    assert!(
+                        candidate.upper_bound.0 >= floor,
+                        "row {} bounded at {} under the floor {floor}",
+                        candidate.node,
+                        candidate.upper_bound.0
+                    );
+                    rows += 1;
+                }
+            }
+        }
+        assert!(rows > 100, "the fixtures have top-level rows to check ({rows})");
+    }
+
     #[test]
     fn caps_slab_recycles_slots() {
         let mut slab = CapsSlab::new(3);

@@ -662,6 +662,23 @@ impl<'a> ArenaSource<'a> {
     pub(crate) fn take_dispatch(&self) -> KernelDispatch {
         self.dispatch.take()
     }
+
+    /// [`CandidateArena::scan_top_k_where`] over the source's arena, row by
+    /// row (no per-entity position lookup), counting its kernel dispatches
+    /// where the source's leaf evaluations go.
+    pub(crate) fn scan_top_k_where<M: AssociationMeasure + ?Sized>(
+        &self,
+        exclude: Option<EntityId>,
+        k: usize,
+        measure: &M,
+        admit: impl Fn(EntityId) -> bool,
+    ) -> (Vec<TopKResult>, usize) {
+        let mut dispatch = self.dispatch.get();
+        let answer =
+            self.arena.scan_top_k_where(&self.view, exclude, k, measure, &mut dispatch, admit);
+        self.dispatch.set(dispatch);
+        answer
+    }
 }
 
 impl TraceSource for ArenaSource<'_> {

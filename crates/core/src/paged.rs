@@ -34,8 +34,8 @@
 //!   is pinned only while its run of the candidate's records is visited
 //!   ([`PagedTraceStore::for_each_record`]); nothing else ever holds a pin, so
 //!   `pinned_frames() == 0` after every query.
-//! * **Scratch.**  Every tree executor gets its own [`PagedArenaSource`], the
-//!   calling thread one more for seeding and scans.  A source owns the row
+//! * **Scratch.**  Every tree executor and every shard scan gets its own
+//!   [`PagedArenaSource`], the planner one more for seeding.  A source owns the row
 //!   buffer its candidates are discretised into, the overlap scratch, and the
 //!   kernel-dispatch and buffer-pool counters for the work *it* did; an
 //!   executor is stepped by one worker at a time, so none of it is locked and
@@ -89,6 +89,9 @@ struct Scratch {
     overlap: LevelOverlap,
     dispatch: KernelDispatch,
     io: PoolStats,
+    /// Candidates a flat scan through this source could not read (a tree
+    /// executor counts its own).
+    unreadable: usize,
 }
 
 /// A [`TraceSource`] that scores candidates straight from the paged store:
@@ -132,12 +135,14 @@ impl<'a> PagedArenaSource<'a> {
         PagedArenaSource { store, pool, sp, ticks_per_unit, view, scratch }
     }
 
-    /// Adds the kernel-dispatch and buffer-pool counters accumulated since
-    /// the last call (or construction) to `stats`, leaving them at zero.
+    /// Adds the kernel-dispatch, buffer-pool and unreadable-candidate
+    /// counters accumulated since the last call (or construction) to `stats`,
+    /// leaving them at zero.
     pub(crate) fn drain_into(&self, stats: &mut QueryStats) {
         let scratch = &mut *self.scratch.borrow_mut();
         stats.kernel_dispatch.absorb(std::mem::take(&mut scratch.dispatch));
         stats.absorb_io(std::mem::take(&mut scratch.io));
+        stats.candidates_unreadable += std::mem::take(&mut scratch.unreadable);
     }
 
     /// The fused records → rows → degree evaluation; `None` when the store
@@ -151,7 +156,7 @@ impl<'a> PagedArenaSource<'a> {
         measure: &dyn AssociationMeasure,
         track: bool,
     ) -> Option<f64> {
-        let Scratch { rows, overlap, dispatch, io } = &mut *self.scratch.borrow_mut();
+        let Scratch { rows, overlap, dispatch, io, .. } = &mut *self.scratch.borrow_mut();
         rows.clear();
         let mut pushed = Ok(());
         let found = self.store.for_each_record(self.pool, entity, io, |rec| {
@@ -408,8 +413,8 @@ impl<'a> PagedShardedSnapshot<'a> {
 }
 
 /// Out-of-core [`ShardAccess`]: every candidate trace is read through the
-/// buffer pool.  Seeding and scan shards run on the calling thread through
-/// the access's own source; every tree executor gets one more.
+/// buffer pool.  Seeding runs through the access's own source; every scan
+/// and every tree executor gets one more.
 pub(crate) struct PagedAccess<'q> {
     paged: &'q PagedShardedSnapshot<'q>,
     sequence: &'q CellSetSequence,
@@ -466,23 +471,22 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         self.paged.store.pin_trace(self.paged.pool, self.entity)
     }
 
-    fn scan<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        shard: usize,
+    fn scan<M: AssociationMeasure + ?Sized>(
+        source: &PagedArenaSource<'q>,
+        shard: &IndexSnapshot,
+        exclude: EntityId,
         rate: Option<f64>,
         query: &Query<'_, M>,
-        stats: &mut QueryStats,
     ) -> (Vec<TopKResult>, usize) {
-        let shard = &self.shards()[shard];
         let hot = shard.synopsis().hot_entities();
         let mut top = TopKHeap::new(query.k);
         let mut checked = 0usize;
         for &entity in shard.sequences().keys() {
-            if entity == self.entity || !plan::scan_admits(rate, hot, entity) {
+            if entity == exclude || !plan::scan_admits(rate, hot, entity) {
                 continue;
             }
-            let Some(degree) = self.source.degree(entity, &query.measure) else {
-                stats.candidates_unreadable += 1;
+            let Some(degree) = source.degree(entity, &query.measure) else {
+                source.scratch.borrow_mut().unreadable += 1;
                 continue;
             };
             checked += 1;

@@ -19,9 +19,14 @@
 //! 3. **admission ordering** — admitted shards are driven
 //!    most-promising-first (synopsis upper bound descending), so the shard
 //!    most likely to raise the shared bound runs first;
-//! 4. **access-path choice** — shards at or below the
-//!    [`scan_cutoff`](crate::config::PlannerConfig::scan_cutoff) are answered
-//!    by the flat exact scan (no frontier bookkeeping); larger shards get the
+//! 4. **access-path choice** — a resident shard is answered by the flat
+//!    exact scan (no frontier bookkeeping) on either of two conditions: it
+//!    is **small** (at or below the
+//!    [`scan_cutoff`](crate::config::PlannerConfig::scan_cutoff)), or the
+//!    **seed cannot prune a top-level subtree** of it — the seeded threshold
+//!    is at or below the least bound the executor can give any depth-1 row
+//!    (`Synopsis::top_level_bound_floor`), so a tree search would start by
+//!    expanding every one of them.  Every other admitted shard gets the
 //!    best-first tree search.
 //!
 //! None of the four decisions can change an answer: seeding and skipping are
@@ -35,14 +40,14 @@
 //!
 //! One planner body (`plan_query`) serves the in-memory and the paged
 //! paths.  Where the query's access reports a [`PageEstimate`] per shard,
-//! the two *cost* decisions reason in pages: a shard is flat-scanned only
-//! when it is small **and fully resident** (a scan touches every member's
-//! trace, so on a cold shard it would pay the worst-case I/O the tree search
-//! exists to avoid), and upper-bound ties in the driving order break by
-//! `cold_pages` ascending.  Without estimates both reduce to the in-memory
-//! rule.  Estimates are advisory (residency moves under concurrency), which
-//! is why they never touch the skip certificate — plans return
-//! bitwise-identical answers whatever the access
+//! the two *cost* decisions reason in pages: a shard is flat-scanned — for
+//! either reason of item 4 — only when it is **fully resident** (a scan
+//! touches every member's trace, so on a cold shard it would pay the
+//! worst-case I/O the tree search exists to avoid), and upper-bound ties in
+//! the driving order break by `cold_pages` ascending.  Without estimates
+//! both reduce to the in-memory rule.  Estimates are advisory (residency
+//! moves under concurrency), which is why they never touch the skip
+//! certificate — plans return bitwise-identical answers whatever the access
 //! (`tests/paged_conformance.rs`).
 //!
 //! ## Latency budgets and the approximate arm
@@ -100,8 +105,13 @@ pub enum ShardDecision {
     /// away; unseeded, it is tree-searched — the executor no-ops on an
     /// empty tree.)
     Skip,
-    /// The shard is small enough that a flat exact scan beats the frontier
-    /// bookkeeping of a tree search.
+    /// The shard is answered by a flat exact scan instead of a tree search,
+    /// for one of two reasons [`ShardPlan::floor`] tells apart: it is small
+    /// enough (`entities ≤ scan_cutoff`) that the scan beats the frontier
+    /// bookkeeping, or the seeded threshold is at or below the least bound
+    /// any of its top-level subtrees can have, so the tree search could not
+    /// prune one of them and would walk the tree only to score the shard
+    /// anyway.  Taken only for a non-empty, fully resident shard.
     Scan,
     /// The shard gets a best-first tree executor under the query's bound.
     TreeSearch,
@@ -164,6 +174,14 @@ pub struct ShardPlan {
     /// Page-residency estimate (paged plans with an active planner only;
     /// `None` on in-memory plans and on the disabled-planner baseline).
     pub pages: Option<PageEstimate>,
+    /// The least bound the executor can give a top-level subtree of this
+    /// shard against the query (`Synopsis::top_level_bound_floor`), where the
+    /// planner weighed it: on a seeded, unbudgeted plan, for an admitted,
+    /// non-empty, resident shard above the scan cutoff.  Such a shard is a
+    /// [`Scan`](ShardDecision::Scan) when `seed ≤ floor` — under the seed not
+    /// one top-level subtree is prunable — and a tree search otherwise;
+    /// `None` everywhere else (a `Scan` without a floor is a small shard).
+    pub floor: Option<f64>,
 }
 
 /// The executable plan of one sharded top-k query: the seeded threshold plus
@@ -189,6 +207,11 @@ impl QueryPlan {
     /// Number of shards the plan proves cannot contribute.
     pub fn shards_skipped(&self) -> usize {
         self.shards.iter().filter(|s| s.decision == ShardDecision::Skip).count()
+    }
+
+    /// Number of shards the plan answers by a flat exact scan.
+    pub fn shards_scanned(&self) -> usize {
+        self.shards.iter().filter(|s| s.decision == ShardDecision::Scan).count()
     }
 
     /// True when a threshold seed was derived (and will be published to the
@@ -217,12 +240,21 @@ impl QueryPlan {
             self.shards_skipped(),
         );
         for plan in &self.shards {
-            let decision = match plan.decision {
-                ShardDecision::TreeSearch => "tree-search".to_string(),
-                ShardDecision::Scan => "scan".to_string(),
-                ShardDecision::Skip if plan.entities == 0 => "skip (empty shard)".to_string(),
-                ShardDecision::Skip => "skip (upper bound below seed)".to_string(),
-                ShardDecision::ApproximateScan { rate } => {
+            let decision = match (plan.decision, plan.floor) {
+                (ShardDecision::TreeSearch, Some(floor)) => {
+                    format!("tree-search (seed {:.6} > floor {floor:.6})", self.seed)
+                }
+                (ShardDecision::TreeSearch, None) => "tree-search".to_string(),
+                (ShardDecision::Scan, Some(floor)) => format!(
+                    "scan (seed {:.6} ≤ floor {floor:.6}: no top-level subtree prunable)",
+                    self.seed
+                ),
+                (ShardDecision::Scan, None) => {
+                    format!("scan (small shard: scan_cutoff {})", self.planner.scan_cutoff)
+                }
+                (ShardDecision::Skip, _) if plan.entities == 0 => "skip (empty shard)".to_string(),
+                (ShardDecision::Skip, _) => "skip (upper bound below seed)".to_string(),
+                (ShardDecision::ApproximateScan { rate }, _) => {
                     format!("approximate-scan (rate={rate:.3}, budget-forced)")
                 }
             };
@@ -294,6 +326,7 @@ where
                 upper_bound: f64::INFINITY,
                 decision: ShardDecision::TreeSearch,
                 pages: None,
+                floor: None,
             })
             .collect();
         return QueryPlan {
@@ -339,20 +372,37 @@ where
             upper_bound,
             decision: ShardDecision::TreeSearch,
             pages: access.pages(i),
+            floor: None,
         };
         // The skip certificate is strict, mirroring the executor's
         // tie-complete pruning: a shard *tying* the seed may hold an
         // equal-degree entity that enters the top-k through the id
-        // tie-break, so it is never skipped.  Empty shards are tree-searched
-        // (the executor no-ops on an empty tree, exactly as the pre-planner
-        // fan-out did) rather than scanned.
+        // tie-break, so it is never skipped.
         if config.skip_shards && seed > upper_bound {
             plan.decision = ShardDecision::Skip;
             skipped.push(plan);
             continue;
         }
-        if entities > 0 && entities <= config.scan_cutoff && cold(&plan) == 0 {
-            plan.decision = ShardDecision::Scan;
+        // A scan touches every member's trace, so only a fully resident
+        // shard is ever scanned; an empty one is tree-searched (the executor
+        // no-ops on an empty tree, exactly as the pre-planner fan-out did).
+        if entities > 0 && cold(&plan) == 0 {
+            if entities <= config.scan_cutoff {
+                plan.decision = ShardDecision::Scan;
+            } else if seed > f64::NEG_INFINITY && config.latency_budget_us.is_none() {
+                // Pruning is strict (`bound < threshold`), so under a seed
+                // at or below the floor the search would expand every
+                // top-level subtree.  That is a statement about the seed
+                // only: the threshold may rise mid-search and prune deeper,
+                // which is why this is a heuristic about cost — and, both
+                // paths being exact, never about the answer.  The budgeted
+                // schedule prices and abandons tree searches; it keeps them.
+                let floor = synopsis.top_level_bound_floor(&query_sizes, measure);
+                plan.floor = Some(floor);
+                if seed <= floor {
+                    plan.decision = ShardDecision::Scan;
+                }
+            }
         }
         admitted.push(plan);
     }
@@ -580,10 +630,18 @@ impl BatchPlan {
                 if group.queries.len() == 1 { "y" } else { "ies" },
                 group.queries,
             );
+            // A shard at or below the cutoff scans for every query; above it
+            // only a floor makes it scan — so within a group the reason is
+            // the same for every query and the first plan speaks for all.
+            let lead = &self.plans[group.queries[0]];
             for &(shard, decision) in &group.footprint {
+                let by_floor = lead.shards.iter().any(|s| s.shard == shard && s.floor.is_some());
                 let what = match decision {
                     ShardDecision::TreeSearch => "tree-search".to_string(),
-                    ShardDecision::Scan => "scan".to_string(),
+                    ShardDecision::Scan if by_floor => {
+                        "scan (seed ≤ floor: no top-level subtree prunable)".to_string()
+                    }
+                    ShardDecision::Scan => "scan (small shard)".to_string(),
                     ShardDecision::Skip => "skip".to_string(),
                     ShardDecision::ApproximateScan { rate } => {
                         format!("approximate-scan (rate={rate:.3})")
@@ -816,6 +874,36 @@ mod tests {
         let text = batch.explain();
         assert!(text.contains("BatchPlan"), "{text}");
         assert!(text.contains("group"), "{text}");
+    }
+
+    /// Where the floor is weighed: a seeded, unbudgeted plan records one for
+    /// every admitted shard above the cutoff — a bound of the synopsis
+    /// family, so never above the shard's upper bound — and unseeded and
+    /// budgeted plans weigh nothing and keep the tree.  (Which shards the
+    /// recorded floor turns into scans is `tests/planner_conformance.rs`'s
+    /// `access_path_*`.)
+    #[test]
+    fn access_path_floor_is_weighed_only_on_seeded_unbudgeted_plans() {
+        use crate::testkit::UniformConfig;
+        let w = Workload::uniform(UniformConfig { entities: 200, ..UniformConfig::default() });
+        let shards = shards_of(&w, 4);
+        let cutoff = PlannerConfig::default().scan_cutoff;
+        assert!(shards.iter().all(|s| s.num_entities() > cutoff), "no shard scans for being small");
+        for entity in w.sample_entities(12, 3) {
+            let query = shards.iter().find_map(|s| s.sequence(entity)).unwrap().clone();
+            let plan = plan_of(&shards, &query, 3, &w, PlannerConfig::default());
+            assert!(plan.seeded());
+            for shard_plan in plan.admitted() {
+                let floor = shard_plan.floor.expect("weighed");
+                assert!(floor <= shard_plan.upper_bound, "{}", plan.explain());
+            }
+            let unseeded = PlannerConfig { seed_threshold: false, ..PlannerConfig::default() };
+            for off in [unseeded, PlannerConfig::with_budget(u64::MAX / 2_000)] {
+                let plan = plan_of(&shards, &query, 3, &w, off);
+                assert_eq!(plan.shards_scanned(), 0, "{off:?}");
+                assert!(plan.shards.iter().all(|s| s.floor.is_none()), "{off:?}");
+            }
+        }
     }
 
     /// The disabled baseline computes nothing whatever the access: through

@@ -17,21 +17,23 @@
 //! sketch candidates are scored exactly to **seed** the bound with a provable
 //! k-th-degree lower bound, shards whose capacity caps cannot beat the seed
 //! are **skipped** outright, admitted shards are driven
-//! **most-promising-first**, and tiny shards are answered by the flat exact
-//! **scan** instead of a tree search.  All four decisions are
-//! answer-invariant (strict-inequality certificates, see the
+//! **most-promising-first**, and shards that are tiny — or whose top-level
+//! subtrees the seed cannot prune — are answered by the flat exact **scan**
+//! instead of a tree search.  All four decisions are answer-invariant
+//! (strict-inequality certificates, see the
 //! [plan module docs](crate::plan)); [`ShardedSnapshot::explain`] returns
 //! the [`QueryPlan`] without executing it, and
-//! [`QueryStats::shards_skipped`] / [`QueryStats::threshold_seeded`] report
-//! what planning did.  [`ShardedSnapshot::query`] takes every knob as one
+//! [`QueryStats::shards_skipped`] / [`QueryStats::shards_scanned`] /
+//! [`QueryStats::threshold_seeded`] report what planning did.  [`ShardedSnapshot::query`] takes every knob as one
 //! [`Query`] value; with [`PlannerConfig::disabled`] it is the unplanned PR 4
 //! baseline.
 //!
-//! The admitted tree shards then run as **resumable executors**
-//! ([`IndexSnapshot::executor`]) under a cooperative scheduler: workers
-//! (over rayon) pull an executor from a round-robin queue, advance its
-//! frontier by one quantum ([`engine::Executor::step`]) and requeue it until
-//! every frontier is exhausted.  All executors of one query share a single
+//! The admitted shards then run as jobs of one cooperative scheduler — a
+//! scan shard as a flat scan, a tree shard as a **resumable executor**
+//! ([`IndexSnapshot::executor`]): workers (over rayon) pull a job from a
+//! round-robin queue, run the scan or advance the frontier by one quantum
+//! ([`engine::Executor::step`]), and requeue an executor until its frontier
+//! is exhausted.  All executors of one query share a single
 //! [`SharedBound`](engine::SharedBound) — an atomic, monotone max of the
 //! seed and every shard's local k-th-best degree — so a shard that holds
 //! none of the strong candidates learns the global bar from the shard that
@@ -42,6 +44,7 @@
 //! buffer pool.
 //!
 //! [`QueryStats::shards_skipped`]: crate::stats::QueryStats::shards_skipped
+//! [`QueryStats::shards_scanned`]: crate::stats::QueryStats::shards_scanned
 //! [`QueryStats::threshold_seeded`]: crate::stats::QueryStats::threshold_seeded
 //!
 //! ## Exactness of the fan-out
@@ -684,23 +687,17 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
         }
     }
 
-    fn scan<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        shard: usize,
+    fn scan<M: AssociationMeasure + ?Sized>(
+        source: &ArenaSource<'q>,
+        shard: &IndexSnapshot,
+        exclude: EntityId,
         rate: Option<f64>,
         query: &Query<'_, M>,
-        stats: &mut QueryStats,
     ) -> (Vec<TopKResult>, usize) {
-        let shard = &self.shards[shard];
         let hot = shard.synopsis().hot_entities();
-        shard.arena().scan_top_k_where(
-            &self.view,
-            Some(self.entity),
-            query.k,
-            query.measure,
-            &mut stats.kernel_dispatch,
-            |entity| plan::scan_admits(rate, hot, entity),
-        )
+        source.scan_top_k_where(Some(exclude), query.k, query.measure, |entity| {
+            plan::scan_admits(rate, hot, entity)
+        })
     }
 
     fn source(&self, shard: usize) -> ArenaSource<'q> {

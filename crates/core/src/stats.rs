@@ -191,6 +191,16 @@ pub struct QueryStats {
     /// therefore never opened (sharded planned queries only; see
     /// [`crate::plan`]).  On a batch, sums over the batch's queries.
     pub shards_skipped: usize,
+    /// Shards the planner answered by a flat exact scan instead of a tree
+    /// search — small ones, and ones whose top-level subtrees the seeded
+    /// threshold could not prune ([`ShardDecision::Scan`]; sharded planned
+    /// queries only).  Their entities are all in
+    /// [`entities_checked`](Self::entities_checked) and none of their tree
+    /// rows in [`nodes_visited`](Self::nodes_visited).  On a batch, sums
+    /// over the batch's queries.
+    ///
+    /// [`ShardDecision::Scan`]: crate::plan::ShardDecision::Scan
+    pub shards_scanned: usize,
     /// True when the planner seeded the search bound with a provable
     /// k-th-degree lower bound before any traversal (sharded planned queries
     /// only).
@@ -263,6 +273,7 @@ impl Default for QueryStats {
             bound_updates: 0,
             steps: 0,
             shards_skipped: 0,
+            shards_scanned: 0,
             threshold_seeded: false,
             simulated_io_us: 0,
             pool_hits: 0,
@@ -330,6 +341,7 @@ impl QueryStats {
         self.bound_updates += other.bound_updates;
         self.steps += other.steps;
         self.shards_skipped += other.shards_skipped;
+        self.shards_scanned += other.shards_scanned;
         self.threshold_seeded |= other.threshold_seeded;
         self.simulated_io_us += other.simulated_io_us;
         self.pool_hits += other.pool_hits;
@@ -403,6 +415,7 @@ mod tests {
             bound_updates: 1,
             steps: 2,
             shards_skipped: 3,
+            shards_scanned: 2,
             threshold_seeded: true,
             pool_hits: 7,
             pool_misses: 2,
@@ -417,7 +430,7 @@ mod tests {
         assert_eq!(a.subtrees_pruned, 5);
         assert_eq!(a.bound_updates, 3);
         assert_eq!(a.steps, 3);
-        assert_eq!(a.shards_skipped, 3);
+        assert_eq!((a.shards_skipped, a.shards_scanned), (3, 2));
         assert!(a.threshold_seeded, "seeding anywhere in the batch is recorded");
         assert_eq!(
             (a.pool_hits, a.pool_misses, a.pool_evictions, a.simulated_io_us),

@@ -242,7 +242,15 @@ fn query_entries_are_the_conveniences_and_the_unplanned_baseline() {
         assert_eq!(batch_work(&mem), batch_work(&convenience), "{shards} shards");
         let convenience = paged.top_k_batch(&queries, 5, &measure).unwrap();
         assert_eq!(answers(&out), answers(&convenience), "{shards} shards, paged");
-        assert_eq!(batch_work(&out), batch_work(&convenience), "{shards} shards, paged");
+        // `out` was planned over a cold pool, whose shards keep their tree;
+        // a resident shard the seed cannot prune is scanned instead.  Answers
+        // never depend on residency, work does — so work is compared between
+        // two batches that both found every page resident, and there the
+        // paged plans are the in-memory ones.
+        let warm = paged.query_batch(&queries, &default).unwrap();
+        assert_eq!(answers(&warm), answers(&out), "{shards} shards, paged, warm == cold");
+        assert_eq!(batch_work(&warm), batch_work(&convenience), "{shards} shards, paged");
+        assert_eq!(batch_work(&warm), batch_work(&mem), "{shards} shards, paged == in memory");
         for (i, &query) in queries.iter().enumerate() {
             for (single, batched) in [
                 (snapshot.query(query, &default), &mem[i]),

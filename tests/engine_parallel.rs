@@ -1,9 +1,14 @@
 //! Concurrency contract of the unified query engine: N threads querying one
 //! `Arc<IndexSnapshot>` produce results identical to sequential execution,
-//! batch evaluation equals per-entity evaluation, and snapshots are isolated
-//! from subsequent updates on the index handle.
+//! batch evaluation equals per-entity evaluation, snapshots are isolated
+//! from subsequent updates on the index handle, and a sharded fan-out's scan
+//! jobs answer and count the same on the workers as on the caller's thread.
 
-use digital_traces::index::{IndexConfig, JoinOptions, MinSigIndex, TopKResult};
+use digital_traces::index::testkit::{UniformConfig, Workload};
+use digital_traces::index::{
+    IndexConfig, JoinOptions, MinSigIndex, PlannerConfig, Query, ShardDecision, ShardedMinSigIndex,
+    TopKResult,
+};
 use digital_traces::{EntityId, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -155,6 +160,41 @@ fn snapshots_are_isolated_from_later_updates() {
         reader.join().unwrap();
     });
     assert_eq!(index.num_entities(), 16);
+}
+
+/// Scan shards are jobs of the fan-out's work queue: `query` runs them on the
+/// workers (`parallel`), a one-query batch runs the same plan on the caller's
+/// thread.  A scan scores its whole shard whatever bound is in force, so not
+/// only the answer but every counter a scan fills is schedule-independent.
+#[test]
+fn scan_jobs_answer_and_count_the_same_on_the_workers_as_on_the_caller() {
+    let w = Workload::uniform(UniformConfig { entities: 240, ..UniformConfig::default() });
+    let config = IndexConfig::with_hash_functions(16);
+    let index = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 4).unwrap();
+    let snapshot = index.snapshot();
+    let measure = w.measure();
+    let query = Query::new(5, &measure);
+    let mut all_scan = 0usize;
+    for entity in w.sample_entities(16, 0x5CA9) {
+        let plan = snapshot.explain(entity, 5, &measure, PlannerConfig::default()).unwrap();
+        if plan.shards_scanned() < 2 {
+            continue;
+        }
+        let (threaded, threaded_stats) = snapshot.query(entity, &query).unwrap();
+        let (inline, inline_stats) = snapshot.query_batch(&[entity], &query).unwrap().remove(0);
+        assert_eq!(threaded, inline, "{entity}");
+        assert_eq!(threaded, snapshot.brute_force(entity, 5, &measure).unwrap(), "{entity}");
+        assert_eq!(threaded_stats.shards_scanned, plan.shards_scanned(), "{entity}");
+        assert_eq!(inline_stats.shards_scanned, plan.shards_scanned(), "{entity}");
+        if plan.admitted().all(|s| s.decision == ShardDecision::Scan) {
+            all_scan += 1;
+            assert_eq!(threaded_stats.entities_checked, inline_stats.entities_checked);
+            assert_eq!(threaded_stats.kernel_dispatch, inline_stats.kernel_dispatch);
+            assert_eq!(threaded_stats.total_entities, inline_stats.total_entities);
+            assert_eq!((threaded_stats.nodes_visited, threaded_stats.steps), (0, 0));
+        }
+    }
+    assert!(all_scan >= 8, "the uniform population plans all-scan fan-outs ({all_scan})");
 }
 
 proptest! {

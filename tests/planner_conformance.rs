@@ -7,20 +7,27 @@
 //! skip every background shard of the localized population, skip nothing on
 //! the dispersed one, and report both through `QueryStats`.
 //!
+//! Access paths: which admitted shards are flat-scanned instead of
+//! tree-searched, and why — the `access_path_*` tests at the end.
+//!
 //! Persistence: a saved-then-reopened sharded index must carry exactly the
 //! synopsis a freshly rebuilt index would (sketch size included), and
 //! version-1 directories written before synopses existed must still open
 //! and answer identically.
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, PlannerDispersedConfig, PlannerLocalizedConfig, UniformConfig,
-    Workload,
+    assert_equivalent_answers, PlannerDispersedConfig, PlannerLocalizedConfig,
+    PruningAdversarialConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    shard::SHARD_MANIFEST_FILE, IndexConfig, MinSigIndex, PlannerConfig, Query, ShardedMinSigIndex,
-    Synopsis, INDEX_MAGIC, PARTITION_VERSION, SHARD_MANIFEST_MAGIC,
+    shard::SHARD_MANIFEST_FILE, shard_of, IndexConfig, MinSigIndex, PlannerConfig, Query,
+    QueryPlan, ShardDecision, ShardedMinSigIndex, Synopsis, INDEX_MAGIC, PARTITION_VERSION,
+    SHARD_MANIFEST_MAGIC,
 };
+use digital_traces::mobility_models::{SynConfig, SynDataset};
 use digital_traces::storage::segment::{self, SegmentReader, SegmentWriter};
+use digital_traces::storage::{PagedTraceStore, PoolConfig, PAGE_SIZE};
+use digital_traces::{EntityId, PaperAdm};
 use proptest::prelude::*;
 
 fn build_pair(
@@ -326,4 +333,178 @@ fn version_1_directories_still_open() {
     }
     std::fs::remove_dir_all(&dir_v2).unwrap();
     std::fs::remove_dir_all(&dir_v1).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Access-path choice: which admitted shards are flat-scanned, and why.  CI
+// runs these by name (`--test planner_conformance access_path`), so a rule
+// that starts scanning a shard its tree would have pruned fails visibly.
+// ---------------------------------------------------------------------------
+
+/// A plan's verdicts in plan order, one `<shard><arm>` per shard: `T`ree
+/// search, `S`can, s`K`ip, `A`pproximate scan.
+fn decisions(plan: &QueryPlan) -> String {
+    let arms = plan.shards.iter().map(|s| {
+        let arm = match s.decision {
+            ShardDecision::TreeSearch => 'T',
+            ShardDecision::Scan => 'S',
+            ShardDecision::Skip => 'K',
+            ShardDecision::ApproximateScan { .. } => 'A',
+        };
+        format!("{}{arm}", s.shard)
+    });
+    arms.collect::<Vec<_>>().join(" ")
+}
+
+/// On the paper's SYN population (the 300-entity fixture of
+/// `kernel_conformance`, at the benchmark's 4 shards) the seed is far below
+/// the least bound a top-level subtree can have: every admitted shard is
+/// flat-scanned, the plan says why, and the execution reports it.
+#[test]
+fn access_path_syn_shards_are_all_scanned() {
+    let dataset = SynDataset::generate(SynConfig {
+        num_entities: 300,
+        days: 7,
+        comover_fraction: 0.2,
+        seed: 1,
+        ..SynConfig::default()
+    })
+    .unwrap();
+    let config = IndexConfig::with_hash_functions(32);
+    let sharded =
+        ShardedMinSigIndex::build(dataset.sp_index(), &dataset.traces, config, 4).unwrap();
+    let snapshot = sharded.snapshot();
+    let measure = PaperAdm::default_for(dataset.sp_index().height() as usize);
+    let queries: Vec<EntityId> = dataset.traces.entities().step_by(25).collect();
+    for &query in &queries {
+        let plan = snapshot.explain(query, 10, &measure, PlannerConfig::default()).unwrap();
+        assert!(plan.seeded(), "64 sketch candidates seed a k = 10 query");
+        assert_eq!(plan.shards_scanned(), 4, "{}", plan.explain());
+        for shard_plan in &plan.shards {
+            assert!(shard_plan.entities > PlannerConfig::default().scan_cutoff);
+            let floor = shard_plan.floor.expect("a scan above the cutoff is the floor's");
+            assert!(plan.seed <= floor, "seed {} vs floor {floor}", plan.seed);
+        }
+        let text = plan.explain();
+        assert!(
+            text.contains("≤ floor") && text.contains("no top-level subtree prunable"),
+            "{text}"
+        );
+        let (planned, stats) = snapshot.query(query, &Query::new(10, &measure)).unwrap();
+        assert_eq!((stats.shards_scanned, stats.shards_skipped), (4, 0));
+        assert_eq!((stats.nodes_visited, stats.steps), (0, 0), "no tree row is touched");
+        assert_eq!(
+            stats.entities_checked,
+            plan.seed_candidates + 299,
+            "every entity is scored once"
+        );
+        let oracle = snapshot.brute_force(query, 10, &measure).unwrap();
+        assert_equivalent_answers(&planned, &oracle, &format!("scanned SYN, {query}"));
+    }
+    let batch = snapshot.plan_batch(&queries, 10, &measure, PlannerConfig::default()).unwrap();
+    assert!(batch.explain().contains("scan (seed ≤ floor"), "{}", batch.explain());
+    // The cutoff's scans say so too.
+    let small = PlannerConfig { scan_cutoff: 1_000, ..PlannerConfig::default() };
+    let plan = snapshot.explain(queries[0], 10, &measure, small).unwrap();
+    assert!(plan.shards.iter().all(|s| s.decision == ShardDecision::Scan && s.floor.is_none()));
+    assert!(plan.explain().contains("scan (small shard"), "{}", plan.explain());
+}
+
+/// The other side of the rule: a hot query of the pruning-adversarial
+/// population seeds high above the floor, so the shard holding the clique
+/// keeps its tree — at 1 shard (everything in it) and at 4 (the clique alone)
+/// — and the tree does what it is kept for: it scores a small part of the
+/// population.
+#[test]
+fn access_path_pruning_hot_shard_keeps_its_tree() {
+    for shards in [1usize, 4] {
+        let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
+            num_shards: shards,
+            hot_entities: 48,
+            cold_entities: 1_000,
+            itinerary_steps: 12,
+            ..PruningAdversarialConfig::default()
+        });
+        let config = IndexConfig::with_hash_functions(32);
+        let sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, shards).unwrap();
+        let snapshot = sharded.snapshot();
+        let measure = w.measure();
+        let hot_shard = shard_of(hot[0], shards);
+        for &query in &hot {
+            let plan = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
+            let hot_plan = plan.shards.iter().find(|s| s.shard == hot_shard).unwrap();
+            assert_eq!(hot_plan.decision, ShardDecision::TreeSearch, "{}", plan.explain());
+            let floor = hot_plan.floor.expect("weighed: seeded, resident, above the cutoff");
+            assert!(plan.seed > floor, "seed {} vs floor {floor}", plan.seed);
+            assert!(plan.explain().contains("> floor"), "{}", plan.explain());
+            assert_eq!(plan.shards_scanned(), 0, "{}", plan.explain());
+            let (planned, stats) = snapshot.query(query, &Query::new(5, &measure)).unwrap();
+            assert_eq!(stats.shards_scanned, 0);
+            assert!(
+                stats.entities_checked < 1_048 / 4,
+                "{shards} shards, {query}: {} of 1 048 entities checked",
+                stats.entities_checked
+            );
+            let oracle = snapshot.brute_force(query, 5, &measure).unwrap();
+            assert_equivalent_answers(&planned, &oracle, &format!("hot, {shards} shards, {query}"));
+        }
+    }
+}
+
+/// Where the rule does not apply the plans are the parent commit's, verdict
+/// for verdict: unseeded (by knob, or by a `k` above the sketch candidates),
+/// budgeted (binding or not), and out of core over a cold pool.  The rows
+/// were recorded on the commit before the rule existed; the `default` row is
+/// what the rule changed on this fixture (one cold query, all four shards),
+/// so the fixture can tell.
+#[test]
+fn access_path_rule_leaves_unseeded_budgeted_and_cold_plans_alone() {
+    let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
+        num_shards: 4,
+        hot_entities: 48,
+        cold_entities: 400,
+        ..PruningAdversarialConfig::default()
+    });
+    let sharded =
+        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), 4)
+            .unwrap();
+    let snapshot = sharded.snapshot();
+    let measure = w.measure();
+    let mut queries = w.sample_entities(3, 0xACCE55);
+    queries.extend([hot[0], hot[17]]);
+    assert_eq!(queries, [79, 191, 56, 0, 69].map(EntityId));
+
+    let tree = ["3T 0T 1T 2T", "0T 1T 2T 3T", "3T 0T 1T 2T", "3T 0T 1T 2T", "3T 0T 1T 2T"];
+    let sampled = ["3A 0A 1A 2A", "0A 1A 2A 3A", "3A 0A 1A 2A", "3A 0A 1A 2A", "3A 0A 1A 2A"];
+    let unseeded = PlannerConfig { seed_threshold: false, ..PlannerConfig::default() };
+    let cases = [
+        ("unseeded by knob", 5, unseeded, tree),
+        ("unseeded by k", 80, PlannerConfig::default(), tree),
+        ("non-binding budget", 5, PlannerConfig::with_budget(u64::MAX / 2_000), tree),
+        ("zero budget", 5, PlannerConfig::with_budget_and_floor(0, 0.5), sampled),
+    ];
+    for (name, k, planner, recorded) in cases {
+        for (&query, recorded) in queries.iter().zip(recorded) {
+            let plan = snapshot.explain(query, k, &measure, planner).unwrap();
+            assert_eq!(decisions(&plan), recorded, "{name}, {query}");
+            assert!(plan.shards.iter().all(|s| s.floor.is_none()), "{name}: no floor weighed");
+        }
+    }
+
+    // Out of core over a one-frame pool no shard is ever fully resident.
+    let store = PagedTraceStore::build(&w.traces, 4);
+    for &query in &queries {
+        let pool = store.pool(PoolConfig { capacity_bytes: PAGE_SIZE, ..PoolConfig::default() });
+        let paged = snapshot.paged(&store, &pool);
+        let plan = paged.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
+        assert!(plan.admitted().all(|s| s.pages.is_some_and(|p| p.cold_pages() > 0)));
+        assert_eq!(decisions(&plan), "3T 0T 1T 2T", "cold pool, {query}");
+        assert!(plan.shards.iter().all(|s| s.floor.is_none()), "cold pool: no floor weighed");
+    }
+
+    let changed = ["3T 0T 1T 2T", "0S 1S 2S 3S", "3T 0T 1T 2T", "3T 0T 1T 2T", "3T 0T 1T 2T"];
+    for (&query, recorded) in queries.iter().zip(changed) {
+        let plan = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
+        assert_eq!(decisions(&plan), recorded, "default, {query}");
+    }
 }

@@ -18,7 +18,8 @@ use digital_traces::index::{
     IndexConfig, JoinOptions, MinSigIndex, PlannerConfig, Query, SchedulerConfig,
     ShardedMinSigIndex,
 };
-use digital_traces::EntityId;
+use digital_traces::mobility_models::{SynConfig, SynDataset};
+use digital_traces::{EntityId, PaperAdm};
 use proptest::prelude::*;
 
 /// Builds the sharded index and its unsharded twin over one random workload.
@@ -222,5 +223,39 @@ proptest! {
             let (b, _) = rebuilt.top_k(query, 3, &measure).unwrap();
             assert_equivalent_answers(&a, &b, &format!("post-ingest, {query}"));
         }
+    }
+}
+
+/// The planned path on the end-to-end benchmark's own population — 5 000 SYN
+/// entities at its parameters (a week, a fifth co-moving), 4 shards, 64
+/// queries of k = 10: the seed never reaches the least bound a top-level
+/// subtree can have, so every shard of every query is flat-scanned on the
+/// fan-out's workers, and the answers are the brute-force ones bit for bit.
+/// Run with `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "5 000-entity SYN build; run explicitly or via the CI stress job"]
+fn planned_top_k_scans_every_shard_on_the_full_syn_population() {
+    let dataset = SynDataset::generate(SynConfig {
+        num_entities: 5_000,
+        days: 7,
+        comover_fraction: 0.2,
+        seed: 1,
+        ..SynConfig::default()
+    })
+    .unwrap();
+    let config = IndexConfig::with_hash_functions(32);
+    let sharded =
+        ShardedMinSigIndex::build(dataset.sp_index(), &dataset.traces, config, 4).unwrap();
+    let snapshot = sharded.snapshot();
+    let measure = PaperAdm::default_for(dataset.sp_index().height() as usize);
+    for query in dataset.traces.entities().step_by(5_000 / 64).take(64) {
+        let (planned, stats) = snapshot.top_k(query, 10, &measure).unwrap();
+        let oracle = snapshot.brute_force(query, 10, &measure).unwrap();
+        assert_equivalent_answers(&planned, &oracle, &format!("full SYN, {query}"));
+        assert_eq!((stats.shards_scanned, stats.shards_skipped), (4, 0), "{query}");
+        assert_eq!((stats.nodes_visited, stats.steps), (0, 0), "{query}: no tree row touched");
+        // The 64 sketch entities seed (63 when the query is one of them).
+        let seeds = stats.entities_checked - 4_999;
+        assert!((63..=64).contains(&seeds), "{query}: seeds, then everyone once ({seeds})");
     }
 }
