@@ -311,6 +311,41 @@ impl CandidateArena {
         measure.degree_from_overlap(scratch)
     }
 
+    /// The degree of the candidate at `pos` from its level-1 row and its
+    /// per-level sizes alone, when the coarsest level rules it out: a
+    /// candidate sharing no level-1 cell with the query shares none at any
+    /// level (both sides are ancestor-closed), so its overlap is 0
+    /// everywhere and its exact degree is the measure's value on the
+    /// all-zero [`LevelStat`]s `scratch` is filled with — bit for bit what
+    /// [`level_overlaps`] hands the measure, with the same one level-1
+    /// intersection counted into `dispatch`.  Otherwise nothing is counted
+    /// and the candidate's level-1 row is the `Err`: the caller scores the
+    /// candidate from its full trace, whose level-1 row must be that one.
+    pub(crate) fn disjoint_degree<M: AssociationMeasure + ?Sized>(
+        &self,
+        pos: usize,
+        view: &QueryView<'_>,
+        measure: &M,
+        scratch: &mut LevelOverlap,
+        dispatch: Option<&mut KernelDispatch>,
+    ) -> Result<f64, &[u64]> {
+        debug_assert_eq!(view.num_levels(), self.num_levels());
+        let row = self.row(pos);
+        let (query, level_one) = (view.level(0), &self.cells[row[0]..row[1]]);
+        if intersection_len(query, level_one) > 0 {
+            return Err(level_one);
+        }
+        if let Some(dispatch) = dispatch {
+            dispatch.record(dispatch_class(query.len(), level_one.len()));
+        }
+        scratch.clear();
+        for (i, ends) in row.windows(2).enumerate() {
+            let (size_a, size_b) = (view.level(i).len(), ends[1] - ends[0]);
+            scratch.push(LevelStat { overlap: 0, size_a, size_b });
+        }
+        Ok(measure.degree_from_overlap(scratch))
+    }
+
     /// One-shot variant of `degree_into` that owns its
     /// scratch; convenient for isolated lookups.
     pub fn degree_at<M: AssociationMeasure + ?Sized>(

@@ -19,15 +19,23 @@
 //! and a [`BufferPool`] into a [`PagedShardedSnapshot`] whose entry points
 //! mirror the in-memory ones (`top_k`, `query`, batches, joins, `explain`).
 //! They run the **same** planner body and the same drive as the in-memory
-//! paths; only the `ShardAccess` differs — every candidate trace is read
-//! through the pool, and the planner costs shards in pages (see
-//! [`crate::plan`]).  Answers are **bitwise identical** to the in-memory
+//! paths; only the `ShardAccess` differs — candidate traces are read
+//! through the pool, and shards carry page estimates (see [`crate::plan`]),
+//! which break ordering ties and price latency budgets but decide no access
+//! path.  Answers are **bitwise identical** to the in-memory
 //! sharded, unsharded and brute-force paths — any shard count, any pool
 //! size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
 //! (`tests/paged_conformance.rs` proptests exactly this).
 //!
 //! ## Who owns what during a query
 //!
+//! * **Resident rows.**  Each candidate is first looked up in the shard's
+//!   in-memory [`CandidateArena`](crate::kernel::CandidateArena): its level-1
+//!   cells and per-level sizes.  A candidate sharing no level-1 cell with the
+//!   query is scored from those alone (it shares nothing at any level), with
+//!   no page request; its records are never read.  Only the others go to the
+//!   pool.  The arena is the snapshot's, immutable, shared by every source
+//!   without a lock.
 //! * **Pins.**  The query entity's own trace is pinned for the whole fan-out
 //!   (resident across every executor [`step`](crate::engine::Executor::step)
 //!   quantum, released when the merged answer is produced).  A candidate page
@@ -49,7 +57,7 @@
 //!   mutex, around frame-table bookkeeping only (see [`trace_storage::pool`]).
 //! * **Threads.**  One query runs on its caller's thread: the shard
 //!   executors are interleaved in step quanta there, as the batch and join
-//!   paths always did (those parallelise over queries).  Every candidate
+//!   paths always did (those parallelise over queries).  Every candidate read
 //!   goes through the one pool mutex three times (look up, publish, unpin),
 //!   and with the degree itself down to a fraction of a microsecond that
 //!   bookkeeping — frame table, replacer, the evicted page's free — is a
@@ -78,7 +86,7 @@ use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::Arc;
 use trace_model::ajpi::LevelOverlap;
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows, SpIndex};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows};
 use trace_storage::{BufferPool, PageId, PagedTraceStore, PinnedPages, PoolStats};
 
 /// What one [`PagedArenaSource`] reuses across candidates and counts for its
@@ -92,6 +100,8 @@ struct Scratch {
     /// Candidates a flat scan through this source could not read (a tree
     /// executor counts its own).
     unreadable: usize,
+    /// Candidates answered from their resident level-1 row, records unread.
+    reads_avoided: usize,
 }
 
 /// A [`TraceSource`] that scores candidates straight from the paged store:
@@ -99,14 +109,20 @@ struct Scratch {
 /// [`ArenaSource`](crate::kernel::ArenaSource), running the same fused
 /// per-level kernel loop the in-memory hot path does.
 ///
-/// A degree request visits the entity's records through the buffer pool
-/// (pages pinned transiently inside the visit — the source itself never
-/// holds a pin), discretises them into the source's reusable
-/// [`LevelRows`] buffer, and intersects the rows with the query.  Degrees
-/// are **bitwise identical** to `measure.degree(query, seq)` over the
-/// entity's [`cell_sequence`](trace_model::DigitalTrace::cell_sequence):
-/// both hand the measure the same integer per-level
-/// [`LevelStat`](trace_model::ajpi::LevelStat)s, the fused side through the
+/// A degree request first asks the shard's resident
+/// [`CandidateArena`](crate::kernel::CandidateArena) whether the candidate
+/// shares a level-1 cell with the query (`CandidateArena::disjoint_degree`).
+/// When it shares none it shares nothing at any level, and its exact degree
+/// follows from the per-level sizes the arena holds — no page is touched.
+/// Otherwise the
+/// source visits the entity's records through the buffer pool (pages pinned
+/// transiently inside the visit — the source itself never holds a pin),
+/// discretises them into its reusable [`LevelRows`] buffer, and intersects
+/// the rows with the query.  Either way the degree is **bitwise identical**
+/// to `measure.degree(query, seq)` over the entity's
+/// [`cell_sequence`](trace_model::DigitalTrace::cell_sequence): every path
+/// hands the measure the same integer per-level
+/// [`LevelStat`](trace_model::ajpi::LevelStat)s, the fused ones through the
 /// one early-stopping loop the arena runs (`kernel::level_overlaps`).
 ///
 /// Like `ArenaSource`, the scratch and the per-query counters live in a
@@ -116,59 +132,87 @@ struct Scratch {
 pub struct PagedArenaSource<'a> {
     store: &'a PagedTraceStore,
     pool: &'a BufferPool<'a>,
-    sp: &'a SpIndex,
-    ticks_per_unit: u64,
+    /// The shard whose members this source scores: its arena answers the
+    /// level-1 question, its hierarchy discretises what is read.
+    shard: &'a IndexSnapshot,
     view: QueryView<'a>,
     scratch: RefCell<Scratch>,
 }
 
 impl<'a> PagedArenaSource<'a> {
-    /// Creates a source reading `store` through `pool` for one query sequence.
+    /// Creates a source scoring `shard`'s members, read from `store` through
+    /// `pool`, against one query sequence.
     pub(crate) fn new(
         store: &'a PagedTraceStore,
         pool: &'a BufferPool<'a>,
-        sp: &'a SpIndex,
-        ticks_per_unit: u64,
+        shard: &'a IndexSnapshot,
         query: &'a CellSetSequence,
     ) -> Self {
         let (view, scratch) = (QueryView::new(query), RefCell::default());
-        PagedArenaSource { store, pool, sp, ticks_per_unit, view, scratch }
+        PagedArenaSource { store, pool, shard, view, scratch }
     }
 
-    /// Adds the kernel-dispatch, buffer-pool and unreadable-candidate
-    /// counters accumulated since the last call (or construction) to `stats`,
-    /// leaving them at zero.
+    /// Adds the kernel-dispatch, buffer-pool, unreadable-candidate and
+    /// avoided-read counters accumulated since the last call (or
+    /// construction) to `stats`, leaving them at zero.
     pub(crate) fn drain_into(&self, stats: &mut QueryStats) {
         let scratch = &mut *self.scratch.borrow_mut();
         stats.kernel_dispatch.absorb(std::mem::take(&mut scratch.dispatch));
         stats.absorb_io(std::mem::take(&mut scratch.io));
         stats.candidates_unreadable += std::mem::take(&mut scratch.unreadable);
+        stats.reads_avoided += std::mem::take(&mut scratch.reads_avoided);
     }
 
-    /// The fused records → rows → degree evaluation; `None` when the store
+    /// The degree of `entity`, a member of `shard`: from the shard's
+    /// resident level-1 row when that rules the candidate out, else by the
+    /// fused records → rows → degree evaluation.  `None` when the store
     /// cannot produce the entity (it holds no trace for it, or the trace does
-    /// not discretise).  `track` counts the kernel dispatches (leaf
+    /// not discretise); the resident row answers only for an entity the
+    /// store's directory holds, so a candidate the store lacks is unreadable
+    /// whatever its cells.  `track` counts the kernel dispatches (leaf
     /// evaluation and scans do; planner seeding, like its in-memory
     /// counterpart, does not).
     pub(crate) fn score(
         &self,
+        shard: &IndexSnapshot,
         entity: EntityId,
         measure: &dyn AssociationMeasure,
         track: bool,
     ) -> Option<f64> {
-        let Scratch { rows, overlap, dispatch, io, .. } = &mut *self.scratch.borrow_mut();
+        let Scratch { rows, overlap, dispatch, io, reads_avoided, .. } =
+            &mut *self.scratch.borrow_mut();
+        let arena = shard.arena();
+        let resident = arena.position(entity).filter(|_| self.store.trace_pages(entity).is_some());
+        let mut level_one = None;
+        if let Some(pos) = resident {
+            let tracked = track.then_some(&mut *dispatch);
+            match arena.disjoint_degree(pos, &self.view, measure, overlap, tracked) {
+                Ok(degree) => {
+                    *reads_avoided += 1;
+                    return Some(degree);
+                }
+                Err(row) => level_one = Some(row),
+            }
+        }
         rows.clear();
+        let (sp, ticks_per_unit) = (shard.sp_index(), shard.ticks_per_unit());
         let mut pushed = Ok(());
         let found = self.store.for_each_record(self.pool, entity, io, |rec| {
             if pushed.is_ok() {
                 let presence = rec.to_presence();
-                pushed = rows.push(self.sp, self.ticks_per_unit, presence.unit, presence.period);
+                pushed = rows.push(sp, ticks_per_unit, presence.unit, presence.period);
             }
         });
-        if !found || pushed.is_err() || rows.finish(self.sp).is_err() {
+        if !found || pushed.is_err() || rows.finish(sp).is_err() {
             return None;
         }
         debug_assert_eq!(rows.num_levels(), self.view.num_levels());
+        // The shortcut above is exact only if the store holds the trace the
+        // snapshot indexed: check it on every candidate that is read.
+        debug_assert!(
+            level_one.is_none_or(|row| row == rows.level(0)),
+            "store and snapshot disagree on {entity}'s level-1 cells"
+        );
         level_overlaps(&self.view, |i| rows.level(i), overlap, track.then_some(dispatch));
         Some(measure.degree_from_overlap(overlap))
     }
@@ -176,7 +220,7 @@ impl<'a> PagedArenaSource<'a> {
 
 impl TraceSource for PagedArenaSource<'_> {
     fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
-        self.score(entity, measure, true)
+        self.score(self.shard, entity, measure, true)
     }
 }
 
@@ -206,8 +250,7 @@ impl IndexSnapshot {
                 trace.cell_sequence(self.sp_index(), self.ticks_per_unit())?
             }
         };
-        let source =
-            PagedArenaSource::new(store, pool, self.sp_index(), self.ticks_per_unit(), &query_seq);
+        let source = PagedArenaSource::new(store, pool, self, &query_seq);
         let request = Query { options, ..Query::new(k, measure) };
         let (results, mut stats) =
             engine::execute(self, &query_seq, Some(query), &request, &source)?;
@@ -386,11 +429,10 @@ impl<'a> PagedShardedSnapshot<'a> {
         drive::explain(&self.access(seq, query), &Query { planner, ..Query::new(k, measure) })
     }
 
-    /// A fresh source (own scratch, zeroed counters) scoring against `query`.
-    fn source<'q>(&'q self, query: &'q CellSetSequence) -> PagedArenaSource<'q> {
-        let probe = &self.snapshot.shard_snapshots()[0];
-        let (sp, ticks) = (probe.sp_index(), probe.ticks_per_unit());
-        PagedArenaSource::new(self.store, self.pool, sp, ticks, query)
+    /// A fresh source (own scratch, zeroed counters) scoring shard `shard`'s
+    /// members against `query`.
+    fn source<'q>(&'q self, shard: usize, query: &'q CellSetSequence) -> PagedArenaSource<'q> {
+        PagedArenaSource::new(self.store, self.pool, &self.snapshot.shard_snapshots()[shard], query)
     }
 
     /// How `entity`'s query, whose sequence is `sequence`, reads this
@@ -400,7 +442,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         sequence: &'q CellSetSequence,
         entity: EntityId,
     ) -> PagedAccess<'q> {
-        PagedAccess { paged: self, sequence, entity, source: self.source(sequence) }
+        PagedAccess { paged: self, sequence, entity, source: self.source(0, sequence) }
     }
 
     /// The query entity's sequence, from the snapshot's in-memory map (an
@@ -419,6 +461,7 @@ pub(crate) struct PagedAccess<'q> {
     paged: &'q PagedShardedSnapshot<'q>,
     sequence: &'q CellSetSequence,
     entity: EntityId,
+    /// Seeding's source; each call names the shard it scores.
     source: PagedArenaSource<'q>,
 }
 
@@ -448,7 +491,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
             if hot == self.entity {
                 continue;
             }
-            if let Some(degree) = self.source.score(hot, &measure, false) {
+            if let Some(degree) = self.source.score(&self.shards()[shard], hot, &measure, false) {
                 offer(hot, degree);
             }
         }
@@ -495,8 +538,8 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         (top.into_sorted(), checked)
     }
 
-    fn source(&self, _shard: usize) -> PagedArenaSource<'q> {
-        self.paged.source(self.sequence)
+    fn source(&self, shard: usize) -> PagedArenaSource<'q> {
+        self.paged.source(shard, self.sequence)
     }
 
     fn drain_source(source: &PagedArenaSource<'q>, stats: &mut QueryStats) {
@@ -513,7 +556,7 @@ mod tests {
     use super::*;
     use crate::config::IndexConfig;
     use crate::index::MinSigIndex;
-    use trace_model::{PaperAdm, Period, PresenceInstance, TraceSet};
+    use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
     use trace_storage::PoolConfig;
 
     /// The owned decode path — read the whole trace, discretise it with
@@ -746,12 +789,12 @@ mod tests {
         });
         let measure = PaperAdm::default_for(sp.height() as usize);
         let query_seq = snapshot.sequence(EntityId(0)).unwrap();
-        let source = PagedArenaSource::new(&store, &pool, sp, ticks, query_seq);
+        let source = PagedArenaSource::new(&store, &pool, &snapshot, query_seq);
         let fused: Vec<f64> =
             (0..120u64).map(|e| source.degree(EntityId(e), &measure).expect("stored")).collect();
         assert!(source.degree(EntityId(9999), &measure).is_none());
         // Untracked scoring (planner seeding) reads pages but counts no kernels.
-        assert!(source.score(EntityId(3), &measure, false).is_some());
+        assert!(source.score(&snapshot, EntityId(3), &measure, false).is_some());
         let mut stats = QueryStats::default();
         source.drain_into(&mut stats);
         let issued: u64 = (0..120u64)
@@ -795,6 +838,116 @@ mod tests {
             assert_eq!(fused_stats.entities_checked, owned_stats.entities_checked);
             assert_eq!(owned_stats.kernel_dispatch.total(), 0, "the oracle counts no kernels");
             assert_eq!(pool.pinned_frames(), 0, "candidate pages are pinned only transiently");
+        }
+    }
+
+    /// Traces on four interleaved time grids: an entity shares no time unit,
+    /// so no level-1 cell, with the three quarters of the population on the
+    /// other grids.
+    fn disjoint_dataset(entities: u64) -> (SpIndex, TraceSet) {
+        let sp = SpIndex::uniform(2, &[4, 4]).unwrap();
+        let base = sp.base_units().to_vec();
+        let mut traces = TraceSet::new(60);
+        for e in 0..entities {
+            for step in 0..6u64 {
+                let unit = base[(e / 4 * 3 + step) as usize % base.len()];
+                let start = (step * 4 + e % 4) * 60;
+                let period = Period::new(start, start + 60).unwrap();
+                traces.record(PresenceInstance::new(EntityId(e), unit, period));
+            }
+        }
+        (sp, traces)
+    }
+
+    /// The resident level-1 answer against the oracle and against the same
+    /// source with the shortcut off (an empty arena): degree bits equal for
+    /// every candidate, dispatch equal, and the pages not read are exactly
+    /// the level-1-disjoint candidates' pages.
+    #[test]
+    fn level_one_disjoint_candidates_are_scored_without_a_read() {
+        let (sp, traces) = disjoint_dataset(48);
+        let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
+        let snapshot = index.snapshot();
+        let off = (*snapshot).clone().with_arena(crate::kernel::CandidateArena::default());
+        let store = PagedTraceStore::build(&traces, 4);
+        let pool = store.pool(PoolConfig {
+            capacity_bytes: 2 * trace_storage::PAGE_SIZE,
+            ..Default::default()
+        });
+        let measure = PaperAdm::default_for(sp.height() as usize);
+        let pages = |e: EntityId| store.trace_pages(e).unwrap().len() as u64;
+        for query in [0u64, 5, 22, 47].map(EntityId) {
+            let query_seq = snapshot.sequence(query).unwrap();
+            let oracle = PagedSource {
+                store: &store,
+                pool: &pool,
+                sp: snapshot.sp_index(),
+                ticks_per_unit: snapshot.ticks_per_unit(),
+                query: query_seq,
+            };
+            let on = PagedArenaSource::new(&store, &pool, &snapshot, query_seq);
+            let shortcut_off = PagedArenaSource::new(&store, &pool, &off, query_seq);
+            let (mut disjoint, mut issued, mut read_pages, mut all_pages) = (0, 0, 0, 0);
+            for (&entity, seq) in snapshot.sequences() {
+                let owned = oracle.degree(entity, &measure).unwrap().to_bits();
+                let fused = on.degree(entity, &measure).unwrap().to_bits();
+                let read = shortcut_off.degree(entity, &measure).unwrap().to_bits();
+                assert_eq!((fused, read), (owned, owned), "query {query}, candidate {entity}");
+                issued += crate::testkit::issued_intersections(query_seq, seq);
+                all_pages += pages(entity);
+                if seq.level(1).intersection_len(query_seq.level(1)) == 0 {
+                    disjoint += 1;
+                } else {
+                    read_pages += pages(entity);
+                }
+            }
+            let (mut with, mut without) = (QueryStats::default(), QueryStats::default());
+            on.drain_into(&mut with);
+            shortcut_off.drain_into(&mut without);
+            assert!(disjoint > snapshot.sequences().len() / 2, "query {query}: {disjoint}");
+            assert_eq!(with.kernel_dispatch, without.kernel_dispatch, "query {query}");
+            assert_eq!(with.kernel_dispatch.total(), issued, "query {query}");
+            assert_eq!((with.reads_avoided, without.reads_avoided), (disjoint, 0));
+            assert_eq!(with.pool_hits + with.pool_misses, read_pages, "query {query}");
+            assert_eq!(without.pool_hits + without.pool_misses, all_pages, "query {query}");
+            assert!(read_pages < all_pages);
+        }
+    }
+
+    /// Through the executor: the paged single-tree query answers like the
+    /// in-memory one — answers, work and dispatch — with or without the
+    /// shortcut, and with it reads strictly fewer pages.
+    #[test]
+    fn the_resident_level_one_answer_changes_io_only() {
+        let (sp, traces) = disjoint_dataset(48);
+        let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
+        let snapshot = index.snapshot();
+        let off = (*snapshot).clone().with_arena(crate::kernel::CandidateArena::default());
+        let store = PagedTraceStore::build(&traces, 4);
+        let measure = PaperAdm::default_for(sp.height() as usize);
+        let options = QueryOptions::default();
+        for k in [3usize, 48] {
+            for query in [1u64, 14, 30].map(EntityId) {
+                let (mem, mem_stats) = snapshot.top_k(query, k, &measure).unwrap();
+                let pool = store.pool(PoolConfig::default());
+                let (on, on_stats) =
+                    snapshot.top_k_paged(query, k, &measure, &store, &pool, options).unwrap();
+                let pool = store.pool(PoolConfig::default());
+                let (read, off_stats) =
+                    off.top_k_paged(query, k, &measure, &store, &pool, options).unwrap();
+                let context = format!("k {k}, query {query}");
+                assert_eq!(on, mem, "{context}");
+                assert_eq!(read, mem, "{context}");
+                for stats in [on_stats, off_stats] {
+                    assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{context}");
+                    assert_eq!(stats.nodes_visited, mem_stats.nodes_visited, "{context}");
+                    assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "{context}");
+                }
+                assert_eq!((mem_stats.reads_avoided, off_stats.reads_avoided), (0, 0));
+                assert!(on_stats.reads_avoided > 0, "{context}");
+                let traffic = |s: &QueryStats| s.pool_hits + s.pool_misses;
+                assert!(traffic(&on_stats) < traffic(&off_stats), "{context}");
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 //! 3. **admission ordering** — admitted shards are driven
 //!    most-promising-first (synopsis upper bound descending), so the shard
 //!    most likely to raise the shared bound runs first;
-//! 4. **access-path choice** — a resident shard is answered by the flat
+//! 4. **access-path choice** — a shard is answered by the flat
 //!    exact scan (no frontier bookkeeping) on either of two conditions: it
 //!    is **small** (at or below the
 //!    [`scan_cutoff`](crate::config::PlannerConfig::scan_cutoff)), or the
@@ -39,15 +39,17 @@
 //! ## Out of core: costs in pages
 //!
 //! One planner body (`plan_query`) serves the in-memory and the paged
-//! paths.  Where the query's access reports a [`PageEstimate`] per shard,
-//! the two *cost* decisions reason in pages: a shard is flat-scanned — for
-//! either reason of item 4 — only when it is **fully resident** (a scan
-//! touches every member's trace, so on a cold shard it would pay the
-//! worst-case I/O the tree search exists to avoid), and upper-bound ties in
-//! the driving order break by `cold_pages` ascending.  Without estimates
-//! both reduce to the in-memory rule.  Estimates are advisory (residency
-//! moves under concurrency), which is why they never touch the skip
-//! certificate — plans return bitwise-identical answers whatever the access
+//! paths, and makes the same four decisions on both, at any pool
+//! residency.  The access-path choice needs no page reasoning: a paged
+//! scan reads the records of only the members that share a level-1 cell
+//! with the query (the others are scored from the snapshot's resident rows,
+//! see [`crate::paged`]), and a tree search that cannot prune reads exactly
+//! those too.  Where the query's access reports a [`PageEstimate`] per
+//! shard, it does two things: upper-bound ties in the driving order break by
+//! `cold_pages` ascending, and the latency budget prices cold pages at the
+//! pool's miss latency.  Estimates are advisory (residency moves under
+//! concurrency), which is why they never touch a decision that could change
+//! an answer — plans return bitwise-identical answers whatever the access
 //! (`tests/paged_conformance.rs`).
 //!
 //! ## Latency budgets and the approximate arm
@@ -111,7 +113,8 @@ pub enum ShardDecision {
     /// bookkeeping, or the seeded threshold is at or below the least bound
     /// any of its top-level subtrees can have, so the tree search could not
     /// prune one of them and would walk the tree only to score the shard
-    /// anyway.  Taken only for a non-empty, fully resident shard.
+    /// anyway.  Taken only for a non-empty shard, in memory and out of core
+    /// alike.
     Scan,
     /// The shard gets a best-first tree executor under the query's bound.
     TreeSearch,
@@ -138,7 +141,7 @@ pub enum ShardDecision {
 /// the buffer pool when the plan was built.
 ///
 /// Estimates feed the paged planner's I/O reasoning — [`cold_pages`]
-/// gates the flat-scan access path and breaks shard-ordering ties — and are
+/// breaks shard-ordering ties and is priced by the latency budget — and are
 /// **advisory only**: residency can change the instant the plan runs, so no
 /// decision built on an estimate may affect an answer, only cost.
 ///
@@ -177,7 +180,7 @@ pub struct ShardPlan {
     /// The least bound the executor can give a top-level subtree of this
     /// shard against the query (`Synopsis::top_level_bound_floor`), where the
     /// planner weighed it: on a seeded, unbudgeted plan, for an admitted,
-    /// non-empty, resident shard above the scan cutoff.  Such a shard is a
+    /// non-empty shard above the scan cutoff.  Such a shard is a
     /// [`Scan`](ShardDecision::Scan) when `seed ≤ floor` — under the seed not
     /// one top-level subtree is prunable — and a tree search otherwise;
     /// `None` everywhere else (a `Scan` without a floor is a small shard).
@@ -383,10 +386,13 @@ where
             skipped.push(plan);
             continue;
         }
-        // A scan touches every member's trace, so only a fully resident
-        // shard is ever scanned; an empty one is tree-searched (the executor
-        // no-ops on an empty tree, exactly as the pre-planner fan-out did).
-        if entities > 0 && cold(&plan) == 0 {
+        // An empty shard is tree-searched (the executor no-ops on an empty
+        // tree, exactly as the pre-planner fan-out did).  Residency plays no
+        // part: out of core a scan reads the records of exactly the members
+        // a tree search that prunes nothing would read — those sharing a
+        // level-1 cell with the query; the rest are answered from the
+        // resident rows either way (see `crate::paged`).
+        if entities > 0 {
             if entities <= config.scan_cutoff {
                 plan.decision = ShardDecision::Scan;
             } else if seed > f64::NEG_INFINITY && config.latency_budget_us.is_none() {

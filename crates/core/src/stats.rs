@@ -224,6 +224,13 @@ pub struct QueryStats {
     /// skipped, not scored, so any of them may be a missing true answer:
     /// non-zero lowers [`recall_estimate`](Self::recall_estimate) below 1.0.
     pub candidates_unreadable: usize,
+    /// Candidates a paged query scored without reading their records: they
+    /// share no level-1 cell with the query, so the snapshot's resident
+    /// level-1 row and per-level sizes fix their exact degree (paged queries
+    /// only; always 0 in memory, where nothing is read).  Summed like the
+    /// pool counters; every one is also in
+    /// [`entities_checked`](Self::entities_checked).
+    pub reads_avoided: usize,
     /// Per-kernel dispatch counts of the flat hot paths' set intersections
     /// (see [`KernelDispatch`]); sums over every per-shard executor via
     /// [`absorb_work`](Self::absorb_work).
@@ -280,6 +287,7 @@ impl Default for QueryStats {
             pool_misses: 0,
             pool_evictions: 0,
             candidates_unreadable: 0,
+            reads_avoided: 0,
             kernel_dispatch: KernelDispatch::default(),
             // An answer is exact until some sampled path says otherwise.
             recall_estimate: 1.0,
@@ -348,6 +356,7 @@ impl QueryStats {
         self.pool_misses += other.pool_misses;
         self.pool_evictions += other.pool_evictions;
         self.candidates_unreadable += other.candidates_unreadable;
+        self.reads_avoided += other.reads_avoided;
         self.kernel_dispatch.absorb(other.kernel_dispatch);
         self.recall_estimate = self.recall_estimate.min(other.recall_estimate);
         self.sampled_candidates += other.sampled_candidates;
@@ -421,6 +430,7 @@ mod tests {
             pool_misses: 2,
             pool_evictions: 1,
             simulated_io_us: 40,
+            reads_avoided: 6,
             kernel_dispatch: KernelDispatch { tiny: 1, merge: 2, gallop: 3, simd: 4 },
             query_time_us: 99,
             ..QueryStats::default()
@@ -437,6 +447,7 @@ mod tests {
             (7, 2, 1, 40),
             "pool counters sum across absorbed shards"
         );
+        assert_eq!(a.reads_avoided, 6, "avoided reads sum like the pool counters");
         assert_eq!(a.query_time_us, 10, "wall clock is not summed");
         assert_eq!(
             a.kernel_dispatch,

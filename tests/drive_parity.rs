@@ -242,11 +242,10 @@ fn query_entries_are_the_conveniences_and_the_unplanned_baseline() {
         assert_eq!(batch_work(&mem), batch_work(&convenience), "{shards} shards");
         let convenience = paged.top_k_batch(&queries, 5, &measure).unwrap();
         assert_eq!(answers(&out), answers(&convenience), "{shards} shards, paged");
-        // `out` was planned over a cold pool, whose shards keep their tree;
-        // a resident shard the seed cannot prune is scanned instead.  Answers
-        // never depend on residency, work does — so work is compared between
-        // two batches that both found every page resident, and there the
-        // paged plans are the in-memory ones.
+        // `out` was planned over a cold pool, `warm` below over the pages
+        // `out` left resident.  Residency decides no access path, so both
+        // plan like the in-memory batch and do its work, counter for counter.
+        assert_eq!(batch_work(&out), batch_work(&mem), "{shards} shards, paged cold == in memory");
         let warm = paged.query_batch(&queries, &default).unwrap();
         assert_eq!(answers(&warm), answers(&out), "{shards} shards, paged, warm == cold");
         assert_eq!(batch_work(&warm), batch_work(&convenience), "{shards} shards, paged");

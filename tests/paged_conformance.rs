@@ -311,3 +311,67 @@ fn unreadable_candidates_are_counted_and_lower_the_recall_estimate() {
     let (_, stats) = snapshot.paged(&full_store, &pool).top_k(query, k, &measure).unwrap();
     assert_eq!((stats.candidates_unreadable, stats.recall_estimate), (0, 1.0));
 }
+
+/// Candidates that share no level-1 cell with the query are scored from the
+/// snapshot's resident rows, never read: the paged query does the in-memory
+/// query's work — answers, `entities_checked`, kernel dispatch — and its page
+/// requests are exactly the query's own pins plus the pages of the candidates
+/// that do share a level-1 cell.  A candidate the store lacks is unreadable
+/// even when its resident row alone would have answered it.
+#[test]
+fn level_one_disjoint_candidates_are_answered_without_a_read() {
+    let (w, _, sharded, store) = build_world(160, 3, 21, 4);
+    let snapshot = sharded.snapshot();
+    let measure = w.measure();
+    let population = w.entities().len();
+    let pages = |store: &PagedTraceStore, e: EntityId| store.trace_pages(e).map_or(0, <[_]>::len);
+    let disjoint_from = |query: EntityId| -> Vec<EntityId> {
+        let level_one = snapshot.sequence(query).unwrap().level(1);
+        (0..4)
+            .flat_map(|s| snapshot.shard(s).sequences())
+            .filter(|&(&e, seq)| e != query && seq.level(1).intersection_len(level_one) == 0)
+            .map(|(&e, _)| e)
+            .collect()
+    };
+    // Planner off and k = the population: every candidate is scored once.
+    let everyone = Query { planner: PlannerConfig::disabled(), ..Query::new(population, &measure) };
+    for query in w.sample_entities(6, 0x1E7E1) {
+        let pool = store.pool(pool_config(2, ReplacerPolicy::default()));
+        let paged = snapshot.paged(&store, &pool);
+        for planned in [Query::new(5, &measure), everyone] {
+            let (out, stats) = paged.query(query, &planned).unwrap();
+            let (mem, mem_stats) = snapshot.query(query, &planned).unwrap();
+            let ctx = format!("query {query}, k {}", planned.k);
+            assert_equivalent_answers(&out, &mem, &ctx);
+            assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{ctx}");
+            assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "{ctx}");
+            assert_eq!(mem_stats.reads_avoided, 0, "{ctx}: nothing is read in memory");
+            assert!(stats.reads_avoided > 0, "{ctx}");
+        }
+        let disjoint = disjoint_from(query);
+        assert!(disjoint.len() > population / 2, "query {query}: {} disjoint", disjoint.len());
+        let (_, stats) = paged.query(query, &everyone).unwrap();
+        assert_eq!(stats.reads_avoided, disjoint.len(), "query {query}");
+        let all_pages: usize = w.entities().into_iter().map(|e| pages(&store, e)).sum();
+        let avoided_pages: usize = disjoint.iter().map(|&e| pages(&store, e)).sum();
+        // The query's own trace is pinned once and never scored.
+        let requests = (stats.pool_hits + stats.pool_misses) as usize;
+        assert_eq!(requests, all_pages - avoided_pages, "query {query}");
+        assert!(avoided_pages > 0);
+        assert_eq!(pool.pinned_frames(), 0);
+    }
+
+    // Drop one disjoint candidate from the store: it is unreadable, not
+    // answered from its resident row.
+    let query = w.sample_entities(1, 0xD50)[0];
+    let dropped = disjoint_from(query)[0];
+    let mut stored = w.traces.clone();
+    stored.remove(dropped);
+    let partial = PagedTraceStore::build(&stored, 4);
+    let pool = partial.pool(PoolConfig::default());
+    let (out, stats) = snapshot.paged(&partial, &pool).query(query, &everyone).unwrap();
+    assert_eq!(stats.candidates_unreadable, 1);
+    assert_eq!(stats.reads_avoided, disjoint_from(query).len() - 1);
+    assert!(out.iter().all(|r| r.entity != dropped));
+    assert!(stats.recall_estimate < 1.0);
+}

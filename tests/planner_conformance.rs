@@ -452,13 +452,15 @@ fn access_path_pruning_hot_shard_keeps_its_tree() {
 }
 
 /// Where the rule does not apply the plans are the parent commit's, verdict
-/// for verdict: unseeded (by knob, or by a `k` above the sketch candidates),
-/// budgeted (binding or not), and out of core over a cold pool.  The rows
-/// were recorded on the commit before the rule existed; the `default` row is
-/// what the rule changed on this fixture (one cold query, all four shards),
-/// so the fixture can tell.
+/// for verdict: unseeded (by knob, or by a `k` above the sketch candidates)
+/// and budgeted (binding or not).  The rows were recorded on the commit
+/// before the rule existed; the `default` row is what the rule changed on
+/// this fixture (one cold query, all four shards), so the fixture can tell.
+/// Residency is not a condition of the rule: out of core over a one-frame
+/// pool, where no shard is ever resident, the plan is the `default` row,
+/// decision for decision and floor for floor.
 #[test]
-fn access_path_rule_leaves_unseeded_budgeted_and_cold_plans_alone() {
+fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() {
     let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
         num_shards: 4,
         hot_entities: 48,
@@ -491,20 +493,28 @@ fn access_path_rule_leaves_unseeded_budgeted_and_cold_plans_alone() {
         }
     }
 
-    // Out of core over a one-frame pool no shard is ever fully resident.
+    let changed = ["3T 0T 1T 2T", "0S 1S 2S 3S", "3T 0T 1T 2T", "3T 0T 1T 2T", "3T 0T 1T 2T"];
+    for (&query, recorded) in queries.iter().zip(changed) {
+        let plan = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
+        assert_eq!(decisions(&plan), recorded, "default, {query}");
+    }
+
+    // Out of core over a one-frame pool no shard is ever fully resident, and
+    // every shard plans as it does in memory.  (Only the driving order of
+    // equally promising shards may differ: it breaks ties by cold pages.)
     let store = PagedTraceStore::build(&w.traces, 4);
+    let by_shard = |plan: &QueryPlan| {
+        let mut shards: Vec<_> =
+            plan.shards.iter().map(|s| (s.shard, s.decision, s.floor)).collect();
+        shards.sort_by_key(|&(shard, ..)| shard);
+        shards
+    };
     for &query in &queries {
         let pool = store.pool(PoolConfig { capacity_bytes: PAGE_SIZE, ..PoolConfig::default() });
         let paged = snapshot.paged(&store, &pool);
         let plan = paged.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
         assert!(plan.admitted().all(|s| s.pages.is_some_and(|p| p.cold_pages() > 0)));
-        assert_eq!(decisions(&plan), "3T 0T 1T 2T", "cold pool, {query}");
-        assert!(plan.shards.iter().all(|s| s.floor.is_none()), "cold pool: no floor weighed");
-    }
-
-    let changed = ["3T 0T 1T 2T", "0S 1S 2S 3S", "3T 0T 1T 2T", "3T 0T 1T 2T", "3T 0T 1T 2T"];
-    for (&query, recorded) in queries.iter().zip(changed) {
-        let plan = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
-        assert_eq!(decisions(&plan), recorded, "default, {query}");
+        let mem = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
+        assert_eq!(by_shard(&plan), by_shard(&mem), "cold pool, {query}");
     }
 }
