@@ -83,53 +83,16 @@ impl IndexConfig {
     }
 }
 
-/// The scheduler knob of the cooperative sharded executor
-/// ([`ShardedSnapshot`](crate::shard::ShardedSnapshot) query paths).
+/// The latency budget of the sharded query planner ([`crate::plan`]).
 ///
-/// It cannot change an answer — every quantum returns the identical bitwise
-/// top-k (`tests/shard_conformance.rs` proptests exactly this); it only moves
-/// work counters and wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedulerConfig {
-    /// Frontier nodes each executor processes per scheduling quantum before
-    /// yielding.  Smaller quanta interleave shards more finely — bounds
-    /// propagate earlier — at a higher scheduling overhead.  Must be at
-    /// least 1.
-    pub step_quantum: usize,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig { step_quantum: 32 }
-    }
-}
-
-impl SchedulerConfig {
-    /// A configuration with a specific step quantum.
-    pub fn with_step_quantum(step_quantum: usize) -> Self {
-        SchedulerConfig { step_quantum }
-    }
-
-    /// Validates the configuration.
-    pub(crate) fn validate(&self) -> Result<()> {
-        if self.step_quantum == 0 {
-            return Err(IndexError::InvalidConfig("step_quantum must be at least 1".into()));
-        }
-        Ok(())
-    }
-}
-
-/// Knobs of the cost-based sharded query planner ([`crate::plan`]).
-///
-/// The planner consumes the per-shard [`Synopsis`](crate::synopsis::Synopsis)
-/// to seed the search bound, skip shards and pick per-shard access paths
-/// **before** any tree traversal.  Like the scheduler knob, none of the
-/// exact-planning knobs can change an answer — seeding and skipping rest on
+/// Exact planning has no knobs: the planner always consumes the per-shard
+/// [`Synopsis`](crate::synopsis::Synopsis) to seed the search bound, skip
+/// shards and pick per-shard access paths **before** any tree traversal, and
+/// none of that can change an answer — seeding and skipping rest on
 /// strict-inequality certificates, and the flat scan is bitwise identical to
-/// an exhausted tree search (`tests/planner_conformance.rs` proptests this);
-/// they only move work counters and wall-clock time.
+/// an exhausted tree search (`tests/planner_conformance.rs` proptests this).
 ///
-/// The **budget knobs** are different: setting
+/// The budget is different: setting
 /// [`latency_budget_us`](Self::latency_budget_us) authorises the planner to
 /// *degrade* — to answer shards whose exact cost does not fit the budget by
 /// a deterministic sampled scan ([`ShardDecision::ApproximateScan`]) and to
@@ -145,22 +108,6 @@ impl SchedulerConfig {
 /// [`QueryStats::degradation`]: crate::stats::QueryStats::degradation
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannerConfig {
-    /// Score the shards' sketch entities exactly and publish their k-th-best
-    /// degree as the initial search bound (a provable lower bound on the
-    /// global k-th-best degree once `k` candidates are scored).
-    pub seed_threshold: bool,
-    /// Skip shards whose synopsis upper bound is strictly below the seeded
-    /// threshold — provably outside the top-k, never opened.
-    pub skip_shards: bool,
-    /// Non-empty, fully resident shards holding at most this many entities
-    /// are answered by the flat exact scan instead of a best-first tree
-    /// search (same answers, no frontier bookkeeping).  0 scans no shard for
-    /// being small (an empty shard is tree-searched; the executor no-ops on
-    /// it).  The cutoff is one of the two conditions a shard scans on: a
-    /// larger resident shard is scanned too when the plan is seeded and
-    /// unbudgeted and the seed cannot prune one of its top-level subtrees
-    /// (see [`ShardDecision::Scan`](crate::plan::ShardDecision::Scan)).
-    pub scan_cutoff: usize,
     /// Per-query latency budget in microseconds; `None` (the default) turns
     /// all deadline machinery off — planning and execution are exactly the
     /// unbudgeted paths.  `Some(b)` makes the planner cost the exact plan
@@ -175,34 +122,16 @@ pub struct PlannerConfig {
     /// the budget asks for less work.  Irrelevant while
     /// [`latency_budget_us`](Self::latency_budget_us) is `None`.  Must lie in
     /// `[0, 1]`.
-    ///
     pub recall_floor: f64,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig {
-            seed_threshold: true,
-            skip_shards: true,
-            scan_cutoff: 32,
-            latency_budget_us: None,
-            recall_floor: 0.9,
-        }
+        PlannerConfig { latency_budget_us: None, recall_floor: 0.9 }
     }
 }
 
 impl PlannerConfig {
-    /// The planner turned fully off: no seeding, no skipping, tree search
-    /// everywhere — the PR 4 behaviour, kept as the measurable baseline.
-    pub fn disabled() -> Self {
-        PlannerConfig {
-            seed_threshold: false,
-            skip_shards: false,
-            scan_cutoff: 0,
-            ..PlannerConfig::default()
-        }
-    }
-
     /// The default planner with a per-query latency budget, in microseconds.
     pub fn with_budget(latency_budget_us: u64) -> Self {
         PlannerConfig { latency_budget_us: Some(latency_budget_us), ..PlannerConfig::default() }
@@ -210,11 +139,7 @@ impl PlannerConfig {
 
     /// The default planner with a latency budget and an explicit recall floor.
     pub fn with_budget_and_floor(latency_budget_us: u64, recall_floor: f64) -> Self {
-        PlannerConfig {
-            latency_budget_us: Some(latency_budget_us),
-            recall_floor,
-            ..PlannerConfig::default()
-        }
+        PlannerConfig { latency_budget_us: Some(latency_budget_us), recall_floor }
     }
 
     /// Validates the configuration.
@@ -237,34 +162,13 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_defaults_are_cooperative_and_valid() {
-        let s = SchedulerConfig::default();
-        assert!(s.validate().is_ok());
-        assert!(s.step_quantum >= 1);
-        assert_eq!(SchedulerConfig::with_step_quantum(7).step_quantum, 7);
-        assert!(SchedulerConfig::with_step_quantum(0).validate().is_err());
-    }
-
-    #[test]
-    fn planner_defaults_plan_and_disabled_does_not() {
+    fn planner_budget_constructors_and_validation() {
         let p = PlannerConfig::default();
-        assert!(p.seed_threshold);
-        assert!(p.skip_shards);
-        assert!(p.scan_cutoff > 0);
         assert_eq!(p.latency_budget_us, None, "no deadline machinery by default");
         assert!(p.validate().is_ok());
-        let off = PlannerConfig::disabled();
-        assert!(!off.seed_threshold);
-        assert!(!off.skip_shards);
-        assert_eq!(off.scan_cutoff, 0);
-        assert_eq!(off.latency_budget_us, None);
-    }
-
-    #[test]
-    fn planner_budget_constructors_and_validation() {
         let b = PlannerConfig::with_budget(5_000);
         assert_eq!(b.latency_budget_us, Some(5_000));
-        assert!(b.seed_threshold, "budgeting keeps the default exact planning on");
+        assert_eq!(b.recall_floor, p.recall_floor, "budgeting keeps the default floor");
         let f = PlannerConfig::with_budget_and_floor(5_000, 0.75);
         assert_eq!((f.latency_budget_us, f.recall_floor), (Some(5_000), 0.75));
         assert!(f.validate().is_ok());

@@ -36,6 +36,12 @@ use std::time::{Duration, Instant};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
 use trace_storage::PinnedPages;
 
+/// Frontier nodes a tree executor advances per step before its job is
+/// requeued.  A smaller quantum interleaves shards more finely, so bounds
+/// propagate earlier, at a higher scheduling overhead; no quantum changes an
+/// answer (`Executor::step`).
+const STEP_QUANTUM: usize = 32;
+
 /// How one query reads the shards' candidates — the whole difference between
 /// the in-memory path (`shard::ArenaAccess`, over the candidate arenas) and
 /// the out-of-core one (`paged::PagedAccess`, over the trace store through
@@ -111,7 +117,7 @@ pub(crate) trait ShardAccess<'q> {
     fn drain(&self, _stats: &mut QueryStats) {}
 }
 
-/// Rejects bad knobs and query sequences whose level count does not match
+/// Rejects a bad budget and query sequences whose level count does not match
 /// the shards' trees — up front, so a plan that scans or skips every shard
 /// reports the same [`IndexError::LevelMismatch`] the executor constructor
 /// would.
@@ -188,7 +194,7 @@ where
     let mut stats = QueryStats { k: query.k, planning_us, ..QueryStats::default() };
     // Seeding scored real candidates exactly: charge them as checked work,
     // and count skipped shards' populations toward |E| so pruning
-    // effectiveness stays comparable with unplanned runs.
+    // effectiveness stays comparable with plans that skip nothing.
     stats.entities_checked += plan.seed_candidates;
     stats.shards_skipped = plan.shards_skipped();
     stats.shards_scanned = plan.shards_scanned();
@@ -406,7 +412,7 @@ where
                 scan.run(query, shared);
                 false
             }
-            Job::Tree(executor) => executor.step(&bound, query.scheduler.step_quantum),
+            Job::Tree(executor) => executor.step(&bound, STEP_QUANTUM),
         });
         for job in jobs {
             match job {
@@ -470,11 +476,7 @@ where
                         ));
                         deadline.map(|d| d.checked_sub(reserve).unwrap_or(d))
                     };
-                    let exhausted = executor.run_until(
-                        &bound,
-                        self.query.scheduler.step_quantum,
-                        shard_deadline,
-                    );
+                    let exhausted = executor.run_until(&bound, STEP_QUANTUM, shard_deadline);
                     self.finish(executor, exhausted);
                     if !exhausted {
                         self.report.deadline_exceeded = true;

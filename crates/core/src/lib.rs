@@ -78,7 +78,7 @@
 //! (frontier quanta interleave over rayon, all executors prune against one
 //! shared seeded bound) — and the per-shard exact top-k heaps merge.
 //! Answers are fully bit-identical to an unsharded index over the same
-//! traces, boundary ties included, with or without the planner.  The
+//! traces, boundary ties included, whatever the planner decides.  The
 //! deterministic workload generators and conformance oracles behind the test
 //! suites live in [`testkit`].
 //!
@@ -133,7 +133,7 @@ pub mod testkit;
 pub mod tree;
 
 pub use approximate::{BandedIndex, BandingConfig};
-pub use config::{HasherMode, IndexConfig, PlannerConfig, SchedulerConfig};
+pub use config::{HasherMode, IndexConfig, PlannerConfig};
 pub use durable::{DurableShardedMinSigIndex, RecoveryReport};
 pub use engine::{Bound, Executor, PrivateBound, SharedBound, TopKHeap, TraceSource};
 pub use error::{IndexError, Result};

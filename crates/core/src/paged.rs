@@ -227,7 +227,10 @@ impl TraceSource for PagedArenaSource<'_> {
 impl IndexSnapshot {
     /// Answers a top-k query reading candidate traces through `pool` over `store`.
     ///
-    /// The returned [`QueryStats`] additionally report the buffer-pool traffic
+    /// The query entity must be indexed: like [`top_k`](IndexSnapshot::top_k)
+    /// and the sharded paths, an entity the snapshot does not hold is
+    /// [`IndexError::UnknownQueryEntity`], whatever the store holds.  The
+    /// returned [`QueryStats`] additionally report the buffer-pool traffic
     /// and the simulated I/O latency of this query's own candidate reads —
     /// counted per fetch, so exact even when several threads share one pool.
     pub fn top_k_paged<M: AssociationMeasure + ?Sized>(
@@ -239,21 +242,11 @@ impl IndexSnapshot {
         pool: &BufferPool<'_>,
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let query_seq = match self.sequence(query) {
-            Some(seq) => seq.clone(),
-            None => {
-                // Not in the in-memory map (e.g. a sequence-free index); read it
-                // from the store.
-                let trace = store
-                    .read_trace(pool, query)
-                    .ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-                trace.cell_sequence(self.sp_index(), self.ticks_per_unit())?
-            }
-        };
-        let source = PagedArenaSource::new(store, pool, self, &query_seq);
+        let query_seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
+        let source = PagedArenaSource::new(store, pool, self, query_seq);
         let request = Query { options, ..Query::new(k, measure) };
         let (results, mut stats) =
-            engine::execute(self, &query_seq, Some(query), &request, &source)?;
+            engine::execute(self, query_seq, Some(query), &request, &source)?;
         source.drain_into(&mut stats);
         Ok((results, stats))
     }
@@ -665,6 +658,36 @@ mod tests {
         assert!(matches!(err, crate::error::IndexError::UnknownQueryEntity(9999)));
     }
 
+    /// An entity the store holds but the index does not is no query entity:
+    /// every path — unsharded and sharded, in memory and paged — says so,
+    /// none reads its trace from the store instead.
+    #[test]
+    fn an_entity_only_the_store_holds_is_unknown_on_every_path() {
+        let (sp, traces) = dataset(6);
+        let ghost = EntityId(5);
+        let mut indexed = traces.clone();
+        indexed.remove(ghost);
+        let index = MinSigIndex::build(&sp, &indexed, IndexConfig::default()).unwrap();
+        let sharded =
+            crate::shard::ShardedMinSigIndex::build(&sp, &indexed, IndexConfig::default(), 3)
+                .unwrap();
+        let snapshot = sharded.snapshot();
+        let store = PagedTraceStore::build(&traces, 4);
+        assert!(store.trace_pages(ghost).is_some(), "the store holds the ghost's trace");
+        let pool = store.pool(PoolConfig::default());
+        let measure = PaperAdm::default_for(sp.height() as usize);
+        let query = Query::new(3, &measure);
+        let unknown = |result: Result<(Vec<TopKResult>, QueryStats)>, path: &str| {
+            assert!(matches!(result, Err(IndexError::UnknownQueryEntity(5))), "{path}: {result:?}");
+        };
+        unknown(index.top_k(ghost, 3, &measure), "top_k");
+        let options = QueryOptions::default();
+        unknown(index.top_k_paged(ghost, 3, &measure, &store, &pool, options), "top_k_paged");
+        unknown(snapshot.query(ghost, &query), "sharded query");
+        unknown(snapshot.paged(&store, &pool).query(ghost, &query), "paged sharded query");
+        assert_eq!(pool.stats().hits + pool.stats().misses, 0, "nothing was read");
+    }
+
     #[test]
     fn paged_sharded_matches_in_memory_sharded_bitwise() {
         let (sp, traces) = dataset(40);
@@ -976,13 +999,13 @@ mod tests {
             assert!(pages.resident_pages <= pages.total_pages);
         }
 
-        // A disabled planner still answers (no estimates, no seeding) and the
-        // unplanned paged path agrees with the unplanned in-memory path.
-        let cold = paged.explain(EntityId(4), 5, &measure, PlannerConfig::disabled()).unwrap();
-        assert!(cold.shards.iter().all(|s| s.pages.is_none()));
-        let unplanned = Query { planner: PlannerConfig::disabled(), ..Query::new(5, &measure) };
-        let (mem, _) = snapshot.query(EntityId(4), &unplanned).unwrap();
-        let (out, _) = paged.query(EntityId(4), &unplanned).unwrap();
+        // A k above every sketch candidate seeds nothing; the plan is still
+        // estimated, and the unseeded paged path agrees with the in-memory one.
+        let unseeded = paged.explain(EntityId(4), 60, &measure, PlannerConfig::default()).unwrap();
+        assert!(!unseeded.seeded());
+        assert!(unseeded.shards.iter().all(|s| s.pages.is_some()));
+        let (mem, _) = snapshot.top_k(EntityId(4), 60, &measure).unwrap();
+        let (out, _) = paged.top_k(EntityId(4), 60, &measure).unwrap();
         assert_eq!(mem, out);
     }
 }

@@ -21,20 +21,24 @@
 //!    most likely to raise the shared bound runs first;
 //! 4. **access-path choice** — a shard is answered by the flat
 //!    exact scan (no frontier bookkeeping) on either of two conditions: it
-//!    is **small** (at or below the
-//!    [`scan_cutoff`](crate::config::PlannerConfig::scan_cutoff)), or the
+//!    is **small** (at or below `SCAN_CUTOFF`, 32 entities), or the
 //!    **seed cannot prune a top-level subtree** of it — the seeded threshold
 //!    is at or below the least bound the executor can give any depth-1 row
 //!    (`Synopsis::top_level_bound_floor`), so a tree search would start by
 //!    expanding every one of them.  Every other admitted shard gets the
 //!    best-first tree search.
 //!
-//! None of the four decisions can change an answer: seeding and skipping are
-//! justified by the strict-pruning argument above (ties at `G` survive
-//! because both comparisons are strict), ordering is schedule-freedom the
-//! executor already guarantees, and the flat scan is bitwise identical to an
-//! exhausted tree search.  `tests/planner_conformance.rs` proptests exactly
-//! this, over arbitrary shard counts, sketch sizes and knob settings.
+//! Every query is planned this way; there is no switch that turns a
+//! decision off.  None of the four can change an answer: seeding and
+//! skipping are justified by the strict-pruning argument above (ties at `G`
+//! survive because both comparisons are strict), ordering is
+//! schedule-freedom the executor already guarantees, and the flat scan is
+//! bitwise identical to an exhausted tree search.
+//! `tests/planner_conformance.rs` proptests exactly this, over arbitrary
+//! shard counts and sketch sizes.  The data decides how much each decision
+//! does: sketch size 0, or a `k` above the sketch candidates of all shards
+//! together, leaves the plan unseeded — nothing skipped, every shard above
+//! the cutoff tree-searched.
 //!
 //! ## Out of core: costs in pages
 //!
@@ -109,7 +113,7 @@ pub enum ShardDecision {
     Skip,
     /// The shard is answered by a flat exact scan instead of a tree search,
     /// for one of two reasons [`ShardPlan::floor`] tells apart: it is small
-    /// enough (`entities ≤ scan_cutoff`) that the scan beats the frontier
+    /// enough (`entities ≤ SCAN_CUTOFF`, 32) that the scan beats the frontier
     /// bookkeeping, or the seeded threshold is at or below the least bound
     /// any of its top-level subtrees can have, so the tree search could not
     /// prune one of them and would walk the tree only to score the shard
@@ -169,18 +173,16 @@ pub struct ShardPlan {
     /// Entities the shard holds.
     pub entities: usize,
     /// The synopsis upper bound on any member's degree against this query
-    /// (`-inf` for an empty shard; the trivial `+inf` when the planner is
-    /// fully disabled and nothing was computed).
+    /// (`-inf` for an empty shard; never `+inf`).
     pub upper_bound: f64,
     /// What the executor does with the shard.
     pub decision: ShardDecision,
-    /// Page-residency estimate (paged plans with an active planner only;
-    /// `None` on in-memory plans and on the disabled-planner baseline).
+    /// Page-residency estimate; `None` only on in-memory plans.
     pub pages: Option<PageEstimate>,
     /// The least bound the executor can give a top-level subtree of this
     /// shard against the query (`Synopsis::top_level_bound_floor`), where the
     /// planner weighed it: on a seeded, unbudgeted plan, for an admitted,
-    /// non-empty shard above the scan cutoff.  Such a shard is a
+    /// non-empty shard above `SCAN_CUTOFF`.  Such a shard is a
     /// [`Scan`](ShardDecision::Scan) when `seed ≤ floor` — under the seed not
     /// one top-level subtree is prunable — and a tree search otherwise;
     /// `None` everywhere else (a `Scan` without a floor is a small shard).
@@ -196,13 +198,13 @@ pub struct QueryPlan {
     /// Requested result size.
     pub k: usize,
     /// The seeded lower bound on the global k-th-best degree (`-inf` when
-    /// seeding is disabled or fewer than `k` sketch candidates exist).
+    /// fewer than `k` sketch candidates exist).
     pub seed: f64,
     /// How many sketch candidates were scored exactly to derive the seed.
     pub seed_candidates: usize,
     /// Per-shard verdicts; admitted shards first, in driving order.
     pub shards: Vec<ShardPlan>,
-    /// The knobs the plan was built under.
+    /// The budget the plan was built under.
     pub planner: PlannerConfig,
 }
 
@@ -253,7 +255,7 @@ impl QueryPlan {
                     self.seed
                 ),
                 (ShardDecision::Scan, None) => {
-                    format!("scan (small shard: scan_cutoff {})", self.planner.scan_cutoff)
+                    format!("scan (small shard: scan_cutoff {SCAN_CUTOFF})")
                 }
                 (ShardDecision::Skip, _) if plan.entities == 0 => "skip (empty shard)".to_string(),
                 (ShardDecision::Skip, _) => "skip (upper bound below seed)".to_string(),
@@ -299,11 +301,6 @@ impl QueryPlan {
 /// to the query's `entities_checked`, because they are real candidate
 /// evaluations.  The caller guarantees the query sequence matches the
 /// shards' level count.
-///
-/// A fully disabled config ([`PlannerConfig::disabled`]) produces the
-/// faithful pre-planner baseline: every shard admitted as a tree search, in
-/// shard-index order — no seeding, no skipping, no scans and **no
-/// reordering**, so it measures exactly the PR 4 scheduler.
 pub(crate) fn plan_query<'q, A, M>(access: &A, query: &Query<'_, M>) -> QueryPlan
 where
     A: ShardAccess<'q>,
@@ -312,35 +309,6 @@ where
     let shards = access.shards();
     let Query { k, measure, planner: config, .. } = *query;
     let query = access.sequence();
-    // A fully disabled planner computes nothing at all: every shard is
-    // admitted as a tree search in shard-index order, with the trivial
-    // (+inf) upper bound and no page probe — the baseline paths must not pay
-    // per-shard synopsis evaluation they are benchmarked against.  (A
-    // latency budget on an otherwise disabled planner still gets the cost
-    // model: budgets are a promise to the caller, not an optimisation.)
-    let planning_active = config.seed_threshold || config.skip_shards || config.scan_cutoff > 0;
-    if !planning_active && config.latency_budget_us.is_none() {
-        let shards = shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| ShardPlan {
-                shard: i,
-                entities: shard.synopsis().num_entities(),
-                upper_bound: f64::INFINITY,
-                decision: ShardDecision::TreeSearch,
-                pages: None,
-                floor: None,
-            })
-            .collect();
-        return QueryPlan {
-            k,
-            seed: f64::NEG_INFINITY,
-            seed_candidates: 0,
-            shards,
-            planner: config,
-        };
-    }
-
     let plan_start = std::time::Instant::now();
     let levels = query.num_levels() as u8;
     let query_sizes: Vec<usize> = (1..=levels).map(|l| query.level(l).len()).collect();
@@ -350,7 +318,7 @@ where
     // soundness condition (fewer than k scored candidates prove nothing).
     let mut seed = f64::NEG_INFINITY;
     let mut seed_candidates = 0usize;
-    if config.seed_threshold && k > 0 {
+    if k > 0 {
         let mut top = TopKHeap::new(k);
         let mut scratch = LevelOverlap::default();
         for shard in 0..shards.len() {
@@ -381,19 +349,19 @@ where
         // tie-complete pruning: a shard *tying* the seed may hold an
         // equal-degree entity that enters the top-k through the id
         // tie-break, so it is never skipped.
-        if config.skip_shards && seed > upper_bound {
+        if seed > upper_bound {
             plan.decision = ShardDecision::Skip;
             skipped.push(plan);
             continue;
         }
         // An empty shard is tree-searched (the executor no-ops on an empty
-        // tree, exactly as the pre-planner fan-out did).  Residency plays no
-        // part: out of core a scan reads the records of exactly the members
-        // a tree search that prunes nothing would read — those sharing a
-        // level-1 cell with the query; the rest are answered from the
-        // resident rows either way (see `crate::paged`).
+        // tree).  Residency plays no part: out of core a scan reads the
+        // records of exactly the members a tree search that prunes nothing
+        // would read — those sharing a level-1 cell with the query; the rest
+        // are answered from the resident rows either way (see
+        // `crate::paged`).
         if entities > 0 {
-            if entities <= config.scan_cutoff {
+            if entities <= SCAN_CUTOFF {
                 plan.decision = ShardDecision::Scan;
             } else if seed > f64::NEG_INFINITY && config.latency_budget_us.is_none() {
                 // Pruning is strict (`bound < threshold`), so under a seed
@@ -435,8 +403,14 @@ where
     QueryPlan { k, seed, seed_candidates, shards: admitted, planner: config }
 }
 
+/// Non-empty shards holding at most this many entities are answered by the
+/// flat exact scan instead of a best-first tree search: below it the frontier
+/// bookkeeping costs more than it can save.  A constant until a cost model
+/// prices the two arms.
+pub(crate) const SCAN_CUTOFF: usize = 32;
+
 /// Nanoseconds assumed per exact degree evaluation when the plan scored no
-/// seed candidates to calibrate against (seeding off, or an empty sketch).
+/// seed candidates to calibrate against (an empty sketch, or `k` = 0).
 /// Deliberately on the measured path's high side: over-estimating exact cost
 /// degrades a little too eagerly, which is the correct failure direction for
 /// a latency promise.
@@ -683,12 +657,11 @@ pub(crate) fn plan_batch<'q, M: AssociationMeasure + ?Sized>(
     // The one-pass amortization: every shard's sketch ids are resolved
     // against its arena once, up front, instead of `sketch × shards` binary
     // searches per query.
-    let sketch_positions =
-        query.planner.seed_threshold.then(|| crate::shard::sketch_positions(shards));
+    let sketch_positions = crate::shard::sketch_positions(shards);
     let plans: Vec<QueryPlan> = targets
         .iter()
         .map(|&(entity, sequence)| {
-            let access = ArenaAccess::new(shards, sequence, entity, sketch_positions.as_deref());
+            let access = ArenaAccess::new(shards, sequence, entity, Some(&sketch_positions));
             plan_query(&access, query)
         })
         .collect();
@@ -760,20 +733,6 @@ mod tests {
             &ArenaAccess::new(shards, query, EntityId(0), None),
             &Query { planner, ..Query::new(k, &measure) },
         )
-    }
-
-    #[test]
-    fn disabled_planner_admits_every_shard_unseeded() {
-        let w = Workload::paired(PairedConfig::default());
-        let shards = shards_of(&w, 4);
-        let query =
-            shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        let plan = plan_of(&shards, &query, 3, &w, PlannerConfig::disabled());
-        assert!(!plan.seeded());
-        assert_eq!(plan.seed_candidates, 0);
-        assert_eq!(plan.shards_skipped(), 0);
-        assert_eq!(plan.shards.len(), 4);
-        assert!(plan.shards.iter().all(|s| s.decision == ShardDecision::TreeSearch));
     }
 
     #[test]
@@ -860,8 +819,7 @@ mod tests {
         let w = Workload::paired(PairedConfig::default());
         let shards = shards_of(&w, 4);
         let measure = w.measure();
-        let config = PlannerConfig::default();
-        let query = Query { planner: config, ..Query::new(3, &measure) };
+        let query = Query::new(3, &measure);
         let targets: Vec<(EntityId, &CellSetSequence)> = (0..6u64)
             .map(EntityId)
             .filter_map(|e| shards.iter().find_map(|s| s.sequence(e)).map(|seq| (e, seq)))
@@ -885,16 +843,21 @@ mod tests {
     /// Where the floor is weighed: a seeded, unbudgeted plan records one for
     /// every admitted shard above the cutoff — a bound of the synopsis
     /// family, so never above the shard's upper bound — and unseeded and
-    /// budgeted plans weigh nothing and keep the tree.  (Which shards the
-    /// recorded floor turns into scans is `tests/planner_conformance.rs`'s
-    /// `access_path_*`.)
+    /// budgeted plans weigh nothing and keep the tree.  Unseeded here is a
+    /// synopsis with no sketch: nothing is scored, nothing skipped, every
+    /// shard tree-searched.  (Which shards the recorded floor turns into
+    /// scans is `tests/planner_conformance.rs`'s `access_path_*`.)
     #[test]
     fn access_path_floor_is_weighed_only_on_seeded_unbudgeted_plans() {
         use crate::testkit::UniformConfig;
         let w = Workload::uniform(UniformConfig { entities: 200, ..UniformConfig::default() });
         let shards = shards_of(&w, 4);
-        let cutoff = PlannerConfig::default().scan_cutoff;
-        assert!(shards.iter().all(|s| s.num_entities() > cutoff), "no shard scans for being small");
+        assert!(shards.iter().all(|s| s.num_entities() > SCAN_CUTOFF), "none scans for size");
+        let config = IndexConfig::with_hash_functions(16);
+        let mut sketchless =
+            crate::shard::ShardedMinSigIndex::build(&w.sp, &w.traces, config, 4).unwrap();
+        sketchless.set_synopsis_sketch_size(0);
+        let sketchless: Vec<_> = (0..4).map(|i| sketchless.shard(i).snapshot()).collect();
         for entity in w.sample_entities(12, 3) {
             let query = shards.iter().find_map(|s| s.sequence(entity)).unwrap().clone();
             let plan = plan_of(&shards, &query, 3, &w, PlannerConfig::default());
@@ -903,47 +866,18 @@ mod tests {
                 let floor = shard_plan.floor.expect("weighed");
                 assert!(floor <= shard_plan.upper_bound, "{}", plan.explain());
             }
-            let unseeded = PlannerConfig { seed_threshold: false, ..PlannerConfig::default() };
-            for off in [unseeded, PlannerConfig::with_budget(u64::MAX / 2_000)] {
-                let plan = plan_of(&shards, &query, 3, &w, off);
-                assert_eq!(plan.shards_scanned(), 0, "{off:?}");
-                assert!(plan.shards.iter().all(|s| s.floor.is_none()), "{off:?}");
+            let unseeded = plan_of(&sketchless, &query, 3, &w, PlannerConfig::default());
+            assert!(!unseeded.seeded());
+            assert_eq!((unseeded.seed_candidates, unseeded.shards_skipped()), (0, 0));
+            assert_eq!(unseeded.shards.len(), 4);
+            assert!(unseeded.shards.iter().all(|s| s.decision == ShardDecision::TreeSearch));
+            let budgeted =
+                plan_of(&shards, &query, 3, &w, PlannerConfig::with_budget(u64::MAX / 2_000));
+            for plan in [unseeded, budgeted] {
+                assert_eq!(plan.shards_scanned(), 0, "{}", plan.explain());
+                assert!(plan.shards.iter().all(|s| s.floor.is_none()), "{}", plan.explain());
             }
         }
-    }
-
-    /// The disabled baseline computes nothing whatever the access: through
-    /// the paged one, no page probe and not a single pool read.
-    #[test]
-    fn disabled_planner_through_the_paged_access_is_the_index_order_baseline() {
-        let w = Workload::paired(PairedConfig::default());
-        let sharded = crate::shard::ShardedMinSigIndex::build(
-            &w.sp,
-            &w.traces,
-            IndexConfig::with_hash_functions(16),
-            4,
-        )
-        .unwrap();
-        let snapshot = sharded.snapshot();
-        let store = trace_storage::PagedTraceStore::build(&w.traces, 4);
-        let pool = store.pool(trace_storage::PoolConfig::default());
-        let paged = snapshot.paged(&store, &pool);
-        let query = snapshot.sequence(trace_model::EntityId(0)).unwrap();
-        let measure = w.measure();
-        let plan = plan_query(
-            &paged.access(query, EntityId(0)),
-            &Query { planner: PlannerConfig::disabled(), ..Query::new(3, &measure) },
-        );
-        assert!(!plan.seeded());
-        assert_eq!(plan.seed_candidates, 0);
-        assert_eq!(plan.shards.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 1, 2, 3]);
-        for shard_plan in &plan.shards {
-            assert_eq!(shard_plan.decision, ShardDecision::TreeSearch);
-            assert_eq!(shard_plan.pages, None);
-            assert_eq!(shard_plan.upper_bound, f64::INFINITY);
-        }
-        let io = pool.stats();
-        assert_eq!(io.hits + io.misses, 0, "the disabled planner reads nothing");
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! The best-first search itself (Algorithm 2, Section 5.1) lives in
 //! [`crate::engine`]; this module holds the vocabulary types shared by every
 //! query path — [`TopKResult`], [`QueryOptions`] and the one request value
-//! [`Query`].
+//! [`Query`].  Beyond `k` and the measure, a query has four settable values:
+//! the two pruning ablations of [`QueryOptions`] and the latency budget with
+//! its recall floor ([`PlannerConfig`]).  Everything else the sharded drive
+//! does — seeding, skipping, scan-or-tree, the step quantum — is fixed,
+//! because none of it can change an exact answer.
 
-use crate::config::{PlannerConfig, SchedulerConfig};
+use crate::config::PlannerConfig;
 use crate::error::Result;
 use serde::{Deserialize, Serialize};
 use trace_model::EntityId;
@@ -38,15 +42,18 @@ impl Default for QueryOptions {
 }
 
 /// One top-k query as every stage of planning and execution sees it: the
-/// paper's `k` under an ADM, plus the knobs of the search that answers it.
+/// paper's `k` under an ADM, plus the two things a caller may ask of the
+/// search that answers it — the pruning ablations (`options`) and a latency
+/// budget (`planner`).
 ///
 /// [`Query::new`] is what the `top_k` conveniences run; set fields for
 /// anything else and hand the value to [`ShardedSnapshot::query`] /
 /// [`query_batch`](crate::shard::ShardedSnapshot::query_batch) (or their
-/// [`PagedShardedSnapshot`](crate::paged::PagedShardedSnapshot) twins) —
-/// e.g. `Query { planner: PlannerConfig::disabled(), ..Query::new(k, &measure) }`
-/// is the unplanned baseline.  The query entity is an argument of the entry
-/// point, so one value serves a whole batch.  A single-tree search
+/// [`PagedShardedSnapshot`](crate::paged::PagedShardedSnapshot) twins).
+/// Exact planning — seed, skip, scan or tree, driving order — and the
+/// scheduler's interleaving are not settable: each is answer-invariant and
+/// always on.  The query entity is an argument of the entry point, so one
+/// value serves a whole batch.  A single-tree search
 /// ([`Executor`](crate::engine::Executor)) reads `k`, `measure` and `options`
 /// only.
 ///
@@ -59,27 +66,20 @@ pub struct Query<'q, M: ?Sized> {
     pub measure: &'q M,
     /// The pruning ablations of the tree search.
     pub options: QueryOptions,
-    /// How the cooperative sharded executor interleaves shards.
-    pub scheduler: SchedulerConfig,
-    /// What the sharded planner may seed, skip, scan and degrade.
+    /// The latency budget the sharded planner may degrade under, and its
+    /// recall floor.
     pub planner: PlannerConfig,
 }
 
 impl<'q, M: ?Sized> Query<'q, M> {
-    /// The top-`k` query under `measure` with every knob at its default.
+    /// The exact top-`k` query under `measure`: every pruning constraint on,
+    /// no budget.
     pub fn new(k: usize, measure: &'q M) -> Self {
-        Query {
-            k,
-            measure,
-            options: QueryOptions::default(),
-            scheduler: SchedulerConfig::default(),
-            planner: PlannerConfig::default(),
-        }
+        Query { k, measure, options: QueryOptions::default(), planner: PlannerConfig::default() }
     }
 
-    /// Rejects knobs no search can run under.
+    /// Rejects a budget no search can run under.
     pub(crate) fn validate(&self) -> Result<()> {
-        self.scheduler.validate()?;
         self.planner.validate()
     }
 }

@@ -24,24 +24,22 @@
 //! [plan module docs](crate::plan)); [`ShardedSnapshot::explain`] returns
 //! the [`QueryPlan`] without executing it, and
 //! [`QueryStats::shards_skipped`] / [`QueryStats::shards_scanned`] /
-//! [`QueryStats::threshold_seeded`] report what planning did.  [`ShardedSnapshot::query`] takes every knob as one
-//! [`Query`] value; with [`PlannerConfig::disabled`] it is the unplanned PR 4
-//! baseline.
+//! [`QueryStats::threshold_seeded`] report what planning did.  Every query
+//! is planned; [`ShardedSnapshot::query`] takes the one [`Query`] value,
+//! whose only planner setting is a latency budget.
 //!
 //! The admitted shards then run as jobs of one cooperative scheduler — a
 //! scan shard as a flat scan, a tree shard as a **resumable executor**
 //! ([`IndexSnapshot::executor`]): workers (over rayon) pull a job from a
-//! round-robin queue, run the scan or advance the frontier by one quantum
-//! ([`engine::Executor::step`]), and requeue an executor until its frontier
-//! is exhausted.  All executors of one query share a single
-//! [`SharedBound`](engine::SharedBound) — an atomic, monotone max of the
-//! seed and every shard's local k-th-best degree — so a shard that holds
+//! round-robin queue, run the scan or advance the frontier by one fixed
+//! quantum of 32 nodes ([`engine::Executor::step`]), and requeue an executor
+//! until its frontier is exhausted.  All executors of one query share a
+//! single [`SharedBound`](engine::SharedBound) — an atomic, monotone max of
+//! the seed and every shard's local k-th-best degree — so a shard that holds
 //! none of the strong candidates learns the global bar from the shard that
 //! does and prunes its subtrees immediately, recovering the pruning power of
-//! the unsharded tree.  The step quantum lives in
-//! [`SchedulerConfig`](crate::config::SchedulerConfig).  Out of core
-//! ([`crate::paged`]) the same drive runs with every candidate read through a
-//! buffer pool.
+//! the unsharded tree.  Out of core ([`crate::paged`]) the same drive runs
+//! with every candidate read through a buffer pool.
 //!
 //! [`QueryStats::shards_skipped`]: crate::stats::QueryStats::shards_skipped
 //! [`QueryStats::shards_scanned`]: crate::stats::QueryStats::shards_scanned
@@ -53,8 +51,8 @@
 //! ([`engine::merge_top_k`]): *(degree descending, entity id ascending)*.
 //! The merged answer is **fully bit-identical** to a single unsharded index
 //! over the same traces — and to the brute-force sort-and-truncate — ties at
-//! the k-th (boundary) degree included, for any shard count, any scheduling
-//! interleaving and any scheduler knobs; [`crate::engine`] has the two-step
+//! the k-th (boundary) degree included, for any shard count and any
+//! scheduling interleaving; [`crate::engine`] has the two-step
 //! proof (the shared bound never exceeds the global k-th degree; pruning is
 //! strict), and `tests/shard_conformance.rs` proptests it against both the
 //! unsharded index and the brute-force oracle.  (Each shard derives its own
@@ -114,8 +112,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use trace_model::{
-    AssociationMeasure, CellSetSequence, DigitalTrace, EntityId, LevelOverlap, PresenceInstance,
-    SpIndex, TraceSet,
+    AssociationMeasure, CellSetSequence, EntityId, LevelOverlap, PresenceInstance, SpIndex,
+    TraceSet,
 };
 use trace_storage::segment::{self, Cursor};
 
@@ -157,8 +155,8 @@ pub fn shard_of(entity: EntityId, num_shards: usize) -> usize {
 
 /// A MinSigTree index hash-partitioned across `N` independent shards.
 ///
-/// Mutations (`update_entity` / `upsert_entity` / `remove_entity` /
-/// [`ingest_batch`](Self::ingest_batch)) route to the owning shard; queries
+/// Writes ([`ingest_batch`](Self::ingest_batch) /
+/// [`IngestBuffer::flush_sharded`]) route each record to its owning shard; queries
 /// fan out across all shards and merge exactly.  See the
 /// [module docs](crate::shard) for the exactness, epoch and durability
 /// contracts.
@@ -262,11 +260,6 @@ impl ShardedMinSigIndex {
         &self.shards[shard]
     }
 
-    /// The shard owning `entity` under this index's shard count.
-    fn shard_of_entity(&self, entity: EntityId) -> usize {
-        shard_of(entity, self.shards.len())
-    }
-
     /// Total number of indexed entities across all shards.
     pub fn num_entities(&self) -> usize {
         self.shards.iter().map(|s| s.num_entities()).sum()
@@ -287,34 +280,6 @@ impl ShardedMinSigIndex {
             shards: self.shards.iter().map(|s| s.snapshot()).collect(),
             epochs: self.epochs(),
         }
-    }
-
-    /// Replaces an **existing** entity's trace, routed to its home shard.
-    ///
-    /// Returns [`IndexError::UnknownEntity`] when the entity is not indexed —
-    /// the routing is by [`shard_of`], so "not in its home shard" *is* "not in
-    /// the index"; no other shard is consulted (or could legally hold it).
-    /// Use [`upsert_entity`](Self::upsert_entity) for insert-or-replace.
-    pub fn update_entity(&mut self, entity: EntityId, trace: &DigitalTrace) -> Result<()> {
-        let home = self.shard_of_entity(entity);
-        self.shards[home].update_entity(entity, trace)
-    }
-
-    /// Inserts a new entity into — or replaces an existing entity's trace in —
-    /// its home shard; returns `true` when the entity was newly inserted.
-    pub fn upsert_entity(&mut self, entity: EntityId, trace: &DigitalTrace) -> Result<bool> {
-        let home = self.shard_of_entity(entity);
-        self.shards[home].upsert_entity(entity, trace)
-    }
-
-    /// Removes an entity from its home shard.
-    ///
-    /// Returns [`IndexError::UnknownEntity`] when the entity is not indexed,
-    /// exactly like the unsharded handle — a misrouted or repeated removal
-    /// cannot silently succeed on some other shard.
-    pub fn remove_entity(&mut self, entity: EntityId) -> Result<()> {
-        let home = self.shard_of_entity(entity);
-        self.shards[home].remove_entity(entity)
     }
 
     /// Applies a batch of presence records, routed per shard, in one
@@ -411,8 +376,7 @@ impl ShardedSnapshot {
     }
 
     /// Answers a top-k query for an indexed entity with the default
-    /// [`Query`]: default options, the default cooperative scheduler and the
-    /// default planner (seeded, shard-skipping, scan-picking).
+    /// [`Query`]: default options, no latency budget.
     pub fn top_k<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
@@ -432,8 +396,8 @@ impl ShardedSnapshot {
     /// bit-identical** to the unsharded answer, boundary ties included (see
     /// the [module docs](crate::shard)).  The stats sum the per-shard search
     /// work and report what planning did.  Only a latency budget
-    /// ([`PlannerConfig::latency_budget_us`]) can change an answer; every
-    /// other knob moves work counters and wall-clock time.
+    /// ([`PlannerConfig::latency_budget_us`]) can change an answer; the
+    /// pruning ablations move only work counters and wall-clock time.
     pub fn query<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entity: EntityId,
@@ -981,7 +945,7 @@ fn corrupt(msg: &str) -> IndexError {
 mod tests {
     use super::*;
     use crate::testkit::{PairedConfig, StreamConfig, Workload};
-    use trace_model::Period;
+    use trace_model::{DigitalTrace, Period};
 
     fn workload() -> Workload {
         Workload::paired(PairedConfig { pairs: 24, ..PairedConfig::default() })
@@ -1060,55 +1024,6 @@ mod tests {
             sharded.top_k_join(&[EntityId(0), ghost], &measure, JoinOptions::default()).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(stats.skipped, 1);
-    }
-
-    /// `UnknownEntity` must route correctly: for **every** shard, an absent
-    /// entity whose id hashes to that shard errors out of `update_entity` and
-    /// `remove_entity` without touching any epoch, and `upsert_entity`
-    /// inserts it into exactly that shard.
-    #[test]
-    fn absent_entity_mutations_error_on_every_shard() {
-        let w = workload();
-        let mut sharded =
-            ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::default(), 5).unwrap();
-        let trace_for = |entity: EntityId| {
-            DigitalTrace::from_instances(vec![PresenceInstance::new(
-                entity,
-                w.sp.base_units()[0],
-                Period::new(0, 60).unwrap(),
-            )])
-        };
-        for shard in 0..sharded.num_shards() {
-            // Find an absent id routing to this shard.
-            let ghost = (10_000..)
-                .map(EntityId)
-                .find(|&e| {
-                    shard_of(e, sharded.num_shards()) == shard && !sharded.shard(shard).contains(e)
-                })
-                .unwrap();
-            let epochs_before = sharded.epochs();
-            let raw = ghost.raw();
-            assert!(
-                matches!(sharded.update_entity(ghost, &trace_for(ghost)),
-                    Err(IndexError::UnknownEntity(id)) if id == raw),
-                "shard {shard}"
-            );
-            assert!(
-                matches!(sharded.remove_entity(ghost),
-                    Err(IndexError::UnknownEntity(id)) if id == raw),
-                "shard {shard}"
-            );
-            assert_eq!(sharded.epochs(), epochs_before, "failed mutations must not epoch-bump");
-            // Upsert inserts into exactly the home shard.
-            assert!(sharded.upsert_entity(ghost, &trace_for(ghost)).unwrap());
-            assert!(sharded.shard(shard).contains(ghost));
-            assert_eq!(
-                sharded.epochs()[shard],
-                epochs_before[shard] + 1,
-                "only the home shard advances"
-            );
-            sharded.remove_entity(ghost).unwrap();
-        }
     }
 
     #[test]
@@ -1309,13 +1224,13 @@ mod tests {
             w.sp.base_units()[1],
             Period::new(0, 60).unwrap(),
         )]);
-        sharded.update_entity(victim, &moved).unwrap();
+        let home = shard_of(victim, 3);
+        sharded.shards[home].update_entity(victim, &moved).unwrap();
         let dir_new = temp_dir("resave-new");
         sharded.save(&dir_new).unwrap();
 
         // Simulate the crash: the victim's home shard file was replaced, the
         // manifest (and the other shards) still belong to the old save.
-        let home = shard_of(victim, 3);
         let partial = ShardedMinSigIndex::shard_file_name(home);
         std::fs::copy(dir_new.join(&partial), dir.join(&partial)).unwrap();
         let err = ShardedMinSigIndex::open(&dir).unwrap_err();

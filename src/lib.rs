@@ -97,8 +97,7 @@ pub mod harness {
 
 pub use minsig::{
     IndexConfig, IndexSnapshot, JoinOptions, MinSigIndex, PlannerConfig, Query, QueryOptions,
-    QueryPlan, QueryStats, SchedulerConfig, ShardedMinSigIndex, ShardedSnapshot, Synopsis,
-    TopKResult, TraceSource,
+    QueryPlan, QueryStats, ShardedMinSigIndex, ShardedSnapshot, Synopsis, TopKResult, TraceSource,
 };
 pub use trace_model::{
     AssociationMeasure, DiceAdm, DigitalTrace, EntityId, JaccardAdm, PaperAdm, Period,

@@ -1,16 +1,21 @@
 //! The cooperative bound-sharing executor from the outside: resumable
-//! stepping is answer- and work-invariant, the step quantum never changes
-//! answers, and a [`SharedBound`] provably *saves* work against the
-//! independent per-shard baseline on skewed (one-shard-holds-the-top-k)
-//! populations — the contract behind the `shard_scaling` bench.
+//! stepping is answer- and work-invariant at any quantum, a cold fan-out
+//! (no seed, every shard a tree) never changes answers, and a
+//! [`SharedBound`] provably *saves* work against the independent per-shard
+//! baseline on skewed (one-shard-holds-the-top-k) populations.
+//!
+//! The cold fan-out is built from data, not from a setting: an index whose
+//! synopses hold no sketch plans every query unseeded, skips nothing and
+//! tree-searches every shard above the 32-entity scan cutoff.
+//!
+//! [`SharedBound`]: digital_traces::index::SharedBound
 
 use digital_traces::index::engine::{merge_top_k, PrivateBound};
 use digital_traces::index::testkit::{
     assert_equivalent_answers, PruningAdversarialConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    shard_of, IndexConfig, PlannerConfig, Query, QueryOptions, QueryStats, SchedulerConfig,
-    ShardedMinSigIndex,
+    shard_of, IndexConfig, Query, QueryOptions, QueryStats, ShardedMinSigIndex,
 };
 use digital_traces::EntityId;
 
@@ -52,28 +57,39 @@ fn stepped_execution_matches_one_shot() {
     }
 }
 
-/// The unplanned `Query` at `quantum`: every shard tree-searched, cold bound.
-fn unplanned(
-    k: usize,
-    measure: &digital_traces::PaperAdm,
-    quantum: usize,
-) -> Query<'_, digital_traces::PaperAdm> {
-    Query {
-        scheduler: SchedulerConfig::with_step_quantum(quantum),
-        planner: PlannerConfig::disabled(),
-        ..Query::new(k, measure)
-    }
+/// A sharded index whose synopses hold no sketch: every query fans out cold.
+fn sketchless(w: &Workload, nh: u32, shards: usize) -> ShardedMinSigIndex {
+    let mut sharded =
+        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(nh), shards)
+            .unwrap();
+    sharded.set_synopsis_sketch_size(0);
+    sharded
+}
+
+/// The skew workload with every shard above the scan cutoff, so a cold
+/// fan-out tree-searches all of them.
+fn skewed() -> (Workload, Vec<EntityId>) {
+    Workload::pruning_adversarial(PruningAdversarialConfig {
+        hot_entities: 48,
+        cold_entities: 200,
+        ..PruningAdversarialConfig::default()
+    })
 }
 
 /// One deterministic cooperative run (batch path: sequential round-robin
-/// per-shard interleaving) of a query over the skew workload.
-fn run_skewed(
+/// per-shard interleaving) of a query over a sketchless snapshot whose
+/// shards are all above the scan cutoff.
+fn run_cold(
     snapshot: &digital_traces::ShardedSnapshot,
     query: EntityId,
     k: usize,
     measure: &digital_traces::PaperAdm,
 ) -> (Vec<digital_traces::TopKResult>, QueryStats) {
-    snapshot.query_batch(&[query], &unplanned(k, measure, 4)).unwrap().remove(0)
+    let (results, stats) =
+        snapshot.query_batch(&[query], &Query::new(k, measure)).unwrap().remove(0);
+    assert!(!stats.threshold_seeded, "a sketchless index seeds nothing");
+    assert_eq!((stats.shards_skipped, stats.shards_scanned), (0, 0), "every shard a tree");
+    (results, stats)
 }
 
 /// The independent baseline: every shard searched alone against its private
@@ -106,19 +122,15 @@ fn run_independent(
 /// publishes at least one bound update — with bitwise-identical answers.
 #[test]
 fn shared_bound_saves_work_on_skewed_shards() {
-    let config = PruningAdversarialConfig::default();
-    let shards = config.num_shards;
-    let (w, hot) = Workload::pruning_adversarial(config);
-    let sharded =
-        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(32), shards)
-            .unwrap();
-    let snapshot = sharded.snapshot();
+    let shards = PruningAdversarialConfig::default().num_shards;
+    let (w, hot) = skewed();
+    let snapshot = sketchless(&w, 32, shards).snapshot();
     let measure = w.measure();
     let k = 5;
 
     // Best case: a hot query — the hot shard saturates the global bound
     // almost immediately and every cold shard should prune wholesale.
-    let (shared_results, shared) = run_skewed(&snapshot, hot[0], k, &measure);
+    let (shared_results, shared) = run_cold(&snapshot, hot[0], k, &measure);
     let (indep_results, indep) = run_independent(&snapshot, hot[0], k, &measure);
     assert_eq!(shared_results, indep_results, "bound sharing never changes answers");
     assert!(
@@ -152,55 +164,36 @@ fn shared_bound_saves_work_on_skewed_shards() {
         .into_iter()
         .find(|&e| shard_of(e, shards) != shard_of(hot[0], shards))
         .expect("the workload plants cold entities on other shards");
-    let (shared_cold_results, shared_cold) = run_skewed(&snapshot, cold, k, &measure);
+    let (shared_cold_results, shared_cold) = run_cold(&snapshot, cold, k, &measure);
     let (indep_cold_results, indep_cold) = run_independent(&snapshot, cold, k, &measure);
     assert_eq!(shared_cold_results, indep_cold_results);
     assert!(shared_cold.nodes_visited <= indep_cold.nodes_visited);
     assert!(shared_cold.entities_checked <= indep_cold.entities_checked);
 }
 
-/// Every step quantum over the adversarial workload returns the bitwise
-/// unsharded answer — including the all-ties population, where
-/// tie-complete pruning is what keeps the k-th boundary pinned.
+/// The cold fan-out over the adversarial workloads returns the bitwise
+/// unsharded answer on both schedules — threaded (`query`) and one worker
+/// (`query_batch`) — including the all-ties population, where tie-complete
+/// pruning is what keeps the k-th boundary pinned.
 #[test]
-fn scheduler_knobs_are_answer_invariant_on_adversarial_workloads() {
-    let (skew, hot) = Workload::pruning_adversarial(PruningAdversarialConfig::default());
-    let ties = Workload::all_identical(12, Default::default());
+fn cold_fan_out_is_answer_invariant_on_adversarial_workloads() {
+    let (skew, hot) = skewed();
+    let ties = Workload::all_identical(120, Default::default());
     for (w, queries, shards) in
         [(&skew, vec![hot[0], hot[2]], 4usize), (&ties, vec![EntityId(0), EntityId(7)], 3)]
     {
-        let config = IndexConfig::with_hash_functions(16);
-        let unsharded = w.build_index(config);
-        let sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, shards).unwrap();
-        let snapshot = sharded.snapshot();
+        let unsharded = w.build_index(IndexConfig::with_hash_functions(16));
+        let snapshot = sketchless(w, 16, shards).snapshot();
         let measure = w.measure();
         for &query in &queries {
             let (expect, _) = unsharded.top_k(query, 4, &measure).unwrap();
             let oracle = unsharded.brute_force(query, 4, &measure).unwrap();
             assert_equivalent_answers(&expect, &oracle, &format!("unsharded vs oracle, {query}"));
-            for quantum in [1usize, 2, 7, 64, usize::MAX] {
-                let (got, _) = snapshot.query(query, &unplanned(4, &measure, quantum)).unwrap();
-                assert_equivalent_answers(
-                    &got,
-                    &expect,
-                    &format!("quantum {quantum}, query {query}"),
-                );
-            }
+            let (threaded, stats) = snapshot.query(query, &Query::new(4, &measure)).unwrap();
+            assert_eq!(stats.shards_scanned, 0, "query {query}: every shard a tree");
+            assert_equivalent_answers(&threaded, &expect, &format!("threaded, query {query}"));
+            let (sequential, _) = run_cold(&snapshot, query, 4, &measure);
+            assert_equivalent_answers(&sequential, &expect, &format!("one worker, query {query}"));
         }
     }
-}
-
-/// A zero step quantum is a configuration error, reported as such.
-#[test]
-fn zero_step_quantum_is_rejected() {
-    let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
-        hot_entities: 4,
-        cold_entities: 8,
-        ..Default::default()
-    });
-    let sharded =
-        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(8), 2)
-            .unwrap();
-    let err = sharded.snapshot().query(hot[0], &unplanned(1, &w.measure(), 0)).unwrap_err();
-    assert!(matches!(err, digital_traces::index::IndexError::InvalidConfig(_)), "{err:?}");
 }

@@ -10,15 +10,15 @@
 //! * Once every page is resident the page-aware cost decisions reduce to the
 //!   in-memory rule, so a paged plan with its page estimates stripped must
 //!   *equal* the in-memory plan, seed and upper-bound bits included.
-//! * Both paths reject the same bad knobs at the same entry points.
+//! * Both paths reject the same bad budget at the same entry points.
 //! * The `Query` entries are the conveniences' only body: the default `Query`
-//!   is `top_k` / `top_k_batch`, and with the planner disabled it is the
-//!   unplanned baseline, whose work counters are pinned.
+//!   is `top_k` / `top_k_batch`, on a seeded index and on a sketchless one
+//!   (the cold fan-out: no seed, no skip), and both paths do the same work.
 
 use digital_traces::index::testkit::{UniformConfig, Workload};
 use digital_traces::index::{
-    IndexConfig, IndexError, PlannerConfig, Query, QueryPlan, QueryStats, SchedulerConfig,
-    ShardedMinSigIndex, TopKResult,
+    IndexConfig, IndexError, PlannerConfig, Query, QueryPlan, QueryStats, ShardedMinSigIndex,
+    TopKResult,
 };
 use digital_traces::storage::{PagedTraceStore, PoolConfig, PAGE_SIZE};
 use digital_traces::EntityId;
@@ -40,6 +40,14 @@ fn world(seed: u64) -> (Workload, PagedTraceStore) {
 fn sharded(w: &Workload, shards: usize) -> ShardedMinSigIndex {
     ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), shards)
         .unwrap()
+}
+
+/// The index at its default sketch size, and with no sketch: every plan of
+/// the second is unseeded and skips nothing.
+fn seeded_and_sketchless(w: &Workload, shards: usize) -> [ShardedMinSigIndex; 2] {
+    let mut sketchless = sharded(w, shards);
+    sketchless.set_synopsis_sketch_size(0);
+    [sharded(w, shards), sketchless]
 }
 
 /// The two pool sizes that bracket the paged drive: one frame (every read a
@@ -113,32 +121,26 @@ fn zero_budget_degrades_identically_in_memory_and_out_of_core() {
 
 #[test]
 fn warm_pool_plans_equal_in_memory_plans() {
-    let planners = [
-        PlannerConfig::default(),
-        PlannerConfig { scan_cutoff: 0, ..PlannerConfig::default() },
-        PlannerConfig { scan_cutoff: 1_000, skip_shards: false, ..PlannerConfig::default() },
-        PlannerConfig { seed_threshold: false, ..PlannerConfig::default() },
-        PlannerConfig::disabled(),
-    ];
+    let planner = PlannerConfig::default();
     for seed in [5u64, 29] {
         let (w, store) = world(seed);
         let measure = w.measure();
         for shards in SHARD_COUNTS {
-            let index = sharded(&w, shards);
-            let snapshot = index.snapshot();
-            let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), 1.0));
-            for entity in w.entities() {
-                store.read_trace(&pool, entity).expect("stored");
-            }
-            let paged = snapshot.paged(&store, &pool);
-            for query in w.sample_entities(6, seed ^ 0xFA57) {
-                for k in [1usize, 4, 9] {
-                    for planner in planners {
+            for (sketch, index) in
+                ["default", "none"].into_iter().zip(seeded_and_sketchless(&w, shards))
+            {
+                let snapshot = index.snapshot();
+                let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), 1.0));
+                for entity in w.entities() {
+                    store.read_trace(&pool, entity).expect("stored");
+                }
+                let paged = snapshot.paged(&store, &pool);
+                for query in w.sample_entities(6, seed ^ 0xFA57) {
+                    for k in [1usize, 4, 9, 60] {
                         let warm = paged.explain(query, k, &measure, planner).unwrap();
-                        let active = planner != PlannerConfig::disabled();
                         assert!(
-                            warm.shards.iter().all(|s| s.pages.is_some() == active),
-                            "page estimates exactly on active paged plans"
+                            warm.shards.iter().all(|s| s.pages.is_some()),
+                            "every shard of a paged plan is estimated"
                         );
                         let stripped = QueryPlan {
                             shards: warm
@@ -151,7 +153,7 @@ fn warm_pool_plans_equal_in_memory_plans() {
                         let mem = snapshot.explain(query, k, &measure, planner).unwrap();
                         assert_eq!(
                             stripped, mem,
-                            "seed {seed}, {shards} shards, query {query}, k {k}, {planner:?}"
+                            "seed {seed}, {shards} shards, sketch {sketch}, query {query}, k {k}"
                         );
                     }
                 }
@@ -182,12 +184,9 @@ fn both_paths_reject_the_same_bad_knobs() {
     invalid(snapshot.query(query, &bad_plan).map(drop), "in-memory query");
     invalid(paged.query(query, &bad_plan).map(drop), "paged query");
 
-    // An empty batch still validates its knobs, on both paths.
-    let bad_quantum = Query { scheduler: SchedulerConfig::with_step_quantum(0), ..good };
-    for bad in [bad_quantum, bad_plan] {
-        invalid(snapshot.query_batch(&[], &bad).map(drop), "in-memory empty batch");
-        invalid(paged.query_batch(&[], &bad).map(drop), "paged empty batch");
-    }
+    // An empty batch still validates its budget, on both paths.
+    invalid(snapshot.query_batch(&[], &bad_plan).map(drop), "in-memory empty batch");
+    invalid(paged.query_batch(&[], &bad_plan).map(drop), "paged empty batch");
     assert!(paged.query_batch(&[], &good).unwrap().is_empty());
 }
 
@@ -210,62 +209,52 @@ fn batch_work(batch: &[(Vec<TopKResult>, QueryStats)]) -> [usize; 7] {
 }
 
 #[test]
-fn query_entries_are_the_conveniences_and_the_unplanned_baseline() {
-    // [nodes, pruned, checked, leaves, bound updates, steps, skipped] of the
-    // 8-query batch below, unplanned, per shard count, in memory and paged
-    // alike.  Re-recorded when the node arena began folding one-entity
-    // subtrees (nodes 1503 / 1799 / 1992 before; the one subtree that used to
-    // be pruned two levels down is now scored where its chain begins).
-    let unplanned_work = [
-        (1usize, [1032usize, 0, 760, 760, 0, 40, 0]),
-        (3, [1064, 0, 760, 768, 15, 48, 0]),
-        (5, [1080, 0, 760, 768, 12, 48, 0]),
-    ];
+fn query_entries_are_the_conveniences_seeded_or_cold() {
     let (w, store) = world(3);
     let measure = w.measure();
     let queries = w.sample_entities(8, 0x51);
     let answers = |batch: &[(Vec<TopKResult>, QueryStats)]| -> Vec<Vec<TopKResult>> {
         batch.iter().map(|(results, _)| results.clone()).collect()
     };
-    for (shards, pinned) in unplanned_work {
-        let index = sharded(&w, shards);
-        let snapshot = index.snapshot();
-        let pool = store.pool(PoolConfig::default());
-        let paged = snapshot.paged(&store, &pool);
-        let default = Query::new(5, &measure);
-        let unplanned = Query { planner: PlannerConfig::disabled(), ..default };
+    // Every shard count and sketch size answers one set of answers.
+    let mut reference = None;
+    for shards in SHARD_COUNTS {
+        for (index, sketchless) in seeded_and_sketchless(&w, shards).iter().zip([false, true]) {
+            let snapshot = index.snapshot();
+            let pool = store.pool(PoolConfig::default());
+            let paged = snapshot.paged(&store, &pool);
+            let default = Query::new(5, &measure);
+            let ctx = format!("{shards} shards, sketchless {sketchless}");
 
-        let mem = snapshot.query_batch(&queries, &default).unwrap();
-        let out = paged.query_batch(&queries, &default).unwrap();
-        let convenience = snapshot.top_k_batch(&queries, 5, &measure).unwrap();
-        assert_eq!(answers(&mem), answers(&convenience), "{shards} shards");
-        assert_eq!(batch_work(&mem), batch_work(&convenience), "{shards} shards");
-        let convenience = paged.top_k_batch(&queries, 5, &measure).unwrap();
-        assert_eq!(answers(&out), answers(&convenience), "{shards} shards, paged");
-        // `out` was planned over a cold pool, `warm` below over the pages
-        // `out` left resident.  Residency decides no access path, so both
-        // plan like the in-memory batch and do its work, counter for counter.
-        assert_eq!(batch_work(&out), batch_work(&mem), "{shards} shards, paged cold == in memory");
-        let warm = paged.query_batch(&queries, &default).unwrap();
-        assert_eq!(answers(&warm), answers(&out), "{shards} shards, paged, warm == cold");
-        assert_eq!(batch_work(&warm), batch_work(&convenience), "{shards} shards, paged");
-        assert_eq!(batch_work(&warm), batch_work(&mem), "{shards} shards, paged == in memory");
-        for (i, &query) in queries.iter().enumerate() {
-            for (single, batched) in [
-                (snapshot.query(query, &default), &mem[i]),
-                (snapshot.top_k(query, 5, &measure), &mem[i]),
-                (paged.query(query, &default), &out[i]),
-                (paged.top_k(query, 5, &measure), &out[i]),
-            ] {
-                assert_eq!(single.unwrap().0, batched.0, "{shards} shards, query {query}");
+            let mem = snapshot.query_batch(&queries, &default).unwrap();
+            let cold = mem.iter().all(|(_, s)| !s.threshold_seeded && s.shards_skipped == 0);
+            assert!(cold || !sketchless, "{ctx}: a sketchless plan is cold");
+            assert_eq!(answers(&mem), *reference.get_or_insert_with(|| answers(&mem)), "{ctx}");
+            let out = paged.query_batch(&queries, &default).unwrap();
+            let convenience = snapshot.top_k_batch(&queries, 5, &measure).unwrap();
+            assert_eq!(answers(&mem), answers(&convenience), "{ctx}");
+            assert_eq!(batch_work(&mem), batch_work(&convenience), "{ctx}");
+            let convenience = paged.top_k_batch(&queries, 5, &measure).unwrap();
+            assert_eq!(answers(&out), answers(&convenience), "{ctx}, paged");
+            // `out` was planned over a cold pool, `warm` below over the pages
+            // `out` left resident.  Residency decides no access path, so both
+            // plan like the in-memory batch and do its work, counter for
+            // counter.
+            assert_eq!(batch_work(&out), batch_work(&mem), "{ctx}, paged cold == in memory");
+            let warm = paged.query_batch(&queries, &default).unwrap();
+            assert_eq!(answers(&warm), answers(&out), "{ctx}, paged, warm == cold");
+            assert_eq!(batch_work(&warm), batch_work(&convenience), "{ctx}, paged");
+            assert_eq!(batch_work(&warm), batch_work(&mem), "{ctx}, paged == in memory");
+            for (i, &query) in queries.iter().enumerate() {
+                for (single, batched) in [
+                    (snapshot.query(query, &default), &mem[i]),
+                    (snapshot.top_k(query, 5, &measure), &mem[i]),
+                    (paged.query(query, &default), &out[i]),
+                    (paged.top_k(query, 5, &measure), &out[i]),
+                ] {
+                    assert_eq!(single.unwrap().0, batched.0, "{ctx}, query {query}");
+                }
             }
         }
-
-        let mem = snapshot.query_batch(&queries, &unplanned).unwrap();
-        let out = paged.query_batch(&queries, &unplanned).unwrap();
-        assert_eq!(answers(&mem), answers(&convenience), "{shards} shards, unplanned");
-        assert_eq!(answers(&out), answers(&convenience), "{shards} shards, unplanned paged");
-        assert_eq!(batch_work(&mem), pinned, "{shards} shards, unplanned");
-        assert_eq!(batch_work(&out), pinned, "{shards} shards, unplanned paged");
     }
 }

@@ -245,12 +245,11 @@ fn ten_times_memory_answers_stay_exact() {
 }
 
 /// The page-aware plan is visible and consistent: every shard carries a page
-/// estimate bounded by its page directory, `explain()` renders it, and a
-/// planner-disabled paged query (no estimates, no seeding) still answers
-/// bit-identically.
+/// estimate bounded by its page directory, `explain()` renders it, and an
+/// unseeded paged query (a sketchless index) still answers bit-identically.
 #[test]
 fn paged_explain_exposes_consistent_page_estimates() {
-    let (w, _, sharded, store) = build_world(48, 4, 11, 3);
+    let (w, _, mut sharded, store) = build_world(48, 4, 11, 3);
     let snapshot = sharded.snapshot();
     let pool = store.pool(pool_config(2, ReplacerPolicy::default()));
     let paged = snapshot.paged(&store, &pool);
@@ -266,11 +265,12 @@ fn paged_explain_exposes_consistent_page_estimates() {
         assert_eq!(pages.cold_pages(), pages.total_pages - pages.resident_pages);
     }
 
-    let unplanned = Query { planner: PlannerConfig::disabled(), ..Query::new(5, &measure) };
-    let (mem, _) = snapshot.query(query, &unplanned).unwrap();
-    let (out, stats) = paged.query(query, &unplanned).unwrap();
-    assert_equivalent_answers(&out, &mem, "planner-disabled paged query");
-    assert!(!stats.threshold_seeded, "disabled planner must not seed");
+    sharded.set_synopsis_sketch_size(0);
+    let cold = sharded.snapshot();
+    let (mem, _) = cold.top_k(query, 5, &measure).unwrap();
+    let (out, stats) = cold.paged(&store, &pool).top_k(query, 5, &measure).unwrap();
+    assert_equivalent_answers(&out, &mem, "unseeded paged query");
+    assert!(!stats.threshold_seeded, "a sketchless index must not seed");
 }
 
 /// A store built from a strict subset of the indexed traces cannot produce
@@ -320,8 +320,10 @@ fn unreadable_candidates_are_counted_and_lower_the_recall_estimate() {
 /// even when its resident row alone would have answered it.
 #[test]
 fn level_one_disjoint_candidates_are_answered_without_a_read() {
-    let (w, _, sharded, store) = build_world(160, 3, 21, 4);
+    let (w, _, mut sharded, store) = build_world(160, 3, 21, 4);
     let snapshot = sharded.snapshot();
+    sharded.set_synopsis_sketch_size(0);
+    let cold = sharded.snapshot();
     let measure = w.measure();
     let population = w.entities().len();
     let pages = |store: &PagedTraceStore, e: EntityId| store.trace_pages(e).map_or(0, <[_]>::len);
@@ -333,13 +335,13 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
             .map(|(&e, _)| e)
             .collect()
     };
-    // Planner off and k = the population: every candidate is scored once.
-    let everyone = Query { planner: PlannerConfig::disabled(), ..Query::new(population, &measure) };
+    // No sketch and k = the population: nothing is seeded, no shard (all
+    // above the scan cutoff) is pruned, every candidate is scored once.
+    let everyone = Query::new(population, &measure);
     for query in w.sample_entities(6, 0x1E7E1) {
         let pool = store.pool(pool_config(2, ReplacerPolicy::default()));
-        let paged = snapshot.paged(&store, &pool);
-        for planned in [Query::new(5, &measure), everyone] {
-            let (out, stats) = paged.query(query, &planned).unwrap();
+        for (snapshot, planned) in [(&snapshot, Query::new(5, &measure)), (&cold, everyone)] {
+            let (out, stats) = snapshot.paged(&store, &pool).query(query, &planned).unwrap();
             let (mem, mem_stats) = snapshot.query(query, &planned).unwrap();
             let ctx = format!("query {query}, k {}", planned.k);
             assert_equivalent_answers(&out, &mem, &ctx);
@@ -350,7 +352,7 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
         }
         let disjoint = disjoint_from(query);
         assert!(disjoint.len() > population / 2, "query {query}: {} disjoint", disjoint.len());
-        let (_, stats) = paged.query(query, &everyone).unwrap();
+        let (_, stats) = cold.paged(&store, &pool).query(query, &everyone).unwrap();
         assert_eq!(stats.reads_avoided, disjoint.len(), "query {query}");
         let all_pages: usize = w.entities().into_iter().map(|e| pages(&store, e)).sum();
         let avoided_pages: usize = disjoint.iter().map(|&e| pages(&store, e)).sum();
@@ -369,7 +371,7 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
     stored.remove(dropped);
     let partial = PagedTraceStore::build(&stored, 4);
     let pool = partial.pool(PoolConfig::default());
-    let (out, stats) = snapshot.paged(&partial, &pool).query(query, &everyone).unwrap();
+    let (out, stats) = cold.paged(&partial, &pool).query(query, &everyone).unwrap();
     assert_eq!(stats.candidates_unreadable, 1);
     assert_eq!(stats.reads_avoided, disjoint_from(query).len() - 1);
     assert!(out.iter().all(|r| r.entity != dropped));

@@ -1,8 +1,10 @@
 //! Black-box conformance of the cost-based query planner: for random
-//! populations, arbitrary shard counts, arbitrary synopsis sketch sizes and
-//! every planner-knob combination, the planned sharded paths must answer
-//! **fully bit-identically** to the unplanned scheduler paths, the unsharded
-//! index and the brute-force oracle — boundary ties included.  On the
+//! populations, arbitrary shard counts and synopsis sketch sizes, the
+//! planned sharded paths must answer **fully bit-identically** to the
+//! unsharded index and the brute-force oracle — boundary ties included.
+//! Exact planning has no off switch; the sketch size is what decides how
+//! much it does (size 0: no seed, no skip, a tree for every shard above the
+//! scan cutoff).  On the
 //! planted planner workloads the planner must also *do* what it promises:
 //! skip every background shard of the localized population, skip nothing on
 //! the dispersed one, and report both through `QueryStats`.
@@ -60,51 +62,52 @@ fn temp_dir(name: &str, tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The heart of the contract: planned == unplanned == unsharded ==
-    /// brute force, fully bit-identical, over arbitrary shard counts,
-    /// sketch sizes `m` and planner knobs (seeding and skipping toggled
-    /// independently, scan cutoff swept through "never", "sometimes" and
-    /// "always scan").
+    /// The heart of the contract: planned == unsharded == brute force,
+    /// fully bit-identical, over arbitrary shard counts, `k` and sketch
+    /// sizes from none through one to the default.  The plan is what the
+    /// execution reports, and with no sketch it is the cold fan-out: never
+    /// seeded, nothing skipped, every shard above the cutoff tree-searched
+    /// (a non-empty one at or below it scanned).
     #[test]
-    fn planned_answers_are_bit_identical_to_unplanned_and_oracle(
-        entities in 2u64..40,
+    fn sketch_size_decides_the_plan_shape_never_the_answer(
+        entities in 2u64..120,
         visits in 1u64..8,
         seed in 0u64..1_000,
         nh in 4u32..32,
         shards in 1usize..9,
         k in 1usize..7,
-        m in 0usize..20,
-        seed_threshold in any::<bool>(),
-        skip_shards in any::<bool>(),
-        scan_cutoff in 0usize..50,
+        m_pick in 0usize..3,
     ) {
+        let m = [0, 1, 16][m_pick];
         let (w, unsharded, mut sharded) = build_pair(entities, visits, seed, nh, shards);
         sharded.set_synopsis_sketch_size(m);
-        let planner = PlannerConfig { seed_threshold, skip_shards, scan_cutoff, ..PlannerConfig::default() };
         let measure = w.measure();
         let snapshot = sharded.snapshot();
-        for query in w.entities() {
-            let default = Query::new(k, &measure);
-            let (planned, stats) = snapshot.query(query, &Query { planner, ..default }).unwrap();
-            let (unplanned, _) = snapshot
-                .query(query, &Query { planner: PlannerConfig::disabled(), ..default })
-                .unwrap();
-            assert_equivalent_answers(
-                &planned, &unplanned,
-                &format!("planned vs unplanned, {planner:?}, m={m}, {query}"),
-            );
+        for query in w.sample_entities(12, seed) {
+            let ctx = format!("m={m}, {shards} shards, k={k}, {query}");
+            let (planned, stats) = snapshot.query(query, &Query::new(k, &measure)).unwrap();
             let (exact, _) = unsharded.top_k(query, k, &measure).unwrap();
-            assert_equivalent_answers(&planned, &exact, &format!("planned vs unsharded, {query}"));
+            assert_equivalent_answers(&planned, &exact, &format!("planned vs unsharded, {ctx}"));
             let oracle = unsharded.brute_force(query, k, &measure).unwrap();
-            assert_equivalent_answers(&planned, &oracle, &format!("planned vs oracle, {query}"));
-            // The counters only ever report what the knobs allow.
-            if !skip_shards {
-                prop_assert_eq!(stats.shards_skipped, 0, "skipping was off");
-            }
-            if !seed_threshold {
-                prop_assert!(!stats.threshold_seeded, "seeding was off");
-            }
+            assert_equivalent_answers(&planned, &oracle, &format!("planned vs oracle, {ctx}"));
+            let plan = snapshot.explain(query, k, &measure, PlannerConfig::default()).unwrap();
+            prop_assert_eq!(
+                (stats.threshold_seeded, stats.shards_skipped, stats.shards_scanned),
+                (plan.seeded(), plan.shards_skipped(), plan.shards_scanned()),
+                "{}", ctx
+            );
             prop_assert!(stats.shards_skipped < shards, "a query never skips every shard");
+            if m == 0 {
+                prop_assert!(!plan.seeded() && plan.seed_candidates == 0, "{}", ctx);
+                for s in &plan.shards {
+                    let cold = if (1..=32).contains(&s.entities) {
+                        ShardDecision::Scan
+                    } else {
+                        ShardDecision::TreeSearch
+                    };
+                    prop_assert_eq!(s.decision, cold, "{}: shard {}", ctx, s.shard);
+                }
+            }
         }
     }
 
@@ -381,7 +384,7 @@ fn access_path_syn_shards_are_all_scanned() {
         assert!(plan.seeded(), "64 sketch candidates seed a k = 10 query");
         assert_eq!(plan.shards_scanned(), 4, "{}", plan.explain());
         for shard_plan in &plan.shards {
-            assert!(shard_plan.entities > PlannerConfig::default().scan_cutoff);
+            assert!(shard_plan.entities > 32, "above the scan cutoff");
             let floor = shard_plan.floor.expect("a scan above the cutoff is the floor's");
             assert!(plan.seed <= floor, "seed {} vs floor {floor}", plan.seed);
         }
@@ -403,11 +406,13 @@ fn access_path_syn_shards_are_all_scanned() {
     }
     let batch = snapshot.plan_batch(&queries, 10, &measure, PlannerConfig::default()).unwrap();
     assert!(batch.explain().contains("scan (seed ≤ floor"), "{}", batch.explain());
-    // The cutoff's scans say so too.
-    let small = PlannerConfig { scan_cutoff: 1_000, ..PlannerConfig::default() };
-    let plan = snapshot.explain(queries[0], 10, &measure, small).unwrap();
-    assert!(plan.shards.iter().all(|s| s.decision == ShardDecision::Scan && s.floor.is_none()));
-    assert!(plan.explain().contains("scan (small shard"), "{}", plan.explain());
+    // The cutoff's scans say so too: at 16 shards every shard is small.
+    let small = ShardedMinSigIndex::build(dataset.sp_index(), &dataset.traces, config, 16).unwrap();
+    let plan =
+        small.snapshot().explain(queries[0], 10, &measure, PlannerConfig::default()).unwrap();
+    assert!(plan.shards.iter().all(|s| s.entities <= 32), "{}", plan.explain());
+    assert!(plan.admitted().all(|s| s.decision == ShardDecision::Scan && s.floor.is_none()));
+    assert!(plan.explain().contains("scan (small shard: scan_cutoff 32)"), "{}", plan.explain());
 }
 
 /// The other side of the rule: a hot query of the pruning-adversarial
@@ -452,10 +457,11 @@ fn access_path_pruning_hot_shard_keeps_its_tree() {
 }
 
 /// Where the rule does not apply the plans are the parent commit's, verdict
-/// for verdict: unseeded (by knob, or by a `k` above the sketch candidates)
-/// and budgeted (binding or not).  The rows were recorded on the commit
-/// before the rule existed; the `default` row is what the rule changed on
-/// this fixture (one cold query, all four shards), so the fixture can tell.
+/// for verdict: unseeded (by a sketchless index, or by a `k` above the
+/// sketch candidates) and budgeted (binding or not).  The rows were recorded
+/// on the commit before the rule existed; the `default` row is what the rule
+/// changed on this fixture (one cold query, all four shards), so the fixture
+/// can tell.
 /// Residency is not a condition of the rule: out of core over a one-frame
 /// pool, where no shard is ever resident, the plan is the `default` row,
 /// decision for decision and floor for floor.
@@ -467,10 +473,12 @@ fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() 
         cold_entities: 400,
         ..PruningAdversarialConfig::default()
     });
-    let sharded =
-        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), 4)
-            .unwrap();
+    let config = IndexConfig::with_hash_functions(16);
+    let sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 4).unwrap();
     let snapshot = sharded.snapshot();
+    let mut sketchless = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 4).unwrap();
+    sketchless.set_synopsis_sketch_size(0);
+    let sketchless = sketchless.snapshot();
     let measure = w.measure();
     let mut queries = w.sample_entities(3, 0xACCE55);
     queries.extend([hot[0], hot[17]]);
@@ -478,14 +486,13 @@ fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() 
 
     let tree = ["3T 0T 1T 2T", "0T 1T 2T 3T", "3T 0T 1T 2T", "3T 0T 1T 2T", "3T 0T 1T 2T"];
     let sampled = ["3A 0A 1A 2A", "0A 1A 2A 3A", "3A 0A 1A 2A", "3A 0A 1A 2A", "3A 0A 1A 2A"];
-    let unseeded = PlannerConfig { seed_threshold: false, ..PlannerConfig::default() };
     let cases = [
-        ("unseeded by knob", 5, unseeded, tree),
-        ("unseeded by k", 80, PlannerConfig::default(), tree),
-        ("non-binding budget", 5, PlannerConfig::with_budget(u64::MAX / 2_000), tree),
-        ("zero budget", 5, PlannerConfig::with_budget_and_floor(0, 0.5), sampled),
+        ("unseeded by sketch size 0", &sketchless, 5, PlannerConfig::default(), tree),
+        ("unseeded by k", &snapshot, 80, PlannerConfig::default(), tree),
+        ("non-binding budget", &snapshot, 5, PlannerConfig::with_budget(u64::MAX / 2_000), tree),
+        ("zero budget", &snapshot, 5, PlannerConfig::with_budget_and_floor(0, 0.5), sampled),
     ];
-    for (name, k, planner, recorded) in cases {
+    for (name, snapshot, k, planner, recorded) in cases {
         for (&query, recorded) in queries.iter().zip(recorded) {
             let plan = snapshot.explain(query, k, &measure, planner).unwrap();
             assert_eq!(decisions(&plan), recorded, "{name}, {query}");
