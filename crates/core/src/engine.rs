@@ -909,7 +909,7 @@ mod tests {
             for entity in w.sample_entities(10, 5) {
                 let sequence = snapshot.sequence(entity).unwrap();
                 let query = Query::new(3, &measure);
-                let source = crate::kernel::ArenaSource::new(snapshot.arena(), sequence);
+                let source = crate::kernel::ArenaSource::owning(snapshot.arena(), sequence);
                 let mut executor =
                     Executor::new(&snapshot, sequence, Some(entity), &query, source).unwrap();
                 executor.step(&PrivateBound, 1);

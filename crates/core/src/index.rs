@@ -9,9 +9,9 @@
 //! [`upsert_entity`](MinSigIndex::upsert_entity),
 //! [`remove_entity`](MinSigIndex::remove_entity) and the batches of
 //! [`crate::ingest`] — computes its per-entity changes and hands them to the
-//! one `commit`: the only [`Arc::make_mut`] on the data path (in-place when
-//! the handle is the sole owner, copy-on-write when readers still hold older
-//! snapshots) and the only place the epoch and [`IndexStats`] advance.
+//! one `commit`: the only copy-on-write on the data path (in place when the
+//! handle is the sole owner, onto a copy of the snapshot when readers still
+//! hold it) and the only place the epoch and [`IndexStats`] advance.
 //! Durability (`save`/`open`) lives in [`crate::persist`].
 
 use crate::config::IndexConfig;
@@ -129,7 +129,14 @@ impl MinSigIndex {
         started: Instant,
     ) -> (Published, u64) {
         self.epoch += 1;
-        let published = Arc::make_mut(&mut self.snapshot).publish(changes, self.epoch);
+        let published = match Arc::get_mut(&mut self.snapshot) {
+            Some(snapshot) => snapshot.publish(changes, self.epoch),
+            None => {
+                let (next, published) = self.snapshot.publish_copy(changes, self.epoch);
+                self.snapshot = Arc::new(next);
+                published
+            }
+        };
         self.refresh_stats();
         self.stats.hash_evaluations += hash_evaluations;
         let elapsed_us = started.elapsed().as_micros() as u64;

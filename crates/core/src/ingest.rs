@@ -24,8 +24,8 @@
 //!    ([`MinSigIndex::epoch`] advances by exactly 1 per non-empty flush).
 //!
 //! Readers are never blocked and never observe a partial batch: the flush
-//! mutates through [`Arc::make_mut`](std::sync::Arc::make_mut) under the
-//! handle's exclusive borrow, so any snapshot taken before the flush keeps its
+//! publishes copy-on-write (in place only when no reader holds the snapshot)
+//! under the handle's exclusive borrow, so any snapshot taken before the flush keeps its
 //! old state and any snapshot taken after sees the entire batch.  A bad
 //! record (unknown spatial unit) fails *prepare*, so it rejects the flush with
 //! the index, the buffer's records — and, on the sharded and durable paths

@@ -18,6 +18,10 @@
 //!   leaves in bound order, not position order);
 //! * `offsets` — one flat table: with `at = pos * m + i`,
 //!   `offsets[at]..offsets[at + 1]` brackets level `i + 1` of entity `pos`;
+//! * `keyed` — **the same rows a second time, in keyed form**
+//!   ([`KeyedRow`]: one key per unit and 64-time-unit word, with a `u64`
+//!   mask of the time units present), CSR-indexed by the same row number
+//!   `pos * m + i`.  Derived from `cells`, never persisted;
 //! * per level, one flat signature array strided by the signature width
 //!   (`signatures[level][pos * nh..(pos + 1) * nh]` is entity `pos`'s level
 //!   row).  Signatures stay level-major on purpose: degree computation never
@@ -28,21 +32,27 @@
 //!
 //! On top of it, `CandidateArena::degree_into` fuses the per-level overlap
 //! loop: all levels of one candidate are scored against a pre-resolved
-//! [`QueryView`] without re-fetching the query or touching a map, with each
-//! per-level intersection dispatched through the branch-light / galloping /
-//! SIMD kernels of [`trace_model::kernel`] (re-exported here).  The loop
-//! exists once (`level_overlaps`; the tracked arena variant and the paged
-//! source call the same function) and **stops intersecting at the first
-//! empty level**: sequences are ancestor-closed (a [`CellSetSequence`]
-//! invariant), so two entities that share no level-`l` cell share no finer
-//! one either, and the remaining levels are recorded as `overlap: 0` with
-//! their true sizes.  The owned path ([`LevelOverlap::from_sequences`],
-//! every level always) does not stop, on purpose: it is the oracle the fused
-//! loop is held bitwise equal to.
+//! [`QueryView`] — which holds the query's rows in both forms, converted once
+//! per query — without re-fetching the query or touching a map.  Each
+//! per-level intersection takes the form [`row_class`] picks from the four
+//! row lengths: the keyed kernel when both rows are long enough and their
+//! keyed forms at most half as long, else the branch-light / galloping / SIMD
+//! packed kernels of [`trace_model::kernel`] (re-exported here).  Every form
+//! counts the same integer.  The loop exists once (`level_overlaps`; the
+//! tracked arena variant and the paged source call the same function — the
+//! paged source with packed rows only past level 1) and **stops intersecting
+//! at the first empty level**: sequences are ancestor-closed (a
+//! [`CellSetSequence`] invariant), so two entities that share no level-`l`
+//! cell share no finer one either, and the remaining levels are recorded as
+//! `overlap: 0` with their true sizes.  The owned path
+//! ([`LevelOverlap::from_sequences`], every level always) does not stop, on
+//! purpose: it is the oracle the fused loop is held bitwise equal to.
 //!
 //! The arena is **read-path only**: the mutable index keeps its owned
 //! representation as the source of truth and rebuilds the arena whenever a
-//! mutation batch publishes a new snapshot — except pure single-entity
+//! mutation batch publishes a new snapshot — copying every row the batch did
+//! not touch from the arena it replaces, so only the batch's keyed rows are
+//! converted (`CandidateArena::rebuild`) — except pure single-entity
 //! inserts, which extend it incrementally via
 //! `CandidateArena::absorb_insert`, mirroring how the planning synopsis
 //! absorbs inserts.  Conformance tests pin the invariant that makes this
@@ -56,9 +66,12 @@ use crate::query::TopKResult;
 use crate::signature::SignatureList;
 use crate::stats::KernelDispatch;
 use crate::tree::{MinSigTree, Node, NodeId, ROOT};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use trace_model::ajpi::{LevelOverlap, LevelStat};
+use trace_model::kernel::{keyed_overlap, push_keyed, push_keyed_union, row_class, KeyedRow};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level};
 
 pub use trace_model::kernel::{
@@ -66,6 +79,98 @@ pub use trace_model::kernel::{
     intersection_len_simd, merge_min, merge_min_scalar, KernelClass, GALLOP_SKEW, SIMD_LANES,
     TINY_LEN,
 };
+
+/// Cell rows in keyed form ([`KeyedRow`]), CSR like the packed ones: row `r`
+/// is `keys[offsets[r]..offsets[r + 1]]` with the masks at the same indices.
+/// Always `rows + 1` offsets, `offsets[0] == 0` (bar the empty default).
+#[derive(Debug, Clone, Default)]
+struct KeyedRows {
+    offsets: Vec<usize>,
+    keys: Vec<u64>,
+    masks: Vec<u64>,
+}
+
+impl KeyedRows {
+    /// No rows, room for `rows` rows of `keys` keys in all.
+    fn with_capacity(rows: usize, keys: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        KeyedRows { offsets, keys: Vec::with_capacity(keys), masks: Vec::with_capacity(keys) }
+    }
+
+    /// Appends the keyed form of one packed row.
+    fn push(&mut self, packed: &[u64]) {
+        push_keyed(packed, &mut self.keys, &mut self.masks);
+        self.offsets.push(self.keys.len());
+    }
+
+    /// Drops every row, keeping the allocations.
+    fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.keys.clear();
+        self.masks.clear();
+    }
+
+    /// Appends the union of two keyed rows as one row.
+    fn push_union(&mut self, a: KeyedRow<'_>, b: KeyedRow<'_>) {
+        push_keyed_union(a, b, &mut self.keys, &mut self.masks);
+        self.offsets.push(self.keys.len());
+    }
+
+    /// Appends `from`'s consecutive `rows`, offsets rebased.
+    fn extend_from(&mut self, from: &KeyedRows, rows: Range<usize>) {
+        let (span, base) = (from.offsets[rows.start]..from.offsets[rows.end], self.keys.len());
+        self.keys.extend_from_slice(&from.keys[span.clone()]);
+        self.masks.extend_from_slice(&from.masks[span.clone()]);
+        let ends = &from.offsets[rows.start + 1..=rows.end];
+        self.offsets.extend(ends.iter().map(|&end| end - span.start + base));
+    }
+
+    /// Inserts `rows`' rows in front of row `at`, growing every vector by
+    /// exactly what it inserts (the tail moves once, as the packed splice's).
+    fn splice(&mut self, at: usize, rows: &KeyedRows) {
+        let start = self.offsets[at];
+        let added = rows.keys.len();
+        for (own, new) in [(&mut self.keys, &rows.keys), (&mut self.masks, &rows.masks)] {
+            own.reserve_exact(added);
+            own.splice(start..start, new.iter().copied());
+        }
+        for off in &mut self.offsets[at + 1..] {
+            *off += added;
+        }
+        self.offsets.reserve_exact(rows.offsets.len() - 1);
+        self.offsets.splice(at + 1..at + 1, rows.offsets[1..].iter().map(|&end| end + start));
+    }
+
+    /// Row `r`.
+    #[inline]
+    fn row(&self, r: usize) -> KeyedRow<'_> {
+        let span = self.offsets[r]..self.offsets[r + 1];
+        KeyedRow::new(&self.keys[span.clone()], &self.masks[span])
+    }
+
+    /// Keys in rows `rows`.
+    fn keys_in(&self, rows: Range<usize>) -> usize {
+        self.offsets[rows.end] - self.offsets[rows.start]
+    }
+
+    /// Heap bytes held: every vector's capacity.
+    fn resident_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<usize>()
+            + (self.keys.capacity() + self.masks.capacity()) * std::mem::size_of::<u64>()
+    }
+}
+
+/// Where [`CandidateArena::rebuild`] takes one part of the new arena from.
+enum Rows<'m> {
+    /// Consecutive positions of the previous arena, copied as one span.
+    Carried(Range<usize>),
+    /// An entity read from the maps, its keyed rows converted.
+    Fresh(EntityId, &'m CellSetSequence),
+    /// An entity read from the maps whose keyed rows are its previous ones
+    /// (at that position) united with the keyed form of a delta.
+    Grown(EntityId, &'m CellSetSequence, usize, &'m CellSetSequence),
+}
 
 /// The flat candidate arena of one index snapshot (see the [module
 /// docs](self)).
@@ -91,6 +196,10 @@ pub struct CandidateArena {
     /// All entities' cells, packed `u64`s, **entity-major**: entity 0's
     /// level-1…m runs, then entity 1's, and so on.
     cells: Vec<u64>,
+    /// The same rows in keyed form, row `pos * m + i` = level `i + 1` of
+    /// entity `pos` like the packed offsets: what the degree loop intersects
+    /// when [`row_class`] says keyed.  Derived from `cells`, never persisted.
+    keyed: KeyedRows,
     /// Per level (so `num_levels()` entries), all entities' level signatures
     /// concatenated in entity order with stride `sig_width`.
     signatures: Vec<Vec<u64>>,
@@ -108,36 +217,171 @@ impl CandidateArena {
         sequences: &BTreeMap<EntityId, CellSetSequence>,
         signatures: &BTreeMap<EntityId, SignatureList>,
     ) -> Self {
-        let n = sequences.len();
-        let m = num_levels as usize;
-        let total_cells: usize = sequences.values().map(CellSetSequence::total_cells).sum();
+        CandidateArena::default().rebuild(num_levels, sig_width, sequences, signatures, &[])
+    }
+
+    /// [`build`](Self::build) over the maps, reusing this arena for every
+    /// entity it holds that `changed` (ascending ids, each with the delta it
+    /// grew by, if that is all that happened to it) does not list: runs of
+    /// such entities are copied span by span — cells, signatures and keyed
+    /// rows — and only the listed entities and the ones new to the maps are
+    /// read from the maps.  Their keyed rows are converted by [`push_keyed`]
+    /// — from the delta alone, united with the previous rows, for an entity
+    /// that only grew — so a publish converts what its batch brought, not
+    /// the traces it touched, and copies the rest in a few `memcpy`s.  The
+    /// result equals a fresh build whenever the unlisted entities' sequences
+    /// and signatures are the ones this arena was built from and every
+    /// listed delta is what its entity's rows grew by.
+    pub(crate) fn rebuild<'m>(
+        &self,
+        num_levels: Level,
+        sig_width: usize,
+        sequences: &'m BTreeMap<EntityId, CellSetSequence>,
+        signatures: &BTreeMap<EntityId, SignatureList>,
+        changed: &'m [(EntityId, Option<CellSetSequence>)],
+    ) -> Self {
+        debug_assert!(changed.windows(2).all(|w| w[0].0 < w[1].0), "changed ids ascend");
+        let (n, m) = (sequences.len(), num_levels as usize);
+        debug_assert!(self.is_empty() || (self.num_levels(), self.sig_width) == (m, sig_width));
+        let plan = self.plan_rebuild(sequences, changed);
+        // Convert first: the new key counts size the arena exactly.
+        let (mut rows, mut bound) = (0, 0);
+        for part in &plan {
+            (rows, bound) = match *part {
+                Rows::Carried(_) => (rows, bound),
+                Rows::Fresh(_, seq) => (rows + m, bound + seq.total_cells()),
+                Rows::Grown(_, _, pos, delta) => {
+                    let grown = self.keyed.keys_in(pos * m..(pos + 1) * m) + delta.total_cells();
+                    (rows + m, bound + grown)
+                }
+            };
+        }
+        let mut converted = KeyedRows::with_capacity(rows, bound);
+        let mut delta_rows = KeyedRows::with_capacity(m, 0);
+        for part in &plan {
+            match *part {
+                Rows::Carried(_) => {}
+                Rows::Fresh(_, seq) => {
+                    for (_, set) in seq.iter_levels() {
+                        converted.push(set.packed_slice());
+                    }
+                }
+                Rows::Grown(_, _, pos, delta) => {
+                    delta_rows.clear();
+                    for (_, set) in delta.iter_levels() {
+                        delta_rows.push(set.packed_slice());
+                    }
+                    for i in 0..m {
+                        converted.push_union(self.keyed.row(pos * m + i), delta_rows.row(i));
+                    }
+                }
+            }
+        }
+        let (mut cells, mut keys) = (0, converted.keys.len());
+        for part in &plan {
+            cells += match *part {
+                Rows::Carried(ref run) => {
+                    keys += self.keyed.keys_in(run.start * m..run.end * m);
+                    self.offsets[run.end * m] - self.offsets[run.start * m]
+                }
+                Rows::Fresh(_, seq) | Rows::Grown(_, seq, _, _) => seq.total_cells(),
+            };
+        }
         let mut arena = CandidateArena {
             entities: Vec::with_capacity(n),
             sig_width,
             offsets: Vec::with_capacity(n * m + 1),
-            cells: Vec::with_capacity(total_cells),
+            cells: Vec::with_capacity(cells),
+            keyed: KeyedRows::with_capacity(n * m, keys),
             signatures: (0..m).map(|_| Vec::with_capacity(n * sig_width)).collect(),
         };
         arena.offsets.push(0);
-        for (&entity, seq) in sequences {
-            arena.entities.push(entity);
-            debug_assert_eq!(seq.num_levels(), m);
-            let sig = signatures.get(&entity);
-            for (i, rows) in arena.signatures.iter_mut().enumerate() {
-                let level = (i + 1) as Level;
-                arena.cells.extend_from_slice(seq.level(level).packed_slice());
-                arena.offsets.push(arena.cells.len());
-                match sig {
-                    Some(s) => {
-                        let row = s.level(level);
-                        debug_assert_eq!(row.len(), sig_width);
-                        rows.extend_from_slice(row);
-                    }
-                    None => rows.extend(std::iter::repeat_n(u64::MAX, sig_width)),
+        let mut next_converted = 0;
+        for part in plan {
+            match part {
+                Rows::Carried(run) => arena.copy_rows(self, run),
+                Rows::Fresh(entity, seq) | Rows::Grown(entity, seq, _, _) => {
+                    arena.push_entity(entity, seq, signatures.get(&entity));
+                    let rows = next_converted * m..(next_converted + 1) * m;
+                    arena.keyed.extend_from(&converted, rows);
+                    next_converted += 1;
                 }
             }
         }
         arena
+    }
+
+    /// Where [`rebuild`](Self::rebuild) takes each entity of `sequences`
+    /// from, in id order: runs of consecutive positions of this arena, the
+    /// listed entities that only grew, and the other listed entities and the
+    /// ones this arena lacks.  All three id lists ascend, so one walk over
+    /// each.
+    fn plan_rebuild<'m>(
+        &self,
+        sequences: &'m BTreeMap<EntityId, CellSetSequence>,
+        changed: &'m [(EntityId, Option<CellSetSequence>)],
+    ) -> Vec<Rows<'m>> {
+        let mut plan: Vec<Rows<'m>> = Vec::new();
+        let (mut held, mut listed) = (self.entities.iter().enumerate().peekable(), changed.iter());
+        let mut next_listed = listed.next();
+        for (&entity, seq) in sequences {
+            while next_listed.is_some_and(|(e, _)| *e < entity) {
+                next_listed = listed.next();
+            }
+            while held.next_if(|&(_, &e)| e < entity).is_some() {}
+            let pos = held.peek().filter(|&&(_, &e)| e == entity).map(|&(pos, _)| pos);
+            let change = next_listed.filter(|(e, _)| *e == entity).map(|(_, delta)| delta);
+            match (pos, change) {
+                (Some(pos), None) => match plan.last_mut() {
+                    Some(Rows::Carried(run)) if run.end == pos => run.end += 1,
+                    _ => plan.push(Rows::Carried(pos..pos + 1)),
+                },
+                (Some(pos), Some(Some(delta))) => plan.push(Rows::Grown(entity, seq, pos, delta)),
+                _ => plan.push(Rows::Fresh(entity, seq)),
+            }
+        }
+        plan
+    }
+
+    /// Appends the entities at positions `run` of `from`, every row of theirs
+    /// copied span by span.
+    fn copy_rows(&mut self, from: &CandidateArena, run: Range<usize>) {
+        let (m, width) = (self.num_levels(), self.sig_width);
+        self.entities.extend_from_slice(&from.entities[run.clone()]);
+        let rows = run.start * m..run.end * m;
+        let (span, base) = (from.offsets[rows.start]..from.offsets[rows.end], self.cells.len());
+        self.cells.extend_from_slice(&from.cells[span.clone()]);
+        let ends = &from.offsets[rows.start + 1..=rows.end];
+        self.offsets.extend(ends.iter().map(|&end| end - span.start + base));
+        self.keyed.extend_from(&from.keyed, rows);
+        for (own, theirs) in self.signatures.iter_mut().zip(&from.signatures) {
+            own.extend_from_slice(&theirs[run.start * width..run.end * width]);
+        }
+    }
+
+    /// Appends one entity's packed rows and signature rows from the maps;
+    /// an entity missing a signature gets all-`u64::MAX` rows.
+    fn push_entity(
+        &mut self,
+        entity: EntityId,
+        seq: &CellSetSequence,
+        sig: Option<&SignatureList>,
+    ) {
+        debug_assert_eq!(seq.num_levels(), self.num_levels());
+        self.entities.push(entity);
+        for (i, rows) in self.signatures.iter_mut().enumerate() {
+            let level = (i + 1) as Level;
+            self.cells.extend_from_slice(seq.level(level).packed_slice());
+            self.offsets.push(self.cells.len());
+            match sig {
+                Some(s) => {
+                    let row = s.level(level);
+                    debug_assert_eq!(row.len(), self.sig_width);
+                    rows.extend_from_slice(row);
+                }
+                None => rows.extend(std::iter::repeat_n(u64::MAX, self.sig_width)),
+            }
+        }
     }
 
     /// Splices one **newly inserted** entity into the arena without a rebuild
@@ -189,6 +433,12 @@ impl CandidateArena {
         });
         self.offsets.reserve_exact(m);
         self.offsets.splice(pos * m + 1..pos * m + 1, row_ends);
+
+        let mut keyed = KeyedRows::with_capacity(m, added);
+        for (_, set) in seq.iter_levels() {
+            keyed.push(set.packed_slice());
+        }
+        self.keyed.splice(pos * m, &keyed);
 
         for (i, rows) in self.signatures.iter_mut().enumerate() {
             let row = sig.level((i + 1) as Level);
@@ -256,6 +506,7 @@ impl CandidateArena {
     pub(crate) fn resident_bytes(&self) -> usize {
         let signatures: usize = self.signatures.iter().map(Vec::capacity).sum();
         (self.cells.capacity() + signatures) * std::mem::size_of::<u64>()
+            + self.keyed.resident_bytes()
             + self.signatures.capacity() * std::mem::size_of::<Vec<u64>>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.entities.capacity() * std::mem::size_of::<EntityId>()
@@ -289,16 +540,17 @@ impl CandidateArena {
         dispatch: Option<&mut KernelDispatch>,
     ) {
         debug_assert_eq!(view.num_levels(), self.num_levels());
-        let row = self.row(pos);
-        level_overlaps(view, |i| &self.cells[row[i]..row[i + 1]], scratch, dispatch);
+        let (row, first) = (self.row(pos), pos * self.num_levels());
+        let packed = |i: usize| &self.cells[row[i]..row[i + 1]];
+        level_overlaps(view, packed, |i| Some(self.keyed.row(first + i)), scratch, dispatch);
     }
 
     /// [`degree_into`](Self::degree_into) plus per-kernel dispatch
-    /// accounting: classifies each intersection it issues via
-    /// [`dispatch_class`] (a pure function of the two lengths and the CPU, so
-    /// the hot loop gains only integer compares, no instrumentation inside
-    /// the kernels) and counts it into `dispatch` — one per level up to and
-    /// including the first empty one.
+    /// accounting: classifies each intersection it issues via [`row_class`]
+    /// (a pure function of the row lengths and the CPU, so the hot loop gains
+    /// only integer compares, no instrumentation inside the kernels) and
+    /// counts it into `dispatch` — one per level up to and including the
+    /// first empty one.
     pub(crate) fn degree_into_tracked<M: AssociationMeasure + ?Sized>(
         &self,
         pos: usize,
@@ -318,8 +570,9 @@ impl CandidateArena {
     /// everywhere and its exact degree is the measure's value on the
     /// all-zero [`LevelStat`]s `scratch` is filled with — bit for bit what
     /// [`level_overlaps`] hands the measure, with the same one level-1
-    /// intersection counted into `dispatch`.  Otherwise nothing is counted
-    /// and the candidate's level-1 row is the `Err`: the caller scores the
+    /// intersection — keyed or packed by the same [`row_class`] — counted
+    /// into `dispatch`.  Otherwise nothing is counted and the candidate's
+    /// level-1 row, in both forms, is the `Err`: the caller scores the
     /// candidate from its full trace, whose level-1 row must be that one.
     pub(crate) fn disjoint_degree<M: AssociationMeasure + ?Sized>(
         &self,
@@ -328,15 +581,17 @@ impl CandidateArena {
         measure: &M,
         scratch: &mut LevelOverlap,
         dispatch: Option<&mut KernelDispatch>,
-    ) -> Result<f64, &[u64]> {
+    ) -> Result<f64, (&[u64], KeyedRow<'_>)> {
         debug_assert_eq!(view.num_levels(), self.num_levels());
         let row = self.row(pos);
-        let (query, level_one) = (view.level(0), &self.cells[row[0]..row[1]]);
-        if intersection_len(query, level_one) > 0 {
-            return Err(level_one);
+        let (packed, keyed) =
+            (&self.cells[row[0]..row[1]], self.keyed.row(pos * self.num_levels()));
+        let (overlap, class) = level_overlap(view, 0, packed, || Some(keyed));
+        if overlap > 0 {
+            return Err((packed, keyed));
         }
         if let Some(dispatch) = dispatch {
-            dispatch.record(dispatch_class(query.len(), level_one.len()));
+            dispatch.record(class);
         }
         scratch.clear();
         for (i, ends) in row.windows(2).enumerate() {
@@ -596,10 +851,42 @@ impl NodeArena {
     }
 }
 
+/// `|Q ∩ C|` at level `i + 1` of the view's query and one candidate row —
+/// `packed`, and `keyed()` when the candidate holds that row in keyed form
+/// too — with the kernel class that computed it: [`row_class`], which asks
+/// for the keyed rows only when the packed lengths leave the choice open (a
+/// candidate without one classifies as its packed rows).  Every class
+/// computes the same integer.
+#[inline]
+fn level_overlap<'c>(
+    view: &QueryView<'_>,
+    i: usize,
+    packed: &[u64],
+    keyed: impl FnOnce() -> Option<KeyedRow<'c>>,
+) -> (usize, KernelClass) {
+    let query = view.level(i);
+    let lengths = (query.len(), packed.len());
+    let mut rows = None;
+    let class = row_class(lengths, || match keyed() {
+        Some(row) => {
+            let query_row = view.keyed.row(i);
+            rows = Some((query_row, row));
+            (query_row.len(), row.len())
+        }
+        // The packed lengths themselves: never at most half of themselves.
+        None => lengths,
+    });
+    match (class, rows) {
+        (KernelClass::Keyed, Some((query_row, row))) => (keyed_overlap(query_row, row), class),
+        _ => (intersection_len(query, packed), class),
+    }
+}
+
 /// The one per-level overlap loop of the flat hot paths: fills `out` with the
 /// [`LevelStat`]s of the query against the candidate whose packed level-`i + 1`
-/// cells are `candidate(i)`, counting every intersection it issues into
-/// `dispatch` when one is given.
+/// cells are `candidate(i)` — and whose keyed row is `keyed(i)`, where it has
+/// one — counting every intersection it issues into `dispatch` when one is
+/// given (see [`level_overlap`] for the kernel each level runs).
 ///
 /// Levels are a prefix hierarchy (Definition 3) and both sides are
 /// ancestor-closed — the query by the [`CellSetSequence`] invariant, the
@@ -614,6 +901,7 @@ impl NodeArena {
 pub(crate) fn level_overlaps<'c>(
     view: &QueryView<'_>,
     candidate: impl Fn(usize) -> &'c [u64],
+    keyed: impl Fn(usize) -> Option<KeyedRow<'c>>,
     out: &mut LevelOverlap,
     mut dispatch: Option<&mut KernelDispatch>,
 ) {
@@ -622,10 +910,11 @@ pub(crate) fn level_overlaps<'c>(
     for i in 0..view.num_levels() {
         let (q, c) = (view.level(i), candidate(i));
         let overlap = if shares_coarser {
+            let (overlap, class) = level_overlap(view, i, c, || keyed(i));
             if let Some(dispatch) = dispatch.as_deref_mut() {
-                dispatch.record(dispatch_class(q.len(), c.len()));
+                dispatch.record(class);
             }
-            intersection_len(q, c)
+            overlap
         } else {
             debug_assert_eq!(intersection_len(q, c), 0, "level {} after an empty one", i + 1);
             0
@@ -635,17 +924,33 @@ pub(crate) fn level_overlaps<'c>(
     }
 }
 
-/// A query's per-level packed cell slices, resolved once per query so the
-/// innermost loops never re-fetch the query sequence.
+/// A query's per-level cell rows, resolved once per query so the innermost
+/// loops never re-fetch the query sequence: the packed slices it borrows and
+/// their keyed forms ([`KeyedRow`]), converted here once.  A sharded query
+/// lends its one view to every source it runs.
 #[derive(Debug, Clone)]
 pub struct QueryView<'a> {
+    sequence: &'a CellSetSequence,
     levels: Vec<&'a [u64]>,
+    keyed: KeyedRows,
 }
 
 impl<'a> QueryView<'a> {
     /// Resolves the view of a query sequence.
     pub fn new(query: &'a CellSetSequence) -> Self {
-        QueryView { levels: query.iter_levels().map(|(_, set)| set.packed_slice()).collect() }
+        let levels: Vec<&'a [u64]> =
+            query.iter_levels().map(|(_, set)| set.packed_slice()).collect();
+        let mut keyed = KeyedRows::with_capacity(levels.len(), query.total_cells());
+        for level in &levels {
+            keyed.push(level);
+        }
+        QueryView { sequence: query, levels, keyed }
+    }
+
+    /// The query sequence the view resolves.
+    #[inline]
+    pub(crate) fn sequence(&self) -> &'a CellSetSequence {
+        self.sequence
     }
 
     /// Number of levels.
@@ -673,20 +978,32 @@ impl<'a> QueryView<'a> {
 /// `take_dispatch`.  Both live in single-threaded
 /// interior-mutability cells: an executor is driven by one worker at a time
 /// (`&mut` under the cooperative scheduler's mutex slots), so the source is
-/// `Send` but deliberately not `Sync`.
+/// `Send` but deliberately not `Sync`.  The view is borrowed from the query's
+/// access wherever one exists, so a fan-out converts the query's keyed rows
+/// once, not once per shard.
 pub struct ArenaSource<'a> {
     arena: &'a CandidateArena,
-    view: QueryView<'a>,
+    view: Cow<'a, QueryView<'a>>,
     scratch: RefCell<LevelOverlap>,
     dispatch: Cell<KernelDispatch>,
 }
 
 impl<'a> ArenaSource<'a> {
-    /// Creates a source scoring `arena`'s rows against `query`.
-    pub(crate) fn new(arena: &'a CandidateArena, query: &'a CellSetSequence) -> Self {
+    /// Creates a source scoring `arena`'s rows against a borrowed view.
+    pub(crate) fn new(arena: &'a CandidateArena, view: &'a QueryView<'a>) -> Self {
+        ArenaSource::with_view(arena, Cow::Borrowed(view))
+    }
+
+    /// Creates a source scoring `arena`'s rows against `query`, resolving a
+    /// view of its own (a lone executor, which no access lends one).
+    pub(crate) fn owning(arena: &'a CandidateArena, query: &'a CellSetSequence) -> Self {
+        ArenaSource::with_view(arena, Cow::Owned(QueryView::new(query)))
+    }
+
+    fn with_view(arena: &'a CandidateArena, view: Cow<'a, QueryView<'a>>) -> Self {
         ArenaSource {
             arena,
-            view: QueryView::new(query),
+            view,
             scratch: RefCell::new(LevelOverlap::default()),
             dispatch: Cell::new(KernelDispatch::default()),
         }
@@ -732,6 +1049,37 @@ impl TraceSource for ArenaSource<'_> {
     }
 }
 
+/// Every observable of `got` equals `expect`'s — packed cells, keyed rows,
+/// signatures — footprint included.
+#[cfg(test)]
+pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, context: &str) {
+    assert_eq!(got.entities(), expect.entities(), "{context}");
+    assert_eq!(got.num_levels(), expect.num_levels(), "{context}");
+    let m = expect.num_levels();
+    for pos in 0..expect.len() {
+        for level in 1..=m as Level {
+            let row = pos * m + level as usize - 1;
+            assert_eq!(
+                got.level_cells(level, pos),
+                expect.level_cells(level, pos),
+                "{context}: cells of row {pos}, level {level}"
+            );
+            assert_eq!(
+                got.keyed.row(row),
+                expect.keyed.row(row),
+                "{context}: keyed row of {pos}, level {level}"
+            );
+            assert_eq!(
+                got.signature_row(level, pos),
+                expect.signature_row(level, pos),
+                "{context}: signature of row {pos}, level {level}"
+            );
+        }
+    }
+    assert_eq!(got.keyed.offsets, expect.keyed.offsets, "{context}: keyed offsets");
+    assert_eq!(got.resident_bytes(), expect.resident_bytes(), "{context}: footprint");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,33 +1117,17 @@ mod tests {
         for (pos, (&entity, seq)) in sequences.iter().enumerate() {
             assert_eq!(arena.position(entity), Some(pos));
             for level in 1..=2 {
-                assert_eq!(arena.level_cells(level, pos), seq.level(level).packed_slice());
+                let packed = seq.level(level).packed_slice();
+                assert_eq!(arena.level_cells(level, pos), packed);
                 assert_eq!(arena.signature_row(level, pos), signatures[&entity].level(level));
+                let (mut keys, mut masks) = (Vec::new(), Vec::new());
+                push_keyed(packed, &mut keys, &mut masks);
+                let row = arena.keyed.row(pos * 2 + level as usize - 1);
+                assert_eq!(row, KeyedRow::new(&keys, &masks), "keyed row {pos}, level {level}");
             }
         }
         assert_eq!(arena.position(EntityId(99)), None);
         assert!(arena.resident_bytes() > 0);
-    }
-
-    /// Every observable of `got` equals `expect`'s, footprint included.
-    fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, context: &str) {
-        assert_eq!(got.entities(), expect.entities(), "{context}");
-        assert_eq!(got.num_levels(), expect.num_levels(), "{context}");
-        for pos in 0..expect.len() {
-            for level in 1..=expect.num_levels() as Level {
-                assert_eq!(
-                    got.level_cells(level, pos),
-                    expect.level_cells(level, pos),
-                    "{context}: cells of row {pos}, level {level}"
-                );
-                assert_eq!(
-                    got.signature_row(level, pos),
-                    expect.signature_row(level, pos),
-                    "{context}: signature of row {pos}, level {level}"
-                );
-            }
-        }
-        assert_eq!(got.resident_bytes(), expect.resident_bytes(), "{context}: footprint");
     }
 
     #[test]
@@ -848,6 +1180,62 @@ mod tests {
                 let rebuilt = CandidateArena::build(2, 8, &seqs, &sigs);
                 assert_same_arena(&arena, &rebuilt, &format!("round {round}, after {entity:?}"));
             }
+        }
+    }
+
+    /// A rebuild from a previous arena — rows of unlisted entities copied in
+    /// runs, listed and new ones read from the maps, grown ones united with
+    /// their delta — equals a full build over the changed maps: changes at
+    /// the first and last position, in runs and alone, removals that merge
+    /// two runs, nothing and everything listed.
+    #[test]
+    fn rebuild_carrying_rows_equals_full_build() {
+        let (sp, sequences, signatures) = fixture(12);
+        let hasher =
+            HierarchicalHasher::new(SeededHashFamily::new(8, 7, 10_000), HasherMode::PathMax);
+        let previous = CandidateArena::build(2, 8, &sequences, &signatures);
+        let stay = |unit_at: usize, times: std::ops::Range<u32>| {
+            let unit = sp.base_units()[unit_at];
+            let cells = CellSet::from_cells(times.map(|t| StCell::new(t, unit)));
+            CellSetSequence::from_base_cells(&sp, &cells).unwrap()
+        };
+        let (replaced, delta) = (stay(2, 0..70), stay(1, 5..140));
+        let all: Vec<u64> = (0..12).chain([40, 41]).collect();
+        // (replaced, removed, inserted, grown) ids.
+        type Case<'a> = (&'a [u64], &'a [u64], &'a [u64], &'a [u64]);
+        let cases: [Case<'_>; 7] = [
+            (&[], &[], &[], &[]),
+            (&[0, 11], &[], &[], &[]),
+            (&[3, 4, 5], &[7], &[40], &[]),
+            (&[], &[1, 2, 9], &[41], &[]),
+            (&[6], &[0, 11], &[40, 41], &[]),
+            (&all[..12], &[], &[40, 41], &[]),
+            (&[5], &[6], &[40], &[0, 3, 4, 11]),
+        ];
+        for (replace, remove, insert, grow) in cases {
+            let (mut seqs, mut sigs) = (sequences.clone(), signatures.clone());
+            let mut changed = Vec::new();
+            for &id in replace.iter().chain(insert) {
+                sigs.insert(EntityId(id), SignatureList::build(&sp, &hasher, &replaced));
+                seqs.insert(EntityId(id), replaced.clone());
+                changed.push((EntityId(id), None));
+            }
+            for &id in remove {
+                seqs.remove(&EntityId(id));
+                sigs.remove(&EntityId(id));
+                changed.push((EntityId(id), None));
+            }
+            for &id in grow {
+                let grown = seqs[&EntityId(id)].union(&delta);
+                sigs.insert(EntityId(id), SignatureList::build(&sp, &hasher, &grown));
+                seqs.insert(EntityId(id), grown);
+                changed.push((EntityId(id), Some(delta.clone())));
+            }
+            changed.sort_by_key(|(id, _)| *id);
+            let context =
+                format!("replace {replace:?}, remove {remove:?}, insert {insert:?}, grow {grow:?}");
+            let rebuilt = previous.rebuild(2, 8, &seqs, &sigs, &changed);
+            assert_same_arena(&rebuilt, &CandidateArena::build(2, 8, &seqs, &sigs), &context);
         }
     }
 
@@ -920,7 +1308,7 @@ mod tests {
         let arena = CandidateArena::build(2, 8, &sequences, &signatures);
         let measure = PaperAdm::default_for(2);
         let qseq = sequences[&EntityId(0)].clone();
-        let source = ArenaSource::new(&arena, &qseq);
+        let source = ArenaSource::owning(&arena, &qseq);
         for &entity in arena.entities() {
             let via_source = source.degree(entity, &measure).expect("entity is indexed");
             let owned = measure.degree(&qseq, &sequences[&entity]);
@@ -957,16 +1345,21 @@ mod tests {
             (seq_at(&[(1, base[0]), (2, base[7])]), 1), // never at the same time
             (seq_at(&[]), 1),
         ] {
-            let mut dispatch = KernelDispatch::default();
-            let mut fused = LevelOverlap::default();
             let view = QueryView::new(&query);
             let rows = QueryView::new(&candidate);
-            level_overlaps(&view, |i| rows.level(i), &mut fused, Some(&mut dispatch));
-            assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate));
-            assert_eq!(dispatch.total(), issued);
             assert_eq!(issued_intersections(&query, &candidate), issued);
-            level_overlaps(&view, |i| rows.level(i), &mut fused, None);
-            assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate), "untracked");
+            // Packed rows only (what the paged source reads), then both forms.
+            let packed_only = |_: usize| None;
+            let both = |i: usize| Some(rows.keyed.row(i));
+            for (form, keyed) in [("packed", &packed_only as &dyn Fn(_) -> _), ("keyed", &both)] {
+                let mut dispatch = KernelDispatch::default();
+                let mut fused = LevelOverlap::default();
+                level_overlaps(&view, |i| rows.level(i), keyed, &mut fused, Some(&mut dispatch));
+                assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate), "{form}");
+                assert_eq!(dispatch.total(), issued, "{form}");
+                level_overlaps(&view, |i| rows.level(i), keyed, &mut fused, None);
+                assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate), "{form}");
+            }
         }
     }
 

@@ -135,21 +135,21 @@ pub struct PagedArenaSource<'a> {
     /// The shard whose members this source scores: its arena answers the
     /// level-1 question, its hierarchy discretises what is read.
     shard: &'a IndexSnapshot,
-    view: QueryView<'a>,
+    /// The query's view, borrowed from its access.
+    view: &'a QueryView<'a>,
     scratch: RefCell<Scratch>,
 }
 
 impl<'a> PagedArenaSource<'a> {
     /// Creates a source scoring `shard`'s members, read from `store` through
-    /// `pool`, against one query sequence.
+    /// `pool`, against one query's view.
     pub(crate) fn new(
         store: &'a PagedTraceStore,
         pool: &'a BufferPool<'a>,
         shard: &'a IndexSnapshot,
-        query: &'a CellSetSequence,
+        view: &'a QueryView<'a>,
     ) -> Self {
-        let (view, scratch) = (QueryView::new(query), RefCell::default());
-        PagedArenaSource { store, pool, shard, view, scratch }
+        PagedArenaSource { store, pool, shard, view, scratch: RefCell::default() }
     }
 
     /// Adds the kernel-dispatch, buffer-pool, unreadable-candidate and
@@ -186,7 +186,7 @@ impl<'a> PagedArenaSource<'a> {
         let mut level_one = None;
         if let Some(pos) = resident {
             let tracked = track.then_some(&mut *dispatch);
-            match arena.disjoint_degree(pos, &self.view, measure, overlap, tracked) {
+            match arena.disjoint_degree(pos, self.view, measure, overlap, tracked) {
                 Ok(degree) => {
                     *reads_avoided += 1;
                     return Some(degree);
@@ -210,10 +210,15 @@ impl<'a> PagedArenaSource<'a> {
         // The shortcut above is exact only if the store holds the trace the
         // snapshot indexed: check it on every candidate that is read.
         debug_assert!(
-            level_one.is_none_or(|row| row == rows.level(0)),
+            level_one.is_none_or(|(row, _)| row == rows.level(0)),
             "store and snapshot disagree on {entity}'s level-1 cells"
         );
-        level_overlaps(&self.view, |i| rows.level(i), overlap, track.then_some(dispatch));
+        // Level 1 runs the kernel the resident test ran (its keyed row is
+        // resident); the finer rows, read just now, are intersected packed.
+        let keyed_one = level_one.map(|(_, keyed)| keyed);
+        let tracked = track.then_some(dispatch);
+        let keyed = |i: usize| keyed_one.filter(|_| i == 0);
+        level_overlaps(self.view, |i| rows.level(i), keyed, overlap, tracked);
         Some(measure.degree_from_overlap(overlap))
     }
 }
@@ -243,7 +248,8 @@ impl IndexSnapshot {
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let query_seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-        let source = PagedArenaSource::new(store, pool, self, query_seq);
+        let view = QueryView::new(query_seq);
+        let source = PagedArenaSource::new(store, pool, self, &view);
         let request = Query { options, ..Query::new(k, measure) };
         let (results, mut stats) =
             engine::execute(self, query_seq, Some(query), &request, &source)?;
@@ -349,8 +355,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         entity: EntityId,
         query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let seq = self.query_sequence(entity)?;
-        drive::run(&self.access(seq, entity), query, false)
+        let view = self.view(entity)?;
+        drive::run(&self.access(&view, entity), query, false)
     }
 
     /// Answers every query of a batch in parallel, input order preserved,
@@ -380,8 +386,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = entities
             .par_iter()
             .map(|&entity| {
-                let seq = self.query_sequence(entity)?;
-                drive::run(&self.access(seq, entity), query, false)
+                let view = self.view(entity)?;
+                drive::run(&self.access(&view, entity), query, false)
             })
             .collect();
         answers.into_iter().collect()
@@ -399,8 +405,8 @@ impl<'a> PagedShardedSnapshot<'a> {
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
         let query = Query { options: options.query, ..Query::new(options.k, measure) };
         Ok(join_probes(probes, options.threads, |probe| {
-            let seq = self.query_sequence(probe).ok()?;
-            let (matches, stats) = drive::run(&self.access(seq, probe), &query, false).ok()?;
+            let view = self.view(probe).ok()?;
+            let (matches, stats) = drive::run(&self.access(&view, probe), &query, false).ok()?;
             Some(JoinRow { probe, matches, stats })
         }))
     }
@@ -418,32 +424,34 @@ impl<'a> PagedShardedSnapshot<'a> {
         measure: &M,
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
-        let seq = self.query_sequence(query)?;
-        drive::explain(&self.access(seq, query), &Query { planner, ..Query::new(k, measure) })
+        let view = self.view(query)?;
+        drive::explain(&self.access(&view, query), &Query { planner, ..Query::new(k, measure) })
     }
 
     /// A fresh source (own scratch, zeroed counters) scoring shard `shard`'s
-    /// members against `query`.
-    fn source<'q>(&'q self, shard: usize, query: &'q CellSetSequence) -> PagedArenaSource<'q> {
-        PagedArenaSource::new(self.store, self.pool, &self.snapshot.shard_snapshots()[shard], query)
+    /// members against the query `view` resolves.
+    fn source<'q>(&'q self, shard: usize, view: &'q QueryView<'q>) -> PagedArenaSource<'q> {
+        PagedArenaSource::new(self.store, self.pool, &self.snapshot.shard_snapshots()[shard], view)
     }
 
-    /// How `entity`'s query, whose sequence is `sequence`, reads this
+    /// How `entity`'s query, whose sequence `view` resolves, reads this
     /// session's shards.
     pub(crate) fn access<'q>(
         &'q self,
-        sequence: &'q CellSetSequence,
+        view: &'q QueryView<'q>,
         entity: EntityId,
     ) -> PagedAccess<'q> {
-        PagedAccess { paged: self, sequence, entity, source: self.source(0, sequence) }
+        PagedAccess { paged: self, view, entity, source: self.source(0, view) }
     }
 
-    /// The query entity's sequence, from the snapshot's in-memory map (an
-    /// indexed entity always has one).  Error parity with the in-memory
-    /// path: an entity the snapshot does not index is
+    /// The view of the query entity's sequence, from the snapshot's
+    /// in-memory map (an indexed entity always has one).  Error parity with
+    /// the in-memory path: an entity the snapshot does not index is
     /// [`IndexError::UnknownQueryEntity`], whatever the store holds.
-    fn query_sequence(&self, query: EntityId) -> Result<&'a CellSetSequence> {
-        self.snapshot.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))
+    fn view(&self, query: EntityId) -> Result<QueryView<'a>> {
+        let sequence =
+            self.snapshot.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
+        Ok(QueryView::new(sequence))
     }
 }
 
@@ -452,7 +460,8 @@ impl<'a> PagedShardedSnapshot<'a> {
 /// and every tree executor gets one more.
 pub(crate) struct PagedAccess<'q> {
     paged: &'q PagedShardedSnapshot<'q>,
-    sequence: &'q CellSetSequence,
+    /// The query's one view, lent to every source.
+    view: &'q QueryView<'q>,
     entity: EntityId,
     /// Seeding's source; each call names the shard it scores.
     source: PagedArenaSource<'q>,
@@ -466,7 +475,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
     }
 
     fn sequence(&self) -> &'q CellSetSequence {
-        self.sequence
+        self.view.sequence()
     }
 
     fn entity(&self) -> EntityId {
@@ -532,7 +541,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
     }
 
     fn source(&self, shard: usize) -> PagedArenaSource<'q> {
-        self.paged.source(shard, self.sequence)
+        self.paged.source(shard, self.view)
     }
 
     fn drain_source(source: &PagedArenaSource<'q>, stats: &mut QueryStats) {
@@ -812,7 +821,8 @@ mod tests {
         });
         let measure = PaperAdm::default_for(sp.height() as usize);
         let query_seq = snapshot.sequence(EntityId(0)).unwrap();
-        let source = PagedArenaSource::new(&store, &pool, &snapshot, query_seq);
+        let view = QueryView::new(query_seq);
+        let source = PagedArenaSource::new(&store, &pool, &snapshot, &view);
         let fused: Vec<f64> =
             (0..120u64).map(|e| source.degree(EntityId(e), &measure).expect("stored")).collect();
         assert!(source.degree(EntityId(9999), &measure).is_none());
@@ -908,15 +918,18 @@ mod tests {
                 ticks_per_unit: snapshot.ticks_per_unit(),
                 query: query_seq,
             };
-            let on = PagedArenaSource::new(&store, &pool, &snapshot, query_seq);
-            let shortcut_off = PagedArenaSource::new(&store, &pool, &off, query_seq);
+            let view = QueryView::new(query_seq);
+            let on = PagedArenaSource::new(&store, &pool, &snapshot, &view);
+            let shortcut_off = PagedArenaSource::new(&store, &pool, &off, &view);
             let (mut disjoint, mut issued, mut read_pages, mut all_pages) = (0, 0, 0, 0);
+            let mut keyed = 0;
             for (&entity, seq) in snapshot.sequences() {
                 let owned = oracle.degree(entity, &measure).unwrap().to_bits();
                 let fused = on.degree(entity, &measure).unwrap().to_bits();
                 let read = shortcut_off.degree(entity, &measure).unwrap().to_bits();
                 assert_eq!((fused, read), (owned, owned), "query {query}, candidate {entity}");
                 issued += crate::testkit::issued_intersections(query_seq, seq);
+                keyed += crate::testkit::keyed_at_level_one(query_seq, seq);
                 all_pages += pages(entity);
                 if seq.level(1).intersection_len(query_seq.level(1)) == 0 {
                     disjoint += 1;
@@ -928,8 +941,12 @@ mod tests {
             on.drain_into(&mut with);
             shortcut_off.drain_into(&mut without);
             assert!(disjoint > snapshot.sequences().len() / 2, "query {query}: {disjoint}");
-            assert_eq!(with.kernel_dispatch, without.kernel_dispatch, "query {query}");
+            // The same intersections; with resident rows level 1 runs keyed
+            // where the rule says so, without them everything is packed.
+            let total = |s: &QueryStats| s.kernel_dispatch.total();
+            assert_eq!(total(&with), total(&without), "query {query}");
             assert_eq!(with.kernel_dispatch.total(), issued, "query {query}");
+            assert_eq!((with.kernel_dispatch.keyed, without.kernel_dispatch.keyed), (keyed, 0));
             assert_eq!((with.reads_avoided, without.reads_avoided), (disjoint, 0));
             assert_eq!(with.pool_hits + with.pool_misses, read_pages, "query {query}");
             assert_eq!(without.pool_hits + without.pool_misses, all_pages, "query {query}");
@@ -964,8 +981,15 @@ mod tests {
                 for stats in [on_stats, off_stats] {
                     assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{context}");
                     assert_eq!(stats.nodes_visited, mem_stats.nodes_visited, "{context}");
-                    assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "{context}");
+                    let total = |s: &QueryStats| s.kernel_dispatch.total();
+                    assert_eq!(total(&stats), total(&mem_stats), "{context}");
                 }
+                // Only level 1 may run keyed out of core (its row is
+                // resident; finer rows come from pages), and nothing does
+                // without resident rows.
+                let keyed = |s: &QueryStats| s.kernel_dispatch.keyed;
+                assert!(keyed(&on_stats) <= keyed(&mem_stats), "{context}");
+                assert_eq!(keyed(&off_stats), 0, "{context}");
                 assert_eq!((mem_stats.reads_avoided, off_stats.reads_avoided), (0, 0));
                 assert!(on_stats.reads_avoided > 0, "{context}");
                 let traffic = |s: &QueryStats| s.pool_hits + s.pool_misses;

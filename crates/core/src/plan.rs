@@ -94,13 +94,14 @@
 use crate::config::PlannerConfig;
 use crate::drive::ShardAccess;
 use crate::engine::TopKHeap;
+use crate::kernel::QueryView;
 use crate::query::Query;
 use crate::shard::ArenaAccess;
 use crate::snapshot::IndexSnapshot;
 use crate::synopsis::Synopsis;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
+use trace_model::{AssociationMeasure, EntityId, LevelOverlap};
 
 /// How the planner decided to treat one shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -645,12 +646,12 @@ fn decision_key(decision: ShardDecision) -> (u8, u64) {
     }
 }
 
-/// Plans a whole batch — `targets` holds each query entity with its
-/// sequence — in one pass; see [`BatchPlan`] for the amortization and
+/// Plans a whole batch — `targets` holds each query entity with the view of
+/// its sequence — in one pass; see [`BatchPlan`] for the amortization and
 /// identity contracts.
-pub(crate) fn plan_batch<'q, M: AssociationMeasure + ?Sized>(
-    shards: &'q [Arc<IndexSnapshot>],
-    targets: &[(EntityId, &'q CellSetSequence)],
+pub(crate) fn plan_batch<M: AssociationMeasure + ?Sized>(
+    shards: &[Arc<IndexSnapshot>],
+    targets: &[(EntityId, QueryView<'_>)],
     query: &Query<'_, M>,
 ) -> BatchPlan {
     let batch_start = std::time::Instant::now();
@@ -660,8 +661,8 @@ pub(crate) fn plan_batch<'q, M: AssociationMeasure + ?Sized>(
     let sketch_positions = crate::shard::sketch_positions(shards);
     let plans: Vec<QueryPlan> = targets
         .iter()
-        .map(|&(entity, sequence)| {
-            let access = ArenaAccess::new(shards, sequence, entity, Some(&sketch_positions));
+        .map(|(entity, view)| {
+            let access = ArenaAccess::new(shards, view, *entity, Some(&sketch_positions));
             plan_query(&access, query)
         })
         .collect();
@@ -730,7 +731,7 @@ mod tests {
     ) -> QueryPlan {
         let measure = w.measure();
         plan_query(
-            &ArenaAccess::new(shards, query, EntityId(0), None),
+            &ArenaAccess::new(shards, &QueryView::new(query), EntityId(0), None),
             &Query { planner, ..Query::new(k, &measure) },
         )
     }
@@ -820,15 +821,17 @@ mod tests {
         let shards = shards_of(&w, 4);
         let measure = w.measure();
         let query = Query::new(3, &measure);
-        let targets: Vec<(EntityId, &CellSetSequence)> = (0..6u64)
+        let targets: Vec<(EntityId, QueryView<'_>)> = (0..6u64)
             .map(EntityId)
-            .filter_map(|e| shards.iter().find_map(|s| s.sequence(e)).map(|seq| (e, seq)))
+            .filter_map(|e| {
+                shards.iter().find_map(|s| s.sequence(e)).map(|seq| (e, QueryView::new(seq)))
+            })
             .collect();
         assert!(targets.len() >= 2, "the paired workload indexes the probe ids");
         let batch = plan_batch(&shards, &targets, &query);
         assert_eq!(batch.plans.len(), targets.len());
-        for (i, &(entity, sequence)) in targets.iter().enumerate() {
-            let single = plan_query(&ArenaAccess::new(&shards, sequence, entity, None), &query);
+        for (i, (entity, view)) in targets.iter().enumerate() {
+            let single = plan_query(&ArenaAccess::new(&shards, view, *entity, None), &query);
             assert_eq!(batch.plans[i], single, "batch plan {i} diverged from per-query planning");
         }
         // Groups partition the batch.

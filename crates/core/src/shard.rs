@@ -403,7 +403,8 @@ impl ShardedSnapshot {
         entity: EntityId,
         query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        drive::run(&self.access(entity)?, query, true)
+        let view = self.view(entity)?;
+        drive::run(&self.access(&view, entity), query, true)
     }
 
     /// Builds — without executing — the [`QueryPlan`] the planned query
@@ -418,7 +419,8 @@ impl ShardedSnapshot {
         measure: &M,
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
-        drive::explain(&self.access(query)?, &Query { planner, ..Query::new(k, measure) })
+        let view = self.view(query)?;
+        drive::explain(&self.access(&view, query), &Query { planner, ..Query::new(k, measure) })
     }
 
     /// Answers the top-k query for every query entity of a batch, in
@@ -468,9 +470,9 @@ impl ShardedSnapshot {
         let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = indices
             .par_iter()
             .map(|&i| {
-                let (entity, sequence) = targets[i];
+                let (entity, view) = &targets[i];
                 drive::execute(
-                    &ArenaAccess::new(&self.shards, sequence, entity, None),
+                    &self.access(view, *entity),
                     &batch.plans[i],
                     query,
                     false,
@@ -513,7 +515,8 @@ impl ShardedSnapshot {
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
         let query = Query { options: options.query, ..Query::new(options.k, measure) };
         Ok(join_probes(probes, options.threads, |probe| {
-            let (matches, stats) = drive::run(&self.access(probe).ok()?, &query, false).ok()?;
+            let view = self.view(probe).ok()?;
+            let (matches, stats) = drive::run(&self.access(&view, probe), &query, false).ok()?;
             Some(JoinRow { probe, matches, stats })
         }))
     }
@@ -526,8 +529,7 @@ impl ShardedSnapshot {
         k: usize,
         measure: &M,
     ) -> Result<Vec<TopKResult>> {
-        let seq = self.query_sequence(query)?;
-        let view = crate::kernel::QueryView::new(seq);
+        let view = self.view(query)?;
         let mut dispatch = crate::stats::KernelDispatch::default();
         let parts = self
             .shards
@@ -542,30 +544,33 @@ impl ShardedSnapshot {
         &self.shards
     }
 
-    /// The sequence of a query entity;
-    /// [`IndexError::UnknownQueryEntity`] when it is not indexed.
-    fn query_sequence(&self, entity: EntityId) -> Result<&CellSetSequence> {
-        self.sequence(entity).ok_or(IndexError::UnknownQueryEntity(entity.raw()))
+    /// The view of a query entity's sequence — the one its whole query
+    /// scores through; [`IndexError::UnknownQueryEntity`] when it is not
+    /// indexed.
+    fn view(&self, entity: EntityId) -> Result<QueryView<'_>> {
+        let sequence = self.sequence(entity).ok_or(IndexError::UnknownQueryEntity(entity.raw()))?;
+        Ok(QueryView::new(sequence))
     }
 
-    /// How the query of one indexed entity reads the shards.
-    fn access(&self, entity: EntityId) -> Result<ArenaAccess<'_>> {
-        Ok(ArenaAccess::new(&self.shards, self.query_sequence(entity)?, entity, None))
+    /// How the query of `entity`, whose sequence `view` resolves, reads the
+    /// shards.
+    fn access<'q>(&'q self, view: &'q QueryView<'q>, entity: EntityId) -> ArenaAccess<'q> {
+        ArenaAccess::new(&self.shards, view, entity, None)
     }
 
-    /// A batch's entities with their sequences, resolved sequentially so the
+    /// A batch's entities with their views, resolved sequentially so the
     /// *first* unknown entity (in input order) fails the batch, matching the
-    /// unsharded contract.
+    /// unsharded contract.  Planning and execution share the views.
     fn targets<M: ?Sized>(
         &self,
         entities: &[EntityId],
         query: &Query<'_, M>,
-    ) -> Result<Vec<(EntityId, &CellSetSequence)>> {
+    ) -> Result<Vec<(EntityId, QueryView<'_>)>> {
         let mut targets = Vec::with_capacity(entities.len());
         for &entity in entities {
-            let seq = self.query_sequence(entity)?;
-            drive::admit(&self.shards, seq, query)?;
-            targets.push((entity, seq));
+            let view = self.view(entity)?;
+            drive::admit(&self.shards, view.sequence(), query)?;
+            targets.push((entity, view));
         }
         Ok(targets)
     }
@@ -576,23 +581,24 @@ impl ShardedSnapshot {
 /// sources' kernel-dispatch counts.
 pub(crate) struct ArenaAccess<'q> {
     shards: &'q [Arc<IndexSnapshot>],
-    sequence: &'q CellSetSequence,
+    /// The query's one view: seeding scores through it and every source
+    /// borrows it.
+    view: &'q QueryView<'q>,
     entity: EntityId,
-    view: QueryView<'q>,
     /// Batch planning's pre-resolved [`sketch_positions`]; per-query planning
     /// looks each sketch entity up instead.
     sketch_positions: Option<&'q [Vec<Option<usize>>]>,
 }
 
 impl<'q> ArenaAccess<'q> {
-    /// The access of `entity`'s query, whose sequence is `sequence`.
+    /// The access of `entity`'s query, whose sequence `view` resolves.
     pub(crate) fn new(
         shards: &'q [Arc<IndexSnapshot>],
-        sequence: &'q CellSetSequence,
+        view: &'q QueryView<'q>,
         entity: EntityId,
         sketch_positions: Option<&'q [Vec<Option<usize>>]>,
     ) -> Self {
-        ArenaAccess { shards, sequence, entity, view: QueryView::new(sequence), sketch_positions }
+        ArenaAccess { shards, view, entity, sketch_positions }
     }
 }
 
@@ -618,7 +624,7 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
     }
 
     fn sequence(&self) -> &'q CellSetSequence {
-        self.sequence
+        self.view.sequence()
     }
 
     fn entity(&self) -> EntityId {
@@ -646,7 +652,7 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
                 None => arena.position(hot),
             };
             if let Some(pos) = pos {
-                offer(hot, arena.degree_into(pos, &self.view, measure, scratch));
+                offer(hot, arena.degree_into(pos, self.view, measure, scratch));
             }
         }
     }
@@ -665,7 +671,7 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
     }
 
     fn source(&self, shard: usize) -> ArenaSource<'q> {
-        ArenaSource::new(self.shards[shard].arena(), self.sequence)
+        ArenaSource::new(self.shards[shard].arena(), self.view)
     }
 
     fn drain_source(source: &ArenaSource<'q>, stats: &mut QueryStats) {

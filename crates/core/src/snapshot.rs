@@ -33,6 +33,7 @@ use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
 use crate::stats::QueryStats;
 use crate::synopsis::Synopsis;
 use crate::tree::MinSigTree;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
 
@@ -228,38 +229,97 @@ impl IndexSnapshot {
             arena: CandidateArena::default(),
             node_arena: NodeArena::default(),
         };
-        snapshot.rebuild_arena();
+        snapshot.rebuild_arena(&CandidateArena::default(), &[]);
         snapshot
     }
 
     /// Applies `changes` (in the order given — callers pass entity order) to
     /// the tree and the owned maps, then brings the three mirrors back in
-    /// line with them at `epoch`: the one mutator.
+    /// line with them at `epoch`: the one mutator, in place.
     ///
     /// A lone [`Change::Put`] of a new entity only grows the population, so
     /// the synopsis and the candidate arena absorb it in `O(delta + n)`;
     /// anything else can shrink sizes, and only a recompute and a rebuild
-    /// stay exact.  The node rows are rebuilt either way — even one insert
+    /// stay exact.  The rebuild reads the changed entities from the maps and
+    /// copies everyone else's rows from the arena it replaces
+    /// ([`CandidateArena::rebuild`]), so only the batch's keyed rows are
+    /// converted.  The node rows are rebuilt either way — even one insert
     /// re-routes tree paths — in `O(nodes)`, the order of the arena splice.
     pub(crate) fn publish(&mut self, changes: Vec<(EntityId, Change)>, epoch: u64) -> Published {
+        let previous = std::mem::take(&mut self.arena);
+        self.publish_over(Cow::Owned(previous), changes, epoch)
+    }
+
+    /// [`publish`](Self::publish) onto a copy of this snapshot — what a
+    /// commit does while readers still hold this one.  The copy takes every
+    /// part but the two arenas, which the publish rebuilds from this
+    /// snapshot's (cloning the candidate arena only to absorb into it): no
+    /// arena is copied just to be dropped.
+    pub(crate) fn publish_copy(
+        &self,
+        changes: Vec<(EntityId, Change)>,
+        epoch: u64,
+    ) -> (IndexSnapshot, Published) {
+        let mut next = IndexSnapshot {
+            sp: self.sp.clone(),
+            config: self.config,
+            ticks_per_unit: self.ticks_per_unit,
+            hasher: self.hasher.clone(),
+            tree: self.tree.clone(),
+            sequences: self.sequences.clone(),
+            signatures: self.signatures.clone(),
+            synopsis: self.synopsis.clone(),
+            arena: CandidateArena::default(),
+            node_arena: NodeArena::default(),
+        };
+        let published = next.publish_over(Cow::Borrowed(&self.arena), changes, epoch);
+        (next, published)
+    }
+
+    /// What [`publish`](Self::publish) does, `previous` being the candidate
+    /// arena of the version it replaces.
+    fn publish_over(
+        &mut self,
+        previous: Cow<'_, CandidateArena>,
+        changes: Vec<(EntityId, Change)>,
+        epoch: u64,
+    ) -> Published {
         let absorb = matches!(&changes[..], [(entity, Change::Put(..))] if !self.contains(*entity));
+        let previous = if absorb {
+            self.arena = previous.into_owned();
+            None
+        } else {
+            Some(previous)
+        };
+        // Every changed entity, with the delta it grew by when that is all
+        // that happened to it: the rebuild unites its rows with the delta's.
+        let mut changed: Vec<(EntityId, Option<CellSetSequence>)> = Vec::new();
         let mut published = Published::default();
         for (entity, change) in changes {
             let (seq, sig) = match change {
-                Change::Put(seq, sig) => (seq, sig),
+                Change::Put(seq, sig) => {
+                    changed.push((entity, None));
+                    (seq, sig)
+                }
                 Change::Merge(delta_seq, delta_sig) => {
                     match (self.sequences.get(&entity), self.signatures.remove(&entity)) {
                         (Some(old_seq), Some(mut sig)) => {
                             sig.merge_min(&delta_sig);
-                            (old_seq.union(&delta_seq), sig)
+                            let seq = old_seq.union(&delta_seq);
+                            changed.push((entity, Some(delta_seq)));
+                            (seq, sig)
                         }
-                        _ => (delta_seq, delta_sig),
+                        _ => {
+                            changed.push((entity, None));
+                            (delta_seq, delta_sig)
+                        }
                     }
                 }
                 Change::Remove => {
                     self.tree.remove(entity);
                     self.sequences.remove(&entity);
                     self.signatures.remove(&entity);
+                    changed.push((entity, None));
                     published.removed += 1;
                     continue;
                 }
@@ -275,21 +335,39 @@ impl IndexSnapshot {
             }
             self.signatures.insert(entity, sig);
         }
-        if absorb {
-            self.node_arena = NodeArena::build(&self.tree);
-        } else {
-            self.set_sketch_size(self.synopsis.sketch_size(), epoch);
-            self.rebuild_arena();
+        match previous {
+            None => self.node_arena = NodeArena::build(&self.tree),
+            Some(previous) => {
+                // An entity changed twice grew by more than its last delta.
+                changed.sort_by_key(|(entity, _)| *entity);
+                changed.dedup_by(|later, first| {
+                    let twice = later.0 == first.0;
+                    if twice {
+                        first.1 = None;
+                    }
+                    twice
+                });
+                self.set_sketch_size(self.synopsis.sketch_size(), epoch);
+                self.rebuild_arena(&previous, &changed);
+            }
         }
         published
     }
 
-    fn rebuild_arena(&mut self) {
-        self.arena = CandidateArena::build(
+    /// Rebuilds both arenas over the maps, the candidate arena from
+    /// `previous` for every entity `changed` (ascending, with the delta an
+    /// entity only grew by) does not list ([`CandidateArena::rebuild`]).
+    fn rebuild_arena(
+        &mut self,
+        previous: &CandidateArena,
+        changed: &[(EntityId, Option<CellSetSequence>)],
+    ) {
+        self.arena = previous.rebuild(
             self.tree.levels(),
             self.hasher.num_functions() as usize,
             &self.sequences,
             &self.signatures,
+            changed,
         );
         self.node_arena = NodeArena::build(&self.tree);
     }
@@ -379,7 +457,8 @@ impl IndexSnapshot {
         measure: &M,
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let source = ArenaSource::new(&self.arena, query);
+        let view = QueryView::new(query);
+        let source = ArenaSource::new(&self.arena, &view);
         let request = Query { options, ..Query::new(k, measure) };
         let (results, mut stats) = engine::execute(self, query, exclude, &request, &source)?;
         stats.kernel_dispatch.absorb(source.take_dispatch());
@@ -409,7 +488,7 @@ impl IndexSnapshot {
             query,
             exclude,
             &Query { options, ..Query::new(k, measure) },
-            ArenaSource::new(&self.arena, query),
+            ArenaSource::owning(&self.arena, query),
         )
     }
 
@@ -453,5 +532,94 @@ impl IndexSnapshot {
     pub(crate) fn with_arena(mut self, rows: CandidateArena) -> IndexSnapshot {
         self.arena = rows;
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::durable::DurableShardedMinSigIndex;
+    use crate::index::MinSigIndex;
+    use crate::ingest::IngestBuffer;
+    use crate::kernel::assert_same_arena;
+    use crate::shard::ShardedMinSigIndex;
+    use crate::testkit::{StreamConfig, UniformConfig, Workload};
+    use trace_storage::LogConfig;
+
+    /// `snapshot`'s arena against one built from scratch over its maps.
+    fn assert_arena_is_fresh(snapshot: &IndexSnapshot, context: &str) {
+        let fresh = CandidateArena::build(
+            snapshot.tree.levels(),
+            snapshot.hasher.num_functions() as usize,
+            &snapshot.sequences,
+            &snapshot.signatures,
+        );
+        assert_same_arena(&snapshot.arena, &fresh, context);
+    }
+
+    /// Every publisher — an ingest flush (unions into existing entities and
+    /// new ones), a replace, a remove, a lone insert and a durable ingest —
+    /// leaves an arena whose rows the publish carried over from the previous
+    /// one equal to a fresh build, keyed rows and footprint included; in
+    /// place and, with a reader holding the old snapshot, on the copy.
+    #[test]
+    fn carried_arena_equals_a_fresh_build_after_every_publisher() {
+        let w = Workload::uniform(UniformConfig {
+            entities: 90,
+            visits: 40,
+            time_slots: 400,
+            ..UniformConfig::default()
+        });
+        let config = IndexConfig::with_hash_functions(8);
+        let stream = |i: u64| {
+            w.stream(StreamConfig {
+                records: 60,
+                existing_entities: 90,
+                new_entity_base: 1_000 + 10 * i,
+                new_entity_span: 4,
+                new_entity_percent: 25,
+                start_tick: 30_000 + 6_000 * i,
+                time_slots: 90,
+                seed: 0xA7E4 + i,
+            })
+        };
+        let mut index: MinSigIndex = w.build_index(config);
+        assert_arena_is_fresh(&index.snapshot(), "build");
+        for round in 0..2u64 {
+            let reader = (round == 1).then(|| index.snapshot());
+            let context = |step: &str| format!("round {round}, {step}");
+            let mut buffer: IngestBuffer = stream(round).into_iter().collect();
+            buffer.flush(&mut index).unwrap();
+            assert_arena_is_fresh(&index.snapshot(), &context("ingest flush"));
+            let (replaced, donor) = (EntityId(3 + round), EntityId(40 + round));
+            index.update_entity(replaced, w.traces.trace(donor).unwrap()).unwrap();
+            assert_arena_is_fresh(&index.snapshot(), &context("replace"));
+            index.remove_entity(EntityId(7 + round)).unwrap();
+            assert_arena_is_fresh(&index.snapshot(), &context("remove"));
+            let inserted =
+                index.upsert_entity(EntityId(5_000 + round), w.traces.trace(donor).unwrap());
+            assert!(inserted.unwrap(), "a new id is an insert");
+            assert_arena_is_fresh(&index.snapshot(), &context("lone insert"));
+            if let Some(reader) = reader {
+                assert_arena_is_fresh(&reader, "the reader's snapshot");
+            }
+        }
+
+        let dir =
+            std::env::temp_dir().join(format!("snapshot-carried-arena-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 2).unwrap();
+        let log = LogConfig { fsync: false, ..LogConfig::default() };
+        let mut durable = DurableShardedMinSigIndex::create(&dir, sharded, log).unwrap();
+        for batch in 0..3 {
+            let reader = (batch == 1).then(|| durable.index().snapshot());
+            durable.ingest(stream(10 + batch)).unwrap();
+            for shard in 0..2 {
+                let snapshot = durable.index().shard(shard).snapshot();
+                assert_arena_is_fresh(&snapshot, &format!("durable batch {batch}, shard {shard}"));
+            }
+            drop(reader);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

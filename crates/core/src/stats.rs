@@ -6,9 +6,9 @@ use trace_model::kernel::KernelClass;
 /// How many set intersections the flat (arena-backed) hot paths routed to
 /// each kernel class, per query.
 ///
-/// The dispatch decision of
-/// [`trace_model::kernel::intersection_len`] is a pure function of the two
-/// input lengths and the CPU ([`trace_model::kernel::dispatch_class`]), so
+/// The dispatch decision is a pure function of the row lengths and the CPU
+/// ([`trace_model::kernel::row_class`] where both rows are held in keyed form
+/// too, [`trace_model::kernel::dispatch_class`] for packed rows alone), so
 /// these counters are accounted *outside* the kernel itself — the fused
 /// degree loop classifies each per-level intersection as it issues it (one
 /// per level up to and including the first empty one; the finer levels of
@@ -28,6 +28,10 @@ pub struct KernelDispatch {
     pub gallop: u64,
     /// Intersections taken by the SIMD block kernel (where the CPU has AVX2).
     pub simd: u64,
+    /// Intersections the keyed kernel answered
+    /// ([`trace_model::kernel::keyed_overlap`], chosen by
+    /// [`trace_model::kernel::row_class`] for rows held in both forms).
+    pub keyed: u64,
 }
 
 impl KernelDispatch {
@@ -39,6 +43,7 @@ impl KernelDispatch {
             KernelClass::Merge => self.merge += 1,
             KernelClass::Gallop => self.gallop += 1,
             KernelClass::Simd => self.simd += 1,
+            KernelClass::Keyed => self.keyed += 1,
         }
     }
 
@@ -49,11 +54,12 @@ impl KernelDispatch {
         self.merge += other.merge;
         self.gallop += other.gallop;
         self.simd += other.simd;
+        self.keyed += other.keyed;
     }
 
     /// Total intersections counted across all kernel classes.
     pub fn total(&self) -> u64 {
-        self.tiny + self.merge + self.gallop + self.simd
+        self.tiny + self.merge + self.gallop + self.simd + self.keyed
     }
 }
 
@@ -431,7 +437,7 @@ mod tests {
             pool_evictions: 1,
             simulated_io_us: 40,
             reads_avoided: 6,
-            kernel_dispatch: KernelDispatch { tiny: 1, merge: 2, gallop: 3, simd: 4 },
+            kernel_dispatch: KernelDispatch { tiny: 1, merge: 2, gallop: 3, simd: 4, keyed: 5 },
             query_time_us: 99,
             ..QueryStats::default()
         };
@@ -451,7 +457,7 @@ mod tests {
         assert_eq!(a.query_time_us, 10, "wall clock is not summed");
         assert_eq!(
             a.kernel_dispatch,
-            KernelDispatch { tiny: 1, merge: 2, gallop: 3, simd: 4 },
+            KernelDispatch { tiny: 1, merge: 2, gallop: 3, simd: 4, keyed: 5 },
             "kernel dispatch counters sum across absorbed shards"
         );
     }
@@ -525,10 +531,11 @@ mod tests {
         d.record(KernelClass::Merge);
         d.record(KernelClass::Gallop);
         d.record(KernelClass::Simd);
-        assert_eq!(d, KernelDispatch { tiny: 1, merge: 2, gallop: 1, simd: 1 });
+        d.record(KernelClass::Keyed);
+        assert_eq!(d, KernelDispatch { tiny: 1, merge: 2, gallop: 1, simd: 1, keyed: 1 });
         let mut sum = d;
         sum.absorb(d);
-        assert_eq!(sum.total(), 10);
+        assert_eq!(sum.total(), 12);
     }
 
     #[test]

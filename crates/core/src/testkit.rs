@@ -946,6 +946,22 @@ pub fn issued_intersections(query: &CellSetSequence, candidate: &CellSetSequence
     (shared + 1).min(overlap.num_levels()) as u64
 }
 
+/// 1 when the fused degree loop intersects a scored pair's level-1 rows with
+/// the keyed kernel ([`row_class`] of the packed and keyed lengths), else 0.
+/// Level 1 is the one level a paged query intersects exactly as the
+/// in-memory loop does — its keyed row is resident; finer rows are read from
+/// pages and intersected packed — so summed over the scored candidates this
+/// is what a paged query's [`KernelDispatch::keyed`] must read.
+///
+/// [`row_class`]: trace_model::kernel::row_class
+/// [`KernelDispatch::keyed`]: crate::stats::KernelDispatch::keyed
+pub fn keyed_at_level_one(query: &CellSetSequence, candidate: &CellSetSequence) -> u64 {
+    use trace_model::kernel::{push_keyed, row_class, KernelClass};
+    let keyed_len = |row: &[u64]| push_keyed(row, &mut Vec::new(), &mut Vec::new());
+    let (q, c) = (query.level(1).packed_slice(), candidate.level(1).packed_slice());
+    u64::from(row_class((q.len(), c.len()), || (keyed_len(q), keyed_len(c))) == KernelClass::Keyed)
+}
+
 /// Asserts that two *exact* top-k answers are **fully bit-identical**.
 ///
 /// Exactness in this codebase pins the answer completely: every exact path

@@ -30,6 +30,25 @@
 //!
 //! All kernels require their inputs sorted ascending and deduplicated; every
 //! public entry point `debug_assert!`s that invariant.
+//!
+//! ## Keyed rows
+//!
+//! A packed row is not the only form a cell row can take.  [`push_keyed`]
+//! regroups one into a [`KeyedRow`] — a Roaring-style container (Lemire et
+//! al., arXiv:1402.6407) over `(unit, 64-time-unit word)`: sorted unique keys,
+//! one per unit and word the row touches, each with a parallel `u64` mask
+//! whose bit `time & 63` is set for every time unit of that word the row
+//! holds.  A key is the packed cell with the time's low six bits cleared
+//! (`(time >> 6) << 38 | unit`), so keyed rows ascend time-major like
+//! packed ones and converting is one pass ([`push_keyed`]).  A
+//! trace that stays in one unit for a while puts many cells under one key,
+//! so a keyed row is several times shorter than its packed row, and
+//! [`keyed_overlap`] — a merge over the keys that sums `popcount(a & b)` on
+//! equal keys — walks correspondingly fewer entries.  The keyed form is a
+//! bijection of the packed one (a cell is in the row iff its key is and its
+//! mask bit is set), so the count is the same integer `|A ∩ B|`.  Which form
+//! a pair of rows is intersected in is [`row_class`], again a pure function
+//! of lengths.
 
 /// Size-ratio threshold for switching from the two-pointer merge to galloping:
 /// gallop when `max_len >= GALLOP_SKEW * min_len`.
@@ -48,11 +67,27 @@ pub const TINY_LEN: usize = 8;
 /// ([`intersection_len_simd`]'s AVX2 path).
 pub const SIMD_LANES: usize = 4;
 
+/// How much shorter two keyed rows must be than their packed rows for
+/// [`row_class`] to intersect them keyed: keyed when `KEYED_GAIN × (keyed
+/// lengths) ≤ packed lengths`.  A keyed step does a popcount on top of a
+/// merge step's compare, and the packed side of a similar-size pair runs the
+/// [`SIMD_LANES`]-wide kernel, so halving the entries is what it takes to win.
+pub const KEYED_GAIN: usize = 2;
+
+/// Rows holding fewer cells than this between them stay packed whatever
+/// their keyed lengths.  Below it both packed rows fit in a cache line or
+/// two and the tiny or SIMD kernel answers in about 20 ns, while the keyed
+/// rows live in vectors of their own: fetching them costs more than the
+/// shorter merge saves (measured on 9-cell rows, where keyed was 5–10 %
+/// slower per query and on 90-cell rows 1.7× faster).
+pub const KEYED_MIN_CELLS: usize = 32;
+
 /// Which kernel [`intersection_len`] routes a given pair of input lengths to.
 ///
 /// Returned by [`dispatch_class`]; the mapping depends only on the two
 /// lengths (and on whether the CPU has AVX2), never on the slice contents, so
 /// callers can classify an intersection without re-running it.
+/// [`row_class`] adds [`KernelClass::Keyed`] for rows held in both forms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelClass {
     /// Both sides ≤ [`TINY_LEN`] (or one side empty): branch-free all-pairs.
@@ -63,6 +98,9 @@ pub enum KernelClass {
     Simd,
     /// Similar sizes on a CPU without AVX2: scalar two-pointer merge.
     Merge,
+    /// Both rows' keyed forms, [`keyed_overlap`]: chosen by [`row_class`],
+    /// never by [`dispatch_class`].
+    Keyed,
 }
 
 /// The kernel [`intersection_len`] will use for inputs of the given lengths.
@@ -100,6 +138,216 @@ fn has_avx2() -> bool {
     {
         false
     }
+}
+
+/// True when the CPU has the `popcnt` instruction ([`keyed_overlap`]'s
+/// routing probe, cached like [`has_avx2`]'s).
+#[inline]
+fn has_popcnt() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("popcnt")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The kernel for one pair of rows held in both forms, packed lengths
+/// `packed`: [`KernelClass::Keyed`] when neither row is empty, together they
+/// hold at least [`KEYED_MIN_CELLS`] cells, and the keyed lengths `keyed()`
+/// are at most `1 / KEYED_GAIN` of the packed ones ([`KEYED_GAIN`]);
+/// otherwise what [`dispatch_class`] picks for the packed rows.  `keyed` is
+/// called only when the packed lengths leave the choice open, so a caller
+/// whose keyed lengths live in memory of their own touches it only then.
+/// Pure in the four lengths and the CPU, like [`dispatch_class`], so callers
+/// account it without running it.
+#[inline]
+pub fn row_class(packed: (usize, usize), keyed: impl FnOnce() -> (usize, usize)) -> KernelClass {
+    let (a, b) = packed;
+    if a.min(b) > 0 && a + b >= KEYED_MIN_CELLS {
+        let (keyed_a, keyed_b) = keyed();
+        if KEYED_GAIN * (keyed_a + keyed_b) <= a + b {
+            return KernelClass::Keyed;
+        }
+    }
+    dispatch_class(a, b)
+}
+
+/// One cell row in keyed form (see the [module docs](self)): ascending unique
+/// keys `(time >> 6) << 38 | unit` and, parallel to them, the masks of the 64
+/// time units under each key the row holds (bit `time & 63`; never 0).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KeyedRow<'a> {
+    keys: &'a [u64],
+    masks: &'a [u64],
+}
+
+impl<'a> KeyedRow<'a> {
+    /// The row with these keys and masks (equal lengths, keys ascending).
+    #[inline]
+    pub fn new(keys: &'a [u64], masks: &'a [u64]) -> Self {
+        debug_assert_eq!(keys.len(), masks.len(), "a mask per key");
+        KeyedRow { keys, masks }
+    }
+
+    /// Number of keys.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True when the row holds no cell.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+}
+
+/// The time bits a keyed key drops into its mask: the low six of the
+/// packed cell's time half.
+const WORD_BITS: u64 = 63 << 32;
+
+/// Appends the keyed form of one packed row (ascending, deduplicated
+/// [`StCell::packed`](crate::cell::StCell::packed) values) to `keys` /
+/// `masks`, which must be of equal length, and returns how many keys it
+/// appended.
+///
+/// A cell's key is the cell with its time's low six bits cleared and its
+/// mask bit is those six bits, so the keys ascend word by word like the
+/// packed cells and one pass does it: a word's cells are adjacent in the
+/// packed row, its keys (one per unit seen in those 64 time units) are
+/// appended as they first appear, and sorted when the word ends.
+pub fn push_keyed(packed: &[u64], keys: &mut Vec<u64>, masks: &mut Vec<u64>) -> usize {
+    debug_assert!(is_sorted_dedup(packed), "a packed row is sorted and deduplicated");
+    debug_assert_eq!(keys.len(), masks.len(), "a mask per key");
+    let start = keys.len();
+    // The current word's keys are `keys[word..]`, in order of appearance;
+    // `last` is the key the previous cell went to, which a trace that stays
+    // in one unit hits again.
+    let (mut word, mut last) = (start, start);
+    for &cell in packed {
+        let (key, bit) = (cell & !WORD_BITS, 1u64 << ((cell & WORD_BITS) >> 32));
+        if keys.get(last) != Some(&key) {
+            if keys.len() > word && (keys[word] ^ key) >> 32 != 0 {
+                sort_word(&mut keys[word..], &mut masks[word..]);
+                word = keys.len();
+            }
+            last = match keys[word..].iter().position(|&k| k == key) {
+                Some(at) => word + at,
+                None => {
+                    keys.push(key);
+                    masks.push(0);
+                    keys.len() - 1
+                }
+            };
+        }
+        masks[last] |= bit;
+    }
+    sort_word(&mut keys[word..], &mut masks[word..]);
+    keys.len() - start
+}
+
+/// Sorts one word's keys — usually a handful, one per unit — carrying their
+/// masks along: by insertion, or through a sorted copy when there are many.
+fn sort_word(keys: &mut [u64], masks: &mut [u64]) {
+    if keys.len() > 16 {
+        let mut pairs: Vec<(u64, u64)> = keys.iter().copied().zip(masks.iter().copied()).collect();
+        pairs.sort_unstable();
+        for ((key, mask), (k, m)) in keys.iter_mut().zip(masks.iter_mut()).zip(pairs) {
+            (*key, *mask) = (k, m);
+        }
+        return;
+    }
+    for i in 1..keys.len() {
+        let (key, mask) = (keys[i], masks[i]);
+        let mut j = i;
+        while j > 0 && keys[j - 1] > key {
+            keys[j] = keys[j - 1];
+            masks[j] = masks[j - 1];
+            j -= 1;
+        }
+        keys[j] = key;
+        masks[j] = mask;
+    }
+}
+
+/// Appends the keyed form of the union of two rows given in keyed form —
+/// their keys merged, the masks of a key both hold ORed — to `keys` /
+/// `masks`, and returns how many keys it appended: what [`push_keyed`] of
+/// the union of the packed rows appends, in the time of a merge over keys.
+pub fn push_keyed_union(
+    a: KeyedRow<'_>,
+    b: KeyedRow<'_>,
+    keys: &mut Vec<u64>,
+    masks: &mut Vec<u64>,
+) -> usize {
+    debug_assert_eq!(keys.len(), masks.len(), "a mask per key");
+    let start = keys.len();
+    let (mut i, mut j) = (0, 0);
+    while i < a.keys.len() && j < b.keys.len() {
+        let (x, y) = (a.keys[i], b.keys[j]);
+        keys.push(x.min(y));
+        masks.push(if x <= y { a.masks[i] } else { 0 } | if y <= x { b.masks[j] } else { 0 });
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    keys.extend_from_slice(&a.keys[i..]);
+    masks.extend_from_slice(&a.masks[i..]);
+    keys.extend_from_slice(&b.keys[j..]);
+    masks.extend_from_slice(&b.masks[j..]);
+    keys.len() - start
+}
+
+/// `|A ∩ B|` of two rows in keyed form — the exact integer
+/// [`intersection_len`] returns for the rows' packed forms.
+///
+/// On x86-64 with AVX2 this is [`intersection_len_simd`]'s block scheme over
+/// the keys: the current [`SIMD_LANES`]-wide `a`-block of keys is compared
+/// with the current `b`-block and its three lane rotations, each `a`-lane
+/// picks up the mask of the `b`-lane it equals (at most one: keys are
+/// unique), the picked masks are ANDed with the `a`-block's masks and
+/// popcounted per lane, and the block with the smaller last key advances
+/// (both on ties).  A shared key meets its partner in exactly one iteration,
+/// as in the packed kernel, and the partial-block tail is finished by
+/// [`keyed_overlap_merge`].  Elsewhere this *is* [`keyed_overlap_merge`].
+pub fn keyed_overlap(a: KeyedRow<'_>, b: KeyedRow<'_>) -> usize {
+    debug_assert!(is_sorted_dedup(a.keys), "keyed row `a` must be sorted and deduplicated");
+    debug_assert!(is_sorted_dedup(b.keys), "keyed row `b` must be sorted and deduplicated");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() && has_popcnt() {
+        // SAFETY: AVX2 and `popcnt` support were just verified at runtime.
+        return unsafe { x86::keyed_overlap_avx2(a, b) };
+    }
+    keyed_overlap_merge(a, b)
+}
+
+/// `|A ∩ B|` of two rows in keyed form — the scalar merge over the keys that
+/// adds `popcount(mask_a & mask_b)` on every equal key: [`keyed_overlap`]'s
+/// tail and its conformance oracle.
+pub fn keyed_overlap_merge(a: KeyedRow<'_>, b: KeyedRow<'_>) -> usize {
+    debug_assert!(is_sorted_dedup(a.keys), "keyed row `a` must be sorted and deduplicated");
+    debug_assert!(is_sorted_dedup(b.keys), "keyed row `b` must be sorted and deduplicated");
+    keyed_overlap_body(a, b)
+}
+
+/// The keyed merge itself, branch-free: both cursors advance by comparison
+/// results and a non-matching pair adds a popcount of zero.  Inlined into
+/// the AVX2 kernel, whose `popcnt` feature it then compiles with.
+#[inline(always)]
+fn keyed_overlap_body(a: KeyedRow<'_>, b: KeyedRow<'_>) -> usize {
+    let (a_keys, b_keys) = (a.keys, b.keys);
+    let (a_masks, b_masks) = (&a.masks[..a_keys.len()], &b.masks[..b_keys.len()]);
+    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
+    while i < a_keys.len() && j < b_keys.len() {
+        let (x, y) = (a_keys[i], b_keys[j]);
+        let equal = u64::from(x == y).wrapping_neg();
+        count += (a_masks[i] & b_masks[j] & equal).count_ones() as usize;
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    count
 }
 
 /// True iff `s` is sorted ascending with no duplicates — the input contract
@@ -244,6 +492,7 @@ pub fn intersection_len(a: &[u64], b: &[u64]) -> usize {
         KernelClass::Gallop => intersection_len_gallop(a, b),
         KernelClass::Simd => intersection_len_simd(a, b),
         KernelClass::Merge => intersection_len_merge(a, b),
+        KernelClass::Keyed => unreachable!("dispatch_class routes packed rows only"),
     }
 }
 
@@ -339,6 +588,76 @@ mod x86 {
             j += if b_max <= a_max { AVX_LANES } else { 0 };
         }
         count + super::intersection_len_merge(&a[i..], &b[j..])
+    }
+
+    /// Blockwise 4-lane keyed overlap.  See [`super::keyed_overlap`] for the
+    /// scheme; the block-advance rule and its counting argument are
+    /// [`intersection_len_avx2`]'s.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and `popcnt`.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn keyed_overlap_avx2(
+        a: super::KeyedRow<'_>,
+        b: super::KeyedRow<'_>,
+    ) -> usize {
+        let (a_keys, b_keys) = (a.keys, b.keys);
+        let (a_masks, b_masks) = (&a.masks[..a_keys.len()], &b.masks[..b_keys.len()]);
+        let (mut i, mut j) = (0usize, 0usize);
+        let na = a_keys.len() & !(AVX_LANES - 1);
+        let nb = b_keys.len() & !(AVX_LANES - 1);
+        let mut counts = _mm256_setzero_si256();
+        while i < na && j < nb {
+            // SAFETY: `i + AVX_LANES <= na <= a_keys.len() == a_masks.len()`
+            // (likewise for `b`) by the loop condition and the slicing above,
+            // which covers every load and `get_unchecked` below; the loads
+            // are explicitly unaligned.
+            let ka = _mm256_loadu_si256(a_keys.as_ptr().add(i).cast());
+            let kb = _mm256_loadu_si256(b_keys.as_ptr().add(j).cast());
+            let e0 = _mm256_cmpeq_epi64(ka, kb);
+            let e1 = _mm256_cmpeq_epi64(ka, _mm256_permute4x64_epi64(kb, 0b00_11_10_01));
+            let e2 = _mm256_cmpeq_epi64(ka, _mm256_permute4x64_epi64(kb, 0b01_00_11_10));
+            let e3 = _mm256_cmpeq_epi64(ka, _mm256_permute4x64_epi64(kb, 0b10_01_00_11));
+            let any = _mm256_or_si256(_mm256_or_si256(e0, e1), _mm256_or_si256(e2, e3));
+            if _mm256_testz_si256(any, any) == 0 {
+                let ma = _mm256_loadu_si256(a_masks.as_ptr().add(i).cast());
+                let mb = _mm256_loadu_si256(b_masks.as_ptr().add(j).cast());
+                // Lane by lane, the mask of the `b`-lane whose key equals it.
+                let m0 = _mm256_and_si256(e0, mb);
+                let m1 = _mm256_and_si256(e1, _mm256_permute4x64_epi64(mb, 0b00_11_10_01));
+                let m2 = _mm256_and_si256(e2, _mm256_permute4x64_epi64(mb, 0b01_00_11_10));
+                let m3 = _mm256_and_si256(e3, _mm256_permute4x64_epi64(mb, 0b10_01_00_11));
+                let picked = _mm256_or_si256(_mm256_or_si256(m0, m1), _mm256_or_si256(m2, m3));
+                counts = _mm256_add_epi64(counts, popcount_lanes(_mm256_and_si256(ma, picked)));
+            }
+            let a_max = *a_keys.get_unchecked(i + AVX_LANES - 1);
+            let b_max = *b_keys.get_unchecked(j + AVX_LANES - 1);
+            i += if a_max <= b_max { AVX_LANES } else { 0 };
+            j += if b_max <= a_max { AVX_LANES } else { 0 };
+        }
+        let mut lanes = [0u64; AVX_LANES];
+        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), counts);
+        let a_tail = super::KeyedRow::new(&a_keys[i..], &a_masks[i..]);
+        let b_tail = super::KeyedRow::new(&b_keys[j..], &b_masks[j..]);
+        lanes.iter().sum::<u64>() as usize + super::keyed_overlap_body(a_tail, b_tail)
+    }
+
+    /// Per-lane popcount of four `u64`s: nibble counts by table lookup,
+    /// summed per lane by `sad_epu8` (AVX2 has no 64-bit popcount).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn popcount_lanes(v: __m256i) -> __m256i {
+        let table = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
+            3, 3, 4,
+        );
+        let low = _mm256_set1_epi8(0x0f);
+        let lo = _mm256_shuffle_epi8(table, _mm256_and_si256(v, low));
+        let hi = _mm256_shuffle_epi8(table, _mm256_and_si256(_mm256_srli_epi16(v, 4), low));
+        _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256())
     }
 
     /// 4-lane element-wise unsigned minimum into `dst`.  Unsigned 64-bit min

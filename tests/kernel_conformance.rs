@@ -2,10 +2,11 @@
 //! owned-representation oracles:
 //!
 //! * the intersection kernels (three-way-compare merge, galloping, the SIMD
-//!   block kernel) and the dispatcher must agree on **arbitrary** sorted
-//!   sets, including adversarially skewed size ratios that force the
-//!   galloping path — each kernel called by name, so all of them are checked
-//!   whichever one the dispatcher routes to on this machine;
+//!   block kernel, and the keyed kernels over the sets' keyed forms) and the
+//!   dispatcher must agree on **arbitrary** sorted sets, including
+//!   adversarially skewed size ratios that force the galloping path — each
+//!   kernel called by name, so all of them are checked whichever one the
+//!   dispatcher routes to on this machine;
 //! * the arena-backed scan and the fused degree loop — which stops
 //!   intersecting at the first empty level — must answer **bitwise
 //!   identically** to degrees computed from the owned `CellSetSequence`
@@ -31,7 +32,8 @@ use digital_traces::mobility_models::{SynConfig, SynDataset};
 use digital_traces::model::adm::LevelRatio;
 use digital_traces::model::kernel::{
     intersection_len, intersection_len_gallop, intersection_len_merge, intersection_len_simd,
-    merge_min, merge_min_scalar, GALLOP_SKEW, SIMD_LANES,
+    keyed_overlap, keyed_overlap_merge, merge_min, merge_min_scalar, push_keyed, KeyedRow,
+    GALLOP_SKEW, SIMD_LANES,
 };
 use digital_traces::model::{
     CellSet, CellSetSequence, LevelRows, ModelError, StCell, WeightedLevelAdm,
@@ -46,12 +48,24 @@ fn to_set(mut v: Vec<u64>) -> Vec<u64> {
     v
 }
 
-/// Asserts all four intersection entry points agree on `(a, b)`, both ways.
-/// The three-way-compare merge is the oracle; the SIMD kernel must match it
-/// whatever the host has (AVX2, or the merge it falls back to), and so must
-/// the dispatcher, whichever of them it routes the similar-size regime to.
+/// Asserts all four intersection entry points agree on `(a, b)`, both ways,
+/// and both keyed kernels on the sets' keyed forms (any sorted `u64`s are
+/// packed cells).  The three-way-compare merge is the oracle; the SIMD
+/// kernels must match it whatever the host has (AVX2, or the merge they fall
+/// back to), and so must the dispatcher, whichever of them it routes the
+/// similar-size regime to.
 fn assert_kernels_agree(a: &[u64], b: &[u64]) {
     let expect = intersection_len_merge(a, b);
+    let keyed = |set: &[u64]| {
+        let (mut keys, mut masks) = (Vec::new(), Vec::new());
+        push_keyed(set, &mut keys, &mut masks);
+        (keys, masks)
+    };
+    let ((a_keys, a_masks), (b_keys, b_masks)) = (keyed(a), keyed(b));
+    let (ka, kb) = (KeyedRow::new(&a_keys, &a_masks), KeyedRow::new(&b_keys, &b_masks));
+    assert_eq!(keyed_overlap(ka, kb), expect, "keyed vs merge");
+    assert_eq!(keyed_overlap_merge(ka, kb), expect, "scalar keyed vs merge");
+    assert_eq!(keyed_overlap(kb, ka), expect, "keyed symmetry");
     assert_eq!(intersection_len_gallop(a, b), expect, "gallop vs merge");
     assert_eq!(intersection_len_simd(a, b), expect, "simd vs merge");
     assert_eq!(intersection_len(a, b), expect, "dispatcher vs merge");
@@ -171,9 +185,11 @@ fn kernels_agree_on_degenerate_shapes() {
 }
 
 /// Exhaustive sweep over **all** length pairs `0..=64 × 0..=64`, three
-/// overlap densities each — every block-remainder combination of the SIMD
-/// kernels, the tiny-loop cutover and the gallop cutover.  ~12.7k shapes ×
-/// 10 kernel calls; run with `cargo test -- --ignored` (CI does).
+/// overlap densities each plus one of clustered cells (three units over 200
+/// time units, so several cells share most keys) — every block-remainder
+/// combination of the SIMD kernels, packed and keyed, the tiny-loop cutover
+/// and the gallop cutover.  ~16.9k shapes × 13 kernel calls; run with
+/// `cargo test -- --ignored` (CI does).
 #[test]
 #[ignore = "exhaustive; run explicitly or via the CI kernel sweep"]
 fn exhaustive_length_sweep() {
@@ -193,6 +209,13 @@ fn exhaustive_length_sweep() {
                 let b = to_set((0..b_len).map(|_| next() % domain).collect());
                 assert_kernels_agree(&a, &b);
             }
+            let mut clustered = |len| {
+                to_set(
+                    (0..len).map(|_| next()).map(|r| ((r % 200) << 32) | ((r >> 32) % 3)).collect(),
+                )
+            };
+            let (a, b) = (clustered(a_len), clustered(b_len));
+            assert_kernels_agree(&a, &b);
         }
     }
 }

@@ -14,10 +14,13 @@
 //! [`PagedShardedSnapshot`]: digital_traces::index::PagedShardedSnapshot
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, assert_valid_top_k, ChaoticReplacer, HierarchySpec, UniformConfig,
-    Workload,
+    assert_equivalent_answers, assert_valid_top_k, keyed_at_level_one, ChaoticReplacer,
+    HierarchySpec, UniformConfig, Workload,
 };
-use digital_traces::index::{IndexConfig, JoinOptions, PlannerConfig, Query, ShardedMinSigIndex};
+use digital_traces::index::{
+    IndexConfig, JoinOptions, PlannerConfig, Query, QueryStats, ShardedMinSigIndex,
+};
+use digital_traces::mobility_models::{SynConfig, SynDataset};
 use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, ReplacerPolicy, PAGE_SIZE};
 use digital_traces::EntityId;
 use proptest::prelude::*;
@@ -312,6 +315,16 @@ fn unreadable_candidates_are_counted_and_lower_the_recall_estimate() {
     assert_eq!((stats.candidates_unreadable, stats.recall_estimate), (0, 1.0));
 }
 
+/// A paged query issues the in-memory query's intersections: the same number,
+/// and at level 1 — the one level it intersects from a resident row — the
+/// same kernels; its finer rows come from pages and run packed, so it can
+/// only have run fewer keyed intersections, never more.
+fn assert_same_intersections(paged: &QueryStats, mem: &QueryStats, ctx: &str) {
+    let (paged, mem) = (paged.kernel_dispatch, mem.kernel_dispatch);
+    assert_eq!(paged.total(), mem.total(), "{ctx}: intersections issued");
+    assert!(paged.keyed <= mem.keyed, "{ctx}: keyed {} of {}", paged.keyed, mem.keyed);
+}
+
 /// Candidates that share no level-1 cell with the query are scored from the
 /// snapshot's resident rows, never read: the paged query does the in-memory
 /// query's work — answers, `entities_checked`, kernel dispatch — and its page
@@ -346,7 +359,7 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
             let ctx = format!("query {query}, k {}", planned.k);
             assert_equivalent_answers(&out, &mem, &ctx);
             assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{ctx}");
-            assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "{ctx}");
+            assert_same_intersections(&stats, &mem_stats, &ctx);
             assert_eq!(mem_stats.reads_avoided, 0, "{ctx}: nothing is read in memory");
             assert!(stats.reads_avoided > 0, "{ctx}");
         }
@@ -376,4 +389,53 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
     assert_eq!(stats.reads_avoided, disjoint_from(query).len() - 1);
     assert!(out.iter().all(|r| r.entity != dropped));
     assert!(stats.recall_estimate < 1.0);
+}
+
+/// On the paper's SYN population rows are long and clustered enough for the
+/// keyed kernel.  A paged query scoring every candidate (no sketch, k = the
+/// population) answers and works like the in-memory one, issues as many
+/// intersections, and runs keyed exactly the level-1 intersections the
+/// in-memory loop runs keyed: its level-1 test reads the resident keyed row,
+/// its finer rows are read from pages and intersected packed.
+#[test]
+fn paged_level_one_runs_the_in_memory_kernel_on_syn() {
+    let dataset = SynDataset::generate(SynConfig {
+        num_entities: 160,
+        days: 7,
+        comover_fraction: 0.2,
+        seed: 5,
+        ..SynConfig::default()
+    })
+    .unwrap();
+    let config = IndexConfig::with_hash_functions(16);
+    let mut sharded =
+        ShardedMinSigIndex::build(dataset.sp_index(), &dataset.traces, config, 3).unwrap();
+    sharded.set_synopsis_sketch_size(0);
+    let snapshot = sharded.snapshot();
+    let store = PagedTraceStore::build(&dataset.traces, 4);
+    let measure = digital_traces::PaperAdm::default_for(dataset.sp_index().height() as usize);
+    let population = dataset.traces.entities().count();
+    let everyone = Query::new(population, &measure);
+    let (mut keyed_level_one, mut keyed_finer) = (0, 0);
+    for query in dataset.traces.entities().step_by(23) {
+        let pool = store.pool(pool_config(8, ReplacerPolicy::default()));
+        let (out, stats) = snapshot.paged(&store, &pool).query(query, &everyone).unwrap();
+        let (mem, mem_stats) = snapshot.query(query, &everyone).unwrap();
+        let ctx = format!("query {query}");
+        assert_equivalent_answers(&out, &mem, &ctx);
+        assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{ctx}");
+        assert_same_intersections(&stats, &mem_stats, &ctx);
+        let sequence = snapshot.sequence(query).unwrap();
+        let level_one: u64 = (0..snapshot.num_shards())
+            .flat_map(|s| snapshot.shard(s).sequences())
+            .filter(|&(&e, _)| e != query)
+            .map(|(_, candidate)| keyed_at_level_one(sequence, candidate))
+            .sum();
+        assert_eq!(stats.kernel_dispatch.keyed, level_one, "{ctx}: keyed at level 1 only");
+        keyed_level_one += level_one;
+        keyed_finer += mem_stats.kernel_dispatch.keyed - level_one;
+        assert_eq!(pool.pinned_frames(), 0);
+    }
+    assert!(keyed_level_one > 0, "level 1 runs keyed on SYN");
+    assert!(keyed_finer > 0, "memory runs finer levels keyed too");
 }
