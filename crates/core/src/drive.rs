@@ -34,7 +34,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
-use trace_storage::PinnedPages;
 
 /// Frontier nodes a tree executor advances per step before its job is
 /// requeued.  A smaller quantum interleaves shards more finely, so bounds
@@ -44,8 +43,8 @@ const STEP_QUANTUM: usize = 32;
 
 /// How one query reads the shards' candidates — the whole difference between
 /// the in-memory path (`shard::ArenaAccess`, over the candidate arenas) and
-/// the out-of-core one (`paged::PagedAccess`, over the trace store through
-/// the buffer pool).  An access serves one query — it knows whose — on one
+/// the out-of-core one (`paged::PagedAccess`, over the session's row pages
+/// through the buffer pool).  An access serves one query — it knows whose — on one
 /// thread; the sources it hands out travel with their executors and scans.
 pub(crate) trait ShardAccess<'q> {
     /// What a tree executor evaluates its leaves through and a scan scores
@@ -83,12 +82,6 @@ pub(crate) trait ShardAccess<'q> {
     /// What fetching one cold page costs, in microseconds.
     fn miss_latency_us(&self) -> u64 {
         0
-    }
-
-    /// Pins the query entity's own trace for the whole fan-out, so no
-    /// replacer decision can push it out between step quanta.
-    fn pin_query(&self) -> Option<PinnedPages<'q, 'q>> {
-        None
     }
 
     /// The flat degree loop over the members of `shard`, scored through a
@@ -164,14 +157,9 @@ where
 {
     admit(access.shards(), access.sequence(), query)?;
     let start = Instant::now();
-    let pins = access.pin_query();
     let plan = plan::plan_query(access, query);
     let planning_us = start.elapsed().as_micros() as u64;
-    let (results, mut stats) = execute(access, &plan, query, parallel, start, planning_us)?;
-    if let Some(pins) = pins {
-        stats.absorb_io(pins.io());
-    }
-    Ok((results, stats))
+    execute(access, &plan, query, parallel, start, planning_us)
 }
 
 /// Drives an already-built plan and merges the per-shard answers.  `start`

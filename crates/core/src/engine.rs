@@ -19,8 +19,8 @@
 //!   this entity's degree with the query" during leaf evaluation.
 //!   [`ArenaSource`](crate::kernel::ArenaSource) scores from the snapshot's
 //!   flat candidate arena; [`PagedArenaSource`](crate::paged::PagedArenaSource)
-//!   reads raw traces through a `trace-storage` buffer pool, charging
-//!   simulated I/O;
+//!   reads the finer cell rows its out-of-core session keeps on pages
+//!   through a `trace-storage` buffer pool, charging simulated I/O;
 //! * the **termination bound** — the [`Bound`] trait — is the degree a
 //!   candidate subtree must beat to stay alive.  [`PrivateBound`] is inert
 //!   (the executor then prunes against its own k-th-best threshold only, the
@@ -100,7 +100,8 @@
 //! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts;
 //! inside the crate the same constructor takes any [`TraceSource`] — with a
 //! [`PagedArenaSource`](crate::paged::PagedArenaSource) the same search
-//! answers from a disk-backed store; the logical search does not change.
+//! answers from rows kept on a disk-backed store; the logical search does
+//! not change.
 //!
 //! ```
 //! use minsig::engine::PrivateBound;

@@ -30,7 +30,7 @@ use trace_model::{CellSetSequence, DigitalTrace, EntityId, SpIndex, TraceSet};
 /// The index owns a copy of the spatial hierarchy, the hash family, the tree and
 /// the materialised ST-cell set sequences of every indexed entity, packaged as
 /// an immutable [`IndexSnapshot`] (the paged query path of [`crate::paged`]
-/// reads raw traces from a disk-backed store instead).  Call
+/// reads the finer cell rows from a disk-backed store instead).  Call
 /// [`snapshot`](MinSigIndex::snapshot) to share the current version with other
 /// threads; updates on the handle never disturb snapshots already handed out.
 #[derive(Debug)]

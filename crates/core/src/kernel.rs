@@ -38,10 +38,11 @@
 //! row lengths: the keyed kernel when both rows are long enough and their
 //! keyed forms at most half as long, else the branch-light / galloping / SIMD
 //! packed kernels of [`trace_model::kernel`] (re-exported here).  Every form
-//! counts the same integer.  The loop exists once (`level_overlaps`; the
-//! tracked arena variant and the paged source call the same function — the
-//! paged source with packed rows only past level 1) and **stops intersecting
-//! at the first empty level**: sequences are ancestor-closed (a
+//! counts the same integer.  The loop exists once (`level_overlaps`, over
+//! one candidate's rows: the arena's, or — for the out-of-core session,
+//! `CandidateArena::paged_overlaps` — a resident level-1 row with the finer
+//! rows read from pages when first needed) and **stops intersecting at the
+//! first empty level**: sequences are ancestor-closed (a
 //! [`CellSetSequence`] invariant), so two entities that share no level-`l`
 //! cell share no finer one either, and the remaining levels are recorded as
 //! `overlap: 0` with their true sizes.  The owned path
@@ -71,7 +72,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use trace_model::ajpi::{LevelOverlap, LevelStat};
-use trace_model::kernel::{keyed_overlap, push_keyed, push_keyed_union, row_class, KeyedRow};
+use trace_model::kernel::{
+    keyed_overlap, push_keyed, push_keyed_union, push_packed, row_class, KeyedRow,
+};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level};
 
 pub use trace_model::kernel::{
@@ -540,9 +543,65 @@ impl CandidateArena {
         dispatch: Option<&mut KernelDispatch>,
     ) {
         debug_assert_eq!(view.num_levels(), self.num_levels());
-        let (row, first) = (self.row(pos), pos * self.num_levels());
-        let packed = |i: usize| &self.cells[row[i]..row[i + 1]];
-        level_overlaps(view, packed, |i| Some(self.keyed.row(first + i)), scratch, dispatch);
+        level_overlaps(view, &mut self.rows(pos), scratch, dispatch);
+    }
+
+    /// Every row of the entity at `pos`, as [`level_overlaps`] reads them.
+    #[inline]
+    fn rows(&self, pos: usize) -> ArenaRows<'_> {
+        ArenaRows {
+            cells: &self.cells,
+            cell_ends: self.row(pos),
+            keyed: &self.keyed,
+            first: pos * self.num_levels(),
+        }
+    }
+
+    /// Words the keyed rows of levels 2..m of the entity at `pos` take in the
+    /// form [`push_finer_rows`](Self::push_finer_rows) writes: a key and a
+    /// mask per key.
+    pub(crate) fn finer_words(&self, pos: usize) -> usize {
+        let m = self.num_levels();
+        2 * self.keyed.keys_in(pos * m + 1..(pos + 1) * m)
+    }
+
+    /// Appends the keyed rows of levels 2..m of the entity at `pos` to
+    /// `out`, level by level, each as its keys then its masks — copied, not
+    /// converted: what an out-of-core session keeps on pages and
+    /// [`paged_overlaps`](Self::paged_overlaps) reads back.
+    pub(crate) fn push_finer_rows(&self, pos: usize, out: &mut Vec<u64>) {
+        let m = self.num_levels();
+        for r in pos * m + 1..(pos + 1) * m {
+            let span = self.keyed.offsets[r]..self.keyed.offsets[r + 1];
+            out.extend_from_slice(&self.keyed.keys[span.clone()]);
+            out.extend_from_slice(&self.keyed.masks[span]);
+        }
+    }
+
+    /// [`level_overlaps`] of the candidate at `pos` with only its level-1
+    /// row and the lengths of its rows taken from the arena: its finer rows
+    /// are what `read` appends to the vector it is handed —
+    /// [`finer_words`](Self::finer_words) words, in the form
+    /// [`push_finer_rows`](Self::push_finer_rows) writes.  `read` runs only
+    /// when a level past the first is intersected, so never for a candidate
+    /// that shares no level-1 cell with the query.  Where [`row_class`]
+    /// picks the packed kernel for a finer row, the row is rebuilt from its
+    /// keyed form ([`push_packed`]) in `scratch`.  Everything else — the
+    /// loop, the class of every intersection, the integers handed on — is
+    /// [`overlaps_into`](Self::overlaps_into)'s.  Returns whether `read` ran.
+    pub(crate) fn paged_overlaps(
+        &self,
+        pos: usize,
+        view: &QueryView<'_>,
+        read: impl FnOnce(&mut Vec<u64>),
+        scratch: &mut RowScratch,
+        out: &mut LevelOverlap,
+        dispatch: Option<&mut KernelDispatch>,
+    ) -> bool {
+        let RowScratch { words, cells } = scratch;
+        let mut rows = PagedRows { resident: self.rows(pos), read: Some(read), words, cells };
+        level_overlaps(view, &mut rows, out, dispatch);
+        rows.read.is_none()
     }
 
     /// [`degree_into`](Self::degree_into) plus per-kernel dispatch
@@ -561,44 +620,6 @@ impl CandidateArena {
     ) -> f64 {
         self.overlaps_into(pos, view, scratch, Some(dispatch));
         measure.degree_from_overlap(scratch)
-    }
-
-    /// The degree of the candidate at `pos` from its level-1 row and its
-    /// per-level sizes alone, when the coarsest level rules it out: a
-    /// candidate sharing no level-1 cell with the query shares none at any
-    /// level (both sides are ancestor-closed), so its overlap is 0
-    /// everywhere and its exact degree is the measure's value on the
-    /// all-zero [`LevelStat`]s `scratch` is filled with — bit for bit what
-    /// [`level_overlaps`] hands the measure, with the same one level-1
-    /// intersection — keyed or packed by the same [`row_class`] — counted
-    /// into `dispatch`.  Otherwise nothing is counted and the candidate's
-    /// level-1 row, in both forms, is the `Err`: the caller scores the
-    /// candidate from its full trace, whose level-1 row must be that one.
-    pub(crate) fn disjoint_degree<M: AssociationMeasure + ?Sized>(
-        &self,
-        pos: usize,
-        view: &QueryView<'_>,
-        measure: &M,
-        scratch: &mut LevelOverlap,
-        dispatch: Option<&mut KernelDispatch>,
-    ) -> Result<f64, (&[u64], KeyedRow<'_>)> {
-        debug_assert_eq!(view.num_levels(), self.num_levels());
-        let row = self.row(pos);
-        let (packed, keyed) =
-            (&self.cells[row[0]..row[1]], self.keyed.row(pos * self.num_levels()));
-        let (overlap, class) = level_overlap(view, 0, packed, || Some(keyed));
-        if overlap > 0 {
-            return Err((packed, keyed));
-        }
-        if let Some(dispatch) = dispatch {
-            dispatch.record(class);
-        }
-        scratch.clear();
-        for (i, ends) in row.windows(2).enumerate() {
-            let (size_a, size_b) = (view.level(i).len(), ends[1] - ends[0]);
-            scratch.push(LevelStat { overlap: 0, size_a, size_b });
-        }
-        Ok(measure.degree_from_overlap(scratch))
     }
 
     /// One-shot variant of `degree_into` that owns its
@@ -851,76 +872,219 @@ impl NodeArena {
     }
 }
 
-/// `|Q ∩ C|` at level `i + 1` of the view's query and one candidate row —
-/// `packed`, and `keyed()` when the candidate holds that row in keyed form
-/// too — with the kernel class that computed it: [`row_class`], which asks
-/// for the keyed rows only when the packed lengths leave the choice open (a
-/// candidate without one classifies as its packed rows).  Every class
-/// computes the same integer.
-#[inline]
-fn level_overlap<'c>(
-    view: &QueryView<'_>,
-    i: usize,
-    packed: &[u64],
-    keyed: impl FnOnce() -> Option<KeyedRow<'c>>,
-) -> (usize, KernelClass) {
-    let query = view.level(i);
-    let lengths = (query.len(), packed.len());
-    let mut rows = None;
-    let class = row_class(lengths, || match keyed() {
-        Some(row) => {
-            let query_row = view.keyed.row(i);
-            rows = Some((query_row, row));
-            (query_row.len(), row.len())
+/// One candidate's cell rows as [`level_overlaps`] reads them: per level the
+/// packed and keyed lengths, which [`row_class`] decides by, and the overlap
+/// with the query by the kernel it decided on.  Every kernel computes the
+/// same integer `|Q ∩ C|`.
+trait CandidateRows {
+    /// What the loop holds of a packed row between sizing and intersecting it.
+    type Row: Copy;
+    /// What it holds of a keyed row.
+    type Keyed: Copy;
+
+    /// The level-`i + 1` row.
+    fn row(&self, i: usize) -> Self::Row;
+
+    /// Cells in `row`.
+    fn cells(row: Self::Row) -> usize;
+
+    /// The keyed form of the level-`i + 1` row; asked for only when the
+    /// packed lengths leave [`row_class`]'s choice open.
+    fn keyed(&self, i: usize) -> Self::Keyed;
+
+    /// Keys in `keyed`.
+    fn keys(keyed: Self::Keyed) -> usize;
+
+    /// `|Q ∩ C|` at level `i + 1` by a packed kernel, `query` being the
+    /// query's packed row and `row` the candidate's.
+    fn overlap_packed(&mut self, query: &[u64], i: usize, row: Self::Row) -> usize;
+
+    /// `|Q ∩ C|` at level `i + 1` by the keyed kernel, `query` being the
+    /// query's keyed row and `keyed` the candidate's.
+    fn overlap_keyed(&mut self, query: KeyedRow<'_>, i: usize, keyed: Self::Keyed) -> usize;
+}
+
+/// An entity's rows in the arena, every level in both forms.
+#[derive(Clone, Copy)]
+struct ArenaRows<'a> {
+    cells: &'a [u64],
+    /// The `m + 1` offsets into `cells` delimiting the entity's packed rows.
+    cell_ends: &'a [usize],
+    keyed: &'a KeyedRows,
+    /// The keyed row number of its level 1 (`pos * m`); touched only when a
+    /// keyed length or row is asked for.
+    first: usize,
+}
+
+impl ArenaRows<'_> {
+    /// The level-`i + 1` keyed row (`i > 0`) in `words`, the entity's finer
+    /// rows as [`CandidateArena::push_finer_rows`] writes them.
+    fn finer_row<'w>(&self, words: &'w [u64], i: usize) -> KeyedRow<'w> {
+        let row = self.first + i;
+        let at = 2 * self.keyed.keys_in(self.first + 1..row);
+        let keys = self.keyed.keys_in(row..row + 1);
+        KeyedRow::new(&words[at..at + keys], &words[at + keys..at + 2 * keys])
+    }
+}
+
+impl<'a> CandidateRows for ArenaRows<'a> {
+    type Row = &'a [u64];
+    type Keyed = KeyedRow<'a>;
+
+    #[inline]
+    fn row(&self, i: usize) -> &'a [u64] {
+        &self.cells[self.cell_ends[i]..self.cell_ends[i + 1]]
+    }
+
+    #[inline]
+    fn cells(row: &'a [u64]) -> usize {
+        row.len()
+    }
+
+    #[inline]
+    fn keyed(&self, i: usize) -> KeyedRow<'a> {
+        self.keyed.row(self.first + i)
+    }
+
+    #[inline]
+    fn keys(keyed: KeyedRow<'a>) -> usize {
+        keyed.len()
+    }
+
+    #[inline]
+    fn overlap_packed(&mut self, query: &[u64], _: usize, row: &[u64]) -> usize {
+        intersection_len(query, row)
+    }
+
+    #[inline]
+    fn overlap_keyed(&mut self, query: KeyedRow<'_>, _: usize, keyed: KeyedRow<'a>) -> usize {
+        keyed_overlap(query, keyed)
+    }
+}
+
+/// What [`CandidateArena::paged_overlaps`] reuses from candidate to
+/// candidate: the finer rows read for the current one, and a packed row
+/// rebuilt from one of them.
+#[derive(Debug, Default)]
+pub(crate) struct RowScratch {
+    words: Vec<u64>,
+    cells: Vec<u64>,
+}
+
+/// A candidate's rows when the arena holds its level-1 row and the lengths
+/// of all its rows, and its finer rows are read into `words` (keys then
+/// masks per level) the first time the loop intersects one.
+struct PagedRows<'a, R> {
+    resident: ArenaRows<'a>,
+    /// Reads the finer rows; `None` once it has.
+    read: Option<R>,
+    words: &'a mut Vec<u64>,
+    cells: &'a mut Vec<u64>,
+}
+
+impl<R: FnOnce(&mut Vec<u64>)> PagedRows<'_, R> {
+    /// Reads the finer rows into `words`, unless they have been.
+    fn read_finer(&mut self) {
+        if let Some(read) = self.read.take() {
+            self.words.clear();
+            read(self.words);
         }
-        // The packed lengths themselves: never at most half of themselves.
-        None => lengths,
-    });
-    match (class, rows) {
-        (KernelClass::Keyed, Some((query_row, row))) => (keyed_overlap(query_row, row), class),
-        _ => (intersection_len(query, packed), class),
+    }
+}
+
+impl<R: FnOnce(&mut Vec<u64>)> CandidateRows for PagedRows<'_, R> {
+    /// The row's cell count: only level 1's cells are at hand.
+    type Row = usize;
+    /// The keyed row's key count.
+    type Keyed = usize;
+
+    #[inline]
+    fn row(&self, i: usize) -> usize {
+        self.resident.cell_ends[i + 1] - self.resident.cell_ends[i]
+    }
+
+    #[inline]
+    fn cells(row: usize) -> usize {
+        row
+    }
+
+    #[inline]
+    fn keyed(&self, i: usize) -> usize {
+        self.resident.keyed(i).len()
+    }
+
+    #[inline]
+    fn keys(keyed: usize) -> usize {
+        keyed
+    }
+
+    fn overlap_packed(&mut self, query: &[u64], i: usize, _: usize) -> usize {
+        if i == 0 {
+            return intersection_len(query, self.resident.row(0));
+        }
+        self.read_finer();
+        self.cells.clear();
+        push_packed(self.resident.finer_row(self.words, i), self.cells);
+        intersection_len(query, self.cells)
+    }
+
+    fn overlap_keyed(&mut self, query: KeyedRow<'_>, i: usize, _: usize) -> usize {
+        if i == 0 {
+            return keyed_overlap(query, self.resident.keyed(0));
+        }
+        self.read_finer();
+        keyed_overlap(query, self.resident.finer_row(self.words, i))
     }
 }
 
 /// The one per-level overlap loop of the flat hot paths: fills `out` with the
-/// [`LevelStat`]s of the query against the candidate whose packed level-`i + 1`
-/// cells are `candidate(i)` — and whose keyed row is `keyed(i)`, where it has
-/// one — counting every intersection it issues into `dispatch` when one is
-/// given (see [`level_overlap`] for the kernel each level runs).
+/// [`LevelStat`]s of the query against one candidate's `rows`, each level
+/// intersected by the kernel [`row_class`] picks from the four row lengths
+/// — asking for the keyed ones only when the packed lengths leave the choice
+/// open — and counting every intersection it issues into `dispatch` when
+/// one is given.
 ///
 /// Levels are a prefix hierarchy (Definition 3) and both sides are
 /// ancestor-closed — the query by the [`CellSetSequence`] invariant, the
-/// candidate rows because they are a `CellSetSequence`'s or a
-/// [`LevelRows`](trace_model::LevelRows)' — so a shared level-`(l + 1)` cell
-/// implies a shared level-`l` cell.  Once a level's overlap is 0 every finer
-/// level is therefore recorded as `overlap: 0` with its true sizes, without
-/// intersecting and without a dispatch count: the measure receives bit for
-/// bit the integers the all-levels loop ([`LevelOverlap::from_sequences`],
-/// the oracle) hands it.
+/// candidate rows because they are a `CellSetSequence`'s — so a shared
+/// level-`(l + 1)` cell implies a shared level-`l` cell.  Once a level's
+/// overlap is 0 every finer level is therefore recorded as `overlap: 0` with
+/// its true sizes, without intersecting (or reading) its rows and without a
+/// dispatch count: the measure receives bit for bit the integers the
+/// all-levels loop ([`LevelOverlap::from_sequences`], the oracle) hands it.
 #[inline]
-pub(crate) fn level_overlaps<'c>(
+fn level_overlaps<R: CandidateRows>(
     view: &QueryView<'_>,
-    candidate: impl Fn(usize) -> &'c [u64],
-    keyed: impl Fn(usize) -> Option<KeyedRow<'c>>,
+    rows: &mut R,
     out: &mut LevelOverlap,
     mut dispatch: Option<&mut KernelDispatch>,
 ) {
     out.clear();
     let mut shares_coarser = true;
     for i in 0..view.num_levels() {
-        let (q, c) = (view.level(i), candidate(i));
+        let row = rows.row(i);
+        let (size_a, size_b) = (view.level(i).len(), R::cells(row));
         let overlap = if shares_coarser {
-            let (overlap, class) = level_overlap(view, i, c, || keyed(i));
+            let mut keyed = None;
+            let class = row_class((size_a, size_b), || {
+                let (query, candidate) = (view.keyed.row(i), rows.keyed(i));
+                keyed = Some((query, candidate));
+                (query.len(), R::keys(candidate))
+            });
             if let Some(dispatch) = dispatch.as_deref_mut() {
                 dispatch.record(class);
             }
-            overlap
+            match (class, keyed) {
+                (KernelClass::Keyed, Some((query, candidate))) => {
+                    rows.overlap_keyed(query, i, candidate)
+                }
+                _ => rows.overlap_packed(view.level(i), i, row),
+            }
         } else {
-            debug_assert_eq!(intersection_len(q, c), 0, "level {} after an empty one", i + 1);
             0
         };
         shares_coarser = overlap > 0;
-        out.push(LevelStat { overlap, size_a: q.len(), size_b: c.len() });
+        out.push(LevelStat { overlap, size_a, size_b });
     }
 }
 
@@ -1327,7 +1491,10 @@ mod tests {
 
     /// Pairs that share a cell down to some level and nothing finer: the loop
     /// issues one intersection more than the levels they share (capped at
-    /// the 3 there are) and hands the measure the all-levels loop's integers.
+    /// the 3 there are) and hands the measure the all-levels loop's integers
+    /// — over the arena's rows, and with the finer rows read as an
+    /// out-of-core session reads them, which happens exactly when level 1
+    /// is shared.
     #[test]
     fn overlap_loop_stops_at_the_first_empty_level() {
         let sp = SpIndex::uniform(2, &[2, 2]).unwrap();
@@ -1346,20 +1513,32 @@ mod tests {
             (seq_at(&[]), 1),
         ] {
             let view = QueryView::new(&query);
-            let rows = QueryView::new(&candidate);
+            let arena = CandidateArena::build(
+                3,
+                0,
+                &BTreeMap::from([(EntityId(0), candidate.clone())]),
+                &BTreeMap::new(),
+            );
+            let oracle = LevelOverlap::from_sequences(&query, &candidate);
             assert_eq!(issued_intersections(&query, &candidate), issued);
-            // Packed rows only (what the paged source reads), then both forms.
-            let packed_only = |_: usize| None;
-            let both = |i: usize| Some(rows.keyed.row(i));
-            for (form, keyed) in [("packed", &packed_only as &dyn Fn(_) -> _), ("keyed", &both)] {
-                let mut dispatch = KernelDispatch::default();
-                let mut fused = LevelOverlap::default();
-                level_overlaps(&view, |i| rows.level(i), keyed, &mut fused, Some(&mut dispatch));
-                assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate), "{form}");
-                assert_eq!(dispatch.total(), issued, "{form}");
-                level_overlaps(&view, |i| rows.level(i), keyed, &mut fused, None);
-                assert_eq!(fused, LevelOverlap::from_sequences(&query, &candidate), "{form}");
-            }
+            let (mut fused, mut dispatch) = (LevelOverlap::default(), KernelDispatch::default());
+            arena.overlaps_into(0, &view, &mut fused, Some(&mut dispatch));
+            assert_eq!((&fused, dispatch.total()), (&oracle, issued), "resident");
+
+            let mut finer = Vec::new();
+            arena.push_finer_rows(0, &mut finer);
+            assert_eq!(finer.len(), arena.finer_words(0));
+            let (mut scratch, mut paged) = (RowScratch::default(), KernelDispatch::default());
+            let read = arena.paged_overlaps(
+                0,
+                &view,
+                |out| out.extend_from_slice(&finer),
+                &mut scratch,
+                &mut fused,
+                Some(&mut paged),
+            );
+            assert_eq!((&fused, paged), (&oracle, dispatch), "paged");
+            assert_eq!(read, issued > 1, "rows are read exactly when level 1 is shared");
         }
     }
 

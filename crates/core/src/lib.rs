@@ -33,8 +33,9 @@
 //!
 //! * [`kernel::ArenaSource`] scores from the snapshot's flat candidate arena
 //!   (the exact path of [`IndexSnapshot::top_k`]);
-//! * [`paged::PagedArenaSource`] reads raw traces through a `trace-storage`
-//!   buffer pool, charging simulated I/O (the Figure 7.6 path of [`paged`]).
+//! * [`paged::PagedArenaSource`] reads the finer cell rows an out-of-core
+//!   session keeps on pages through a `trace-storage` buffer pool, charging
+//!   simulated I/O (the Figure 7.6 path of [`paged`]).
 //!
 //! The remaining query modules are thin drivers over the executor: [`join`]
 //! fans probe sets out over rayon ([`IndexSnapshot::top_k_batch`] /

@@ -1,157 +1,188 @@
-//! Paged query processing: leaf evaluation reads candidate traces through a
-//! bounded buffer pool instead of the in-memory sequence map.
+//! Out-of-core query processing: a candidate's finer cell rows are read
+//! through a bounded buffer pool instead of from the in-memory arena.
 //!
 //! This is the query path exercised by the Figure 7.6 experiment ("search time
-//! vs. memory size"): the MinSigTree itself and the hash functions stay in memory
-//! (Section 4.3's minimum memory requirement), but the raw traces needed to
-//! compute exact association degrees at the leaves live on the (virtual) disk, so
-//! a smaller buffer budget translates into more page misses and a longer
-//! simulated search time.
+//! vs. memory size"): the MinSigTree itself and the hash functions stay in
+//! memory (Section 4.3's minimum memory requirement), but the data needed to
+//! compute exact association degrees at the leaves lives on the (virtual)
+//! disk, so a smaller buffer budget translates into more page misses and a
+//! longer simulated search time.
 //!
-//! The walk itself is the shared best-first executor of [`crate::engine`]; the
-//! only difference from the in-memory path is the [`PagedArenaSource`] handed
-//! to it.  The buffer pool synchronises internally, so paged queries may also
-//! run from several threads against one snapshot, pool and store.
+//! ## The session
 //!
-//! ## Out-of-core sharded queries
+//! [`ShardedSnapshot::paged`] binds a sharded snapshot, a [`PagedTraceStore`]
+//! and a [`BufferPool`] over the store's disk into a [`PagedShardedSnapshot`].
+//! Building it writes, per shard, the keyed rows of levels 2..m of every
+//! member — the arena's own keyed rows, copied, not converted again — as one
+//! run of word pages ([`WordPages`]) on the store's disk: keys then masks per
+//! row, in arena order.  The session keeps one `u32` start per arena
+//! position in memory.  An entity the store's directory lacks gets no row:
+//! the session cannot read it, and a query counts it unreadable.  Dropping
+//! the session frees its pages; the disk never hands a page id out twice, so
+//! a pool's frames of freed pages are only ever evicted, never read.
 //!
-//! [`ShardedSnapshot::paged`] wraps a sharded snapshot, a [`PagedTraceStore`]
-//! and a [`BufferPool`] into a [`PagedShardedSnapshot`] whose entry points
-//! mirror the in-memory ones (`top_k`, `query`, batches, joins, `explain`).
-//! They run the **same** planner body and the same drive as the in-memory
-//! paths; only the `ShardAccess` differs — candidate traces are read
-//! through the pool, and shards carry page estimates (see [`crate::plan`]),
-//! which break ordering ties and price latency budgets but decide no access
-//! path.  Answers are **bitwise identical** to the in-memory
-//! sharded, unsharded and brute-force paths — any shard count, any pool
-//! size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
-//! (`tests/paged_conformance.rs` proptests exactly this).
+//! Its entry points mirror the in-memory ones (`top_k`, `query`, batches,
+//! joins, `explain`) and run the **same** planner body and the same drive;
+//! only the `ShardAccess` differs — finer rows are read through the pool,
+//! and shards carry page estimates over their row pages (see
+//! [`crate::plan`]), which break ordering ties and price latency budgets but
+//! decide no access path.  Answers are **bitwise identical** to the
+//! in-memory sharded, unsharded and brute-force paths — any shard count, any
+//! pool size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
+//! (`tests/paged_conformance.rs` proptests exactly this) — and so is the
+//! work: `entities_checked`, the node counters and every kernel-dispatch
+//! class equal the in-memory query's.
 //!
 //! ## Who owns what during a query
 //!
-//! * **Resident rows.**  Each candidate is first looked up in the shard's
-//!   in-memory [`CandidateArena`](crate::kernel::CandidateArena): its level-1
-//!   cells and per-level sizes.  A candidate sharing no level-1 cell with the
-//!   query is scored from those alone (it shares nothing at any level), with
-//!   no page request; its records are never read.  Only the others go to the
-//!   pool.  The arena is the snapshot's, immutable, shared by every source
-//!   without a lock.
-//! * **Pins.**  The query entity's own trace is pinned for the whole fan-out
-//!   (resident across every executor [`step`](crate::engine::Executor::step)
-//!   quantum, released when the merged answer is produced).  A candidate page
-//!   is pinned only while its run of the candidate's records is visited
-//!   ([`PagedTraceStore::for_each_record`]); nothing else ever holds a pin, so
-//!   `pinned_frames() == 0` after every query.
+//! * **Resident rows.**  A candidate's level-1 row, in both forms, and the
+//!   lengths of all its rows are the shard's in-memory
+//!   [`CandidateArena`]'s — immutable, shared
+//!   by every source without a lock.  The overlap loop runs level 1 from
+//!   them; a candidate sharing no level-1 cell with the query shares nothing
+//!   finer, so its degree follows from the lengths and no page is requested
+//!   ([`QueryStats::reads_avoided`]).
+//! * **Pages.**  Any other candidate's span of the shard's run — usually
+//!   within one page, at most a few — is copied out of the pool into the
+//!   source's scratch and the loop goes on over it
+//!   (`CandidateArena::paged_overlaps`): keyed where [`row_class`] says
+//!   keyed, and where it says packed over the row expanded back to packed
+//!   cells in scratch.  The row lengths [`row_class`] weighs are the
+//!   resident ones, so each level runs the kernel the in-memory query runs.
+//! * **Pins.**  A query pins nothing.  A fetch hands out the page's frozen
+//!   bytes, valid even after the frame is evicted, and the span is copied out
+//!   at once, so `pinned_frames() == 0` during and after every query.
 //! * **Scratch.**  Every tree executor and every shard scan gets its own
-//!   [`PagedArenaSource`], the planner one more for seeding.  A source owns the row
-//!   buffer its candidates are discretised into, the overlap scratch, and the
+//!   [`PagedArenaSource`], the planner one more for seeding.  A source owns
+//!   the span and expansion buffers, the overlap scratch, and the
 //!   kernel-dispatch and buffer-pool counters for the work *it* did; an
-//!   executor is stepped by one worker at a time, so none of it is locked and
-//!   nothing is allocated per candidate.  The counters are summed into the
-//!   query's [`QueryStats`] at merge — exact per query however many queries
-//!   share the pool.
-//! * **No row cache.**  Every entity is scored once per query (the planner's
-//!   seeds are the only repeats), so rows are rebuilt into the same buffer
-//!   candidate after candidate and nothing is kept.
-//! * **Locks.**  The only lock a candidate evaluation takes is the pool
-//!   mutex, around frame-table bookkeeping only (see [`trace_storage::pool`]).
+//!   executor is stepped by one worker at a time, so none of it is locked
+//!   and nothing is allocated per candidate.  The counters are summed into
+//!   the query's [`QueryStats`] at merge — exact per query however many
+//!   queries share the pool.
+//! * **Locks.**  The only lock a candidate read takes is the pool mutex,
+//!   around frame-table bookkeeping only (see [`trace_storage::pool`]): once
+//!   per page on a hit, twice on a miss (look up, then publish, with the
+//!   disk's own lock between).
 //! * **Threads.**  One query runs on its caller's thread: the shard
 //!   executors are interleaved in step quanta there, as the batch and join
-//!   paths always did (those parallelise over queries).  Every candidate read
-//!   goes through the one pool mutex three times (look up, publish, unpin),
-//!   and with the degree itself down to a fraction of a microsecond that
-//!   bookkeeping — frame table, replacer, the evicted page's free — is a
-//!   third of a candidate's cost and all of it is shared state.  Two workers
-//!   mostly traded its cache lines: measured on the 5 000-entity SYN
-//!   population (4 shards, pool a tenth of the data, 2 vCPUs), a threaded
-//!   fan-out answered in 34–36 ms for whole stretches and in 23–25 ms for
-//!   others (time under the pool mutex 24 ms against 10 ms of thread time per
-//!   query, by where the hypervisor had put the two vCPUs), a single thread
-//!   in a steady 29–30 ms.  A query that costs the same every time beats one
-//!   that is sometimes a quarter faster; a pool that scales across workers is
-//!   the precondition for threading this again.
+//!   paths always did (those parallelise over queries).  Every read goes
+//!   through the one pool mutex, and with the degree itself down to a
+//!   fraction of a microsecond that bookkeeping — frame table, replacer, the
+//!   evicted page's free — is a large share of a read candidate's cost and
+//!   all of it is shared state.  Two workers mostly traded its cache lines:
+//!   measured when a read still decoded records and took the mutex three
+//!   times, on the 5 000-entity SYN population (4 shards, pool a tenth of
+//!   the data, 2 vCPUs), a threaded fan-out answered in 34–36 ms for whole
+//!   stretches and in 23–25 ms for others (time under the pool mutex 24 ms
+//!   against 10 ms of thread time per query, by where the hypervisor had
+//!   put the two vCPUs), a single thread in a steady 29–30 ms.  A query that
+//!   costs the same every time beats one that is sometimes a quarter faster;
+//!   a pool that scales across workers is the precondition for threading
+//!   this again.
+//!
+//! [`row_class`]: trace_model::kernel::row_class
 
 use crate::config::PlannerConfig;
 use crate::drive::{self, ShardAccess};
-use crate::engine::{self, TopKHeap, TraceSource};
+use crate::engine::{TopKHeap, TraceSource};
 use crate::error::{IndexError, Result};
+use crate::index::MinSigIndex;
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
-use crate::kernel::{level_overlaps, QueryView};
+use crate::kernel::{CandidateArena, QueryView, RowScratch};
 use crate::plan::{self, PageEstimate, QueryPlan};
 use crate::query::{Query, QueryOptions, TopKResult};
-use crate::shard::ShardedSnapshot;
+use crate::shard::{shard_of, ShardedSnapshot};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::{KernelDispatch, QueryStats};
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 use trace_model::ajpi::LevelOverlap;
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelRows};
-use trace_storage::{BufferPool, PageId, PagedTraceStore, PinnedPages, PoolStats};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
+use trace_storage::{BufferPool, PageId, PagedTraceStore, PoolStats, WordPages};
 
 /// What one [`PagedArenaSource`] reuses across candidates and counts for its
 /// query.
 #[derive(Debug, Default)]
 struct Scratch {
-    rows: LevelRows,
+    rows: RowScratch,
     overlap: LevelOverlap,
     dispatch: KernelDispatch,
     io: PoolStats,
     /// Candidates a flat scan through this source could not read (a tree
     /// executor counts its own).
     unreadable: usize,
-    /// Candidates answered from their resident level-1 row, records unread.
+    /// Candidates scored from their resident rows alone, no page read.
     reads_avoided: usize,
 }
 
-/// A [`TraceSource`] that scores candidates straight from the paged store:
-/// the out-of-core counterpart of
-/// [`ArenaSource`](crate::kernel::ArenaSource), running the same fused
-/// per-level kernel loop the in-memory hot path does.
+/// The start of an entity that has no rows in its shard's run.
+const NO_ROW: u32 = u32::MAX;
+
+/// One shard's keyed rows of levels 2..m, on the store's disk.
+#[derive(Debug)]
+struct RowSegment<'a> {
+    /// Per arena position, the word its rows start at in `pages`; [`NO_ROW`]
+    /// for an entity the store does not hold.
+    starts: Vec<u32>,
+    pages: WordPages<'a>,
+}
+
+impl<'a> RowSegment<'a> {
+    /// Writes `shard`'s rows onto `store`'s disk, in arena order, for the
+    /// entities `store` holds.
+    fn write(shard: &IndexSnapshot, store: &'a PagedTraceStore) -> Self {
+        let arena = shard.arena();
+        let mut words = Vec::new();
+        let starts = (arena.entities().iter().enumerate())
+            .map(|(pos, &entity)| {
+                if store.trace_pages(entity).is_none() {
+                    return NO_ROW;
+                }
+                let start = u32::try_from(words.len())
+                    .ok()
+                    .filter(|&start| start != NO_ROW)
+                    .expect("a shard's rows are addressable by u32 words");
+                arena.push_finer_rows(pos, &mut words);
+                start
+            })
+            .collect();
+        RowSegment { starts, pages: WordPages::write(store.disk(), &words) }
+    }
+
+    /// The words of the rows of the entity at `pos` of `arena` (this
+    /// segment's shard's); `None` when it has none.
+    fn span(&self, arena: &CandidateArena, pos: usize) -> Option<Range<usize>> {
+        let start = self.starts[pos];
+        (start != NO_ROW).then(|| start as usize..start as usize + arena.finer_words(pos))
+    }
+}
+
+/// A [`TraceSource`] that scores one shard's members out of core: the
+/// counterpart of [`ArenaSource`](crate::kernel::ArenaSource), running the
+/// same per-level kernel loop over the resident level-1 row and the finer
+/// rows its session keeps on pages (see the [module docs](self)).
 ///
-/// A degree request first asks the shard's resident
-/// [`CandidateArena`](crate::kernel::CandidateArena) whether the candidate
-/// shares a level-1 cell with the query (`CandidateArena::disjoint_degree`).
-/// When it shares none it shares nothing at any level, and its exact degree
-/// follows from the per-level sizes the arena holds — no page is touched.
-/// Otherwise the
-/// source visits the entity's records through the buffer pool (pages pinned
-/// transiently inside the visit — the source itself never holds a pin),
-/// discretises them into its reusable [`LevelRows`] buffer, and intersects
-/// the rows with the query.  Either way the degree is **bitwise identical**
-/// to `measure.degree(query, seq)` over the entity's
-/// [`cell_sequence`](trace_model::DigitalTrace::cell_sequence): every path
-/// hands the measure the same integer per-level
-/// [`LevelStat`](trace_model::ajpi::LevelStat)s, the fused ones through the
-/// one early-stopping loop the arena runs (`kernel::level_overlaps`).
+/// A degree is **bitwise identical** to `measure.degree(query, seq)` over the
+/// entity's sequence: the loop hands the measure the same integer per-level
+/// [`LevelStat`](trace_model::ajpi::LevelStat)s whichever form each row was
+/// read in.
 ///
 /// Like `ArenaSource`, the scratch and the per-query counters live in a
 /// single-threaded cell: the source is `Send` but deliberately not `Sync`,
-/// one per executor.  `drain_into` moves the counters
-/// into the query's stats.
+/// one per executor.  `drain_into` moves the counters into the query's stats.
 pub struct PagedArenaSource<'a> {
-    store: &'a PagedTraceStore,
-    pool: &'a BufferPool<'a>,
-    /// The shard whose members this source scores: its arena answers the
-    /// level-1 question, its hierarchy discretises what is read.
-    shard: &'a IndexSnapshot,
+    paged: &'a PagedShardedSnapshot<'a>,
+    /// The shard whose members [`degree`](TraceSource::degree) scores.
+    shard: usize,
     /// The query's view, borrowed from its access.
     view: &'a QueryView<'a>,
     scratch: RefCell<Scratch>,
 }
 
 impl<'a> PagedArenaSource<'a> {
-    /// Creates a source scoring `shard`'s members, read from `store` through
-    /// `pool`, against one query's view.
-    pub(crate) fn new(
-        store: &'a PagedTraceStore,
-        pool: &'a BufferPool<'a>,
-        shard: &'a IndexSnapshot,
-        view: &'a QueryView<'a>,
-    ) -> Self {
-        PagedArenaSource { store, pool, shard, view, scratch: RefCell::default() }
-    }
-
     /// Adds the kernel-dispatch, buffer-pool, unreadable-candidate and
     /// avoided-read counters accumulated since the last call (or
     /// construction) to `stats`, leaving them at zero.
@@ -163,62 +194,39 @@ impl<'a> PagedArenaSource<'a> {
         stats.reads_avoided += std::mem::take(&mut scratch.reads_avoided);
     }
 
-    /// The degree of `entity`, a member of `shard`: from the shard's
-    /// resident level-1 row when that rules the candidate out, else by the
-    /// fused records → rows → degree evaluation.  `None` when the store
-    /// cannot produce the entity (it holds no trace for it, or the trace does
-    /// not discretise); the resident row answers only for an entity the
-    /// store's directory holds, so a candidate the store lacks is unreadable
-    /// whatever its cells.  `track` counts the kernel dispatches (leaf
-    /// evaluation and scans do; planner seeding, like its in-memory
-    /// counterpart, does not).
-    pub(crate) fn score(
+    /// The degree of `entity`, a member of shard `shard`; `None` when the
+    /// session holds no rows for it (the store lacks it).  `track` counts
+    /// the kernel dispatches (leaf evaluation and scans do; planner seeding,
+    /// like its in-memory counterpart, does not).
+    fn score<M: AssociationMeasure + ?Sized>(
         &self,
-        shard: &IndexSnapshot,
+        shard: usize,
         entity: EntityId,
-        measure: &dyn AssociationMeasure,
+        measure: &M,
         track: bool,
     ) -> Option<f64> {
+        let pos = self.paged.snapshot.shard(shard).arena().position(entity)?;
+        self.score_at(shard, pos, measure, track)
+    }
+
+    /// [`score`](Self::score) of the member at arena position `pos`.
+    fn score_at<M: AssociationMeasure + ?Sized>(
+        &self,
+        shard: usize,
+        pos: usize,
+        measure: &M,
+        track: bool,
+    ) -> Option<f64> {
+        let (arena, segment) =
+            (self.paged.snapshot.shard(shard).arena(), &self.paged.segments[shard]);
+        let span = segment.span(arena, pos)?;
         let Scratch { rows, overlap, dispatch, io, reads_avoided, .. } =
             &mut *self.scratch.borrow_mut();
-        let arena = shard.arena();
-        let resident = arena.position(entity).filter(|_| self.store.trace_pages(entity).is_some());
-        let mut level_one = None;
-        if let Some(pos) = resident {
-            let tracked = track.then_some(&mut *dispatch);
-            match arena.disjoint_degree(pos, self.view, measure, overlap, tracked) {
-                Ok(degree) => {
-                    *reads_avoided += 1;
-                    return Some(degree);
-                }
-                Err(row) => level_one = Some(row),
-            }
+        let pool = self.paged.pool;
+        let read = |words: &mut Vec<u64>| segment.pages.read(pool, span, words, io);
+        if !arena.paged_overlaps(pos, self.view, read, rows, overlap, track.then_some(dispatch)) {
+            *reads_avoided += 1;
         }
-        rows.clear();
-        let (sp, ticks_per_unit) = (shard.sp_index(), shard.ticks_per_unit());
-        let mut pushed = Ok(());
-        let found = self.store.for_each_record(self.pool, entity, io, |rec| {
-            if pushed.is_ok() {
-                let presence = rec.to_presence();
-                pushed = rows.push(sp, ticks_per_unit, presence.unit, presence.period);
-            }
-        });
-        if !found || pushed.is_err() || rows.finish(sp).is_err() {
-            return None;
-        }
-        debug_assert_eq!(rows.num_levels(), self.view.num_levels());
-        // The shortcut above is exact only if the store holds the trace the
-        // snapshot indexed: check it on every candidate that is read.
-        debug_assert!(
-            level_one.is_none_or(|(row, _)| row == rows.level(0)),
-            "store and snapshot disagree on {entity}'s level-1 cells"
-        );
-        // Level 1 runs the kernel the resident test ran (its keyed row is
-        // resident); the finer rows, read just now, are intersected packed.
-        let keyed_one = level_one.map(|(_, keyed)| keyed);
-        let tracked = track.then_some(dispatch);
-        let keyed = |i: usize| keyed_one.filter(|_| i == 0);
-        level_overlaps(self.view, |i| rows.level(i), keyed, overlap, tracked);
         Some(measure.degree_from_overlap(overlap))
     }
 }
@@ -229,16 +237,15 @@ impl TraceSource for PagedArenaSource<'_> {
     }
 }
 
-impl IndexSnapshot {
-    /// Answers a top-k query reading candidate traces through `pool` over `store`.
-    ///
-    /// The query entity must be indexed: like [`top_k`](IndexSnapshot::top_k)
-    /// and the sharded paths, an entity the snapshot does not hold is
-    /// [`IndexError::UnknownQueryEntity`], whatever the store holds.  The
-    /// returned [`QueryStats`] additionally report the buffer-pool traffic
-    /// and the simulated I/O latency of this query's own candidate reads —
-    /// counted per fetch, so exact even when several threads share one pool.
-    pub fn top_k_paged<M: AssociationMeasure + ?Sized>(
+impl MinSigIndex {
+    /// Answers one top-k query out of core: through a one-shard
+    /// [`PagedShardedSnapshot`] over this index's current snapshot, built for
+    /// this call and dropped after it — so the call writes the snapshot's
+    /// rows to `store`'s disk once, and frees them.  For more than one query,
+    /// build the session once
+    /// (`ShardedSnapshot::from(index.snapshot()).paged(store, pool)`) and
+    /// query it.
+    pub fn top_k_paged<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
         k: usize,
@@ -247,48 +254,31 @@ impl IndexSnapshot {
         pool: &BufferPool<'_>,
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let query_seq = self.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-        let view = QueryView::new(query_seq);
-        let source = PagedArenaSource::new(store, pool, self, &view);
-        let request = Query { options, ..Query::new(k, measure) };
-        let (results, mut stats) =
-            engine::execute(self, query_seq, Some(query), &request, &source)?;
-        source.drain_into(&mut stats);
-        Ok((results, stats))
+        let snapshot = ShardedSnapshot::from(self.snapshot());
+        let answer =
+            snapshot.paged(store, pool).query(query, &Query { options, ..Query::new(k, measure) });
+        answer
     }
 }
 
 impl ShardedSnapshot {
-    /// Wraps this snapshot for out-of-core execution: every query path reads
-    /// candidate traces through `pool` over `store` instead of the in-memory
-    /// sequence maps, planned by the page-aware cost model.
+    /// Binds this snapshot to `store` and `pool` for out-of-core execution:
+    /// every query path of the returned session reads candidates' finer rows
+    /// through `pool`, planned by the page-aware cost model.
     ///
-    /// The store must hold the traces of the snapshot's entities (the usual
-    /// arrangement: one entity-ordered store over the whole population, any
-    /// shard count on top).  Per-shard page lists are precomputed here —
-    /// build the wrapper once per snapshot and reuse it across queries.
+    /// Building the session writes every shard's rows of levels 2..m to
+    /// `store`'s disk (see the [module docs](crate::paged)), which the
+    /// session frees when dropped — build it once per snapshot and reuse it
+    /// across queries.  `pool` must be a pool over `store`'s disk; `store`'s
+    /// directory says which entities are readable.
     pub fn paged<'a>(
         &'a self,
         store: &'a PagedTraceStore,
         pool: &'a BufferPool<'a>,
     ) -> PagedShardedSnapshot<'a> {
-        let shard_pages = self
-            .shard_snapshots()
-            .iter()
-            .map(|shard| {
-                let mut pages: Vec<PageId> = shard
-                    .sequences()
-                    .keys()
-                    .filter_map(|&e| store.trace_pages(e))
-                    .flatten()
-                    .copied()
-                    .collect();
-                pages.sort_unstable();
-                pages.dedup();
-                pages
-            })
-            .collect();
-        PagedShardedSnapshot { snapshot: self, store, pool, shard_pages }
+        let segments =
+            self.shard_snapshots().iter().map(|shard| RowSegment::write(shard, store)).collect();
+        PagedShardedSnapshot { snapshot: self, store, pool, segments }
     }
 }
 
@@ -308,8 +298,8 @@ pub struct PagedShardedSnapshot<'a> {
     snapshot: &'a ShardedSnapshot,
     store: &'a PagedTraceStore,
     pool: &'a BufferPool<'a>,
-    /// Per shard: the sorted distinct store pages its entities' traces span.
-    shard_pages: Vec<Vec<PageId>>,
+    /// Per shard: its finer rows on the store's disk.
+    segments: Vec<RowSegment<'a>>,
 }
 
 impl<'a> PagedShardedSnapshot<'a> {
@@ -328,9 +318,19 @@ impl<'a> PagedShardedSnapshot<'a> {
         self.store
     }
 
-    /// The distinct store pages shard `shard`'s traces span (sorted).
+    /// The pages holding shard `shard`'s rows, in row order.
     pub fn shard_pages(&self, shard: usize) -> &[PageId] {
-        &self.shard_pages[shard]
+        self.segments[shard].pages.pages()
+    }
+
+    /// The pages reading `entity`'s finer rows touches, in read order; `None`
+    /// when the session holds no rows for it (the snapshot does not index
+    /// it, or the store does not hold it).
+    pub fn row_pages(&self, entity: EntityId) -> Option<&[PageId]> {
+        let shard = shard_of(entity, self.snapshot.num_shards());
+        let arena = self.snapshot.shard(shard).arena();
+        let segment = &self.segments[shard];
+        Some(segment.pages.pages_of(segment.span(arena, arena.position(entity)?)?))
     }
 
     /// Answers a top-k query with the default [`Query`] — the paged
@@ -414,7 +414,7 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// Builds — without executing — the page-aware [`QueryPlan`] the paged
     /// query paths would run: the in-memory plan's seed/skip/scan/order
     /// verdicts plus a [`PageEstimate`] per shard, all rendered by
-    /// [`QueryPlan::explain`].  Seeding reads the sketch entities' traces
+    /// [`QueryPlan::explain`].  Seeding reads the sketch entities' rows
     /// through the pool, so explaining warms the cache the same way planning
     /// a real query does.
     pub fn explain<M: AssociationMeasure + Sync + ?Sized>(
@@ -431,7 +431,7 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// A fresh source (own scratch, zeroed counters) scoring shard `shard`'s
     /// members against the query `view` resolves.
     fn source<'q>(&'q self, shard: usize, view: &'q QueryView<'q>) -> PagedArenaSource<'q> {
-        PagedArenaSource::new(self.store, self.pool, &self.snapshot.shard_snapshots()[shard], view)
+        PagedArenaSource { paged: self, shard, view, scratch: RefCell::default() }
     }
 
     /// How `entity`'s query, whose sequence `view` resolves, reads this
@@ -455,7 +455,7 @@ impl<'a> PagedShardedSnapshot<'a> {
     }
 }
 
-/// Out-of-core [`ShardAccess`]: every candidate trace is read through the
+/// Out-of-core [`ShardAccess`]: candidates' finer rows are read through the
 /// buffer pool.  Seeding runs through the access's own source; every scan
 /// and every tree executor gets one more.
 pub(crate) struct PagedAccess<'q> {
@@ -493,7 +493,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
             if hot == self.entity {
                 continue;
             }
-            if let Some(degree) = self.source.score(&self.shards()[shard], hot, &measure, false) {
+            if let Some(degree) = self.source.score(shard, hot, measure, false) {
                 offer(hot, degree);
             }
         }
@@ -501,7 +501,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
 
     /// Probed against the pool in one lock.
     fn pages(&self, shard: usize) -> Option<PageEstimate> {
-        let pages = &self.paged.shard_pages[shard];
+        let pages = self.paged.shard_pages(shard);
         Some(PageEstimate {
             total_pages: pages.len(),
             resident_pages: self.paged.pool.resident_count(pages),
@@ -512,10 +512,8 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         self.paged.pool.config().miss_latency_us
     }
 
-    fn pin_query(&self) -> Option<PinnedPages<'q, 'q>> {
-        self.paged.store.pin_trace(self.paged.pool, self.entity)
-    }
-
+    /// Walks the arena by position, as the in-memory scan does: no
+    /// per-candidate lookup.
     fn scan<M: AssociationMeasure + ?Sized>(
         source: &PagedArenaSource<'q>,
         shard: &IndexSnapshot,
@@ -523,14 +521,15 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         rate: Option<f64>,
         query: &Query<'_, M>,
     ) -> (Vec<TopKResult>, usize) {
+        debug_assert!(std::ptr::eq(shard, &**source.paged.snapshot.shard(source.shard)));
         let hot = shard.synopsis().hot_entities();
         let mut top = TopKHeap::new(query.k);
         let mut checked = 0usize;
-        for &entity in shard.sequences().keys() {
+        for (pos, &entity) in shard.arena().entities().iter().enumerate() {
             if entity == exclude || !plan::scan_admits(rate, hot, entity) {
                 continue;
             }
-            let Some(degree) = source.degree(entity, &query.measure) else {
+            let Some(degree) = source.score_at(source.shard, pos, query.measure, true) else {
                 source.scratch.borrow_mut().unreadable += 1;
                 continue;
             };
@@ -557,9 +556,10 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
-    use crate::index::MinSigIndex;
+    use crate::engine;
+    use crate::kernel::ArenaSource;
     use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
-    use trace_storage::PoolConfig;
+    use trace_storage::{PoolConfig, PAGE_SIZE};
 
     /// The owned decode path — read the whole trace, discretise it with
     /// `cell_sequence`, score the sequence through the measure — kept as the
@@ -601,6 +601,11 @@ mod tests {
         (sp, traces)
     }
 
+    /// `index`'s current snapshot as a one-shard sharded snapshot.
+    fn one_shard(index: &MinSigIndex) -> ShardedSnapshot {
+        ShardedSnapshot::from(index.snapshot())
+    }
+
     #[test]
     fn paged_and_in_memory_queries_agree() {
         let (sp, traces) = dataset(20);
@@ -608,16 +613,16 @@ mod tests {
         let store = PagedTraceStore::build(&traces, 4);
         let pool = store.pool(PoolConfig::default());
         let measure = PaperAdm::default_for(sp.height() as usize);
+        let snapshot = one_shard(&index);
+        let paged = snapshot.paged(&store, &pool);
         let mut total_misses = 0;
-        for query in [0u64, 9, 21] {
-            let (mem, _) = index.top_k(EntityId(query), 5, &measure).unwrap();
-            let (paged, stats) = index
-                .top_k_paged(EntityId(query), 5, &measure, &store, &pool, QueryOptions::default())
-                .unwrap();
-            assert_eq!(mem.len(), paged.len());
-            for (a, b) in mem.iter().zip(paged.iter()) {
-                assert!((a.degree - b.degree).abs() < 1e-9);
-            }
+        for query in [0u64, 9, 21].map(EntityId) {
+            let (mem, _) = index.top_k(query, 5, &measure).unwrap();
+            let (out, stats) = paged.top_k(query, 5, &measure).unwrap();
+            assert_eq!(mem, out, "query {query}: a one-shard session answers like the index");
+            let options = QueryOptions::default();
+            let (once, _) = index.top_k_paged(query, 5, &measure, &store, &pool, options).unwrap();
+            assert_eq!(mem, once, "query {query}: the one-call session too");
             total_misses += stats.pool_misses;
         }
         assert!(total_misses > 0, "cold pages must have been read at least once");
@@ -627,6 +632,7 @@ mod tests {
     fn smaller_memory_budget_costs_more_simulated_io() {
         let (sp, traces) = dataset(150);
         let index = MinSigIndex::build(&sp, &traces, IndexConfig::with_hash_functions(32)).unwrap();
+        let snapshot = one_shard(&index);
         let store = PagedTraceStore::build(&traces, 8);
         let measure = PaperAdm::default_for(sp.height() as usize);
         let queries: Vec<EntityId> = (0..40u64).map(EntityId).collect();
@@ -634,14 +640,12 @@ mod tests {
         let mut io = Vec::new();
         for fraction in [0.05f64, 1.0] {
             let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), fraction));
+            let paged = snapshot.paged(&store, &pool);
             let mut total = 0u64;
             // Two passes so the large pool can profit from caching.
             for _ in 0..2 {
                 for &q in &queries {
-                    let (_, stats) = index
-                        .top_k_paged(q, 10, &measure, &store, &pool, QueryOptions::default())
-                        .unwrap();
-                    total += stats.simulated_io_us;
+                    total += paged.top_k(q, 10, &measure).unwrap().1.simulated_io_us;
                 }
             }
             io.push(total);
@@ -661,9 +665,8 @@ mod tests {
         let store = PagedTraceStore::build(&traces, 4);
         let pool = store.pool(PoolConfig::default());
         let measure = PaperAdm::default_for(sp.height() as usize);
-        let err = index
-            .top_k_paged(EntityId(9999), 1, &measure, &store, &pool, QueryOptions::default())
-            .unwrap_err();
+        let snapshot = one_shard(&index);
+        let err = snapshot.paged(&store, &pool).top_k(EntityId(9999), 1, &measure).unwrap_err();
         assert!(matches!(err, crate::error::IndexError::UnknownQueryEntity(9999)));
     }
 
@@ -804,46 +807,52 @@ mod tests {
         }
     }
 
-    /// The fused source against its oracle — the test-local `PagedSource`
-    /// decodes an owned trace and discretises it with `cell_sequence` —
-    /// degree by degree and through the executor; and its per-query counters
-    /// against the pool's.
+    /// The source against its oracle — the test-local `PagedSource` decodes
+    /// an owned trace and discretises it with `cell_sequence` — degree by
+    /// degree; its kernel dispatch against the in-memory source's, class by
+    /// class; its per-query I/O counters against the pool's; and through the
+    /// drive, answers and work against the in-memory query's and answers
+    /// against the oracle's executor.
     #[test]
     fn fused_source_matches_the_cell_sequence_oracle_and_counts_its_own_io() {
         let (sp, traces) = dataset(60);
         let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
-        let snapshot = index.snapshot();
-        let (sp, ticks) = (snapshot.sp_index(), snapshot.ticks_per_unit());
+        let snapshot = one_shard(&index);
+        let shard = snapshot.shard(0);
+        let (sp, ticks) = (shard.sp_index(), shard.ticks_per_unit());
         let store = PagedTraceStore::build(&traces, 4);
-        let pool = store.pool(PoolConfig {
-            capacity_bytes: 2 * trace_storage::PAGE_SIZE,
-            ..Default::default()
-        });
+        let pool = store.pool(PoolConfig { capacity_bytes: 2 * PAGE_SIZE, ..Default::default() });
+        let paged = snapshot.paged(&store, &pool);
+        assert!(paged.shard_pages(0).len() > 2, "the rows outgrow the pool");
         let measure = PaperAdm::default_for(sp.height() as usize);
-        let query_seq = snapshot.sequence(EntityId(0)).unwrap();
+        let query_seq = shard.sequence(EntityId(0)).unwrap();
         let view = QueryView::new(query_seq);
-        let source = PagedArenaSource::new(&store, &pool, &snapshot, &view);
+        let (source, memory) = (paged.source(0, &view), ArenaSource::new(shard.arena(), &view));
         let fused: Vec<f64> =
             (0..120u64).map(|e| source.degree(EntityId(e), &measure).expect("stored")).collect();
+        for e in 0..120u64 {
+            memory.degree(EntityId(e), &measure);
+        }
         assert!(source.degree(EntityId(9999), &measure).is_none());
         // Untracked scoring (planner seeding) reads pages but counts no kernels.
-        assert!(source.score(&snapshot, EntityId(3), &measure, false).is_some());
+        assert!(source.score(0, EntityId(3), &measure, false).is_some());
         let mut stats = QueryStats::default();
         source.drain_into(&mut stats);
         let issued: u64 = (0..120u64)
             .map(|e| {
-                let candidate = snapshot.sequence(EntityId(e)).unwrap();
+                let candidate = shard.sequence(EntityId(e)).unwrap();
                 crate::testkit::issued_intersections(query_seq, candidate)
             })
             .sum();
         assert_eq!(stats.kernel_dispatch.total(), issued, "one per level up to the first empty");
+        assert_eq!(stats.kernel_dispatch, memory.take_dispatch(), "the in-memory kernels");
         let global = pool.stats();
         assert_eq!(
             (stats.pool_hits, stats.pool_misses, stats.pool_evictions, stats.simulated_io_us),
             (global.hits, global.misses, global.evictions, global.simulated_us),
             "the only client's counters are the pool's"
         );
-        assert!(stats.pool_evictions > 0, "a 2-frame pool under 120 traces must evict");
+        assert!(stats.pool_evictions > 0, "a 2-frame pool under the rows of 120 entities evicts");
         let mut again = QueryStats::default();
         source.drain_into(&mut again);
         assert_eq!((again.kernel_dispatch.total(), again.pool_hits + again.pool_misses), (0, 0));
@@ -855,22 +864,18 @@ mod tests {
             assert_eq!(fused.to_bits(), owned.to_bits(), "entity {e}");
         }
         for query in [7u64, 33, 79].map(EntityId) {
-            let options = QueryOptions::default();
-            let (fused, fused_stats) =
-                snapshot.top_k_paged(query, 5, &measure, &store, &pool, options).unwrap();
-            let sequence = snapshot.sequence(query).unwrap();
-            let (owned, owned_stats) = engine::execute(
-                &snapshot,
-                sequence,
-                Some(query),
-                &Query { options, ..Query::new(5, &measure) },
-                &oracle(sequence),
-            )
-            .unwrap();
-            assert_eq!(fused, owned, "query {query}: fused rows must equal the oracle bitwise");
-            assert_eq!(fused_stats.entities_checked, owned_stats.entities_checked);
+            let (out, out_stats) = paged.top_k(query, 5, &measure).unwrap();
+            let (mem, mem_stats) = snapshot.top_k(query, 5, &measure).unwrap();
+            assert_eq!(out, mem, "query {query}");
+            assert_eq!(out_stats.entities_checked, mem_stats.entities_checked, "query {query}");
+            assert_eq!(out_stats.kernel_dispatch, mem_stats.kernel_dispatch, "query {query}");
+            let sequence = shard.sequence(query).unwrap();
+            let request = Query::new(5, &measure);
+            let (owned, owned_stats) =
+                engine::execute(shard, sequence, Some(query), &request, &oracle(sequence)).unwrap();
+            assert_eq!(out, owned, "query {query}: rows must equal the oracle's bitwise");
             assert_eq!(owned_stats.kernel_dispatch.total(), 0, "the oracle counts no kernels");
-            assert_eq!(pool.pinned_frames(), 0, "candidate pages are pinned only transiently");
+            assert_eq!(pool.pinned_frames(), 0, "a paged query pins nothing");
         }
     }
 
@@ -892,108 +897,79 @@ mod tests {
         (sp, traces)
     }
 
-    /// The resident level-1 answer against the oracle and against the same
-    /// source with the shortcut off (an empty arena): degree bits equal for
-    /// every candidate, dispatch equal, and the pages not read are exactly
-    /// the level-1-disjoint candidates' pages.
+    /// The resident level-1 answer against the oracle and against the
+    /// in-memory source: degree bits equal for every candidate, kernel
+    /// dispatch equal class by class, the candidates sharing no level-1 cell
+    /// answered without a read, and the page requests exactly the row pages
+    /// of the others.
     #[test]
     fn level_one_disjoint_candidates_are_scored_without_a_read() {
         let (sp, traces) = disjoint_dataset(48);
         let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
-        let snapshot = index.snapshot();
-        let off = (*snapshot).clone().with_arena(crate::kernel::CandidateArena::default());
+        let snapshot = one_shard(&index);
+        let shard = snapshot.shard(0);
         let store = PagedTraceStore::build(&traces, 4);
-        let pool = store.pool(PoolConfig {
-            capacity_bytes: 2 * trace_storage::PAGE_SIZE,
-            ..Default::default()
-        });
+        let pool = store.pool(PoolConfig { capacity_bytes: 2 * PAGE_SIZE, ..Default::default() });
+        let paged = snapshot.paged(&store, &pool);
         let measure = PaperAdm::default_for(sp.height() as usize);
-        let pages = |e: EntityId| store.trace_pages(e).unwrap().len() as u64;
+        let row_pages = |e: EntityId| paged.row_pages(e).unwrap().len() as u64;
         for query in [0u64, 5, 22, 47].map(EntityId) {
-            let query_seq = snapshot.sequence(query).unwrap();
+            let query_seq = shard.sequence(query).unwrap();
             let oracle = PagedSource {
                 store: &store,
                 pool: &pool,
-                sp: snapshot.sp_index(),
-                ticks_per_unit: snapshot.ticks_per_unit(),
+                sp: shard.sp_index(),
+                ticks_per_unit: shard.ticks_per_unit(),
                 query: query_seq,
             };
             let view = QueryView::new(query_seq);
-            let on = PagedArenaSource::new(&store, &pool, &snapshot, &view);
-            let shortcut_off = PagedArenaSource::new(&store, &pool, &off, &view);
-            let (mut disjoint, mut issued, mut read_pages, mut all_pages) = (0, 0, 0, 0);
-            let mut keyed = 0;
-            for (&entity, seq) in snapshot.sequences() {
+            let (source, memory) = (paged.source(0, &view), ArenaSource::new(shard.arena(), &view));
+            let (mut disjoint, mut read_pages, mut all_pages) = (0, 0, 0);
+            for (&entity, seq) in shard.sequences() {
                 let owned = oracle.degree(entity, &measure).unwrap().to_bits();
-                let fused = on.degree(entity, &measure).unwrap().to_bits();
-                let read = shortcut_off.degree(entity, &measure).unwrap().to_bits();
-                assert_eq!((fused, read), (owned, owned), "query {query}, candidate {entity}");
-                issued += crate::testkit::issued_intersections(query_seq, seq);
-                keyed += crate::testkit::keyed_at_level_one(query_seq, seq);
-                all_pages += pages(entity);
+                let fused = source.degree(entity, &measure).unwrap().to_bits();
+                let resident = memory.degree(entity, &measure).unwrap().to_bits();
+                assert_eq!((fused, resident), (owned, owned), "query {query}, candidate {entity}");
+                all_pages += row_pages(entity);
                 if seq.level(1).intersection_len(query_seq.level(1)) == 0 {
                     disjoint += 1;
                 } else {
-                    read_pages += pages(entity);
+                    read_pages += row_pages(entity);
                 }
             }
-            let (mut with, mut without) = (QueryStats::default(), QueryStats::default());
-            on.drain_into(&mut with);
-            shortcut_off.drain_into(&mut without);
-            assert!(disjoint > snapshot.sequences().len() / 2, "query {query}: {disjoint}");
-            // The same intersections; with resident rows level 1 runs keyed
-            // where the rule says so, without them everything is packed.
-            let total = |s: &QueryStats| s.kernel_dispatch.total();
-            assert_eq!(total(&with), total(&without), "query {query}");
-            assert_eq!(with.kernel_dispatch.total(), issued, "query {query}");
-            assert_eq!((with.kernel_dispatch.keyed, without.kernel_dispatch.keyed), (keyed, 0));
-            assert_eq!((with.reads_avoided, without.reads_avoided), (disjoint, 0));
-            assert_eq!(with.pool_hits + with.pool_misses, read_pages, "query {query}");
-            assert_eq!(without.pool_hits + without.pool_misses, all_pages, "query {query}");
-            assert!(read_pages < all_pages);
+            let mut stats = QueryStats::default();
+            source.drain_into(&mut stats);
+            assert!(disjoint > shard.sequences().len() / 2, "query {query}: {disjoint}");
+            assert_eq!(stats.kernel_dispatch, memory.take_dispatch(), "query {query}");
+            assert_eq!(stats.reads_avoided, disjoint, "query {query}");
+            assert_eq!(stats.pool_hits + stats.pool_misses, read_pages, "query {query}");
+            assert!(0 < read_pages && read_pages < all_pages, "query {query}");
         }
     }
 
-    /// Through the executor: the paged single-tree query answers like the
-    /// in-memory one — answers, work and dispatch — with or without the
-    /// shortcut, and with it reads strictly fewer pages.
+    /// Through the drive: the paged query answers and works like the
+    /// in-memory one — answers, work and every kernel class — and what the
+    /// resident level-1 answer changes is only how much it reads.
     #[test]
     fn the_resident_level_one_answer_changes_io_only() {
         let (sp, traces) = disjoint_dataset(48);
         let index = MinSigIndex::build(&sp, &traces, IndexConfig::default()).unwrap();
-        let snapshot = index.snapshot();
-        let off = (*snapshot).clone().with_arena(crate::kernel::CandidateArena::default());
+        let snapshot = one_shard(&index);
         let store = PagedTraceStore::build(&traces, 4);
         let measure = PaperAdm::default_for(sp.height() as usize);
-        let options = QueryOptions::default();
         for k in [3usize, 48] {
             for query in [1u64, 14, 30].map(EntityId) {
                 let (mem, mem_stats) = snapshot.top_k(query, k, &measure).unwrap();
                 let pool = store.pool(PoolConfig::default());
-                let (on, on_stats) =
-                    snapshot.top_k_paged(query, k, &measure, &store, &pool, options).unwrap();
-                let pool = store.pool(PoolConfig::default());
-                let (read, off_stats) =
-                    off.top_k_paged(query, k, &measure, &store, &pool, options).unwrap();
+                let (out, stats) = snapshot.paged(&store, &pool).top_k(query, k, &measure).unwrap();
                 let context = format!("k {k}, query {query}");
-                assert_eq!(on, mem, "{context}");
-                assert_eq!(read, mem, "{context}");
-                for stats in [on_stats, off_stats] {
-                    assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{context}");
-                    assert_eq!(stats.nodes_visited, mem_stats.nodes_visited, "{context}");
-                    let total = |s: &QueryStats| s.kernel_dispatch.total();
-                    assert_eq!(total(&stats), total(&mem_stats), "{context}");
-                }
-                // Only level 1 may run keyed out of core (its row is
-                // resident; finer rows come from pages), and nothing does
-                // without resident rows.
-                let keyed = |s: &QueryStats| s.kernel_dispatch.keyed;
-                assert!(keyed(&on_stats) <= keyed(&mem_stats), "{context}");
-                assert_eq!(keyed(&off_stats), 0, "{context}");
-                assert_eq!((mem_stats.reads_avoided, off_stats.reads_avoided), (0, 0));
-                assert!(on_stats.reads_avoided > 0, "{context}");
-                let traffic = |s: &QueryStats| s.pool_hits + s.pool_misses;
-                assert!(traffic(&on_stats) < traffic(&off_stats), "{context}");
+                assert_eq!(out, mem, "{context}");
+                let work =
+                    |s: &QueryStats| (s.entities_checked, s.nodes_visited, s.kernel_dispatch);
+                assert_eq!(work(&stats), work(&mem_stats), "{context}");
+                assert_eq!(mem_stats.reads_avoided, 0, "{context}: nothing is read in memory");
+                assert!(stats.reads_avoided > 0, "{context}");
+                assert!(stats.pool_hits + stats.pool_misses > 0, "{context}");
             }
         }
     }

@@ -45,7 +45,7 @@
 //! One planner body (`plan_query`) serves the in-memory and the paged
 //! paths, and makes the same four decisions on both, at any pool
 //! residency.  The access-path choice needs no page reasoning: a paged
-//! scan reads the records of only the members that share a level-1 cell
+//! scan reads the row pages of only the members that share a level-1 cell
 //! with the query (the others are scored from the snapshot's resident rows,
 //! see [`crate::paged`]), and a tree search that cannot prune reads exactly
 //! those too.  Where the query's access reports a [`PageEstimate`] per
@@ -295,7 +295,7 @@ impl QueryPlan {
 /// planner body of the in-memory, out-of-core and batch paths.
 ///
 /// Seed candidates are scored through the access (in memory: the candidate
-/// arena; out of core: the same fused records → rows → degree evaluation the
+/// arena; out of core: the same paged row reads and overlap loop the
 /// executors run at the leaves, so seeding honestly pays — and warms —
 /// buffer-pool I/O).  The evaluations spent are recorded in
 /// [`seed_candidates`](QueryPlan::seed_candidates); the executor charges them
@@ -357,7 +357,7 @@ where
         }
         // An empty shard is tree-searched (the executor no-ops on an empty
         // tree).  Residency plays no part: out of core a scan reads the
-        // records of exactly the members a tree search that prunes nothing
+        // rows of exactly the members a tree search that prunes nothing
         // would read — those sharing a level-1 cell with the query; the rest
         // are answered from the resident rows either way (see
         // `crate::paged`).

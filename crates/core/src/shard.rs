@@ -576,6 +576,17 @@ impl ShardedSnapshot {
     }
 }
 
+/// A one-shard snapshot: every entry point of [`ShardedSnapshot`] — and, through
+/// [`paged`](ShardedSnapshot::paged), every out-of-core one — over a single
+/// [`IndexSnapshot`], answering bit-identically to it.  The epoch is its
+/// synopsis's.
+impl From<Arc<IndexSnapshot>> for ShardedSnapshot {
+    fn from(snapshot: Arc<IndexSnapshot>) -> Self {
+        let epochs = vec![snapshot.synopsis().epoch()];
+        ShardedSnapshot { shards: vec![snapshot], epochs }
+    }
+}
+
 /// In-memory [`ShardAccess`]: candidates are read from the shard snapshots'
 /// candidate arenas — no pages, no pins, nothing to drain but the executor
 /// sources' kernel-dispatch counts.

@@ -526,13 +526,6 @@ impl IndexSnapshot {
         self.node_arena = rows;
         self
     }
-
-    /// This snapshot with its candidate rows swapped for `rows` (an empty
-    /// arena turns the paged source's resident level-1 answer off).
-    pub(crate) fn with_arena(mut self, rows: CandidateArena) -> IndexSnapshot {
-        self.arena = rows;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -225,14 +225,15 @@ pub struct QueryStats {
     pub pool_misses: u64,
     /// Frames this query's own misses evicted (paged queries only).
     pub pool_evictions: u64,
-    /// Indexed candidates the trace source could not produce (a store that
-    /// lacks the entity, or holds records the hierarchy rejects).  They are
+    /// Indexed candidates the trace source could not produce (out of core:
+    /// an entity the store's directory lacks, so its session holds no rows
+    /// for it).  They are
     /// skipped, not scored, so any of them may be a missing true answer:
     /// non-zero lowers [`recall_estimate`](Self::recall_estimate) below 1.0.
     pub candidates_unreadable: usize,
-    /// Candidates a paged query scored without reading their records: they
-    /// share no level-1 cell with the query, so the snapshot's resident
-    /// level-1 row and per-level sizes fix their exact degree (paged queries
+    /// Candidates a paged query scored without reading a page: they share no
+    /// level-1 cell with the query, so the snapshot's resident level-1 row
+    /// and per-level sizes fix their exact degree (paged queries
     /// only; always 0 in memory, where nothing is read).  Summed like the
     /// pool counters; every one is also in
     /// [`entities_checked`](Self::entities_checked).

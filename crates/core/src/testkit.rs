@@ -947,11 +947,9 @@ pub fn issued_intersections(query: &CellSetSequence, candidate: &CellSetSequence
 }
 
 /// 1 when the fused degree loop intersects a scored pair's level-1 rows with
-/// the keyed kernel ([`row_class`] of the packed and keyed lengths), else 0.
-/// Level 1 is the one level a paged query intersects exactly as the
-/// in-memory loop does — its keyed row is resident; finer rows are read from
-/// pages and intersected packed — so summed over the scored candidates this
-/// is what a paged query's [`KernelDispatch::keyed`] must read.
+/// the keyed kernel ([`row_class`] of the packed and keyed lengths), else 0:
+/// the part of a query's [`KernelDispatch::keyed`] its resident level-1 rows
+/// account for (a paged query reads its finer rows from pages).
 ///
 /// [`row_class`]: trace_model::kernel::row_class
 /// [`KernelDispatch::keyed`]: crate::stats::KernelDispatch::keyed

@@ -37,7 +37,7 @@ impl TraceRecord {
     }
 
     /// Converts back into a [`PresenceInstance`].
-    pub fn to_presence(&self) -> PresenceInstance {
+    pub(crate) fn to_presence(self) -> PresenceInstance {
         PresenceInstance::new(
             EntityId(self.entity),
             self.unit,

@@ -6,11 +6,18 @@
 //! pages in memory and counts every read and write, so experiments are exact and
 //! repeatable.  A configurable per-access latency (in simulated microseconds) lets
 //! the Figure 7.6 harness convert page misses into a simulated elapsed time.
+//!
+//! A page is its bytes: the disk neither encodes nor decodes anything, it
+//! hands out the frozen [`Bytes`] it was given.  What the bytes mean — trace
+//! records ([`crate::page`]) or `u64` words ([`crate::words`]) — is the
+//! reader's business.  Pages can be freed; their ids are never handed out
+//! again, so a stale id can only ever fail loudly, never read another page.
 
 use crate::page::Page;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a page on the virtual disk.
@@ -28,7 +35,8 @@ pub(crate) struct DiskStats {
 /// An in-memory page store with read/write accounting.
 #[derive(Debug, Default)]
 pub struct VirtualDisk {
-    pages: Mutex<Vec<Bytes>>,
+    /// Page `id` is `pages[id]`, `None` once freed.
+    pages: Mutex<Vec<Option<Bytes>>>,
     reads: AtomicU64,
     writes: AtomicU64,
 }
@@ -39,26 +47,48 @@ impl VirtualDisk {
         VirtualDisk::default()
     }
 
-    /// Writes a page, returning its id.
+    /// Writes a record page, returning its id.
     pub(crate) fn write_page(&self, page: &Page) -> PageId {
-        let bytes = page.to_bytes();
-        let mut pages = self.pages.lock();
-        pages.push(bytes);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        (pages.len() - 1) as PageId
+        self.write_pages(vec![page.to_bytes()]).start
     }
 
-    /// Reads a page by id.
+    /// Writes `pages` under one lock, so their ids are consecutive, and
+    /// returns the ids.
+    pub(crate) fn write_pages(&self, pages: Vec<Bytes>) -> Range<PageId> {
+        let written = pages.len() as u64;
+        let mut held = self.pages.lock();
+        let first = held.len() as PageId;
+        held.extend(pages.into_iter().map(Some));
+        self.writes.fetch_add(written, Ordering::Relaxed);
+        first..first + written
+    }
+
+    /// Reads a page by id: a reference to its frozen bytes.
     ///
     /// # Panics
-    /// Panics when the page id does not exist.
-    pub(crate) fn read_page(&self, id: PageId) -> Page {
-        let bytes = {
-            let pages = self.pages.lock();
-            pages.get(id as usize).expect("page id out of range").clone()
+    /// Panics when the page id was never written or the page was freed.
+    pub(crate) fn read_page(&self, id: PageId) -> Bytes {
+        let bytes = match self.pages.lock().get(id as usize) {
+            Some(Some(bytes)) => bytes.clone(),
+            Some(None) => panic!("page {id} was freed"),
+            None => panic!("page id out of range: {id}"),
         };
         self.reads.fetch_add(1, Ordering::Relaxed);
-        Page::from_bytes(&bytes)
+        bytes
+    }
+
+    /// Frees the pages `ids`: their bytes are dropped, and the ids are never
+    /// handed out again.
+    pub(crate) fn free_pages(&self, ids: Range<PageId>) {
+        let mut held = self.pages.lock();
+        for slot in &mut held[ids.start as usize..ids.end as usize] {
+            *slot = None;
+        }
+    }
+
+    /// Bytes held by the pages written and not freed.
+    pub fn live_bytes(&self) -> usize {
+        self.pages.lock().iter().flatten().map(Bytes::len).sum()
     }
 
     /// Current I/O counters.
@@ -90,7 +120,7 @@ mod tests {
         let disk = VirtualDisk::new();
         let id = disk.write_page(&page_with(10));
         let back = disk.read_page(id);
-        assert_eq!(back.records().len(), 10);
+        assert_eq!(Page::from_bytes(&back).records().len(), 10);
         assert_eq!(disk.stats(), DiskStats { reads: 1, writes: 1 });
     }
 
@@ -111,6 +141,28 @@ mod tests {
         disk.reset_stats();
         assert_eq!(disk.stats(), DiskStats::default());
         assert_eq!(disk.pages.lock().len(), 1);
+    }
+
+    #[test]
+    fn freed_ids_are_never_reused() {
+        let disk = VirtualDisk::new();
+        let words = disk.write_pages(vec![Bytes::from(vec![1; 16]), Bytes::from(vec![2; 8])]);
+        assert_eq!(words, 0..2);
+        assert_eq!(disk.live_bytes(), 24);
+        disk.free_pages(0..1);
+        assert_eq!(disk.live_bytes(), 8);
+        assert_eq!(&disk.read_page(1)[..], &[2; 8]);
+        assert_eq!(disk.write_page(&page_with(1)), 2, "a freed id is not handed out again");
+        assert_eq!(disk.stats().writes, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "page 0 was freed")]
+    fn reading_a_freed_page_panics() {
+        let disk = VirtualDisk::new();
+        disk.write_page(&page_with(1));
+        disk.free_pages(0..1);
+        let _ = disk.read_page(0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Real deployments of the paper's system ingest billions of raw trace records
 //! that are not organised by entity; before the MinSigTree can be built they are
 //! sorted by entity with a B-way external merge sort, and at query time the leaf
-//! evaluation reads entity traces from disk through a bounded buffer pool.  This
+//! evaluation reads the data it needs from disk through a bounded buffer pool.  This
 //! crate provides those pieces against a deterministic in-process "virtual disk"
 //! so that I/O behaviour (pages read/written, sort passes, buffer-pool hit rates)
 //! is measurable and reproducible without depending on the machine's actual
@@ -15,14 +15,18 @@
 //!
 //! * [`codec`] — the fixed-width binary trace record format;
 //! * [`page`] — 8 KiB slotted pages of records;
-//! * [`disk`] — the virtual disk with read/write accounting;
+//! * [`words`] — pages of `u64` words, written and freed as one run (the
+//!   `minsig` out-of-core session's cell rows);
+//! * [`disk`] — the virtual disk with read/write accounting: a page is its
+//!   bytes;
 //! * [`sort`] — B-way external merge sort with pass counting (Section 4.3);
 //! * [`pool`] — the buffer manager: a byte-budgeted page cache with pin/unpin
 //!   and a simulated miss penalty;
 //! * [`replacer`] — pluggable eviction policies (LRU-K by default) behind the
 //!   [`Replacer`] trait;
-//! * [`store`] — the entity-ordered [`PagedTraceStore`] used by the paged query
-//!   path of the `minsig` crate;
+//! * [`store`] — the entity-ordered [`PagedTraceStore`]: the records, the
+//!   directory of the entities it holds, and the disk the `minsig` paged
+//!   session writes its rows to;
 //! * [`segment`] — the checksummed, length-prefixed segment file format that
 //!   backs every on-disk artefact (the persisted index snapshot and shard
 //!   manifest of `minsig`);
@@ -42,6 +46,7 @@ pub mod replacer;
 pub mod segment;
 pub mod sort;
 pub mod store;
+pub mod words;
 
 pub use codec::TraceRecord;
 pub use disk::{PageId, VirtualDisk};
@@ -52,3 +57,4 @@ pub use replacer::{Replacer, ReplacerPolicy};
 pub use segment::{SegmentError, SegmentReader, SegmentWriter};
 pub use sort::SortStats;
 pub use store::{PagedTraceStore, StoreStats};
+pub use words::WordPages;

@@ -65,22 +65,59 @@ impl Page {
         buf.freeze()
     }
 
-    /// Parses a page from its serialised form.
+    /// Parses a page from its serialised form (the external sort's runs;
+    /// queries decode only the records they need, see [`entity_records`]).
     ///
     /// # Panics
     /// Panics when the buffer is shorter than the header or the declared record
     /// count does not fit in the buffer.
     pub(crate) fn from_bytes(bytes: &[u8]) -> Self {
-        assert!(bytes.len() >= Self::HEADER_LEN, "page buffer too small");
-        let count = u32::from_le_bytes(bytes[..4].try_into().expect("4 header bytes")) as usize;
-        let needed = Self::HEADER_LEN + count * TraceRecord::ENCODED_LEN;
-        assert!(bytes.len() >= needed, "page buffer truncated: {} < {needed}", bytes.len());
-        let records = bytes[Self::HEADER_LEN..needed]
-            .chunks_exact(TraceRecord::ENCODED_LEN)
-            .map(|encoded| TraceRecord::from_encoded(encoded.try_into().expect("exact chunk")))
-            .collect();
-        Page { records }
+        Page { records: (0..record_count(bytes)).map(|i| record_at(bytes, i)).collect() }
     }
+}
+
+/// The record count an encoded page declares, checked against its length.
+///
+/// # Panics
+/// Panics when the buffer is shorter than the header or the declared record
+/// count does not fit in the buffer.
+fn record_count(bytes: &[u8]) -> usize {
+    assert!(bytes.len() >= Page::HEADER_LEN, "page buffer too small");
+    let count = u32::from_le_bytes(bytes[..4].try_into().expect("4 header bytes")) as usize;
+    let needed = Page::HEADER_LEN + count * TraceRecord::ENCODED_LEN;
+    assert!(bytes.len() >= needed, "page buffer truncated: {} < {needed}", bytes.len());
+    count
+}
+
+/// The encoded bytes of record `i` of a page of `record_count(bytes)`.
+fn encoded(bytes: &[u8], i: usize) -> &[u8; TraceRecord::ENCODED_LEN] {
+    let at = Page::HEADER_LEN + i * TraceRecord::ENCODED_LEN;
+    bytes[at..at + TraceRecord::ENCODED_LEN].try_into().expect("a whole record")
+}
+
+/// Decodes record `i` of an encoded page.
+fn record_at(bytes: &[u8], i: usize) -> TraceRecord {
+    TraceRecord::from_encoded(encoded(bytes, i))
+}
+
+/// The records of `entity` on an encoded page, decoded one by one as they
+/// are iterated: the run is found by binary search over the encoded entity
+/// column (records are entity-sorted), and no other record is decoded.
+pub(crate) fn entity_records(bytes: &[u8], entity: u64) -> impl Iterator<Item = TraceRecord> + '_ {
+    let entity_of = move |i: usize| {
+        u64::from_le_bytes(encoded(bytes, i)[..8].try_into().expect("8 entity bytes"))
+    };
+    let count = record_count(bytes);
+    let (mut first, mut end) = (0, count);
+    while first < end {
+        let mid = (first + end) / 2;
+        if entity_of(mid) < entity {
+            first = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    (first..count).take_while(move |&i| entity_of(i) == entity).map(move |i| record_at(bytes, i))
 }
 
 impl FromIterator<TraceRecord> for Page {
@@ -165,6 +202,26 @@ mod tests {
         // No record lost or duplicated.
         assert_eq!(pages[0].records().len(), RECORDS_PER_PAGE);
         assert_eq!(pages[1].records().len(), 10);
+    }
+
+    /// The binary-searched run of every entity — first and last on the
+    /// page, one record or many, absent — is what a full decode filters.
+    #[test]
+    fn entity_records_decode_exactly_the_entitys_run() {
+        let page: Page =
+            [1u64, 1, 4, 4, 4, 9, 12, 12].iter().enumerate().map(|(i, &e)| rec_of(e, i)).collect();
+        let bytes = page.to_bytes();
+        for entity in 0..14 {
+            let run: Vec<TraceRecord> = entity_records(&bytes, entity).collect();
+            let filtered: Vec<TraceRecord> =
+                page.records().iter().filter(|r| r.entity == entity).copied().collect();
+            assert_eq!(run, filtered, "entity {entity}");
+        }
+        assert_eq!(entity_records(&Page::new().to_bytes(), 3).count(), 0);
+    }
+
+    fn rec_of(entity: u64, i: usize) -> TraceRecord {
+        TraceRecord::new(entity, i as u32, i as u64 * 10, i as u64 * 10 + 5)
     }
 
     #[test]

@@ -18,20 +18,28 @@
 //!
 //! ## What the pool mutex covers
 //!
-//! Frames share their page by reference (`Arc<Page>`): a fetch hands out a
-//! refcount bump, never a copy, and the mutex guards only the frame table,
-//! the replacer and the counters.  A **hit** bumps the replacer, takes the
-//! pin and clones the `Arc`.  A **miss** releases the mutex, reads and
-//! decodes the page unlocked, then re-locks to evict and publish the frame; a
-//! second reader that missed the same page meanwhile finds it resident when
-//! it re-locks and adopts it (pins already taken on the frame are untouched).
-//! Both count as misses, because both read the disk.
+//! A frame holds its page's frozen [`Bytes`] and nothing decoded: a fetch
+//! hands out a refcount bump, never a copy, and the bytes it returns stay
+//! valid after the frame is evicted.  The mutex guards only the frame table,
+//! the replacer and the counters.  A **hit** is one lock: it bumps the
+//! replacer, takes the pin if one is asked for, and clones the bytes.  A
+//! **miss** releases the mutex, reads the page unlocked, then re-locks to
+//! evict and publish the frame; a second reader that missed the same page
+//! meanwhile finds it resident when it re-locks and adopts it (pins already
+//! taken on the frame are untouched).  Both count as misses, because both
+//! read the disk.
+//!
+//! Readers that use a page right away fetch it **unpinned** — the query
+//! path's row reads ([`WordPages::read`](crate::WordPages::read)) and
+//! [`PagedTraceStore::read_trace`](crate::PagedTraceStore::read_trace) — so
+//! there is no unpin round trip.  Pins are for holding pages resident across
+//! calls ([`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace)).
 //!
 //! Every fetch can also report what it did — hit or miss, frames evicted,
 //! simulated latency — into a caller-owned [`PoolStats`]
-//! ([`PagedTraceStore::for_each_record`](crate::PagedTraceStore::for_each_record),
-//! [`PinnedPages::io`]): how a query counts its own I/O while others share
-//! the pool.  [`BufferPool::stats`] stays the pool-global total.
+//! ([`WordPages::read`](crate::WordPages::read), [`PinnedPages::io`]): how a
+//! query counts its own I/O while others share the pool.
+//! [`BufferPool::stats`] stays the pool-global total.
 //!
 //! ```
 //! use trace_model::{EntityId, Period, PresenceInstance, TraceSet};
@@ -71,12 +79,12 @@
 //! ```
 
 use crate::disk::{PageId, VirtualDisk};
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::PAGE_SIZE;
 use crate::replacer::{Replacer, ReplacerPolicy};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Configuration of a [`BufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -170,10 +178,11 @@ impl std::ops::AddAssign for PoolStats {
     }
 }
 
-/// One resident page (shared by reference with its readers) and its pin count.
+/// One resident page (its bytes, shared by reference with its readers) and
+/// its pin count.
 #[derive(Debug)]
 struct Frame {
-    page: Arc<Page>,
+    page: Bytes,
     pins: u32,
 }
 
@@ -187,10 +196,10 @@ struct PoolInner {
 impl PoolInner {
     /// Records an access to a resident frame, takes the pin and shares the
     /// page; `None` when `id` is not resident.
-    fn share(&mut self, id: PageId, pin: bool) -> Option<Arc<Page>> {
+    fn share(&mut self, id: PageId, pin: bool) -> Option<Bytes> {
         let frame = self.frames.get_mut(&id)?;
         frame.pins += u32::from(pin);
-        let page = Arc::clone(&frame.page);
+        let page = frame.page.clone();
         self.replacer.record_access(id);
         if pin {
             self.replacer.set_evictable(id, false);
@@ -270,9 +279,20 @@ impl<'d> BufferPool<'d> {
         self.config
     }
 
-    /// Fetches a page, from cache when possible, without pinning it.
-    pub fn get(&self, id: PageId) -> Arc<Page> {
-        self.fetch(id, false, &mut PoolStats::default())
+    /// Fetches a page's bytes, from cache when possible, without pinning it.
+    pub fn get(&self, id: PageId) -> Bytes {
+        self.get_counted(id, &mut PoolStats::default())
+    }
+
+    /// [`get`](Self::get), adding what the fetch did to the caller's `io`
+    /// counters: one lock on a hit, no pin to release afterwards.
+    pub(crate) fn get_counted(&self, id: PageId, io: &mut PoolStats) -> Bytes {
+        self.fetch(id, false, io)
+    }
+
+    /// The disk this pool reads.
+    pub(crate) fn disk(&self) -> &'d VirtualDisk {
+        self.disk
     }
 
     /// Fetches a page and pins its frame: until a matching [`unpin`], the
@@ -283,7 +303,7 @@ impl<'d> BufferPool<'d> {
     /// many clients share the pool.
     ///
     /// [`unpin`]: BufferPool::unpin
-    pub(crate) fn pin_counted(&self, id: PageId, io: &mut PoolStats) -> Arc<Page> {
+    pub(crate) fn pin_counted(&self, id: PageId, io: &mut PoolStats) -> Bytes {
         self.fetch(id, true, io)
     }
 
@@ -315,17 +335,17 @@ impl<'d> BufferPool<'d> {
         PinnedPages { pool: self, pages, io }
     }
 
-    fn fetch(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Arc<Page> {
+    fn fetch(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Bytes {
         if let Some(page) = self.lookup(id, pin, io) {
             return page;
         }
-        // Miss: the disk read and record decode run with the mutex released.
-        self.publish(id, Arc::new(self.disk.read_page(id)), pin, io)
+        // Miss: the disk read runs with the mutex released.
+        self.publish(id, self.disk.read_page(id), pin, io)
     }
 
     /// The locked hit path: `None` (nothing counted yet) when `id` is not
     /// resident.
-    fn lookup(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Option<Arc<Page>> {
+    fn lookup(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Option<Bytes> {
         let mut inner = self.inner.lock();
         let page = inner.share(id, pin)?;
         let hit =
@@ -339,7 +359,7 @@ impl<'d> BufferPool<'d> {
     /// pinned — then the budget is overcommitted rather than a pinned frame
     /// dropped) and inserts `page`, or adopts the frame a raced reader of the
     /// same page published first.
-    fn publish(&self, id: PageId, page: Arc<Page>, pin: bool, io: &mut PoolStats) -> Arc<Page> {
+    fn publish(&self, id: PageId, page: Bytes, pin: bool, io: &mut PoolStats) -> Bytes {
         let mut inner = self.inner.lock();
         let mut miss = PoolStats {
             misses: 1,
@@ -416,7 +436,7 @@ const _: fn() = || {
 #[cfg(test)]
 impl BufferPool<'_> {
     /// [`pin_counted`](Self::pin_counted) for tests that count nothing.
-    pub(crate) fn pin(&self, id: PageId) -> Arc<Page> {
+    pub(crate) fn pin(&self, id: PageId) -> Bytes {
         self.pin_counted(id, &mut PoolStats::default())
     }
 
@@ -443,6 +463,7 @@ impl PinnedPages<'_, '_> {
 mod tests {
     use super::*;
     use crate::codec::TraceRecord;
+    use crate::page::Page;
 
     fn disk_with_pages(n: u64) -> VirtualDisk {
         let disk = VirtualDisk::new();
@@ -469,7 +490,7 @@ mod tests {
         let pool = BufferPool::new(&disk, PoolConfig::default());
         let a = pool.get(0);
         let b = pool.get(0);
-        assert_eq!(a.records(), b.records());
+        assert_eq!(a, b);
         let stats = pool.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
@@ -649,7 +670,8 @@ mod tests {
                             let id = if i == 0 { 0 } else { (t + i) % 16 };
                             let page = pool.pin_counted(id, &mut io);
                             // Every record of page `id` carries entity `id * 10 + j`.
-                            assert!(page.records().iter().all(|r| r.entity / 10 == id));
+                            let records = Page::from_bytes(&page).records().to_vec();
+                            assert!(records.iter().all(|r| r.entity / 10 == id));
                             assert!(pool.is_resident(id), "a pinned page is resident");
                             assert!(pool.unpin(id));
                         }
@@ -769,11 +791,11 @@ mod tests {
         let (mut io_a, mut io_b) = (PoolStats::default(), PoolStats::default());
         assert!(pool.lookup(0, true, &mut io_a).is_none(), "A misses");
         assert!(pool.lookup(0, true, &mut io_b).is_none(), "B misses");
-        let (read_a, read_b) = (Arc::new(disk.read_page(0)), Arc::new(disk.read_page(0)));
-        let page_b = pool.publish(0, Arc::clone(&read_b), true, &mut io_b);
+        let (read_a, read_b) = (disk.read_page(0), disk.read_page(0));
+        let page_b = pool.publish(0, read_b.clone(), true, &mut io_b);
         assert_eq!((pool.cached_pages(), pool.pinned_frames()), (1, 1));
         let page_a = pool.publish(0, read_a, true, &mut io_a);
-        assert!(Arc::ptr_eq(&page_a, &read_b) && Arc::ptr_eq(&page_b, &read_b), "A adopted B's");
+        assert_eq!(page_a, page_b, "A adopted the frame B published");
         assert_eq!(pool.cached_pages(), 1, "one resident frame");
         // Both read the disk, so both are misses; nothing was a hit.
         let stats = pool.stats();

@@ -21,7 +21,7 @@
 
 use crate::disk::PageId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// An eviction policy the [`BufferPool`](crate::BufferPool) consults.
 ///
@@ -94,63 +94,82 @@ struct LruKEntry {
     evictable: bool,
 }
 
+/// Where an entry ranks as a victim: `(has full history, k-distance
+/// reference tick, id)`, smallest first — pages with a short history
+/// (infinite k-distance) before the rest, then by their oldest retained
+/// access.  The id never decides (ticks are unique) but keeps keys unique.
+type Rank = (bool, u64, PageId);
+
+impl LruKEntry {
+    fn rank(&self, id: PageId, k: usize) -> Rank {
+        (self.history.len() == k, self.history.front().copied().unwrap_or(0), id)
+    }
+}
+
 /// The LRU-K policy: evict the evictable page whose k-th most recent access
 /// is oldest; pages with fewer than `k` accesses count as infinitely old and
 /// go first (earliest first access breaks ties among them).
+///
+/// The evictable entries are also kept in an ordered set by [`Rank`], so
+/// the victim is its first element — `O(log n)` per access, pin change and
+/// victim instead of a scan of every entry per victim.
 #[derive(Debug)]
 pub(crate) struct LruKReplacer {
     k: usize,
     tick: u64,
     entries: HashMap<PageId, LruKEntry>,
+    /// The ranks of the evictable entries.
+    evictable: BTreeSet<Rank>,
 }
 
 impl LruKReplacer {
     /// Creates an LRU-K replacer; `k` is clamped to at least 1.
     pub(crate) fn new(k: usize) -> Self {
-        LruKReplacer { k: k.max(1), tick: 0, entries: HashMap::new() }
+        LruKReplacer { k: k.max(1), tick: 0, entries: HashMap::new(), evictable: BTreeSet::new() }
     }
 }
 
 impl Replacer for LruKReplacer {
     fn record_access(&mut self, id: PageId) {
         self.tick += 1;
-        let tick = self.tick;
-        let k = self.k;
+        let (tick, k) = (self.tick, self.k);
         let entry = self
             .entries
             .entry(id)
             .or_insert_with(|| LruKEntry { history: VecDeque::with_capacity(k), evictable: true });
+        if entry.evictable {
+            self.evictable.remove(&entry.rank(id, k));
+        }
         if entry.history.len() == k {
             entry.history.pop_front();
         }
         entry.history.push_back(tick);
+        if entry.evictable {
+            self.evictable.insert(entry.rank(id, k));
+        }
     }
 
     fn set_evictable(&mut self, id: PageId, evictable: bool) {
-        if let Some(entry) = self.entries.get_mut(&id) {
+        let Some(entry) = self.entries.get_mut(&id) else { return };
+        if entry.evictable != evictable {
             entry.evictable = evictable;
+            let rank = entry.rank(id, self.k);
+            if evictable {
+                self.evictable.insert(rank);
+            } else {
+                self.evictable.remove(&rank);
+            }
         }
     }
 
     fn remove(&mut self, id: PageId) {
-        self.entries.remove(&id);
+        if let Some(entry) = self.entries.remove(&id) {
+            self.evictable.remove(&entry.rank(id, self.k));
+        }
     }
 
     fn victim(&mut self) -> Option<PageId> {
-        // (has full history, k-distance reference tick, id): pages with a
-        // short history sort first (infinite k-distance), then by the oldest
-        // retained access; the id tie-break cannot fire (ticks are unique)
-        // but keeps the order total for future policies.
-        let victim = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.evictable)
-            .map(|(&id, e)| {
-                let full = e.history.len() == self.k;
-                (full, e.history.front().copied().unwrap_or(0), id)
-            })
-            .min()?
-            .2;
+        let (_, _, victim) = self.evictable.pop_first()?;
         self.entries.remove(&victim);
         Some(victim)
     }
@@ -163,6 +182,81 @@ impl Replacer for LruKReplacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// LRU-K as it was first written — every victim a scan of every entry
+    /// for the least `(full history, k-th tick, id)` — kept as the oracle
+    /// of the ordered set.
+    struct ScanLruK {
+        k: usize,
+        tick: u64,
+        entries: HashMap<PageId, LruKEntry>,
+    }
+
+    impl ScanLruK {
+        fn record_access(&mut self, id: PageId) {
+            self.tick += 1;
+            let (tick, k) = (self.tick, self.k);
+            let entry = self
+                .entries
+                .entry(id)
+                .or_insert_with(|| LruKEntry { history: VecDeque::new(), evictable: true });
+            if entry.history.len() == k {
+                entry.history.pop_front();
+            }
+            entry.history.push_back(tick);
+        }
+
+        fn victim(&mut self) -> Option<PageId> {
+            let entries = self.entries.iter().filter(|(_, e)| e.evictable);
+            let (_, _, victim) = entries.map(|(&id, e)| e.rank(id, self.k)).min()?;
+            self.entries.remove(&victim);
+            Some(victim)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random streams of accesses, pins, unpins, removals and victim
+        /// requests: the ordered set names the scan's victim every time.
+        #[test]
+        fn the_ordered_set_names_the_scans_victims(
+            k in 1usize..4,
+            ops in proptest::collection::vec((0u8..6, 0u64..10), 0..300),
+        ) {
+            let mut fast = LruKReplacer::new(k);
+            let mut scan = ScanLruK { k, tick: 0, entries: HashMap::new() };
+            for (step, &(op, id)) in ops.iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        fast.record_access(id);
+                        scan.record_access(id);
+                    }
+                    2 | 3 => {
+                        let evictable = op == 3;
+                        fast.set_evictable(id, evictable);
+                        if let Some(entry) = scan.entries.get_mut(&id) {
+                            entry.evictable = evictable;
+                        }
+                    }
+                    4 => {
+                        fast.remove(id);
+                        scan.entries.remove(&id);
+                    }
+                    _ => prop_assert_eq!(fast.victim(), scan.victim(), "step {}", step),
+                }
+                prop_assert_eq!(fast.tracked(), scan.entries.len(), "step {}", step);
+            }
+            loop {
+                let victim = fast.victim();
+                prop_assert_eq!(victim, scan.victim(), "draining");
+                if victim.is_none() {
+                    break;
+                }
+            }
+        }
+    }
 
     /// LRU-1 degenerates to plain LRU: victims come out least-recently-used.
     #[test]

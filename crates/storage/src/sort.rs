@@ -10,7 +10,7 @@
 
 use crate::codec::TraceRecord;
 use crate::disk::{PageId, VirtualDisk};
-use crate::page::{pack_pages, RECORDS_PER_PAGE};
+use crate::page::{pack_pages, Page, RECORDS_PER_PAGE};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -42,7 +42,10 @@ fn write_run(disk: &VirtualDisk, records: Vec<TraceRecord>) -> Run {
 }
 
 fn read_run(disk: &VirtualDisk, run: &Run) -> Vec<TraceRecord> {
-    run.pages.iter().flat_map(|&id| disk.read_page(id).records().to_vec()).collect()
+    run.pages
+        .iter()
+        .flat_map(|&id| Page::from_bytes(&disk.read_page(id)).records().to_vec())
+        .collect()
 }
 
 /// Sorts `records` by `(entity, start, unit)` using a B-way external merge sort

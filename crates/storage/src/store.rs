@@ -2,14 +2,16 @@
 //!
 //! After the external sort has organised raw records by entity (Section 4.3), the
 //! records are packed into pages and a small directory maps every entity to the
-//! pages holding its trace.  The `minsig` paged query path reads candidate
-//! entities' traces through a [`BufferPool`] over this store, which is how the
-//! memory-size experiment of Figure 7.6 measures the effect of the buffer budget.
+//! pages holding its trace.  A trace is read through a [`BufferPool`] over the
+//! store's disk; the `minsig` out-of-core session keeps its cell rows on the
+//! same disk ([`crate::words`]) and reads them through the same pool, which is
+//! how the memory-size experiment of Figure 7.6 measures the effect of the
+//! buffer budget.  The directory says which entities the store holds.
 
 use crate::codec::TraceRecord;
 use crate::disk::{PageId, VirtualDisk};
-use crate::page::{Page, PAGE_SIZE};
-use crate::pool::{BufferPool, PinnedPages, PoolConfig, PoolStats};
+use crate::page::{entity_records, Page, PAGE_SIZE};
+use crate::pool::{BufferPool, PinnedPages, PoolConfig};
 use crate::sort::{external_sort, SortStats};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -99,7 +101,8 @@ impl PagedTraceStore {
         self.stats
     }
 
-    /// The underlying virtual disk (for I/O accounting in experiments).
+    /// The underlying virtual disk: it holds the record pages, and an
+    /// out-of-core session writes its row pages to it.
     pub fn disk(&self) -> &VirtualDisk {
         &self.disk
     }
@@ -129,8 +132,7 @@ impl PagedTraceStore {
     }
 
     /// Pins every page of `entity`'s trace in `pool`, keeping the whole trace
-    /// resident until the returned guard drops — what the paged query paths
-    /// use to hold a query's own trace across executor step quanta.
+    /// resident until the returned guard drops.
     pub fn pin_trace<'p, 'd>(
         &self,
         pool: &'p BufferPool<'d>,
@@ -139,40 +141,18 @@ impl PagedTraceStore {
         Some(pool.pin_pages(self.trace_pages(entity)?.iter().copied()))
     }
 
-    /// Visits `entity`'s records in store order through the given buffer
-    /// pool, without materialising a trace; `false` (nothing visited) when the
-    /// entity has no records.  Each page is pinned only while its run of the
-    /// entity's records — found by binary search, pages are entity-sorted — is
-    /// visited; what the fetches did is added to the caller's `io` counters.
-    pub fn for_each_record(
-        &self,
-        pool: &BufferPool<'_>,
-        entity: EntityId,
-        io: &mut PoolStats,
-        mut visit: impl FnMut(&TraceRecord),
-    ) -> bool {
-        let Some(pages) = self.trace_pages(entity) else { return false };
-        for &id in pages {
-            let page = pool.pin_counted(id, io);
-            let records = page.records();
-            let first = records.partition_point(|r| r.entity < entity.raw());
-            let run = records[first..].partition_point(|r| r.entity == entity.raw());
-            records[first..first + run].iter().for_each(&mut visit);
-            pool.unpin(id);
-        }
-        true
-    }
-
     /// Reads an entity's trace through the given buffer pool, returning `None`
-    /// when the entity has no records.  Pages are pinned transiently (see
-    /// [`for_each_record`](Self::for_each_record)); use
-    /// [`pin_trace`](Self::pin_trace) to keep a trace resident longer.
+    /// when the entity has no records.  Each page is fetched unpinned and
+    /// only the entity's run of records on it is decoded (found by binary
+    /// search, pages are entity-sorted); use [`pin_trace`](Self::pin_trace)
+    /// to keep a trace resident longer.
     pub fn read_trace(&self, pool: &BufferPool<'_>, entity: EntityId) -> Option<DigitalTrace> {
         let mut trace = DigitalTrace::new();
-        self.for_each_record(pool, entity, &mut PoolStats::default(), |rec| {
-            trace.push(rec.to_presence())
-        })
-        .then_some(trace)
+        for &id in self.trace_pages(entity)? {
+            let page = pool.get(id);
+            entity_records(&page, entity.raw()).for_each(|rec| trace.push(rec.to_presence()));
+        }
+        Some(trace)
     }
 }
 
@@ -233,7 +213,7 @@ mod tests {
                 .trace_pages(entity)
                 .unwrap()
                 .iter()
-                .flat_map(|&id| store.disk.read_page(id).records().to_vec())
+                .flat_map(|&id| Page::from_bytes(&store.disk.read_page(id)).records().to_vec())
                 .filter(|rec| rec.entity == entity.raw())
                 .map(|rec| rec.to_presence())
                 .collect();

@@ -363,120 +363,6 @@ impl CellSetSequence {
     }
 }
 
-/// Reusable flat per-level rows of one trace: what
-/// [`DigitalTrace::cell_sequence`](crate::DigitalTrace::cell_sequence)
-/// computes, as packed cells in one buffer that is refilled trace after trace
-/// without allocating.
-///
-/// The base row is generated and sorted once; every coarser row is derived
-/// from the *sorted* base row by mapping each cell's unit to its ancestor.
-/// Cells are time-major, so the mapped row is already ordered across times
-/// and only cells of one time unit can land out of order or collide — those
-/// are fixed up inside their run.  After [`finish`](Self::finish), row `i`
-/// equals `cell_sequence(..).level(i + 1).packed_slice()` exactly, and the
-/// rows fail to build exactly when `cell_sequence` fails.
-#[derive(Debug, Clone, Default)]
-pub struct LevelRows {
-    /// The base row while presences are pushed; after `finish`, every row,
-    /// level 1 first.
-    cells: Vec<u64>,
-    /// After `finish`: `offsets[i]..offsets[i + 1]` brackets row `i`.
-    offsets: Vec<usize>,
-    base: Vec<u64>,
-}
-
-impl LevelRows {
-    /// Starts a new trace, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.cells.clear();
-        self.offsets.clear();
-    }
-
-    /// Adds the base cells of one presence at `unit` over `period`; fails for
-    /// an unknown unit, or a coarser-than-base unit that covers any cell.
-    pub fn push(
-        &mut self,
-        sp: &SpIndex,
-        ticks_per_unit: u64,
-        unit: SpatialUnitId,
-        period: crate::time::Period,
-    ) -> Result<()> {
-        let level = sp.level(unit)?;
-        let before = self.cells.len();
-        self.cells.extend(period.units(ticks_per_unit).map(|t| StCell::new(t, unit).packed()));
-        if level != sp.height() && self.cells.len() > before {
-            // What `ancestor_at_level` reports when projecting a coarse cell.
-            return Err(ModelError::InvalidLevel { level: level + 1, height: sp.height() });
-        }
-        Ok(())
-    }
-
-    /// Sorts the pushed base cells and derives every coarser row.
-    pub fn finish(&mut self, sp: &SpIndex) -> Result<()> {
-        let m = sp.height() as usize;
-        std::mem::swap(&mut self.cells, &mut self.base);
-        self.base.sort_unstable();
-        self.base.dedup();
-        self.cells.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-        for level in 0..m.saturating_sub(1) {
-            let row = self.cells.len();
-            for &packed in &self.base {
-                let cell = StCell::from_packed(packed);
-                // `push` admitted base units only, so every level is there.
-                let mapped = StCell::new(cell.time(), sp.ancestors(cell.unit())?[level]).packed();
-                match self.cells[row..].last() {
-                    Some(&last) if mapped == last => {}
-                    Some(&last) if mapped < last => {
-                        // Same time unit, ancestors out of unit order: place
-                        // the cell inside its (short) run.
-                        let run =
-                            row + self.cells[row..].partition_point(|&c| c >> 32 < mapped >> 32);
-                        if let Err(at) = self.cells[run..].binary_search(&mapped) {
-                            self.cells.insert(run + at, mapped);
-                        }
-                    }
-                    _ => self.cells.push(mapped),
-                }
-            }
-            self.offsets.push(self.cells.len());
-        }
-        if m > 0 {
-            self.cells.extend_from_slice(&self.base);
-            self.offsets.push(self.cells.len());
-        }
-        Ok(())
-    }
-
-    /// [`clear`](Self::clear), [`push`](Self::push) every presence,
-    /// [`finish`](Self::finish).
-    pub fn fill<'p>(
-        &mut self,
-        sp: &SpIndex,
-        ticks_per_unit: u64,
-        presences: impl IntoIterator<Item = &'p crate::presence::PresenceInstance>,
-    ) -> Result<()> {
-        self.clear();
-        for pi in presences {
-            self.push(sp, ticks_per_unit, pi.unit, pi.period)?;
-        }
-        self.finish(sp)
-    }
-
-    /// Number of rows (`m` after a successful [`finish`](Self::finish)).
-    #[inline]
-    pub fn num_levels(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The packed cells of level `i + 1`.
-    #[inline]
-    pub fn level(&self, i: usize) -> &[u64] {
-        &self.cells[self.offsets[i]..self.offsets[i + 1]]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,7 +532,7 @@ mod tests {
     }
 
     /// A 3-level hierarchy whose ancestor order *reverses* the base-unit id
-    /// order, so mapped rows come out unsorted inside a time unit.
+    /// order.
     fn crossed_hierarchy() -> (SpIndex, Vec<SpatialUnitId>) {
         let mut b = SpIndexBuilder::new(3);
         let tops = [b.add_top_unit().unwrap(), b.add_top_unit().unwrap()];
@@ -658,48 +544,6 @@ mod tests {
             base.push(b.add_child(mid).unwrap());
         }
         (b.build().unwrap(), base)
-    }
-
-    #[test]
-    fn level_rows_equal_the_cell_sequence_even_when_ancestors_cross() {
-        use crate::presence::{DigitalTrace, PresenceInstance};
-        use crate::time::Period;
-        let (sp, base) = crossed_hierarchy();
-        let presence = |unit, start, end| {
-            PresenceInstance::new(crate::EntityId(7), unit, Period { start, end })
-        };
-        // Every base unit during the same two hours (maximal in-run disorder
-        // and sibling collisions), a stay ending exactly on a unit boundary,
-        // a duplicate, and an empty period.
-        let mut trace: DigitalTrace =
-            base.iter().rev().map(|&unit| presence(unit, 30, 130)).collect();
-        trace.push(presence(base[3], 600, 720));
-        trace.push(presence(base[3], 600, 720));
-        trace.push(presence(base[0], 900, 900));
-        let oracle = trace.cell_sequence(&sp, 60).unwrap();
-        let mut rows = LevelRows::default();
-        for _ in 0..2 {
-            rows.fill(&sp, 60, trace.instances()).unwrap();
-            assert_eq!(rows.num_levels(), 3);
-            for level in 1..=3u8 {
-                assert_eq!(
-                    rows.level(level as usize - 1),
-                    oracle.level(level).packed_slice(),
-                    "level {level}"
-                );
-            }
-        }
-        assert_eq!(rows.level(0).len(), 2 * 3 + 2, "two tops x three hours, plus the late stay");
-
-        // An empty trace has `m` empty rows; the failures are `cell_sequence`'s.
-        rows.fill(&sp, 60, &[]).unwrap();
-        assert!((0..3).all(|i| rows.level(i).is_empty()));
-        let coarse = [presence(sp.top_units()[0], 0, 60)];
-        assert!(DigitalTrace::from_instances(coarse.to_vec()).cell_sequence(&sp, 60).is_err());
-        assert!(rows.fill(&sp, 60, &coarse).is_err());
-        let unknown = [presence(9_999, 0, 0)];
-        assert!(DigitalTrace::from_instances(unknown.to_vec()).cell_sequence(&sp, 60).is_err());
-        assert!(rows.fill(&sp, 60, &unknown).is_err());
     }
 
     #[test]

@@ -46,7 +46,8 @@
 //! [`keyed_overlap`] — a merge over the keys that sums `popcount(a & b)` on
 //! equal keys — walks correspondingly fewer entries.  The keyed form is a
 //! bijection of the packed one (a cell is in the row iff its key is and its
-//! mask bit is set), so the count is the same integer `|A ∩ B|`.  Which form
+//! mask bit is set), so the count is the same integer `|A ∩ B|`, and
+//! [`push_packed`] turns a keyed row back into its packed row.  Which form
 //! a pair of rows is intersected in is [`row_class`], again a pure function
 //! of lengths.
 
@@ -271,6 +272,36 @@ fn sort_word(keys: &mut [u64], masks: &mut [u64]) {
         keys[j] = key;
         masks[j] = mask;
     }
+}
+
+/// Appends the packed row a keyed row stands for to `out` and returns how
+/// many cells it appended: the inverse of [`push_keyed`], exactly.
+///
+/// A word's keys go unit by unit while packed cells go time by time, so a
+/// word held by one key is its mask's bits in order, and a word held by
+/// several is walked bit by bit over the union of their masks, each bit
+/// emitting the keys (units, ascending) whose mask has it.
+pub fn push_packed(row: KeyedRow<'_>, out: &mut Vec<u64>) -> usize {
+    debug_assert!(is_sorted_dedup(row.keys), "keyed row must be sorted and deduplicated");
+    let start = out.len();
+    let (keys, masks) = (row.keys, &row.masks[..row.keys.len()]);
+    let mut first = 0;
+    while first < keys.len() {
+        let word = keys[first] >> 32;
+        let end = first + keys[first..].iter().take_while(|&&key| key >> 32 == word).count();
+        let mut bits = masks[first..end].iter().fold(0, |all, &mask| all | mask);
+        while bits != 0 {
+            let bit = u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            for (&key, &mask) in keys[first..end].iter().zip(&masks[first..end]) {
+                if mask >> bit & 1 == 1 {
+                    out.push(key | bit << 32);
+                }
+            }
+        }
+        first = end;
+    }
+    out.len() - start
 }
 
 /// Appends the keyed form of the union of two rows given in keyed form —

@@ -41,7 +41,7 @@ pub mod traces;
 
 pub use adm::{AssociationMeasure, DiceAdm, JaccardAdm, PaperAdm, WeightedLevelAdm};
 pub use ajpi::{AdjointPresence, LevelOverlap};
-pub use cell::{CellSet, CellSetSequence, LevelRows, StCell};
+pub use cell::{CellSet, CellSetSequence, StCell};
 pub use entity::EntityId;
 pub use error::{ModelError, Result};
 pub use presence::{DigitalTrace, PresenceInstance};

@@ -1,7 +1,8 @@
 //! The keyed form of a cell row ([`trace_model::kernel::push_keyed`]) and its
 //! overlap kernel against the packed merge oracle: on arbitrary sorted packed
 //! sets the keyed rows are a lossless regrouping (every key ascending, every
-//! mask non-zero, expanding them gives the packed row back) and
+//! mask non-zero, expanding them gives the packed row back, and
+//! `push_packed` is that expansion, word edges and extremes included) and
 //! `keyed_overlap` — the routed kernel and the scalar merge by name —
 //! returns exactly `intersection_len_merge`, both ways round; uniting two
 //! keyed rows gives the keyed form of the packed union; and `row_class`, the
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 use std::cell::Cell;
 use trace_model::kernel::{
     dispatch_class, intersection_len_merge, keyed_overlap, keyed_overlap_merge, push_keyed,
-    push_keyed_union, row_class, KernelClass, KeyedRow, KEYED_GAIN, KEYED_MIN_CELLS,
+    push_keyed_union, push_packed, row_class, KernelClass, KeyedRow, KEYED_GAIN, KEYED_MIN_CELLS,
 };
 
 /// Packs `(time, unit)` pairs into a sorted, deduplicated packed row.
@@ -46,6 +47,17 @@ fn expand(keys: &[u64], masks: &[u64]) -> Vec<u64> {
     row
 }
 
+/// `push_keyed` then `push_packed` gives `row` back, appended after stale
+/// cells that stay untouched.
+fn assert_round_trips(row: &[u64]) {
+    let (keys, masks) = keyed(row, 2);
+    let mut out = vec![u64::MAX, 3];
+    let added = push_packed(KeyedRow::new(&keys, &masks), &mut out);
+    assert_eq!(added, row.len(), "push_packed reports what it appended");
+    assert_eq!(&out[2..], row, "push_packed inverts push_keyed");
+    assert_eq!(out[..2], [u64::MAX, 3], "earlier cells untouched");
+}
+
 /// Converts both rows, checks each conversion, and asserts every keyed
 /// kernel equals the packed merge oracle, both ways round.
 fn assert_keyed_agrees(a: &[u64], b: &[u64]) {
@@ -56,6 +68,7 @@ fn assert_keyed_agrees(a: &[u64], b: &[u64]) {
         assert!(masks.iter().all(|&m| m != 0), "no empty mask: {masks:?}");
         assert!(keys.len() <= row.len());
         assert_eq!(&expand(keys, masks), row, "the keyed form is the packed row");
+        assert_round_trips(row);
     }
     let (ka, kb) = (KeyedRow::new(&a_keys, &a_masks), KeyedRow::new(&b_keys, &b_masks));
     assert_eq!(keyed_overlap(ka, kb), expect, "routed keyed vs merge on {a:?} ∩ {b:?}");
@@ -106,6 +119,18 @@ proptest! {
             }))
         };
         assert_keyed_agrees(&stays(a), &stays(b));
+    }
+
+    /// `push_packed` inverts `push_keyed` on arbitrary sorted rows: cells
+    /// crowded into a few words and units, and cells anywhere in the
+    /// `u32 × u32` domain.
+    #[test]
+    fn push_packed_round_trips_push_keyed(
+        dense in proptest::collection::vec((0u32..260, 0u32..40), 0..400),
+        sparse in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..48),
+    ) {
+        assert_round_trips(&packed(dense));
+        assert_round_trips(&packed(sparse));
     }
 
     /// A keyed row has exactly one key per `(unit, word)` its cells touch —

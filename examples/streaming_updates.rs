@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example streaming_updates`.
 
-use digital_traces::index::{IndexConfig, IngestBuffer, MinSigIndex, QueryOptions};
+use digital_traces::index::{IndexConfig, IngestBuffer, MinSigIndex, ShardedSnapshot};
 use digital_traces::mobility_models::{HierarchyConfig, SynConfig, SynDataset};
 use digital_traces::model::{EntityId, PaperAdm, Period, PresenceInstance};
 use digital_traces::storage::{PagedTraceStore, PoolConfig};
@@ -105,16 +105,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("reloaded index answers bit-identically.");
     std::fs::remove_file(&path)?;
 
-    // 4. The same query against a memory-constrained deployment: traces live
-    //    in a paged store and only 25% of them fit in the buffer pool.
+    // 4. The same query against a memory-constrained deployment: the
+    //    session keeps the cell rows below the coarsest level on the store's
+    //    disk, and a buffer pool a quarter of the trace data holds what fits.
     let store = PagedTraceStore::build(&traces, 8);
     let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), 0.25));
-    let (paged_results, paged_stats) =
-        reopened.top_k_paged(EntityId(14), 3, &measure, &store, &pool, QueryOptions::default())?;
+    let snapshot = ShardedSnapshot::from(reopened.snapshot());
+    let session = snapshot.paged(&store, &pool);
+    let (paged_results, paged_stats) = session.top_k(EntityId(14), 3, &measure)?;
     println!(
-        "\npaged query with a 25% memory budget: {} pool misses, {:.2} ms simulated I/O",
+        "\npaged query with a 25% memory budget: {} pool misses, {:.2} ms simulated I/O, \
+         {} candidates answered without a read",
         paged_stats.pool_misses,
-        paged_stats.simulated_io_us as f64 / 1000.0
+        paged_stats.simulated_io_us as f64 / 1000.0,
+        paged_stats.reads_avoided
     );
     assert_eq!(paged_results.len(), a.len());
     for (x, y) in paged_results.iter().zip(a.iter()) {

@@ -130,11 +130,15 @@ fn warm_pool_plans_equal_in_memory_plans() {
                 ["default", "none"].into_iter().zip(seeded_and_sketchless(&w, shards))
             {
                 let snapshot = index.snapshot();
-                let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), 1.0));
-                for entity in w.entities() {
-                    store.read_trace(&pool, entity).expect("stored");
-                }
+                let pool = store.pool(PoolConfig::default());
                 let paged = snapshot.paged(&store, &pool);
+                // Warm: every row page the session reads is resident.
+                let rows: Vec<_> =
+                    (0..shards).flat_map(|s| paged.shard_pages(s).to_vec()).collect();
+                assert!(rows.len() * PAGE_SIZE <= pool.config().capacity_bytes, "all fit");
+                for &page in &rows {
+                    pool.get(page);
+                }
                 for query in w.sample_entities(6, seed ^ 0xFA57) {
                     for k in [1usize, 4, 9, 60] {
                         let warm = paged.explain(query, k, &measure, planner).unwrap();

@@ -2,9 +2,9 @@
 //! buffer-pool behaviour under different memory budgets, and external-sort-based
 //! store construction from generated mobility data.
 
-use digital_traces::index::{IndexConfig, MinSigIndex, QueryOptions};
+use digital_traces::index::{IndexConfig, MinSigIndex, ShardedSnapshot};
 use digital_traces::mobility_models::{HierarchyConfig, SynConfig, SynDataset};
-use digital_traces::storage::{PagedTraceStore, PoolConfig, TraceRecord};
+use digital_traces::storage::{PagedTraceStore, PoolConfig, TraceRecord, PAGE_SIZE};
 use digital_traces::{EntityId, PaperAdm};
 
 fn dataset() -> SynDataset {
@@ -41,10 +41,11 @@ fn paged_queries_match_in_memory_queries_on_mobility_data() {
     let store = PagedTraceStore::build(&dataset.traces, 6);
     let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), 0.3));
     let measure = PaperAdm::default_for(sp.height() as usize);
+    let snapshot = ShardedSnapshot::from(index.snapshot());
+    let session = snapshot.paged(&store, &pool);
     for query in dataset.query_entities(5, 13) {
         let (memory, _) = index.top_k(query, 10, &measure).unwrap();
-        let (paged, stats) =
-            index.top_k_paged(query, 10, &measure, &store, &pool, QueryOptions::default()).unwrap();
+        let (paged, stats) = session.top_k(query, 10, &measure).unwrap();
         assert_eq!(memory.len(), paged.len());
         for (a, b) in memory.iter().zip(paged.iter()) {
             assert!((a.degree - b.degree).abs() < 1e-9);
@@ -62,16 +63,15 @@ fn tighter_memory_budgets_cost_more_simulated_io() {
     let store = PagedTraceStore::build(&dataset.traces, 6);
     let measure = PaperAdm::default_for(sp.height() as usize);
     let queries = dataset.query_entities(10, 21);
+    let snapshot = ShardedSnapshot::from(index.snapshot());
 
     let run = |fraction: f64| -> u64 {
         let pool = store.pool(PoolConfig::with_memory_fraction(store.data_bytes(), fraction));
+        let session = snapshot.paged(&store, &pool);
         let mut total = 0u64;
         for _ in 0..2 {
             for &q in &queries {
-                let (_, stats) = index
-                    .top_k_paged(q, 10, &measure, &store, &pool, QueryOptions::default())
-                    .unwrap();
-                total += stats.simulated_io_us;
+                total += session.top_k(q, 10, &measure).unwrap().1.simulated_io_us;
             }
         }
         total
@@ -79,6 +79,35 @@ fn tighter_memory_budgets_cost_more_simulated_io() {
     let tight = run(0.05);
     let roomy = run(1.0);
     assert!(tight >= roomy, "5% of memory must not be cheaper than 100% ({tight} vs {roomy})");
+}
+
+/// Pins are the caller's to take: a trace pinned through the store stays
+/// resident while out-of-core queries sweep a one-frame pool (the pool
+/// overcommits rather than evict it), the queries themselves pin nothing,
+/// and releasing the pin leaves no frame pinned.
+#[test]
+fn a_pinned_trace_survives_paged_queries_that_pin_nothing() {
+    let dataset = dataset();
+    let sp = dataset.sp_index();
+    let index =
+        MinSigIndex::build(sp, &dataset.traces, IndexConfig::with_hash_functions(32)).unwrap();
+    let store = PagedTraceStore::build(&dataset.traces, 6);
+    let pool = store.pool(PoolConfig { capacity_bytes: PAGE_SIZE, ..PoolConfig::default() });
+    let snapshot = ShardedSnapshot::from(index.snapshot());
+    let session = snapshot.paged(&store, &pool);
+    let measure = PaperAdm::default_for(sp.height() as usize);
+    let queries = dataset.query_entities(4, 5);
+    let held = store.trace_pages(queries[0]).unwrap();
+    let pinned = store.pin_trace(&pool, queries[0]).expect("stored");
+    let mut evictions = 0;
+    for &query in &queries {
+        evictions += session.top_k(query, 5, &measure).unwrap().1.pool_evictions;
+        assert_eq!(pool.pinned_frames(), held.len(), "queries pin nothing and keep the pins");
+    }
+    assert!(evictions > 0, "the one-frame pool was swept");
+    assert_eq!(pool.resident_count(held), held.len(), "the pinned trace stayed resident");
+    drop(pinned);
+    assert_eq!(pool.pinned_frames(), 0);
 }
 
 #[test]

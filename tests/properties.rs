@@ -3,10 +3,9 @@
 //! trace data.
 
 use digital_traces::index::{HasherMode, IndexConfig, MinSigIndex};
-use digital_traces::model::LevelRows;
 use digital_traces::{
-    AssociationMeasure, DiceAdm, DigitalTrace, EntityId, JaccardAdm, PaperAdm, Period,
-    PresenceInstance, SpIndex, SpIndexBuilder, TraceSet,
+    AssociationMeasure, DiceAdm, EntityId, JaccardAdm, PaperAdm, Period, PresenceInstance, SpIndex,
+    TraceSet,
 };
 use proptest::prelude::*;
 
@@ -135,51 +134,6 @@ proptest! {
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert!((x.degree - y.degree).abs() < 1e-9);
-            }
-        }
-    }
-
-    /// The fused row builder of the paged leaf path equals its oracle,
-    /// `DigitalTrace::cell_sequence`, level for level on arbitrary traces:
-    /// records in any order, overlapping and duplicated periods, periods
-    /// ending exactly on a unit boundary, empty periods and empty traces —
-    /// over a hierarchy whose ancestors cross the base-unit id order (so the
-    /// run-local fix-up is exercised) and through one reused buffer.
-    #[test]
-    fn fused_level_rows_equal_cell_sequence(
-        traces in proptest::collection::vec(
-            proptest::collection::vec((0usize..12, 0u64..600, 0u64..200, any::<bool>()), 0..60),
-            1..6,
-        ),
-    ) {
-        // 3 levels; mid units alternate between the two tops, base units are
-        // added under the mids in reverse, so ancestor order reverses id order.
-        let mut builder = SpIndexBuilder::new(3);
-        let tops = [builder.add_top_unit().unwrap(), builder.add_top_unit().unwrap()];
-        let mids: Vec<_> = (0..4).map(|i| builder.add_child(tops[(i + 1) % 2]).unwrap()).collect();
-        let mut base = Vec::new();
-        for &mid in mids.iter().rev() {
-            for _ in 0..3 {
-                base.push(builder.add_child(mid).unwrap());
-            }
-        }
-        let sp = builder.build().unwrap();
-        let ticks_per_unit = 60;
-        let mut rows = LevelRows::default();
-        for records in &traces {
-            let trace: DigitalTrace = records
-                .iter()
-                .map(|&(unit, start, len, snap)| {
-                    // `snap` rounds the end up to a unit boundary.
-                    let end = if snap { (start + len).div_ceil(60) * 60 } else { start + len };
-                    PresenceInstance::new(EntityId(1), base[unit], Period::new(start, end).unwrap())
-                })
-                .collect();
-            let oracle = trace.cell_sequence(&sp, ticks_per_unit).unwrap();
-            rows.fill(&sp, ticks_per_unit, trace.instances()).unwrap();
-            prop_assert_eq!(rows.num_levels(), oracle.num_levels());
-            for (level, set) in oracle.iter_levels() {
-                prop_assert_eq!(rows.level(level as usize - 1), set.packed_slice(), "level {}", level);
             }
         }
     }
