@@ -22,6 +22,9 @@
 //!   ([`KeyedRow`]: one key per unit and 64-time-unit word, with a `u64`
 //!   mask of the time units present), CSR-indexed by the same row number
 //!   `pos * m + i`.  Derived from `cells`, never persisted;
+//! * `postings` — **the level-1 keyed rows inverted**: per distinct key,
+//!   ascending, the positions whose level-1 row holds it (ascending, `u32`)
+//!   with their masks.  Derived from `keyed`, never persisted;
 //! * per level, one flat signature array strided by the signature width
 //!   (`signatures[level][pos * nh..(pos + 1) * nh]` is entity `pos`'s level
 //!   row).  Signatures stay level-major on purpose: degree computation never
@@ -49,16 +52,31 @@
 //! ([`LevelOverlap::from_sequences`], every level always) does not stop, on
 //! purpose: it is the oracle the fused loop is held bitwise equal to.
 //!
+//! A **flat scan** of a shard (`CandidateArena::flat_scan`, in memory and out
+//! of core) does not intersect level-1 rows at all.  Before its position loop
+//! it walks the postings of the query's level-1 keys once and adds
+//! `popcount(query mask & mask)` into a per-position counter in the source's
+//! scratch, which leaves every member's exact `|Q₁ ∩ C₁|` (the reverse index
+//! plus counter of greyhound's `RevIndex` / `SigCounter`).  A member whose
+//! counter is 0 — ≈ 72 % on SYN — gets every level as `overlap: 0` with its
+//! true sizes: no intersection and, out of core, no page read.  Any other
+//! member enters `level_overlaps` at level 2 with its level-1 overlap known.
+//! The measure receives the integers the pairwise loop hands it.  Tree leaf
+//! evaluation, planner seeding and `CandidateArena::scan_top_k` (brute force)
+//! keep the pairwise loop, so the oracle stays independent of the postings.
+//!
 //! The arena is **read-path only**: the mutable index keeps its owned
 //! representation as the source of truth and rebuilds the arena whenever a
 //! mutation batch publishes a new snapshot — copying every row the batch did
 //! not touch from the arena it replaces, so only the batch's keyed rows are
-//! converted (`CandidateArena::rebuild`) — except pure single-entity
-//! inserts, which extend it incrementally via
-//! `CandidateArena::absorb_insert`, mirroring how the planning synopsis
-//! absorbs inserts.  Conformance tests pin the invariant that makes this
-//! safe: arena-backed degrees are bitwise identical to the owned path,
-//! because both feed the measure the exact same integer overlap statistics.
+//! converted, and carrying the postings over in one linear pass that remaps
+//! the copied positions and merges in the batch's entries
+//! (`CandidateArena::rebuild`) — except pure single-entity inserts, which
+//! extend it incrementally via `CandidateArena::absorb_insert`, mirroring how
+//! the planning synopsis absorbs inserts.  Conformance tests pin the
+//! invariant that makes this safe: arena-backed degrees are bitwise identical
+//! to the owned path, because both feed the measure the exact same integer
+//! overlap statistics.
 //!
 //! [`IndexSnapshot`]: crate::snapshot::IndexSnapshot
 
@@ -145,11 +163,18 @@ impl KeyedRows {
         self.offsets.splice(at + 1..at + 1, rows.offsets[1..].iter().map(|&end| end + start));
     }
 
+    /// Row `r`'s keys and masks.
+    #[inline]
+    fn parts(&self, r: usize) -> (&[u64], &[u64]) {
+        let span = self.offsets[r]..self.offsets[r + 1];
+        (&self.keys[span.clone()], &self.masks[span])
+    }
+
     /// Row `r`.
     #[inline]
     fn row(&self, r: usize) -> KeyedRow<'_> {
-        let span = self.offsets[r]..self.offsets[r + 1];
-        KeyedRow::new(&self.keys[span.clone()], &self.masks[span])
+        let (keys, masks) = self.parts(r);
+        KeyedRow::new(keys, masks)
     }
 
     /// Keys in rows `rows`.
@@ -161,6 +186,112 @@ impl KeyedRows {
     fn resident_bytes(&self) -> usize {
         self.offsets.capacity() * std::mem::size_of::<usize>()
             + (self.keys.capacity() + self.masks.capacity()) * std::mem::size_of::<u64>()
+    }
+}
+
+/// One entry a publish brings into the [`Postings`]: a level-1 key, the new
+/// arena position whose row holds it, and that row's mask under it.
+type Posting = (u64, u32, u64);
+
+/// The inverted index of an arena's level-1 keyed rows: for every distinct
+/// key (unit, 64-time-unit word), ascending, the arena positions whose
+/// level-1 row holds it, ascending, each with that row's mask under the key.
+/// A flat scan walks the entries of the query's level-1 keys once and adds
+/// `popcount(query mask & mask)` per entry, which is every member's exact
+/// `|Q₁ ∩ C₁|` ([`CandidateArena::flat_scan`]).  Derived from the keyed
+/// rows, never persisted.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Postings {
+    keys: Vec<u64>,
+    /// `keys.len() + 1` entries (bar the empty default): key `i`'s entries
+    /// are `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+    masks: Vec<u64>,
+}
+
+impl Postings {
+    /// The postings of the arena a publish makes from this one's: the entries
+    /// of every position `remap` maps carried over to the position it maps to
+    /// (`None`: the entity's rows were dropped or converted again), merged
+    /// with `fresh` — sorted by key, then position — per key.  Every vector is
+    /// allocated for the most it can hold and trimmed to its size at the end.
+    /// One pass over the entries, no sort of the carried ones: `remap` ascends
+    /// where it maps, as a rebuild's plan and an insert's shift do.
+    fn carry(&self, remap: impl Fn(usize) -> Option<u32>, fresh: &[Posting]) -> Postings {
+        debug_assert!(fresh.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        let (keys, entries) = (self.keys.len() + fresh.len(), self.positions.len() + fresh.len());
+        u32::try_from(entries).expect("level-1 postings are addressable by u32");
+        let mut out = Postings {
+            keys: Vec::with_capacity(keys),
+            offsets: Vec::with_capacity(keys + 1),
+            positions: Vec::with_capacity(entries),
+            masks: Vec::with_capacity(entries),
+        };
+        out.offsets.push(0);
+        let (mut old, mut new) = (0, 0);
+        loop {
+            let key = match (self.keys.get(old), fresh.get(new)) {
+                (Some(&a), Some(&(b, ..))) => a.min(b),
+                (Some(&a), None) => a,
+                (None, Some(&(b, ..))) => b,
+                (None, None) => break,
+            };
+            let carried = if self.keys.get(old) == Some(&key) {
+                old += 1;
+                self.offsets[old - 1] as usize..self.offsets[old] as usize
+            } else {
+                0..0
+            };
+            let end = new + fresh[new..].iter().take_while(|&&(k, ..)| k == key).count();
+            let mut added = fresh[new..end].iter().peekable();
+            for (&pos, &mask) in self.positions[carried.clone()].iter().zip(&self.masks[carried]) {
+                let Some(pos) = remap(pos as usize) else { continue };
+                while let Some(&(_, at, mask)) = added.next_if(|&&(_, at, _)| at < pos) {
+                    out.positions.push(at);
+                    out.masks.push(mask);
+                }
+                out.positions.push(pos);
+                out.masks.push(mask);
+            }
+            for &(_, at, mask) in added {
+                out.positions.push(at);
+                out.masks.push(mask);
+            }
+            new = end;
+            if out.positions.len() > out.offsets[out.keys.len()] as usize {
+                out.keys.push(key);
+                out.offsets.push(out.positions.len() as u32);
+            }
+        }
+        out.keys.shrink_to_fit();
+        out.offsets.shrink_to_fit();
+        out.positions.shrink_to_fit();
+        out.masks.shrink_to_fit();
+        out
+    }
+
+    /// Adds, for every entry under each of a query's level-1 keys (`keys`
+    /// ascending, `masks` parallel), `popcount(query mask & entry mask)` to
+    /// the entry's position in `counts`.
+    fn accumulate(&self, (keys, masks): (&[u64], &[u64]), counts: &mut [u32]) {
+        let mut at = 0;
+        for (&key, &mask) in keys.iter().zip(masks) {
+            at += self.keys[at..].partition_point(|&k| k < key);
+            if self.keys.get(at) != Some(&key) {
+                continue;
+            }
+            let span = self.offsets[at] as usize..self.offsets[at + 1] as usize;
+            for (&pos, &other) in self.positions[span.clone()].iter().zip(&self.masks[span]) {
+                counts[pos as usize] += (mask & other).count_ones();
+            }
+        }
+    }
+
+    /// Heap bytes held: every vector's capacity.
+    fn resident_bytes(&self) -> usize {
+        (self.keys.capacity() + self.masks.capacity()) * std::mem::size_of::<u64>()
+            + (self.offsets.capacity() + self.positions.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -203,6 +334,10 @@ pub struct CandidateArena {
     /// entity `pos` like the packed offsets: what the degree loop intersects
     /// when [`row_class`] says keyed.  Derived from `cells`, never persisted.
     keyed: KeyedRows,
+    /// The level-1 keyed rows inverted: per key, the positions holding it
+    /// with their masks — what a flat scan reads every member's level-1
+    /// overlap from.  Derived from `keyed`, never persisted.
+    postings: Postings,
     /// Per level (so `num_levels()` entries), all entities' level signatures
     /// concatenated in entity order with stride `sig_width`.
     signatures: Vec<Vec<u64>>,
@@ -232,6 +367,9 @@ impl CandidateArena {
     /// — from the delta alone, united with the previous rows, for an entity
     /// that only grew — so a publish converts what its batch brought, not
     /// the traces it touched, and copies the rest in a few `memcpy`s.  The
+    /// level-1 postings follow the same plan in one linear pass: carried
+    /// positions remapped, the listed entities' entries dropped, the
+    /// converted level-1 rows' entries merged in (`Postings::carry`).  The
     /// result equals a fresh build whenever the unlisted entities' sequences
     /// and signatures are the ones this arena was built from and every
     /// listed delta is what its entity's rows grew by.
@@ -246,6 +384,7 @@ impl CandidateArena {
         debug_assert!(changed.windows(2).all(|w| w[0].0 < w[1].0), "changed ids ascend");
         let (n, m) = (sequences.len(), num_levels as usize);
         debug_assert!(self.is_empty() || (self.num_levels(), self.sig_width) == (m, sig_width));
+        u32::try_from(n).expect("arena positions are addressable by u32");
         let plan = self.plan_rebuild(sequences, changed);
         // Convert first: the new key counts size the arena exactly.
         let (mut rows, mut bound) = (0, 0);
@@ -296,21 +435,36 @@ impl CandidateArena {
             offsets: Vec::with_capacity(n * m + 1),
             cells: Vec::with_capacity(cells),
             keyed: KeyedRows::with_capacity(n * m, keys),
+            postings: Postings::default(),
             signatures: (0..m).map(|_| Vec::with_capacity(n * sig_width)).collect(),
         };
         arena.offsets.push(0);
+        // The postings follow the plan: a carried position moves to where
+        // its run lands, a converted entity's level-1 keys are fresh entries.
+        let mut remap = vec![None; self.len()];
+        let mut fresh: Vec<Posting> = Vec::new();
         let mut next_converted = 0;
         for part in plan {
+            let at = arena.len() as u32;
             match part {
-                Rows::Carried(run) => arena.copy_rows(self, run),
+                Rows::Carried(run) => {
+                    for (old, new) in run.clone().zip(at..) {
+                        remap[old] = Some(new);
+                    }
+                    arena.copy_rows(self, run);
+                }
                 Rows::Fresh(entity, seq) | Rows::Grown(entity, seq, _, _) => {
                     arena.push_entity(entity, seq, signatures.get(&entity));
                     let rows = next_converted * m..(next_converted + 1) * m;
+                    let (keys, masks) = converted.parts(rows.start);
+                    fresh.extend(keys.iter().zip(masks).map(|(&key, &mask)| (key, at, mask)));
                     arena.keyed.extend_from(&converted, rows);
                     next_converted += 1;
                 }
             }
         }
+        fresh.sort_unstable_by_key(|&(key, at, _)| (key, at));
+        arena.postings = self.postings.carry(|old| remap[old], &fresh);
         arena
     }
 
@@ -394,7 +548,9 @@ impl CandidateArena {
     /// footprint included: the splice moves every later entity's cells (one
     /// `memmove` of the tail) and shifts their offsets, which is already
     /// `O(n)`, so each vector grows by exactly the inserted amount rather
-    /// than by doubling.
+    /// than by doubling.  The level-1 postings are carried over the way a
+    /// rebuild carries them, every later position shifted by one and the
+    /// entity's level-1 entries merged in.
     ///
     /// # Panics
     /// Panics when the entity is already present (replacements rebuild).
@@ -442,6 +598,15 @@ impl CandidateArena {
             keyed.push(set.packed_slice());
         }
         self.keyed.splice(pos * m, &keyed);
+
+        // Every later position moves up by one; the entity's level-1 keys
+        // are the fresh entries.
+        u32::try_from(self.len()).expect("arena positions are addressable by u32");
+        let (keys, masks) = keyed.parts(0);
+        let fresh: Vec<Posting> =
+            keys.iter().zip(masks).map(|(&key, &mask)| (key, pos as u32, mask)).collect();
+        let shift = |old: usize| Some((old + usize::from(old >= pos)) as u32);
+        self.postings = self.postings.carry(shift, &fresh);
 
         for (i, rows) in self.signatures.iter_mut().enumerate() {
             let row = sig.level((i + 1) as Level);
@@ -510,6 +675,7 @@ impl CandidateArena {
         let signatures: usize = self.signatures.iter().map(Vec::capacity).sum();
         (self.cells.capacity() + signatures) * std::mem::size_of::<u64>()
             + self.keyed.resident_bytes()
+            + self.postings.resident_bytes()
             + self.signatures.capacity() * std::mem::size_of::<Vec<u64>>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.entities.capacity() * std::mem::size_of::<EntityId>()
@@ -529,21 +695,23 @@ impl CandidateArena {
         measure: &M,
         scratch: &mut LevelOverlap,
     ) -> f64 {
-        self.overlaps_into(pos, view, scratch, None);
+        self.overlaps_into(pos, view, None, scratch, None);
         measure.degree_from_overlap(scratch)
     }
 
-    /// [`level_overlaps`] of the candidate at `pos`.
+    /// [`level_overlaps`] of the candidate at `pos`, from level 2 on when its
+    /// level-1 overlap is given.
     #[inline]
     fn overlaps_into(
         &self,
         pos: usize,
         view: &QueryView<'_>,
+        level_one: Option<usize>,
         scratch: &mut LevelOverlap,
         dispatch: Option<&mut KernelDispatch>,
     ) {
         debug_assert_eq!(view.num_levels(), self.num_levels());
-        level_overlaps(view, &mut self.rows(pos), scratch, dispatch);
+        level_overlaps(view, &mut self.rows(pos), level_one, scratch, dispatch);
     }
 
     /// Every row of the entity at `pos`, as [`level_overlaps`] reads them.
@@ -572,35 +740,37 @@ impl CandidateArena {
     pub(crate) fn push_finer_rows(&self, pos: usize, out: &mut Vec<u64>) {
         let m = self.num_levels();
         for r in pos * m + 1..(pos + 1) * m {
-            let span = self.keyed.offsets[r]..self.keyed.offsets[r + 1];
-            out.extend_from_slice(&self.keyed.keys[span.clone()]);
-            out.extend_from_slice(&self.keyed.masks[span]);
+            let (keys, masks) = self.keyed.parts(r);
+            out.extend_from_slice(keys);
+            out.extend_from_slice(masks);
         }
     }
 
     /// [`level_overlaps`] of the candidate at `pos` with only its level-1
-    /// row and the lengths of its rows taken from the arena: its finer rows
-    /// are what `read` appends to the vector it is handed —
+    /// row and the lengths of its rows taken from the arena — or, when a
+    /// flat scan's postings counted it (`level_one`), its level-1 overlap:
+    /// its finer rows are what `read` appends to the vector it is handed —
     /// [`finer_words`](Self::finer_words) words, in the form
     /// [`push_finer_rows`](Self::push_finer_rows) writes.  `read` runs only
     /// when a level past the first is intersected, so never for a candidate
     /// that shares no level-1 cell with the query.  Where [`row_class`]
     /// picks the packed kernel for a finer row, the row is rebuilt from its
-    /// keyed form ([`push_packed`]) in `scratch`.  Everything else — the
-    /// loop, the class of every intersection, the integers handed on — is
+    /// keyed form ([`push_packed`]) in `scratch`, which also receives the
+    /// statistics ([`RowScratch::overlap`]).  Everything else — the loop, the
+    /// class of every intersection, the integers handed on — is
     /// [`overlaps_into`](Self::overlaps_into)'s.  Returns whether `read` ran.
     pub(crate) fn paged_overlaps(
         &self,
         pos: usize,
         view: &QueryView<'_>,
+        level_one: Option<usize>,
         read: impl FnOnce(&mut Vec<u64>),
         scratch: &mut RowScratch,
-        out: &mut LevelOverlap,
         dispatch: Option<&mut KernelDispatch>,
     ) -> bool {
-        let RowScratch { words, cells } = scratch;
+        let RowScratch { words, cells, overlap } = scratch;
         let mut rows = PagedRows { resident: self.rows(pos), read: Some(read), words, cells };
-        level_overlaps(view, &mut rows, out, dispatch);
+        level_overlaps(view, &mut rows, level_one, overlap, dispatch);
         rows.read.is_none()
     }
 
@@ -618,7 +788,7 @@ impl CandidateArena {
         scratch: &mut LevelOverlap,
         dispatch: &mut KernelDispatch,
     ) -> f64 {
-        self.overlaps_into(pos, view, scratch, Some(dispatch));
+        self.overlaps_into(pos, view, None, scratch, Some(dispatch));
         measure.degree_from_overlap(scratch)
     }
 
@@ -634,10 +804,12 @@ impl CandidateArena {
         self.degree_into(pos, view, measure, &mut scratch)
     }
 
-    /// Exact top-k over the whole arena — the flat-scan primitive behind
-    /// brute force and the planner's tiny-shard `Scan` decision.  Returns
-    /// the sorted answers plus the number of entities scored, matching
-    /// the owned scan's counters exactly.
+    /// Exact top-k over the whole arena, pair by pair — brute force's scan:
+    /// every member through the per-candidate loop, level 1 included, with
+    /// no postings, so it stays an oracle independent of the planned
+    /// queries' flat scan, which reads level 1 from them.  Returns the
+    /// sorted answers plus the number of entities scored, matching the owned
+    /// scan's counters exactly.
     pub fn scan_top_k<M: AssociationMeasure + ?Sized>(
         &self,
         view: &QueryView<'_>,
@@ -646,36 +818,57 @@ impl CandidateArena {
         measure: &M,
         dispatch: &mut KernelDispatch,
     ) -> (Vec<TopKResult>, usize) {
-        self.scan_top_k_where(view, exclude, k, measure, dispatch, |_| true)
-    }
-
-    /// The one flat-scan loop: [`scan_top_k`](Self::scan_top_k) over the
-    /// entities `admit` lets through.  Scoring is exact (the tracked kernel),
-    /// so the only error a filter introduces is *omission* — what the
-    /// planner's [`ShardDecision::ApproximateScan`] arm samples with and
-    /// [`Synopsis::expected_scan_recall`] models.  `checked` counts the
-    /// entities actually scored.
-    ///
-    /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
-    /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
-    pub(crate) fn scan_top_k_where<M: AssociationMeasure + ?Sized>(
-        &self,
-        view: &QueryView<'_>,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &M,
-        dispatch: &mut KernelDispatch,
-        admit: impl Fn(EntityId) -> bool,
-    ) -> (Vec<TopKResult>, usize) {
         let mut top = TopKHeap::new(k);
         let mut checked = 0usize;
         let mut scratch = LevelOverlap::default();
         for (pos, &entity) in self.entities.iter().enumerate() {
-            if Some(entity) == exclude || !admit(entity) {
+            if Some(entity) == exclude {
                 continue;
             }
             checked += 1;
             top.offer(entity, self.degree_into_tracked(pos, view, measure, &mut scratch, dispatch));
+        }
+        (top.into_sorted(), checked)
+    }
+
+    /// The one flat-scan loop of a planned query, in memory and out of core.
+    /// It first walks the postings of the query's level-1 keys once, which
+    /// leaves every member's exact level-1 overlap in `level_one` (a
+    /// source's scratch, resized to one slot per position).  Then, in
+    /// position order, it hands each member `admit` lets through to `score`
+    /// with its position and level-1 overlap, and keeps the top `k` of the
+    /// degrees `score` returns — `None` is a member it could not read, which
+    /// is not counted as checked.  A member whose overlap is 0 shares no
+    /// finer cell either, so `score` can answer it without an intersection.
+    ///
+    /// Scoring is exact, so the only error a filter introduces is *omission*
+    /// — what the planner's [`ShardDecision::ApproximateScan`] arm samples
+    /// with and [`Synopsis::expected_scan_recall`] models.  Returns the sorted
+    /// answer and how many members were scored.
+    ///
+    /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
+    /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
+    pub(crate) fn flat_scan(
+        &self,
+        view: &QueryView<'_>,
+        level_one: &mut Vec<u32>,
+        k: usize,
+        admit: impl Fn(EntityId) -> bool,
+        mut score: impl FnMut(usize, usize) -> Option<f64>,
+    ) -> (Vec<TopKResult>, usize) {
+        level_one.clear();
+        level_one.resize(self.len(), 0);
+        self.postings.accumulate(view.keyed.parts(0), level_one);
+        let mut top = TopKHeap::new(k);
+        let mut checked = 0usize;
+        for (pos, (&entity, &overlap)) in self.entities.iter().zip(level_one.iter()).enumerate() {
+            if !admit(entity) {
+                continue;
+            }
+            if let Some(degree) = score(pos, overlap as usize) {
+                checked += 1;
+                top.offer(entity, degree);
+            }
         }
         (top.into_sorted(), checked)
     }
@@ -963,12 +1156,20 @@ impl<'a> CandidateRows for ArenaRows<'a> {
 }
 
 /// What [`CandidateArena::paged_overlaps`] reuses from candidate to
-/// candidate: the finer rows read for the current one, and a packed row
-/// rebuilt from one of them.
+/// candidate: the finer rows read for the current one, a packed row rebuilt
+/// from one of them, and the statistics it leaves.
 #[derive(Debug, Default)]
 pub(crate) struct RowScratch {
     words: Vec<u64>,
     cells: Vec<u64>,
+    overlap: LevelOverlap,
+}
+
+impl RowScratch {
+    /// The statistics the last [`CandidateArena::paged_overlaps`] left.
+    pub(crate) fn overlap(&self) -> &LevelOverlap {
+        &self.overlap
+    }
 }
 
 /// A candidate's rows when the arena holds its level-1 row and the lengths
@@ -1042,7 +1243,9 @@ impl<R: FnOnce(&mut Vec<u64>)> CandidateRows for PagedRows<'_, R> {
 /// intersected by the kernel [`row_class`] picks from the four row lengths
 /// — asking for the keyed ones only when the packed lengths leave the choice
 /// open — and counting every intersection it issues into `dispatch` when
-/// one is given.
+/// one is given.  When the caller already knows the level-1 overlap
+/// (`level_one`: a flat scan's postings counted it) the loop records it with
+/// the true sizes and starts intersecting at level 2.
 ///
 /// Levels are a prefix hierarchy (Definition 3) and both sides are
 /// ancestor-closed — the query by the [`CellSetSequence`] invariant, the
@@ -1056,12 +1259,21 @@ impl<R: FnOnce(&mut Vec<u64>)> CandidateRows for PagedRows<'_, R> {
 fn level_overlaps<R: CandidateRows>(
     view: &QueryView<'_>,
     rows: &mut R,
+    level_one: Option<usize>,
     out: &mut LevelOverlap,
     mut dispatch: Option<&mut KernelDispatch>,
 ) {
     out.clear();
-    let mut shares_coarser = true;
-    for i in 0..view.num_levels() {
+    let from = match level_one {
+        Some(overlap) => {
+            let (size_a, size_b) = (view.level(0).len(), R::cells(rows.row(0)));
+            out.push(LevelStat { overlap, size_a, size_b });
+            1
+        }
+        None => 0,
+    };
+    let mut shares_coarser = level_one != Some(0);
+    for i in from..view.num_levels() {
         let row = rows.row(i);
         let (size_a, size_b) = (view.level(i).len(), R::cells(row));
         let overlap = if shares_coarser {
@@ -1137,9 +1349,9 @@ impl<'a> QueryView<'a> {
 /// The source owns one [`LevelOverlap`] scratch reused across every degree
 /// it computes (an executor evaluates thousands of candidates per query, and
 /// batch fan-outs run one source per executor per query — this removes the
-/// per-candidate allocation entirely), plus the per-query
-/// [`KernelDispatch`] accounting drained via
-/// `take_dispatch`.  Both live in single-threaded
+/// per-candidate allocation entirely), a flat scan's per-position level-1
+/// overlaps, plus the per-query [`KernelDispatch`] accounting drained via
+/// `take_dispatch`.  All live in single-threaded
 /// interior-mutability cells: an executor is driven by one worker at a time
 /// (`&mut` under the cooperative scheduler's mutex slots), so the source is
 /// `Send` but deliberately not `Sync`.  The view is borrowed from the query's
@@ -1149,6 +1361,7 @@ pub struct ArenaSource<'a> {
     arena: &'a CandidateArena,
     view: Cow<'a, QueryView<'a>>,
     scratch: RefCell<LevelOverlap>,
+    level_one: RefCell<Vec<u32>>,
     dispatch: Cell<KernelDispatch>,
 }
 
@@ -1168,8 +1381,9 @@ impl<'a> ArenaSource<'a> {
         ArenaSource {
             arena,
             view,
-            scratch: RefCell::new(LevelOverlap::default()),
-            dispatch: Cell::new(KernelDispatch::default()),
+            scratch: RefCell::default(),
+            level_one: RefCell::default(),
+            dispatch: Cell::default(),
         }
     }
 
@@ -1179,19 +1393,23 @@ impl<'a> ArenaSource<'a> {
         self.dispatch.take()
     }
 
-    /// [`CandidateArena::scan_top_k_where`] over the source's arena, row by
-    /// row (no per-entity position lookup), counting its kernel dispatches
-    /// where the source's leaf evaluations go.
-    pub(crate) fn scan_top_k_where<M: AssociationMeasure + ?Sized>(
+    /// [`CandidateArena::flat_scan`] over the source's arena, each member
+    /// scored from level 2 on with its level-1 overlap from the postings,
+    /// counting its kernel dispatches where the source's leaf evaluations go.
+    pub(crate) fn scan<M: AssociationMeasure + ?Sized>(
         &self,
-        exclude: Option<EntityId>,
         k: usize,
         measure: &M,
         admit: impl Fn(EntityId) -> bool,
     ) -> (Vec<TopKResult>, usize) {
+        let (arena, view) = (self.arena, &*self.view);
+        let scratch = &mut *self.scratch.borrow_mut();
         let mut dispatch = self.dispatch.get();
         let answer =
-            self.arena.scan_top_k_where(&self.view, exclude, k, measure, &mut dispatch, admit);
+            arena.flat_scan(view, &mut self.level_one.borrow_mut(), k, admit, |pos, one| {
+                arena.overlaps_into(pos, view, Some(one), scratch, Some(&mut dispatch));
+                Some(measure.degree_from_overlap(scratch))
+            });
         self.dispatch.set(dispatch);
         answer
     }
@@ -1214,7 +1432,7 @@ impl TraceSource for ArenaSource<'_> {
 }
 
 /// Every observable of `got` equals `expect`'s — packed cells, keyed rows,
-/// signatures — footprint included.
+/// level-1 postings, signatures — footprint included.
 #[cfg(test)]
 pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, context: &str) {
     assert_eq!(got.entities(), expect.entities(), "{context}");
@@ -1241,6 +1459,12 @@ pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, c
         }
     }
     assert_eq!(got.keyed.offsets, expect.keyed.offsets, "{context}: keyed offsets");
+    assert_eq!(got.postings, expect.postings, "{context}: level-1 postings");
+    assert_eq!(
+        got.postings.resident_bytes(),
+        expect.postings.resident_bytes(),
+        "{context}: postings footprint"
+    );
     assert_eq!(got.resident_bytes(), expect.resident_bytes(), "{context}: footprint");
 }
 
@@ -1250,7 +1474,119 @@ mod tests {
     use crate::config::HasherMode;
     use crate::signature::{HierarchicalHasher, SeededHashFamily};
     use crate::testkit::issued_intersections;
+    use proptest::prelude::*;
     use trace_model::{CellSet, PaperAdm, SpIndex, StCell};
+
+    /// Times on both sides of the first word edges and far out; units up to
+    /// `u32::MAX`.  The postings properties draw cells from these.
+    const TIMES: [u32; 10] = [0, 1, 62, 63, 64, 65, 127, 128, 129, u32::MAX];
+    const UNITS: [u32; 5] = [0, 1, 7, u32::MAX - 1, u32::MAX];
+
+    /// The packed row of the drawn `(time, unit)` picks.
+    fn packed_row(cells: &[(usize, usize)]) -> Vec<u64> {
+        let mut row: Vec<u64> =
+            cells.iter().map(|&(t, u)| StCell::new(TIMES[t], UNITS[u]).packed()).collect();
+        row.sort_unstable();
+        row.dedup();
+        row
+    }
+
+    /// The postings of level-1 rows `rows` at positions 0.., built as a
+    /// fresh arena builds them: every entry fresh.
+    fn postings_of(rows: &[Vec<u64>]) -> Postings {
+        let mut fresh = Vec::new();
+        for (pos, row) in rows.iter().enumerate() {
+            let (mut keys, mut masks) = (Vec::new(), Vec::new());
+            push_keyed(row, &mut keys, &mut masks);
+            fresh.extend(keys.into_iter().zip(masks).map(|(key, mask)| (key, pos as u32, mask)));
+        }
+        fresh.sort_unstable_by_key(|&(key, at, _)| (key, at));
+        Postings::default().carry(|_| None, &fresh)
+    }
+
+    /// The postings inverted by brute force from an arena's level-1 keyed
+    /// rows: the oracle of the layout a build produces.
+    fn inverted(arena: &CandidateArena) -> BTreeMap<u64, Vec<(u32, u64)>> {
+        let mut by_key: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
+        for pos in 0..arena.len() {
+            let (keys, masks) = arena.keyed.parts(pos * arena.num_levels());
+            for (&key, &mask) in keys.iter().zip(masks) {
+                by_key.entry(key).or_default().push((pos as u32, mask));
+            }
+        }
+        by_key
+    }
+
+    /// Every member's level-1 overlap with `query` as the postings count it.
+    fn accumulated(postings: &Postings, query: &[u64], members: usize) -> Vec<u32> {
+        let (mut keys, mut masks) = (Vec::new(), Vec::new());
+        push_keyed(query, &mut keys, &mut masks);
+        let mut counts = vec![0; members];
+        postings.accumulate((&keys, &masks), &mut counts);
+        counts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The postings count what the pairwise loop intersects: for every
+        /// (query, member) pair of random level-1 rows — times on both sides
+        /// of the word edges 63 / 64 and 127 / 128, units up to `u32::MAX` —
+        /// the accumulated overlap is `intersection_len` of the packed rows.
+        /// And carrying them over a publish — some members dropped, the
+        /// kept ones moved up or down by the inserts between them — equals
+        /// building them afresh over the new order, and still counts right.
+        #[test]
+        fn postings_count_the_level_one_intersection(
+            members in proptest::collection::vec(
+                proptest::collection::vec((0usize..TIMES.len(), 0usize..UNITS.len()), 0..24),
+                0..10,
+            ),
+            query in proptest::collection::vec((0usize..TIMES.len(), 0usize..UNITS.len()), 0..24),
+            kept in proptest::collection::vec(0u8..3, 10..11),
+            inserts in proptest::collection::vec(
+                (0usize..11, proptest::collection::vec((0usize..TIMES.len(), 0usize..4), 0..16)),
+                0..4,
+            ),
+        ) {
+            let rows: Vec<Vec<u64>> = members.iter().map(|cells| packed_row(cells)).collect();
+            let query = packed_row(&query);
+            let postings = postings_of(&rows);
+            let counts = accumulated(&postings, &query, rows.len());
+            for (pos, row) in rows.iter().enumerate() {
+                prop_assert_eq!(counts[pos] as usize, intersection_len(&query, row), "member {}", pos);
+            }
+
+            // The publish: member `i` stays unless `kept[i] == 0`; insert
+            // `(slot, cells)` goes in front of old member `slot`.
+            let mut next: Vec<Vec<u64>> = Vec::new();
+            let (mut remap, mut fresh) = (vec![None; rows.len()], Vec::new());
+            for slot in 0..=rows.len() {
+                for (_, cells) in inserts.iter().filter(|(at, _)| (*at).min(rows.len()) == slot) {
+                    let row = packed_row(cells);
+                    let (mut keys, mut masks) = (Vec::new(), Vec::new());
+                    push_keyed(&row, &mut keys, &mut masks);
+                    let at = next.len() as u32;
+                    fresh.extend(keys.into_iter().zip(masks).map(|(key, mask)| (key, at, mask)));
+                    next.push(row);
+                }
+                let Some(row) = rows.get(slot) else { break };
+                if kept[slot] != 0 {
+                    remap[slot] = Some(next.len() as u32);
+                    next.push(row.clone());
+                }
+            }
+            fresh.sort_unstable_by_key(|&(key, at, _)| (key, at));
+            let carried = postings.carry(|old| remap[old], &fresh);
+            let rebuilt = postings_of(&next);
+            prop_assert_eq!(&carried, &rebuilt);
+            prop_assert_eq!(carried.resident_bytes(), rebuilt.resident_bytes());
+            let counts = accumulated(&carried, &query, next.len());
+            for (pos, row) in next.iter().enumerate() {
+                prop_assert_eq!(counts[pos] as usize, intersection_len(&query, row), "after, {}", pos);
+            }
+        }
+    }
 
     fn fixture(
         n: u64,
@@ -1292,6 +1628,28 @@ mod tests {
         }
         assert_eq!(arena.position(EntityId(99)), None);
         assert!(arena.resident_bytes() > 0);
+
+        // The postings are the level-1 keyed rows inverted, every vector at
+        // its exact size.
+        let postings = &arena.postings;
+        let by_key = inverted(&arena);
+        assert_eq!(postings.keys, by_key.keys().copied().collect::<Vec<_>>());
+        for (i, entries) in by_key.values().enumerate() {
+            let span = postings.offsets[i] as usize..postings.offsets[i + 1] as usize;
+            let held: Vec<(u32, u64)> = (postings.positions[span.clone()].iter().copied())
+                .zip(postings.masks[span].iter().copied())
+                .collect();
+            assert_eq!(&held, entries, "entries of key {i}");
+        }
+        assert_eq!(postings.offsets.len(), postings.keys.len() + 1);
+        for (len, capacity) in [
+            (postings.keys.len(), postings.keys.capacity()),
+            (postings.offsets.len(), postings.offsets.capacity()),
+            (postings.positions.len(), postings.positions.capacity()),
+            (postings.masks.len(), postings.masks.capacity()),
+        ] {
+            assert_eq!(len, capacity, "sized exactly");
+        }
     }
 
     #[test]
@@ -1522,23 +1880,36 @@ mod tests {
             let oracle = LevelOverlap::from_sequences(&query, &candidate);
             assert_eq!(issued_intersections(&query, &candidate), issued);
             let (mut fused, mut dispatch) = (LevelOverlap::default(), KernelDispatch::default());
-            arena.overlaps_into(0, &view, &mut fused, Some(&mut dispatch));
+            arena.overlaps_into(0, &view, None, &mut fused, Some(&mut dispatch));
             assert_eq!((&fused, dispatch.total()), (&oracle, issued), "resident");
 
             let mut finer = Vec::new();
             arena.push_finer_rows(0, &mut finer);
             assert_eq!(finer.len(), arena.finer_words(0));
             let (mut scratch, mut paged) = (RowScratch::default(), KernelDispatch::default());
-            let read = arena.paged_overlaps(
+            let read = |out: &mut Vec<u64>| out.extend_from_slice(&finer);
+            let ran = arena.paged_overlaps(0, &view, None, read, &mut scratch, Some(&mut paged));
+            assert_eq!((scratch.overlap(), paged), (&oracle, dispatch), "paged");
+            assert_eq!(ran, issued > 1, "rows are read exactly when level 1 is shared");
+
+            // Given the level-1 overlap, the loop starts at level 2: the
+            // same integers, one intersection fewer, the same reads.
+            let level_one = oracle.level(1).overlap;
+            let (mut from_two, mut skipped) = (LevelOverlap::default(), KernelDispatch::default());
+            arena.overlaps_into(0, &view, Some(level_one), &mut from_two, Some(&mut skipped));
+            assert_eq!((&from_two, skipped.total()), (&oracle, issued - 1), "from level 2");
+            let (mut scratch, mut paged) = (RowScratch::default(), KernelDispatch::default());
+            let read = |out: &mut Vec<u64>| out.extend_from_slice(&finer);
+            let ran = arena.paged_overlaps(
                 0,
                 &view,
-                |out| out.extend_from_slice(&finer),
+                Some(level_one),
+                read,
                 &mut scratch,
-                &mut fused,
                 Some(&mut paged),
             );
-            assert_eq!((&fused, paged), (&oracle, dispatch), "paged");
-            assert_eq!(read, issued > 1, "rows are read exactly when level 1 is shared");
+            assert_eq!((scratch.overlap(), paged), (&oracle, skipped), "paged from level 2");
+            assert_eq!(ran, issued > 1, "paged from level 2");
         }
     }
 

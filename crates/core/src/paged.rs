@@ -35,12 +35,15 @@
 //!
 //! ## Who owns what during a query
 //!
-//! * **Resident rows.**  A candidate's level-1 row, in both forms, and the
-//!   lengths of all its rows are the shard's in-memory
-//!   [`CandidateArena`]'s — immutable, shared
-//!   by every source without a lock.  The overlap loop runs level 1 from
-//!   them; a candidate sharing no level-1 cell with the query shares nothing
-//!   finer, so its degree follows from the lengths and no page is requested
+//! * **Resident rows.**  A candidate's level-1 row, in both forms, the
+//!   level-1 postings and the lengths of all its rows are the shard's
+//!   in-memory [`CandidateArena`]'s — immutable, shared by every source
+//!   without a lock.  A flat scan reads every member's level-1 overlap from
+//!   the postings in one walk over the query's level-1 keys (the in-memory
+//!   scan's loop, `CandidateArena::flat_scan`); a tree leaf or a seed
+//!   candidate intersects its resident level-1 row.  Either way a candidate
+//!   sharing no level-1 cell with the query shares nothing finer, so its
+//!   degree follows from the lengths and no page is requested
 //!   ([`QueryStats::reads_avoided`]).
 //! * **Pages.**  Any other candidate's span of the shard's run — usually
 //!   within one page, at most a few — is copied out of the pool into the
@@ -54,8 +57,9 @@
 //!   at once, so `pinned_frames() == 0` during and after every query.
 //! * **Scratch.**  Every tree executor and every shard scan gets its own
 //!   [`PagedArenaSource`], the planner one more for seeding.  A source owns
-//!   the span and expansion buffers, the overlap scratch, and the
-//!   kernel-dispatch and buffer-pool counters for the work *it* did; an
+//!   the span and expansion buffers, the overlap scratch, a scan's
+//!   per-position level-1 counters, and the kernel-dispatch and buffer-pool
+//!   counters for the work *it* did; an
 //!   executor is stepped by one worker at a time, so none of it is locked
 //!   and nothing is allocated per candidate.  The counters are summed into
 //!   the query's [`QueryStats`] at merge — exact per query however many
@@ -85,7 +89,7 @@
 
 use crate::config::PlannerConfig;
 use crate::drive::{self, ShardAccess};
-use crate::engine::{TopKHeap, TraceSource};
+use crate::engine::TraceSource;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
@@ -108,7 +112,6 @@ use trace_storage::{BufferPool, PageId, PagedTraceStore, PoolStats, WordPages};
 #[derive(Debug, Default)]
 struct Scratch {
     rows: RowScratch,
-    overlap: LevelOverlap,
     dispatch: KernelDispatch,
     io: PoolStats,
     /// Candidates a flat scan through this source could not read (a tree
@@ -180,6 +183,8 @@ pub struct PagedArenaSource<'a> {
     /// The query's view, borrowed from its access.
     view: &'a QueryView<'a>,
     scratch: RefCell<Scratch>,
+    /// A flat scan's per-position level-1 overlaps.
+    level_one: RefCell<Vec<u32>>,
 }
 
 impl<'a> PagedArenaSource<'a> {
@@ -206,28 +211,52 @@ impl<'a> PagedArenaSource<'a> {
         track: bool,
     ) -> Option<f64> {
         let pos = self.paged.snapshot.shard(shard).arena().position(entity)?;
-        self.score_at(shard, pos, measure, track)
+        self.score_at(shard, pos, None, measure, track)
     }
 
-    /// [`score`](Self::score) of the member at arena position `pos`.
+    /// [`score`](Self::score) of the member at arena position `pos`, from
+    /// level 2 on when its level-1 overlap is given.
     fn score_at<M: AssociationMeasure + ?Sized>(
         &self,
         shard: usize,
         pos: usize,
+        level_one: Option<usize>,
         measure: &M,
         track: bool,
     ) -> Option<f64> {
         let (arena, segment) =
             (self.paged.snapshot.shard(shard).arena(), &self.paged.segments[shard]);
         let span = segment.span(arena, pos)?;
-        let Scratch { rows, overlap, dispatch, io, reads_avoided, .. } =
-            &mut *self.scratch.borrow_mut();
+        let Scratch { rows, dispatch, io, reads_avoided, .. } = &mut *self.scratch.borrow_mut();
         let pool = self.paged.pool;
         let read = |words: &mut Vec<u64>| segment.pages.read(pool, span, words, io);
-        if !arena.paged_overlaps(pos, self.view, read, rows, overlap, track.then_some(dispatch)) {
+        let dispatch = track.then_some(dispatch);
+        if !arena.paged_overlaps(pos, self.view, level_one, read, rows, dispatch) {
             *reads_avoided += 1;
         }
-        Some(measure.degree_from_overlap(overlap))
+        Some(measure.degree_from_overlap(rows.overlap()))
+    }
+
+    /// The source's shard's flat scan ([`CandidateArena::flat_scan`]): every
+    /// member `admit` lets through scored from level 2 on with its level-1
+    /// overlap from the postings — so a disjoint member is neither
+    /// intersected nor read — and a member the session holds no rows for
+    /// counted unreadable.
+    fn scan<M: AssociationMeasure + ?Sized>(
+        &self,
+        k: usize,
+        measure: &M,
+        admit: impl Fn(EntityId) -> bool,
+    ) -> (Vec<TopKResult>, usize) {
+        let arena = self.paged.snapshot.shard(self.shard).arena();
+        let level_one = &mut *self.level_one.borrow_mut();
+        arena.flat_scan(self.view, level_one, k, admit, |pos, one| {
+            let degree = self.score_at(self.shard, pos, Some(one), measure, true);
+            if degree.is_none() {
+                self.scratch.borrow_mut().unreadable += 1;
+            }
+            degree
+        })
     }
 }
 
@@ -431,7 +460,13 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// A fresh source (own scratch, zeroed counters) scoring shard `shard`'s
     /// members against the query `view` resolves.
     fn source<'q>(&'q self, shard: usize, view: &'q QueryView<'q>) -> PagedArenaSource<'q> {
-        PagedArenaSource { paged: self, shard, view, scratch: RefCell::default() }
+        PagedArenaSource {
+            paged: self,
+            shard,
+            view,
+            scratch: RefCell::default(),
+            level_one: RefCell::default(),
+        }
     }
 
     /// How `entity`'s query, whose sequence `view` resolves, reads this
@@ -512,8 +547,8 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         self.paged.pool.config().miss_latency_us
     }
 
-    /// Walks the arena by position, as the in-memory scan does: no
-    /// per-candidate lookup.
+    /// The in-memory scan's loop, by position, over the resident postings
+    /// and the session's pages.
     fn scan<M: AssociationMeasure + ?Sized>(
         source: &PagedArenaSource<'q>,
         shard: &IndexSnapshot,
@@ -523,20 +558,9 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
     ) -> (Vec<TopKResult>, usize) {
         debug_assert!(std::ptr::eq(shard, &**source.paged.snapshot.shard(source.shard)));
         let hot = shard.synopsis().hot_entities();
-        let mut top = TopKHeap::new(query.k);
-        let mut checked = 0usize;
-        for (pos, &entity) in shard.arena().entities().iter().enumerate() {
-            if entity == exclude || !plan::scan_admits(rate, hot, entity) {
-                continue;
-            }
-            let Some(degree) = source.score_at(source.shard, pos, query.measure, true) else {
-                source.scratch.borrow_mut().unreadable += 1;
-                continue;
-            };
-            checked += 1;
-            top.offer(entity, degree);
-        }
-        (top.into_sorted(), checked)
+        source.scan(query.k, query.measure, |entity| {
+            entity != exclude && plan::scan_admits(rate, hot, entity)
+        })
     }
 
     fn source(&self, shard: usize) -> PagedArenaSource<'q> {

@@ -676,8 +676,8 @@ impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
         query: &Query<'_, M>,
     ) -> (Vec<TopKResult>, usize) {
         let hot = shard.synopsis().hot_entities();
-        source.scan_top_k_where(Some(exclude), query.k, query.measure, |entity| {
-            plan::scan_admits(rate, hot, entity)
+        source.scan(query.k, query.measure, |entity| {
+            entity != exclude && plan::scan_admits(rate, hot, entity)
         })
     }
 

@@ -110,27 +110,32 @@ impl LevelOverlap {
 
     /// Empties the summary while keeping its allocation, so one `LevelOverlap`
     /// can serve as reusable scratch across many candidates in a scan loop.
+    #[inline]
     pub fn clear(&mut self) {
         self.stats.clear();
     }
 
     /// Appends the statistics of the next level (levels are pushed in order,
     /// starting at level 1).
+    #[inline]
     pub fn push(&mut self, stat: LevelStat) {
         self.stats.push(stat);
     }
 
     /// Number of levels.
+    #[inline]
     pub fn num_levels(&self) -> usize {
         self.stats.len()
     }
 
     /// The statistics of one level (1-based).
+    #[inline]
     pub fn level(&self, level: Level) -> LevelStat {
         self.stats[(level - 1) as usize]
     }
 
     /// Iterates `(level, stat)` pairs.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (Level, LevelStat)> + '_ {
         self.stats.iter().enumerate().map(|(i, &s)| ((i + 1) as Level, s))
     }

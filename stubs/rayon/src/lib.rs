@@ -2,7 +2,8 @@
 //!
 //! Provides the slice fan-out subset this workspace uses — `par_iter().map(..)
 //! .collect()` plus [`join`] and [`current_num_threads`] — implemented with
-//! `std::thread::scope` over contiguous chunks.  Results are always collected
+//! `std::thread::scope` over contiguous chunks, the last of which the calling
+//! thread maps itself (as [`join`] runs its second closure).  Results are always collected
 //! in input order, so swapping in the real work-stealing pool cannot change
 //! any observable output, only the scheduling.
 
@@ -98,6 +99,8 @@ where
         C::from(self.run())
     }
 
+    /// Every chunk but the last on a spawned thread, the last on the calling
+    /// one, which would otherwise only wait: `n` workers cost `n - 1` spawns.
     fn run(self) -> Vec<R> {
         let threads = current_num_threads().min(self.items.len().max(1));
         if threads <= 1 || self.items.len() <= 1 {
@@ -105,16 +108,18 @@ where
         }
         let chunk_len = self.items.len().div_ceil(threads);
         let map = &self.map;
+        let mut chunks = self.items.chunks(chunk_len);
+        let last = chunks.next_back().expect("two or more items make a chunk");
         let mut results: Vec<R> = Vec::with_capacity(self.items.len());
         thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .items
-                .chunks(chunk_len)
+            let handles: Vec<_> = chunks
                 .map(|chunk| scope.spawn(move || chunk.iter().map(map).collect::<Vec<R>>()))
                 .collect();
+            let tail: Vec<R> = last.iter().map(map).collect();
             for handle in handles {
                 results.extend(handle.join().expect("rayon worker panicked"));
             }
+            results.extend(tail);
         });
         results
     }
@@ -131,6 +136,24 @@ mod tests {
         assert_eq!(doubled.len(), input.len());
         for (i, v) in doubled.iter().enumerate() {
             assert_eq!(*v, 2 * i as u64);
+        }
+    }
+
+    /// The caller runs the last chunk itself rather than waiting on a thread
+    /// spawned for it; the others run elsewhere when there are threads to
+    /// spare.  Results stay in input order either way.
+    #[test]
+    fn the_last_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for len in [2usize, 3, 7, 64] {
+            let input: Vec<usize> = (0..len).collect();
+            let ran: Vec<(usize, std::thread::ThreadId)> =
+                input.par_iter().map(|&i| (i, std::thread::current().id())).collect();
+            assert_eq!(ran.iter().map(|&(i, _)| i).collect::<Vec<_>>(), input, "input order");
+            assert_eq!(ran[len - 1].1, caller, "{len} items: the last chunk");
+            if super::current_num_threads() > 1 {
+                assert_ne!(ran[0].1, caller, "{len} items: the first chunk is spawned");
+            }
         }
     }
 
