@@ -489,8 +489,8 @@ where
 /// held by a worker is never in the queue, and a worker only exits on an
 /// empty queue while holding nothing, so every job is complete before this
 /// returns.  The answers do not depend on the schedule, and neither does
-/// anything a scan counts (it scores its whole shard whatever the bound
-/// says); only the tree executors' work counters do.
+/// anything a scan counts (it prunes against its own top k only, never the
+/// shared bound); only the tree executors' work counters do.
 fn drive_cooperatively<J: Send>(
     jobs: &mut [J],
     parallel: bool,

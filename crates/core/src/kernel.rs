@@ -22,9 +22,10 @@
 //!   ([`KeyedRow`]: one key per unit and 64-time-unit word, with a `u64`
 //!   mask of the time units present), CSR-indexed by the same row number
 //!   `pos * m + i`.  Derived from `cells`, never persisted;
-//! * `postings` — **the level-1 keyed rows inverted**: per distinct key,
-//!   ascending, the positions whose level-1 row holds it (ascending, `u32`)
-//!   with their masks.  Derived from `keyed`, never persisted;
+//! * `postings` — **the keyed rows of levels 1 and 2 inverted**, one
+//!   inverted index per level: per distinct key, ascending, the positions
+//!   whose row of that level holds it (ascending, `u32`) with their masks.
+//!   Derived from `keyed`, never persisted;
 //! * per level, one flat signature array strided by the signature width
 //!   (`signatures[level][pos * nh..(pos + 1) * nh]` is entity `pos`'s level
 //!   row).  Signatures stay level-major on purpose: degree computation never
@@ -53,27 +54,33 @@
 //! purpose: it is the oracle the fused loop is held bitwise equal to.
 //!
 //! A **flat scan** of a shard (`CandidateArena::flat_scan`, in memory and out
-//! of core) does not intersect level-1 rows at all.  Before its position loop
-//! it walks the postings of the query's level-1 keys once and adds
-//! `popcount(query mask & mask)` into a per-position counter in the source's
-//! scratch, which leaves every member's exact `|Q₁ ∩ C₁|` (the reverse index
-//! plus counter of greyhound's `RevIndex` / `SigCounter`).  A member whose
-//! counter is 0 — ≈ 72 % on SYN — gets every level as `overlap: 0` with its
-//! true sizes: no intersection and, out of core, no page read.  Any other
-//! member enters `level_overlaps` at level 2 with its level-1 overlap known.
-//! The measure receives the integers the pairwise loop hands it.  Tree leaf
-//! evaluation, planner seeding and `CandidateArena::scan_top_k` (brute force)
-//! keep the pairwise loop, so the oracle stays independent of the postings.
+//! of core) intersects no level-1 or level-2 row.  Before its position loop
+//! it walks the postings of the query's level-1 and level-2 keys once and
+//! adds `popcount(query mask & mask)` into per-position counters in the
+//! source's scratch, which leaves every member's exact `|Q₁ ∩ C₁|` and
+//! `|Q₂ ∩ C₂|` (the reverse index plus counter of greyhound's `RevIndex` /
+//! `SigCounter`, one level deeper).  A member sharing no level-2 cell gets
+//! every finer level as `overlap: 0` with its true sizes: no intersection
+//! and, out of core, no page read.  Any other member enters `level_overlaps`
+//! at level 3 with both overlaps known.  The scan scores the members sharing
+//! a level-1 cell first, then the others — ≈ 72 % on SYN, each of degree at
+//! most the measure's zero-overlap bound — only while its own top k is not
+//! strictly above that bound, so a member it skips provably cannot enter
+//! the answer.  The measure receives the integers the pairwise loop hands
+//! it.  Tree leaf evaluation, planner seeding and
+//! `CandidateArena::scan_top_k` (brute force) keep the pairwise loop, so the
+//! oracle stays independent of the postings.
 //!
 //! The arena is **read-path only**: the mutable index keeps its owned
 //! representation as the source of truth and rebuilds the arena whenever a
 //! mutation batch publishes a new snapshot — copying every row the batch did
 //! not touch from the arena it replaces, so only the batch's keyed rows are
-//! converted, and carrying the postings over in one linear pass that remaps
-//! the copied positions and merges in the batch's entries
-//! (`CandidateArena::rebuild`) — except pure single-entity inserts, which
-//! extend it incrementally via `CandidateArena::absorb_insert`, mirroring how
-//! the planning synopsis absorbs inserts.  Conformance tests pin the
+//! converted, and carrying the postings over in one linear pass per posted
+//! level that remaps the copied positions and merges in the batch's entries,
+//! for an entity that only grew just its delta's (`CandidateArena::rebuild`)
+//! — except pure single-entity inserts, which extend it incrementally via
+//! `CandidateArena::absorb_insert`, mirroring how the planning synopsis
+//! absorbs inserts.  Conformance tests pin the
 //! invariant that makes this safe: arena-backed degrees are bitwise identical
 //! to the owned path, because both feed the measure the exact same integer
 //! overlap statistics.
@@ -123,13 +130,6 @@ impl KeyedRows {
     fn push(&mut self, packed: &[u64]) {
         push_keyed(packed, &mut self.keys, &mut self.masks);
         self.offsets.push(self.keys.len());
-    }
-
-    /// Drops every row, keeping the allocations.
-    fn clear(&mut self) {
-        self.offsets.truncate(1);
-        self.keys.clear();
-        self.masks.clear();
     }
 
     /// Appends the union of two keyed rows as one row.
@@ -189,17 +189,27 @@ impl KeyedRows {
     }
 }
 
-/// One entry a publish brings into the [`Postings`]: a level-1 key, the new
+/// Levels whose keyed rows an arena also holds inverted ([`Postings`]): 1 and
+/// 2, or fewer when the sp-index has fewer.  Each further level costs every
+/// publish a carry of more entries than the last (≈ 18 / 25 / 27 / 28 k a
+/// shard at levels 1–4 on SYN) for members the coarser counts already
+/// mostly rule out.
+pub(crate) const POSTED_LEVELS: usize = 2;
+
+/// A flat scan's per-member counters: the exact overlap at each posted level.
+pub(crate) type LevelCounts = [u32; POSTED_LEVELS];
+
+/// One entry a publish brings into a level's [`Postings`]: a key, the new
 /// arena position whose row holds it, and that row's mask under it.
 type Posting = (u64, u32, u64);
 
-/// The inverted index of an arena's level-1 keyed rows: for every distinct
-/// key (unit, 64-time-unit word), ascending, the arena positions whose
-/// level-1 row holds it, ascending, each with that row's mask under the key.
-/// A flat scan walks the entries of the query's level-1 keys once and adds
-/// `popcount(query mask & mask)` per entry, which is every member's exact
-/// `|Q₁ ∩ C₁|` ([`CandidateArena::flat_scan`]).  Derived from the keyed
-/// rows, never persisted.
+/// The inverted index of one level of an arena's keyed rows: for every
+/// distinct key (unit, 64-time-unit word), ascending, the arena positions
+/// whose row of that level holds it, ascending, each with that row's mask
+/// under the key.  A flat scan walks the entries of the query's keys once and
+/// adds `popcount(query mask & mask)` per entry, which is every member's
+/// exact `|Q_l ∩ C_l|` ([`CandidateArena::flat_scan`]).  Derived from the
+/// keyed rows, never persisted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Postings {
     keys: Vec<u64>,
@@ -213,15 +223,18 @@ struct Postings {
 impl Postings {
     /// The postings of the arena a publish makes from this one's: the entries
     /// of every position `remap` maps carried over to the position it maps to
-    /// (`None`: the entity's rows were dropped or converted again), merged
-    /// with `fresh` — sorted by key, then position — per key.  Every vector is
+    /// (`None`: the entity's rows were dropped or converted again), united
+    /// with `fresh` — sorted by key, then position — per key.  A fresh entry
+    /// at the position a carried entry of its key maps to ORs its mask into
+    /// that entry's (an entity that only grew keeps its entries and brings
+    /// its delta's); any other goes in at its position.  Every vector is
     /// allocated for the most it can hold and trimmed to its size at the end.
     /// One pass over the entries, no sort of the carried ones: `remap` ascends
     /// where it maps, as a rebuild's plan and an insert's shift do.
     fn carry(&self, remap: impl Fn(usize) -> Option<u32>, fresh: &[Posting]) -> Postings {
         debug_assert!(fresh.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         let (keys, entries) = (self.keys.len() + fresh.len(), self.positions.len() + fresh.len());
-        u32::try_from(entries).expect("level-1 postings are addressable by u32");
+        u32::try_from(entries).expect("postings are addressable by u32");
         let mut out = Postings {
             keys: Vec::with_capacity(keys),
             offsets: Vec::with_capacity(keys + 1),
@@ -244,19 +257,31 @@ impl Postings {
                 0..0
             };
             let end = new + fresh[new..].iter().take_while(|&&(k, ..)| k == key).count();
-            let mut added = fresh[new..end].iter().peekable();
-            for (&pos, &mask) in self.positions[carried.clone()].iter().zip(&self.masks[carried]) {
-                let Some(pos) = remap(pos as usize) else { continue };
-                while let Some(&(_, at, mask)) = added.next_if(|&&(_, at, _)| at < pos) {
+            let carried = self.positions[carried.clone()].iter().zip(&self.masks[carried]);
+            if new == end {
+                // Most keys of a publish: nothing of the batch's under them.
+                for (&pos, &mask) in carried {
+                    if let Some(pos) = remap(pos as usize) {
+                        out.positions.push(pos);
+                        out.masks.push(mask);
+                    }
+                }
+            } else {
+                let mut added = fresh[new..end].iter().peekable();
+                for (&pos, &mask) in carried {
+                    let Some(pos) = remap(pos as usize) else { continue };
+                    while let Some(&(_, at, mask)) = added.next_if(|&&(_, at, _)| at < pos) {
+                        out.positions.push(at);
+                        out.masks.push(mask);
+                    }
+                    let grown = added.next_if(|&&(_, at, _)| at == pos).map_or(0, |&(.., m)| m);
+                    out.positions.push(pos);
+                    out.masks.push(mask | grown);
+                }
+                for &(_, at, mask) in added {
                     out.positions.push(at);
                     out.masks.push(mask);
                 }
-                out.positions.push(pos);
-                out.masks.push(mask);
-            }
-            for &(_, at, mask) in added {
-                out.positions.push(at);
-                out.masks.push(mask);
             }
             new = end;
             if out.positions.len() > out.offsets[out.keys.len()] as usize {
@@ -271,10 +296,15 @@ impl Postings {
         out
     }
 
-    /// Adds, for every entry under each of a query's level-1 keys (`keys`
-    /// ascending, `masks` parallel), `popcount(query mask & entry mask)` to
-    /// the entry's position in `counts`.
-    fn accumulate(&self, (keys, masks): (&[u64], &[u64]), counts: &mut [u32]) {
+    /// Adds, for every entry under each of a query's keys of this level
+    /// (`keys` ascending, `masks` parallel), `popcount(query mask & entry
+    /// mask)` to counter `level` of the entry's position in `counts`.
+    fn accumulate(
+        &self,
+        (keys, masks): (&[u64], &[u64]),
+        counts: &mut [LevelCounts],
+        level: usize,
+    ) {
         let mut at = 0;
         for (&key, &mask) in keys.iter().zip(masks) {
             at += self.keys[at..].partition_point(|&k| k < key);
@@ -283,7 +313,7 @@ impl Postings {
             }
             let span = self.offsets[at] as usize..self.offsets[at + 1] as usize;
             for (&pos, &other) in self.positions[span.clone()].iter().zip(&self.masks[span]) {
-                counts[pos as usize] += (mask & other).count_ones();
+                counts[pos as usize][level] += (mask & other).count_ones();
             }
         }
     }
@@ -292,6 +322,15 @@ impl Postings {
     fn resident_bytes(&self) -> usize {
         (self.keys.capacity() + self.masks.capacity()) * std::mem::size_of::<u64>()
             + (self.offsets.capacity() + self.positions.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Appends to `fresh[l]`, for each posted level `l + 1`, the entries of the
+/// entity whose level-1 row is row `first` of `rows`, at arena position `at`.
+fn push_postings(rows: &KeyedRows, first: usize, at: u32, fresh: &mut [Vec<Posting>]) {
+    for (level, entries) in fresh.iter_mut().enumerate() {
+        let (keys, masks) = rows.parts(first + level);
+        entries.extend(keys.iter().zip(masks).map(|(&key, &mask)| (key, at, mask)));
     }
 }
 
@@ -334,10 +373,11 @@ pub struct CandidateArena {
     /// entity `pos` like the packed offsets: what the degree loop intersects
     /// when [`row_class`] says keyed.  Derived from `cells`, never persisted.
     keyed: KeyedRows,
-    /// The level-1 keyed rows inverted: per key, the positions holding it
-    /// with their masks — what a flat scan reads every member's level-1
-    /// overlap from.  Derived from `keyed`, never persisted.
-    postings: Postings,
+    /// The keyed rows of levels 1..=min(m, [`POSTED_LEVELS`]) inverted, one
+    /// [`Postings`] per level: per key, the positions holding it with their
+    /// masks — what a flat scan reads every member's overlap at those levels
+    /// from.  Derived from `keyed`, never persisted.
+    postings: Vec<Postings>,
     /// Per level (so `num_levels()` entries), all entities' level signatures
     /// concatenated in entity order with stride `sig_width`.
     signatures: Vec<Vec<u64>>,
@@ -367,9 +407,10 @@ impl CandidateArena {
     /// — from the delta alone, united with the previous rows, for an entity
     /// that only grew — so a publish converts what its batch brought, not
     /// the traces it touched, and copies the rest in a few `memcpy`s.  The
-    /// level-1 postings follow the same plan in one linear pass: carried
-    /// positions remapped, the listed entities' entries dropped, the
-    /// converted level-1 rows' entries merged in (`Postings::carry`).  The
+    /// postings of levels 1 and 2 follow the same plan in one linear pass
+    /// each: carried positions remapped, a grown entity's entries kept with
+    /// its delta's united in, the other listed entities' entries dropped and
+    /// their converted rows' entries merged in (`Postings::carry`).  The
     /// result equals a fresh build whenever the unlisted entities' sequences
     /// and signatures are the ones this arena was built from and every
     /// listed delta is what its entity's rows grew by.
@@ -399,7 +440,8 @@ impl CandidateArena {
             };
         }
         let mut converted = KeyedRows::with_capacity(rows, bound);
-        let mut delta_rows = KeyedRows::with_capacity(m, 0);
+        // The deltas' keyed rows, `m` per grown entity in plan order.
+        let mut deltas = KeyedRows::with_capacity(0, 0);
         for part in &plan {
             match *part {
                 Rows::Carried(_) => {}
@@ -409,12 +451,12 @@ impl CandidateArena {
                     }
                 }
                 Rows::Grown(_, _, pos, delta) => {
-                    delta_rows.clear();
+                    let first = deltas.offsets.len() - 1;
                     for (_, set) in delta.iter_levels() {
-                        delta_rows.push(set.packed_slice());
+                        deltas.push(set.packed_slice());
                     }
                     for i in 0..m {
-                        converted.push_union(self.keyed.row(pos * m + i), delta_rows.row(i));
+                        converted.push_union(self.keyed.row(pos * m + i), deltas.row(first + i));
                     }
                 }
             }
@@ -435,15 +477,17 @@ impl CandidateArena {
             offsets: Vec::with_capacity(n * m + 1),
             cells: Vec::with_capacity(cells),
             keyed: KeyedRows::with_capacity(n * m, keys),
-            postings: Postings::default(),
+            postings: Vec::new(),
             signatures: (0..m).map(|_| Vec::with_capacity(n * sig_width)).collect(),
         };
         arena.offsets.push(0);
         // The postings follow the plan: a carried position moves to where
-        // its run lands, a converted entity's level-1 keys are fresh entries.
+        // its run lands, and so does a grown entity's, taking its delta's
+        // keys in as fresh entries; any other converted entity's keys of the
+        // posted levels are fresh entries.
         let mut remap = vec![None; self.len()];
-        let mut fresh: Vec<Posting> = Vec::new();
-        let mut next_converted = 0;
+        let mut fresh: Vec<Vec<Posting>> = vec![Vec::new(); m.min(POSTED_LEVELS)];
+        let (mut next_converted, mut next_grown) = (0, 0);
         for part in plan {
             let at = arena.len() as u32;
             match part {
@@ -453,19 +497,41 @@ impl CandidateArena {
                     }
                     arena.copy_rows(self, run);
                 }
-                Rows::Fresh(entity, seq) | Rows::Grown(entity, seq, _, _) => {
+                Rows::Fresh(entity, seq) | Rows::Grown(entity, seq, ..) => {
                     arena.push_entity(entity, seq, signatures.get(&entity));
                     let rows = next_converted * m..(next_converted + 1) * m;
-                    let (keys, masks) = converted.parts(rows.start);
-                    fresh.extend(keys.iter().zip(masks).map(|(&key, &mask)| (key, at, mask)));
+                    if let Rows::Grown(.., pos, _) = part {
+                        remap[pos] = Some(at);
+                        push_postings(&deltas, next_grown * m, at, &mut fresh);
+                        next_grown += 1;
+                    } else {
+                        push_postings(&converted, rows.start, at, &mut fresh);
+                    }
                     arena.keyed.extend_from(&converted, rows);
                     next_converted += 1;
                 }
             }
         }
-        fresh.sort_unstable_by_key(|&(key, at, _)| (key, at));
-        arena.postings = self.postings.carry(|old| remap[old], &fresh);
+        arena.postings = self.carry_postings(|old| remap[old], fresh);
         arena
+    }
+
+    /// The postings of the arena a publish makes from this one's, level by
+    /// level ([`Postings::carry`]): `remap` moves this arena's positions,
+    /// `fresh` holds each posted level's new entries, in any order.  An arena
+    /// with no postings yet (the empty default) carries from empty ones.
+    fn carry_postings(
+        &self,
+        remap: impl Fn(usize) -> Option<u32> + Copy,
+        fresh: Vec<Vec<Posting>>,
+    ) -> Vec<Postings> {
+        let empty = Postings::default();
+        let mut levels = Vec::with_capacity(fresh.len());
+        for (level, mut fresh) in fresh.into_iter().enumerate() {
+            fresh.sort_unstable_by_key(|&(key, at, _)| (key, at));
+            levels.push(self.postings.get(level).unwrap_or(&empty).carry(remap, &fresh));
+        }
+        levels
     }
 
     /// Where [`rebuild`](Self::rebuild) takes each entity of `sequences`
@@ -548,9 +614,9 @@ impl CandidateArena {
     /// footprint included: the splice moves every later entity's cells (one
     /// `memmove` of the tail) and shifts their offsets, which is already
     /// `O(n)`, so each vector grows by exactly the inserted amount rather
-    /// than by doubling.  The level-1 postings are carried over the way a
-    /// rebuild carries them, every later position shifted by one and the
-    /// entity's level-1 entries merged in.
+    /// than by doubling.  The postings of levels 1 and 2 are carried over
+    /// the way a rebuild carries them, every later position shifted by one
+    /// and the entity's entries of those levels merged in.
     ///
     /// # Panics
     /// Panics when the entity is already present (replacements rebuild).
@@ -599,14 +665,13 @@ impl CandidateArena {
         }
         self.keyed.splice(pos * m, &keyed);
 
-        // Every later position moves up by one; the entity's level-1 keys
-        // are the fresh entries.
+        // Every later position moves up by one; the entity's keys of the
+        // posted levels are the fresh entries.
         u32::try_from(self.len()).expect("arena positions are addressable by u32");
-        let (keys, masks) = keyed.parts(0);
-        let fresh: Vec<Posting> =
-            keys.iter().zip(masks).map(|(&key, &mask)| (key, pos as u32, mask)).collect();
+        let mut fresh = vec![Vec::new(); m.min(POSTED_LEVELS)];
+        push_postings(&keyed, 0, pos as u32, &mut fresh);
         let shift = |old: usize| Some((old + usize::from(old >= pos)) as u32);
-        self.postings = self.postings.carry(shift, &fresh);
+        self.postings = self.carry_postings(shift, fresh);
 
         for (i, rows) in self.signatures.iter_mut().enumerate() {
             let row = sig.level((i + 1) as Level);
@@ -675,7 +740,8 @@ impl CandidateArena {
         let signatures: usize = self.signatures.iter().map(Vec::capacity).sum();
         (self.cells.capacity() + signatures) * std::mem::size_of::<u64>()
             + self.keyed.resident_bytes()
-            + self.postings.resident_bytes()
+            + self.postings.iter().map(Postings::resident_bytes).sum::<usize>()
+            + self.postings.capacity() * std::mem::size_of::<Postings>()
             + self.signatures.capacity() * std::mem::size_of::<Vec<u64>>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.entities.capacity() * std::mem::size_of::<EntityId>()
@@ -695,23 +761,23 @@ impl CandidateArena {
         measure: &M,
         scratch: &mut LevelOverlap,
     ) -> f64 {
-        self.overlaps_into(pos, view, None, scratch, None);
+        self.overlaps_into(pos, view, &[], scratch, None);
         measure.degree_from_overlap(scratch)
     }
 
-    /// [`level_overlaps`] of the candidate at `pos`, from level 2 on when its
-    /// level-1 overlap is given.
+    /// [`level_overlaps`] of the candidate at `pos`, past the levels whose
+    /// overlaps are `known`.
     #[inline]
     fn overlaps_into(
         &self,
         pos: usize,
         view: &QueryView<'_>,
-        level_one: Option<usize>,
+        known: &[usize],
         scratch: &mut LevelOverlap,
         dispatch: Option<&mut KernelDispatch>,
     ) {
         debug_assert_eq!(view.num_levels(), self.num_levels());
-        level_overlaps(view, &mut self.rows(pos), level_one, scratch, dispatch);
+        level_overlaps(view, &mut self.rows(pos), known, scratch, dispatch);
     }
 
     /// Every row of the entity at `pos`, as [`level_overlaps`] reads them.
@@ -747,13 +813,14 @@ impl CandidateArena {
     }
 
     /// [`level_overlaps`] of the candidate at `pos` with only its level-1
-    /// row and the lengths of its rows taken from the arena — or, when a
-    /// flat scan's postings counted it (`level_one`), its level-1 overlap:
+    /// row and the lengths of its rows taken from the arena — and the
+    /// overlaps a flat scan's postings counted (`known`, levels 1 and 2):
     /// its finer rows are what `read` appends to the vector it is handed —
     /// [`finer_words`](Self::finer_words) words, in the form
     /// [`push_finer_rows`](Self::push_finer_rows) writes.  `read` runs only
-    /// when a level past the first is intersected, so never for a candidate
-    /// that shares no level-1 cell with the query.  Where [`row_class`]
+    /// when a level past the first is intersected: never for a candidate
+    /// that shares no level-1 cell with the query, and, given both posted
+    /// overlaps, never for one that shares no level-2 cell.  Where [`row_class`]
     /// picks the packed kernel for a finer row, the row is rebuilt from its
     /// keyed form ([`push_packed`]) in `scratch`, which also receives the
     /// statistics ([`RowScratch::overlap`]).  Everything else — the loop, the
@@ -763,14 +830,14 @@ impl CandidateArena {
         &self,
         pos: usize,
         view: &QueryView<'_>,
-        level_one: Option<usize>,
+        known: &[usize],
         read: impl FnOnce(&mut Vec<u64>),
         scratch: &mut RowScratch,
         dispatch: Option<&mut KernelDispatch>,
     ) -> bool {
         let RowScratch { words, cells, overlap } = scratch;
         let mut rows = PagedRows { resident: self.rows(pos), read: Some(read), words, cells };
-        level_overlaps(view, &mut rows, level_one, overlap, dispatch);
+        level_overlaps(view, &mut rows, known, overlap, dispatch);
         rows.read.is_none()
     }
 
@@ -788,7 +855,7 @@ impl CandidateArena {
         scratch: &mut LevelOverlap,
         dispatch: &mut KernelDispatch,
     ) -> f64 {
-        self.overlaps_into(pos, view, None, scratch, Some(dispatch));
+        self.overlaps_into(pos, view, &[], scratch, Some(dispatch));
         measure.degree_from_overlap(scratch)
     }
 
@@ -832,14 +899,25 @@ impl CandidateArena {
     }
 
     /// The one flat-scan loop of a planned query, in memory and out of core.
-    /// It first walks the postings of the query's level-1 keys once, which
-    /// leaves every member's exact level-1 overlap in `level_one` (a
-    /// source's scratch, resized to one slot per position).  Then, in
-    /// position order, it hands each member `admit` lets through to `score`
-    /// with its position and level-1 overlap, and keeps the top `k` of the
-    /// degrees `score` returns — `None` is a member it could not read, which
-    /// is not counted as checked.  A member whose overlap is 0 shares no
-    /// finer cell either, so `score` can answer it without an intersection.
+    ///
+    /// **Counts first.**  It walks the postings of the query's keys at each
+    /// posted level once, which leaves every member's exact overlaps at
+    /// levels 1 and 2 in `counts` (a source's scratch, resized to one slot
+    /// per position).  `score` gets a member's position and those overlaps
+    /// — the known prefix [`level_overlaps`] starts after — and returns its
+    /// degree, `None` for a member it could not read (not counted as
+    /// checked).  A member sharing no level-2 cell shares no finer one, so
+    /// `score` answers it without an intersection.
+    ///
+    /// **Disjoint members last.**  It scores, in position order, every
+    /// member `admit` lets through that shares a level-1 cell, then the
+    /// others, still in position order, only while its own top `k` is not
+    /// saturated against `zero` — `measure`'s bound for a member sharing
+    /// nothing at any level, computed once.  The test is strict, so a
+    /// member skipped has a degree below the k-th one held and cannot enter
+    /// the answer, ties at the k-th degree included; it is neither scored
+    /// nor counted.  The scan prunes against nothing but its own heap, so
+    /// what it scores does not depend on what other jobs found first.
     ///
     /// Scoring is exact, so the only error a filter introduces is *omission*
     /// — what the planner's [`ShardDecision::ApproximateScan`] arm samples
@@ -848,26 +926,41 @@ impl CandidateArena {
     ///
     /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
     /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
-    pub(crate) fn flat_scan(
+    pub(crate) fn flat_scan<M: AssociationMeasure + ?Sized>(
         &self,
         view: &QueryView<'_>,
-        level_one: &mut Vec<u32>,
+        measure: &M,
+        counts: &mut Vec<LevelCounts>,
         k: usize,
         admit: impl Fn(EntityId) -> bool,
-        mut score: impl FnMut(usize, usize) -> Option<f64>,
+        mut score: impl FnMut(usize, &[usize]) -> Option<f64>,
     ) -> (Vec<TopKResult>, usize) {
-        level_one.clear();
-        level_one.resize(self.len(), 0);
-        self.postings.accumulate(view.keyed.parts(0), level_one);
+        let m = self.num_levels();
+        counts.clear();
+        counts.resize(self.len(), [0; POSTED_LEVELS]);
+        for (level, postings) in self.postings.iter().enumerate() {
+            postings.accumulate(view.keyed.parts(level), counts, level);
+        }
+        let sizes: Vec<usize> = (0..m).map(|i| view.level(i).len()).collect();
+        let zero = measure.upper_bound(&sizes, &vec![0; m]);
         let mut top = TopKHeap::new(k);
         let mut checked = 0usize;
-        for (pos, (&entity, &overlap)) in self.entities.iter().zip(level_one.iter()).enumerate() {
-            if !admit(entity) {
-                continue;
-            }
-            if let Some(degree) = score(pos, overlap as usize) {
-                checked += 1;
-                top.offer(entity, degree);
+        for sharing in [true, false] {
+            for (pos, (&entity, count)) in self.entities.iter().zip(counts.iter()).enumerate() {
+                if (count[0] > 0) != sharing {
+                    continue;
+                }
+                if !sharing && top.is_saturated_against(zero) {
+                    break;
+                }
+                if !admit(entity) {
+                    continue;
+                }
+                let known = count.map(|overlap| overlap as usize);
+                if let Some(degree) = score(pos, &known[..self.postings.len()]) {
+                    checked += 1;
+                    top.offer(entity, degree);
+                }
             }
         }
         (top.into_sorted(), checked)
@@ -1243,9 +1336,10 @@ impl<R: FnOnce(&mut Vec<u64>)> CandidateRows for PagedRows<'_, R> {
 /// intersected by the kernel [`row_class`] picks from the four row lengths
 /// — asking for the keyed ones only when the packed lengths leave the choice
 /// open — and counting every intersection it issues into `dispatch` when
-/// one is given.  When the caller already knows the level-1 overlap
-/// (`level_one`: a flat scan's postings counted it) the loop records it with
-/// the true sizes and starts intersecting at level 2.
+/// one is given.  When the caller already knows the overlaps of a prefix of
+/// the levels (`known`: a flat scan's postings counted levels 1 and 2; `[]`
+/// is the pairwise loop) the loop records them with the true sizes and
+/// starts intersecting after them.
 ///
 /// Levels are a prefix hierarchy (Definition 3) and both sides are
 /// ancestor-closed — the query by the [`CellSetSequence`] invariant, the
@@ -1259,24 +1353,18 @@ impl<R: FnOnce(&mut Vec<u64>)> CandidateRows for PagedRows<'_, R> {
 fn level_overlaps<R: CandidateRows>(
     view: &QueryView<'_>,
     rows: &mut R,
-    level_one: Option<usize>,
+    known: &[usize],
     out: &mut LevelOverlap,
     mut dispatch: Option<&mut KernelDispatch>,
 ) {
     out.clear();
-    let from = match level_one {
-        Some(overlap) => {
-            let (size_a, size_b) = (view.level(0).len(), R::cells(rows.row(0)));
-            out.push(LevelStat { overlap, size_a, size_b });
-            1
-        }
-        None => 0,
-    };
-    let mut shares_coarser = level_one != Some(0);
-    for i in from..view.num_levels() {
+    let mut shares_coarser = true;
+    for i in 0..view.num_levels() {
         let row = rows.row(i);
         let (size_a, size_b) = (view.level(i).len(), R::cells(row));
-        let overlap = if shares_coarser {
+        let overlap = if let Some(&overlap) = known.get(i) {
+            overlap
+        } else if shares_coarser {
             let mut keyed = None;
             let class = row_class((size_a, size_b), || {
                 let (query, candidate) = (view.keyed.row(i), rows.keyed(i));
@@ -1350,7 +1438,7 @@ impl<'a> QueryView<'a> {
 /// it computes (an executor evaluates thousands of candidates per query, and
 /// batch fan-outs run one source per executor per query — this removes the
 /// per-candidate allocation entirely), a flat scan's per-position level-1
-/// overlaps, plus the per-query [`KernelDispatch`] accounting drained via
+/// and level-2 overlaps, plus the per-query [`KernelDispatch`] accounting drained via
 /// `take_dispatch`.  All live in single-threaded
 /// interior-mutability cells: an executor is driven by one worker at a time
 /// (`&mut` under the cooperative scheduler's mutex slots), so the source is
@@ -1361,7 +1449,7 @@ pub struct ArenaSource<'a> {
     arena: &'a CandidateArena,
     view: Cow<'a, QueryView<'a>>,
     scratch: RefCell<LevelOverlap>,
-    level_one: RefCell<Vec<u32>>,
+    counts: RefCell<Vec<LevelCounts>>,
     dispatch: Cell<KernelDispatch>,
 }
 
@@ -1382,7 +1470,7 @@ impl<'a> ArenaSource<'a> {
             arena,
             view,
             scratch: RefCell::default(),
-            level_one: RefCell::default(),
+            counts: RefCell::default(),
             dispatch: Cell::default(),
         }
     }
@@ -1394,8 +1482,9 @@ impl<'a> ArenaSource<'a> {
     }
 
     /// [`CandidateArena::flat_scan`] over the source's arena, each member
-    /// scored from level 2 on with its level-1 overlap from the postings,
-    /// counting its kernel dispatches where the source's leaf evaluations go.
+    /// scored from level 3 on with its level-1 and level-2 overlaps from the
+    /// postings, counting its kernel dispatches where the source's leaf
+    /// evaluations go.
     pub(crate) fn scan<M: AssociationMeasure + ?Sized>(
         &self,
         k: usize,
@@ -1405,11 +1494,11 @@ impl<'a> ArenaSource<'a> {
         let (arena, view) = (self.arena, &*self.view);
         let scratch = &mut *self.scratch.borrow_mut();
         let mut dispatch = self.dispatch.get();
-        let answer =
-            arena.flat_scan(view, &mut self.level_one.borrow_mut(), k, admit, |pos, one| {
-                arena.overlaps_into(pos, view, Some(one), scratch, Some(&mut dispatch));
-                Some(measure.degree_from_overlap(scratch))
-            });
+        let counts = &mut *self.counts.borrow_mut();
+        let answer = arena.flat_scan(view, measure, counts, k, admit, |pos, known| {
+            arena.overlaps_into(pos, view, known, scratch, Some(&mut dispatch));
+            Some(measure.degree_from_overlap(scratch))
+        });
         self.dispatch.set(dispatch);
         answer
     }
@@ -1432,7 +1521,7 @@ impl TraceSource for ArenaSource<'_> {
 }
 
 /// Every observable of `got` equals `expect`'s — packed cells, keyed rows,
-/// level-1 postings, signatures — footprint included.
+/// every posted level's postings, signatures — footprint included.
 #[cfg(test)]
 pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, context: &str) {
     assert_eq!(got.entities(), expect.entities(), "{context}");
@@ -1459,12 +1548,17 @@ pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, c
         }
     }
     assert_eq!(got.keyed.offsets, expect.keyed.offsets, "{context}: keyed offsets");
-    assert_eq!(got.postings, expect.postings, "{context}: level-1 postings");
-    assert_eq!(
-        got.postings.resident_bytes(),
-        expect.postings.resident_bytes(),
-        "{context}: postings footprint"
-    );
+    assert_eq!(got.postings.len(), m.min(POSTED_LEVELS), "{context}: posted levels");
+    assert_eq!(got.postings.len(), expect.postings.len(), "{context}: posted levels");
+    for (level, (got, expect)) in got.postings.iter().zip(&expect.postings).enumerate() {
+        let level = level + 1;
+        assert_eq!(got, expect, "{context}: level-{level} postings");
+        assert_eq!(
+            got.resident_bytes(),
+            expect.resident_bytes(),
+            "{context}: level-{level} postings footprint"
+        );
+    }
     assert_eq!(got.resident_bytes(), expect.resident_bytes(), "{context}: footprint");
 }
 
@@ -1491,99 +1585,144 @@ mod tests {
         row
     }
 
-    /// The postings of level-1 rows `rows` at positions 0.., built as a
-    /// fresh arena builds them: every entry fresh.
-    fn postings_of(rows: &[Vec<u64>]) -> Postings {
-        let mut fresh = Vec::new();
-        for (pos, row) in rows.iter().enumerate() {
-            let (mut keys, mut masks) = (Vec::new(), Vec::new());
-            push_keyed(row, &mut keys, &mut masks);
-            fresh.extend(keys.into_iter().zip(masks).map(|(key, mask)| (key, pos as u32, mask)));
-        }
-        fresh.sort_unstable_by_key(|&(key, at, _)| (key, at));
-        Postings::default().carry(|_| None, &fresh)
+    /// One member's rows of the posted levels, drawn as `(time, unit)` picks.
+    type Drawn = Vec<Vec<(usize, usize)>>;
+
+    /// The packed rows of the posted levels of every drawn member.
+    fn packed_members(members: &[Drawn]) -> Vec<Vec<Vec<u64>>> {
+        members.iter().map(|rows| rows.iter().map(|cells| packed_row(cells)).collect()).collect()
     }
 
-    /// The postings inverted by brute force from an arena's level-1 keyed
-    /// rows: the oracle of the layout a build produces.
-    fn inverted(arena: &CandidateArena) -> BTreeMap<u64, Vec<(u32, u64)>> {
-        let mut by_key: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
-        for pos in 0..arena.len() {
-            let (keys, masks) = arena.keyed.parts(pos * arena.num_levels());
-            for (&key, &mask) in keys.iter().zip(masks) {
-                by_key.entry(key).or_default().push((pos as u32, mask));
+    /// The fresh entries of `members` (each its rows of the posted levels) at
+    /// positions `at..`, per level, as a rebuild gathers them.
+    fn fresh_entries(members: &[Vec<Vec<u64>>], at: u32, fresh: &mut [Vec<Posting>]) {
+        for (member, pos) in members.iter().zip(at..) {
+            let mut rows = KeyedRows::with_capacity(POSTED_LEVELS, 0);
+            for row in member {
+                rows.push(row);
+            }
+            push_postings(&rows, 0, pos, fresh);
+        }
+    }
+
+    /// The postings of `members` at positions 0.., built as a fresh arena
+    /// builds them: every entry fresh.
+    fn postings_of(members: &[Vec<Vec<u64>>]) -> Vec<Postings> {
+        let mut fresh = vec![Vec::new(); POSTED_LEVELS];
+        fresh_entries(members, 0, &mut fresh);
+        CandidateArena::default().carry_postings(|_| None, fresh)
+    }
+
+    /// The postings of each posted level inverted by brute force from an
+    /// arena's keyed rows: the oracle of the layout a build produces.
+    fn inverted(arena: &CandidateArena) -> Vec<BTreeMap<u64, Vec<(u32, u64)>>> {
+        let m = arena.num_levels();
+        let mut levels = vec![BTreeMap::new(); m.min(POSTED_LEVELS)];
+        for (level, by_key) in levels.iter_mut().enumerate() {
+            for pos in 0..arena.len() {
+                let (keys, masks) = arena.keyed.parts(pos * m + level);
+                for (&key, &mask) in keys.iter().zip(masks) {
+                    by_key.entry(key).or_insert_with(Vec::new).push((pos as u32, mask));
+                }
             }
         }
-        by_key
+        levels
     }
 
-    /// Every member's level-1 overlap with `query` as the postings count it.
-    fn accumulated(postings: &Postings, query: &[u64], members: usize) -> Vec<u32> {
-        let (mut keys, mut masks) = (Vec::new(), Vec::new());
-        push_keyed(query, &mut keys, &mut masks);
-        let mut counts = vec![0; members];
-        postings.accumulate((&keys, &masks), &mut counts);
+    /// Every member's overlaps with `query` (its rows of the posted levels)
+    /// as the postings count them.
+    fn accumulated(postings: &[Postings], query: &[Vec<u64>], members: usize) -> Vec<LevelCounts> {
+        let mut counts = vec![[0; POSTED_LEVELS]; members];
+        for (level, (postings, row)) in postings.iter().zip(query).enumerate() {
+            let (mut keys, mut masks) = (Vec::new(), Vec::new());
+            push_keyed(row, &mut keys, &mut masks);
+            postings.accumulate((&keys, &masks), &mut counts, level);
+        }
         counts
+    }
+
+    /// Two levels of `(time, unit)` picks.
+    fn drawn(cells: usize) -> impl Strategy<Value = Drawn> {
+        proptest::collection::vec(
+            proptest::collection::vec((0usize..TIMES.len(), 0usize..UNITS.len()), 0..cells),
+            POSTED_LEVELS..POSTED_LEVELS + 1,
+        )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The postings count what the pairwise loop intersects: for every
-        /// (query, member) pair of random level-1 rows — times on both sides
-        /// of the word edges 63 / 64 and 127 / 128, units up to `u32::MAX` —
-        /// the accumulated overlap is `intersection_len` of the packed rows.
-        /// And carrying them over a publish — some members dropped, the
-        /// kept ones moved up or down by the inserts between them — equals
-        /// building them afresh over the new order, and still counts right.
+        /// The postings count what the pairwise loop intersects, at both
+        /// posted levels: for every (query, member) pair of random rows —
+        /// times on both sides of the word edges 63 / 64 and 127 / 128,
+        /// units up to `u32::MAX` — each level's accumulated overlap is
+        /// `intersection_len` of that level's packed rows.  And carrying
+        /// them over a publish — some members dropped, some grown by a delta
+        /// whose entries are united with theirs, the kept ones moved up or
+        /// down by the inserts between them — equals building them afresh
+        /// over the new order, level by level and to the byte, and still
+        /// counts right.
         #[test]
         fn postings_count_the_level_one_intersection(
-            members in proptest::collection::vec(
-                proptest::collection::vec((0usize..TIMES.len(), 0usize..UNITS.len()), 0..24),
-                0..10,
-            ),
-            query in proptest::collection::vec((0usize..TIMES.len(), 0usize..UNITS.len()), 0..24),
+            members in proptest::collection::vec(drawn(24), 0..10),
+            query in drawn(24),
             kept in proptest::collection::vec(0u8..3, 10..11),
-            inserts in proptest::collection::vec(
-                (0usize..11, proptest::collection::vec((0usize..TIMES.len(), 0usize..4), 0..16)),
-                0..4,
-            ),
+            grown in proptest::collection::vec(drawn(8), 10..11),
+            inserts in proptest::collection::vec((0usize..11, drawn(16)), 0..4),
         ) {
-            let rows: Vec<Vec<u64>> = members.iter().map(|cells| packed_row(cells)).collect();
-            let query = packed_row(&query);
+            let rows = packed_members(&members);
+            let query = packed_members(&[query]).remove(0);
             let postings = postings_of(&rows);
+            prop_assert_eq!(postings.len(), POSTED_LEVELS);
             let counts = accumulated(&postings, &query, rows.len());
-            for (pos, row) in rows.iter().enumerate() {
-                prop_assert_eq!(counts[pos] as usize, intersection_len(&query, row), "member {}", pos);
+            for (pos, member) in rows.iter().enumerate() {
+                for level in 0..POSTED_LEVELS {
+                    let expect = intersection_len(&query[level], &member[level]);
+                    prop_assert_eq!(counts[pos][level] as usize, expect, "member {}, {}", pos, level);
+                }
             }
 
-            // The publish: member `i` stays unless `kept[i] == 0`; insert
-            // `(slot, cells)` goes in front of old member `slot`.
-            let mut next: Vec<Vec<u64>> = Vec::new();
-            let (mut remap, mut fresh) = (vec![None; rows.len()], Vec::new());
+            // The publish: member `i` is dropped when `kept[i] == 0`, grows
+            // by `grown[i]` when it is 2; insert `(slot, rows)` goes in
+            // front of old member `slot`.
+            let mut next: Vec<Vec<Vec<u64>>> = Vec::new();
+            let (mut remap, mut fresh) = (vec![None; rows.len()], vec![Vec::new(); POSTED_LEVELS]);
             for slot in 0..=rows.len() {
-                for (_, cells) in inserts.iter().filter(|(at, _)| (*at).min(rows.len()) == slot) {
-                    let row = packed_row(cells);
-                    let (mut keys, mut masks) = (Vec::new(), Vec::new());
-                    push_keyed(&row, &mut keys, &mut masks);
-                    let at = next.len() as u32;
-                    fresh.extend(keys.into_iter().zip(masks).map(|(key, mask)| (key, at, mask)));
-                    next.push(row);
+                for (_, drawn) in inserts.iter().filter(|(at, _)| (*at).min(rows.len()) == slot) {
+                    let member = packed_members(std::slice::from_ref(drawn));
+                    fresh_entries(&member, next.len() as u32, &mut fresh);
+                    next.extend(member);
                 }
-                let Some(row) = rows.get(slot) else { break };
+                let Some(member) = rows.get(slot) else { break };
                 if kept[slot] != 0 {
-                    remap[slot] = Some(next.len() as u32);
-                    next.push(row.clone());
+                    let at = next.len() as u32;
+                    remap[slot] = Some(at);
+                    let mut member = member.clone();
+                    if kept[slot] == 2 {
+                        let delta = packed_members(std::slice::from_ref(&grown[slot]));
+                        fresh_entries(&delta, at, &mut fresh);
+                        for (row, delta) in member.iter_mut().zip(&delta[0]) {
+                            row.extend_from_slice(delta);
+                            row.sort_unstable();
+                            row.dedup();
+                        }
+                    }
+                    next.push(member);
                 }
             }
-            fresh.sort_unstable_by_key(|&(key, at, _)| (key, at));
-            let carried = postings.carry(|old| remap[old], &fresh);
+            let previous = CandidateArena { postings, ..CandidateArena::default() };
+            let carried = previous.carry_postings(|old| remap[old], fresh);
             let rebuilt = postings_of(&next);
             prop_assert_eq!(&carried, &rebuilt);
-            prop_assert_eq!(carried.resident_bytes(), rebuilt.resident_bytes());
+            for (carried, rebuilt) in carried.iter().zip(&rebuilt) {
+                prop_assert_eq!(carried.resident_bytes(), rebuilt.resident_bytes());
+            }
             let counts = accumulated(&carried, &query, next.len());
-            for (pos, row) in next.iter().enumerate() {
-                prop_assert_eq!(counts[pos] as usize, intersection_len(&query, row), "after, {}", pos);
+            for (pos, member) in next.iter().enumerate() {
+                for level in 0..POSTED_LEVELS {
+                    let expect = intersection_len(&query[level], &member[level]);
+                    prop_assert_eq!(counts[pos][level] as usize, expect, "after, {}, {}", pos, level);
+                }
             }
         }
     }
@@ -1629,27 +1768,33 @@ mod tests {
         assert_eq!(arena.position(EntityId(99)), None);
         assert!(arena.resident_bytes() > 0);
 
-        // The postings are the level-1 keyed rows inverted, every vector at
-        // its exact size.
-        let postings = &arena.postings;
-        let by_key = inverted(&arena);
-        assert_eq!(postings.keys, by_key.keys().copied().collect::<Vec<_>>());
-        for (i, entries) in by_key.values().enumerate() {
-            let span = postings.offsets[i] as usize..postings.offsets[i + 1] as usize;
-            let held: Vec<(u32, u64)> = (postings.positions[span.clone()].iter().copied())
-                .zip(postings.masks[span].iter().copied())
-                .collect();
-            assert_eq!(&held, entries, "entries of key {i}");
+        // The postings are the keyed rows of levels 1 and 2 inverted, every
+        // vector at its exact size.
+        let levels = inverted(&arena);
+        assert_eq!((arena.postings.len(), levels.len()), (POSTED_LEVELS, POSTED_LEVELS));
+        assert_eq!(arena.postings.capacity(), POSTED_LEVELS);
+        for (level, (postings, by_key)) in arena.postings.iter().zip(&levels).enumerate() {
+            assert_eq!(postings.keys, by_key.keys().copied().collect::<Vec<_>>());
+            for (i, entries) in by_key.values().enumerate() {
+                let span = postings.offsets[i] as usize..postings.offsets[i + 1] as usize;
+                let held: Vec<(u32, u64)> = (postings.positions[span.clone()].iter().copied())
+                    .zip(postings.masks[span].iter().copied())
+                    .collect();
+                assert_eq!(&held, entries, "level {}, entries of key {i}", level + 1);
+            }
+            assert_eq!(postings.offsets.len(), postings.keys.len() + 1);
+            for (len, capacity) in [
+                (postings.keys.len(), postings.keys.capacity()),
+                (postings.offsets.len(), postings.offsets.capacity()),
+                (postings.positions.len(), postings.positions.capacity()),
+                (postings.masks.len(), postings.masks.capacity()),
+            ] {
+                assert_eq!(len, capacity, "sized exactly");
+            }
         }
-        assert_eq!(postings.offsets.len(), postings.keys.len() + 1);
-        for (len, capacity) in [
-            (postings.keys.len(), postings.keys.capacity()),
-            (postings.offsets.len(), postings.offsets.capacity()),
-            (postings.positions.len(), postings.positions.capacity()),
-            (postings.masks.len(), postings.masks.capacity()),
-        ] {
-            assert_eq!(len, capacity, "sized exactly");
-        }
+        // A one-level arena posts its one level.
+        let one = CandidateArena::build(1, 0, &BTreeMap::new(), &BTreeMap::new());
+        assert_eq!(one.postings.len(), 1);
     }
 
     #[test]
@@ -1852,7 +1997,7 @@ mod tests {
     /// the 3 there are) and hands the measure the all-levels loop's integers
     /// — over the arena's rows, and with the finer rows read as an
     /// out-of-core session reads them, which happens exactly when level 1
-    /// is shared.
+    /// (level 2, given both posted overlaps) is shared.
     #[test]
     fn overlap_loop_stops_at_the_first_empty_level() {
         let sp = SpIndex::uniform(2, &[2, 2]).unwrap();
@@ -1879,37 +2024,33 @@ mod tests {
             );
             let oracle = LevelOverlap::from_sequences(&query, &candidate);
             assert_eq!(issued_intersections(&query, &candidate), issued);
-            let (mut fused, mut dispatch) = (LevelOverlap::default(), KernelDispatch::default());
-            arena.overlaps_into(0, &view, None, &mut fused, Some(&mut dispatch));
-            assert_eq!((&fused, dispatch.total()), (&oracle, issued), "resident");
-
             let mut finer = Vec::new();
             arena.push_finer_rows(0, &mut finer);
             assert_eq!(finer.len(), arena.finer_words(0));
-            let (mut scratch, mut paged) = (RowScratch::default(), KernelDispatch::default());
-            let read = |out: &mut Vec<u64>| out.extend_from_slice(&finer);
-            let ran = arena.paged_overlaps(0, &view, None, read, &mut scratch, Some(&mut paged));
-            assert_eq!((scratch.overlap(), paged), (&oracle, dispatch), "paged");
-            assert_eq!(ran, issued > 1, "rows are read exactly when level 1 is shared");
+            let levels: Vec<usize> = oracle.iter().map(|(_, stat)| stat.overlap).collect();
 
-            // Given the level-1 overlap, the loop starts at level 2: the
-            // same integers, one intersection fewer, the same reads.
-            let level_one = oracle.level(1).overlap;
-            let (mut from_two, mut skipped) = (LevelOverlap::default(), KernelDispatch::default());
-            arena.overlaps_into(0, &view, Some(level_one), &mut from_two, Some(&mut skipped));
-            assert_eq!((&from_two, skipped.total()), (&oracle, issued - 1), "from level 2");
-            let (mut scratch, mut paged) = (RowScratch::default(), KernelDispatch::default());
-            let read = |out: &mut Vec<u64>| out.extend_from_slice(&finer);
-            let ran = arena.paged_overlaps(
-                0,
-                &view,
-                Some(level_one),
-                read,
-                &mut scratch,
-                Some(&mut paged),
-            );
-            assert_eq!((scratch.overlap(), paged), (&oracle, skipped), "paged from level 2");
-            assert_eq!(ran, issued > 1, "paged from level 2");
+            // Given the overlaps of a prefix of the levels — none (the
+            // pairwise loop), level 1, levels 1 and 2 (a scan's postings) —
+            // the loop starts after it: the same integers, one intersection
+            // fewer per known level the pairwise loop would have issued, and
+            // the finer rows read exactly when a level past the first is
+            // intersected, so when the last known level is shared.
+            for known in 0..=2 {
+                let known = &levels[..known];
+                let context = format!("{candidate:?}, known {known:?}");
+                let issued_after = issued.saturating_sub(known.len() as u64);
+                let (mut fused, mut dispatch) =
+                    (LevelOverlap::default(), KernelDispatch::default());
+                arena.overlaps_into(0, &view, known, &mut fused, Some(&mut dispatch));
+                assert_eq!((&fused, dispatch.total()), (&oracle, issued_after), "{context}");
+                let (mut scratch, mut paged) = (RowScratch::default(), KernelDispatch::default());
+                let read = |out: &mut Vec<u64>| out.extend_from_slice(&finer);
+                let ran =
+                    arena.paged_overlaps(0, &view, known, read, &mut scratch, Some(&mut paged));
+                assert_eq!((scratch.overlap(), paged), (&oracle, dispatch), "paged, {context}");
+                let reads = issued > known.len().max(1) as u64;
+                assert_eq!(ran, reads, "paged, {context}");
+            }
         }
     }
 

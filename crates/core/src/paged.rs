@@ -36,15 +36,17 @@
 //! ## Who owns what during a query
 //!
 //! * **Resident rows.**  A candidate's level-1 row, in both forms, the
-//!   level-1 postings and the lengths of all its rows are the shard's
-//!   in-memory [`CandidateArena`]'s — immutable, shared by every source
-//!   without a lock.  A flat scan reads every member's level-1 overlap from
-//!   the postings in one walk over the query's level-1 keys (the in-memory
-//!   scan's loop, `CandidateArena::flat_scan`); a tree leaf or a seed
-//!   candidate intersects its resident level-1 row.  Either way a candidate
-//!   sharing no level-1 cell with the query shares nothing finer, so its
-//!   degree follows from the lengths and no page is requested
-//!   ([`QueryStats::reads_avoided`]).
+//!   level-1 and level-2 postings and the lengths of all its rows are the
+//!   shard's in-memory [`CandidateArena`]'s — immutable, shared by every
+//!   source without a lock.  A flat scan reads every member's level-1 and
+//!   level-2 overlaps from the postings in one walk over the query's keys of
+//!   those levels (the in-memory scan's loop, `CandidateArena::flat_scan`),
+//!   and skips the members sharing no level-1 cell once its top k is
+//!   strictly above what they can score; a tree leaf or a seed candidate
+//!   intersects its resident level-1 row.  A scanned member sharing no
+//!   level-2 cell with the query, or a leaf or seed candidate sharing no
+//!   level-1 cell, shares nothing finer, so its degree follows from what is
+//!   resident and no page is requested ([`QueryStats::reads_avoided`]).
 //! * **Pages.**  Any other candidate's span of the shard's run — usually
 //!   within one page, at most a few — is copied out of the pool into the
 //!   source's scratch and the loop goes on over it
@@ -58,7 +60,7 @@
 //! * **Scratch.**  Every tree executor and every shard scan gets its own
 //!   [`PagedArenaSource`], the planner one more for seeding.  A source owns
 //!   the span and expansion buffers, the overlap scratch, a scan's
-//!   per-position level-1 counters, and the kernel-dispatch and buffer-pool
+//!   per-position level-1 and level-2 counters, and the kernel-dispatch and buffer-pool
 //!   counters for the work *it* did; an
 //!   executor is stepped by one worker at a time, so none of it is locked
 //!   and nothing is allocated per candidate.  The counters are summed into
@@ -93,7 +95,7 @@ use crate::engine::TraceSource;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
-use crate::kernel::{CandidateArena, QueryView, RowScratch};
+use crate::kernel::{CandidateArena, LevelCounts, QueryView, RowScratch};
 use crate::plan::{self, PageEstimate, QueryPlan};
 use crate::query::{Query, QueryOptions, TopKResult};
 use crate::shard::{shard_of, ShardedSnapshot};
@@ -183,8 +185,8 @@ pub struct PagedArenaSource<'a> {
     /// The query's view, borrowed from its access.
     view: &'a QueryView<'a>,
     scratch: RefCell<Scratch>,
-    /// A flat scan's per-position level-1 overlaps.
-    level_one: RefCell<Vec<u32>>,
+    /// A flat scan's per-position level-1 and level-2 overlaps.
+    counts: RefCell<Vec<LevelCounts>>,
 }
 
 impl<'a> PagedArenaSource<'a> {
@@ -211,16 +213,16 @@ impl<'a> PagedArenaSource<'a> {
         track: bool,
     ) -> Option<f64> {
         let pos = self.paged.snapshot.shard(shard).arena().position(entity)?;
-        self.score_at(shard, pos, None, measure, track)
+        self.score_at(shard, pos, &[], measure, track)
     }
 
-    /// [`score`](Self::score) of the member at arena position `pos`, from
-    /// level 2 on when its level-1 overlap is given.
+    /// [`score`](Self::score) of the member at arena position `pos`, past
+    /// the levels whose overlaps are `known`.
     fn score_at<M: AssociationMeasure + ?Sized>(
         &self,
         shard: usize,
         pos: usize,
-        level_one: Option<usize>,
+        known: &[usize],
         measure: &M,
         track: bool,
     ) -> Option<f64> {
@@ -231,17 +233,18 @@ impl<'a> PagedArenaSource<'a> {
         let pool = self.paged.pool;
         let read = |words: &mut Vec<u64>| segment.pages.read(pool, span, words, io);
         let dispatch = track.then_some(dispatch);
-        if !arena.paged_overlaps(pos, self.view, level_one, read, rows, dispatch) {
+        if !arena.paged_overlaps(pos, self.view, known, read, rows, dispatch) {
             *reads_avoided += 1;
         }
         Some(measure.degree_from_overlap(rows.overlap()))
     }
 
     /// The source's shard's flat scan ([`CandidateArena::flat_scan`]): every
-    /// member `admit` lets through scored from level 2 on with its level-1
-    /// overlap from the postings — so a disjoint member is neither
-    /// intersected nor read — and a member the session holds no rows for
-    /// counted unreadable.
+    /// member it scores is scored from level 3 on with its level-1 and
+    /// level-2 overlaps from the postings — so a member sharing no level-2
+    /// cell is neither intersected nor read — and a member the session holds
+    /// no rows for is counted unreadable.  A member the scan skips is
+    /// neither.
     fn scan<M: AssociationMeasure + ?Sized>(
         &self,
         k: usize,
@@ -249,9 +252,9 @@ impl<'a> PagedArenaSource<'a> {
         admit: impl Fn(EntityId) -> bool,
     ) -> (Vec<TopKResult>, usize) {
         let arena = self.paged.snapshot.shard(self.shard).arena();
-        let level_one = &mut *self.level_one.borrow_mut();
-        arena.flat_scan(self.view, level_one, k, admit, |pos, one| {
-            let degree = self.score_at(self.shard, pos, Some(one), measure, true);
+        let counts = &mut *self.counts.borrow_mut();
+        arena.flat_scan(self.view, measure, counts, k, admit, |pos, known| {
+            let degree = self.score_at(self.shard, pos, known, measure, true);
             if degree.is_none() {
                 self.scratch.borrow_mut().unreadable += 1;
             }
@@ -465,7 +468,7 @@ impl<'a> PagedShardedSnapshot<'a> {
             shard,
             view,
             scratch: RefCell::default(),
-            level_one: RefCell::default(),
+            counts: RefCell::default(),
         }
     }
 

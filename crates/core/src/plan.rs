@@ -45,10 +45,10 @@
 //! One planner body (`plan_query`) serves the in-memory and the paged
 //! paths, and makes the same four decisions on both, at any pool
 //! residency.  The access-path choice needs no page reasoning: a paged
-//! scan reads the row pages of only the members that share a level-1 cell
-//! with the query (the others are scored from the snapshot's resident rows,
-//! see [`crate::paged`]), and a tree search that cannot prune reads exactly
-//! those too.  Where the query's access reports a [`PageEstimate`] per
+//! scan reads the row pages of only the members it scores that share a
+//! level-2 cell with the query (the others are scored from the snapshot's
+//! resident postings, or skipped, see [`crate::paged`]), and a tree search
+//! that cannot prune reads no fewer: those sharing a level-1 cell.  Where the query's access reports a [`PageEstimate`] per
 //! shard, it does two things: upper-bound ties in the driving order break by
 //! `cold_pages` ascending, and the latency budget prices cold pages at the
 //! pool's miss latency.  Estimates are advisory (residency moves under
@@ -356,11 +356,11 @@ where
             continue;
         }
         // An empty shard is tree-searched (the executor no-ops on an empty
-        // tree).  Residency plays no part: out of core a scan reads the
-        // rows of exactly the members a tree search that prunes nothing
-        // would read — those sharing a level-1 cell with the query; the rest
-        // are answered from the resident rows either way (see
-        // `crate::paged`).
+        // tree).  Residency plays no part: out of core a scan reads no more
+        // rows than a tree search that prunes nothing would read — those
+        // sharing a level-1 cell with the query, of which a scan reads only
+        // the ones sharing a level-2 cell; the rest are answered from the
+        // resident rows either way (see `crate::paged`).
         if entities > 0 {
             if entities <= SCAN_CUTOFF {
                 plan.decision = ShardDecision::Scan;

@@ -553,9 +553,9 @@ mod tests {
     /// Every publisher — an ingest flush (unions into existing entities and
     /// new ones), a replace, a remove, a lone insert and a durable ingest —
     /// leaves an arena whose rows the publish carried over from the previous
-    /// one equal to a fresh build, keyed rows, level-1 postings and footprint
-    /// included; in place and, with a reader holding the old snapshot, on the
-    /// copy.
+    /// one equal to a fresh build, keyed rows, level-1 and level-2 postings
+    /// and footprint included; in place and, with a reader holding the old
+    /// snapshot, on the copy.
     #[test]
     fn carried_arena_equals_a_fresh_build_after_every_publisher() {
         let w = Workload::uniform(UniformConfig {

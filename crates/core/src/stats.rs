@@ -200,10 +200,12 @@ pub struct QueryStats {
     /// Shards the planner answered by a flat exact scan instead of a tree
     /// search — small ones, and ones whose top-level subtrees the seeded
     /// threshold could not prune ([`ShardDecision::Scan`]; sharded planned
-    /// queries only).  Their entities are all in
-    /// [`entities_checked`](Self::entities_checked) and none of their tree
-    /// rows in [`nodes_visited`](Self::nodes_visited).  On a batch, sums
-    /// over the batch's queries.
+    /// queries only).  Every member they score is in
+    /// [`entities_checked`](Self::entities_checked) — those sharing a
+    /// level-1 cell with the query, and the others only while they could
+    /// still enter the shard's top k — and none of their tree rows in
+    /// [`nodes_visited`](Self::nodes_visited).  On a batch, sums over the
+    /// batch's queries.
     ///
     /// [`ShardDecision::Scan`]: crate::plan::ShardDecision::Scan
     pub shards_scanned: usize,
@@ -231,9 +233,11 @@ pub struct QueryStats {
     /// skipped, not scored, so any of them may be a missing true answer:
     /// non-zero lowers [`recall_estimate`](Self::recall_estimate) below 1.0.
     pub candidates_unreadable: usize,
-    /// Candidates a paged query scored without reading a page: they share no
-    /// level-1 cell with the query, so the snapshot's resident level-1 row
-    /// and per-level sizes fix their exact degree (paged queries
+    /// Candidates a paged query scored without reading a page: a scanned
+    /// member sharing no level-2 cell with the query, whose level-1 and
+    /// level-2 overlaps the resident postings counted, or a tree leaf or seed
+    /// candidate sharing no level-1 cell, whose resident level-1 row says so
+    /// — either way the per-level sizes fix its exact degree (paged queries
     /// only; always 0 in memory, where nothing is read).  Summed like the
     /// pool counters; every one is also in
     /// [`entities_checked`](Self::entities_checked).

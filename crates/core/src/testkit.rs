@@ -946,6 +946,35 @@ pub fn issued_intersections(query: &CellSetSequence, candidate: &CellSetSequence
     (shared + 1).min(overlap.num_levels()) as u64
 }
 
+/// The members a flat scan of one shard scores for `query` — the scan's rule
+/// restated from the sequences.  `members` are the ones the scan admits, in
+/// position order.  Every one sharing a level-1 cell with `query` is
+/// scored.  The others are scored too exactly when the `k` best degrees of
+/// the sharing members `readable` lets through do not all beat
+/// `measure`'s bound for a member sharing nothing strictly.  Zero-overlap
+/// members cannot raise the k-th degree above that bound, so the tail is all
+/// or nothing.  Sharing members come first, each group in the order given.
+pub fn scan_scored<'a>(
+    query: &CellSetSequence,
+    members: impl IntoIterator<Item = (EntityId, &'a CellSetSequence)>,
+    k: usize,
+    measure: &dyn AssociationMeasure,
+    readable: impl Fn(EntityId) -> bool,
+) -> Vec<(EntityId, &'a CellSetSequence)> {
+    let (mut sharing, disjoint): (Vec<_>, Vec<_>) =
+        members.into_iter().partition(|(_, seq)| seq.level(1).intersection_len(query.level(1)) > 0);
+    let mut held: Vec<f64> = (sharing.iter().filter(|&&(entity, _)| readable(entity)))
+        .map(|(_, seq)| measure.degree(query, seq))
+        .collect();
+    held.sort_by(|a, b| b.total_cmp(a));
+    let sizes: Vec<usize> = query.iter_levels().map(|(_, set)| set.len()).collect();
+    let zero = measure.upper_bound(&sizes, &vec![0; sizes.len()]);
+    if k == 0 || held.len() < k || held[k - 1] <= zero {
+        sharing.extend(disjoint);
+    }
+    sharing
+}
+
 /// 1 when the fused degree loop intersects a scored pair's level-1 rows with
 /// the keyed kernel ([`row_class`] of the packed and keyed lengths), else 0:
 /// the part of a query's [`KernelDispatch::keyed`] its resident level-1 rows

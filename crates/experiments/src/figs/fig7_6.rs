@@ -5,7 +5,9 @@
 //! buffer pool whose budget is a fraction of the raw trace data size.  The
 //! pages are the out-of-core session's: it writes every entity's keyed rows of
 //! levels 2..m to the store's disk, and a query reads only the rows of the
-//! candidates that share a level-1 cell with it.  The reported search time
+//! candidates whose finer levels it must intersect: in a flat scan the
+//! members it scores that share a level-2 cell with it, at a tree leaf the
+//! candidates that share a level-1 cell.  The reported search time
 //! combines the measured CPU time with the *simulated* I/O latency charged per
 //! buffer-pool miss, so the curve's shape (steeply descending, flattening
 //! around 40–50 % memory) is reproducible on any machine.

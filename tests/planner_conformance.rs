@@ -18,13 +18,13 @@
 //! and answer identically.
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, PlannerDispersedConfig, PlannerLocalizedConfig,
+    assert_equivalent_answers, scan_scored, PlannerDispersedConfig, PlannerLocalizedConfig,
     PruningAdversarialConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
     shard::SHARD_MANIFEST_FILE, shard_of, IndexConfig, MinSigIndex, PlannerConfig, Query,
-    QueryPlan, ShardDecision, ShardedMinSigIndex, Synopsis, INDEX_MAGIC, PARTITION_VERSION,
-    SHARD_MANIFEST_MAGIC,
+    QueryPlan, ShardDecision, ShardedMinSigIndex, ShardedSnapshot, Synopsis, INDEX_MAGIC,
+    PARTITION_VERSION, SHARD_MANIFEST_MAGIC,
 };
 use digital_traces::mobility_models::{SynConfig, SynDataset};
 use digital_traces::storage::segment::{self, SegmentReader, SegmentWriter};
@@ -359,10 +359,30 @@ fn decisions(plan: &QueryPlan) -> String {
     arms.collect::<Vec<_>>().join(" ")
 }
 
+/// How many members of `snapshot` share a level-1 cell with `query`, and how
+/// many a flat scan of every shard scores at k = 10 (`scan_scored`).
+fn scanned(snapshot: &ShardedSnapshot, query: EntityId, measure: &PaperAdm) -> (usize, usize) {
+    let sequence = snapshot.sequence(query).unwrap();
+    let (mut sharing, mut scored) = (0, 0);
+    for shard in 0..snapshot.num_shards() {
+        let members: Vec<_> = (snapshot.shard(shard).sequences().iter())
+            .filter(|&(&e, _)| e != query)
+            .map(|(&e, seq)| (e, seq))
+            .collect();
+        sharing += (members.iter())
+            .filter(|(_, seq)| seq.level(1).intersection_len(sequence.level(1)) > 0)
+            .count();
+        scored += scan_scored(sequence, members, 10, measure, |_| true).len();
+    }
+    (sharing, scored)
+}
+
 /// On the paper's SYN population (the 300-entity fixture of
 /// `kernel_conformance`, at the benchmark's 4 shards) the seed is far below
 /// the least bound a top-level subtree can have: every admitted shard is
-/// flat-scanned, the plan says why, and the execution reports it.
+/// flat-scanned, the plan says why, and the execution reports it.  A scan
+/// scores the members sharing a level-1 cell with the query and, for most
+/// queries, no other.
 #[test]
 fn access_path_syn_shards_are_all_scanned() {
     let dataset = SynDataset::generate(SynConfig {
@@ -379,6 +399,7 @@ fn access_path_syn_shards_are_all_scanned() {
     let snapshot = sharded.snapshot();
     let measure = PaperAdm::default_for(dataset.sp_index().height() as usize);
     let queries: Vec<EntityId> = dataset.traces.entities().step_by(25).collect();
+    let mut sharing_only = 0;
     for &query in &queries {
         let plan = snapshot.explain(query, 10, &measure, PlannerConfig::default()).unwrap();
         assert!(plan.seeded(), "64 sketch candidates seed a k = 10 query");
@@ -396,14 +417,19 @@ fn access_path_syn_shards_are_all_scanned() {
         let (planned, stats) = snapshot.query(query, &Query::new(10, &measure)).unwrap();
         assert_eq!((stats.shards_scanned, stats.shards_skipped), (4, 0));
         assert_eq!((stats.nodes_visited, stats.steps), (0, 0), "no tree row is touched");
+        // A scan scores the members sharing a level-1 cell, and the others
+        // only when those leave its top 10 short of the zero-overlap bound.
+        let (sharing, scored) = scanned(&snapshot, query, &measure);
         assert_eq!(
             stats.entities_checked,
-            plan.seed_candidates + 299,
-            "every entity is scored once"
+            plan.seed_candidates + scored,
+            "the seeds, then each scored member once ({sharing} of {scored} share level 1)"
         );
+        sharing_only += usize::from(scored == sharing);
         let oracle = snapshot.brute_force(query, 10, &measure).unwrap();
         assert_equivalent_answers(&planned, &oracle, &format!("scanned SYN, {query}"));
     }
+    assert!(2 * sharing_only > queries.len(), "{sharing_only} of {} queries", queries.len());
     let batch = snapshot.plan_batch(&queries, 10, &measure, PlannerConfig::default()).unwrap();
     assert!(batch.explain().contains("scan (seed ≤ floor"), "{}", batch.explain());
     // The cutoff's scans say so too: at 16 shards every shard is small.

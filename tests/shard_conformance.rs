@@ -12,9 +12,12 @@
 //! compared against oracles.
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, assert_valid_top_k, StreamConfig, UniformConfig, Workload,
+    assert_equivalent_answers, assert_valid_top_k, scan_scored, StreamConfig, UniformConfig,
+    Workload,
 };
-use digital_traces::index::{IndexConfig, JoinOptions, MinSigIndex, Query, ShardedMinSigIndex};
+use digital_traces::index::{
+    IndexConfig, JoinOptions, MinSigIndex, PlannerConfig, Query, ShardedMinSigIndex,
+};
 use digital_traces::mobility_models::{SynConfig, SynDataset};
 use digital_traces::{EntityId, PaperAdm};
 use proptest::prelude::*;
@@ -226,9 +229,11 @@ proptest! {
 /// queries of k = 10: the seed never reaches the least bound a top-level
 /// subtree can have, so every shard of every query is flat-scanned on the
 /// fan-out's workers, and the answers are the brute-force ones bit for bit.
+/// A scan scores the seeds and then exactly the members its rule picks, most
+/// members sharing no level-1 cell with the query going unscored.
 /// Run with `cargo test --release -- --ignored`.
 #[test]
-#[ignore = "5 000-entity SYN build; run explicitly or via the CI stress job"]
+#[ignore = "5 000-entity SYN build; run explicitly or via CI"]
 fn planned_top_k_scans_every_shard_on_the_full_syn_population() {
     let dataset = SynDataset::generate(SynConfig {
         num_entities: 5_000,
@@ -243,14 +248,31 @@ fn planned_top_k_scans_every_shard_on_the_full_syn_population() {
         ShardedMinSigIndex::build(dataset.sp_index(), &dataset.traces, config, 4).unwrap();
     let snapshot = sharded.snapshot();
     let measure = PaperAdm::default_for(dataset.sp_index().height() as usize);
+    let mut skipped = 0;
     for query in dataset.traces.entities().step_by(5_000 / 64).take(64) {
         let (planned, stats) = snapshot.top_k(query, 10, &measure).unwrap();
         let oracle = snapshot.brute_force(query, 10, &measure).unwrap();
         assert_equivalent_answers(&planned, &oracle, &format!("full SYN, {query}"));
         assert_eq!((stats.shards_scanned, stats.shards_skipped), (4, 0), "{query}");
         assert_eq!((stats.nodes_visited, stats.steps), (0, 0), "{query}: no tree row touched");
-        // The 64 sketch entities seed (63 when the query is one of them).
-        let seeds = stats.entities_checked - 4_999;
-        assert!((63..=64).contains(&seeds), "{query}: seeds, then everyone once ({seeds})");
+        // The 64 sketch entities seed (63 when the query is one of them);
+        // then each scan scores the members sharing a level-1 cell with the
+        // query, and the others only when those leave its top 10 short of
+        // the zero-overlap bound.
+        let sequence = snapshot.sequence(query).unwrap();
+        let scored: usize = (0..4)
+            .map(|shard| {
+                let members = (snapshot.shard(shard).sequences().iter())
+                    .filter(|&(&e, _)| e != query)
+                    .map(|(&e, seq)| (e, seq));
+                scan_scored(sequence, members, 10, &measure, |_| true).len()
+            })
+            .sum();
+        let plan = snapshot.explain(query, 10, &measure, PlannerConfig::default()).unwrap();
+        let seeds = plan.seed_candidates;
+        assert!((63..=64).contains(&seeds), "{query}: {seeds} seeds");
+        assert_eq!(stats.entities_checked, seeds + scored, "{query}: seeds, then the scored");
+        skipped += 4_999 - scored;
     }
+    assert!(skipped > 64 * 4_999 / 2, "most members share no level-1 cell ({skipped} skipped)");
 }
