@@ -86,11 +86,11 @@ impl IndexConfig {
 /// The latency budget of the sharded query planner ([`crate::plan`]).
 ///
 /// Exact planning has no knobs: the planner always consumes the per-shard
-/// [`Synopsis`](crate::synopsis::Synopsis) to seed the search bound, skip
-/// shards and pick per-shard access paths **before** any tree traversal, and
-/// none of that can change an answer — seeding and skipping rest on
-/// strict-inequality certificates, and the flat scan is bitwise identical to
-/// an exhausted tree search (`tests/planner_conformance.rs` proptests this).
+/// [`Synopsis`](crate::synopsis::Synopsis) to seed a threshold and skip
+/// shards **before** any scan, and none of that can change an answer —
+/// seeding and skipping rest on strict-inequality certificates, and every
+/// admitted shard's flat scan is exact (`tests/planner_conformance.rs`
+/// proptests this).
 ///
 /// The budget is different: setting
 /// [`latency_budget_us`](Self::latency_budget_us) authorises the planner to

@@ -1,14 +1,15 @@
 //! The shared best-first top-k executor (Algorithm 2, Section 5.1), as a
 //! resumable frontier object.
 //!
-//! Every tree search of the crate — exact in-memory ([`IndexSnapshot::top_k`]),
-//! paged ([`crate::paged`]), joins and batches ([`crate::join`]), the sharded
-//! fan-out's tree-search arm ([`crate::shard`]) — drives the single
-//! [`Executor`] in this module (the crate-private `execute` runs one to
-//! completion).  The flat paths — brute force, the planner's scan arms,
-//! [`crate::approximate`] — score through the arena scan
-//! ([`CandidateArena::scan_top_k`](crate::kernel::CandidateArena::scan_top_k))
-//! and share only the [`TopKHeap`].  The executor separates three concerns:
+//! Every tree search of the crate — the unsharded index's exact
+//! [`IndexSnapshot::top_k`], its joins and batches ([`crate::join`]) — drives
+//! the single [`Executor`] in this module (the crate-private `execute` runs
+//! one to completion).  The flat paths — brute force, every shard of a
+//! sharded query, in memory and out of core, [`crate::approximate`] — score
+//! through the arena's scans
+//! ([`CandidateArena::scan_top_k`](crate::kernel::CandidateArena::scan_top_k)
+//! and the postings-driven flat scan) and share only the [`TopKHeap`] and
+//! [`merge_top_k`].  The executor separates three concerns:
 //!
 //! * the **logical search** walks the [`MinSigTree`](crate::tree::MinSigTree)
 //!   topology (through its flat [`NodeArena`] rows) with a max-heap of
@@ -18,16 +19,11 @@
 //! * the **data source** — the [`TraceSource`] trait — only answers "what is
 //!   this entity's degree with the query" during leaf evaluation.
 //!   [`ArenaSource`](crate::kernel::ArenaSource) scores from the snapshot's
-//!   flat candidate arena; [`PagedArenaSource`](crate::paged::PagedArenaSource)
-//!   reads the finer cell rows its out-of-core session keeps on pages
-//!   through a `trace-storage` buffer pool, charging simulated I/O;
-//! * the **termination bound** — the [`Bound`] trait — is the degree a
-//!   candidate subtree must beat to stay alive.  [`PrivateBound`] is inert
-//!   (the executor then prunes against its own k-th-best threshold only, the
-//!   classic single-tree search); [`SharedBound`] is an atomic k-th-best
-//!   degree published across concurrently running executors, which is how the
-//!   sharded fan-out recovers the pruning power of one unsharded tree (see
-//!   *Cooperative bound sharing* below).
+//!   flat candidate arena;
+//! * the **termination bound** — the [`Bound`] trait — is an externally
+//!   supplied degree a candidate subtree must beat to stay alive.
+//!   [`PrivateBound`] is inert: the executor then prunes against its own
+//!   k-th-best threshold only, the classic single-tree search.
 //!
 //! ## The frontier lifecycle
 //!
@@ -40,7 +36,10 @@
 //! any number of executors at any granularity — `step` returns whether work
 //! remains — and [`Executor::finish`] yields the sorted answers plus the
 //! [`QueryStats`] work counters (nodes visited, subtrees pruned, bound
-//! updates, quanta executed).
+//! updates, quanta executed).  Pruning is exact under any [`Bound`] that
+//! never exceeds the k-th best degree of the population: the executor prunes
+//! a subtree only when its upper bound is **strictly below** the bound in
+//! force, so a pruned entity cannot enter the top k, tied or not.
 //!
 //! ## The frontier's memory
 //!
@@ -57,19 +56,6 @@
 //! [`AssociationMeasure::upper_bound_into`] over one reused scratch.  The
 //! leaf-degree scratch belongs to the [`TraceSource`], which also owns the
 //! kernel-dispatch accounting.
-//!
-//! ## Cooperative bound sharing: why it is exact
-//!
-//! Let `G` be the k-th best degree over the whole population under the
-//! engine's total order.  A shard executor's local threshold is the k-th best
-//! degree *of its shard seen so far* — never above `G`, because a shard's
-//! candidates are a subset of the population.  A [`SharedBound`] therefore
-//! only ever holds `max` of values `≤ G`.  Executors prune a subtree only
-//! when its upper bound is **strictly below** the bound in force, so any
-//! pruned entity has degree `< G` and cannot appear in the global top-k, tied
-//! or not.  Hence merged per-shard answers ([`merge_top_k`]) equal the
-//! unsharded answer equal the brute-force sort-and-truncate — bitwise,
-//! including ties, under *any* interleaving and quantum.
 //!
 //! ## Tie-complete pruning (pinned tie-breaking)
 //!
@@ -98,10 +84,8 @@
 //!
 //! Driving the executor directly (what [`IndexSnapshot::top_k`] does for you):
 //! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts;
-//! inside the crate the same constructor takes any [`TraceSource`] — with a
-//! [`PagedArenaSource`](crate::paged::PagedArenaSource) the same search
-//! answers from rows kept on a disk-backed store; the logical search does
-//! not change.
+//! inside the crate the same constructor takes any [`TraceSource`]; the
+//! logical search does not change.
 //!
 //! ```
 //! use minsig::engine::PrivateBound;
@@ -143,7 +127,6 @@ use crate::stats::QueryStats;
 use crate::tree::{NodeId, ROOT};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level, LevelOverlap, SpIndex};
 
@@ -181,8 +164,7 @@ impl<T: TraceSource + ?Sized> TraceSource for &T {
 /// k-th-best degree of the **full candidate population** of the overall
 /// query (under the engine's total order).  Executors prune only subtrees
 /// whose upper bound is strictly below the bound, so every pruned entity is
-/// strictly outside the global top-k — which is why cooperative execution
-/// returns bitwise the answer of isolated per-shard searches.
+/// strictly outside the global top-k.
 ///
 /// Implementations must be monotone: [`publish`](Bound::publish) may only
 /// raise the value [`current`](Bound::current) reports, never lower it.
@@ -210,63 +192,6 @@ impl Bound for PrivateBound {
 
     fn publish(&self, _value: f64) -> bool {
         false
-    }
-}
-
-/// A [`Bound`] shared by concurrently running executors: an atomic, monotone
-/// max of every published local k-th-best degree.
-///
-/// One `SharedBound` serves one logical query fanned out across partitions
-/// (the candidate sets must partition one population — the situation of
-/// [`crate::shard`]); each partition's executor publishes its local k-th
-/// threshold as it improves and prunes against the best threshold *any*
-/// partition has found.  All operations are relaxed atomics — the bound is a
-/// monotone scalar, so no ordering with other memory is needed; a stale read
-/// can only under-prune, never mis-answer.
-#[derive(Debug)]
-pub struct SharedBound {
-    bits: AtomicU64,
-}
-
-impl SharedBound {
-    /// Creates an empty bound (`-inf`: nothing known yet).
-    pub(crate) fn new() -> Self {
-        SharedBound { bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()) }
-    }
-}
-
-impl Default for SharedBound {
-    fn default() -> Self {
-        SharedBound::new()
-    }
-}
-
-impl Bound for SharedBound {
-    fn current(&self) -> f64 {
-        f64::from_bits(self.bits.load(AtomicOrdering::Relaxed))
-    }
-
-    fn publish(&self, value: f64) -> bool {
-        if value.is_nan() {
-            return false;
-        }
-        let mut seen = self.bits.load(AtomicOrdering::Relaxed);
-        loop {
-            if f64::from_bits(seen) >= value {
-                return false;
-            }
-            // CAS on the exact bit pattern (u64 order differs from f64 order
-            // for negative values, so the comparison above is on floats).
-            match self.bits.compare_exchange_weak(
-                seen,
-                value.to_bits(),
-                AtomicOrdering::Relaxed,
-                AtomicOrdering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => seen = actual,
-            }
-        }
     }
 }
 
@@ -392,7 +317,7 @@ impl TopKHeap {
 ///
 /// Sound whenever the parts cover disjoint candidate sets that together form
 /// the whole population — the situation of [`crate::shard`], where every part
-/// is one shard's exact answer: the union of per-shard top-k sets is a
+/// is one shard's exact scan: the union of per-shard top-k sets is a
 /// superset of the global top-k, so re-selecting through the shared
 /// [`TopKHeap`] reproduces exactly — bitwise, ties included — what a single
 /// unsharded index (or a brute-force sort-and-truncate) returns.
@@ -642,14 +567,6 @@ where
         self.exhausted
     }
 
-    /// The trace source leaf evaluation reads through — lets fan-out drivers
-    /// drain source-side accounting (e.g.
-    /// [`ArenaSource::take_dispatch`](crate::kernel::ArenaSource::take_dispatch))
-    /// before [`finish`](Self::finish).
-    pub(crate) fn source(&self) -> &S {
-        &self.source
-    }
-
     /// Advances the frontier by up to `quantum` nodes (at least 1), pruning
     /// against `max(local k-th threshold, bound.current())` and publishing
     /// every improvement of the local threshold to `bound`.
@@ -694,36 +611,6 @@ where
     /// Drives the executor to exhaustion under `bound`.
     pub fn run<B: Bound + ?Sized>(&mut self, bound: &B) {
         while self.step(bound, usize::MAX) {}
-    }
-
-    /// Drives the executor under `bound`, `quantum` nodes at a time,
-    /// re-checking `deadline` between quanta.
-    ///
-    /// Returns `true` when the frontier was exhausted (the answer is the
-    /// full exact answer, identical to [`run`](Self::run)); `false` when the
-    /// deadline tripped first, in which case the frontier still holds the
-    /// remaining work and the caller decides how to degrade.  `None` never
-    /// trips, making `run_until(bound, q, None)` bit-for-bit `run(bound)`.
-    pub(crate) fn run_until<B: Bound + ?Sized>(
-        &mut self,
-        bound: &B,
-        quantum: usize,
-        deadline: Option<std::time::Instant>,
-    ) -> bool {
-        match deadline {
-            None => {
-                self.run(bound);
-                true
-            }
-            Some(deadline) => loop {
-                if std::time::Instant::now() >= deadline {
-                    return self.exhausted;
-                }
-                if !self.step(bound, quantum) {
-                    return true;
-                }
-            },
-        }
     }
 
     /// Consumes the executor, returning the sorted answers and the final
@@ -889,48 +776,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Candidate>(), 16);
     }
 
-    /// What the planner's scan rule rests on: whatever a top-level subtree's
-    /// signature says, the executor bounds it at or above the synopsis'
-    /// `top_level_bound_floor` — so a threshold at or below the floor prunes
-    /// none of them.
-    #[test]
-    fn no_top_level_row_is_bounded_below_the_synopsis_floor() {
-        use crate::config::IndexConfig;
-        use crate::testkit::{PruningAdversarialConfig, SkewedConfig, UniformConfig, Workload};
-        let workloads = [
-            Workload::uniform(UniformConfig { entities: 150, ..UniformConfig::default() }),
-            Workload::skewed(SkewedConfig::default()),
-            Workload::pruning_adversarial(PruningAdversarialConfig::default()).0,
-        ];
-        let mut rows = 0usize;
-        for w in &workloads {
-            let index = w.build_index(IndexConfig::with_hash_functions(16));
-            let snapshot = index.snapshot();
-            let measure = w.measure();
-            for entity in w.sample_entities(10, 5) {
-                let sequence = snapshot.sequence(entity).unwrap();
-                let query = Query::new(3, &measure);
-                let source = crate::kernel::ArenaSource::owning(snapshot.arena(), sequence);
-                let mut executor =
-                    Executor::new(&snapshot, sequence, Some(entity), &query, source).unwrap();
-                executor.step(&PrivateBound, 1);
-                let floor =
-                    snapshot.synopsis().top_level_bound_floor(&executor.query_sizes, &measure);
-                for candidate in &executor.queue {
-                    assert_eq!(executor.tree.depth(candidate.node), 1);
-                    assert!(
-                        candidate.upper_bound.0 >= floor,
-                        "row {} bounded at {} under the floor {floor}",
-                        candidate.node,
-                        candidate.upper_bound.0
-                    );
-                    rows += 1;
-                }
-            }
-        }
-        assert!(rows > 100, "the fixtures have top-level rows to check ({rows})");
-    }
-
     #[test]
     fn caps_slab_recycles_slots() {
         let mut slab = CapsSlab::new(3);
@@ -1069,42 +914,6 @@ mod tests {
         assert!(!top.is_saturated_against(0.5), "ties must stay alive");
         assert!(top.is_saturated_against(0.4));
         assert!(!top.is_saturated_against(0.6));
-    }
-
-    #[test]
-    fn shared_bound_is_a_monotone_max() {
-        let bound = SharedBound::new();
-        assert_eq!(bound.current(), f64::NEG_INFINITY);
-        assert!(bound.publish(0.25));
-        assert!((bound.current() - 0.25).abs() < 1e-15);
-        assert!(!bound.publish(0.1), "lower values never lower the bound");
-        assert!((bound.current() - 0.25).abs() < 1e-15);
-        assert!(bound.publish(0.7));
-        assert!((bound.current() - 0.7).abs() < 1e-15);
-        assert!(!bound.publish(f64::NAN), "NaN is rejected");
-        assert!((bound.current() - 0.7).abs() < 1e-15);
-        // Negative values order correctly through the bit representation.
-        let negative = SharedBound::new();
-        assert!(negative.publish(-2.0));
-        assert!(negative.publish(-1.0));
-        assert!(!negative.publish(-1.5));
-        assert!((negative.current() - (-1.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn shared_bound_concurrent_publishes_settle_on_the_max() {
-        let bound = SharedBound::new();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let bound = &bound;
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        bound.publish((t * 1000 + i) as f64 / 4000.0);
-                    }
-                });
-            }
-        });
-        assert!((bound.current() - 3999.0 / 4000.0).abs() < 1e-15);
     }
 
     #[test]

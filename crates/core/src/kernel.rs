@@ -1438,13 +1438,12 @@ impl<'a> QueryView<'a> {
 /// it computes (an executor evaluates thousands of candidates per query, and
 /// batch fan-outs run one source per executor per query — this removes the
 /// per-candidate allocation entirely), a flat scan's per-position level-1
-/// and level-2 overlaps, plus the per-query [`KernelDispatch`] accounting drained via
-/// `take_dispatch`.  All live in single-threaded
-/// interior-mutability cells: an executor is driven by one worker at a time
-/// (`&mut` under the cooperative scheduler's mutex slots), so the source is
-/// `Send` but deliberately not `Sync`.  The view is borrowed from the query's
-/// access wherever one exists, so a fan-out converts the query's keyed rows
-/// once, not once per shard.
+/// and level-2 overlaps, plus the per-query [`KernelDispatch`] accounting
+/// drained via `take_dispatch`.  All live in single-threaded
+/// interior-mutability cells: an executor or a scan job is driven by one
+/// worker at a time, so the source is `Send` but deliberately not `Sync`.
+/// The view is borrowed from the query's access wherever one exists, so a
+/// fan-out converts the query's keyed rows once, not once per shard.
 pub struct ArenaSource<'a> {
     arena: &'a CandidateArena,
     view: Cow<'a, QueryView<'a>>,

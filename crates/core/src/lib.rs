@@ -21,21 +21,20 @@
 //!
 //! ## The query engine
 //!
-//! All query processing funnels through **one** resumable best-first executor
+//! Every tree search funnels through **one** resumable best-first executor
 //! ([`engine::Executor`]): a candidate frontier ordered by Theorem-4 upper bounds,
 //! per-level overlap caps tightened down each branch, and strict
 //! (tie-complete) k-th-best early termination (Section 5.1) against a
-//! pluggable [`engine::Bound`] — private for single-tree searches, an atomic
-//! [`engine::SharedBound`] when the sharded fan-out interleaves per-shard
-//! executors cooperatively.  The executor is generic over a
+//! pluggable [`engine::Bound`].  The executor is generic over a
 //! [`engine::TraceSource`] — where candidate degrees come from during leaf
-//! evaluation:
+//! evaluation; [`kernel::ArenaSource`] scores from the snapshot's flat
+//! candidate arena (the exact path of [`IndexSnapshot::top_k`]).
 //!
-//! * [`kernel::ArenaSource`] scores from the snapshot's flat candidate arena
-//!   (the exact path of [`IndexSnapshot::top_k`]);
-//! * [`paged::PagedArenaSource`] reads the finer cell rows an out-of-core
-//!   session keeps on pages through a `trace-storage` buffer pool, charging
-//!   simulated I/O (the Figure 7.6 path of [`paged`]).
+//! A sharded query ([`shard`]) opens no tree: its planner skips the shards
+//! a seeded threshold rules out and flat-scans every other one, reading
+//! level-1 and level-2 overlaps from the shard's postings; out of core
+//! ([`paged`], the Figure 7.6 path) the same scan reads finer cell rows
+//! through a `trace-storage` buffer pool, charging simulated I/O.
 //!
 //! The remaining query modules are thin drivers over the executor: [`join`]
 //! fans probe sets out over rayon ([`IndexSnapshot::top_k_batch`] /
@@ -72,12 +71,11 @@
 //! `N` independent shards (one `MinSigIndex` each, with its own snapshot,
 //! epoch and `MSIX` file): ingest, persistence and maintenance parallelise
 //! per shard, while every query is first **planned** ([`plan`]) against the
-//! per-shard synopses ([`synopsis`]): the search bound is seeded with a
-//! provable k-th-degree lower bound, shards that provably cannot contribute
-//! are skipped, admitted shards run most-promising-first — tiny ones as flat
-//! scans, the rest as resumable executors under a **cooperative scheduler**
-//! (frontier quanta interleave over rayon, all executors prune against one
-//! shared seeded bound) — and the per-shard exact top-k heaps merge.
+//! per-shard synopses ([`synopsis`]): a provable k-th-degree lower bound is
+//! seeded, shards that provably cannot contribute are skipped, every
+//! admitted shard is flat-scanned, most promising first, as one job of a
+//! work queue (over rayon, or in order on the calling thread), and the
+//! per-shard exact top-k heaps merge.
 //! Answers are fully bit-identical to an unsharded index over the same
 //! traces, boundary ties included, whatever the planner decides.  The
 //! deterministic workload generators and conformance oracles behind the test
@@ -136,13 +134,13 @@ pub mod tree;
 pub use approximate::{BandedIndex, BandingConfig};
 pub use config::{HasherMode, IndexConfig, PlannerConfig};
 pub use durable::{DurableShardedMinSigIndex, RecoveryReport};
-pub use engine::{Bound, Executor, PrivateBound, SharedBound, TopKHeap, TraceSource};
+pub use engine::{Bound, Executor, PrivateBound, TopKHeap, TraceSource};
 pub use error::{IndexError, Result};
 pub use index::MinSigIndex;
 pub use ingest::{IngestBuffer, IngestReport};
 pub use join::{JoinOptions, JoinRow, JoinStats};
 pub use kernel::{ArenaSource, CandidateArena, NodeArena, QueryView};
-pub use paged::{PagedArenaSource, PagedShardedSnapshot};
+pub use paged::PagedShardedSnapshot;
 pub use persist::INDEX_MAGIC;
 pub use plan::{BatchGroup, BatchPlan, PageEstimate, QueryPlan, ShardDecision, ShardPlan};
 pub use query::{Query, QueryOptions, TopKResult};

@@ -30,8 +30,9 @@
 //! in-memory sharded, unsharded and brute-force paths — any shard count, any
 //! pool size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
 //! (`tests/paged_conformance.rs` proptests exactly this) — and so is the
-//! work: `entities_checked`, the node counters and every kernel-dispatch
-//! class equal the in-memory query's.
+//! work: `entities_checked` and every kernel-dispatch class equal the
+//! in-memory query's.  Like every sharded query, a paged one scans each
+//! admitted shard; it opens no tree.
 //!
 //! ## Who owns what during a query
 //!
@@ -42,11 +43,11 @@
 //!   level-2 overlaps from the postings in one walk over the query's keys of
 //!   those levels (the in-memory scan's loop, `CandidateArena::flat_scan`),
 //!   and skips the members sharing no level-1 cell once its top k is
-//!   strictly above what they can score; a tree leaf or a seed candidate
-//!   intersects its resident level-1 row.  A scanned member sharing no
-//!   level-2 cell with the query, or a leaf or seed candidate sharing no
-//!   level-1 cell, shares nothing finer, so its degree follows from what is
-//!   resident and no page is requested ([`QueryStats::reads_avoided`]).
+//!   strictly above what they can score; a seed candidate intersects its
+//!   resident level-1 row.  A scanned member sharing no level-2 cell with
+//!   the query, or a seed candidate sharing no level-1 cell, shares nothing
+//!   finer, so its degree follows from what is resident and no page is
+//!   requested ([`QueryStats::reads_avoided`]).
 //! * **Pages.**  Any other candidate's span of the shard's run — usually
 //!   within one page, at most a few — is copied out of the pool into the
 //!   source's scratch and the loop goes on over it
@@ -57,22 +58,21 @@
 //! * **Pins.**  A query pins nothing.  A fetch hands out the page's frozen
 //!   bytes, valid even after the frame is evicted, and the span is copied out
 //!   at once, so `pinned_frames() == 0` during and after every query.
-//! * **Scratch.**  Every tree executor and every shard scan gets its own
-//!   [`PagedArenaSource`], the planner one more for seeding.  A source owns
-//!   the span and expansion buffers, the overlap scratch, a scan's
-//!   per-position level-1 and level-2 counters, and the kernel-dispatch and buffer-pool
-//!   counters for the work *it* did; an
-//!   executor is stepped by one worker at a time, so none of it is locked
-//!   and nothing is allocated per candidate.  The counters are summed into
+//! * **Scratch.**  Every shard scan gets its own `PagedArenaSource`, the
+//!   planner one more for seeding.  A source owns the span and expansion
+//!   buffers, the overlap scratch, a scan's per-position level-1 and level-2
+//!   counters, and the kernel-dispatch and buffer-pool counters for the work
+//!   *it* did; a scan runs on one worker, so none of it is locked and
+//!   nothing is allocated per candidate.  The counters are summed into
 //!   the query's [`QueryStats`] at merge — exact per query however many
 //!   queries share the pool.
 //! * **Locks.**  The only lock a candidate read takes is the pool mutex,
 //!   around frame-table bookkeeping only (see [`trace_storage::pool`]): once
 //!   per page on a hit, twice on a miss (look up, then publish, with the
 //!   disk's own lock between).
-//! * **Threads.**  One query runs on its caller's thread: the shard
-//!   executors are interleaved in step quanta there, as the batch and join
-//!   paths always did (those parallelise over queries).  Every read goes
+//! * **Threads.**  One query runs on its caller's thread: the shard scans
+//!   run one after another there, as on the batch and join paths (those
+//!   parallelise over queries).  Every read goes
 //!   through the one pool mutex, and with the degree itself down to a
 //!   fraction of a microsecond that bookkeeping — frame table, replacer, the
 //!   evicted page's free — is a large share of a read candidate's cost and
@@ -91,7 +91,6 @@
 
 use crate::config::PlannerConfig;
 use crate::drive::{self, ShardAccess};
-use crate::engine::TraceSource;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
@@ -116,8 +115,7 @@ struct Scratch {
     rows: RowScratch,
     dispatch: KernelDispatch,
     io: PoolStats,
-    /// Candidates a flat scan through this source could not read (a tree
-    /// executor counts its own).
+    /// Candidates a flat scan through this source could not read.
     unreadable: usize,
     /// Candidates scored from their resident rows alone, no page read.
     reads_avoided: usize,
@@ -165,10 +163,10 @@ impl<'a> RowSegment<'a> {
     }
 }
 
-/// A [`TraceSource`] that scores one shard's members out of core: the
-/// counterpart of [`ArenaSource`](crate::kernel::ArenaSource), running the
-/// same per-level kernel loop over the resident level-1 row and the finer
-/// rows its session keeps on pages (see the [module docs](self)).
+/// What scores one shard's members out of core: the counterpart of
+/// [`ArenaSource`](crate::kernel::ArenaSource), running the same per-level
+/// kernel loop over the resident level-1 row and the finer rows its session
+/// keeps on pages (see the [module docs](self)).
 ///
 /// A degree is **bitwise identical** to `measure.degree(query, seq)` over the
 /// entity's sequence: the loop hands the measure the same integer per-level
@@ -177,10 +175,10 @@ impl<'a> RowSegment<'a> {
 ///
 /// Like `ArenaSource`, the scratch and the per-query counters live in a
 /// single-threaded cell: the source is `Send` but deliberately not `Sync`,
-/// one per executor.  `drain_into` moves the counters into the query's stats.
-pub struct PagedArenaSource<'a> {
+/// one per scan.  `drain_into` moves the counters into the query's stats.
+pub(crate) struct PagedArenaSource<'a> {
     paged: &'a PagedShardedSnapshot<'a>,
-    /// The shard whose members [`degree`](TraceSource::degree) scores.
+    /// The shard whose members [`scan`](Self::scan) scores.
     shard: usize,
     /// The query's view, borrowed from its access.
     view: &'a QueryView<'a>,
@@ -203,8 +201,8 @@ impl<'a> PagedArenaSource<'a> {
 
     /// The degree of `entity`, a member of shard `shard`; `None` when the
     /// session holds no rows for it (the store lacks it).  `track` counts
-    /// the kernel dispatches (leaf evaluation and scans do; planner seeding,
-    /// like its in-memory counterpart, does not).
+    /// the kernel dispatches (scans do; planner seeding, like its in-memory
+    /// counterpart, does not).
     fn score<M: AssociationMeasure + ?Sized>(
         &self,
         shard: usize,
@@ -260,12 +258,6 @@ impl<'a> PagedArenaSource<'a> {
             }
             degree
         })
-    }
-}
-
-impl TraceSource for PagedArenaSource<'_> {
-    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
-        self.score(self.shard, entity, measure, true)
     }
 }
 
@@ -495,7 +487,7 @@ impl<'a> PagedShardedSnapshot<'a> {
 
 /// Out-of-core [`ShardAccess`]: candidates' finer rows are read through the
 /// buffer pool.  Seeding runs through the access's own source; every scan
-/// and every tree executor gets one more.
+/// gets one more.
 pub(crate) struct PagedAccess<'q> {
     paged: &'q PagedShardedSnapshot<'q>,
     /// The query's one view, lent to every source.
@@ -583,7 +575,7 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
-    use crate::engine;
+    use crate::engine::{self, TraceSource};
     use crate::kernel::ArenaSource;
     use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
     use trace_storage::{PoolConfig, PAGE_SIZE};
@@ -855,12 +847,13 @@ mod tests {
         let query_seq = shard.sequence(EntityId(0)).unwrap();
         let view = QueryView::new(query_seq);
         let (source, memory) = (paged.source(0, &view), ArenaSource::new(shard.arena(), &view));
-        let fused: Vec<f64> =
-            (0..120u64).map(|e| source.degree(EntityId(e), &measure).expect("stored")).collect();
+        let fused: Vec<f64> = (0..120u64)
+            .map(|e| source.score(0, EntityId(e), &measure, true).expect("stored"))
+            .collect();
         for e in 0..120u64 {
             memory.degree(EntityId(e), &measure);
         }
-        assert!(source.degree(EntityId(9999), &measure).is_none());
+        assert!(source.score(0, EntityId(9999), &measure, true).is_none());
         // Untracked scoring (planner seeding) reads pages but counts no kernels.
         assert!(source.score(0, EntityId(3), &measure, false).is_some());
         let mut stats = QueryStats::default();
@@ -954,7 +947,7 @@ mod tests {
             let (mut disjoint, mut read_pages, mut all_pages) = (0, 0, 0);
             for (&entity, seq) in shard.sequences() {
                 let owned = oracle.degree(entity, &measure).unwrap().to_bits();
-                let fused = source.degree(entity, &measure).unwrap().to_bits();
+                let fused = source.score(0, entity, &measure, true).unwrap().to_bits();
                 let resident = memory.degree(entity, &measure).unwrap().to_bits();
                 assert_eq!((fused, resident), (owned, owned), "query {query}, candidate {entity}");
                 all_pages += row_pages(entity);

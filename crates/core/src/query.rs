@@ -6,7 +6,7 @@
 //! [`Query`].  Beyond `k` and the measure, a query has four settable values:
 //! the two pruning ablations of [`QueryOptions`] and the latency budget with
 //! its recall floor ([`PlannerConfig`]).  Everything else the sharded drive
-//! does — seeding, skipping, scan-or-tree, the step quantum — is fixed,
+//! does — seeding, skipping, scanning, the driving order — is fixed,
 //! because none of it can change an exact answer.
 
 use crate::config::PlannerConfig;
@@ -50,12 +50,12 @@ impl Default for QueryOptions {
 /// anything else and hand the value to [`ShardedSnapshot::query`] /
 /// [`query_batch`](crate::shard::ShardedSnapshot::query_batch) (or their
 /// [`PagedShardedSnapshot`](crate::paged::PagedShardedSnapshot) twins).
-/// Exact planning — seed, skip, scan or tree, driving order — and the
-/// scheduler's interleaving are not settable: each is answer-invariant and
-/// always on.  The query entity is an argument of the entry point, so one
-/// value serves a whole batch.  A single-tree search
-/// ([`Executor`](crate::engine::Executor)) reads `k`, `measure` and `options`
-/// only.
+/// Exact planning — seed, skip, scan, driving order — and the schedule are
+/// not settable: each is answer-invariant and always on.  The query entity
+/// is an argument of the entry point, so one value serves a whole batch.  A
+/// single-tree search ([`Executor`](crate::engine::Executor)) reads `k`,
+/// `measure` and `options` only; a sharded query, which scans, reads every
+/// field but `options`.
 ///
 /// [`ShardedSnapshot::query`]: crate::shard::ShardedSnapshot::query
 #[derive(Debug)]
@@ -64,7 +64,8 @@ pub struct Query<'q, M: ?Sized> {
     pub k: usize,
     /// The association degree measure answers are ranked under.
     pub measure: &'q M,
-    /// The pruning ablations of the tree search.
+    /// The pruning ablations of the tree search (the unsharded index's; a
+    /// sharded query scans and does not read them).
     pub options: QueryOptions,
     /// The latency budget the sharded planner may degrade under, and its
     /// recall floor.

@@ -9,17 +9,15 @@
 //! shard — independent snapshots, independent epochs, independent `MSIX` files —
 //! so ingest, persistence and maintenance all parallelise per shard.
 //!
-//! ## Planned, cooperative queries
+//! ## Planned queries
 //!
 //! Every query path ([`ShardedSnapshot::top_k`], batches, joins) goes
 //! through the crate's one planned drive.  It first consults each shard's
 //! [`Synopsis`](crate::synopsis::Synopsis) through [`crate::plan`]: the
-//! sketch candidates are scored exactly to **seed** the bound with a provable
-//! k-th-degree lower bound, shards whose capacity caps cannot beat the seed
-//! are **skipped** outright, admitted shards are driven
-//! **most-promising-first**, and shards that are tiny — or whose top-level
-//! subtrees the seed cannot prune — are answered by the flat exact **scan**
-//! instead of a tree search.  All four decisions are answer-invariant
+//! sketch candidates are scored exactly to **seed** a provable k-th-degree
+//! lower bound, shards whose capacity caps cannot beat the seed are
+//! **skipped** outright, and every admitted shard is answered by the flat
+//! exact **scan**, most promising first.  The decisions are answer-invariant
 //! (strict-inequality certificates, see the
 //! [plan module docs](crate::plan)); [`ShardedSnapshot::explain`] returns
 //! the [`QueryPlan`] without executing it, and
@@ -28,18 +26,17 @@
 //! is planned; [`ShardedSnapshot::query`] takes the one [`Query`] value,
 //! whose only planner setting is a latency budget.
 //!
-//! The admitted shards then run as jobs of one cooperative scheduler — a
-//! scan shard as a flat scan, a tree shard as a **resumable executor**
-//! ([`IndexSnapshot::executor`]): workers (over rayon) pull a job from a
-//! round-robin queue, run the scan or advance the frontier by one fixed
-//! quantum of 32 nodes ([`engine::Executor::step`]), and requeue an executor
-//! until its frontier is exhausted.  All executors of one query share a
-//! single [`SharedBound`](engine::SharedBound) — an atomic, monotone max of
-//! the seed and every shard's local k-th-best degree — so a shard that holds
-//! none of the strong candidates learns the global bar from the shard that
-//! does and prunes its subtrees immediately, recovering the pruning power of
-//! the unsharded tree.  Out of core ([`crate::paged`]) the same drive runs
-//! with every candidate read through a buffer pool.
+//! The admitted shards then run as one queue of scan jobs, in plan order:
+//! rayon workers take the next job until none is left, or the calling
+//! thread runs them one after another.  A scan reads every member's level-1
+//! and level-2 overlaps from its shard's postings and scores the members
+//! sharing no level-1 cell only while they can still enter its top k, so it
+//! rules out what a tree search would prune without walking a tree; the
+//! best-first tree search ([`IndexSnapshot::executor`]) is the unsharded
+//! index's.  A scan prunes against its own top k only, so neither answers
+//! nor work counters depend on the schedule.  Out of core
+//! ([`crate::paged`]) the same drive runs with every candidate read through
+//! a buffer pool.
 //!
 //! [`QueryStats::shards_skipped`]: crate::stats::QueryStats::shards_skipped
 //! [`QueryStats::shards_scanned`]: crate::stats::QueryStats::shards_scanned
@@ -52,13 +49,13 @@
 //! The merged answer is **fully bit-identical** to a single unsharded index
 //! over the same traces — and to the brute-force sort-and-truncate — ties at
 //! the k-th (boundary) degree included, for any shard count and any
-//! scheduling interleaving; [`crate::engine`] has the two-step
-//! proof (the shared bound never exceeds the global k-th degree; pruning is
-//! strict), and `tests/shard_conformance.rs` proptests it against both the
-//! unsharded index and the brute-force oracle.  (Each shard derives its own
-//! hash range when the config leaves it data-driven; that is fine, because
-//! leaf evaluation computes degrees exactly from the sequences — signatures
-//! only ever *prune*.)
+//! schedule: every shard's scan is its exact top k under that order, the
+//! union of the per-shard top-k sets holds the global top k, and a skipped
+//! shard's bound is strictly below the seed.  `tests/shard_conformance.rs`
+//! proptests it against both the unsharded index and the brute-force
+//! oracle.  (Each shard derives its own hash range when the config leaves it
+//! data-driven; that is fine, because scans compute degrees exactly from the
+//! shard's rows — signatures only ever *prune* the unsharded tree.)
 //!
 //! ## Epoch vectors and snapshot consistency
 //!
@@ -394,10 +391,10 @@ impl ShardedSnapshot {
     /// probed against every shard the planner admits and the per-shard exact
     /// answers are merged under the engine's total order — **fully
     /// bit-identical** to the unsharded answer, boundary ties included (see
-    /// the [module docs](crate::shard)).  The stats sum the per-shard search
+    /// the [module docs](crate::shard)).  The stats sum the per-shard scan
     /// work and report what planning did.  Only a latency budget
     /// ([`PlannerConfig::latency_budget_us`]) can change an answer; the
-    /// pruning ablations move only work counters and wall-clock time.
+    /// tree's pruning ablations (`query.options`) are not read.
     pub fn query<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entity: EntityId,
@@ -409,8 +406,8 @@ impl ShardedSnapshot {
 
     /// Builds — without executing — the [`QueryPlan`] the planned query
     /// paths would run for `query` under `planner`: the seeded threshold,
-    /// each shard's synopsis upper bound, and the skip / scan / tree-search
-    /// verdicts in driving order.  [`QueryPlan::explain`] renders it for
+    /// each shard's synopsis upper bound, and the skip / scan /
+    /// approximate-scan verdicts in driving order.  [`QueryPlan::explain`] renders it for
     /// humans.
     pub fn explain<M: AssociationMeasure + Sync + ?Sized>(
         &self,
@@ -448,10 +445,9 @@ impl ShardedSnapshot {
     /// (`total / batch size`, integer division).
     ///
     /// Execution parallelism is over the *queries* (the batch is the wider
-    /// axis); each query's admitted per-shard executors are interleaved
-    /// sequentially on its worker — still cooperatively, sharing one seeded
-    /// bound per query — to avoid nested thread fan-out.  Results are
-    /// identical either way.  With a latency budget set, each query's
+    /// axis); each query's admitted shards are scanned one after another on
+    /// its worker, to avoid nested thread fan-out.  Results and work
+    /// counters are identical either way.  With a latency budget set, each query's
     /// deadline is measured from its own execution start (the shared
     /// planning cost is amortized, not charged per query).
     pub fn query_batch<M: AssociationMeasure + Sync + ?Sized>(
@@ -467,7 +463,7 @@ impl ShardedSnapshot {
         let batch = plan::plan_batch(&self.shards, &targets, query);
         let amortized_planning_us = batch.planning_us / entities.len() as u64;
         let indices: Vec<usize> = (0..entities.len()).collect();
-        let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = indices
+        Ok(indices
             .par_iter()
             .map(|&i| {
                 let (entity, view) = &targets[i];
@@ -480,8 +476,7 @@ impl ShardedSnapshot {
                     amortized_planning_us,
                 )
             })
-            .collect();
-        answers.into_iter().collect()
+            .collect())
     }
 
     /// Builds — without executing — the [`BatchPlan`] that
@@ -588,7 +583,7 @@ impl From<Arc<IndexSnapshot>> for ShardedSnapshot {
 }
 
 /// In-memory [`ShardAccess`]: candidates are read from the shard snapshots'
-/// candidate arenas — no pages, no pins, nothing to drain but the executor
+/// candidate arenas — no pages, no pins, nothing to drain but the scan
 /// sources' kernel-dispatch counts.
 pub(crate) struct ArenaAccess<'q> {
     shards: &'q [Arc<IndexSnapshot>],

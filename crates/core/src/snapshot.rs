@@ -468,12 +468,10 @@ impl IndexSnapshot {
     /// Builds a **resumable** best-first executor over this snapshot's tree
     /// and in-memory sequences, its frontier seeded at the root.
     ///
-    /// This is the building block of cooperative scheduling
-    /// ([`crate::shard`]): the caller drives the returned
-    /// [`Executor`](engine::Executor) in quanta via
-    /// [`step`](engine::Executor::step), interleaving it with executors over
-    /// other snapshots and sharing a [`Bound`](engine::Bound) between them.
-    /// Driving it to exhaustion under an inert bound reproduces
+    /// The caller drives the returned [`Executor`](engine::Executor) in
+    /// quanta via [`step`](engine::Executor::step), under a
+    /// [`Bound`](engine::Bound) of its choosing.  Driving it to exhaustion
+    /// under an inert bound reproduces
     /// [`top_k_for_sequence`](Self::top_k_for_sequence) exactly.
     pub fn executor<'a, M: AssociationMeasure + ?Sized>(
         &'a self,

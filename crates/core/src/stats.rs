@@ -101,8 +101,9 @@ pub struct DegradationReport {
     /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
     pub shards_planned_approximate: usize,
     /// Shards downgraded *mid-flight* by the per-query deadline: they were
-    /// admitted exactly but the deadline expired before (or while) their
-    /// executor ran, so they were answered by a sampled scan instead.
+    /// admitted exactly but the deadline had expired when their scan was
+    /// picked up, so they were answered by a sampled scan at the shard's
+    /// recall-floor rate instead.
     pub shards_deadline_downgraded: usize,
     /// Bitmask of the sampled shards' indices (bit `i` = shard `i` was
     /// answered approximately, whether planned or downgraded).  Covers the
@@ -158,14 +159,20 @@ impl DegradationReport {
 /// Statistics of one top-k query (Definition 5 and the complement convention used
 /// throughout the experiment harness), instrumented down to the executor's
 /// frontier: how many subtrees were visited, how many were pruned by the
-/// active [`Bound`](crate::engine::Bound), and how often this search raised a
-/// shared bound.
+/// active [`Bound`](crate::engine::Bound), and how often this search raised
+/// it.
 ///
 /// On a sharded query the counters are the **sums over every per-shard
-/// executor**, so the pruning effect of cooperative bound sharing is directly
-/// comparable against independent per-shard execution (same workload, same
-/// answers — strictly fewer `nodes_visited` / strictly more
-/// `subtrees_pruned` when the shared bound bites).
+/// scan** plus the planner's seeding.  A sharded query opens no tree, so its
+/// [`nodes_visited`](Self::nodes_visited), [`steps`](Self::steps) and
+/// [`bound_updates`](Self::bound_updates) read 0.  A scan prunes against its
+/// own top k only, so the whole work record — every field but the
+/// wall-clock [`planning_us`](Self::planning_us) and
+/// [`query_time_us`](Self::query_time_us) — is independent of the schedule:
+/// a query fanned out over workers
+/// ([`ShardedSnapshot::query`](crate::shard::ShardedSnapshot::query)) counts
+/// what the same query counts on one thread
+/// ([`query_batch`](crate::shard::ShardedSnapshot::query_batch)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QueryStats {
     /// Total number of indexed entities (`|E|`).
@@ -184,9 +191,8 @@ pub struct QueryStats {
     /// [`nodes_visited`](Self::nodes_visited).
     pub subtrees_pruned: usize,
     /// Times this search *raised* the bound it was executing under (always 0
-    /// under a private bound; under a [`SharedBound`](crate::engine::SharedBound)
-    /// each count is a k-th-degree improvement published to the other
-    /// executors).
+    /// under the inert [`PrivateBound`](crate::engine::PrivateBound), and on
+    /// sharded queries, which open no tree).
     pub bound_updates: u64,
     /// Resumable-frontier quanta executed ([`Executor::step`] calls that did
     /// work; a run-to-completion search counts its single sweep as 1).
@@ -197,10 +203,9 @@ pub struct QueryStats {
     /// therefore never opened (sharded planned queries only; see
     /// [`crate::plan`]).  On a batch, sums over the batch's queries.
     pub shards_skipped: usize,
-    /// Shards the planner answered by a flat exact scan instead of a tree
-    /// search — small ones, and ones whose top-level subtrees the seeded
-    /// threshold could not prune ([`ShardDecision::Scan`]; sharded planned
-    /// queries only).  Every member they score is in
+    /// Shards the planner answered by a flat exact scan — every admitted
+    /// shard the latency budget left exact ([`ShardDecision::Scan`]; sharded
+    /// planned queries only).  Every member they score is in
     /// [`entities_checked`](Self::entities_checked) — those sharing a
     /// level-1 cell with the query, and the others only while they could
     /// still enter the shard's top k — and none of their tree rows in
@@ -235,16 +240,15 @@ pub struct QueryStats {
     pub candidates_unreadable: usize,
     /// Candidates a paged query scored without reading a page: a scanned
     /// member sharing no level-2 cell with the query, whose level-1 and
-    /// level-2 overlaps the resident postings counted, or a tree leaf or seed
-    /// candidate sharing no level-1 cell, whose resident level-1 row says so
+    /// level-2 overlaps the resident postings counted, or a seed candidate
+    /// sharing no level-1 cell, whose resident level-1 row says so
     /// — either way the per-level sizes fix its exact degree (paged queries
     /// only; always 0 in memory, where nothing is read).  Summed like the
     /// pool counters; every one is also in
     /// [`entities_checked`](Self::entities_checked).
     pub reads_avoided: usize,
     /// Per-kernel dispatch counts of the flat hot paths' set intersections
-    /// (see [`KernelDispatch`]); sums over every per-shard executor via
-    /// [`absorb_work`](Self::absorb_work).
+    /// (see [`KernelDispatch`]); sums over every per-shard scan.
     pub kernel_dispatch: KernelDispatch,
     /// Estimated recall of the answer: the probability that any true top-k
     /// member survived every access path the query ran.  Exactly `1.0` on
@@ -348,9 +352,9 @@ impl QueryStats {
         }
     }
 
-    /// Accumulates another search's work counters into this one (used by the
-    /// sharded fan-out to sum per-shard executor stats; wall-clock fields are
-    /// left alone because concurrent executors' times overlap).
+    /// Accumulates another search's work counters into this one (used to sum
+    /// a batch's stats; wall-clock fields other than `planning_us` are left
+    /// alone because concurrent searches' times overlap).
     pub fn absorb_work(&mut self, other: &QueryStats) {
         self.total_entities += other.total_entities;
         self.nodes_visited += other.nodes_visited;

@@ -196,33 +196,6 @@ impl Synopsis {
         measure.upper_bound(query_sizes, &caps)
     }
 
-    /// The least bound the tree executor can give a **top-level subtree** of
-    /// this population, whatever the subtree's signature says.
-    ///
-    /// A depth-1 row's caps are the query's sizes with the level-1 and the
-    /// base-level entries cut down to the cells surviving its routing value
-    /// (`Executor::visit`) — at worst to 0 — and every level in between left
-    /// alone.  So the measure's value at `caps[level 1] = caps[base] = 0`,
-    /// in-between levels at [`degree_upper_bound`](Self::degree_upper_bound)'s
-    /// `min(|query_l|, cap_l)` (never above the query's size), is below or at
-    /// every depth-1 bound: under a threshold `≤` this floor strict pruning
-    /// cuts no top-level subtree.  The planner flat-scans a shard whose seed
-    /// sits there.  Where a shard's cap is below the query's size the floor
-    /// is lower than the exact least depth-1 bound (the executor leaves the
-    /// level at `|query_l|`), so the rule errs towards keeping the tree.
-    pub(crate) fn top_level_bound_floor<M: AssociationMeasure + ?Sized>(
-        &self,
-        query_sizes: &[usize],
-        measure: &M,
-    ) -> f64 {
-        debug_assert_eq!(query_sizes.len(), self.level_caps.len());
-        let base = query_sizes.len().saturating_sub(1);
-        let caps: Vec<usize> = (0..query_sizes.len())
-            .map(|l| if l == 0 || l == base { 0 } else { self.level_caps[l].min(query_sizes[l]) })
-            .collect();
-        measure.upper_bound(query_sizes, &caps)
-    }
-
     /// The expected recall of a **sampled scan** of this shard at sample rate
     /// `rate ∈ [0, 1]`: the probability that a fixed member of the true top-k
     /// residing in this shard is scored by the scan.

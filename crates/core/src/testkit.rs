@@ -22,8 +22,8 @@
 //!   [`Workload::pruning_adversarial`]) — the degenerate shapes that
 //!   historically break top-k indexes: all-ties populations, one massively
 //!   shared cell, empty and single-cell traces, and the sharding-skew
-//!   population where one shard holds every top-k entity (the best and worst
-//!   cases of cooperative bound sharing).
+//!   population where one shard holds every top-k entity (the unsharded
+//!   tree's best case, and the planner's skip rule's).
 //!
 //! Generation is fully deterministic: the same config (including its `seed`)
 //! produces the same workload on every machine and every run, so a failing
@@ -975,28 +975,14 @@ pub fn scan_scored<'a>(
     sharing
 }
 
-/// 1 when the fused degree loop intersects a scored pair's level-1 rows with
-/// the keyed kernel ([`row_class`] of the packed and keyed lengths), else 0:
-/// the part of a query's [`KernelDispatch::keyed`] its resident level-1 rows
-/// account for (a paged query reads its finer rows from pages).
-///
-/// [`row_class`]: trace_model::kernel::row_class
-/// [`KernelDispatch::keyed`]: crate::stats::KernelDispatch::keyed
-pub fn keyed_at_level_one(query: &CellSetSequence, candidate: &CellSetSequence) -> u64 {
-    use trace_model::kernel::{push_keyed, row_class, KernelClass};
-    let keyed_len = |row: &[u64]| push_keyed(row, &mut Vec::new(), &mut Vec::new());
-    let (q, c) = (query.level(1).packed_slice(), candidate.level(1).packed_slice());
-    u64::from(row_class((q.len(), c.len()), || (keyed_len(q), keyed_len(c))) == KernelClass::Keyed)
-}
-
 /// Asserts that two *exact* top-k answers are **fully bit-identical**.
 ///
 /// Exactness in this codebase pins the answer completely: every exact path
-/// (unsharded best-first, sharded cooperative or independent, paged, brute
-/// force) ranks under the total order *(degree descending, entity id
-/// ascending)* and prunes **strictly** — a subtree tying the k-th threshold
-/// is still expanded, so boundary-tied entities are tie-broken by id, not by
-/// execution strategy (see `minsig::engine`, "tie-complete pruning").
+/// (unsharded best-first, sharded scans, paged, brute force) ranks under
+/// the total order *(degree descending, entity id ascending)* and prunes
+/// **strictly** — a subtree tying the k-th threshold is still expanded, so
+/// boundary-tied entities are tie-broken by id, not by execution strategy
+/// (see `minsig::engine`, "tie-complete pruning").
 /// Concretely this asserts:
 ///
 /// * identical lengths and **bitwise-identical degree vectors** (degrees are

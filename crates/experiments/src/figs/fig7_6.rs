@@ -1,13 +1,13 @@
 //! Figure 7.6 — search time vs. memory size.
 //!
-//! The MinSigTree and the hash functions stay resident; the cell rows needed
-//! for exact leaf evaluation beyond the coarsest level are read through a
-//! buffer pool whose budget is a fraction of the raw trace data size.  The
-//! pages are the out-of-core session's: it writes every entity's keyed rows of
-//! levels 2..m to the store's disk, and a query reads only the rows of the
-//! candidates whose finer levels it must intersect: in a flat scan the
-//! members it scores that share a level-2 cell with it, at a tree leaf the
-//! candidates that share a level-1 cell.  The reported search time
+//! The index's resident summary stays in memory; the cell rows needed for
+//! exact scoring beyond the coarsest level are read through a buffer pool
+//! whose budget is a fraction of the raw trace data size.  The pages are the
+//! out-of-core session's: it writes every entity's keyed rows of levels 2..m
+//! to the store's disk, and a query — a flat scan, like every sharded one —
+//! reads only the rows of the members it scores that share a level-2 cell
+//! with it, the candidates whose finer levels it must intersect.  The
+//! reported search time
 //! combines the measured CPU time with the *simulated* I/O latency charged per
 //! buffer-pool miss, so the curve's shape (steeply descending, flattening
 //! around 40–50 % memory) is reproducible on any machine.

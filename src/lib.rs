@@ -15,17 +15,18 @@
 //!
 //! ## Architecture: one executor, many drivers
 //!
-//! Every tree search — exact, paged, join/batch and sharded — runs through a
-//! single **resumable** best-first executor (`minsig::engine::Executor`; the
-//! flat scans and the approximate path share its top-k selection),
-//! parameterised over a `TraceSource` that says where a candidate's degree
-//! comes from during leaf evaluation (`ArenaSource` scores from the index
-//! snapshot's flat candidate arena, `PagedArenaSource` reads raw traces
-//! through the `storage` buffer pool) and over a `Bound` — the k-th-degree
-//! threshold candidates must beat.  The sharded index drives
-//! one executor per shard as a cooperative scheduler sharing one atomic
-//! `SharedBound` per query, so cross-shard answers keep the pruning power of
-//! a single tree while staying bitwise identical to unsharded execution.
+//! Every tree search — the unsharded index's exact, join and batch queries —
+//! runs through a single **resumable** best-first executor
+//! (`minsig::engine::Executor`; the flat scans and the approximate path
+//! share its top-k selection), parameterised over a `TraceSource` that says
+//! where a candidate's degree comes from during leaf evaluation
+//! (`ArenaSource` scores from the index snapshot's flat candidate arena) and
+//! over a `Bound` — the k-th-degree threshold candidates must beat.  The
+//! sharded index opens no tree: its planner skips the shards a seeded
+//! threshold rules out and flat-scans every other one, reading level-1 and
+//! level-2 overlaps from the shard's postings, in memory or out of core
+//! through the `storage` buffer pool — bitwise identical to unsharded
+//! execution.
 //!
 //! The index itself is split into an immutable, `Arc`-shareable
 //! [`IndexSnapshot`] and the mutable [`MinSigIndex`] handle around it:

@@ -1,22 +1,17 @@
-//! The cooperative bound-sharing executor from the outside: resumable
-//! stepping is answer- and work-invariant at any quantum, a cold fan-out
-//! (no seed, every shard a tree) never changes answers, and a
-//! [`SharedBound`] provably *saves* work against the independent per-shard
-//! baseline on skewed (one-shard-holds-the-top-k) populations.
+//! The resumable executor and the cold fan-out from the outside: stepping
+//! the unsharded best-first search is answer- and work-invariant at any
+//! quantum, and a cold sharded fan-out (no seed, every shard scanned) never
+//! changes answers, on either schedule.
 //!
 //! The cold fan-out is built from data, not from a setting: an index whose
 //! synopses hold no sketch plans every query unseeded, skips nothing and
-//! tree-searches every shard above the 32-entity scan cutoff.
-//!
-//! [`SharedBound`]: digital_traces::index::SharedBound
+//! scans every shard.
 
-use digital_traces::index::engine::{merge_top_k, PrivateBound};
+use digital_traces::index::engine::PrivateBound;
 use digital_traces::index::testkit::{
     assert_equivalent_answers, PruningAdversarialConfig, UniformConfig, Workload,
 };
-use digital_traces::index::{
-    shard_of, IndexConfig, Query, QueryOptions, QueryStats, ShardedMinSigIndex,
-};
+use digital_traces::index::{IndexConfig, Query, QueryOptions, QueryStats, ShardedMinSigIndex};
 use digital_traces::EntityId;
 
 /// Stepping an [`Executor`](digital_traces::index::Executor) with any quantum
@@ -66,8 +61,7 @@ fn sketchless(w: &Workload, nh: u32, shards: usize) -> ShardedMinSigIndex {
     sharded
 }
 
-/// The skew workload with every shard above the scan cutoff, so a cold
-/// fan-out tree-searches all of them.
+/// The skew workload: one shard holds the clique.
 fn skewed() -> (Workload, Vec<EntityId>) {
     Workload::pruning_adversarial(PruningAdversarialConfig {
         hot_entities: 48,
@@ -76,9 +70,8 @@ fn skewed() -> (Workload, Vec<EntityId>) {
     })
 }
 
-/// One deterministic cooperative run (batch path: sequential round-robin
-/// per-shard interleaving) of a query over a sketchless snapshot whose
-/// shards are all above the scan cutoff.
+/// One deterministic run (batch path: the shards in plan order on the
+/// calling thread) of a query over a sketchless snapshot.
 fn run_cold(
     snapshot: &digital_traces::ShardedSnapshot,
     query: EntityId,
@@ -88,87 +81,9 @@ fn run_cold(
     let (results, stats) =
         snapshot.query_batch(&[query], &Query::new(k, measure)).unwrap().remove(0);
     assert!(!stats.threshold_seeded, "a sketchless index seeds nothing");
-    assert_eq!((stats.shards_skipped, stats.shards_scanned), (0, 0), "every shard a tree");
+    assert_eq!(stats.shards_skipped, 0, "nothing is skipped");
+    assert_eq!(stats.shards_scanned, snapshot.num_shards(), "every shard scanned");
     (results, stats)
-}
-
-/// The independent baseline: every shard searched alone against its private
-/// threshold, answers merged, work summed.
-fn run_independent(
-    snapshot: &digital_traces::ShardedSnapshot,
-    query: EntityId,
-    k: usize,
-    measure: &digital_traces::PaperAdm,
-) -> (Vec<digital_traces::TopKResult>, QueryStats) {
-    let seq = snapshot.sequence(query).unwrap();
-    let mut work = QueryStats::default();
-    let parts: Vec<_> = (0..snapshot.num_shards())
-        .map(|shard| {
-            let (results, stats) = snapshot
-                .shard(shard)
-                .top_k_for_sequence(seq, Some(query), k, measure, QueryOptions::default())
-                .unwrap();
-            work.absorb_work(&stats);
-            results
-        })
-        .collect();
-    (merge_top_k(k, parts), work)
-}
-
-/// The satellite stats contract: on a population where one shard holds the
-/// whole top-k, a [`SharedBound`](digital_traces::index::SharedBound) visits
-/// no more (here: strictly fewer) frontier nodes and checks no more entities
-/// than independent per-shard executors, prunes strictly more subtrees, and
-/// publishes at least one bound update — with bitwise-identical answers.
-#[test]
-fn shared_bound_saves_work_on_skewed_shards() {
-    let shards = PruningAdversarialConfig::default().num_shards;
-    let (w, hot) = skewed();
-    let snapshot = sketchless(&w, 32, shards).snapshot();
-    let measure = w.measure();
-    let k = 5;
-
-    // Best case: a hot query — the hot shard saturates the global bound
-    // almost immediately and every cold shard should prune wholesale.
-    let (shared_results, shared) = run_cold(&snapshot, hot[0], k, &measure);
-    let (indep_results, indep) = run_independent(&snapshot, hot[0], k, &measure);
-    assert_eq!(shared_results, indep_results, "bound sharing never changes answers");
-    assert!(
-        shared.nodes_visited < indep.nodes_visited,
-        "cooperative must visit strictly fewer nodes on the skewed workload \
-         ({} vs {})",
-        shared.nodes_visited,
-        indep.nodes_visited
-    );
-    assert!(
-        shared.entities_checked <= indep.entities_checked,
-        "{} vs {}",
-        shared.entities_checked,
-        indep.entities_checked
-    );
-    assert!(
-        shared.subtrees_pruned > indep.subtrees_pruned,
-        "the shared bound must cut subtrees the private thresholds cannot \
-         ({} vs {})",
-        shared.subtrees_pruned,
-        indep.subtrees_pruned
-    );
-    assert!(shared.bound_updates >= 1, "the hot shard publishes its threshold");
-    assert_eq!(indep.bound_updates, 0, "independent executors never publish");
-
-    // Worst case: a cold query — sharing may not help, but it must never
-    // cost visits (an executor under a higher bound stops no later) and
-    // never change the answer.
-    let cold = w
-        .entities()
-        .into_iter()
-        .find(|&e| shard_of(e, shards) != shard_of(hot[0], shards))
-        .expect("the workload plants cold entities on other shards");
-    let (shared_cold_results, shared_cold) = run_cold(&snapshot, cold, k, &measure);
-    let (indep_cold_results, indep_cold) = run_independent(&snapshot, cold, k, &measure);
-    assert_eq!(shared_cold_results, indep_cold_results);
-    assert!(shared_cold.nodes_visited <= indep_cold.nodes_visited);
-    assert!(shared_cold.entities_checked <= indep_cold.entities_checked);
 }
 
 /// The cold fan-out over the adversarial workloads returns the bitwise
@@ -190,7 +105,7 @@ fn cold_fan_out_is_answer_invariant_on_adversarial_workloads() {
             let oracle = unsharded.brute_force(query, 4, &measure).unwrap();
             assert_equivalent_answers(&expect, &oracle, &format!("unsharded vs oracle, {query}"));
             let (threaded, stats) = snapshot.query(query, &Query::new(4, &measure)).unwrap();
-            assert_eq!(stats.shards_scanned, 0, "query {query}: every shard a tree");
+            assert_eq!(stats.shards_scanned, shards, "query {query}: every shard scanned");
             assert_equivalent_answers(&threaded, &expect, &format!("threaded, query {query}"));
             let (sequential, _) = run_cold(&snapshot, query, 4, &measure);
             assert_equivalent_answers(&sequential, &expect, &format!("one worker, query {query}"));

@@ -2,12 +2,15 @@
 //! `Arc<IndexSnapshot>` produce results identical to sequential execution,
 //! batch evaluation equals per-entity evaluation, snapshots are isolated
 //! from subsequent updates on the index handle, and a sharded fan-out's scan
-//! jobs answer and count the same on the workers as on the caller's thread.
+//! jobs answer and count the same on the workers as on the caller's thread —
+//! the whole `QueryStats` work record, not only the answer.
 
-use digital_traces::index::testkit::{UniformConfig, Workload};
+use digital_traces::index::testkit::{
+    PlannerDispersedConfig, PruningAdversarialConfig, UniformConfig, Workload,
+};
 use digital_traces::index::{
-    IndexConfig, JoinOptions, MinSigIndex, PlannerConfig, Query, ShardDecision, ShardedMinSigIndex,
-    TopKResult,
+    IndexConfig, JoinOptions, MinSigIndex, PlannerConfig, Query, QueryStats, ShardDecision,
+    ShardedMinSigIndex, TopKResult,
 };
 use digital_traces::{EntityId, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
 use proptest::prelude::*;
@@ -162,39 +165,64 @@ fn snapshots_are_isolated_from_later_updates() {
     assert_eq!(index.num_entities(), 16);
 }
 
-/// Scan shards are jobs of the fan-out's work queue: `query` runs them on the
-/// workers (`parallel`), a one-query batch runs the same plan on the caller's
-/// thread.  A scan scores its whole shard whatever bound is in force, so not
-/// only the answer but every counter a scan fills is schedule-independent.
+/// The work record of a query's stats: every field but the wall-clock ones.
+fn work(stats: &QueryStats) -> QueryStats {
+    QueryStats { planning_us: 0, query_time_us: 0, ..*stats }
+}
+
+/// Every admitted shard is a scan job of the fan-out's work queue: `query`
+/// runs them on the workers (`parallel`), a one-query batch runs the same
+/// plan on the caller's thread.  A scan prunes against its own top k only,
+/// so not only the answer but the whole work record is schedule-independent
+/// — on a uniform population, on the pruning-adversarial one (one shard
+/// holds the clique; hot and cold queries at 1, 4 and 8 shards) and on the
+/// planner's dispersed one.
 #[test]
 fn scan_jobs_answer_and_count_the_same_on_the_workers_as_on_the_caller() {
-    let w = Workload::uniform(UniformConfig { entities: 240, ..UniformConfig::default() });
-    let config = IndexConfig::with_hash_functions(16);
-    let index = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 4).unwrap();
-    let snapshot = index.snapshot();
-    let measure = w.measure();
-    let query = Query::new(5, &measure);
-    let mut all_scan = 0usize;
-    for entity in w.sample_entities(16, 0x5CA9) {
-        let plan = snapshot.explain(entity, 5, &measure, PlannerConfig::default()).unwrap();
-        if plan.shards_scanned() < 2 {
-            continue;
-        }
-        let (threaded, threaded_stats) = snapshot.query(entity, &query).unwrap();
-        let (inline, inline_stats) = snapshot.query_batch(&[entity], &query).unwrap().remove(0);
-        assert_eq!(threaded, inline, "{entity}");
-        assert_eq!(threaded, snapshot.brute_force(entity, 5, &measure).unwrap(), "{entity}");
-        assert_eq!(threaded_stats.shards_scanned, plan.shards_scanned(), "{entity}");
-        assert_eq!(inline_stats.shards_scanned, plan.shards_scanned(), "{entity}");
-        if plan.admitted().all(|s| s.decision == ShardDecision::Scan) {
-            all_scan += 1;
-            assert_eq!(threaded_stats.entities_checked, inline_stats.entities_checked);
-            assert_eq!(threaded_stats.kernel_dispatch, inline_stats.kernel_dispatch);
-            assert_eq!(threaded_stats.total_entities, inline_stats.total_entities);
-            assert_eq!((threaded_stats.nodes_visited, threaded_stats.steps), (0, 0));
+    let mut cases: Vec<(String, Workload, usize, Vec<EntityId>)> = Vec::new();
+    let uniform = Workload::uniform(UniformConfig { entities: 240, ..UniformConfig::default() });
+    let queries = uniform.sample_entities(16, 0x5CA9);
+    cases.push(("uniform".into(), uniform, 4, queries));
+    for shards in [1usize, 4, 8] {
+        let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
+            num_shards: shards,
+            hot_entities: 24,
+            cold_entities: 200,
+            ..PruningAdversarialConfig::default()
+        });
+        let mut queries: Vec<EntityId> = hot.iter().copied().step_by(6).collect();
+        queries.extend(w.entities().into_iter().filter(|e| !hot.contains(e)).step_by(40));
+        cases.push((format!("pruning-adversarial, {shards} shards"), w, shards, queries));
+    }
+    for shards in [4usize, 8] {
+        let (w, entities) = Workload::planner_dispersed(PlannerDispersedConfig {
+            num_shards: shards,
+            entities_per_shard: 10,
+            ..PlannerDispersedConfig::default()
+        });
+        let queries = entities.into_iter().step_by(7).collect();
+        cases.push((format!("dispersed, {shards} shards"), w, shards, queries));
+    }
+    for (name, w, shards, queries) in &cases {
+        let config = IndexConfig::with_hash_functions(16);
+        let index = ShardedMinSigIndex::build(&w.sp, &w.traces, config, *shards).unwrap();
+        let snapshot = index.snapshot();
+        let measure = w.measure();
+        let query = Query::new(5, &measure);
+        for &entity in queries {
+            let ctx = format!("{name}, {entity}");
+            let plan = snapshot.explain(entity, 5, &measure, PlannerConfig::default()).unwrap();
+            assert!(plan.admitted().all(|s| s.decision == ShardDecision::Scan), "{ctx}");
+            let (threaded, threaded_stats) = snapshot.query(entity, &query).unwrap();
+            let (inline, inline_stats) = snapshot.query_batch(&[entity], &query).unwrap().remove(0);
+            assert_eq!(threaded, inline, "{ctx}");
+            assert_eq!(threaded, snapshot.brute_force(entity, 5, &measure).unwrap(), "{ctx}");
+            assert_eq!(threaded_stats.shards_scanned, plan.shards_scanned(), "{ctx}");
+            assert_eq!(work(&threaded_stats), work(&inline_stats), "{ctx}");
+            let tree = (threaded_stats.nodes_visited, threaded_stats.steps);
+            assert_eq!((tree, threaded_stats.bound_updates), ((0, 0), 0), "{ctx}");
         }
     }
-    assert!(all_scan >= 8, "the uniform population plans all-scan fan-outs ({all_scan})");
 }
 
 proptest! {

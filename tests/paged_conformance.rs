@@ -14,8 +14,8 @@
 //! [`PagedShardedSnapshot`]: digital_traces::index::PagedShardedSnapshot
 
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, assert_valid_top_k, keyed_at_level_one, ChaoticReplacer,
-    HierarchySpec, UniformConfig, Workload,
+    assert_equivalent_answers, assert_valid_top_k, ChaoticReplacer, HierarchySpec, UniformConfig,
+    Workload,
 };
 use digital_traces::index::{
     IndexConfig, JoinOptions, PlannerConfig, Query, QueryStats, ShardedMinSigIndex,
@@ -323,12 +323,14 @@ fn assert_same_intersections(paged: &QueryStats, mem: &QueryStats, ctx: &str) {
     assert_eq!(paged.kernel_dispatch, mem.kernel_dispatch, "{ctx}: intersections issued");
 }
 
-/// Candidates that share no level-1 cell with the query are scored from the
-/// snapshot's resident rows, never read: the paged query does the in-memory
-/// query's work — answers, `entities_checked`, kernel dispatch — and its page
-/// requests are exactly the pages the row spans of the candidates that do
-/// share a level-1 cell lie on.  A candidate the store lacks is unreadable
-/// even when its resident row alone would have answered it.
+/// Candidates that share no level-1 cell with the query — and, since a scan
+/// reads level-2 overlaps from the postings too, the ones sharing no level-2
+/// cell — are scored from the snapshot's resident rows, never read: the
+/// paged query does the in-memory query's work — answers, `entities_checked`,
+/// kernel dispatch — and its page requests are exactly the pages the row
+/// spans of the candidates that do share a level-2 cell lie on.  A candidate
+/// the store lacks is unreadable even when its resident rows alone would have
+/// answered it.
 #[test]
 fn level_one_disjoint_candidates_are_answered_without_a_read() {
     let (w, _, mut sharded, store) = build_world(160, 3, 21, 4);
@@ -337,16 +339,17 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
     let cold = sharded.snapshot();
     let measure = w.measure();
     let population = w.entities().len();
-    let disjoint_from = |query: EntityId| -> Vec<EntityId> {
-        let level_one = snapshot.sequence(query).unwrap().level(1);
+    let disjoint_at = |level: u8, query: EntityId| -> Vec<EntityId> {
+        let cells = snapshot.sequence(query).unwrap().level(level);
         (0..4)
             .flat_map(|s| snapshot.shard(s).sequences())
-            .filter(|&(&e, seq)| e != query && seq.level(1).intersection_len(level_one) == 0)
+            .filter(|&(&e, seq)| e != query && seq.level(level).intersection_len(cells) == 0)
             .map(|(&e, _)| e)
             .collect()
     };
-    // No sketch and k = the population: nothing is seeded, no shard (all
-    // above the scan cutoff) is pruned, every candidate is scored once.
+    let disjoint_from = |query: EntityId| disjoint_at(1, query);
+    // No sketch and k = the population: nothing is seeded, no shard is
+    // skipped, every candidate is scored once.
     let everyone = Query::new(population, &measure);
     for query in w.sample_entities(6, 0x1E7E1) {
         let pool = store.pool(pool_config(2, ReplacerPolicy::default()));
@@ -362,14 +365,16 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
         }
         let disjoint = disjoint_from(query);
         assert!(disjoint.len() > population / 2, "query {query}: {} disjoint", disjoint.len());
+        let unread = disjoint_at(2, query);
+        assert!(disjoint.iter().all(|e| unread.contains(e)), "query {query}");
         let session = cold.paged(&store, &pool);
         let (_, stats) = session.query(query, &everyone).unwrap();
-        assert_eq!(stats.reads_avoided, disjoint.len(), "query {query}");
+        assert_eq!(stats.reads_avoided, unread.len(), "query {query}");
         let pages = |e: EntityId| session.row_pages(e).map_or(0, <[_]>::len);
         let read_pages: usize = w
             .entities()
             .into_iter()
-            .filter(|e| *e != query && !disjoint.contains(e))
+            .filter(|e| *e != query && !unread.contains(e))
             .map(pages)
             .sum();
         let avoided_pages: usize = disjoint.iter().map(|&e| pages(e)).sum();
@@ -390,7 +395,7 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
     let pool = partial.pool(PoolConfig::default());
     let (out, stats) = cold.paged(&partial, &pool).query(query, &everyone).unwrap();
     assert_eq!(stats.candidates_unreadable, 1);
-    assert_eq!(stats.reads_avoided, disjoint_from(query).len() - 1);
+    assert_eq!(stats.reads_avoided, disjoint_at(2, query).len() - 1);
     assert!(out.iter().all(|r| r.entity != dropped));
     assert!(stats.recall_estimate < 1.0);
 }
@@ -398,9 +403,9 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
 /// On the paper's SYN population rows are long and clustered enough for the
 /// keyed kernel.  A paged query scoring every candidate (no sketch, k = the
 /// population) answers and works like the in-memory one and runs keyed
-/// exactly the intersections the in-memory loop runs keyed: at level 1 from
-/// the resident keyed row, at the finer levels from the keyed rows its pages
-/// hold.
+/// exactly the intersections the in-memory loop runs keyed: its scans read
+/// levels 1 and 2 from the resident postings and intersect the finer levels
+/// from the keyed rows its pages hold.
 #[test]
 fn paged_level_one_runs_the_in_memory_kernel_on_syn() {
     let dataset = SynDataset::generate(SynConfig {
@@ -420,7 +425,7 @@ fn paged_level_one_runs_the_in_memory_kernel_on_syn() {
     let measure = digital_traces::PaperAdm::default_for(dataset.sp_index().height() as usize);
     let population = dataset.traces.entities().count();
     let everyone = Query::new(population, &measure);
-    let (mut keyed_level_one, mut keyed_finer) = (0, 0);
+    let mut keyed_finer = 0;
     for query in dataset.traces.entities().step_by(23) {
         let pool = store.pool(pool_config(8, ReplacerPolicy::default()));
         let (out, stats) = snapshot.paged(&store, &pool).query(query, &everyone).unwrap();
@@ -429,19 +434,11 @@ fn paged_level_one_runs_the_in_memory_kernel_on_syn() {
         assert_equivalent_answers(&out, &mem, &ctx);
         assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{ctx}");
         assert_same_intersections(&stats, &mem_stats, &ctx);
-        let sequence = snapshot.sequence(query).unwrap();
-        let level_one: u64 = (0..snapshot.num_shards())
-            .flat_map(|s| snapshot.shard(s).sequences())
-            .filter(|&(&e, _)| e != query)
-            .map(|(_, candidate)| keyed_at_level_one(sequence, candidate))
-            .sum();
         assert_eq!(stats.kernel_dispatch.keyed, mem_stats.kernel_dispatch.keyed, "{ctx}: keyed");
-        keyed_level_one += level_one;
-        keyed_finer += stats.kernel_dispatch.keyed - level_one;
+        keyed_finer += stats.kernel_dispatch.keyed;
         assert_eq!(pool.pinned_frames(), 0);
     }
-    assert!(keyed_level_one > 0, "level 1 runs keyed on SYN");
-    assert!(keyed_finer > 0, "the finer levels, read from pages, run keyed too");
+    assert!(keyed_finer > 0, "the finer levels, read from pages, run keyed");
 }
 
 /// A session's pages are its own: fifty sessions built and dropped on one

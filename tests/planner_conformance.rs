@@ -3,14 +3,14 @@
 //! planned sharded paths must answer **fully bit-identically** to the
 //! unsharded index and the brute-force oracle — boundary ties included.
 //! Exact planning has no off switch; the sketch size is what decides how
-//! much it does (size 0: no seed, no skip, a tree for every shard above the
-//! scan cutoff).  On the
+//! much it does (size 0: no seed, no skip, every shard scanned).  On the
 //! planted planner workloads the planner must also *do* what it promises:
 //! skip every background shard of the localized population, skip nothing on
 //! the dispersed one, and report both through `QueryStats`.
 //!
-//! Access paths: which admitted shards are flat-scanned instead of
-//! tree-searched, and why — the `access_path_*` tests at the end.
+//! Access paths: every admitted shard is flat-scanned (or, under a binding
+//! budget, sample-scanned), and the scan does the pruning the tree did — the
+//! `access_path_*` tests at the end.
 //!
 //! Persistence: a saved-then-reopened sharded index must carry exactly the
 //! synopsis a freshly rebuilt index would (sketch size included), and
@@ -66,8 +66,7 @@ proptest! {
     /// fully bit-identical, over arbitrary shard counts, `k` and sketch
     /// sizes from none through one to the default.  The plan is what the
     /// execution reports, and with no sketch it is the cold fan-out: never
-    /// seeded, nothing skipped, every shard above the cutoff tree-searched
-    /// (a non-empty one at or below it scanned).
+    /// seeded, nothing skipped, every shard scanned.
     #[test]
     fn sketch_size_decides_the_plan_shape_never_the_answer(
         entities in 2u64..120,
@@ -97,16 +96,13 @@ proptest! {
                 "{}", ctx
             );
             prop_assert!(stats.shards_skipped < shards, "a query never skips every shard");
+            prop_assert_eq!(
+                plan.shards_scanned() + plan.shards_skipped(), shards, "{}", ctx
+            );
+            prop_assert_eq!((stats.nodes_visited, stats.steps), (0, 0), "{}", ctx);
             if m == 0 {
                 prop_assert!(!plan.seeded() && plan.seed_candidates == 0, "{}", ctx);
-                for s in &plan.shards {
-                    let cold = if (1..=32).contains(&s.entities) {
-                        ShardDecision::Scan
-                    } else {
-                        ShardDecision::TreeSearch
-                    };
-                    prop_assert_eq!(s.decision, cold, "{}: shard {}", ctx, s.shard);
-                }
+                prop_assert_eq!(plan.shards_scanned(), shards, "{}", ctx);
             }
         }
     }
@@ -339,17 +335,16 @@ fn version_1_directories_still_open() {
 }
 
 // ---------------------------------------------------------------------------
-// Access-path choice: which admitted shards are flat-scanned, and why.  CI
-// runs these by name (`--test planner_conformance access_path`), so a rule
-// that starts scanning a shard its tree would have pruned fails visibly.
+// Access paths: a sharded plan skips, scans or sample-scans, and its scans
+// score no more than the tree would have.  CI runs these by name
+// (`--test planner_conformance access_path`).
 // ---------------------------------------------------------------------------
 
-/// A plan's verdicts in plan order, one `<shard><arm>` per shard: `T`ree
-/// search, `S`can, s`K`ip, `A`pproximate scan.
+/// A plan's verdicts in plan order, one `<shard><arm>` per shard: `S`can,
+/// s`K`ip, `A`pproximate scan.
 fn decisions(plan: &QueryPlan) -> String {
     let arms = plan.shards.iter().map(|s| {
         let arm = match s.decision {
-            ShardDecision::TreeSearch => 'T',
             ShardDecision::Scan => 'S',
             ShardDecision::Skip => 'K',
             ShardDecision::ApproximateScan { .. } => 'A',
@@ -378,11 +373,10 @@ fn scanned(snapshot: &ShardedSnapshot, query: EntityId, measure: &PaperAdm) -> (
 }
 
 /// On the paper's SYN population (the 300-entity fixture of
-/// `kernel_conformance`, at the benchmark's 4 shards) the seed is far below
-/// the least bound a top-level subtree can have: every admitted shard is
-/// flat-scanned, the plan says why, and the execution reports it.  A scan
-/// scores the members sharing a level-1 cell with the query and, for most
-/// queries, no other.
+/// `kernel_conformance`, at the benchmark's 4 shards) the seed skips
+/// nothing: every shard is flat-scanned, the plan says so, and the execution
+/// reports it.  A scan scores the members sharing a level-1 cell with the
+/// query and, for most queries, no other.
 #[test]
 fn access_path_syn_shards_are_all_scanned() {
     let dataset = SynDataset::generate(SynConfig {
@@ -404,16 +398,7 @@ fn access_path_syn_shards_are_all_scanned() {
         let plan = snapshot.explain(query, 10, &measure, PlannerConfig::default()).unwrap();
         assert!(plan.seeded(), "64 sketch candidates seed a k = 10 query");
         assert_eq!(plan.shards_scanned(), 4, "{}", plan.explain());
-        for shard_plan in &plan.shards {
-            assert!(shard_plan.entities > 32, "above the scan cutoff");
-            let floor = shard_plan.floor.expect("a scan above the cutoff is the floor's");
-            assert!(plan.seed <= floor, "seed {} vs floor {floor}", plan.seed);
-        }
-        let text = plan.explain();
-        assert!(
-            text.contains("≤ floor") && text.contains("no top-level subtree prunable"),
-            "{text}"
-        );
+        assert_eq!(plan.explain().matches(" scan\n").count(), 4, "{}", plan.explain());
         let (planned, stats) = snapshot.query(query, &Query::new(10, &measure)).unwrap();
         assert_eq!((stats.shards_scanned, stats.shards_skipped), (4, 0));
         assert_eq!((stats.nodes_visited, stats.steps), (0, 0), "no tree row is touched");
@@ -431,23 +416,16 @@ fn access_path_syn_shards_are_all_scanned() {
     }
     assert!(2 * sharing_only > queries.len(), "{sharing_only} of {} queries", queries.len());
     let batch = snapshot.plan_batch(&queries, 10, &measure, PlannerConfig::default()).unwrap();
-    assert!(batch.explain().contains("scan (seed ≤ floor"), "{}", batch.explain());
-    // The cutoff's scans say so too: at 16 shards every shard is small.
-    let small = ShardedMinSigIndex::build(dataset.sp_index(), &dataset.traces, config, 16).unwrap();
-    let plan =
-        small.snapshot().explain(queries[0], 10, &measure, PlannerConfig::default()).unwrap();
-    assert!(plan.shards.iter().all(|s| s.entities <= 32), "{}", plan.explain());
-    assert!(plan.admitted().all(|s| s.decision == ShardDecision::Scan && s.floor.is_none()));
-    assert!(plan.explain().contains("scan (small shard: scan_cutoff 32)"), "{}", plan.explain());
+    assert!(batch.explain().contains("  scan\n"), "{}", batch.explain());
+    assert!(!batch.explain().contains("skip"), "{}", batch.explain());
 }
 
-/// The other side of the rule: a hot query of the pruning-adversarial
-/// population seeds high above the floor, so the shard holding the clique
-/// keeps its tree — at 1 shard (everything in it) and at 4 (the clique alone)
-/// — and the tree does what it is kept for: it scores a small part of the
-/// population.
+/// Where the tree pruned best, the scan prunes too: a hot query of the
+/// pruning-adversarial population at 4 shards scans the shard holding the
+/// clique and scores a small part of the population.  At 1 shard (everything
+/// in it) the unsharded index's best-first tree search does the same.
 #[test]
-fn access_path_pruning_hot_shard_keeps_its_tree() {
+fn access_path_pruning_hot_shard_scores_a_small_part() {
     for shards in [1usize, 4] {
         let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
             num_shards: shards,
@@ -457,20 +435,32 @@ fn access_path_pruning_hot_shard_keeps_its_tree() {
             ..PruningAdversarialConfig::default()
         });
         let config = IndexConfig::with_hash_functions(32);
+        let measure = w.measure();
+        if shards == 1 {
+            let index = w.build_index(config);
+            for &query in &hot {
+                let (answer, stats) = index.top_k(query, 5, &measure).unwrap();
+                assert!(stats.nodes_visited > 0, "{query}: the tree search ran");
+                assert!(
+                    stats.entities_checked < 1_048 / 4,
+                    "unsharded, {query}: {} of 1 048 entities checked",
+                    stats.entities_checked
+                );
+                let oracle = index.brute_force(query, 5, &measure).unwrap();
+                assert_equivalent_answers(&answer, &oracle, &format!("hot, unsharded, {query}"));
+            }
+            continue;
+        }
         let sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, shards).unwrap();
         let snapshot = sharded.snapshot();
-        let measure = w.measure();
         let hot_shard = shard_of(hot[0], shards);
         for &query in &hot {
             let plan = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
             let hot_plan = plan.shards.iter().find(|s| s.shard == hot_shard).unwrap();
-            assert_eq!(hot_plan.decision, ShardDecision::TreeSearch, "{}", plan.explain());
-            let floor = hot_plan.floor.expect("weighed: seeded, resident, above the cutoff");
-            assert!(plan.seed > floor, "seed {} vs floor {floor}", plan.seed);
-            assert!(plan.explain().contains("> floor"), "{}", plan.explain());
-            assert_eq!(plan.shards_scanned(), 0, "{}", plan.explain());
+            assert_eq!(hot_plan.decision, ShardDecision::Scan, "{}", plan.explain());
             let (planned, stats) = snapshot.query(query, &Query::new(5, &measure)).unwrap();
-            assert_eq!(stats.shards_scanned, 0);
+            assert_eq!(stats.shards_scanned, plan.shards_scanned());
+            assert_eq!((stats.nodes_visited, stats.steps), (0, 0), "{query}: no tree row touched");
             assert!(
                 stats.entities_checked < 1_048 / 4,
                 "{shards} shards, {query}: {} of 1 048 entities checked",
@@ -482,15 +472,14 @@ fn access_path_pruning_hot_shard_keeps_its_tree() {
     }
 }
 
-/// Where the rule does not apply the plans are the parent commit's, verdict
-/// for verdict: unseeded (by a sketchless index, or by a `k` above the
-/// sketch candidates) and budgeted (binding or not).  The rows were recorded
-/// on the commit before the rule existed; the `default` row is what the rule
-/// changed on this fixture (one cold query, all four shards), so the fixture
-/// can tell.
-/// Residency is not a condition of the rule: out of core over a one-frame
-/// pool, where no shard is ever resident, the plan is the `default` row,
-/// decision for decision and floor for floor.
+/// Unseeded (by a sketchless index, or by a `k` above the sketch
+/// candidates), seeded, and budgeted plans (binding or not) make the
+/// three-way decision, verdict for verdict: every admitted shard scanned,
+/// or sample-scanned under a zero budget, in the driving order recorded on
+/// the commit before shards stopped being tree-searched.
+/// Residency is not a condition of any verdict: out of core over a one-frame
+/// pool, where no shard is ever resident, the plan is the in-memory one,
+/// decision for decision.
 #[test]
 fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() {
     let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
@@ -510,26 +499,20 @@ fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() 
     queries.extend([hot[0], hot[17]]);
     assert_eq!(queries, [79, 191, 56, 0, 69].map(EntityId));
 
-    let tree = ["3T 0T 1T 2T", "0T 1T 2T 3T", "3T 0T 1T 2T", "3T 0T 1T 2T", "3T 0T 1T 2T"];
+    let scan = ["3S 0S 1S 2S", "0S 1S 2S 3S", "3S 0S 1S 2S", "3S 0S 1S 2S", "3S 0S 1S 2S"];
     let sampled = ["3A 0A 1A 2A", "0A 1A 2A 3A", "3A 0A 1A 2A", "3A 0A 1A 2A", "3A 0A 1A 2A"];
     let cases = [
-        ("unseeded by sketch size 0", &sketchless, 5, PlannerConfig::default(), tree),
-        ("unseeded by k", &snapshot, 80, PlannerConfig::default(), tree),
-        ("non-binding budget", &snapshot, 5, PlannerConfig::with_budget(u64::MAX / 2_000), tree),
+        ("unseeded by sketch size 0", &sketchless, 5, PlannerConfig::default(), scan),
+        ("unseeded by k", &snapshot, 80, PlannerConfig::default(), scan),
+        ("default", &snapshot, 5, PlannerConfig::default(), scan),
+        ("non-binding budget", &snapshot, 5, PlannerConfig::with_budget(u64::MAX / 2_000), scan),
         ("zero budget", &snapshot, 5, PlannerConfig::with_budget_and_floor(0, 0.5), sampled),
     ];
     for (name, snapshot, k, planner, recorded) in cases {
         for (&query, recorded) in queries.iter().zip(recorded) {
             let plan = snapshot.explain(query, k, &measure, planner).unwrap();
             assert_eq!(decisions(&plan), recorded, "{name}, {query}");
-            assert!(plan.shards.iter().all(|s| s.floor.is_none()), "{name}: no floor weighed");
         }
-    }
-
-    let changed = ["3T 0T 1T 2T", "0S 1S 2S 3S", "3T 0T 1T 2T", "3T 0T 1T 2T", "3T 0T 1T 2T"];
-    for (&query, recorded) in queries.iter().zip(changed) {
-        let plan = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
-        assert_eq!(decisions(&plan), recorded, "default, {query}");
     }
 
     // Out of core over a one-frame pool no shard is ever fully resident, and
@@ -537,8 +520,7 @@ fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() 
     // equally promising shards may differ: it breaks ties by cold pages.)
     let store = PagedTraceStore::build(&w.traces, 4);
     let by_shard = |plan: &QueryPlan| {
-        let mut shards: Vec<_> =
-            plan.shards.iter().map(|s| (s.shard, s.decision, s.floor)).collect();
+        let mut shards: Vec<_> = plan.shards.iter().map(|s| (s.shard, s.decision)).collect();
         shards.sort_by_key(|&(shard, ..)| shard);
         shards
     };

@@ -59,7 +59,7 @@ fn syn(entities: usize, shards: usize) -> (SynDataset, ShardedMinSigIndex) {
 /// The members the scans of `query`'s plan score, shard by shard
 /// (`scan_scored`): of every shard the plan scans, the members `admitted`
 /// lets through, `query` left out, with `readable` saying which ones a
-/// scan's heap can hold.  Panics on a tree-searched shard.
+/// scan's heap can hold.  Panics on a sampled shard.
 fn scored_by_scans<'a>(
     snapshot: &'a ShardedSnapshot,
     query: EntityId,
