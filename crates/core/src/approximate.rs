@@ -134,7 +134,7 @@ impl IndexSnapshot {
     /// `approximate_search` example).
     ///
     /// Candidate scoring runs through the same shared
-    /// [`TopKHeap`](crate::engine::TopKHeap) selection as the exact executor
+    /// [`TopKHeap`](crate::engine::TopKHeap) selection as the exact tree search
     /// and the brute-force ground truth, so result ordering and tie-breaking
     /// agree across all query paths.
     pub fn approximate_top_k<M: AssociationMeasure + ?Sized>(

@@ -99,7 +99,7 @@ pub(crate) trait ShardAccess<'q> {
 
 /// Rejects a bad budget and query sequences whose level count does not match
 /// the shards' trees — up front, before anything is scored — with the
-/// [`IndexError::LevelMismatch`] the unsharded executor reports too.
+/// [`IndexError::LevelMismatch`] the unsharded tree search reports too.
 pub(crate) fn admit<M: ?Sized>(
     shards: &[Arc<IndexSnapshot>],
     sequence: &CellSetSequence,

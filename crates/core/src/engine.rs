@@ -1,45 +1,29 @@
-//! The shared best-first top-k executor (Algorithm 2, Section 5.1), as a
-//! resumable frontier object.
+//! The best-first top-k search (Algorithm 2, Section 5.1), run to
+//! completion.
 //!
 //! Every tree search of the crate — the unsharded index's exact
-//! [`IndexSnapshot::top_k`], its joins and batches ([`crate::join`]) — drives
-//! the single [`Executor`] in this module (the crate-private `execute` runs
-//! one to completion).  The flat paths — brute force, every shard of a
-//! sharded query, in memory and out of core, [`crate::approximate`] — score
-//! through the arena's scans
+//! [`IndexSnapshot::top_k`], its joins and batches ([`crate::join`]) — runs
+//! the crate-private `execute` of this module once.  The flat paths — brute
+//! force, every shard of a sharded query, in memory and out of core,
+//! [`crate::approximate`] — score through the arena's scans
 //! ([`CandidateArena::scan_top_k`](crate::kernel::CandidateArena::scan_top_k)
 //! and the postings-driven flat scan) and share only the [`TopKHeap`] and
-//! [`merge_top_k`].  The executor separates three concerns:
+//! [`merge_top_k`].  The search separates two concerns:
 //!
 //! * the **logical search** walks the [`MinSigTree`](crate::tree::MinSigTree)
 //!   topology (through its flat [`NodeArena`] rows) with a max-heap of
 //!   candidate subtrees ordered by an upper bound on the association degree
 //!   achievable inside each subtree, gradually tightening per-level overlap
-//!   caps down every branch (Theorem 4 / Section 5.1);
-//! * the **data source** — the [`TraceSource`] trait — only answers "what is
-//!   this entity's degree with the query" during leaf evaluation.
-//!   [`ArenaSource`](crate::kernel::ArenaSource) scores from the snapshot's
-//!   flat candidate arena;
-//! * the **termination bound** — the [`Bound`] trait — is an externally
-//!   supplied degree a candidate subtree must beat to stay alive.
-//!   [`PrivateBound`] is inert: the executor then prunes against its own
-//!   k-th-best threshold only, the classic single-tree search.
+//!   caps down every branch (Theorem 4 / Section 5.1), and stops as soon as
+//!   the best bound left is strictly below its own k-th-best degree;
+//! * the **data source** — the crate-private `TraceSource` trait — only
+//!   answers "what is this entity's degree with the query" during leaf
+//!   evaluation.  The snapshot's source scores from its flat candidate
+//!   arena; the paged module's test oracle decodes traces instead.
 //!
-//! ## The frontier lifecycle
-//!
-//! An [`Executor`] is built over a borrowed snapshot
-//! (`Executor::new`, or [`IndexSnapshot::executor`] for the common
-//! in-memory case), holds the candidate frontier as state, and is advanced in
-//! *quanta*: each [`Executor::step`] call pops up to `quantum` frontier nodes,
-//! evaluates leaves through the source, and prunes against
-//! `max(local k-th threshold, bound.current())`.  A scheduler may interleave
-//! any number of executors at any granularity — `step` returns whether work
-//! remains — and [`Executor::finish`] yields the sorted answers plus the
-//! [`QueryStats`] work counters (nodes visited, subtrees pruned, bound
-//! updates, quanta executed).  Pruning is exact under any [`Bound`] that
-//! never exceeds the k-th best degree of the population: the executor prunes
-//! a subtree only when its upper bound is **strictly below** the bound in
-//! force, so a pruned entity cannot enter the top k, tied or not.
+//! The search reports the sorted answers plus the [`QueryStats`] work
+//! counters (nodes visited, leaves visited, subtrees pruned, entities
+//! checked).
 //!
 //! ## The frontier's memory
 //!
@@ -54,7 +38,7 @@
 //! query's sorted cell hashes are a dense `[level][hash function]` table
 //! filled on first use, and a child's bound is computed by
 //! [`AssociationMeasure::upper_bound_into`] over one reused scratch.  The
-//! leaf-degree scratch belongs to the [`TraceSource`], which also owns the
+//! leaf-degree scratch belongs to the source, which also owns the
 //! kernel-dispatch accounting.
 //!
 //! ## Tie-complete pruning (pinned tie-breaking)
@@ -62,11 +46,11 @@
 //! All exact answers of this crate are ranked under the total order *(degree
 //! descending, [`EntityId`] ascending)*, and pruning is **strict**: a subtree
 //! is discarded only when its upper bound is strictly below the k-th-best
-//! threshold in force.  A subtree *tying* the threshold is still expanded,
-//! because it may contain an equal-degree entity with a smaller id that
-//! displaces the current k-th answer.  This pins the answer completely: every
-//! exact path (unsharded, paged, sharded, brute force) returns the identical
-//! bitwise result even when several entities tie exactly at the k-th degree.
+//! threshold.  A subtree *tying* the threshold is still expanded, because it
+//! may contain an equal-degree entity with a smaller id that displaces the
+//! current k-th answer.  This pins the answer completely: every exact path
+//! (unsharded, paged, sharded, brute force) returns the identical bitwise
+//! result even when several entities tie exactly at the k-th degree.
 //!
 //! The bound for a node at depth `d` with routing index `u` and stored value
 //! `v` combines two sound constraints:
@@ -80,15 +64,13 @@
 //! Constraints accumulate down a branch (the per-level caps of a child are
 //! never larger than its parent's); the caps are turned into a degree bound by
 //! instantiating Theorem 4's artificial entity per level (see
-//! [`AssociationMeasure::upper_bound_into`]).
+//! [`AssociationMeasure::upper_bound_into`]).  The two [`QueryOptions`]
+//! ablations switch the level-`d` constraint and the accumulation off.
 //!
-//! Driving the executor directly (what [`IndexSnapshot::top_k`] does for you):
-//! [`IndexSnapshot::executor`] hands out one over the snapshot's own parts;
-//! inside the crate the same constructor takes any [`TraceSource`]; the
-//! logical search does not change.
+//! Searching for an arbitrary sequence (what [`IndexSnapshot::top_k`] does
+//! for an indexed entity's own):
 //!
 //! ```
-//! use minsig::engine::PrivateBound;
 //! use minsig::{IndexConfig, MinSigIndex, QueryOptions};
 //! use trace_model::{DiceAdm, EntityId, Period, PresenceInstance, SpIndex, TraceSet};
 //!
@@ -104,19 +86,13 @@
 //! let snapshot = index.snapshot();
 //! let query = snapshot.sequence(EntityId(0)).unwrap();
 //! // Exclude the query entity itself from its answer.
-//! let mut executor = snapshot
-//!     .executor(query, Some(EntityId(0)), 1, &measure, QueryOptions::default())
+//! let (results, stats) = snapshot
+//!     .top_k_for_sequence(query, Some(EntityId(0)), 1, &measure, QueryOptions::default())
 //!     .unwrap();
-//!
-//! // Resumable: advance the frontier one node at a time until exhausted.
-//! while executor.step(&PrivateBound, 1) {}
-//! let (results, stats) = executor.finish();
 //! assert_eq!(results[0].entity, EntityId(1));
-//! assert!(stats.steps >= 1);
+//! assert_eq!(stats.steps, 1);
 //! assert!(stats.nodes_visited + stats.subtrees_pruned >= 1);
 //! ```
-//!
-//! [`IndexSnapshot::executor`]: crate::snapshot::IndexSnapshot::executor
 
 use crate::error::{IndexError, Result};
 use crate::kernel::NodeArena;
@@ -134,11 +110,11 @@ use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level, LevelOve
 /// query a source was built for and one candidate entity.
 ///
 /// A source is constructed per query (it holds the query's resolved view and
-/// its own scratch and counters) and travels with one executor.
-pub trait TraceSource {
+/// its own scratch and counters) and serves one search.
+pub(crate) trait TraceSource {
     /// The degree between the source's query and `entity`'s trace, or `None`
     /// when the entity cannot be found.  An indexed entity the source cannot
-    /// produce is *not* silently dropped: the executor counts it in
+    /// produce is *not* silently dropped: the search counts it in
     /// [`QueryStats::candidates_unreadable`] and lowers the answer's
     /// [`recall_estimate`](QueryStats::recall_estimate).
     ///
@@ -146,53 +122,6 @@ pub trait TraceSource {
     /// yields for the entity's ST-cell set sequence — the engine's exactness
     /// and tie-completeness guarantees ride on that.
     fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64>;
-}
-
-/// `execute` borrows its source, so the caller can drain the source's
-/// counters once the search has finished.
-impl<T: TraceSource + ?Sized> TraceSource for &T {
-    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
-        (**self).degree(entity, measure)
-    }
-}
-
-/// The degree a candidate subtree must *strictly* beat to stay alive — an
-/// externally supplied lower bound on the global k-th-best degree, on top of
-/// the executor's own local threshold.
-///
-/// Soundness contract: [`current`](Bound::current) must never exceed the
-/// k-th-best degree of the **full candidate population** of the overall
-/// query (under the engine's total order).  Executors prune only subtrees
-/// whose upper bound is strictly below the bound, so every pruned entity is
-/// strictly outside the global top-k.
-///
-/// Implementations must be monotone: [`publish`](Bound::publish) may only
-/// raise the value [`current`](Bound::current) reports, never lower it.
-pub trait Bound: Sync {
-    /// The bound currently in force (`-inf` when nothing is known yet).
-    fn current(&self) -> f64;
-
-    /// Offers a new lower bound on the global k-th-best degree (a local k-th
-    /// threshold some executor just reached).  Returns `true` when the call
-    /// *raised* the bound.
-    fn publish(&self, value: f64) -> bool;
-}
-
-/// The inert [`Bound`]: never holds anything, never accepts anything.
-///
-/// Under a `PrivateBound` an executor prunes against its own k-th-best
-/// threshold only — the classic run-to-completion search of a single tree.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrivateBound;
-
-impl Bound for PrivateBound {
-    fn current(&self) -> f64 {
-        f64::NEG_INFINITY
-    }
-
-    fn publish(&self, _value: f64) -> bool {
-        false
-    }
 }
 
 /// An `f64` wrapper with a total order, used as a heap priority.
@@ -216,7 +145,7 @@ impl Ord for OrdF64 {
 /// A bounded top-k accumulator: the *single* place where "keep the k best
 /// (degree, entity) pairs" is implemented.
 ///
-/// The exact executor's leaf evaluation, the flat arena scan behind the
+/// The tree search's leaf evaluation, the flat arena scan behind the
 /// brute-force ground truth and the approximate candidate scorer
 /// ([`crate::approximate`]) all push through this type, so their tie-breaking
 /// and result ordering cannot drift apart.
@@ -230,7 +159,7 @@ impl Ord for OrdF64 {
 /// sorting all candidates and truncating to `k` would produce.
 /// [`TopKHeap::into_sorted`] returns the answers in that same order.
 ///
-/// Combined with the executor's strict (tie-complete) pruning, this pins the
+/// Combined with the search's strict (tie-complete) pruning, this pins the
 /// k-th-degree tie-breaking of **every** exact path in the crate: equal-degree
 /// candidates are kept by ascending entity id, with no remaining freedom.
 #[derive(Debug, Clone)]
@@ -268,31 +197,20 @@ impl TopKHeap {
         self.k > 0 && self.heap.len() >= self.k && self.threshold() > bound
     }
 
-    /// Offers one scored entity.  Returns `true` when the offer **raised**
-    /// `threshold` — the k-th answer arrived, or the worst
-    /// kept answer gave way to a strictly larger degree — which is when an
-    /// executor has something new to publish.
-    pub fn offer(&mut self, entity: EntityId, degree: f64) -> bool {
+    /// Offers one scored entity.
+    pub fn offer(&mut self, entity: EntityId, degree: f64) {
         if self.k == 0 {
-            return false;
+            return;
         }
         let ranked = (OrdF64(degree), std::cmp::Reverse(entity));
-        let before = if self.heap.len() < self.k {
+        if self.heap.len() < self.k {
             self.heap.push(std::cmp::Reverse(ranked));
-            if self.heap.len() < self.k {
-                return false;
-            }
-            f64::NEG_INFINITY
         } else {
             let mut worst = self.heap.peek_mut().expect("k > 0 answers are held");
-            if ranked <= worst.0 {
-                return false;
+            if ranked > worst.0 {
+                *worst = std::cmp::Reverse(ranked);
             }
-            let before = worst.0 .0 .0;
-            *worst = std::cmp::Reverse(ranked);
-            before
-        };
-        self.threshold() > before
+        }
     }
 
     /// Consumes the accumulator, returning answers sorted by descending degree
@@ -448,35 +366,26 @@ impl<'a> QueryHashes<'a> {
     }
 }
 
-/// The best-first top-k search of Algorithm 2 as a resumable frontier.
-///
-/// Construction seeds the frontier with the tree root; each [`step`] call
-/// advances the search by a bounded quantum of frontier nodes, pruning
-/// against the executor's own k-th-best threshold *and* an external
-/// [`Bound`]; [`finish`] returns the sorted answers plus the work counters.
-/// [`run`] drives the executor to exhaustion in one call — `execute` is the
-/// one-shot wrapper every single-tree query path uses.
+/// The best-first top-k search of Algorithm 2: construction seeds the
+/// frontier with the tree root, [`run`](Executor::run) pops it to
+/// completion.
 ///
 /// The search is exact for every measure satisfying the Section 3.2 axioms
 /// and **tie-complete** (see the [module docs](crate::engine)): it returns
 /// bitwise exactly the brute-force sort-and-truncate answer over the same
-/// source, under any stepping schedule and any sound [`Bound`].  Given
-/// identical inputs the result is bit-for-bit deterministic (only the
-/// wall-clock fields of [`QueryStats`] vary), which is what lets the parallel
-/// drivers promise sequential-equivalent output.
-///
-/// [`step`]: Executor::step
-/// [`run`]: Executor::run
-/// [`finish`]: Executor::finish
-pub struct Executor<'a, S, M>
+/// source.  Given identical inputs the result is bit-for-bit deterministic
+/// (only the wall-clock fields of [`QueryStats`] vary), which is what lets
+/// the parallel drivers promise sequential-equivalent output.
+struct Executor<'a, S, M>
 where
-    S: TraceSource,
+    S: TraceSource + ?Sized,
     M: AssociationMeasure + ?Sized,
 {
     tree: &'a NodeArena,
     exclude: Option<EntityId>,
     measure: &'a M,
-    source: S,
+    /// Borrowed, so the caller can drain its counters after the search.
+    source: &'a S,
     options: QueryOptions,
     query_sizes: Vec<usize>,
     hashes: QueryHashes<'a>,
@@ -491,31 +400,26 @@ where
     bound_scratch: LevelOverlap,
     stats: QueryStats,
     started: Instant,
-    exhausted: bool,
 }
 
 impl<'a, S, M> Executor<'a, S, M>
 where
-    S: TraceSource,
+    S: TraceSource + ?Sized,
     M: AssociationMeasure + ?Sized,
 {
-    /// Creates an executor over `snapshot`'s tree — expanded through its flat
-    /// [`NodeArena`] rows — with the frontier seeded at the root.
-    ///
-    /// `sequence` is what is searched for and `exclude` removes the query
-    /// entity itself from the answer set; of `query` the search reads `k`,
-    /// `measure` and `options`.  Leaves are evaluated through `source`.  Fails
-    /// with [`IndexError::LevelMismatch`] when the sequence does not have the
-    /// tree's level count.
-    pub(crate) fn new(
+    /// Creates a search over `snapshot`'s tree — expanded through its flat
+    /// [`NodeArena`] rows — with the frontier seeded at the root; the
+    /// arguments are [`execute`]'s.
+    fn new(
         snapshot: &'a IndexSnapshot,
         sequence: &'a CellSetSequence,
         exclude: Option<EntityId>,
         query: &Query<'a, M>,
-        source: S,
+        options: QueryOptions,
+        source: &'a S,
     ) -> Result<Self> {
         let tree = snapshot.node_arena();
-        let Query { k, measure, options, .. } = *query;
+        let Query { k, measure, .. } = *query;
         if sequence.num_levels() != tree.levels() as usize {
             return Err(IndexError::LevelMismatch {
                 index_levels: tree.levels(),
@@ -555,67 +459,27 @@ where
             bound_scratch,
             stats,
             started: Instant::now(),
-            exhausted: k == 0,
         })
     }
 
-    /// True once the frontier is empty or fully pruned; further [`step`]
-    /// calls are no-ops.
-    ///
-    /// [`step`]: Executor::step
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// Advances the frontier by up to `quantum` nodes (at least 1), pruning
-    /// against `max(local k-th threshold, bound.current())` and publishing
-    /// every improvement of the local threshold to `bound`.
-    ///
-    /// Returns `true` while work remains.  The answer is independent of the
-    /// quantum and of how step calls interleave with other executors sharing
-    /// the bound.
-    pub fn step<B: Bound + ?Sized>(&mut self, bound: &B, quantum: usize) -> bool {
-        if self.exhausted {
-            return false;
-        }
-        self.stats.steps += 1;
-        let mut budget = quantum.max(1);
-        while budget > 0 {
-            let Some(candidate) = self.queue.pop() else {
-                self.exhausted = true;
-                break;
-            };
-            // Both tests are strict, keeping boundary ties alive
-            // (tie-complete pruning); `is_saturated_against` is the single
-            // holder of the local rule.
-            if self.top.is_saturated_against(candidate.upper_bound.0)
-                || bound.current() > candidate.upper_bound.0
-            {
+    /// Pops the frontier in descending bound order until it is empty or its
+    /// best bound is strictly below the k-th-best threshold, returning the
+    /// sorted answers and the work counters (with the wall-clock time since
+    /// construction).
+    fn run(mut self) -> (Vec<TopKResult>, QueryStats) {
+        // The whole search is one step; a k = 0 query seeded nothing.
+        self.stats.steps = usize::from(!self.queue.is_empty());
+        while let Some(candidate) = self.queue.pop() {
+            // Strict, keeping boundary ties alive (tie-complete pruning).
+            if self.top.is_saturated_against(candidate.upper_bound.0) {
                 // The frontier is popped in descending bound order: nothing
                 // left can reach the threshold either.
                 self.stats.subtrees_pruned += 1 + self.queue.len();
-                self.queue.clear();
-                self.exhausted = true;
                 break;
             }
-            budget -= 1;
             self.stats.nodes_visited += 1;
-            self.visit(candidate, bound);
+            self.visit(candidate);
         }
-        if self.queue.is_empty() {
-            self.exhausted = true;
-        }
-        !self.exhausted
-    }
-
-    /// Drives the executor to exhaustion under `bound`.
-    pub fn run<B: Bound + ?Sized>(&mut self, bound: &B) {
-        while self.step(bound, usize::MAX) {}
-    }
-
-    /// Consumes the executor, returning the sorted answers and the final
-    /// work counters (with the wall-clock time since construction).
-    pub fn finish(mut self) -> (Vec<TopKResult>, QueryStats) {
         self.stats.query_time_us = self.started.elapsed().as_micros() as u64;
         self.stats.discount_unreadable();
         (self.top.into_sorted(), self.stats)
@@ -623,7 +487,7 @@ where
 
     /// Expands an internal node's children into the frontier, or evaluates a
     /// leaf's entities through the source.
-    fn visit<B: Bound + ?Sized>(&mut self, candidate: Candidate, bound: &B) {
+    fn visit(&mut self, candidate: Candidate) {
         let tree = self.tree;
         let m = tree.levels();
         let children = tree.children(candidate.node);
@@ -642,9 +506,7 @@ where
                     continue;
                 };
                 self.stats.entities_checked += 1;
-                if self.top.offer(entity, degree) {
-                    self.publish_threshold(bound);
-                }
+                self.top.offer(entity, degree);
             }
             return;
         }
@@ -684,20 +546,17 @@ where
             self.queue.push(Candidate { upper_bound: OrdF64(ub), node: child_id, caps: slot });
         }
     }
-
-    /// Publishes the local threshold to the bound when it is informative.
-    fn publish_threshold<B: Bound + ?Sized>(&mut self, bound: &B) {
-        let threshold = self.top.threshold();
-        if threshold > f64::NEG_INFINITY && bound.publish(threshold) {
-            self.stats.bound_updates += 1;
-        }
-    }
 }
 
 /// The best-first top-k search of Algorithm 2 over an arbitrary
-/// [`TraceSource`], run to completion — the one-shot wrapper around
-/// [`Executor`] every single-tree query path uses; same arguments as
-/// [`Executor::new`].
+/// [`TraceSource`], run to completion — what every single-tree query path
+/// runs.
+///
+/// `sequence` is what is searched for and `exclude` removes the query entity
+/// itself from the answer set; of `query` the search reads `k` and
+/// `measure`, and `options` are its pruning ablations.  Leaves are evaluated
+/// through `source`.  Fails with [`IndexError::LevelMismatch`] when the
+/// sequence does not have the tree's level count.
 ///
 /// The function is exact and tie-complete: it returns bitwise the same result
 /// as a brute-force sort-and-truncate over the same source (see the
@@ -707,15 +566,14 @@ pub(crate) fn execute<S, M>(
     sequence: &CellSetSequence,
     exclude: Option<EntityId>,
     query: &Query<'_, M>,
+    options: QueryOptions,
     source: &S,
 ) -> Result<(Vec<TopKResult>, QueryStats)>
 where
     S: TraceSource + ?Sized,
     M: AssociationMeasure + ?Sized,
 {
-    let mut executor = Executor::new(snapshot, sequence, exclude, query, source)?;
-    executor.run(&PrivateBound);
-    Ok(executor.finish())
+    Ok(Executor::new(snapshot, sequence, exclude, query, options, source)?.run())
 }
 
 /// The owned-path reference scan the arena scan's unit tests compare against:
@@ -792,26 +650,6 @@ mod tests {
         assert_eq!(out, vec![4, 5, 6]);
         slab.take(a, &mut out);
         assert_eq!(out, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn offer_reports_exactly_the_threshold_rises() {
-        let mut top = TopKHeap::new(2);
-        let mut offer = |entity: u64, degree: f64| {
-            let before = top.threshold();
-            let raised = top.offer(EntityId(entity), degree);
-            assert_eq!(raised, top.threshold() > before, "offer({entity}, {degree})");
-            raised
-        };
-        assert!(!offer(5, 0.5), "k - 1 answers: the threshold is still -inf");
-        assert!(offer(6, 0.2), "the k-th answer sets the threshold");
-        assert!(!offer(7, 0.1), "rejected");
-        assert!(!offer(1, 0.2), "an equal-degree, smaller-id offer displaces without raising");
-        assert!(offer(8, 0.3), "displacing the worst with a larger degree raises it");
-        assert!(offer(9, 0.9), "the former runner-up becomes the threshold");
-        assert!(offer(2, 0.9));
-        assert!(!offer(1, 0.9), "displaced, but by an answer of the same degree");
-        assert!(!TopKHeap::new(0).offer(EntityId(1), 1.0));
     }
 
     #[test]
@@ -914,13 +752,5 @@ mod tests {
         assert!(!top.is_saturated_against(0.5), "ties must stay alive");
         assert!(top.is_saturated_against(0.4));
         assert!(!top.is_saturated_against(0.6));
-    }
-
-    #[test]
-    fn private_bound_is_inert() {
-        let bound = PrivateBound;
-        assert_eq!(bound.current(), f64::NEG_INFINITY);
-        assert!(!bound.publish(123.0));
-        assert_eq!(bound.current(), f64::NEG_INFINITY);
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! A *top-k join* answers the top-k query for every entity of a probe set in one
 //! call; [`IndexSnapshot::top_k_batch`] is the same idea with the `top_k`
-//! result shape.  Each probe runs the shared best-first executor of
+//! result shape.  Each probe runs the best-first tree search of
 //! [`crate::engine`] against the same immutable snapshot, so probes are
 //! trivially independent and are fanned out over the rayon thread pool.  The
-//! executor is deterministic given its inputs, which yields the batch API's
+//! search is deterministic given its inputs, which yields the batch API's
 //! contract: **parallel evaluation returns exactly the sequential results, in
 //! probe order** (only wall-clock timing fields differ).
 
@@ -52,7 +52,8 @@ pub struct JoinOptions {
     /// global, so this acts as an on/off switch rather than an exact thread
     /// count).  Results are identical either way.
     pub threads: usize,
-    /// Per-probe query options.
+    /// The pruning ablations of each probe's tree search (the unsharded
+    /// join's; a sharded or paged join scans and does not read them).
     pub query: QueryOptions,
 }
 

@@ -1,7 +1,7 @@
 //! Flat hot-path data layout: the candidate arena and its fused degree kernels.
 //!
-//! Every exact path of the index — the executor's leaf evaluation, flat shard
-//! scans, the planner's synopsis seeding and the approximate sampler's
+//! Every exact path of the index — the tree search's leaf evaluation, flat
+//! shard scans, the planner's synopsis seeding and the approximate sampler's
 //! verification — bottoms out in [`AssociationMeasure::degree`] over candidate
 //! traces.  With the owned representation those traces live as per-entity
 //! [`CellSetSequence`]s inside a `BTreeMap`: every candidate costs a tree
@@ -92,7 +92,6 @@ use crate::query::TopKResult;
 use crate::signature::SignatureList;
 use crate::stats::KernelDispatch;
 use crate::tree::{MinSigTree, Node, NodeId, ROOT};
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -970,7 +969,7 @@ impl CandidateArena {
 /// Flat per-snapshot rows of the [`MinSigTree`]'s nodes — the node-side
 /// counterpart of the entity-side [`CandidateArena`].
 ///
-/// The tree executor's inner loop (node expansion) previously walked owned
+/// The tree search's inner loop (node expansion) previously walked owned
 /// `Node` structs: a `Vec` index into a heap-allocated
 /// node, a `BTreeMap` iteration for the children, and a second node fetch per
 /// child to read its depth and routing value.  The node arena stores the
@@ -991,7 +990,7 @@ impl CandidateArena {
 /// subtree's root — that node's own depth, routing index and routing value,
 /// entity span = the one entity — and its descendants get no row; a subtree
 /// holding none (removals leave those behind) gets no row at all.  A row
-/// without children is what the executor evaluates instead of expanding, at
+/// without children is what the search evaluates instead of expanding, at
 /// whatever depth it sits: scoring a candidate is always sound, and the bound
 /// the row was admitted under is the subtree root's, which every descendant's
 /// bound could only have tightened.  Rows keep the relative order of their
@@ -1431,40 +1430,31 @@ impl<'a> QueryView<'a> {
 }
 
 /// The in-memory [`TraceSource`]: degrees from the arena's fused kernel loop
-/// against one query's pre-resolved [`QueryView`] — what the snapshot
-/// executors use for leaf evaluation.
+/// against one query's pre-resolved [`QueryView`] — what the snapshot's
+/// tree search uses for leaf evaluation, and what a shard's flat scan
+/// scores through.
 ///
 /// The source owns one [`LevelOverlap`] scratch reused across every degree
-/// it computes (an executor evaluates thousands of candidates per query, and
-/// batch fan-outs run one source per executor per query — this removes the
+/// it computes (a search evaluates thousands of candidates per query, and
+/// batch fan-outs run one source per search or scan job — this removes the
 /// per-candidate allocation entirely), a flat scan's per-position level-1
 /// and level-2 overlaps, plus the per-query [`KernelDispatch`] accounting
 /// drained via `take_dispatch`.  All live in single-threaded
-/// interior-mutability cells: an executor or a scan job is driven by one
+/// interior-mutability cells: a search or a scan job is driven by one
 /// worker at a time, so the source is `Send` but deliberately not `Sync`.
-/// The view is borrowed from the query's access wherever one exists, so a
-/// fan-out converts the query's keyed rows once, not once per shard.
-pub struct ArenaSource<'a> {
+/// The view is borrowed from the query, so a fan-out converts the query's
+/// keyed rows once, not once per shard.
+pub(crate) struct ArenaSource<'a> {
     arena: &'a CandidateArena,
-    view: Cow<'a, QueryView<'a>>,
+    view: &'a QueryView<'a>,
     scratch: RefCell<LevelOverlap>,
     counts: RefCell<Vec<LevelCounts>>,
     dispatch: Cell<KernelDispatch>,
 }
 
 impl<'a> ArenaSource<'a> {
-    /// Creates a source scoring `arena`'s rows against a borrowed view.
+    /// Creates a source scoring `arena`'s rows against `view`.
     pub(crate) fn new(arena: &'a CandidateArena, view: &'a QueryView<'a>) -> Self {
-        ArenaSource::with_view(arena, Cow::Borrowed(view))
-    }
-
-    /// Creates a source scoring `arena`'s rows against `query`, resolving a
-    /// view of its own (a lone executor, which no access lends one).
-    pub(crate) fn owning(arena: &'a CandidateArena, query: &'a CellSetSequence) -> Self {
-        ArenaSource::with_view(arena, Cow::Owned(QueryView::new(query)))
-    }
-
-    fn with_view(arena: &'a CandidateArena, view: Cow<'a, QueryView<'a>>) -> Self {
         ArenaSource {
             arena,
             view,
@@ -1490,7 +1480,7 @@ impl<'a> ArenaSource<'a> {
         measure: &M,
         admit: impl Fn(EntityId) -> bool,
     ) -> (Vec<TopKResult>, usize) {
-        let (arena, view) = (self.arena, &*self.view);
+        let (arena, view) = (self.arena, self.view);
         let scratch = &mut *self.scratch.borrow_mut();
         let mut dispatch = self.dispatch.get();
         let counts = &mut *self.counts.borrow_mut();
@@ -1509,7 +1499,7 @@ impl TraceSource for ArenaSource<'_> {
         let mut dispatch = self.dispatch.get();
         let degree = self.arena.degree_into_tracked(
             pos,
-            &self.view,
+            self.view,
             measure,
             &mut self.scratch.borrow_mut(),
             &mut dispatch,
@@ -1974,7 +1964,8 @@ mod tests {
         let arena = CandidateArena::build(2, 8, &sequences, &signatures);
         let measure = PaperAdm::default_for(2);
         let qseq = sequences[&EntityId(0)].clone();
-        let source = ArenaSource::owning(&arena, &qseq);
+        let view = QueryView::new(&qseq);
+        let source = ArenaSource::new(&arena, &view);
         for &entity in arena.entities() {
             let via_source = source.degree(entity, &measure).expect("entity is indexed");
             let owned = measure.degree(&qseq, &sequences[&entity]);
@@ -2143,14 +2134,13 @@ mod tests {
         assert_eq!((lone.num_nodes(), lone.leaf_entities(ROOT)), (1, [only].as_slice()));
     }
 
-    /// The executor over the folded rows against the executor over the
+    /// The tree search over the folded rows against the search over the
     /// unfolded ones: the same answers bit for bit under every option set —
     /// also (round 1) after removing a third of the population has left empty
     /// and lonely subtrees behind — from no more node visits.  Folding scores an entity where its chain begins,
     /// so `entities_checked` may differ; it is reported, not pinned.
     #[test]
     fn folded_rows_answer_like_the_unfolded_tree() {
-        use crate::engine::PrivateBound;
         use crate::query::QueryOptions;
         use crate::testkit::{PruningAdversarialConfig, UniformConfig, Workload};
         let uniform = Workload::uniform(UniformConfig { entities: 300, ..Default::default() });
@@ -2179,12 +2169,10 @@ mod tests {
                         QueryOptions { use_level_constraints: false, ..Default::default() },
                     ] {
                         let run = |snapshot: &crate::snapshot::IndexSnapshot| {
-                            let mut executor =
-                                snapshot.executor(seq, Some(query), 5, &measure, options).unwrap();
-                            executor.run(&PrivateBound);
-                            executor.finish()
+                            snapshot.top_k_for_sequence(seq, Some(query), 5, &measure, options)
                         };
-                        let ((got, work), (expect, plain_work)) = (run(&folded), run(&plain));
+                        let ((got, work), (expect, plain_work)) =
+                            (run(&folded).unwrap(), run(&plain).unwrap());
                         let context = format!(
                             "{name}, round {round}, query {query}, {options:?}: checked {} vs {}",
                             work.entities_checked, plain_work.entities_checked

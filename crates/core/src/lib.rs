@@ -21,14 +21,13 @@
 //!
 //! ## The query engine
 //!
-//! Every tree search funnels through **one** resumable best-first executor
-//! ([`engine::Executor`]): a candidate frontier ordered by Theorem-4 upper bounds,
-//! per-level overlap caps tightened down each branch, and strict
-//! (tie-complete) k-th-best early termination (Section 5.1) against a
-//! pluggable [`engine::Bound`].  The executor is generic over a
-//! [`engine::TraceSource`] — where candidate degrees come from during leaf
-//! evaluation; [`kernel::ArenaSource`] scores from the snapshot's flat
-//! candidate arena (the exact path of [`IndexSnapshot::top_k`]).
+//! Every tree search funnels through **one** best-first search run to
+//! completion ([`engine`]): a candidate frontier ordered by Theorem-4 upper
+//! bounds, per-level overlap caps tightened down each branch, and strict
+//! (tie-complete) k-th-best early termination (Section 5.1).  Leaves are
+//! scored from the snapshot's flat candidate arena ([`kernel`]; the exact
+//! path of [`IndexSnapshot::top_k`] and
+//! [`IndexSnapshot::top_k_for_sequence`]).
 //!
 //! A sharded query ([`shard`]) opens no tree: its planner skips the shards
 //! a seeded threshold rules out and flat-scans every other one, reading
@@ -36,10 +35,10 @@
 //! ([`paged`], the Figure 7.6 path) the same scan reads finer cell rows
 //! through a `trace-storage` buffer pool, charging simulated I/O.
 //!
-//! The remaining query modules are thin drivers over the executor: [`join`]
+//! The remaining query modules are thin drivers over the search: [`join`]
 //! fans probe sets out over rayon ([`IndexSnapshot::top_k_batch`] /
 //! [`IndexSnapshot::top_k_join`]), and [`approximate`] scores LSH band
-//! collisions through the executor's shared [`engine::TopKHeap`].
+//! collisions through the search's shared [`engine::TopKHeap`].
 //!
 //! ## Snapshots and concurrency
 //!
@@ -134,12 +133,12 @@ pub mod tree;
 pub use approximate::{BandedIndex, BandingConfig};
 pub use config::{HasherMode, IndexConfig, PlannerConfig};
 pub use durable::{DurableShardedMinSigIndex, RecoveryReport};
-pub use engine::{Bound, Executor, PrivateBound, TopKHeap, TraceSource};
+pub use engine::TopKHeap;
 pub use error::{IndexError, Result};
 pub use index::MinSigIndex;
 pub use ingest::{IngestBuffer, IngestReport};
 pub use join::{JoinOptions, JoinRow, JoinStats};
-pub use kernel::{ArenaSource, CandidateArena, NodeArena, QueryView};
+pub use kernel::{CandidateArena, NodeArena, QueryView};
 pub use paged::PagedShardedSnapshot;
 pub use persist::INDEX_MAGIC;
 pub use plan::{BatchGroup, BatchPlan, PageEstimate, QueryPlan, ShardDecision, ShardPlan};

@@ -92,11 +92,10 @@
 use crate::config::PlannerConfig;
 use crate::drive::{self, ShardAccess};
 use crate::error::{IndexError, Result};
-use crate::index::MinSigIndex;
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::{CandidateArena, LevelCounts, QueryView, RowScratch};
 use crate::plan::{self, PageEstimate, QueryPlan};
-use crate::query::{Query, QueryOptions, TopKResult};
+use crate::query::{Query, TopKResult};
 use crate::shard::{shard_of, ShardedSnapshot};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::{KernelDispatch, QueryStats};
@@ -261,30 +260,6 @@ impl<'a> PagedArenaSource<'a> {
     }
 }
 
-impl MinSigIndex {
-    /// Answers one top-k query out of core: through a one-shard
-    /// [`PagedShardedSnapshot`] over this index's current snapshot, built for
-    /// this call and dropped after it — so the call writes the snapshot's
-    /// rows to `store`'s disk once, and frees them.  For more than one query,
-    /// build the session once
-    /// (`ShardedSnapshot::from(index.snapshot()).paged(store, pool)`) and
-    /// query it.
-    pub fn top_k_paged<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-        store: &PagedTraceStore,
-        pool: &BufferPool<'_>,
-        options: QueryOptions,
-    ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let snapshot = ShardedSnapshot::from(self.snapshot());
-        let answer =
-            snapshot.paged(store, pool).query(query, &Query { options, ..Query::new(k, measure) });
-        answer
-    }
-}
-
 impl ShardedSnapshot {
     /// Binds this snapshot to `store` and `pool` for out-of-core execution:
     /// every query path of the returned session reads candidates' finer rows
@@ -371,9 +346,9 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// Answers `query` for an indexed `entity`, every knob explicit — the
     /// paged counterpart of [`ShardedSnapshot::query`].
     ///
-    /// The admitted shard executors are interleaved on the calling thread
-    /// (see the [module docs](crate::paged) on why the fan-out is not
-    /// threaded); answers are the threaded schedule's, bit for bit.
+    /// The admitted shards are scanned one after another on the calling
+    /// thread (see the [module docs](crate::paged) on why the fan-out is not
+    /// threaded); answers and work are the threaded schedule's, bit for bit.
     pub fn query<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entity: EntityId,
@@ -396,11 +371,11 @@ impl<'a> PagedShardedSnapshot<'a> {
     }
 
     /// Answers `query` for every entity of a batch, every knob explicit.
-    /// Parallelism is over the queries; each query's admitted shard
-    /// executors are interleaved sequentially on its worker, sharing one
-    /// seeded bound per query (identical answers either way).  Unlike the
-    /// in-memory batch, every query is planned on its own: seeding reads
-    /// through the pool, so there is no position table to amortise.
+    /// Parallelism is over the queries; each query's admitted shards are
+    /// scanned one after another on its worker (identical answers either
+    /// way).  Unlike the in-memory batch, every query is planned on its own:
+    /// seeding reads through the pool, so there is no position table to
+    /// amortise.
     pub fn query_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entities: &[EntityId],
@@ -427,7 +402,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        let query = Query { options: options.query, ..Query::new(options.k, measure) };
+        let query = Query::new(options.k, measure);
         Ok(join_probes(probes, options.threads, |probe| {
             let view = self.view(probe).ok()?;
             let (matches, stats) = drive::run(&self.access(&view, probe), &query, false).ok()?;
@@ -576,7 +551,9 @@ mod tests {
     use super::*;
     use crate::config::IndexConfig;
     use crate::engine::{self, TraceSource};
+    use crate::index::MinSigIndex;
     use crate::kernel::ArenaSource;
+    use crate::query::QueryOptions;
     use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
     use trace_storage::{PoolConfig, PAGE_SIZE};
 
@@ -639,9 +616,6 @@ mod tests {
             let (mem, _) = index.top_k(query, 5, &measure).unwrap();
             let (out, stats) = paged.top_k(query, 5, &measure).unwrap();
             assert_eq!(mem, out, "query {query}: a one-shard session answers like the index");
-            let options = QueryOptions::default();
-            let (once, _) = index.top_k_paged(query, 5, &measure, &store, &pool, options).unwrap();
-            assert_eq!(mem, once, "query {query}: the one-call session too");
             total_misses += stats.pool_misses;
         }
         assert!(total_misses > 0, "cold pages must have been read at least once");
@@ -712,8 +686,7 @@ mod tests {
             assert!(matches!(result, Err(IndexError::UnknownQueryEntity(5))), "{path}: {result:?}");
         };
         unknown(index.top_k(ghost, 3, &measure), "top_k");
-        let options = QueryOptions::default();
-        unknown(index.top_k_paged(ghost, 3, &measure, &store, &pool, options), "top_k_paged");
+        unknown(one_shard(&index).paged(&store, &pool).top_k(ghost, 3, &measure), "one shard");
         unknown(snapshot.query(ghost, &query), "sharded query");
         unknown(snapshot.paged(&store, &pool).query(ghost, &query), "paged sharded query");
         assert_eq!(pool.stats().hits + pool.stats().misses, 0, "nothing was read");
@@ -831,7 +804,7 @@ mod tests {
     /// degree; its kernel dispatch against the in-memory source's, class by
     /// class; its per-query I/O counters against the pool's; and through the
     /// drive, answers and work against the in-memory query's and answers
-    /// against the oracle's executor.
+    /// against the tree search over the oracle.
     #[test]
     fn fused_source_matches_the_cell_sequence_oracle_and_counts_its_own_io() {
         let (sp, traces) = dataset(60);
@@ -890,9 +863,10 @@ mod tests {
             assert_eq!(out_stats.entities_checked, mem_stats.entities_checked, "query {query}");
             assert_eq!(out_stats.kernel_dispatch, mem_stats.kernel_dispatch, "query {query}");
             let sequence = shard.sequence(query).unwrap();
-            let request = Query::new(5, &measure);
+            let (request, options) = (Query::new(5, &measure), QueryOptions::default());
             let (owned, owned_stats) =
-                engine::execute(shard, sequence, Some(query), &request, &oracle(sequence)).unwrap();
+                engine::execute(shard, sequence, Some(query), &request, options, &oracle(sequence))
+                    .unwrap();
             assert_eq!(out, owned, "query {query}: rows must equal the oracle's bitwise");
             assert_eq!(owned_stats.kernel_dispatch.total(), 0, "the oracle counts no kernels");
             assert_eq!(pool.pinned_frames(), 0, "a paged query pins nothing");

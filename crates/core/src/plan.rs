@@ -163,7 +163,7 @@ pub struct ShardPlan {
     /// The synopsis upper bound on any member's degree against this query
     /// (`-inf` for an empty shard; never `+inf`).
     pub upper_bound: f64,
-    /// What the executor does with the shard.
+    /// What the drive does with the shard.
     pub decision: ShardDecision,
     /// Page-residency estimate; `None` only on in-memory plans.
     pub pages: Option<PageEstimate>,

@@ -3,11 +3,12 @@
 //! The best-first search itself (Algorithm 2, Section 5.1) lives in
 //! [`crate::engine`]; this module holds the vocabulary types shared by every
 //! query path — [`TopKResult`], [`QueryOptions`] and the one request value
-//! [`Query`].  Beyond `k` and the measure, a query has four settable values:
-//! the two pruning ablations of [`QueryOptions`] and the latency budget with
-//! its recall floor ([`PlannerConfig`]).  Everything else the sharded drive
-//! does — seeding, skipping, scanning, the driving order — is fixed,
-//! because none of it can change an exact answer.
+//! [`Query`].  A query sets three values: `k`, the measure and the latency
+//! budget with its recall floor ([`PlannerConfig`]).  Everything else the
+//! sharded drive does — seeding, skipping, scanning, the driving order — is
+//! fixed, because none of it can change an exact answer.  The two pruning
+//! ablations of [`QueryOptions`] belong to the unsharded tree search alone,
+//! which takes them beside the query.
 
 use crate::config::PlannerConfig;
 use crate::error::Result;
@@ -23,7 +24,11 @@ pub struct TopKResult {
     pub degree: f64,
 }
 
-/// Options controlling the search.
+/// The pruning ablations of the unsharded tree search
+/// ([`IndexSnapshot::top_k_with_options`](crate::snapshot::IndexSnapshot::top_k_with_options),
+/// [`top_k_for_sequence`](crate::snapshot::IndexSnapshot::top_k_for_sequence)
+/// and [`JoinOptions::query`](crate::join::JoinOptions::query)); a sharded
+/// query scans and has none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryOptions {
     /// Apply the per-level (depth-`d`) signature constraint in addition to the
@@ -42,20 +47,18 @@ impl Default for QueryOptions {
 }
 
 /// One top-k query as every stage of planning and execution sees it: the
-/// paper's `k` under an ADM, plus the two things a caller may ask of the
-/// search that answers it — the pruning ablations (`options`) and a latency
-/// budget (`planner`).
+/// paper's `k` under an ADM, plus the one thing a caller may ask of the
+/// search that answers it — a latency budget (`planner`).
 ///
-/// [`Query::new`] is what the `top_k` conveniences run; set fields for
-/// anything else and hand the value to [`ShardedSnapshot::query`] /
+/// [`Query::new`] is what the `top_k` conveniences run; set `planner` for a
+/// budget and hand the value to [`ShardedSnapshot::query`] /
 /// [`query_batch`](crate::shard::ShardedSnapshot::query_batch) (or their
 /// [`PagedShardedSnapshot`](crate::paged::PagedShardedSnapshot) twins).
 /// Exact planning — seed, skip, scan, driving order — and the schedule are
 /// not settable: each is answer-invariant and always on.  The query entity
-/// is an argument of the entry point, so one value serves a whole batch.  A
-/// single-tree search ([`Executor`](crate::engine::Executor)) reads `k`,
-/// `measure` and `options` only; a sharded query, which scans, reads every
-/// field but `options`.
+/// is an argument of the entry point, so one value serves a whole batch.
+/// The unsharded tree search reads `k` and `measure`, with its
+/// [`QueryOptions`] beside them.
 ///
 /// [`ShardedSnapshot::query`]: crate::shard::ShardedSnapshot::query
 #[derive(Debug)]
@@ -64,19 +67,15 @@ pub struct Query<'q, M: ?Sized> {
     pub k: usize,
     /// The association degree measure answers are ranked under.
     pub measure: &'q M,
-    /// The pruning ablations of the tree search (the unsharded index's; a
-    /// sharded query scans and does not read them).
-    pub options: QueryOptions,
     /// The latency budget the sharded planner may degrade under, and its
     /// recall floor.
     pub planner: PlannerConfig,
 }
 
 impl<'q, M: ?Sized> Query<'q, M> {
-    /// The exact top-`k` query under `measure`: every pruning constraint on,
-    /// no budget.
+    /// The exact top-`k` query under `measure`: no budget.
     pub fn new(k: usize, measure: &'q M) -> Self {
-        Query { k, measure, options: QueryOptions::default(), planner: PlannerConfig::default() }
+        Query { k, measure, planner: PlannerConfig::default() }
     }
 
     /// Rejects a budget no search can run under.

@@ -32,8 +32,8 @@
 //! and level-2 overlaps from its shard's postings and scores the members
 //! sharing no level-1 cell only while they can still enter its top k, so it
 //! rules out what a tree search would prune without walking a tree; the
-//! best-first tree search ([`IndexSnapshot::executor`]) is the unsharded
-//! index's.  A scan prunes against its own top k only, so neither answers
+//! best-first tree search ([`IndexSnapshot::top_k_for_sequence`]) is the
+//! unsharded index's.  A scan prunes against its own top k only, so neither answers
 //! nor work counters depend on the schedule.  Out of core
 //! ([`crate::paged`]) the same drive runs with every candidate read through
 //! a buffer pool.
@@ -373,7 +373,7 @@ impl ShardedSnapshot {
     }
 
     /// Answers a top-k query for an indexed entity with the default
-    /// [`Query`]: default options, no latency budget.
+    /// [`Query`]: no latency budget.
     pub fn top_k<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,
@@ -393,8 +393,7 @@ impl ShardedSnapshot {
     /// bit-identical** to the unsharded answer, boundary ties included (see
     /// the [module docs](crate::shard)).  The stats sum the per-shard scan
     /// work and report what planning did.  Only a latency budget
-    /// ([`PlannerConfig::latency_budget_us`]) can change an answer; the
-    /// tree's pruning ablations (`query.options`) are not read.
+    /// ([`PlannerConfig::latency_budget_us`]) can change an answer.
     pub fn query<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entity: EntityId,
@@ -501,14 +500,15 @@ impl ShardedSnapshot {
     /// parallel, with the same skip/ordering semantics as
     /// [`IndexSnapshot::top_k_join`]: unindexed probes are counted in
     /// [`JoinStats::skipped`], output preserves probe order, and sequential
-    /// and parallel evaluation return identical rows.
+    /// and parallel evaluation return identical rows.  A sharded join scans,
+    /// so the tree's pruning ablations ([`JoinOptions::query`]) are not read.
     pub fn top_k_join<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         probes: &[EntityId],
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        let query = Query { options: options.query, ..Query::new(options.k, measure) };
+        let query = Query::new(options.k, measure);
         Ok(join_probes(probes, options.threads, |probe| {
             let view = self.view(probe).ok()?;
             let (matches, stats) = drive::run(&self.access(&view, probe), &query, false).ok()?;

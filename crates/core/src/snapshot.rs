@@ -98,7 +98,7 @@ pub struct IndexSnapshot {
     /// [`publish`](Self::publish): equals [`CandidateArena::build`] over them.
     arena: CandidateArena,
     /// The flat node rows of the tree ([`crate::kernel::NodeArena`]): the
-    /// read-path-only SoA/CSR mirror of `tree` every executor expands
+    /// read-path-only SoA/CSR mirror of `tree` every tree search expands
     /// through.  Invariant, kept by [`publish`](Self::publish): equals
     /// [`NodeArena::build`] over `tree`.
     node_arena: NodeArena,
@@ -153,7 +153,7 @@ impl IndexSnapshot {
         &self.tree
     }
 
-    /// The hierarchical hasher: what the executor hashes query cells with,
+    /// The hierarchical hasher: what the tree search hashes query cells with,
     /// and where a rebuild reads the resolved hash range to pin.
     pub fn hasher(&self) -> &HierarchicalHasher<SeededHashFamily> {
         &self.hasher
@@ -206,7 +206,7 @@ impl IndexSnapshot {
 
     /// The flat node rows of this snapshot's tree (see
     /// [`crate::kernel::NodeArena`]) — the topology every
-    /// [`executor`](Self::executor) expands through.
+    /// [`top_k_for_sequence`](Self::top_k_for_sequence) expands through.
     pub fn node_arena(&self) -> &NodeArena {
         &self.node_arena
     }
@@ -447,8 +447,8 @@ impl IndexSnapshot {
     }
 
     /// Answers a top-k query for an arbitrary (possibly external) query
-    /// sequence through the shared best-first executor over an in-memory
-    /// source.
+    /// sequence through the best-first tree search over the snapshot's
+    /// candidate arena.
     pub fn top_k_for_sequence<M: AssociationMeasure + ?Sized>(
         &self,
         query: &CellSetSequence,
@@ -459,40 +459,15 @@ impl IndexSnapshot {
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let view = QueryView::new(query);
         let source = ArenaSource::new(&self.arena, &view);
-        let request = Query { options, ..Query::new(k, measure) };
-        let (results, mut stats) = engine::execute(self, query, exclude, &request, &source)?;
+        let (results, mut stats) =
+            engine::execute(self, query, exclude, &Query::new(k, measure), options, &source)?;
         stats.kernel_dispatch.absorb(source.take_dispatch());
         Ok((results, stats))
     }
 
-    /// Builds a **resumable** best-first executor over this snapshot's tree
-    /// and in-memory sequences, its frontier seeded at the root.
-    ///
-    /// The caller drives the returned [`Executor`](engine::Executor) in
-    /// quanta via [`step`](engine::Executor::step), under a
-    /// [`Bound`](engine::Bound) of its choosing.  Driving it to exhaustion
-    /// under an inert bound reproduces
-    /// [`top_k_for_sequence`](Self::top_k_for_sequence) exactly.
-    pub fn executor<'a, M: AssociationMeasure + ?Sized>(
-        &'a self,
-        query: &'a CellSetSequence,
-        exclude: Option<EntityId>,
-        k: usize,
-        measure: &'a M,
-        options: QueryOptions,
-    ) -> Result<engine::Executor<'a, ArenaSource<'a>, M>> {
-        engine::Executor::new(
-            self,
-            query,
-            exclude,
-            &Query { options, ..Query::new(k, measure) },
-            ArenaSource::owning(&self.arena, query),
-        )
-    }
-
     /// Ground-truth brute force over the indexed sequences (used by tests,
     /// baselines and the experiment harness); shares its top-k selection with
-    /// the executor's leaf evaluation.
+    /// the tree search's leaf evaluation.
     pub fn brute_force<M: AssociationMeasure + ?Sized>(
         &self,
         query: EntityId,

@@ -14,9 +14,9 @@ use trace_model::kernel::KernelClass;
 /// per level up to and including the first empty one; the finer levels of
 /// such a pair are not intersected and not counted), and the hot loop
 /// carries no atomic or branch overhead.  Only the arena-backed paths (flat
-/// scans, [`ArenaSource`](crate::kernel::ArenaSource)-driven tree executors
-/// and the arena-backed paged source) count; owned-map fallback paths do
-/// not, so on mixed plans the totals cover the flat portion of the work.
+/// scans, the unsharded tree search's leaf evaluation and the arena-backed
+/// paged source) count; owned-map fallback paths do not, so on mixed plans
+/// the totals cover the flat portion of the work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelDispatch {
     /// Intersections taken by the branch-free tiny-set loop (both sides ≤
@@ -157,10 +157,9 @@ impl DegradationReport {
 }
 
 /// Statistics of one top-k query (Definition 5 and the complement convention used
-/// throughout the experiment harness), instrumented down to the executor's
-/// frontier: how many subtrees were visited, how many were pruned by the
-/// active [`Bound`](crate::engine::Bound), and how often this search raised
-/// it.
+/// throughout the experiment harness), instrumented down to the tree
+/// search's frontier: how many subtrees were visited and how many were
+/// pruned against the k-th-best degree.
 ///
 /// On a sharded query the counters are the **sums over every per-shard
 /// scan** plus the planner's seeding.  A sharded query opens no tree, so its
@@ -186,18 +185,15 @@ pub struct QueryStats {
     /// Entities whose exact association degree was computed (`|E'|`).
     pub entities_checked: usize,
     /// Candidate subtrees discarded because their upper bound could no longer
-    /// beat the best known k-th degree (local or shared) — work the bound
-    /// saved.  Every queued candidate is eventually counted either here or in
+    /// beat the best known k-th degree — work the bound saved.  Every queued candidate is eventually counted either here or in
     /// [`nodes_visited`](Self::nodes_visited).
     pub subtrees_pruned: usize,
-    /// Times this search *raised* the bound it was executing under (always 0
-    /// under the inert [`PrivateBound`](crate::engine::PrivateBound), and on
-    /// sharded queries, which open no tree).
+    /// Always 0: no search shares a bound it could raise.  The field stays
+    /// only because the benchmark harness still reports it.
     pub bound_updates: u64,
-    /// Resumable-frontier quanta executed ([`Executor::step`] calls that did
-    /// work; a run-to-completion search counts its single sweep as 1).
-    ///
-    /// [`Executor::step`]: crate::engine::Executor::step
+    /// Tree searches run: 1 for an unsharded query with `k > 0` (the search
+    /// runs to completion in one sweep), 0 for `k = 0` and for sharded
+    /// queries, which open no tree.
     pub steps: usize,
     /// Shards the query planner proved could not contribute to the top-k and
     /// therefore never opened (sharded planned queries only; see

@@ -230,18 +230,17 @@ impl Default for StreamConfig {
     }
 }
 
-/// Configuration of [`Workload::pruning_adversarial`] — the workload that
-/// makes cross-shard bound sharing matter most (and least).
+/// Configuration of [`Workload::pruning_adversarial`] — the workload on
+/// which a high k-th-degree threshold matters most (and least).
 ///
 /// A *hot* clique of high-overlap entities is planted so that **every** hot
 /// id routes to one single shard under [`shard_of`](crate::shard::shard_of)
 /// with `num_shards` shards; a *cold* background of weakly-associated
-/// entities fills the remaining shards.  Querying a hot entity is the shared
-/// bound's best case: the hot shard saturates the global k-th degree almost
-/// immediately, and every cold shard should prune its whole tree against the
-/// published bound instead of grinding to its own (far lower) local
-/// threshold.  Querying a cold entity is the worst case: all thresholds stay
-/// low and sharing buys little — the overhead side of the trade.
+/// entities fills the remaining shards.  Querying a hot entity is the best
+/// case: the seeded threshold is the clique's degree almost at once, so the
+/// planner skips every cold shard, and the unsharded tree search prunes
+/// nearly every cold subtree.  Querying a cold entity is the worst case: the
+/// threshold stays low, nothing is skipped and little is pruned.
 #[derive(Debug, Clone)]
 pub struct PruningAdversarialConfig {
     /// The shard count the hot clique is aimed at: all hot entity ids route
@@ -372,8 +371,8 @@ pub struct DeadlineAdversarialConfig {
     /// clique query is real but strictly below every clique partner's (the
     /// private cell keeps the Dice ratio under its ceiling), so the exact
     /// top-k is untouched — yet their distinct signatures fan the shard's
-    /// tree into many small leaves, which is what gives a deadline-driven
-    /// executor fine-grained abandon points.  Requires
+    /// tree into many small leaves, and the shard's scan many members to
+    /// score after its deadline.  Requires
     /// `itinerary_steps >= 4` when non-zero.
     pub chaff_entities: u64,
     /// The hierarchy to generate over.
@@ -581,8 +580,8 @@ impl Workload {
     /// their degrees distinct-but-high); each cold entity touches exactly one
     /// itinerary cell, so its association with a hot query is weak but
     /// non-zero, and gets its own noise cells.  See
-    /// [`PruningAdversarialConfig`] for how the best/worst cases of the
-    /// shared bound are exercised.
+    /// [`PruningAdversarialConfig`] for how the best/worst cases of a high
+    /// threshold are exercised.
     pub fn pruning_adversarial(config: PruningAdversarialConfig) -> (Workload, Vec<EntityId>) {
         assert!(config.num_shards > 0, "the hot clique needs a shard to live in");
         assert!(config.hot_entities >= 2, "a clique of one has no associations");

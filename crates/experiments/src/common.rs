@@ -1,6 +1,6 @@
 //! Shared measurement helpers used by the per-figure runners.
 
-use minsig::{IndexConfig, MinSigIndex, QueryOptions};
+use minsig::{IndexConfig, MinSigIndex};
 use mobility::SynDataset;
 use serde::{Deserialize, Serialize};
 use trace_model::{AssociationMeasure, EntityId};
@@ -28,23 +28,10 @@ pub fn average_pe<M: AssociationMeasure + ?Sized>(
     k: usize,
     measure: &M,
 ) -> PeMeasurement {
-    average_pe_with_options(index, queries, k, measure, QueryOptions::default())
-}
-
-/// As [`average_pe`] but with explicit query options (used by the ablations).
-pub fn average_pe_with_options<M: AssociationMeasure + ?Sized>(
-    index: &MinSigIndex,
-    queries: &[EntityId],
-    k: usize,
-    measure: &M,
-    options: QueryOptions,
-) -> PeMeasurement {
     let mut out = PeMeasurement::default();
     let mut count = 0usize;
     for &query in queries {
-        let Ok((_, stats)) = index.top_k_with_options(query, k, measure, options) else {
-            continue;
-        };
+        let Ok((_, stats)) = index.top_k(query, k, measure) else { continue };
         out.pruning_effectiveness += stats.pruning_effectiveness();
         out.fraction_checked += stats.fraction_checked();
         out.entities_checked += stats.entities_checked as f64;

@@ -11,8 +11,8 @@
 //! The pool keeps a frame table (resident pages plus their pin counts) and
 //! delegates victim selection to a [`Replacer`] chosen by
 //! [`PoolConfig::replacer`] (LRU-K; see [`crate::replacer`]).  A frame with a
-//! positive pin count is **never evicted**: query executors pin the pages
-//! they re-read across scheduling quanta (the RAII [`PinnedPages`] guard) and
+//! positive pin count is **never evicted**: a caller pins the pages it must
+//! keep resident (the RAII [`PinnedPages`] guard; queries pin nothing) and
 //! the pool overcommits its budget rather than drop a pinned frame when
 //! everything resident is pinned.
 //!
@@ -398,9 +398,8 @@ impl<'d> BufferPool<'d> {
 
 /// RAII pins over a set of pages: every page stays resident for the guard's
 /// lifetime and all pins are released on drop.  Obtained from
-/// [`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace); the
-/// paged query paths hold one of these across all executor `step` quanta and
-/// drop it when the query finishes.
+/// [`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace); its
+/// holder drops it when it no longer needs the pages resident.
 #[derive(Debug)]
 pub struct PinnedPages<'p, 'd> {
     pool: &'p BufferPool<'d>,

@@ -3,10 +3,10 @@
 //! The pool separates *what* is cached (its frame table) from *who* goes next
 //! (the [`Replacer`]).  A replacer tracks the access history of resident pages
 //! and, on demand, names a victim among the frames the pool has marked
-//! evictable — a frame pinned by a running query is never offered up, so an
-//! executor holding a pin across [`step`](../../minsig/engine/struct.Executor.html)
-//! quanta can rely on the page staying resident however the eviction policy
-//! behaves.
+//! evictable — a frame pinned through
+//! [`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace) (or the
+//! pool's own `pin_pages`) is never offered up, so its holder can rely on the
+//! page staying resident however the eviction policy behaves.
 //!
 //! One policy ships, `LruKReplacer` — classic LRU-K: the victim is the
 //! evictable page with the largest *backward k-distance* (the age of its k-th
@@ -66,9 +66,8 @@ pub enum ReplacerPolicy {
 }
 
 impl Default for ReplacerPolicy {
-    /// LRU-2: scan-resistant (one streaming sweep cannot flush the pages the
-    /// executors re-read every quantum), at the cost of one extra timestamp
-    /// per frame.
+    /// LRU-2: scan-resistant (one streaming sweep cannot flush the pages
+    /// every query re-reads), at the cost of one extra timestamp per frame.
     fn default() -> Self {
         ReplacerPolicy::LruK(2)
     }

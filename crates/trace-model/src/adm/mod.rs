@@ -56,14 +56,14 @@ pub trait AssociationMeasure: Send + Sync {
     /// [`upper_bound_into`](AssociationMeasure::upper_bound_into) that owns
     /// its scratch; the two always agree bitwise.  A measure with a tighter
     /// bound of its own overrides `upper_bound_into` — that is the form the
-    /// executor calls — and leaves this wrapper alone.
+    /// tree search calls — and leaves this wrapper alone.
     fn upper_bound(&self, query_sizes: &[usize], overlap_caps: &[usize]) -> f64 {
         self.upper_bound_into(query_sizes, overlap_caps, &mut LevelOverlap::default())
     }
 
     /// [`upper_bound`](AssociationMeasure::upper_bound) over a caller-owned
     /// `scratch` (cleared first, so its previous content is irrelevant) — the
-    /// allocation-free form the tree executor calls once per frontier child.
+    /// allocation-free form the tree search calls once per frontier child.
     ///
     /// The default implementation instantiates the artificial entity of
     /// Theorem 4: overlap equal to the cap and own size equal to the cap (the

@@ -13,15 +13,13 @@
 //! * [`storage`] — the paged storage substrate (external sort, buffer pool);
 //! * [`experiments`] — the harness regenerating every figure of the paper.
 //!
-//! ## Architecture: one executor, many drivers
+//! ## Architecture: one search, many drivers
 //!
 //! Every tree search — the unsharded index's exact, join and batch queries —
-//! runs through a single **resumable** best-first executor
-//! (`minsig::engine::Executor`; the flat scans and the approximate path
-//! share its top-k selection), parameterised over a `TraceSource` that says
-//! where a candidate's degree comes from during leaf evaluation
-//! (`ArenaSource` scores from the index snapshot's flat candidate arena) and
-//! over a `Bound` — the k-th-degree threshold candidates must beat.  The
+//! runs a single best-first search to completion (`minsig::engine`; the flat
+//! scans and the approximate path share its top-k selection), scoring leaves
+//! from the index snapshot's flat candidate arena and stopping once no
+//! subtree left can beat its own k-th-best degree.  The
 //! sharded index opens no tree: its planner skips the shards a seeded
 //! threshold rules out and flat-scans every other one, reading level-1 and
 //! level-2 overlaps from the shard's postings, in memory or out of core
@@ -98,7 +96,7 @@ pub mod harness {
 
 pub use minsig::{
     IndexConfig, IndexSnapshot, JoinOptions, MinSigIndex, PlannerConfig, Query, QueryOptions,
-    QueryPlan, QueryStats, ShardedMinSigIndex, ShardedSnapshot, Synopsis, TopKResult, TraceSource,
+    QueryPlan, QueryStats, ShardedMinSigIndex, ShardedSnapshot, Synopsis, TopKResult,
 };
 pub use trace_model::{
     AssociationMeasure, DiceAdm, DigitalTrace, EntityId, JaccardAdm, PaperAdm, Period,

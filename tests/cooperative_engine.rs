@@ -1,56 +1,15 @@
-//! The resumable executor and the cold fan-out from the outside: stepping
-//! the unsharded best-first search is answer- and work-invariant at any
-//! quantum, and a cold sharded fan-out (no seed, every shard scanned) never
-//! changes answers, on either schedule.
+//! The cold fan-out from the outside: a sharded query that seeds nothing and
+//! scans every shard never changes answers, on either schedule.
 //!
 //! The cold fan-out is built from data, not from a setting: an index whose
 //! synopses hold no sketch plans every query unseeded, skips nothing and
 //! scans every shard.
 
-use digital_traces::index::engine::PrivateBound;
 use digital_traces::index::testkit::{
-    assert_equivalent_answers, PruningAdversarialConfig, UniformConfig, Workload,
+    assert_equivalent_answers, PruningAdversarialConfig, Workload,
 };
-use digital_traces::index::{IndexConfig, Query, QueryOptions, QueryStats, ShardedMinSigIndex};
+use digital_traces::index::{IndexConfig, Query, QueryStats, ShardedMinSigIndex};
 use digital_traces::EntityId;
-
-/// Stepping an [`Executor`](digital_traces::index::Executor) with any quantum
-/// reproduces the one-shot search exactly: same answers bitwise, same work
-/// counters — resumability is free.
-#[test]
-fn stepped_execution_matches_one_shot() {
-    let w = Workload::uniform(UniformConfig { entities: 48, visits: 5, ..Default::default() });
-    let index = w.build_index(IndexConfig::with_hash_functions(24));
-    let measure = w.measure();
-    let snapshot = index.snapshot();
-    for query in [0u64, 7, 23, 41] {
-        let query = EntityId(query);
-        let (expect, expect_stats) = index.top_k(query, 5, &measure).unwrap();
-        for quantum in [1usize, 3, 17, usize::MAX] {
-            let seq = snapshot.sequence(query).unwrap();
-            let mut executor =
-                snapshot.executor(seq, Some(query), 5, &measure, QueryOptions::default()).unwrap();
-            while executor.step(&PrivateBound, quantum) {
-                assert!(!executor.is_exhausted());
-            }
-            assert!(executor.is_exhausted());
-            assert!(!executor.step(&PrivateBound, quantum), "exhausted executors stay exhausted");
-            let (got, stats) = executor.finish();
-            assert_eq!(got, expect, "quantum {quantum}, query {query}");
-            assert_eq!(stats.nodes_visited, expect_stats.nodes_visited, "quantum {quantum}");
-            assert_eq!(stats.leaves_visited, expect_stats.leaves_visited, "quantum {quantum}");
-            assert_eq!(stats.entities_checked, expect_stats.entities_checked);
-            assert_eq!(stats.subtrees_pruned, expect_stats.subtrees_pruned);
-            assert_eq!(stats.bound_updates, 0, "a private bound accepts nothing");
-            if quantum == 1 {
-                assert!(
-                    stats.steps >= stats.nodes_visited,
-                    "quantum 1 pays one step per visited node"
-                );
-            }
-        }
-    }
-}
 
 /// A sharded index whose synopses hold no sketch: every query fans out cold.
 fn sketchless(w: &Workload, nh: u32, shards: usize) -> ShardedMinSigIndex {

@@ -1,9 +1,10 @@
 //! Concurrency contract of the unified query engine: N threads querying one
 //! `Arc<IndexSnapshot>` produce results identical to sequential execution,
-//! batch evaluation equals per-entity evaluation, snapshots are isolated
-//! from subsequent updates on the index handle, and a sharded fan-out's scan
-//! jobs answer and count the same on the workers as on the caller's thread —
-//! the whole `QueryStats` work record, not only the answer.
+//! batch and join evaluation equal per-entity evaluation, snapshots are
+//! isolated from subsequent updates on the index handle, and a sharded
+//! fan-out's scan jobs answer and count the same on the workers as on the
+//! caller's thread — on every path the whole `QueryStats` work record, not
+//! only the answer.
 
 use digital_traces::index::testkit::{
     PlannerDispersedConfig, PruningAdversarialConfig, UniformConfig, Workload,
@@ -117,12 +118,23 @@ fn batch_and_parallel_join_match_sequential_join_exactly() {
         .unwrap();
     let batch = snapshot.top_k_batch(&probes, 4, &measure).unwrap();
 
+    assert_eq!(seq_rows.len(), probes.len(), "every probe is indexed");
     assert_eq!(seq_rows.len(), par_rows.len());
     assert_eq!(seq_rows.len(), batch.len());
-    for ((s, p), (b, _)) in seq_rows.iter().zip(par_rows.iter()).zip(batch.iter()) {
+    for ((s, p), (b, b_stats)) in seq_rows.iter().zip(par_rows.iter()).zip(batch.iter()) {
+        let ctx = format!("probe {}", s.probe);
         assert_eq!(s.probe, p.probe);
         assert_same_results(&s.matches, &p.matches, "join parallel vs sequential");
         assert_same_results(&s.matches, b, "batch vs sequential join");
+        let (single, single_stats) = snapshot.top_k(s.probe, 4, &measure).unwrap();
+        assert_eq!(single, s.matches, "{ctx}: per-probe top_k vs sequential join");
+        // The whole work record, not only the answer, is the same on every
+        // schedule: one tree search run to completion, no bound shared.
+        let expect = work(&single_stats);
+        assert_eq!(work(&s.stats), expect, "{ctx}: sequential join");
+        assert_eq!(work(&p.stats), expect, "{ctx}: parallel join");
+        assert_eq!(work(b_stats), expect, "{ctx}: batch");
+        assert_eq!((expect.steps, expect.bound_updates), (1, 0), "{ctx}");
     }
 }
 
@@ -260,8 +272,7 @@ proptest! {
                 prop_assert!((b.degree - s.degree).abs() < 1e-15);
             }
             // Work accounting is deterministic too, not just the answers.
-            prop_assert_eq!(stats.entities_checked, single_stats.entities_checked);
-            prop_assert_eq!(stats.nodes_visited, single_stats.nodes_visited);
+            prop_assert_eq!(work(stats), work(&single_stats));
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The executor's frontier does not allocate per node: a tree search over a
+//! The tree search's frontier does not allocate per node: a tree search over a
 //! 5 000-entity index performs fewer heap allocations than a tenth of the
 //! nodes it visits.
 //!
@@ -12,7 +12,6 @@
 //! The counter is per thread, so the harness's own threads cannot disturb it;
 //! this file holds one test for the same reason.
 
-use digital_traces::index::engine::PrivateBound;
 use digital_traces::index::testkit::{HierarchySpec, UniformConfig, Workload};
 use digital_traces::index::{IndexConfig, QueryOptions};
 use digital_traces::EntityId;
@@ -70,17 +69,13 @@ fn a_warmed_tree_search_allocates_far_less_than_once_per_node() {
     let measure = w.measure();
     let query = EntityId(1_234);
     let seq = snapshot.sequence(query).expect("the query entity is indexed");
-    let search = || {
-        let mut executor =
-            snapshot.executor(seq, Some(query), 10, &measure, QueryOptions::default()).unwrap();
-        executor.run(&PrivateBound);
-        executor.finish()
-    };
+    let search =
+        || snapshot.top_k_for_sequence(seq, Some(query), 10, &measure, QueryOptions::default());
 
     // Warm whatever the first search initialises lazily, then count one.
-    let (warm_answers, _) = search();
+    let (warm_answers, _) = search().unwrap();
     let before = ALLOCATIONS.with(Cell::get);
-    let (answers, stats) = search();
+    let (answers, stats) = search().unwrap();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
 
     assert_eq!(answers, warm_answers);

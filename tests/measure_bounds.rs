@@ -1,5 +1,5 @@
 //! `AssociationMeasure::upper_bound_into` — the allocation-free bound the
-//! executor calls once per frontier child — is bitwise the bound it replaced:
+//! tree search calls once per frontier child — is bitwise the bound it replaced:
 //! for every measure of the family, over arbitrary query sizes and caps
 //! (caps above the sizes, zeros, a single level), it equals both its
 //! `upper_bound` wrapper and the original formulation (Theorem 4's artificial
@@ -71,7 +71,7 @@ proptest! {
             prop_assert_eq!(into.to_bits(), reference.to_bits(),
                 "{}: into {} vs reference {}", measure.name(), into, reference);
             prop_assert_eq!(scratch.num_levels(), sizes.len());
-            // Through a reference, as the executor holds its measure.
+            // Through a reference, as the tree search holds its measure.
             let by_ref = (&measure.as_ref()).upper_bound_into(&sizes, &caps, &mut scratch);
             prop_assert_eq!(by_ref.to_bits(), into.to_bits());
         }

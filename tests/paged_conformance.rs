@@ -18,7 +18,7 @@ use digital_traces::index::testkit::{
     Workload,
 };
 use digital_traces::index::{
-    IndexConfig, JoinOptions, PlannerConfig, Query, QueryStats, ShardedMinSigIndex,
+    IndexConfig, JoinOptions, PlannerConfig, Query, QueryStats, ShardedMinSigIndex, ShardedSnapshot,
 };
 use digital_traces::mobility_models::{SynConfig, SynDataset};
 use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, ReplacerPolicy, PAGE_SIZE};
@@ -303,9 +303,9 @@ fn unreadable_candidates_are_counted_and_lower_the_recall_estimate() {
     assert!(out.iter().all(|r| !dropped.contains(&r.entity)));
     assert_eq!(pool.pinned_frames(), 0);
 
-    // The single-tree path reports the same way.
-    let (_, stats) =
-        unsharded.top_k_paged(query, k, &measure, &store, &pool, Default::default()).unwrap();
+    // A one-shard session over the unsharded index reports the same way.
+    let one_shard = ShardedSnapshot::from(unsharded.snapshot());
+    let (_, stats) = one_shard.paged(&store, &pool).top_k(query, k, &measure).unwrap();
     assert_eq!(stats.candidates_unreadable, dropped.len());
     assert!(stats.recall_estimate < 1.0);
 

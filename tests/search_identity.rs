@@ -1,6 +1,6 @@
 //! The tree search as a fixed point: for three fixed `testkit` (workload
 //! seed, query) triples, the answers (entities and degree bits) and every
-//! deterministic work counter of the exact executor are pinned.  The answers
+//! deterministic work counter of the exact tree search are pinned.  The answers
 //! are the values recorded on the commit *before* the frontier and the
 //! candidate arena were re-laid (entity-major rows, slab-backed caps, dense
 //! query-hash table) and have never been edited.  A layout change may make
@@ -13,14 +13,13 @@
 //! level constraints a folded entity is scored where its chain would have
 //! been pruned two levels down (checked 33 → 47).
 //!
-//! Each case runs under step quantum 1 and `usize::MAX` (only `steps` may
-//! differ between the two) and under the three bound ablations of
+//! The search runs to completion through `top_k_for_sequence`, so `steps`
+//! is 1.  Each case runs under the three bound ablations of
 //! [`QueryOptions`].  The three cases cover the three regimes: nothing
 //! prunes (uniform), almost everything prunes (a hot query on the skewed
 //! population) and pruning that depends on the option set (a cold query on
 //! the same population).
 
-use digital_traces::index::engine::PrivateBound;
 use digital_traces::index::testkit::{PruningAdversarialConfig, UniformConfig, Workload};
 use digital_traces::index::{IndexConfig, QueryOptions};
 use digital_traces::EntityId;
@@ -28,8 +27,8 @@ use digital_traces::EntityId;
 const K: usize = 5;
 
 /// `(nodes_visited, leaves_visited, subtrees_pruned, entities_checked,
-/// steps at quantum 1, steps at quantum usize::MAX)`.
-type Counters = (usize, usize, usize, usize, usize, usize);
+/// steps)`.
+type Counters = (usize, usize, usize, usize, usize);
 
 struct Pinned {
     /// `(entity, degree.to_bits())` in rank order; the same under every
@@ -52,27 +51,24 @@ fn check(name: &str, workload: &Workload, query: EntityId, pinned: &Pinned) {
     let measure = workload.measure();
     let seq = snapshot.sequence(query).expect("the query entity is indexed");
     for (options, expect) in OPTION_SETS.into_iter().zip(pinned.counters) {
-        for (quantum, expect_steps) in [(1usize, expect.4), (usize::MAX, expect.5)] {
-            let mut executor = snapshot.executor(seq, Some(query), K, &measure, options).unwrap();
-            while executor.step(&PrivateBound, quantum) {}
-            let (answers, stats) = executor.finish();
-            let context = format!("{name}, {options:?}, quantum {quantum}");
-            let got: Vec<(u64, u64)> =
-                answers.iter().map(|r| (r.entity.raw(), r.degree.to_bits())).collect();
-            assert_eq!(got, pinned.answers, "answers moved: {context}");
-            assert_eq!(
-                (
-                    stats.nodes_visited,
-                    stats.leaves_visited,
-                    stats.subtrees_pruned,
-                    stats.entities_checked,
-                    stats.steps,
-                ),
-                (expect.0, expect.1, expect.2, expect.3, expect_steps),
-                "(nodes_visited, leaves_visited, subtrees_pruned, entities_checked, steps) \
-                 moved: {context}"
-            );
-        }
+        let (answers, stats) =
+            snapshot.top_k_for_sequence(seq, Some(query), K, &measure, options).unwrap();
+        let context = format!("{name}, {options:?}");
+        let got: Vec<(u64, u64)> =
+            answers.iter().map(|r| (r.entity.raw(), r.degree.to_bits())).collect();
+        assert_eq!(got, pinned.answers, "answers moved: {context}");
+        assert_eq!(
+            (
+                stats.nodes_visited,
+                stats.leaves_visited,
+                stats.subtrees_pruned,
+                stats.entities_checked,
+                stats.steps,
+            ),
+            expect,
+            "(nodes_visited, leaves_visited, subtrees_pruned, entities_checked, steps) \
+             moved: {context}"
+        );
     }
 }
 
@@ -105,7 +101,7 @@ fn uniform_population_search_is_pinned() {
                 (362, 4583699363600156965),
                 (382, 4581125878098802395),
             ],
-            counters: [(502, 395, 0, 399, 502, 1); 3],
+            counters: [(502, 395, 0, 399, 1); 3],
         },
     );
 }
@@ -125,7 +121,7 @@ fn skewed_population_hot_query_search_is_pinned() {
                 (48, 4607182418800017408),
                 (60, 4607182418800017408),
             ],
-            counters: [(19, 10, 78, 16, 20, 1), (19, 10, 78, 16, 20, 1), (82, 38, 303, 47, 83, 1)],
+            counters: [(19, 10, 78, 16, 1), (19, 10, 78, 16, 1), (82, 38, 303, 47, 1)],
         },
     );
 }
@@ -146,11 +142,7 @@ fn skewed_population_cold_query_search_is_pinned() {
                 (31, 4585925428558828669),
                 (40, 4585925428558828669),
             ],
-            counters: [
-                (720, 561, 5, 610, 721, 1),
-                (725, 566, 0, 615, 725, 1),
-                (725, 566, 0, 615, 725, 1),
-            ],
+            counters: [(720, 561, 5, 610, 1), (725, 566, 0, 615, 1), (725, 566, 0, 615, 1)],
         },
     );
 }

@@ -131,11 +131,10 @@ fn heavy_readers_race_per_shard_flushes_without_torn_epochs() {
 }
 
 /// The out-of-core variant: N readers drive **paged** sharded queries — every
-/// candidate trace read through one shared tight [`BufferPool`], pins held
-/// across executor step quanta — while the flusher keeps publishing new
-/// epochs.  Every answer must match the brute-force oracle of the *same*
-/// snapshot bit-for-bit, and when the dust settles no frame may be left
-/// pinned (the "no torn pins" invariant).
+/// candidate's rows read through one shared tight [`BufferPool`] — while the
+/// flusher keeps publishing new epochs.  Every answer must match the
+/// brute-force oracle of the *same* snapshot bit-for-bit, and when the dust
+/// settles no frame may be left pinned (the "no torn pins" invariant).
 ///
 /// The stream is configured to touch **only new entities**, with a disjoint
 /// id range per flush, so a trace store built up-front over the base
