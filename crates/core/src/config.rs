@@ -83,45 +83,41 @@ impl IndexConfig {
     }
 }
 
-/// The latency budget of the sharded query planner ([`crate::plan`]).
+/// The latency budget of a sharded query.
 ///
-/// Exact planning has no knobs: the planner always consumes the per-shard
+/// Planning has no knobs: the planner always consumes the per-shard
 /// [`Synopsis`](crate::synopsis::Synopsis) to seed a threshold and skip
 /// shards **before** any scan, and none of that can change an answer —
 /// seeding and skipping rest on strict-inequality certificates, and every
 /// admitted shard's flat scan is exact (`tests/planner_conformance.rs`
-/// proptests this).
+/// proptests this).  The budget does not enter the plan at all: a budgeted
+/// query is planned exactly like an unbudgeted one.
 ///
-/// The budget is different: setting
-/// [`latency_budget_us`](Self::latency_budget_us) authorises the planner to
-/// *degrade* — to answer shards whose exact cost does not fit the budget by
-/// a deterministic sampled scan ([`ShardDecision::ApproximateScan`]) and to
-/// downgrade still-unstarted shards when the per-query deadline expires
-/// mid-flight.  Degradation is never silent ([`QueryStats::degradation`]
-/// reports exactly what was sampled), never exceeds
-/// [`recall_floor`](Self::recall_floor) in expectation, and **never occurs
-/// when the exact plan fits the budget** — with an unset (or non-binding)
-/// budget every answer stays bitwise identical to the unbudgeted plan
-/// (`tests/deadline_conformance.rs` proptests this).
+/// The budget is a deadline.  Setting
+/// [`latency_budget_us`](Self::latency_budget_us) authorises the drive to
+/// *degrade* — a shard whose scan is picked up after the deadline is
+/// answered by a deterministic sampled scan at its
+/// [`recall_floor`](Self::recall_floor) rate instead.  Degradation is never
+/// silent ([`QueryStats::degradation`] reports exactly what was sampled),
+/// never samples below the floor's expected recall, and never touches a
+/// scan started before the deadline — a query that finishes within its
+/// budget answers bitwise like the unbudgeted one
+/// (`tests/deadline_conformance.rs` proptests this with a budget no query
+/// reaches).
 ///
-/// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
 /// [`QueryStats::degradation`]: crate::stats::QueryStats::degradation
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannerConfig {
-    /// Per-query latency budget in microseconds; `None` (the default) turns
-    /// all deadline machinery off — planning and execution are exactly the
-    /// unbudgeted paths.  `Some(b)` makes the planner cost the exact plan
-    /// (measured ns/degree × shard populations, plus cold-page I/O out of
-    /// core) and downgrade the least promising shards to sampled scans until
-    /// the estimate fits `b`; execution then enforces `b` as a hard deadline,
-    /// downgrading any shard the clock overtakes.
+    /// Per-query latency budget in microseconds, measured from before
+    /// planning; `None` (the default) has no deadline — every scan is exact.
+    /// `Some(b)` makes `b` a deadline: a shard whose scan is picked up after
+    /// it is sampled instead (see [`recall_floor`](Self::recall_floor)).
     pub latency_budget_us: Option<u64>,
-    /// The lowest expected recall a budget-forced sampled scan may be planned
-    /// at (per shard): the planner never picks a sample rate whose
-    /// `Synopsis::expected_scan_recall` falls below this floor, even when
-    /// the budget asks for less work.  Irrelevant while
-    /// [`latency_budget_us`](Self::latency_budget_us) is `None`.  Must lie in
-    /// `[0, 1]`.
+    /// The expected recall a shard sampled past the deadline is scanned at:
+    /// its rate is the smallest whose `Synopsis::expected_scan_recall` meets
+    /// this floor, and a shard that needs rate 1.0 for it stays exact.
+    /// Irrelevant while [`latency_budget_us`](Self::latency_budget_us) is
+    /// `None`.  Must lie in `[0, 1]`.
     pub recall_floor: f64,
 }
 

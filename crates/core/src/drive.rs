@@ -19,7 +19,7 @@
 
 use crate::engine;
 use crate::error::{IndexError, Result};
-use crate::plan::{self, PageEstimate, QueryPlan, ShardDecision};
+use crate::plan::{self, QueryPlan, ShardDecision};
 use crate::query::{Query, TopKResult};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::{DegradationReport, QueryStats};
@@ -33,7 +33,9 @@ use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
 /// the in-memory path (`shard::ArenaAccess`, over the candidate arenas) and
 /// the out-of-core one (`paged::PagedAccess`, over the session's row pages
 /// through the buffer pool).  An access serves one query — it knows whose — on one
-/// thread; the sources it hands out travel with their scans.
+/// thread; the sources it hands out travel with their scans.  It only reads:
+/// nothing it knows about residency or I/O cost reaches a plan, so a paged
+/// query is planned exactly like the in-memory one.
 pub(crate) trait ShardAccess<'q> {
     /// What a scan scores through; one per job.
     type Source: Send;
@@ -60,16 +62,6 @@ pub(crate) trait ShardAccess<'q> {
         scratch: &mut LevelOverlap,
         offer: impl FnMut(EntityId, f64),
     );
-
-    /// The shard's page-residency estimate; `None` when nothing is paged.
-    fn pages(&self, _shard: usize) -> Option<PageEstimate> {
-        None
-    }
-
-    /// What fetching one cold page costs, in microseconds.
-    fn miss_latency_us(&self) -> u64 {
-        0
-    }
 
     /// The flat degree loop over the members of `shard`, scored through a
     /// `source` of that shard the scan owns — no `&self`, so a scan is a job
@@ -130,8 +122,8 @@ where
 /// jobs on rayon workers; batch and join paths pass `false` (they
 /// parallelise over queries), and so does every paged path (its candidates
 /// all go through the one pool mutex; see [`crate::paged`]).
-/// The latency budget, when set, is measured from before planning — planning
-/// time spends budget, matching the cost model.
+/// The latency budget, when set, is measured from before planning: the
+/// deadline is the query's, and planning spends it too.
 pub(crate) fn run<'q, A, M>(
     access: &A,
     query: &Query<'q, M>,
@@ -155,15 +147,15 @@ where
 /// `planning_us`.
 ///
 /// Every admitted shard is one scan job, queued in plan order (most
-/// promising first).  A worker fixes a job's rate when it picks the job up:
-/// the planned [`ShardDecision::ApproximateScan`] rate; otherwise, once the
-/// deadline has passed, the shard's recall-floor rate if that is below 1.0
-/// (the shard is then reported as downgraded); otherwise exact.  A shard
-/// whose floor rate is 1.0 cannot be usefully sampled: it ignores the
-/// deadline and stays exact (the floor is the hard constraint, the budget
-/// best-effort).  With no shard sampled the answer is bitwise the unbudgeted
-/// one.  A scan prunes against its own top k only, so neither the answer nor
-/// any work counter depends on which worker ran which job.
+/// promising first).  The latency budget is a deadline, and this is the one
+/// place it acts: a worker picking a job up after the deadline scans the
+/// shard's deterministic sample at the shard's recall-floor rate
+/// (`Synopsis::min_rate_for_recall`), unless that rate is 1.0 — such a shard
+/// cannot be usefully sampled and stays exact (the floor is the hard
+/// constraint, the budget best-effort).  Every other job is an exact scan.
+/// With no shard sampled the answer is bitwise the unbudgeted one.  A scan
+/// prunes against its own top k only, so neither the answer nor any work
+/// counter depends on which worker ran which job.
 pub(crate) fn execute<'q, A, M>(
     access: &A,
     plan: &QueryPlan,
@@ -185,19 +177,14 @@ where
     stats.shards_scanned = plan.shards_scanned();
     stats.threshold_seeded = plan.seeded();
     let deadline =
-        plan.planner.latency_budget_us.and_then(|us| start.checked_add(Duration::from_micros(us)));
-    let recall_floor = plan.planner.recall_floor;
+        query.planner.latency_budget_us.and_then(|us| start.checked_add(Duration::from_micros(us)));
+    let recall_floor = query.planner.recall_floor;
     let mut jobs = Vec::with_capacity(plan.shards.len());
     for shard_plan in &plan.shards {
-        let rate = match shard_plan.decision {
-            ShardDecision::Skip => {
-                stats.total_entities += shard_plan.entities;
-                continue;
-            }
-            ShardDecision::Scan => None,
-            ShardDecision::ApproximateScan { rate } => Some(rate),
-        };
-        jobs.push(ScanJob::new(access, shard_plan.shard, rate));
+        match shard_plan.decision {
+            ShardDecision::Skip => stats.total_entities += shard_plan.entities,
+            ShardDecision::Scan => jobs.push(ScanJob::new(access, shard_plan.shard)),
+        }
     }
     run_jobs(&mut jobs, parallel, |job| job.run(query, deadline, recall_floor));
 
@@ -211,12 +198,11 @@ where
             stats.sampled_candidates += job.checked;
             stats.recall_estimate =
                 stats.recall_estimate.min(job.snapshot.synopsis().expected_scan_recall(rate));
-            report.record_shard(job.shard, rate, job.downgraded);
-            report.deadline_exceeded |= job.downgraded;
+            report.record_shard(job.shard, rate);
         }
         parts.push(job.results);
     }
-    if report.shards_approximate() > 0 {
+    if report.shards_approximate > 0 {
         stats.degradation = Some(report);
     }
     let results = engine::merge_top_k(query.k, parts);
@@ -233,11 +219,9 @@ struct ScanJob<'q, A: ShardAccess<'q>> {
     shard: usize,
     snapshot: &'q IndexSnapshot,
     exclude: EntityId,
-    /// `None` is the exact scan; `Some` a sampled one, planned or set by
-    /// the deadline when the job was picked up.
+    /// `None` is the exact scan; `Some` a sampled one, set when the job was
+    /// picked up past the deadline.
     rate: Option<f64>,
-    /// The deadline, not the plan, made this scan sampled.
-    downgraded: bool,
     source: A::Source,
     results: Vec<TopKResult>,
     /// Entities scored.
@@ -245,22 +229,20 @@ struct ScanJob<'q, A: ShardAccess<'q>> {
 }
 
 impl<'q, A: ShardAccess<'q>> ScanJob<'q, A> {
-    /// A flat scan of one shard at its planned rate, with a source of its
-    /// own.
-    fn new(access: &A, shard: usize, rate: Option<f64>) -> Self {
+    /// A flat scan of one shard, with a source of its own.
+    fn new(access: &A, shard: usize) -> Self {
         ScanJob {
             shard,
             snapshot: &access.shards()[shard],
             exclude: access.entity(),
-            rate,
-            downgraded: false,
+            rate: None,
             source: access.source(shard),
             results: Vec::new(),
             checked: 0,
         }
     }
 
-    /// Fixes the rate — an exact job picked up past `deadline` drops to the
+    /// Fixes the rate — a job picked up past `deadline` drops to the
     /// shard's `recall_floor` rate when that is below 1.0 — and scans.
     fn run<M: AssociationMeasure + ?Sized>(
         &mut self,
@@ -268,11 +250,9 @@ impl<'q, A: ShardAccess<'q>> ScanJob<'q, A> {
         deadline: Option<Instant>,
         recall_floor: f64,
     ) {
-        if self.rate.is_none() && deadline.is_some_and(|d| Instant::now() >= d) {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             let floor_rate = self.snapshot.synopsis().min_rate_for_recall(recall_floor);
-            if floor_rate < 1.0 {
-                (self.rate, self.downgraded) = (Some(floor_rate), true);
-            }
+            self.rate = (floor_rate < 1.0).then_some(floor_rate);
         }
         (self.results, self.checked) =
             A::scan(&self.source, self.snapshot, self.exclude, self.rate, query);

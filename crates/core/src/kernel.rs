@@ -919,11 +919,10 @@ impl CandidateArena {
     /// what it scores does not depend on what other jobs found first.
     ///
     /// Scoring is exact, so the only error a filter introduces is *omission*
-    /// — what the planner's [`ShardDecision::ApproximateScan`] arm samples
+    /// — what a scan sampled past the latency budget's deadline samples
     /// with and [`Synopsis::expected_scan_recall`] models.  Returns the sorted
     /// answer and how many members were scored.
     ///
-    /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
     /// [`Synopsis::expected_scan_recall`]: crate::synopsis::Synopsis::expected_scan_recall
     pub(crate) fn flat_scan<M: AssociationMeasure + ?Sized>(
         &self,

@@ -24,9 +24,8 @@
 //! Its entry points mirror the in-memory ones (`top_k`, `query`, batches,
 //! joins, `explain`) and run the **same** planner body and the same drive;
 //! only the `ShardAccess` differs — finer rows are read through the pool,
-//! and shards carry page estimates over their row pages (see
-//! [`crate::plan`]), which break ordering ties and price latency budgets but
-//! decide no access path.  Answers are **bitwise identical** to the
+//! and nothing about the pool reaches the plan, which is the in-memory plan
+//! at any residency (see [`crate::plan`]).  Answers are **bitwise identical** to the
 //! in-memory sharded, unsharded and brute-force paths — any shard count, any
 //! pool size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
 //! (`tests/paged_conformance.rs` proptests exactly this) — and so is the
@@ -94,7 +93,7 @@ use crate::drive::{self, ShardAccess};
 use crate::error::{IndexError, Result};
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::{CandidateArena, LevelCounts, QueryView, RowScratch};
-use crate::plan::{self, PageEstimate, QueryPlan};
+use crate::plan::{self, QueryPlan};
 use crate::query::{Query, TopKResult};
 use crate::shard::{shard_of, ShardedSnapshot};
 use crate::snapshot::IndexSnapshot;
@@ -263,7 +262,7 @@ impl<'a> PagedArenaSource<'a> {
 impl ShardedSnapshot {
     /// Binds this snapshot to `store` and `pool` for out-of-core execution:
     /// every query path of the returned session reads candidates' finer rows
-    /// through `pool`, planned by the page-aware cost model.
+    /// through `pool`, planned as in memory.
     ///
     /// Building the session writes every shard's rows of levels 2..m to
     /// `store`'s disk (see the [module docs](crate::paged)), which the
@@ -410,9 +409,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         }))
     }
 
-    /// Builds — without executing — the page-aware [`QueryPlan`] the paged
-    /// query paths would run: the in-memory plan's seed/skip/scan/order
-    /// verdicts plus a [`PageEstimate`] per shard, all rendered by
+    /// Builds — without executing — the [`QueryPlan`] the paged query paths
+    /// would run: the in-memory plan, at any pool residency, rendered by
     /// [`QueryPlan::explain`].  Seeding reads the sketch entities' rows
     /// through the pool, so explaining warms the cache the same way planning
     /// a real query does.
@@ -502,19 +500,6 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
                 offer(hot, degree);
             }
         }
-    }
-
-    /// Probed against the pool in one lock.
-    fn pages(&self, shard: usize) -> Option<PageEstimate> {
-        let pages = self.paged.shard_pages(shard);
-        Some(PageEstimate {
-            total_pages: pages.len(),
-            resident_pages: self.paged.pool.resident_count(pages),
-        })
-    }
-
-    fn miss_latency_us(&self) -> u64 {
-        self.paged.pool.config().miss_latency_us
     }
 
     /// The in-memory scan's loop, by position, over the resident postings
@@ -969,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_explain_reports_page_estimates() {
+    fn paged_explain_is_the_in_memory_plan() {
         let (sp, traces) = dataset(25);
         let sharded =
             crate::shard::ShardedMinSigIndex::build(&sp, &traces, IndexConfig::default(), 3)
@@ -980,24 +965,14 @@ mod tests {
         let paged = snapshot.paged(&store, &pool);
         let measure = PaperAdm::default_for(sp.height() as usize);
 
-        let plan = paged.explain(EntityId(4), 5, &measure, PlannerConfig::default()).unwrap();
-        let rendered = plan.explain();
-        assert!(rendered.contains("pages="), "explain must surface page estimates: {rendered}");
-        for shard_plan in &plan.shards {
-            let pages = shard_plan.pages.expect("paged plans carry a page estimate per shard");
-            assert_eq!(
-                pages.total_pages,
-                paged.shard_pages(shard_plan.shard).len(),
-                "estimate totals come from the shard's page directory"
-            );
-            assert!(pages.resident_pages <= pages.total_pages);
+        // Seeded, and unseeded by a k above every sketch candidate: the plan
+        // is the in-memory one, and so is the unseeded answer.
+        for k in [5, 60] {
+            let plan = paged.explain(EntityId(4), k, &measure, PlannerConfig::default()).unwrap();
+            let mem = snapshot.explain(EntityId(4), k, &measure, PlannerConfig::default()).unwrap();
+            assert_eq!(plan, mem, "k {k}");
+            assert_eq!(plan.seeded(), k == 5, "k {k}");
         }
-
-        // A k above every sketch candidate seeds nothing; the plan is still
-        // estimated, and the unseeded paged path agrees with the in-memory one.
-        let unseeded = paged.explain(EntityId(4), 60, &measure, PlannerConfig::default()).unwrap();
-        assert!(!unseeded.seeded());
-        assert!(unseeded.shards.iter().all(|s| s.pages.is_some()));
         let (mem, _) = snapshot.top_k(EntityId(4), 60, &measure).unwrap();
         let (out, _) = paged.top_k(EntityId(4), 60, &measure).unwrap();
         assert_eq!(mem, out);

@@ -16,11 +16,11 @@
 //!    certain-answer separation the consistent-query-answering literature
 //!    applies to repairs, applied to shards;
 //! 3. **admission ordering** — admitted shards are driven
-//!    most-promising-first (synopsis upper bound descending), so when a
-//!    deadline cuts the query short the work already spent went where the
-//!    answer most likely is.
+//!    most-promising-first (synopsis upper bound descending, then shard
+//!    index), so when a deadline cuts the query short the work already spent
+//!    went where the answer most likely is.
 //!
-//! Every admitted shard is answered by the flat exact scan
+//! Every admitted shard is answered by the flat scan
 //! ([`ShardDecision::Scan`]): it reads every member's level-1 and level-2
 //! overlaps from the shard's postings and scores the members sharing no
 //! level-1 cell only while they can still enter its top k, which rules out
@@ -37,38 +37,27 @@
 //! candidates of all shards together, leaves the plan unseeded — nothing
 //! skipped, every shard scanned.
 //!
-//! ## Out of core: costs in pages
+//! ## Out of core
 //!
 //! One planner body (`plan_query`) serves the in-memory and the paged
 //! paths, and makes the same decisions on both, at any pool residency: a
 //! paged scan reads the row pages of only the members it scores that share
 //! a level-2 cell with the query (the others are scored from the snapshot's
-//! resident postings, or skipped, see [`crate::paged`]).  Where the query's
-//! access reports a [`PageEstimate`] per shard, it does two things:
-//! upper-bound ties in the driving order break by `cold_pages` ascending,
-//! and the latency budget prices cold pages at the pool's miss latency.
-//! Estimates are advisory (residency moves under concurrency), which is why
-//! they never touch a decision that could change an answer — plans return
-//! bitwise-identical answers whatever the access
-//! (`tests/paged_conformance.rs`).
+//! resident postings, or skipped, see [`crate::paged`]).  Nothing in a plan
+//! reads the pool, so a paged plan *is* the in-memory plan
+//! (`tests/planner_conformance.rs`), and the answers are bitwise identical
+//! whatever the access (`tests/paged_conformance.rs`).
 //!
-//! ## Latency budgets and the approximate arm
+//! ## Latency budgets
 //!
-//! With [`PlannerConfig::latency_budget_us`] set, the planner additionally
-//! acts as a QoS mechanism: it **costs** the exact plan — per-degree
-//! nanoseconds calibrated from the seeding pass it just timed (real degree
-//! evaluations over this very query), plus cold-page I/O out of core — and,
-//! when the estimate exceeds the budget, downgrades the *least promising*
-//! admitted shards to [`ShardDecision::ApproximateScan`]: a deterministic
-//! sampled flat scan that always scores the shard's hot-sketch entities and
-//! includes each remaining member with probability `rate`
-//! (`sample_includes` is a pure hash of the entity id, so the sample is
-//! identical across runs and machines).  The rate is never chosen below what
-//! `Synopsis::min_rate_for_recall` demands for
-//! [`PlannerConfig::recall_floor`], and a shard whose floor rate reaches 1.0
-//! simply stays exact.  **A plan whose exact cost fits the budget is never
-//! degraded** — exactness is the default, approximation the forced
-//! exception, and an unset budget skips all of this machinery bit-for-bit.
+//! A plan does not read [`PlannerConfig::latency_budget_us`]: a budgeted
+//! query is planned exactly like an unbudgeted one.  The budget is a
+//! deadline the drive enforces where time is observed — a scan job picked up
+//! after it is sampled at its shard's [`PlannerConfig::recall_floor`] rate
+//! (`crate::drive::execute` has the rule) — so every decision a plan
+//! carries is a certificate, and the one decision that can change an answer
+//! is made at run time and reported in
+//! [`QueryStats::degradation`](crate::stats::QueryStats::degradation).
 //!
 //! ## Batch planning
 //!
@@ -87,7 +76,6 @@
 //! [`PlannerConfig::latency_budget_us`]: crate::config::PlannerConfig::latency_budget_us
 //! [`PlannerConfig::recall_floor`]: crate::config::PlannerConfig::recall_floor
 
-use crate::config::PlannerConfig;
 use crate::drive::ShardAccess;
 use crate::engine::TopKHeap;
 use crate::kernel::QueryView;
@@ -100,57 +88,17 @@ use std::sync::Arc;
 use trace_model::{AssociationMeasure, EntityId, LevelOverlap};
 
 /// How the planner decided to treat one shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardDecision {
     /// The shard's synopsis upper bound cannot beat the seeded threshold:
     /// provably no top-k entity lives there, so the query never opens it.
     /// (An empty shard's bound is `-inf`, so any seeded query proves it
     /// away; unseeded, it is scanned — a scan of nothing.)
     Skip,
-    /// The shard is answered by a flat exact scan, in memory and out of core
-    /// alike: every admitted shard the budget leaves exact.
+    /// The shard is answered by a flat scan, in memory and out of core
+    /// alike: exact, unless a latency budget's deadline has passed when the
+    /// scan is picked up (see [`crate::plan`]).
     Scan,
-    /// The exact plan does not fit the latency budget: the shard is answered
-    /// by a **deterministic sampled scan** — every hot-sketch entity plus
-    /// each remaining member with probability `rate` (a pure hash of the
-    /// entity id, `sample_includes`) is scored exactly; the rest are never
-    /// touched.  The only decision that can change an answer, which is why
-    /// it is taken only under an explicit
-    /// [`latency_budget_us`](crate::config::PlannerConfig::latency_budget_us)
-    /// and always reported through
-    /// [`QueryStats::degradation`](crate::stats::QueryStats::degradation).
-    ApproximateScan {
-        /// Inclusion probability of each non-sketch member, in `(0, 1)`;
-        /// chosen as the larger of the budget-derived rate and the
-        /// [`recall_floor`](crate::config::PlannerConfig::recall_floor)'s
-        /// minimum rate (a rate reaching 1.0 stays exact instead).
-        rate: f64,
-    },
-}
-
-/// A shard's page-residency estimate at plan time: how many distinct store
-/// pages its members' traces span, and how many of those were resident in
-/// the buffer pool when the plan was built.
-///
-/// Estimates feed the paged planner's I/O reasoning — [`cold_pages`]
-/// breaks shard-ordering ties and is priced by the latency budget — and are
-/// **advisory only**: residency can change the instant the plan runs, so no
-/// decision built on an estimate may affect an answer, only cost.
-///
-/// [`cold_pages`]: PageEstimate::cold_pages
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageEstimate {
-    /// Distinct store pages holding this shard's traces.
-    pub total_pages: usize,
-    /// How many of those were buffer-pool resident at plan time.
-    pub resident_pages: usize,
-}
-
-impl PageEstimate {
-    /// Pages a full shard read would have to fetch from disk (at plan time).
-    pub fn cold_pages(&self) -> usize {
-        self.total_pages.saturating_sub(self.resident_pages)
-    }
 }
 
 /// The planner's verdict for one shard.
@@ -165,8 +113,6 @@ pub struct ShardPlan {
     pub upper_bound: f64,
     /// What the drive does with the shard.
     pub decision: ShardDecision,
-    /// Page-residency estimate; `None` only on in-memory plans.
-    pub pages: Option<PageEstimate>,
 }
 
 /// The executable plan of one sharded top-k query: the seeded threshold plus
@@ -184,8 +130,6 @@ pub struct QueryPlan {
     pub seed_candidates: usize,
     /// Per-shard verdicts; admitted shards first, in driving order.
     pub shards: Vec<ShardPlan>,
-    /// The budget the plan was built under.
-    pub planner: PlannerConfig,
 }
 
 impl QueryPlan {
@@ -194,7 +138,7 @@ impl QueryPlan {
         self.shards.iter().filter(|s| s.decision == ShardDecision::Skip).count()
     }
 
-    /// Number of shards the plan answers by a flat exact scan.
+    /// Number of shards the plan answers by a flat scan.
     pub fn shards_scanned(&self) -> usize {
         self.shards.iter().filter(|s| s.decision == ShardDecision::Scan).count()
     }
@@ -226,25 +170,13 @@ impl QueryPlan {
         );
         for plan in &self.shards {
             let decision = match plan.decision {
-                ShardDecision::Scan => "scan".to_string(),
-                ShardDecision::Skip if plan.entities == 0 => "skip (empty shard)".to_string(),
-                ShardDecision::Skip => "skip (upper bound below seed)".to_string(),
-                ShardDecision::ApproximateScan { rate } => {
-                    format!("approximate-scan (rate={rate:.3}, budget-forced)")
-                }
-            };
-            let pages = match plan.pages {
-                Some(p) => format!(
-                    " pages={} ({} resident, {} cold)",
-                    p.total_pages,
-                    p.resident_pages,
-                    p.cold_pages()
-                ),
-                None => String::new(),
+                ShardDecision::Scan => "scan",
+                ShardDecision::Skip if plan.entities == 0 => "skip (empty shard)",
+                ShardDecision::Skip => "skip (upper bound below seed)",
             };
             let _ = writeln!(
                 out,
-                "  shard {:>3}  entities={:<8} upper={:<12} {}{}",
+                "  shard {:>3}  entities={:<8} upper={:<12} {}",
                 plan.shard,
                 plan.entities,
                 if plan.upper_bound == f64::NEG_INFINITY {
@@ -253,7 +185,6 @@ impl QueryPlan {
                     format!("{:.6}", plan.upper_bound)
                 },
                 decision,
-                pages,
             );
         }
         out
@@ -277,9 +208,8 @@ where
     M: AssociationMeasure + ?Sized,
 {
     let shards = access.shards();
-    let Query { k, measure, planner: config, .. } = *query;
+    let Query { k, measure, .. } = *query;
     let query = access.sequence();
-    let plan_start = std::time::Instant::now();
     let levels = query.num_levels() as u8;
     let query_sizes: Vec<usize> = (1..=levels).map(|l| query.level(l).len()).collect();
 
@@ -300,7 +230,6 @@ where
         seed = top.threshold();
     }
 
-    let cold = |p: &ShardPlan| p.pages.map_or(0, |e| e.cold_pages());
     let mut admitted: Vec<ShardPlan> = Vec::with_capacity(shards.len());
     let mut skipped: Vec<ShardPlan> = Vec::new();
     for (i, shard) in shards.iter().enumerate() {
@@ -312,123 +241,17 @@ where
         // that enters the top-k through the id tie-break, so it is never
         // skipped.
         let decision = if seed > upper_bound { ShardDecision::Skip } else { ShardDecision::Scan };
-        let plan = ShardPlan { shard: i, entities, upper_bound, decision, pages: access.pages(i) };
+        let plan = ShardPlan { shard: i, entities, upper_bound, decision };
         if decision == ShardDecision::Skip {
             skipped.push(plan);
         } else {
             admitted.push(plan);
         }
     }
-    // Most promising first; of equally promising shards, least cold I/O
-    // first; ties by shard index for determinism.
-    admitted.sort_by(|a, b| {
-        b.upper_bound
-            .total_cmp(&a.upper_bound)
-            .then_with(|| cold(a).cmp(&cold(b)))
-            .then_with(|| a.shard.cmp(&b.shard))
-    });
-    // Out of core the exact cost of a shard includes fetching its cold
-    // pages at the pool's configured miss latency — the dominant term at
-    // tight budgets, which is exactly when the budget pass matters.
-    apply_latency_budget(
-        &mut admitted,
-        shards,
-        &config,
-        plan_start.elapsed().as_nanos(),
-        seed_candidates,
-        access.miss_latency_us(),
-    );
+    // Most promising first; the stable sort keeps ties in shard order.
+    admitted.sort_by(|a, b| b.upper_bound.total_cmp(&a.upper_bound));
     admitted.extend(skipped);
-    QueryPlan { k, seed, seed_candidates, shards: admitted, planner: config }
-}
-
-/// Nanoseconds assumed per exact degree evaluation when the plan scored no
-/// seed candidates to calibrate against (an empty sketch, or `k` = 0).
-/// Deliberately on the measured path's high side: over-estimating exact cost
-/// degrades a little too eagerly, which is the correct failure direction for
-/// a latency promise.
-pub(crate) const FALLBACK_NS_PER_DEGREE: u64 = 200;
-
-/// Multiplier on the calibrated per-evaluation cost when pricing a *scan*
-/// of a whole shard.  The calibration times the seeding pass, whose handful
-/// of sketch evaluations run against warm arena rows; a streaming scan pays
-/// cold rows on every step and measures several times slower.  Over-pricing
-/// makes the budget pass degrade slightly too eagerly and sample slightly
-/// too thin for the head-room — both land the query *under* its budget,
-/// which is the correct failure direction for a latency promise.
-pub(crate) const SCAN_COST_CONSERVATISM: u64 = 5;
-
-/// The budget pass: downgrades the cheapest-to-lose suffix of the admitted
-/// shards (they are already sorted most-promising-first) to sampled scans
-/// until the cost estimate fits [`PlannerConfig::latency_budget_us`].
-///
-/// The exact cost of a shard is `entities × ns_per_degree` — the flat-scan
-/// worst case — plus `cold_pages × miss_latency_us` out of core.  `ns_per_degree` is
-/// calibrated from the seeding pass the planner just timed (`planning_ns`
-/// over `seed_candidates` real evaluations of this very query) so the model
-/// tracks the machine and the query's sequence sizes; with nothing to
-/// calibrate against, [`FALLBACK_NS_PER_DEGREE`] applies.
-///
-/// Invariants, by construction: a plan whose total exact estimate fits the
-/// budget is untouched (exactness when the budget is not binding); a
-/// downgraded shard's rate is never below its synopsis'
-/// [`min_rate_for_recall`](Synopsis::min_rate_for_recall) for the
-/// configured floor; and a floor rate reaching 1.0 leaves the shard exact
-/// (sampling everything *is* the exact scan, minus honesty).
-///
-/// `miss_latency_us` is 0 for in-memory plans.
-fn apply_latency_budget(
-    admitted: &mut [ShardPlan],
-    shards: &[Arc<IndexSnapshot>],
-    config: &PlannerConfig,
-    planning_ns: u128,
-    seed_candidates: usize,
-    miss_latency_us: u64,
-) {
-    let Some(budget_us) = config.latency_budget_us else { return };
-    let budget_ns = (budget_us as u128).saturating_mul(1_000);
-    let ns_per_degree = if seed_candidates > 0 && planning_ns > 0 {
-        ((planning_ns / seed_candidates as u128).max(1)).min(u64::MAX as u128) as u64
-    } else {
-        FALLBACK_NS_PER_DEGREE
-    };
-    // Planning time already spent counts against the budget: the deadline
-    // the drive enforces starts at query arrival, not at plan end.
-    let mut spent_ns = planning_ns;
-    for plan in admitted.iter_mut() {
-        let exact_ns = exact_cost_ns(plan, ns_per_degree, miss_latency_us);
-        if spent_ns.saturating_add(exact_ns) <= budget_ns {
-            spent_ns = spent_ns.saturating_add(exact_ns);
-            continue;
-        }
-        // Over budget from here on: sample this shard at the cheapest rate
-        // the head-room affords, floored by the recall promise.
-        let synopsis: &Synopsis = shards[plan.shard].synopsis();
-        let floor_rate = synopsis.min_rate_for_recall(config.recall_floor);
-        let headroom = budget_ns.saturating_sub(spent_ns);
-        let budget_rate = if exact_ns == 0 { 1.0 } else { headroom as f64 / exact_ns as f64 };
-        let rate = budget_rate.max(floor_rate).clamp(0.0, 1.0);
-        if rate >= 1.0 {
-            // The recall floor forbids sampling thin enough to matter (or
-            // the shard is free anyway): stay exact.
-            spent_ns = spent_ns.saturating_add(exact_ns);
-            continue;
-        }
-        plan.decision = ShardDecision::ApproximateScan { rate };
-        spent_ns = spent_ns.saturating_add((exact_ns as f64 * rate) as u128);
-    }
-}
-
-/// The planner's exact-cost estimate of one admitted shard, in nanoseconds.
-/// The compute term carries [`SCAN_COST_CONSERVATISM`]: whole-shard
-/// evaluation streams cold arena rows the warm seeding calibration cannot
-/// see.
-fn exact_cost_ns(plan: &ShardPlan, ns_per_degree: u64, miss_latency_us: u64) -> u128 {
-    let compute =
-        (plan.entities as u128) * ns_per_degree.saturating_mul(SCAN_COST_CONSERVATISM) as u128;
-    let io =
-        plan.pages.map_or(0u128, |p| p.cold_pages() as u128) * (miss_latency_us as u128) * 1_000;
-    compute + io
+    QueryPlan { k, seed, seed_candidates, shards: admitted }
 }
 
 /// Whether a deterministic sampled scan at `rate` includes `entity`: a
@@ -520,26 +343,13 @@ impl BatchPlan {
             );
             for &(shard, decision) in &group.footprint {
                 let what = match decision {
-                    ShardDecision::Scan => "scan".to_string(),
-                    ShardDecision::Skip => "skip".to_string(),
-                    ShardDecision::ApproximateScan { rate } => {
-                        format!("approximate-scan (rate={rate:.3})")
-                    }
+                    ShardDecision::Scan => "scan",
+                    ShardDecision::Skip => "skip",
                 };
                 let _ = writeln!(out, "             shard {shard:>3}  {what}");
             }
         }
         out
-    }
-}
-
-/// A decision's footprint key: discriminant plus the rate's exact bits, so
-/// approximate shards only group when their sample rates agree.
-fn decision_key(decision: ShardDecision) -> (u8, u64) {
-    match decision {
-        ShardDecision::Skip => (0, 0),
-        ShardDecision::Scan => (1, 0),
-        ShardDecision::ApproximateScan { rate } => (2, rate.to_bits()),
     }
 }
 
@@ -565,21 +375,16 @@ pub(crate) fn plan_batch<M: AssociationMeasure + ?Sized>(
         .collect();
 
     // Group by admitted footprint (ordered shard/decision skeleton).
-    type FootprintKey = Vec<(usize, (u8, u64))>;
     let mut groups: Vec<BatchGroup> = Vec::new();
-    let mut index: std::collections::HashMap<FootprintKey, usize> =
+    let mut index: std::collections::HashMap<Vec<(usize, ShardDecision)>, usize> =
         std::collections::HashMap::new();
     for (q, plan) in plans.iter().enumerate() {
-        let key: FootprintKey =
-            plan.admitted().map(|s| (s.shard, decision_key(s.decision))).collect();
-        match index.get(&key) {
+        let footprint: Vec<_> = plan.admitted().map(|s| (s.shard, s.decision)).collect();
+        match index.get(&footprint) {
             Some(&g) => groups[g].queries.push(q),
             None => {
-                index.insert(key, groups.len());
-                groups.push(BatchGroup {
-                    queries: vec![q],
-                    footprint: plan.admitted().map(|s| (s.shard, s.decision)).collect(),
-                });
+                index.insert(footprint.clone(), groups.len());
+                groups.push(BatchGroup { queries: vec![q], footprint });
             }
         }
     }
@@ -588,34 +393,21 @@ pub(crate) fn plan_batch<M: AssociationMeasure + ?Sized>(
 }
 
 #[cfg(test)]
-impl QueryPlan {
-    /// Number of shards the budget forced onto the sampled (approximate)
-    /// access path.  0 whenever the exact plan fits the budget, and always
-    /// with no budget set: every admitted shard then runs an exact access
-    /// path and the answer is bitwise identical to the unbudgeted plan's.
-    fn shards_approximate(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| matches!(s.decision, ShardDecision::ApproximateScan { .. }))
-            .count()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IndexConfig;
-    use crate::testkit::{PairedConfig, Workload};
+    use crate::config::{IndexConfig, PlannerConfig};
+    use crate::shard::{ShardedMinSigIndex, ShardedSnapshot};
+    use crate::testkit::{PairedConfig, UniformConfig, Workload};
+
+    fn sharded_of(w: &Workload, n: usize) -> ShardedSnapshot {
+        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), n)
+            .unwrap()
+            .snapshot()
+    }
 
     fn shards_of(w: &Workload, n: usize) -> Vec<Arc<IndexSnapshot>> {
-        let sharded = crate::shard::ShardedMinSigIndex::build(
-            &w.sp,
-            &w.traces,
-            IndexConfig::with_hash_functions(16),
-            n,
-        )
-        .unwrap();
-        (0..n).map(|i| sharded.shard(i).snapshot()).collect()
+        let sharded = sharded_of(w, n);
+        (0..n).map(|i| sharded.shard(i).clone()).collect()
     }
 
     /// Plans entity 0's query (`query` is its sequence) through the arenas.
@@ -624,13 +416,20 @@ mod tests {
         query: &trace_model::CellSetSequence,
         k: usize,
         w: &Workload,
-        planner: PlannerConfig,
     ) -> QueryPlan {
         let measure = w.measure();
         plan_query(
             &ArenaAccess::new(shards, &QueryView::new(query), EntityId(0), None),
-            &Query { planner, ..Query::new(k, &measure) },
+            &Query::new(k, &measure),
         )
+    }
+
+    /// 200 uniform entities over 4 shards: a 16-entity sketch covers under
+    /// half of a shard, so a recall floor of 0.5 samples below rate 1.
+    fn uniform_world() -> (Workload, ShardedSnapshot) {
+        let w = Workload::uniform(UniformConfig { entities: 200, ..UniformConfig::default() });
+        let sharded = sharded_of(&w, 4);
+        (w, sharded)
     }
 
     #[test]
@@ -639,7 +438,7 @@ mod tests {
         let shards = shards_of(&w, 3);
         let query =
             shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        let plan = plan_of(&shards, &query, 2, &w, PlannerConfig::default());
+        let plan = plan_of(&shards, &query, 2, &w);
         assert!(plan.seeded(), "a 48-entity population seeds a k=2 query");
         assert!(plan.seed_candidates >= 2);
         let admitted: Vec<&ShardPlan> = plan.admitted().collect();
@@ -651,65 +450,65 @@ mod tests {
         assert!(text.contains("shard"));
     }
 
+    /// A budget the deadline never reaches: the plan is the unbudgeted one,
+    /// and the execution samples nothing and answers bitwise alike.
     #[test]
     fn unbinding_budget_never_degrades_the_plan() {
-        let w = Workload::paired(PairedConfig::default());
-        let shards = shards_of(&w, 4);
-        let query =
-            shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        let exact = plan_of(&shards, &query, 3, &w, PlannerConfig::default());
-        let budgeted =
-            plan_of(&shards, &query, 3, &w, PlannerConfig::with_budget(u64::MAX / 2_000));
-        assert_eq!(
-            budgeted.shards_approximate(),
-            0,
-            "a non-binding budget must not degrade anything"
-        );
-        let decisions =
-            |p: &QueryPlan| p.shards.iter().map(|s| (s.shard, s.decision)).collect::<Vec<_>>();
-        assert_eq!(decisions(&exact), decisions(&budgeted));
-        assert_eq!(exact.seed, budgeted.seed);
+        let (w, sharded) = uniform_world();
+        let measure = w.measure();
+        let unbounded = PlannerConfig::with_budget(u64::MAX / 4);
+        for entity in w.sample_entities(6, 5) {
+            let exact = sharded.explain(entity, 3, &measure, PlannerConfig::default()).unwrap();
+            assert_eq!(sharded.explain(entity, 3, &measure, unbounded).unwrap(), exact);
+            let (answer, stats) = sharded
+                .query(entity, &Query { planner: unbounded, ..Query::new(3, &measure) })
+                .unwrap();
+            assert_eq!(stats.degradation, None, "{entity}");
+            assert_eq!((stats.sampled_candidates, stats.recall_estimate), (0, 1.0), "{entity}");
+            assert_eq!(answer, sharded.top_k(entity, 3, &measure).unwrap().0, "{entity}");
+        }
     }
 
+    /// A zero budget has expired before the first scan is picked up: the
+    /// plan still scans every admitted shard, and the execution samples each
+    /// of them at exactly its recall-floor rate.
     #[test]
     fn binding_budget_degrades_with_the_floor_honored() {
-        let w = Workload::paired(PairedConfig::default());
-        let shards = shards_of(&w, 4);
-        let query =
-            shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        // A 1 µs budget binds on any real population.
-        let config = PlannerConfig::with_budget_and_floor(1, 0.5);
-        let plan = plan_of(&shards, &query, 3, &w, config);
-        assert!(
-            plan.shards_approximate() > 0,
-            "a 1 us budget must force sampling somewhere: {}",
-            plan.explain()
-        );
-        for shard_plan in &plan.shards {
-            if let ShardDecision::ApproximateScan { rate } = shard_plan.decision {
-                let floor = shards[shard_plan.shard].synopsis().min_rate_for_recall(0.5);
-                assert!(rate >= floor - 1e-12, "rate {rate} below floor rate {floor}");
-                assert!(rate < 1.0, "rate 1.0 must stay exact instead");
-                assert!(
-                    shards[shard_plan.shard].synopsis().expected_scan_recall(rate) >= 0.5 - 1e-12
-                );
-            }
+        let (w, sharded) = uniform_world();
+        let measure = w.measure();
+        let planner = PlannerConfig::with_budget_and_floor(0, 0.5);
+        for entity in w.sample_entities(6, 5) {
+            let plan = sharded.explain(entity, 3, &measure, planner).unwrap();
+            assert_eq!(plan.shards_scanned(), plan.shards.len() - plan.shards_skipped());
+            let (_, stats) =
+                sharded.query(entity, &Query { planner, ..Query::new(3, &measure) }).unwrap();
+            let report = stats.degradation.expect("a zero budget samples");
+            let floor_rates: Vec<f64> = plan
+                .admitted()
+                .map(|s| sharded.shard(s.shard).synopsis().min_rate_for_recall(0.5))
+                .collect();
+            assert!(floor_rates.iter().all(|&rate| rate < 1.0), "{}", plan.explain());
+            assert_eq!(report.shards_approximate, plan.shards_scanned(), "every scan sampled");
+            let mask = plan.admitted().fold(0u64, |mask, s| mask | 1 << s.shard);
+            assert_eq!(report.approximate_shard_mask, mask);
+            assert_eq!(report.min_sample_rate, floor_rates.iter().copied().fold(1.0, f64::min));
+            assert!(stats.recall_estimate >= 0.5 - 1e-12, "{}", stats.recall_estimate);
         }
-        let text = plan.explain();
-        assert!(text.contains("approximate-scan"), "explain renders the new arm: {text}");
     }
 
+    /// A recall floor of 1.0 needs every member: no shard can be usefully
+    /// sampled, so even an expired deadline leaves the answer exact.
     #[test]
     fn strict_recall_floor_refuses_to_degrade() {
-        let w = Workload::paired(PairedConfig::default());
-        let shards = shards_of(&w, 2);
-        let query =
-            shards.iter().find_map(|s| s.sequence(trace_model::EntityId(0))).unwrap().clone();
-        // recall_floor 1.0 ⇒ min rate 1.0 everywhere ⇒ sampling can never
-        // help, so even an impossible budget leaves the plan exact.
-        let config = PlannerConfig::with_budget_and_floor(1, 1.0);
-        let plan = plan_of(&shards, &query, 3, &w, config);
-        assert_eq!(plan.shards_approximate(), 0, "a 1.0 recall floor forbids all sampling");
+        let (w, sharded) = uniform_world();
+        let measure = w.measure();
+        let planner = PlannerConfig::with_budget_and_floor(0, 1.0);
+        for entity in w.sample_entities(6, 5) {
+            let (answer, stats) =
+                sharded.query(entity, &Query { planner, ..Query::new(3, &measure) }).unwrap();
+            assert_eq!(stats.degradation, None, "a 1.0 recall floor forbids all sampling");
+            assert_eq!(answer, sharded.top_k(entity, 3, &measure).unwrap().0, "{entity}");
+        }
     }
 
     #[test]
@@ -740,34 +539,27 @@ mod tests {
         assert!(text.contains("group"), "{text}");
     }
 
-    /// The three-way decision: a seeded plan skips or scans, an unseeded one
-    /// (a synopsis with no sketch: nothing scored, nothing skipped) scans
-    /// every shard, and a budgeted one adds only approximate scans — an
-    /// unbinding budget none.  (Which shards skip is
-    /// `tests/planner_conformance.rs`'s.)
+    /// The two-way decision: a seeded plan skips or scans, and an unseeded
+    /// one (a synopsis with no sketch: nothing scored, nothing skipped) scans
+    /// every shard.  (Which shards skip is `tests/planner_conformance.rs`'s.)
     #[test]
     fn access_path_is_a_scan_on_every_admitted_shard() {
-        use crate::testkit::UniformConfig;
         let w = Workload::uniform(UniformConfig { entities: 200, ..UniformConfig::default() });
         let shards = shards_of(&w, 4);
         let config = IndexConfig::with_hash_functions(16);
-        let mut sketchless =
-            crate::shard::ShardedMinSigIndex::build(&w.sp, &w.traces, config, 4).unwrap();
+        let mut sketchless = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 4).unwrap();
         sketchless.set_synopsis_sketch_size(0);
         let sketchless: Vec<_> = (0..4).map(|i| sketchless.shard(i).snapshot()).collect();
         for entity in w.sample_entities(12, 3) {
             let query = shards.iter().find_map(|s| s.sequence(entity)).unwrap().clone();
-            let plan = plan_of(&shards, &query, 3, &w, PlannerConfig::default());
+            let plan = plan_of(&shards, &query, 3, &w);
             assert!(plan.seeded());
             let scanned = plan.shards.len() - plan.shards_skipped();
             assert_eq!(plan.shards_scanned(), scanned, "{}", plan.explain());
-            let unseeded = plan_of(&sketchless, &query, 3, &w, PlannerConfig::default());
+            let unseeded = plan_of(&sketchless, &query, 3, &w);
             assert!(!unseeded.seeded());
             assert_eq!((unseeded.seed_candidates, unseeded.shards_skipped()), (0, 0));
             assert_eq!(unseeded.shards_scanned(), 4, "{}", unseeded.explain());
-            let budgeted =
-                plan_of(&shards, &query, 3, &w, PlannerConfig::with_budget(u64::MAX / 2_000));
-            assert_eq!(budgeted.shards_scanned(), scanned, "{}", budgeted.explain());
         }
     }
 

@@ -67,8 +67,8 @@ pub struct Query<'q, M: ?Sized> {
     pub k: usize,
     /// The association degree measure answers are ranked under.
     pub measure: &'q M,
-    /// The latency budget the sharded planner may degrade under, and its
-    /// recall floor.
+    /// The latency budget a sharded query may degrade under past its
+    /// deadline, and its recall floor.
     pub planner: PlannerConfig,
 }
 

@@ -404,10 +404,10 @@ impl ShardedSnapshot {
     }
 
     /// Builds — without executing — the [`QueryPlan`] the planned query
-    /// paths would run for `query` under `planner`: the seeded threshold,
-    /// each shard's synopsis upper bound, and the skip / scan /
-    /// approximate-scan verdicts in driving order.  [`QueryPlan::explain`] renders it for
-    /// humans.
+    /// paths would run for `query`: the seeded threshold, each shard's
+    /// synopsis upper bound, and the skip / scan verdicts in driving order.
+    /// `planner` is validated but shapes nothing: a budget acts only at run
+    /// time.  [`QueryPlan::explain`] renders the plan for humans.
     pub fn explain<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         query: EntityId,

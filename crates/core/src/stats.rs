@@ -82,58 +82,40 @@ pub struct IndexStats {
     pub build_time_us: u64,
 }
 
-/// Per-answer record of what the deadline/recall-budgeted planner degraded —
-/// attached to [`QueryStats::degradation`] whenever any shard of a query was
-/// answered by a sampled (approximate) scan instead of an exact access path.
+/// Per-answer record of what the latency budget degraded — attached to
+/// [`QueryStats::degradation`] whenever any shard of a query was answered by
+/// a sampled scan instead of an exact one.  A shard is sampled only when its
+/// scan was picked up after the query's deadline, so a report also says the
+/// deadline expired.
 ///
 /// `None` on [`QueryStats::degradation`] is the exactness certificate: no
 /// shard was sampled, the answer is bitwise identical to the unbudgeted
 /// plan.  When present, the report is **truthful by construction** — the
-/// executing fan-out stamps it from the shards it actually sampled, not from
-/// what the plan intended (`tests/deadline_conformance.rs` proptests the
-/// reported set against the executed one).
+/// executing fan-out stamps it from the shards it actually sampled
+/// (`tests/deadline_conformance.rs` proptests the reported set against the
+/// executed one).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DegradationReport {
-    /// Shards the *planner* chose to sample up front because the exact plan
-    /// exceeded the latency budget ([`ShardDecision::ApproximateScan`]
-    /// arms in the executed plan).
-    ///
-    /// [`ShardDecision::ApproximateScan`]: crate::plan::ShardDecision::ApproximateScan
-    pub shards_planned_approximate: usize,
-    /// Shards downgraded *mid-flight* by the per-query deadline: they were
-    /// admitted exactly but the deadline had expired when their scan was
-    /// picked up, so they were answered by a sampled scan at the shard's
-    /// recall-floor rate instead.
-    pub shards_deadline_downgraded: usize,
+    /// Shards answered by a sampled scan at their recall-floor rate, because
+    /// the deadline had expired when their scan was picked up.
+    pub shards_approximate: usize,
     /// Bitmask of the sampled shards' indices (bit `i` = shard `i` was
-    /// answered approximately, whether planned or downgraded).  Covers the
-    /// first 64 shards; larger deployments rely on the counts.
+    /// answered approximately).  Covers the first 64 shards; larger
+    /// deployments rely on the count.
     pub approximate_shard_mask: u64,
     /// The smallest sample rate any sampled shard ran at (1.0 when nothing
     /// was sampled).
     pub min_sample_rate: f64,
-    /// Whether the per-query deadline actually expired during execution
-    /// (planned-approximate-only degradation leaves this false).
-    pub deadline_exceeded: bool,
 }
 
 impl DegradationReport {
-    /// Total shards answered approximately, planned and downgraded combined.
-    pub fn shards_approximate(&self) -> usize {
-        self.shards_planned_approximate + self.shards_deadline_downgraded
-    }
-
     /// Records one sampled shard into the report.
-    pub(crate) fn record_shard(&mut self, shard: usize, rate: f64, downgraded: bool) {
-        if downgraded {
-            self.shards_deadline_downgraded += 1;
-        } else {
-            self.shards_planned_approximate += 1;
-        }
+    pub(crate) fn record_shard(&mut self, shard: usize, rate: f64) {
+        self.shards_approximate += 1;
         if shard < 64 {
             self.approximate_shard_mask |= 1u64 << shard;
         }
-        if self.shards_approximate() == 1 {
+        if self.shards_approximate == 1 {
             self.min_sample_rate = rate;
         } else {
             self.min_sample_rate = self.min_sample_rate.min(rate);
@@ -143,16 +125,14 @@ impl DegradationReport {
     /// Merges another report into this one (used by `absorb_work` when batch
     /// stats are summed): counts add, masks union, the minimum rate wins.
     pub(crate) fn merge(&mut self, other: &DegradationReport) {
-        let had_any = self.shards_approximate() > 0;
-        self.shards_planned_approximate += other.shards_planned_approximate;
-        self.shards_deadline_downgraded += other.shards_deadline_downgraded;
+        let had_any = self.shards_approximate > 0;
+        self.shards_approximate += other.shards_approximate;
         self.approximate_shard_mask |= other.approximate_shard_mask;
         self.min_sample_rate = if had_any {
             self.min_sample_rate.min(other.min_sample_rate)
         } else {
             other.min_sample_rate
         };
-        self.deadline_exceeded |= other.deadline_exceeded;
     }
 }
 
@@ -199,9 +179,9 @@ pub struct QueryStats {
     /// therefore never opened (sharded planned queries only; see
     /// [`crate::plan`]).  On a batch, sums over the batch's queries.
     pub shards_skipped: usize,
-    /// Shards the planner answered by a flat exact scan — every admitted
-    /// shard the latency budget left exact ([`ShardDecision::Scan`]; sharded
-    /// planned queries only).  Every member they score is in
+    /// Shards the planner answered by a flat scan — every admitted shard
+    /// ([`ShardDecision::Scan`]; sharded planned queries only), exact or,
+    /// past a latency budget's deadline, sampled.  Every member they score is in
     /// [`entities_checked`](Self::entities_checked) — those sharing a
     /// level-1 cell with the query, and the others only while they could
     /// still enter the shard's top k — and none of their tree rows in
@@ -246,32 +226,35 @@ pub struct QueryStats {
     /// Per-kernel dispatch counts of the flat hot paths' set intersections
     /// (see [`KernelDispatch`]); sums over every per-shard scan.
     pub kernel_dispatch: KernelDispatch,
-    /// Estimated recall of the answer: the probability that any true top-k
-    /// member survived every access path the query ran.  Exactly `1.0` on
-    /// every exact path (the default); below `1.0` when the budgeted
-    /// planner sampled at least one shard, in which case the minimum over
-    /// the sampled shards' `Synopsis::expected_scan_recall` estimates is
-    /// reported, or when a candidate was
+    /// Expected recall of the answer.  Exactly `1.0` on every exact path
+    /// (the default); below `1.0` when the deadline sampled at least one
+    /// shard, in which case the minimum over the sampled shards'
+    /// `Synopsis::expected_scan_recall` is reported, or when a candidate was
     /// [unreadable](Self::candidates_unreadable).
     /// [`absorb_work`](Self::absorb_work) likewise combines estimates by
-    /// taking the minimum (conservative across shards and batches).
+    /// taking the minimum.
     ///
+    /// An expectation over queries, not a bound on this one: the model
+    /// assumes the top k sit in a shard like any of its members, so a query
+    /// whose partners the hot sketch misses recalls less (on the
+    /// 5 000-entity SYN population at floor 0.9, with every shard sampled,
+    /// 61 of 200 queries measured below it).
     pub recall_estimate: f64,
     /// Entities scored through a *sampled* access path — the LSH banded
-    /// candidates of [`approximate_top_k`], or the members a budgeted
-    /// approximate shard scan drew.  Always ≤
+    /// candidates of [`approximate_top_k`], or the members a sampled shard
+    /// scan drew.  Always ≤
     /// [`entities_checked`](Self::entities_checked) (sampled scores are also
     /// exact degree computations and count in both).
     ///
     /// [`approximate_top_k`]: crate::snapshot::IndexSnapshot::approximate_top_k
     pub sampled_candidates: usize,
-    /// What the budgeted planner degraded, if anything.  `None` (the
+    /// What the latency budget degraded, if anything.  `None` (the
     /// default) is the exactness certificate: every shard ran an exact
     /// access path and the answer is bitwise identical to the unbudgeted
     /// plan.  See [`DegradationReport`].
     pub degradation: Option<DegradationReport>,
     /// Wall-clock time the planner spent building this query's
-    /// [`QueryPlan`](crate::plan::QueryPlan) (seeding, skipping, budgeting),
+    /// [`QueryPlan`](crate::plan::QueryPlan) (seeding, skipping, ordering),
     /// in microseconds; summed by [`absorb_work`](Self::absorb_work) so batch
     /// stats expose the total — and therefore amortized — planning cost.
     pub planning_us: u64,
@@ -480,8 +463,8 @@ mod tests {
     fn absorb_work_combines_degradation_conservatively() {
         let mut exact = QueryStats::default();
         let mut report = DegradationReport::default();
-        report.record_shard(2, 0.5, false);
-        report.record_shard(3, 0.25, true);
+        report.record_shard(2, 0.5);
+        report.record_shard(3, 0.25);
         let degraded = QueryStats {
             recall_estimate: 0.8,
             sampled_candidates: 40,
@@ -494,15 +477,13 @@ mod tests {
         assert_eq!(exact.sampled_candidates, 40);
         assert_eq!(exact.planning_us, 7);
         let merged = exact.degradation.expect("degradation propagates through absorb");
-        assert_eq!(merged.shards_planned_approximate, 1);
-        assert_eq!(merged.shards_deadline_downgraded, 1);
+        assert_eq!(merged.shards_approximate, 2);
         assert_eq!(merged.approximate_shard_mask, 0b1100);
         assert_eq!(merged.min_sample_rate, 0.25);
 
         // Absorbing a second degraded query merges the two reports.
         let mut other_report = DegradationReport::default();
-        other_report.record_shard(0, 0.75, false);
-        other_report.deadline_exceeded = true;
+        other_report.record_shard(0, 0.75);
         let other = QueryStats {
             recall_estimate: 0.9,
             degradation: Some(other_report),
@@ -510,20 +491,19 @@ mod tests {
         };
         exact.absorb_work(&other);
         let merged = exact.degradation.unwrap();
-        assert_eq!(merged.shards_approximate(), 3);
+        assert_eq!(merged.shards_approximate, 3);
         assert_eq!(merged.approximate_shard_mask, 0b1101);
         assert_eq!(merged.min_sample_rate, 0.25, "minimum rate survives the merge");
-        assert!(merged.deadline_exceeded);
         assert_eq!(exact.recall_estimate, 0.8, "minimum recall survives the merge");
     }
 
     #[test]
     fn degradation_report_counts_and_mask() {
         let mut r = DegradationReport::default();
-        assert_eq!(r.shards_approximate(), 0);
-        r.record_shard(1, 0.5, false);
-        r.record_shard(70, 0.1, true);
-        assert_eq!(r.shards_approximate(), 2);
+        assert_eq!(r.shards_approximate, 0);
+        r.record_shard(1, 0.5);
+        r.record_shard(70, 0.1);
+        assert_eq!(r.shards_approximate, 2);
         assert_eq!(r.approximate_shard_mask, 0b10, "shards past 64 rely on the counts");
         assert_eq!(r.min_sample_rate, 0.1);
     }

@@ -244,9 +244,6 @@ impl Synopsis {
         if p >= target {
             return 0.0;
         }
-        if p >= 1.0 {
-            return 0.0;
-        }
         ((target - p) / (1.0 - p)).clamp(0.0, 1.0)
     }
 }

@@ -349,13 +349,13 @@ impl Default for PlannerDispersedConfig {
     }
 }
 
-/// Configuration of [`Workload::deadline_adversarial`] — the budgeted
-/// planner's stress case: **one pathologically expensive shard** (a large
+/// Configuration of [`Workload::deadline_adversarial`] — the latency
+/// budget's stress case: **one pathologically expensive shard** (a large
 /// clique sharing a long itinerary, so its tree search must score many
 /// strong candidates) while every other shard holds only trivial
-/// single-cell entities.  A latency budget that comfortably covers the
-/// cheap shards binds exactly on the expensive one, which is where the
-/// downgrade protocol and the recall floor earn their keep.
+/// single-cell entities.  A deadline that comfortably covers the cheap
+/// shards expires inside the expensive one, which is what the deadline and
+/// the recall floor are tested against.
 #[derive(Debug, Clone)]
 pub struct DeadlineAdversarialConfig {
     /// The shard count; the expensive clique lands in one of them.
@@ -708,8 +708,8 @@ impl Workload {
         (Workload { sp, traces }, entities)
     }
 
-    /// One pathologically expensive shard plus cheap rest — the budgeted
-    /// planner's stress workload; see [`DeadlineAdversarialConfig`].
+    /// One pathologically expensive shard plus cheap rest — the latency
+    /// budget's stress workload; see [`DeadlineAdversarialConfig`].
     /// Returns the workload plus the expensive clique's ids (the natural
     /// probes: their queries *must* drive the expensive shard).
     pub fn deadline_adversarial(config: DeadlineAdversarialConfig) -> (Workload, Vec<EntityId>) {

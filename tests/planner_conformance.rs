@@ -8,9 +8,10 @@
 //! skip every background shard of the localized population, skip nothing on
 //! the dispersed one, and report both through `QueryStats`.
 //!
-//! Access paths: every admitted shard is flat-scanned (or, under a binding
-//! budget, sample-scanned), and the scan does the pruning the tree did — the
-//! `access_path_*` tests at the end.
+//! Access paths: every admitted shard is flat-scanned (sample-scanned only
+//! when picked up past a latency budget's deadline), and the scan does the
+//! pruning the tree did — the `access_path_*` tests at the end.  A plan
+//! depends on neither the budget nor pool residency.
 //!
 //! Persistence: a saved-then-reopened sharded index must carry exactly the
 //! synopsis a freshly rebuilt index would (sketch size included), and
@@ -335,19 +336,18 @@ fn version_1_directories_still_open() {
 }
 
 // ---------------------------------------------------------------------------
-// Access paths: a sharded plan skips, scans or sample-scans, and its scans
-// score no more than the tree would have.  CI runs these by name
+// Access paths: a sharded plan skips or scans, and its scans score no more
+// than the tree would have.  CI runs these by name
 // (`--test planner_conformance access_path`).
 // ---------------------------------------------------------------------------
 
 /// A plan's verdicts in plan order, one `<shard><arm>` per shard: `S`can,
-/// s`K`ip, `A`pproximate scan.
+/// s`K`ip.
 fn decisions(plan: &QueryPlan) -> String {
     let arms = plan.shards.iter().map(|s| {
         let arm = match s.decision {
             ShardDecision::Scan => 'S',
             ShardDecision::Skip => 'K',
-            ShardDecision::ApproximateScan { .. } => 'A',
         };
         format!("{}{arm}", s.shard)
     });
@@ -474,12 +474,12 @@ fn access_path_pruning_hot_shard_scores_a_small_part() {
 
 /// Unseeded (by a sketchless index, or by a `k` above the sketch
 /// candidates), seeded, and budgeted plans (binding or not) make the
-/// three-way decision, verdict for verdict: every admitted shard scanned,
-/// or sample-scanned under a zero budget, in the driving order recorded on
-/// the commit before shards stopped being tree-searched.
-/// Residency is not a condition of any verdict: out of core over a one-frame
-/// pool, where no shard is ever resident, the plan is the in-memory one,
-/// decision for decision.
+/// two-way decision, verdict for verdict: every admitted shard scanned, in
+/// the driving order recorded on the commit before shards stopped being
+/// tree-searched.  A zero budget samples every one of those scans when it
+/// runs.  Residency is not a condition of any verdict: out of core over a
+/// one-frame pool, where no shard is ever resident, the plan is the
+/// in-memory one.
 #[test]
 fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() {
     let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
@@ -500,36 +500,79 @@ fn access_path_rule_leaves_unseeded_and_budgeted_plans_alone_at_any_residency() 
     assert_eq!(queries, [79, 191, 56, 0, 69].map(EntityId));
 
     let scan = ["3S 0S 1S 2S", "0S 1S 2S 3S", "3S 0S 1S 2S", "3S 0S 1S 2S", "3S 0S 1S 2S"];
-    let sampled = ["3A 0A 1A 2A", "0A 1A 2A 3A", "3A 0A 1A 2A", "3A 0A 1A 2A", "3A 0A 1A 2A"];
+    let zero_budget = PlannerConfig::with_budget_and_floor(0, 0.5);
     let cases = [
-        ("unseeded by sketch size 0", &sketchless, 5, PlannerConfig::default(), scan),
-        ("unseeded by k", &snapshot, 80, PlannerConfig::default(), scan),
-        ("default", &snapshot, 5, PlannerConfig::default(), scan),
-        ("non-binding budget", &snapshot, 5, PlannerConfig::with_budget(u64::MAX / 2_000), scan),
-        ("zero budget", &snapshot, 5, PlannerConfig::with_budget_and_floor(0, 0.5), sampled),
+        ("unseeded by sketch size 0", &sketchless, 5, PlannerConfig::default()),
+        ("unseeded by k", &snapshot, 80, PlannerConfig::default()),
+        ("default", &snapshot, 5, PlannerConfig::default()),
+        ("non-binding budget", &snapshot, 5, PlannerConfig::with_budget(u64::MAX / 2_000)),
+        ("zero budget", &snapshot, 5, zero_budget),
     ];
-    for (name, snapshot, k, planner, recorded) in cases {
-        for (&query, recorded) in queries.iter().zip(recorded) {
+    for (name, snapshot, k, planner) in cases {
+        for (&query, recorded) in queries.iter().zip(scan) {
             let plan = snapshot.explain(query, k, &measure, planner).unwrap();
             assert_eq!(decisions(&plan), recorded, "{name}, {query}");
         }
     }
+    // The zero budget's deadline has passed before the first scan is picked
+    // up: the execution samples every shard the plan scans.
+    for &query in &queries {
+        let request = Query { planner: zero_budget, ..Query::new(5, &measure) };
+        let (_, stats) = snapshot.query(query, &request).unwrap();
+        let report = stats.degradation.expect("a zero budget samples");
+        assert_eq!((report.shards_approximate, report.approximate_shard_mask), (4, 0b1111));
+    }
 
     // Out of core over a one-frame pool no shard is ever fully resident, and
-    // every shard plans as it does in memory.  (Only the driving order of
-    // equally promising shards may differ: it breaks ties by cold pages.)
+    // the plan is the in-memory one, driving order included.
     let store = PagedTraceStore::build(&w.traces, 4);
-    let by_shard = |plan: &QueryPlan| {
-        let mut shards: Vec<_> = plan.shards.iter().map(|s| (s.shard, s.decision)).collect();
-        shards.sort_by_key(|&(shard, ..)| shard);
-        shards
-    };
     for &query in &queries {
         let pool = store.pool(PoolConfig { capacity_bytes: PAGE_SIZE, ..PoolConfig::default() });
         let paged = snapshot.paged(&store, &pool);
         let plan = paged.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
-        assert!(plan.admitted().all(|s| s.pages.is_some_and(|p| p.cold_pages() > 0)));
         let mem = snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
-        assert_eq!(by_shard(&plan), by_shard(&mem), "cold pool, {query}");
+        assert_eq!(plan, mem, "cold pool, {query}");
+    }
+}
+
+/// A plan is a function of the data and the query alone: whatever the
+/// latency budget — expired before planning starts, or never reached — and
+/// whatever the pool holds, `explain` renders the unbudgeted in-memory plan
+/// byte for byte.
+#[test]
+fn explain_depends_on_neither_budget_nor_residency() {
+    let w = Workload::uniform(UniformConfig { entities: 200, ..UniformConfig::default() });
+    let sharded =
+        ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), 4)
+            .unwrap();
+    let snapshot = sharded.snapshot();
+    let measure = w.measure();
+    let store = PagedTraceStore::build(&w.traces, 4);
+    let budgets = [0, 1, u64::MAX / 4].map(|us| PlannerConfig::with_budget_and_floor(us, 0.5));
+    // One frame: no shard is ever resident.  The default pool holds every
+    // row page of the session, and each is fetched before planning.
+    let one_frame = store.pool(PoolConfig { capacity_bytes: PAGE_SIZE, ..PoolConfig::default() });
+    let full = store.pool(PoolConfig::default());
+    let cold = snapshot.paged(&store, &one_frame);
+    let warm = snapshot.paged(&store, &full);
+    let rows: Vec<_> = (0..4).flat_map(|s| warm.shard_pages(s).to_vec()).collect();
+    assert!(rows.len() * PAGE_SIZE <= full.config().capacity_bytes, "all rows fit");
+    for &page in &rows {
+        full.get(page);
+    }
+    for query in w.sample_entities(8, 0xE1A1) {
+        for k in [3usize, 10] {
+            let context = format!("query {query}, k {k}");
+            let exact = snapshot.explain(query, k, &measure, PlannerConfig::default()).unwrap();
+            let text = exact.explain();
+            for planner in budgets {
+                let plan = snapshot.explain(query, k, &measure, planner).unwrap();
+                assert_eq!(plan.explain(), text, "{context}, {planner:?}");
+            }
+            for (pool, paged) in [("one-frame", &cold), ("full", &warm)] {
+                let plan = paged.explain(query, k, &measure, PlannerConfig::default()).unwrap();
+                assert_eq!(plan.explain(), text, "{context}, {pool} pool");
+            }
+        }
     }
 }
