@@ -69,7 +69,7 @@ pub(crate) trait ShardAccess<'q> {
     /// sample at `rate` plus the shard's sketch entities, `exclude` (the
     /// query entity) left out.  Returns the
     /// shard's sorted top-k and how many entities it scored; kernel
-    /// dispatches, pool traffic and unreadable candidates stay on the source
+    /// dispatches and pool traffic stay on the source
     /// until [`drain_source`](Self::drain_source).
     fn scan<M: AssociationMeasure + ?Sized>(
         source: &Self::Source,
@@ -207,7 +207,6 @@ where
     }
     let results = engine::merge_top_k(query.k, parts);
     access.drain(&mut stats);
-    stats.discount_unreadable();
     stats.query_time_us = start.elapsed().as_micros() as u64;
     (results, stats)
 }

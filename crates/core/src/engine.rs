@@ -112,16 +112,15 @@ use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level, LevelOve
 /// A source is constructed per query (it holds the query's resolved view and
 /// its own scratch and counters) and serves one search.
 pub(crate) trait TraceSource {
-    /// The degree between the source's query and `entity`'s trace, or `None`
-    /// when the entity cannot be found.  An indexed entity the source cannot
-    /// produce is *not* silently dropped: the search counts it in
-    /// [`QueryStats::candidates_unreadable`] and lowers the answer's
-    /// [`recall_estimate`](QueryStats::recall_estimate).
+    /// The degree between the source's query and `entity`'s trace.  A leaf
+    /// entity is always a member of the source's arena: publish keeps the
+    /// tree and the arena in step, and a reopened snapshot's tree entities
+    /// are checked against its stored sequences.
     ///
     /// Must return **bitwise** the value `measure.degree(query, sequence)`
     /// yields for the entity's ST-cell set sequence — the engine's exactness
     /// and tie-completeness guarantees ride on that.
-    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64>;
+    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> f64;
 }
 
 /// An `f64` wrapper with a total order, used as a heap priority.
@@ -481,7 +480,6 @@ where
             self.visit(candidate);
         }
         self.stats.query_time_us = self.started.elapsed().as_micros() as u64;
-        self.stats.discount_unreadable();
         (self.top.into_sorted(), self.stats)
     }
 
@@ -501,10 +499,7 @@ where
                 if Some(entity) == self.exclude {
                     continue;
                 }
-                let Some(degree) = self.source.degree(entity, &self.measure) else {
-                    self.stats.candidates_unreadable += 1;
-                    continue;
-                };
+                let degree = self.source.degree(entity, &self.measure);
                 self.stats.entities_checked += 1;
                 self.top.offer(entity, degree);
             }

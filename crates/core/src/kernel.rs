@@ -904,8 +904,7 @@ impl CandidateArena {
     /// levels 1 and 2 in `counts` (a source's scratch, resized to one slot
     /// per position).  `score` gets a member's position and those overlaps
     /// — the known prefix [`level_overlaps`] starts after — and returns its
-    /// degree, `None` for a member it could not read (not counted as
-    /// checked).  A member sharing no level-2 cell shares no finer one, so
+    /// degree.  A member sharing no level-2 cell shares no finer one, so
     /// `score` answers it without an intersection.
     ///
     /// **Disjoint members last.**  It scores, in position order, every
@@ -931,7 +930,7 @@ impl CandidateArena {
         counts: &mut Vec<LevelCounts>,
         k: usize,
         admit: impl Fn(EntityId) -> bool,
-        mut score: impl FnMut(usize, &[usize]) -> Option<f64>,
+        mut score: impl FnMut(usize, &[usize]) -> f64,
     ) -> (Vec<TopKResult>, usize) {
         let m = self.num_levels();
         counts.clear();
@@ -955,10 +954,8 @@ impl CandidateArena {
                     continue;
                 }
                 let known = count.map(|overlap| overlap as usize);
-                if let Some(degree) = score(pos, &known[..self.postings.len()]) {
-                    checked += 1;
-                    top.offer(entity, degree);
-                }
+                checked += 1;
+                top.offer(entity, score(pos, &known[..self.postings.len()]));
             }
         }
         (top.into_sorted(), checked)
@@ -1485,7 +1482,7 @@ impl<'a> ArenaSource<'a> {
         let counts = &mut *self.counts.borrow_mut();
         let answer = arena.flat_scan(view, measure, counts, k, admit, |pos, known| {
             arena.overlaps_into(pos, view, known, scratch, Some(&mut dispatch));
-            Some(measure.degree_from_overlap(scratch))
+            measure.degree_from_overlap(scratch)
         });
         self.dispatch.set(dispatch);
         answer
@@ -1493,8 +1490,8 @@ impl<'a> ArenaSource<'a> {
 }
 
 impl TraceSource for ArenaSource<'_> {
-    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
-        let pos = self.arena.position(entity)?;
+    fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> f64 {
+        let pos = self.arena.position(entity).expect("a leaf entity is an arena member");
         let mut dispatch = self.dispatch.get();
         let degree = self.arena.degree_into_tracked(
             pos,
@@ -1504,7 +1501,7 @@ impl TraceSource for ArenaSource<'_> {
             &mut dispatch,
         );
         self.dispatch.set(dispatch);
-        Some(degree)
+        degree
     }
 }
 
@@ -1966,11 +1963,10 @@ mod tests {
         let view = QueryView::new(&qseq);
         let source = ArenaSource::new(&arena, &view);
         for &entity in arena.entities() {
-            let via_source = source.degree(entity, &measure).expect("entity is indexed");
+            let via_source = source.degree(entity, &measure);
             let owned = measure.degree(&qseq, &sequences[&entity]);
             assert_eq!(via_source.to_bits(), owned.to_bits());
         }
-        assert!(source.degree(EntityId(42), &measure).is_none());
         let drained = source.take_dispatch();
         let issued: u64 = sequences.values().map(|seq| issued_intersections(&qseq, seq)).sum();
         assert_eq!(

@@ -16,10 +16,11 @@
 //! member — the arena's own keyed rows, copied, not converted again — as one
 //! run of word pages ([`WordPages`]) on the store's disk: keys then masks per
 //! row, in arena order.  The session keeps one `u32` start per arena
-//! position in memory.  An entity the store's directory lacks gets no row:
-//! the session cannot read it, and a query counts it unreadable.  Dropping
-//! the session frees its pages; the disk never hands a page id out twice, so
-//! a pool's frames of freed pages are only ever evicted, never read.
+//! position in memory.  Every member gets its rows, whatever the store's
+//! directory holds: the rows are copied from the arena, and the store only
+//! supplies the disk.  Dropping the session frees its pages; the disk never
+//! hands a page id out twice, so a pool's frames of freed pages are only
+//! ever evicted, never read.
 //!
 //! Its entry points mirror the in-memory ones (`top_k`, `query`, batches,
 //! joins, `explain`) and run the **same** planner body and the same drive;
@@ -54,9 +55,9 @@
 //!   keyed, and where it says packed over the row expanded back to packed
 //!   cells in scratch.  The row lengths [`row_class`] weighs are the
 //!   resident ones, so each level runs the kernel the in-memory query runs.
-//! * **Pins.**  A query pins nothing.  A fetch hands out the page's frozen
+//! * **Pins.**  The pool has none.  A fetch hands out the page's frozen
 //!   bytes, valid even after the frame is evicted, and the span is copied out
-//!   at once, so `pinned_frames() == 0` during and after every query.
+//!   at once, so nothing is held across a candidate.
 //! * **Scratch.**  Every shard scan gets its own `PagedArenaSource`, the
 //!   planner one more for seeding.  A source owns the span and expansion
 //!   buffers, the overlap scratch, a scan's per-position level-1 and level-2
@@ -104,7 +105,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use trace_model::ajpi::LevelOverlap;
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
-use trace_storage::{BufferPool, PageId, PagedTraceStore, PoolStats, WordPages};
+use trace_storage::{BufferPool, PageId, PagedTraceStore, PoolStats, VirtualDisk, WordPages};
 
 /// What one [`PagedArenaSource`] reuses across candidates and counts for its
 /// query.
@@ -113,51 +114,39 @@ struct Scratch {
     rows: RowScratch,
     dispatch: KernelDispatch,
     io: PoolStats,
-    /// Candidates a flat scan through this source could not read.
-    unreadable: usize,
     /// Candidates scored from their resident rows alone, no page read.
     reads_avoided: usize,
 }
 
-/// The start of an entity that has no rows in its shard's run.
-const NO_ROW: u32 = u32::MAX;
-
 /// One shard's keyed rows of levels 2..m, on the store's disk.
 #[derive(Debug)]
 struct RowSegment<'a> {
-    /// Per arena position, the word its rows start at in `pages`; [`NO_ROW`]
-    /// for an entity the store does not hold.
+    /// Per arena position, the word its rows start at in `pages`.
     starts: Vec<u32>,
     pages: WordPages<'a>,
 }
 
 impl<'a> RowSegment<'a> {
-    /// Writes `shard`'s rows onto `store`'s disk, in arena order, for the
-    /// entities `store` holds.
-    fn write(shard: &IndexSnapshot, store: &'a PagedTraceStore) -> Self {
+    /// Writes every member's rows of `shard` onto `disk`, in arena order.
+    fn write(shard: &IndexSnapshot, disk: &'a VirtualDisk) -> Self {
         let arena = shard.arena();
         let mut words = Vec::new();
-        let starts = (arena.entities().iter().enumerate())
-            .map(|(pos, &entity)| {
-                if store.trace_pages(entity).is_none() {
-                    return NO_ROW;
-                }
+        let starts = (0..arena.len())
+            .map(|pos| {
                 let start = u32::try_from(words.len())
-                    .ok()
-                    .filter(|&start| start != NO_ROW)
                     .expect("a shard's rows are addressable by u32 words");
                 arena.push_finer_rows(pos, &mut words);
                 start
             })
             .collect();
-        RowSegment { starts, pages: WordPages::write(store.disk(), &words) }
+        RowSegment { starts, pages: WordPages::write(disk, &words) }
     }
 
     /// The words of the rows of the entity at `pos` of `arena` (this
-    /// segment's shard's); `None` when it has none.
-    fn span(&self, arena: &CandidateArena, pos: usize) -> Option<Range<usize>> {
-        let start = self.starts[pos];
-        (start != NO_ROW).then(|| start as usize..start as usize + arena.finer_words(pos))
+    /// segment's shard's).
+    fn span(&self, arena: &CandidateArena, pos: usize) -> Range<usize> {
+        let start = self.starts[pos] as usize;
+        start..start + arena.finer_words(pos)
     }
 }
 
@@ -186,61 +175,45 @@ pub(crate) struct PagedArenaSource<'a> {
 }
 
 impl<'a> PagedArenaSource<'a> {
-    /// Adds the kernel-dispatch, buffer-pool, unreadable-candidate and
-    /// avoided-read counters accumulated since the last call (or
-    /// construction) to `stats`, leaving them at zero.
+    /// Adds the kernel-dispatch, buffer-pool and avoided-read counters
+    /// accumulated since the last call (or construction) to `stats`, leaving
+    /// them at zero.
     pub(crate) fn drain_into(&self, stats: &mut QueryStats) {
         let scratch = &mut *self.scratch.borrow_mut();
         stats.kernel_dispatch.absorb(std::mem::take(&mut scratch.dispatch));
         stats.absorb_io(std::mem::take(&mut scratch.io));
-        stats.candidates_unreadable += std::mem::take(&mut scratch.unreadable);
         stats.reads_avoided += std::mem::take(&mut scratch.reads_avoided);
     }
 
-    /// The degree of `entity`, a member of shard `shard`; `None` when the
-    /// session holds no rows for it (the store lacks it).  `track` counts
-    /// the kernel dispatches (scans do; planner seeding, like its in-memory
+    /// The degree of the member at arena position `pos` of shard `shard`,
+    /// past the levels whose overlaps are `known`.  `track` counts the
+    /// kernel dispatches (scans do; planner seeding, like its in-memory
     /// counterpart, does not).
     fn score<M: AssociationMeasure + ?Sized>(
-        &self,
-        shard: usize,
-        entity: EntityId,
-        measure: &M,
-        track: bool,
-    ) -> Option<f64> {
-        let pos = self.paged.snapshot.shard(shard).arena().position(entity)?;
-        self.score_at(shard, pos, &[], measure, track)
-    }
-
-    /// [`score`](Self::score) of the member at arena position `pos`, past
-    /// the levels whose overlaps are `known`.
-    fn score_at<M: AssociationMeasure + ?Sized>(
         &self,
         shard: usize,
         pos: usize,
         known: &[usize],
         measure: &M,
         track: bool,
-    ) -> Option<f64> {
+    ) -> f64 {
         let (arena, segment) =
             (self.paged.snapshot.shard(shard).arena(), &self.paged.segments[shard]);
-        let span = segment.span(arena, pos)?;
-        let Scratch { rows, dispatch, io, reads_avoided, .. } = &mut *self.scratch.borrow_mut();
+        let span = segment.span(arena, pos);
+        let Scratch { rows, dispatch, io, reads_avoided } = &mut *self.scratch.borrow_mut();
         let pool = self.paged.pool;
         let read = |words: &mut Vec<u64>| segment.pages.read(pool, span, words, io);
         let dispatch = track.then_some(dispatch);
         if !arena.paged_overlaps(pos, self.view, known, read, rows, dispatch) {
             *reads_avoided += 1;
         }
-        Some(measure.degree_from_overlap(rows.overlap()))
+        measure.degree_from_overlap(rows.overlap())
     }
 
     /// The source's shard's flat scan ([`CandidateArena::flat_scan`]): every
     /// member it scores is scored from level 3 on with its level-1 and
-    /// level-2 overlaps from the postings — so a member sharing no level-2
-    /// cell is neither intersected nor read — and a member the session holds
-    /// no rows for is counted unreadable.  A member the scan skips is
-    /// neither.
+    /// level-2 overlaps from the postings, so a member sharing no level-2
+    /// cell is neither intersected nor read.
     fn scan<M: AssociationMeasure + ?Sized>(
         &self,
         k: usize,
@@ -250,11 +223,7 @@ impl<'a> PagedArenaSource<'a> {
         let arena = self.paged.snapshot.shard(self.shard).arena();
         let counts = &mut *self.counts.borrow_mut();
         arena.flat_scan(self.view, measure, counts, k, admit, |pos, known| {
-            let degree = self.score_at(self.shard, pos, known, measure, true);
-            if degree.is_none() {
-                self.scratch.borrow_mut().unreadable += 1;
-            }
-            degree
+            self.score(self.shard, pos, known, measure, true)
         })
     }
 }
@@ -267,15 +236,17 @@ impl ShardedSnapshot {
     /// Building the session writes every shard's rows of levels 2..m to
     /// `store`'s disk (see the [module docs](crate::paged)), which the
     /// session frees when dropped — build it once per snapshot and reuse it
-    /// across queries.  `pool` must be a pool over `store`'s disk; `store`'s
-    /// directory says which entities are readable.
+    /// across queries.  `pool` must be a pool over `store`'s disk; the
+    /// session holds rows for every member, whatever `store`'s directory
+    /// holds.
     pub fn paged<'a>(
         &'a self,
         store: &'a PagedTraceStore,
         pool: &'a BufferPool<'a>,
     ) -> PagedShardedSnapshot<'a> {
+        let disk = store.disk();
         let segments =
-            self.shard_snapshots().iter().map(|shard| RowSegment::write(shard, store)).collect();
+            self.shard_snapshots().iter().map(|shard| RowSegment::write(shard, disk)).collect();
         PagedShardedSnapshot { snapshot: self, store, pool, segments }
     }
 }
@@ -322,13 +293,12 @@ impl<'a> PagedShardedSnapshot<'a> {
     }
 
     /// The pages reading `entity`'s finer rows touches, in read order; `None`
-    /// when the session holds no rows for it (the snapshot does not index
-    /// it, or the store does not hold it).
+    /// when the snapshot does not index it.
     pub fn row_pages(&self, entity: EntityId) -> Option<&[PageId]> {
         let shard = shard_of(entity, self.snapshot.num_shards());
         let arena = self.snapshot.shard(shard).arena();
         let segment = &self.segments[shard];
-        Some(segment.pages.pages_of(segment.span(arena, arena.position(entity)?)?))
+        Some(segment.pages.pages_of(segment.span(arena, arena.position(entity)?)))
     }
 
     /// Answers a top-k query with the default [`Query`] — the paged
@@ -492,12 +462,13 @@ impl<'q> ShardAccess<'q> for PagedAccess<'q> {
         _scratch: &mut LevelOverlap,
         mut offer: impl FnMut(EntityId, f64),
     ) {
-        for &hot in self.shards()[shard].synopsis().hot_entities() {
+        let snapshot = &self.shards()[shard];
+        for &hot in snapshot.synopsis().hot_entities() {
             if hot == self.entity {
                 continue;
             }
-            if let Some(degree) = self.source.score(shard, hot, measure, false) {
-                offer(hot, degree);
+            if let Some(pos) = snapshot.arena().position(hot) {
+                offer(hot, self.source.score(shard, pos, &[], measure, false));
             }
         }
     }
@@ -554,10 +525,10 @@ mod tests {
     }
 
     impl TraceSource for PagedSource<'_> {
-        fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> Option<f64> {
-            let trace = self.store.read_trace(self.pool, entity)?;
-            let seq = trace.cell_sequence(self.sp, self.ticks_per_unit).ok()?;
-            Some(measure.degree(self.query, &seq))
+        fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> f64 {
+            let trace = self.store.read_trace(self.pool, entity).expect("stored");
+            let seq = trace.cell_sequence(self.sp, self.ticks_per_unit).unwrap();
+            measure.degree(self.query, &seq)
         }
     }
 
@@ -805,15 +776,14 @@ mod tests {
         let query_seq = shard.sequence(EntityId(0)).unwrap();
         let view = QueryView::new(query_seq);
         let (source, memory) = (paged.source(0, &view), ArenaSource::new(shard.arena(), &view));
-        let fused: Vec<f64> = (0..120u64)
-            .map(|e| source.score(0, EntityId(e), &measure, true).expect("stored"))
-            .collect();
+        let pos = |e: u64| shard.arena().position(EntityId(e)).unwrap();
+        let fused: Vec<f64> =
+            (0..120u64).map(|e| source.score(0, pos(e), &[], &measure, true)).collect();
         for e in 0..120u64 {
             memory.degree(EntityId(e), &measure);
         }
-        assert!(source.score(0, EntityId(9999), &measure, true).is_none());
         // Untracked scoring (planner seeding) reads pages but counts no kernels.
-        assert!(source.score(0, EntityId(3), &measure, false).is_some());
+        source.score(0, pos(3), &[], &measure, false);
         let mut stats = QueryStats::default();
         source.drain_into(&mut stats);
         let issued: u64 = (0..120u64)
@@ -838,7 +808,7 @@ mod tests {
         let oracle =
             |query| PagedSource { store: &store, pool: &pool, sp, ticks_per_unit: ticks, query };
         for (e, fused) in fused.iter().enumerate() {
-            let owned = oracle(query_seq).degree(EntityId(e as u64), &measure).unwrap();
+            let owned = oracle(query_seq).degree(EntityId(e as u64), &measure);
             assert_eq!(fused.to_bits(), owned.to_bits(), "entity {e}");
         }
         for query in [7u64, 33, 79].map(EntityId) {
@@ -905,9 +875,10 @@ mod tests {
             let (source, memory) = (paged.source(0, &view), ArenaSource::new(shard.arena(), &view));
             let (mut disjoint, mut read_pages, mut all_pages) = (0, 0, 0);
             for (&entity, seq) in shard.sequences() {
-                let owned = oracle.degree(entity, &measure).unwrap().to_bits();
-                let fused = source.score(0, entity, &measure, true).unwrap().to_bits();
-                let resident = memory.degree(entity, &measure).unwrap().to_bits();
+                let pos = shard.arena().position(entity).unwrap();
+                let owned = oracle.degree(entity, &measure).to_bits();
+                let fused = source.score(0, pos, &[], &measure, true).to_bits();
+                let resident = memory.degree(entity, &measure).to_bits();
                 assert_eq!((fused, resident), (owned, owned), "query {query}, candidate {entity}");
                 all_pages += row_pages(entity);
                 if seq.level(1).intersection_len(query_seq.level(1)) == 0 {

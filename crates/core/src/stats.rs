@@ -208,12 +208,6 @@ pub struct QueryStats {
     pub pool_misses: u64,
     /// Frames this query's own misses evicted (paged queries only).
     pub pool_evictions: u64,
-    /// Indexed candidates the trace source could not produce (out of core:
-    /// an entity the store's directory lacks, so its session holds no rows
-    /// for it).  They are
-    /// skipped, not scored, so any of them may be a missing true answer:
-    /// non-zero lowers [`recall_estimate`](Self::recall_estimate) below 1.0.
-    pub candidates_unreadable: usize,
     /// Candidates a paged query scored without reading a page: a scanned
     /// member sharing no level-2 cell with the query, whose level-1 and
     /// level-2 overlaps the resident postings counted, or a seed candidate
@@ -229,8 +223,7 @@ pub struct QueryStats {
     /// Expected recall of the answer.  Exactly `1.0` on every exact path
     /// (the default); below `1.0` when the deadline sampled at least one
     /// shard, in which case the minimum over the sampled shards'
-    /// `Synopsis::expected_scan_recall` is reported, or when a candidate was
-    /// [unreadable](Self::candidates_unreadable).
+    /// `Synopsis::expected_scan_recall` is reported.
     /// [`absorb_work`](Self::absorb_work) likewise combines estimates by
     /// taking the minimum.
     ///
@@ -280,7 +273,6 @@ impl Default for QueryStats {
             pool_hits: 0,
             pool_misses: 0,
             pool_evictions: 0,
-            candidates_unreadable: 0,
             reads_avoided: 0,
             kernel_dispatch: KernelDispatch::default(),
             // An answer is exact until some sampled path says otherwise.
@@ -312,23 +304,13 @@ impl QueryStats {
         (1.0 - self.fraction_checked()).clamp(0.0, 1.0)
     }
 
-    /// Adds buffer-pool counters (what one of this query's sources, or its
-    /// query-trace pins, did) to the query's totals.
+    /// Adds buffer-pool counters (what one of this query's sources did) to
+    /// the query's totals.
     pub(crate) fn absorb_io(&mut self, io: trace_storage::PoolStats) {
         self.pool_hits += io.hits;
         self.pool_misses += io.misses;
         self.pool_evictions += io.evictions;
         self.simulated_io_us += io.simulated_us;
-    }
-
-    /// Lowers [`recall_estimate`](Self::recall_estimate) to what the
-    /// unreadable candidates still guarantee: each may hide one true top-k
-    /// member, so at least `(k - unreadable) / k` of the answer is intact.
-    pub(crate) fn discount_unreadable(&mut self) {
-        if self.candidates_unreadable > 0 && self.k > 0 {
-            let lost = self.candidates_unreadable.min(self.k) as f64;
-            self.recall_estimate = self.recall_estimate.min(1.0 - lost / self.k as f64);
-        }
     }
 
     /// Accumulates another search's work counters into this one (used to sum
@@ -349,7 +331,6 @@ impl QueryStats {
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.pool_evictions += other.pool_evictions;
-        self.candidates_unreadable += other.candidates_unreadable;
         self.reads_avoided += other.reads_avoided;
         self.kernel_dispatch.absorb(other.kernel_dispatch);
         self.recall_estimate = self.recall_estimate.min(other.recall_estimate);
@@ -521,29 +502,5 @@ mod tests {
         let mut sum = d;
         sum.absorb(d);
         assert_eq!(sum.total(), 12);
-    }
-
-    #[test]
-    fn unreadable_candidates_sum_across_shards_before_discounting_recall() {
-        // Two shards each lost one candidate of a k = 2 query: either could
-        // hide a true answer, so nothing of the answer is guaranteed.
-        let lost_one = QueryStats { candidates_unreadable: 1, ..QueryStats::default() };
-        let mut merged = QueryStats { k: 2, ..QueryStats::default() };
-        merged.absorb_work(&lost_one);
-        merged.absorb_work(&lost_one);
-        merged.discount_unreadable();
-        assert_eq!((merged.candidates_unreadable, merged.recall_estimate), (2, 0.0));
-
-        let mut partial = QueryStats { k: 4, candidates_unreadable: 1, ..QueryStats::default() };
-        partial.discount_unreadable();
-        assert_eq!(partial.recall_estimate, 0.75);
-        // Never raises an estimate a sampled shard already lowered further.
-        let mut sampled =
-            QueryStats { k: 4, candidates_unreadable: 1, recall_estimate: 0.5, ..partial };
-        sampled.discount_unreadable();
-        assert_eq!(sampled.recall_estimate, 0.5);
-        let mut exact = QueryStats { k: 4, ..QueryStats::default() };
-        exact.discount_unreadable();
-        assert_eq!(exact.recall_estimate, 1.0);
     }
 }

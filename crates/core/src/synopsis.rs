@@ -18,9 +18,11 @@
 //!   degree, usable to seed the search bound before any traversal.  The
 //!   sketch only influences *which* candidates get pre-scored, never what
 //!   their degrees are, so a poor sketch costs speed, never correctness;
-//! * **the entity count** — lets the planner answer tiny shards with a flat
-//!   [`scan`](crate::engine) instead of a tree search (and an empty shard's
-//!   `-inf` upper bound makes any seeded query skip it).
+//! * **the entity count** — gives an empty shard its `-inf` upper bound,
+//!   which makes any seeded query skip it, and is the denominator of the
+//!   sampled-scan recall model (`Synopsis::expected_scan_recall`: the
+//!   share of a shard's members its hot sketch covers); a shard plan
+//!   reports it.
 //!
 //! ## Consistency contract
 //!

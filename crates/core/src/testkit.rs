@@ -949,8 +949,8 @@ pub fn issued_intersections(query: &CellSetSequence, candidate: &CellSetSequence
 /// restated from the sequences.  `members` are the ones the scan admits, in
 /// position order.  Every one sharing a level-1 cell with `query` is
 /// scored.  The others are scored too exactly when the `k` best degrees of
-/// the sharing members `readable` lets through do not all beat
-/// `measure`'s bound for a member sharing nothing strictly.  Zero-overlap
+/// the sharing members do not all beat `measure`'s bound for a member
+/// sharing nothing strictly.  Zero-overlap
 /// members cannot raise the k-th degree above that bound, so the tail is all
 /// or nothing.  Sharing members come first, each group in the order given.
 pub fn scan_scored<'a>(
@@ -958,13 +958,10 @@ pub fn scan_scored<'a>(
     members: impl IntoIterator<Item = (EntityId, &'a CellSetSequence)>,
     k: usize,
     measure: &dyn AssociationMeasure,
-    readable: impl Fn(EntityId) -> bool,
 ) -> Vec<(EntityId, &'a CellSetSequence)> {
     let (mut sharing, disjoint): (Vec<_>, Vec<_>) =
         members.into_iter().partition(|(_, seq)| seq.level(1).intersection_len(query.level(1)) > 0);
-    let mut held: Vec<f64> = (sharing.iter().filter(|&&(entity, _)| readable(entity)))
-        .map(|(_, seq)| measure.degree(query, seq))
-        .collect();
+    let mut held: Vec<f64> = sharing.iter().map(|(_, seq)| measure.degree(query, seq)).collect();
     held.sort_by(|a, b| b.total_cmp(a));
     let sizes: Vec<usize> = query.iter_levels().map(|(_, set)| set.len()).collect();
     let zero = measure.upper_bound(&sizes, &vec![0; sizes.len()]);
@@ -1005,16 +1002,14 @@ pub fn assert_equivalent_answers(a: &[TopKResult], b: &[TopKResult], context: &s
 }
 
 /// An adversarial [`Replacer`](trace_storage::Replacer): evicts a
-/// pseudo-random *evictable* page each time, driven by an [`Rng64`] stream.
-/// It honours the one contract the engine relies on — a page whose latest
-/// `set_evictable(id, false)` stands is never named — and is otherwise as
-/// unhelpful as a policy can be: if an eviction decision could leak into an
-/// answer, this replacer would find it.
+/// pseudo-random tracked page each time, driven by an [`Rng64`] stream —
+/// as unhelpful as a policy can be: if an eviction decision could leak into
+/// an answer, this replacer would find it.
 #[derive(Debug)]
 pub struct ChaoticReplacer {
     rng: Rng64,
-    /// Tracked pages in insertion order, with their evictable flag.
-    pages: Vec<(trace_storage::PageId, bool)>,
+    /// Tracked pages in insertion order.
+    pages: Vec<trace_storage::PageId>,
 }
 
 impl ChaoticReplacer {
@@ -1026,33 +1021,21 @@ impl ChaoticReplacer {
 
 impl trace_storage::Replacer for ChaoticReplacer {
     fn record_access(&mut self, id: trace_storage::PageId) {
-        if !self.pages.iter().any(|&(p, _)| p == id) {
-            self.pages.push((id, true));
-        }
-    }
-
-    fn set_evictable(&mut self, id: trace_storage::PageId, evictable: bool) {
-        if let Some(entry) = self.pages.iter_mut().find(|(p, _)| *p == id) {
-            entry.1 = evictable;
+        if !self.pages.contains(&id) {
+            self.pages.push(id);
         }
     }
 
     fn remove(&mut self, id: trace_storage::PageId) {
-        self.pages.retain(|&(p, _)| p != id);
+        self.pages.retain(|&p| p != id);
     }
 
     fn victim(&mut self) -> Option<trace_storage::PageId> {
-        let candidates: Vec<usize> = self
-            .pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &(_, evictable))| evictable.then_some(i))
-            .collect();
-        if candidates.is_empty() {
+        if self.pages.is_empty() {
             return None;
         }
-        let pick = candidates[self.rng.below(candidates.len() as u64) as usize];
-        Some(self.pages.remove(pick).0)
+        let pick = self.rng.below(self.pages.len() as u64) as usize;
+        Some(self.pages.remove(pick))
     }
 
     fn tracked(&self) -> usize {

@@ -20,8 +20,8 @@
 //! * [`disk`] — the virtual disk with read/write accounting: a page is its
 //!   bytes;
 //! * [`sort`] — B-way external merge sort with pass counting (Section 4.3);
-//! * [`pool`] — the buffer manager: a byte-budgeted page cache with pin/unpin
-//!   and a simulated miss penalty;
+//! * [`pool`] — the buffer manager: a byte-budgeted page cache with a
+//!   simulated miss penalty;
 //! * [`replacer`] — pluggable eviction policies (LRU-K by default) behind the
 //!   [`Replacer`] trait;
 //! * [`store`] — the entity-ordered [`PagedTraceStore`]: the records, the
@@ -52,7 +52,7 @@ pub use codec::TraceRecord;
 pub use disk::{PageId, VirtualDisk};
 pub use log::{LogConfig, LogManager, LogRecord};
 pub use page::{Page, PAGE_SIZE};
-pub use pool::{BufferPool, PinnedPages, PoolConfig, PoolStats};
+pub use pool::{BufferPool, PoolConfig, PoolStats};
 pub use replacer::{Replacer, ReplacerPolicy};
 pub use segment::{SegmentError, SegmentReader, SegmentWriter};
 pub use sort::SortStats;

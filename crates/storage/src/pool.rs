@@ -1,5 +1,5 @@
-//! The buffer manager: a byte-budgeted page cache with pluggable eviction,
-//! pin/unpin, and simulated miss latency.
+//! The buffer manager: a byte-budgeted page cache with pluggable eviction and
+//! simulated miss latency.
 //!
 //! Figure 7.6 of the paper studies search time as the memory allocated to the
 //! system varies from 10 % to 100 % of the raw data size.  To reproduce that
@@ -8,13 +8,10 @@
 //! alongside the raw hit/miss counts, so the shape of the curve does not depend on
 //! the benchmarking machine's cache hierarchy.
 //!
-//! The pool keeps a frame table (resident pages plus their pin counts) and
-//! delegates victim selection to a [`Replacer`] chosen by
-//! [`PoolConfig::replacer`] (LRU-K; see [`crate::replacer`]).  A frame with a
-//! positive pin count is **never evicted**: a caller pins the pages it must
-//! keep resident (the RAII [`PinnedPages`] guard; queries pin nothing) and
-//! the pool overcommits its budget rather than drop a pinned frame when
-//! everything resident is pinned.
+//! The pool keeps a frame table of resident pages and delegates victim
+//! selection to a [`Replacer`] chosen by [`PoolConfig::replacer`] (LRU-K; see
+//! [`crate::replacer`]).  Every resident frame is a candidate victim: nothing
+//! pins a page, because every reader uses the bytes it fetched right away.
 //!
 //! ## What the pool mutex covers
 //!
@@ -22,24 +19,17 @@
 //! hands out a refcount bump, never a copy, and the bytes it returns stay
 //! valid after the frame is evicted.  The mutex guards only the frame table,
 //! the replacer and the counters.  A **hit** is one lock: it bumps the
-//! replacer, takes the pin if one is asked for, and clones the bytes.  A
-//! **miss** releases the mutex, reads the page unlocked, then re-locks to
-//! evict and publish the frame; a second reader that missed the same page
-//! meanwhile finds it resident when it re-locks and adopts it (pins already
-//! taken on the frame are untouched).  Both count as misses, because both
-//! read the disk.
-//!
-//! Readers that use a page right away fetch it **unpinned** — the query
-//! path's row reads ([`WordPages::read`](crate::WordPages::read)) and
-//! [`PagedTraceStore::read_trace`](crate::PagedTraceStore::read_trace) — so
-//! there is no unpin round trip.  Pins are for holding pages resident across
-//! calls ([`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace)).
+//! replacer and clones the bytes.  A **miss** releases the mutex, reads the
+//! page unlocked, then re-locks to evict and publish the frame; a second
+//! reader that missed the same page meanwhile finds it resident when it
+//! re-locks and adopts it.  Both count as misses, because both read the
+//! disk.
 //!
 //! Every fetch can also report what it did — hit or miss, frames evicted,
 //! simulated latency — into a caller-owned [`PoolStats`]
-//! ([`WordPages::read`](crate::WordPages::read), [`PinnedPages::io`]): how a
-//! query counts its own I/O while others share the pool.
-//! [`BufferPool::stats`] stays the pool-global total.
+//! ([`WordPages::read`](crate::WordPages::read)): how a query counts its own
+//! I/O while others share the pool.  [`BufferPool::stats`] stays the
+//! pool-global total.
 //!
 //! ```
 //! use trace_model::{EntityId, Period, PresenceInstance, TraceSet};
@@ -66,16 +56,6 @@
 //! let stats = pool.stats();
 //! assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 4, 2));
 //! assert!(stats.hit_rate() > 0.19 && stats.hit_rate() < 0.21);
-//!
-//! // A pinned frame survives any amount of cache pressure.
-//! let pinned = store.pin_trace(&pool, EntityId(3)).unwrap();
-//! pool.get(pages[0]);
-//! pool.get(pages[1]);
-//! pool.get(pages[2]);
-//! assert_eq!(pool.resident_count(&pages[3..]), 1);
-//! assert_eq!(pool.pinned_frames(), 1);
-//! drop(pinned); // released: pages[3] is fair game again
-//! assert_eq!(pool.pinned_frames(), 0);
 //! ```
 
 use crate::disk::{PageId, VirtualDisk};
@@ -89,9 +69,7 @@ use std::collections::HashMap;
 /// Configuration of a [`BufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PoolConfig {
-    /// Maximum amount of page data kept in memory, in bytes.  Pinned frames
-    /// may transiently overcommit the budget (a pinned frame is never
-    /// evicted).
+    /// Maximum amount of page data kept in memory, in bytes.
     pub capacity_bytes: usize,
     /// Simulated latency charged per page miss, in microseconds.
     pub miss_latency_us: u64,
@@ -178,32 +156,20 @@ impl std::ops::AddAssign for PoolStats {
     }
 }
 
-/// One resident page (its bytes, shared by reference with its readers) and
-/// its pin count.
-#[derive(Debug)]
-struct Frame {
-    page: Bytes,
-    pins: u32,
-}
-
 #[derive(Debug)]
 struct PoolInner {
-    frames: HashMap<PageId, Frame>,
+    /// The resident pages' bytes, shared by reference with their readers.
+    frames: HashMap<PageId, Bytes>,
     replacer: Box<dyn Replacer>,
     stats: PoolStats,
 }
 
 impl PoolInner {
-    /// Records an access to a resident frame, takes the pin and shares the
-    /// page; `None` when `id` is not resident.
-    fn share(&mut self, id: PageId, pin: bool) -> Option<Bytes> {
-        let frame = self.frames.get_mut(&id)?;
-        frame.pins += u32::from(pin);
-        let page = frame.page.clone();
+    /// Records an access to a resident frame and shares the page; `None`
+    /// when `id` is not resident.
+    fn share(&mut self, id: PageId) -> Option<Bytes> {
+        let page = self.frames.get(&id)?.clone();
         self.replacer.record_access(id);
-        if pin {
-            self.replacer.set_evictable(id, false);
-        }
         Some(page)
     }
 
@@ -212,25 +178,18 @@ impl PoolInner {
     fn make_room(&mut self, capacity: usize) -> u64 {
         let mut evictions = 0;
         // Budget for rejected victims: a misbehaving custom replacer that
-        // keeps naming pinned (or non-resident) pages must not spin this
-        // loop forever — after one rejection per resident frame the pool
-        // overcommits instead, exactly as if `victim()` had returned `None`.
+        // keeps naming non-resident pages must not spin this loop forever —
+        // after one rejection per resident frame the pool overcommits
+        // instead, exactly as if `victim()` had returned `None`.
         let mut rejections = self.frames.len() + 1;
         while self.frames.len() >= capacity {
             let Some(victim) = self.replacer.victim() else { break };
-            match self.frames.get(&victim).map(|f| f.pins) {
-                Some(0) => {
-                    self.frames.remove(&victim);
-                    evictions += 1;
-                    continue;
-                }
-                // The pinned-never-victim invariant is enforced, not merely
-                // asserted: skip the bad victim and re-mark it unevictable
-                // so a conforming replacer stops offering it.
-                Some(_) => self.replacer.set_evictable(victim, false),
-                // A victim the pool does not hold: scrub the stale entry.
-                None => self.replacer.remove(victim),
+            if self.frames.remove(&victim).is_some() {
+                evictions += 1;
+                continue;
             }
+            // A victim the pool does not hold: scrub the stale entry.
+            self.replacer.remove(victim);
             rejections -= 1;
             if rejections == 0 {
                 break;
@@ -240,8 +199,8 @@ impl PoolInner {
     }
 }
 
-/// A page cache in front of a [`VirtualDisk`] with pluggable eviction and
-/// pin/unpin — see the [module docs](crate::pool).
+/// A page cache in front of a [`VirtualDisk`] with pluggable eviction — see
+/// the [module docs](crate::pool).
 #[derive(Debug)]
 pub struct BufferPool<'d> {
     disk: &'d VirtualDisk,
@@ -279,15 +238,21 @@ impl<'d> BufferPool<'d> {
         self.config
     }
 
-    /// Fetches a page's bytes, from cache when possible, without pinning it.
+    /// Fetches a page's bytes, from cache when possible.
     pub fn get(&self, id: PageId) -> Bytes {
         self.get_counted(id, &mut PoolStats::default())
     }
 
-    /// [`get`](Self::get), adding what the fetch did to the caller's `io`
-    /// counters: one lock on a hit, no pin to release afterwards.
+    /// [`get`](Self::get), adding what the fetch did (one hit or one miss,
+    /// the frames it evicted, its simulated latency) to the caller's own `io`
+    /// counters — exact per-caller attribution however many clients share
+    /// the pool.
     pub(crate) fn get_counted(&self, id: PageId, io: &mut PoolStats) -> Bytes {
-        self.fetch(id, false, io)
+        if let Some(page) = self.lookup(id, io) {
+            return page;
+        }
+        // Miss: the disk read runs with the mutex released.
+        self.publish(id, self.disk.read_page(id), io)
     }
 
     /// The disk this pool reads.
@@ -295,59 +260,11 @@ impl<'d> BufferPool<'d> {
         self.disk
     }
 
-    /// Fetches a page and pins its frame: until a matching [`unpin`], the
-    /// frame is never chosen for eviction — even beyond the byte budget.
-    /// Pins nest (each pin needs one `unpin`).  What this fetch did (one hit
-    /// or one miss, the frames it evicted, its simulated latency) is added to
-    /// the caller's own `io` counters — exact per-caller attribution however
-    /// many clients share the pool.
-    ///
-    /// [`unpin`]: BufferPool::unpin
-    pub(crate) fn pin_counted(&self, id: PageId, io: &mut PoolStats) -> Bytes {
-        self.fetch(id, true, io)
-    }
-
-    /// Releases one pin on `id`; at zero pins the frame becomes evictable
-    /// again.  Returns `false` (and does nothing) when the frame was not
-    /// pinned — a protocol violation worth surfacing in tests.
-    pub(crate) fn unpin(&self, id: PageId) -> bool {
-        let mut inner = self.inner.lock();
-        let Some(frame) = inner.frames.get_mut(&id) else { return false };
-        if frame.pins == 0 {
-            return false;
-        }
-        frame.pins -= 1;
-        if frame.pins == 0 {
-            inner.replacer.set_evictable(id, true);
-        }
-        true
-    }
-
-    /// Pins every page of `ids` (fetching as needed) and returns a guard that
-    /// releases all the pins when dropped.  Duplicate ids pin (and later
-    /// unpin) once per occurrence, so the guard composes with manual pins.
-    pub(crate) fn pin_pages<I: IntoIterator<Item = PageId>>(&self, ids: I) -> PinnedPages<'_, 'd> {
-        let pages: Vec<PageId> = ids.into_iter().collect();
-        let mut io = PoolStats::default();
-        for &id in &pages {
-            self.pin_counted(id, &mut io);
-        }
-        PinnedPages { pool: self, pages, io }
-    }
-
-    fn fetch(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Bytes {
-        if let Some(page) = self.lookup(id, pin, io) {
-            return page;
-        }
-        // Miss: the disk read runs with the mutex released.
-        self.publish(id, self.disk.read_page(id), pin, io)
-    }
-
     /// The locked hit path: `None` (nothing counted yet) when `id` is not
     /// resident.
-    fn lookup(&self, id: PageId, pin: bool, io: &mut PoolStats) -> Option<Bytes> {
+    fn lookup(&self, id: PageId, io: &mut PoolStats) -> Option<Bytes> {
         let mut inner = self.inner.lock();
-        let page = inner.share(id, pin)?;
+        let page = inner.share(id)?;
         let hit =
             PoolStats { hits: 1, simulated_us: self.config.hit_latency_us, ..PoolStats::default() };
         inner.stats += hit;
@@ -355,11 +272,9 @@ impl<'d> BufferPool<'d> {
         Some(page)
     }
 
-    /// The locked tail of a miss: makes room (unless everything resident is
-    /// pinned — then the budget is overcommitted rather than a pinned frame
-    /// dropped) and inserts `page`, or adopts the frame a raced reader of the
-    /// same page published first.
-    fn publish(&self, id: PageId, page: Bytes, pin: bool, io: &mut PoolStats) -> Bytes {
+    /// The locked tail of a miss: makes room and inserts `page`, or adopts
+    /// the frame a raced reader of the same page published first.
+    fn publish(&self, id: PageId, page: Bytes, io: &mut PoolStats) -> Bytes {
         let mut inner = self.inner.lock();
         let mut miss = PoolStats {
             misses: 1,
@@ -368,11 +283,11 @@ impl<'d> BufferPool<'d> {
         };
         if !inner.frames.contains_key(&id) {
             miss.evictions = inner.make_room(self.config.capacity_pages());
-            inner.frames.insert(id, Frame { page, pins: 0 });
+            inner.frames.insert(id, page);
         }
         inner.stats += miss;
         *io += miss;
-        inner.share(id, pin).expect("frame was just published")
+        inner.share(id).expect("frame was just published")
     }
 
     /// Current statistics.
@@ -380,46 +295,10 @@ impl<'d> BufferPool<'d> {
         self.inner.lock().stats
     }
 
-    /// How many of `ids` currently occupy frames (one lock for the whole
-    /// probe — what the I/O-aware query planner uses to estimate a shard's
-    /// resident vs. cold pages).
-    pub fn resident_count(&self, ids: &[PageId]) -> usize {
-        let inner = self.inner.lock();
-        ids.iter().filter(|id| inner.frames.contains_key(id)).count()
-    }
-
-    /// Number of frames with at least one outstanding pin.  Zero after every
-    /// query has released its pins — the "no torn pins" invariant the
-    /// concurrency stress suite asserts.
+    /// Always 0: the pool has no pins.  The method stays only because the
+    /// benchmark harness's leak check still reads it.
     pub fn pinned_frames(&self) -> usize {
-        self.inner.lock().frames.values().filter(|f| f.pins > 0).count()
-    }
-}
-
-/// RAII pins over a set of pages: every page stays resident for the guard's
-/// lifetime and all pins are released on drop.  Obtained from
-/// [`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace); its
-/// holder drops it when it no longer needs the pages resident.
-#[derive(Debug)]
-pub struct PinnedPages<'p, 'd> {
-    pool: &'p BufferPool<'d>,
-    pages: Vec<PageId>,
-    io: PoolStats,
-}
-
-impl PinnedPages<'_, '_> {
-    /// What fetching the pages did: hits, misses, evictions, simulated latency.
-    pub fn io(&self) -> PoolStats {
-        self.io
-    }
-}
-
-impl Drop for PinnedPages<'_, '_> {
-    fn drop(&mut self) {
-        for &id in &self.pages {
-            let released = self.pool.unpin(id);
-            debug_assert!(released, "guard pins are released exactly once");
-        }
+        0
     }
 }
 
@@ -431,30 +310,12 @@ const _: fn() = || {
     assert_sync_send::<BufferPool<'static>>();
 };
 
-/// What the unit tests (here and in [`crate::store`]) observe the pool by.
+/// What the unit tests observe the pool by.
 #[cfg(test)]
 impl BufferPool<'_> {
-    /// [`pin_counted`](Self::pin_counted) for tests that count nothing.
-    pub(crate) fn pin(&self, id: PageId) -> Bytes {
-        self.pin_counted(id, &mut PoolStats::default())
-    }
-
     /// Number of pages currently cached.
     pub(crate) fn cached_pages(&self) -> usize {
         self.inner.lock().frames.len()
-    }
-
-    /// True when `id` currently occupies a frame.
-    pub(crate) fn is_resident(&self, id: PageId) -> bool {
-        self.inner.lock().frames.contains_key(&id)
-    }
-}
-
-#[cfg(test)]
-impl PinnedPages<'_, '_> {
-    /// The pinned page ids (in pin order, duplicates preserved).
-    pub(crate) fn pages(&self) -> &[PageId] {
-        &self.pages
     }
 }
 
@@ -580,76 +441,6 @@ mod tests {
         assert_eq!(PoolStats::default().since(&before), PoolStats::default());
     }
 
-    /// The buffer-manager invariant: a pinned frame survives arbitrary
-    /// pressure; once every frame is pinned the pool overcommits its budget
-    /// instead of dropping one.
-    #[test]
-    fn pinned_frames_are_never_evicted() {
-        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
-            let disk = disk_with_pages(12);
-            let pool = BufferPool::new(&disk, tiny(2, replacer));
-            pool.pin(0);
-            assert_eq!(pool.pinned_frames(), 1, "{replacer:?}");
-            // Sweep far past the budget: page 0 must stay resident.
-            for id in 1..12u64 {
-                pool.get(id);
-            }
-            assert!(pool.is_resident(0), "{replacer:?}: pinned frame was evicted");
-            assert_eq!(pool.cached_pages(), 2, "{replacer:?}: unpinned frames still cycle");
-            // Pin a second page: the whole budget is now pinned, so a third
-            // page overcommits rather than evicting either.
-            let last = pool.cached_pages();
-            pool.pin(5);
-            assert!(pool.is_resident(5), "{replacer:?}");
-            pool.get(7);
-            assert!(pool.is_resident(0) && pool.is_resident(5), "{replacer:?}");
-            assert!(pool.cached_pages() > last.min(2), "{replacer:?}: overcommitted");
-            // Release both; pressure evicts them again.
-            assert!(pool.unpin(0) && pool.unpin(5), "{replacer:?}");
-            assert_eq!(pool.pinned_frames(), 0, "{replacer:?}");
-            for id in 8..12u64 {
-                pool.get(id);
-            }
-            assert!(!pool.is_resident(0), "{replacer:?}: released frame became evictable");
-        }
-    }
-
-    #[test]
-    fn pins_nest_and_unpin_reports_protocol_violations() {
-        let disk = disk_with_pages(4);
-        let pool = BufferPool::new(&disk, tiny(1, ReplacerPolicy::default()));
-        pool.pin(0);
-        pool.pin(0);
-        assert_eq!(pool.pinned_frames(), 1);
-        assert!(pool.unpin(0));
-        // Still pinned once: pressure cannot evict it.
-        pool.get(1);
-        pool.get(2);
-        assert!(pool.is_resident(0));
-        assert!(pool.unpin(0));
-        assert!(!pool.unpin(0), "third unpin has no pin to release");
-        assert!(!pool.unpin(99), "never-fetched page is not pinned");
-    }
-
-    #[test]
-    fn pinned_pages_guard_releases_on_drop() {
-        let disk = disk_with_pages(6);
-        let pool = BufferPool::new(&disk, tiny(2, ReplacerPolicy::lru()));
-        {
-            let guard = pool.pin_pages([0u64, 1, 0]);
-            assert_eq!(guard.pages(), &[0, 1, 0]);
-            assert_eq!(pool.pinned_frames(), 2);
-            for id in 2..6u64 {
-                pool.get(id);
-            }
-            assert!(pool.is_resident(0) && pool.is_resident(1));
-        }
-        assert_eq!(pool.pinned_frames(), 0, "guard dropped every pin");
-        // An empty guard is fine.
-        drop(pool.pin_pages(std::iter::empty()));
-        assert_eq!(pool.pinned_frames(), 0);
-    }
-
     #[test]
     fn concurrent_readers_share_one_pool() {
         let disk = disk_with_pages(16);
@@ -667,12 +458,10 @@ mod tests {
                         barrier.wait();
                         for i in 0..reads_per_thread {
                             let id = if i == 0 { 0 } else { (t + i) % 16 };
-                            let page = pool.pin_counted(id, &mut io);
+                            let page = pool.get_counted(id, &mut io);
                             // Every record of page `id` carries entity `id * 10 + j`.
                             let records = Page::from_bytes(&page).records().to_vec();
                             assert!(records.iter().all(|r| r.entity / 10 == id));
-                            assert!(pool.is_resident(id), "a pinned page is resident");
-                            assert!(pool.unpin(id));
                         }
                         io
                     })
@@ -694,56 +483,6 @@ mod tests {
         assert_eq!((pool.cached_pages(), pool.pinned_frames()), (16, 0));
     }
 
-    /// A replacer that violates every rule: it always names page 0 as the
-    /// victim (pinned or not), never removes it from its own bookkeeping,
-    /// and ignores `set_evictable`.  The pool must survive it in release
-    /// builds — the pinned frame stays resident with its pins intact and
-    /// the pool overcommits rather than evicting it or looping forever.
-    #[derive(Debug)]
-    struct MaliciousReplacer;
-
-    impl Replacer for MaliciousReplacer {
-        fn record_access(&mut self, _id: PageId) {}
-        fn set_evictable(&mut self, _id: PageId, _evictable: bool) {}
-        fn remove(&mut self, _id: PageId) {}
-        fn victim(&mut self) -> Option<PageId> {
-            Some(0)
-        }
-        fn tracked(&self) -> usize {
-            0
-        }
-    }
-
-    #[test]
-    fn malicious_replacer_cannot_evict_a_pinned_frame() {
-        let disk = disk_with_pages(9);
-        let pool = BufferPool::with_replacer(
-            &disk,
-            tiny(2, ReplacerPolicy::lru()),
-            Box::new(MaliciousReplacer),
-        );
-        pool.pin(0);
-        assert_eq!(pool.pinned_frames(), 1);
-        // Every miss past the budget asks the replacer, which always answers
-        // with the pinned page 0: the pool must refuse, terminate its
-        // eviction loop, and overcommit.
-        for id in 1..8u64 {
-            pool.get(id);
-        }
-        assert!(pool.is_resident(0), "pinned frame was evicted by a malicious replacer");
-        assert_eq!(pool.pinned_frames(), 1, "pin accounting was corrupted");
-        assert_eq!(pool.cached_pages(), 8, "pool overcommits rather than dropping the pin");
-        assert_eq!(pool.stats().evictions, 0, "a rejected victim is not an eviction");
-        // The pin is still released by the normal protocol.
-        assert!(pool.unpin(0));
-        assert_eq!(pool.pinned_frames(), 0);
-        // Once unpinned, page 0 is a legitimate victim again and the next
-        // miss does evict it.
-        pool.get(8);
-        assert!(!pool.is_resident(0), "released frame became evictable again");
-        assert!(pool.stats().evictions > 0);
-    }
-
     /// A replacer that names victims the pool does not even hold; the pool
     /// must scrub them and fall back to overcommitting, never panic.
     #[derive(Debug)]
@@ -751,7 +490,6 @@ mod tests {
 
     impl Replacer for PhantomReplacer {
         fn record_access(&mut self, _id: PageId) {}
-        fn set_evictable(&mut self, _id: PageId, _evictable: bool) {}
         fn remove(&mut self, _id: PageId) {}
         fn victim(&mut self) -> Option<PageId> {
             self.0 += 1;
@@ -781,19 +519,18 @@ mod tests {
     /// The miss path reads the disk unlocked, so two readers can miss the
     /// same page at once.  Driven step by step (lookup, unlocked read,
     /// publish) so the interleaving is forced, not hoped for: the second
-    /// publisher adopts the resident frame, and the pin the first one took
-    /// while the second was still reading is not lost.
+    /// publisher adopts the resident frame.
     #[test]
-    fn raced_misses_of_one_page_share_one_frame_and_keep_every_pin() {
+    fn raced_misses_of_one_page_share_one_frame() {
         let disk = disk_with_pages(6);
         let pool = BufferPool::new(&disk, tiny(2, ReplacerPolicy::default()));
         let (mut io_a, mut io_b) = (PoolStats::default(), PoolStats::default());
-        assert!(pool.lookup(0, true, &mut io_a).is_none(), "A misses");
-        assert!(pool.lookup(0, true, &mut io_b).is_none(), "B misses");
+        assert!(pool.lookup(0, &mut io_a).is_none(), "A misses");
+        assert!(pool.lookup(0, &mut io_b).is_none(), "B misses");
         let (read_a, read_b) = (disk.read_page(0), disk.read_page(0));
-        let page_b = pool.publish(0, read_b.clone(), true, &mut io_b);
-        assert_eq!((pool.cached_pages(), pool.pinned_frames()), (1, 1));
-        let page_a = pool.publish(0, read_a, true, &mut io_a);
+        let page_b = pool.publish(0, read_b, &mut io_b);
+        assert_eq!(pool.cached_pages(), 1);
+        let page_a = pool.publish(0, read_a, &mut io_a);
         assert_eq!(page_a, page_b, "A adopted the frame B published");
         assert_eq!(pool.cached_pages(), 1, "one resident frame");
         // Both read the disk, so both are misses; nothing was a hit.
@@ -801,53 +538,5 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
         assert_eq!((io_a.misses, io_b.misses, io_a.hits + io_b.hits), (1, 1, 0));
         assert_eq!(disk.stats().reads, 2);
-        // Two pins are outstanding: one release leaves the frame pinned and
-        // unevictable under pressure, the second frees it, a third has none.
-        assert!(pool.unpin(0));
-        assert_eq!(pool.pinned_frames(), 1);
-        for id in 1..6u64 {
-            pool.get(id);
-        }
-        assert!(pool.is_resident(0), "B's pin survived A's adoption");
-        assert!(pool.unpin(0));
-        assert!(!pool.unpin(0));
-        assert_eq!(pool.pinned_frames(), 0);
-    }
-
-    #[test]
-    fn one_frame_pool_with_everything_pinned_overcommits() {
-        let disk = disk_with_pages(4);
-        let pool = BufferPool::new(&disk, tiny(1, ReplacerPolicy::default()));
-        pool.pin(0);
-        pool.pin(1); // a miss with the only frame pinned
-        pool.get(2);
-        assert!(pool.is_resident(0) && pool.is_resident(1), "pinned frames stay");
-        assert_eq!(pool.pinned_frames(), 2);
-        assert!(pool.cached_pages() >= 2, "the budget is overcommitted, not a pin dropped");
-        assert!(pool.unpin(0) && pool.unpin(1));
-        pool.get(3);
-        assert_eq!(pool.cached_pages(), 1, "released frames drain back to the budget");
-    }
-
-    #[test]
-    fn concurrent_pinners_never_lose_their_frames() {
-        let disk = disk_with_pages(16);
-        // A 2-page budget under 8 threads that pin one page each while
-        // sweeping the rest: massive overcommit, zero lost pins.
-        let pool = BufferPool::new(&disk, tiny(2, ReplacerPolicy::default()));
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let pool = &pool;
-                scope.spawn(move || {
-                    let guard = pool.pin_pages([t]);
-                    for i in 0..100u64 {
-                        pool.get((t + i) % 16);
-                        assert!(pool.is_resident(t), "pinned page vanished mid-sweep");
-                    }
-                    drop(guard);
-                });
-            }
-        });
-        assert_eq!(pool.pinned_frames(), 0);
     }
 }

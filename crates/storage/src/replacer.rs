@@ -2,14 +2,10 @@
 //!
 //! The pool separates *what* is cached (its frame table) from *who* goes next
 //! (the [`Replacer`]).  A replacer tracks the access history of resident pages
-//! and, on demand, names a victim among the frames the pool has marked
-//! evictable — a frame pinned through
-//! [`PagedTraceStore::pin_trace`](crate::PagedTraceStore::pin_trace) (or the
-//! pool's own `pin_pages`) is never offered up, so its holder can rely on the
-//! page staying resident however the eviction policy behaves.
+//! and, on demand, names a victim among them.
 //!
 //! One policy ships, `LruKReplacer` — classic LRU-K: the victim is the
-//! evictable page with the largest *backward k-distance* (the age of its k-th
+//! page with the largest *backward k-distance* (the age of its k-th
 //! most recent access).  Pages with fewer than `k` recorded accesses have
 //! infinite distance and are evicted first, oldest first access first.
 //! `k = 1` is plain LRU.
@@ -27,34 +23,29 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 ///
 /// The pool drives the protocol: [`record_access`](Replacer::record_access)
 /// on every fetch of a resident-or-inserted page,
-/// [`set_evictable`](Replacer::set_evictable) as pins are taken and released,
 /// [`victim`](Replacer::victim) when it must make room, and
 /// [`remove`](Replacer::remove) when a frame leaves the table for any other
-/// reason.  A replacer must never name a page whose latest
-/// `set_evictable(id, false)` has not been reverted — that is the
-/// pinned-frame-never-evicted invariant the query engine's pin/unpin
-/// protocol rides on.
+/// reason.  Every tracked page may be named: nothing pins a frame.  A victim
+/// the pool does not hold is scrubbed, and after one such rejection per
+/// resident frame the pool overcommits rather than ask again.
 ///
 /// Correctness of query *answers* never depends on the policy: eviction only
 /// moves pages between memory and the virtual disk, and every read goes
 /// through the pool either way.  `tests/paged_conformance.rs` proptests
 /// exactly this with an adversarial replacer.
 pub trait Replacer: Send + std::fmt::Debug {
-    /// Notes one access of `id`, creating the entry (evictable) if new.
+    /// Notes one access of `id`, creating the entry if new.
     fn record_access(&mut self, id: PageId);
-
-    /// Marks `id` evictable or not.  Unknown ids are ignored.
-    fn set_evictable(&mut self, id: PageId, evictable: bool);
 
     /// Forgets `id` entirely (the pool dropped the frame without asking for a
     /// victim).  Unknown ids are ignored.
     fn remove(&mut self, id: PageId);
 
-    /// Chooses, removes and returns the next victim among the evictable
-    /// tracked pages, or `None` when every tracked page is unevictable.
+    /// Chooses, removes and returns the next victim among the tracked
+    /// pages, or `None` when none is tracked.
     fn victim(&mut self) -> Option<PageId>;
 
-    /// Number of pages currently tracked (evictable or not).
+    /// Number of pages currently tracked.
     fn tracked(&self) -> usize;
 }
 
@@ -90,7 +81,6 @@ impl ReplacerPolicy {
 struct LruKEntry {
     /// The ticks of the up-to-`k` most recent accesses, oldest first.
     history: VecDeque<u64>,
-    evictable: bool,
 }
 
 /// Where an entry ranks as a victim: `(has full history, k-distance
@@ -105,26 +95,26 @@ impl LruKEntry {
     }
 }
 
-/// The LRU-K policy: evict the evictable page whose k-th most recent access
-/// is oldest; pages with fewer than `k` accesses count as infinitely old and
-/// go first (earliest first access breaks ties among them).
+/// The LRU-K policy: evict the page whose k-th most recent access is oldest;
+/// pages with fewer than `k` accesses count as infinitely old and go first
+/// (earliest first access breaks ties among them).
 ///
-/// The evictable entries are also kept in an ordered set by [`Rank`], so
-/// the victim is its first element — `O(log n)` per access, pin change and
-/// victim instead of a scan of every entry per victim.
+/// The entries are also kept in an ordered set by [`Rank`], so the victim is
+/// its first element — `O(log n)` per access and victim instead of a scan of
+/// every entry per victim.
 #[derive(Debug)]
 pub(crate) struct LruKReplacer {
     k: usize,
     tick: u64,
     entries: HashMap<PageId, LruKEntry>,
-    /// The ranks of the evictable entries.
-    evictable: BTreeSet<Rank>,
+    /// The ranks of the entries.
+    ranks: BTreeSet<Rank>,
 }
 
 impl LruKReplacer {
     /// Creates an LRU-K replacer; `k` is clamped to at least 1.
     pub(crate) fn new(k: usize) -> Self {
-        LruKReplacer { k: k.max(1), tick: 0, entries: HashMap::new(), evictable: BTreeSet::new() }
+        LruKReplacer { k: k.max(1), tick: 0, entries: HashMap::new(), ranks: BTreeSet::new() }
     }
 }
 
@@ -132,43 +122,24 @@ impl Replacer for LruKReplacer {
     fn record_access(&mut self, id: PageId) {
         self.tick += 1;
         let (tick, k) = (self.tick, self.k);
-        let entry = self
-            .entries
-            .entry(id)
-            .or_insert_with(|| LruKEntry { history: VecDeque::with_capacity(k), evictable: true });
-        if entry.evictable {
-            self.evictable.remove(&entry.rank(id, k));
-        }
+        let entry = (self.entries.entry(id))
+            .or_insert_with(|| LruKEntry { history: VecDeque::with_capacity(k) });
+        self.ranks.remove(&entry.rank(id, k));
         if entry.history.len() == k {
             entry.history.pop_front();
         }
         entry.history.push_back(tick);
-        if entry.evictable {
-            self.evictable.insert(entry.rank(id, k));
-        }
-    }
-
-    fn set_evictable(&mut self, id: PageId, evictable: bool) {
-        let Some(entry) = self.entries.get_mut(&id) else { return };
-        if entry.evictable != evictable {
-            entry.evictable = evictable;
-            let rank = entry.rank(id, self.k);
-            if evictable {
-                self.evictable.insert(rank);
-            } else {
-                self.evictable.remove(&rank);
-            }
-        }
+        self.ranks.insert(entry.rank(id, k));
     }
 
     fn remove(&mut self, id: PageId) {
         if let Some(entry) = self.entries.remove(&id) {
-            self.evictable.remove(&entry.rank(id, self.k));
+            self.ranks.remove(&entry.rank(id, self.k));
         }
     }
 
     fn victim(&mut self) -> Option<PageId> {
-        let (_, _, victim) = self.evictable.pop_first()?;
+        let (_, _, victim) = self.ranks.pop_first()?;
         self.entries.remove(&victim);
         Some(victim)
     }
@@ -196,10 +167,8 @@ mod tests {
         fn record_access(&mut self, id: PageId) {
             self.tick += 1;
             let (tick, k) = (self.tick, self.k);
-            let entry = self
-                .entries
-                .entry(id)
-                .or_insert_with(|| LruKEntry { history: VecDeque::new(), evictable: true });
+            let entry =
+                self.entries.entry(id).or_insert_with(|| LruKEntry { history: VecDeque::new() });
             if entry.history.len() == k {
                 entry.history.pop_front();
             }
@@ -207,8 +176,8 @@ mod tests {
         }
 
         fn victim(&mut self) -> Option<PageId> {
-            let entries = self.entries.iter().filter(|(_, e)| e.evictable);
-            let (_, _, victim) = entries.map(|(&id, e)| e.rank(id, self.k)).min()?;
+            let ranks = self.entries.iter().map(|(&id, e)| e.rank(id, self.k));
+            let (_, _, victim) = ranks.min()?;
             self.entries.remove(&victim);
             Some(victim)
         }
@@ -217,12 +186,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random streams of accesses, pins, unpins, removals and victim
-        /// requests: the ordered set names the scan's victim every time.
+        /// Random streams of accesses, removals and victim requests: the
+        /// ordered set names the scan's victim every time.
         #[test]
         fn the_ordered_set_names_the_scans_victims(
             k in 1usize..4,
-            ops in proptest::collection::vec((0u8..6, 0u64..10), 0..300),
+            ops in proptest::collection::vec((0u8..4, 0u64..10), 0..300),
         ) {
             let mut fast = LruKReplacer::new(k);
             let mut scan = ScanLruK { k, tick: 0, entries: HashMap::new() };
@@ -232,14 +201,7 @@ mod tests {
                         fast.record_access(id);
                         scan.record_access(id);
                     }
-                    2 | 3 => {
-                        let evictable = op == 3;
-                        fast.set_evictable(id, evictable);
-                        if let Some(entry) = scan.entries.get_mut(&id) {
-                            entry.evictable = evictable;
-                        }
-                    }
-                    4 => {
+                    2 => {
                         fast.remove(id);
                         scan.entries.remove(&id);
                     }
@@ -315,26 +277,6 @@ mod tests {
         r.record_access(1); // t5: 1's window [3,5] — now younger than 2's
         assert_eq!(r.victim(), Some(2));
         assert_eq!(r.victim(), Some(1));
-    }
-
-    /// The invariant every policy must honour: an unevictable page is never
-    /// the victim, and becomes eligible again once released — keeping its
-    /// policy position (its LRU-K history).
-    #[test]
-    fn pinned_pages_are_never_victims() {
-        for policy in [ReplacerPolicy::LruK(1), ReplacerPolicy::LruK(2)] {
-            let mut r = policy.build();
-            for id in [1, 2, 3] {
-                r.record_access(id);
-            }
-            r.set_evictable(1, false);
-            assert_eq!(r.victim(), Some(2), "{policy:?} skips the pinned head");
-            assert_eq!(r.victim(), Some(3), "{policy:?}");
-            assert_eq!(r.victim(), None, "{policy:?}: only a pinned page remains");
-            assert_eq!(r.tracked(), 1, "{policy:?}: the pinned page stays tracked");
-            r.set_evictable(1, true);
-            assert_eq!(r.victim(), Some(1), "{policy:?}: released page is eligible again");
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::codec::TraceRecord;
 use crate::disk::{PageId, VirtualDisk};
 use crate::page::{entity_records, Page, PAGE_SIZE};
-use crate::pool::{BufferPool, PinnedPages, PoolConfig};
+use crate::pool::{BufferPool, PoolConfig};
 use crate::sort::{external_sort, SortStats};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -131,21 +131,10 @@ impl PagedTraceStore {
         Some(&self.data_pages[range.start as usize..range.end as usize])
     }
 
-    /// Pins every page of `entity`'s trace in `pool`, keeping the whole trace
-    /// resident until the returned guard drops.
-    pub fn pin_trace<'p, 'd>(
-        &self,
-        pool: &'p BufferPool<'d>,
-        entity: EntityId,
-    ) -> Option<PinnedPages<'p, 'd>> {
-        Some(pool.pin_pages(self.trace_pages(entity)?.iter().copied()))
-    }
-
     /// Reads an entity's trace through the given buffer pool, returning `None`
-    /// when the entity has no records.  Each page is fetched unpinned and
-    /// only the entity's run of records on it is decoded (found by binary
-    /// search, pages are entity-sorted); use [`pin_trace`](Self::pin_trace)
-    /// to keep a trace resident longer.
+    /// when the entity has no records.  Only the entity's run of records on
+    /// each page is decoded (found by binary search, pages are
+    /// entity-sorted).
     pub fn read_trace(&self, pool: &BufferPool<'_>, entity: EntityId) -> Option<DigitalTrace> {
         let mut trace = DigitalTrace::new();
         for &id in self.trace_pages(entity)? {
@@ -222,36 +211,22 @@ mod tests {
     }
 
     #[test]
-    fn trace_pages_match_the_directory_and_pin_trace_holds_them() {
+    fn trace_pages_match_the_directory() {
         let (_sp, ts) = sample_traces(200, 30);
         let store = PagedTraceStore::build(&ts, 8);
         assert!(store.stats().pages > 4, "need several pages for this test");
-        // A 1-page pool: holding any pinned trace forces the pool to
-        // overcommit rather than evict a pinned page.
-        let pool = store
-            .pool(PoolConfig { capacity_bytes: crate::page::PAGE_SIZE, ..PoolConfig::default() });
-        let probe = EntityId(0);
-        let pages = store.trace_pages(probe).expect("entity 0 exists").to_vec();
-        assert!(!pages.is_empty());
-        {
-            let guard = store.pin_trace(&pool, probe).expect("entity 0 exists");
-            assert_eq!(guard.io(), pool.stats(), "the guard reports its own fetches");
-            assert_eq!(guard.pages(), &pages[..]);
-            // Sweep other entities through the tiny pool: the pinned trace
-            // stays resident throughout.
-            for e in ts.entities().take(50) {
-                store.read_trace(&pool, e);
-            }
-            assert!(pages.iter().all(|&p| pool.is_resident(p)));
-            // Re-reading the pinned trace is all hits.
+        let pool = store.pool(PoolConfig::default());
+        for entity in ts.entities().take(50) {
+            let pages = store.trace_pages(entity).expect("stored");
+            assert!(!pages.is_empty());
+            // Reading the trace requests exactly its directory pages.
             let before = pool.stats();
-            store.read_trace(&pool, probe).unwrap();
+            store.read_trace(&pool, entity).unwrap();
             let delta = pool.stats().since(&before);
-            assert_eq!(delta.misses, 0, "pinned trace reads never touch the disk");
+            assert_eq!(delta.hits + delta.misses, pages.len() as u64, "entity {entity}");
         }
-        assert_eq!(pool.pinned_frames(), 0, "guard released every pin");
+        assert_eq!(pool.pinned_frames(), 0, "reads pin nothing");
         assert!(store.trace_pages(EntityId(u64::MAX)).is_none());
-        assert!(store.pin_trace(&pool, EntityId(u64::MAX)).is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! raw little-endian bytes — no header: a page is its bytes, and which words
 //! it holds follows from its place in the run.  [`WordPages`] writes a run of
 //! them under one disk lock, so their ids are consecutive, reads any word
-//! range back through a [`BufferPool`] with one counted, unpinned fetch per
+//! range back through a [`BufferPool`] with one counted fetch per
 //! page the range touches, and frees its pages from the disk when dropped.
 //! The `minsig` out-of-core session keeps each shard's finer cell rows in
 //! one such run.
@@ -79,7 +79,7 @@ impl<'d> WordPages<'d> {
     }
 
     /// Appends words `words` of the run to `out`, fetching each page they
-    /// lie on through `pool` — one counted, unpinned fetch per page, what it
+    /// lie on through `pool` — one counted fetch per page, what it
     /// did added to `io`.
     ///
     /// # Panics

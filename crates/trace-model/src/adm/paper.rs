@@ -57,12 +57,6 @@ impl PaperAdm {
     pub fn num_levels(&self) -> usize {
         self.level_weights.len()
     }
-
-    /// The per-level weights `l^u` (index 0 = level 1), exactly
-    /// `(l as f64).powf(u)` for the `u` given at construction.
-    pub fn level_weights(&self) -> &[f64] {
-        &self.level_weights
-    }
 }
 
 impl AssociationMeasure for PaperAdm {
@@ -107,8 +101,8 @@ mod tests {
         for u in [1.0, 1.5, 2.0, 3.0] {
             let m = PaperAdm::new(6, u, 2.0).unwrap();
             assert_eq!(m.num_levels(), 6);
-            assert_eq!(m.level_weights().len(), 6);
-            for (i, w) in m.level_weights().iter().enumerate() {
+            assert_eq!(m.level_weights.len(), 6);
+            for (i, w) in m.level_weights.iter().enumerate() {
                 let expect = ((i + 1) as f64).powf(u);
                 assert_eq!(w.to_bits(), expect.to_bits(), "u = {u}, level {}", i + 1);
             }

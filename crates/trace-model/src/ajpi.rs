@@ -1,4 +1,4 @@
-//! Adjoint presence instances (Definition 3) and per-level overlap statistics.
+//! Per-level overlap statistics of adjoint presence instances (Definition 3).
 //!
 //! An AjPI is a spatio-temporal co-occurrence of two entities: two presence
 //! instances with overlapping time periods whose paths share at least one common
@@ -6,65 +6,16 @@
 //! of the deepest shared spatial unit).
 //!
 //! The association degree measures of Section 3.2 only consume aggregated
-//! statistics of the AjPIs, so this module also provides [`LevelOverlap`], the
-//! per-level overlap summary computed from ST-cell set sequences (this is both
-//! much cheaper than enumerating raw AjPIs and exactly what Equation 7.1 uses:
+//! statistics of the AjPIs, so this module provides [`LevelOverlap`], the
+//! per-level overlap summary computed from ST-cell set sequences; raw AjPIs
+//! are enumerated only by the unit tests, as ground truth (the summary is
+//! much cheaper than enumerating them and exactly what Equation 7.1 uses:
 //! `|P^l_ab|` equals the number of shared level-`l` ST-cells when durations are
 //! measured in base temporal units).
 
 use crate::cell::CellSetSequence;
-use crate::entity::EntityId;
-use crate::error::Result;
-use crate::presence::DigitalTrace;
-use crate::spatial::{Level, SpIndex, SpatialUnitId};
-use crate::time::Period;
+use crate::spatial::Level;
 use serde::{Deserialize, Serialize};
-
-/// A single adjoint presence instance between two entities.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdjointPresence {
-    /// The two entities forming the AjPI.
-    pub entities: (EntityId, EntityId),
-    /// The deepest common spatial ancestor of the two presences.
-    pub common_unit: SpatialUnitId,
-    /// The level of the AjPI (`|path_ab|`).
-    pub level: Level,
-    /// The temporal intersection of the two presences.
-    pub period: Period,
-}
-
-/// Enumerates all AjPIs between two traces (quadratic in the trace lengths; meant
-/// for analysis and ground-truth tests rather than the hot query path).
-pub fn enumerate_ajpis(
-    sp: &SpIndex,
-    ea: EntityId,
-    ta: &DigitalTrace,
-    eb: EntityId,
-    tb: &DigitalTrace,
-) -> Result<Vec<AdjointPresence>> {
-    let mut out = Vec::new();
-    for pa in ta.instances() {
-        let path_a = sp.path(pa.unit)?;
-        for pb in tb.instances() {
-            let Some(period) = pa.period.intersect(&pb.period) else { continue };
-            let path_b = sp.path(pb.unit)?;
-            let mut level = 0usize;
-            while level < path_a.len() && level < path_b.len() && path_a[level] == path_b[level] {
-                level += 1;
-            }
-            if level == 0 {
-                continue;
-            }
-            out.push(AdjointPresence {
-                entities: (ea, eb),
-                common_unit: path_a[level - 1],
-                level: level as Level,
-                period,
-            });
-        }
-    }
-    Ok(out)
-}
 
 /// Per-level statistics of one level: the overlap (shared ST-cells, i.e. shared
 /// presence duration in base temporal units) and the two set sizes.
@@ -139,9 +90,63 @@ impl LevelOverlap {
     pub fn iter(&self) -> impl Iterator<Item = (Level, LevelStat)> + '_ {
         self.stats.iter().enumerate().map(|(i, &s)| ((i + 1) as Level, s))
     }
+}
 
+#[cfg(test)]
+use crate::{DigitalTrace, EntityId, Period, Result, SpIndex, SpatialUnitId};
+
+/// A single adjoint presence instance between two entities, enumerated by
+/// the unit tests as ground truth.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AdjointPresence {
+    /// The two entities forming the AjPI.
+    entities: (EntityId, EntityId),
+    /// The deepest common spatial ancestor of the two presences.
+    common_unit: SpatialUnitId,
+    /// The level of the AjPI (`|path_ab|`).
+    level: Level,
+    /// The temporal intersection of the two presences.
+    period: Period,
+}
+
+/// Enumerates all AjPIs between two traces (quadratic in the trace lengths).
+#[cfg(test)]
+fn enumerate_ajpis(
+    sp: &SpIndex,
+    ea: EntityId,
+    ta: &DigitalTrace,
+    eb: EntityId,
+    tb: &DigitalTrace,
+) -> Result<Vec<AdjointPresence>> {
+    let mut out = Vec::new();
+    for pa in ta.instances() {
+        let path_a = sp.path(pa.unit)?;
+        for pb in tb.instances() {
+            let Some(period) = pa.period.intersect(&pb.period) else { continue };
+            let path_b = sp.path(pb.unit)?;
+            let mut level = 0usize;
+            while level < path_a.len() && level < path_b.len() && path_a[level] == path_b[level] {
+                level += 1;
+            }
+            if level == 0 {
+                continue;
+            }
+            out.push(AdjointPresence {
+                entities: (ea, eb),
+                common_unit: path_a[level - 1],
+                level: level as Level,
+                period,
+            });
+        }
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+impl LevelOverlap {
     /// True when there is no overlap at any level.
-    pub fn is_disjoint(&self) -> bool {
+    fn is_disjoint(&self) -> bool {
         self.stats.iter().all(|s| s.overlap == 0)
     }
 }

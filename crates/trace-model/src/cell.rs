@@ -148,7 +148,7 @@ impl CellSet {
     /// Inserts a batch of cells, restoring the sorted-unique invariant with a
     /// single sort + dedup pass — `O((n + k) log (n + k))` instead of the
     /// `O(n · k)` of `k` repeated [`insert`](CellSet::insert) shifts.
-    pub fn extend_cells<I: IntoIterator<Item = StCell>>(&mut self, iter: I) {
+    pub(crate) fn extend_cells<I: IntoIterator<Item = StCell>>(&mut self, iter: I) {
         let old_len = self.cells.len();
         self.cells.extend(iter);
         if self.cells.len() > old_len {
@@ -229,11 +229,6 @@ impl CellSet {
             }
         }
         CellSet { cells: out }
-    }
-
-    /// True when every cell of `self` is also in `other`.
-    pub fn is_subset_of(&self, other: &CellSet) -> bool {
-        self.intersection_len(other) == self.len()
     }
 }
 
@@ -360,6 +355,14 @@ impl CellSetSequence {
     /// Total number of cells across all levels (a measure of representation size).
     pub fn total_cells(&self) -> usize {
         self.sets.iter().map(CellSet::len).sum()
+    }
+}
+
+#[cfg(test)]
+impl CellSet {
+    /// True when every cell of `self` is also in `other`.
+    fn is_subset_of(&self, other: &CellSet) -> bool {
+        self.intersection_len(other) == self.len()
     }
 }
 

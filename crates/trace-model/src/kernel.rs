@@ -73,7 +73,7 @@ pub const SIMD_LANES: usize = 4;
 /// lengths) ≤ packed lengths`.  A keyed step does a popcount on top of a
 /// merge step's compare, and the packed side of a similar-size pair runs the
 /// [`SIMD_LANES`]-wide kernel, so halving the entries is what it takes to win.
-pub const KEYED_GAIN: usize = 2;
+pub(crate) const KEYED_GAIN: usize = 2;
 
 /// Rows holding fewer cells than this between them stay packed whatever
 /// their keyed lengths.  Below it both packed rows fit in a cache line or
@@ -81,7 +81,7 @@ pub const KEYED_GAIN: usize = 2;
 /// rows live in vectors of their own: fetching them costs more than the
 /// shorter merge saves (measured on 9-cell rows, where keyed was 5–10 %
 /// slower per query and on 90-cell rows 1.7× faster).
-pub const KEYED_MIN_CELLS: usize = 32;
+pub(crate) const KEYED_MIN_CELLS: usize = 32;
 
 /// Which kernel [`intersection_len`] routes a given pair of input lengths to.
 ///
@@ -157,8 +157,8 @@ fn has_popcnt() -> bool {
 
 /// The kernel for one pair of rows held in both forms, packed lengths
 /// `packed`: [`KernelClass::Keyed`] when neither row is empty, together they
-/// hold at least [`KEYED_MIN_CELLS`] cells, and the keyed lengths `keyed()`
-/// are at most `1 / KEYED_GAIN` of the packed ones ([`KEYED_GAIN`]);
+/// hold at least `KEYED_MIN_CELLS` = 32 cells, and the keyed lengths
+/// `keyed()` are at most `1 / KEYED_GAIN` = 1/2 of the packed ones;
 /// otherwise what [`dispatch_class`] picks for the packed rows.  `keyed` is
 /// called only when the packed lengths leave the choice open, so a caller
 /// whose keyed lengths live in memory of their own touches it only then.

@@ -40,7 +40,7 @@ pub mod time;
 pub mod traces;
 
 pub use adm::{AssociationMeasure, DiceAdm, JaccardAdm, PaperAdm, WeightedLevelAdm};
-pub use ajpi::{AdjointPresence, LevelOverlap};
+pub use ajpi::LevelOverlap;
 pub use cell::{CellSet, CellSetSequence, StCell};
 pub use entity::EntityId;
 pub use error::{ModelError, Result};

@@ -89,7 +89,7 @@ impl DigitalTrace {
     /// The base-level ST-cells of this trace: every presence instance is split
     /// into the base temporal units it covers, keyed by the instance's spatial
     /// unit (which must be a base unit for the cell to be a true base ST-cell).
-    pub fn base_cells(&self, sp: &SpIndex, ticks_per_unit: u64) -> Result<CellSet> {
+    pub(crate) fn base_cells(&self, sp: &SpIndex, ticks_per_unit: u64) -> Result<CellSet> {
         let mut cells = Vec::new();
         for pi in &self.instances {
             // Presences recorded at coarser units are projected "down" by simply

@@ -104,11 +104,6 @@ impl SpIndex {
         Ok(&self.meta(unit)?.children)
     }
 
-    /// True when the unit is a base spatial unit (level `m`).
-    pub fn is_base(&self, unit: SpatialUnitId) -> Result<bool> {
-        Ok(self.meta(unit)?.level == self.height)
-    }
-
     /// Ordinal of a base unit (its index in [`SpIndex::base_units`]).
     pub fn base_ordinal(&self, unit: SpatialUnitId) -> Result<u32> {
         let meta = self.meta(unit)?;
@@ -129,12 +124,6 @@ impl SpIndex {
     /// Half-open range of base-unit ordinals covered by `unit`.
     pub fn base_range(&self, unit: SpatialUnitId) -> Result<(u32, u32)> {
         Ok(self.meta(unit)?.base_range)
-    }
-
-    /// Number of base units under `unit` (`|S_U|` in Section 6.2).
-    pub fn base_count(&self, unit: SpatialUnitId) -> Result<u32> {
-        let (lo, hi) = self.base_range(unit)?;
-        Ok(hi - lo)
     }
 
     /// The ancestor of `unit` at `level` (which must be `<=` the unit's own level).
@@ -342,6 +331,14 @@ impl SpIndexBuilder {
         }
 
         Ok(SpIndex { height, units, top_units, base_units, ancestors })
+    }
+}
+
+#[cfg(test)]
+impl SpIndex {
+    /// True when the unit is a base spatial unit (level `m`).
+    fn is_base(&self, unit: SpatialUnitId) -> Result<bool> {
+        Ok(self.meta(unit)?.level == self.height)
     }
 }
 

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use std::cell::Cell;
 use trace_model::kernel::{
     dispatch_class, intersection_len_merge, keyed_overlap, keyed_overlap_merge, push_keyed,
-    push_keyed_union, push_packed, row_class, KernelClass, KeyedRow, KEYED_GAIN, KEYED_MIN_CELLS,
+    push_keyed_union, push_packed, row_class, KernelClass, KeyedRow,
 };
 
 /// Packs `(time, unit)` pairs into a sorted, deduplicated packed row.
@@ -184,6 +184,9 @@ fn keyed_overlap_handles_word_edges_and_extremes() {
 /// and it asks for the keyed lengths only past the packed tests.
 #[test]
 fn row_class_is_the_documented_rule() {
+    // The two thresholds, restated from `row_class`'s docs.
+    const KEYED_GAIN: usize = 2;
+    const KEYED_MIN_CELLS: usize = 32;
     for a in 0..48usize {
         for b in 0..48usize {
             for (ka, kb) in [(1, 1), (a / 2, b / 2), (a / 3, b / 3), (a, b)] {

@@ -1,15 +1,16 @@
 #!/bin/sh
-# `pub` means called: every `pub` item of minsig and trace-storage is named by
-# a file outside its crate (src, examples, tests, e2e, another crate) or, for
+# `pub` means called: every `pub` item of minsig, trace-storage and
+# trace-model (its `adm/` modules included) is named by a file outside its crate (src, examples, tests, e2e, another crate) or, for
 # a type, by a `pub` signature of its own crate.  A floor, not a proof: a grep
 # cannot tell `A::new` from `B::new`, so it only catches names nobody uses —
 # the compiler settles the rest (narrow the item, build every target and e2e).
 # Run from the repository root; prints the offenders and exits 1 if any.
 kinds='fn|struct|enum|trait|type|const|static'
 bad=0
-for crate in crates/core crates/storage; do
+for crate in crates/core crates/storage crates/trace-model; do
     outside=$(find src examples tests e2e crates -name '*.rs' ! -path "$crate/*" ! -path '*/target/*')
-    for file in "$crate"/src/*.rs; do
+    sources=$(find "$crate/src" -name '*.rs' | sort)
+    for file in $sources; do
         # kind and name of each pub item before the file's first #[cfg(test)]
         awk -v kinds="$kinds" '/#\[cfg\(test\)\]/ { exit }
             match($0, "^[ \t]*pub ((async|unsafe|const) )*(" kinds ") +[A-Za-z_0-9]+") {
@@ -29,7 +30,7 @@ for crate in crates/core crates/storage; do
                         if (sig ~ "[^A-Za-z_0-9]" name "[^A-Za-z_0-9]" &&
                             sig !~ "pub (" kinds ") +" name "[^A-Za-z_0-9]") found = 1
                         sig = "" }
-                    END { exit !found }' "$crate"/src/*.rs && continue ;;
+                    END { exit !found }' $sources && continue ;;
             esac
             echo "$file: pub $kind $name has no caller outside $crate"
         done

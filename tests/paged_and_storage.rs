@@ -4,7 +4,7 @@
 
 use digital_traces::index::{IndexConfig, MinSigIndex, ShardedSnapshot};
 use digital_traces::mobility_models::{HierarchyConfig, SynConfig, SynDataset};
-use digital_traces::storage::{PagedTraceStore, PoolConfig, TraceRecord, PAGE_SIZE};
+use digital_traces::storage::{PagedTraceStore, PoolConfig, TraceRecord};
 use digital_traces::{EntityId, PaperAdm};
 
 fn dataset() -> SynDataset {
@@ -79,35 +79,6 @@ fn tighter_memory_budgets_cost_more_simulated_io() {
     let tight = run(0.05);
     let roomy = run(1.0);
     assert!(tight >= roomy, "5% of memory must not be cheaper than 100% ({tight} vs {roomy})");
-}
-
-/// Pins are the caller's to take: a trace pinned through the store stays
-/// resident while out-of-core queries sweep a one-frame pool (the pool
-/// overcommits rather than evict it), the queries themselves pin nothing,
-/// and releasing the pin leaves no frame pinned.
-#[test]
-fn a_pinned_trace_survives_paged_queries_that_pin_nothing() {
-    let dataset = dataset();
-    let sp = dataset.sp_index();
-    let index =
-        MinSigIndex::build(sp, &dataset.traces, IndexConfig::with_hash_functions(32)).unwrap();
-    let store = PagedTraceStore::build(&dataset.traces, 6);
-    let pool = store.pool(PoolConfig { capacity_bytes: PAGE_SIZE, ..PoolConfig::default() });
-    let snapshot = ShardedSnapshot::from(index.snapshot());
-    let session = snapshot.paged(&store, &pool);
-    let measure = PaperAdm::default_for(sp.height() as usize);
-    let queries = dataset.query_entities(4, 5);
-    let held = store.trace_pages(queries[0]).unwrap();
-    let pinned = store.pin_trace(&pool, queries[0]).expect("stored");
-    let mut evictions = 0;
-    for &query in &queries {
-        evictions += session.top_k(query, 5, &measure).unwrap().1.pool_evictions;
-        assert_eq!(pool.pinned_frames(), held.len(), "queries pin nothing and keep the pins");
-    }
-    assert!(evictions > 0, "the one-frame pool was swept");
-    assert_eq!(pool.resident_count(held), held.len(), "the pinned trace stayed resident");
-    drop(pinned);
-    assert_eq!(pool.pinned_frames(), 0);
 }
 
 #[test]

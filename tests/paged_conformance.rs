@@ -264,13 +264,16 @@ fn unseeded_paged_query_answers_like_in_memory() {
     assert!(!stats.threshold_seeded, "a sketchless index must not seed");
 }
 
-/// A store built from a strict subset of the indexed traces cannot produce
-/// every candidate: the answer must say so — `candidates_unreadable`, and a
-/// `recall_estimate` below 1.0 — instead of posing as exact.
+/// A store built from a strict subset of the indexed traces changes
+/// nothing: the session copies every member's rows from the snapshot, so
+/// the paged query answers and works like the in-memory one and like a
+/// session over the complete store — answers, `entities_checked`,
+/// `reads_avoided`, every kernel class — and stays exact.
 #[test]
-fn unreadable_candidates_are_counted_and_lower_the_recall_estimate() {
+fn a_store_that_lacks_entities_changes_nothing() {
     let (w, unsharded, sharded, full_store) = build_world(40, 6, 3, 3);
     let snapshot = sharded.snapshot();
+    let one_shard = ShardedSnapshot::from(unsharded.snapshot());
     let measure = w.measure();
     let entities = w.entities();
     let dropped = [entities[5], entities[6], entities[17]];
@@ -279,28 +282,24 @@ fn unreadable_candidates_are_counted_and_lower_the_recall_estimate() {
         stored.remove(entity);
     }
     let store = PagedTraceStore::build(&stored, 4);
-    let pool = store.pool(PoolConfig::default());
     // k = the whole population: nothing can be pruned, so every indexed
     // entity is a candidate and each dropped one is met exactly once.
     let k = entities.len();
     let query = entities[0];
-    let (out, stats) = snapshot.paged(&store, &pool).top_k(query, k, &measure).unwrap();
-    assert_eq!(stats.candidates_unreadable, dropped.len());
-    assert_eq!(stats.recall_estimate, 1.0 - dropped.len() as f64 / k as f64);
-    assert_eq!(out.len(), k - 1 - dropped.len());
-    assert!(out.iter().all(|r| !dropped.contains(&r.entity)));
-    assert_eq!(pool.pinned_frames(), 0);
-
-    // A one-shard session over the unsharded index reports the same way.
-    let one_shard = ShardedSnapshot::from(unsharded.snapshot());
-    let (_, stats) = one_shard.paged(&store, &pool).top_k(query, k, &measure).unwrap();
-    assert_eq!(stats.candidates_unreadable, dropped.len());
-    assert!(stats.recall_estimate < 1.0);
-
-    // A complete store stays exact.
-    let pool = full_store.pool(PoolConfig::default());
-    let (_, stats) = snapshot.paged(&full_store, &pool).top_k(query, k, &measure).unwrap();
-    assert_eq!((stats.candidates_unreadable, stats.recall_estimate), (0, 1.0));
+    for (snapshot, ctx) in [(&snapshot, "sharded"), (&one_shard, "one shard")] {
+        let (mem, mem_stats) = snapshot.top_k(query, k, &measure).unwrap();
+        let full_pool = full_store.pool(PoolConfig::default());
+        let (_, full) = snapshot.paged(&full_store, &full_pool).top_k(query, k, &measure).unwrap();
+        let pool = store.pool(PoolConfig::default());
+        let (out, stats) = snapshot.paged(&store, &pool).top_k(query, k, &measure).unwrap();
+        assert_equivalent_answers(&out, &mem, ctx);
+        assert_eq!(out.len(), k - 1, "{ctx}: every dropped entity is answered");
+        assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{ctx}");
+        assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "{ctx}");
+        assert_eq!(stats.reads_avoided, full.reads_avoided, "{ctx}");
+        assert_eq!((stats.recall_estimate, mem_stats.recall_estimate), (1.0, 1.0), "{ctx}");
+        assert_eq!(pool.pinned_frames(), 0);
+    }
 }
 
 /// A paged query issues the in-memory query's intersections with the
@@ -316,9 +315,8 @@ fn assert_same_intersections(paged: &QueryStats, mem: &QueryStats, ctx: &str) {
 /// cell — are scored from the snapshot's resident rows, never read: the
 /// paged query does the in-memory query's work — answers, `entities_checked`,
 /// kernel dispatch — and its page requests are exactly the pages the row
-/// spans of the candidates that do share a level-2 cell lie on.  A candidate
-/// the store lacks is unreadable even when its resident rows alone would have
-/// answered it.
+/// spans of the candidates that do share a level-2 cell lie on.  A store
+/// that lacks a candidate changes none of it.
 #[test]
 fn level_one_disjoint_candidates_are_answered_without_a_read() {
     let (w, _, mut sharded, store) = build_world(160, 3, 21, 4);
@@ -373,8 +371,8 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
         assert_eq!(pool.pinned_frames(), 0);
     }
 
-    // Drop one disjoint candidate from the store: it is unreadable, not
-    // answered from its resident row.
+    // Drop one disjoint candidate from the store: it is still answered from
+    // its resident rows, unread, like in memory.
     let query = w.sample_entities(1, 0xD50)[0];
     let dropped = disjoint_from(query)[0];
     let mut stored = w.traces.clone();
@@ -382,10 +380,13 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
     let partial = PagedTraceStore::build(&stored, 4);
     let pool = partial.pool(PoolConfig::default());
     let (out, stats) = cold.paged(&partial, &pool).query(query, &everyone).unwrap();
-    assert_eq!(stats.candidates_unreadable, 1);
-    assert_eq!(stats.reads_avoided, disjoint_at(2, query).len() - 1);
-    assert!(out.iter().all(|r| r.entity != dropped));
-    assert!(stats.recall_estimate < 1.0);
+    let (mem, mem_stats) = cold.query(query, &everyone).unwrap();
+    assert_equivalent_answers(&out, &mem, "lacking store");
+    assert!(out.iter().any(|r| r.entity == dropped));
+    assert_eq!(stats.entities_checked, mem_stats.entities_checked);
+    assert_same_intersections(&stats, &mem_stats, "lacking store");
+    assert_eq!(stats.reads_avoided, disjoint_at(2, query).len());
+    assert_eq!(stats.recall_estimate, 1.0);
 }
 
 /// On the paper's SYN population rows are long and clustered enough for the

@@ -367,7 +367,7 @@ fn scanned(snapshot: &ShardedSnapshot, query: EntityId, measure: &PaperAdm) -> (
         sharing += (members.iter())
             .filter(|(_, seq)| seq.level(1).intersection_len(sequence.level(1)) > 0)
             .count();
-        scored += scan_scored(sequence, members, 10, measure, |_| true).len();
+        scored += scan_scored(sequence, members, 10, measure).len();
     }
     (sharing, scored)
 }

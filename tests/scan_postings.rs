@@ -10,8 +10,8 @@
 //!   member sharing a level-2 cell with it — counted from the sequences,
 //!   like which members are scored (`testkit::scan_scored`);
 //! * the out-of-core session issues the same intersections, class by class,
-//!   and answers every readable member sharing no level-2 cell without a
-//!   read;
+//!   and answers every member sharing no level-2 cell without a read, over a
+//!   store that lacks entities too;
 //! * answers are bitwise brute force's under all four shipped measures, for
 //!   exact scans and for sampled ones (past a zero budget's deadline), whose work
 //!   follows the same rule over the members they sample.
@@ -58,15 +58,13 @@ fn syn(entities: usize, shards: usize) -> (SynDataset, ShardedMinSigIndex) {
 
 /// The members the scans of `query`'s plan score, shard by shard
 /// (`scan_scored`): of every shard the plan scans, the members `admitted`
-/// lets through, `query` left out, with `readable` saying which ones a
-/// scan's heap can hold.
+/// lets through, `query` left out.
 fn scored_by_scans<'a>(
     snapshot: &'a ShardedSnapshot,
     query: EntityId,
     k: usize,
     measure: &dyn AssociationMeasure,
     admitted: &dyn Fn(EntityId) -> bool,
-    readable: &dyn Fn(EntityId) -> bool,
 ) -> Vec<(EntityId, &'a CellSetSequence)> {
     let sequence = snapshot.sequence(query).unwrap();
     let plan = snapshot.explain(query, k, measure, PlannerConfig::default()).unwrap();
@@ -78,7 +76,7 @@ fn scored_by_scans<'a>(
         let members = (snapshot.shard(shard_plan.shard).sequences().iter())
             .filter(|&(&e, _)| e != query && admitted(e))
             .map(|(&e, seq)| (e, seq));
-        scored.extend(scan_scored(sequence, members, k, measure, readable));
+        scored.extend(scan_scored(sequence, members, k, measure));
     }
     scored
 }
@@ -126,7 +124,7 @@ fn a_scan_intersects_from_level_three_and_only_members_sharing_level_two() {
         assert_eq!(stats.shards_scanned, SHARDS, "{context}: every shard is scanned");
         let plan = snapshot.explain(query, 10, &measure, PlannerConfig::default()).unwrap();
         let sequence = snapshot.sequence(query).unwrap();
-        let scored = scored_by_scans(&snapshot, query, 10, &measure, &|_| true, &|_| true);
+        let scored = scored_by_scans(&snapshot, query, 10, &measure, &|_| true);
         assert_eq!(stats.entities_checked, plan.seed_candidates + scored.len(), "{context}");
         let issued = scan_intersections(sequence, scored.iter().map(|&(_, seq)| seq));
         assert_eq!(stats.kernel_dispatch.total(), issued, "{context}");
@@ -145,11 +143,11 @@ fn a_scan_intersects_from_level_three_and_only_members_sharing_level_two() {
 }
 
 /// Out of core the scan runs the same loop over the same postings: the
-/// in-memory query's intersections, class by class, and a readable member
-/// that shares no level-2 cell is never read.  Sixteen shards of at most 32
+/// in-memory query's intersections, class by class, and a member that
+/// shares no level-2 cell is never read.  Sixteen shards of at most 32
 /// members are scanned for their size and, with no sketch, nothing is
-/// seeded, so every read avoided is a scanned member's.  A member the store
-/// lacks is unreadable, not avoided, and leaves its shard's heap one short.
+/// seeded, so every read avoided is a scanned member's.  A store that lacks
+/// entities changes nothing: the session holds every member's rows.
 #[test]
 fn a_paged_scan_reads_no_member_sharing_no_level_two_cell_and_intersects_like_memory() {
     let shards = 16;
@@ -169,7 +167,6 @@ fn a_paged_scan_reads_no_member_sharing_no_level_two_cell_and_intersects_like_me
     let (paged, lacking) =
         (snapshot.paged(&full, &full_pool), snapshot.paged(&partial, &partial_pool));
     let request = Query::new(10, &measure);
-    let readable = |e: EntityId| !missing.contains(&e);
     let mut tails = 0;
     for query in snapshot.shard(1).sequences().keys().copied().step_by(3) {
         let (out, stats) = paged.query(query, &request).unwrap();
@@ -181,23 +178,20 @@ fn a_paged_scan_reads_no_member_sharing_no_level_two_cell_and_intersects_like_me
         assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "{context}");
         assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{context}");
         let sequence = snapshot.sequence(query).unwrap();
-        let scored = scored_by_scans(&snapshot, query, 10, &measure, &|_| true, &|_| true);
+        let scored = scored_by_scans(&snapshot, query, 10, &measure, &|_| true);
         assert_eq!(stats.entities_checked, scored.len(), "{context}");
         // The scored members a scan answers from the postings alone.
-        let unread = |scored: &[(EntityId, &CellSetSequence)],
-                      readable: &dyn Fn(EntityId) -> bool| {
-            let unread = scored.iter().filter(|(e, seq)| readable(*e) && !shares(sequence, seq, 2));
-            unread.count()
-        };
-        assert_eq!(stats.reads_avoided, unread(&scored, &|_| true), "{context}");
+        let unread = scored.iter().filter(|(_, seq)| !shares(sequence, seq, 2)).count();
+        assert_eq!(stats.reads_avoided, unread, "{context}");
         tails += usize::from(scored.iter().any(|(_, seq)| !shares(sequence, seq, 1)));
 
-        let (_, stats) = lacking.query(query, &request).unwrap();
-        let tried = scored_by_scans(&snapshot, query, 10, &measure, &|_| true, &readable);
-        let unreadable = tried.iter().filter(|(e, _)| !readable(*e)).count();
-        assert_eq!(stats.candidates_unreadable, unreadable, "{context}: lacking store");
-        assert_eq!(stats.reads_avoided, unread(&tried, &readable), "{context}: lacking store");
-        assert_eq!(stats.entities_checked, tried.len() - unreadable, "{context}: lacking store");
+        let (out, stats) = lacking.query(query, &request).unwrap();
+        let context = format!("{context}: lacking store");
+        assert_equivalent_answers(&out, &mem, &context);
+        assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "{context}");
+        assert_eq!(stats.entities_checked, mem_stats.entities_checked, "{context}");
+        assert_eq!(stats.reads_avoided, unread, "{context}");
+        assert_eq!(stats.recall_estimate, 1.0, "{context}");
     }
     assert!(tails > 0, "some 16-shard scan scores members sharing no level-1 cell");
     assert_eq!((full_pool.pinned_frames(), partial_pool.pinned_frames()), (0, 0));
@@ -247,7 +241,7 @@ fn scans_answer_like_brute_force_under_every_measure_exact_or_sampled() {
             let (top, stats) = snapshot.query(query, &ten).unwrap();
             assert_equivalent_answers(&top, &scored[..10], &format!("{context}: sampled top 10"));
             let sample = |e: EntityId| scored.iter().any(|s| s.entity == e);
-            let picked = scored_by_scans(&snapshot, query, 10, measure, &sample, &|_| true);
+            let picked = scored_by_scans(&snapshot, query, 10, measure, &sample);
             assert_eq!(stats.sampled_candidates, picked.len(), "{context}: sampled top 10");
             let issued = scan_intersections(sequence, picked.iter().map(|&(_, seq)| seq));
             assert_eq!(stats.kernel_dispatch.total(), issued, "{context}: sampled top 10 work");
@@ -321,7 +315,7 @@ fn a_scan_scores_the_disjoint_tail_while_it_can_enter_the_answer() {
             assert_eq!(work(&stats), work(&mem_stats), "{context}: paged work");
 
             let plan = snapshot.explain(query, k, &measure, PlannerConfig::default()).unwrap();
-            let scored = scored_by_scans(&snapshot, query, k, &measure, &|_| true, &|_| true);
+            let scored = scored_by_scans(&snapshot, query, k, &measure, &|_| true);
             assert_eq!(
                 mem_stats.entities_checked,
                 plan.seed_candidates + scored.len(),

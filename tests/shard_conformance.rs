@@ -262,7 +262,7 @@ fn planned_top_k_scans_every_shard_on_the_full_syn_population() {
                 let members = (snapshot.shard(shard).sequences().iter())
                     .filter(|&(&e, _)| e != query)
                     .map(|(&e, seq)| (e, seq));
-                scan_scored(sequence, members, 10, &measure, |_| true).len()
+                scan_scored(sequence, members, 10, &measure).len()
             })
             .sum();
         let plan = snapshot.explain(query, 10, &measure, PlannerConfig::default()).unwrap();
