@@ -90,11 +90,6 @@ impl BitmapIndex {
         self.config
     }
 
-    /// Number of distinct bit vectors (groups).
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Number of indexed entities.
     pub fn num_entities(&self) -> usize {
         self.num_entities
@@ -178,6 +173,14 @@ impl BitmapIndex {
         }
         results.truncate(k);
         (results, stats)
+    }
+}
+
+#[cfg(test)]
+impl BitmapIndex {
+    /// Number of distinct bit vectors (groups).
+    fn num_groups(&self) -> usize {
+        self.groups.len()
     }
 }
 

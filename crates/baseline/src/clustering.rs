@@ -26,22 +26,13 @@ impl CellClustering {
     }
 
     /// The cluster of a cell, or `None` for a cell never seen during clustering.
-    pub fn cluster_of(&self, cell: u64) -> Option<u32> {
+    pub(crate) fn cluster_of(&self, cell: u64) -> Option<u32> {
         self.assignment.get(&cell).copied()
     }
 
     /// Number of clustered cells.
     pub fn num_cells(&self) -> usize {
         self.assignment.len()
-    }
-
-    /// Cluster sizes indexed by cluster id.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_clusters as usize];
-        for &c in self.assignment.values() {
-            sizes[c as usize] += 1;
-        }
-        sizes
     }
 }
 
@@ -77,7 +68,7 @@ impl UnionFind {
 ///   co-occur to be merged;
 /// * `target_clusters` — the desired number of clusters (the bit-vector width);
 ///   the actual count can be lower when there are fewer distinct cells.
-pub fn cluster_cells(
+pub(crate) fn cluster_cells(
     transactions: &[Vec<u64>],
     min_support: usize,
     target_clusters: usize,
@@ -129,6 +120,18 @@ pub fn cluster_cells(
 
     let assignment = cells.iter().zip(cluster_of_cell).map(|(&c, id)| (c, id)).collect();
     CellClustering { assignment, num_clusters: num_clusters as u32 }
+}
+
+#[cfg(test)]
+impl CellClustering {
+    /// Cluster sizes indexed by cluster id.
+    fn cluster_sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![0usize; self.num_clusters as usize];
+        for &c in self.assignment.values() {
+            sizes[c as usize] += 1;
+        }
+        sizes
+    }
 }
 
 #[cfg(test)]

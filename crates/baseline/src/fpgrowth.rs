@@ -44,7 +44,7 @@ impl FpGrowth {
     }
 
     /// Restricts mining to itemsets of at most `max_len` items.
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
+    pub(crate) fn with_max_len(mut self, max_len: usize) -> Self {
         self.max_len = max_len;
         self
     }
@@ -183,9 +183,10 @@ impl FpGrowth {
     }
 }
 
-/// Naive frequent-itemset enumeration used to cross-check FP-growth in tests and
-/// available for tiny inputs.
-pub fn naive_frequent_itemsets(
+/// Naive frequent-itemset enumeration, the oracle FP-growth is cross-checked
+/// against.
+#[cfg(test)]
+fn naive_frequent_itemsets(
     transactions: &[Vec<u64>],
     min_support: usize,
     max_len: usize,

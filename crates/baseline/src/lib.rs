@@ -27,7 +27,7 @@ pub mod fpgrowth;
 pub mod scan;
 
 pub use bitmap::{BitmapIndex, BitmapIndexConfig};
-pub use clustering::{cluster_cells, CellClustering};
+pub use clustering::CellClustering;
 pub use fpgrowth::{FpGrowth, FrequentItemset};
 pub use scan::{scan_top_k, ScanStats};
 

@@ -13,12 +13,16 @@
 //! only while they can still enter its top k, it rules out what the tree
 //! would prune, so a sharded plan never opens a tree.
 //!
-//! Everything that differs between in-memory and out-of-core execution sits
-//! behind [`ShardAccess`].  Its hooks are monomorphised; nothing on the
-//! per-candidate path is dynamic.  `docs/ARCHITECTURE.md` has the long form.
+//! In memory and out of core run this one body over one [`Access`]; they
+//! differ by its `pages` alone — `None`, or the session's row pages — which
+//! every [`ArenaSource`] it hands out carries: a source reads a member's
+//! finer rows from the arena or through the pool, one `match` per
+//! candidate, nothing dynamic.  `docs/ARCHITECTURE.md` has the long form.
 
 use crate::engine;
 use crate::error::{IndexError, Result};
+use crate::kernel::{ArenaSource, QueryView};
+use crate::paged::RowSegment;
 use crate::plan::{self, QueryPlan, ShardDecision};
 use crate::query::{Query, TopKResult};
 use crate::snapshot::IndexSnapshot;
@@ -27,66 +31,37 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
 
-/// How one query reads the shards' candidates — the whole difference between
-/// the in-memory path (`shard::ArenaAccess`, over the candidate arenas) and
-/// the out-of-core one (`paged::PagedAccess`, over the session's row pages
-/// through the buffer pool).  An access serves one query — it knows whose — on one
-/// thread; the sources it hands out travel with their scans.  It only reads:
-/// nothing it knows about residency or I/O cost reaches a plan, so a paged
-/// query is planned exactly like the in-memory one.
-pub(crate) trait ShardAccess<'q> {
-    /// What a scan scores through; one per job.
-    type Source: Send;
-
+/// How one query reads the shards, in memory and out of core alike.  It
+/// only reads: nothing it knows about residency or I/O cost reaches a plan,
+/// so a paged query is planned exactly like the in-memory one.
+pub(crate) struct Access<'q> {
     /// The shard snapshots, in shard order.
-    fn shards(&self) -> &'q [Arc<IndexSnapshot>];
-
-    /// The sequence searched for.
-    fn sequence(&self) -> &'q CellSetSequence;
-
+    pub(crate) shards: &'q [Arc<IndexSnapshot>],
+    /// The query's one view: seeding and every scan score through it.
+    pub(crate) view: &'q QueryView<'q>,
     /// The query entity, left out of its own answer.
-    fn entity(&self) -> EntityId;
+    pub(crate) entity: EntityId,
+    /// Batch planning's pre-resolved sketch positions, `[shard][slot]`;
+    /// per-query planning looks each sketch entity up instead.
+    pub(crate) sketch_positions: Option<&'q [Vec<Option<usize>>]>,
+    /// Out of core, the session's pages of every shard's finer rows, in
+    /// shard order; `None` in memory.
+    pub(crate) pages: Option<&'q [RowSegment<'q>]>,
+}
 
-    /// Scores `shard`'s sketch entities (bar the query entity) exactly
-    /// against the query, for threshold seeding, handing each
-    /// `(entity, degree)` to `offer` — untracked (no kernel-dispatch counts).
-    /// An entity the access cannot produce is passed over, which only weakens
-    /// the seed.  `scratch` is the planner's, for an access that scores from
-    /// rows it holds.
-    fn seed<M: AssociationMeasure + ?Sized>(
-        &self,
-        shard: usize,
-        measure: &M,
-        scratch: &mut LevelOverlap,
-        offer: impl FnMut(EntityId, f64),
-    );
+impl<'q> Access<'q> {
+    /// The sequence searched for.
+    pub(crate) fn sequence(&self) -> &'q CellSetSequence {
+        self.view.sequence()
+    }
 
-    /// The flat degree loop over the members of `shard`, scored through a
-    /// `source` of that shard the scan owns — no `&self`, so a scan is a job
-    /// any worker can run: exact (`rate` `None`) or over the deterministic
-    /// sample at `rate` plus the shard's sketch entities, `exclude` (the
-    /// query entity) left out.  Returns the
-    /// shard's sorted top-k and how many entities it scored; kernel
-    /// dispatches and pool traffic stay on the source
-    /// until [`drain_source`](Self::drain_source).
-    fn scan<M: AssociationMeasure + ?Sized>(
-        source: &Self::Source,
-        shard: &IndexSnapshot,
-        exclude: EntityId,
-        rate: Option<f64>,
-        query: &Query<'_, M>,
-    ) -> (Vec<TopKResult>, usize);
-
-    /// A fresh source (own scratch, zeroed counters) over one shard.
-    fn source(&self, shard: usize) -> Self::Source;
-
-    /// Moves a scan's source counters into the query's stats.
-    fn drain_source(source: &Self::Source, stats: &mut QueryStats);
-
-    /// Moves the counters of the access's own reads (seeding) there.
-    fn drain(&self, _stats: &mut QueryStats) {}
+    /// A fresh source (own scratch, zeroed counters) over shard `shard`.
+    pub(crate) fn source(&self, shard: usize) -> ArenaSource<'q> {
+        let pages = self.pages.map(|pages| &pages[shard]);
+        ArenaSource::new(self.shards[shard].arena(), self.view, pages)
+    }
 }
 
 /// Rejects a bad budget and query sequences whose level count does not match
@@ -109,13 +84,12 @@ pub(crate) fn admit<M: ?Sized>(
 }
 
 /// Builds — without executing — the plan [`run`] would drive.
-pub(crate) fn explain<'q, A, M>(access: &A, query: &Query<'_, M>) -> Result<QueryPlan>
-where
-    A: ShardAccess<'q>,
-    M: AssociationMeasure + ?Sized,
-{
-    admit(access.shards(), access.sequence(), query)?;
-    Ok(plan::plan_query(access, query))
+pub(crate) fn explain<M: AssociationMeasure + ?Sized>(
+    access: &Access<'_>,
+    query: &Query<'_, M>,
+) -> Result<QueryPlan> {
+    admit(access.shards, access.sequence(), query)?;
+    Ok(plan::plan_query(access, query, &mut QueryStats::default()))
 }
 
 /// Answers one query: plan, then drive the plan.  `parallel` runs the scan
@@ -124,27 +98,25 @@ where
 /// all go through the one pool mutex; see [`crate::paged`]).
 /// The latency budget, when set, is measured from before planning: the
 /// deadline is the query's, and planning spends it too.
-pub(crate) fn run<'q, A, M>(
-    access: &A,
-    query: &Query<'q, M>,
+pub(crate) fn run<M: AssociationMeasure + Sync + ?Sized>(
+    access: &Access<'_>,
+    query: &Query<'_, M>,
     parallel: bool,
-) -> Result<(Vec<TopKResult>, QueryStats)>
-where
-    A: ShardAccess<'q>,
-    M: AssociationMeasure + Sync + ?Sized,
-{
-    admit(access.shards(), access.sequence(), query)?;
+) -> Result<(Vec<TopKResult>, QueryStats)> {
+    admit(access.shards, access.sequence(), query)?;
     let start = Instant::now();
-    let plan = plan::plan_query(access, query);
-    let planning_us = start.elapsed().as_micros() as u64;
-    Ok(execute(access, &plan, query, parallel, start, planning_us))
+    let mut stats = QueryStats::default();
+    let plan = plan::plan_query(access, query, &mut stats);
+    stats.planning_us = start.elapsed().as_micros() as u64;
+    Ok(execute(access, &plan, query, parallel, start, stats))
 }
 
-/// Drives an already-built plan and merges the per-shard answers.  `start`
-/// is the instant the latency budget is measured from: [`run`] passes the
-/// instant before planning, the in-memory batch path — which plans the whole
-/// batch once — each query's own execution start with its amortised
-/// `planning_us`.
+/// Drives an already-built plan and merges the per-shard answers into
+/// `stats`, which holds the query's planning so far (its `planning_us`, and
+/// what its seeding read).  `start` is the instant the latency budget is
+/// measured from: [`run`] passes the instant before planning, the in-memory
+/// batch path — which plans the whole batch once — each query's own
+/// execution start with its amortised `planning_us`.
 ///
 /// Every admitted shard is one scan job, queued in plan order (most
 /// promising first).  The latency budget is a deadline, and this is the one
@@ -156,19 +128,15 @@ where
 /// With no shard sampled the answer is bitwise the unbudgeted one.  A scan
 /// prunes against its own top k only, so neither the answer nor any work
 /// counter depends on which worker ran which job.
-pub(crate) fn execute<'q, A, M>(
-    access: &A,
+pub(crate) fn execute<M: AssociationMeasure + Sync + ?Sized>(
+    access: &Access<'_>,
     plan: &QueryPlan,
-    query: &Query<'q, M>,
+    query: &Query<'_, M>,
     parallel: bool,
     start: Instant,
-    planning_us: u64,
-) -> (Vec<TopKResult>, QueryStats)
-where
-    A: ShardAccess<'q>,
-    M: AssociationMeasure + Sync + ?Sized,
-{
-    let mut stats = QueryStats { k: query.k, planning_us, ..QueryStats::default() };
+    mut stats: QueryStats,
+) -> (Vec<TopKResult>, QueryStats) {
+    stats.k = query.k;
     // Seeding scored real candidates exactly: charge them as checked work,
     // and count skipped shards' populations toward |E| so pruning
     // effectiveness stays comparable with plans that skip nothing.
@@ -191,7 +159,7 @@ where
     let mut report = DegradationReport::default();
     let mut parts = Vec::with_capacity(jobs.len());
     for job in jobs {
-        A::drain_source(&job.source, &mut stats);
+        job.source.drain_into(&mut stats);
         stats.entities_checked += job.checked;
         stats.total_entities += job.snapshot.num_entities();
         if let Some(rate) = job.rate {
@@ -206,7 +174,6 @@ where
         stats.degradation = Some(report);
     }
     let results = engine::merge_top_k(query.k, parts);
-    access.drain(&mut stats);
     stats.query_time_us = start.elapsed().as_micros() as u64;
     (results, stats)
 }
@@ -214,26 +181,26 @@ where
 /// One shard's flat scan as a unit of work.  It owns the source it scores
 /// through (scratch, kernel-dispatch and pool counters) and what it found,
 /// so whichever worker picks it up runs it.
-struct ScanJob<'q, A: ShardAccess<'q>> {
+struct ScanJob<'q> {
     shard: usize,
     snapshot: &'q IndexSnapshot,
     exclude: EntityId,
     /// `None` is the exact scan; `Some` a sampled one, set when the job was
     /// picked up past the deadline.
     rate: Option<f64>,
-    source: A::Source,
+    source: ArenaSource<'q>,
     results: Vec<TopKResult>,
     /// Entities scored.
     checked: usize,
 }
 
-impl<'q, A: ShardAccess<'q>> ScanJob<'q, A> {
+impl<'q> ScanJob<'q> {
     /// A flat scan of one shard, with a source of its own.
-    fn new(access: &A, shard: usize) -> Self {
+    fn new(access: &Access<'q>, shard: usize) -> Self {
         ScanJob {
             shard,
-            snapshot: &access.shards()[shard],
-            exclude: access.entity(),
+            snapshot: &access.shards[shard],
+            exclude: access.entity,
             rate: None,
             source: access.source(shard),
             results: Vec::new(),
@@ -253,8 +220,11 @@ impl<'q, A: ShardAccess<'q>> ScanJob<'q, A> {
             let floor_rate = self.snapshot.synopsis().min_rate_for_recall(recall_floor);
             self.rate = (floor_rate < 1.0).then_some(floor_rate);
         }
-        (self.results, self.checked) =
-            A::scan(&self.source, self.snapshot, self.exclude, self.rate, query);
+        let (exclude, rate) = (self.exclude, self.rate);
+        let hot = self.snapshot.synopsis().hot_entities();
+        (self.results, self.checked) = self.source.scan(query.k, query.measure, |entity| {
+            entity != exclude && plan::scan_admits(rate, hot, entity)
+        });
     }
 }
 

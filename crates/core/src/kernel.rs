@@ -88,11 +88,12 @@
 //! [`IndexSnapshot`]: crate::snapshot::IndexSnapshot
 
 use crate::engine::{TopKHeap, TraceSource};
+use crate::paged::RowSegment;
 use crate::query::TopKResult;
 use crate::signature::SignatureList;
-use crate::stats::KernelDispatch;
+use crate::stats::{KernelDispatch, QueryStats};
 use crate::tree::{MinSigTree, Node, NodeId, ROOT};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use trace_model::ajpi::{LevelOverlap, LevelStat};
@@ -100,6 +101,7 @@ use trace_model::kernel::{
     keyed_overlap, push_keyed, push_keyed_union, push_packed, row_class, KeyedRow,
 };
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, Level};
+use trace_storage::PoolStats;
 
 pub use trace_model::kernel::{
     argmax, dispatch_class, intersection_len, intersection_len_gallop, intersection_len_merge,
@@ -1260,6 +1262,31 @@ impl RowScratch {
     }
 }
 
+/// What one [`ArenaSource`] reuses from candidate to candidate and counts
+/// for its query.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The current candidate's rows read (out of core) and statistics.
+    pub(crate) rows: RowScratch,
+    pub(crate) dispatch: KernelDispatch,
+    /// Out of core: the buffer-pool traffic of the reads.
+    pub(crate) io: PoolStats,
+    /// Out of core: candidates scored from their resident rows alone, no
+    /// page read.
+    pub(crate) reads_avoided: usize,
+}
+
+impl Scratch {
+    /// Adds the kernel-dispatch, buffer-pool and avoided-read counters
+    /// accumulated since the last call (or construction) to `stats`, leaving
+    /// them at zero.
+    pub(crate) fn drain_into(&mut self, stats: &mut QueryStats) {
+        stats.kernel_dispatch.absorb(std::mem::take(&mut self.dispatch));
+        stats.absorb_io(std::mem::take(&mut self.io));
+        stats.reads_avoided += std::mem::take(&mut self.reads_avoided);
+    }
+}
+
 /// A candidate's rows when the arena holds its level-1 row and the lengths
 /// of all its rows, and its finer rows are read into `words` (keys then
 /// masks per level) the first time the loop intersects one.
@@ -1425,83 +1452,116 @@ impl<'a> QueryView<'a> {
     }
 }
 
-/// The in-memory [`TraceSource`]: degrees from the arena's fused kernel loop
-/// against one query's pre-resolved [`QueryView`] — what the snapshot's
-/// tree search uses for leaf evaluation, and what a shard's flat scan
-/// scores through.
+/// What scores one shard's members for one query, in memory and out of
+/// core: the arena's fused kernel loop against the query's pre-resolved
+/// [`QueryView`] — a shard's flat scan, the planner's seeding and the
+/// unsharded tree search's leaf evaluation (as its [`TraceSource`]) all
+/// score through it.
 ///
-/// The source owns one [`LevelOverlap`] scratch reused across every degree
-/// it computes (a search evaluates thousands of candidates per query, and
-/// batch fan-outs run one source per search or scan job — this removes the
-/// per-candidate allocation entirely), a flat scan's per-position level-1
-/// and level-2 overlaps, plus the per-query [`KernelDispatch`] accounting
-/// drained via `take_dispatch`.  All live in single-threaded
-/// interior-mutability cells: a search or a scan job is driven by one
-/// worker at a time, so the source is `Send` but deliberately not `Sync`.
-/// The view is borrowed from the query, so a fan-out converts the query's
-/// keyed rows once, not once per shard.
+/// The one difference between the two settings is `pages`.  `None`: every
+/// row is the arena's ([`CandidateArena::overlaps_into`]).  `Some`: the
+/// arena holds the level-1 row, the postings and the row lengths, and the
+/// finer rows are the out-of-core session's, read through its buffer pool
+/// when the loop first needs one ([`RowSegment::overlaps`]).  A degree is
+/// **bitwise identical** either way, and to `measure.degree(query, seq)`
+/// over the owned sequence: the loop hands the measure the same integer
+/// per-level [`LevelStat`]s whichever form each row was read in.
+///
+/// The source owns its [`Scratch`] — the rows and overlap statistics reused
+/// across every degree it computes, so nothing is allocated per candidate,
+/// and the counters of the work it did — plus a flat scan's per-position
+/// level-1 and level-2 overlaps.  Both live in single-threaded cells: a
+/// search or a scan job is driven by one worker at a time, so the source is
+/// `Send` but deliberately not `Sync`.  [`drain_into`](Self::drain_into)
+/// moves the counters into the query's stats.  The view is borrowed from
+/// the query, so a fan-out converts the query's keyed rows once, not once
+/// per shard.
 pub(crate) struct ArenaSource<'a> {
     arena: &'a CandidateArena,
     view: &'a QueryView<'a>,
-    scratch: RefCell<LevelOverlap>,
+    /// Out of core, the session's pages of `arena`'s finer rows.
+    pages: Option<&'a RowSegment<'a>>,
+    scratch: RefCell<Scratch>,
     counts: RefCell<Vec<LevelCounts>>,
-    dispatch: Cell<KernelDispatch>,
 }
 
 impl<'a> ArenaSource<'a> {
-    /// Creates a source scoring `arena`'s rows against `view`.
-    pub(crate) fn new(arena: &'a CandidateArena, view: &'a QueryView<'a>) -> Self {
-        ArenaSource {
-            arena,
-            view,
-            scratch: RefCell::default(),
-            counts: RefCell::default(),
-            dispatch: Cell::default(),
-        }
+    /// Creates a source scoring `arena`'s members against `view`, their
+    /// finer rows read from `pages` when given.
+    pub(crate) fn new(
+        arena: &'a CandidateArena,
+        view: &'a QueryView<'a>,
+        pages: Option<&'a RowSegment<'a>>,
+    ) -> Self {
+        ArenaSource { arena, view, pages, scratch: RefCell::default(), counts: RefCell::default() }
     }
 
-    /// Drains the per-kernel dispatch counts accumulated since the last call
-    /// (or construction), leaving the counters at zero.
-    pub(crate) fn take_dispatch(&self) -> KernelDispatch {
-        self.dispatch.take()
+    /// Adds the counters of the source's own scratch to `stats`, leaving
+    /// them at zero ([`Scratch::drain_into`]).
+    pub(crate) fn drain_into(&self, stats: &mut QueryStats) {
+        self.scratch.borrow_mut().drain_into(stats);
+    }
+
+    /// The degree of the member at arena position `pos`, past the levels
+    /// whose overlaps are `known`.  `track` counts the kernel dispatches
+    /// (scans and leaf evaluation do; planner seeding does not).
+    #[inline]
+    pub(crate) fn score<M: AssociationMeasure + ?Sized>(
+        &self,
+        pos: usize,
+        known: &[usize],
+        measure: &M,
+        track: bool,
+    ) -> f64 {
+        self.score_with(&mut self.scratch.borrow_mut(), pos, known, measure, track)
+    }
+
+    /// [`score`](Self::score) into a `scratch` the caller owns — the
+    /// planner's, reused across the shards it seeds from — instead of the
+    /// source's own.
+    #[inline]
+    pub(crate) fn score_with<M: AssociationMeasure + ?Sized>(
+        &self,
+        scratch: &mut Scratch,
+        pos: usize,
+        known: &[usize],
+        measure: &M,
+        track: bool,
+    ) -> f64 {
+        let overlap = match self.pages {
+            None => {
+                let Scratch { rows, dispatch, .. } = scratch;
+                let dispatch = track.then_some(dispatch);
+                self.arena.overlaps_into(pos, self.view, known, &mut rows.overlap, dispatch);
+                &rows.overlap
+            }
+            Some(pages) => pages.overlaps(self.arena, pos, self.view, known, scratch, track),
+        };
+        measure.degree_from_overlap(overlap)
     }
 
     /// [`CandidateArena::flat_scan`] over the source's arena, each member
     /// scored from level 3 on with its level-1 and level-2 overlaps from the
-    /// postings, counting its kernel dispatches where the source's leaf
-    /// evaluations go.
+    /// postings — so a member sharing no level-2 cell is neither intersected
+    /// nor read — counting its kernel dispatches.
     pub(crate) fn scan<M: AssociationMeasure + ?Sized>(
         &self,
         k: usize,
         measure: &M,
         admit: impl Fn(EntityId) -> bool,
     ) -> (Vec<TopKResult>, usize) {
-        let (arena, view) = (self.arena, self.view);
         let scratch = &mut *self.scratch.borrow_mut();
-        let mut dispatch = self.dispatch.get();
         let counts = &mut *self.counts.borrow_mut();
-        let answer = arena.flat_scan(view, measure, counts, k, admit, |pos, known| {
-            arena.overlaps_into(pos, view, known, scratch, Some(&mut dispatch));
-            measure.degree_from_overlap(scratch)
-        });
-        self.dispatch.set(dispatch);
-        answer
+        self.arena.flat_scan(self.view, measure, counts, k, admit, |pos, known| {
+            self.score_with(scratch, pos, known, measure, true)
+        })
     }
 }
 
 impl TraceSource for ArenaSource<'_> {
     fn degree(&self, entity: EntityId, measure: &dyn AssociationMeasure) -> f64 {
         let pos = self.arena.position(entity).expect("a leaf entity is an arena member");
-        let mut dispatch = self.dispatch.get();
-        let degree = self.arena.degree_into_tracked(
-            pos,
-            self.view,
-            measure,
-            &mut self.scratch.borrow_mut(),
-            &mut dispatch,
-        );
-        self.dispatch.set(dispatch);
-        degree
+        self.score(pos, &[], measure, true)
     }
 }
 
@@ -1961,20 +2021,23 @@ mod tests {
         let measure = PaperAdm::default_for(2);
         let qseq = sequences[&EntityId(0)].clone();
         let view = QueryView::new(&qseq);
-        let source = ArenaSource::new(&arena, &view);
+        let source = ArenaSource::new(&arena, &view, None);
         for &entity in arena.entities() {
             let via_source = source.degree(entity, &measure);
             let owned = measure.degree(&qseq, &sequences[&entity]);
             assert_eq!(via_source.to_bits(), owned.to_bits());
         }
-        let drained = source.take_dispatch();
+        let mut drained = QueryStats::default();
+        source.drain_into(&mut drained);
         let issued: u64 = sequences.values().map(|seq| issued_intersections(&qseq, seq)).sum();
         assert_eq!(
-            drained.total(),
+            drained.kernel_dispatch.total(),
             issued,
             "4 degrees, each classified up to its first empty level"
         );
-        assert_eq!(source.take_dispatch().total(), 0, "take_dispatch resets the counters");
+        let mut again = QueryStats::default();
+        source.drain_into(&mut again);
+        assert_eq!(again.kernel_dispatch.total(), 0, "drain_into resets the counters");
     }
 
     /// Pairs that share a cell down to some level and nothing finer: the loop

@@ -23,10 +23,12 @@
 //! ever evicted, never read.
 //!
 //! Its entry points mirror the in-memory ones (`top_k`, `query`, batches,
-//! joins, `explain`) and run the **same** planner body and the same drive;
-//! only the `ShardAccess` differs — finer rows are read through the pool,
-//! and nothing about the pool reaches the plan, which is the in-memory plan
-//! at any residency (see [`crate::plan`]).  Answers are **bitwise identical** to the
+//! joins, `explain`) and call the **same** private bodies of
+//! [`ShardedSnapshot`], with the session's row segments as the pages: the
+//! same planner body, the same drive, the same source (`ArenaSource`), whose
+//! one out-of-core branch (`RowSegment::overlaps`) reads finer rows through
+//! the pool.  Nothing about the pool reaches the plan, which is the in-memory
+//! plan at any residency (see [`crate::plan`]).  Answers are **bitwise identical** to the
 //! in-memory sharded, unsharded and brute-force paths — any shard count, any
 //! pool size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
 //! (`tests/paged_conformance.rs` proptests exactly this) — and so is the
@@ -58,8 +60,8 @@
 //! * **Pins.**  The pool has none.  A fetch hands out the page's frozen
 //!   bytes, valid even after the frame is evicted, and the span is copied out
 //!   at once, so nothing is held across a candidate.
-//! * **Scratch.**  Every shard scan gets its own `PagedArenaSource`, the
-//!   planner one more for seeding.  A source owns the span and expansion
+//! * **Scratch.**  Every shard scan gets its own source, and the planner's
+//!   seeding one more scratch for all shards.  A source owns the span and expansion
 //!   buffers, the overlap scratch, a scan's per-position level-1 and level-2
 //!   counters, and the kernel-dispatch and buffer-pool counters for the work
 //!   *it* did; a scan runs on one worker, so none of it is locked and
@@ -90,45 +92,34 @@
 //! [`row_class`]: trace_model::kernel::row_class
 
 use crate::config::PlannerConfig;
-use crate::drive::{self, ShardAccess};
-use crate::error::{IndexError, Result};
-use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
-use crate::kernel::{CandidateArena, LevelCounts, QueryView, RowScratch};
-use crate::plan::{self, QueryPlan};
+use crate::error::Result;
+use crate::join::{JoinOptions, JoinRow, JoinStats};
+use crate::kernel::{CandidateArena, QueryView, Scratch};
+use crate::plan::QueryPlan;
 use crate::query::{Query, TopKResult};
 use crate::shard::{shard_of, ShardedSnapshot};
 use crate::snapshot::IndexSnapshot;
-use crate::stats::{KernelDispatch, QueryStats};
+use crate::stats::QueryStats;
 use rayon::prelude::*;
-use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::Arc;
 use trace_model::ajpi::LevelOverlap;
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
-use trace_storage::{BufferPool, PageId, PagedTraceStore, PoolStats, VirtualDisk, WordPages};
+use trace_model::{AssociationMeasure, EntityId};
+use trace_storage::{BufferPool, PageId, PagedTraceStore, WordPages};
 
-/// What one [`PagedArenaSource`] reuses across candidates and counts for its
-/// query.
-#[derive(Debug, Default)]
-struct Scratch {
-    rows: RowScratch,
-    dispatch: KernelDispatch,
-    io: PoolStats,
-    /// Candidates scored from their resident rows alone, no page read.
-    reads_avoided: usize,
-}
-
-/// One shard's keyed rows of levels 2..m, on the store's disk.
+/// One shard's keyed rows of levels 2..m, on the store's disk, and the pool
+/// they are read through.
 #[derive(Debug)]
-struct RowSegment<'a> {
+pub(crate) struct RowSegment<'a> {
     /// Per arena position, the word its rows start at in `pages`.
     starts: Vec<u32>,
     pages: WordPages<'a>,
+    pool: &'a BufferPool<'a>,
 }
 
 impl<'a> RowSegment<'a> {
-    /// Writes every member's rows of `shard` onto `disk`, in arena order.
-    fn write(shard: &IndexSnapshot, disk: &'a VirtualDisk) -> Self {
+    /// Writes every member's rows of `shard` onto `store`'s disk, in arena
+    /// order, to be read through `pool`.
+    fn write(shard: &IndexSnapshot, store: &'a PagedTraceStore, pool: &'a BufferPool<'a>) -> Self {
         let arena = shard.arena();
         let mut words = Vec::new();
         let starts = (0..arena.len())
@@ -139,7 +130,7 @@ impl<'a> RowSegment<'a> {
                 start
             })
             .collect();
-        RowSegment { starts, pages: WordPages::write(disk, &words) }
+        RowSegment { starts, pages: WordPages::write(store.disk(), &words), pool }
     }
 
     /// The words of the rows of the entity at `pos` of `arena` (this
@@ -148,83 +139,31 @@ impl<'a> RowSegment<'a> {
         let start = self.starts[pos] as usize;
         start..start + arena.finer_words(pos)
     }
-}
 
-/// What scores one shard's members out of core: the counterpart of
-/// [`ArenaSource`](crate::kernel::ArenaSource), running the same per-level
-/// kernel loop over the resident level-1 row and the finer rows its session
-/// keeps on pages (see the [module docs](self)).
-///
-/// A degree is **bitwise identical** to `measure.degree(query, seq)` over the
-/// entity's sequence: the loop hands the measure the same integer per-level
-/// [`LevelStat`](trace_model::ajpi::LevelStat)s whichever form each row was
-/// read in.
-///
-/// Like `ArenaSource`, the scratch and the per-query counters live in a
-/// single-threaded cell: the source is `Send` but deliberately not `Sync`,
-/// one per scan.  `drain_into` moves the counters into the query's stats.
-pub(crate) struct PagedArenaSource<'a> {
-    paged: &'a PagedShardedSnapshot<'a>,
-    /// The shard whose members [`scan`](Self::scan) scores.
-    shard: usize,
-    /// The query's view, borrowed from its access.
-    view: &'a QueryView<'a>,
-    scratch: RefCell<Scratch>,
-    /// A flat scan's per-position level-1 and level-2 overlaps.
-    counts: RefCell<Vec<LevelCounts>>,
-}
-
-impl<'a> PagedArenaSource<'a> {
-    /// Adds the kernel-dispatch, buffer-pool and avoided-read counters
-    /// accumulated since the last call (or construction) to `stats`, leaving
-    /// them at zero.
-    pub(crate) fn drain_into(&self, stats: &mut QueryStats) {
-        let scratch = &mut *self.scratch.borrow_mut();
-        stats.kernel_dispatch.absorb(std::mem::take(&mut scratch.dispatch));
-        stats.absorb_io(std::mem::take(&mut scratch.io));
-        stats.reads_avoided += std::mem::take(&mut scratch.reads_avoided);
-    }
-
-    /// The degree of the member at arena position `pos` of shard `shard`,
-    /// past the levels whose overlaps are `known`.  `track` counts the
-    /// kernel dispatches (scans do; planner seeding, like its in-memory
-    /// counterpart, does not).
-    fn score<M: AssociationMeasure + ?Sized>(
+    /// The out-of-core branch of [`ArenaSource`](crate::kernel::ArenaSource):
+    /// the overlaps of the member at `pos` of `arena` (this segment's
+    /// shard's) past the `known` levels, by
+    /// [`CandidateArena::paged_overlaps`] over its resident level-1 row and
+    /// the span of this segment it copies out of the pool when a finer level
+    /// is intersected.  Counts the pool traffic into `scratch`, the kernel
+    /// dispatches when `track`, and a member scored without a read as an
+    /// avoided read.
+    pub(crate) fn overlaps<'s>(
         &self,
-        shard: usize,
+        arena: &CandidateArena,
         pos: usize,
+        view: &QueryView<'_>,
         known: &[usize],
-        measure: &M,
+        scratch: &'s mut Scratch,
         track: bool,
-    ) -> f64 {
-        let (arena, segment) =
-            (self.paged.snapshot.shard(shard).arena(), &self.paged.segments[shard]);
-        let span = segment.span(arena, pos);
-        let Scratch { rows, dispatch, io, reads_avoided } = &mut *self.scratch.borrow_mut();
-        let pool = self.paged.pool;
-        let read = |words: &mut Vec<u64>| segment.pages.read(pool, span, words, io);
-        let dispatch = track.then_some(dispatch);
-        if !arena.paged_overlaps(pos, self.view, known, read, rows, dispatch) {
+    ) -> &'s LevelOverlap {
+        let span = self.span(arena, pos);
+        let Scratch { rows, dispatch, io, reads_avoided } = scratch;
+        let read = |words: &mut Vec<u64>| self.pages.read(self.pool, span, words, io);
+        if !arena.paged_overlaps(pos, view, known, read, rows, track.then_some(dispatch)) {
             *reads_avoided += 1;
         }
-        measure.degree_from_overlap(rows.overlap())
-    }
-
-    /// The source's shard's flat scan ([`CandidateArena::flat_scan`]): every
-    /// member it scores is scored from level 3 on with its level-1 and
-    /// level-2 overlaps from the postings, so a member sharing no level-2
-    /// cell is neither intersected nor read.
-    fn scan<M: AssociationMeasure + ?Sized>(
-        &self,
-        k: usize,
-        measure: &M,
-        admit: impl Fn(EntityId) -> bool,
-    ) -> (Vec<TopKResult>, usize) {
-        let arena = self.paged.snapshot.shard(self.shard).arena();
-        let counts = &mut *self.counts.borrow_mut();
-        arena.flat_scan(self.view, measure, counts, k, admit, |pos, known| {
-            self.score(self.shard, pos, known, measure, true)
-        })
+        rows.overlap()
     }
 }
 
@@ -244,9 +183,9 @@ impl ShardedSnapshot {
         store: &'a PagedTraceStore,
         pool: &'a BufferPool<'a>,
     ) -> PagedShardedSnapshot<'a> {
-        let disk = store.disk();
-        let segments =
-            self.shard_snapshots().iter().map(|shard| RowSegment::write(shard, disk)).collect();
+        let segments = (0..self.num_shards())
+            .map(|shard| RowSegment::write(self.shard(shard), store, pool))
+            .collect();
         PagedShardedSnapshot { snapshot: self, store, pool, segments }
     }
 }
@@ -323,8 +262,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         entity: EntityId,
         query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let view = self.view(entity)?;
-        drive::run(&self.access(&view, entity), query, false)
+        self.snapshot.run(entity, query, Some(&self.segments), false)
     }
 
     /// Answers every query of a batch in parallel, input order preserved,
@@ -342,9 +280,8 @@ impl<'a> PagedShardedSnapshot<'a> {
     /// Answers `query` for every entity of a batch, every knob explicit.
     /// Parallelism is over the queries; each query's admitted shards are
     /// scanned one after another on its worker (identical answers either
-    /// way).  Unlike the in-memory batch, every query is planned on its own:
-    /// seeding reads through the pool, so there is no position table to
-    /// amortise.
+    /// way).  Unlike the in-memory batch, every query is planned on its own,
+    /// so the pool reads of its seeding are counted in its own stats.
     pub fn query_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entities: &[EntityId],
@@ -353,10 +290,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         query.validate()?;
         let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = entities
             .par_iter()
-            .map(|&entity| {
-                let view = self.view(entity)?;
-                drive::run(&self.access(&view, entity), query, false)
-            })
+            .map(|&entity| self.snapshot.run(entity, query, Some(&self.segments), false))
             .collect();
         answers.into_iter().collect()
     }
@@ -371,12 +305,7 @@ impl<'a> PagedShardedSnapshot<'a> {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        let query = Query::new(options.k, measure);
-        Ok(join_probes(probes, options.threads, |probe| {
-            let view = self.view(probe).ok()?;
-            let (matches, stats) = drive::run(&self.access(&view, probe), &query, false).ok()?;
-            Some(JoinRow { probe, matches, stats })
-        }))
+        self.snapshot.join(probes, measure, options, Some(&self.segments))
     }
 
     /// Builds — without executing — the [`QueryPlan`] the paged query paths
@@ -391,114 +320,8 @@ impl<'a> PagedShardedSnapshot<'a> {
         measure: &M,
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
-        let view = self.view(query)?;
-        drive::explain(&self.access(&view, query), &Query { planner, ..Query::new(k, measure) })
-    }
-
-    /// A fresh source (own scratch, zeroed counters) scoring shard `shard`'s
-    /// members against the query `view` resolves.
-    fn source<'q>(&'q self, shard: usize, view: &'q QueryView<'q>) -> PagedArenaSource<'q> {
-        PagedArenaSource {
-            paged: self,
-            shard,
-            view,
-            scratch: RefCell::default(),
-            counts: RefCell::default(),
-        }
-    }
-
-    /// How `entity`'s query, whose sequence `view` resolves, reads this
-    /// session's shards.
-    pub(crate) fn access<'q>(
-        &'q self,
-        view: &'q QueryView<'q>,
-        entity: EntityId,
-    ) -> PagedAccess<'q> {
-        PagedAccess { paged: self, view, entity, source: self.source(0, view) }
-    }
-
-    /// The view of the query entity's sequence, from the snapshot's
-    /// in-memory map (an indexed entity always has one).  Error parity with
-    /// the in-memory path: an entity the snapshot does not index is
-    /// [`IndexError::UnknownQueryEntity`], whatever the store holds.
-    fn view(&self, query: EntityId) -> Result<QueryView<'a>> {
-        let sequence =
-            self.snapshot.sequence(query).ok_or(IndexError::UnknownQueryEntity(query.raw()))?;
-        Ok(QueryView::new(sequence))
-    }
-}
-
-/// Out-of-core [`ShardAccess`]: candidates' finer rows are read through the
-/// buffer pool.  Seeding runs through the access's own source; every scan
-/// gets one more.
-pub(crate) struct PagedAccess<'q> {
-    paged: &'q PagedShardedSnapshot<'q>,
-    /// The query's one view, lent to every source.
-    view: &'q QueryView<'q>,
-    entity: EntityId,
-    /// Seeding's source; each call names the shard it scores.
-    source: PagedArenaSource<'q>,
-}
-
-impl<'q> ShardAccess<'q> for PagedAccess<'q> {
-    type Source = PagedArenaSource<'q>;
-
-    fn shards(&self) -> &'q [Arc<IndexSnapshot>] {
-        self.paged.snapshot.shard_snapshots()
-    }
-
-    fn sequence(&self) -> &'q CellSetSequence {
-        self.view.sequence()
-    }
-
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-
-    fn seed<M: AssociationMeasure + ?Sized>(
-        &self,
-        shard: usize,
-        measure: &M,
-        _scratch: &mut LevelOverlap,
-        mut offer: impl FnMut(EntityId, f64),
-    ) {
-        let snapshot = &self.shards()[shard];
-        for &hot in snapshot.synopsis().hot_entities() {
-            if hot == self.entity {
-                continue;
-            }
-            if let Some(pos) = snapshot.arena().position(hot) {
-                offer(hot, self.source.score(shard, pos, &[], measure, false));
-            }
-        }
-    }
-
-    /// The in-memory scan's loop, by position, over the resident postings
-    /// and the session's pages.
-    fn scan<M: AssociationMeasure + ?Sized>(
-        source: &PagedArenaSource<'q>,
-        shard: &IndexSnapshot,
-        exclude: EntityId,
-        rate: Option<f64>,
-        query: &Query<'_, M>,
-    ) -> (Vec<TopKResult>, usize) {
-        debug_assert!(std::ptr::eq(shard, &**source.paged.snapshot.shard(source.shard)));
-        let hot = shard.synopsis().hot_entities();
-        source.scan(query.k, query.measure, |entity| {
-            entity != exclude && plan::scan_admits(rate, hot, entity)
-        })
-    }
-
-    fn source(&self, shard: usize) -> PagedArenaSource<'q> {
-        self.paged.source(shard, self.view)
-    }
-
-    fn drain_source(source: &PagedArenaSource<'q>, stats: &mut QueryStats) {
-        source.drain_into(stats);
-    }
-
-    fn drain(&self, stats: &mut QueryStats) {
-        self.source.drain_into(stats);
+        let request = Query { planner, ..Query::new(k, measure) };
+        self.snapshot.plan(query, &request, Some(&self.segments))
     }
 }
 
@@ -507,15 +330,16 @@ mod tests {
     use super::*;
     use crate::config::IndexConfig;
     use crate::engine::{self, TraceSource};
+    use crate::error::IndexError;
     use crate::index::MinSigIndex;
     use crate::kernel::ArenaSource;
     use crate::query::QueryOptions;
-    use trace_model::{PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
+    use trace_model::{CellSetSequence, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
     use trace_storage::{PoolConfig, PAGE_SIZE};
 
     /// The owned decode path — read the whole trace, discretise it with
     /// `cell_sequence`, score the sequence through the measure — kept as the
-    /// bitwise oracle of [`PagedArenaSource`].
+    /// bitwise oracle of a paged [`ArenaSource`].
     struct PagedSource<'a> {
         store: &'a PagedTraceStore,
         pool: &'a BufferPool<'a>,
@@ -775,17 +599,19 @@ mod tests {
         let measure = PaperAdm::default_for(sp.height() as usize);
         let query_seq = shard.sequence(EntityId(0)).unwrap();
         let view = QueryView::new(query_seq);
-        let (source, memory) = (paged.source(0, &view), ArenaSource::new(shard.arena(), &view));
+        let source = ArenaSource::new(shard.arena(), &view, Some(&paged.segments[0]));
+        let memory = ArenaSource::new(shard.arena(), &view, None);
         let pos = |e: u64| shard.arena().position(EntityId(e)).unwrap();
         let fused: Vec<f64> =
-            (0..120u64).map(|e| source.score(0, pos(e), &[], &measure, true)).collect();
+            (0..120u64).map(|e| source.score(pos(e), &[], &measure, true)).collect();
         for e in 0..120u64 {
             memory.degree(EntityId(e), &measure);
         }
         // Untracked scoring (planner seeding) reads pages but counts no kernels.
-        source.score(0, pos(3), &[], &measure, false);
-        let mut stats = QueryStats::default();
+        source.score(pos(3), &[], &measure, false);
+        let (mut stats, mut mem_stats) = (QueryStats::default(), QueryStats::default());
         source.drain_into(&mut stats);
+        memory.drain_into(&mut mem_stats);
         let issued: u64 = (0..120u64)
             .map(|e| {
                 let candidate = shard.sequence(EntityId(e)).unwrap();
@@ -793,7 +619,7 @@ mod tests {
             })
             .sum();
         assert_eq!(stats.kernel_dispatch.total(), issued, "one per level up to the first empty");
-        assert_eq!(stats.kernel_dispatch, memory.take_dispatch(), "the in-memory kernels");
+        assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "the in-memory kernels");
         let global = pool.stats();
         assert_eq!(
             (stats.pool_hits, stats.pool_misses, stats.pool_evictions, stats.simulated_io_us),
@@ -872,12 +698,13 @@ mod tests {
                 query: query_seq,
             };
             let view = QueryView::new(query_seq);
-            let (source, memory) = (paged.source(0, &view), ArenaSource::new(shard.arena(), &view));
+            let source = ArenaSource::new(shard.arena(), &view, Some(&paged.segments[0]));
+            let memory = ArenaSource::new(shard.arena(), &view, None);
             let (mut disjoint, mut read_pages, mut all_pages) = (0, 0, 0);
             for (&entity, seq) in shard.sequences() {
                 let pos = shard.arena().position(entity).unwrap();
                 let owned = oracle.degree(entity, &measure).to_bits();
-                let fused = source.score(0, pos, &[], &measure, true).to_bits();
+                let fused = source.score(pos, &[], &measure, true).to_bits();
                 let resident = memory.degree(entity, &measure).to_bits();
                 assert_eq!((fused, resident), (owned, owned), "query {query}, candidate {entity}");
                 all_pages += row_pages(entity);
@@ -887,10 +714,11 @@ mod tests {
                     read_pages += row_pages(entity);
                 }
             }
-            let mut stats = QueryStats::default();
+            let (mut stats, mut mem_stats) = (QueryStats::default(), QueryStats::default());
             source.drain_into(&mut stats);
+            memory.drain_into(&mut mem_stats);
             assert!(disjoint > shard.sequences().len() / 2, "query {query}: {disjoint}");
-            assert_eq!(stats.kernel_dispatch, memory.take_dispatch(), "query {query}");
+            assert_eq!(stats.kernel_dispatch, mem_stats.kernel_dispatch, "query {query}");
             assert_eq!(stats.reads_avoided, disjoint, "query {query}");
             assert_eq!(stats.pool_hits + stats.pool_misses, read_pages, "query {query}");
             assert!(0 < read_pages && read_pages < all_pages, "query {query}");

@@ -76,16 +76,16 @@
 //! [`PlannerConfig::latency_budget_us`]: crate::config::PlannerConfig::latency_budget_us
 //! [`PlannerConfig::recall_floor`]: crate::config::PlannerConfig::recall_floor
 
-use crate::drive::ShardAccess;
+use crate::drive::Access;
 use crate::engine::TopKHeap;
-use crate::kernel::QueryView;
+use crate::kernel::{QueryView, Scratch};
 use crate::query::Query;
-use crate::shard::ArenaAccess;
 use crate::snapshot::IndexSnapshot;
+use crate::stats::QueryStats;
 use crate::synopsis::Synopsis;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use trace_model::{AssociationMeasure, EntityId, LevelOverlap};
+use trace_model::{AssociationMeasure, EntityId};
 
 /// How the planner decided to treat one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,20 +194,20 @@ impl QueryPlan {
 /// Builds the plan of one query over the shards `access` reads — the one
 /// planner body of the in-memory, out-of-core and batch paths.
 ///
-/// Seed candidates are scored through the access (in memory: the candidate
-/// arena; out of core: the same paged row reads and overlap loop the scans
-/// run, so seeding honestly pays — and warms — buffer-pool I/O).  The
-/// evaluations spent are recorded in
+/// Seed candidates are scored through a source per shard, the scans' own
+/// kind, into one scratch — out of core with the same paged row reads, so
+/// seeding honestly pays, and warms, buffer-pool I/O, whose counters are
+/// drained into `stats`.  The evaluations spent are recorded in
 /// [`seed_candidates`](QueryPlan::seed_candidates); the drive charges them
 /// to the query's `entities_checked`, because they are real candidate
 /// evaluations.  The caller guarantees the query sequence matches the
 /// shards' level count.
-pub(crate) fn plan_query<'q, A, M>(access: &A, query: &Query<'_, M>) -> QueryPlan
-where
-    A: ShardAccess<'q>,
-    M: AssociationMeasure + ?Sized,
-{
-    let shards = access.shards();
+pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
+    access: &Access<'_>,
+    query: &Query<'_, M>,
+    stats: &mut QueryStats,
+) -> QueryPlan {
+    let shards = access.shards;
     let Query { k, measure, .. } = *query;
     let query = access.sequence();
     let levels = query.num_levels() as u8;
@@ -220,13 +220,24 @@ where
     let mut seed_candidates = 0usize;
     if k > 0 {
         let mut top = TopKHeap::new(k);
-        let mut scratch = LevelOverlap::default();
-        for shard in 0..shards.len() {
-            access.seed(shard, measure, &mut scratch, |hot, degree| {
-                seed_candidates += 1;
-                top.offer(hot, degree);
-            });
+        let mut scratch = Scratch::default();
+        for (shard, snapshot) in shards.iter().enumerate() {
+            let (source, arena) = (access.source(shard), snapshot.arena());
+            for (slot, &hot) in snapshot.synopsis().hot_entities().iter().enumerate() {
+                if hot == access.entity {
+                    continue;
+                }
+                let pos = match access.sketch_positions {
+                    Some(positions) => positions[shard][slot],
+                    None => arena.position(hot),
+                };
+                if let Some(pos) = pos {
+                    seed_candidates += 1;
+                    top.offer(hot, source.score_with(&mut scratch, pos, &[], measure, false));
+                }
+            }
         }
+        scratch.drain_into(stats);
         seed = top.threshold();
     }
 
@@ -365,12 +376,19 @@ pub(crate) fn plan_batch<M: AssociationMeasure + ?Sized>(
     // The one-pass amortization: every shard's sketch ids are resolved
     // against its arena once, up front, instead of `sketch × shards` binary
     // searches per query.
-    let sketch_positions = crate::shard::sketch_positions(shards);
+    let sketch_positions: Vec<Vec<Option<usize>>> = shards
+        .iter()
+        .map(|shard| {
+            let arena = shard.arena();
+            shard.synopsis().hot_entities().iter().map(|&hot| arena.position(hot)).collect()
+        })
+        .collect();
     let plans: Vec<QueryPlan> = targets
         .iter()
         .map(|(entity, view)| {
-            let access = ArenaAccess::new(shards, view, *entity, Some(&sketch_positions));
-            plan_query(&access, query)
+            let sketch_positions = Some(&sketch_positions[..]);
+            let access = Access { shards, view, entity: *entity, sketch_positions, pages: None };
+            plan_query(&access, query, &mut QueryStats::default())
         })
         .collect();
 
@@ -418,10 +436,15 @@ mod tests {
         w: &Workload,
     ) -> QueryPlan {
         let measure = w.measure();
-        plan_query(
-            &ArenaAccess::new(shards, &QueryView::new(query), EntityId(0), None),
-            &Query::new(k, &measure),
-        )
+        let view = QueryView::new(query);
+        let access = Access {
+            shards,
+            view: &view,
+            entity: EntityId(0),
+            sketch_positions: None,
+            pages: None,
+        };
+        plan_query(&access, &Query::new(k, &measure), &mut QueryStats::default())
     }
 
     /// 200 uniform entities over 4 shards: a 16-entity sketch covers under
@@ -527,7 +550,14 @@ mod tests {
         let batch = plan_batch(&shards, &targets, &query);
         assert_eq!(batch.plans.len(), targets.len());
         for (i, (entity, view)) in targets.iter().enumerate() {
-            let single = plan_query(&ArenaAccess::new(&shards, view, *entity, None), &query);
+            let access = Access {
+                shards: &shards,
+                view,
+                entity: *entity,
+                sketch_positions: None,
+                pages: None,
+            };
+            let single = plan_query(&access, &query, &mut QueryStats::default());
             assert_eq!(batch.plans[i], single, "batch plan {i} diverged from per-query planning");
         }
         // Groups partition the batch.

@@ -35,8 +35,8 @@
 //! best-first tree search ([`IndexSnapshot::top_k_for_sequence`]) is the
 //! unsharded index's.  A scan prunes against its own top k only, so neither answers
 //! nor work counters depend on the schedule.  Out of core
-//! ([`crate::paged`]) the same drive runs with every candidate read through
-//! a buffer pool.
+//! ([`crate::paged`]) the same entries' bodies run with the session's row
+//! pages, a candidate's finer rows read through a buffer pool.
 //!
 //! [`QueryStats::shards_skipped`]: crate::stats::QueryStats::shards_skipped
 //! [`QueryStats::shards_scanned`]: crate::stats::QueryStats::shards_scanned
@@ -93,13 +93,14 @@
 //! silently mis-answered.
 
 use crate::config::{IndexConfig, PlannerConfig};
-use crate::drive::{self, ShardAccess};
+use crate::drive::{self, Access};
 use crate::engine;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
 use crate::ingest::{IngestBuffer, PreparedBatch};
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
-use crate::kernel::{ArenaSource, QueryView};
+use crate::kernel::QueryView;
+use crate::paged::RowSegment;
 use crate::plan::{self, BatchPlan, QueryPlan};
 use crate::query::{Query, TopKResult};
 use crate::snapshot::IndexSnapshot;
@@ -109,8 +110,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use trace_model::{
-    AssociationMeasure, CellSetSequence, EntityId, LevelOverlap, PresenceInstance, SpIndex,
-    TraceSet,
+    AssociationMeasure, CellSetSequence, EntityId, PresenceInstance, SpIndex, TraceSet,
 };
 use trace_storage::segment::{self, Cursor};
 
@@ -399,8 +399,7 @@ impl ShardedSnapshot {
         entity: EntityId,
         query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
-        let view = self.view(entity)?;
-        drive::run(&self.access(&view, entity), query, true)
+        self.run(entity, query, None, true)
     }
 
     /// Builds — without executing — the [`QueryPlan`] the planned query
@@ -415,8 +414,7 @@ impl ShardedSnapshot {
         measure: &M,
         planner: PlannerConfig,
     ) -> Result<QueryPlan> {
-        let view = self.view(query)?;
-        drive::explain(&self.access(&view, query), &Query { planner, ..Query::new(k, measure) })
+        self.plan(query, &Query { planner, ..Query::new(k, measure) }, None)
     }
 
     /// Answers the top-k query for every query entity of a batch, in
@@ -466,13 +464,15 @@ impl ShardedSnapshot {
             .par_iter()
             .map(|&i| {
                 let (entity, view) = &targets[i];
+                let stats =
+                    QueryStats { planning_us: amortized_planning_us, ..QueryStats::default() };
                 drive::execute(
-                    &self.access(view, *entity),
+                    &self.access(view, *entity, None),
                     &batch.plans[i],
                     query,
                     false,
                     Instant::now(),
-                    amortized_planning_us,
+                    stats,
                 )
             })
             .collect())
@@ -508,12 +508,7 @@ impl ShardedSnapshot {
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        let query = Query::new(options.k, measure);
-        Ok(join_probes(probes, options.threads, |probe| {
-            let view = self.view(probe).ok()?;
-            let (matches, stats) = drive::run(&self.access(&view, probe), &query, false).ok()?;
-            Some(JoinRow { probe, matches, stats })
-        }))
+        self.join(probes, measure, options, None)
     }
 
     /// Ground-truth brute force over all shards' sequences, merged under the
@@ -534,9 +529,44 @@ impl ShardedSnapshot {
         Ok(engine::merge_top_k(k, parts))
     }
 
-    /// The shard snapshots in shard order (what the paged wrapper iterates).
-    pub(crate) fn shard_snapshots(&self) -> &[Arc<IndexSnapshot>] {
-        &self.shards
+    /// The body of every single-query entry, in memory (`pages` `None`) and
+    /// out of core (the session's pages of every shard's finer rows).
+    pub(crate) fn run<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        entity: EntityId,
+        query: &Query<'_, M>,
+        pages: Option<&[RowSegment<'_>]>,
+        parallel: bool,
+    ) -> Result<(Vec<TopKResult>, QueryStats)> {
+        let view = self.view(entity)?;
+        drive::run(&self.access(&view, entity, pages), query, parallel)
+    }
+
+    /// The body of both `explain`s: the plan [`run`](Self::run) would drive.
+    pub(crate) fn plan<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        entity: EntityId,
+        query: &Query<'_, M>,
+        pages: Option<&[RowSegment<'_>]>,
+    ) -> Result<QueryPlan> {
+        let view = self.view(entity)?;
+        drive::explain(&self.access(&view, entity, pages), query)
+    }
+
+    /// The body of both `top_k_join`s: one [`run`](Self::run) per probe on
+    /// its join worker, unindexed probes skipped.
+    pub(crate) fn join<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        probes: &[EntityId],
+        measure: &M,
+        options: JoinOptions,
+        pages: Option<&[RowSegment<'_>]>,
+    ) -> Result<(Vec<JoinRow>, JoinStats)> {
+        let query = Query::new(options.k, measure);
+        Ok(join_probes(probes, options.threads, |probe| {
+            let (matches, stats) = self.run(probe, &query, pages, false).ok()?;
+            Some(JoinRow { probe, matches, stats })
+        }))
     }
 
     /// The view of a query entity's sequence — the one its whole query
@@ -549,8 +579,13 @@ impl ShardedSnapshot {
 
     /// How the query of `entity`, whose sequence `view` resolves, reads the
     /// shards.
-    fn access<'q>(&'q self, view: &'q QueryView<'q>, entity: EntityId) -> ArenaAccess<'q> {
-        ArenaAccess::new(&self.shards, view, entity, None)
+    fn access<'q>(
+        &'q self,
+        view: &'q QueryView<'q>,
+        entity: EntityId,
+        pages: Option<&'q [RowSegment<'q>]>,
+    ) -> Access<'q> {
+        Access { shards: &self.shards, view, entity, sketch_positions: None, pages }
     }
 
     /// A batch's entities with their views, resolved sequentially so the
@@ -579,109 +614,6 @@ impl From<Arc<IndexSnapshot>> for ShardedSnapshot {
     fn from(snapshot: Arc<IndexSnapshot>) -> Self {
         let epochs = vec![snapshot.synopsis().epoch()];
         ShardedSnapshot { shards: vec![snapshot], epochs }
-    }
-}
-
-/// In-memory [`ShardAccess`]: candidates are read from the shard snapshots'
-/// candidate arenas — no pages, no pins, nothing to drain but the scan
-/// sources' kernel-dispatch counts.
-pub(crate) struct ArenaAccess<'q> {
-    shards: &'q [Arc<IndexSnapshot>],
-    /// The query's one view: seeding scores through it and every source
-    /// borrows it.
-    view: &'q QueryView<'q>,
-    entity: EntityId,
-    /// Batch planning's pre-resolved [`sketch_positions`]; per-query planning
-    /// looks each sketch entity up instead.
-    sketch_positions: Option<&'q [Vec<Option<usize>>]>,
-}
-
-impl<'q> ArenaAccess<'q> {
-    /// The access of `entity`'s query, whose sequence `view` resolves.
-    pub(crate) fn new(
-        shards: &'q [Arc<IndexSnapshot>],
-        view: &'q QueryView<'q>,
-        entity: EntityId,
-        sketch_positions: Option<&'q [Vec<Option<usize>>]>,
-    ) -> Self {
-        ArenaAccess { shards, view, entity, sketch_positions }
-    }
-}
-
-/// Every shard's sketch entities resolved to arena positions, `[shard][slot]`
-/// parallel to [`Synopsis::hot_entities`](crate::synopsis::Synopsis::hot_entities).
-/// The synopsis travels with its snapshot, so a miss cannot happen — and would
-/// only cost seed quality, never correctness.
-pub(crate) fn sketch_positions(shards: &[Arc<IndexSnapshot>]) -> Vec<Vec<Option<usize>>> {
-    shards
-        .iter()
-        .map(|shard| {
-            let arena = shard.arena();
-            shard.synopsis().hot_entities().iter().map(|&hot| arena.position(hot)).collect()
-        })
-        .collect()
-}
-
-impl<'q> ShardAccess<'q> for ArenaAccess<'q> {
-    type Source = ArenaSource<'q>;
-
-    fn shards(&self) -> &'q [Arc<IndexSnapshot>] {
-        self.shards
-    }
-
-    fn sequence(&self) -> &'q CellSetSequence {
-        self.view.sequence()
-    }
-
-    fn entity(&self) -> EntityId {
-        self.entity
-    }
-
-    // Seeding is most of a skipping query's cost: inlined into the planner,
-    // or a 35 µs query pays ~0.2 µs for the call boundary.
-    #[inline]
-    fn seed<M: AssociationMeasure + ?Sized>(
-        &self,
-        shard: usize,
-        measure: &M,
-        scratch: &mut LevelOverlap,
-        mut offer: impl FnMut(EntityId, f64),
-    ) {
-        let snapshot = &self.shards[shard];
-        let arena = snapshot.arena();
-        for (slot, &hot) in snapshot.synopsis().hot_entities().iter().enumerate() {
-            if hot == self.entity {
-                continue;
-            }
-            let pos = match self.sketch_positions {
-                Some(positions) => positions[shard][slot],
-                None => arena.position(hot),
-            };
-            if let Some(pos) = pos {
-                offer(hot, arena.degree_into(pos, self.view, measure, scratch));
-            }
-        }
-    }
-
-    fn scan<M: AssociationMeasure + ?Sized>(
-        source: &ArenaSource<'q>,
-        shard: &IndexSnapshot,
-        exclude: EntityId,
-        rate: Option<f64>,
-        query: &Query<'_, M>,
-    ) -> (Vec<TopKResult>, usize) {
-        let hot = shard.synopsis().hot_entities();
-        source.scan(query.k, query.measure, |entity| {
-            entity != exclude && plan::scan_admits(rate, hot, entity)
-        })
-    }
-
-    fn source(&self, shard: usize) -> ArenaSource<'q> {
-        ArenaSource::new(self.shards[shard].arena(), self.view)
-    }
-
-    fn drain_source(source: &ArenaSource<'q>, stats: &mut QueryStats) {
-        stats.kernel_dispatch.absorb(source.take_dispatch());
     }
 }
 

@@ -458,10 +458,10 @@ impl IndexSnapshot {
         options: QueryOptions,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         let view = QueryView::new(query);
-        let source = ArenaSource::new(&self.arena, &view);
+        let source = ArenaSource::new(&self.arena, &view, None);
         let (results, mut stats) =
             engine::execute(self, query, exclude, &Query::new(k, measure), options, &source)?;
-        stats.kernel_dispatch.absorb(source.take_dispatch());
+        source.drain_into(&mut stats);
         Ok((results, stats))
     }
 

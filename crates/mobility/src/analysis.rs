@@ -120,7 +120,7 @@ impl AnalyticalPeModel {
 }
 
 /// `P(X ≤ k)` for `X ~ Binomial(n, p)`, computed in log space for stability.
-pub fn binomial_cdf(n: u64, p: f64, k: u64) -> f64 {
+pub(crate) fn binomial_cdf(n: u64, p: f64, k: u64) -> f64 {
     if p <= 0.0 {
         return 1.0;
     }
@@ -136,7 +136,7 @@ pub fn binomial_cdf(n: u64, p: f64, k: u64) -> f64 {
 }
 
 /// `P(X = k)` for `X ~ Binomial(n, p)`.
-pub fn binomial_pmf(n: u64, p: f64, k: u64) -> f64 {
+pub(crate) fn binomial_pmf(n: u64, p: f64, k: u64) -> f64 {
     if k > n {
         return 0.0;
     }
@@ -145,7 +145,7 @@ pub fn binomial_pmf(n: u64, p: f64, k: u64) -> f64 {
 }
 
 /// `ln(n choose k)` via log-factorials.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
@@ -153,7 +153,7 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
 }
 
 /// `ln(n!)` using the exact sum for small `n` and Stirling's series otherwise.
-pub fn ln_factorial(n: u64) -> f64 {
+pub(crate) fn ln_factorial(n: u64) -> f64 {
     if n < 2 {
         return 0.0;
     }

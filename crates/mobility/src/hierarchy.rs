@@ -118,19 +118,14 @@ impl HierarchySpec {
         &self.sp
     }
 
-    /// Consumes the spec, returning the spatial index.
-    pub fn into_sp_index(self) -> SpIndex {
-        self.sp
-    }
-
     /// The grid coordinates `(x, y)` of a base unit ordinal (row-major layout).
-    pub fn grid_coordinates(&self, base_ordinal: u32) -> (u32, u32) {
+    pub(crate) fn grid_coordinates(&self, base_ordinal: u32) -> (u32, u32) {
         let side = self.config.grid_side;
         (base_ordinal % side, base_ordinal / side)
     }
 
     /// The base ordinal of grid coordinates (clamped to the grid).
-    pub fn ordinal_of(&self, x: i64, y: i64) -> u32 {
+    pub(crate) fn ordinal_of(&self, x: i64, y: i64) -> u32 {
         let side = self.config.grid_side as i64;
         let cx = x.clamp(0, side - 1);
         let cy = y.clamp(0, side - 1);
@@ -140,7 +135,7 @@ impl HierarchySpec {
 
 /// Equation 6.7: `W_l = Q · l^a`, normalised so the base level has exactly
 /// `n_base` units, clamped to be strictly increasing and at least 1.
-pub fn level_widths(n_base: usize, m: usize, a: f64) -> Vec<usize> {
+pub(crate) fn level_widths(n_base: usize, m: usize, a: f64) -> Vec<usize> {
     let q = n_base as f64 / (m as f64).powf(a);
     let mut widths: Vec<usize> =
         (1..=m).map(|l| ((q * (l as f64).powf(a)) as usize).max(1)).collect();
@@ -161,7 +156,7 @@ pub fn level_widths(n_base: usize, m: usize, a: f64) -> Vec<usize> {
 
 /// Equation 6.8: split `total` items into `parts` contiguous groups whose sizes are
 /// proportional to `i^b` (every group gets at least one item).
-pub fn partition_sizes(total: usize, parts: usize, b: f64) -> Vec<usize> {
+pub(crate) fn partition_sizes(total: usize, parts: usize, b: f64) -> Vec<usize> {
     assert!(parts >= 1, "need at least one part");
     assert!(total >= parts, "cannot split {total} items into {parts} non-empty parts");
     let weights: Vec<f64> = (1..=parts).map(|i| (i as f64).powf(b)).collect();

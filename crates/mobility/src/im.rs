@@ -130,7 +130,7 @@ impl EntityState {
 
 /// Simulates digital traces under the hierarchical IM model.
 #[derive(Debug)]
-pub struct ImSimulator<'h> {
+pub(crate) struct ImSimulator<'h> {
     hierarchy: &'h HierarchySpec,
     config: ImConfig,
     pause: BoundedPowerLaw,
@@ -142,7 +142,7 @@ impl<'h> ImSimulator<'h> {
     ///
     /// # Panics
     /// Panics when the configuration is invalid (see [`ImConfig::validate`]).
-    pub fn new(hierarchy: &'h HierarchySpec, config: ImConfig) -> Self {
+    pub(crate) fn new(hierarchy: &'h HierarchySpec, config: ImConfig) -> Self {
         if let Err(msg) = config.validate() {
             panic!("invalid IM configuration: {msg}");
         }
@@ -156,14 +156,9 @@ impl<'h> ImSimulator<'h> {
         ImSimulator { hierarchy, config, pause, displacement }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> ImConfig {
-        self.config
-    }
-
     /// Simulates one entity for `total_ticks` ticks starting from `start_ordinal`,
     /// producing its digital trace.
-    pub fn simulate_entity<R: Rng + ?Sized>(
+    pub(crate) fn simulate_entity<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         entity: EntityId,

@@ -28,5 +28,5 @@ pub mod power;
 pub use analysis::AnalyticalPeModel;
 pub use datasets::{real_like_config, SynConfig, SynDataset};
 pub use hierarchy::{HierarchyConfig, HierarchySpec};
-pub use im::{ImConfig, ImSimulator, ReturnModel};
+pub use im::{ImConfig, ReturnModel};
 pub use power::{BoundedPowerLaw, ZipfSampler};

@@ -129,9 +129,12 @@ impl ZipfSampler {
         }
         .min(self.cumulative.len())
     }
+}
 
+#[cfg(test)]
+impl ZipfSampler {
     /// Probability of rank `y` (1-based).
-    pub fn pmf(&self, y: usize) -> f64 {
+    fn pmf(&self, y: usize) -> f64 {
         assert!((1..=self.len()).contains(&y), "rank out of range");
         let total = *self.cumulative.last().expect("non-empty");
         (y as f64).powf(-self.zeta) / total

@@ -1,13 +1,14 @@
 #!/bin/sh
-# `pub` means called: every `pub` item of minsig, trace-storage and
-# trace-model (its `adm/` modules included) is named by a file outside its crate (src, examples, tests, e2e, another crate) or, for
+# `pub` means called: every `pub` item of minsig, trace-storage, trace-model
+# (its `adm/` modules included), baseline and mobility is named by a file
+# outside its crate (src, examples, tests, e2e, another crate) or, for
 # a type, by a `pub` signature of its own crate.  A floor, not a proof: a grep
 # cannot tell `A::new` from `B::new`, so it only catches names nobody uses —
 # the compiler settles the rest (narrow the item, build every target and e2e).
 # Run from the repository root; prints the offenders and exits 1 if any.
 kinds='fn|struct|enum|trait|type|const|static'
 bad=0
-for crate in crates/core crates/storage crates/trace-model; do
+for crate in crates/core crates/storage crates/trace-model crates/baseline crates/mobility; do
     outside=$(find src examples tests e2e crates -name '*.rs' ! -path "$crate/*" ! -path '*/target/*')
     sources=$(find "$crate/src" -name '*.rs' | sort)
     for file in $sources; do

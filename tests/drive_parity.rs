@@ -13,10 +13,13 @@
 //! * The `Query` entries are the conveniences' only body: the default `Query`
 //!   is `top_k` / `top_k_batch`, on a seeded index and on a sketchless one
 //!   (the cold fan-out: no seed, no skip), and both paths do the same work.
+//!   In memory no entry reads anything; a join row does its probe's query's
+//!   work, in memory and out of core.
 
 use digital_traces::index::testkit::{UniformConfig, Workload};
 use digital_traces::index::{
-    IndexConfig, IndexError, PlannerConfig, Query, QueryStats, ShardedMinSigIndex, TopKResult,
+    IndexConfig, IndexError, JoinOptions, JoinRow, PlannerConfig, Query, QueryStats,
+    ShardedMinSigIndex, TopKResult,
 };
 use digital_traces::storage::{PagedTraceStore, PoolConfig, PAGE_SIZE};
 use digital_traces::EntityId;
@@ -198,6 +201,27 @@ fn batch_work(batch: &[(Vec<TopKResult>, QueryStats)]) -> [usize; 7] {
     ]
 }
 
+/// What a query read: its avoided reads and its four buffer-pool counters.
+fn reads(stats: &QueryStats) -> [u64; 5] {
+    [
+        stats.reads_avoided as u64,
+        stats.pool_hits,
+        stats.pool_misses,
+        stats.pool_evictions,
+        stats.simulated_io_us,
+    ]
+}
+
+/// One query's work — every counter bar the wall-clock ones and the pool's,
+/// which move with residency.
+fn query_work(stats: &QueryStats) -> impl PartialEq + std::fmt::Debug {
+    (
+        [stats.nodes_visited, stats.subtrees_pruned, stats.entities_checked, stats.leaves_visited],
+        [stats.steps, stats.shards_skipped, stats.shards_scanned, stats.reads_avoided],
+        (stats.bound_updates, stats.threshold_seeded, stats.kernel_dispatch),
+    )
+}
+
 #[test]
 fn query_entries_are_the_conveniences_seeded_or_cold() {
     let (w, store) = world(3);
@@ -235,6 +259,13 @@ fn query_entries_are_the_conveniences_seeded_or_cold() {
             assert_eq!(answers(&warm), answers(&out), "{ctx}, paged, warm == cold");
             assert_eq!(batch_work(&warm), batch_work(&convenience), "{ctx}, paged");
             assert_eq!(batch_work(&warm), batch_work(&mem), "{ctx}, paged == in memory");
+            let join = JoinOptions { k: 5, threads: 2, ..JoinOptions::default() };
+            let (mem_rows, _) = snapshot.top_k_join(&queries, &measure, join).unwrap();
+            let (paged_rows, _) = paged.top_k_join(&queries, &measure, join).unwrap();
+            let row_stats = |rows: &[JoinRow]| rows.iter().map(|r| r.stats).collect::<Vec<_>>();
+            for stats in mem.iter().map(|(_, s)| *s).chain(row_stats(&mem_rows)) {
+                assert_eq!(reads(&stats), [0; 5], "{ctx}: nothing is read in memory");
+            }
             for (i, &query) in queries.iter().enumerate() {
                 for (single, batched) in [
                     (snapshot.query(query, &default), &mem[i]),
@@ -243,6 +274,15 @@ fn query_entries_are_the_conveniences_seeded_or_cold() {
                     (paged.top_k(query, 5, &measure), &out[i]),
                 ] {
                     assert_eq!(single.unwrap().0, batched.0, "{ctx}, query {query}");
+                }
+                let (_, single) = snapshot.query(query, &default).unwrap();
+                assert_eq!(reads(&single), [0; 5], "{ctx}, query {query}: in memory");
+                let (paged_answer, paged_single) = paged.query(query, &default).unwrap();
+                for (rows, answer, stats) in
+                    [(&mem_rows, &mem[i].0, &single), (&paged_rows, &paged_answer, &paged_single)]
+                {
+                    assert_eq!((rows[i].probe, &rows[i].matches), (query, answer), "{ctx}");
+                    assert_eq!(query_work(&rows[i].stats), query_work(stats), "{ctx}, {query}");
                 }
             }
         }
