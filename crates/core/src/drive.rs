@@ -3,11 +3,11 @@
 //! The paper has one top-k algorithm, and its memory-size experiment (§4.3 /
 //! Fig 7.6) is that same search with candidate traces fetched from disk.
 //! So here: [`run`] is validate → level check → plan ([`plan::plan_query`])
-//! → [`execute`], and `execute` has one schedule: every admitted shard is
+//! → drive the plan, and the drive has one schedule: every admitted shard is
 //! one flat-scan job, queued in plan order, run over rayon workers or in
 //! order on the calling thread.  Under a latency budget a job picked up after
 //! the deadline drops to a sampled scan at its shard's recall-floor rate
-//! ([`execute`] has the rule).  The best-first tree search is the unsharded
+//! ([`run`] has the rule).  The best-first tree search is the unsharded
 //! [`IndexSnapshot::top_k`]'s; since a flat scan reads level-1 and level-2
 //! overlaps from postings and scores the members sharing no level-1 cell
 //! only while they can still enter its top k, it rules out what the tree
@@ -43,9 +43,6 @@ pub(crate) struct Access<'q> {
     pub(crate) view: &'q QueryView<'q>,
     /// The query entity, left out of its own answer.
     pub(crate) entity: EntityId,
-    /// Batch planning's pre-resolved sketch positions, `[shard][slot]`;
-    /// per-query planning looks each sketch entity up instead.
-    pub(crate) sketch_positions: Option<&'q [Vec<Option<usize>>]>,
     /// Out of core, the session's pages of every shard's finer rows, in
     /// shard order; `None` in memory.
     pub(crate) pages: Option<&'q [RowSegment<'q>]>,
@@ -67,18 +64,12 @@ impl<'q> Access<'q> {
 /// Rejects a bad budget and query sequences whose level count does not match
 /// the shards' trees — up front, before anything is scored — with the
 /// [`IndexError::LevelMismatch`] the unsharded tree search reports too.
-pub(crate) fn admit<M: ?Sized>(
-    shards: &[Arc<IndexSnapshot>],
-    sequence: &CellSetSequence,
-    query: &Query<'_, M>,
-) -> Result<()> {
+fn admit<M: ?Sized>(access: &Access<'_>, query: &Query<'_, M>) -> Result<()> {
     query.validate()?;
-    let index_levels = shards[0].tree().levels();
-    if sequence.num_levels() != index_levels as usize {
-        return Err(IndexError::LevelMismatch {
-            index_levels,
-            query_levels: sequence.num_levels() as u8,
-        });
+    let index_levels = access.shards[0].tree().levels();
+    let query_levels = access.sequence().num_levels();
+    if query_levels != index_levels as usize {
+        return Err(IndexError::LevelMismatch { index_levels, query_levels: query_levels as u8 });
     }
     Ok(())
 }
@@ -88,7 +79,7 @@ pub(crate) fn explain<M: AssociationMeasure + ?Sized>(
     access: &Access<'_>,
     query: &Query<'_, M>,
 ) -> Result<QueryPlan> {
-    admit(access.shards, access.sequence(), query)?;
+    admit(access, query)?;
     Ok(plan::plan_query(access, query, &mut QueryStats::default()))
 }
 
@@ -96,47 +87,28 @@ pub(crate) fn explain<M: AssociationMeasure + ?Sized>(
 /// jobs on rayon workers; batch and join paths pass `false` (they
 /// parallelise over queries), and so does every paged path (its candidates
 /// all go through the one pool mutex; see [`crate::paged`]).
-/// The latency budget, when set, is measured from before planning: the
-/// deadline is the query's, and planning spends it too.
-pub(crate) fn run<M: AssociationMeasure + Sync + ?Sized>(
-    access: &Access<'_>,
-    query: &Query<'_, M>,
-    parallel: bool,
-) -> Result<(Vec<TopKResult>, QueryStats)> {
-    admit(access.shards, access.sequence(), query)?;
-    let start = Instant::now();
-    let mut stats = QueryStats::default();
-    let plan = plan::plan_query(access, query, &mut stats);
-    stats.planning_us = start.elapsed().as_micros() as u64;
-    Ok(execute(access, &plan, query, parallel, start, stats))
-}
-
-/// Drives an already-built plan and merges the per-shard answers into
-/// `stats`, which holds the query's planning so far (its `planning_us`, and
-/// what its seeding read).  `start` is the instant the latency budget is
-/// measured from: [`run`] passes the instant before planning, the in-memory
-/// batch path — which plans the whole batch once — each query's own
-/// execution start with its amortised `planning_us`.
 ///
 /// Every admitted shard is one scan job, queued in plan order (most
-/// promising first).  The latency budget is a deadline, and this is the one
-/// place it acts: a worker picking a job up after the deadline scans the
-/// shard's deterministic sample at the shard's recall-floor rate
+/// promising first).  The latency budget is a deadline measured from before
+/// planning — planning spends it too — and this is the one place it acts: a
+/// worker picking a job up after the deadline scans the shard's
+/// deterministic sample at the shard's recall-floor rate
 /// (`Synopsis::min_rate_for_recall`), unless that rate is 1.0 — such a shard
 /// cannot be usefully sampled and stays exact (the floor is the hard
 /// constraint, the budget best-effort).  Every other job is an exact scan.
 /// With no shard sampled the answer is bitwise the unbudgeted one.  A scan
 /// prunes against its own top k only, so neither the answer nor any work
 /// counter depends on which worker ran which job.
-pub(crate) fn execute<M: AssociationMeasure + Sync + ?Sized>(
+pub(crate) fn run<M: AssociationMeasure + Sync + ?Sized>(
     access: &Access<'_>,
-    plan: &QueryPlan,
     query: &Query<'_, M>,
     parallel: bool,
-    start: Instant,
-    mut stats: QueryStats,
-) -> (Vec<TopKResult>, QueryStats) {
-    stats.k = query.k;
+) -> Result<(Vec<TopKResult>, QueryStats)> {
+    admit(access, query)?;
+    let start = Instant::now();
+    let mut stats = QueryStats { k: query.k, ..QueryStats::default() };
+    let plan = plan::plan_query(access, query, &mut stats);
+    stats.planning_us = start.elapsed().as_micros() as u64;
     // Seeding scored real candidates exactly: charge them as checked work,
     // and count skipped shards' populations toward |E| so pruning
     // effectiveness stays comparable with plans that skip nothing.
@@ -175,7 +147,7 @@ pub(crate) fn execute<M: AssociationMeasure + Sync + ?Sized>(
     }
     let results = engine::merge_top_k(query.k, parts);
     stats.query_time_us = start.elapsed().as_micros() as u64;
-    (results, stats)
+    Ok((results, stats))
 }
 
 /// One shard's flat scan as a unit of work.  It owns the source it scores

@@ -141,7 +141,7 @@ pub use join::{JoinOptions, JoinRow, JoinStats};
 pub use kernel::{CandidateArena, NodeArena, QueryView};
 pub use paged::PagedShardedSnapshot;
 pub use persist::INDEX_MAGIC;
-pub use plan::{BatchGroup, BatchPlan, QueryPlan, ShardDecision, ShardPlan};
+pub use plan::{QueryPlan, ShardDecision, ShardPlan};
 pub use query::{Query, QueryOptions, TopKResult};
 pub use shard::{
     shard_of, ShardedIngestReport, ShardedMinSigIndex, ShardedSnapshot, PARTITION_VERSION,

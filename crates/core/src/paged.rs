@@ -100,7 +100,6 @@ use crate::query::{Query, TopKResult};
 use crate::shard::{shard_of, ShardedSnapshot};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::QueryStats;
-use rayon::prelude::*;
 use std::ops::Range;
 use trace_model::ajpi::LevelOverlap;
 use trace_model::{AssociationMeasure, EntityId};
@@ -277,22 +276,16 @@ impl<'a> PagedShardedSnapshot<'a> {
         self.query_batch(queries, &Query::new(k, measure))
     }
 
-    /// Answers `query` for every entity of a batch, every knob explicit.
-    /// Parallelism is over the queries; each query's admitted shards are
-    /// scanned one after another on its worker (identical answers either
-    /// way).  Unlike the in-memory batch, every query is planned on its own,
-    /// so the pool reads of its seeding are counted in its own stats.
+    /// Answers `query` for every entity of a batch, every knob explicit —
+    /// the paged counterpart of [`ShardedSnapshot::query_batch`], with the
+    /// same body: each row is that entity's [`query`](Self::query), the pool
+    /// reads of its seeding and scans counted in its own stats.
     pub fn query_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entities: &[EntityId],
         query: &Query<'_, M>,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        query.validate()?;
-        let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> = entities
-            .par_iter()
-            .map(|&entity| self.snapshot.run(entity, query, Some(&self.segments), false))
-            .collect();
-        answers.into_iter().collect()
+        self.snapshot.batch(entities, query, Some(&self.segments))
     }
 
     /// Answers the top-k query for every probe entity — the paged

@@ -54,37 +54,26 @@
 //! query is planned exactly like an unbudgeted one.  The budget is a
 //! deadline the drive enforces where time is observed — a scan job picked up
 //! after it is sampled at its shard's [`PlannerConfig::recall_floor`] rate
-//! (`crate::drive::execute` has the rule) — so every decision a plan
+//! (`crate::drive::run` has the rule) — so every decision a plan
 //! carries is a certificate, and the one decision that can change an answer
 //! is made at run time and reported in
 //! [`QueryStats::degradation`](crate::stats::QueryStats::degradation).
-//!
-//! ## Batch planning
-//!
-//! [`plan_batch`] plans a whole batch in one pass — per-shard sketch
-//! positions are resolved against the arenas **once** — and groups the
-//! per-query plans by admitted-shard *footprint* into [`BatchGroup`]s; see
-//! [`BatchPlan`] for why batch-planned plans, and therefore answers, are
-//! identical to per-query planning.
 //!
 //! The plan itself is a first-class value: [`ShardedSnapshot::explain`]
 //! returns the [`QueryPlan`] without executing it, and
 //! [`QueryPlan::explain`] renders it for humans.
 //!
-//! [`plan_batch`]: crate::shard::ShardedSnapshot::plan_batch
 //! [`ShardedSnapshot::explain`]: crate::shard::ShardedSnapshot::explain
 //! [`PlannerConfig::latency_budget_us`]: crate::config::PlannerConfig::latency_budget_us
 //! [`PlannerConfig::recall_floor`]: crate::config::PlannerConfig::recall_floor
 
 use crate::drive::Access;
 use crate::engine::TopKHeap;
-use crate::kernel::{QueryView, Scratch};
+use crate::kernel::Scratch;
 use crate::query::Query;
-use crate::snapshot::IndexSnapshot;
 use crate::stats::QueryStats;
 use crate::synopsis::Synopsis;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use trace_model::{AssociationMeasure, EntityId};
 
 /// How the planner decided to treat one shard.
@@ -192,7 +181,7 @@ impl QueryPlan {
 }
 
 /// Builds the plan of one query over the shards `access` reads — the one
-/// planner body of the in-memory, out-of-core and batch paths.
+/// planner body of every sharded path, in memory and out of core.
 ///
 /// Seed candidates are scored through a source per shard, the scans' own
 /// kind, into one scratch — out of core with the same paged row reads, so
@@ -223,15 +212,11 @@ pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
         let mut scratch = Scratch::default();
         for (shard, snapshot) in shards.iter().enumerate() {
             let (source, arena) = (access.source(shard), snapshot.arena());
-            for (slot, &hot) in snapshot.synopsis().hot_entities().iter().enumerate() {
+            for &hot in snapshot.synopsis().hot_entities() {
                 if hot == access.entity {
                     continue;
                 }
-                let pos = match access.sketch_positions {
-                    Some(positions) => positions[shard][slot],
-                    None => arena.position(hot),
-                };
-                if let Some(pos) = pos {
+                if let Some(pos) = arena.position(hot) {
                     seed_candidates += 1;
                     top.offer(hot, source.score_with(&mut scratch, pos, &[], measure, false));
                 }
@@ -292,130 +277,15 @@ pub(crate) fn scan_admits(rate: Option<f64>, hot: &[EntityId], entity: EntityId)
     rate.is_none_or(|rate| sample_includes(entity, rate) || hot.contains(&entity))
 }
 
-/// One group of a [`BatchPlan`]: the batch queries (by input index) whose
-/// plans share an identical admitted-shard *footprint* — the same shards, in
-/// the same driving order, under the same decisions.  Queries in one group
-/// run the same scan skeleton; only their seeds and degrees differ.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchGroup {
-    /// Indices into the batch's query slice, ascending.
-    pub queries: Vec<usize>,
-    /// The shared skeleton: `(shard index, decision)` in driving order.
-    pub footprint: Vec<(usize, ShardDecision)>,
-}
-
-/// The amortized plan of one query batch: one [`QueryPlan`] per query (in
-/// input order, each identical to what [`ShardedSnapshot::plan`]-per-query
-/// would have produced) plus the footprint grouping the batch driver and
-/// [`explain`](BatchPlan::explain) expose.
-///
-/// Amortization happens in *how* the plans are built, not in what they say:
-/// every shard's hot-sketch entities are resolved to arena positions once
-/// for the whole batch and every query's seeding loop reuses them, so
-/// planning cost grows with `sketch × shards + batch × sketch` instead of
-/// `batch × (sketch × shards)` lookups — while each query's seed is still
-/// scored from its own degrees (a seed is only sound for the query it was
-/// scored against), keeping batch plans bitwise identical to per-query
-/// plans.
-///
-/// [`ShardedSnapshot::plan`]: crate::shard::ShardedSnapshot::explain
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchPlan {
-    /// Per-query plans, in batch input order.
-    pub plans: Vec<QueryPlan>,
-    /// Footprint groups; within each group query indices ascend, and groups
-    /// are ordered by their smallest query index.
-    pub groups: Vec<BatchGroup>,
-    /// Wall-clock time spent planning the whole batch, in microseconds.
-    pub planning_us: u64,
-}
-
-impl BatchPlan {
-    /// Renders the batch grouping for humans: one block per footprint group
-    /// with its member queries and shared shard skeleton.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "BatchPlan: {} quer{} in {} footprint group(s), planned in {} us",
-            self.plans.len(),
-            if self.plans.len() == 1 { "y" } else { "ies" },
-            self.groups.len(),
-            self.planning_us,
-        );
-        for (g, group) in self.groups.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  group {:>3}  {} quer{}: {:?}",
-                g,
-                group.queries.len(),
-                if group.queries.len() == 1 { "y" } else { "ies" },
-                group.queries,
-            );
-            for &(shard, decision) in &group.footprint {
-                let what = match decision {
-                    ShardDecision::Scan => "scan",
-                    ShardDecision::Skip => "skip",
-                };
-                let _ = writeln!(out, "             shard {shard:>3}  {what}");
-            }
-        }
-        out
-    }
-}
-
-/// Plans a whole batch — `targets` holds each query entity with the view of
-/// its sequence — in one pass; see [`BatchPlan`] for the amortization and
-/// identity contracts.
-pub(crate) fn plan_batch<M: AssociationMeasure + ?Sized>(
-    shards: &[Arc<IndexSnapshot>],
-    targets: &[(EntityId, QueryView<'_>)],
-    query: &Query<'_, M>,
-) -> BatchPlan {
-    let batch_start = std::time::Instant::now();
-    // The one-pass amortization: every shard's sketch ids are resolved
-    // against its arena once, up front, instead of `sketch × shards` binary
-    // searches per query.
-    let sketch_positions: Vec<Vec<Option<usize>>> = shards
-        .iter()
-        .map(|shard| {
-            let arena = shard.arena();
-            shard.synopsis().hot_entities().iter().map(|&hot| arena.position(hot)).collect()
-        })
-        .collect();
-    let plans: Vec<QueryPlan> = targets
-        .iter()
-        .map(|(entity, view)| {
-            let sketch_positions = Some(&sketch_positions[..]);
-            let access = Access { shards, view, entity: *entity, sketch_positions, pages: None };
-            plan_query(&access, query, &mut QueryStats::default())
-        })
-        .collect();
-
-    // Group by admitted footprint (ordered shard/decision skeleton).
-    let mut groups: Vec<BatchGroup> = Vec::new();
-    let mut index: std::collections::HashMap<Vec<(usize, ShardDecision)>, usize> =
-        std::collections::HashMap::new();
-    for (q, plan) in plans.iter().enumerate() {
-        let footprint: Vec<_> = plan.admitted().map(|s| (s.shard, s.decision)).collect();
-        match index.get(&footprint) {
-            Some(&g) => groups[g].queries.push(q),
-            None => {
-                index.insert(footprint.clone(), groups.len());
-                groups.push(BatchGroup { queries: vec![q], footprint });
-            }
-        }
-    }
-
-    BatchPlan { plans, groups, planning_us: batch_start.elapsed().as_micros() as u64 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{IndexConfig, PlannerConfig};
+    use crate::kernel::QueryView;
     use crate::shard::{ShardedMinSigIndex, ShardedSnapshot};
+    use crate::snapshot::IndexSnapshot;
     use crate::testkit::{PairedConfig, UniformConfig, Workload};
+    use std::sync::Arc;
 
     fn sharded_of(w: &Workload, n: usize) -> ShardedSnapshot {
         ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), n)
@@ -437,13 +307,7 @@ mod tests {
     ) -> QueryPlan {
         let measure = w.measure();
         let view = QueryView::new(query);
-        let access = Access {
-            shards,
-            view: &view,
-            entity: EntityId(0),
-            sketch_positions: None,
-            pages: None,
-        };
+        let access = Access { shards, view: &view, entity: EntityId(0), pages: None };
         plan_query(&access, &Query::new(k, &measure), &mut QueryStats::default())
     }
 
@@ -532,41 +396,6 @@ mod tests {
             assert_eq!(stats.degradation, None, "a 1.0 recall floor forbids all sampling");
             assert_eq!(answer, sharded.top_k(entity, 3, &measure).unwrap().0, "{entity}");
         }
-    }
-
-    #[test]
-    fn batch_plans_equal_per_query_plans_and_group_by_footprint() {
-        let w = Workload::paired(PairedConfig::default());
-        let shards = shards_of(&w, 4);
-        let measure = w.measure();
-        let query = Query::new(3, &measure);
-        let targets: Vec<(EntityId, QueryView<'_>)> = (0..6u64)
-            .map(EntityId)
-            .filter_map(|e| {
-                shards.iter().find_map(|s| s.sequence(e)).map(|seq| (e, QueryView::new(seq)))
-            })
-            .collect();
-        assert!(targets.len() >= 2, "the paired workload indexes the probe ids");
-        let batch = plan_batch(&shards, &targets, &query);
-        assert_eq!(batch.plans.len(), targets.len());
-        for (i, (entity, view)) in targets.iter().enumerate() {
-            let access = Access {
-                shards: &shards,
-                view,
-                entity: *entity,
-                sketch_positions: None,
-                pages: None,
-            };
-            let single = plan_query(&access, &query, &mut QueryStats::default());
-            assert_eq!(batch.plans[i], single, "batch plan {i} diverged from per-query planning");
-        }
-        // Groups partition the batch.
-        let mut seen: Vec<usize> = batch.groups.iter().flat_map(|g| g.queries.clone()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..targets.len()).collect::<Vec<_>>());
-        let text = batch.explain();
-        assert!(text.contains("BatchPlan"), "{text}");
-        assert!(text.contains("group"), "{text}");
     }
 
     /// The two-way decision: a seeded plan skips or scans, and an unseeded

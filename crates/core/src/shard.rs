@@ -101,7 +101,7 @@ use crate::ingest::{IngestBuffer, PreparedBatch};
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::QueryView;
 use crate::paged::RowSegment;
-use crate::plan::{self, BatchPlan, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::query::{Query, TopKResult};
 use crate::snapshot::IndexSnapshot;
 use crate::stats::QueryStats;
@@ -432,57 +432,28 @@ impl ShardedSnapshot {
     }
 
     /// Answers `query` for every entity of a batch — the one batch entry
-    /// every knob goes through.
+    /// every knob goes through.  Each row is exactly what
+    /// [`query`](Self::query) answers and reports for that entity: the same
+    /// plan, the same answer and the same work, its own
+    /// [`QueryStats::planning_us`], and a latency budget measured from
+    /// before its own planning.
     ///
-    /// The batch is **planned once** ([`plan_batch`](Self::plan_batch); see
-    /// [`BatchPlan`] for what is amortized): per-query plans — and therefore
-    /// answers — are identical to per-query planning
-    /// (`tests/deadline_conformance.rs` asserts bitwise equality), and each
-    /// query's reported [`QueryStats::planning_us`] is its amortized share
-    /// (`total / batch size`, integer division).
-    ///
-    /// Execution parallelism is over the *queries* (the batch is the wider
-    /// axis); each query's admitted shards are scanned one after another on
-    /// its worker, to avoid nested thread fan-out.  Results and work
-    /// counters are identical either way.  With a latency budget set, each query's
-    /// deadline is measured from its own execution start (the shared
-    /// planning cost is amortized, not charged per query).
+    /// Parallelism is over the *queries* (the batch is the wider axis); each
+    /// query's admitted shards are scanned one after another on its worker,
+    /// to avoid nested thread fan-out.  Results and work counters are
+    /// identical either way.
     pub fn query_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         entities: &[EntityId],
         query: &Query<'_, M>,
     ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        query.validate()?;
-        if entities.is_empty() {
-            return Ok(Vec::new());
-        }
-        let targets = self.targets(entities, query)?;
-        let batch = plan::plan_batch(&self.shards, &targets, query);
-        let amortized_planning_us = batch.planning_us / entities.len() as u64;
-        let indices: Vec<usize> = (0..entities.len()).collect();
-        Ok(indices
-            .par_iter()
-            .map(|&i| {
-                let (entity, view) = &targets[i];
-                let stats =
-                    QueryStats { planning_us: amortized_planning_us, ..QueryStats::default() };
-                drive::execute(
-                    &self.access(view, *entity, None),
-                    &batch.plans[i],
-                    query,
-                    false,
-                    Instant::now(),
-                    stats,
-                )
-            })
-            .collect())
+        self.batch(entities, query, None)
     }
 
-    /// Builds — without executing — the [`BatchPlan`] that
-    /// [`query_batch`](Self::query_batch) would run under `planner`: one
-    /// [`QueryPlan`] per query (bitwise identical to per-query
-    /// [`explain`](Self::explain)) plus the footprint grouping, rendered for
-    /// humans by [`BatchPlan::explain`].  The first unknown query entity
+    /// Builds — without executing — the [`QueryPlan`] of every query of a
+    /// batch under `planner`, in input order: each is that query's
+    /// [`explain`](Self::explain).  The planner is validated once, so an
+    /// empty batch still rejects a bad one; the first unknown query entity
     /// fails the whole batch, like the execution path.
     pub fn plan_batch<M: AssociationMeasure + Sync + ?Sized>(
         &self,
@@ -490,10 +461,10 @@ impl ShardedSnapshot {
         k: usize,
         measure: &M,
         planner: PlannerConfig,
-    ) -> Result<BatchPlan> {
+    ) -> Result<Vec<QueryPlan>> {
         let query = Query { planner, ..Query::new(k, measure) };
         query.validate()?;
-        Ok(plan::plan_batch(&self.shards, &self.targets(queries, &query)?, &query))
+        queries.iter().map(|&entity| self.plan(entity, &query, None)).collect()
     }
 
     /// Answers the top-k query for every probe entity, optionally in
@@ -542,6 +513,21 @@ impl ShardedSnapshot {
         drive::run(&self.access(&view, entity, pages), query, parallel)
     }
 
+    /// The body of both `query_batch`es: one [`run`](Self::run) per entity,
+    /// in parallel over the entities; the first error in input order fails
+    /// the batch.
+    pub(crate) fn batch<M: AssociationMeasure + Sync + ?Sized>(
+        &self,
+        entities: &[EntityId],
+        query: &Query<'_, M>,
+        pages: Option<&[RowSegment<'_>]>,
+    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
+        query.validate()?;
+        let answers: Vec<Result<(Vec<TopKResult>, QueryStats)>> =
+            entities.par_iter().map(|&entity| self.run(entity, query, pages, false)).collect();
+        answers.into_iter().collect()
+    }
+
     /// The body of both `explain`s: the plan [`run`](Self::run) would drive.
     pub(crate) fn plan<M: AssociationMeasure + Sync + ?Sized>(
         &self,
@@ -585,24 +571,7 @@ impl ShardedSnapshot {
         entity: EntityId,
         pages: Option<&'q [RowSegment<'q>]>,
     ) -> Access<'q> {
-        Access { shards: &self.shards, view, entity, sketch_positions: None, pages }
-    }
-
-    /// A batch's entities with their views, resolved sequentially so the
-    /// *first* unknown entity (in input order) fails the batch, matching the
-    /// unsharded contract.  Planning and execution share the views.
-    fn targets<M: ?Sized>(
-        &self,
-        entities: &[EntityId],
-        query: &Query<'_, M>,
-    ) -> Result<Vec<(EntityId, QueryView<'_>)>> {
-        let mut targets = Vec::with_capacity(entities.len());
-        for &entity in entities {
-            let view = self.view(entity)?;
-            drive::admit(&self.shards, view.sequence(), query)?;
-            targets.push((entity, view));
-        }
-        Ok(targets)
+        Access { shards: &self.shards, view, entity, pages }
     }
 }
 

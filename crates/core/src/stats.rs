@@ -248,8 +248,8 @@ pub struct QueryStats {
     pub degradation: Option<DegradationReport>,
     /// Wall-clock time the planner spent building this query's
     /// [`QueryPlan`](crate::plan::QueryPlan) (seeding, skipping, ordering),
-    /// in microseconds; summed by [`absorb_work`](Self::absorb_work) so batch
-    /// stats expose the total — and therefore amortized — planning cost.
+    /// in microseconds — in a batch too, each row its own query's; summed by
+    /// [`absorb_work`](Self::absorb_work) into a batch's total planning cost.
     pub planning_us: u64,
     /// Wall-clock query time in microseconds.
     pub query_time_us: u64,
@@ -314,8 +314,9 @@ impl QueryStats {
     }
 
     /// Accumulates another search's work counters into this one (used to sum
-    /// a batch's stats; wall-clock fields other than `planning_us` are left
-    /// alone because concurrent searches' times overlap).
+    /// a batch's stats).  `planning_us` adds up to the batch's total planning
+    /// time; `query_time_us` is left alone because concurrent searches'
+    /// times overlap.
     pub fn absorb_work(&mut self, other: &QueryStats) {
         self.total_entities += other.total_entities;
         self.nodes_visited += other.nodes_visited;

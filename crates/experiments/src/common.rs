@@ -2,12 +2,11 @@
 
 use minsig::{IndexConfig, MinSigIndex};
 use mobility::SynDataset;
-use serde::{Deserialize, Serialize};
 use trace_model::{AssociationMeasure, EntityId};
 
 /// The outcome of averaging top-k queries over several query entities.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PeMeasurement {
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct PeMeasurement {
     /// Mean pruning effectiveness (fraction of entities pruned; higher is better).
     pub pruning_effectiveness: f64,
     /// Mean fraction of entities checked (Definition 5; lower is better).
@@ -22,7 +21,7 @@ pub struct PeMeasurement {
 
 /// Runs `k`-queries for every entity in `queries` against `index` and averages
 /// the pruning statistics.
-pub fn average_pe<M: AssociationMeasure + ?Sized>(
+pub(crate) fn average_pe<M: AssociationMeasure + ?Sized>(
     index: &MinSigIndex,
     queries: &[EntityId],
     k: usize,
@@ -54,7 +53,7 @@ pub fn average_pe<M: AssociationMeasure + ?Sized>(
 /// sample of query entities, take the base-level overlap of the exact k-th best
 /// answer and average it.  This is the quantity the analytical PE model of
 /// Section 6.3 needs.
-pub fn estimate_nc<M: AssociationMeasure + ?Sized>(
+pub(crate) fn estimate_nc<M: AssociationMeasure + ?Sized>(
     index: &MinSigIndex,
     queries: &[EntityId],
     k: usize,

@@ -24,7 +24,6 @@ pub mod figs;
 pub mod report;
 pub mod scale;
 
-pub use common::{average_pe, estimate_nc, PeMeasurement};
 pub use report::Table;
 pub use scale::Scale;
 

@@ -35,16 +35,6 @@ impl Table {
         &self.title
     }
 
-    /// The caption describing what is being reproduced.
-    pub fn caption(&self) -> &str {
-        &self.caption
-    }
-
-    /// Column headers.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
     /// Data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
@@ -54,15 +44,10 @@ impl Table {
     ///
     /// # Panics
     /// Panics when the row arity differs from the header.
-    pub fn push_row(&mut self, row: Vec<impl Into<String>>) {
+    pub(crate) fn push_row(&mut self, row: Vec<impl Into<String>>) {
         let row: Vec<String> = row.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.columns.len(), "row arity must match the header");
         self.rows.push(row);
-    }
-
-    /// Convenience for numeric rows.
-    pub fn push_values(&mut self, row: Vec<f64>) {
-        self.push_row(row.into_iter().map(format_number).collect::<Vec<String>>());
     }
 
     /// Renders as aligned plain text.
@@ -111,9 +96,23 @@ impl Table {
     }
 }
 
+#[cfg(test)]
+impl Table {
+    /// Column headers.
+    pub(crate) fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// Convenience for numeric rows.
+    fn push_values(&mut self, row: Vec<f64>) {
+        self.push_row(row.into_iter().map(format_number).collect::<Vec<String>>());
+    }
+}
+
 /// Formats a number compactly: integers without decimals, small fractions with
 /// four significant places.
-pub fn format_number(x: f64) -> String {
+#[cfg(test)]
+fn format_number(x: f64) -> String {
     if x.fract() == 0.0 && x.abs() < 1e15 {
         format!("{}", x as i64)
     } else if x.abs() >= 100.0 {

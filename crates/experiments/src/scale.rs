@@ -70,7 +70,7 @@ impl Scale {
 
     /// A larger scale whose parameter grids follow the paper's more closely
     /// (minutes per figure).
-    pub fn paper_shape() -> Self {
+    fn paper_shape() -> Self {
         Scale {
             name: "paper-shape",
             syn_entities: 20_000,
@@ -96,7 +96,7 @@ impl Scale {
     }
 
     /// The SYN dataset configuration at this scale.
-    pub fn syn_config(&self) -> SynConfig {
+    pub(crate) fn syn_config(&self) -> SynConfig {
         SynConfig {
             num_entities: self.syn_entities,
             days: self.days,
@@ -107,7 +107,7 @@ impl Scale {
     }
 
     /// The REAL-like dataset configuration at this scale.
-    pub fn real_config(&self) -> SynConfig {
+    pub(crate) fn real_config(&self) -> SynConfig {
         let mut config = real_like_config(self.real_entities, self.seed ^ 0x5A5A);
         config.days = self.days;
         config

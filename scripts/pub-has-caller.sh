@@ -1,16 +1,19 @@
 #!/bin/sh
 # `pub` means called: every `pub` item of minsig, trace-storage, trace-model
-# (its `adm/` modules included), baseline and mobility is named by a file
-# outside its crate (src, examples, tests, e2e, another crate) or, for
-# a type, by a `pub` signature of its own crate.  A floor, not a proof: a grep
+# (its `adm/` modules included), baseline, mobility and experiments is named
+# by a file outside its crate's library (src, examples, tests, e2e, another
+# crate, or the crate's own binary `src/main.rs`) or, for a type, by a `pub`
+# signature of its own crate.  A floor, not a proof: a grep
 # cannot tell `A::new` from `B::new`, so it only catches names nobody uses —
 # the compiler settles the rest (narrow the item, build every target and e2e).
 # Run from the repository root; prints the offenders and exits 1 if any.
 kinds='fn|struct|enum|trait|type|const|static'
 bad=0
-for crate in crates/core crates/storage crates/trace-model crates/baseline crates/mobility; do
-    outside=$(find src examples tests e2e crates -name '*.rs' ! -path "$crate/*" ! -path '*/target/*')
-    sources=$(find "$crate/src" -name '*.rs' | sort)
+for crate in crates/core crates/storage crates/trace-model crates/baseline crates/mobility \
+    crates/experiments; do
+    outside=$(find src examples tests e2e crates -name '*.rs' ! -path '*/target/*' \
+        \( ! -path "$crate/*" -o -path "$crate/src/main.rs" \))
+    sources=$(find "$crate/src" -name '*.rs' ! -path "$crate/src/main.rs" | sort)
     for file in $sources; do
         # kind and name of each pub item before the file's first #[cfg(test)]
         awk -v kinds="$kinds" '/#\[cfg\(test\)\]/ { exit }

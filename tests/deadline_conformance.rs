@@ -3,7 +3,7 @@
 //! knob, never a silent correctness knob.
 //!
 //! * **Unbounded budget ⇒ exactness.**  With a budget no plan can exceed,
-//!   every budgeted path — planned single queries, batch-planned queries,
+//!   every budgeted path — planned single queries, batched queries,
 //!   the paged out-of-core drive — answers **fully bit-identically** to the
 //!   unbudgeted planner, the unsharded index and the brute-force oracle,
 //!   boundary ties included.
@@ -12,8 +12,8 @@
 //!   matches the count, every sampled shard is one the plan scans, the
 //!   minimum sample rate is a real rate, and an absent report means nothing
 //!   was sampled anywhere.
-//! * **Batch = per-query.**  Batch planning amortizes cost only: its plans
-//!   and its answers equal per-query planning bitwise.
+//! * **Batch = per-query.**  A batch plans and runs each query on its own:
+//!   its plans and its answers equal the single queries' bitwise.
 //! * **Recall floor.**  On the deadline-adversarial workload (one
 //!   pathologically expensive shard) an expired budget must degrade, yet the
 //!   reported recall estimate never falls below the configured floor, and a
@@ -177,9 +177,9 @@ proptest! {
         }
     }
 
-    /// (iii) Batch planning is an amortization, not a semantics change:
-    /// batch plans equal per-query plans and batch answers equal per-query
-    /// answers, bitwise, stats contracts included.
+    /// (iii) A batch is its queries: batch plans equal per-query plans and
+    /// batch answers equal per-query answers, bitwise, stats contracts
+    /// included.
     #[test]
     fn batch_planning_matches_per_query_planning(
         entities in 2u64..32,
@@ -194,23 +194,16 @@ proptest! {
         let queries = w.entities();
         let planner = PlannerConfig::default();
 
-        // Plans: bitwise equal to per-query planning, grouping partitions
-        // the batch.
-        let batch_plan = snapshot.plan_batch(&queries, k, &measure, planner).unwrap();
-        prop_assert_eq!(batch_plan.plans.len(), queries.len());
+        // Plans: bitwise equal to per-query planning.
+        let batch_plans = snapshot.plan_batch(&queries, k, &measure, planner).unwrap();
+        prop_assert_eq!(batch_plans.len(), queries.len());
         for (i, &query) in queries.iter().enumerate() {
             let single = snapshot.explain(query, k, &measure, planner).unwrap();
             prop_assert_eq!(
-                &batch_plan.plans[i], &single,
+                &batch_plans[i], &single,
                 "batch plan {} diverged from explain()", i
             );
         }
-        let mut grouped: Vec<usize> =
-            batch_plan.groups.iter().flat_map(|g| g.queries.clone()).collect();
-        grouped.sort_unstable();
-        prop_assert_eq!(grouped, (0..queries.len()).collect::<Vec<_>>());
-        let rendering = batch_plan.explain();
-        prop_assert!(rendering.contains("BatchPlan"), "{}", rendering);
 
         // Answers: the batch path equals the per-query path bitwise.
         let batch =

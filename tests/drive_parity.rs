@@ -13,8 +13,8 @@
 //! * The `Query` entries are the conveniences' only body: the default `Query`
 //!   is `top_k` / `top_k_batch`, on a seeded index and on a sketchless one
 //!   (the cold fan-out: no seed, no skip), and both paths do the same work.
-//!   In memory no entry reads anything; a join row does its probe's query's
-//!   work, in memory and out of core.
+//!   A batch row is its entity's query.  In memory no entry reads anything;
+//!   a join row does its probe's query's work, in memory and out of core.
 
 use digital_traces::index::testkit::{UniformConfig, Workload};
 use digital_traces::index::{
@@ -180,6 +180,7 @@ fn both_paths_reject_the_same_bad_knobs() {
     // An empty batch still validates its budget, on both paths.
     invalid(snapshot.query_batch(&[], &bad_plan).map(drop), "in-memory empty batch");
     invalid(paged.query_batch(&[], &bad_plan).map(drop), "paged empty batch");
+    invalid(snapshot.plan_batch(&[], 3, &measure, bad_planner).map(drop), "empty plan_batch");
     assert!(paged.query_batch(&[], &good).unwrap().is_empty());
 }
 
@@ -220,6 +221,20 @@ fn query_work(stats: &QueryStats) -> impl PartialEq + std::fmt::Debug {
         [stats.steps, stats.shards_skipped, stats.shards_scanned, stats.reads_avoided],
         (stats.bound_updates, stats.threshold_seeded, stats.kernel_dispatch),
     )
+}
+
+/// A query's whole stats bar the wall-clock fields and the four pool
+/// counters, which move with residency: its work and its planning's verdicts.
+fn untimed(stats: QueryStats) -> QueryStats {
+    QueryStats {
+        pool_hits: 0,
+        pool_misses: 0,
+        pool_evictions: 0,
+        simulated_io_us: 0,
+        planning_us: 0,
+        query_time_us: 0,
+        ..stats
+    }
 }
 
 #[test]
@@ -267,13 +282,18 @@ fn query_entries_are_the_conveniences_seeded_or_cold() {
                 assert_eq!(reads(&stats), [0; 5], "{ctx}: nothing is read in memory");
             }
             for (i, &query) in queries.iter().enumerate() {
+                // A batch row is its entity's query: the same answer and the
+                // same stats bar the clock and the pool, in memory and out
+                // of core.
                 for (single, batched) in [
                     (snapshot.query(query, &default), &mem[i]),
                     (snapshot.top_k(query, 5, &measure), &mem[i]),
                     (paged.query(query, &default), &out[i]),
                     (paged.top_k(query, 5, &measure), &out[i]),
                 ] {
-                    assert_eq!(single.unwrap().0, batched.0, "{ctx}, query {query}");
+                    let (answer, stats) = single.unwrap();
+                    assert_eq!(answer, batched.0, "{ctx}, query {query}");
+                    assert_eq!(untimed(stats), untimed(batched.1), "{ctx}, query {query}");
                 }
                 let (_, single) = snapshot.query(query, &default).unwrap();
                 assert_eq!(reads(&single), [0; 5], "{ctx}, query {query}: in memory");
