@@ -492,10 +492,10 @@ mod tests {
         assert!(!index.contains(ghost));
     }
 
-    /// The synopsis invariant under single-entity mutation: incremental
-    /// insert absorption and the shrink-path recomputes must always leave
-    /// the synopsis equal to a fresh `Synopsis::compute` over the live
-    /// sequences, at the handle's epoch.
+    /// The synopsis invariant under single-entity mutation: the recompute
+    /// every publish makes — after a lone insert, a shrinking replacement or
+    /// a removal — must always leave the synopsis equal to a fresh
+    /// `Synopsis::compute` over the live sequences, at the handle's epoch.
     #[test]
     fn synopsis_stays_exact_under_upserts_replacements_and_removals() {
         let (sp, _traces, mut index) = {
@@ -514,7 +514,7 @@ mod tests {
             );
             assert_eq!(snapshot.synopsis(), &expected);
         };
-        // A stream of fresh inserts with varied trace sizes (incremental path).
+        // A stream of fresh inserts with varied trace sizes.
         for e in 0..20u64 {
             let cells: Vec<PresenceInstance> = (0..=(e % 5))
                 .map(|i| {
@@ -530,7 +530,7 @@ mod tests {
                 .unwrap());
             assert_exact(&index);
         }
-        // A shrinking replacement and a removal (recompute paths).
+        // A shrinking replacement and a removal.
         let tiny = DigitalTrace::from_instances(vec![PresenceInstance::new(
             EntityId(500),
             base[0],

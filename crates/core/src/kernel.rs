@@ -25,11 +25,11 @@
 //! * `postings` — **the keyed rows of levels 1 and 2 inverted**, one
 //!   inverted index per level: per distinct key, ascending, the positions
 //!   whose row of that level holds it (ascending, `u32`) with their masks.
-//!   Derived from `keyed`, never persisted;
-//! * per level, one flat signature array strided by the signature width
-//!   (`signatures[level][pos * nh..(pos + 1) * nh]` is entity `pos`'s level
-//!   row).  Signatures stay level-major on purpose: degree computation never
-//!   reads them, so interleaving them would only spread the cell rows out.
+//!   Derived from `keyed`, never persisted.
+//!
+//! It holds cells and nothing else: no scan reads a signature, and the tree
+//! search reads its routing values from the [`NodeArena`], so the signatures
+//! live only in the snapshot's map.
 //!
 //! Every vector is sized exactly (a counting pass precedes the copy), and
 //! `CandidateArena::resident_bytes` reports capacities, not lengths.
@@ -77,10 +77,8 @@
 //! not touch from the arena it replaces, so only the batch's keyed rows are
 //! converted, and carrying the postings over in one linear pass per posted
 //! level that remaps the copied positions and merges in the batch's entries,
-//! for an entity that only grew just its delta's (`CandidateArena::rebuild`)
-//! — except pure single-entity inserts, which extend it incrementally via
-//! `CandidateArena::absorb_insert`, mirroring how the planning synopsis
-//! absorbs inserts.  Conformance tests pin the
+//! for an entity that only grew just its delta's (`CandidateArena::rebuild`).
+//! A lone insert takes the same rebuild.  Conformance tests pin the
 //! invariant that makes this safe: arena-backed degrees are bitwise identical
 //! to the owned path, because both feed the measure the exact same integer
 //! overlap statistics.
@@ -146,22 +144,6 @@ impl KeyedRows {
         self.masks.extend_from_slice(&from.masks[span.clone()]);
         let ends = &from.offsets[rows.start + 1..=rows.end];
         self.offsets.extend(ends.iter().map(|&end| end - span.start + base));
-    }
-
-    /// Inserts `rows`' rows in front of row `at`, growing every vector by
-    /// exactly what it inserts (the tail moves once, as the packed splice's).
-    fn splice(&mut self, at: usize, rows: &KeyedRows) {
-        let start = self.offsets[at];
-        let added = rows.keys.len();
-        for (own, new) in [(&mut self.keys, &rows.keys), (&mut self.masks, &rows.masks)] {
-            own.reserve_exact(added);
-            own.splice(start..start, new.iter().copied());
-        }
-        for off in &mut self.offsets[at + 1..] {
-            *off += added;
-        }
-        self.offsets.reserve_exact(rows.offsets.len() - 1);
-        self.offsets.splice(at + 1..at + 1, rows.offsets[1..].iter().map(|&end| end + start));
     }
 
     /// Row `r`'s keys and masks.
@@ -354,14 +336,14 @@ enum Rows<'m> {
 /// `BTreeMap` — which keeps `entities_checked` counters and tie handling
 /// identical between the two paths.
 ///
-/// Every vector is allocated at its exact final size (`build` counts first,
-/// `absorb_insert` grows by exactly the inserted entity), so
-/// `resident_bytes` — which sums capacities — is what
-/// the allocator really holds.
+/// Every vector is allocated at its exact final size (`rebuild` counts
+/// first), so `resident_bytes` — which sums capacities — is what the
+/// allocator really holds.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateArena {
     entities: Vec<EntityId>,
-    sig_width: usize,
+    /// `m`, the sp-index height: rows per entity.
+    num_levels: usize,
     /// `offsets[pos * m + i]..offsets[pos * m + i + 1]` brackets the level
     /// `i + 1` cells of entity `pos` (`m` = `num_levels()`): one entity's `m`
     /// runs are adjacent, so its row is the `m + 1` consecutive offsets from
@@ -379,32 +361,30 @@ pub struct CandidateArena {
     /// masks — what a flat scan reads every member's overlap at those levels
     /// from.  Derived from `keyed`, never persisted.
     postings: Vec<Postings>,
-    /// Per level (so `num_levels()` entries), all entities' level signatures
-    /// concatenated in entity order with stride `sig_width`.
-    signatures: Vec<Vec<u64>>,
 }
 
 impl CandidateArena {
-    /// Materialises the arena from the owned per-entity maps.
+    /// Materialises the arena from the sequences; `num_levels` is the
+    /// sp-index height.
     ///
-    /// `num_levels` is the sp-index height and `sig_width` the signature
-    /// width (`nh`); entities missing a signature get all-`u64::MAX` rows
-    /// (the empty-trace signature).
+    /// The arena holds no signatures, so `_sig_width` and `_signatures` are
+    /// not read.  They stay in the parameter list because the benchmark's
+    /// layer replay (`e2e/src/layers.rs`) calls `build` with them.
     pub fn build(
         num_levels: Level,
-        sig_width: usize,
+        _sig_width: usize,
         sequences: &BTreeMap<EntityId, CellSetSequence>,
-        signatures: &BTreeMap<EntityId, SignatureList>,
+        _signatures: &BTreeMap<EntityId, SignatureList>,
     ) -> Self {
-        CandidateArena::default().rebuild(num_levels, sig_width, sequences, signatures, &[])
+        CandidateArena::default().rebuild(num_levels, sequences, &[])
     }
 
-    /// [`build`](Self::build) over the maps, reusing this arena for every
+    /// [`build`](Self::build) over `sequences`, reusing this arena for every
     /// entity it holds that `changed` (ascending ids, each with the delta it
     /// grew by, if that is all that happened to it) does not list: runs of
-    /// such entities are copied span by span — cells, signatures and keyed
-    /// rows — and only the listed entities and the ones new to the maps are
-    /// read from the maps.  Their keyed rows are converted by [`push_keyed`]
+    /// such entities are copied span by span — cells and keyed rows — and
+    /// only the listed entities and the ones new to the map are read from
+    /// it.  Their keyed rows are converted by [`push_keyed`]
     /// — from the delta alone, united with the previous rows, for an entity
     /// that only grew — so a publish converts what its batch brought, not
     /// the traces it touched, and copies the rest in a few `memcpy`s.  The
@@ -413,19 +393,17 @@ impl CandidateArena {
     /// its delta's united in, the other listed entities' entries dropped and
     /// their converted rows' entries merged in (`Postings::carry`).  The
     /// result equals a fresh build whenever the unlisted entities' sequences
-    /// and signatures are the ones this arena was built from and every
-    /// listed delta is what its entity's rows grew by.
+    /// are the ones this arena was built from and every listed delta is what
+    /// its entity's rows grew by.
     pub(crate) fn rebuild<'m>(
         &self,
         num_levels: Level,
-        sig_width: usize,
         sequences: &'m BTreeMap<EntityId, CellSetSequence>,
-        signatures: &BTreeMap<EntityId, SignatureList>,
         changed: &'m [(EntityId, Option<CellSetSequence>)],
     ) -> Self {
         debug_assert!(changed.windows(2).all(|w| w[0].0 < w[1].0), "changed ids ascend");
         let (n, m) = (sequences.len(), num_levels as usize);
-        debug_assert!(self.is_empty() || (self.num_levels(), self.sig_width) == (m, sig_width));
+        debug_assert!(self.is_empty() || self.num_levels() == m);
         u32::try_from(n).expect("arena positions are addressable by u32");
         let plan = self.plan_rebuild(sequences, changed);
         // Convert first: the new key counts size the arena exactly.
@@ -474,12 +452,11 @@ impl CandidateArena {
         }
         let mut arena = CandidateArena {
             entities: Vec::with_capacity(n),
-            sig_width,
+            num_levels: m,
             offsets: Vec::with_capacity(n * m + 1),
             cells: Vec::with_capacity(cells),
             keyed: KeyedRows::with_capacity(n * m, keys),
             postings: Vec::new(),
-            signatures: (0..m).map(|_| Vec::with_capacity(n * sig_width)).collect(),
         };
         arena.offsets.push(0);
         // The postings follow the plan: a carried position moves to where
@@ -499,7 +476,7 @@ impl CandidateArena {
                     arena.copy_rows(self, run);
                 }
                 Rows::Fresh(entity, seq) | Rows::Grown(entity, seq, ..) => {
-                    arena.push_entity(entity, seq, signatures.get(&entity));
+                    arena.push_entity(entity, seq);
                     let rows = next_converted * m..(next_converted + 1) * m;
                     if let Rows::Grown(.., pos, _) = part {
                         remap[pos] = Some(at);
@@ -570,7 +547,7 @@ impl CandidateArena {
     /// Appends the entities at positions `run` of `from`, every row of theirs
     /// copied span by span.
     fn copy_rows(&mut self, from: &CandidateArena, run: Range<usize>) {
-        let (m, width) = (self.num_levels(), self.sig_width);
+        let m = self.num_levels();
         self.entities.extend_from_slice(&from.entities[run.clone()]);
         let rows = run.start * m..run.end * m;
         let (span, base) = (from.offsets[rows.start]..from.offsets[rows.end], self.cells.len());
@@ -578,108 +555,15 @@ impl CandidateArena {
         let ends = &from.offsets[rows.start + 1..=rows.end];
         self.offsets.extend(ends.iter().map(|&end| end - span.start + base));
         self.keyed.extend_from(&from.keyed, rows);
-        for (own, theirs) in self.signatures.iter_mut().zip(&from.signatures) {
-            own.extend_from_slice(&theirs[run.start * width..run.end * width]);
-        }
     }
 
-    /// Appends one entity's packed rows and signature rows from the maps;
-    /// an entity missing a signature gets all-`u64::MAX` rows.
-    fn push_entity(
-        &mut self,
-        entity: EntityId,
-        seq: &CellSetSequence,
-        sig: Option<&SignatureList>,
-    ) {
+    /// Appends one entity's packed rows.
+    fn push_entity(&mut self, entity: EntityId, seq: &CellSetSequence) {
         debug_assert_eq!(seq.num_levels(), self.num_levels());
         self.entities.push(entity);
-        for (i, rows) in self.signatures.iter_mut().enumerate() {
-            let level = (i + 1) as Level;
-            self.cells.extend_from_slice(seq.level(level).packed_slice());
-            self.offsets.push(self.cells.len());
-            match sig {
-                Some(s) => {
-                    let row = s.level(level);
-                    debug_assert_eq!(row.len(), self.sig_width);
-                    rows.extend_from_slice(row);
-                }
-                None => rows.extend(std::iter::repeat_n(u64::MAX, self.sig_width)),
-            }
-        }
-    }
-
-    /// Splices one **newly inserted** entity into the arena without a rebuild
-    /// — the incremental path for pure single-record inserts, mirroring
-    /// `Synopsis::absorb_insert`.
-    /// Equivalent to a full [`build`](Self::build) over the updated maps,
-    /// footprint included: the splice moves every later entity's cells (one
-    /// `memmove` of the tail) and shifts their offsets, which is already
-    /// `O(n)`, so each vector grows by exactly the inserted amount rather
-    /// than by doubling.  The postings of levels 1 and 2 are carried over
-    /// the way a rebuild carries them, every later position shifted by one
-    /// and the entity's entries of those levels merged in.
-    ///
-    /// # Panics
-    /// Panics when the entity is already present (replacements rebuild).
-    pub(crate) fn absorb_insert(
-        &mut self,
-        entity: EntityId,
-        seq: &CellSetSequence,
-        sig: &SignatureList,
-    ) {
-        let pos = match self.entities.binary_search(&entity) {
-            Ok(_) => panic!("absorb_insert requires a new entity; replacements rebuild"),
-            Err(p) => p,
-        };
-        let m = self.num_levels();
-        debug_assert_eq!(seq.num_levels(), m);
-        self.entities.reserve_exact(1);
-        self.entities.insert(pos, entity);
-
-        // Open a gap of the entity's total cell count where its successor's
-        // row used to start, then fill it level by level.
-        let start = self.offsets[pos * m];
-        let added = seq.total_cells();
-        let old_len = self.cells.len();
-        self.cells.reserve_exact(added);
-        self.cells.resize(old_len + added, 0);
-        self.cells.copy_within(start..old_len, start + added);
-        // Every later row (the successor's start included) moves up by the
-        // gap; the new row's `m` run ends go in front of them.
-        for off in &mut self.offsets[pos * m + 1..] {
-            *off += added;
-        }
-        let mut end = start;
-        let cells = &mut self.cells;
-        let row_ends = seq.iter_levels().map(|(_, set)| {
-            let packed = set.packed_slice();
-            cells[end..end + packed.len()].copy_from_slice(packed);
-            end += packed.len();
-            end
-        });
-        self.offsets.reserve_exact(m);
-        self.offsets.splice(pos * m + 1..pos * m + 1, row_ends);
-
-        let mut keyed = KeyedRows::with_capacity(m, added);
         for (_, set) in seq.iter_levels() {
-            keyed.push(set.packed_slice());
-        }
-        self.keyed.splice(pos * m, &keyed);
-
-        // Every later position moves up by one; the entity's keys of the
-        // posted levels are the fresh entries.
-        u32::try_from(self.len()).expect("arena positions are addressable by u32");
-        let mut fresh = vec![Vec::new(); m.min(POSTED_LEVELS)];
-        push_postings(&keyed, 0, pos as u32, &mut fresh);
-        let shift = |old: usize| Some((old + usize::from(old >= pos)) as u32);
-        self.postings = self.carry_postings(shift, fresh);
-
-        for (i, rows) in self.signatures.iter_mut().enumerate() {
-            let row = sig.level((i + 1) as Level);
-            debug_assert_eq!(row.len(), self.sig_width);
-            let sig_start = pos * self.sig_width;
-            rows.reserve_exact(row.len());
-            rows.splice(sig_start..sig_start, row.iter().copied());
+            self.cells.extend_from_slice(set.packed_slice());
+            self.offsets.push(self.cells.len());
         }
     }
 
@@ -704,7 +588,7 @@ impl CandidateArena {
     /// Number of levels (the sp-index height).
     #[inline]
     pub fn num_levels(&self) -> usize {
-        self.signatures.len()
+        self.num_levels
     }
 
     /// The arena row of an entity, or `None` when it is not indexed.
@@ -729,21 +613,13 @@ impl CandidateArena {
         &self.cells[row[i]..row[i + 1]]
     }
 
-    /// The level-`level` signature row of the entity at `pos` (1-based level).
-    #[inline]
-    pub fn signature_row(&self, level: Level, pos: usize) -> &[u64] {
-        &self.signatures[(level - 1) as usize][pos * self.sig_width..(pos + 1) * self.sig_width]
-    }
-
     /// Resident heap footprint of the arena in bytes: the capacity of every
     /// vector, i.e. what the allocator holds for it.
     pub(crate) fn resident_bytes(&self) -> usize {
-        let signatures: usize = self.signatures.iter().map(Vec::capacity).sum();
-        (self.cells.capacity() + signatures) * std::mem::size_of::<u64>()
+        self.cells.capacity() * std::mem::size_of::<u64>()
             + self.keyed.resident_bytes()
             + self.postings.iter().map(Postings::resident_bytes).sum::<usize>()
             + self.postings.capacity() * std::mem::size_of::<Postings>()
-            + self.signatures.capacity() * std::mem::size_of::<Vec<u64>>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.entities.capacity() * std::mem::size_of::<EntityId>()
     }
@@ -997,7 +873,7 @@ impl CandidateArena {
 ///
 /// Like the candidate arena it is **read-path only**: the owned tree stays
 /// the source of truth for mutation and persistence, and each snapshot
-/// publish (or insert absorb) rebuilds these rows in `O(nodes)`.
+/// publish rebuilds these rows in `O(nodes)`.
 #[derive(Debug, Clone, Default)]
 pub struct NodeArena {
     levels: Level,
@@ -1566,7 +1442,7 @@ impl TraceSource for ArenaSource<'_> {
 }
 
 /// Every observable of `got` equals `expect`'s — packed cells, keyed rows,
-/// every posted level's postings, signatures — footprint included.
+/// every posted level's postings — footprint included.
 #[cfg(test)]
 pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, context: &str) {
     assert_eq!(got.entities(), expect.entities(), "{context}");
@@ -1584,11 +1460,6 @@ pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, c
                 got.keyed.row(row),
                 expect.keyed.row(row),
                 "{context}: keyed row of {pos}, level {level}"
-            );
-            assert_eq!(
-                got.signature_row(level, pos),
-                expect.signature_row(level, pos),
-                "{context}: signature of row {pos}, level {level}"
             );
         }
     }
@@ -1791,19 +1662,22 @@ mod tests {
         (sp, sequences, signatures)
     }
 
+    /// The two-level arena `build` makes of `sequences`.
+    fn arena_of(sequences: &BTreeMap<EntityId, CellSetSequence>) -> CandidateArena {
+        CandidateArena::build(2, 8, sequences, &BTreeMap::new())
+    }
+
     #[test]
     fn build_mirrors_owned_maps() {
         let (_sp, sequences, signatures) = fixture(5);
         let arena = CandidateArena::build(2, 8, &sequences, &signatures);
         assert_eq!(arena.len(), 5);
         assert_eq!(arena.num_levels(), 2);
-        assert_eq!(arena.sig_width, 8);
         for (pos, (&entity, seq)) in sequences.iter().enumerate() {
             assert_eq!(arena.position(entity), Some(pos));
             for level in 1..=2 {
                 let packed = seq.level(level).packed_slice();
                 assert_eq!(arena.level_cells(level, pos), packed);
-                assert_eq!(arena.signature_row(level, pos), signatures[&entity].level(level));
                 let (mut keys, mut masks) = (Vec::new(), Vec::new());
                 push_keyed(packed, &mut keys, &mut masks);
                 let row = arena.keyed.row(pos * 2 + level as usize - 1);
@@ -1842,13 +1716,15 @@ mod tests {
         assert_eq!(one.postings.len(), 1);
     }
 
+    /// A lone insert rebuilds like a full build: at every position of a
+    /// population with short-row entities (nothing at all, level 1 only, one
+    /// cell at each level), and one insert at a time from empty in shuffled
+    /// orders.
     #[test]
-    fn absorb_insert_equals_full_rebuild() {
-        let (sp, mut sequences, mut signatures) = fixture(9);
-        let hasher =
-            HierarchicalHasher::new(SeededHashFamily::new(8, 7, 10_000), HasherMode::PathMax);
-        // Entities with short rows: nothing at all, level 1 only, one cell
-        // at each level — at ids below, between and above the regular ones.
+    fn lone_insert_rebuild_equals_full_build() {
+        let (sp, mut sequences, _) = fixture(9);
+        // Entities with short rows — at ids below, between and above the
+        // regular ones.
         let unit = sp.base_units()[0];
         let top = sp.ancestor_at_level(unit, 1).unwrap();
         let one = |unit| CellSet::from_cells(vec![StCell::new(3, unit)]);
@@ -1859,20 +1735,20 @@ mod tests {
         ] {
             // Id 4 replaces a regular entity; the other two are new.
             let seq = CellSetSequence::from_level_sets(&sp, sets).unwrap();
-            signatures.insert(EntityId(id), SignatureList::build(&sp, &hasher, &seq));
             sequences.insert(EntityId(id), seq);
         }
-        let full = CandidateArena::build(2, 8, &sequences, &signatures);
+        let full = arena_of(&sequences);
         let ids: Vec<EntityId> = sequences.keys().copied().collect();
 
-        // Removing and re-absorbing any single entity — first and last
+        // Removing and re-inserting any single entity — first and last
         // position included — reproduces the full build.
         for &held in &ids {
-            let (mut seqs, mut sigs) = (sequences.clone(), signatures.clone());
-            let (seq, sig) = (seqs.remove(&held).unwrap(), sigs.remove(&held).unwrap());
-            let mut arena = CandidateArena::build(2, 8, &seqs, &sigs);
-            arena.absorb_insert(held, &seq, &sig);
-            assert_same_arena(&arena, &full, &format!("re-absorbing {held:?}"));
+            let mut seqs = sequences.clone();
+            seqs.remove(&held);
+            let previous = arena_of(&seqs);
+            seqs.insert(held, sequences[&held].clone());
+            let arena = previous.rebuild(2, &seqs, &[(held, None)]);
+            assert_same_arena(&arena, &full, &format!("re-inserting {held:?}"));
         }
 
         // Growing from empty in random orders equals the build over the same
@@ -1883,14 +1759,13 @@ mod tests {
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.below(i as u64 + 1) as usize);
             }
-            let mut arena = CandidateArena::build(2, 8, &BTreeMap::new(), &BTreeMap::new());
-            let (mut seqs, mut sigs) = (BTreeMap::new(), BTreeMap::new());
+            let mut seqs = BTreeMap::new();
+            let mut arena = arena_of(&seqs);
             for &entity in &order {
-                arena.absorb_insert(entity, &sequences[&entity], &signatures[&entity]);
                 seqs.insert(entity, sequences[&entity].clone());
-                sigs.insert(entity, signatures[&entity].clone());
-                let rebuilt = CandidateArena::build(2, 8, &seqs, &sigs);
-                assert_same_arena(&arena, &rebuilt, &format!("round {round}, after {entity:?}"));
+                arena = arena.rebuild(2, &seqs, &[(entity, None)]);
+                let context = format!("round {round}, after {entity:?}");
+                assert_same_arena(&arena, &arena_of(&seqs), &context);
             }
         }
     }
@@ -1899,13 +1774,11 @@ mod tests {
     /// runs, listed and new ones read from the maps, grown ones united with
     /// their delta — equals a full build over the changed maps: changes at
     /// the first and last position, in runs and alone, removals that merge
-    /// two runs, nothing and everything listed.
+    /// two runs, a lone insert, nothing and everything listed.
     #[test]
     fn rebuild_carrying_rows_equals_full_build() {
-        let (sp, sequences, signatures) = fixture(12);
-        let hasher =
-            HierarchicalHasher::new(SeededHashFamily::new(8, 7, 10_000), HasherMode::PathMax);
-        let previous = CandidateArena::build(2, 8, &sequences, &signatures);
+        let (sp, sequences, _) = fixture(12);
+        let previous = arena_of(&sequences);
         let stay = |unit_at: usize, times: std::ops::Range<u32>| {
             let unit = sp.base_units()[unit_at];
             let cells = CellSet::from_cells(times.map(|t| StCell::new(t, unit)));
@@ -1915,8 +1788,9 @@ mod tests {
         let all: Vec<u64> = (0..12).chain([40, 41]).collect();
         // (replaced, removed, inserted, grown) ids.
         type Case<'a> = (&'a [u64], &'a [u64], &'a [u64], &'a [u64]);
-        let cases: [Case<'_>; 7] = [
+        let cases: [Case<'_>; 8] = [
             (&[], &[], &[], &[]),
+            (&[], &[], &[40], &[]),
             (&[0, 11], &[], &[], &[]),
             (&[3, 4, 5], &[7], &[40], &[]),
             (&[], &[1, 2, 9], &[41], &[]),
@@ -1925,40 +1799,27 @@ mod tests {
             (&[5], &[6], &[40], &[0, 3, 4, 11]),
         ];
         for (replace, remove, insert, grow) in cases {
-            let (mut seqs, mut sigs) = (sequences.clone(), signatures.clone());
+            let mut seqs = sequences.clone();
             let mut changed = Vec::new();
             for &id in replace.iter().chain(insert) {
-                sigs.insert(EntityId(id), SignatureList::build(&sp, &hasher, &replaced));
                 seqs.insert(EntityId(id), replaced.clone());
                 changed.push((EntityId(id), None));
             }
             for &id in remove {
                 seqs.remove(&EntityId(id));
-                sigs.remove(&EntityId(id));
                 changed.push((EntityId(id), None));
             }
             for &id in grow {
                 let grown = seqs[&EntityId(id)].union(&delta);
-                sigs.insert(EntityId(id), SignatureList::build(&sp, &hasher, &grown));
                 seqs.insert(EntityId(id), grown);
                 changed.push((EntityId(id), Some(delta.clone())));
             }
             changed.sort_by_key(|(id, _)| *id);
             let context =
                 format!("replace {replace:?}, remove {remove:?}, insert {insert:?}, grow {grow:?}");
-            let rebuilt = previous.rebuild(2, 8, &seqs, &sigs, &changed);
-            assert_same_arena(&rebuilt, &CandidateArena::build(2, 8, &seqs, &sigs), &context);
+            let rebuilt = previous.rebuild(2, &seqs, &changed);
+            assert_same_arena(&rebuilt, &arena_of(&seqs), &context);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a new entity")]
-    fn absorb_insert_rejects_existing_entity() {
-        let (_sp, sequences, signatures) = fixture(3);
-        let mut arena = CandidateArena::build(2, 8, &sequences, &signatures);
-        let seq = sequences[&EntityId(1)].clone();
-        let sig = signatures[&EntityId(1)].clone();
-        arena.absorb_insert(EntityId(1), &seq, &sig);
     }
 
     #[test]

@@ -33,7 +33,6 @@ use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
 use crate::stats::QueryStats;
 use crate::synopsis::Synopsis;
 use crate::tree::MinSigTree;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
 
@@ -93,9 +92,9 @@ pub struct IndexSnapshot {
     /// [`publish`](Self::publish): equals [`Synopsis::compute`] over
     /// `sequences`.
     synopsis: Synopsis,
-    /// The flat candidate arena ([`crate::kernel`]): a read-path-only
-    /// CSR/SoA mirror of `sequences` + `signatures`.  Invariant, kept by
-    /// [`publish`](Self::publish): equals [`CandidateArena::build`] over them.
+    /// The flat candidate arena ([`crate::kernel`]): a read-path-only CSR
+    /// mirror of `sequences`.  Invariant, kept by [`publish`](Self::publish):
+    /// equals [`CandidateArena::build`] over it.
     arena: CandidateArena,
     /// The flat node rows of the tree ([`crate::kernel::NodeArena`]): the
     /// read-path-only SoA/CSR mirror of `tree` every tree search expands
@@ -237,24 +236,20 @@ impl IndexSnapshot {
     /// the tree and the owned maps, then brings the three mirrors back in
     /// line with them at `epoch`: the one mutator, in place.
     ///
-    /// A lone [`Change::Put`] of a new entity only grows the population, so
-    /// the synopsis and the candidate arena absorb it in `O(delta + n)`;
-    /// anything else can shrink sizes, and only a recompute and a rebuild
-    /// stay exact.  The rebuild reads the changed entities from the maps and
-    /// copies everyone else's rows from the arena it replaces
-    /// ([`CandidateArena::rebuild`]), so only the batch's keyed rows are
-    /// converted.  The node rows are rebuilt either way — even one insert
-    /// re-routes tree paths — in `O(nodes)`, the order of the arena splice.
+    /// One path whatever the batch: the synopsis is recomputed, the node
+    /// rows are rebuilt in `O(nodes)`, and the candidate arena is rebuilt by
+    /// reading the changed entities from the maps and copying everyone
+    /// else's rows from the arena it replaces ([`CandidateArena::rebuild`]),
+    /// so only the batch's keyed rows are converted.
     pub(crate) fn publish(&mut self, changes: Vec<(EntityId, Change)>, epoch: u64) -> Published {
         let previous = std::mem::take(&mut self.arena);
-        self.publish_over(Cow::Owned(previous), changes, epoch)
+        self.publish_over(&previous, changes, epoch)
     }
 
     /// [`publish`](Self::publish) onto a copy of this snapshot — what a
     /// commit does while readers still hold this one.  The copy takes every
     /// part but the two arenas, which the publish rebuilds from this
-    /// snapshot's (cloning the candidate arena only to absorb into it): no
-    /// arena is copied just to be dropped.
+    /// snapshot's: no arena is copied just to be dropped.
     pub(crate) fn publish_copy(
         &self,
         changes: Vec<(EntityId, Change)>,
@@ -272,7 +267,7 @@ impl IndexSnapshot {
             arena: CandidateArena::default(),
             node_arena: NodeArena::default(),
         };
-        let published = next.publish_over(Cow::Borrowed(&self.arena), changes, epoch);
+        let published = next.publish_over(&self.arena, changes, epoch);
         (next, published)
     }
 
@@ -280,17 +275,10 @@ impl IndexSnapshot {
     /// arena of the version it replaces.
     fn publish_over(
         &mut self,
-        previous: Cow<'_, CandidateArena>,
+        previous: &CandidateArena,
         changes: Vec<(EntityId, Change)>,
         epoch: u64,
     ) -> Published {
-        let absorb = matches!(&changes[..], [(entity, Change::Put(..))] if !self.contains(*entity));
-        let previous = if absorb {
-            self.arena = previous.into_owned();
-            None
-        } else {
-            Some(previous)
-        };
         // Every changed entity, with the delta it grew by when that is all
         // that happened to it: the rebuild unites its rows with the delta's.
         let mut changed: Vec<(EntityId, Option<CellSetSequence>)> = Vec::new();
@@ -325,32 +313,23 @@ impl IndexSnapshot {
                 }
             };
             self.tree.insert(entity, &sig);
-            if absorb {
-                self.absorb_into_synopsis(entity, &seq, epoch);
-                self.arena.absorb_insert(entity, &seq, &sig);
-            }
             match self.sequences.insert(entity, seq) {
                 None => published.inserted += 1,
                 Some(_) => published.replaced += 1,
             }
             self.signatures.insert(entity, sig);
         }
-        match previous {
-            None => self.node_arena = NodeArena::build(&self.tree),
-            Some(previous) => {
-                // An entity changed twice grew by more than its last delta.
-                changed.sort_by_key(|(entity, _)| *entity);
-                changed.dedup_by(|later, first| {
-                    let twice = later.0 == first.0;
-                    if twice {
-                        first.1 = None;
-                    }
-                    twice
-                });
-                self.set_sketch_size(self.synopsis.sketch_size(), epoch);
-                self.rebuild_arena(&previous, &changed);
+        // An entity changed twice grew by more than its last delta.
+        changed.sort_by_key(|(entity, _)| *entity);
+        changed.dedup_by(|later, first| {
+            let twice = later.0 == first.0;
+            if twice {
+                first.1 = None;
             }
-        }
+            twice
+        });
+        self.set_sketch_size(self.synopsis.sketch_size(), epoch);
+        self.rebuild_arena(previous, &changed);
         published
     }
 
@@ -362,13 +341,7 @@ impl IndexSnapshot {
         previous: &CandidateArena,
         changed: &[(EntityId, Option<CellSetSequence>)],
     ) {
-        self.arena = previous.rebuild(
-            self.tree.levels(),
-            self.hasher.num_functions() as usize,
-            &self.sequences,
-            &self.signatures,
-            changed,
-        );
+        self.arena = previous.rebuild(self.tree.levels(), &self.sequences, changed);
         self.node_arena = NodeArena::build(&self.tree);
     }
 
@@ -379,36 +352,16 @@ impl IndexSnapshot {
         self.synopsis = synopsis_of(&self.tree, &self.sequences, m, epoch);
     }
 
-    /// Absorbs one entity **about to be inserted** into the synopsis without
-    /// rescanning the population — `O(m log n)` for the sketch comparison
-    /// instead of the full `O(n × levels)` recompute — with the same result
-    /// as the recompute (see [`Synopsis::absorb_insert`]).
-    fn absorb_into_synopsis(&mut self, entity: EntityId, seq: &CellSetSequence, epoch: u64) {
-        let levels = self.tree.levels();
-        let level_sizes: Vec<usize> = (1..=levels).map(|l| seq.level(l).len()).collect();
-        let total = seq.total_cells();
-        // Splice position under the sketch order (total cells descending,
-        // id ascending), ranked against the current members' live totals.
-        let hot = self.synopsis.hot_entities();
-        let ranks_before = |&member: &EntityId| {
-            let member_total = self.sequences[&member].total_cells();
-            total > member_total || (total == member_total && entity < member)
-        };
-        let insert_at = hot.iter().position(ranks_before).unwrap_or(hot.len());
-        let belongs = self.synopsis.sketch_size() > 0
-            && (insert_at < hot.len() || hot.len() < self.synopsis.sketch_size());
-        self.synopsis.absorb_insert(&level_sizes, entity, belongs.then_some(insert_at), epoch);
-    }
-
     /// Estimated resident heap footprint of this snapshot in bytes: the tree
     /// (what [`IndexStats::index_bytes`](crate::stats::IndexStats) reports,
     /// the paper's Section 7.8 accounting) **plus** the per-entity signature
-    /// lists and materialised sequences.
+    /// lists, the materialised sequences and the two arenas' capacities.
     ///
     /// This is the number to use for capacity planning — it is what a
     /// copy-on-write clone duplicates while readers hold an older snapshot —
-    /// and it is dominated by the signatures (`entities × m × nh × 8` bytes)
-    /// and sequences, not the tree.
+    /// and it is dominated by the sequences with their arena rows and by the
+    /// signatures (`entities × m × nh × 8` bytes, held once: the arena keeps
+    /// none), not the tree.
     pub fn resident_bytes(&self) -> usize {
         let sig_bytes: usize = self
             .signatures

@@ -28,13 +28,9 @@
 //!
 //! The synopsis always equals [`Synopsis::compute`] over the snapshot it
 //! travels with — the caps are exact maxima of the *current* population,
-//! never stale upper bounds.  Pure single-entity **inserts** are absorbed
-//! incrementally (caps are monotone under growth and the new top-m is the
-//! top-m of the old top-m plus the new entity — `O(m log n)`, so streaming
-//! per-record inserts stay `O(delta)`); every mutation that can *shrink*
-//! sizes (replacement, removal, batch flushes) triggers a full recompute —
-//! one `O(entities × levels)` pass over already-materialised sequence
-//! lengths; no cell is ever hashed.  Each synopsis records the snapshot
+//! never stale upper bounds.  Every publish, a lone insert included,
+//! recomputes it — one `O(entities × levels)` pass over already-materialised
+//! sequence lengths; no cell is ever hashed.  Each synopsis records the snapshot
 //! [`epoch`](Synopsis::epoch) it was computed at.
 //!
 //! The synopsis is persisted inside the `MSIX` v2 file ([`crate::persist`])
@@ -104,34 +100,6 @@ impl Synopsis {
             level_caps,
             num_entities,
             hot_entities: sized.into_iter().map(|(_, e)| e).collect(),
-        }
-    }
-
-    /// Absorbs one **newly inserted** entity without rescanning the
-    /// population: caps max in the new per-level sizes, the count grows by
-    /// one, and `sketch_insert_at` (computed by the caller against the
-    /// current members' totals) splices the entity into the hot sketch.
-    ///
-    /// Exactly equivalent to a full [`compute`](Synopsis::compute) over the
-    /// grown population — a pure insert can only raise caps, and the new
-    /// top-m is the top-m of (old top-m ∪ {new entity}).  Replacements and
-    /// removals can shrink sizes and must recompute instead.
-    pub(crate) fn absorb_insert(
-        &mut self,
-        level_sizes: &[usize],
-        entity: EntityId,
-        sketch_insert_at: Option<usize>,
-        epoch: u64,
-    ) {
-        debug_assert_eq!(level_sizes.len(), self.level_caps.len());
-        for (cap, &size) in self.level_caps.iter_mut().zip(level_sizes) {
-            *cap = (*cap).max(size);
-        }
-        self.num_entities += 1;
-        self.epoch = epoch;
-        if let Some(pos) = sketch_insert_at {
-            self.hot_entities.insert(pos, entity);
-            self.hot_entities.truncate(self.sketch_size);
         }
     }
 

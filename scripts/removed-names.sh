@@ -84,4 +84,10 @@ grep -rn 'BENCH[_]' .gitignore README.md docs crates src tests && fail
 name='No batch planning'
 grep -rnE 'BatchPlan|BatchGroup|sketch_positions|amortized_planning' crates src tests examples && fail
 
+# The candidate arena holds cells, not signatures, and every publish
+# rebuilds it one way: no signature rows and no lone-insert splice come
+# back (`-w`, so `build`'s unread `_sig_width` does not match).
+name='One publish path, no arena signatures'
+grep -rnwE 'signature_row|absorb_insert|absorb_into_synopsis|sig_width' crates src tests examples && fail
+
 exit $bad

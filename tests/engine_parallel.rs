@@ -3,15 +3,16 @@
 //! batch and join evaluation equal per-entity evaluation, snapshots are
 //! isolated from subsequent updates on the index handle, and a sharded
 //! fan-out's scan jobs answer and count the same on the workers as on the
-//! caller's thread — on every path the whole `QueryStats` work record, not
-//! only the answer.
+//! caller's thread, and an unsharded query repeats itself exactly after
+//! every kind of publish — on every path the whole `QueryStats` work record,
+//! not only the answer.
 
 use digital_traces::index::testkit::{
-    PlannerDispersedConfig, PruningAdversarialConfig, UniformConfig, Workload,
+    PlannerDispersedConfig, PruningAdversarialConfig, StreamConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    IndexConfig, JoinOptions, MinSigIndex, PlannerConfig, Query, QueryStats, ShardDecision,
-    ShardedMinSigIndex, TopKResult,
+    IndexConfig, IngestBuffer, JoinOptions, MinSigIndex, PlannerConfig, Query, QueryStats,
+    ShardDecision, ShardedMinSigIndex, TopKResult,
 };
 use digital_traces::{EntityId, PaperAdm, Period, PresenceInstance, SpIndex, TraceSet};
 use proptest::prelude::*;
@@ -233,6 +234,62 @@ fn scan_jobs_answer_and_count_the_same_on_the_workers_as_on_the_caller() {
             assert_eq!(work(&threaded_stats), work(&inline_stats), "{ctx}");
             let tree = (threaded_stats.nodes_visited, threaded_stats.steps);
             assert_eq!((tree, threaded_stats.bound_updates), ((0, 0), 0), "{ctx}");
+        }
+    }
+}
+
+/// The unsharded half of repeatability: on a `MinSigIndex` that every
+/// publisher has touched — lone inserts of new ids, a replace, an ingest
+/// flush and a removal — each query answers bitwise the same twice on the
+/// handle and once more on a held snapshot, with the same work record.
+#[test]
+fn unsharded_queries_repeat_exactly_after_every_publisher() {
+    let w = Workload::uniform(UniformConfig {
+        entities: 90,
+        visits: 40,
+        time_slots: 400,
+        ..UniformConfig::default()
+    });
+    let mut index = w.build_index(IndexConfig::with_hash_functions(16));
+    let inserted: Vec<EntityId> = (0..3u64).map(|i| EntityId(9_000 + i)).collect();
+    for (i, &entity) in inserted.iter().enumerate() {
+        let donor = w.traces.trace(EntityId(10 + i as u64)).unwrap();
+        assert!(index.upsert_entity(entity, donor).unwrap(), "{entity} is new");
+    }
+    index.update_entity(EntityId(4), w.traces.trace(EntityId(50)).unwrap()).unwrap();
+    let mut buffer: IngestBuffer = w
+        .stream(StreamConfig {
+            records: 80,
+            existing_entities: 90,
+            new_entity_base: 10_000,
+            new_entity_span: 6,
+            new_entity_percent: 20,
+            start_tick: 30_000,
+            time_slots: 90,
+            seed: 0x5EED,
+        })
+        .into_iter()
+        .collect();
+    buffer.flush(&mut index).unwrap();
+    index.remove_entity(EntityId(7)).unwrap();
+    assert_eq!(index.epoch(), 6);
+
+    let held = index.snapshot();
+    let measure = w.measure();
+    let mut queries = inserted.clone();
+    queries.push(EntityId(4));
+    queries.extend(index.sequences().keys().copied().step_by(7));
+    assert!(queries.len() >= 16);
+    let bits = |answer: &[TopKResult]| -> Vec<(EntityId, u64)> {
+        answer.iter().map(|r| (r.entity, r.degree.to_bits())).collect()
+    };
+    for &entity in &queries {
+        let (first, first_stats) = index.top_k(entity, 8, &measure).unwrap();
+        let second = index.top_k(entity, 8, &measure).unwrap();
+        let on_held = held.top_k(entity, 8, &measure).unwrap();
+        for (run, (answer, stats)) in [("second run", second), ("held snapshot", on_held)] {
+            assert_eq!(bits(&answer), bits(&first), "{entity}, {run}: answer");
+            assert_eq!(work(&stats), work(&first_stats), "{entity}, {run}: work");
         }
     }
 }
