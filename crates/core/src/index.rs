@@ -90,9 +90,10 @@ impl MinSigIndex {
     ///
     /// The returned snapshot never changes: subsequent
     /// [`update_entity`](Self::update_entity) / [`remove_entity`](Self::remove_entity)
-    /// calls copy the index state before mutating it (copy-on-write), so
-    /// concurrent readers keep a consistent view for as long as they hold the
-    /// `Arc`.  Dropping all snapshot clones makes later updates in-place again.
+    /// calls publish onto a copy of the index state (copy-on-write) that
+    /// shares every entity they do not change, so concurrent readers keep a
+    /// consistent view for as long as they hold the `Arc`.  Dropping all
+    /// snapshot clones makes later updates in-place again.
     pub fn snapshot(&self) -> Arc<IndexSnapshot> {
         Arc::clone(&self.snapshot)
     }
@@ -166,9 +167,10 @@ impl MinSigIndex {
     /// semantics, and [`crate::ingest::IngestBuffer`] to apply many additions
     /// as one batch.
     ///
-    /// If snapshots are currently shared with readers, the update first clones
-    /// the index state (copy-on-write) so those readers stay on their old,
-    /// consistent version.
+    /// If snapshots are currently shared with readers, the update publishes
+    /// onto a copy of the index state (copy-on-write, sharing every other
+    /// entity's cells) so those readers stay on their old, consistent
+    /// version.
     pub fn update_entity(&mut self, entity: EntityId, trace: &DigitalTrace) -> Result<()> {
         if !self.snapshot.contains(entity) {
             return Err(IndexError::UnknownEntity(entity.raw()));

@@ -872,8 +872,10 @@ impl CandidateArena {
 /// are the arena's own.
 ///
 /// Like the candidate arena it is **read-path only**: the owned tree stays
-/// the source of truth for mutation and persistence, and each snapshot
-/// publish rebuilds these rows in `O(nodes)`.
+/// the source of truth for mutation and persistence.  A snapshot builds
+/// these rows in `O(nodes)` when a tree search first asks for them
+/// ([`IndexSnapshot::node_arena`](crate::IndexSnapshot::node_arena)); a
+/// publish drops them.
 #[derive(Debug, Clone, Default)]
 pub struct NodeArena {
     levels: Level,

@@ -18,6 +18,7 @@
 use crate::config::HasherMode;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::Arc;
 use trace_model::{CellSetSequence, Level, SpIndex, StCell};
 
 /// A family of `nh` hash functions over base-level ST-cells.
@@ -180,9 +181,13 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
 
 /// The per-level signature list of one entity (Section 4.2.1): `levels[i-1][u]` is
 /// `sig^i[u]`.
+///
+/// The levels are shared: a clone is O(1), and `merge_min` copies them only
+/// while another clone still holds them, so a copy-on-write publish copies
+/// only the signatures it merges into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureList {
-    levels: Vec<Vec<u64>>,
+    levels: Arc<Vec<Vec<u64>>>,
 }
 
 impl SignatureList {
@@ -209,7 +214,7 @@ impl SignatureList {
             }
             levels.push(sig);
         }
-        SignatureList { levels }
+        SignatureList { levels: Arc::new(levels) }
     }
 
     /// Reassembles a signature list from raw per-level vectors (the inverse of
@@ -224,7 +229,7 @@ impl SignatureList {
                 "all levels of a signature must have the same width"
             );
         }
-        SignatureList { levels }
+        SignatureList { levels: Arc::new(levels) }
     }
 
     /// The raw per-level signature vectors (`levels()[i - 1][u]` is `sig^i[u]`).
@@ -242,11 +247,14 @@ impl SignatureList {
     /// hashed, and the result is bit-identical to rebuilding the signature
     /// from the full merged sequence.
     ///
+    /// The levels are copied first when another clone still shares them
+    /// (`Arc::make_mut`), so that clone keeps the signature it had.
+    ///
     /// # Panics
     /// Panics when the two signatures have different shapes.
     pub(crate) fn merge_min(&mut self, other: &SignatureList) {
         assert_eq!(self.levels.len(), other.levels.len(), "level count mismatch in merge");
-        for (mine, theirs) in self.levels.iter_mut().zip(other.levels.iter()) {
+        for (mine, theirs) in Arc::make_mut(&mut self.levels).iter_mut().zip(other.levels.iter()) {
             assert_eq!(mine.len(), theirs.len(), "signature width mismatch in merge");
             trace_model::kernel::merge_min(mine, theirs);
         }
@@ -541,6 +549,18 @@ pub(crate) mod tests {
         merged.merge_min(&SignatureList::build(&sp, &hasher, &seq_b));
         let rebuilt = SignatureList::build(&sp, &hasher, &seq_union);
         assert_eq!(merged, rebuilt);
+
+        // Merging into a clone copies the shared levels first: the original
+        // keeps sig(A), storage and values.
+        let original = SignatureList::build(&sp, &hasher, &seq_a);
+        let before: Vec<Vec<u64>> = original.levels().to_vec();
+        let mut copy = original.clone();
+        assert!(std::ptr::eq(copy.levels(), original.levels()), "a clone shares its levels");
+        copy.merge_min(&SignatureList::build(&sp, &hasher, &seq_b));
+        assert_eq!(copy, rebuilt);
+        assert!(!std::ptr::eq(copy.levels(), original.levels()), "a merge copies shared levels");
+        assert_eq!(original.levels(), before.as_slice());
+        assert_ne!(original, rebuilt, "the delta lowers some value");
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! an `Arc<IndexSnapshot>` with copy-on-write semantics: while no reader holds
 //! a second reference, `update_entity`/`remove_entity` mutate the snapshot in
 //! place (the common single-owner case costs nothing); once a reader has
-//! cloned the `Arc`, the next update first clones the snapshot, so in-flight
+//! cloned the `Arc`, the next update publishes onto a copy, so in-flight
 //! readers keep an unchanging view — snapshot isolation by immutability.
+//! The copy shares every value the update does not change: an entity's
+//! sequence and signature are `Arc`-backed, so an untouched entity costs the
+//! copy a pointer, not its cells, and the spatial hierarchy is one `Arc`.
 //!
 //! ## One writer
 //!
@@ -22,7 +25,9 @@
 //! through `MinSigIndex::commit`.  `publish` applies per-entity `Change`s and
 //! then brings the mirrors back in line with the maps, so "the mirrors equal
 //! a from-scratch build" is one function's postcondition rather than a
-//! protocol every mutation path repeats.
+//! protocol every mutation path repeats.  The node rows are filled late:
+//! only the unsharded tree search reads them, so a publish drops them and
+//! `IndexSnapshot::node_arena` builds them on first use.
 
 use crate::config::IndexConfig;
 use crate::engine;
@@ -34,6 +39,7 @@ use crate::stats::QueryStats;
 use crate::synopsis::Synopsis;
 use crate::tree::MinSigTree;
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
 
 /// One immutable version of the MinSigTree index: the unit of sharing between
@@ -75,7 +81,7 @@ use trace_model::{AssociationMeasure, CellSetSequence, EntityId, SpIndex};
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexSnapshot {
-    pub(crate) sp: SpIndex,
+    pub(crate) sp: Arc<SpIndex>,
     pub(crate) config: IndexConfig,
     pub(crate) ticks_per_unit: u64,
     pub(crate) hasher: HierarchicalHasher<SeededHashFamily>,
@@ -98,9 +104,11 @@ pub struct IndexSnapshot {
     arena: CandidateArena,
     /// The flat node rows of the tree ([`crate::kernel::NodeArena`]): the
     /// read-path-only SoA/CSR mirror of `tree` every tree search expands
-    /// through.  Invariant, kept by [`publish`](Self::publish): equals
+    /// through, built by [`node_arena`](Self::node_arena) on first use —
+    /// sharded queries scan and never ask.  Invariant, kept by
+    /// [`publish`](Self::publish), which empties it: once filled, equals
     /// [`NodeArena::build`] over `tree`.
-    node_arena: NodeArena,
+    node_arena: OnceLock<NodeArena>,
 }
 
 /// Everything a snapshot is made of except its mirrors: what a fresh build
@@ -206,8 +214,9 @@ impl IndexSnapshot {
     /// The flat node rows of this snapshot's tree (see
     /// [`crate::kernel::NodeArena`]) — the topology every
     /// [`top_k_for_sequence`](Self::top_k_for_sequence) expands through.
+    /// Built in `O(nodes)` by the first call on this snapshot, then kept.
     pub fn node_arena(&self) -> &NodeArena {
-        &self.node_arena
+        self.node_arena.get_or_init(|| NodeArena::build(&self.tree))
     }
 
     /// Assembles a snapshot from its parts and builds the mirrors over them:
@@ -217,7 +226,7 @@ impl IndexSnapshot {
             synopsis_of(&parts.tree, &parts.sequences, crate::synopsis::DEFAULT_SKETCH_SIZE, 0)
         });
         let mut snapshot = IndexSnapshot {
-            sp: parts.sp,
+            sp: Arc::new(parts.sp),
             config: parts.config,
             ticks_per_unit: parts.ticks_per_unit,
             hasher: parts.hasher,
@@ -226,7 +235,7 @@ impl IndexSnapshot {
             signatures: parts.signatures,
             synopsis,
             arena: CandidateArena::default(),
-            node_arena: NodeArena::default(),
+            node_arena: OnceLock::new(),
         };
         snapshot.rebuild_arena(&CandidateArena::default(), &[]);
         snapshot
@@ -237,26 +246,30 @@ impl IndexSnapshot {
     /// line with them at `epoch`: the one mutator, in place.
     ///
     /// One path whatever the batch: the synopsis is recomputed, the node
-    /// rows are rebuilt in `O(nodes)`, and the candidate arena is rebuilt by
-    /// reading the changed entities from the maps and copying everyone
-    /// else's rows from the arena it replaces ([`CandidateArena::rebuild`]),
-    /// so only the batch's keyed rows are converted.
+    /// rows are dropped (the next [`node_arena`](Self::node_arena) call
+    /// builds them), and the candidate arena is rebuilt by reading the
+    /// changed entities from the maps and copying everyone else's rows from
+    /// the arena it replaces ([`CandidateArena::rebuild`]), so only the
+    /// batch's keyed rows are converted.
     pub(crate) fn publish(&mut self, changes: Vec<(EntityId, Change)>, epoch: u64) -> Published {
         let previous = std::mem::take(&mut self.arena);
         self.publish_over(&previous, changes, epoch)
     }
 
     /// [`publish`](Self::publish) onto a copy of this snapshot — what a
-    /// commit does while readers still hold this one.  The copy takes every
-    /// part but the two arenas, which the publish rebuilds from this
-    /// snapshot's: no arena is copied just to be dropped.
+    /// commit does while readers still hold this one.  The copy shares every
+    /// value the changes leave alone: the spatial hierarchy, and each
+    /// untouched entity's sequence and signature, are pointer copies (a
+    /// merged signature is copied by its `merge_min`).  It takes no arena:
+    /// the publish rebuilds the candidate arena from this snapshot's, and
+    /// the node rows wait for their first reader.
     pub(crate) fn publish_copy(
         &self,
         changes: Vec<(EntityId, Change)>,
         epoch: u64,
     ) -> (IndexSnapshot, Published) {
         let mut next = IndexSnapshot {
-            sp: self.sp.clone(),
+            sp: Arc::clone(&self.sp),
             config: self.config,
             ticks_per_unit: self.ticks_per_unit,
             hasher: self.hasher.clone(),
@@ -265,7 +278,7 @@ impl IndexSnapshot {
             signatures: self.signatures.clone(),
             synopsis: self.synopsis.clone(),
             arena: CandidateArena::default(),
-            node_arena: NodeArena::default(),
+            node_arena: OnceLock::new(),
         };
         let published = next.publish_over(&self.arena, changes, epoch);
         (next, published)
@@ -333,16 +346,17 @@ impl IndexSnapshot {
         published
     }
 
-    /// Rebuilds both arenas over the maps, the candidate arena from
-    /// `previous` for every entity `changed` (ascending, with the delta an
-    /// entity only grew by) does not list ([`CandidateArena::rebuild`]).
+    /// Rebuilds the candidate arena over the maps from `previous` for every
+    /// entity `changed` (ascending, with the delta an entity only grew by)
+    /// does not list ([`CandidateArena::rebuild`]), and drops the node rows
+    /// of the tree it replaced.
     fn rebuild_arena(
         &mut self,
         previous: &CandidateArena,
         changed: &[(EntityId, Option<CellSetSequence>)],
     ) {
         self.arena = previous.rebuild(self.tree.levels(), &self.sequences, changed);
-        self.node_arena = NodeArena::build(&self.tree);
+        self.node_arena = OnceLock::new();
     }
 
     /// Recomputes the planning synopsis from the sequences with sketch size
@@ -355,13 +369,17 @@ impl IndexSnapshot {
     /// Estimated resident heap footprint of this snapshot in bytes: the tree
     /// (what [`IndexStats::index_bytes`](crate::stats::IndexStats) reports,
     /// the paper's Section 7.8 accounting) **plus** the per-entity signature
-    /// lists, the materialised sequences and the two arenas' capacities.
+    /// lists, the materialised sequences, the candidate arena's capacities
+    /// and, once a tree search has built them, the node rows'.
     ///
-    /// This is the number to use for capacity planning — it is what a
-    /// copy-on-write clone duplicates while readers hold an older snapshot —
-    /// and it is dominated by the sequences with their arena rows and by the
-    /// signatures (`entities × m × nh × 8` bytes, held once: the arena keeps
-    /// none), not the tree.
+    /// This is the number to use for capacity planning, and it is dominated
+    /// by the sequences with their arena rows and by the signatures
+    /// (`entities × m × nh × 8` bytes, held once: the arena keeps none), not
+    /// the tree.  It counts shared values in full: a copy-on-write publish
+    /// shares the sequences and signatures of every entity it did not touch
+    /// with the snapshot it replaced, so a reader holding that one costs
+    /// the tree, the maps' nodes, the touched entities and the arena, not
+    /// this sum twice.
     pub fn resident_bytes(&self) -> usize {
         let sig_bytes: usize = self
             .signatures
@@ -374,7 +392,7 @@ impl IndexSnapshot {
             + sig_bytes
             + seq_bytes
             + self.arena.resident_bytes()
-            + self.node_arena.resident_bytes()
+            + self.node_arena.get().map_or(0, NodeArena::resident_bytes)
     }
 
     /// Answers a top-k query for an indexed entity with default options.
@@ -449,8 +467,13 @@ impl IndexSnapshot {
     /// This snapshot with its node rows swapped for `rows` (the unfolded-tree
     /// oracle of the kernel tests).
     pub(crate) fn with_node_arena(mut self, rows: NodeArena) -> IndexSnapshot {
-        self.node_arena = rows;
+        self.node_arena = OnceLock::from(rows);
         self
+    }
+
+    /// True once something asked for this snapshot's node rows.
+    pub(crate) fn node_rows_built(&self) -> bool {
+        self.node_arena.get().is_some()
     }
 }
 
@@ -463,6 +486,8 @@ mod tests {
     use crate::kernel::assert_same_arena;
     use crate::shard::ShardedMinSigIndex;
     use crate::testkit::{StreamConfig, UniformConfig, Workload};
+    use std::collections::BTreeSet;
+    use trace_model::PresenceInstance;
     use trace_storage::LogConfig;
 
     /// `snapshot`'s arena against one built from scratch over its maps.
@@ -541,5 +566,173 @@ mod tests {
             drop(reader);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The entities a batch of records names.
+    fn touched_by(records: &[PresenceInstance]) -> BTreeSet<EntityId> {
+        records.iter().map(|r| r.entity).collect()
+    }
+
+    /// An entity's cells and signature as plain values, level by level.
+    type Values = (Vec<Vec<u64>>, Vec<Vec<u64>>);
+
+    /// `entity`'s [`Values`] in `snapshot`.
+    fn values_of(snapshot: &IndexSnapshot, entity: EntityId) -> Values {
+        let seq = snapshot.sequence(entity).unwrap();
+        let cells = seq.iter_levels().map(|(_, set)| set.packed_slice().to_vec()).collect();
+        (cells, snapshot.signature(entity).unwrap().levels().to_vec())
+    }
+
+    /// `after`, published over the held `before`, shares the sequence and
+    /// signature storage of every entity of `before` that `touched` does not
+    /// name, and of no touched entity it still holds; `before` still holds
+    /// `pinned`'s values.  Returns how many touched entities' signatures the
+    /// publish moved.
+    fn assert_shares_untouched(
+        before: &IndexSnapshot,
+        after: &IndexSnapshot,
+        touched: &BTreeSet<EntityId>,
+        pinned: &BTreeMap<EntityId, Values>,
+        context: &str,
+    ) -> usize {
+        let mut moved = 0;
+        for (&entity, seq) in before.sequences() {
+            let Some(next) = after.sequence(entity) else {
+                assert!(touched.contains(&entity), "{entity:?} vanished untouched, {context}");
+                continue;
+            };
+            let cells = std::ptr::eq(seq.level(1).packed_slice(), next.level(1).packed_slice());
+            let (sig, next_sig) = (before.signature(entity).unwrap(), after.signature(entity));
+            let sig_shared = std::ptr::eq(sig.levels(), next_sig.unwrap().levels());
+            let shared = !touched.contains(&entity);
+            assert_eq!(cells, shared, "{entity:?}'s cells shared, {context}");
+            assert_eq!(sig_shared, shared, "{entity:?}'s signature shared, {context}");
+            if let Some(values) = pinned.get(&entity) {
+                assert_eq!(&values_of(before, entity), values, "held {entity:?}, {context}");
+                moved += usize::from(sig != next_sig.unwrap());
+            }
+        }
+        moved
+    }
+
+    /// Every publisher, with a reader holding the snapshot it replaces,
+    /// shares the storage of exactly the entities its batch did not touch;
+    /// the held snapshot keeps every merged entity's cells and signature
+    /// bit for bit.
+    #[test]
+    fn a_pinned_publish_shares_exactly_what_it_did_not_change() {
+        let w = Workload::uniform(UniformConfig {
+            entities: 90,
+            visits: 40,
+            time_slots: 400,
+            ..UniformConfig::default()
+        });
+        let config = IndexConfig::with_hash_functions(8);
+        let stream = |i: u64| {
+            w.stream(StreamConfig {
+                records: 60,
+                existing_entities: 90,
+                new_entity_base: 1_000 + 10 * i,
+                new_entity_span: 4,
+                new_entity_percent: 25,
+                start_tick: 30_000 + 6_000 * i,
+                time_slots: 90,
+                seed: 0x5A4E + i,
+            })
+        };
+        let pin = |snapshot: &IndexSnapshot, touched: &BTreeSet<EntityId>| {
+            let held = touched.iter().filter(|e| snapshot.contains(**e));
+            held.map(|&e| (e, values_of(snapshot, e))).collect::<BTreeMap<_, _>>()
+        };
+
+        let mut index: MinSigIndex = w.build_index(config);
+        let records = stream(0);
+        let touched = touched_by(&records);
+        let held = index.snapshot();
+        let pinned = pin(&held, &touched);
+        let mut buffer: IngestBuffer = records.into_iter().collect();
+        buffer.flush(&mut index).unwrap();
+        let moved = assert_shares_untouched(&held, &index.snapshot(), &touched, &pinned, "flush");
+        assert!(moved > 0, "the flush merged into some held signature");
+
+        let donor = w.traces.trace(EntityId(40)).unwrap();
+        let lone = [("replace", EntityId(3)), ("remove", EntityId(7)), ("insert", EntityId(5_000))];
+        for (context, entity) in lone {
+            let touched = BTreeSet::from([entity]);
+            let held = index.snapshot();
+            match context {
+                "replace" => index.update_entity(entity, donor).unwrap(),
+                "remove" => index.remove_entity(entity).unwrap(),
+                _ => assert!(index.upsert_entity(entity, donor).unwrap(), "a new id is an insert"),
+            }
+            assert_shares_untouched(&held, &index.snapshot(), &touched, &BTreeMap::new(), context);
+        }
+
+        let dir = std::env::temp_dir().join(format!("snapshot-shares-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, 2).unwrap();
+        let log = LogConfig { fsync: false, ..LogConfig::default() };
+        let mut durable = DurableShardedMinSigIndex::create(&dir, sharded, log).unwrap();
+        let records = stream(1);
+        let touched = touched_by(&records);
+        let held: Vec<_> = (0..2).map(|s| durable.index().shard(s).snapshot()).collect();
+        let pinned: Vec<_> = held.iter().map(|h| pin(h, &touched)).collect();
+        durable.ingest(records).unwrap();
+        let mut moved = 0;
+        for shard in 0..2 {
+            let (after, context) = (durable.index().shard(shard).snapshot(), "durable ingest");
+            moved +=
+                assert_shares_untouched(&held[shard], &after, &touched, &pinned[shard], context);
+        }
+        assert!(moved > 0, "the ingest merged into some held signature");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Node rows are built for the unsharded tree search only: no build,
+    /// flush or sharded query asks for them, and the first tree search
+    /// builds exactly what [`NodeArena::build`] does.
+    #[test]
+    fn sharded_queries_never_build_node_rows() {
+        let w = Workload::uniform(UniformConfig {
+            entities: 60,
+            visits: 30,
+            time_slots: 300,
+            ..UniformConfig::default()
+        });
+        let mut sharded =
+            ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(8), 3)
+                .unwrap();
+        let none_built = |sharded: &ShardedMinSigIndex, context: &str| {
+            for s in 0..sharded.num_shards() {
+                assert!(!sharded.shard(s).snapshot().node_rows_built(), "shard {s}, {context}");
+            }
+        };
+        none_built(&sharded, "build");
+        sharded
+            .ingest_batch(w.stream(StreamConfig {
+                records: 40,
+                existing_entities: 60,
+                start_tick: 20_000,
+                time_slots: 60,
+                ..StreamConfig::default()
+            }))
+            .unwrap();
+        none_built(&sharded, "flush");
+
+        let (measure, queries) = (w.measure(), [EntityId(0), EntityId(1), EntityId(2)]);
+        let snapshot = sharded.snapshot();
+        for &q in &queries {
+            snapshot.top_k(q, 5, &measure).unwrap();
+            snapshot.explain(q, 5, &measure, crate::config::PlannerConfig::default()).unwrap();
+        }
+        snapshot.top_k_batch(&queries, 5, &measure).unwrap();
+        none_built(&sharded, "sharded queries");
+
+        let shard = sharded.shard(0).snapshot();
+        let q = *shard.sequences().keys().next().unwrap();
+        shard.top_k(q, 5, &measure).unwrap();
+        assert!(shard.node_rows_built(), "a tree search builds the node rows");
+        let fresh = NodeArena::build(shard.tree());
+        assert_eq!(format!("{:?}", shard.node_arena()), format!("{fresh:?}"));
     }
 }

@@ -12,6 +12,7 @@ use crate::spatial::{Level, SpIndex, SpatialUnitId};
 use crate::time::TimeUnit;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A spatial-temporal cell: one base temporal unit spent in one spatial unit.
 ///
@@ -269,9 +270,13 @@ impl<'a> IntoIterator for &'a CellSet {
 /// projection, [`union`](Self::union) because it is closed under level-wise
 /// union, [`from_level_sets`](Self::from_level_sets) by checking), and there
 /// is no mutable access to the sets.
+///
+/// The sets are shared, not owned: a clone is O(1) and aliases the same
+/// cells, which is what lets a copy-on-write publish copy an index's
+/// untouched entities by pointer.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellSetSequence {
-    sets: Vec<CellSet>,
+    sets: Arc<[CellSet]>,
 }
 
 impl CellSetSequence {
@@ -314,7 +319,7 @@ impl CellSetSequence {
                 }
             }
         }
-        Ok(CellSetSequence { sets })
+        Ok(CellSetSequence { sets: sets.into() })
     }
 
     /// The level-wise union with another sequence over the same sp-index —
@@ -327,7 +332,7 @@ impl CellSetSequence {
     pub fn union(&self, other: &Self) -> Self {
         assert_eq!(self.num_levels(), other.num_levels(), "sequences of different sp-indexes");
         CellSetSequence {
-            sets: self.sets.iter().zip(&other.sets).map(|(a, b)| a.union(b)).collect(),
+            sets: self.sets.iter().zip(other.sets.iter()).map(|(a, b)| a.union(b)).collect(),
         }
     }
 

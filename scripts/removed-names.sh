@@ -90,4 +90,14 @@ grep -rnE 'BatchPlan|BatchGroup|sketch_positions|amortized_planning' crates src 
 name='One publish path, no arena signatures'
 grep -rnwE 'signature_row|absorb_insert|absorb_into_synopsis|sig_width' crates src tests examples && fail
 
+# Node rows are built when a tree search first asks for them, never by a
+# publish: outside tests, the one `NodeArena::build` call in the core crate
+# is the one `IndexSnapshot::node_arena` fills its cell with.
+name='Publish builds no node rows'
+for f in crates/core/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'NodeArena::build(' | grep -v '^[0-9]*: *//' |
+        sed "s|^|$f:|"
+done | grep -v '^crates/core/src/snapshot.rs:[0-9]*: *self\.node_arena\.get_or_init(|| NodeArena::build(&self\.tree))$' |
+    grep . && fail
+
 exit $bad
