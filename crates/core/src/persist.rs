@@ -834,7 +834,7 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// ROADMAP 7(d): `num_hash_functions` sizes the seed table and every
+    /// ROADMAP 1(d): `num_hash_functions` sizes the seed table and every
     /// signature row, so a `META` claiming `u32::MAX` of them — CRC valid —
     /// must be refused before anything is reserved for it, whether entity
     /// chunks follow or the file indexes no entity at all.  (Finishing under

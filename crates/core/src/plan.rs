@@ -4,11 +4,15 @@
 //! threshold.  The planner consumes the per-shard [`Synopsis`] *before* any
 //! scoring:
 //!
-//! 1. **threshold seeding** — the exact degrees of the shards' sketch
-//!    entities are computed against the query; once `k` real candidates are
-//!    scored, their k-th best degree is a provable lower bound on the global
-//!    k-th-best degree `G` (any `≥ k`-subset's k-th best is `≤ G`), and the
-//!    search starts from that bar instead of `-inf`;
+//! 1. **threshold seeding** — every shard's synopsis upper bound is computed
+//!    first; then, shard by shard in bound order (most promising first), the
+//!    exact degrees of the shard's sketch entities are computed against the
+//!    query.  Once `k` real candidates are scored, their k-th best degree is
+//!    a provable lower bound on the global k-th-best degree `G` (any
+//!    `≥ k`-subset's k-th best is `≤ G`), and the search starts from that bar
+//!    instead of `-inf`.  A shard whose bound is already strictly below the
+//!    running bar is not scored at all: none of its members could enter the
+//!    k best, so the seed is bit for bit the one scoring every sketch gives;
 //! 2. **shard skipping** — a shard whose synopsis
 //!    `degree_upper_bound` is *strictly
 //!    below* the seed provably holds no top-k entity (every member's degree
@@ -74,7 +78,7 @@ use crate::query::Query;
 use crate::stats::QueryStats;
 use crate::synopsis::Synopsis;
 use std::fmt::Write as _;
-use trace_model::{AssociationMeasure, EntityId};
+use trace_model::{AssociationMeasure, EntityId, LevelOverlap};
 
 /// How the planner decided to treat one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,7 +119,9 @@ pub struct QueryPlan {
     /// The seeded lower bound on the global k-th-best degree (`-inf` when
     /// fewer than `k` sketch candidates exist).
     pub seed: f64,
-    /// How many sketch candidates were scored exactly to derive the seed.
+    /// How many sketch candidates were scored exactly to derive the seed:
+    /// those of the shards the running seed had not yet ruled out when their
+    /// turn came in bound order, not necessarily every shard's sketch.
     pub seed_candidates: usize,
     /// Per-shard verdicts; admitted shards first, in driving order.
     pub shards: Vec<ShardPlan>,
@@ -183,13 +189,16 @@ impl QueryPlan {
 /// Builds the plan of one query over the shards `access` reads — the one
 /// planner body of every sharded path, in memory and out of core.
 ///
-/// Seed candidates are scored through a source per shard, the scans' own
-/// kind, into one scratch — out of core with the same paged row reads, so
-/// seeding honestly pays, and warms, buffer-pool I/O, whose counters are
-/// drained into `stats`.  The evaluations spent are recorded in
-/// [`seed_candidates`](QueryPlan::seed_candidates); the drive charges them
-/// to the query's `entities_checked`, because they are real candidate
-/// evaluations.  The caller guarantees the query sequence matches the
+/// Every shard's synopsis bound is computed first, and the sketches are
+/// scored in bound order; a shard whose bound is strictly below the running
+/// k-th best is not scored, which leaves the seed unchanged (see the
+/// [module docs](crate::plan)).  Seed candidates are scored through a source
+/// per shard, the scans' own kind, into one scratch — out of core with the
+/// same paged row reads, so seeding honestly pays, and warms, buffer-pool
+/// I/O, whose counters are drained into `stats`.  The evaluations spent are
+/// recorded in [`seed_candidates`](QueryPlan::seed_candidates); the drive
+/// charges them to the query's `entities_checked`, because they are real
+/// candidate evaluations.  The caller guarantees the query sequence matches the
 /// shards' level count.
 pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
     access: &Access<'_>,
@@ -202,16 +211,47 @@ pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
     let levels = query.num_levels() as u8;
     let query_sizes: Vec<usize> = (1..=levels).map(|l| query.level(l).len()).collect();
 
-    // Threshold seeding: score the sketch candidates exactly; the heap's
-    // threshold is -inf until k candidates are held, which is precisely the
-    // soundness condition (fewer than k scored candidates prove nothing).
+    // Every shard's bound first, most promising first; the stable sort keeps
+    // ties in shard order.
+    let (mut caps, mut bound_scratch) = (Vec::new(), LevelOverlap::default());
+    let mut plans: Vec<ShardPlan> = shards
+        .iter()
+        .enumerate()
+        .map(|(shard, snapshot)| {
+            let synopsis: &Synopsis = snapshot.synopsis();
+            ShardPlan {
+                shard,
+                entities: synopsis.num_entities(),
+                upper_bound: synopsis.degree_upper_bound(
+                    &query_sizes,
+                    measure,
+                    &mut caps,
+                    &mut bound_scratch,
+                ),
+                decision: ShardDecision::Scan,
+            }
+        })
+        .collect();
+    plans.sort_by(|a, b| b.upper_bound.total_cmp(&a.upper_bound));
+
+    // Threshold seeding: score the sketch candidates exactly, in bound
+    // order; the heap's threshold is -inf until k candidates are held, which
+    // is precisely the soundness condition (fewer than k scored candidates
+    // prove nothing).  A shard whose bound is already strictly below the
+    // running threshold holds no candidate that could enter the heap, so its
+    // sketch is not scored and the seed is the one scoring every sketch
+    // would give, bit for bit.
     let mut seed = f64::NEG_INFINITY;
     let mut seed_candidates = 0usize;
     if k > 0 {
         let mut top = TopKHeap::new(k);
         let mut scratch = Scratch::default();
-        for (shard, snapshot) in shards.iter().enumerate() {
-            let (source, arena) = (access.source(shard), snapshot.arena());
+        for plan in &plans {
+            if top.threshold() > plan.upper_bound {
+                continue;
+            }
+            let snapshot = &shards[plan.shard];
+            let (source, arena) = (access.source(plan.shard), snapshot.arena());
             for &hot in snapshot.synopsis().hot_entities() {
                 if hot == access.entity {
                     continue;
@@ -226,28 +266,18 @@ pub(crate) fn plan_query<M: AssociationMeasure + ?Sized>(
         seed = top.threshold();
     }
 
-    let mut admitted: Vec<ShardPlan> = Vec::with_capacity(shards.len());
-    let mut skipped: Vec<ShardPlan> = Vec::new();
-    for (i, shard) in shards.iter().enumerate() {
-        let synopsis: &Synopsis = shard.synopsis();
-        let entities = synopsis.num_entities();
-        let upper_bound = synopsis.degree_upper_bound(&query_sizes, measure);
-        // The skip certificate is strict, mirroring the scan's tie-complete
-        // pruning: a shard *tying* the seed may hold an equal-degree entity
-        // that enters the top-k through the id tie-break, so it is never
-        // skipped.
-        let decision = if seed > upper_bound { ShardDecision::Skip } else { ShardDecision::Scan };
-        let plan = ShardPlan { shard: i, entities, upper_bound, decision };
-        if decision == ShardDecision::Skip {
-            skipped.push(plan);
-        } else {
-            admitted.push(plan);
+    // The skip certificate is strict, mirroring the scan's tie-complete
+    // pruning: a shard *tying* the seed may hold an equal-degree entity that
+    // enters the top-k through the id tie-break, so it is never skipped.
+    // Admitted shards keep the bound order (the stable sort's `None` keys);
+    // skipped ones go last, in shard order.
+    for plan in &mut plans {
+        if seed > plan.upper_bound {
+            plan.decision = ShardDecision::Skip;
         }
     }
-    // Most promising first; the stable sort keeps ties in shard order.
-    admitted.sort_by(|a, b| b.upper_bound.total_cmp(&a.upper_bound));
-    admitted.extend(skipped);
-    QueryPlan { k, seed, seed_candidates, shards: admitted }
+    plans.sort_by_key(|plan| (plan.decision == ShardDecision::Skip).then_some(plan.shard));
+    QueryPlan { k, seed, seed_candidates, shards: plans }
 }
 
 /// Whether a deterministic sampled scan at `rate` includes `entity`: a
@@ -284,8 +314,10 @@ mod tests {
     use crate::kernel::QueryView;
     use crate::shard::{ShardedMinSigIndex, ShardedSnapshot};
     use crate::snapshot::IndexSnapshot;
-    use crate::testkit::{PairedConfig, UniformConfig, Workload};
+    use crate::synopsis::DEFAULT_SKETCH_SIZE;
+    use crate::testkit::{PairedConfig, PruningAdversarialConfig, UniformConfig, Workload};
     use std::sync::Arc;
+    use trace_model::{CellSetSequence, PaperAdm};
 
     fn sharded_of(w: &Workload, n: usize) -> ShardedSnapshot {
         ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), n)
@@ -305,10 +337,20 @@ mod tests {
         k: usize,
         w: &Workload,
     ) -> QueryPlan {
-        let measure = w.measure();
+        plan_for(shards, EntityId(0), query, k, &w.measure())
+    }
+
+    /// Plans `entity`'s query (`query` is its sequence) through the arenas.
+    fn plan_for(
+        shards: &[Arc<IndexSnapshot>],
+        entity: EntityId,
+        query: &trace_model::CellSetSequence,
+        k: usize,
+        measure: &PaperAdm,
+    ) -> QueryPlan {
         let view = QueryView::new(query);
-        let access = Access { shards, view: &view, entity: EntityId(0), pages: None };
-        plan_query(&access, &Query::new(k, &measure), &mut QueryStats::default())
+        let access = Access { shards, view: &view, entity, pages: None };
+        plan_query(&access, &Query::new(k, measure), &mut QueryStats::default())
     }
 
     /// 200 uniform entities over 4 shards: a 16-entity sketch covers under
@@ -419,6 +461,125 @@ mod tests {
             assert!(!unseeded.seeded());
             assert_eq!((unseeded.seed_candidates, unseeded.shards_skipped()), (0, 0));
             assert_eq!(unseeded.shards_scanned(), 4, "{}", unseeded.explain());
+        }
+    }
+
+    /// The plan scoring every shard's sketch would make: the k-th best exact
+    /// degree of all sketch members but the query (`-inf` below k of them),
+    /// and every shard's bound and verdict, admitted shards by bound
+    /// descending (ties in shard order), then skipped ones in shard order.
+    fn exhaustive_plan(
+        shards: &[Arc<IndexSnapshot>],
+        entity: EntityId,
+        query: &CellSetSequence,
+        k: usize,
+        measure: &PaperAdm,
+    ) -> (f64, usize, Vec<ShardPlan>) {
+        let mut degrees: Vec<f64> = shards
+            .iter()
+            .flat_map(|s| {
+                let members = s.synopsis().hot_entities().iter().filter(|&&e| e != entity);
+                members.map(|&e| measure.degree(query, s.sequence(e).unwrap()))
+            })
+            .collect();
+        degrees.sort_by(|a, b| b.total_cmp(a));
+        let seed = degrees.get(k.wrapping_sub(1)).copied().unwrap_or(f64::NEG_INFINITY);
+        let sizes: Vec<usize> =
+            (1..=query.num_levels() as u8).map(|l| query.level(l).len()).collect();
+        let mut plans: Vec<ShardPlan> = shards
+            .iter()
+            .enumerate()
+            .map(|(shard, s)| {
+                let caps: Vec<usize> =
+                    s.synopsis().level_caps().iter().zip(&sizes).map(|(&c, &q)| c.min(q)).collect();
+                let upper_bound = if s.synopsis().num_entities() == 0 {
+                    f64::NEG_INFINITY
+                } else {
+                    measure.upper_bound(&sizes, &caps)
+                };
+                let decision =
+                    if seed > upper_bound { ShardDecision::Skip } else { ShardDecision::Scan };
+                ShardPlan { shard, entities: s.synopsis().num_entities(), upper_bound, decision }
+            })
+            .collect();
+        let mut skipped: Vec<ShardPlan> =
+            plans.iter().copied().filter(|p| p.decision == ShardDecision::Skip).collect();
+        plans.retain(|p| p.decision == ShardDecision::Scan);
+        plans.sort_by(|a, b| b.upper_bound.total_cmp(&a.upper_bound));
+        plans.append(&mut skipped);
+        (seed, degrees.len(), plans)
+    }
+
+    /// Seeding in bound order skips the sketch of a shard the running seed
+    /// already rules out, and nothing else changes: over uniform, paired and
+    /// pruning-adversarial populations, at 1, 3 and 8 shards, sketch sizes
+    /// 0, 1 and 16 and k 1–6, every plan's seed is bit for bit the k-th best
+    /// degree of all sketch members, its shards are the exhaustive plan's
+    /// (bound, verdict and order), and it scores no more than every member.
+    #[test]
+    fn seeding_in_bound_order_equals_exhaustive_seeding() {
+        let (adversarial, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
+            num_shards: 8,
+            ..PruningAdversarialConfig::default()
+        });
+        let populations = [
+            ("uniform", Workload::uniform(UniformConfig::default()), vec![]),
+            ("paired", Workload::paired(PairedConfig::default()), vec![]),
+            ("pruning-adversarial", adversarial, hot[..4].to_vec()),
+        ];
+        let mut sketches_skipped = 0usize;
+        for (name, w, hot) in &populations {
+            let measure = w.measure();
+            let mut queries = w.sample_entities(4, 0x5EED);
+            queries.extend(hot);
+            for n in [1usize, 3, 8] {
+                let config = IndexConfig::with_hash_functions(16);
+                let mut index = ShardedMinSigIndex::build(&w.sp, &w.traces, config, n).unwrap();
+                for sketch in [0usize, 1, 16] {
+                    index.set_synopsis_sketch_size(sketch);
+                    let shards: Vec<_> = (0..n).map(|i| index.shard(i).snapshot()).collect();
+                    for &entity in &queries {
+                        let query = shards.iter().find_map(|s| s.sequence(entity)).unwrap();
+                        for k in 1..=6 {
+                            let ctx =
+                                format!("{name}, {n} shards, sketch {sketch}, k {k}, {entity}");
+                            let plan = plan_for(&shards, entity, query, k, &measure);
+                            let (seed, members, expected) =
+                                exhaustive_plan(&shards, entity, query, k, &measure);
+                            assert_eq!(plan.seed.to_bits(), seed.to_bits(), "{ctx}");
+                            assert_eq!(plan.shards, expected, "{ctx}");
+                            assert!(plan.seed_candidates <= members, "{ctx}");
+                            sketches_skipped += usize::from(plan.seed_candidates < members);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(sketches_skipped > 0, "some plan rules a shard out before scoring its sketch");
+    }
+
+    /// The work bound-ordered seeding saves, counted rather than timed: a hot
+    /// query of the pruning-adversarial population at 8 shards scores the
+    /// clique shard's sketch, whose seed rules out the 7 others before their
+    /// sketches are scored.  Scoring every sketch took all 8.
+    #[test]
+    fn seeding_skips_the_sketches_of_ruled_out_shards() {
+        let shards = 8;
+        let (w, hot) = Workload::pruning_adversarial(PruningAdversarialConfig {
+            num_shards: shards,
+            hot_entities: 24,
+            cold_entities: 400,
+            ..PruningAdversarialConfig::default()
+        });
+        let sharded = sharded_of(&w, shards);
+        let measure = w.measure();
+        let every_sketch: usize =
+            (0..shards).map(|s| sharded.shard(s).synopsis().hot_entities().len()).sum();
+        assert!(every_sketch > 2 * DEFAULT_SKETCH_SIZE, "{every_sketch} sketch members");
+        for &query in &hot {
+            let plan = sharded.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
+            assert_eq!(plan.shards_skipped(), shards - 1, "{query}: {}", plan.explain());
+            assert!(plan.seed_candidates <= DEFAULT_SKETCH_SIZE, "{query}: {}", plan.explain());
         }
     }
 

@@ -14,11 +14,12 @@
 //! Every query path ([`ShardedSnapshot::top_k`], batches, joins) goes
 //! through the crate's one planned drive.  It first consults each shard's
 //! [`Synopsis`](crate::synopsis::Synopsis) through [`crate::plan`]: the
-//! sketch candidates are scored exactly to **seed** a provable k-th-degree
-//! lower bound, shards whose capacity caps cannot beat the seed are
-//! **skipped** outright, and every admitted shard is answered by the flat
-//! exact **scan**, most promising first.  The decisions are answer-invariant
-//! (strict-inequality certificates, see the
+//! sketch candidates are scored exactly, in shard-bound order and only where
+//! the running seed has not already ruled their shard out, to **seed** a
+//! provable k-th-degree lower bound, shards whose capacity caps cannot beat
+//! the seed are **skipped** outright, and every admitted shard is answered
+//! by the flat exact **scan**, most promising first.  The decisions are
+//! answer-invariant (strict-inequality certificates, see the
 //! [plan module docs](crate::plan)); [`ShardedSnapshot::explain`] returns
 //! the [`QueryPlan`] without executing it, and
 //! [`QueryStats::shards_skipped`] / [`QueryStats::shards_scanned`] /

@@ -40,7 +40,7 @@
 //! synopsis is then computed from the loaded sequences at
 //! [`DEFAULT_SKETCH_SIZE`].
 
-use trace_model::{AssociationMeasure, CellSetSequence, EntityId};
+use trace_model::{AssociationMeasure, CellSetSequence, EntityId, LevelOverlap};
 
 /// Sketch size used when none is chosen explicitly: enough hot candidates per
 /// shard that even a single-shard index can usually seed a k ≤ 16 query.
@@ -151,19 +151,23 @@ impl Synopsis {
     /// Sound for every measure satisfying the Section 3.2 axioms: each
     /// entity's level-`l` overlap is at most `min(query_sizes[l-1],
     /// level_caps[l-1])`, and [`AssociationMeasure::upper_bound`] instantiates
-    /// the most favourable entity compatible with those caps.
+    /// the most favourable entity compatible with those caps.  `caps` and
+    /// `scratch` are caller-owned buffers (overwritten), so a planner bounds
+    /// every shard of a query without allocating per shard.
     pub(crate) fn degree_upper_bound<M: AssociationMeasure + ?Sized>(
         &self,
         query_sizes: &[usize],
         measure: &M,
+        caps: &mut Vec<usize>,
+        scratch: &mut LevelOverlap,
     ) -> f64 {
         debug_assert_eq!(query_sizes.len(), self.level_caps.len());
         if self.num_entities == 0 {
             return f64::NEG_INFINITY;
         }
-        let caps: Vec<usize> =
-            self.level_caps.iter().zip(query_sizes).map(|(&cap, &q)| cap.min(q)).collect();
-        measure.upper_bound(query_sizes, &caps)
+        caps.clear();
+        caps.extend(self.level_caps.iter().zip(query_sizes).map(|(&cap, &q)| cap.min(q)));
+        measure.upper_bound_into(query_sizes, caps, scratch)
     }
 
     /// The expected recall of a **sampled scan** of this shard at sample rate
@@ -278,7 +282,12 @@ mod tests {
         let syn = Synopsis::compute(2, members.iter().map(|(e, s)| (*e, s)), 3, 0);
         let query = seq(&sp, &[(0, 0), (1, 3), (2, 6), (3, 9)]);
         let sizes: Vec<usize> = (1..=2u8).map(|l| query.level(l).len()).collect();
-        let ub = syn.degree_upper_bound(&sizes, &measure);
+        let ub = syn.degree_upper_bound(&sizes, &measure, &mut Vec::new(), &mut Default::default());
+        assert_eq!(ub.to_bits(), {
+            let caps: Vec<usize> =
+                syn.level_caps().iter().zip(&sizes).map(|(&cap, &q)| cap.min(q)).collect();
+            measure.upper_bound(&sizes, &caps).to_bits()
+        });
         for (_, s) in &members {
             assert!(measure.degree(&query, s) <= ub + 1e-12);
         }
@@ -333,6 +342,8 @@ mod tests {
         assert_eq!(syn.num_entities(), 0);
         assert!(syn.hot_entities().is_empty());
         let measure = PaperAdm::default_for(2);
-        assert_eq!(syn.degree_upper_bound(&[3, 3], &measure), f64::NEG_INFINITY);
+        let bound =
+            syn.degree_upper_bound(&[3, 3], &measure, &mut vec![7], &mut Default::default());
+        assert_eq!(bound, f64::NEG_INFINITY);
     }
 }

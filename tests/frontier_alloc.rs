@@ -9,11 +9,15 @@
 //! `upper_bound_into`, every pushed child cost two allocations (its caps and
 //! the `Vec<LevelStat>` of its bound).
 //!
-//! The counter is per thread, so the harness's own threads cannot disturb it;
-//! this file holds one test for the same reason.
+//! The sharded planner bounds every shard the same way, into two buffers
+//! the plan owns: an unseeded plan over 8 shards allocates exactly as much
+//! as one over a single shard.
+//!
+//! The counter is per thread, and the harness runs each test on a thread of
+//! its own, so neither the harness nor the other test can disturb a count.
 
 use digital_traces::index::testkit::{HierarchySpec, UniformConfig, Workload};
-use digital_traces::index::{IndexConfig, QueryOptions};
+use digital_traces::index::{IndexConfig, PlannerConfig, QueryOptions, ShardedMinSigIndex};
 use digital_traces::EntityId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,4 +89,29 @@ fn a_warmed_tree_search_allocates_far_less_than_once_per_node() {
         "{allocations} allocations for {} visited nodes",
         stats.nodes_visited
     );
+}
+
+#[test]
+fn planning_allocates_nothing_per_shard() {
+    let w = Workload::uniform(UniformConfig { entities: 200, ..UniformConfig::default() });
+    let measure = w.measure();
+    let allocations_at = |shards: usize, query: EntityId| {
+        let config = IndexConfig::with_hash_functions(16);
+        let mut index = ShardedMinSigIndex::build(&w.sp, &w.traces, config, shards).unwrap();
+        // No sketch: the plan scores nothing, so what it allocates is the
+        // bounds' and the plan's own.
+        index.set_synopsis_sketch_size(0);
+        let snapshot = index.snapshot();
+        let explain = || snapshot.explain(query, 5, &measure, PlannerConfig::default()).unwrap();
+        let warm = explain();
+        let before = ALLOCATIONS.with(Cell::get);
+        let plan = explain();
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(plan, warm);
+        assert_eq!(plan.shards_scanned(), shards, "{}", plan.explain());
+        allocations
+    };
+    for query in w.sample_entities(3, 11) {
+        assert_eq!(allocations_at(8, query), allocations_at(1, query), "{query}");
+    }
 }
