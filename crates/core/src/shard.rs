@@ -7,7 +7,12 @@
 //! instead assigns each entity to one of `N` shards by a **stable hash of its
 //! id** ([`shard_of`]) and keeps a completely independent `MinSigIndex` per
 //! shard — independent snapshots, independent epochs, independent `MSIX` files —
-//! so ingest, persistence and maintenance all parallelise per shard.
+//! so ingest, persistence and maintenance all parallelise per shard: a
+//! routed flush publishes its touched shards on rayon workers, a save
+//! encodes every shard on them before writing the files in shard order, and
+//! an open reads and verifies every shard on them, reporting the first
+//! failure in shard order.  Each of these gives the bytes, reports and
+//! errors the shard-by-shard loop gives.
 //!
 //! ## Planned queries
 //!
@@ -65,8 +70,10 @@
 //! shard snapshots **and** the epoch vector under one `&self` borrow, so a
 //! reader's [`ShardedSnapshot`] is always a consistent cross-shard set: a
 //! mutation needs `&mut self` and therefore cannot interleave with the
-//! capture.  Readers holding a `ShardedSnapshot` are isolated from all later
-//! flushes, shard by shard, exactly like unsharded snapshot readers.
+//! capture — nor with the touched shards' publishes, which run side by side
+//! under that one `&mut self` and have all finished before it ends.  Readers
+//! holding a `ShardedSnapshot` are isolated from all later flushes, shard by
+//! shard, exactly like unsharded snapshot readers.
 //!
 //! ## Ingest routing
 //!
@@ -98,7 +105,7 @@ use crate::drive::{self, Access};
 use crate::engine;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
-use crate::ingest::{IngestBuffer, PreparedBatch};
+use crate::ingest::{IngestBuffer, IngestReport, PreparedBatch};
 use crate::join::{join_probes, JoinOptions, JoinRow, JoinStats};
 use crate::kernel::QueryView;
 use crate::paged::RowSegment;
@@ -608,14 +615,25 @@ impl IngestBuffer {
 impl ShardedMinSigIndex {
     /// Applies a prepared batch across the shards — one sub-batch, one epoch
     /// per touched shard — and reports the whole routed flush since `started`.
+    ///
+    /// The touched shards publish side by side on rayon workers, each its
+    /// own sub-batch (one touched shard, or one thread, runs on the caller);
+    /// their reports are summed in shard order.  `&mut self` keeps every
+    /// [`snapshot`](Self::snapshot) out until all of them have published.
     pub(crate) fn apply(&mut self, batch: PreparedBatch, started: Instant) -> ShardedIngestReport {
         let mut report = ShardedIngestReport::default();
         let sub_batches = batch.split(self.shards.len());
-        for (shard, sub_batch) in self.shards.iter_mut().zip(sub_batches) {
-            if sub_batch.is_empty() {
-                continue;
-            }
-            let shard_report = sub_batch.apply(shard, Instant::now());
+        let touched: Vec<(&mut MinSigIndex, PreparedBatch)> = self
+            .shards
+            .iter_mut()
+            .zip(sub_batches)
+            .filter(|(_, sub_batch)| !sub_batch.is_empty())
+            .collect();
+        let shard_reports: Vec<IngestReport> = touched
+            .into_par_iter()
+            .map(|(shard, sub_batch)| sub_batch.apply(shard, Instant::now()))
+            .collect();
+        for shard_report in shard_reports {
             report.records += shard_report.records;
             report.entities_touched += shard_report.entities_touched;
             report.entities_inserted += shard_report.entities_inserted;
@@ -658,21 +676,35 @@ impl ShardedMinSigIndex {
     /// [`save`](Self::save), stamping per-shard WAL checkpoint LSNs into the
     /// shard files (the durable ingest path's hook; `None` stamps 0
     /// everywhere).  `lsns`, when given, must have one entry per shard.
+    ///
+    /// Every shard's image is encoded and digested on rayon workers first;
+    /// the files are then written one by one in shard order, the manifest
+    /// last and the orphan scrub after it, so the files, their write order
+    /// and the first error returned are the sequential save's.
     pub(crate) fn save_with_lsns(&self, dir: &Path, lsns: Option<&[u64]>) -> Result<()> {
         debug_assert!(lsns.is_none_or(|l| l.len() == self.shards.len()));
         std::fs::create_dir_all(dir).map_err(|e| IndexError::Io(e.to_string()))?;
+        // Serialise in memory and digest on the workers, then commit in
+        // shard order: the manifest digests the exact bytes that hit the
+        // disk, with no write-then-read-back round trip.
+        let stamped: Vec<(&MinSigIndex, u64)> =
+            self.shards.iter().enumerate().map(|(i, s)| (s, lsns.map_or(0, |l| l[i]))).collect();
+        let images: Vec<Result<(Vec<u8>, u64)>> = stamped
+            .into_par_iter()
+            .map(|(shard, lsn)| {
+                let bytes = shard.snapshot().to_bytes_with_lsn(lsn)?;
+                let digest = file_digest(&bytes);
+                Ok((bytes, digest))
+            })
+            .collect();
         let mut payload = Vec::with_capacity(8 + self.shards.len() * 16);
         payload.extend_from_slice(&PARTITION_VERSION.to_le_bytes());
         payload.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        for (i, shard) in self.shards.iter().enumerate() {
-            // Serialise in memory, digest, then commit atomically: the
-            // manifest digests the exact bytes that hit the disk, with no
-            // write-then-read-back round trip.
-            let lsn = lsns.map_or(0, |l| l[i]);
-            let bytes = shard.snapshot().to_bytes_with_lsn(lsn)?;
+        for (i, (shard, image)) in self.shards.iter().zip(images).enumerate() {
+            let (bytes, digest) = image?;
             segment::atomic_write_bytes(&dir.join(Self::shard_file_name(i)), &bytes)?;
             payload.extend_from_slice(&(shard.num_entities() as u64).to_le_bytes());
-            payload.extend_from_slice(&file_digest(&bytes).to_le_bytes());
+            payload.extend_from_slice(&digest.to_le_bytes());
         }
         segment::atomic_write(
             &dir.join(SHARD_MANIFEST_FILE),
@@ -715,6 +747,11 @@ impl ShardedMinSigIndex {
         Self::open_inner(dir, false)
     }
 
+    /// The body of both opens: the manifest is read and checked on the
+    /// caller, then every shard is read, verified and decoded by
+    /// [`open_shard`] on rayon workers.  The first error in shard order is
+    /// returned — whichever worker finished first — and the cross-shard
+    /// hierarchy check runs last, on the caller.
     fn open_inner(dir: &Path, strict: bool) -> Result<(ShardedMinSigIndex, Vec<u64>)> {
         let mut reader = segment::open_file(
             &dir.join(SHARD_MANIFEST_FILE),
@@ -756,40 +793,13 @@ impl ShardedMinSigIndex {
         }
 
         let num_shards = entries.len();
-        let mut shards = Vec::with_capacity(num_shards);
-        let mut ckpt_lsns = Vec::with_capacity(num_shards);
-        for (i, &(expected, digest)) in entries.iter().enumerate() {
-            let path = dir.join(Self::shard_file_name(i));
-            let bytes = std::fs::read(&path).map_err(|e| IndexError::Io(e.to_string()))?;
-            if strict && file_digest(&bytes) != digest {
-                return Err(corrupt(&format!(
-                    "shard {i} does not match the manifest that describes it (interrupted \
-                     re-save over an existing directory, or a damaged/replaced shard file)"
-                )));
-            }
-            // Parse the *verified* buffer — re-reading the file here would
-            // open a window for a concurrent re-save to swap it after the
-            // digest check.
-            let (snapshot, ckpt_lsn) = IndexSnapshot::open_from_bytes_with_lsn(&bytes)?;
-            let shard = MinSigIndex::from_snapshot(Arc::new(snapshot));
-            if strict && shard.num_entities() as u64 != expected {
-                return Err(corrupt(&format!(
-                    "shard {i} holds {} entities but the manifest announces {expected}",
-                    shard.num_entities()
-                )));
-            }
-            for &entity in shard.sequences().keys() {
-                let home = shard_of(entity, num_shards);
-                if home != i {
-                    return Err(corrupt(&format!(
-                        "shard {i} holds {entity}, which routes to shard {home} — shard files \
-                         renamed or partitioner changed"
-                    )));
-                }
-            }
-            shards.push(shard);
-            ckpt_lsns.push(ckpt_lsn);
-        }
+        let jobs: Vec<(usize, (u64, u64))> = entries.into_iter().enumerate().collect();
+        let loaded: Vec<Result<(MinSigIndex, u64)>> = jobs
+            .into_par_iter()
+            .map(|(i, (expected, digest))| open_shard(dir, i, num_shards, expected, digest, strict))
+            .collect();
+        let (shards, ckpt_lsns): (Vec<MinSigIndex>, Vec<u64>) =
+            loaded.into_iter().collect::<Result<Vec<_>>>()?.into_iter().unzip();
         for (i, shard) in shards.iter().enumerate().skip(1) {
             if shard.ticks_per_unit() != shards[0].ticks_per_unit()
                 || !same_hierarchy(shard.sp_index(), shards[0].sp_index())
@@ -801,6 +811,48 @@ impl ShardedMinSigIndex {
         }
         Ok((ShardedMinSigIndex::from_shards(shards), ckpt_lsns))
     }
+}
+
+/// Reads shard `i` of a `num_shards`-shard directory and checks it against
+/// its manifest entry — the file's digest and entity count (when `strict`),
+/// its `MSIX` checksums, and every entity's routing — returning the shard
+/// and its checkpoint LSN.
+fn open_shard(
+    dir: &Path,
+    i: usize,
+    num_shards: usize,
+    expected: u64,
+    digest: u64,
+    strict: bool,
+) -> Result<(MinSigIndex, u64)> {
+    let path = dir.join(ShardedMinSigIndex::shard_file_name(i));
+    let bytes = std::fs::read(&path).map_err(|e| IndexError::Io(e.to_string()))?;
+    if strict && file_digest(&bytes) != digest {
+        return Err(corrupt(&format!(
+            "shard {i} does not match the manifest that describes it (interrupted \
+             re-save over an existing directory, or a damaged/replaced shard file)"
+        )));
+    }
+    // Parse the *verified* buffer — re-reading the file here would open a
+    // window for a concurrent re-save to swap it after the digest check.
+    let (snapshot, ckpt_lsn) = IndexSnapshot::open_from_bytes_with_lsn(&bytes)?;
+    let shard = MinSigIndex::from_snapshot(Arc::new(snapshot));
+    if strict && shard.num_entities() as u64 != expected {
+        return Err(corrupt(&format!(
+            "shard {i} holds {} entities but the manifest announces {expected}",
+            shard.num_entities()
+        )));
+    }
+    for &entity in shard.sequences().keys() {
+        let home = shard_of(entity, num_shards);
+        if home != i {
+            return Err(corrupt(&format!(
+                "shard {i} holds {entity}, which routes to shard {home} — shard files \
+                 renamed or partitioner changed"
+            )));
+        }
+    }
+    Ok((shard, ckpt_lsn))
 }
 
 /// Deletes `shard-NNNNN.msix` files with index ≥ `num_shards` — orphans of
@@ -1064,6 +1116,157 @@ mod tests {
         // A missing shard file is an I/O error, a missing manifest too.
         std::fs::remove_file(&b).unwrap();
         assert!(matches!(ShardedMinSigIndex::open(&dir), Err(IndexError::Io(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The touched shards publish on rayon workers; the result must be,
+    /// byte for byte, what flushing each shard's sub-batch into its own
+    /// `MinSigIndex` one after another gives — with and without a held
+    /// snapshot forcing the copy-on-write publish.
+    #[test]
+    fn routed_flush_is_bitwise_the_shard_by_shard_flushes() {
+        let w = workload();
+        let config = IndexConfig::with_hash_functions(16);
+        for shards in [1usize, 3, 8] {
+            let mut sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, shards).unwrap();
+            let mut parts: Vec<TraceSet> =
+                (0..shards).map(|_| TraceSet::new(w.traces.ticks_per_unit())).collect();
+            for (entity, trace) in w.traces.iter() {
+                parts[shard_of(entity, shards)].insert_trace(entity, trace.clone());
+            }
+            let mut references: Vec<MinSigIndex> =
+                parts.iter().map(|part| MinSigIndex::build(&w.sp, part, config).unwrap()).collect();
+            let stream = |seed: u64| {
+                w.stream(StreamConfig {
+                    records: 90,
+                    existing_entities: 48,
+                    new_entity_percent: 40,
+                    seed,
+                    ..StreamConfig::default()
+                })
+            };
+            let lone_shard: Vec<PresenceInstance> =
+                stream(4).into_iter().filter(|r| shard_of(r.entity, shards) == 0).collect();
+            let batches =
+                [(stream(1), false), (stream(2), true), (lone_shard, true), (stream(3), false)];
+            let mut inserted = 0;
+            for (step, (records, hold)) in batches.into_iter().enumerate() {
+                let context = format!("{shards} shards, batch {step}");
+                let held = hold.then(|| sharded.snapshot());
+                let held_bytes: Vec<Vec<u8>> = held
+                    .iter()
+                    .flat_map(|snapshot| (0..shards).map(|s| snapshot.shard(s).to_bytes().unwrap()))
+                    .collect();
+
+                let mut buffer = IngestBuffer::new();
+                buffer.extend(records.iter().cloned());
+                let report = buffer.flush_sharded(&mut sharded).unwrap();
+
+                let mut expected = ShardedIngestReport::default();
+                for (s, reference) in references.iter_mut().enumerate() {
+                    let mut sub_buffer = IngestBuffer::new();
+                    sub_buffer.extend(
+                        records.iter().filter(|r| shard_of(r.entity, shards) == s).cloned(),
+                    );
+                    if sub_buffer.is_empty() {
+                        continue;
+                    }
+                    let shard_report = sub_buffer.flush(reference).unwrap();
+                    expected.records += shard_report.records;
+                    expected.entities_touched += shard_report.entities_touched;
+                    expected.entities_inserted += shard_report.entities_inserted;
+                    expected.shards_touched += 1;
+                }
+                inserted += expected.entities_inserted;
+                if step == 2 {
+                    assert_eq!(expected.shards_touched, 1, "{context}: one shard only");
+                }
+                let reference_epochs: Vec<u64> = references.iter().map(|r| r.epoch()).collect();
+                assert_eq!(sharded.epochs(), reference_epochs, "{context}: epochs");
+                assert_eq!(report.epochs, reference_epochs, "{context}: reported epochs");
+                assert_eq!(
+                    (report.records, report.entities_touched, report.entities_inserted),
+                    (expected.records, expected.entities_touched, expected.entities_inserted),
+                    "{context}: report counts"
+                );
+                assert_eq!(report.shards_touched, expected.shards_touched, "{context}: shards");
+                for (s, reference) in references.iter().enumerate() {
+                    assert!(
+                        sharded.shards[s].snapshot().to_bytes().unwrap()
+                            == reference.snapshot().to_bytes().unwrap(),
+                        "{context}: shard {s} differs from its shard-by-shard flush"
+                    );
+                }
+                if let Some(snapshot) = held {
+                    for (s, before) in held_bytes.iter().enumerate() {
+                        assert!(
+                            snapshot.shard(s).to_bytes().unwrap() == *before,
+                            "{context}: the held snapshot's shard {s} moved"
+                        );
+                    }
+                }
+            }
+            assert!(inserted > 0, "{shards} shards: the stream inserts new entities");
+        }
+    }
+
+    /// A checkpoint encodes the shards on workers and writes them in shard
+    /// order: every file is its own shard stamped with its own LSN, and the
+    /// manifest lists their digests in shard order.  `open` checks the
+    /// shards on workers too, but reports the first failing one in shard
+    /// order.
+    #[test]
+    fn save_stamps_every_shard_and_open_reports_the_first_failing_shard() {
+        let w = workload();
+        let sharded =
+            ShardedMinSigIndex::build(&w.sp, &w.traces, IndexConfig::with_hash_functions(16), 3)
+                .unwrap();
+        let dir = temp_dir("stamped");
+        let lsns = [7u64, 11, 13];
+        sharded.save_with_lsns(&dir, Some(&lsns)).unwrap();
+        let mut digests = Vec::new();
+        for (i, &lsn) in lsns.iter().enumerate() {
+            let file = std::fs::read(dir.join(ShardedMinSigIndex::shard_file_name(i))).unwrap();
+            let expected = sharded.shard(i).to_bytes_with_lsn(lsn).unwrap();
+            assert!(file == expected, "shard {i} is not its own image stamped with LSN {lsn}");
+            digests.push(file_digest(&file));
+        }
+        let mut reader = segment::open_file(
+            &dir.join(SHARD_MANIFEST_FILE),
+            SHARD_MANIFEST_MAGIC,
+            SHARD_MANIFEST_VERSION,
+        )
+        .unwrap();
+        let (tag, payload) = reader.next_segment().unwrap().unwrap();
+        assert_eq!(tag, TAG_MANIFEST);
+        let mut c = Cursor::new(&payload);
+        assert_eq!((c.u32().unwrap(), c.u32().unwrap()), (PARTITION_VERSION, 3));
+        for (i, digest) in digests.iter().enumerate() {
+            assert_eq!(c.u64().unwrap(), sharded.shard(i).num_entities() as u64, "shard {i} count");
+            assert_eq!(c.u64().unwrap(), *digest, "shard {i} digest");
+        }
+        let (reopened, reopened_lsns) = ShardedMinSigIndex::open_for_recovery(&dir).unwrap();
+        assert_eq!(reopened_lsns, lsns);
+        assert_eq!(reopened.num_entities(), sharded.num_entities());
+
+        // Shard 2 damaged and shard 1 missing: shard 1's error comes first.
+        let path_1 = dir.join(ShardedMinSigIndex::shard_file_name(1));
+        let path_2 = dir.join(ShardedMinSigIndex::shard_file_name(2));
+        let (shard_1, mut shard_2) =
+            (std::fs::read(&path_1).unwrap(), std::fs::read(&path_2).unwrap());
+        let mid = shard_2.len() / 2;
+        shard_2[mid] ^= 0x40;
+        std::fs::write(&path_2, &shard_2).unwrap();
+        std::fs::remove_file(&path_1).unwrap();
+        let err = ShardedMinSigIndex::open(&dir).unwrap_err();
+        assert!(matches!(err, IndexError::Io(_)), "the missing shard 1 first, got {err:?}");
+        std::fs::write(&path_1, &shard_1).unwrap();
+        match ShardedMinSigIndex::open(&dir) {
+            Err(IndexError::Corrupt(message)) => {
+                assert!(message.contains("shard 2"), "names the damaged shard: {message}")
+            }
+            other => panic!("the damaged shard 2 must be reported, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,9 +1,11 @@
 //! Offline stand-in for the `rayon` crate.
 //!
-//! Provides the slice fan-out subset this workspace uses — `par_iter().map(..)
-//! .collect()` plus [`join`] and [`current_num_threads`] — implemented with
-//! `std::thread::scope` over contiguous chunks, the last of which the calling
-//! thread maps itself (as [`join`] runs its second closure).  Results are always collected
+//! Provides the fan-out subset this workspace uses — borrowing
+//! `par_iter().map(..).collect()` over slices, consuming
+//! `into_par_iter().map(..).collect()` over vectors, plus [`join`] and
+//! [`current_num_threads`] — implemented with `std::thread::scope` over
+//! contiguous chunks, the last of which the calling thread maps itself (as
+//! [`join`] runs its second closure).  Results are always collected
 //! in input order, so swapping in the real work-stealing pool cannot change
 //! any observable output, only the scheduling.
 
@@ -36,9 +38,109 @@ where
     })
 }
 
-/// The traits a caller needs in scope to use `par_iter()`.
+/// The traits a caller needs in scope to use `par_iter()` and
+/// `into_par_iter()`.
 pub mod prelude {
-    pub use crate::IntoParallelRefIterator;
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
+}
+
+/// Conversion of `self` into a consuming parallel iterator (vector subset).
+pub trait IntoParallelIterator {
+    /// The element type iterated over.
+    type Item: Send;
+    /// The parallel iterator `into_par_iter` returns.
+    type Iter;
+
+    /// Returns a parallel iterator that moves every element to its worker.
+    fn into_par_iter(self) -> Self::Iter;
+}
+
+impl<T: Send> IntoParallelIterator for Vec<T> {
+    type Item = T;
+    type Iter = vec::IntoIter<T>;
+
+    fn into_par_iter(self) -> vec::IntoIter<T> {
+        vec::IntoIter { items: self }
+    }
+}
+
+/// The consuming parallel iterator over a vector.
+pub mod vec {
+    /// A parallel iterator that owns its elements.
+    pub struct IntoIter<T> {
+        pub(crate) items: Vec<T>,
+    }
+
+    impl<T: Send> IntoIter<T> {
+        /// Maps every element through `map`, in parallel, by value.
+        pub fn map<R, F>(self, map: F) -> IntoMap<T, F>
+        where
+            R: Send,
+            F: Fn(T) -> R + Sync,
+        {
+            IntoMap { items: self.items, map }
+        }
+    }
+
+    /// A mapped consuming parallel iterator, ready to collect.
+    pub struct IntoMap<T, F> {
+        items: Vec<T>,
+        map: F,
+    }
+
+    impl<T, R, F> IntoMap<T, F>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        /// Runs the map over all elements and collects the results in input
+        /// order.
+        pub fn collect<C: From<Vec<R>>>(self) -> C {
+            let len = self.items.len();
+            let threads = crate::current_num_threads().min(len.max(1));
+            if threads <= 1 || len <= 1 {
+                return C::from(self.items.into_iter().map(&self.map).collect::<Vec<R>>());
+            }
+            let chunk_len = len.div_ceil(threads);
+            let mut items = self.items.into_iter();
+            let chunks: Vec<Vec<T>> = (0..len.div_ceil(chunk_len))
+                .map(|_| items.by_ref().take(chunk_len).collect())
+                .collect();
+            let map = &self.map;
+            C::from(crate::fan_out(len, chunks.into_iter(), |chunk: Vec<T>| {
+                chunk.into_iter().map(map).collect()
+            }))
+        }
+    }
+}
+
+/// Maps every chunk but the last on a spawned thread and the last on the
+/// calling one, which would otherwise only wait (`n` workers cost `n - 1`
+/// spawns), and concatenates the results in chunk order.  A worker's panic
+/// resumes on the caller with its own payload, as rayon's does.
+fn fan_out<C, R, I, F>(len: usize, mut chunks: I, run: F) -> Vec<R>
+where
+    C: Send,
+    R: Send,
+    I: DoubleEndedIterator<Item = C>,
+    F: Fn(C) -> Vec<R> + Sync,
+{
+    let last = chunks.next_back().expect("two or more items make a chunk");
+    let run = &run;
+    let mut results: Vec<R> = Vec::with_capacity(len);
+    thread::scope(|scope| {
+        let handles: Vec<_> = chunks.map(|chunk| scope.spawn(move || run(chunk))).collect();
+        let tail = run(last);
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => results.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        results.extend(tail);
+    });
+    results
 }
 
 /// Conversion of `&self` into a parallel iterator (slice subset).
@@ -99,8 +201,7 @@ where
         C::from(self.run())
     }
 
-    /// Every chunk but the last on a spawned thread, the last on the calling
-    /// one, which would otherwise only wait: `n` workers cost `n - 1` spawns.
+    /// Contiguous chunks, one per worker, through [`fan_out`].
     fn run(self) -> Vec<R> {
         let threads = current_num_threads().min(self.items.len().max(1));
         if threads <= 1 || self.items.len() <= 1 {
@@ -108,20 +209,9 @@ where
         }
         let chunk_len = self.items.len().div_ceil(threads);
         let map = &self.map;
-        let mut chunks = self.items.chunks(chunk_len);
-        let last = chunks.next_back().expect("two or more items make a chunk");
-        let mut results: Vec<R> = Vec::with_capacity(self.items.len());
-        thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .map(|chunk| scope.spawn(move || chunk.iter().map(map).collect::<Vec<R>>()))
-                .collect();
-            let tail: Vec<R> = last.iter().map(map).collect();
-            for handle in handles {
-                results.extend(handle.join().expect("rayon worker panicked"));
-            }
-            results.extend(tail);
-        });
-        results
+        fan_out(self.items.len(), self.items.chunks(chunk_len), |chunk: &'data [T]| {
+            chunk.iter().map(map).collect()
+        })
     }
 }
 
@@ -172,5 +262,72 @@ mod tests {
         let one = [41u32];
         let out: Vec<u32> = one.par_iter().map(|&x| x + 1).collect();
         assert_eq!(out, vec![42]);
+    }
+
+    #[test]
+    fn into_par_iter_keeps_input_order_of_owned_values() {
+        for len in [2usize, 3, 7, 1_000] {
+            let input: Vec<String> = (0..len).map(|i| i.to_string()).collect();
+            let out: Vec<String> = input.clone().into_par_iter().map(|s| s + "!").collect();
+            let expected: Vec<String> = input.iter().map(|s| format!("{s}!")).collect();
+            assert_eq!(out, expected, "{len} items");
+        }
+    }
+
+    #[test]
+    fn into_par_iter_empty_and_singleton_inputs() {
+        let out: Vec<String> = Vec::<String>::new().into_par_iter().map(|s| s).collect();
+        assert!(out.is_empty());
+        let caller = std::thread::current().id();
+        let out: Vec<(String, std::thread::ThreadId)> = vec![String::from("only")]
+            .into_par_iter()
+            .map(|s| (s, std::thread::current().id()))
+            .collect();
+        assert_eq!(out, vec![(String::from("only"), caller)], "one item runs on the caller");
+    }
+
+    /// As with `par_iter`: the caller maps the last chunk, the first is
+    /// spawned when there is a thread to spare, and order is kept.
+    #[test]
+    fn into_par_iter_runs_the_last_chunk_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for len in [2usize, 3, 7, 64] {
+            let input: Vec<Box<usize>> = (0..len).map(Box::new).collect();
+            let ran: Vec<(usize, std::thread::ThreadId)> =
+                input.into_par_iter().map(|i| (*i, std::thread::current().id())).collect();
+            assert_eq!(
+                ran.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                (0..len).collect::<Vec<_>>()
+            );
+            assert_eq!(ran[len - 1].1, caller, "{len} items: the last chunk");
+            if super::current_num_threads() > 1 {
+                assert_ne!(ran[0].1, caller, "{len} items: the first chunk is spawned");
+            }
+        }
+    }
+
+    /// A panic in the first chunk — spawned when there is more than one
+    /// thread, the caller's own otherwise — unwinds out of `collect` with its
+    /// payload.
+    #[test]
+    fn a_panic_in_a_spawned_chunk_reaches_the_caller() {
+        let input: Vec<String> = (0..8).map(|i| i.to_string()).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            input
+                .into_par_iter()
+                .map(|s| if s == "0" { panic!("chunk zero failed") } else { s })
+                .collect::<Vec<String>>()
+        });
+        let payload = outcome.expect_err("the worker's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk zero failed"));
+        let borrowed: Vec<u32> = (0..8).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            borrowed
+                .par_iter()
+                .map(|&x| if x == 0 { panic!("slice chunk zero failed") } else { x })
+                .collect::<Vec<u32>>()
+        });
+        let payload = outcome.expect_err("the worker's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"slice chunk zero failed"));
     }
 }
