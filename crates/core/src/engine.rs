@@ -4,8 +4,8 @@
 //! Every tree search of the crate — the unsharded index's exact
 //! [`IndexSnapshot::top_k`], its joins and batches ([`crate::join`]) — runs
 //! the crate-private `execute` of this module once.  The flat paths — brute
-//! force, every shard of a sharded query, in memory and out of core,
-//! [`crate::approximate`] — score through the arena's scans
+//! force and every shard of a sharded query, in memory and out of core —
+//! score through the arena's scans
 //! ([`CandidateArena::scan_top_k`](crate::kernel::CandidateArena::scan_top_k)
 //! and the postings-driven flat scan) and share only the [`TopKHeap`] and
 //! [`merge_top_k`].  The search separates two concerns:
@@ -144,10 +144,9 @@ impl Ord for OrdF64 {
 /// A bounded top-k accumulator: the *single* place where "keep the k best
 /// (degree, entity) pairs" is implemented.
 ///
-/// The tree search's leaf evaluation, the flat arena scan behind the
-/// brute-force ground truth and the approximate candidate scorer
-/// ([`crate::approximate`]) all push through this type, so their tie-breaking
-/// and result ordering cannot drift apart.
+/// The tree search's leaf evaluation and the flat arena scans, the one
+/// behind the brute-force ground truth included, all push through this
+/// type, so their tie-breaking and result ordering cannot drift apart.
 ///
 /// Semantics: candidates are ranked under the total order *(degree
 /// descending, entity id ascending)*, and the accumulator keeps the exact

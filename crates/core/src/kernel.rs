@@ -1,8 +1,8 @@
 //! Flat hot-path data layout: the candidate arena and its fused degree kernels.
 //!
 //! Every exact path of the index — the tree search's leaf evaluation, flat
-//! shard scans, the planner's synopsis seeding and the approximate sampler's
-//! verification — bottoms out in [`AssociationMeasure::degree`] over candidate
+//! shard scans, the planner's synopsis seeding and brute force's pairwise
+//! scan — bottoms out in [`AssociationMeasure::degree`] over candidate
 //! traces.  With the owned representation those traces live as per-entity
 //! [`CellSetSequence`]s inside a `BTreeMap`: every candidate costs a tree
 //! descent plus one pointer chase per level before a single cell is compared.
@@ -718,24 +718,6 @@ impl CandidateArena {
         rows.read.is_none()
     }
 
-    /// [`degree_into`](Self::degree_into) plus per-kernel dispatch
-    /// accounting: classifies each intersection it issues via [`row_class`]
-    /// (a pure function of the row lengths and the CPU, so the hot loop gains
-    /// only integer compares, no instrumentation inside the kernels) and
-    /// counts it into `dispatch` — one per level up to and including the
-    /// first empty one.
-    pub(crate) fn degree_into_tracked<M: AssociationMeasure + ?Sized>(
-        &self,
-        pos: usize,
-        view: &QueryView<'_>,
-        measure: &M,
-        scratch: &mut LevelOverlap,
-        dispatch: &mut KernelDispatch,
-    ) -> f64 {
-        self.overlaps_into(pos, view, &[], scratch, Some(dispatch));
-        measure.degree_from_overlap(scratch)
-    }
-
     /// One-shot variant of `degree_into` that owns its
     /// scratch; convenient for isolated lookups.
     pub fn degree_at<M: AssociationMeasure + ?Sized>(
@@ -751,9 +733,11 @@ impl CandidateArena {
     /// Exact top-k over the whole arena, pair by pair — brute force's scan:
     /// every member through the per-candidate loop, level 1 included, with
     /// no postings, so it stays an oracle independent of the planned
-    /// queries' flat scan, which reads level 1 from them.  Returns the
-    /// sorted answers plus the number of entities scored, matching the owned
-    /// scan's counters exactly.
+    /// queries' flat scan, which reads level 1 from them.  Every
+    /// intersection it issues is counted into `dispatch`, one per level up
+    /// to and including the first empty one.  Returns the sorted answers
+    /// plus the number of entities scored, matching the owned scan's
+    /// counters exactly.
     pub fn scan_top_k<M: AssociationMeasure + ?Sized>(
         &self,
         view: &QueryView<'_>,
@@ -770,7 +754,8 @@ impl CandidateArena {
                 continue;
             }
             checked += 1;
-            top.offer(entity, self.degree_into_tracked(pos, view, measure, &mut scratch, dispatch));
+            self.overlaps_into(pos, view, &[], &mut scratch, Some(&mut *dispatch));
+            top.offer(entity, measure.degree_from_overlap(&scratch));
         }
         (top.into_sorted(), checked)
     }

@@ -35,10 +35,9 @@
 //! ([`paged`], the Figure 7.6 path) the same scan reads finer cell rows
 //! through a `trace-storage` buffer pool, charging simulated I/O.
 //!
-//! The remaining query modules are thin drivers over the search: [`join`]
+//! The remaining query module is a thin driver over the search: [`join`]
 //! fans probe sets out over rayon ([`IndexSnapshot::top_k_batch`] /
-//! [`IndexSnapshot::top_k_join`]), and [`approximate`] scores LSH band
-//! collisions through the search's shared [`engine::TopKHeap`].
+//! [`IndexSnapshot::top_k_join`]).
 //!
 //! ## Snapshots and concurrency
 //!
@@ -108,7 +107,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod approximate;
 pub mod config;
 mod drive;
 pub mod durable;
@@ -130,7 +128,6 @@ pub mod synopsis;
 pub mod testkit;
 pub mod tree;
 
-pub use approximate::{BandedIndex, BandingConfig};
 pub use config::{HasherMode, IndexConfig, PlannerConfig};
 pub use durable::{DurableShardedMinSigIndex, RecoveryReport};
 pub use engine::TopKHeap;

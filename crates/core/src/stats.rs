@@ -233,13 +233,10 @@ pub struct QueryStats {
     /// 5 000-entity SYN population at floor 0.9, with every shard sampled,
     /// 61 of 200 queries measured below it).
     pub recall_estimate: f64,
-    /// Entities scored through a *sampled* access path — the LSH banded
-    /// candidates of [`approximate_top_k`], or the members a sampled shard
-    /// scan drew.  Always ≤
+    /// Entities scored through a *sampled* access path: the members a
+    /// sampled shard scan drew.  Always ≤
     /// [`entities_checked`](Self::entities_checked) (sampled scores are also
     /// exact degree computations and count in both).
-    ///
-    /// [`approximate_top_k`]: crate::snapshot::IndexSnapshot::approximate_top_k
     pub sampled_candidates: usize,
     /// What the latency budget degraded, if anything.  `None` (the
     /// default) is the exactness certificate: every shard ran an exact

@@ -921,15 +921,32 @@ fn partition_ids_by_home_shard(
 }
 
 /// Measured recall of a (possibly degraded) answer against the exact
-/// answer: the fraction of exact top-k entities the degraded answer
-/// recovered, with degree-ties at the k-th threshold counting as recovered
-/// (a sampled scan that surfaced a *different* entity of the same degree is
-/// not wrong, only differently tied).  The oracle behind the recall-floor
-/// conformance tests and the deadline bench; delegates to
-/// [`approximate::recall`](crate::approximate::recall) with the argument
-/// order those callers read naturally.
-pub fn measured_recall(approx: &[TopKResult], exact: &[TopKResult]) -> f64 {
-    crate::approximate::recall(exact, approx)
+/// answer: the fraction of exact top-k entities the answer recovered.  An
+/// exact entity the answer names is recovered.  An exact entity tied at the
+/// k-th degree is recovered too when an answer entry of that degree names
+/// no exact entity (a sampled scan that surfaced a *different* entity of the
+/// same degree is not wrong, only differently tied); each such entry stands
+/// in for at most one.  The oracle behind the recall-floor conformance
+/// tests.
+pub fn measured_recall(answer: &[TopKResult], exact: &[TopKResult]) -> f64 {
+    let Some(threshold) = exact.last().map(|r| r.degree) else { return 1.0 };
+    let names = |list: &[TopKResult], entity| list.iter().any(|r| r.entity == entity);
+    let mut stand_ins: Vec<f64> =
+        answer.iter().filter(|a| !names(exact, a.entity)).map(|a| a.degree).collect();
+    let hits = exact
+        .iter()
+        .filter(|r| {
+            if names(answer, r.entity) {
+                return true;
+            }
+            if r.degree > threshold {
+                return false;
+            }
+            let tied = stand_ins.iter().position(|&d| (d - r.degree).abs() < 1e-12);
+            tied.map(|i| stand_ins.swap_remove(i)).is_some()
+        })
+        .count();
+    hits as f64 / exact.len() as f64
 }
 
 /// How many per-level intersections the fused degree loop issues for one
@@ -1272,5 +1289,32 @@ mod tests {
         });
         let index = w.build_index(IndexConfig::with_hash_functions(16));
         assert_exact_for_all(&index, 3, &w.measure());
+    }
+
+    fn answers(entries: &[(u64, f64)]) -> Vec<TopKResult> {
+        entries.iter().map(|&(id, degree)| TopKResult { entity: EntityId(id), degree }).collect()
+    }
+
+    #[test]
+    fn recall_of_identical_answers_is_one() {
+        let exact = answers(&[(1, 0.9), (2, 0.5)]);
+        assert_eq!(measured_recall(&exact, &exact), 1.0);
+        assert_eq!(measured_recall(&exact, &[]), 1.0, "an empty exact answer is fully recalled");
+        assert_eq!(measured_recall(&answers(&[(1, 0.9)]), &exact), 0.5);
+        assert_eq!(measured_recall(&answers(&[(7, 0.8), (8, 0.4)]), &exact), 0.0, "disjoint");
+    }
+
+    #[test]
+    fn a_stand_in_covers_at_most_one_tied_exact_entity() {
+        // Entity 1 matches by id, so nothing of degree 0.3 is left to stand
+        // in for the tied entity 2.
+        let exact = answers(&[(1, 0.3), (2, 0.3)]);
+        assert_eq!(measured_recall(&answers(&[(1, 0.3), (9, 0.1)]), &exact), 0.5);
+        // Entity 4 stands in for one of the two entities tied at 0.2, not both.
+        let exact = answers(&[(1, 0.5), (2, 0.2), (3, 0.2)]);
+        let recall = measured_recall(&answers(&[(1, 0.5), (4, 0.2), (9, 0.1)]), &exact);
+        assert!((recall - 2.0 / 3.0).abs() < 1e-12, "{recall}");
+        // A different entity tied at the k-th degree is recovered.
+        assert_eq!(measured_recall(&answers(&[(1, 0.5), (4, 0.2), (5, 0.2)]), &exact), 1.0);
     }
 }

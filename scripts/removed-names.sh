@@ -26,6 +26,10 @@ grep -rnE 'ApproximateScan|apply_latency_budget|FALLBACK_NS_PER_DEGREE|SCAN_COST
 name='Out of core pins nothing and reads every member'
 grep -rnE 'pin_trace|PinnedPages|pin_pages|pin_counted|fn unpin|set_evictable|resident_count|candidates_unreadable|discount_unreadable' crates src tests examples && fail
 
+# LSH banding (§8.2) found 0–20 % of its own example's answers on SYN: no banded index comes back.
+name='No LSH banded index'
+grep -rnE 'BandedIndex|BandingConfig|approximate_top_k|fn banded|mod approximate|approximate::' crates src tests examples && fail
+
 # A function that needs the allow wants a request value instead.
 name='No too_many_arguments allows'
 grep -rn 'allow(clippy::too_many_arguments)' crates src && fail

@@ -17,9 +17,9 @@
 //!
 //! Every tree search — the unsharded index's exact, join and batch queries —
 //! runs a single best-first search to completion (`minsig::engine`; the flat
-//! scans and the approximate path share its top-k selection), scoring leaves
-//! from the index snapshot's flat candidate arena and stopping once no
-//! subtree left can beat its own k-th-best degree.  The
+//! scans share its top-k selection), scoring leaves from the index
+//! snapshot's flat candidate arena and stopping once no subtree left can
+//! beat its own k-th-best degree.  The
 //! sharded index opens no tree: its planner skips the shards a seeded
 //! threshold rules out and flat-scans every other one, reading level-1 and
 //! level-2 overlaps from the shard's postings, in memory or out of core
