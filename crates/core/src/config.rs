@@ -21,7 +21,8 @@ pub enum HasherMode {
     /// independent per-(time, ancestor) draws along its ancestor path.  The value
     /// of a parent is computed from a strict prefix of its children's paths, so
     /// `h(parent) <= h(child)` always holds — the only property the correctness
-    /// theorems need — while evaluation is `O(level)` per cell with no memo.
+    /// theorems need — and a cell's values are its parent cell's maxed with one
+    /// fresh draw: `nh` base hashes per cell given the parent's row, no memo.
     PathMax,
 }
 

@@ -14,6 +14,14 @@
 //! monotonicity property above, which is the only thing the correctness proofs
 //! use.  (The unit tests add a third, table-driven family that reproduces the
 //! worked example of Tables 4.1–4.3.)
+//!
+//! A build hashes each cell once, as one row of `nh` values, level by level.
+//! PathMax defines `h_u(t, a_1..a_l) = max_j g_u(t, a_j)`, so a level-`l`
+//! cell's row is `max(row of (t, a_1..a_{l-1}), g_u(t, a_l))` — its parent
+//! cell's row, which ancestor closure puts in the previous level's set, maxed
+//! with one fresh draw.  `max` is exact, so the rows are bitwise the
+//! definition's values and a build draws `nh` base hashes per cell, the
+//! `O(|E|·C·m·nh)` of Section 4.3.
 
 use crate::config::HasherMode;
 use parking_lot::RwLock;
@@ -133,32 +141,78 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
                 if level == sp.height() {
                     self.family.hash_base(u, cell)
                 } else {
-                    self.exhaustive(sp, cell)[u as usize]
+                    self.exhaustive(sp, cell, |row| row[u as usize])
                 }
             }
         }
     }
 
-    /// Exhaustive rule: minimum over all descendant base cells, memoised.
-    fn exhaustive(&self, sp: &SpIndex, cell: StCell) -> Vec<u64> {
-        if let Some(values) = self.memo.read().get(&cell.packed()) {
-            return values.clone();
+    /// The values of all `nh` functions on one cell, written to `out`.
+    ///
+    /// `parent_row` is the row of `(cell.time(), parent of cell.unit())` when
+    /// the caller holds it.  In PathMax mode the row is then
+    /// `max(parent_row[u], g_u(cell))` — the path maximum split at its last
+    /// step, so `nh` base hashes; without it the cell's whole ancestor path is
+    /// folded once for all functions.  In Exhaustive mode a base cell's row is
+    /// its `g_u` and a coarser cell's is a copy of its memo row; the parent's
+    /// row is not used.
+    pub(crate) fn hash_row(
+        &self,
+        sp: &SpIndex,
+        cell: StCell,
+        parent_row: Option<&[u64]>,
+        out: &mut [u64],
+    ) {
+        debug_assert_eq!(out.len(), self.family.num_functions() as usize);
+        match (self.mode, parent_row) {
+            (HasherMode::PathMax, Some(parent)) => {
+                for (u, (slot, &above)) in out.iter_mut().zip(parent).enumerate() {
+                    *slot = above.max(self.family.hash_base(u as u32, cell));
+                }
+            }
+            (HasherMode::PathMax, None) => {
+                out.fill(0);
+                for &ancestor in sp.ancestors(cell.unit()).expect("unit exists") {
+                    let step = StCell::new(cell.time(), ancestor);
+                    for (u, slot) in out.iter_mut().enumerate() {
+                        *slot = (*slot).max(self.family.hash_base(u as u32, step));
+                    }
+                }
+            }
+            (HasherMode::Exhaustive, _) => {
+                if sp.level(cell.unit()).expect("unit exists") == sp.height() {
+                    for (u, slot) in out.iter_mut().enumerate() {
+                        *slot = self.family.hash_base(u as u32, cell);
+                    }
+                } else {
+                    self.exhaustive(sp, cell, |row| out.copy_from_slice(row));
+                }
+            }
+        }
+    }
+
+    /// Exhaustive rule: the per-function minima over all descendant base
+    /// cells, memoised per coarse cell; `read` sees the memo's row in place.
+    fn exhaustive<R>(&self, sp: &SpIndex, cell: StCell, read: impl FnOnce(&[u64]) -> R) -> R {
+        if let Some(row) = self.memo.read().get(&cell.packed()) {
+            return read(row);
         }
         let nh = self.family.num_functions() as usize;
-        let mut values = vec![u64::MAX; nh];
+        let mut row = vec![u64::MAX; nh];
         let (lo, hi) = sp.base_range(cell.unit()).expect("unit exists");
         for ordinal in lo..hi {
             let base_unit = sp.base_unit_at(ordinal).expect("ordinal in range");
             let base_cell = StCell::new(cell.time(), base_unit);
-            for (u, slot) in values.iter_mut().enumerate() {
+            for (u, slot) in row.iter_mut().enumerate() {
                 let h = self.family.hash_base(u as u32, base_cell);
                 if h < *slot {
                     *slot = h;
                 }
             }
         }
-        self.memo.write().insert(cell.packed(), values.clone());
-        values
+        let value = read(&row);
+        self.memo.write().insert(cell.packed(), row);
+        value
     }
 
     /// PathMax rule: `h_u(t, unit at level l) = max over the unit's ancestors a_1..a_l
@@ -195,6 +249,18 @@ impl SignatureList {
     ///
     /// Empty levels produce all-`u64::MAX` signatures (an entity with no presence
     /// at a level can never be pruned *into* a group by it).
+    ///
+    /// Each cell's row of `nh` hash values is computed once, level by level,
+    /// and min-folded into its level's signature.  In PathMax mode a level-`l`
+    /// cell's row is `max(row of (time, parent unit), g_u(cell))`: the path
+    /// maximum `max_j g_u(t, a_j)` over `a_1..a_l` is the maximum over
+    /// `a_1..a_{l-1}` — the parent cell's row — and the last step, and `max`
+    /// is exact on integers, so the rows are bitwise [`HierarchicalHasher`]'s
+    /// per-function values.  Ancestor closure puts the parent cell in the
+    /// previous level's sorted set, where a binary search finds it; a cell
+    /// whose parent is not there (a `from_level_sets` level holding a unit of
+    /// another depth) folds its full path instead.  So a build draws
+    /// `total_cells × nh` base hashes, the `O(|E|·C·m·nh)` of Section 4.3.
     pub(crate) fn build<F: CellHashFamily>(
         sp: &SpIndex,
         hasher: &HierarchicalHasher<F>,
@@ -202,17 +268,29 @@ impl SignatureList {
     ) -> Self {
         let nh = hasher.num_functions() as usize;
         let mut levels = Vec::with_capacity(seq.num_levels());
+        // The previous level's cells and their rows (row `i` at `i * nh`),
+        // and the rows of the level being built.
+        let mut previous: &[StCell] = &[];
+        let (mut previous_rows, mut rows) = (Vec::new(), Vec::new());
         for (_level, set) in seq.iter_levels() {
             let mut sig = vec![u64::MAX; nh];
-            for cell in set.iter() {
-                for (u, slot) in sig.iter_mut().enumerate() {
-                    let h = hasher.hash(sp, u as u32, cell);
-                    if h < *slot {
-                        *slot = h;
-                    }
-                }
+            rows.clear();
+            rows.resize(set.len() * nh, 0);
+            for (i, cell) in set.iter().enumerate() {
+                let parent_row = sp
+                    .parent(cell.unit())
+                    .expect("unit exists")
+                    .and_then(|parent| {
+                        previous.binary_search(&StCell::new(cell.time(), parent)).ok()
+                    })
+                    .map(|at| &previous_rows[at * nh..(at + 1) * nh]);
+                let row = &mut rows[i * nh..(i + 1) * nh];
+                hasher.hash_row(sp, cell, parent_row, row);
+                trace_model::kernel::merge_min(&mut sig, row);
             }
             levels.push(sig);
+            previous = set.as_slice();
+            std::mem::swap(&mut previous_rows, &mut rows);
         }
         SignatureList { levels: Arc::new(levels) }
     }
@@ -288,6 +366,8 @@ impl SignatureList {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use trace_model::examples::{PaperExample, T1, T2};
     use trace_model::{CellSet, CellSetSequence, SpIndex};
 
@@ -505,6 +585,150 @@ pub(crate) mod tests {
         let second = hasher.hash(&sp, 0, cell);
         assert_eq!(first, second);
         assert_eq!(hasher.memo.read().len(), 1);
+    }
+
+    /// `sig^l[u]` by the definition: the minimum of `hasher.hash(sp, u, cell)`
+    /// over the level-`l` cells, `u64::MAX` over none.
+    fn signature_by_definition<F: CellHashFamily>(
+        sp: &SpIndex,
+        hasher: &HierarchicalHasher<F>,
+        seq: &CellSetSequence,
+    ) -> Vec<Vec<u64>> {
+        let functions = 0..hasher.num_functions();
+        seq.iter_levels()
+            .map(|(_, set)| {
+                let min = |u| set.iter().map(|cell| hasher.hash(sp, u, cell)).min();
+                functions.clone().map(|u| min(u).unwrap_or(u64::MAX)).collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The row build is the definition, in both modes and at every
+        /// width: for random hierarchies and traces — and the same traces
+        /// with every level past a random one emptied, still
+        /// ancestor-closed — every `sig^l[u]` is the minimum over the
+        /// level-`l` cells of `hasher.hash(sp, u, cell)`.
+        #[test]
+        fn row_build_equals_the_definition(
+            seed in any::<u64>(),
+            range in 2u64..5_000,
+            top in 1usize..4,
+            branching in proptest::collection::vec(1usize..4, 1..4),
+            picks in proptest::collection::vec((0u32..5, 0usize..1_000), 0..40),
+            kept in 1usize..5,
+        ) {
+            let sp = SpIndex::uniform(top, &branching).unwrap();
+            let base = sp.base_units();
+            let cells = picks.iter().map(|&(t, at)| StCell::new(t, base[at % base.len()]));
+            let full = CellSetSequence::from_base_cells(&sp, &CellSet::from_cells(cells)).unwrap();
+            let cut = full
+                .iter_levels()
+                .map(|(level, set)| if level as usize <= kept { set.clone() } else { CellSet::new() })
+                .collect();
+            let cut = CellSetSequence::from_level_sets(&sp, cut).unwrap();
+            for mode in [HasherMode::PathMax, HasherMode::Exhaustive] {
+                for nh in [1, 7, 32] {
+                    let hasher = HierarchicalHasher::new(SeededHashFamily::new(nh, seed, range), mode);
+                    for seq in [&full, &cut] {
+                        let sig = SignatureList::build(&sp, &hasher, seq);
+                        prop_assert_eq!(
+                            sig.levels(),
+                            signature_by_definition(&sp, &hasher, seq).as_slice(),
+                            "{:?}, nh {}", mode, nh
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where a cell's parent cell is not in the previous level's set — a
+    /// `from_level_sets` level holding a unit of another depth — the row build
+    /// folds the cell's full path and stays the definition; a level with no
+    /// cells stays all `u64::MAX`.
+    #[test]
+    fn row_build_folds_the_full_path_where_the_parent_cell_is_missing() {
+        let sp = SpIndex::uniform(2, &[2, 2]).unwrap();
+        let top = sp.top_units()[0];
+        let (mid, other_mid) = (sp.children(top).unwrap()[0], sp.children(top).unwrap()[1]);
+        let (base, other_base) = (sp.children(mid).unwrap()[0], sp.children(other_mid).unwrap()[0]);
+        let sets = |levels: [&[(u32, u32)]; 3]| {
+            let sets = levels
+                .map(|cells| CellSet::from_cells(cells.iter().map(|&(t, u)| StCell::new(t, u))));
+            CellSetSequence::from_level_sets(&sp, sets.to_vec()).unwrap()
+        };
+        let sequences = [
+            // A base unit at level 2, its parent cell nowhere.
+            sets([&[(0, top)], &[(0, other_base)], &[]]),
+            // A level-1 unit at level 2 beside a level-2 unit with a base child.
+            sets([&[(0, top), (1, top)], &[(0, top), (1, mid)], &[(1, base)]]),
+            // A level-2 unit at level 1: its base child at level 2 finds it there.
+            sets([&[(0, top), (0, other_mid)], &[(0, other_base)], &[]]),
+            // Presence at level 1 only.
+            sets([&[(2, top)], &[], &[]]),
+        ];
+        for mode in [HasherMode::PathMax, HasherMode::Exhaustive] {
+            for nh in [1, 7, 32] {
+                let hasher = HierarchicalHasher::new(SeededHashFamily::new(nh, 5, 10_000), mode);
+                for seq in &sequences {
+                    let sig = SignatureList::build(&sp, &hasher, seq);
+                    assert_eq!(sig.levels(), signature_by_definition(&sp, &hasher, seq).as_slice());
+                }
+                let last = SignatureList::build(&sp, &hasher, &sequences[3]);
+                assert!(last.level(2).iter().chain(last.level(3)).all(|&v| v == u64::MAX));
+            }
+        }
+    }
+
+    /// A seeded family that counts its base hashes.
+    #[derive(Debug)]
+    struct CountingFamily {
+        inner: SeededHashFamily,
+        calls: AtomicU64,
+    }
+
+    impl CellHashFamily for CountingFamily {
+        fn num_functions(&self) -> u32 {
+            self.inner.num_functions()
+        }
+
+        fn range(&self) -> u64 {
+            self.inner.range()
+        }
+
+        fn hash_base(&self, u: u32, cell: StCell) -> u64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.hash_base(u, cell)
+        }
+    }
+
+    /// The work is counted, not timed: a PathMax build of an ancestor-closed
+    /// sequence draws exactly `total_cells() × nh` base hashes — what
+    /// `IndexStats::hash_evaluations` adds for it — where hashing each
+    /// function's full path per cell drew `Σ_l l·|level l|·nh`.
+    #[test]
+    fn path_max_build_draws_one_row_per_cell() {
+        let sp = SpIndex::uniform(3, &[4, 3, 2]).unwrap();
+        let cells = sp
+            .base_units()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 5 != 1)
+            .map(|(i, &unit)| StCell::new((i % 7) as u32, unit));
+        let seq = CellSetSequence::from_base_cells(&sp, &CellSet::from_cells(cells)).unwrap();
+        for nh in [1, 7, 32] {
+            let family = CountingFamily {
+                inner: SeededHashFamily::new(nh, 3, 100_000),
+                calls: AtomicU64::new(0),
+            };
+            let hasher = HierarchicalHasher::new(family, HasherMode::PathMax);
+            let _ = SignatureList::build(&sp, &hasher, &seq);
+            let drawn = hasher.family.calls.load(Ordering::Relaxed);
+            assert_eq!(drawn, seq.total_cells() as u64 * nh as u64, "nh {nh}");
+        }
     }
 
     #[test]

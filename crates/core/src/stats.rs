@@ -76,7 +76,10 @@ pub struct IndexStats {
     /// [`IndexSnapshot::resident_bytes`](crate::snapshot::IndexSnapshot::resident_bytes).
     pub index_bytes: usize,
     /// Number of hash evaluations performed while computing signatures (the
-    /// dominant term of the Section 4.3 processor cost `O(|E|·C·m·nh)`).
+    /// dominant term of the Section 4.3 processor cost `O(|E|·C·m·nh)`):
+    /// `nh` per cell of every hashed sequence.  In
+    /// [`HasherMode::PathMax`](crate::config::HasherMode::PathMax) this is the
+    /// number of base hashes drawn, one row of `nh` per cell.
     pub hash_evaluations: u64,
     /// Wall-clock build time in microseconds.
     pub build_time_us: u64,

@@ -104,4 +104,9 @@ for f in crates/core/src/*.rs; do
 done | grep -v '^crates/core/src/snapshot.rs:[0-9]*: *self\.node_arena\.get_or_init(|| NodeArena::build(&self\.tree))$' |
     grep . && fail
 
+# A signature build hashes each cell once: a cell's row of `nh` values is
+# its parent cell's row maxed with one fresh draw, not `nh` path walks.
+name='One hash row per cell'
+sed '/^#\[cfg(test)\]/,$d' crates/core/src/signature.rs | grep -n 'hasher\.hash(' && fail
+
 exit $bad
