@@ -7,32 +7,35 @@
 //! [`CellSetSequence`]s inside a `BTreeMap`: every candidate costs a tree
 //! descent plus one pointer chase per level before a single cell is compared.
 //!
-//! The [`CandidateArena`] removes all of that from the read path.  It is an
-//! **entity-major** CSR structure materialised once per [`IndexSnapshot`]
+//! The [`CandidateArena`] takes the map off the read path, and the chase
+//! off every row a keyed kernel or a length test reads.  It is a flat,
+//! position-indexed structure materialised once per [`IndexSnapshot`]
 //! publish:
 //!
 //! * `entities` — all indexed entity ids, ascending;
-//! * `cells` — one packed-`u64` vector in which an entity's level-1…m runs
-//!   are adjacent, so scoring one candidate reads one contiguous span no
-//!   matter in which order candidates arrive (a best-first search pops
-//!   leaves in bound order, not position order);
-//! * `offsets` — one flat table: with `at = pos * m + i`,
-//!   `offsets[at]..offsets[at + 1]` brackets level `i + 1` of entity `pos`;
-//! * `keyed` — **the same rows a second time, in keyed form**
-//!   ([`KeyedRow`]: one key per unit and 64-time-unit word, with a `u64`
-//!   mask of the time units present), CSR-indexed by the same row number
-//!   `pos * m + i`.  Derived from `cells`, never persisted;
+//! * `sequences` — per entity, a handle on the snapshot map's own
+//!   [`CellSetSequence`] (an `Arc` clone: the same cells, not a copy).  A
+//!   packed kernel reads the level's [`packed_slice`] where the sequence
+//!   keeps it, so every cell of a snapshot exists once;
+//! * `lens` — one flat table of cell counts: `lens[pos * m + i]` is the
+//!   length of level `i + 1` of entity `pos`, what [`row_class`] decides by
+//!   without following the handle;
+//! * `keyed` — **the same rows in keyed form** ([`KeyedRow`]: one key per
+//!   unit and 64-time-unit word, with a `u64` mask of the time units
+//!   present), CSR-indexed by row number `pos * m + i`.  Derived from the
+//!   sequences, never persisted;
 //! * `postings` — **the keyed rows of levels 1 and 2 inverted**, one
 //!   inverted index per level: per distinct key, ascending, the positions
 //!   whose row of that level holds it (ascending, `u32`) with their masks.
 //!   Derived from `keyed`, never persisted.
 //!
-//! It holds cells and nothing else: no scan reads a signature, and the tree
-//! search reads its routing values from the [`NodeArena`], so the signatures
-//! live only in the snapshot's map.
+//! It holds cell rows and nothing else: no scan reads a signature, and the
+//! tree search reads its routing values from the [`NodeArena`], so the
+//! signatures live only in the snapshot's map.
 //!
-//! Every vector is sized exactly (a counting pass precedes the copy), and
-//! `CandidateArena::resident_bytes` reports capacities, not lengths.
+//! Every vector is sized exactly, and `CandidateArena::resident_bytes`
+//! reports capacities, not lengths — of the arena's own vectors: the cells
+//! behind the handles are the snapshot's sequences' and counted there.
 //!
 //! On top of it, `CandidateArena::degree_into` fuses the per-level overlap
 //! loop: all levels of one candidate are scored against a pre-resolved
@@ -73,17 +76,20 @@
 //!
 //! The arena is **read-path only**: the mutable index keeps its owned
 //! representation as the source of truth and rebuilds the arena whenever a
-//! mutation batch publishes a new snapshot — copying every row the batch did
-//! not touch from the arena it replaces, so only the batch's keyed rows are
-//! converted, and carrying the postings over in one linear pass per posted
-//! level that remaps the copied positions and merges in the batch's entries,
-//! for an entity that only grew just its delta's (`CandidateArena::rebuild`).
+//! mutation batch publishes a new snapshot — taking a handle on every
+//! sequence of the new map and copying the keyed rows and cell counts of
+//! every entity the batch did not touch from the arena it replaces, so only
+//! the batch's keyed rows are converted, and carrying the postings over in
+//! one linear pass per posted level that remaps the copied positions and
+//! merges in the batch's entries, for an entity that only grew just its
+//! delta's (`CandidateArena::rebuild`).
 //! A lone insert takes the same rebuild.  Conformance tests pin the
 //! invariant that makes this safe: arena-backed degrees are bitwise identical
 //! to the owned path, because both feed the measure the exact same integer
 //! overlap statistics.
 //!
 //! [`IndexSnapshot`]: crate::snapshot::IndexSnapshot
+//! [`packed_slice`]: trace_model::CellSet::packed_slice
 
 use crate::engine::{TopKHeap, TraceSource};
 use crate::paged::RowSegment;
@@ -107,8 +113,8 @@ pub use trace_model::kernel::{
     TINY_LEN,
 };
 
-/// Cell rows in keyed form ([`KeyedRow`]), CSR like the packed ones: row `r`
-/// is `keys[offsets[r]..offsets[r + 1]]` with the masks at the same indices.
+/// Cell rows in keyed form ([`KeyedRow`]), CSR: row `r` is
+/// `keys[offsets[r]..offsets[r + 1]]` with the masks at the same indices.
 /// Always `rows + 1` offsets, `offsets[0] == 0` (bar the empty default).
 #[derive(Debug, Clone, Default)]
 struct KeyedRows {
@@ -322,10 +328,10 @@ enum Rows<'m> {
     /// Consecutive positions of the previous arena, copied as one span.
     Carried(Range<usize>),
     /// An entity read from the maps, its keyed rows converted.
-    Fresh(EntityId, &'m CellSetSequence),
+    Fresh(&'m CellSetSequence),
     /// An entity read from the maps whose keyed rows are its previous ones
     /// (at that position) united with the keyed form of a delta.
-    Grown(EntityId, &'m CellSetSequence, usize, &'m CellSetSequence),
+    Grown(&'m CellSetSequence, usize, &'m CellSetSequence),
 }
 
 /// The flat candidate arena of one index snapshot (see the [module
@@ -336,25 +342,28 @@ enum Rows<'m> {
 /// `BTreeMap` — which keeps `entities_checked` counters and tie handling
 /// identical between the two paths.
 ///
-/// Every vector is allocated at its exact final size (`rebuild` counts
-/// first), so `resident_bytes` — which sums capacities — is what the
-/// allocator really holds.
+/// Every vector is allocated at its exact final size (`rebuild` converts the
+/// batch's keyed rows first, and their key counts size the rest), so
+/// `resident_bytes` — which sums capacities — is what the allocator really
+/// holds for the arena.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateArena {
     entities: Vec<EntityId>,
     /// `m`, the sp-index height: rows per entity.
     num_levels: usize,
-    /// `offsets[pos * m + i]..offsets[pos * m + i + 1]` brackets the level
-    /// `i + 1` cells of entity `pos` (`m` = `num_levels()`): one entity's `m`
-    /// runs are adjacent, so its row is the `m + 1` consecutive offsets from
-    /// `pos * m`.  Always `len() * m + 1` entries with `offsets[0] == 0`.
-    offsets: Vec<usize>,
-    /// All entities' cells, packed `u64`s, **entity-major**: entity 0's
-    /// level-1…m runs, then entity 1's, and so on.
-    cells: Vec<u64>,
-    /// The same rows in keyed form, row `pos * m + i` = level `i + 1` of
-    /// entity `pos` like the packed offsets: what the degree loop intersects
-    /// when [`row_class`] says keyed.  Derived from `cells`, never persisted.
+    /// Per entity, the snapshot map's own sequence (an `Arc` clone): a packed
+    /// kernel reads its rows in place, so the arena copies no cell.
+    sequences: Vec<CellSetSequence>,
+    /// `lens[pos * m + i]` is the cell count of level `i + 1` of entity `pos`.
+    /// Kept although `sequences` knows them: a scan reads the row lengths of
+    /// every member it scores, and reading them through the handles instead
+    /// (two pointer hops a row) measured `durable_rw`'s `query_p50_us`
+    /// 446 → 573 µs over 5 run pairs on 2 vCPUs; from this table it is
+    /// unchanged.
+    lens: Vec<u32>,
+    /// The rows in keyed form, row `pos * m + i` = level `i + 1` of entity
+    /// `pos`: what the degree loop intersects when [`row_class`] says keyed.
+    /// Derived from `sequences`, never persisted.
     keyed: KeyedRows,
     /// The keyed rows of levels 1..=min(m, [`POSTED_LEVELS`]) inverted, one
     /// [`Postings`] per level: per key, the positions holding it with their
@@ -381,20 +390,21 @@ impl CandidateArena {
 
     /// [`build`](Self::build) over `sequences`, reusing this arena for every
     /// entity it holds that `changed` (ascending ids, each with the delta it
-    /// grew by, if that is all that happened to it) does not list: runs of
-    /// such entities are copied span by span — cells and keyed rows — and
-    /// only the listed entities and the ones new to the map are read from
-    /// it.  Their keyed rows are converted by [`push_keyed`]
-    /// — from the delta alone, united with the previous rows, for an entity
-    /// that only grew — so a publish converts what its batch brought, not
-    /// the traces it touched, and copies the rest in a few `memcpy`s.  The
-    /// postings of levels 1 and 2 follow the same plan in one linear pass
-    /// each: carried positions remapped, a grown entity's entries kept with
-    /// its delta's united in, the other listed entities' entries dropped and
-    /// their converted rows' entries merged in (`Postings::carry`).  The
-    /// result equals a fresh build whenever the unlisted entities' sequences
-    /// are the ones this arena was built from and every listed delta is what
-    /// its entity's rows grew by.
+    /// grew by, if that is all that happened to it) does not list: a handle
+    /// on every sequence of `sequences` is taken, and runs of unlisted
+    /// entities have their keyed rows and cell counts copied span by span.
+    /// Only the listed entities and the ones new to the map have their keyed
+    /// rows converted by [`push_keyed`] — from the delta alone, united with
+    /// the previous rows, for an entity that only grew — so a publish
+    /// converts what its batch brought, not the traces it touched, and
+    /// copies the rest in a few `memcpy`s.  The postings of levels 1 and 2
+    /// follow the same plan in one linear pass each: carried positions
+    /// remapped, a grown entity's entries kept with its delta's united in,
+    /// the other listed entities' entries dropped and their converted rows'
+    /// entries merged in (`Postings::carry`).  The result equals a fresh
+    /// build whenever the unlisted entities' sequences are the ones this
+    /// arena was built from and every listed delta is what its entity's rows
+    /// grew by; its handles are always `sequences`' own.
     pub(crate) fn rebuild<'m>(
         &self,
         num_levels: Level,
@@ -406,13 +416,13 @@ impl CandidateArena {
         debug_assert!(self.is_empty() || self.num_levels() == m);
         u32::try_from(n).expect("arena positions are addressable by u32");
         let plan = self.plan_rebuild(sequences, changed);
-        // Convert first: the new key counts size the arena exactly.
+        // Convert first: the new key counts size the keyed rows exactly.
         let (mut rows, mut bound) = (0, 0);
         for part in &plan {
             (rows, bound) = match *part {
                 Rows::Carried(_) => (rows, bound),
-                Rows::Fresh(_, seq) => (rows + m, bound + seq.total_cells()),
-                Rows::Grown(_, _, pos, delta) => {
+                Rows::Fresh(seq) => (rows + m, bound + seq.total_cells()),
+                Rows::Grown(_, pos, delta) => {
                     let grown = self.keyed.keys_in(pos * m..(pos + 1) * m) + delta.total_cells();
                     (rows + m, bound + grown)
                 }
@@ -421,15 +431,16 @@ impl CandidateArena {
         let mut converted = KeyedRows::with_capacity(rows, bound);
         // The deltas' keyed rows, `m` per grown entity in plan order.
         let mut deltas = KeyedRows::with_capacity(0, 0);
+        let mut keys = 0;
         for part in &plan {
             match *part {
-                Rows::Carried(_) => {}
-                Rows::Fresh(_, seq) => {
+                Rows::Carried(ref run) => keys += self.keyed.keys_in(run.start * m..run.end * m),
+                Rows::Fresh(seq) => {
                     for (_, set) in seq.iter_levels() {
                         converted.push(set.packed_slice());
                     }
                 }
-                Rows::Grown(_, _, pos, delta) => {
+                Rows::Grown(_, pos, delta) => {
                     let first = deltas.offsets.len() - 1;
                     for (_, set) in delta.iter_levels() {
                         deltas.push(set.packed_slice());
@@ -440,45 +451,42 @@ impl CandidateArena {
                 }
             }
         }
-        let (mut cells, mut keys) = (0, converted.keys.len());
-        for part in &plan {
-            cells += match *part {
-                Rows::Carried(ref run) => {
-                    keys += self.keyed.keys_in(run.start * m..run.end * m);
-                    self.offsets[run.end * m] - self.offsets[run.start * m]
-                }
-                Rows::Fresh(_, seq) | Rows::Grown(_, seq, _, _) => seq.total_cells(),
-            };
-        }
         let mut arena = CandidateArena {
             entities: Vec::with_capacity(n),
             num_levels: m,
-            offsets: Vec::with_capacity(n * m + 1),
-            cells: Vec::with_capacity(cells),
-            keyed: KeyedRows::with_capacity(n * m, keys),
+            sequences: Vec::with_capacity(n),
+            lens: Vec::with_capacity(n * m),
+            keyed: KeyedRows::with_capacity(n * m, keys + converted.keys.len()),
             postings: Vec::new(),
         };
-        arena.offsets.push(0);
+        for (&entity, seq) in sequences {
+            arena.entities.push(entity);
+            arena.sequences.push(seq.clone());
+        }
         // The postings follow the plan: a carried position moves to where
         // its run lands, and so does a grown entity's, taking its delta's
         // keys in as fresh entries; any other converted entity's keys of the
         // posted levels are fresh entries.
         let mut remap = vec![None; self.len()];
         let mut fresh: Vec<Vec<Posting>> = vec![Vec::new(); m.min(POSTED_LEVELS)];
-        let (mut next_converted, mut next_grown) = (0, 0);
+        let (mut at, mut next_converted, mut next_grown) = (0u32, 0, 0);
         for part in plan {
-            let at = arena.len() as u32;
             match part {
                 Rows::Carried(run) => {
                     for (old, new) in run.clone().zip(at..) {
                         remap[old] = Some(new);
                     }
-                    arena.copy_rows(self, run);
+                    at += run.len() as u32;
+                    let rows = run.start * m..run.end * m;
+                    arena.lens.extend_from_slice(&self.lens[rows.clone()]);
+                    arena.keyed.extend_from(&self.keyed, rows);
                 }
-                Rows::Fresh(entity, seq) | Rows::Grown(entity, seq, ..) => {
-                    arena.push_entity(entity, seq);
+                Rows::Fresh(seq) | Rows::Grown(seq, ..) => {
+                    debug_assert_eq!(seq.num_levels(), m);
+                    let lens = seq.iter_levels().map(|(_, set)| set.len());
+                    arena.lens.extend(lens.map(|len| u32::try_from(len).expect("rows fit u32")));
                     let rows = next_converted * m..(next_converted + 1) * m;
-                    if let Rows::Grown(.., pos, _) = part {
+                    if let Rows::Grown(_, pos, _) = part {
                         remap[pos] = Some(at);
                         push_postings(&deltas, next_grown * m, at, &mut fresh);
                         next_grown += 1;
@@ -487,6 +495,7 @@ impl CandidateArena {
                     }
                     arena.keyed.extend_from(&converted, rows);
                     next_converted += 1;
+                    at += 1;
                 }
             }
         }
@@ -537,34 +546,11 @@ impl CandidateArena {
                     Some(Rows::Carried(run)) if run.end == pos => run.end += 1,
                     _ => plan.push(Rows::Carried(pos..pos + 1)),
                 },
-                (Some(pos), Some(Some(delta))) => plan.push(Rows::Grown(entity, seq, pos, delta)),
-                _ => plan.push(Rows::Fresh(entity, seq)),
+                (Some(pos), Some(Some(delta))) => plan.push(Rows::Grown(seq, pos, delta)),
+                _ => plan.push(Rows::Fresh(seq)),
             }
         }
         plan
-    }
-
-    /// Appends the entities at positions `run` of `from`, every row of theirs
-    /// copied span by span.
-    fn copy_rows(&mut self, from: &CandidateArena, run: Range<usize>) {
-        let m = self.num_levels();
-        self.entities.extend_from_slice(&from.entities[run.clone()]);
-        let rows = run.start * m..run.end * m;
-        let (span, base) = (from.offsets[rows.start]..from.offsets[rows.end], self.cells.len());
-        self.cells.extend_from_slice(&from.cells[span.clone()]);
-        let ends = &from.offsets[rows.start + 1..=rows.end];
-        self.offsets.extend(ends.iter().map(|&end| end - span.start + base));
-        self.keyed.extend_from(&from.keyed, rows);
-    }
-
-    /// Appends one entity's packed rows.
-    fn push_entity(&mut self, entity: EntityId, seq: &CellSetSequence) {
-        debug_assert_eq!(seq.num_levels(), self.num_levels());
-        self.entities.push(entity);
-        for (_, set) in seq.iter_levels() {
-            self.cells.extend_from_slice(set.packed_slice());
-            self.offsets.push(self.cells.len());
-        }
     }
 
     /// Number of entities in the arena.
@@ -597,30 +583,22 @@ impl CandidateArena {
         self.entities.binary_search(&entity).ok()
     }
 
-    /// The `num_levels + 1` offsets delimiting the `num_levels` adjacent
-    /// cell runs of the entity at `pos`.
-    #[inline]
-    fn row(&self, pos: usize) -> &[usize] {
-        let m = self.num_levels();
-        &self.offsets[pos * m..=(pos + 1) * m]
-    }
-
-    /// The packed level-`level` cells of the entity at `pos` (1-based level).
+    /// The packed level-`level` cells of the entity at `pos` (1-based level):
+    /// the slice its sequence holds, not a copy.
     #[inline]
     pub fn level_cells(&self, level: Level, pos: usize) -> &[u64] {
-        let row = self.row(pos);
-        let i = (level - 1) as usize;
-        &self.cells[row[i]..row[i + 1]]
+        self.sequences[pos].level(level).packed_slice()
     }
 
     /// Resident heap footprint of the arena in bytes: the capacity of every
-    /// vector, i.e. what the allocator holds for it.
+    /// vector, i.e. what the allocator holds for it.  The cells the handles
+    /// point at are the snapshot's sequences' and not counted here.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<u64>()
+        self.sequences.capacity() * std::mem::size_of::<CellSetSequence>()
+            + self.lens.capacity() * std::mem::size_of::<u32>()
             + self.keyed.resident_bytes()
             + self.postings.iter().map(Postings::resident_bytes).sum::<usize>()
             + self.postings.capacity() * std::mem::size_of::<Postings>()
-            + self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.entities.capacity() * std::mem::size_of::<EntityId>()
     }
 
@@ -660,11 +638,12 @@ impl CandidateArena {
     /// Every row of the entity at `pos`, as [`level_overlaps`] reads them.
     #[inline]
     fn rows(&self, pos: usize) -> ArenaRows<'_> {
+        let first = pos * self.num_levels();
         ArenaRows {
-            cells: &self.cells,
-            cell_ends: self.row(pos),
+            sequence: &self.sequences[pos],
+            lens: &self.lens[first..first + self.num_levels()],
             keyed: &self.keyed,
-            first: pos * self.num_levels(),
+            first,
         }
     }
 
@@ -712,8 +691,8 @@ impl CandidateArena {
         scratch: &mut RowScratch,
         dispatch: Option<&mut KernelDispatch>,
     ) -> bool {
-        let RowScratch { words, cells, overlap } = scratch;
-        let mut rows = PagedRows { resident: self.rows(pos), read: Some(read), words, cells };
+        let RowScratch { words, rebuilt, overlap } = scratch;
+        let mut rows = PagedRows { resident: self.rows(pos), read: Some(read), words, rebuilt };
         level_overlaps(view, &mut rows, known, overlap, dispatch);
         rows.read.is_none()
     }
@@ -1023,16 +1002,11 @@ impl NodeArena {
 /// with the query by the kernel it decided on.  Every kernel computes the
 /// same integer `|Q ∩ C|`.
 trait CandidateRows {
-    /// What the loop holds of a packed row between sizing and intersecting it.
-    type Row: Copy;
-    /// What it holds of a keyed row.
+    /// What the loop holds of a keyed row between sizing and intersecting it.
     type Keyed: Copy;
 
-    /// The level-`i + 1` row.
-    fn row(&self, i: usize) -> Self::Row;
-
-    /// Cells in `row`.
-    fn cells(row: Self::Row) -> usize;
+    /// Cells in the level-`i + 1` row.
+    fn cells(&self, i: usize) -> usize;
 
     /// The keyed form of the level-`i + 1` row; asked for only when the
     /// packed lengths leave [`row_class`]'s choice open.
@@ -1042,8 +1016,8 @@ trait CandidateRows {
     fn keys(keyed: Self::Keyed) -> usize;
 
     /// `|Q ∩ C|` at level `i + 1` by a packed kernel, `query` being the
-    /// query's packed row and `row` the candidate's.
-    fn overlap_packed(&mut self, query: &[u64], i: usize, row: Self::Row) -> usize;
+    /// query's packed row.
+    fn overlap_packed(&mut self, query: &[u64], i: usize) -> usize;
 
     /// `|Q ∩ C|` at level `i + 1` by the keyed kernel, `query` being the
     /// query's keyed row and `keyed` the candidate's.
@@ -1053,16 +1027,23 @@ trait CandidateRows {
 /// An entity's rows in the arena, every level in both forms.
 #[derive(Clone, Copy)]
 struct ArenaRows<'a> {
-    cells: &'a [u64],
-    /// The `m + 1` offsets into `cells` delimiting the entity's packed rows.
-    cell_ends: &'a [usize],
+    /// Holds the packed rows; followed only when a packed kernel runs.
+    sequence: &'a CellSetSequence,
+    /// The entity's `m` cell counts.
+    lens: &'a [u32],
     keyed: &'a KeyedRows,
     /// The keyed row number of its level 1 (`pos * m`); touched only when a
     /// keyed length or row is asked for.
     first: usize,
 }
 
-impl ArenaRows<'_> {
+impl<'a> ArenaRows<'a> {
+    /// The packed level-`i + 1` row, where the sequence holds it.
+    #[inline]
+    fn packed(&self, i: usize) -> &'a [u64] {
+        self.sequence.level(i as Level + 1).packed_slice()
+    }
+
     /// The level-`i + 1` keyed row (`i > 0`) in `words`, the entity's finer
     /// rows as [`CandidateArena::push_finer_rows`] writes them.
     fn finer_row<'w>(&self, words: &'w [u64], i: usize) -> KeyedRow<'w> {
@@ -1074,17 +1055,11 @@ impl ArenaRows<'_> {
 }
 
 impl<'a> CandidateRows for ArenaRows<'a> {
-    type Row = &'a [u64];
     type Keyed = KeyedRow<'a>;
 
     #[inline]
-    fn row(&self, i: usize) -> &'a [u64] {
-        &self.cells[self.cell_ends[i]..self.cell_ends[i + 1]]
-    }
-
-    #[inline]
-    fn cells(row: &'a [u64]) -> usize {
-        row.len()
+    fn cells(&self, i: usize) -> usize {
+        self.lens[i] as usize
     }
 
     #[inline]
@@ -1098,8 +1073,8 @@ impl<'a> CandidateRows for ArenaRows<'a> {
     }
 
     #[inline]
-    fn overlap_packed(&mut self, query: &[u64], _: usize, row: &[u64]) -> usize {
-        intersection_len(query, row)
+    fn overlap_packed(&mut self, query: &[u64], i: usize) -> usize {
+        intersection_len(query, self.packed(i))
     }
 
     #[inline]
@@ -1114,7 +1089,8 @@ impl<'a> CandidateRows for ArenaRows<'a> {
 #[derive(Debug, Default)]
 pub(crate) struct RowScratch {
     words: Vec<u64>,
-    cells: Vec<u64>,
+    /// A finer row rebuilt in packed form.
+    rebuilt: Vec<u64>,
     overlap: LevelOverlap,
 }
 
@@ -1158,7 +1134,7 @@ struct PagedRows<'a, R> {
     /// Reads the finer rows; `None` once it has.
     read: Option<R>,
     words: &'a mut Vec<u64>,
-    cells: &'a mut Vec<u64>,
+    rebuilt: &'a mut Vec<u64>,
 }
 
 impl<R: FnOnce(&mut Vec<u64>)> PagedRows<'_, R> {
@@ -1172,19 +1148,12 @@ impl<R: FnOnce(&mut Vec<u64>)> PagedRows<'_, R> {
 }
 
 impl<R: FnOnce(&mut Vec<u64>)> CandidateRows for PagedRows<'_, R> {
-    /// The row's cell count: only level 1's cells are at hand.
-    type Row = usize;
-    /// The keyed row's key count.
+    /// The keyed row's key count: only level 1's rows are at hand.
     type Keyed = usize;
 
     #[inline]
-    fn row(&self, i: usize) -> usize {
-        self.resident.cell_ends[i + 1] - self.resident.cell_ends[i]
-    }
-
-    #[inline]
-    fn cells(row: usize) -> usize {
-        row
+    fn cells(&self, i: usize) -> usize {
+        self.resident.cells(i)
     }
 
     #[inline]
@@ -1197,14 +1166,14 @@ impl<R: FnOnce(&mut Vec<u64>)> CandidateRows for PagedRows<'_, R> {
         keyed
     }
 
-    fn overlap_packed(&mut self, query: &[u64], i: usize, _: usize) -> usize {
+    fn overlap_packed(&mut self, query: &[u64], i: usize) -> usize {
         if i == 0 {
-            return intersection_len(query, self.resident.row(0));
+            return intersection_len(query, self.resident.packed(0));
         }
         self.read_finer();
-        self.cells.clear();
-        push_packed(self.resident.finer_row(self.words, i), self.cells);
-        intersection_len(query, self.cells)
+        self.rebuilt.clear();
+        push_packed(self.resident.finer_row(self.words, i), self.rebuilt);
+        intersection_len(query, self.rebuilt)
     }
 
     fn overlap_keyed(&mut self, query: KeyedRow<'_>, i: usize, _: usize) -> usize {
@@ -1245,8 +1214,7 @@ fn level_overlaps<R: CandidateRows>(
     out.clear();
     let mut shares_coarser = true;
     for i in 0..view.num_levels() {
-        let row = rows.row(i);
-        let (size_a, size_b) = (view.level(i).len(), R::cells(row));
+        let (size_a, size_b) = (view.level(i).len(), rows.cells(i));
         let overlap = if let Some(&overlap) = known.get(i) {
             overlap
         } else if shares_coarser {
@@ -1263,7 +1231,7 @@ fn level_overlaps<R: CandidateRows>(
                 (KernelClass::Keyed, Some((query, candidate))) => {
                     rows.overlap_keyed(query, i, candidate)
                 }
-                _ => rows.overlap_packed(view.level(i), i, row),
+                _ => rows.overlap_packed(view.level(i), i),
             }
         } else {
             0
@@ -1428,8 +1396,8 @@ impl TraceSource for ArenaSource<'_> {
     }
 }
 
-/// Every observable of `got` equals `expect`'s — packed cells, keyed rows,
-/// every posted level's postings — footprint included.
+/// Every observable of `got` equals `expect`'s — packed cells, cell counts,
+/// keyed rows, every posted level's postings — footprint included.
 #[cfg(test)]
 pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, context: &str) {
     assert_eq!(got.entities(), expect.entities(), "{context}");
@@ -1450,6 +1418,7 @@ pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, c
             );
         }
     }
+    assert_eq!(got.lens, expect.lens, "{context}: cell counts");
     assert_eq!(got.keyed.offsets, expect.keyed.offsets, "{context}: keyed offsets");
     assert_eq!(got.postings.len(), m.min(POSTED_LEVELS), "{context}: posted levels");
     assert_eq!(got.postings.len(), expect.postings.len(), "{context}: posted levels");

@@ -98,9 +98,12 @@ pub struct IndexSnapshot {
     /// [`publish`](Self::publish): equals [`Synopsis::compute`] over
     /// `sequences`.
     synopsis: Synopsis,
-    /// The flat candidate arena ([`crate::kernel`]): a read-path-only CSR
-    /// mirror of `sequences`.  Invariant, kept by [`publish`](Self::publish):
-    /// equals [`CandidateArena::build`] over it.
+    /// The flat candidate arena ([`crate::kernel`]): read-path-only handles
+    /// on `sequences`' own cells, with the keyed rows, cell counts and
+    /// postings derived from them.  Invariant, kept by
+    /// [`publish`](Self::publish): equals [`CandidateArena::build`] over
+    /// `sequences`, and reads every member's packed rows from its sequence
+    /// there.
     arena: CandidateArena,
     /// The flat node rows of the tree ([`crate::kernel::NodeArena`]): the
     /// read-path-only SoA/CSR mirror of `tree` every tree search expands
@@ -205,8 +208,8 @@ impl IndexSnapshot {
     }
 
     /// The flat candidate arena of this snapshot (see [`crate::kernel`]) —
-    /// the hot-path mirror of [`sequences`](Self::sequences) every exact
-    /// scan and leaf evaluation reads from.
+    /// the hot-path view of [`sequences`](Self::sequences) every exact scan
+    /// and leaf evaluation reads from.
     pub fn arena(&self) -> &CandidateArena {
         &self.arena
     }
@@ -247,10 +250,11 @@ impl IndexSnapshot {
     ///
     /// One path whatever the batch: the synopsis is recomputed, the node
     /// rows are dropped (the next [`node_arena`](Self::node_arena) call
-    /// builds them), and the candidate arena is rebuilt by reading the
-    /// changed entities from the maps and copying everyone else's rows from
-    /// the arena it replaces ([`CandidateArena::rebuild`]), so only the
-    /// batch's keyed rows are converted.
+    /// builds them), and the candidate arena is rebuilt by taking a handle on
+    /// every sequence of the map, reading the changed entities from it and
+    /// copying everyone else's keyed rows and cell counts from the arena it
+    /// replaces ([`CandidateArena::rebuild`]), so only the batch's keyed rows
+    /// are converted.
     pub(crate) fn publish(&mut self, changes: Vec<(EntityId, Change)>, epoch: u64) -> Published {
         let previous = std::mem::take(&mut self.arena);
         self.publish_over(&previous, changes, epoch)
@@ -373,7 +377,8 @@ impl IndexSnapshot {
     /// and, once a tree search has built them, the node rows'.
     ///
     /// This is the number to use for capacity planning, and it is dominated
-    /// by the sequences with their arena rows and by the signatures
+    /// by the sequences (their cells held once: the arena reads them through
+    /// handles), the arena's keyed rows and postings, and the signatures
     /// (`entities × m × nh × 8` bytes, held once: the arena keeps none), not
     /// the tree.  It counts shared values in full: a copy-on-write publish
     /// shares the sequences and signatures of every entity it did not touch
@@ -490,7 +495,9 @@ mod tests {
     use trace_model::PresenceInstance;
     use trace_storage::LogConfig;
 
-    /// `snapshot`'s arena against one built from scratch over its maps.
+    /// `snapshot`'s arena against one built from scratch over its maps, each
+    /// member's packed rows being the very slices its sequence in the map
+    /// holds: one copy of the cells.
     fn assert_arena_is_fresh(snapshot: &IndexSnapshot, context: &str) {
         let fresh = CandidateArena::build(
             snapshot.tree.levels(),
@@ -499,6 +506,12 @@ mod tests {
             &snapshot.signatures,
         );
         assert_same_arena(&snapshot.arena, &fresh, context);
+        for (pos, seq) in snapshot.sequences.values().enumerate() {
+            for (level, set) in seq.iter_levels() {
+                let (held, own) = (snapshot.arena.level_cells(level, pos), set.packed_slice());
+                assert!(std::ptr::eq(held, own), "{context}: row {pos}, level {level} is a copy");
+            }
+        }
     }
 
     /// Every publisher — an ingest flush (unions into existing entities and
@@ -564,6 +577,35 @@ mod tests {
                 assert_arena_is_fresh(&snapshot, &format!("durable batch {batch}, shard {shard}"));
             }
             drop(reader);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An index opened from disk builds its arenas over the sequences it
+    /// decoded (`from_parts`): unsharded, and every shard of a sharded one,
+    /// each equals a fresh build and reads its packed rows from them.
+    #[test]
+    fn an_opened_arena_reads_the_opened_sequences() {
+        let w = Workload::uniform(UniformConfig {
+            entities: 60,
+            visits: 30,
+            time_slots: 300,
+            ..UniformConfig::default()
+        });
+        let config = IndexConfig::with_hash_functions(8);
+        let dir =
+            std::env::temp_dir().join(format!("snapshot-opened-arena-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("index.msix");
+        w.build_index(config).save(&path).unwrap();
+        assert_arena_is_fresh(&MinSigIndex::open(&path).unwrap().snapshot(), "opened index");
+        let shards = dir.join("sharded");
+        ShardedMinSigIndex::build(&w.sp, &w.traces, config, 2).unwrap().save(&shards).unwrap();
+        let opened = ShardedMinSigIndex::open(&shards).unwrap();
+        for shard in 0..2 {
+            let context = format!("opened shard {shard}");
+            assert_arena_is_fresh(&opened.shard(shard).snapshot(), &context);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

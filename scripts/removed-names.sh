@@ -109,4 +109,11 @@ done | grep -v '^crates/core/src/snapshot.rs:[0-9]*: *self\.node_arena\.get_or_i
 name='One hash row per cell'
 sed '/^#\[cfg(test)\]/,$d' crates/core/src/signature.rs | grep -n 'hasher\.hash(' && fail
 
+# Every cell of a snapshot exists once, in its sequences: the candidate
+# arena holds handles on them and reads packed rows in place, so it owns
+# no packed-cell vector and copies no packed row.
+name='One copy of the cells'
+sed '/^#\[cfg(test)\]/,$d' crates/core/src/kernel.rs |
+    grep -nE 'cells: Vec<u64>|extend_from_slice\(set\.packed_slice\(\)\)|from\.cells' && fail
+
 exit $bad
