@@ -3,29 +3,6 @@
 use crate::error::{IndexError, Result};
 use serde::{Deserialize, Serialize};
 
-/// How the hierarchical hash value of a *coarse* (non-base) ST-cell is derived.
-///
-/// The paper defines `h_u(t, l_x) = min over { h_u(t, l_c) | l_c child of l_x }`
-/// — the minimum over **all** children, which guarantees that a coarse cell never
-/// hashes above any of its descendants (the property Theorems 1–4 rely on).
-/// Computing that minimum exactly requires enumerating every descendant base
-/// unit, which is exact but expensive for wide hierarchies; this enum selects
-/// between the exact rule and a scalable closed-form alternative that satisfies
-/// the same monotonicity property.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HasherMode {
-    /// The paper's rule: minimum over all descendant base cells, memoised per
-    /// coarse cell.  Exact but O(descendants) on first touch of each cell.
-    Exhaustive,
-    /// A scalable substitute: the hash of a cell at level `l` is the *maximum* of
-    /// independent per-(time, ancestor) draws along its ancestor path.  The value
-    /// of a parent is computed from a strict prefix of its children's paths, so
-    /// `h(parent) <= h(child)` always holds — the only property the correctness
-    /// theorems need — and a cell's values are its parent cell's maxed with one
-    /// fresh draw: `nh` base hashes per cell given the parent's row, no memo.
-    PathMax,
-}
-
 /// Configuration of a [`MinSigIndex`](crate::index::MinSigIndex).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IndexConfig {
@@ -39,18 +16,11 @@ pub struct IndexConfig {
     /// Size of the hash range; `None` derives it from the dataset as
     /// `|base units| × |time units|`, the paper's `[0, |S|-1]` range.
     pub hash_range: Option<u64>,
-    /// How coarse-cell hashes are computed.
-    pub hasher_mode: HasherMode,
 }
 
 impl Default for IndexConfig {
     fn default() -> Self {
-        IndexConfig {
-            num_hash_functions: 128,
-            hash_seed: 0x5EED_CAFE,
-            hash_range: None,
-            hasher_mode: HasherMode::PathMax,
-        }
+        IndexConfig { num_hash_functions: 128, hash_seed: 0x5EED_CAFE, hash_range: None }
     }
 }
 
@@ -155,7 +125,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         assert!(IndexConfig::default().validate().is_ok());
-        assert_eq!(IndexConfig::default().hasher_mode, HasherMode::PathMax);
     }
 
     #[test]

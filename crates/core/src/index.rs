@@ -52,7 +52,7 @@ impl MinSigIndex {
         let sequences = traces.cell_sequences(sp)?;
         let hash_range = config.hash_range.unwrap_or_else(|| default_hash_range(sp, &sequences));
         let family = SeededHashFamily::new(config.num_hash_functions, config.hash_seed, hash_range);
-        let hasher = HierarchicalHasher::new(family, config.hasher_mode);
+        let hasher = HierarchicalHasher::new(family);
 
         let mut tree = MinSigTree::new(sp.height());
         let mut signatures = BTreeMap::new();
@@ -591,22 +591,5 @@ mod tests {
             .top_k_for_sequence(&seq, None, 1, &measure, QueryOptions::default())
             .unwrap_err();
         assert!(matches!(err, IndexError::LevelMismatch { .. }));
-    }
-
-    #[test]
-    fn exhaustive_and_pathmax_modes_agree_with_brute_force() {
-        let (sp, traces) = paired_dataset(8);
-        let measure = PaperAdm::default_for(3);
-        for mode in [crate::HasherMode::Exhaustive, crate::HasherMode::PathMax] {
-            let config = IndexConfig { hasher_mode: mode, ..IndexConfig::with_hash_functions(32) };
-            let index = MinSigIndex::build(&sp, &traces, config).unwrap();
-            for query in [0u64, 3, 11] {
-                let (results, _) = index.top_k(EntityId(query), 5, &measure).unwrap();
-                let expect = index.brute_force(EntityId(query), 5, &measure).unwrap();
-                for (r, e) in results.iter().zip(expect.iter()) {
-                    assert!((r.degree - e.degree).abs() < 1e-9, "mode {mode:?}");
-                }
-            }
-        }
     }
 }

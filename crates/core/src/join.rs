@@ -47,11 +47,6 @@ pub struct JoinStats {
 pub struct JoinOptions {
     /// Number of result entities per probe.
     pub k: usize,
-    /// `1` evaluates probes sequentially on the calling thread; any larger
-    /// value fans the probes out over the rayon worker pool (whose size is
-    /// global, so this acts as an on/off switch rather than an exact thread
-    /// count).  Results are identical either way.
-    pub threads: usize,
     /// The pruning ablations of each probe's tree search (the unsharded
     /// join's; a sharded or paged join scans and does not read them).
     pub query: QueryOptions,
@@ -59,7 +54,7 @@ pub struct JoinOptions {
 
 impl Default for JoinOptions {
     fn default() -> Self {
-        JoinOptions { k: 10, threads: 1, query: QueryOptions::default() }
+        JoinOptions { k: 10, query: QueryOptions::default() }
     }
 }
 
@@ -86,18 +81,18 @@ impl IndexSnapshot {
         answers.into_iter().collect()
     }
 
-    /// Answers the top-k query for every probe entity, optionally in parallel.
+    /// Answers the top-k query for every probe entity, in parallel.
     ///
     /// Probes that are not indexed are skipped (and counted in
     /// [`JoinStats::skipped`]); the output preserves the probe order and is
-    /// identical for sequential and parallel evaluation.
+    /// each probe's own `top_k_with_options` answer.
     pub fn top_k_join<M: AssociationMeasure + Sync + ?Sized>(
         &self,
         probes: &[EntityId],
         measure: &M,
         options: JoinOptions,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        Ok(join_probes(probes, options.threads, |probe| {
+        Ok(join_probes(probes, |probe| {
             // An unindexed probe is skipped; any other error class would
             // indicate a malformed snapshot, and the join API predates
             // fallible rows, so it folds into "skipped" too.
@@ -108,26 +103,15 @@ impl IndexSnapshot {
     }
 }
 
-/// Answers every probe through `answer` (`None` = skipped probe) —
-/// sequentially on the calling thread when `threads <= 1`, over the rayon
-/// pool otherwise — and folds the rows into the join output.  The one probe
-/// loop of the unsharded, sharded and paged joins.
+/// Answers every probe through `answer` (`None` = skipped probe) over the
+/// rayon pool and folds the rows, in probe order, into the join output and
+/// its aggregate statistics.  The one probe loop of the unsharded, sharded
+/// and paged joins.
 pub(crate) fn join_probes(
     probes: &[EntityId],
-    threads: usize,
     answer: impl Fn(EntityId) -> Option<JoinRow> + Sync,
 ) -> (Vec<JoinRow>, JoinStats) {
-    let rows: Vec<Option<JoinRow>> = if threads <= 1 || probes.len() <= 1 {
-        probes.iter().map(|&probe| answer(probe)).collect()
-    } else {
-        probes.par_iter().map(|&probe| answer(probe)).collect()
-    };
-    collect_join_rows(rows)
-}
-
-/// Folds per-probe rows (`None` = skipped probe) into the join output and its
-/// aggregate statistics.
-fn collect_join_rows(rows: Vec<Option<JoinRow>>) -> (Vec<JoinRow>, JoinStats) {
+    let rows: Vec<Option<JoinRow>> = probes.par_iter().map(|&probe| answer(probe)).collect();
     let mut stats = JoinStats::default();
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
@@ -196,31 +180,22 @@ mod tests {
         assert!(stats.mean_entities_checked >= 1.0);
     }
 
+    /// The join's rows are the per-probe single queries, in probe order.
     #[test]
     fn parallel_join_matches_sequential_join() {
         let (sp, traces) = dataset(25);
         let index = MinSigIndex::build(&sp, &traces, IndexConfig::with_hash_functions(48)).unwrap();
         let measure = PaperAdm::default_for(2);
         let probes: Vec<EntityId> = (0..30u64).map(EntityId).collect();
-        let (seq_rows, _) = index
-            .top_k_join(
-                &probes,
-                &measure,
-                JoinOptions { k: 3, threads: 1, ..JoinOptions::default() },
-            )
-            .unwrap();
         let (par_rows, _) = index
-            .top_k_join(
-                &probes,
-                &measure,
-                JoinOptions { k: 3, threads: 4, ..JoinOptions::default() },
-            )
+            .top_k_join(&probes, &measure, JoinOptions { k: 3, ..JoinOptions::default() })
             .unwrap();
-        assert_eq!(seq_rows.len(), par_rows.len());
-        for (a, b) in seq_rows.iter().zip(par_rows.iter()) {
-            assert_eq!(a.probe, b.probe);
-            assert_eq!(a.matches.len(), b.matches.len());
-            for (x, y) in a.matches.iter().zip(b.matches.iter()) {
+        assert_eq!(probes.len(), par_rows.len());
+        for (&probe, b) in probes.iter().zip(par_rows.iter()) {
+            let (seq_matches, _) = index.top_k(probe, 3, &measure).unwrap();
+            assert_eq!(probe, b.probe);
+            assert_eq!(seq_matches.len(), b.matches.len());
+            for (x, y) in seq_matches.iter().zip(b.matches.iter()) {
                 assert!((x.degree - y.degree).abs() < 1e-12);
             }
         }

@@ -1437,7 +1437,6 @@ pub(crate) fn assert_same_arena(got: &CandidateArena, expect: &CandidateArena, c
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HasherMode;
     use crate::signature::{HierarchicalHasher, SeededHashFamily};
     use crate::testkit::issued_intersections;
     use proptest::prelude::*;
@@ -1603,8 +1602,7 @@ mod tests {
         n: u64,
     ) -> (SpIndex, BTreeMap<EntityId, CellSetSequence>, BTreeMap<EntityId, SignatureList>) {
         let sp = SpIndex::uniform(2, &[4]).unwrap();
-        let hasher =
-            HierarchicalHasher::new(SeededHashFamily::new(8, 7, 10_000), HasherMode::PathMax);
+        let hasher = HierarchicalHasher::new(SeededHashFamily::new(8, 7, 10_000));
         let mut sequences = BTreeMap::new();
         let mut signatures = BTreeMap::new();
         for e in 0..n {

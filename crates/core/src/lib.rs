@@ -128,7 +128,7 @@ pub mod synopsis;
 pub mod testkit;
 pub mod tree;
 
-pub use config::{HasherMode, IndexConfig, PlannerConfig};
+pub use config::{IndexConfig, PlannerConfig};
 pub use durable::{DurableShardedMinSigIndex, RecoveryReport};
 pub use engine::TopKHeap;
 pub use error::{IndexError, Result};

@@ -30,7 +30,7 @@
 //! the pool.  Nothing about the pool reaches the plan, which is the in-memory
 //! plan at any residency (see [`crate::plan`]).  Answers are **bitwise identical** to the
 //! in-memory sharded, unsharded and brute-force paths — any shard count, any
-//! pool size, any [`ReplacerPolicy`](trace_storage::ReplacerPolicy)
+//! pool size, the pool's LRU-2 or a chaotic replacer
 //! (`tests/paged_conformance.rs` proptests exactly this) — and so is the
 //! work: `entities_checked` and every kernel-dispatch class equal the
 //! in-memory query's.  Like every sharded query, a paged one scans each
@@ -262,18 +262,6 @@ impl<'a> PagedShardedSnapshot<'a> {
         query: &Query<'_, M>,
     ) -> Result<(Vec<TopKResult>, QueryStats)> {
         self.snapshot.run(entity, query, Some(&self.segments), false)
-    }
-
-    /// Answers every query of a batch in parallel, input order preserved,
-    /// with the default [`Query`] — the paged counterpart of
-    /// [`ShardedSnapshot::top_k_batch`].
-    pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.query_batch(queries, &Query::new(k, measure))
     }
 
     /// Answers `query` for every entity of a batch, every knob explicit —
@@ -553,7 +541,7 @@ mod tests {
         let queries: Vec<EntityId> = [1u64, 12, 25, 44].map(EntityId).to_vec();
 
         let mem_batch = snapshot.top_k_batch(&queries, 4, &measure).unwrap();
-        let paged_batch = paged.top_k_batch(&queries, 4, &measure).unwrap();
+        let paged_batch = paged.query_batch(&queries, &Query::new(4, &measure)).unwrap();
         for ((mem, _), (out, _)) in mem_batch.iter().zip(paged_batch.iter()) {
             assert_eq!(mem, out);
         }

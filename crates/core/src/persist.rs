@@ -10,7 +10,7 @@
 //!
 //! | segment | contents |
 //! |---------|----------|
-//! | `META`  | temporal discretisation, [`IndexConfig`], the *resolved* hash range, hierarchy height, tree level count, and the expected entity / node / unit counts |
+//! | `META`  | temporal discretisation, [`IndexConfig`], the hasher byte (always 1, PathMax), the *resolved* hash range, hierarchy height, tree level count, and the expected entity / node / unit counts |
 //! | `WAL`   | the WAL checkpoint LSN: the highest log record this file already incorporates — format version 3 and newer |
 //! | `SYN`   | the planning [`Synopsis`] (sketch size, per-level capacity caps, entity count, hot-entity ids) — format version 2 and newer |
 //! | `SP`    | the spatial hierarchy as a parent list (units were created parent-before-child, so replaying the list through [`SpIndexBuilder`] reproduces the exact same dense unit ids) |
@@ -47,7 +47,7 @@
 //! [`remove_entity`]: crate::index::MinSigIndex::remove_entity
 //! [`SpIndexBuilder`]: trace_model::SpIndexBuilder
 
-use crate::config::{HasherMode, IndexConfig};
+use crate::config::IndexConfig;
 use crate::error::{IndexError, Result};
 use crate::index::MinSigIndex;
 use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
@@ -74,6 +74,12 @@ const TAG_TREE: u32 = 3;
 const TAG_ENT: u32 = 4;
 const TAG_SYN: u32 = 5;
 const TAG_WAL: u32 = 6;
+
+/// META's hasher byte: 1 names PathMax, the one hash rule.  A 0 names the
+/// paper's min-over-children rule, which no build writes any more; its
+/// signatures are not PathMax's, so the tree search would misread them, and
+/// the byte is refused as corrupt like any other.
+const PATH_MAX_HASHER: u8 = 1;
 
 /// Entities per `ENT` segment and nodes per `TREE` segment: keeps individual
 /// segments small enough to checksum incrementally while amortising the
@@ -305,7 +311,7 @@ impl IndexSnapshot {
             meta.config.hash_seed,
             meta.resolved_range,
         );
-        let hasher = HierarchicalHasher::new(family, meta.config.hasher_mode);
+        let hasher = HierarchicalHasher::new(family);
         let snapshot = IndexSnapshot::from_parts(SnapshotParts {
             sp,
             config: meta.config,
@@ -326,10 +332,7 @@ impl IndexSnapshot {
         out.extend_from_slice(&self.config.hash_seed.to_le_bytes());
         out.push(self.config.hash_range.is_some() as u8);
         out.extend_from_slice(&self.config.hash_range.unwrap_or(0).to_le_bytes());
-        out.push(match self.config.hasher_mode {
-            HasherMode::Exhaustive => 0,
-            HasherMode::PathMax => 1,
-        });
+        out.push(PATH_MAX_HASHER);
         out.extend_from_slice(&self.hasher.range().to_le_bytes());
         out.push(self.sp.height());
         out.push(self.tree().levels());
@@ -425,11 +428,10 @@ impl Meta {
         let hash_seed = c.u64()?;
         let has_range = c.u8()?;
         let raw_range = c.u64()?;
-        let hasher_mode = match c.u8()? {
-            0 => HasherMode::Exhaustive,
-            1 => HasherMode::PathMax,
+        match c.u8()? {
+            PATH_MAX_HASHER => {}
             other => return Err(corrupt(&format!("unknown hasher mode {other}"))),
-        };
+        }
         let resolved_range = c.u64()?;
         let sp_height = c.u8()?;
         let tree_levels = c.u8()?;
@@ -456,7 +458,7 @@ impl Meta {
             1 => Some(raw_range),
             other => return Err(corrupt(&format!("invalid hash_range flag {other}"))),
         };
-        let config = IndexConfig { num_hash_functions, hash_seed, hash_range, hasher_mode };
+        let config = IndexConfig { num_hash_functions, hash_seed, hash_range };
         config.validate()?;
         Ok(Meta {
             ticks_per_unit,
@@ -834,6 +836,44 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// `index`'s file image with its `META` payload passed through `edit`.
+    fn doctored_meta(index: &MinSigIndex, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let valid = index.to_bytes().unwrap();
+        let mut reader =
+            segment::SegmentReader::new(valid.as_slice(), INDEX_MAGIC, INDEX_VERSION).unwrap();
+        let mut writer =
+            segment::SegmentWriter::new(Vec::new(), INDEX_MAGIC, INDEX_VERSION).unwrap();
+        while let Some((tag, mut payload)) = reader.next_segment().unwrap() {
+            if tag == TAG_META {
+                edit(&mut payload);
+            }
+            writer.write_segment(tag, &payload).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    /// A one-shard directory holding `image` as its shard file, under a
+    /// manifest that vouches for it, so a sharded open gets as far as
+    /// parsing the image.
+    fn one_shard_dir(name: &str, image: &[u8], num_entities: usize) -> std::path::PathBuf {
+        let dir = temp_path(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(ShardedMinSigIndex::shard_file_name(0)), image).unwrap();
+        let mut manifest = Vec::new();
+        manifest.extend_from_slice(&PARTITION_VERSION.to_le_bytes());
+        manifest.extend_from_slice(&1u32.to_le_bytes());
+        manifest.extend_from_slice(&(num_entities as u64).to_le_bytes());
+        manifest.extend_from_slice(&file_digest(image).to_le_bytes());
+        segment::atomic_write(
+            &dir.join(SHARD_MANIFEST_FILE),
+            SHARD_MANIFEST_MAGIC,
+            SHARD_MANIFEST_VERSION,
+            |w| w.write_segment(TAG_MANIFEST, &manifest),
+        )
+        .unwrap();
+        dir
+    }
+
     /// ROADMAP 1(d): `num_hash_functions` sizes the seed table and every
     /// signature row, so a `META` claiming `u32::MAX` of them — CRC valid —
     /// must be refused before anything is reserved for it, whether entity
@@ -844,19 +884,10 @@ mod tests {
         let (sp, _traces, populated) = sample_index(12);
         let empty = MinSigIndex::build(&sp, &TraceSet::new(60), populated.config()).unwrap();
         for (name, index) in [("populated", &populated), ("empty", &empty)] {
-            let valid = index.to_bytes().unwrap();
-            let mut reader =
-                segment::SegmentReader::new(valid.as_slice(), INDEX_MAGIC, INDEX_VERSION).unwrap();
-            let mut writer =
-                segment::SegmentWriter::new(Vec::new(), INDEX_MAGIC, INDEX_VERSION).unwrap();
-            while let Some((tag, mut payload)) = reader.next_segment().unwrap() {
-                if tag == TAG_META {
-                    // num_hash_functions follows ticks_per_unit (8 bytes).
-                    payload[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-                }
-                writer.write_segment(tag, &payload).unwrap();
-            }
-            let doctored = writer.finish().unwrap();
+            // num_hash_functions follows ticks_per_unit (8 bytes).
+            let doctored = doctored_meta(index, |payload| {
+                payload[8..12].copy_from_slice(&u32::MAX.to_le_bytes())
+            });
 
             let path = temp_path(&format!("absurd-nh-{name}.msix"));
             std::fs::write(&path, &doctored).unwrap();
@@ -864,25 +895,51 @@ mod tests {
             assert!(MinSigIndex::open(&path).is_err(), "{name}: index open");
             std::fs::remove_file(&path).unwrap();
 
-            // The same image as the one shard of a directory whose manifest
-            // vouches for it, so the sharded open gets as far as parsing it.
-            let dir = temp_path(&format!("absurd-nh-{name}-sharded"));
-            std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join(ShardedMinSigIndex::shard_file_name(0)), &doctored).unwrap();
-            let mut manifest = Vec::new();
-            manifest.extend_from_slice(&PARTITION_VERSION.to_le_bytes());
-            manifest.extend_from_slice(&1u32.to_le_bytes());
-            manifest.extend_from_slice(&(index.num_entities() as u64).to_le_bytes());
-            manifest.extend_from_slice(&file_digest(&doctored).to_le_bytes());
-            segment::atomic_write(
-                &dir.join(SHARD_MANIFEST_FILE),
-                SHARD_MANIFEST_MAGIC,
-                SHARD_MANIFEST_VERSION,
-                |w| w.write_segment(TAG_MANIFEST, &manifest),
-            )
-            .unwrap();
+            let dir = one_shard_dir(
+                &format!("absurd-nh-{name}-sharded"),
+                &doctored,
+                index.num_entities(),
+            );
             let err = ShardedMinSigIndex::open(&dir).unwrap_err();
             assert!(matches!(err, IndexError::InvalidConfig(_)), "{name}: sharded open: {err:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// `META`'s hasher byte (payload offset 29, right after `hash_range`)
+    /// names the hash rule, and only 1, PathMax, opens.  A 0 names the
+    /// paper's min-over-children rule, whose signatures the tree search
+    /// would misread, and a 2 names nothing: both are corrupt, unsharded or
+    /// as a shard.  Byte 1 is what a build writes, and it answers as built.
+    #[test]
+    fn hasher_bytes_other_than_path_max_are_corrupt() {
+        let (sp, _traces, index) = sample_index(24);
+        let measure = trace_model::PaperAdm::default_for(sp.height() as usize);
+        for byte in [0u8, 1, 2] {
+            let doctored = doctored_meta(&index, |payload| payload[29] = byte);
+            let path = temp_path(&format!("hasher-{byte}.msix"));
+            std::fs::write(&path, &doctored).unwrap();
+            let dir =
+                one_shard_dir(&format!("hasher-{byte}-sharded"), &doctored, index.num_entities());
+            let (single, sharded) = (MinSigIndex::open(&path), ShardedMinSigIndex::open(&dir));
+            if byte == 1 {
+                assert_eq!(doctored, index.to_bytes().unwrap(), "a build writes byte 1");
+                let (single, sharded) = (single.unwrap(), sharded.unwrap());
+                for query in [0u64, 9, 17] {
+                    let (expect, _) = index.top_k(EntityId(query), 5, &measure).unwrap();
+                    assert_eq!(single.top_k(EntityId(query), 5, &measure).unwrap().0, expect);
+                    assert_eq!(sharded.top_k(EntityId(query), 5, &measure).unwrap().0, expect);
+                }
+            } else {
+                let err = single.unwrap_err();
+                assert!(matches!(err, IndexError::Corrupt(_)), "byte {byte}: index open: {err:?}");
+                let err = sharded.unwrap_err();
+                assert!(
+                    matches!(err, IndexError::Corrupt(_)),
+                    "byte {byte}: sharded open: {err:?}"
+                );
+            }
+            std::fs::remove_file(&path).unwrap();
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

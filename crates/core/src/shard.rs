@@ -195,9 +195,9 @@ pub struct ShardedMinSigIndex {
 /// borrow.
 ///
 /// Cheap to clone around (each shard contributes one `Arc` bump) and safe to
-/// query from any number of threads.  All query entry points of the sharded
-/// index are available directly on the snapshot; the handle methods are thin
-/// delegates.
+/// query from any number of threads.  Every query entry point of the
+/// sharded index lives on the snapshot; the handle keeps only the `top_k`
+/// convenience.
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot {
     shards: Vec<Arc<IndexSnapshot>>,
@@ -317,38 +317,6 @@ impl ShardedMinSigIndex {
         for shard in &mut self.shards {
             shard.set_synopsis_sketch_size(m);
         }
-    }
-
-    /// Answers every query of a batch; see [`ShardedSnapshot::top_k_batch`].
-    pub fn top_k_batch<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        queries: &[EntityId],
-        k: usize,
-        measure: &M,
-    ) -> Result<Vec<(Vec<TopKResult>, QueryStats)>> {
-        self.snapshot().top_k_batch(queries, k, measure)
-    }
-
-    /// Answers the top-k query for every probe entity; see
-    /// [`ShardedSnapshot::top_k_join`].
-    pub fn top_k_join<M: AssociationMeasure + Sync + ?Sized>(
-        &self,
-        probes: &[EntityId],
-        measure: &M,
-        options: JoinOptions,
-    ) -> Result<(Vec<JoinRow>, JoinStats)> {
-        self.snapshot().top_k_join(probes, measure, options)
-    }
-
-    /// Ground-truth brute force over all shards' sequences; see
-    /// [`ShardedSnapshot::brute_force`].
-    pub fn brute_force<M: AssociationMeasure + ?Sized>(
-        &self,
-        query: EntityId,
-        k: usize,
-        measure: &M,
-    ) -> Result<Vec<TopKResult>> {
-        self.snapshot().brute_force(query, k, measure)
     }
 }
 
@@ -475,11 +443,10 @@ impl ShardedSnapshot {
         queries.iter().map(|&entity| self.plan(entity, &query, None)).collect()
     }
 
-    /// Answers the top-k query for every probe entity, optionally in
-    /// parallel, with the same skip/ordering semantics as
-    /// [`IndexSnapshot::top_k_join`]: unindexed probes are counted in
-    /// [`JoinStats::skipped`], output preserves probe order, and sequential
-    /// and parallel evaluation return identical rows.  A sharded join scans,
+    /// Answers the top-k query for every probe entity in parallel, with the
+    /// same skip/ordering semantics as [`IndexSnapshot::top_k_join`]:
+    /// unindexed probes are counted in [`JoinStats::skipped`], and the rows
+    /// are the probes' own queries, in probe order.  A sharded join scans,
     /// so the tree's pruning ablations ([`JoinOptions::query`]) are not read.
     pub fn top_k_join<M: AssociationMeasure + Sync + ?Sized>(
         &self,
@@ -557,7 +524,7 @@ impl ShardedSnapshot {
         pages: Option<&[RowSegment<'_>]>,
     ) -> Result<(Vec<JoinRow>, JoinStats)> {
         let query = Query::new(options.k, measure);
-        Ok(join_probes(probes, options.threads, |probe| {
+        Ok(join_probes(probes, |probe| {
             let (matches, stats) = self.run(probe, &query, pages, false).ok()?;
             Some(JoinRow { probe, matches, stats })
         }))
@@ -981,13 +948,15 @@ mod tests {
             Err(IndexError::UnknownQueryEntity(999_999))
         ));
         assert!(matches!(
-            sharded.top_k_batch(&[EntityId(0), ghost], 1, &measure),
+            sharded.snapshot().top_k_batch(&[EntityId(0), ghost], 1, &measure),
             Err(IndexError::UnknownQueryEntity(999_999))
         ));
-        assert!(sharded.brute_force(ghost, 1, &measure).is_err());
+        assert!(sharded.snapshot().brute_force(ghost, 1, &measure).is_err());
         // Joins skip, not fail.
-        let (rows, stats) =
-            sharded.top_k_join(&[EntityId(0), ghost], &measure, JoinOptions::default()).unwrap();
+        let (rows, stats) = sharded
+            .snapshot()
+            .top_k_join(&[EntityId(0), ghost], &measure, JoinOptions::default())
+            .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(stats.skipped, 1);
     }

@@ -9,11 +9,14 @@
 //! * **Theorem 2** — if `sig^i[u] > h_u(s)` for a base ST-cell `s`, the entity is
 //!   guaranteed not to be present in `s`.
 //!
-//! Two hash constructions are provided (see [`HasherMode`]): the paper's exact
-//! min-over-children rule and a scalable `PathMax` rule; both satisfy the
-//! monotonicity property above, which is the only thing the correctness proofs
-//! use.  (The unit tests add a third, table-driven family that reproduces the
-//! worked example of Tables 4.1–4.3.)
+//! One hash construction is provided, PathMax: a cell's value is the maximum
+//! of independent draws along its ancestor path, so a parent, whose path is a
+//! strict prefix of its children's, never hashes above them — the
+//! monotonicity property above, which is the only thing the correctness
+//! proofs use.  The paper's own rule, the minimum over a coarse cell's
+//! children, gives the same property but enumerates every descendant base
+//! unit of each coarse cell.  (The unit tests add a table-driven family that
+//! reproduces the worked example of Tables 4.1–4.3 under PathMax.)
 //!
 //! A build hashes each cell once, as one row of `nh` values, level by level.
 //! PathMax defines `h_u(t, a_1..a_l) = max_j g_u(t, a_j)`, so a level-`l`
@@ -23,9 +26,6 @@
 //! definition's values and a build draws `nh` base hashes per cell, the
 //! `O(|E|·C·m·nh)` of Section 4.3.
 
-use crate::config::HasherMode;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 use trace_model::{CellSetSequence, Level, SpIndex, StCell};
 
@@ -87,38 +87,16 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The hierarchy-aware hasher: extends a base-cell hash family to cells at every
-/// sp-index level while preserving `h(parent) <= h(child)`.
+/// sp-index level by the PathMax rule, preserving `h(parent) <= h(child)`.
+#[derive(Debug, Clone)]
 pub struct HierarchicalHasher<F> {
     family: F,
-    mode: HasherMode,
-    /// Memo for the exhaustive mode: packed coarse cell → per-function values.
-    memo: RwLock<HashMap<u64, Vec<u64>>>,
-}
-
-impl<F: Clone> Clone for HierarchicalHasher<F> {
-    fn clone(&self) -> Self {
-        HierarchicalHasher {
-            family: self.family.clone(),
-            mode: self.mode,
-            memo: RwLock::new(self.memo.read().clone()),
-        }
-    }
-}
-
-impl<F: std::fmt::Debug> std::fmt::Debug for HierarchicalHasher<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HierarchicalHasher")
-            .field("family", &self.family)
-            .field("mode", &self.mode)
-            .field("memo_entries", &self.memo.read().len())
-            .finish()
-    }
 }
 
 impl<F: CellHashFamily> HierarchicalHasher<F> {
     /// Wraps a base-cell family.
-    pub(crate) fn new(family: F, mode: HasherMode) -> Self {
-        HierarchicalHasher { family, mode, memo: RwLock::new(HashMap::new()) }
+    pub(crate) fn new(family: F) -> Self {
+        HierarchicalHasher { family }
     }
 
     /// Number of hash functions.
@@ -132,30 +110,23 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
     }
 
     /// The value of hash function `u` on a cell whose spatial unit lives at any
-    /// level of `sp`.
+    /// level of `sp`: `h_u(t, unit at level l) = max over the unit's ancestors
+    /// a_1..a_l of g_u(t, a_j)`, where `g_u` is an independent uniform draw per
+    /// (function, time, unit).  A parent's value is the maximum over a strict
+    /// prefix of its children's ancestor paths, hence never larger.
     pub(crate) fn hash(&self, sp: &SpIndex, u: u32, cell: StCell) -> u64 {
-        let level = sp.level(cell.unit()).expect("cell unit must exist in the sp-index");
-        match self.mode {
-            HasherMode::PathMax => self.path_max(sp, u, cell, level),
-            HasherMode::Exhaustive => {
-                if level == sp.height() {
-                    self.family.hash_base(u, cell)
-                } else {
-                    self.exhaustive(sp, cell, |row| row[u as usize])
-                }
-            }
-        }
+        let path = sp.ancestors(cell.unit()).expect("cell unit must exist in the sp-index");
+        path.iter()
+            .map(|&ancestor| self.family.hash_base(u, StCell::new(cell.time(), ancestor)))
+            .fold(0, u64::max)
     }
 
     /// The values of all `nh` functions on one cell, written to `out`.
     ///
     /// `parent_row` is the row of `(cell.time(), parent of cell.unit())` when
-    /// the caller holds it.  In PathMax mode the row is then
-    /// `max(parent_row[u], g_u(cell))` — the path maximum split at its last
-    /// step, so `nh` base hashes; without it the cell's whole ancestor path is
-    /// folded once for all functions.  In Exhaustive mode a base cell's row is
-    /// its `g_u` and a coarser cell's is a copy of its memo row; the parent's
-    /// row is not used.
+    /// the caller holds it.  The row is then `max(parent_row[u], g_u(cell))` —
+    /// the path maximum split at its last step, so `nh` base hashes; without
+    /// it the cell's whole ancestor path is folded once for all functions.
     pub(crate) fn hash_row(
         &self,
         sp: &SpIndex,
@@ -164,13 +135,13 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
         out: &mut [u64],
     ) {
         debug_assert_eq!(out.len(), self.family.num_functions() as usize);
-        match (self.mode, parent_row) {
-            (HasherMode::PathMax, Some(parent)) => {
+        match parent_row {
+            Some(parent) => {
                 for (u, (slot, &above)) in out.iter_mut().zip(parent).enumerate() {
                     *slot = above.max(self.family.hash_base(u as u32, cell));
                 }
             }
-            (HasherMode::PathMax, None) => {
+            None => {
                 out.fill(0);
                 for &ancestor in sp.ancestors(cell.unit()).expect("unit exists") {
                     let step = StCell::new(cell.time(), ancestor);
@@ -179,57 +150,7 @@ impl<F: CellHashFamily> HierarchicalHasher<F> {
                     }
                 }
             }
-            (HasherMode::Exhaustive, _) => {
-                if sp.level(cell.unit()).expect("unit exists") == sp.height() {
-                    for (u, slot) in out.iter_mut().enumerate() {
-                        *slot = self.family.hash_base(u as u32, cell);
-                    }
-                } else {
-                    self.exhaustive(sp, cell, |row| out.copy_from_slice(row));
-                }
-            }
         }
-    }
-
-    /// Exhaustive rule: the per-function minima over all descendant base
-    /// cells, memoised per coarse cell; `read` sees the memo's row in place.
-    fn exhaustive<R>(&self, sp: &SpIndex, cell: StCell, read: impl FnOnce(&[u64]) -> R) -> R {
-        if let Some(row) = self.memo.read().get(&cell.packed()) {
-            return read(row);
-        }
-        let nh = self.family.num_functions() as usize;
-        let mut row = vec![u64::MAX; nh];
-        let (lo, hi) = sp.base_range(cell.unit()).expect("unit exists");
-        for ordinal in lo..hi {
-            let base_unit = sp.base_unit_at(ordinal).expect("ordinal in range");
-            let base_cell = StCell::new(cell.time(), base_unit);
-            for (u, slot) in row.iter_mut().enumerate() {
-                let h = self.family.hash_base(u as u32, base_cell);
-                if h < *slot {
-                    *slot = h;
-                }
-            }
-        }
-        let value = read(&row);
-        self.memo.write().insert(cell.packed(), row);
-        value
-    }
-
-    /// PathMax rule: `h_u(t, unit at level l) = max over the unit's ancestors a_1..a_l
-    /// of g_u(t, a_j)`, where `g_u` is an independent uniform draw per
-    /// (function, time, unit).  A parent's value is the maximum over a strict
-    /// prefix of its children's ancestor paths, hence never larger.
-    fn path_max(&self, sp: &SpIndex, u: u32, cell: StCell, level: Level) -> u64 {
-        let mut value = 0u64;
-        let path = sp.ancestors(cell.unit()).expect("unit exists");
-        debug_assert_eq!(path.len(), level as usize);
-        for &ancestor in path {
-            let h = self.family.hash_base(u, StCell::new(cell.time(), ancestor));
-            if h > value {
-                value = h;
-            }
-        }
-        value
     }
 }
 
@@ -251,7 +172,7 @@ impl SignatureList {
     /// at a level can never be pruned *into* a group by it).
     ///
     /// Each cell's row of `nh` hash values is computed once, level by level,
-    /// and min-folded into its level's signature.  In PathMax mode a level-`l`
+    /// and min-folded into its level's signature.  A level-`l`
     /// cell's row is `max(row of (time, parent unit), g_u(cell))`: the path
     /// maximum `max_j g_u(t, a_j)` over `a_1..a_l` is the maximum over
     /// `a_1..a_{l-1}` — the parent cell's row — and the last step, and `max`
@@ -367,6 +288,7 @@ impl SignatureList {
 pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use trace_model::examples::{PaperExample, T1, T2};
     use trace_model::{CellSet, CellSetSequence, SpIndex};
@@ -414,27 +336,28 @@ pub(crate) mod tests {
         }
     }
 
-    fn paper_hasher() -> (PaperExample, HierarchicalHasher<TableHashFamily>) {
+    /// The worked example's hasher: Table 4.1's base-cell values, and each
+    /// coarse cell's value by the paper's min-over-children rule (l5 over l1
+    /// and l2, l6 over l3 and l4).  PathMax maxes a base cell's value with its
+    /// parent's, which is never larger, so every cell hashes to the paper's
+    /// value.
+    pub(crate) fn paper_hasher() -> (PaperExample, HierarchicalHasher<TableHashFamily>) {
         let ex = PaperExample::build();
         let mut table = TableHashFamily::new(10);
         let u = ex.units;
-        for (t, unit) in [
-            (T1, u.l1),
-            (T2, u.l1),
-            (T1, u.l2),
-            (T2, u.l2),
-            (T1, u.l3),
-            (T2, u.l3),
-            (T1, u.l4),
-            (T2, u.l4),
-        ] {
-            for h in [1u32, 2] {
-                let cell = StCell::new(t, unit);
-                let value = ex.hash_value(h as usize, cell).unwrap() as u64;
-                table.set(h - 1, cell, value);
+        for t in [T1, T2] {
+            for (parent, children) in [(u.l5, [u.l1, u.l2]), (u.l6, [u.l3, u.l4])] {
+                for h in [1u32, 2] {
+                    let value = |unit| ex.hash_value(h as usize, StCell::new(t, unit)).unwrap();
+                    for unit in children {
+                        table.set(h - 1, StCell::new(t, unit), value(unit) as u64);
+                    }
+                    let min = children.map(value).into_iter().min().unwrap();
+                    table.set(h - 1, StCell::new(t, parent), min as u64);
+                }
             }
         }
-        (ex, HierarchicalHasher::new(table, HasherMode::Exhaustive))
+        (ex, HierarchicalHasher::new(table))
     }
 
     /// Table 4.3: the signatures of the four example entities match the paper.
@@ -492,7 +415,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn theorem_1_holds_for_both_modes() {
+    fn theorem_1_holds() {
         // sig^i[u] <= sig^{i+1}[u] on a random-ish 3-level hierarchy.
         let sp = SpIndex::uniform(3, &[3, 4]).unwrap();
         let cells: Vec<StCell> = sp
@@ -503,16 +426,14 @@ pub(crate) mod tests {
             .map(|(i, &unit)| StCell::new((i % 5) as u32, unit))
             .collect();
         let seq = CellSetSequence::from_base_cells(&sp, &CellSet::from_cells(cells)).unwrap();
-        for mode in [HasherMode::Exhaustive, HasherMode::PathMax] {
-            let hasher = HierarchicalHasher::new(SeededHashFamily::new(32, 7, 10_000), mode);
-            let sig = SignatureList::build(&sp, &hasher, &seq);
-            for level in 1..sp.height() {
-                for u in 0..32 {
-                    assert!(
-                        sig.value(level, u) <= sig.value(level + 1, u),
-                        "Theorem 1 violated at level {level}, u {u}, mode {mode:?}"
-                    );
-                }
+        let hasher = HierarchicalHasher::new(SeededHashFamily::new(32, 7, 10_000));
+        let sig = SignatureList::build(&sp, &hasher, &seq);
+        for level in 1..sp.height() {
+            for u in 0..32 {
+                assert!(
+                    sig.value(level, u) <= sig.value(level + 1, u),
+                    "Theorem 1 violated at level {level}, u {u}"
+                );
             }
         }
     }
@@ -520,22 +441,17 @@ pub(crate) mod tests {
     #[test]
     fn parent_hash_never_exceeds_child_hash() {
         let sp = SpIndex::uniform(2, &[4, 5]).unwrap();
-        for mode in [HasherMode::Exhaustive, HasherMode::PathMax] {
-            let hasher = HierarchicalHasher::new(SeededHashFamily::new(8, 3, 5_000), mode);
-            for &base in sp.base_units().iter().step_by(4) {
-                for t in 0..3u32 {
-                    let base_cell = StCell::new(t, base);
-                    for level in 1..sp.height() {
-                        let ancestor = sp.ancestor_at_level(base, level).unwrap();
-                        let coarse_cell = StCell::new(t, ancestor);
-                        for u in 0..8 {
-                            let hp = hasher.hash(&sp, u, coarse_cell);
-                            let hc = hasher.hash(&sp, u, base_cell);
-                            assert!(
-                                hp <= hc,
-                                "h(parent)={hp} > h(child)={hc} at level {level} mode {mode:?}"
-                            );
-                        }
+        let hasher = HierarchicalHasher::new(SeededHashFamily::new(8, 3, 5_000));
+        for &base in sp.base_units().iter().step_by(4) {
+            for t in 0..3u32 {
+                let base_cell = StCell::new(t, base);
+                for level in 1..sp.height() {
+                    let ancestor = sp.ancestor_at_level(base, level).unwrap();
+                    let coarse_cell = StCell::new(t, ancestor);
+                    for u in 0..8 {
+                        let hp = hasher.hash(&sp, u, coarse_cell);
+                        let hc = hasher.hash(&sp, u, base_cell);
+                        assert!(hp <= hc, "h(parent)={hp} > h(child)={hc} at level {level}");
                     }
                 }
             }
@@ -546,8 +462,7 @@ pub(crate) mod tests {
     fn theorem_2_absence_certificate() {
         // If sig^i[u] > h_u(s) then s is not in the entity's base set.
         let sp = SpIndex::uniform(2, &[3, 3]).unwrap();
-        let hasher =
-            HierarchicalHasher::new(SeededHashFamily::new(16, 11, 2_000), HasherMode::PathMax);
+        let hasher = HierarchicalHasher::new(SeededHashFamily::new(16, 11, 2_000));
         let present: Vec<StCell> =
             sp.base_units().iter().step_by(2).map(|&u| StCell::new(0, u)).collect();
         let seq =
@@ -572,21 +487,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn exhaustive_mode_memoises_coarse_cells() {
-        let sp = SpIndex::uniform(2, &[8]).unwrap();
-        let hasher =
-            HierarchicalHasher::new(SeededHashFamily::new(4, 5, 100), HasherMode::Exhaustive);
-        let coarse_unit = sp.top_units()[0];
-        let cell = StCell::new(3, coarse_unit);
-        assert_eq!(hasher.memo.read().len(), 0);
-        let first = hasher.hash(&sp, 0, cell);
-        assert_eq!(hasher.memo.read().len(), 1);
-        let second = hasher.hash(&sp, 0, cell);
-        assert_eq!(first, second);
-        assert_eq!(hasher.memo.read().len(), 1);
-    }
-
     /// `sig^l[u]` by the definition: the minimum of `hasher.hash(sp, u, cell)`
     /// over the level-`l` cells, `u64::MAX` over none.
     fn signature_by_definition<F: CellHashFamily>(
@@ -606,8 +506,8 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The row build is the definition, in both modes and at every
-        /// width: for random hierarchies and traces — and the same traces
+        /// The row build is the definition at every width: for random
+        /// hierarchies and traces — and the same traces
         /// with every level past a random one emptied, still
         /// ancestor-closed — every `sig^l[u]` is the minimum over the
         /// level-`l` cells of `hasher.hash(sp, u, cell)`.
@@ -629,17 +529,15 @@ pub(crate) mod tests {
                 .map(|(level, set)| if level as usize <= kept { set.clone() } else { CellSet::new() })
                 .collect();
             let cut = CellSetSequence::from_level_sets(&sp, cut).unwrap();
-            for mode in [HasherMode::PathMax, HasherMode::Exhaustive] {
-                for nh in [1, 7, 32] {
-                    let hasher = HierarchicalHasher::new(SeededHashFamily::new(nh, seed, range), mode);
-                    for seq in [&full, &cut] {
-                        let sig = SignatureList::build(&sp, &hasher, seq);
-                        prop_assert_eq!(
-                            sig.levels(),
-                            signature_by_definition(&sp, &hasher, seq).as_slice(),
-                            "{:?}, nh {}", mode, nh
-                        );
-                    }
+            for nh in [1, 7, 32] {
+                let hasher = HierarchicalHasher::new(SeededHashFamily::new(nh, seed, range));
+                for seq in [&full, &cut] {
+                    let sig = SignatureList::build(&sp, &hasher, seq);
+                    prop_assert_eq!(
+                        sig.levels(),
+                        signature_by_definition(&sp, &hasher, seq).as_slice(),
+                        "nh {}", nh
+                    );
                 }
             }
         }
@@ -670,16 +568,14 @@ pub(crate) mod tests {
             // Presence at level 1 only.
             sets([&[(2, top)], &[], &[]]),
         ];
-        for mode in [HasherMode::PathMax, HasherMode::Exhaustive] {
-            for nh in [1, 7, 32] {
-                let hasher = HierarchicalHasher::new(SeededHashFamily::new(nh, 5, 10_000), mode);
-                for seq in &sequences {
-                    let sig = SignatureList::build(&sp, &hasher, seq);
-                    assert_eq!(sig.levels(), signature_by_definition(&sp, &hasher, seq).as_slice());
-                }
-                let last = SignatureList::build(&sp, &hasher, &sequences[3]);
-                assert!(last.level(2).iter().chain(last.level(3)).all(|&v| v == u64::MAX));
+        for nh in [1, 7, 32] {
+            let hasher = HierarchicalHasher::new(SeededHashFamily::new(nh, 5, 10_000));
+            for seq in &sequences {
+                let sig = SignatureList::build(&sp, &hasher, seq);
+                assert_eq!(sig.levels(), signature_by_definition(&sp, &hasher, seq).as_slice());
             }
+            let last = SignatureList::build(&sp, &hasher, &sequences[3]);
+            assert!(last.level(2).iter().chain(last.level(3)).all(|&v| v == u64::MAX));
         }
     }
 
@@ -724,7 +620,7 @@ pub(crate) mod tests {
                 inner: SeededHashFamily::new(nh, 3, 100_000),
                 calls: AtomicU64::new(0),
             };
-            let hasher = HierarchicalHasher::new(family, HasherMode::PathMax);
+            let hasher = HierarchicalHasher::new(family);
             let _ = SignatureList::build(&sp, &hasher, &seq);
             let drawn = hasher.family.calls.load(Ordering::Relaxed);
             assert_eq!(drawn, seq.total_cells() as u64 * nh as u64, "nh {nh}");
@@ -734,7 +630,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_sequence_signature_is_all_max() {
         let sp = SpIndex::uniform(2, &[2]).unwrap();
-        let hasher = HierarchicalHasher::new(SeededHashFamily::new(4, 5, 100), HasherMode::PathMax);
+        let hasher = HierarchicalHasher::new(SeededHashFamily::new(4, 5, 100));
         let seq = CellSetSequence::from_base_cells(&sp, &CellSet::new()).unwrap();
         let sig = SignatureList::build(&sp, &hasher, &seq);
         for level in 1..=2u8 {
@@ -755,8 +651,7 @@ pub(crate) mod tests {
         // sig(A ∪ B) == min(sig(A), sig(B)), the property streaming ingestion
         // relies on for incremental signature maintenance.
         let sp = SpIndex::uniform(3, &[3, 3]).unwrap();
-        let hasher =
-            HierarchicalHasher::new(SeededHashFamily::new(16, 42, 10_000), HasherMode::PathMax);
+        let hasher = HierarchicalHasher::new(SeededHashFamily::new(16, 42, 10_000));
         let cells_a: Vec<StCell> =
             sp.base_units().iter().step_by(3).map(|&u| StCell::new(1, u)).collect();
         let cells_b: Vec<StCell> =

@@ -77,9 +77,9 @@ pub struct IndexStats {
     pub index_bytes: usize,
     /// Number of hash evaluations performed while computing signatures (the
     /// dominant term of the Section 4.3 processor cost `O(|E|·C·m·nh)`):
-    /// `nh` per cell of every hashed sequence.  In
-    /// [`HasherMode::PathMax`](crate::config::HasherMode::PathMax) this is the
-    /// number of base hashes drawn, one row of `nh` per cell.
+    /// `nh` per cell of every hashed sequence — the number of base hashes
+    /// drawn, since a cell's PathMax row is its parent cell's row maxed with
+    /// one fresh draw per function.
     pub hash_evaluations: u64,
     /// Wall-clock build time in microseconds.
     pub build_time_us: u64,

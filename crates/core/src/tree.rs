@@ -240,32 +240,13 @@ impl MinSigTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HasherMode;
-    use crate::signature::tests::TableHashFamily;
+    use crate::signature::tests::paper_hasher;
     use crate::signature::{HierarchicalHasher, SeededHashFamily, SignatureList};
-    use trace_model::examples::{PaperExample, T1, T2};
+    use trace_model::examples::PaperExample;
     use trace_model::{CellSet, CellSetSequence, SpIndex, StCell};
 
     fn paper_signatures() -> (PaperExample, Vec<(EntityId, SignatureList)>) {
-        let ex = PaperExample::build();
-        let mut table = TableHashFamily::new(10);
-        let u = ex.units;
-        for (t, unit) in [
-            (T1, u.l1),
-            (T2, u.l1),
-            (T1, u.l2),
-            (T2, u.l2),
-            (T1, u.l3),
-            (T2, u.l3),
-            (T1, u.l4),
-            (T2, u.l4),
-        ] {
-            for h in [1u32, 2] {
-                let cell = StCell::new(t, unit);
-                table.set(h - 1, cell, ex.hash_value(h as usize, cell).unwrap() as u64);
-            }
-        }
-        let hasher = HierarchicalHasher::new(table, HasherMode::Exhaustive);
+        let (ex, hasher) = paper_hasher();
         let sigs = ex
             .entities
             .iter()
@@ -315,8 +296,7 @@ mod tests {
     }
 
     fn random_signatures(n: usize, sp: &SpIndex, nh: u32) -> Vec<(EntityId, SignatureList)> {
-        let hasher =
-            HierarchicalHasher::new(SeededHashFamily::new(nh, 1, 100_000), HasherMode::PathMax);
+        let hasher = HierarchicalHasher::new(SeededHashFamily::new(nh, 1, 100_000));
         (0..n)
             .map(|i| {
                 let cells: Vec<StCell> = (0..(i % 7 + 1))

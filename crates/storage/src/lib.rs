@@ -22,8 +22,8 @@
 //! * [`sort`] — B-way external merge sort with pass counting (Section 4.3);
 //! * [`pool`] — the buffer manager: a byte-budgeted page cache with a
 //!   simulated miss penalty;
-//! * [`replacer`] — pluggable eviction policies (LRU-K by default) behind the
-//!   [`Replacer`] trait;
+//! * [`replacer`] — the pool's LRU-2 eviction policy behind the
+//!   [`Replacer`] trait, which custom policies implement;
 //! * [`store`] — the entity-ordered [`PagedTraceStore`]: the records, the
 //!   directory of the entities it holds, and the disk the `minsig` paged
 //!   session writes its rows to;
@@ -53,7 +53,7 @@ pub use disk::{PageId, VirtualDisk};
 pub use log::{LogConfig, LogManager, LogRecord};
 pub use page::{Page, PAGE_SIZE};
 pub use pool::{BufferPool, PoolConfig, PoolStats};
-pub use replacer::{Replacer, ReplacerPolicy};
+pub use replacer::Replacer;
 pub use segment::{SegmentError, SegmentReader, SegmentWriter};
 pub use sort::SortStats;
 pub use store::{PagedTraceStore, StoreStats};

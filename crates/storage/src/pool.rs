@@ -1,5 +1,5 @@
-//! The buffer manager: a byte-budgeted page cache with pluggable eviction and
-//! simulated miss latency.
+//! The buffer manager: a byte-budgeted LRU-2 page cache with simulated miss
+//! latency.
 //!
 //! Figure 7.6 of the paper studies search time as the memory allocated to the
 //! system varies from 10 % to 100 % of the raw data size.  To reproduce that
@@ -9,9 +9,10 @@
 //! the benchmarking machine's cache hierarchy.
 //!
 //! The pool keeps a frame table of resident pages and delegates victim
-//! selection to a [`Replacer`] chosen by [`PoolConfig::replacer`] (LRU-K; see
-//! [`crate::replacer`]).  Every resident frame is a candidate victim: nothing
-//! pins a page, because every reader uses the bytes it fetched right away.
+//! selection to a [`Replacer`]: LRU-2 (see [`crate::replacer`]), or a custom
+//! one passed to [`BufferPool::with_replacer`].  Every resident frame is a
+//! candidate victim: nothing pins a page, because every reader uses the bytes
+//! it fetched right away.
 //!
 //! ## What the pool mutex covers
 //!
@@ -60,7 +61,7 @@
 
 use crate::disk::{PageId, VirtualDisk};
 use crate::page::PAGE_SIZE;
-use crate::replacer::{Replacer, ReplacerPolicy};
+use crate::replacer::{LruKReplacer, Replacer};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -75,8 +76,6 @@ pub struct PoolConfig {
     pub miss_latency_us: u64,
     /// Simulated latency charged per page hit, in microseconds.
     pub hit_latency_us: u64,
-    /// The eviction policy (default LRU-2; see [`ReplacerPolicy`]).
-    pub replacer: ReplacerPolicy,
 }
 
 impl Default for PoolConfig {
@@ -86,7 +85,6 @@ impl Default for PoolConfig {
             // Rough HDD-era numbers: a miss is ~100x more expensive than a hit.
             miss_latency_us: 2_000,
             hit_latency_us: 20,
-            replacer: ReplacerPolicy::default(),
         }
     }
 }
@@ -97,11 +95,6 @@ impl PoolConfig {
     pub fn with_memory_fraction(data_bytes: usize, fraction: f64) -> Self {
         let capacity = ((data_bytes as f64 * fraction) as usize).max(PAGE_SIZE);
         PoolConfig { capacity_bytes: capacity, ..PoolConfig::default() }
-    }
-
-    /// The same budget under a different eviction policy.
-    pub fn with_replacer(self, replacer: ReplacerPolicy) -> Self {
-        PoolConfig { replacer, ..self }
     }
 
     /// Number of whole pages that fit in the budget (at least one).
@@ -199,8 +192,8 @@ impl PoolInner {
     }
 }
 
-/// A page cache in front of a [`VirtualDisk`] with pluggable eviction — see
-/// the [module docs](crate::pool).
+/// A page cache in front of a [`VirtualDisk`] — see the
+/// [module docs](crate::pool).
 #[derive(Debug)]
 pub struct BufferPool<'d> {
     disk: &'d VirtualDisk,
@@ -209,14 +202,14 @@ pub struct BufferPool<'d> {
 }
 
 impl<'d> BufferPool<'d> {
-    /// Creates a pool over a disk with the replacer `config` names.
+    /// Creates a pool over a disk that evicts by LRU-2.
     pub(crate) fn new(disk: &'d VirtualDisk, config: PoolConfig) -> Self {
-        Self::with_replacer(disk, config, config.replacer.build())
+        Self::with_replacer(disk, config, Box::new(LruKReplacer::new(2)))
     }
 
-    /// Creates a pool with an explicit (possibly custom) [`Replacer`],
-    /// ignoring `config.replacer` — the hook the conformance suite uses to
-    /// prove answers never depend on eviction decisions.
+    /// Creates a pool with an explicit (possibly custom) [`Replacer`] — the
+    /// hook the conformance suite uses to prove answers never depend on
+    /// eviction decisions.
     pub fn with_replacer(
         disk: &'d VirtualDisk,
         config: PoolConfig,
@@ -335,13 +328,8 @@ mod tests {
         disk
     }
 
-    fn tiny(pages: usize, replacer: ReplacerPolicy) -> PoolConfig {
-        PoolConfig {
-            capacity_bytes: pages * PAGE_SIZE,
-            miss_latency_us: 0,
-            hit_latency_us: 0,
-            replacer,
-        }
+    fn tiny(pages: usize) -> PoolConfig {
+        PoolConfig { capacity_bytes: pages * PAGE_SIZE, miss_latency_us: 0, hit_latency_us: 0 }
     }
 
     #[test]
@@ -359,31 +347,25 @@ mod tests {
 
     #[test]
     fn capacity_limits_cached_pages_and_evicts_coldest() {
-        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
-            let pool_disk = disk_with_pages(10);
-            let pool = BufferPool::new(&pool_disk, tiny(2, replacer));
-            pool.get(0);
-            pool.get(1);
-            pool.get(2); // evicts page 0 under both policies
-            assert_eq!(pool.cached_pages(), 2, "{replacer:?}");
-            assert_eq!(pool.stats().evictions, 1, "{replacer:?}");
-            // Page 1 is still cached, page 0 is not.
-            pool.get(1);
-            assert_eq!(pool.stats().hits, 1, "{replacer:?}");
-            pool.get(0);
-            assert_eq!(pool.stats().misses, 4, "{replacer:?}");
-        }
+        let pool_disk = disk_with_pages(10);
+        let pool = BufferPool::new(&pool_disk, tiny(2));
+        pool.get(0);
+        pool.get(1);
+        pool.get(2); // evicts page 0
+        assert_eq!(pool.cached_pages(), 2);
+        assert_eq!(pool.stats().evictions, 1);
+        // Page 1 is still cached, page 0 is not.
+        pool.get(1);
+        assert_eq!(pool.stats().hits, 1);
+        pool.get(0);
+        assert_eq!(pool.stats().misses, 4);
     }
 
     #[test]
     fn simulated_latency_accumulates() {
         let disk = disk_with_pages(3);
-        let config = PoolConfig {
-            capacity_bytes: PAGE_SIZE,
-            miss_latency_us: 100,
-            hit_latency_us: 1,
-            replacer: ReplacerPolicy::default(),
-        };
+        let config =
+            PoolConfig { capacity_bytes: PAGE_SIZE, miss_latency_us: 100, hit_latency_us: 1 };
         let pool = BufferPool::new(&disk, config);
         pool.get(0);
         pool.get(0);
@@ -398,19 +380,17 @@ mod tests {
         let disk = disk_with_pages(32);
         // A fixed access pattern with locality.
         let pattern: Vec<PageId> = (0..200).map(|i| (i % 20) as PageId).collect();
-        for replacer in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
-            let mut previous_misses = u64::MAX;
-            for pages in [2usize, 8, 32] {
-                let pool = BufferPool::new(&disk, tiny(pages, replacer));
-                for &p in &pattern {
-                    pool.get(p);
-                }
-                let misses = pool.stats().misses;
-                assert!(misses <= previous_misses, "{replacer:?}: more memory missed more");
-                previous_misses = misses;
+        let mut previous_misses = u64::MAX;
+        for pages in [2usize, 8, 32] {
+            let pool = BufferPool::new(&disk, tiny(pages));
+            for &p in &pattern {
+                pool.get(p);
             }
-            assert_eq!(previous_misses, 20, "{replacer:?}: full-size pool misses only cold reads");
+            let misses = pool.stats().misses;
+            assert!(misses <= previous_misses, "more memory missed more");
+            previous_misses = misses;
         }
+        assert_eq!(previous_misses, 20, "full-size pool misses only cold reads");
     }
 
     #[test]
@@ -419,7 +399,6 @@ mod tests {
         let large = PoolConfig::with_memory_fraction(100 * PAGE_SIZE, 0.9);
         assert!(small.capacity_pages() < large.capacity_pages());
         assert!(small.capacity_pages() >= 1);
-        assert_eq!(small.with_replacer(ReplacerPolicy::lru()).replacer, ReplacerPolicy::lru());
     }
 
     #[test]
@@ -503,11 +482,7 @@ mod tests {
     #[test]
     fn non_resident_victims_are_scrubbed_not_evicted() {
         let disk = disk_with_pages(6);
-        let pool = BufferPool::with_replacer(
-            &disk,
-            tiny(2, ReplacerPolicy::lru()),
-            Box::new(PhantomReplacer(0)),
-        );
+        let pool = BufferPool::with_replacer(&disk, tiny(2), Box::new(PhantomReplacer(0)));
         for id in 0..6u64 {
             pool.get(id);
         }
@@ -523,7 +498,7 @@ mod tests {
     #[test]
     fn raced_misses_of_one_page_share_one_frame() {
         let disk = disk_with_pages(6);
-        let pool = BufferPool::new(&disk, tiny(2, ReplacerPolicy::default()));
+        let pool = BufferPool::new(&disk, tiny(2));
         let (mut io_a, mut io_b) = (PoolStats::default(), PoolStats::default());
         assert!(pool.lookup(0, &mut io_a).is_none(), "A misses");
         assert!(pool.lookup(0, &mut io_b).is_none(), "B misses");

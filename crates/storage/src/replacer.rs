@@ -1,4 +1,4 @@
-//! Pluggable page-eviction policies for the [`BufferPool`](crate::BufferPool).
+//! Page-eviction policies for the [`BufferPool`](crate::BufferPool).
 //!
 //! The pool separates *what* is cached (its frame table) from *who* goes next
 //! (the [`Replacer`]).  A replacer tracks the access history of resident pages
@@ -10,13 +10,14 @@
 //! infinite distance and are evicted first, oldest first access first.
 //! `k = 1` is plain LRU.
 //!
-//! `k` is a [`PoolConfig`](crate::PoolConfig) knob ([`ReplacerPolicy`]);
-//! custom policies — such as the adversarial replacer the paged conformance
-//! suite uses to prove answers never depend on eviction order — plug in
-//! through [`BufferPool::with_replacer`](crate::BufferPool::with_replacer).
+//! [`BufferPool::new`](crate::BufferPool) builds it with `k = 2`: LRU-2 is
+//! scan-resistant (one streaming sweep cannot flush the pages every query
+//! re-reads), at the cost of one extra timestamp per frame.  Custom
+//! policies — such as the adversarial replacer the paged conformance suite
+//! uses to prove answers never depend on eviction order — plug in through
+//! [`BufferPool::with_replacer`](crate::BufferPool::with_replacer).
 
 use crate::disk::PageId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// An eviction policy the [`BufferPool`](crate::BufferPool) consults.
@@ -47,34 +48,6 @@ pub trait Replacer: Send + std::fmt::Debug {
 
     /// Number of pages currently tracked.
     fn tracked(&self) -> usize;
-}
-
-/// Which [`Replacer`] a [`PoolConfig`](crate::PoolConfig) builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReplacerPolicy {
-    /// LRU-K with the given `k` (history depth); `LruK(1)` is plain LRU.
-    LruK(usize),
-}
-
-impl Default for ReplacerPolicy {
-    /// LRU-2: scan-resistant (one streaming sweep cannot flush the pages
-    /// every query re-reads), at the cost of one extra timestamp per frame.
-    fn default() -> Self {
-        ReplacerPolicy::LruK(2)
-    }
-}
-
-impl ReplacerPolicy {
-    /// Plain LRU (`LruK(1)`), the pre-buffer-manager pool behaviour.
-    pub fn lru() -> Self {
-        ReplacerPolicy::LruK(1)
-    }
-
-    /// Builds the replacer this policy names.
-    pub(crate) fn build(self) -> Box<dyn Replacer> {
-        let ReplacerPolicy::LruK(k) = self;
-        Box::new(LruKReplacer::new(k))
-    }
 }
 
 #[derive(Debug)]
@@ -220,18 +193,21 @@ mod tests {
     }
 
     /// LRU-1 degenerates to plain LRU: victims come out least-recently-used.
+    /// `k = 0` clamps to 1 rather than panicking.
     #[test]
     fn lru_1_evicts_least_recently_used() {
-        let mut r = LruKReplacer::new(1);
-        for id in [10, 20, 30] {
-            r.record_access(id);
+        for k in [0, 1] {
+            let mut r = LruKReplacer::new(k);
+            for id in [10, 20, 30] {
+                r.record_access(id);
+            }
+            r.record_access(10); // order is now 20, 30, 10
+            assert_eq!(r.victim(), Some(20));
+            assert_eq!(r.victim(), Some(30));
+            assert_eq!(r.victim(), Some(10));
+            assert_eq!(r.victim(), None);
+            assert_eq!(r.tracked(), 0);
         }
-        r.record_access(10); // order is now 20, 30, 10
-        assert_eq!(r.victim(), Some(20));
-        assert_eq!(r.victim(), Some(30));
-        assert_eq!(r.victim(), Some(10));
-        assert_eq!(r.victim(), None);
-        assert_eq!(r.tracked(), 0);
     }
 
     /// The canonical LRU-2 sequence: a page swept once (short history) is
@@ -281,8 +257,8 @@ mod tests {
 
     #[test]
     fn remove_forgets_without_counting_as_eviction() {
-        for policy in [ReplacerPolicy::lru(), ReplacerPolicy::default()] {
-            let mut r = policy.build();
+        for k in [1, 2] {
+            let mut r = LruKReplacer::new(k);
             r.record_access(5);
             r.record_access(6);
             r.remove(5);
@@ -290,15 +266,5 @@ mod tests {
             assert_eq!(r.tracked(), 1);
             assert_eq!(r.victim(), Some(6));
         }
-    }
-
-    #[test]
-    fn policy_knob_builds_the_right_replacer() {
-        assert_eq!(ReplacerPolicy::default(), ReplacerPolicy::LruK(2));
-        assert_eq!(ReplacerPolicy::lru(), ReplacerPolicy::LruK(1));
-        // k = 0 clamps to 1 rather than panicking.
-        let mut r = LruKReplacer::new(0);
-        r.record_access(1);
-        assert_eq!(r.victim(), Some(1));
     }
 }

@@ -116,11 +116,6 @@ impl SpIndex {
         Ok(meta.base_ordinal)
     }
 
-    /// The base unit with the given ordinal.
-    pub fn base_unit_at(&self, ordinal: u32) -> Option<SpatialUnitId> {
-        self.base_units.get(ordinal as usize).copied()
-    }
-
     /// Half-open range of base-unit ordinals covered by `unit`.
     pub fn base_range(&self, unit: SpatialUnitId) -> Result<(u32, u32)> {
         Ok(self.meta(unit)?.base_range)

@@ -1,5 +1,5 @@
 //! A top-k join over a watch-list of entities: every listed entity's
-//! strongest associations, evaluated on four worker threads.
+//! strongest associations, its probes answered in parallel on the rayon pool.
 //!
 //! Run with `cargo run --release --example watch_list_join`.
 
@@ -23,11 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The join: one row per watch-list entity, each its exact top 5.
     let watch_list = dataset.query_entities(50, 77);
-    let (rows, join_stats) = index.top_k_join(
-        &watch_list,
-        &measure,
-        JoinOptions { k: 5, threads: 4, ..JoinOptions::default() },
-    )?;
+    let (rows, join_stats) =
+        index.top_k_join(&watch_list, &measure, JoinOptions { k: 5, ..JoinOptions::default() })?;
     println!(
         "top-5 join over {} watch-list entities: mean PE {:.3}, mean entities checked {:.1}",
         rows.len(),

@@ -116,4 +116,11 @@ name='One copy of the cells'
 sed '/^#\[cfg(test)\]/,$d' crates/core/src/kernel.rs |
     grep -nE 'cells: Vec<u64>|extend_from_slice\(set\.packed_slice\(\)\)|from\.cells' && fail
 
+# Options nobody set are constants: PathMax is the one hash rule (no mode,
+# no min-over-children memo), the pool evicts by LRU-2 (custom replacers
+# still plug into `BufferPool::with_replacer`), and a join always answers
+# its probes on the rayon pool.
+name='One value, one constant'
+grep -rnE 'HasherMode|ReplacerPolicy|fn exhaustive\b|memo: RwLock|pub threads:|fn with_replacer\(self' crates src tests examples && fail
+
 exit $bad

@@ -263,7 +263,7 @@ fn query_entries_are_the_conveniences_seeded_or_cold() {
             let convenience = snapshot.top_k_batch(&queries, 5, &measure).unwrap();
             assert_eq!(answers(&mem), answers(&convenience), "{ctx}");
             assert_eq!(batch_work(&mem), batch_work(&convenience), "{ctx}");
-            let convenience = paged.top_k_batch(&queries, 5, &measure).unwrap();
+            let convenience = paged.query_batch(&queries, &Query::new(5, &measure)).unwrap();
             assert_eq!(answers(&out), answers(&convenience), "{ctx}, paged");
             // `out` was planned over a cold pool, `warm` below over the pages
             // `out` left resident.  Residency decides no access path, so both
@@ -274,7 +274,7 @@ fn query_entries_are_the_conveniences_seeded_or_cold() {
             assert_eq!(answers(&warm), answers(&out), "{ctx}, paged, warm == cold");
             assert_eq!(batch_work(&warm), batch_work(&convenience), "{ctx}, paged");
             assert_eq!(batch_work(&warm), batch_work(&mem), "{ctx}, paged == in memory");
-            let join = JoinOptions { k: 5, threads: 2, ..JoinOptions::default() };
+            let join = JoinOptions { k: 5, ..JoinOptions::default() };
             let (mem_rows, _) = snapshot.top_k_join(&queries, &measure, join).unwrap();
             let (paged_rows, _) = paged.top_k_join(&queries, &measure, join).unwrap();
             let row_stats = |rows: &[JoinRow]| rows.iter().map(|r| r.stats).collect::<Vec<_>>();

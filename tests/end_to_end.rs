@@ -9,7 +9,7 @@ use digital_traces::baselines::{scan_top_k, BitmapIndex, BitmapIndexConfig};
 use digital_traces::index::testkit::{
     assert_matches_brute_force, PairedConfig, UniformConfig, Workload,
 };
-use digital_traces::index::{HasherMode, IndexConfig, MinSigIndex, QueryOptions};
+use digital_traces::index::{IndexConfig, MinSigIndex, QueryOptions};
 use digital_traces::mobility_models::{HierarchyConfig, SynConfig, SynDataset};
 use digital_traces::{DiceAdm, JaccardAdm, PaperAdm};
 
@@ -76,28 +76,22 @@ fn index_is_exact_under_different_measures() {
 }
 
 #[test]
-fn both_hasher_modes_and_all_query_options_are_exact() {
+fn all_query_options_are_exact() {
     let w = uniform_workload(3);
     let measure = w.measure();
     let queries = w.sample_entities(3, 5);
-    for mode in [HasherMode::PathMax, HasherMode::Exhaustive] {
-        let config = IndexConfig { hasher_mode: mode, ..IndexConfig::with_hash_functions(32) };
-        let index = w.build_index(config);
-        for options in [
-            QueryOptions::default(),
-            QueryOptions { use_level_constraints: false, accumulate_down_branch: true },
-            QueryOptions { use_level_constraints: true, accumulate_down_branch: false },
-            QueryOptions { use_level_constraints: false, accumulate_down_branch: false },
-        ] {
-            for &query in &queries {
-                let (got, _) = index.top_k_with_options(query, 10, &measure, options).unwrap();
-                let expect = index.brute_force(query, 10, &measure).unwrap();
-                for (g, e) in got.iter().zip(expect.iter()) {
-                    assert!(
-                        (g.degree - e.degree).abs() < 1e-9,
-                        "mode {mode:?}, options {options:?}"
-                    );
-                }
+    let index = w.build_index(IndexConfig::with_hash_functions(32));
+    for options in [
+        QueryOptions::default(),
+        QueryOptions { use_level_constraints: false, accumulate_down_branch: true },
+        QueryOptions { use_level_constraints: true, accumulate_down_branch: false },
+        QueryOptions { use_level_constraints: false, accumulate_down_branch: false },
+    ] {
+        for &query in &queries {
+            let (got, _) = index.top_k_with_options(query, 10, &measure, options).unwrap();
+            let expect = index.brute_force(query, 10, &measure).unwrap();
+            for (g, e) in got.iter().zip(expect.iter()) {
+                assert!((g.degree - e.degree).abs() < 1e-9, "options {options:?}");
             }
         }
     }

@@ -103,6 +103,8 @@ fn n_threads_over_one_snapshot_match_sequential_execution() {
     }
 }
 
+/// The join's rows and the batch's are the per-probe single queries, in
+/// probe order: the same answers and the same work record.
 #[test]
 fn batch_and_parallel_join_match_sequential_join_exactly() {
     let (sp, traces) = paired_dataset(25);
@@ -111,29 +113,23 @@ fn batch_and_parallel_join_match_sequential_join_exactly() {
     let probes: Vec<EntityId> = (0..50u64).map(EntityId).collect();
     let snapshot = index.snapshot();
 
-    let (seq_rows, _) = snapshot
-        .top_k_join(&probes, &measure, JoinOptions { k: 4, threads: 1, ..JoinOptions::default() })
-        .unwrap();
-    let (par_rows, _) = snapshot
-        .top_k_join(&probes, &measure, JoinOptions { k: 4, threads: 8, ..JoinOptions::default() })
+    let (rows, _) = snapshot
+        .top_k_join(&probes, &measure, JoinOptions { k: 4, ..JoinOptions::default() })
         .unwrap();
     let batch = snapshot.top_k_batch(&probes, 4, &measure).unwrap();
 
-    assert_eq!(seq_rows.len(), probes.len(), "every probe is indexed");
-    assert_eq!(seq_rows.len(), par_rows.len());
-    assert_eq!(seq_rows.len(), batch.len());
-    for ((s, p), (b, b_stats)) in seq_rows.iter().zip(par_rows.iter()).zip(batch.iter()) {
-        let ctx = format!("probe {}", s.probe);
-        assert_eq!(s.probe, p.probe);
-        assert_same_results(&s.matches, &p.matches, "join parallel vs sequential");
-        assert_same_results(&s.matches, b, "batch vs sequential join");
-        let (single, single_stats) = snapshot.top_k(s.probe, 4, &measure).unwrap();
-        assert_eq!(single, s.matches, "{ctx}: per-probe top_k vs sequential join");
+    assert_eq!(rows.len(), probes.len(), "every probe is indexed");
+    assert_eq!(rows.len(), batch.len());
+    for ((&probe, row), (b, b_stats)) in probes.iter().zip(rows.iter()).zip(batch.iter()) {
+        let ctx = format!("probe {probe}");
+        assert_eq!(row.probe, probe, "{ctx}: rows in probe order");
+        assert_same_results(&row.matches, b, "batch vs join");
+        let (single, single_stats) = snapshot.top_k(probe, 4, &measure).unwrap();
+        assert_eq!(single, row.matches, "{ctx}: per-probe top_k vs join");
         // The whole work record, not only the answer, is the same on every
         // schedule: one tree search run to completion, no bound shared.
         let expect = work(&single_stats);
-        assert_eq!(work(&s.stats), expect, "{ctx}: sequential join");
-        assert_eq!(work(&p.stats), expect, "{ctx}: parallel join");
+        assert_eq!(work(&row.stats), expect, "{ctx}: join");
         assert_eq!(work(b_stats), expect, "{ctx}: batch");
         assert_eq!((expect.steps, expect.bound_updates), (1, 0), "{ctx}");
     }

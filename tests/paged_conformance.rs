@@ -1,7 +1,7 @@
 //! Black-box conformance of the **out-of-core** sharded query paths: for
 //! random populations, arbitrary shard counts, pool budgets down to a single
-//! frame and every eviction policy (including an adversarial one that evicts
-//! pseudo-randomly), a [`PagedShardedSnapshot`] must answer **fully
+//! frame, the pool's LRU-2 eviction and an adversarial replacer that evicts
+//! pseudo-randomly, a [`PagedShardedSnapshot`] must answer **fully
 //! bit-identically** to the in-memory sharded snapshot, the unsharded index
 //! and the brute-force oracle — identical degree bits, identical entities at
 //! every rank, k-th-degree boundary ties included.
@@ -21,16 +21,12 @@ use digital_traces::index::{
     IndexConfig, JoinOptions, Query, QueryStats, ShardedMinSigIndex, ShardedSnapshot,
 };
 use digital_traces::mobility_models::{SynConfig, SynDataset};
-use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, ReplacerPolicy, PAGE_SIZE};
+use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, PAGE_SIZE};
 use digital_traces::EntityId;
 use proptest::prelude::*;
 
-/// The policy grid every suite sweeps: plain LRU and the scan-resistant
-/// LRU-2 default.
-const POLICIES: [ReplacerPolicy; 2] = [ReplacerPolicy::LruK(1), ReplacerPolicy::LruK(2)];
-
-fn pool_config(pages: usize, policy: ReplacerPolicy) -> PoolConfig {
-    PoolConfig { capacity_bytes: pages * PAGE_SIZE, ..PoolConfig::default() }.with_replacer(policy)
+fn pool_config(pages: usize) -> PoolConfig {
+    PoolConfig { capacity_bytes: pages * PAGE_SIZE, ..PoolConfig::default() }
 }
 
 fn build_world(
@@ -57,7 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `top_k` conformance across the whole grid: any shard count, any pool
-    /// budget down to one frame, every shipped policy.  The paged answer,
+    /// budget down to one frame.  The paged answer,
     /// the in-memory sharded answer and the unsharded answer must be
     /// bit-identical, and valid against the full brute-force degree table.
     #[test]
@@ -67,12 +63,11 @@ proptest! {
         seed in 0u64..1_000,
         shards in 1usize..7,
         pool_pages in 1usize..8,
-        policy_pick in 0usize..2,
         k in 1usize..6,
     ) {
         let (w, unsharded, sharded, store) = build_world(entities, visits, seed, shards);
         let snapshot = sharded.snapshot();
-        let pool = store.pool(pool_config(pool_pages, POLICIES[policy_pick]));
+        let pool = store.pool(pool_config(pool_pages));
         let paged = snapshot.paged(&store, &pool);
         let measure = w.measure();
         let total = w.entities().len();
@@ -80,10 +75,7 @@ proptest! {
             let (out, stats) = paged.top_k(query, k, &measure).unwrap();
             let (mem, _) = snapshot.top_k(query, k, &measure).unwrap();
             let (flat, _) = unsharded.top_k(query, k, &measure).unwrap();
-            let ctx = format!(
-                "query {query}, k {k}, {shards} shards, {pool_pages}-page pool, {:?}",
-                POLICIES[policy_pick]
-            );
+            let ctx = format!("query {query}, k {k}, {shards} shards, {pool_pages}-page pool");
             assert_equivalent_answers(&out, &mem, &format!("{ctx}: paged vs in-memory sharded"));
             assert_equivalent_answers(&out, &flat, &format!("{ctx}: paged vs unsharded"));
             let truth = unsharded.brute_force(query, total, &measure).unwrap();
@@ -105,17 +97,16 @@ proptest! {
         seed in 0u64..500,
         shards in 1usize..6,
         pool_pages in 1usize..5,
-        policy_pick in 0usize..2,
     ) {
         let (w, _, sharded, store) = build_world(entities, 3, seed, shards);
         let snapshot = sharded.snapshot();
-        let pool = store.pool(pool_config(pool_pages, POLICIES[policy_pick]));
+        let pool = store.pool(pool_config(pool_pages));
         let paged = snapshot.paged(&store, &pool);
         let measure = w.measure();
 
         let queries = w.sample_entities(5, seed ^ 0xBA7C4);
         let mem_batch = snapshot.top_k_batch(&queries, 3, &measure).unwrap();
-        let paged_batch = paged.top_k_batch(&queries, 3, &measure).unwrap();
+        let paged_batch = paged.query_batch(&queries, &Query::new(3, &measure)).unwrap();
         for (i, ((mem, _), (out, _))) in mem_batch.iter().zip(paged_batch.iter()).enumerate() {
             assert_equivalent_answers(out, mem, &format!("batch slot {i}"));
         }
@@ -144,7 +135,6 @@ proptest! {
     fn paged_answers_keep_boundary_ties_bitwise(
         entities in 3u64..16,
         shards in 1usize..5,
-        policy_pick in 0usize..2,
         k in 1usize..6,
     ) {
         let w = Workload::all_identical(entities, HierarchySpec::flat(4));
@@ -152,7 +142,7 @@ proptest! {
         let sharded = ShardedMinSigIndex::build(&w.sp, &w.traces, config, shards).unwrap();
         let snapshot = sharded.snapshot();
         let store = PagedTraceStore::build(&w.traces, 4);
-        let pool = store.pool(pool_config(1, POLICIES[policy_pick]));
+        let pool = store.pool(pool_config(1));
         let paged = snapshot.paged(&store, &pool);
         let measure = w.measure();
         for query in w.entities() {
@@ -182,7 +172,7 @@ proptest! {
         let snapshot = sharded.snapshot();
         let pool = BufferPool::with_replacer(
             store.disk(),
-            pool_config(pool_pages, ReplacerPolicy::default()),
+            pool_config(pool_pages),
             Box::new(ChaoticReplacer::new(chaos_seed)),
         );
         let paged = snapshot.paged(&store, &pool);
@@ -200,10 +190,9 @@ proptest! {
     }
 }
 
-/// The ISSUE acceptance bar, deterministically: a sharded index whose trace
-/// data is at least **10× the pool budget** answers `top_k`, `top_k_batch`
-/// and `top_k_join` bit-identically to the in-memory paths, under both
-/// shipped policy families.
+/// The out-of-core acceptance bar, deterministically: a sharded index whose trace
+/// data is at least **10× the pool budget** answers `top_k`, batches and
+/// `top_k_join` bit-identically to the in-memory paths.
 #[test]
 fn ten_times_memory_answers_stay_exact() {
     let (w, unsharded, sharded, store) = build_world(500, 8, 7, 4);
@@ -212,39 +201,35 @@ fn ten_times_memory_answers_stay_exact() {
     let budget = (store.data_bytes() / 10).max(PAGE_SIZE);
     assert!(store.data_bytes() >= 10 * budget, "dataset must dwarf the pool");
 
-    for policy in POLICIES {
-        let pool = store.pool(
-            PoolConfig { capacity_bytes: budget, ..PoolConfig::default() }.with_replacer(policy),
-        );
-        let paged = snapshot.paged(&store, &pool);
+    let pool = store.pool(PoolConfig { capacity_bytes: budget, ..PoolConfig::default() });
+    let paged = snapshot.paged(&store, &pool);
 
-        let queries = w.sample_entities(12, 0xFEED);
-        for &query in &queries {
-            let (out, stats) = paged.top_k(query, 10, &measure).unwrap();
-            let (mem, _) = snapshot.top_k(query, 10, &measure).unwrap();
-            let (flat, _) = unsharded.top_k(query, 10, &measure).unwrap();
-            assert_equivalent_answers(&out, &mem, &format!("{policy:?} 10x top_k {query}"));
-            assert_equivalent_answers(&out, &flat, &format!("{policy:?} 10x vs unsharded {query}"));
-            assert!(stats.pool_misses > 0, "a 10x-memory query cannot be all hits");
-        }
-
-        let mem_batch = snapshot.top_k_batch(&queries, 5, &measure).unwrap();
-        let paged_batch = paged.top_k_batch(&queries, 5, &measure).unwrap();
-        for ((mem, _), (out, _)) in mem_batch.iter().zip(paged_batch.iter()) {
-            assert_equivalent_answers(out, mem, &format!("{policy:?} 10x batch"));
-        }
-
-        let options = JoinOptions { k: 3, threads: 4, ..JoinOptions::default() };
-        let (mem_rows, _) = snapshot.top_k_join(&queries, &measure, options).unwrap();
-        let (rows, _) = paged.top_k_join(&queries, &measure, options).unwrap();
-        assert_eq!(mem_rows.len(), rows.len());
-        for (a, b) in mem_rows.iter().zip(rows.iter()) {
-            assert_equivalent_answers(&b.matches, &a.matches, &format!("{policy:?} 10x join"));
-        }
-        assert_eq!(pool.pinned_frames(), 0, "{policy:?}: pins all released");
-        let io = pool.stats();
-        assert!(io.evictions > 0, "{policy:?}: a 10x-memory run must evict");
+    let queries = w.sample_entities(12, 0xFEED);
+    for &query in &queries {
+        let (out, stats) = paged.top_k(query, 10, &measure).unwrap();
+        let (mem, _) = snapshot.top_k(query, 10, &measure).unwrap();
+        let (flat, _) = unsharded.top_k(query, 10, &measure).unwrap();
+        assert_equivalent_answers(&out, &mem, &format!("10x top_k {query}"));
+        assert_equivalent_answers(&out, &flat, &format!("10x vs unsharded {query}"));
+        assert!(stats.pool_misses > 0, "a 10x-memory query cannot be all hits");
     }
+
+    let mem_batch = snapshot.top_k_batch(&queries, 5, &measure).unwrap();
+    let paged_batch = paged.query_batch(&queries, &Query::new(5, &measure)).unwrap();
+    for ((mem, _), (out, _)) in mem_batch.iter().zip(paged_batch.iter()) {
+        assert_equivalent_answers(out, mem, "10x batch");
+    }
+
+    let options = JoinOptions { k: 3, ..JoinOptions::default() };
+    let (mem_rows, _) = snapshot.top_k_join(&queries, &measure, options).unwrap();
+    let (rows, _) = paged.top_k_join(&queries, &measure, options).unwrap();
+    assert_eq!(mem_rows.len(), rows.len());
+    for (a, b) in mem_rows.iter().zip(rows.iter()) {
+        assert_equivalent_answers(&b.matches, &a.matches, "10x join");
+    }
+    assert_eq!(pool.pinned_frames(), 0, "pins all released");
+    let io = pool.stats();
+    assert!(io.evictions > 0, "a 10x-memory run must evict");
 }
 
 /// An unseeded paged query (a sketchless index) answers bit-identically to
@@ -252,7 +237,7 @@ fn ten_times_memory_answers_stay_exact() {
 #[test]
 fn unseeded_paged_query_answers_like_in_memory() {
     let (w, _, mut sharded, store) = build_world(48, 4, 11, 3);
-    let pool = store.pool(pool_config(2, ReplacerPolicy::default()));
+    let pool = store.pool(pool_config(2));
     let measure = w.measure();
     let query = w.sample_entities(1, 3)[0];
 
@@ -338,7 +323,7 @@ fn level_one_disjoint_candidates_are_answered_without_a_read() {
     // skipped, every candidate is scored once.
     let everyone = Query::new(population, &measure);
     for query in w.sample_entities(6, 0x1E7E1) {
-        let pool = store.pool(pool_config(2, ReplacerPolicy::default()));
+        let pool = store.pool(pool_config(2));
         for (snapshot, planned) in [(&snapshot, Query::new(5, &measure)), (&cold, everyone)] {
             let (out, stats) = snapshot.paged(&store, &pool).query(query, &planned).unwrap();
             let (mem, mem_stats) = snapshot.query(query, &planned).unwrap();
@@ -416,7 +401,7 @@ fn paged_level_one_runs_the_in_memory_kernel_on_syn() {
     let everyone = Query::new(population, &measure);
     let mut keyed_finer = 0;
     for query in dataset.traces.entities().step_by(23) {
-        let pool = store.pool(pool_config(8, ReplacerPolicy::default()));
+        let pool = store.pool(pool_config(8));
         let (out, stats) = snapshot.paged(&store, &pool).query(query, &everyone).unwrap();
         let (mem, mem_stats) = snapshot.query(query, &everyone).unwrap();
         let ctx = format!("query {query}");
@@ -439,7 +424,7 @@ fn dropped_sessions_free_their_pages() {
     let (w, _, sharded, store) = build_world(120, 6, 9, 3);
     let snapshot = sharded.snapshot();
     let measure = w.measure();
-    let pool = store.pool(pool_config(4, ReplacerPolicy::default()));
+    let pool = store.pool(pool_config(4));
     let live = store.disk().live_bytes();
     let query = w.sample_entities(1, 0x5E55)[0];
     let (mem, _) = snapshot.top_k(query, 5, &measure).unwrap();

@@ -120,8 +120,8 @@ proptest! {
         let (w, unsharded, sharded) = build_pair(entities, 4, seed, 16, shards);
         let measure = w.measure();
         let queries = w.entities();
-        let batch_a = unsharded.top_k_batch(&queries, k, &measure).unwrap();
-        let batch_b = sharded.top_k_batch(&queries, k, &measure).unwrap();
+        let batch_a = unsharded.snapshot().top_k_batch(&queries, k, &measure).unwrap();
+        let batch_b = sharded.snapshot().top_k_batch(&queries, k, &measure).unwrap();
         prop_assert_eq!(batch_a.len(), batch_b.len());
         for (i, ((a, _), (b, _))) in batch_a.iter().zip(batch_b.iter()).enumerate() {
             assert_equivalent_answers(b, a, &format!("planned batch entry {i}"));

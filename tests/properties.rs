@@ -2,7 +2,7 @@
 //! theorems and the ADM axioms must hold for *arbitrary* (not just generated)
 //! trace data.
 
-use digital_traces::index::{HasherMode, IndexConfig, MinSigIndex};
+use digital_traces::index::{IndexConfig, MinSigIndex};
 use digital_traces::{
     AssociationMeasure, DiceAdm, EntityId, JaccardAdm, PaperAdm, Period, PresenceInstance, SpIndex,
     TraceSet,
@@ -35,17 +35,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The index answer always carries the same degrees as the brute-force answer,
-    /// for any workload, any k, both hasher modes and a non-trivial measure.
+    /// for any workload, any k and a non-trivial measure.
     #[test]
     fn index_always_matches_brute_force(
         workload in workload_strategy(),
         k in 1usize..8,
         nh in 4u32..48,
-        exhaustive in any::<bool>(),
     ) {
         let (sp, traces) = build_traces(&workload);
-        let mode = if exhaustive { HasherMode::Exhaustive } else { HasherMode::PathMax };
-        let config = IndexConfig { hasher_mode: mode, num_hash_functions: nh, ..IndexConfig::default() };
+        let config = IndexConfig { num_hash_functions: nh, ..IndexConfig::default() };
         let index = MinSigIndex::build(&sp, &traces, config).unwrap();
         let measure = PaperAdm::default_for(sp.height() as usize);
         for query in traces.entities() {

@@ -70,8 +70,8 @@ proptest! {
 
             // Oracles: the canonical brute-force top-k (both flavours agree
             // fully — scans are tie-complete) and the full degree table.
-            let oracle = unsharded.brute_force(query, k, &measure).unwrap();
-            let sharded_oracle = sharded.brute_force(query, k, &measure).unwrap();
+            let oracle = unsharded.snapshot().brute_force(query, k, &measure).unwrap();
+            let sharded_oracle = sharded.snapshot().brute_force(query, k, &measure).unwrap();
             prop_assert_eq!(&oracle, &sharded_oracle, "the two oracles must agree, {}", query);
             assert_equivalent_answers(&fanned, &oracle, &format!("sharded vs oracle, {query}"));
 
@@ -100,7 +100,7 @@ proptest! {
             let (exact, _) = unsharded.top_k(query, k, &measure).unwrap();
             let (fanned, stats) = snapshot.query(query, &Query::new(k, &measure)).unwrap();
             assert_equivalent_answers(&fanned, &exact, &format!("cold fan-out, {query}"));
-            let oracle = unsharded.brute_force(query, k, &measure).unwrap();
+            let oracle = unsharded.snapshot().brute_force(query, k, &measure).unwrap();
             assert_equivalent_answers(&fanned, &oracle, &format!("vs oracle, {query}"));
             prop_assert!(!stats.threshold_seeded);
             prop_assert_eq!(stats.shards_skipped, 0);
@@ -125,9 +125,9 @@ proptest! {
         let mut probes = w.entities();
         probes.insert(probes.len() / 2, EntityId(1_000_000));
 
-        let options = JoinOptions { k, threads: 4, ..JoinOptions::default() };
-        let (rows_a, stats_a) = unsharded.top_k_join(&probes, &measure, options).unwrap();
-        let (rows_b, stats_b) = sharded.top_k_join(&probes, &measure, options).unwrap();
+        let options = JoinOptions { k, ..JoinOptions::default() };
+        let (rows_a, stats_a) = unsharded.snapshot().top_k_join(&probes, &measure, options).unwrap();
+        let (rows_b, stats_b) = sharded.snapshot().top_k_join(&probes, &measure, options).unwrap();
         prop_assert_eq!(rows_a.len(), rows_b.len());
         prop_assert_eq!(stats_a.probes, stats_b.probes);
         prop_assert_eq!(stats_a.skipped, stats_b.skipped);
@@ -137,15 +137,15 @@ proptest! {
         }
 
         let queries = w.entities();
-        let batch_a = unsharded.top_k_batch(&queries, k, &measure).unwrap();
-        let batch_b = sharded.top_k_batch(&queries, k, &measure).unwrap();
+        let batch_a = unsharded.snapshot().top_k_batch(&queries, k, &measure).unwrap();
+        let batch_b = sharded.snapshot().top_k_batch(&queries, k, &measure).unwrap();
         prop_assert_eq!(batch_a.len(), batch_b.len());
         for (i, ((a, _), (b, _))) in batch_a.iter().zip(batch_b.iter()).enumerate() {
             assert_equivalent_answers(b, a, &format!("batch entry {i}"));
         }
         // An unknown query fails the whole batch on both paths.
-        prop_assert!(unsharded.top_k_batch(&probes, k, &measure).is_err());
-        prop_assert!(sharded.top_k_batch(&probes, k, &measure).is_err());
+        prop_assert!(unsharded.snapshot().top_k_batch(&probes, k, &measure).is_err());
+        prop_assert!(sharded.snapshot().top_k_batch(&probes, k, &measure).is_err());
     }
 
     /// Durability conformance: a saved-then-reopened sharded index answers

@@ -13,12 +13,10 @@ use digital_traces::index::testkit::{
     assert_equivalent_answers, ChaoticReplacer, StreamConfig, UniformConfig, Workload,
 };
 use digital_traces::index::{
-    DurableShardedMinSigIndex, IndexConfig, IngestBuffer, JoinOptions, ShardedMinSigIndex,
+    DurableShardedMinSigIndex, IndexConfig, IngestBuffer, JoinOptions, Query, ShardedMinSigIndex,
 };
 use digital_traces::storage::LogConfig;
-use digital_traces::storage::{
-    BufferPool, PagedTraceStore, PoolConfig, PoolStats, ReplacerPolicy, PAGE_SIZE,
-};
+use digital_traces::storage::{BufferPool, PagedTraceStore, PoolConfig, PoolStats, PAGE_SIZE};
 use digital_traces::{EntityId, QueryStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -149,7 +147,6 @@ fn run_paged_stress(
     flushes: u64,
     records: usize,
     pool_pages: usize,
-    policy: ReplacerPolicy,
 ) {
     let w = Workload::uniform(UniformConfig {
         entities,
@@ -184,10 +181,8 @@ fn run_paged_stress(
         all_traces.record(*record);
     }
     let store = PagedTraceStore::build(&all_traces, 4);
-    let pool = store.pool(
-        PoolConfig { capacity_bytes: pool_pages * PAGE_SIZE, ..PoolConfig::default() }
-            .with_replacer(policy),
-    );
+    let pool =
+        store.pool(PoolConfig { capacity_bytes: pool_pages * PAGE_SIZE, ..PoolConfig::default() });
 
     let lock = RwLock::new(index);
     let stop = AtomicBool::new(false);
@@ -374,16 +369,16 @@ fn heavy_durable_readers_race_logged_flushes_and_recover_after_crash() {
 
 #[test]
 fn paged_readers_race_flushes_and_release_every_pin() {
-    run_paged_stress(24, 4, 4, 6, 60, 2, ReplacerPolicy::default());
+    run_paged_stress(24, 4, 4, 6, 60, 2);
 }
 
 /// The heavy out-of-core variant for the CI release stress job: more of
-/// everything, plain LRU (no scan resistance) and a single-frame pool so
-/// every reader fights for the same slot.
+/// everything and a single-frame pool so every reader fights for the same
+/// slot.
 #[test]
 #[ignore = "heavy stress; run with cargo test --release -- --ignored"]
 fn heavy_paged_readers_race_flushes_and_release_every_pin() {
-    run_paged_stress(120, 8, 8, 24, 300, 1, ReplacerPolicy::lru());
+    run_paged_stress(120, 8, 8, 24, 300, 1);
 }
 
 /// Every paged entry point at once on ONE pool: `threads` clients each run
@@ -411,7 +406,7 @@ fn run_shared_pool_stress(entities: u64, shards: usize, threads: usize, rounds: 
     assert!(store.data_bytes() >= 10 * tenth * PAGE_SIZE, "the data must dwarf the pool");
 
     const K: usize = 4;
-    let join = JoinOptions { k: K, threads: 2, ..JoinOptions::default() };
+    let join = JoinOptions { k: K, ..JoinOptions::default() };
     // Per client: one single query, one batch, one probe list — and the
     // in-memory answers they must reproduce.
     let plans: Vec<_> = (0..threads as u64)
@@ -467,7 +462,8 @@ fn run_shared_pool_stress(entities: u64, shards: usize, threads: usize, rounds: 
                             let (got, stats) = paged.top_k(*single, K, measure).unwrap();
                             assert_equivalent_answers(&got, &expect[0], &context);
                             count(&stats);
-                            let answers = paged.top_k_batch(batch, K, measure).unwrap();
+                            let answers =
+                                paged.query_batch(batch, &Query::new(K, measure)).unwrap();
                             for ((got, stats), want) in answers.iter().zip(&expect[1..4]) {
                                 assert_equivalent_answers(got, want, &context);
                                 count(stats);
